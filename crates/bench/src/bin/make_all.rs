@@ -16,10 +16,10 @@
 //! --only SUBSTR  run only exhibits whose name contains SUBSTR
 //! --out FILE     matrix destination (default results/make_all.sweep.json)
 //! --table        print the EXPERIMENTS.md determinism table and exit
-//! --timings FILE also write a `tm-bench-perf/v1` timing document (host
-//!                metadata plus wall-clock per exhibit) — the "after" side
-//!                consumed by scripts/bench.sh
 //! ```
+//!
+//! Host time per exhibit is each cell's `wall_ms` in the matrix; tracked
+//! performance numbers come from `bash benchmark/run.sh`.
 //!
 //! `TM_SWEEP_FAULT=timeout:<substr>` / `error:<substr>` (with an optional
 //! `:<n>` suffix to fail only the first `n` attempts) injects a fault into
@@ -36,53 +36,6 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Write a `tm-bench-perf/v1` timing document: host metadata plus
-/// wall-clock milliseconds per exhibit. This is the "after" side of the
-/// tracked perf baseline (`results/bench_before_pr4.json` is the frozen
-/// "before"); `scripts/bench.sh` merges the two into `BENCH_pr4.json`.
-fn write_timings(path: &str, report: &tm_obs::SweepReport) {
-    use tm_obs::json::Json;
-    let total: u64 = report.cells.iter().map(|c| c.wall_ms).sum();
-    let cells: Vec<Json> = report
-        .cells
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("cell".into(), Json::str(c.key())),
-                ("wall_ms".into(), Json::u64(c.wall_ms)),
-                ("status".into(), Json::str(c.status.name())),
-            ])
-        })
-        .collect();
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("tm-bench-perf/v1")),
-        ("side".into(), Json::str("after")),
-        (
-            "host".into(),
-            Json::Obj(vec![
-                ("os".into(), Json::str(std::env::consts::OS)),
-                ("arch".into(), Json::str(std::env::consts::ARCH)),
-                (
-                    "cores".into(),
-                    Json::u64(std::thread::available_parallelism().map_or(0, |n| n.get() as u64)),
-                ),
-            ]),
-        ),
-        (
-            "exhibits".into(),
-            Json::Obj(vec![
-                ("total_wall_ms".into(), Json::u64(total)),
-                ("cells".into(), Json::Arr(cells)),
-            ]),
-        ),
-    ]);
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).expect("create timings directory");
-    }
-    std::fs::write(path, doc.emit_pretty()).expect("write timings");
-    eprintln!("timings written to {path}");
 }
 
 fn main() {
@@ -128,9 +81,6 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
     std::fs::write(&out, report.to_json_string()).expect("write sweep matrix");
-    if let Some(path) = flag(&args, "--timings") {
-        write_timings(&path, &report);
-    }
     let degraded = report.degraded();
     for cell in report
         .cells

@@ -21,13 +21,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tm_alloc::profile::{bucket_label, Region};
-use tm_alloc::AllocatorKind;
-use tm_core::synthetic::{run_synthetic, SyntheticConfig};
-use tm_core::threadtest::{run_threadtest, ThreadtestConfig};
+use tm_alloc::{AllocFaultPlan, AllocatorKind};
+use tm_core::sweeps::{parse_backend, parse_cm, stamp_run, synth_config, threadtest_config};
+use tm_core::synthetic::run_synthetic;
+use tm_core::threadtest::run_threadtest;
 use tm_ds::StructureKind;
-use tm_stamp::runner::{make_app, profile_app, run_app, StampOpts};
+use tm_stamp::runner::{make_app, profile_app, run_app};
 use tm_stamp::AppKind;
-use tm_stm::{LockDesign, OrtHash, WriteMode};
+
+/// Command-line flags: `--name value`, or `--name` alone (value `true`).
+type Flags = HashMap<String, String>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,7 +67,7 @@ fn usage() {
          threadtest: --alloc <a> [--size BYTES] [--threads N] [--pairs N]\n\
          profile:    --app <name> [--alloc <a>] [--scale S]\n\
          report:     <a.json> — pretty-print; <a.json> <b.json> — diff \
-         (run reports or sweep matrices, by schema)\n\
+         (any results schema, by its `schema` field)\n\
          sweep:      [--workload synth|stamp|threadtest] axes as comma lists \
          (--structure --app --alloc --backend --cm --alloc-fault --threads --shift \
          --update-pct --size --ops --pairs --scale --seeds) [--quick] [--reps N] \
@@ -87,124 +90,70 @@ fn usage() {
     );
 }
 
-/// Any schema that `tmstudy report` can show or diff.
-enum AnyReport {
-    Run(tm_obs::RunReport),
-    Sweep(tm_obs::SweepReport),
-    Check(tm_obs::CheckReport),
-    Mc(tm_obs::McReport),
-    Oom(tm_obs::OomReport),
+/// Load a results JSON file of any schema in `tm_obs::REGISTRY`.
+fn load_report(path: &str) -> Result<Box<dyn tm_obs::Report>, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    tm_obs::load_report(&src).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The schemas this binary understands, for error messages.
-const KNOWN_SCHEMAS: [&str; 7] = [
-    tm_obs::report::SCHEMA,
-    tm_obs::report::SCHEMA_V1_1,
-    tm_obs::sweep::SWEEP_SCHEMA,
-    tm_obs::check::CHECK_SCHEMA,
-    tm_obs::mc::MC_SCHEMA,
-    tm_obs::mc::MC_SCHEMA_V1_1,
-    tm_obs::oom::OOM_SCHEMA,
-];
-
-impl AnyReport {
-    /// Load a results JSON file, dispatching on its `schema` field. A file
-    /// with an unrecognised schema gets a clear error naming the schemas
-    /// this binary understands, not a parse panic.
-    fn load(path: &str) -> Result<AnyReport, String> {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Self::parse(&src).map_err(|e| format!("{path}: {e}"))
-    }
-
-    fn parse(src: &str) -> Result<AnyReport, String> {
-        let tree = tm_obs::json::Json::parse(src).map_err(|e| format!("not JSON: {e}"))?;
-        match tree.get("schema").and_then(tm_obs::json::Json::as_str) {
-            Some(tm_obs::report::SCHEMA | tm_obs::report::SCHEMA_V1_1) => {
-                tm_obs::RunReport::from_json(&tree)
-                    .map(AnyReport::Run)
-                    .map_err(|e| format!("malformed run report: {e}"))
-            }
-            Some(tm_obs::sweep::SWEEP_SCHEMA) => tm_obs::SweepReport::from_json(&tree)
-                .map(AnyReport::Sweep)
-                .map_err(|e| format!("malformed sweep matrix: {e}")),
-            Some(tm_obs::check::CHECK_SCHEMA) => tm_obs::CheckReport::from_json(&tree)
-                .map(AnyReport::Check)
-                .map_err(|e| format!("malformed check report: {e}")),
-            Some(tm_obs::mc::MC_SCHEMA | tm_obs::mc::MC_SCHEMA_V1_1) => {
-                tm_obs::McReport::from_json(&tree)
-                    .map(AnyReport::Mc)
-                    .map_err(|e| format!("malformed mc report: {e}"))
-            }
-            Some(tm_obs::oom::OOM_SCHEMA) => tm_obs::OomReport::from_json(&tree)
-                .map(AnyReport::Oom)
-                .map_err(|e| format!("malformed oom report: {e}")),
-            Some(other) => Err(format!(
-                "unknown schema '{other}' (known schemas: {})",
-                KNOWN_SCHEMAS.join(", ")
-            )),
-            None => Err(format!(
-                "no 'schema' field (known schemas: {})",
-                KNOWN_SCHEMAS.join(", ")
-            )),
-        }
-    }
-
-    fn load_or_exit(path: &str) -> AnyReport {
-        AnyReport::load(path).unwrap_or_else(|e| {
+/// Pretty-print one results JSON file (of whichever registered schema its
+/// `schema` field names), or structurally diff two of the same schema
+/// (exit code 1 when they differ, for scripting).
+fn report(args: &[String]) {
+    let load = |path: &String| {
+        load_report(path).unwrap_or_else(|e| {
             eprintln!("report: {e}");
             std::process::exit(2);
         })
-    }
-}
-
-/// Pretty-print one results JSON file (run report, sweep matrix, or check
-/// report, chosen by its `schema` field), or structurally diff two of the
-/// same schema (exit code 1 when they differ, for scripting).
-fn report(args: &[String]) {
+    };
     match args {
-        [one] => match AnyReport::load_or_exit(one) {
-            AnyReport::Run(r) => print!("{}", r.render()),
-            AnyReport::Sweep(s) => print!("{}", s.render()),
-            AnyReport::Check(c) => print!("{}", c.render()),
-            AnyReport::Mc(m) => print!("{}", m.render()),
-            AnyReport::Oom(o) => print!("{}", o.render()),
-        },
-        [a, b] => {
-            let d = match (AnyReport::load_or_exit(a), AnyReport::load_or_exit(b)) {
-                (AnyReport::Run(ra), AnyReport::Run(rb)) => ra.diff(&rb),
-                (AnyReport::Sweep(sa), AnyReport::Sweep(sb)) => sa.diff(&sb),
-                (AnyReport::Mc(ma), AnyReport::Mc(mb)) => ma.diff(&mb),
-                (AnyReport::Oom(oa), AnyReport::Oom(ob)) => oa.diff(&ob),
-                (AnyReport::Check(_), AnyReport::Check(_)) => {
-                    eprintln!("report: check reports have no diff; rerun `tmstudy check`");
-                    std::process::exit(2);
-                }
-                _ => {
-                    eprintln!("report: cannot diff reports of different schemas");
-                    std::process::exit(2);
-                }
-            };
-            match d {
-                None => println!("reports are identical"),
-                Some(d) => {
-                    print!("{d}");
-                    std::process::exit(1);
-                }
+        [one] => print!("{}", load(one).render()),
+        [a, b] => match load(a).diff(load(b).as_ref()) {
+            Err(e) => {
+                eprintln!("report: {e}");
+                std::process::exit(2);
             }
-        }
+            Ok(None) => println!("reports are identical"),
+            Ok(Some(d)) => {
+                print!("{d}");
+                std::process::exit(1);
+            }
+        },
         _ => usage(),
     }
 }
 
+/// Write a matrix where `--out` says (default
+/// `results/<name>.<kind>.json`) and print its rendering.
+fn write_matrix<C: tm_obs::Cell>(flags: &Flags, report: &tm_obs::Matrix<C>, what: &str) {
+    let out = flags
+        .get("out")
+        .cloned()
+        .unwrap_or_else(|| format!("results/{}.{}.json", report.name, C::KIND));
+    let dir = std::path::Path::new(&out).parent();
+    ok_or_exit(
+        dir.map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(&out, report.to_json_string()))
+            .map_err(|e| format!("cannot write {out}: {e}")),
+    );
+    print!("{}", report.render());
+    println!("\n{what} written to {out}");
+}
+
+/// The correctness gates' exit: 1 when any cell is degraded.
+fn exit_if_degraded(degraded: usize, what: &str) {
+    if degraded > 0 {
+        eprintln!("error: {degraded} {what}");
+        std::process::exit(1);
+    }
+}
+
 /// Run a declarative sweep on the worker pool and write the matrix.
-fn sweep(flags: &HashMap<String, String>) {
-    let spec = match tm_core::sweeps::spec_from_flags(flags) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            std::process::exit(2);
-        }
-    };
+fn sweep(flags: &Flags) {
+    let spec = tm_core::sweeps::spec_from_flags(flags).unwrap_or_else(|e| {
+        eprintln!("sweep: {e}");
+        std::process::exit(2);
+    });
     let policy = tm_sweep::Policy {
         workers: get(flags, "workers", 4),
         timeout: Some(Duration::from_millis(get(flags, "timeout-ms", 60_000))),
@@ -221,16 +170,7 @@ fn sweep(flags: &HashMap<String, String>) {
     );
     let runner: Arc<tm_sweep::CellRunner> = Arc::new(tm_core::sweeps::run_cell);
     let report = tm_sweep::run_spec(&spec, runner, &policy);
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("results/{}.sweep.json", report.name));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out, report.to_json_string()).expect("write sweep matrix");
-    print!("{}", report.render());
-    println!("\nmatrix written to {out}");
+    write_matrix(flags, &report, "matrix");
     if report.degraded() > 0 {
         eprintln!(
             "warning: {} degraded cell(s), see matrix",
@@ -241,7 +181,7 @@ fn sweep(flags: &HashMap<String, String>) {
 
 /// Run the correctness matrix (tm-check) and write a `tm-check-report/v1`
 /// document. Exit 1 when any cell fails — the gate CI and `verify.sh` use.
-fn check(flags: &HashMap<String, String>) {
+fn check(flags: &Flags) {
     use tm_check::SynthCheckConfig;
     use tm_check::{
         run_backend_cell, run_cm_cell, run_explore_cell, run_heap_cell, run_stamp_cell,
@@ -251,29 +191,26 @@ fn check(flags: &HashMap<String, String>) {
 
     let quick = flags.contains_key("quick");
     // Cross-backend differential suite: `--backend X` narrows it to one
-    // backend (unknown values exit 2 inside backend_of); by default every
-    // non-ETL backend is diffed against the serial ETL reference.
-    let diff_backends: Vec<BackendKind> = if flags.contains_key("backend") {
-        vec![backend_of(flags)]
-    } else {
-        BackendKind::ALL
+    // backend (unknown values exit 2); by default every non-ETL backend
+    // is diffed against the serial ETL reference.
+    let diff_backends: Vec<BackendKind> = match flags.get("backend") {
+        Some(v) => vec![ok_or_exit(parse_backend(v))],
+        None => BackendKind::ALL
             .into_iter()
             .filter(|b| *b != BackendKind::Etl)
-            .collect()
+            .collect(),
     };
     // Cross-CM differential suite: `--cm X` narrows it to one policy
-    // (unknown values exit 2 inside cm_of); by default every non-SUICIDE
-    // policy is diffed against the serial SUICIDE reference, trimmed to two
+    // (unknown values exit 2); by default every non-SUICIDE policy is
+    // diffed against the serial SUICIDE reference, trimmed to two
     // representative policies under `--quick`.
-    let diff_cms: Vec<CmKind> = if flags.contains_key("cm") {
-        vec![cm_of(flags)]
-    } else if quick {
-        vec![CmKind::BackoffExp, CmKind::Adaptive]
-    } else {
-        CmKind::ALL
+    let diff_cms: Vec<CmKind> = match flags.get("cm") {
+        Some(v) => vec![ok_or_exit(parse_cm(v))],
+        None if quick => vec![CmKind::BackoffExp, CmKind::Adaptive],
+        None => CmKind::ALL
             .into_iter()
             .filter(|c| *c != CmKind::Suicide)
-            .collect()
+            .collect(),
     };
     let name = flags.get("name").cloned().unwrap_or_else(|| {
         if quick {
@@ -362,46 +299,20 @@ fn check(flags: &HashMap<String, String>) {
         .meta("quick", quick)
         .meta("allocators", allocs.len())
         .meta("apps", apps.len());
-    for cell in cells {
-        report.cells.push(cell);
-    }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("results/{name}.check.json"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out, report.to_json_string()).expect("write check report");
-    print!("{}", report.render());
-    println!("\ncheck report written to {out}");
-    if report.degraded() > 0 {
-        eprintln!("error: {} failing cell(s)", report.degraded());
-        std::process::exit(1);
-    }
+    report.cells = cells;
+    write_matrix(flags, &report, "check report");
+    exit_if_degraded(report.degraded(), "failing cell(s)");
 }
 
-/// Validate the bare `--no-checkpoint` escape hatch: it takes no value,
-/// so anything but the parser's implicit `true` is a stray token (e.g.
-/// `--no-checkpoint bogus`) that must be rejected, not silently eaten.
-/// Returns whether checkpointed exploration is enabled.
-fn checkpoint_of(flags: &HashMap<String, String>) -> Result<bool, String> {
-    match flags.get("no-checkpoint").map(String::as_str) {
-        None => Ok(true),
-        Some("true") => Ok(false),
-        Some(other) => Err(format!(
-            "--no-checkpoint takes no value (stray token '{other}')"
-        )),
-    }
-}
-
-/// Validate the bare `--oom` mode switch the same way as
-/// `--no-checkpoint`: it takes no value, stray tokens are rejected.
-fn oom_of(flags: &HashMap<String, String>) -> Result<bool, String> {
-    match flags.get("oom").map(String::as_str) {
+/// Is the bare switch `--<name>` (`--no-checkpoint`, `--oom`) present? It
+/// takes no value, so anything but the parser's implicit `true` is a
+/// stray token (e.g. `--no-checkpoint bogus`) that must be rejected, not
+/// silently eaten.
+fn bare_flag(flags: &Flags, name: &str) -> Result<bool, String> {
+    match flags.get(name).map(String::as_str) {
         None => Ok(false),
         Some("true") => Ok(true),
-        Some(other) => Err(format!("--oom takes no value (stray token '{other}')")),
+        Some(other) => Err(format!("--{name} takes no value (stray token '{other}')")),
     }
 }
 
@@ -412,7 +323,7 @@ fn oom_of(flags: &HashMap<String, String>) -> Result<bool, String> {
 /// budget, and the `leak-on-alloc-fail` mutant must be caught at its
 /// minimal failing site. Writes a `tm-oom-report/v1` document; exit 1
 /// on any unexpected verdict.
-fn mc_oom(flags: &HashMap<String, String>) {
+fn mc_oom(flags: &Flags) {
     if flags.contains_key("alloc-fault") {
         eprintln!(
             "error: --oom owns its fault injector (it sweeps every site); \
@@ -426,20 +337,8 @@ fn mc_oom(flags: &HashMap<String, String>) {
         .unwrap_or_else(|| "oom-quick".into());
     eprintln!("mc '{name}': every-site OOM sweep (4 allocators × etl/norec × suicide/adaptive)…");
     let report = tm_mc::oom_quick_report(&name);
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("results/{name}.oom.json"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out, report.to_json_string()).expect("write oom report");
-    print!("{}", report.render());
-    println!("\noom report written to {out}");
-    if report.degraded() > 0 {
-        eprintln!("error: {} unexpected verdict(s)", report.degraded());
-        std::process::exit(1);
-    }
+    write_matrix(flags, &report, "oom report");
+    exit_if_degraded(report.degraded(), "unexpected verdict(s)");
 }
 
 /// Run the schedule model checker (tm-mc) and write a `tm-mc-report/v1`
@@ -451,25 +350,21 @@ fn mc_oom(flags: &HashMap<String, String>) {
 /// also omits the throughput block, keeping the artifact plain v1). Exit
 /// 1 when any cell ends with an unexpected verdict (a violation on the
 /// clean STM or an escaped mutant), 2 on bad flags.
-fn mc(flags: &HashMap<String, String>) {
+fn mc(flags: &Flags) {
     use tm_stm::{BackendKind, CmKind};
-    match oom_of(flags) {
-        Ok(true) => return mc_oom(flags),
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    if ok_or_exit(bare_flag(flags, "oom")) {
+        return mc_oom(flags);
     }
     let quick = flags.contains_key("quick");
     let depth = get(flags, "depth", 3usize);
     let budget = get(flags, "budget", 200_000u64);
-    let checkpoint = checkpoint_of(flags).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let alloc_fault = alloc_fault_of(flags);
-    if quick && alloc_fault != tm_alloc::AllocFaultPlan::None {
+    let checkpoint = !ok_or_exit(bare_flag(flags, "no-checkpoint"));
+    let alloc_fault = ok_or_exit(
+        flags
+            .get("alloc-fault")
+            .map_or(Ok(AllocFaultPlan::None), |v| AllocFaultPlan::parse(v)),
+    );
+    if quick && alloc_fault != AllocFaultPlan::None {
         eprintln!(
             "error: --alloc-fault applies to the targeted sweep; \
              the --quick catalog always runs fault-free (use `mc --oom` \
@@ -489,23 +384,19 @@ fn mc(flags: &HashMap<String, String>) {
         eprintln!("mc '{name}': mutation catalog + exhaustive clean sweep (depth {depth})…");
         tm_mc::quick_report_opt(&name, depth, checkpoint)
     } else {
-        let backends: Vec<BackendKind> = if flags.contains_key("backend") {
-            vec![backend_of(flags)]
-        } else {
-            BackendKind::ALL.to_vec()
+        let backends: Vec<BackendKind> = match flags.get("backend") {
+            Some(v) => vec![ok_or_exit(parse_backend(v))],
+            None => BackendKind::ALL.to_vec(),
         };
-        let cms: Vec<CmKind> = if flags.contains_key("cm") {
-            vec![cm_of(flags)]
-        } else {
-            CmKind::ALL.to_vec()
+        let cms: Vec<CmKind> = match flags.get("cm") {
+            Some(v) => vec![ok_or_exit(parse_cm(v))],
+            None => CmKind::ALL.to_vec(),
         };
-        let alloc = match flags.get("alloc") {
-            None => AllocatorKind::TbbMalloc,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("error: unknown allocator '{v}' (glibc hoard tbb tc)");
-                std::process::exit(2);
-            }),
-        };
+        let alloc = ok_or_exit(
+            flags
+                .get("alloc")
+                .map_or(Ok(AllocatorKind::TbbMalloc), |v| v.parse()),
+        );
         let magnitudes: Vec<u64> = match flags.get("magnitudes") {
             None => vec![400],
             Some(list) => {
@@ -525,7 +416,7 @@ fn mc(flags: &HashMap<String, String>) {
         };
         // A fault plan makes the transfer program's allocations fallible,
         // so explore the allocating program when one is requested.
-        let program = if alloc_fault == tm_alloc::AllocFaultPlan::None {
+        let program = if alloc_fault == AllocFaultPlan::None {
             tm_mc::small_program()
         } else {
             tm_mc::oom_program()
@@ -547,7 +438,7 @@ fn mc(flags: &HashMap<String, String>) {
             .meta("depth", depth)
             .meta("budget", budget)
             .meta("alloc", alloc.name());
-        if alloc_fault != tm_alloc::AllocFaultPlan::None {
+        if alloc_fault != AllocFaultPlan::None {
             report = report.meta("alloc-fault", alloc_fault);
         }
         let mut work = tm_mc::SweepWork::default();
@@ -578,25 +469,13 @@ fn mc(flags: &HashMap<String, String>) {
             deduped: work.deduped,
         });
     }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("results/{name}.mc.json"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out, report.to_json_string()).expect("write mc report");
-    print!("{}", report.render());
-    println!("\nmc report written to {out}");
-    if report.degraded() > 0 {
-        eprintln!("error: {} unexpected verdict(s)", report.degraded());
-        std::process::exit(1);
-    }
+    write_matrix(flags, &report, "mc report");
+    exit_if_degraded(report.degraded(), "unexpected verdict(s)");
 }
 
 /// Render REPRODUCTION.md from results/*.json; `--check` compares against
 /// the committed copy instead of writing (exit 1 on drift).
-fn book(flags: &HashMap<String, String>) {
+fn book(flags: &Flags) {
     let dir = flags
         .get("results")
         .cloned()
@@ -605,13 +484,14 @@ fn book(flags: &HashMap<String, String>) {
         .get("out")
         .cloned()
         .unwrap_or_else(|| "REPRODUCTION.md".into());
-    let reports = tm_core::book::load_results_dir(&dir).unwrap_or_else(|e| panic!("book: {e}"));
+    let reports = ok_or_exit(tm_core::book::load_results_dir(&dir));
     let text = tm_core::book::render_book(&reports);
     if flags.contains_key("stdout") {
         print!("{text}");
     } else if flags.contains_key("check") {
-        let committed = std::fs::read_to_string(&out)
-            .unwrap_or_else(|e| panic!("book --check: cannot read {out}: {e}"));
+        let committed = ok_or_exit(
+            std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}")),
+        );
         if committed == text {
             println!("{out} is up to date with {dir}/*.json");
         } else {
@@ -622,12 +502,12 @@ fn book(flags: &HashMap<String, String>) {
             std::process::exit(1);
         }
     } else {
-        std::fs::write(&out, &text).unwrap_or_else(|e| panic!("book: cannot write {out}: {e}"));
+        ok_or_exit(std::fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}")));
         println!("wrote {out} ({} exhibits)", reports.len());
     }
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+fn parse_flags(args: &[String]) -> Flags {
     let mut m = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -648,105 +528,30 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     m
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T
-where
-    T::Err: std::fmt::Debug,
-{
-    flags
-        .get(key)
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --{key}: {e:?}")))
-        .unwrap_or(default)
+/// `--<key>` parsed as a `T`, or `default` when absent; a value that
+/// does not parse exits 2 with the canonical message.
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
+    ok_or_exit(flags.get(key).map_or(Ok(default), |v| {
+        v.parse().map_err(|_| format!("bad --{key} '{v}'"))
+    }))
 }
 
-fn alloc_of(flags: &HashMap<String, String>) -> AllocatorKind {
-    flags
-        .get("alloc")
-        .map(|v| v.parse().expect("allocator"))
-        .unwrap_or(AllocatorKind::TbbMalloc)
+/// Bad input exits 2 with a one-line `error:`; it never panics.
+fn ok_or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
-fn backend_of(flags: &HashMap<String, String>) -> tm_stm::BackendKind {
-    match flags.get("backend") {
-        None => tm_stm::BackendKind::Etl,
-        Some(v) => tm_core::sweeps::parse_backend(v).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    }
+/// The flags as the `(key, value)` list the `tm_core::sweeps` config
+/// builders read — the same builders that decode sweep cells.
+fn pairs(flags: &Flags) -> Vec<(String, String)> {
+    flags.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
 }
 
-/// Parse `--alloc-fault <plan>` (default: no injection). Unknown plan
-/// grammar exits 2 with the parser's error, which names the full token
-/// set — same contract as `backend_of`/`cm_of`.
-fn alloc_fault_of(flags: &HashMap<String, String>) -> tm_alloc::AllocFaultPlan {
-    match flags.get("alloc-fault") {
-        None => tm_alloc::AllocFaultPlan::None,
-        Some(v) => tm_alloc::AllocFaultPlan::parse(v).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-fn cm_of(flags: &HashMap<String, String>) -> tm_stm::CmKind {
-    match flags.get("cm") {
-        None => tm_stm::CmKind::Suicide,
-        Some(v) => tm_core::sweeps::parse_cm(v).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-fn design_of(flags: &HashMap<String, String>) -> LockDesign {
-    if flags.contains_key("ctl") {
-        LockDesign::Ctl
-    } else {
-        LockDesign::Etl
-    }
-}
-
-fn write_mode_of(flags: &HashMap<String, String>) -> WriteMode {
-    if flags.contains_key("write-through") {
-        WriteMode::Through
-    } else {
-        WriteMode::Back
-    }
-}
-
-fn hash_of(flags: &HashMap<String, String>) -> OrtHash {
-    if flags.contains_key("mix-hash") {
-        OrtHash::Mix
-    } else {
-        OrtHash::ShiftMod
-    }
-}
-
-fn synth(flags: &HashMap<String, String>) {
-    let structure = match flags.get("structure").map(|s| s.as_str()) {
-        Some("list") | Some("linked-list") => StructureKind::LinkedList,
-        Some("hash") | Some("hashset") => StructureKind::HashSet,
-        Some("rbtree") | Some("tree") | None => StructureKind::RbTree,
-        Some(other) => panic!("unknown structure '{other}'"),
-    };
-    let mut cfg = SyntheticConfig::scaled(structure, alloc_of(flags), get(flags, "threads", 8));
-    cfg.update_pct = get(flags, "update-pct", 60);
-    cfg.shift = get(flags, "shift", 5);
-    cfg.object_cache = flags.contains_key("object-cache");
-    cfg.backend = backend_of(flags);
-    cfg.cm = cm_of(flags);
-    cfg.design = design_of(flags);
-    cfg.write_mode = write_mode_of(flags);
-    cfg.ort_hash = hash_of(flags);
-    cfg.alloc_fault = alloc_fault_of(flags);
-    if let Some(n) = flags.get("size") {
-        cfg.initial_size = n.parse().expect("--size");
-        cfg.key_range = cfg.initial_size * 2;
-        cfg.buckets = (cfg.initial_size * 32).next_power_of_two();
-    }
-    if let Some(n) = flags.get("ops") {
-        cfg.ops_per_thread = n.parse().expect("--ops");
-    }
+fn synth(flags: &Flags) {
+    let cfg = ok_or_exit(synth_config(&pairs(flags)));
     println!("config: {cfg:?}\n");
     let m = run_synthetic(&cfg);
     println!("virtual time : {:.6} s", m.seconds);
@@ -763,32 +568,18 @@ fn synth(flags: &HashMap<String, String>) {
     println!("cache hits   : {}", m.cache_hits);
 }
 
-fn stamp(flags: &HashMap<String, String>) {
-    let app: AppKind = flags
-        .get("app")
-        .map(|v| v.parse().expect("app"))
-        .unwrap_or(AppKind::Yada);
-    let opts = StampOpts {
-        object_cache: flags.contains_key("object-cache"),
-        shift: get(flags, "shift", 5),
-        backend: backend_of(flags),
-        cm: cm_of(flags),
-        design: design_of(flags),
-        write_mode: write_mode_of(flags),
-        ort_hash: hash_of(flags),
-        seed: get(flags, "seed", 0xace),
-        alloc_fault: alloc_fault_of(flags),
-        ..StampOpts::default()
-    };
-    let scale = get(flags, "scale", 2u64);
-    let threads = get(flags, "threads", 8usize);
-    let a = make_app(app, scale, opts.seed);
+fn stamp(flags: &Flags) {
+    let run = ok_or_exit(stamp_run(&pairs(flags)));
+    let app = run.app.unwrap_or(AppKind::Yada);
+    let a = make_app(app, run.scale, run.opts.seed);
     println!(
-        "app: {} | alloc: {} | threads: {threads} | scale: {scale}\n",
+        "app: {} | alloc: {} | threads: {} | scale: {}\n",
         app.name(),
-        alloc_of(flags).name()
+        run.alloc.name(),
+        run.threads,
+        run.scale
     );
-    let r = run_app(a.as_ref(), alloc_of(flags), threads, &opts);
+    let r = run_app(a.as_ref(), run.alloc, run.threads, &run.opts);
     println!("seq time     : {:.6} s", r.seq_seconds);
     println!("par time     : {:.6} s", r.par_seconds);
     println!("commits      : {}", r.commits);
@@ -802,25 +593,18 @@ fn stamp(flags: &HashMap<String, String>) {
     println!("cache hits   : {}", r.cache_hits);
 }
 
-fn threadtest(flags: &HashMap<String, String>) {
-    let r = run_threadtest(&ThreadtestConfig {
-        allocator: alloc_of(flags),
-        threads: get(flags, "threads", 8),
-        block_size: get(flags, "size", 64),
-        pairs_per_thread: get(flags, "pairs", 1000),
-    });
+fn threadtest(flags: &Flags) {
+    let r = run_threadtest(&ok_or_exit(threadtest_config(&pairs(flags))));
     println!("throughput : {:.2} M pairs/s", r.mops);
     println!("L1 miss    : {:.3} %", r.l1_miss * 100.0);
 }
 
-fn profile(flags: &HashMap<String, String>) {
-    let app: AppKind = flags
-        .get("app")
-        .map(|v| v.parse().expect("app"))
-        .unwrap_or(AppKind::Genome);
-    let scale = get(flags, "scale", 2u64);
+fn profile(flags: &Flags) {
+    let run = ok_or_exit(stamp_run(&pairs(flags)));
+    let app = run.app.unwrap_or(AppKind::Genome);
+    let scale = run.scale;
     let a = make_app(app, scale, 0xace);
-    let prof = profile_app(a.as_ref(), alloc_of(flags));
+    let prof = profile_app(a.as_ref(), run.alloc);
     println!("{} allocation profile (scale {scale}):", app.name());
     println!(
         "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
@@ -873,54 +657,58 @@ fn machine() {
 mod tests {
     use super::*;
 
+    fn flags(args: &[&str]) -> Flags {
+        parse_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// Does `src` load, through the loader `tmstudy report` uses, as an `R`?
+    fn loads_as<R: tm_obs::Report>(src: &str) -> bool {
+        tm_obs::load_report(src).is_ok_and(|r| (r.as_ref() as &dyn std::any::Any).is::<R>())
+    }
+
     #[test]
     fn report_load_rejects_unknown_schema_with_clear_error() {
-        let err = AnyReport::parse(r#"{"schema": "tm-mystery/v9", "name": "x"}"#)
+        let path = std::env::temp_dir().join(format!("tmstudy-mystery-{}", std::process::id()));
+        std::fs::write(&path, r#"{"schema": "tm-mystery/v9", "name": "x"}"#).unwrap();
+        let err = load_report(path.to_str().unwrap())
             .err()
-            .expect("unknown schema must not parse");
+            .expect("unknown schema must not load");
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.starts_with(path.to_str().unwrap()), "{err}");
         assert!(err.contains("unknown schema 'tm-mystery/v9'"), "{err}");
-        for known in KNOWN_SCHEMAS {
+        for known in tm_obs::REGISTRY.iter().flat_map(|s| s.ids) {
             assert!(err.contains(known), "error must list {known}: {err}");
         }
     }
 
     #[test]
     fn report_load_rejects_missing_schema_and_non_json() {
-        let err = AnyReport::parse(r#"{"name": "x"}"#).err().unwrap();
+        let err = tm_obs::load_report(r#"{"name": "x"}"#).err().unwrap();
         assert!(err.contains("no 'schema' field"), "{err}");
-        let err = AnyReport::parse("not json at all").err().unwrap();
+        let err = tm_obs::load_report("not json at all").err().unwrap();
         assert!(err.contains("not JSON"), "{err}");
+        let err = load_report("/nonexistent/x.json").err().unwrap();
+        assert!(err.contains("cannot read /nonexistent/x.json"), "{err}");
     }
 
     #[test]
     fn report_load_dispatches_mc_schema() {
-        let mc = tm_obs::McReport::new("m");
-        assert!(matches!(
-            AnyReport::parse(&mc.to_json_string()),
-            Ok(AnyReport::Mc(_))
-        ));
-        // A v1.1 artifact (throughput block present) dispatches the same way.
         let mut mc = tm_obs::McReport::new("m");
-        mc.throughput = Some(tm_obs::mc::McThroughput {
-            schedules_per_sec: 1.0,
-            replay_steps_saved: 0,
-            checkpoints_taken: 0,
-            deduped: 0,
-        });
+        assert!(loads_as::<tm_obs::McReport>(&mc.to_json_string()));
+        // A v1.1 artifact (throughput block present) dispatches the same way.
+        mc.throughput = Some(tm_obs::mc::McThroughput::default());
         assert!(mc.to_json_string().contains(tm_obs::mc::MC_SCHEMA_V1_1));
-        assert!(matches!(
-            AnyReport::parse(&mc.to_json_string()),
-            Ok(AnyReport::Mc(_))
-        ));
+        assert!(loads_as::<tm_obs::McReport>(&mc.to_json_string()));
     }
 
     #[test]
     fn no_checkpoint_flag_rejects_stray_tokens() {
-        let ok = parse_flags(&["--no-checkpoint".to_string()]);
-        assert_eq!(checkpoint_of(&ok), Ok(false));
-        assert_eq!(checkpoint_of(&HashMap::new()), Ok(true));
-        let bad = parse_flags(&["--no-checkpoint".to_string(), "bogus".to_string()]);
-        let err = checkpoint_of(&bad).unwrap_err();
+        assert_eq!(
+            bare_flag(&flags(&["--no-checkpoint"]), "no-checkpoint"),
+            Ok(true)
+        );
+        assert_eq!(bare_flag(&Flags::new(), "no-checkpoint"), Ok(false));
+        let err = bare_flag(&flags(&["--no-checkpoint", "bogus"]), "no-checkpoint").unwrap_err();
         assert!(err.contains("stray token 'bogus'"), "{err}");
     }
 
@@ -928,38 +716,24 @@ mod tests {
     fn report_load_dispatches_oom_schema() {
         let oom = tm_obs::OomReport::new("o");
         assert!(oom.to_json_string().contains(tm_obs::oom::OOM_SCHEMA));
-        assert!(matches!(
-            AnyReport::parse(&oom.to_json_string()),
-            Ok(AnyReport::Oom(_))
-        ));
+        assert!(loads_as::<tm_obs::OomReport>(&oom.to_json_string()));
     }
 
     #[test]
     fn oom_flag_rejects_stray_tokens() {
-        let ok = parse_flags(&["--oom".to_string()]);
-        assert_eq!(oom_of(&ok), Ok(true));
-        assert_eq!(oom_of(&HashMap::new()), Ok(false));
-        let bad = parse_flags(&["--oom".to_string(), "bogus".to_string()]);
-        let err = oom_of(&bad).unwrap_err();
-        assert!(err.contains("stray token 'bogus'"), "{err}");
+        assert_eq!(bare_flag(&flags(&["--oom"]), "oom"), Ok(true));
+        let err = bare_flag(&flags(&["--oom", "bogus"]), "oom").unwrap_err();
+        assert!(err.contains("--oom takes no value"), "{err}");
     }
 
     #[test]
     fn report_load_dispatches_all_three_schemas() {
         let run = tm_obs::RunReport::new("r", "figure");
-        assert!(matches!(
-            AnyReport::parse(&run.to_json_string()),
-            Ok(AnyReport::Run(_))
-        ));
+        assert!(loads_as::<tm_obs::RunReport>(&run.to_json_string()));
         let sweep = tm_obs::SweepReport::new("s");
-        assert!(matches!(
-            AnyReport::parse(&sweep.to_json_string()),
-            Ok(AnyReport::Sweep(_))
-        ));
+        assert!(loads_as::<tm_obs::SweepReport>(&sweep.to_json_string()));
         let check = tm_obs::CheckReport::new("c");
-        assert!(matches!(
-            AnyReport::parse(&check.to_json_string()),
-            Ok(AnyReport::Check(_))
-        ));
+        assert!(loads_as::<tm_obs::CheckReport>(&check.to_json_string()));
+        assert!(!loads_as::<tm_obs::SweepReport>(&check.to_json_string()));
     }
 }

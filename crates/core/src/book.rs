@@ -565,13 +565,13 @@ pub fn load_results_dir(dir: &str) -> Result<Vec<RunReport>, String> {
     for f in files {
         let path = format!("{dir}/{f}");
         let src = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        // The results directory also holds documents in other schemas
-        // (perf baselines from scripts/bench.sh, for instance); the book
-        // is built only from run reports, so skip anything that declares
-        // a different schema rather than failing on it.
+        // The results directory may also hold documents in other schemas
+        // (a copied `bash benchmark/run.sh` report, for instance); the
+        // book is built only from run reports, so skip anything that
+        // declares a different schema rather than failing on it.
         let tree = tm_obs::json::Json::parse(&src).map_err(|e| format!("{path}: not JSON: {e}"))?;
         let schema = tree.get("schema").and_then(tm_obs::json::Json::as_str);
-        if schema != Some(tm_obs::report::SCHEMA) && schema != Some(tm_obs::report::SCHEMA_V1_1) {
+        if !schema.is_some_and(|s| tm_obs::report::SCHEMAS.contains(&s)) {
             continue;
         }
         reports.push(RunReport::from_json(&tree).map_err(|e| format!("{path}: {e}"))?);
@@ -879,7 +879,7 @@ mod tests {
         write("check.check.json", "{\"schema\": \"tm-check-report/v1\"}");
         write("mc_quick.mc.json", "{\"schema\": \"tm-mc-report/v1\"}");
         write("oom_quick.oom.json", "{\"schema\": \"tm-oom-report/v1\"}");
-        write("bench_perf.json", "{\"schema\": \"tm-bench-perf/v1\"}");
+        write("bench.json", "{\"schema\": \"tm-bench/v2\"}");
         write("notes.txt", "not json at all");
         let reports = load_results_dir(dir.to_str().unwrap()).unwrap();
         assert_eq!(reports.len(), 1);

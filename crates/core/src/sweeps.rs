@@ -20,6 +20,7 @@ use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
 use tm_stamp::runner::{make_app, run_app, StampOpts};
 use tm_stamp::AppKind;
+use tm_stm::{LockDesign, OrtHash, WriteMode};
 use tm_sweep::SweepSpec;
 
 use crate::synthetic::{run_synthetic, SyntheticConfig};
@@ -44,10 +45,7 @@ fn parse<T: std::str::FromStr>(
 }
 
 fn alloc_of(config: &[(String, String)]) -> Result<AllocatorKind, String> {
-    match lookup(config, "alloc") {
-        None => Ok(AllocatorKind::TbbMalloc),
-        Some(v) => v.parse().map_err(|_| format!("unknown allocator '{v}'")),
-    }
+    lookup(config, "alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)
 }
 
 /// Parse one backend token with the clean-error contract: unknown values
@@ -61,13 +59,6 @@ pub fn parse_backend(v: &str) -> Result<tm_stm::BackendKind, String> {
     })
 }
 
-fn backend_of(config: &[(String, String)]) -> Result<tm_stm::BackendKind, String> {
-    match lookup(config, "backend") {
-        None => Ok(tm_stm::BackendKind::Etl),
-        Some(v) => parse_backend(v),
-    }
-}
-
 /// Parse one contention-manager token with the same clean-error contract
 /// as [`parse_backend`].
 pub fn parse_cm(v: &str) -> Result<tm_stm::CmKind, String> {
@@ -79,27 +70,109 @@ pub fn parse_cm(v: &str) -> Result<tm_stm::CmKind, String> {
     })
 }
 
-fn cm_of(config: &[(String, String)]) -> Result<tm_stm::CmKind, String> {
-    match lookup(config, "cm") {
-        None => Ok(tm_stm::CmKind::Suicide),
-        Some(v) => parse_cm(v),
-    }
+/// The STM-stack knobs every transactional workload shares, read from
+/// their keys — `backend`, `cm`, `shift`, `seed`, `alloc-fault`, and the
+/// bare `object-cache` / `ctl` / `write-through` / `mix-hash` switches
+/// (on when present) — in the one struct that holds exactly those.
+fn stack_opts(config: &[(String, String)]) -> Result<StampOpts, String> {
+    let on = |key| lookup(config, key).is_some();
+    let defaults = StampOpts::default();
+    Ok(StampOpts {
+        backend: lookup(config, "backend").map_or(Ok(defaults.backend), parse_backend)?,
+        cm: lookup(config, "cm").map_or(Ok(defaults.cm), parse_cm)?,
+        shift: parse(config, "shift", defaults.shift)?,
+        seed: parse(config, "seed", defaults.seed)?,
+        alloc_fault: lookup(config, "alloc-fault")
+            .map_or(Ok(defaults.alloc_fault), tm_alloc::AllocFaultPlan::parse)?,
+        object_cache: on("object-cache"),
+        design: if on("ctl") {
+            LockDesign::Ctl
+        } else {
+            LockDesign::Etl
+        },
+        write_mode: if on("write-through") {
+            WriteMode::Through
+        } else {
+            WriteMode::Back
+        },
+        ort_hash: if on("mix-hash") {
+            OrtHash::Mix
+        } else {
+            OrtHash::ShiftMod
+        },
+        ..defaults
+    })
 }
 
-fn fault_of(config: &[(String, String)]) -> Result<tm_alloc::AllocFaultPlan, String> {
-    match lookup(config, "alloc-fault") {
-        None => Ok(tm_alloc::AllocFaultPlan::None),
-        Some(v) => tm_alloc::AllocFaultPlan::parse(v),
-    }
+/// The synthetic-benchmark configuration a `(key, value)` list describes
+/// — a sweep cell's config or `tmstudy synth`'s flags: `structure`,
+/// `alloc`, `threads`, `update-pct`, `size`, `ops` and the stack knobs,
+/// each defaulting as [`SyntheticConfig::scaled`] does. A value that does
+/// not parse is an error naming its key.
+pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, String> {
+    let structure = match lookup(config, "structure") {
+        Some("list") | Some("linked-list") => StructureKind::LinkedList,
+        Some("hash") | Some("hashset") => StructureKind::HashSet,
+        Some("rbtree") | Some("tree") | None => StructureKind::RbTree,
+        Some(other) => return Err(format!("unknown structure '{other}'")),
+    };
+    let stack = stack_opts(config)?;
+    let mut cfg =
+        SyntheticConfig::scaled(structure, alloc_of(config)?, parse(config, "threads", 8)?);
+    cfg.backend = stack.backend;
+    cfg.cm = stack.cm;
+    cfg.shift = stack.shift;
+    cfg.alloc_fault = stack.alloc_fault;
+    cfg.object_cache = stack.object_cache;
+    cfg.design = stack.design;
+    cfg.write_mode = stack.write_mode;
+    cfg.ort_hash = stack.ort_hash;
+    cfg.update_pct = parse(config, "update-pct", cfg.update_pct)?;
+    // The same derivations `scaled` makes from its own initial size.
+    cfg.initial_size = parse(config, "size", cfg.initial_size)?;
+    cfg.key_range = cfg.initial_size * 2;
+    cfg.buckets = (cfg.initial_size * 32).next_power_of_two();
+    cfg.ops_per_thread = parse(config, "ops", cfg.ops_per_thread)?;
+    Ok(cfg)
 }
 
-fn structure_of(config: &[(String, String)]) -> Result<StructureKind, String> {
-    match lookup(config, "structure") {
-        Some("list") | Some("linked-list") => Ok(StructureKind::LinkedList),
-        Some("hash") | Some("hashset") => Ok(StructureKind::HashSet),
-        Some("rbtree") | Some("tree") | None => Ok(StructureKind::RbTree),
-        Some(other) => Err(format!("unknown structure '{other}'")),
-    }
+/// One STAMP run as a `(key, value)` list describes it (see
+/// [`stamp_run`]).
+pub struct StampRun {
+    /// The `app` key, when present.
+    pub app: Option<AppKind>,
+    /// Allocator under test.
+    pub alloc: AllocatorKind,
+    /// Worker thread count.
+    pub threads: usize,
+    /// Input scale.
+    pub scale: u64,
+    /// Stack knobs and seed.
+    pub opts: StampOpts,
+}
+
+/// The STAMP run a sweep cell's config or `tmstudy stamp`'s flags
+/// describe: `app`, `alloc`, `threads` (8), `scale` (2), `seed` and the
+/// stack knobs. A value that does not parse is an error naming its key.
+pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
+    Ok(StampRun {
+        app: lookup(config, "app").map(str::parse).transpose()?,
+        alloc: alloc_of(config)?,
+        threads: parse(config, "threads", 8)?,
+        scale: parse(config, "scale", 2)?,
+        opts: stack_opts(config)?,
+    })
+}
+
+/// The threadtest point a sweep cell's config or `tmstudy threadtest`'s
+/// flags describe: `alloc`, `threads` (8), `size` (64), `pairs` (1000).
+pub fn threadtest_config(config: &[(String, String)]) -> Result<ThreadtestConfig, String> {
+    Ok(ThreadtestConfig {
+        allocator: alloc_of(config)?,
+        threads: parse(config, "threads", 8)?,
+        block_size: parse(config, "size", 64)?,
+        pairs_per_thread: parse(config, "pairs", 1000)?,
+    })
 }
 
 /// Execute one sweep cell. Dispatches on the cell's `workload` key
@@ -116,23 +189,8 @@ pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, Strin
 }
 
 fn synth_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let mut cfg = SyntheticConfig::scaled(
-        structure_of(config)?,
-        alloc_of(config)?,
-        parse(config, "threads", 8usize)?,
-    );
-    cfg.backend = backend_of(config)?;
-    cfg.cm = cm_of(config)?;
-    cfg.update_pct = parse(config, "update-pct", cfg.update_pct)?;
-    cfg.shift = parse(config, "shift", cfg.shift)?;
+    let mut cfg = synth_config(config)?;
     cfg.seed = parse(config, "seed", cfg.seed)?;
-    if let Some(n) = lookup(config, "size") {
-        cfg.initial_size = n.parse().map_err(|_| format!("bad size '{n}'"))?;
-        cfg.key_range = cfg.initial_size * 2;
-        cfg.buckets = (cfg.initial_size * 32).next_power_of_two();
-    }
-    cfg.ops_per_thread = parse(config, "ops", cfg.ops_per_thread)?;
-    cfg.alloc_fault = fault_of(config)?;
     let m = run_synthetic(&cfg);
     Ok(vec![
         ("throughput".into(), m.throughput),
@@ -142,22 +200,10 @@ fn synth_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String>
 }
 
 fn stamp_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let app: AppKind = match lookup(config, "app") {
-        None => return Err("stamp sweep needs an app axis (--app)".into()),
-        Some(v) => v.parse().map_err(|_| format!("unknown app '{v}'"))?,
-    };
-    let opts = StampOpts {
-        backend: backend_of(config)?,
-        cm: cm_of(config)?,
-        shift: parse(config, "shift", 5)?,
-        seed: parse(config, "seed", 0xace)?,
-        alloc_fault: fault_of(config)?,
-        ..StampOpts::default()
-    };
-    let scale = parse(config, "scale", 2u64)?;
-    let threads = parse(config, "threads", 8usize)?;
-    let a = make_app(app, scale, opts.seed);
-    let r = run_app(a.as_ref(), alloc_of(config)?, threads, &opts);
+    let run = stamp_run(config)?;
+    let app = run.app.ok_or("stamp sweep needs an app axis (--app)")?;
+    let a = make_app(app, run.scale, run.opts.seed);
+    let r = run_app(a.as_ref(), run.alloc, run.threads, &run.opts);
     Ok(vec![
         ("par_s".into(), r.par_seconds),
         ("speedup".into(), r.seq_seconds / r.par_seconds),
@@ -167,12 +213,7 @@ fn stamp_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String>
 }
 
 fn threadtest_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let r = run_threadtest(&ThreadtestConfig {
-        allocator: alloc_of(config)?,
-        threads: parse(config, "threads", 8)?,
-        block_size: parse(config, "size", 64)?,
-        pairs_per_thread: parse(config, "pairs", 1000)?,
-    });
+    let r = run_threadtest(&threadtest_config(config)?);
     Ok(vec![
         ("mpairs_per_s".into(), r.mops),
         ("l1_miss_pct".into(), r.l1_miss * 100.0),

@@ -42,7 +42,8 @@ impl Strategy {
 
 /// Schedule-count accounting accumulated across the cells of one sweep.
 /// The caller supplies the wall-clock measurement; together they feed
-/// the `tm-mc-report/v1.1` throughput block and `bench.sh --mc`.
+/// the `tm-mc-report/v1.1` throughput block and the `mc-explore`
+/// workload of `bash benchmark/run.sh`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepWork {
     /// Schedules executed across all cells (exhaustive runs plus pct

@@ -10,8 +10,7 @@
 //! `pruned` counter, so a report can never silently shrink its coverage
 //! claim.
 
-use crate::conflict;
-use crate::program::{run_schedule, McProgram, RunConfig};
+use crate::program::{McProgram, RunConfig};
 
 /// Shape of one bounded-exhaustive sweep.
 #[derive(Clone, Debug)]
@@ -85,102 +84,19 @@ pub(crate) fn pruned_count(points: u64, active: u64, depth: usize, m: u64) -> u6
 }
 
 /// Exhaustively explore the bounded schedule space for `program` under
-/// `cfg`. Returns the sweep statistics and, if any schedule violated an
-/// invariant, the raw (unshrunk) delay vector with the violation detail;
-/// `stats.explored` at that moment is the 1-based index of the witness.
+/// `cfg`, every schedule from scratch: the walker of
+/// [`crate::explore::explore`] with no session, so nothing is restored
+/// and nothing deduped. Returns the sweep statistics and, if any schedule
+/// violated an invariant, the raw (unshrunk) delay vector with the
+/// violation detail; `stats.explored` at that moment is the 1-based index
+/// of the witness.
 pub fn enumerate(
     program: &McProgram,
     cfg: &RunConfig,
     ecfg: &EnumConfig,
 ) -> (EnumStats, Option<(Vec<u64>, String)>) {
-    let points = program.points();
-    let support_pool: Vec<usize> = if ecfg.prune {
-        conflict::active_points(program)
-    } else {
-        (0..points).collect()
-    };
-    let mut stats = EnumStats {
-        pruned: pruned_count(
-            points as u64,
-            support_pool.len() as u64,
-            ecfg.depth,
-            ecfg.magnitudes.len() as u64,
-        ),
-        ..EnumStats::default()
-    };
-
-    let mut delays = vec![0u64; points];
-    // Support size 0: the undisturbed schedule.
-    stats.explored += 1;
-    if let Err(detail) = run_schedule(program, cfg, &delays) {
-        return (stats, Some((delays, detail)));
-    }
-
-    for k in 1..=ecfg.depth.min(support_pool.len()) {
-        // Lexicographic k-combinations over the (degree-ordered) pool.
-        let mut combo: Vec<usize> = (0..k).collect();
-        loop {
-            // Mixed-radix sweep over the magnitude assignments.
-            let m = ecfg.magnitudes.len();
-            let mut assign = vec![0usize; k];
-            loop {
-                if stats.explored >= ecfg.max_schedules {
-                    stats.capped = true;
-                    return (stats, None);
-                }
-                for (slot, &mag_idx) in combo.iter().zip(assign.iter()) {
-                    delays[support_pool[*slot]] = ecfg.magnitudes[mag_idx];
-                }
-                stats.explored += 1;
-                let r = run_schedule(program, cfg, &delays);
-                for slot in &combo {
-                    delays[support_pool[*slot]] = 0;
-                }
-                if let Err(detail) = r {
-                    let mut witness = vec![0u64; points];
-                    for (slot, &mag_idx) in combo.iter().zip(assign.iter()) {
-                        witness[support_pool[*slot]] = ecfg.magnitudes[mag_idx];
-                    }
-                    return (stats, Some((witness, detail)));
-                }
-                // Advance the magnitude counter.
-                let mut i = 0;
-                loop {
-                    if i == k {
-                        break;
-                    }
-                    assign[i] += 1;
-                    if assign[i] < m {
-                        break;
-                    }
-                    assign[i] = 0;
-                    i += 1;
-                }
-                if i == k {
-                    break;
-                }
-            }
-            // Advance the combination; fall through to the next support
-            // size when this one is exhausted.
-            let mut advanced = false;
-            let mut i = k;
-            while i > 0 {
-                i -= 1;
-                if combo[i] < support_pool.len() - (k - i) {
-                    combo[i] += 1;
-                    for j in i + 1..k {
-                        combo[j] = combo[j - 1] + 1;
-                    }
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
-    }
-    (stats, None)
+    let (stats, found, _) = crate::explore::walk(program, cfg, ecfg, None);
+    (stats, found)
 }
 
 /// Number of schedules a full (uncapped) sweep would execute — the

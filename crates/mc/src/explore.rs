@@ -154,7 +154,7 @@ impl Session {
 }
 
 /// Throughput accounting for one sweep, for the `tm-mc-report/v1.1`
-/// throughput block and the `--mc` benchmark.
+/// throughput block.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Throughput {
     /// Schedules executed per wall-clock second.
@@ -193,8 +193,23 @@ pub fn explore(
     cfg: &RunConfig,
     ecfg: &EnumConfig,
 ) -> (EnumStats, Option<(Vec<u64>, String)>, Throughput) {
+    walk(program, cfg, ecfg, Session::try_new(program, cfg))
+}
+
+/// The one walker of the bounded schedule space: supports in order of
+/// increasing size (iterative deepening), lexicographic combinations
+/// over the support pool, mixed-radix magnitude assignments within each.
+/// With a `session` every schedule is a restore-and-run and extension
+/// subtrees are deduped by state fingerprint; without one every schedule
+/// is a from-scratch [`run_schedule`] and nothing is deduped — which is
+/// [`crate::enumerate()`], the oracle.
+pub(crate) fn walk(
+    program: &McProgram,
+    cfg: &RunConfig,
+    ecfg: &EnumConfig,
+    mut session: Option<Session>,
+) -> (EnumStats, Option<(Vec<u64>, String)>, Throughput) {
     let start = Instant::now();
-    let mut session = Session::try_new(program, cfg);
     let points = program.points();
     let support_pool: Vec<usize> = if ecfg.prune {
         conflict::active_points(program)
@@ -250,14 +265,15 @@ pub fn explore(
                 // A schedule whose (combo, assign) proper prefix was
                 // deduped is an already-accounted extension: skip it
                 // without running or recounting it.
-                let skipped = (1..k).any(|j| {
-                    let key: Vec<(u32, u32)> = combo[..j]
-                        .iter()
-                        .zip(assign[..j].iter())
-                        .map(|(&c, &a)| (c as u32, a as u32))
-                        .collect();
-                    skips.contains(&key)
-                });
+                let skipped = !skips.is_empty()
+                    && (1..k).any(|j| {
+                        let key: Vec<(u32, u32)> = combo[..j]
+                            .iter()
+                            .zip(assign[..j].iter())
+                            .map(|(&c, &a)| (c as u32, a as u32))
+                            .collect();
+                        skips.contains(&key)
+                    });
                 if !skipped {
                     if stats.explored >= ecfg.max_schedules {
                         stats.capped = true;

@@ -18,15 +18,19 @@
 //! so renderers surface them.
 
 use crate::json::Json;
-use crate::sweep::key_of;
+use crate::matrix::{
+    diff_named, diff_value, field, key_of, named_scalar, opt, pairs_from, pairs_json, req, Cell,
+    Codec, Field, Fields, Matrix, CONFIG,
+};
 
 /// Schema identifier written into every check report.
 pub const CHECK_SCHEMA: &str = "tm-check-report/v1";
 
 /// Outcome of one correctness cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CheckStatus {
     /// Every oracle/invariant the cell ran agreed with the STM execution.
+    #[default]
     Pass,
     /// A checker found a semantic divergence or invariant violation.
     Fail,
@@ -46,17 +50,17 @@ impl CheckStatus {
 
     /// Inverse of [`CheckStatus::name`].
     pub fn parse(s: &str) -> Result<CheckStatus, String> {
-        match s {
-            "pass" => Ok(CheckStatus::Pass),
-            "fail" => Ok(CheckStatus::Fail),
-            "error" => Ok(CheckStatus::Error),
-            other => Err(format!("unknown check status '{other}'")),
-        }
+        [CheckStatus::Pass, CheckStatus::Fail, CheckStatus::Error]
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| format!("unknown check status '{s}'"))
     }
 }
 
+named_scalar!(CheckStatus);
+
 /// One executed correctness cell.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckCell {
     /// The cell's configuration as `(key, value)` pairs, in declaration
     /// order (same convention as sweep cells).
@@ -71,195 +75,47 @@ pub struct CheckCell {
     pub checks: Vec<(String, u64)>,
 }
 
-impl CheckCell {
-    /// Stable identity of the cell within its report: `k=v k2=v2 …` in
-    /// config order (shared convention with [`crate::sweep::key_of`]).
-    pub fn key(&self) -> String {
-        key_of(&self.config)
-    }
+/// A cell's `checks`: named evidence counters.
+pub const CHECKS: Codec<Vec<(String, u64)>> = Codec {
+    emit: |v| Some(pairs_json(v, |n| Json::u64(*n))),
+    parse: |v, owner, name| {
+        pairs_from(
+            v,
+            || format!("{owner} missing {name} object"),
+            |k, j| {
+                j.as_u64()
+                    .ok_or_else(|| format!("check counter '{k}' not an integer"))
+            },
+        )
+    },
+};
+
+impl Fields for CheckCell {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("config" => config: CONFIG),
+        field!("status" => status: req()),
+        field!("detail" => detail: opt()),
+        field!("checks" => checks: CHECKS),
+    ];
 }
 
-/// One check run: identity, free-form metadata, and one [`CheckCell`]
-/// per checked configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CheckReport {
-    /// Artifact name, matching the `results/<name>.check.json` stem.
-    pub name: String,
-    /// Free-form string key/values describing the whole run.
-    pub meta: Vec<(String, String)>,
-    /// Executed cells, in execution order.
-    pub cells: Vec<CheckCell>,
-}
+impl Cell for CheckCell {
+    type Extra = ();
+    const SCHEMAS: &'static [&'static str] = &[CHECK_SCHEMA];
+    const KIND: &'static str = "check";
+    const NOUN: &'static str = "check report";
 
-impl CheckReport {
-    /// An empty check report with the given artifact name.
-    pub fn new(name: impl Into<String>) -> Self {
-        CheckReport {
-            name: name.into(),
-            meta: Vec::new(),
-            cells: Vec::new(),
-        }
+    fn config(&self) -> &[(String, String)] {
+        &self.config
     }
 
-    /// Append a metadata key/value (builder style).
-    pub fn meta(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Self {
-        self.meta.push((key.into(), value.to_string()));
-        self
+    fn degraded(&self) -> bool {
+        self.status != CheckStatus::Pass
     }
 
-    /// Number of cells that did not end `pass`.
-    pub fn degraded(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.status != CheckStatus::Pass)
-            .count()
-    }
-
-    /// The JSON tree in `tm-check-report/v1` form.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(CHECK_SCHEMA)),
-            ("name".into(), Json::str(self.name.clone())),
-            (
-                "meta".into(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ),
-            (
-                "cells".into(),
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            let mut pairs = vec![
-                                (
-                                    "config".into(),
-                                    Json::Obj(
-                                        c.config
-                                            .iter()
-                                            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("status".into(), Json::str(c.status.name())),
-                            ];
-                            if let Some(d) = &c.detail {
-                                pairs.push(("detail".into(), Json::str(d.clone())));
-                            }
-                            pairs.push((
-                                "checks".into(),
-                                Json::Obj(
-                                    c.checks
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::u64(*v)))
-                                        .collect(),
-                                ),
-                            ));
-                            Json::Obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The on-disk form: pretty-printed JSON with a trailing newline.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().emit_pretty()
-    }
-
-    /// Decode a `tm-check-report/v1` JSON tree.
-    pub fn from_json(v: &Json) -> Result<CheckReport, String> {
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != CHECK_SCHEMA {
-            return Err(format!(
-                "unsupported schema '{schema}' (want '{CHECK_SCHEMA}')"
-            ));
-        }
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("check report missing name")?
-            .to_string();
-        let meta = match v.get("meta") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, mv)| {
-                    mv.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| format!("meta '{k}' not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("check report missing meta object".into()),
-        };
-        let mut cells = Vec::new();
-        for c in v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("check report missing cells array")?
-        {
-            let config = match c.get("config") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, mv)| {
-                        mv.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| format!("cell config '{k}' not a string"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("cell missing config object".into()),
-            };
-            let status = CheckStatus::parse(
-                c.get("status")
-                    .and_then(Json::as_str)
-                    .ok_or("cell missing status")?,
-            )?;
-            let detail = c.get("detail").and_then(Json::as_str).map(str::to_string);
-            let checks = match c.get("checks") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, mv)| {
-                        mv.as_u64()
-                            .map(|n| (k.clone(), n))
-                            .ok_or_else(|| format!("check counter '{k}' not an integer"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("cell missing checks object".into()),
-            };
-            cells.push(CheckCell {
-                config,
-                status,
-                detail,
-                checks,
-            });
-        }
-        Ok(CheckReport { name, meta, cells })
-    }
-
-    /// Parse the on-disk JSON text form.
-    pub fn parse(src: &str) -> Result<CheckReport, String> {
-        CheckReport::from_json(&Json::parse(src)?)
-    }
-
-    /// Human rendering for `tmstudy report <file>`: a summary header plus
-    /// one line per cell with its evidence counters.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{} (check: {} cells, {} degraded)\n",
-            self.name,
-            self.cells.len(),
-            self.degraded()
-        ));
-        for (k, v) in &self.meta {
-            out.push_str(&format!("  {k} = {v}\n"));
-        }
-        out.push('\n');
-        for c in &self.cells {
+    /// One line per cell with its evidence counters, then its detail.
+    fn render(cells: &[Self], out: &mut String) {
+        for c in cells {
             let counters = c
                 .checks
                 .iter()
@@ -269,16 +125,25 @@ impl CheckReport {
             out.push_str(&format!(
                 "  {:<5} [{}] {}\n",
                 c.status.name(),
-                c.key(),
+                key_of(&c.config),
                 counters
             ));
             if let Some(d) = &c.detail {
                 out.push_str(&format!("        {d}\n"));
             }
         }
-        out
+    }
+
+    /// Status changes and per-counter changes.
+    fn diff(&self, o: &Self, key: &str, out: &mut String) {
+        diff_value(out, key, "status", self.status.name(), o.status.name());
+        diff_named(out, key, &self.checks, &o.checks, |_, _| String::new());
     }
 }
+
+/// One check run: identity, free-form metadata, and one [`CheckCell`]
+/// per checked configuration.
+pub type CheckReport = Matrix<CheckCell>;
 
 #[cfg(test)]
 mod tests {

@@ -21,27 +21,19 @@
 //!   emitter/parser in [`json`] (the build environment is offline, so no
 //!   serde). `tmstudy report` pretty-prints and diffs these files.
 //!
-//! * [`sweep`] — the [`sweep::SweepReport`] matrix schema
-//!   (`tm-sweep-report/v1`) for whole cross-product sweeps: one cell per
-//!   configuration with status / retry / wall-time metadata, so a hung or
-//!   failing cell degrades gracefully instead of killing the matrix.
-//!
-//! * [`check`] — the [`check::CheckReport`] correctness-matrix schema
-//!   (`tm-check-report/v1`) written by `tmstudy check`: one cell per
-//!   checked configuration with pass/fail/error status and evidence
-//!   counters, so correctness runs are reportable artifacts like sweeps.
-//!
-//! * [`mc`] — the [`mc::McReport`] model-checking schema
-//!   (`tm-mc-report/v1`) written by `tmstudy mc`: one cell per explored
-//!   configuration with a clean/caught/violation/escaped verdict,
-//!   exploration counters, and the shrunk counterexample delay vector for
-//!   any violation, so schedule-space exploration runs are replayable
-//!   artifacts.
-//!
-//! * [`oom`] — the [`oom::OomReport`] every-site OOM sweep schema
-//!   (`tm-oom-report/v1`) written by `tmstudy mc --oom`: one cell per
-//!   swept configuration with allocation-site and injection-outcome
-//!   counters, reusing the mc verdict vocabulary.
+//! * [`matrix`] — the envelope the other four schemas share
+//!   ([`matrix::Matrix`]: name, meta, top-level extras, one cell per
+//!   configuration; emit, parse, render header and key-joined diff written
+//!   once, each schema reduced to a cell struct and a field table), the
+//!   single optional-member ⇒ minor-version rule, and the schema registry
+//!   `tmstudy report` loads through. The four schemas:
+//!   [`sweep`] (`tm-sweep-report/v1`, cross-product sweeps whose hung or
+//!   failing cells degrade instead of killing the matrix), [`check`]
+//!   (`tm-check-report/v1`, `tmstudy check`'s pass/fail/error cells with
+//!   evidence counters), [`mc`] (`tm-mc-report/v1`, `tmstudy mc`'s
+//!   clean/caught/violation/escaped verdicts, exploration counters and
+//!   shrunk counterexamples) and [`oom`] (`tm-oom-report/v1`, `tmstudy mc
+//!   --oom`'s allocation-site and injection-outcome counters).
 //!
 //! * [`spec`] — shared colon-separated fault-spec tokenizing used by both
 //!   the sweep executor's `TM_SWEEP_FAULT` parser and the allocator
@@ -55,6 +47,7 @@
 pub mod check;
 pub mod counters;
 pub mod json;
+pub mod matrix;
 pub mod mc;
 pub mod oom;
 pub mod report;
@@ -64,6 +57,7 @@ pub mod trace;
 
 pub use check::{CheckCell, CheckReport, CheckStatus};
 pub use counters::{Counter, Histogram, Registry, Sharded, ShardedSlots, SlotSchema};
+pub use matrix::{load_report, Cell, Matrix, Report, REGISTRY};
 pub use mc::{McCell, McCounterexample, McReport, McVerdict};
 pub use oom::{OomCell, OomReport};
 pub use report::{RunReport, Section};

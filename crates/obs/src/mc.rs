@@ -19,7 +19,10 @@
 //! is replayable by construction.
 
 use crate::json::Json;
-use crate::sweep::key_of;
+use crate::matrix::{
+    diff_value, field, key_of, named_scalar, opt_obj, req, Cell, Codec, Field, Fields, Matrix,
+    CONFIG, COUNT, FLAG, NON_ZERO, OR_0,
+};
 
 /// Schema identifier written into every model-checking report.
 pub const MC_SCHEMA: &str = "tm-mc-report/v1";
@@ -33,7 +36,7 @@ pub const MC_SCHEMA_V1_1: &str = "tm-mc-report/v1.1";
 /// optional `throughput` block). Never part of determinism goldens —
 /// `schedules_per_sec` varies with the host — which is why it lives
 /// beside the cells instead of inside them.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct McThroughput {
     /// Schedules executed per wall-clock second across the whole run.
     pub schedules_per_sec: f64,
@@ -46,10 +49,32 @@ pub struct McThroughput {
     pub deduped: u64,
 }
 
+impl Fields for McThroughput {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("schedules_per_sec" => schedules_per_sec: req()),
+        field!("replay_steps_saved" => replay_steps_saved: OR_0),
+        field!("checkpoints_taken" => checkpoints_taken: OR_0),
+        field!("deduped" => deduped: OR_0),
+    ];
+}
+
+/// The mc schema's top-level extra: the optional throughput block.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct McExtra {
+    /// Wall-clock summary of the checkpointed explorer, when the run used
+    /// it. Host-dependent, so excluded from determinism comparisons.
+    pub throughput: Option<McThroughput>,
+}
+
+impl Fields for McExtra {
+    const FIELDS: &'static [Field<Self>] = &[field!("throughput" => throughput: opt_obj(), minor)];
+}
+
 /// Outcome of one model-checking cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum McVerdict {
     /// Clean STM: every explored schedule satisfied every invariant.
+    #[default]
     Clean,
     /// Seeded mutant: a violating schedule was found and shrunk. This is
     /// the *expected* outcome for a mutant cell.
@@ -75,13 +100,11 @@ impl McVerdict {
 
     /// Inverse of [`McVerdict::name`].
     pub fn parse(s: &str) -> Result<McVerdict, String> {
-        match s {
-            "clean" => Ok(McVerdict::Clean),
-            "caught" => Ok(McVerdict::Caught),
-            "violation" => Ok(McVerdict::Violation),
-            "escaped" => Ok(McVerdict::Escaped),
-            other => Err(format!("unknown mc verdict '{other}'")),
-        }
+        use McVerdict::*;
+        [Clean, Caught, Violation, Escaped]
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| format!("unknown mc verdict '{s}'"))
     }
 
     /// Did the cell end the way its kind requires (`clean` for clean
@@ -91,8 +114,10 @@ impl McVerdict {
     }
 }
 
+named_scalar!(McVerdict);
+
 /// A violating schedule, already shrunk to a minimal replayable form.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct McCounterexample {
     /// The minimal delay vector: one virtual-cycle delay per scheduling
     /// point, in `(tid, txn)` row-major order. Feeding this exact vector
@@ -106,8 +131,32 @@ pub struct McCounterexample {
     pub shrink_steps: u64,
 }
 
+/// A counterexample's `schedule`: an array of delays.
+pub const DELAYS: Codec<Vec<u64>> = Codec {
+    emit: |v| Some(Json::Arr(v.iter().map(|d| Json::u64(*d)).collect())),
+    parse: |v, owner, name| {
+        v.and_then(Json::as_arr)
+            .ok_or_else(|| format!("{owner} missing {name} array"))?
+            .iter()
+            .map(|d| {
+                d.as_u64()
+                    .ok_or_else(|| format!("{name} delay not an integer"))
+            })
+            .collect()
+    },
+};
+
+impl Fields for McCounterexample {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("schedule" => schedule: DELAYS),
+        field!("detail" => detail: req()),
+        field!("found_at" => found_at: OR_0),
+        field!("shrink_steps" => shrink_steps: OR_0),
+    ];
+}
+
 /// One executed model-checking cell.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct McCell {
     /// The cell's configuration as `(key, value)` pairs, in declaration
     /// order (same convention as sweep/check cells).
@@ -131,341 +180,53 @@ pub struct McCell {
 }
 
 impl McCell {
-    /// Stable identity of the cell within its report: `k=v k2=v2 …` in
-    /// config order (shared convention with [`crate::sweep::key_of`]).
+    /// Stable identity of the cell within its report (see [`key_of`]).
     pub fn key(&self) -> String {
         key_of(&self.config)
     }
 }
 
-/// One model-checking run: identity, free-form metadata, and one
-/// [`McCell`] per explored configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct McReport {
-    /// Artifact name, matching the `results/<name>.mc.json` stem.
-    pub name: String,
-    /// Free-form string key/values describing the whole run.
-    pub meta: Vec<(String, String)>,
-    /// Wall-clock summary of the checkpointed explorer, when the run used
-    /// it. Host-dependent, so excluded from determinism comparisons.
-    pub throughput: Option<McThroughput>,
-    /// Executed cells, in execution order.
-    pub cells: Vec<McCell>,
+impl Fields for McCell {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("config" => config: CONFIG),
+        field!("verdict" => verdict: req()),
+        field!("explored" => explored: COUNT),
+        field!("pruned" => pruned: COUNT),
+        field!("deduped" => deduped: NON_ZERO, minor),
+        field!("capped" => capped: FLAG, minor),
+        field!("counterexample" => counterexample: opt_obj()),
+    ];
 }
 
-impl McReport {
-    /// An empty model-checking report with the given artifact name.
-    pub fn new(name: impl Into<String>) -> Self {
-        McReport {
-            name: name.into(),
-            meta: Vec::new(),
-            throughput: None,
-            cells: Vec::new(),
-        }
+impl Cell for McCell {
+    type Extra = McExtra;
+    const SCHEMAS: &'static [&'static str] = &[MC_SCHEMA, MC_SCHEMA_V1_1];
+    const KIND: &'static str = "mc";
+    const NOUN: &'static str = "mc report";
+
+    fn config(&self) -> &[(String, String)] {
+        &self.config
     }
 
-    /// Append a metadata key/value (builder style).
-    pub fn meta(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Self {
-        self.meta.push((key.into(), value.to_string()));
-        self
+    /// Violations on the clean STM and escaped mutants.
+    fn degraded(&self) -> bool {
+        !self.verdict.is_expected()
     }
 
-    /// Number of cells whose verdict is not the expected one for their
-    /// kind (violations on the clean STM plus escaped mutants).
-    pub fn degraded(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| !c.verdict.is_expected())
-            .count()
-    }
-
-    /// Does this report use any of the v1.1 additions? Decides the schema
-    /// string, so a report without them stays byte-identical to v1.
-    fn uses_v1_1(&self) -> bool {
-        self.throughput.is_some() || self.cells.iter().any(|c| c.deduped > 0 || c.capped)
-    }
-
-    /// The JSON tree in `tm-mc-report/v1` form (`v1.1` when the report
-    /// carries a throughput block or any cell uses the new counters).
-    pub fn to_json(&self) -> Json {
-        let schema = if self.uses_v1_1() {
-            MC_SCHEMA_V1_1
-        } else {
-            MC_SCHEMA
-        };
-        let mut top = vec![
-            ("schema".into(), Json::str(schema)),
-            ("name".into(), Json::str(self.name.clone())),
-            (
-                "meta".into(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(t) = &self.throughput {
-            top.push((
-                "throughput".into(),
-                Json::Obj(vec![
-                    ("schedules_per_sec".into(), Json::Num(t.schedules_per_sec)),
-                    ("replay_steps_saved".into(), Json::u64(t.replay_steps_saved)),
-                    ("checkpoints_taken".into(), Json::u64(t.checkpoints_taken)),
-                    ("deduped".into(), Json::u64(t.deduped)),
-                ]),
-            ));
-        }
-        top.push((
-            "cells".into(),
-            Json::Arr(
-                self.cells
-                    .iter()
-                    .map(|c| {
-                        let mut pairs = vec![
-                            (
-                                "config".into(),
-                                Json::Obj(
-                                    c.config
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                                        .collect(),
-                                ),
-                            ),
-                            ("verdict".into(), Json::str(c.verdict.name())),
-                            ("explored".into(), Json::u64(c.explored)),
-                            ("pruned".into(), Json::u64(c.pruned)),
-                        ];
-                        if c.deduped > 0 {
-                            pairs.push(("deduped".into(), Json::u64(c.deduped)));
-                        }
-                        if c.capped {
-                            pairs.push(("capped".into(), Json::Bool(true)));
-                        }
-                        if let Some(cx) = &c.counterexample {
-                            pairs.push((
-                                "counterexample".into(),
-                                Json::Obj(vec![
-                                    (
-                                        "schedule".into(),
-                                        Json::Arr(
-                                            cx.schedule.iter().map(|d| Json::u64(*d)).collect(),
-                                        ),
-                                    ),
-                                    ("detail".into(), Json::str(cx.detail.clone())),
-                                    ("found_at".into(), Json::u64(cx.found_at)),
-                                    ("shrink_steps".into(), Json::u64(cx.shrink_steps)),
-                                ]),
-                            ));
-                        }
-                        Json::Obj(pairs)
-                    })
-                    .collect(),
-            ),
-        ));
-        Json::Obj(top)
-    }
-
-    /// The on-disk form: pretty-printed JSON with a trailing newline.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().emit_pretty()
-    }
-
-    /// Decode a `tm-mc-report/v1` (or `v1.1`) JSON tree.
-    pub fn from_json(v: &Json) -> Result<McReport, String> {
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != MC_SCHEMA && schema != MC_SCHEMA_V1_1 {
-            return Err(format!(
-                "unsupported schema '{schema}' (want '{MC_SCHEMA}' or '{MC_SCHEMA_V1_1}')"
-            ));
-        }
-        let throughput = match v.get("throughput") {
-            None => None,
-            Some(t) => Some(McThroughput {
-                schedules_per_sec: t
-                    .get("schedules_per_sec")
-                    .and_then(Json::as_f64)
-                    .ok_or("throughput missing schedules_per_sec")?,
-                replay_steps_saved: t
-                    .get("replay_steps_saved")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                checkpoints_taken: t
-                    .get("checkpoints_taken")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                deduped: t.get("deduped").and_then(Json::as_u64).unwrap_or(0),
-            }),
-        };
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("mc report missing name")?
-            .to_string();
-        let meta = match v.get("meta") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, mv)| {
-                    mv.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| format!("meta '{k}' not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("mc report missing meta object".into()),
-        };
-        let mut cells = Vec::new();
-        for c in v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("mc report missing cells array")?
-        {
-            let config = match c.get("config") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, mv)| {
-                        mv.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| format!("cell config '{k}' not a string"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("cell missing config object".into()),
-            };
-            let verdict = McVerdict::parse(
-                c.get("verdict")
-                    .and_then(Json::as_str)
-                    .ok_or("cell missing verdict")?,
-            )?;
-            let explored = c
-                .get("explored")
-                .and_then(Json::as_u64)
-                .ok_or("cell missing explored count")?;
-            let pruned = c
-                .get("pruned")
-                .and_then(Json::as_u64)
-                .ok_or("cell missing pruned count")?;
-            let deduped = c.get("deduped").and_then(Json::as_u64).unwrap_or(0);
-            let capped = matches!(c.get("capped"), Some(Json::Bool(true)));
-            let counterexample = match c.get("counterexample") {
-                None => None,
-                Some(cx) => {
-                    let schedule = cx
-                        .get("schedule")
-                        .and_then(Json::as_arr)
-                        .ok_or("counterexample missing schedule array")?
-                        .iter()
-                        .map(|d| d.as_u64().ok_or("schedule delay not an integer"))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Some(McCounterexample {
-                        schedule,
-                        detail: cx
-                            .get("detail")
-                            .and_then(Json::as_str)
-                            .ok_or("counterexample missing detail")?
-                            .to_string(),
-                        found_at: cx.get("found_at").and_then(Json::as_u64).unwrap_or(0),
-                        shrink_steps: cx.get("shrink_steps").and_then(Json::as_u64).unwrap_or(0),
-                    })
-                }
-            };
-            cells.push(McCell {
-                config,
-                verdict,
-                explored,
-                pruned,
-                deduped,
-                capped,
-                counterexample,
-            });
-        }
-        Ok(McReport {
-            name,
-            meta,
-            throughput,
-            cells,
-        })
-    }
-
-    /// Parse the on-disk JSON text form.
-    pub fn parse(src: &str) -> Result<McReport, String> {
-        McReport::from_json(&Json::parse(src)?)
-    }
-
-    /// Structural diff for `tmstudy report <a> <b>`: cells matched by
-    /// config key, comparing verdict and exploration counters, plus
-    /// cells present on only one side. `None` when nothing differs.
-    pub fn diff(&self, other: &McReport) -> Option<String> {
-        let mut out = String::new();
-        if self.name != other.name {
-            out.push_str(&format!("name: {} -> {}\n", self.name, other.name));
-        }
-        for c in &self.cells {
-            let key = c.key();
-            match other.cells.iter().find(|o| o.key() == key) {
-                None => out.push_str(&format!("cell [{key}]: only in left\n")),
-                Some(o) => {
-                    if c.verdict != o.verdict {
-                        out.push_str(&format!(
-                            "cell [{key}]: verdict {} -> {}\n",
-                            c.verdict.name(),
-                            o.verdict.name()
-                        ));
-                    }
-                    if (c.explored, c.pruned, c.deduped) != (o.explored, o.pruned, o.deduped) {
-                        out.push_str(&format!(
-                            "cell [{key}]: explored/pruned/deduped {}/{}/{} -> {}/{}/{}\n",
-                            c.explored, c.pruned, c.deduped, o.explored, o.pruned, o.deduped
-                        ));
-                    }
-                    if c.capped != o.capped {
-                        out.push_str(&format!(
-                            "cell [{key}]: capped {} -> {}\n",
-                            c.capped, o.capped
-                        ));
-                    }
-                    if c.counterexample.as_ref().map(|cx| &cx.schedule)
-                        != o.counterexample.as_ref().map(|cx| &cx.schedule)
-                    {
-                        out.push_str(&format!("cell [{key}]: counterexample differs\n"));
-                    }
-                }
-            }
-        }
-        for o in &other.cells {
-            if !self.cells.iter().any(|c| c.key() == o.key()) {
-                out.push_str(&format!("cell [{}]: only in right\n", o.key()));
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
-    }
-
-    /// Human rendering for `tmstudy report <file>`: a summary header plus
-    /// one line per cell with its exploration counters, and the shrunk
-    /// counterexample for any cell that has one.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{} (mc: {} cells, {} degraded)\n",
-            self.name,
-            self.cells.len(),
-            self.degraded()
-        ));
-        for (k, v) in &self.meta {
-            out.push_str(&format!("  {k} = {v}\n"));
-        }
-        if let Some(t) = &self.throughput {
+    fn render_extra(extra: &McExtra, out: &mut String) {
+        if let Some(t) = &extra.throughput {
             out.push_str(&format!(
                 "  throughput: {:.0} schedules/s, {} replay steps saved, \
                  {} checkpoint(s), {} deduped\n",
                 t.schedules_per_sec, t.replay_steps_saved, t.checkpoints_taken, t.deduped
             ));
         }
-        out.push('\n');
-        for c in &self.cells {
+    }
+
+    /// One line per cell with its exploration counters, its coverage
+    /// caveats, and the shrunk counterexample if it has one.
+    fn render(cells: &[Self], out: &mut String) {
+        for c in cells {
             let deduped = if c.deduped > 0 {
                 format!(" deduped={}", c.deduped)
             } else {
@@ -504,9 +265,27 @@ impl McReport {
                 out.push_str(&format!("            minimal delays: [{delays}]\n"));
             }
         }
-        out
+    }
+
+    /// Verdict, exploration counters, the cap marker and the
+    /// counterexample's delay vector.
+    fn diff(&self, o: &Self, key: &str, out: &mut String) {
+        let counts = |c: &Self| format!("{}/{}/{}", c.explored, c.pruned, c.deduped);
+        diff_value(out, key, "verdict", self.verdict.name(), o.verdict.name());
+        diff_value(out, key, "explored/pruned/deduped", counts(self), counts(o));
+        diff_value(out, key, "capped", self.capped, o.capped);
+        if self.counterexample.as_ref().map(|cx| &cx.schedule)
+            != o.counterexample.as_ref().map(|cx| &cx.schedule)
+        {
+            out.push_str(&format!("cell [{key}]: counterexample differs\n"));
+        }
     }
 }
+
+/// One model-checking run: identity, free-form metadata, the optional
+/// throughput block (`report.throughput`), and one [`McCell`] per
+/// explored configuration.
+pub type McReport = Matrix<McCell>;
 
 #[cfg(test)]
 mod tests {

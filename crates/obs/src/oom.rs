@@ -19,16 +19,17 @@
 //! the mc schema — the failure-space sweep and the schedule-space sweep
 //! answer the same "did the checker keep its teeth" question.
 
-use crate::json::Json;
+use crate::matrix::{
+    diff_value, field, key_of, opt, req, Cell, Field, Fields, Matrix, CONFIG, COUNT,
+};
 use crate::mc::McVerdict;
-use crate::sweep::key_of;
 
 /// Schema identifier written into every OOM sweep report.
 pub const OOM_SCHEMA: &str = "tm-oom-report/v1";
 
 /// One executed OOM sweep cell: a configuration swept across every one of
 /// its allocation sites.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OomCell {
     /// The cell's configuration as `(key, value)` pairs, in declaration
     /// order (same convention as sweep/check/mc cells).
@@ -54,254 +55,42 @@ pub struct OomCell {
     pub detail: Option<String>,
 }
 
-impl OomCell {
-    /// Stable identity of the cell within its report: `k=v k2=v2 …` in
-    /// config order (shared convention with [`crate::sweep::key_of`]).
-    pub fn key(&self) -> String {
-        key_of(&self.config)
-    }
+impl Fields for OomCell {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("config" => config: CONFIG),
+        field!("verdict" => verdict: req()),
+        field!("sites" => sites: COUNT),
+        field!("injected" => injected: COUNT),
+        field!("committed_retries" => committed_retries: COUNT),
+        field!("alloc_aborts" => alloc_aborts: COUNT),
+        field!("failing_site" => failing_site: opt()),
+        field!("detail" => detail: opt()),
+    ];
 }
 
-/// One every-site OOM sweep run: identity, free-form metadata, and one
-/// [`OomCell`] per swept configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OomReport {
-    /// Artifact name, matching the `results/<name>.oom.json` stem.
-    pub name: String,
-    /// Free-form string key/values describing the whole run.
-    pub meta: Vec<(String, String)>,
-    /// Executed cells, in execution order.
-    pub cells: Vec<OomCell>,
-}
+impl Cell for OomCell {
+    type Extra = ();
+    const SCHEMAS: &'static [&'static str] = &[OOM_SCHEMA];
+    const KIND: &'static str = "oom";
+    const NOUN: &'static str = "oom report";
 
-impl OomReport {
-    /// An empty OOM sweep report with the given artifact name.
-    pub fn new(name: impl Into<String>) -> Self {
-        OomReport {
-            name: name.into(),
-            meta: Vec::new(),
-            cells: Vec::new(),
-        }
+    fn config(&self) -> &[(String, String)] {
+        &self.config
     }
 
-    /// Append a metadata key/value (builder style).
-    pub fn meta(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Self {
-        self.meta.push((key.into(), value.to_string()));
-        self
+    /// Violations on the clean STM and escaped mutants.
+    fn degraded(&self) -> bool {
+        !self.verdict.is_expected()
     }
 
-    /// Number of cells whose verdict is not the expected one for their
-    /// kind (violations on the clean STM plus escaped mutants).
-    pub fn degraded(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| !c.verdict.is_expected())
-            .count()
-    }
-
-    /// The JSON tree in `tm-oom-report/v1` form.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(OOM_SCHEMA)),
-            ("name".into(), Json::str(self.name.clone())),
-            (
-                "meta".into(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ),
-            (
-                "cells".into(),
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            let mut pairs = vec![
-                                (
-                                    "config".into(),
-                                    Json::Obj(
-                                        c.config
-                                            .iter()
-                                            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("verdict".into(), Json::str(c.verdict.name())),
-                                ("sites".into(), Json::u64(c.sites)),
-                                ("injected".into(), Json::u64(c.injected)),
-                                ("committed_retries".into(), Json::u64(c.committed_retries)),
-                                ("alloc_aborts".into(), Json::u64(c.alloc_aborts)),
-                            ];
-                            if let Some(site) = c.failing_site {
-                                pairs.push(("failing_site".into(), Json::u64(site)));
-                            }
-                            if let Some(d) = &c.detail {
-                                pairs.push(("detail".into(), Json::str(d.clone())));
-                            }
-                            Json::Obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The on-disk form: pretty-printed JSON with a trailing newline.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().emit_pretty()
-    }
-
-    /// Decode a `tm-oom-report/v1` JSON tree.
-    pub fn from_json(v: &Json) -> Result<OomReport, String> {
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != OOM_SCHEMA {
-            return Err(format!(
-                "unsupported schema '{schema}' (want '{OOM_SCHEMA}')"
-            ));
-        }
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("oom report missing name")?
-            .to_string();
-        let meta = match v.get("meta") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, mv)| {
-                    mv.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| format!("meta '{k}' not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("oom report missing meta object".into()),
-        };
-        let mut cells = Vec::new();
-        for c in v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("oom report missing cells array")?
-        {
-            let config = match c.get("config") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, mv)| {
-                        mv.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| format!("cell config '{k}' not a string"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("cell missing config object".into()),
-            };
-            let verdict = McVerdict::parse(
-                c.get("verdict")
-                    .and_then(Json::as_str)
-                    .ok_or("cell missing verdict")?,
-            )?;
-            let int = |key: &str| -> Result<u64, String> {
-                c.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("cell missing {key} count"))
-            };
-            cells.push(OomCell {
-                config,
-                verdict,
-                sites: int("sites")?,
-                injected: int("injected")?,
-                committed_retries: int("committed_retries")?,
-                alloc_aborts: int("alloc_aborts")?,
-                failing_site: c.get("failing_site").and_then(Json::as_u64),
-                detail: c.get("detail").and_then(Json::as_str).map(str::to_string),
-            });
-        }
-        Ok(OomReport { name, meta, cells })
-    }
-
-    /// Parse the on-disk JSON text form.
-    pub fn parse(src: &str) -> Result<OomReport, String> {
-        OomReport::from_json(&Json::parse(src)?)
-    }
-
-    /// Structural diff for `tmstudy report <a> <b>`: cells matched by
-    /// config key, comparing verdict, site/outcome counters, and the
-    /// failing site, plus cells present on only one side. `None` when
-    /// nothing differs.
-    pub fn diff(&self, other: &OomReport) -> Option<String> {
-        let mut out = String::new();
-        if self.name != other.name {
-            out.push_str(&format!("name: {} -> {}\n", self.name, other.name));
-        }
-        for c in &self.cells {
-            let key = c.key();
-            match other.cells.iter().find(|o| o.key() == key) {
-                None => out.push_str(&format!("cell [{key}]: only in left\n")),
-                Some(o) => {
-                    if c.verdict != o.verdict {
-                        out.push_str(&format!(
-                            "cell [{key}]: verdict {} -> {}\n",
-                            c.verdict.name(),
-                            o.verdict.name()
-                        ));
-                    }
-                    if (c.sites, c.injected, c.committed_retries, c.alloc_aborts)
-                        != (o.sites, o.injected, o.committed_retries, o.alloc_aborts)
-                    {
-                        out.push_str(&format!(
-                            "cell [{key}]: sites/injected/retries/aborts {}/{}/{}/{} \
-                             -> {}/{}/{}/{}\n",
-                            c.sites,
-                            c.injected,
-                            c.committed_retries,
-                            c.alloc_aborts,
-                            o.sites,
-                            o.injected,
-                            o.committed_retries,
-                            o.alloc_aborts
-                        ));
-                    }
-                    if c.failing_site != o.failing_site {
-                        out.push_str(&format!(
-                            "cell [{key}]: failing site {:?} -> {:?}\n",
-                            c.failing_site, o.failing_site
-                        ));
-                    }
-                }
-            }
-        }
-        for o in &other.cells {
-            if !self.cells.iter().any(|c| c.key() == o.key()) {
-                out.push_str(&format!("cell [{}]: only in right\n", o.key()));
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
-    }
-
-    /// Human rendering for `tmstudy report <file>`: a summary header plus
-    /// one line per cell with its site/outcome counters, and the failing
-    /// site for any cell that has one.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{} (oom: {} cells, {} degraded)\n",
-            self.name,
-            self.cells.len(),
-            self.degraded()
-        ));
-        for (k, v) in &self.meta {
-            out.push_str(&format!("  {k} = {v}\n"));
-        }
-        out.push('\n');
-        for c in &self.cells {
+    /// One line per cell with its site/outcome counters, then the
+    /// failing site for a cell that has one.
+    fn render(cells: &[Self], out: &mut String) {
+        for c in cells {
             out.push_str(&format!(
                 "  {:<9} [{}] sites={} injected={} retries={} aborts={}\n",
                 c.verdict.name(),
-                c.key(),
+                key_of(&c.config),
                 c.sites,
                 c.injected,
                 c.committed_retries,
@@ -312,9 +101,30 @@ impl OomReport {
                 out.push_str(&format!("            site {site}: {detail}\n"));
             }
         }
-        out
+    }
+
+    /// Verdict, site/outcome counters and the failing site.
+    fn diff(&self, o: &Self, key: &str, out: &mut String) {
+        let counts = |c: &Self| {
+            let (s, i, r, a) = (c.sites, c.injected, c.committed_retries, c.alloc_aborts);
+            format!("{s}/{i}/{r}/{a}")
+        };
+        let site = |c: &Self| format!("{:?}", c.failing_site);
+        diff_value(out, key, "verdict", self.verdict.name(), o.verdict.name());
+        diff_value(
+            out,
+            key,
+            "sites/injected/retries/aborts",
+            counts(self),
+            counts(o),
+        );
+        diff_value(out, key, "failing site", site(self), site(o));
     }
 }
+
+/// One every-site OOM sweep run: identity, free-form metadata, and one
+/// [`OomCell`] per swept configuration.
+pub type OomReport = Matrix<OomCell>;
 
 #[cfg(test)]
 mod tests {

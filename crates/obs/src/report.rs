@@ -10,6 +10,10 @@
 //! scraping text tables.
 
 use crate::json::Json;
+use crate::matrix::{
+    check_schema, document, emit_fields, field, opt, pairs_from, pairs_json, parse_fields,
+    render_meta, req, same_schema, Codec, Field, Fields, Report, META,
+};
 
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "tm-run-report/v1";
@@ -22,6 +26,9 @@ pub const SCHEMA: &str = "tm-run-report/v1";
 /// byte-identical; readers accept both schemas with or without either
 /// field.
 pub const SCHEMA_V1_1: &str = "tm-run-report/v1.1";
+
+/// Every schema id a run report may carry: v1, then the minor version.
+pub const SCHEMAS: &[&str] = &[SCHEMA, SCHEMA_V1_1];
 
 /// One typed block of results.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,12 +92,7 @@ impl Section {
 
     fn to_json(&self) -> Json {
         match self {
-            Section::Counters(items) => Json::Obj(
-                items
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::u64(*v)))
-                    .collect(),
-            ),
+            Section::Counters(items) => pairs_json(items, |v| Json::u64(*v)),
             Section::Histogram { bounds, counts } => Json::Obj(vec![
                 (
                     "bounds".into(),
@@ -144,20 +146,11 @@ impl Section {
 
     fn from_json(kind: &str, data: &Json) -> Result<Section, String> {
         match kind {
-            "counters" => {
-                let Json::Obj(pairs) = data else {
-                    return Err("counters section must be an object".into());
-                };
-                let mut items = Vec::with_capacity(pairs.len());
-                for (k, v) in pairs {
-                    items.push((
-                        k.clone(),
-                        v.as_u64()
-                            .ok_or_else(|| format!("counter '{k}' not a u64"))?,
-                    ));
-                }
-                Ok(Section::Counters(items))
-            }
+            "counters" => Ok(Section::Counters(pairs_from(
+                Some(data),
+                || "counters section must be an object".into(),
+                |k, v| v.as_u64().ok_or_else(|| format!("counter '{k}' not a u64")),
+            )?)),
             "histogram" => {
                 let bounds = u64_arr(data.get("bounds"), "bounds")?;
                 let counts = u64_arr(data.get("counts"), "counts")?;
@@ -300,51 +293,7 @@ impl RunReport {
     /// set (keeping every pre-extension artifact byte-identical), v1.1
     /// with the optional `backend`/`cm` fields otherwise.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (
-                "schema".into(),
-                Json::str(if self.backend.is_some() || self.cm.is_some() {
-                    SCHEMA_V1_1
-                } else {
-                    SCHEMA
-                }),
-            ),
-            ("name".into(), Json::str(self.name.clone())),
-            ("kind".into(), Json::str(self.kind.clone())),
-        ];
-        if let Some(b) = &self.backend {
-            fields.push(("backend".into(), Json::str(b.clone())));
-        }
-        if let Some(c) = &self.cm {
-            fields.push(("cm".into(), Json::str(c.clone())));
-        }
-        fields.extend([
-            (
-                "meta".into(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ),
-            (
-                "sections".into(),
-                Json::Arr(
-                    self.sections
-                        .iter()
-                        .map(|(title, s)| {
-                            Json::Obj(vec![
-                                ("title".into(), Json::str(title.clone())),
-                                ("type".into(), Json::str(s.kind())),
-                                ("data".into(), s.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        Json::Obj(fields)
+        document(SCHEMAS, |top| emit_fields(self, top))
     }
 
     /// The on-disk form: pretty-printed JSON with a trailing newline.
@@ -353,63 +302,12 @@ impl RunReport {
     }
 
     /// Decode a `tm-run-report/v1` or v1.1 JSON tree (v1.1 adds the
-    /// optional `backend` field; everything else is identical).
+    /// optional `backend` and `cm` fields; everything else is identical).
     pub fn from_json(v: &Json) -> Result<RunReport, String> {
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != SCHEMA && schema != SCHEMA_V1_1 {
-            return Err(format!(
-                "unsupported schema '{schema}' (want '{SCHEMA}' or '{SCHEMA_V1_1}')"
-            ));
-        }
-        let backend = v.get("backend").and_then(Json::as_str).map(str::to_string);
-        let cm = v.get("cm").and_then(Json::as_str).map(str::to_string);
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("report missing name")?
-            .to_string();
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("report missing kind")?
-            .to_string();
-        let meta = match v.get("meta") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, mv)| {
-                    mv.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| format!("meta '{k}' not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("report missing meta object".into()),
-        };
-        let mut sections = Vec::new();
-        for s in v
-            .get("sections")
-            .and_then(Json::as_arr)
-            .ok_or("report missing sections array")?
-        {
-            let title = s
-                .get("title")
-                .and_then(Json::as_str)
-                .ok_or("section missing title")?
-                .to_string();
-            let kind = s
-                .get("type")
-                .and_then(Json::as_str)
-                .ok_or("section missing type")?;
-            let data = s.get("data").ok_or("section missing data")?;
-            sections.push((title, Section::from_json(kind, data)?));
-        }
-        Ok(RunReport {
-            name,
-            kind,
-            meta,
-            backend,
-            cm,
-            sections,
-        })
+        check_schema(v, SCHEMAS)?;
+        let mut report = RunReport::new("", "");
+        parse_fields(&mut report, v, "report")?;
+        Ok(report)
     }
 
     /// Parse the on-disk JSON text form.
@@ -427,9 +325,7 @@ impl RunReport {
         if let Some(c) = &self.cm {
             out.push_str(&format!("  cm = {c}\n"));
         }
-        for (k, v) in &self.meta {
-            out.push_str(&format!("  {k} = {v}\n"));
-        }
+        render_meta(&self.meta, &mut out);
         for (title, section) in &self.sections {
             out.push_str(&format!("\n== {title} [{}] ==\n", section.kind()));
             match section {
@@ -544,6 +440,53 @@ impl RunReport {
             out.push_str("reports differ only in ordering\n");
         }
         Some(out)
+    }
+}
+
+/// The `sections` array: one `{title, type, data}` object per section.
+const SECTIONS: Codec<Vec<(String, Section)>> = Codec {
+    emit: |v| {
+        let section = |(title, s): &(String, Section)| {
+            Json::Obj(vec![
+                ("title".into(), Json::str(title.clone())),
+                ("type".into(), Json::str(s.kind())),
+                ("data".into(), s.to_json()),
+            ])
+        };
+        Some(Json::Arr(v.iter().map(section).collect()))
+    },
+    parse: |v, owner, name| {
+        v.and_then(Json::as_arr)
+            .ok_or_else(|| format!("{owner} missing {name} array"))?
+            .iter()
+            .map(|s| {
+                let text = req::<String>().parse;
+                let title = text(s.get("title"), "section", "title")?;
+                let kind = text(s.get("type"), "section", "type")?;
+                let data = s.get("data").ok_or("section missing data")?;
+                Ok((title, Section::from_json(&kind, data)?))
+            })
+            .collect()
+    },
+};
+
+impl Fields for RunReport {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("name" => name: req()),
+        field!("kind" => kind: req()),
+        field!("backend" => backend: opt(), minor),
+        field!("cm" => cm: opt(), minor),
+        field!("meta" => meta: META),
+        field!("sections" => sections: SECTIONS),
+    ];
+}
+
+impl Report for RunReport {
+    fn render(&self) -> String {
+        RunReport::render(self)
+    }
+    fn diff(&self, other: &dyn Report) -> Result<Option<String>, String> {
+        Ok(RunReport::diff(self, same_schema(other)?))
     }
 }
 

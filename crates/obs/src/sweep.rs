@@ -27,14 +27,21 @@
 //! * `cells[].metrics` — named scalar results, empty unless `ok`.
 
 use crate::json::Json;
+use crate::matrix::{
+    diff_named, diff_value, field, named_scalar, opt, pairs_from, pairs_json, req, Cell, Codec,
+    Field, Fields, Matrix, CONFIG,
+};
+
+pub use crate::matrix::key_of;
 
 /// Schema identifier written into every sweep report.
 pub const SWEEP_SCHEMA: &str = "tm-sweep-report/v1";
 
 /// Outcome of one sweep cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CellStatus {
     /// The runner returned metrics within budget.
+    #[default]
     Ok,
     /// Every attempt exceeded the per-cell timeout; the cell is recorded
     /// but carries no metrics.
@@ -55,17 +62,17 @@ impl CellStatus {
 
     /// Inverse of [`CellStatus::name`].
     pub fn parse(s: &str) -> Result<CellStatus, String> {
-        match s {
-            "ok" => Ok(CellStatus::Ok),
-            "timeout" => Ok(CellStatus::Timeout),
-            "error" => Ok(CellStatus::Error),
-            other => Err(format!("unknown cell status '{other}'")),
-        }
+        [CellStatus::Ok, CellStatus::Timeout, CellStatus::Error]
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| format!("unknown cell status '{s}'"))
     }
 }
 
+named_scalar!(CellStatus);
+
 /// One executed configuration of a sweep matrix.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepCell {
     /// The cell's configuration: one `(key, value)` per axis plus any
     /// fixed keys, in declaration order.
@@ -84,257 +91,113 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// Stable identity of the cell within its matrix: `k=v k2=v2 …` in
-    /// config order. Used to join cells when diffing two sweeps and to
-    /// match fault-injection patterns.
+    /// Stable identity of the cell within its matrix (see [`key_of`]).
     pub fn key(&self) -> String {
         key_of(&self.config)
     }
 }
 
-/// The cell-identity string for a raw config (see [`SweepCell::key`]).
-pub fn key_of(config: &[(String, String)]) -> String {
-    config
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+/// A cell's `metrics`: named `f64` results.
+pub const METRICS: Codec<Vec<(String, f64)>> = Codec {
+    emit: |v| Some(pairs_json(v, |x| Json::Num(*x))),
+    parse: |v, owner, name| {
+        pairs_from(
+            v,
+            || format!("{owner} missing {name} object"),
+            |k, j| {
+                j.as_f64()
+                    .ok_or_else(|| format!("metric '{k}' not a number"))
+            },
+        )
+    },
+};
+
+impl Fields for SweepCell {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!("config" => config: CONFIG),
+        field!("status" => status: req()),
+        field!("attempts" => attempts: req()),
+        field!("wall_ms" => wall_ms: req()),
+        field!("error" => error: opt()),
+        field!("metrics" => metrics: METRICS),
+    ];
 }
 
-/// One sweep: identity, free-form metadata, the declared axes, and one
-/// [`SweepCell`] per expanded configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepReport {
-    /// Artifact name, matching the `results/<name>.sweep.json` stem.
-    pub name: String,
-    /// Free-form string key/values describing the whole sweep.
-    pub meta: Vec<(String, String)>,
+/// The sweep schema's top-level extra: the declared axes.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SweepExtra {
     /// Declared sweep dimensions, in expansion order.
     pub axes: Vec<(String, Vec<String>)>,
-    /// Executed cells, in expansion order.
-    pub cells: Vec<SweepCell>,
 }
 
-impl SweepReport {
-    /// An empty sweep report with the given artifact name.
-    pub fn new(name: impl Into<String>) -> Self {
-        SweepReport {
-            name: name.into(),
-            meta: Vec::new(),
-            axes: Vec::new(),
-            cells: Vec::new(),
-        }
-    }
-
-    /// Append a metadata key/value (builder style).
-    pub fn meta(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Self {
-        self.meta.push((key.into(), value.to_string()));
-        self
-    }
-
-    /// Number of cells that did not end `ok`.
-    pub fn degraded(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.status != CellStatus::Ok)
-            .count()
-    }
-
-    /// The JSON tree in `tm-sweep-report/v1` form.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(SWEEP_SCHEMA)),
-            ("name".into(), Json::str(self.name.clone())),
-            (
-                "meta".into(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ),
-            (
-                "axes".into(),
-                Json::Obj(
-                    self.axes
-                        .iter()
-                        .map(|(k, vs)| {
-                            (
-                                k.clone(),
-                                Json::Arr(vs.iter().map(|v| Json::str(v.clone())).collect()),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cells".into(),
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            let mut pairs = vec![
-                                (
-                                    "config".into(),
-                                    Json::Obj(
-                                        c.config
-                                            .iter()
-                                            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("status".into(), Json::str(c.status.name())),
-                                ("attempts".into(), Json::u64(c.attempts as u64)),
-                                ("wall_ms".into(), Json::u64(c.wall_ms)),
-                            ];
-                            if let Some(e) = &c.error {
-                                pairs.push(("error".into(), Json::str(e.clone())));
-                            }
-                            pairs.push((
-                                "metrics".into(),
-                                Json::Obj(
-                                    c.metrics
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                                        .collect(),
-                                ),
-                            ));
-                            Json::Obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The on-disk form: pretty-printed JSON with a trailing newline.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().emit_pretty()
-    }
-
-    /// Decode a `tm-sweep-report/v1` JSON tree.
-    pub fn from_json(v: &Json) -> Result<SweepReport, String> {
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != SWEEP_SCHEMA {
-            return Err(format!(
-                "unsupported schema '{schema}' (want '{SWEEP_SCHEMA}')"
-            ));
-        }
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("sweep missing name")?
-            .to_string();
-        let meta = str_pairs(v.get("meta"), "meta")?;
-        let axes = match v.get("axes") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, vs)| {
-                    let vals = vs
-                        .as_arr()
-                        .ok_or_else(|| format!("axis '{k}' not an array"))?
-                        .iter()
-                        .map(|x| {
-                            x.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| format!("axis '{k}' value not a string"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok((k.clone(), vals))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("sweep missing axes object".into()),
-        };
-        let mut cells = Vec::new();
-        for c in v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("sweep missing cells array")?
-        {
-            let config = str_pairs(c.get("config"), "cell config")?;
-            let status = CellStatus::parse(
-                c.get("status")
-                    .and_then(Json::as_str)
-                    .ok_or("cell missing status")?,
-            )?;
-            let attempts = c
-                .get("attempts")
-                .and_then(Json::as_u64)
-                .ok_or("cell missing attempts")? as u32;
-            let wall_ms = c
-                .get("wall_ms")
-                .and_then(Json::as_u64)
-                .ok_or("cell missing wall_ms")?;
-            let error = c.get("error").and_then(Json::as_str).map(str::to_string);
-            let metrics = match c.get("metrics") {
-                Some(Json::Obj(pairs)) => pairs
+/// The `axes` object: each axis name with its values.
+pub const AXES: Codec<Vec<(String, Vec<String>)>> = Codec {
+    emit: |v| {
+        Some(pairs_json(v, |vs| {
+            Json::Arr(vs.iter().map(|x| Json::str(x.clone())).collect())
+        }))
+    },
+    parse: |v, owner, name| {
+        pairs_from(
+            v,
+            || format!("{owner} missing {name} object"),
+            |k, vs| {
+                vs.as_arr()
+                    .ok_or_else(|| format!("axis '{k}' not an array"))?
                     .iter()
-                    .map(|(k, mv)| {
-                        mv.as_f64()
-                            .map(|f| (k.clone(), f))
-                            .ok_or_else(|| format!("metric '{k}' not a number"))
+                    .map(|x| {
+                        x.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| format!("axis '{k}' value not a string"))
                     })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("cell missing metrics object".into()),
-            };
-            cells.push(SweepCell {
-                config,
-                status,
-                attempts,
-                wall_ms,
-                error,
-                metrics,
-            });
-        }
-        Ok(SweepReport {
-            name,
-            meta,
-            axes,
-            cells,
-        })
+                    .collect()
+            },
+        )
+    },
+};
+
+impl Fields for SweepExtra {
+    const FIELDS: &'static [Field<Self>] = &[field!("axes" => axes: AXES)];
+}
+
+impl Cell for SweepCell {
+    type Extra = SweepExtra;
+    const SCHEMAS: &'static [&'static str] = &[SWEEP_SCHEMA];
+    const KIND: &'static str = "sweep";
+    const NOUN: &'static str = "sweep";
+
+    fn config(&self) -> &[(String, String)] {
+        &self.config
     }
 
-    /// Parse the on-disk JSON text form.
-    pub fn parse(src: &str) -> Result<SweepReport, String> {
-        SweepReport::from_json(&Json::parse(src)?)
+    fn degraded(&self) -> bool {
+        self.status != CellStatus::Ok
     }
 
-    /// Human rendering for `tmstudy report <file>`: a summary header plus
-    /// one aligned row per cell.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{} (sweep: {} cells, {} degraded)\n",
-            self.name,
-            self.cells.len(),
-            self.degraded()
-        ));
-        for (k, v) in &self.meta {
-            out.push_str(&format!("  {k} = {v}\n"));
-        }
-        for (k, vs) in &self.axes {
+    fn render_extra(extra: &SweepExtra, out: &mut String) {
+        for (k, vs) in &extra.axes {
             out.push_str(&format!("  axis {k}: {}\n", vs.join(", ")));
         }
-        // Column set: config keys of the first cell, then status/attempts/
-        // wall, then the union of metric names in first-seen order.
-        let mut metric_names: Vec<String> = Vec::new();
-        for c in &self.cells {
-            for (m, _) in &c.metrics {
-                if !metric_names.contains(m) {
-                    metric_names.push(m.clone());
-                }
+    }
+
+    /// One aligned row per cell. Columns: the first cell's config keys,
+    /// then status/attempts/wall, then the union of metric names in
+    /// first-seen order.
+    fn render(cells: &[Self], out: &mut String) {
+        let mut metric_names: Vec<&String> = Vec::new();
+        for (m, _) in cells.iter().flat_map(|c| &c.metrics) {
+            if !metric_names.contains(&m) {
+                metric_names.push(m);
             }
         }
-        let mut header: Vec<String> = self
-            .cells
+        let mut header: Vec<String> = cells
             .first()
             .map(|c| c.config.iter().map(|(k, _)| k.clone()).collect())
             .unwrap_or_default();
         header.extend(["status".into(), "tries".into(), "wall_ms".into()]);
-        header.extend(metric_names.iter().cloned());
+        header.extend(metric_names.iter().map(|m| m.to_string()));
         let mut rows = vec![header];
-        for c in &self.cells {
+        for c in cells {
             let mut row: Vec<String> = c.config.iter().map(|(_, v)| v.clone()).collect();
             row.push(c.status.name().into());
             row.push(c.attempts.to_string());
@@ -343,7 +206,7 @@ impl SweepReport {
                 row.push(
                     c.metrics
                         .iter()
-                        .find(|(k, _)| k == m)
+                        .find(|(k, _)| k == *m)
                         .map(|(_, v)| format!("{v:.4}"))
                         .unwrap_or_else(|| "-".into()),
                 );
@@ -357,7 +220,6 @@ impl SweepReport {
                 widths[i] = widths[i].max(c.len());
             }
         }
-        out.push('\n');
         for r in &rows {
             let line: Vec<String> = r
                 .iter()
@@ -366,79 +228,25 @@ impl SweepReport {
                 .collect();
             out.push_str(&format!("  {}\n", line.join("  ")));
         }
-        out
     }
 
-    /// Structural diff for `tmstudy report a b`: joins cells by
-    /// [`SweepCell::key`] and reports status changes and per-metric deltas.
-    /// `wall_ms` and `attempts` are host-time artifacts and deliberately
-    /// ignored. Returns `None` when the sweeps are equivalent under that
-    /// relation.
-    pub fn diff(&self, other: &SweepReport) -> Option<String> {
-        let mut out = String::new();
-        if self.name != other.name {
-            out.push_str(&format!("name: {} -> {}\n", self.name, other.name));
-        }
-        for c in &self.cells {
-            let key = c.key();
-            match other.cells.iter().find(|o| o.key() == key) {
-                None => out.push_str(&format!("cell [{key}]: only in left\n")),
-                Some(o) => {
-                    if c.status != o.status {
-                        out.push_str(&format!(
-                            "cell [{key}]: status {} -> {}\n",
-                            c.status.name(),
-                            o.status.name()
-                        ));
-                    }
-                    for (m, va) in &c.metrics {
-                        match o.metrics.iter().find(|(k, _)| k == m) {
-                            None => out.push_str(&format!("cell [{key}] {m}: only in left\n")),
-                            Some((_, vb)) if va != vb => {
-                                let pct = if *va != 0.0 {
-                                    format!(" ({:+.2}%)", (vb / va - 1.0) * 100.0)
-                                } else {
-                                    String::new()
-                                };
-                                out.push_str(&format!("cell [{key}] {m}: {va} -> {vb}{pct}\n"));
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    for (m, _) in &o.metrics {
-                        if !c.metrics.iter().any(|(k, _)| k == m) {
-                            out.push_str(&format!("cell [{key}] {m}: only in right\n"));
-                        }
-                    }
-                }
+    /// Status changes and per-metric deltas; `wall_ms` and `attempts`
+    /// are host-time artifacts and deliberately ignored.
+    fn diff(&self, o: &Self, key: &str, out: &mut String) {
+        diff_value(out, key, "status", self.status.name(), o.status.name());
+        diff_named(out, key, &self.metrics, &o.metrics, |va, vb| {
+            if *va != 0.0 {
+                format!(" ({:+.2}%)", (vb / va - 1.0) * 100.0)
+            } else {
+                String::new()
             }
-        }
-        for o in &other.cells {
-            if !self.cells.iter().any(|c| c.key() == o.key()) {
-                out.push_str(&format!("cell [{}]: only in right\n", o.key()));
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
+        });
     }
 }
 
-fn str_pairs(v: Option<&Json>, what: &str) -> Result<Vec<(String, String)>, String> {
-    match v {
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, mv)| {
-                mv.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| format!("{what} '{k}' not a string"))
-            })
-            .collect(),
-        _ => Err(format!("missing {what} object")),
-    }
-}
+/// One sweep: identity, free-form metadata, the declared axes
+/// (`report.axes`), and one [`SweepCell`] per expanded configuration.
+pub type SweepReport = Matrix<SweepCell>;
 
 #[cfg(test)]
 mod tests {

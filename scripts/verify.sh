@@ -32,73 +32,57 @@ $CARGO clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" $CARGO doc --workspace --no-deps -q
 
+# One profile for every tmstudy gate below, picked once: release unless
+# --quick.
+profile="--release"
+[ "$quick" -eq 1 ] && profile=""
+run_tmstudy() {
+  $CARGO run $profile -p tm-core --bin tmstudy -- "$@"
+}
+
+# Run a tmstudy gate whose report file is not kept.
+run_tmstudy_discarding() {
+  local out
+  out="$(mktemp)"
+  run_tmstudy "$@" --out "$out" >/dev/null
+  rm -f "$out"
+}
+
 if [ "$quick" -eq 0 ]; then
   echo "==> tmstudy book --check (REPRODUCTION.md drift)"
-  $CARGO run --release -p tm-core --bin tmstudy -- book --check
+  run_tmstudy book --check
 fi
 
 echo "==> tmstudy check --quick (correctness matrix)"
-if [ "$quick" -eq 0 ]; then
-  $CARGO run --release -p tm-core --bin tmstudy -- check --quick
-else
-  $CARGO run -p tm-core --bin tmstudy -- check --quick
-fi
+run_tmstudy check --quick
 
 # The schedule model checker must keep its teeth: every catalog mutant
 # caught with a shrunk counterexample, zero violations on the clean STM.
 echo "==> tmstudy mc --quick (schedule model checker)"
-mc_out="$(mktemp)"
-if [ "$quick" -eq 0 ]; then
-  $CARGO run --release -p tm-core --bin tmstudy -- mc --quick \
-    --name verify-mc --out "$mc_out" >/dev/null
-else
-  $CARGO run -p tm-core --bin tmstudy -- mc --quick \
-    --name verify-mc --out "$mc_out" >/dev/null
-fi
-rm -f "$mc_out"
+run_tmstudy_discarding mc --quick --name verify-mc
 
 # The allocation-failure plane must keep its teeth too: every allocation
 # site, when failed, must yield either a committed retry or a clean
 # AllocFailed abort — zero leaks, zero invariant violations.
 echo "==> tmstudy mc --oom (every-site OOM sweep)"
-oom_out="$(mktemp)"
-if [ "$quick" -eq 0 ]; then
-  $CARGO run --release -p tm-core --bin tmstudy -- mc --oom \
-    --name verify-oom --out "$oom_out" >/dev/null
-else
-  $CARGO run -p tm-core --bin tmstudy -- mc --oom \
-    --name verify-oom --out "$oom_out" >/dev/null
-fi
-rm -f "$oom_out"
+run_tmstudy_discarding mc --oom --name verify-oom
 
 # The non-default backend must keep sweeping end-to-end (trait dispatch,
 # CLI plumbing, report emission), not just pass unit tests.
 echo "==> tmstudy sweep --quick --backend norec (backend smoke)"
-backend_out="$(mktemp)"
-if [ "$quick" -eq 0 ]; then
-  $CARGO run --release -p tm-core --bin tmstudy -- sweep --quick \
-    --backend norec --workers 1 --name verify-norec --out "$backend_out" \
-    >/dev/null
-else
-  $CARGO run -p tm-core --bin tmstudy -- sweep --quick \
-    --backend norec --workers 1 --name verify-norec --out "$backend_out" \
-    >/dev/null
-fi
-rm -f "$backend_out"
+run_tmstudy_discarding sweep --quick --backend norec --workers 1 --name verify-norec
 
 # Same smoke for the non-default contention manager (the generic CM
 # dispatch path, exercised by CI's perf-smoke job too).
 echo "==> tmstudy sweep --quick --cm backoff (contention-manager smoke)"
-cm_out="$(mktemp)"
+run_tmstudy_discarding sweep --quick --cm backoff --workers 1 --name verify-cm-backoff
+
 if [ "$quick" -eq 0 ]; then
-  $CARGO run --release -p tm-core --bin tmstudy -- sweep --quick \
-    --cm backoff --workers 1 --name verify-cm-backoff --out "$cm_out" \
-    >/dev/null
-else
-  $CARGO run -p tm-core --bin tmstudy -- sweep --quick \
-    --cm backoff --workers 1 --name verify-cm-backoff --out "$cm_out" \
-    >/dev/null
+  # The repository's benchmark: its tests hold the workloads against the
+  # library, then one short pass over all five workloads.
+  echo "==> benchmark (package tests + run.sh --smoke)"
+  (cd benchmark && $CARGO test --release)
+  timeout 900 bash benchmark/run.sh --smoke
 fi
-rm -f "$cm_out"
 
 echo "verify: all gates passed"

@@ -1,0 +1,45 @@
+//! A malformed flag value is bad input: `tmstudy` names the flag in a
+//! one-line `error:` and exits 2. It never reaches a Rust panic (exit
+//! 101), whichever subcommand reads the flag.
+
+use std::process::Command;
+
+#[test]
+fn malformed_flag_values_exit_2_with_a_one_line_error() {
+    // (argv, what the message must name). Every run also gets an `--out`
+    // nothing can be written to; only the last row gets far enough to try.
+    let table: &[(&[&str], &str)] = &[
+        (&["synth", "--structure", "foo"], "structure"),
+        (&["synth", "--alloc", "jemalloc"], "alloc"),
+        (&["synth", "--threads", "x"], "threads"),
+        (&["synth", "--size", "big"], "size"),
+        (&["synth", "--backend", "tl2"], "backend"),
+        (&["stamp", "--app", "nope"], "app"),
+        (&["stamp", "--seed", "x"], "seed"),
+        (&["profile", "--app", "nope"], "app"),
+        (&["threadtest", "--alloc", "nope"], "alloc"),
+        (&["threadtest", "--pairs", "-1"], "pairs"),
+        (&["mc", "--depth", "x"], "--depth"),
+        (&["mc", "--budget", "-3"], "--budget"),
+        (&["mc", "--alloc", "nope"], "alloc"),
+        (&["sweep", "--workers", "many"], "--workers"),
+        (&["book", "--results", "/nonexistent"], "/nonexistent"),
+        (
+            &["mc", "--oom", "--out", "/dev/null/x.json"],
+            "/dev/null/x.json",
+        ),
+    ];
+    for (argv, flag) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .args(*argv)
+            .args(["--out", "/dev/null/x.json"])
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        let error: Vec<&str> = stderr.lines().filter(|l| l.contains("error:")).collect();
+        assert_eq!(error.len(), 1, "{argv:?}: {stderr}");
+        assert!(error[0].contains(flag), "{argv:?}: {stderr}");
+    }
+}
