@@ -25,7 +25,8 @@
 //! hash-compaction tradition: a 64-bit fingerprint can collide, and the
 //! fingerprint deliberately omits the clock flush of a thread that
 //! blocks immediately after a scheduling point (that omission is what
-//! lets absorbed delays be *detected*). See DESIGN.md §14; the
+//! lets absorbed delays be *detected*) and the final flush of a thread
+//! that finishes (not a scheduler-ordered point). See DESIGN.md §14; the
 //! from-scratch enumerator remains the oracle, and `tmstudy mc
 //! --no-checkpoint` falls back to it wholesale.
 

@@ -9,23 +9,40 @@
 //! which keeps the event rate (and host-side synchronization) proportional
 //! to the number of *shared* operations only.
 //!
-//! Two execution backends implement the same decision procedure:
+//! Two execution backends implement the same decision procedure
+//! (`Inner::next_turn`, one scan over one packed key per thread):
 //!
 //! * **Fibers** (default on x86-64 Linux): all logical threads run as
-//!   stackful coroutines on the calling OS thread, switching contexts in
-//!   user space exactly where the OS-thread backend would block. The
-//!   scheduler lock is taken once per run instead of once per event, and a
-//!   hand-off costs a ~20 ns context switch instead of a futex wake plus a
-//!   kernel reschedule.
+//!   stackful coroutines on the calling OS thread, and the scheduler lock
+//!   is taken once per run instead of once per event. A thread that is not
+//!   the minimum scans once and switches *straight to the thread that is*,
+//!   handing it its **horizon** — the runner-up's key. The resumed thread
+//!   neither rescans nor re-checks: it stays the minimum while its own key
+//!   is below that horizon, so each of its events costs one compare, and
+//!   only crossing the horizon costs a scan and a ~20 ns context switch.
+//!   The driver starts the first fiber and gets control back only when
+//!   nothing is runnable: completion, or the virtual-deadlock assert.
 //! * **OS threads** (fallback; force with `TM_SIM_EXEC=threads`): one OS
 //!   thread per logical thread, serialized by one mutex and per-core
-//!   condvars.
+//!   condvars, deciding afresh at every event. The reference the fiber
+//!   backend is tested against.
 //!
-//! Both backends pick the next thread with the same `(clock, tid)`-minimum
-//! rule, so they produce bit-identical reports; `TM_SIM_EXEC=fibers|threads`
-//! selects one explicitly (the fiber backend panics on unsupported
-//! targets). Single-thread runs skip hand-off machinery entirely on either
-//! backend: the closure runs on the caller under the run-scoped lock.
+//! When a cached horizon may be trusted: (1) all fibers share one OS
+//! thread, so while a fiber runs, no other thread's key can change except
+//! by that fiber's own doing; (2) the only thing it does to another key is
+//! wake a waiter in `unlock` — the waiter re-enters at the releaser's
+//! clock and, with a lower tid, precedes it — so `unlock` zeroes the
+//! horizon and the next event scans again; (3) every other way of gaining
+//! control is a resume by a peer (or the driver) that has just scanned and
+//! left a fresh horizon, which holds because of (1). Debug builds assert
+//! "a resumed fiber is the minimum" at every resume.
+//!
+//! Both backends therefore produce bit-identical reports and fingerprints;
+//! `TM_SIM_EXEC=fibers|threads` selects one explicitly (the fiber backend
+//! panics on unsupported targets). Single-thread runs skip hand-off
+//! machinery entirely on either backend: the closure runs on the caller
+//! under the run-scoped lock — the fiber event path with an infinite
+//! horizon.
 
 use std::panic::AssertUnwindSafe;
 use std::ptr;
@@ -51,9 +68,48 @@ enum TState {
     Done,
 }
 
+/// Low bits of a scheduling key that hold the thread id; the clock sits
+/// above them, so comparing two keys as integers *is* the `(clock, tid)`
+/// order and a scan needs neither an index nor a tie-break.
+const TID_BITS: u32 = 8;
+/// Scheduling key of a thread that is not runnable (blocked or done): it
+/// sorts after every runnable key, so one scan over [`Inner::key`] finds
+/// who runs next without consulting [`Inner::state`].
+const PARKED: u64 = u64::MAX;
+/// Exclusive bound on the clocks a key can hold. A clock beyond it would
+/// wrap and silently reorder threads, so [`sched_key`] refuses it.
+const CLOCK_LIMIT: u64 = PARKED >> TID_BITS;
+
+/// The scheduling key of thread `tid` runnable at clock `t`.
+#[inline]
+fn sched_key(t: u64, tid: usize) -> u64 {
+    if t >= CLOCK_LIMIT {
+        clock_overflow(t);
+    }
+    (t << TID_BITS) | tid as u64
+}
+
+// Out of line, so the check costs every event one compare and no more.
+#[cold]
+#[inline(never)]
+fn clock_overflow(t: u64) -> ! {
+    panic!("virtual clock {t} overflows the scheduling key");
+}
+
 struct Inner {
     machine: MachineState,
+    /// Committed virtual clock per thread (kept while blocked and done).
     time: Vec<u64>,
+    /// Scheduling key per thread: [`sched_key`] of its clock while
+    /// runnable, [`PARKED`] otherwise. The one representation of "runnable,
+    /// and when" that both backends decide on; written only by
+    /// `flush`/`publish`/`park`/`wake`. It is the clock a thread has
+    /// *published*: exact whenever another thread can look — a thread
+    /// flushes before it waits for its turn, and parks before it blocks or
+    /// finishes — while `commit` leaves it behind the clock until the next
+    /// flush (fibers: nobody else runs in between) or until the thread lets
+    /// go of the scheduler mutex (OS threads: `notify_next` publishes).
+    key: Vec<u64>,
     state: Vec<TState>,
     /// Remaining scheduler events before the run panics with
     /// [`FUEL_EXHAUSTED`]. Defaults to effectively-unlimited; the schedule
@@ -85,13 +141,27 @@ pub const FUEL_EXHAUSTED: &str = "virtual-time fuel exhausted";
 pub type SchedHook = dyn Fn(usize, u64) -> u64 + Send + Sync;
 
 impl Inner {
-    fn min_runnable(&self) -> Option<(u64, usize)> {
-        self.state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == TState::Runnable)
-            .map(|(t, _)| (self.time[t], t))
-            .min()
+    /// The one decision procedure, shared by both backends: who executes
+    /// next, and for how long may it go on without looking again? One
+    /// branch-free pass over the keys finds the two smallest: the minimum
+    /// names the thread, and the runner-up is its *horizon* — it stays the
+    /// minimum while its own key is below that, as long as nobody else's
+    /// key moves ([`PARKED`] when it has no rival). `None` when no thread
+    /// is runnable.
+    #[inline]
+    fn next_turn(&self) -> Option<(usize, u64)> {
+        let (mut first, mut second) = (PARKED, PARKED);
+        for &k in &self.key {
+            second = second.min(first.max(k));
+            first = first.min(k);
+        }
+        let tid_mask = (1 << TID_BITS) - 1;
+        (first != PARKED).then_some(((first & tid_mask) as usize, second))
+    }
+
+    /// Is `tid` the thread that may execute next?
+    fn is_min(&self, tid: usize) -> bool {
+        matches!(self.next_turn(), Some((t, _)) if t == tid)
     }
 
     /// Charge one scheduler event against the fuel budget; panics when the
@@ -107,12 +177,26 @@ impl Inner {
         }
     }
 
+    /// Fold runnable thread `tid`'s pending local compute into its clock
+    /// ahead of its next event; returns its new key. Deliberately not part
+    /// of the fingerprint (see [`Inner::commit`]).
+    #[inline]
+    fn flush(&mut self, tid: usize, pending: u64) -> u64 {
+        let t = self.time[tid] + pending;
+        let key = sched_key(t, tid);
+        self.time[tid] = t;
+        self.key[tid] = key;
+        key
+    }
+
     /// Commit thread `tid`'s clock to `t` and fold the update into the
-    /// execution fingerprint. Every clock write that can influence future
-    /// scheduling goes through here; the one deliberate exception is the
-    /// pending-flush of a thread that immediately blocks on a held lock —
-    /// that value is either overwritten by the release (wait absorbed,
-    /// clock irrelevant) or committed here at wake-up.
+    /// execution fingerprint; the key is left for the next flush, publish
+    /// or wake (see [`Inner::key`]). Every clock write made *in scheduler
+    /// order* goes through here. The two that are not stay out of the
+    /// fingerprint: the pending-flush of a thread that immediately blocks
+    /// on a held lock (overwritten by the release, or committed here at
+    /// wake-up), and the final flush of a finishing thread (not an event:
+    /// it happens whenever the host gets there, not at the thread's turn).
     #[inline]
     fn commit(&mut self, tid: usize, t: u64) {
         self.time[tid] = t;
@@ -120,17 +204,23 @@ impl Inner {
         self.hash = (self.hash ^ x ^ (x >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     }
 
-    /// Is `tid` (which must be runnable) the thread that may execute next?
-    #[inline]
-    fn is_min(&self, tid: usize) -> bool {
-        debug_assert_eq!(self.state[tid], TState::Runnable);
-        let me = (self.time[tid], tid);
-        for t in 0..self.state.len() {
-            if t != tid && self.state[t] == TState::Runnable && (self.time[t], t) < me {
-                return false;
-            }
+    /// Bring `tid`'s key up to its clock, if it is runnable.
+    fn publish(&mut self, tid: usize) {
+        if self.state[tid] == TState::Runnable {
+            self.key[tid] = sched_key(self.time[tid], tid);
         }
-        true
+    }
+
+    /// Take `tid` out of scheduling (`state` is `Blocked(_)` or `Done`).
+    fn park(&mut self, tid: usize, state: TState) {
+        self.state[tid] = state;
+        self.key[tid] = PARKED;
+    }
+
+    /// Make parked thread `tid` runnable again at its kept clock.
+    fn wake(&mut self, tid: usize) {
+        self.state[tid] = TState::Runnable;
+        self.publish(tid);
     }
 }
 
@@ -189,10 +279,16 @@ impl Sim {
     /// backend is chosen here, once, from `TM_SIM_EXEC` (`fibers` where
     /// supported, else OS `threads`) — both produce bit-identical reports.
     pub fn new(cfg: MachineConfig) -> Self {
+        assert!(
+            cfg.cores <= 1 << TID_BITS,
+            "{} cores do not fit the scheduling key's {TID_BITS} thread-id bits",
+            cfg.cores
+        );
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 machine: MachineState::new(cfg.clone()),
                 time: Vec::new(),
+                key: Vec::new(),
                 state: Vec::new(),
                 fuel: u64::MAX,
                 events: 0,
@@ -325,6 +421,7 @@ impl Sim {
         let (stats_before, locks_before, os_before) = {
             let mut g = self.shared.inner.lock();
             g.time = vec![0; n];
+            g.key = (0..n).map(|tid| sched_key(0, tid)).collect();
             g.state = vec![TState::Runnable; n];
             for l in &g.machine.locks {
                 assert!(l.holder.is_none(), "lock held across run boundary");
@@ -335,15 +432,19 @@ impl Sim {
             (sb, g.machine.lock_stats(), g.machine.os_allocated)
         };
 
+        // Resolved once per run (`set_sched_hook` must not race a run), so
+        // `Ctx::sched_point` is a null check and a direct call.
+        let hook = self.shared.sched_hook.lock().clone();
+        let hook = hook.as_deref();
         if n == 1 {
             // Single thread: it is trivially always the minimum, so no
             // hand-off machinery at all — the closure runs on the caller
-            // under the run-scoped lock.
-            self.run_solo(&f);
+            // under the run-scoped lock, with an infinite horizon.
+            self.run_solo(hook, &f);
         } else if self.backend == Backend::Fibers {
-            self.run_fibers(n, &f);
+            self.run_fibers(n, hook, &f);
         } else {
-            self.run_threads(n, &f);
+            self.run_threads(n, hook, &f);
         }
 
         let g = self.shared.inner.lock();
@@ -379,65 +480,52 @@ impl Sim {
         }
     }
 
-    fn run_solo<F>(&self, f: &F)
+    fn run_solo<F>(&self, hook: Option<&SchedHook>, f: &F)
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
         let mut g = self.shared.inner.lock();
-        let inner: *mut Inner = &mut *g;
-        let mut ctx = Ctx {
-            tid: 0,
-            n: 1,
-            shared: &self.shared,
-            inner,
-            rt: ptr::null_mut(),
-            pending: 0,
-            local_time: 0,
-            finished: false,
-        };
+        let mut ctx = Ctx::new(0, 1, &self.shared, hook);
+        ctx.inner = &mut *g;
+        ctx.horizon = PARKED;
         f(&mut ctx);
         ctx.finish();
     }
 
-    fn run_threads<F>(&self, n: usize, f: &F)
+    fn run_threads<F>(&self, n: usize, hook: Option<&SchedHook>, f: &F)
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
         std::thread::scope(|s| {
-            for tid in 0..n {
-                let shared = &self.shared;
-                s.spawn(move || {
-                    let mut ctx = Ctx {
-                        tid,
-                        n,
-                        shared,
-                        inner: ptr::null_mut(),
-                        rt: ptr::null_mut(),
-                        pending: 0,
-                        local_time: 0,
-                        finished: false,
-                    };
-                    f(&mut ctx);
-                    ctx.finish();
-                });
-            }
+            let shared = &*self.shared;
+            let workers: Vec<_> = (0..n)
+                .map(|tid| {
+                    s.spawn(move || {
+                        let mut ctx = Ctx::new(tid, n, shared, hook);
+                        f(&mut ctx);
+                        ctx.finish();
+                    })
+                })
+                .collect();
+            join_reraising(workers);
         });
     }
 
-    fn run_fibers<F>(&self, n: usize, f: &F)
+    fn run_fibers<F>(&self, n: usize, hook: Option<&SchedHook>, f: &F)
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
         // The scheduler lock is held for the whole run; fibers reach the
         // machine through a raw pointer. The discipline that makes this
-        // sound: references into `Inner` are created fresh after every
-        // context switch and never held across one.
+        // sound: references into `Inner`/`FiberRt` are created fresh after
+        // every context switch and never held across one.
         let mut g = self.shared.inner.lock();
         let inner_ptr: *mut Inner = &mut *g;
         let mut rt = FiberRt {
             inner: inner_ptr,
             driver_sp: ptr::null_mut(),
             sps: vec![ptr::null_mut(); n],
+            horizon: 0,
             panic: None,
         };
         let rt_ptr: *mut FiberRt = &mut rt;
@@ -445,6 +533,7 @@ impl Sim {
             .map(|tid| FiberBoot {
                 rt: rt_ptr,
                 shared: &self.shared,
+                hook,
                 f,
                 tid,
                 n,
@@ -454,22 +543,19 @@ impl Sim {
             .iter()
             .map(|b| fiber::Fiber::spawn(fiber_main::<F>, b as *const FiberBoot<'_, F> as *mut u8))
             .collect();
+        // SAFETY: `rt`, `boots` and the fiber stacks outlive every switch
+        // below; references into `Inner`/`FiberRt` are scoped to single
+        // statements, so none is live across a switch. The driver starts
+        // the first fiber and is resumed exactly once, by the fiber that
+        // finds nothing runnable (`yield_turn`).
         unsafe {
-            {
-                let rt = &mut *rt_ptr;
-                for (t, fb) in fibers.iter().enumerate() {
-                    rt.sps[t] = fb.sp();
-                }
+            for (t, fb) in fibers.iter().enumerate() {
+                (&mut *rt_ptr).sps[t] = fb.sp();
             }
-            // The driver: resume whichever fiber holds the minimum clock;
-            // it runs until it must wait (then switches back here), so one
-            // iteration per hand-off, zero for events executed in turn.
-            // References into `Inner`/`FiberRt` are scoped to single
-            // statements — never live across a switch.
-            while let Some((_, t)) = { (&*inner_ptr).min_runnable() } {
-                let to = { (&*rt_ptr).sps[t] };
-                fiber::switch(ptr::addr_of_mut!((*rt_ptr).driver_sp), to);
-            }
+            let (first, horizon) = { (&*inner_ptr).next_turn() }.expect("a fresh run is runnable");
+            (*rt_ptr).horizon = horizon;
+            let to = { (&*rt_ptr).sps[first] };
+            fiber::switch(ptr::addr_of_mut!((*rt_ptr).driver_sp), to);
             assert!(
                 (&*inner_ptr).state.iter().all(|s| *s == TState::Done),
                 "virtual deadlock: every unfinished thread is blocked on a simulated lock"
@@ -509,23 +595,42 @@ impl SimSnapshot {
     }
 }
 
+/// Join the OS-thread backend's workers by hand: the scope's own join would
+/// replace a worker's panic payload with "a scoped thread panicked", and
+/// callers classify runs by it ([`FUEL_EXHAUSTED`]), as on the fiber
+/// backend. Not generic, so it is compiled once, not per workload closure.
+fn join_reraising(workers: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    let mut panic = None;
+    for w in workers {
+        if let Err(p) = w.join() {
+            panic.get_or_insert(p);
+        }
+    }
+    if let Some(p) = panic {
+        std::panic::resume_unwind(p);
+    }
+}
+
 /// Driver-side state of a fiber run; lives on the driver's stack and is
 /// reached from fibers through a raw pointer.
 struct FiberRt {
     inner: *mut Inner,
-    /// Saved driver context while a fiber runs.
+    /// Saved driver context while fibers run.
     driver_sp: *mut u8,
     /// Saved context per suspended fiber.
     sps: Vec<*mut u8>,
+    /// Mailbox of a hand-off: whoever resumes a fiber leaves that fiber's
+    /// horizon here, and the resumed fiber picks it up first thing.
+    horizon: u64,
     /// First panic payload from a fiber, re-raised after the run completes
-    /// (matching the OS-thread backend, where the panic propagates when the
-    /// thread scope joins).
+    /// (as the OS-thread backend re-raises a worker's once all have joined).
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 struct FiberBoot<'a, F> {
     rt: *mut FiberRt,
     shared: &'a Shared,
+    hook: Option<&'a SchedHook>,
     f: &'a F,
     tid: usize,
     n: usize,
@@ -535,16 +640,10 @@ unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
     let boot = &*(arg as *const FiberBoot<'_, F>);
     let (rt, tid) = (boot.rt, boot.tid);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut ctx = Ctx {
-            tid,
-            n: boot.n,
-            shared: boot.shared,
-            inner: (*rt).inner,
-            rt,
-            pending: 0,
-            local_time: 0,
-            finished: false,
-        };
+        let mut ctx = Ctx::new(tid, boot.n, boot.shared, boot.hook);
+        ctx.inner = (*rt).inner;
+        ctx.rt = rt;
+        ctx.horizon = resumed(rt, tid);
         (boot.f)(&mut ctx);
         ctx.finish();
         // A panicking closure is handled like a panicking OS thread: the
@@ -557,20 +656,53 @@ unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
             rt_ref.panic = Some(p);
         }
     }
-    loop {
-        yield_to_driver(rt, tid);
-    }
+    // Done and parked: hand the turn on for good.
+    yield_turn(rt, tid);
+    unreachable!("a finished fiber was resumed");
 }
 
-/// Suspend the calling fiber and resume the driver, which will pick the
-/// next minimal runnable thread. No references into `Inner` may be live.
-unsafe fn yield_to_driver(rt: *mut FiberRt, tid: usize) {
-    let save = {
-        let sps = &mut (*rt).sps;
-        sps.as_mut_ptr().add(tid)
+/// Fiber `tid` cannot take the next step — it is not the minimum, or it
+/// just parked itself (blocked, done): one scan, then switch straight to
+/// the thread that can, handing it its horizon; to the driver when nothing
+/// is runnable. Returns `tid`'s own horizon once a peer has handed the turn
+/// back — or at once, without switching, if the scan finds `tid` is the
+/// minimum after all (its horizon was reset, not overtaken).
+///
+/// # Safety
+/// Must run on fiber `tid` of the live run `rt` points to, with no
+/// reference into `Inner` or `FiberRt` live in the caller.
+// Out of line on purpose: the event paths inline `take_turn`'s one compare,
+// and measurably slow down (solo events by a quarter) if the scan and the
+// switch are inlined into them along with it.
+#[inline(never)]
+unsafe fn yield_turn(rt: *mut FiberRt, tid: usize) -> u64 {
+    let to = {
+        let rt = &mut *rt;
+        match (&*rt.inner).next_turn() {
+            Some((t, horizon)) if t == tid => return horizon,
+            Some((t, horizon)) => {
+                rt.horizon = horizon;
+                rt.sps[t]
+            }
+            None => rt.driver_sp,
+        }
     };
-    let to = (*rt).driver_sp;
+    let save = (&mut *rt).sps.as_mut_ptr().add(tid);
     fiber::switch(save, to);
+    resumed(rt, tid)
+}
+
+/// First thing fiber `tid` does whenever it gains control (boot, or return
+/// from a switch): collect the horizon its resumer left for it.
+///
+/// # Safety
+/// As for [`yield_turn`].
+unsafe fn resumed(rt: *mut FiberRt, tid: usize) -> u64 {
+    debug_assert!(
+        (&*(*rt).inner).is_min(tid),
+        "a resumed fiber is the minimum"
+    );
+    (*rt).horizon
 }
 
 /// Untimed view of machine state for setup/inspection (see
@@ -604,12 +736,22 @@ pub struct Ctx<'a> {
     tid: usize,
     n: usize,
     shared: &'a Shared,
+    /// The scheduling-point hook installed when the run started, if any.
+    hook: Option<&'a SchedHook>,
     /// Non-null when the run-scoped lock is held for us (solo and fiber
     /// backends): machine state is reached directly, no per-event lock.
     inner: *mut Inner,
     /// Non-null only on the fiber backend (n > 1): hand-offs suspend the
     /// fiber instead of parking the OS thread.
     rt: *mut FiberRt,
+    /// Solo and fiber backends: this thread is the `(clock, tid)` minimum
+    /// while its key is below `horizon` (the runner-up's key), so its
+    /// events proceed on that one compare. Trustworthy because everything
+    /// runs on one OS thread: nobody else's key can move until we switch
+    /// away (a fresh horizon comes with every resume) or wake a waiter
+    /// (`unlock` zeroes it, forcing a rescan). Solo runs keep it at
+    /// [`PARKED`], above every key.
+    horizon: u64,
     pending: u64,
     /// Mirror of this thread's committed clock, maintained at every event
     /// so [`Ctx::now`] and the tracing path need no lock. Exact: another
@@ -630,7 +772,24 @@ impl Drop for Ctx<'_> {
     }
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// A context on the OS-thread backend; the solo and fiber set-ups fill
+    /// in `inner`/`rt`/`horizon`.
+    fn new(tid: usize, n: usize, shared: &'a Shared, hook: Option<&'a SchedHook>) -> Self {
+        Ctx {
+            tid,
+            n,
+            shared,
+            hook,
+            inner: ptr::null_mut(),
+            rt: ptr::null_mut(),
+            horizon: 0,
+            pending: 0,
+            local_time: 0,
+            finished: false,
+        }
+    }
+
     /// This logical thread's id == the core it is pinned to.
     pub fn tid(&self) -> usize {
         self.tid
@@ -663,8 +822,7 @@ impl Ctx<'_> {
     /// receive the same delay, keeping replays deterministic. Returns the
     /// injected delay.
     pub fn sched_point(&mut self, point: u64) -> u64 {
-        let hook = self.shared.sched_hook.lock().clone();
-        match hook {
+        match self.hook {
             Some(h) => {
                 let d = h(self.tid, point);
                 if d > 0 {
@@ -698,19 +856,11 @@ impl Ctx<'_> {
     /// result).
     fn event<R>(&mut self, f: impl FnOnce(&mut MachineState, usize) -> (u64, R)) -> R {
         if !self.inner.is_null() {
+            // SAFETY: see `take_turn`; `g` is the only live reference into
+            // `Inner` and no switch happens while it is.
             unsafe {
-                let inner = self.inner;
-                {
-                    let g = &mut *inner;
-                    g.time[self.tid] += self.pending;
-                }
-                self.pending = 0;
-                if !self.rt.is_null() {
-                    while !{ (&*inner).is_min(self.tid) } {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                }
-                let g = &mut *inner;
+                self.take_turn();
+                let g = &mut *self.inner;
                 g.burn_fuel();
                 let (cost, r) = f(&mut g.machine, self.tid);
                 let t = g.time[self.tid] + cost;
@@ -720,7 +870,7 @@ impl Ctx<'_> {
             }
         } else {
             let mut g = self.shared.inner.lock();
-            g.time[self.tid] += self.pending;
+            g.flush(self.tid, self.pending);
             self.pending = 0;
             self.wait_for_turn(&mut g);
             g.burn_fuel();
@@ -728,8 +878,28 @@ impl Ctx<'_> {
             let t = g.time[self.tid] + cost;
             g.commit(self.tid, t);
             self.local_time = t;
-            self.notify_next(&g);
+            self.notify_next(&mut g);
             r
+        }
+    }
+
+    /// Solo and fiber backends: flush pending compute and return once this
+    /// thread is the minimum — at once while its key is below the cached
+    /// horizon, else after one scan and (unless that scan finds it is the
+    /// minimum after all) a direct hand-off to the thread that is.
+    ///
+    /// # Safety
+    /// `self.inner` must be non-null (the run-scoped lock is held for us),
+    /// and the caller must hold no reference into `Inner`: this may switch
+    /// to other fibers, which mutate it. On return the caller may derive
+    /// one, and must drop it before anything that can switch again.
+    #[inline(always)]
+    unsafe fn take_turn(&mut self) {
+        let key = (&mut *self.inner).flush(self.tid, self.pending);
+        self.pending = 0;
+        if key >= self.horizon {
+            // Never on a solo run: its horizon is above every key.
+            self.horizon = yield_turn(self.rt, self.tid);
         }
     }
 
@@ -744,9 +914,7 @@ impl Ctx<'_> {
         // by a notification from the thread that caused it (event
         // completion, unlock, finish, or another thread's arrival), and
         // the check-then-wait below is atomic under the scheduler lock.
-        if let Some((_, t)) = g.min_runnable() {
-            self.shared.cvs[t].notify_one();
-        }
+        self.notify_next(g);
         loop {
             self.shared.cvs[self.tid].wait(g);
             if g.is_min(self.tid) {
@@ -755,8 +923,11 @@ impl Ctx<'_> {
         }
     }
 
-    fn notify_next(&self, g: &Inner) {
-        if let Some((_, t)) = g.min_runnable() {
+    /// OS-thread backend, before letting go of the scheduler mutex: publish
+    /// our clock and wake whoever may execute next, unless it is us.
+    fn notify_next(&self, g: &mut Inner) {
+        g.publish(self.tid);
+        if let Some((t, _)) = g.next_turn() {
             if t != self.tid {
                 self.shared.cvs[t].notify_one();
             }
@@ -931,14 +1102,15 @@ impl Ctx<'_> {
             // We were enqueued as Blocked; wait until the releaser makes us
             // runnable again, then re-contend.
             if !self.inner.is_null() {
+                assert!(
+                    !self.rt.is_null(),
+                    "virtual deadlock: lone thread blocked on a simulated lock"
+                );
+                // SAFETY: on our own fiber, no reference into `Inner` live.
                 unsafe {
-                    assert!(
-                        !self.rt.is_null(),
-                        "virtual deadlock: lone thread blocked on a simulated lock"
-                    );
-                    while { (&*self.inner).state[self.tid] } == TState::Blocked(mx.id) {
-                        yield_to_driver(self.rt, self.tid);
-                    }
+                    // Parked, so this always switches away; a peer resumes
+                    // us only once a release has made us the minimum.
+                    self.horizon = yield_turn(self.rt, self.tid);
                     // The releaser advanced our clock to the release time.
                     self.local_time = (&*self.inner).time[self.tid];
                 }
@@ -961,31 +1133,22 @@ impl Ctx<'_> {
 
     fn lock_attempt(&mut self, mx: SimMutex, block: bool, counted: &mut bool) -> bool {
         if !self.inner.is_null() {
+            // SAFETY: see `take_turn`.
             unsafe {
-                let inner = self.inner;
-                {
-                    let g = &mut *inner;
-                    g.time[self.tid] += self.pending;
-                }
-                self.pending = 0;
-                if !self.rt.is_null() {
-                    while !{ (&*inner).is_min(self.tid) } {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                }
-                let g = &mut *inner;
+                self.take_turn();
+                let g = &mut *self.inner;
                 let acquired = acquire_locked(g, &self.shared.obs, self.tid, mx, block, counted);
                 self.local_time = g.time[self.tid];
                 acquired
             }
         } else {
             let mut g = self.shared.inner.lock();
-            g.time[self.tid] += self.pending;
+            g.flush(self.tid, self.pending);
             self.pending = 0;
             self.wait_for_turn(&mut g);
             let acquired = acquire_locked(&mut g, &self.shared.obs, self.tid, mx, block, counted);
             self.local_time = g.time[self.tid];
-            self.notify_next(&g);
+            self.notify_next(&mut g);
             acquired
         }
     }
@@ -995,32 +1158,29 @@ impl Ctx<'_> {
     /// lock statistics).
     pub fn unlock(&mut self, mx: SimMutex) {
         if !self.inner.is_null() {
+            // SAFETY: see `take_turn`.
             unsafe {
-                let inner = self.inner;
-                {
-                    let g = &mut *inner;
-                    g.time[self.tid] += self.pending;
-                }
-                self.pending = 0;
-                if !self.rt.is_null() {
-                    while !{ (&*inner).is_min(self.tid) } {
-                        yield_to_driver(self.rt, self.tid);
-                    }
-                }
-                let g = &mut *inner;
-                release_lock(g, self.tid, mx, |_| {});
+                self.take_turn();
+                let g = &mut *self.inner;
+                let mut woke = false;
+                release_lock(g, self.tid, mx, |_| woke = true);
                 self.local_time = g.time[self.tid];
+                if woke {
+                    // A waiter re-entered scheduling at our clock; with a
+                    // lower tid it precedes us. Look again at the next event.
+                    self.horizon = 0;
+                }
             }
         } else {
             let mut g = self.shared.inner.lock();
-            g.time[self.tid] += self.pending;
+            g.flush(self.tid, self.pending);
             self.pending = 0;
             self.wait_for_turn(&mut g);
             release_lock(&mut g, self.tid, mx, |t| {
                 self.shared.cvs[t].notify_one();
             });
             self.local_time = g.time[self.tid];
-            self.notify_next(&g);
+            self.notify_next(&mut g);
         }
     }
 
@@ -1035,6 +1195,10 @@ impl Ctx<'_> {
     fn finish(&mut self) {
         self.finished = true;
         if !self.inner.is_null() {
+            // SAFETY: the run-scoped lock is held for us and no other
+            // reference into `Inner` is live. A fiber switches away for
+            // good right after (`fiber_main`), not from here: this also
+            // runs from `Drop` mid-unwind.
             unsafe {
                 finish_thread(&mut *self.inner, self.tid, self.pending, |_| {});
             }
@@ -1046,9 +1210,7 @@ impl Ctx<'_> {
             });
             self.pending = 0;
             // Whoever is now minimal may proceed.
-            if let Some((_, t)) = g.min_runnable() {
-                self.shared.cvs[t].notify_one();
-            }
+            self.notify_next(&mut g);
         }
     }
 }
@@ -1094,7 +1256,7 @@ fn acquire_locked(
                 .emit(tid, now, EventKind::LockContend, mx.id as u64, holder);
         }
         if block {
-            g.state[tid] = TState::Blocked(mx.id);
+            g.park(tid, TState::Blocked(mx.id));
         } else {
             // Failed trylock still pays for probing the lock word.
             g.commit(tid, now + g.machine.cfg.cost.atomic_rmw);
@@ -1105,7 +1267,7 @@ fn acquire_locked(
 
 /// Lock release for a thread that holds the scheduling minimum. `on_wake`
 /// is called for every unblocked thread (the OS-thread backend notifies its
-/// condvar; the fiber driver rescans anyway).
+/// condvar; a fiber resets its horizon).
 fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut(usize)) {
     assert_eq!(
         g.machine.locks[mx.id].holder,
@@ -1120,7 +1282,7 @@ fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut
             let waited = now.saturating_sub(g.time[t]);
             g.machine.locks[mx.id].wait_cycles += waited;
             g.commit(t, g.time[t].max(now));
-            g.state[t] = TState::Runnable;
+            g.wake(t);
             on_wake(t);
         }
     }
@@ -1131,8 +1293,10 @@ fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut
 /// modelled; tests assert on the propagated panic instead), and unblock
 /// their waiters to re-contend.
 fn finish_thread(g: &mut Inner, tid: usize, pending: u64, mut on_wake: impl FnMut(usize)) {
-    g.commit(tid, g.time[tid] + pending);
-    g.state[tid] = TState::Done;
+    // Not a scheduling point (it runs whenever the host gets here, not at
+    // the thread's turn), so the final flush stays out of the fingerprint.
+    g.time[tid] += pending;
+    g.park(tid, TState::Done);
     let mut released = Vec::new();
     for (id, l) in g.machine.locks.iter_mut().enumerate() {
         if l.holder == Some(tid) {
@@ -1144,7 +1308,7 @@ fn finish_thread(g: &mut Inner, tid: usize, pending: u64, mut on_wake: impl FnMu
         for t in 0..g.state.len() {
             if let TState::Blocked(id) = g.state[t] {
                 if released.contains(&id) {
-                    g.state[t] = TState::Runnable;
+                    g.wake(t);
                     on_wake(t);
                 }
             }
@@ -1550,15 +1714,402 @@ mod tests {
                 let _ = ctx.cas_u64(0xc00, 1, 2);
             });
         }));
-        let payload = caught.expect_err("the spin must be cut short");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = panic_text(caught.expect_err("the spin must be cut short"));
         assert!(
             msg.starts_with(crate::FUEL_EXHAUSTED),
             "unexpected panic message: {msg}"
         );
+    }
+
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    fn both_backends() -> Vec<Backend> {
+        if fiber::SUPPORTED {
+            vec![Backend::Fibers, Backend::Threads]
+        } else {
+            vec![Backend::Threads]
+        }
+    }
+
+    #[test]
+    fn finishing_is_not_part_of_the_fingerprint() {
+        // Thread 0's only event runs first and leaves it ahead of thread 1,
+        // whose zero-cost events then all come before thread 0 could take
+        // another turn. On OS threads, thread 0 is held back on the host
+        // until thread 1 has run them, so its finish follows them; on
+        // fibers it finishes at once, before them. A fingerprint that
+        // folded the finish would differ between the two.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let hash_for = |backend: Backend| {
+            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+            let peer_done = AtomicBool::new(false);
+            s.run(2, |ctx| {
+                if ctx.tid() == 0 {
+                    ctx.write_u64(0xe00, 1);
+                    ctx.tick(5);
+                    while backend == Backend::Threads && !peer_done.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    for _ in 0..3 {
+                        ctx.fence();
+                    }
+                    peer_done.store(true, Ordering::SeqCst);
+                }
+            });
+            s.trace_hash()
+        };
+        let hashes: Vec<u64> = both_backends().into_iter().map(hash_for).collect();
+        assert!(
+            hashes.windows(2).all(|w| w[0] == w[1]),
+            "fingerprint depends on when a thread's finish reaches the scheduler: {hashes:x?}"
+        );
+    }
+
+    // --- Randomized differential test of the two executors ---
+
+    /// One step of a generated thread program.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Tick(u64),
+        Read(u64),
+        Write(u64, u64),
+        Cas(u64, u64, u64),
+        FetchAdd(u64, u64),
+        /// `lock` mutex `m` — or `try_lock` it and skip the rest when that
+        /// fails — then run `body` and `unlock`.
+        Critical {
+            m: usize,
+            try_only: bool,
+            body: Vec<Op>,
+        },
+    }
+
+    const SHARED: u64 = 0x4000;
+    const RESULTS: u64 = 0x8000;
+    /// Shared words the programs touch: four to a line over three lines,
+    /// so both false and true sharing occur.
+    fn shared_addr(i: u64) -> u64 {
+        SHARED + (i / 4) * 64 + (i % 4) * 8
+    }
+
+    /// `len` random steps; nested critical sections only take mutexes
+    /// above `min_mutex`, so lock order is ascending and nothing deadlocks.
+    fn gen_ops(rng: &mut impl rand::Rng, len: usize, min_mutex: usize, mutexes: usize) -> Vec<Op> {
+        (0..len)
+            .map(|_| {
+                let addr = shared_addr(rng.gen_range(0..12u64));
+                match rng.gen_range(0..8u32) {
+                    0 | 1 => Op::Tick(rng.gen_range(0..120u64)),
+                    2 => Op::Read(addr),
+                    3 => Op::Write(addr, rng.gen_range(0..4u64)),
+                    4 => Op::Cas(addr, rng.gen_range(0..4u64), rng.gen_range(0..4u64)),
+                    5 => Op::FetchAdd(addr, rng.gen_range(1..3u64)),
+                    _ if min_mutex < mutexes => {
+                        let m = rng.gen_range(min_mutex..mutexes);
+                        let body_len = rng.gen_range(0..4usize);
+                        Op::Critical {
+                            m,
+                            try_only: rng.gen_bool(0.4),
+                            body: gen_ops(rng, body_len, m + 1, mutexes),
+                        }
+                    }
+                    _ => Op::Tick(1),
+                }
+            })
+            .collect()
+    }
+
+    /// Run `ops`; everything the thread observes is mixed into `seen`.
+    fn exec_ops(ctx: &mut Ctx<'_>, ops: &[Op], mutexes: &[SimMutex], scale: u64, seen: &mut u64) {
+        fn see(seen: &mut u64, v: u64) {
+            *seen = seen.wrapping_mul(31).wrapping_add(v);
+        }
+        for op in ops {
+            match op {
+                Op::Tick(c) => ctx.tick(c * scale),
+                Op::Read(a) => see(seen, ctx.read_u64(*a)),
+                Op::Write(a, v) => ctx.write_u64(*a, *v),
+                Op::Cas(a, e, n) => see(
+                    seen,
+                    ctx.cas_u64(*a, *e, *n).unwrap_or_else(|cur| cur + 100),
+                ),
+                Op::FetchAdd(a, d) => see(seen, ctx.fetch_add_u64(*a, *d)),
+                Op::Critical { m, try_only, body } => {
+                    if *try_only {
+                        let got = ctx.try_lock(mutexes[*m]);
+                        see(seen, got as u64);
+                        if !got {
+                            continue;
+                        }
+                    } else {
+                        ctx.lock(mutexes[*m]);
+                    }
+                    exec_ops(ctx, body, mutexes, scale, seen);
+                    ctx.unlock(mutexes[*m]);
+                }
+            }
+        }
+    }
+
+    /// Everything a run leaves behind, as one comparable value.
+    fn run_programs(backend: Backend, programs: &[Vec<Op>], mutexes: usize) -> String {
+        let n = programs.len();
+        let cfg = MachineConfig {
+            cores: 8,
+            cores_per_socket: 4,
+            ..MachineConfig::tiny_test()
+        };
+        let s = Sim::with_backend(cfg, backend);
+        let mutexes: Vec<SimMutex> = (0..mutexes).map(|_| s.new_mutex()).collect();
+        let r = s.run(n, |ctx| {
+            let ops = &programs[ctx.tid()];
+            // An empty program finishes without a single event.
+            if ops.is_empty() {
+                return;
+            }
+            let mut seen = 0;
+            // Unequal compute per thread.
+            exec_ops(ctx, ops, &mutexes, 1 + 2 * ctx.tid() as u64, &mut seen);
+            ctx.write_u64(RESULTS + 64 * ctx.tid() as u64, seen);
+        });
+        let memory: Vec<u64> = s.with_state(|m| {
+            (0..12)
+                .map(shared_addr)
+                .chain((0..n as u64).map(|t| RESULTS + 64 * t))
+                .map(|a| m.read_u64(a))
+                .collect()
+        });
+        format!(
+            "{r:?} hash={:x} events={} memory={memory:?}",
+            s.trace_hash(),
+            s.events()
+        )
+    }
+
+    #[test]
+    fn executors_agree_on_random_workloads() {
+        use rand::{Rng, SeedableRng};
+        if !fiber::SUPPORTED {
+            return;
+        }
+        for n in [2usize, 3, 8] {
+            for seed in 0..24u64 {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed * 8 + n as u64);
+                let mutexes = rng.gen_range(1..4usize);
+                let programs: Vec<Vec<Op>> = (0..n)
+                    .map(|_| {
+                        // Some threads finish early, some do nothing.
+                        let len = rng.gen_range(0..14usize);
+                        gen_ops(&mut rng, len, 0, mutexes)
+                    })
+                    .collect();
+                let fibers = run_programs(Backend::Fibers, &programs, mutexes);
+                let threads = run_programs(Backend::Threads, &programs, mutexes);
+                assert_eq!(fibers, threads, "n={n} seed={seed}: {programs:#?}");
+            }
+        }
+    }
+
+    // --- The rules for when a cached horizon may be trusted ---
+
+    #[test]
+    fn unlock_hands_the_turn_to_a_woken_lower_tid_waiter() {
+        // Thread 1 releases a lock thread 0 is blocked on: thread 0 comes
+        // back at thread 1's own clock and, with the lower tid, precedes
+        // it. Thread 1's horizon was infinite until then (its only rival
+        // was parked), so its very next event must look again.
+        for backend in both_backends() {
+            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+            let mx = s.new_mutex();
+            let retaken = HostMutex::new(None);
+            let woke_at = HostMutex::new(0);
+            s.run(2, |ctx| {
+                if ctx.tid() == 0 {
+                    ctx.tick(50);
+                    ctx.lock(mx); // held by thread 1 since clock 0: blocks
+                    *woke_at.lock() = ctx.now();
+                    ctx.unlock(mx);
+                } else {
+                    ctx.lock(mx);
+                    ctx.tick(1000);
+                    ctx.unlock(mx);
+                    // Same clock as the woken thread 0, which goes first
+                    // and takes the lock.
+                    let got = ctx.try_lock(mx);
+                    *retaken.lock() = Some(got);
+                    if got {
+                        ctx.unlock(mx);
+                    }
+                }
+            });
+            assert_eq!(*retaken.lock(), Some(false), "{backend:?}");
+            // The blocked wait refreshed thread 0's clock mirror.
+            assert!(*woke_at.lock() > 1000, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn blocked_thread_is_resumed_by_a_peers_hand_off() {
+        // Thread 2 releases the lock thread 0 waits for while thread 1 sits
+        // between the release's start and its end in virtual time. So the
+        // releaser hands the turn to thread 1, and thread 1 — not the
+        // releaser, not the driver — hands it to the woken thread 0.
+        let order_for = |backend: Backend| {
+            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+            let cost = s.config().cost;
+            let release_starts = cost.atomic_rmw + cost.l1_hit + 600;
+            assert!(cost.l1_hit >= 2, "the release must span thread 1's clock");
+            let mx = s.new_mutex();
+            let order = HostMutex::new(Vec::new());
+            s.run(3, |ctx| {
+                let tid = ctx.tid();
+                let ticket = |ctx: &mut Ctx<'_>| {
+                    let v = ctx.fetch_add_u64(0xf00, 1);
+                    order.lock().push((v, tid, ctx.now()));
+                };
+                match tid {
+                    0 => {
+                        ctx.tick(40);
+                        ctx.lock(mx);
+                        ticket(ctx);
+                        ctx.unlock(mx);
+                    }
+                    1 => {
+                        ctx.tick(release_starts + 1);
+                        ctx.fence();
+                        ctx.tick(50);
+                        ticket(ctx);
+                    }
+                    _ => {
+                        ctx.lock(mx);
+                        ctx.tick(600);
+                        ctx.unlock(mx);
+                        ctx.tick(2000);
+                        ticket(ctx);
+                    }
+                }
+            });
+            let mut o = order.into_inner();
+            o.sort_unstable();
+            (o, s.trace_hash())
+        };
+        let orders: Vec<_> = both_backends().into_iter().map(order_for).collect();
+        let who: Vec<usize> = orders[0].0.iter().map(|&(_, tid, _)| tid).collect();
+        assert_eq!(who, [1, 0, 2]);
+        assert!(orders.windows(2).all(|w| w[0] == w[1]), "{orders:?}");
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[should_panic(expected = "virtual deadlock")]
+    fn last_runnable_thread_finishing_among_blocked_peers_is_a_deadlock() {
+        // Threads 0 and 1 deadlock AB-BA; thread 2 finishes later with
+        // nobody to hand the turn to, so the driver gets it and reports.
+        let s = Sim::with_backend(MachineConfig::tiny_test(), Backend::Fibers);
+        let (a, b) = (s.new_mutex(), s.new_mutex());
+        s.run(3, |ctx| match ctx.tid() {
+            0 => {
+                ctx.lock(a);
+                ctx.tick(100);
+                ctx.lock(b);
+            }
+            1 => {
+                ctx.lock(b);
+                ctx.tick(100);
+                ctx.lock(a);
+            }
+            _ => {
+                ctx.tick(10_000);
+                ctx.fence();
+            }
+        });
+    }
+
+    #[test]
+    fn panic_among_peers_mid_hand_off_reraises_the_payload() {
+        for backend in both_backends() {
+            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+            let mx = s.new_mutex();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                s.run(4, |ctx| {
+                    for i in 0..10 {
+                        ctx.tick(7 * (ctx.tid() as u64 + 1));
+                        ctx.fetch_add_u64(0xa40, 1);
+                        if ctx.tid() == 1 && i == 4 {
+                            // The three peers are suspended in hand-offs.
+                            ctx.lock(mx);
+                            panic!("worker 1 exploded");
+                        }
+                    }
+                    ctx.lock(mx);
+                    let v = ctx.read_u64(0xa80);
+                    ctx.write_u64(0xa80, v + 1);
+                    ctx.unlock(mx);
+                });
+            }));
+            let msg = panic_text(caught.expect_err("the panic must propagate"));
+            assert_eq!(msg, "worker 1 exploded", "{backend:?}");
+            // The dead thread's lock was released: all survivors got it.
+            s.with_state(|m| assert_eq!(m.read_u64(0xa80), 3, "{backend:?}"));
+        }
+    }
+
+    #[test]
+    fn fuel_runs_out_on_a_thread_just_handed_the_minimum() {
+        for backend in both_backends() {
+            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+            s.set_fuel(7);
+            let fences = HostMutex::new([0u32; 2]);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                // Lockstep clocks: every event follows a hand-off.
+                s.run(2, |ctx| loop {
+                    ctx.tick(10);
+                    ctx.fence();
+                    fences.lock()[ctx.tid()] += 1;
+                });
+            }));
+            let msg = panic_text(caught.expect_err("the budget must end the run"));
+            assert!(msg.starts_with(FUEL_EXHAUSTED), "{backend:?}: {msg}");
+            // Events 1-6 alternate 0,1,...; the 7th lands on thread 0 as
+            // thread 1 hands it the turn, and thread 1's next is refused
+            // the same way.
+            assert_eq!(*fences.lock(), [3, 3], "{backend:?}");
+            assert_eq!(s.events(), 8, "{backend:?}");
+        }
+    }
+
+    // --- The two limits the packed scheduling key introduces ---
+
+    #[test]
+    #[should_panic(expected = "do not fit the scheduling key")]
+    fn more_cores_than_the_key_has_tid_bits_is_refused() {
+        Sim::new(MachineConfig {
+            cores: (1 << TID_BITS) + 1,
+            ..MachineConfig::tiny_test()
+        });
+    }
+
+    #[test]
+    fn the_key_holds_every_tid_up_to_its_limit() {
+        let top = (1 << TID_BITS) - 1;
+        assert!(sched_key(0, top) < sched_key(1, 0));
+        assert!(sched_key(CLOCK_LIMIT - 1, top) < PARKED);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the scheduling key")]
+    fn a_clock_beyond_the_key_is_refused() {
+        let s = sim();
+        s.run(1, |ctx| {
+            ctx.tick(CLOCK_LIMIT);
+            ctx.fence();
+        });
     }
 }

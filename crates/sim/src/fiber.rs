@@ -9,7 +9,10 @@
 //! coroutine with an assembly context switch (~tens of nanoseconds) and an
 //! mmap-backed, guard-paged stack, so `Sim::run` can multiplex all logical
 //! threads onto the calling OS thread and suspend/resume them at exactly
-//! the points where the OS-thread backend would block on a condvar.
+//! the points where the OS-thread backend would block on a condvar. A
+//! switch goes from any context to any other: fibers hand the turn
+//! directly to one another, and the driver (the context that called
+//! `Sim::run`) is switched to only when nothing is runnable.
 //!
 //! Only the switching *mechanism* lives here; every scheduling decision
 //! (who runs next) stays in `exec.rs` and is shared verbatim with the
@@ -237,8 +240,13 @@ mod imp {
     ///
     /// # Safety
     /// `to` must be a stack pointer previously produced by this module
-    /// (either `Fiber::spawn` or a prior switch out), and no references to
-    /// data the resumed context may mutate may be live across the call.
+    /// (either `Fiber::spawn` or a prior switch out) and not resumed
+    /// since; `save` must stay valid until this context is resumed through
+    /// the pointer stored there. The resumed context — driver or fiber
+    /// alike, and every context that runs before control returns here —
+    /// mutates the scheduler state all of them reach through raw pointers,
+    /// so *no* reference derived from those pointers may be live across
+    /// the call: derive afresh after it returns.
     pub(crate) unsafe fn switch(save: *mut *mut u8, to: *mut u8) {
         tm_sim_fiber_switch(save, to);
     }

@@ -26,6 +26,27 @@ fi
 echo "==> cargo test"
 $CARGO test --workspace -q
 
+# The two executors must agree bit for bit (DESIGN.md §4.1). The run above
+# used the default one; run the simulator's own tests under each by name,
+# then loop the tests that compare the two 50 times, so that a dependence
+# on host timing cannot hide behind a 1-in-300 failure rate.
+for exec in fibers threads; do
+  echo "==> cargo test -p tm-sim (TM_SIM_EXEC=$exec)"
+  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -q
+done
+echo "==> executor-agreement tests x50"
+for i in $(seq 50); do
+  out="$($CARGO test -p tm-sim --lib -q -- \
+    backends_agree_bit_for_bit \
+    trace_hash_separates_schedules_and_matches_backends \
+    finishing_is_not_part_of_the_fingerprint \
+    executors_agree_on_random_workloads 2>&1)" || {
+    echo "$out"
+    echo "verify: executor-agreement tests failed on iteration $i"
+    exit 1
+  }
+done
+
 echo "==> cargo clippy -D warnings"
 $CARGO clippy --workspace --all-targets -- -D warnings
 
