@@ -5,7 +5,7 @@
 //!
 //! This model is that strawman — a clean dlmalloc-style binned allocator
 //! behind one global lock — included as a negative control for the
-//! scalability ablation (`tm-bench --bin ablation_serial`). It is *not*
+//! scalability ablation (`make_all --only ablation_serial`). It is *not*
 //! part of the paper's studied set, so [`crate::AllocatorKind`] does not
 //! include it; build it explicitly with [`SerialLockAllocator::new`].
 

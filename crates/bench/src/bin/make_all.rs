@@ -1,11 +1,13 @@
-//! Regenerate every exhibit as one sweep over the registry.
+//! Regenerate exhibits: the one entry point of the exhibit pipeline.
 //!
 //! The exhibit list comes from `tm_bench::exhibits::REGISTRY` (the single
-//! source of truth), and execution goes through the `tm-sweep` worker pool:
-//! per-exhibit timeout, bounded retry, and graceful degradation — a hung or
-//! failing exhibit is recorded in the matrix instead of aborting the run.
-//! The matrix lands in `results/make_all.sweep.json` (gitignored: wall
-//! times are host-specific).
+//! source of truth). Each exhibit is a pure `fn() -> RunReport`; this
+//! binary runs it, writes `results/<name>.json` and prints the rendering
+//! `tmstudy report` gives. Execution goes through the `tm-sweep` worker
+//! pool: per-exhibit timeout, bounded retry, and graceful degradation — a
+//! hung or failing exhibit is recorded in the matrix instead of aborting
+//! the run. The matrix lands in `results/make_all.sweep.json` (gitignored:
+//! wall times are host-specific).
 //!
 //! Flags:
 //!
@@ -13,10 +15,13 @@
 //! --jobs N       pool width (default 1; exhibits are multi-threaded)
 //! --timeout-s N  per-exhibit budget in seconds (default 600)
 //! --retries N    extra attempts per failed exhibit (default 1)
-//! --only SUBSTR  run only exhibits whose name contains SUBSTR
+//! --only NAMES   run only these exhibits (comma-separated registry names)
 //! --out FILE     matrix destination (default results/make_all.sweep.json)
 //! --table        print the EXPERIMENTS.md determinism table and exit
 //! ```
+//!
+//! A flag without a value, a value that does not parse and a name that is
+//! not in the registry are usage errors: one line on stderr, exit 2.
 //!
 //! Host time per exhibit is each cell's `wall_ms` in the matrix; tracked
 //! performance numbers come from `bash benchmark/run.sh`.
@@ -32,10 +37,24 @@ use std::time::Duration;
 use tm_bench::exhibits;
 use tm_sweep::{run_spec, CellRunner, Fault, Policy, SweepSpec};
 
+fn usage_error(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v.clone()),
+        None => usage_error(format!("{name} needs a value")),
+    }
+}
+
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag(args, name).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(format!("bad {name} '{v}'")))
+    })
 }
 
 fn main() {
@@ -44,21 +63,21 @@ fn main() {
         print!("{}", exhibits::experiments_table());
         return;
     }
-    let jobs: usize = flag(&args, "--jobs").map_or(1, |v| v.parse().expect("--jobs"));
-    let timeout_s: u64 =
-        flag(&args, "--timeout-s").map_or(600, |v| v.parse().expect("--timeout-s"));
-    let retries: u32 = flag(&args, "--retries").map_or(1, |v| v.parse().expect("--retries"));
-    let only = flag(&args, "--only");
+    let jobs: usize = parsed(&args, "--jobs", 1);
+    let timeout_s: u64 = parsed(&args, "--timeout-s", 600);
+    let retries: u32 = parsed(&args, "--retries", 1);
     let out = flag(&args, "--out").unwrap_or_else(|| "results/make_all.sweep.json".into());
 
-    let names: Vec<String> = exhibits::REGISTRY
-        .iter()
-        .map(|e| e.name.to_string())
-        .filter(|n| only.as_deref().is_none_or(|s| n.contains(s)))
-        .collect();
-    if names.is_empty() {
-        eprintln!("--only {:?} matches no exhibit", only.unwrap_or_default());
-        std::process::exit(2);
+    let registry: Vec<&str> = exhibits::REGISTRY.iter().map(|e| e.name).collect();
+    let only = flag(&args, "--only");
+    let names: Vec<&str> = only
+        .as_deref()
+        .map_or(registry.clone(), |list| list.split(',').collect());
+    if let Some(unknown) = names.iter().find(|n| !registry.contains(n)) {
+        usage_error(format!(
+            "unknown exhibit '{unknown}' (registry: {})",
+            registry.join(", ")
+        ));
     }
     let spec = SweepSpec::new("make_all").axis("exhibit", names);
     let policy = Policy {
@@ -71,7 +90,12 @@ fn main() {
     let runner: Arc<CellRunner> = Arc::new(|cfg| {
         let name = &cfg.iter().find(|(k, _)| k == "exhibit").unwrap().1;
         eprintln!("==> {name}");
-        exhibits::run_by_name(name)?;
+        let report = exhibits::run_by_name(name)?;
+        let path = format!("results/{name}.json");
+        std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write(&path, report.to_json_string()))
+            .map_err(|e| format!("could not write {path}: {e}"))?;
+        print!("{}", report.render());
         Ok(vec![])
     });
     let report = run_spec(&spec, runner, &policy)

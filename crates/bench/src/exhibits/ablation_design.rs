@@ -1,23 +1,21 @@
 //! Extension ablation: encounter-time vs commit-time locking across
 //! allocators (the paper's two representative designs, §2), on the
 //! write-dominated red-black tree and on Yada.
-use crate::{stamp_scale, synth_cfg};
+use crate::{stamp_point, stamp_point_opts, stamp_scale, synth_cfg, synth_point};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_core::synthetic::run_synthetic;
 use tm_ds::StructureKind;
-use tm_stamp::runner::{run_kind, StampOpts};
+use tm_stamp::runner::StampOpts;
 use tm_stamp::AppKind;
 use tm_stm::{LockDesign, WriteMode};
 
-/// Regenerate `results/ablation_design.txt` and `results/ablation_design.json`.
-pub fn run() {
+/// The lock-design ablation as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut cfg = synth_cfg(StructureKind::RbTree, kind, 8, 5);
-        let etl = run_synthetic(&cfg);
+        let etl = synth_point(&cfg);
         cfg.design = LockDesign::Ctl;
-        let ctl = run_synthetic(&cfg);
+        let ctl = synth_point(&cfg);
         rows.push(vec![
             format!("RBTree/{}", kind.name()),
             format!("{:.0}", etl.throughput),
@@ -31,9 +29,9 @@ pub fn run() {
     }
     for kind in AllocatorKind::ALL {
         let mut cfg = synth_cfg(StructureKind::RbTree, kind, 8, 5);
-        let wb = run_synthetic(&cfg);
+        let wb = synth_point(&cfg);
         cfg.write_mode = WriteMode::Through;
-        let wt = run_synthetic(&cfg);
+        let wt = synth_point(&cfg);
         rows.push(vec![
             format!("RBTree-WT/{}", kind.name()),
             format!("{:.0}", wb.throughput),
@@ -45,22 +43,17 @@ pub fn run() {
             ),
         ]);
     }
+    let ctl_opts = StampOpts {
+        design: LockDesign::Ctl,
+        ..StampOpts::default()
+    };
     for kind in AllocatorKind::ALL {
-        let etl = run_kind(
+        let etl = stamp_point(AppKind::Yada, kind, 8);
+        let ctl = stamp_point_opts(
             AppKind::Yada,
             kind,
             8,
-            &StampOpts::default(),
-            stamp_scale(AppKind::Yada),
-        );
-        let ctl = run_kind(
-            AppKind::Yada,
-            kind,
-            8,
-            &StampOpts {
-                design: LockDesign::Ctl,
-                ..StampOpts::default()
-            },
+            &ctl_opts,
             stamp_scale(AppKind::Yada),
         );
         rows.push(vec![
@@ -80,15 +73,7 @@ pub fn run() {
         "variant",
         "aborts base/var",
     ];
-    let body = render_table(
-        "Design ablation: ETL-WB vs CTL (and vs ETL-WT) across allocators",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("ablation_design", "ablation")
+    crate::RunReport::new("ablation_design", "ablation")
         .meta("scale", crate::scale())
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("The allocator ranking is expected to persist across designs —");
-    println!("the paper's conclusion is not an artifact of ETL.");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -5,21 +5,19 @@
 //! alternative hash functions. This ablation swaps the shift-and-modulo
 //! mapping for a multiplicative hash and measures the change per
 //! allocator: Glibc should recover, the others should be ~unaffected.
-use crate::synth_cfg;
+use crate::{synth_cfg, synth_point};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_core::synthetic::run_synthetic;
 use tm_ds::StructureKind;
 use tm_stm::OrtHash;
 
-/// Regenerate `results/ablation_hash.txt` and `results/ablation_hash.json`.
-pub fn run() {
+/// The ORT-hash ablation as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut cfg = synth_cfg(StructureKind::HashSet, kind, 8, 5);
-        let base = run_synthetic(&cfg);
+        let base = synth_point(&cfg);
         cfg.ort_hash = OrtHash::Mix;
-        let mixed = run_synthetic(&cfg);
+        let mixed = synth_point(&cfg);
         rows.push(vec![
             kind.name().into(),
             format!("{:.0}", base.throughput),
@@ -42,18 +40,8 @@ pub fn run() {
         "gain",
         "aborts",
     ];
-    let body = render_table(
-        "Hash ablation: HashSet, 8 threads, shift-mod vs multiplicative ORT hash",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("ablation_hash", "ablation")
+    crate::RunReport::new("ablation_hash", "ablation")
         .meta("scale", crate::scale())
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Expected (abort column): only Glibc's abort ratio drops — its");
-    println!("64 MB-arena aliasing is what the mix hash removes. Throughput");
-    println!("shifts are dominated by the hash spreading ORT accesses over");
-    println!("more cache lines (everyone pays a little).");
+        .section("data", crate::table_section(&header, &rows))
 }

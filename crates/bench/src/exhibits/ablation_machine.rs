@@ -2,22 +2,20 @@
 //! survive a machine generation change? Re-run the linked-list and hash
 //! set sweeps on a modelled modern single-socket 8-core with larger,
 //! slower-LLC caches and cheap core-to-core transfers.
-use crate::synth_cfg;
+use crate::{synth_cfg, synth_point};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_core::synthetic::run_synthetic;
 use tm_ds::StructureKind;
 use tm_sim::MachineConfig;
 
-/// Regenerate `results/ablation_machine.txt` and `results/ablation_machine.json`.
-pub fn run() {
+/// The machine-profile ablation as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for s in [StructureKind::LinkedList, StructureKind::HashSet] {
         for kind in AllocatorKind::ALL {
             let mut cfg = synth_cfg(s, kind, 8, 5);
-            let xeon = run_synthetic(&cfg);
+            let xeon = synth_point(&cfg);
             cfg.machine = MachineConfig::modern_8core();
-            let modern = run_synthetic(&cfg);
+            let modern = synth_point(&cfg);
             rows.push(vec![
                 format!("{}/{}", s.name(), kind.name()),
                 format!("{:.0}", xeon.throughput),
@@ -34,17 +32,8 @@ pub fn run() {
         "modern tx/s",
         "modern ab",
     ];
-    let body = render_table(
-        "Machine ablation: Xeon E5405 model vs modern 8-core model (8 threads)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("ablation_machine", "ablation")
+    crate::RunReport::new("ablation_machine", "ablation")
         .meta("scale", crate::scale())
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("The abort-rate ordering (the ORT interaction) is machine-");
-    println!("independent; only the absolute throughput scale moves — the");
-    println!("paper's reporting recommendation stands on newer hardware.");
+        .section("data", crate::table_section(&header, &rows))
 }

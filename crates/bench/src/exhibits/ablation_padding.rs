@@ -2,12 +2,11 @@
 //! router state (the paper's false-sharing diagnosis and fix).
 use crate::scale;
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
 use tm_stamp::apps::Labyrinth;
 use tm_stamp::runner::{run_app, StampOpts};
 
-/// Regenerate `results/ablation_padding.txt` and `results/ablation_padding.json`.
-pub fn run() {
+/// The padding ablation as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut times = Vec::new();
@@ -25,17 +24,8 @@ pub fn run() {
         ]);
     }
     let header = ["Allocator", "unpadded", "padded", "padding gain"];
-    let body = render_table(
-        "Padding ablation: Labyrinth router state, 8 threads (virtual ms)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("ablation_padding", "ablation")
+    crate::RunReport::new("ablation_padding", "ablation")
         .meta("scale", scale())
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper: padding the shared structures fixed Hoard's Labyrinth");
-    println!("anomaly; here the gain shows wherever the allocator packs the");
-    println!("per-thread state into shared cache lines.");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -4,7 +4,7 @@
 //! the strawman vs the four studied allocators.
 use std::sync::Arc;
 use tm_alloc::{Allocator, AllocatorKind, SerialLockAllocator};
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_sim::{MachineConfig, Sim};
 
 fn throughput(make: impl Fn(&Sim) -> Arc<dyn Allocator>, threads: usize) -> f64 {
@@ -21,8 +21,8 @@ fn throughput(make: impl Fn(&Sim) -> Arc<dyn Allocator>, threads: usize) -> f64 
     (threads as u64 * pairs) as f64 / r.seconds / 1e6
 }
 
-/// Regenerate `results/ablation_serial.txt` and `results/ablation_serial.json`.
-pub fn run() {
+/// The serial-lock strawman ablation as a run report.
+pub fn run() -> crate::RunReport {
     let mut series = Vec::new();
     for kind in AllocatorKind::ALL {
         series.push(Series {
@@ -45,15 +45,7 @@ pub fn run() {
             })
             .collect(),
     });
-    let body = render_series(
-        "Serial-lock strawman: threadtest Mops vs threads (64 B blocks)",
-        "threads",
-        &series,
-    );
-    let report = crate::RunReport::new("ablation_serial", "ablation")
+    crate::RunReport::new("ablation_serial", "ablation")
         .meta("block_size", 64)
-        .section("throughput", crate::series_section("threads", &series));
-    crate::emit_report(&report, &body);
-    println!("Paper §3: the global-lock design must flatline (or regress)");
-    println!("with threads while the multithreaded designs scale.");
+        .section("throughput", crate::series_section("threads", &series))
 }

@@ -3,11 +3,11 @@
 use crate::synth_cfg;
 use crate::synth_point;
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_ds::StructureKind;
 
-/// Regenerate `results/ablation_shift.txt` and `results/ablation_shift.json`.
-pub fn run() {
+/// The stripe-shift ablation as a run report.
+pub fn run() -> crate::RunReport {
     let mut series = Vec::new();
     for kind in AllocatorKind::ALL {
         let points = (3u32..=8)
@@ -21,17 +21,8 @@ pub fn run() {
             points,
         });
     }
-    let body = render_series(
-        "Shift ablation: linked list throughput vs stripe shift, 8 threads",
-        "shift",
-        &series,
-    );
-    let report = crate::RunReport::new("ablation_shift", "ablation")
+    crate::RunReport::new("ablation_shift", "ablation")
         .meta("scale", crate::scale())
         .meta("threads", 8)
-        .section("throughput", crate::series_section("shift", &series));
-    crate::emit_report(&report, &body);
-    println!("Expected: Glibc peaks at shift 5 (32 B nodes, own stripes);");
-    println!("16 B allocators peak at 4; everyone degrades at large shifts");
-    println!("as stripes widen and false aborts swamp the table savings.");
+        .section("throughput", crate::series_section("shift", &series))
 }

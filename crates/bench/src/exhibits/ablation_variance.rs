@@ -3,9 +3,9 @@
 //! deterministic simulator the variance axis is the input seed: this
 //! ablation sweeps seeds and reports the spread per allocator, showing
 //! Bayes' spread dwarfs a stable app's (Genome).
+use crate::stamp_point_opts;
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_stamp::runner::{run_kind, StampOpts};
+use tm_stamp::runner::StampOpts;
 use tm_stamp::AppKind;
 
 fn spread(app: AppKind, kind: AllocatorKind) -> (f64, f64, f64) {
@@ -15,7 +15,7 @@ fn spread(app: AppKind, kind: AllocatorKind) -> (f64, f64, f64) {
                 seed: 0x1000 + i * 7919,
                 ..StampOpts::default()
             };
-            run_kind(app, kind, 8, &opts, 2).par_seconds
+            stamp_point_opts(app, kind, 8, &opts, 2).par_seconds
         })
         .collect();
     let lo = times.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -24,8 +24,8 @@ fn spread(app: AppKind, kind: AllocatorKind) -> (f64, f64, f64) {
     (lo, hi, mean)
 }
 
-/// Regenerate `results/ablation_variance.txt` and `results/ablation_variance.json`.
-pub fn run() {
+/// The seed-variance study as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for app in [AppKind::Bayes, AppKind::Genome] {
         for kind in [AllocatorKind::Glibc, AllocatorKind::Hoard] {
@@ -40,16 +40,8 @@ pub fn run() {
         }
     }
     let header = ["app/allocator", "mean", "min", "max", "spread"];
-    let body = render_table(
-        "Variance study: par time over 5 input seeds, 8 threads",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("ablation_variance", "ablation")
+    crate::RunReport::new("ablation_variance", "ablation")
         .meta("seeds", 5)
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper §6: Bayes 'presents high variability, complicating its");
-    println!("analysis' — its seed spread should far exceed Genome's.");
+        .section("data", crate::table_section(&header, &rows))
 }

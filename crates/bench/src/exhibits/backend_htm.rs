@@ -10,7 +10,6 @@
 //! zero, above it every attempt faults (`HTM_MAX_RETRIES` capacity aborts
 //! per transaction) before the fallback path commits.
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
 use tm_sim::{MachineConfig, Sim};
 use tm_stm::{AbortCause, BackendKind, Stm, StmConfig};
 
@@ -59,8 +58,8 @@ fn run_point(lines: u64) -> (u64, u64, u64) {
     )
 }
 
-/// Regenerate `results/backend_htm.txt` and `results/backend_htm.json`.
-pub fn run() {
+/// The sim-HTM capacity exhibit as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for lines in FOOTPRINT_LINES {
         let (commits, capacity, coherence) = run_point(lines);
@@ -81,20 +80,9 @@ pub fn run() {
         "coherence aborts",
         "commit path",
     ];
-    let body = render_table(
-        "Backend ablation: sim-HTM write footprint vs the 32 KB L1",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("backend_htm", "ablation")
+    crate::RunReport::new("backend_htm", "ablation")
         .backend("htm")
         .meta("scale", crate::scale())
         .meta("threads", 1)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Expected: zero capacity aborts while the footprint fits in L1,");
-    println!("then a cliff — every transaction burns its full retry budget on");
-    println!("capacity faults and commits through the serial-irrevocable");
-    println!("fallback. Footprint is the *whole* cache-resident set, so the");
-    println!("cliff lands below the naive 512-line bound.");
+        .section("data", crate::table_section(&header, &rows))
 }

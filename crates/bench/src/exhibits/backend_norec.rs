@@ -8,21 +8,19 @@
 //! construction. This exhibit reruns the anomaly workload per allocator
 //! under both backends: Glibc's abort excess should survive under ETL and
 //! collapse to the allocator-independent true-conflict floor under NOrec.
-use crate::synth_cfg;
+use crate::{synth_cfg, synth_point};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_core::synthetic::run_synthetic;
 use tm_ds::StructureKind;
 use tm_stm::BackendKind;
 
-/// Regenerate `results/backend_norec.txt` and `results/backend_norec.json`.
-pub fn run() {
+/// The NOrec backend exhibit as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut cfg = synth_cfg(StructureKind::HashSet, kind, 8, 5);
-        let etl = run_synthetic(&cfg);
+        let etl = synth_point(&cfg);
         cfg.backend = BackendKind::Norec;
-        let norec = run_synthetic(&cfg);
+        let norec = synth_point(&cfg);
         rows.push(vec![
             kind.name().into(),
             format!("{:.0}", etl.throughput),
@@ -38,19 +36,9 @@ pub fn run() {
         "aborts (etl)",
         "aborts (norec)",
     ];
-    let body = render_table(
-        "Backend ablation: HashSet anomaly, 8 threads, TinySTM-ETL vs NOrec",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("backend_norec", "ablation")
+    crate::RunReport::new("backend_norec", "ablation")
         .backend("norec")
         .meta("scale", crate::scale())
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Expected: Glibc's ETL abort column shows the paper's aliasing");
-    println!("excess over the other allocators; the NOrec column is uniform");
-    println!("across allocators (no ORT, so nothing to alias) — what remains");
-    println!("there is the true bucket-conflict rate, below every ETL value.");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -9,29 +9,27 @@
 //! (most commits retired under it), how many switches it took, and how
 //! close its abort ratio lands to the best static policy's. The switch
 //! transcript is deterministic — the determinism suite replays it exactly.
-use crate::synth_cfg;
+use crate::{synth_cfg, synth_point, synth_point_cm};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_core::synthetic::{run_synthetic, run_synthetic_cm};
 use tm_ds::StructureKind;
 use tm_stm::CmKind;
 
-/// Regenerate `results/cm_adaptive.txt` and `results/cm_adaptive.json`.
-pub fn run() {
+/// The adaptive-CM exhibit as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut best = (CmKind::Suicide, f64::INFINITY);
         for cm in CmKind::STATIC {
             let mut cfg = synth_cfg(StructureKind::LinkedList, kind, 8, 5);
             cfg.cm = cm;
-            let m = run_synthetic(&cfg);
+            let m = synth_point(&cfg);
             if m.abort_ratio < best.1 {
                 best = (cm, m.abort_ratio);
             }
         }
         let mut cfg = synth_cfg(StructureKind::LinkedList, kind, 8, 5);
         cfg.cm = CmKind::Adaptive;
-        let (m, stats, switches) = run_synthetic_cm(&cfg);
+        let (m, stats, switches) = synth_point_cm(&cfg);
         rows.push(vec![
             kind.name().into(),
             best.0.name().into(),
@@ -51,20 +49,10 @@ pub fn run() {
         "switches",
         "tx/s (adaptive)",
     ];
-    let body = render_table(
-        "CM ablation: adaptive controller vs best static policy, linked list, 8 threads",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("cm_adaptive", "ablation")
+    crate::RunReport::new("cm_adaptive", "ablation")
         .cm("adaptive")
         .meta("scale", crate::scale())
         .meta("threads", 8)
         .meta("window", 64)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Expected: for every allocator the controller escalates out of");
-    println!("SUICIDE within a few windows and retires most commits under a");
-    println!("pausing policy, landing its abort ratio near the best static");
-    println!("column — without knowing in advance which policy that is.");
+        .section("data", crate::table_section(&header, &rows))
 }

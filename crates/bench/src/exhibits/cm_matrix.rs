@@ -9,15 +9,13 @@
 //! backoff, serialize-after-repeated-abort) trade virtual time for fewer
 //! conflicting retries; aggressive ones (karma, timestamp — which shorten
 //! the pause for "deserving" transactions) retry sooner and abort more.
-use crate::synth_cfg;
+use crate::{synth_cfg, synth_point};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_core::synthetic::run_synthetic;
 use tm_ds::StructureKind;
 use tm_stm::CmKind;
 
-/// Regenerate `results/cm_matrix.txt` and `results/cm_matrix.json`.
-pub fn run() {
+/// The allocator × CM matrix as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut row = vec![kind.name().to_string()];
@@ -25,7 +23,7 @@ pub fn run() {
         for cm in CmKind::STATIC {
             let mut cfg = synth_cfg(StructureKind::LinkedList, kind, 8, 5);
             cfg.cm = cm;
-            let m = run_synthetic(&cfg);
+            let m = synth_point(&cfg);
             if cm == CmKind::Suicide {
                 suicide_tps = m.throughput;
             }
@@ -43,21 +41,10 @@ pub fn run() {
         "serialize",
         "tx/s (suicide)",
     ];
-    let body = render_table(
-        "CM ablation: linked-list abort ratio per contention manager, 8 threads",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("cm_matrix", "ablation")
+    crate::RunReport::new("cm_matrix", "ablation")
         .cm("suicide")
         .meta("scale", crate::scale())
         .meta("threads", 8)
         .meta("cms", CmKind::STATIC.len() as u64)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Expected: on this workload the policy axis dominates the");
-    println!("allocator axis — backoff posts the lowest column (roughly half");
-    println!("of SUICIDE), karma and timestamp the highest (they retry");
-    println!("sooner), serialize in between; the allocator spread inside any");
-    println!("column stays well below the policy spread inside any row.");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -2,11 +2,10 @@
 //! observation that the best-performing allocator flips between apps.
 use crate::stamp_point;
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
 use tm_stamp::AppKind;
 
-/// Regenerate `results/fig1.txt` and `results/fig1.json`.
-pub fn run() {
+/// Figure 1 as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for app in [AppKind::Intruder, AppKind::Yada] {
         for kind in [AllocatorKind::Glibc, AllocatorKind::Hoard] {
@@ -20,15 +19,8 @@ pub fn run() {
         }
     }
     let header = ["app", "allocator", "time (ms)", "aborts"];
-    let body = render_table(
-        "Figure 1: Intruder and Yada, 8 cores, Glibc vs Hoard (virtual ms)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("fig1", "figure")
+    crate::RunReport::new("fig1", "figure")
         .meta("scale", crate::scale())
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper shape: Glibc wins Intruder, Hoard wins Yada (vs Glibc).");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -1,11 +1,11 @@
 //! Figure 3: threadtest throughput vs block size, 8 threads, 4 allocators.
 use crate::scale;
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_core::threadtest::{run_threadtest, ThreadtestConfig};
 
-/// Regenerate `results/fig3.txt` and `results/fig3.json`.
-pub fn run() {
+/// Figure 3 as a run report.
+pub fn run() -> crate::RunReport {
     let sizes = [16u64, 64, 128, 256, 512, 2048, 8192];
     let pairs = 400 * scale();
     let mut series = Vec::new();
@@ -26,16 +26,8 @@ pub fn run() {
                 .collect(),
         });
     }
-    let body = render_series(
-        "Figure 3: threadtest throughput (M pairs/s), 8 threads",
-        "block_size",
-        &series,
-    );
-    let report = crate::RunReport::new("fig3", "figure")
+    crate::RunReport::new("fig3", "figure")
         .meta("scale", scale())
         .meta("threads", 8)
-        .section("throughput", crate::series_section("block_size", &series));
-    crate::emit_report(&report, &body);
-    println!("Paper shape: TCMalloc dips at 16 B; Hoard drops past 256 B to");
-    println!("Glibc's level; TBB flat until ~8 KB then falls to the OS path.");
+        .section("throughput", crate::series_section("block_size", &series))
 }

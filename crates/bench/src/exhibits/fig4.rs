@@ -1,29 +1,14 @@
 //! Figure 4: synthetic data-structure throughput vs cores, 60 % updates.
 use crate::synth_sweep;
-use tm_core::report::render_series;
 use tm_ds::StructureKind;
 
-/// Regenerate `results/fig4.txt` and `results/fig4.json`.
-pub fn run() {
-    let mut out = String::new();
+/// Figure 4 as a run report.
+pub fn run() -> crate::RunReport {
     let mut report = crate::RunReport::new("fig4", "figure")
         .meta("scale", crate::scale())
         .meta("shift", 5);
     for s in StructureKind::ALL {
-        let series = synth_sweep(s, 5);
-        out.push_str(&render_series(
-            &format!(
-                "Figure 4 ({}, 60% updates): committed tx/s vs cores",
-                s.name()
-            ),
-            "cores",
-            &series,
-        ));
-        out.push('\n');
-        report = report.section(s.name(), crate::series_section("cores", &series));
+        report = report.section(s.name(), crate::series_section("cores", &synth_sweep(s, 5)));
     }
-    crate::emit_report(&report, &out);
-    println!("Paper shape: Glibc best on the linked list (32 B spacing avoids");
-    println!("stripe sharing); Hoard/TBB best on HashSet (TCMalloc false-shares,");
-    println!("Glibc aliases arenas); TBB best on RBTree, Glibc worst.");
+    report
 }

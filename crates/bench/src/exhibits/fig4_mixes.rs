@@ -4,12 +4,11 @@
 use crate::synth_point;
 use crate::{synth_cfg, SYNTH_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_ds::StructureKind;
 
-/// Regenerate `results/fig4_mixes.txt` and `results/fig4_mixes.json`.
-pub fn run() {
-    let mut out = String::new();
+/// The Fig. 4 mix extension as a run report.
+pub fn run() -> crate::RunReport {
     let mut report = crate::RunReport::new("fig4_mixes", "figure").meta("scale", crate::scale());
     for update_pct in [0u32, 20, 60] {
         for s in StructureKind::ALL {
@@ -27,23 +26,11 @@ pub fn run() {
                         .collect(),
                 })
                 .collect();
-            out.push_str(&render_series(
-                &format!(
-                    "{} ({}% updates): committed tx/s vs cores",
-                    s.name(),
-                    update_pct
-                ),
-                "cores",
-                &series,
-            ));
-            out.push('\n');
             report = report.section(
                 format!("{}-{}pct", s.name(), update_pct),
                 crate::series_section("cores", &series),
             );
         }
     }
-    crate::emit_report(&report, &out);
-    println!("Paper §4: update-rate sensitivity — allocator effects shrink");
-    println!("as the mix becomes read-dominated (fewer (de)allocations).");
+    report
 }

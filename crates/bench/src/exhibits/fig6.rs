@@ -3,11 +3,11 @@
 use crate::synth_point;
 use crate::{synth_cfg, SYNTH_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_ds::StructureKind;
 
-/// Regenerate `results/fig6.txt` and `results/fig6.json`.
-pub fn run() {
+/// Figure 6 as a run report.
+pub fn run() -> crate::RunReport {
     let mut series = Vec::new();
     for kind in AllocatorKind::ALL {
         let mut points = Vec::new();
@@ -21,16 +21,7 @@ pub fn run() {
             points,
         });
     }
-    let body = render_series(
-        "Figure 6: speedup-1 of shift 4 over shift 5, sorted linked list",
-        "cores",
-        &series,
-    );
-    let report = crate::RunReport::new("fig6", "figure")
+    crate::RunReport::new("fig6", "figure")
         .meta("scale", crate::scale())
-        .section("speedup", crate::series_section("cores", &series));
-    crate::emit_report(&report, &body);
-    println!("Paper shape: all allocators lose at 1 core (more ORT pressure);");
-    println!("with cores, Hoard/TBB/TC gain (their 16 B-node false aborts vanish)");
-    println!("while Glibc keeps losing (it had no false aborts to recover).");
+        .section("speedup", crate::series_section("cores", &series))
 }

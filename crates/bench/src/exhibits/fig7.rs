@@ -2,12 +2,11 @@
 //! all four allocators.
 use crate::{stamp_point, STAMP_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_stamp::AppKind;
 
-/// Regenerate `results/fig7.txt` and `results/fig7.json`.
-pub fn run() {
-    let mut out = String::new();
+/// Figure 7 as a run report.
+pub fn run() -> crate::RunReport {
     let mut report = crate::RunReport::new("fig7", "figure").meta("scale", crate::scale());
     for app in AppKind::FIG7 {
         let series: Vec<Series> = AllocatorKind::ALL
@@ -20,18 +19,7 @@ pub fn run() {
                     .collect(),
             })
             .collect();
-        out.push_str(&render_series(
-            &format!(
-                "Figure 7 ({}): execution time (virtual ms) vs cores",
-                app.name()
-            ),
-            "cores",
-            &series,
-        ));
-        out.push('\n');
         report = report.section(app.name(), crate::series_section("cores", &series));
     }
-    crate::emit_report(&report, &out);
-    println!("Paper shape: TBB/TC generally best; Yada+Glibc stops scaling past");
-    println!("4 threads; Hoard lags in Intruder (lock contention) and Labyrinth.");
+    report
 }

@@ -2,12 +2,11 @@
 //! allocator).
 use crate::{stamp_point, STAMP_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::Series;
 use tm_stamp::AppKind;
 
-/// Regenerate `results/fig8.txt` and `results/fig8.json`.
-pub fn run() {
-    let mut out = String::new();
+/// Figure 8 as a run report.
+pub fn run() -> crate::RunReport {
     let mut report = crate::RunReport::new("fig8", "figure").meta("scale", crate::scale());
     for app in [AppKind::Genome, AppKind::Yada] {
         let series: Vec<Series> = AllocatorKind::ALL
@@ -23,16 +22,7 @@ pub fn run() {
                 }
             })
             .collect();
-        out.push_str(&render_series(
-            &format!("Figure 8 ({}): speedup vs cores", app.name()),
-            "cores",
-            &series,
-        ));
-        out.push('\n');
         report = report.section(app.name(), crate::series_section("cores", &series));
     }
-    crate::emit_report(&report, &out);
-    println!("Paper shape: Genome speedups diverge by allocator (Glibc's is an");
-    println!("artifact of its bad 1-thread locality); Yada does not scale with");
-    println!("Glibc but does with the thread-caching allocators.");
+    report
 }

@@ -1,12 +1,13 @@
 //! The exhibit registry — single source of truth for every paper exhibit.
 //!
 //! Each paper table/figure (plus the extension ablations) lives in one
-//! submodule exposing `pub fn run()`; the matching `src/bin/<name>.rs` is a
-//! thin wrapper around it. [`REGISTRY`] lists them all in canonical paper
-//! order with their metadata, so the orchestrator (`make_all`), the
-//! generated book (`tmstudy book`) and the EXPERIMENTS.md determinism table
-//! all derive from the same list instead of keeping parallel name arrays
-//! in sync by hand.
+//! submodule exposing `pub fn run() -> RunReport`: a pure function of the
+//! code and `TM_SCALE` that prints nothing and touches no file.
+//! [`REGISTRY`] lists them all in canonical paper order with their
+//! metadata, so the one runner (`make_all`), the generated book
+//! (`tmstudy book`) and the EXPERIMENTS.md determinism table all derive
+//! from the same list instead of keeping parallel name arrays in sync by
+//! hand.
 
 pub mod ablation_design;
 pub mod ablation_hash;
@@ -36,7 +37,8 @@ pub mod table7;
 
 /// One registered exhibit.
 pub struct Exhibit {
-    /// Artifact stem: `results/<name>.{txt,json}` and the bin name.
+    /// Artifact stem (`results/<name>.json`) and the name `make_all --only`
+    /// takes.
     pub name: &'static str,
     /// Report kind (`table`, `figure` or `ablation`), mirrored in the
     /// run-report meta.
@@ -61,8 +63,8 @@ pub struct Exhibit {
     /// exhibits all run under TinySTM ETL; the backend exhibits compare
     /// against it, so the column names the *subject* backend.
     pub backend: &'static str,
-    /// Regenerates the exhibit (writes `results/<name>.txt` + `.json`).
-    pub run: fn(),
+    /// Runs the exhibit and returns its report.
+    pub run: fn() -> crate::RunReport,
 }
 
 /// Every exhibit, in canonical paper order (paper exhibits first, then the
@@ -302,10 +304,9 @@ pub fn find(name: &str) -> Option<&'static Exhibit> {
 }
 
 /// Run one exhibit by name (used by `make_all` cells and tests).
-pub fn run_by_name(name: &str) -> Result<(), String> {
+pub fn run_by_name(name: &str) -> Result<crate::RunReport, String> {
     let e = find(name).ok_or_else(|| format!("unknown exhibit '{name}'"))?;
-    (e.run)();
-    Ok(())
+    Ok((e.run)())
 }
 
 /// The per-exhibit determinism table for EXPERIMENTS.md, generated from

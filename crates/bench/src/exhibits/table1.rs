@@ -1,11 +1,10 @@
 //! Table 1: attribute summary of the four modelled allocators.
 use tm_alloc::AllocatorKind;
 use tm_core::build_stack;
-use tm_core::report::render_table;
 use tm_stm::StmConfig;
 
-/// Regenerate `results/table1.txt` and `results/table1.json`.
-pub fn run() {
+/// Table 1 as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for kind in AllocatorKind::ALL {
         let stack = build_stack(kind, StmConfig::default());
@@ -29,12 +28,5 @@ pub fn run() {
         "Granularity",
         "Synchronization",
     ];
-    let body = render_table(
-        "Table 1: main attributes of the studied allocators (as modelled)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table1", "table")
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
+    crate::RunReport::new("table1", "table").section("data", crate::table_section(&header, &rows))
 }

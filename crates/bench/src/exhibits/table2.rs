@@ -1,9 +1,8 @@
 //! Table 2: the simulated machine configuration.
-use tm_core::report::render_table;
 use tm_sim::MachineConfig;
 
-/// Regenerate `results/table2.txt` and `results/table2.json`.
-pub fn run() {
+/// Table 2 as a run report.
+pub fn run() -> crate::RunReport {
     let m = MachineConfig::xeon_e5405();
     let rows = vec![
         vec![
@@ -49,13 +48,6 @@ pub fn run() {
             ),
         ],
     ];
-    let header = ["Item", "Value"];
-    let body = render_table(
-        "Table 2: machine configuration (virtual-time model)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table2", "table")
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
+    crate::RunReport::new("table2", "table")
+        .section("data", crate::table_section(&["Item", "Value"], &rows))
 }

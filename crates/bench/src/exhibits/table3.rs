@@ -2,11 +2,11 @@
 use crate::synth_point;
 use crate::{synth_cfg, SYNTH_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::{best_worst, render_table};
+use tm_core::report::best_worst;
 use tm_ds::StructureKind;
 
-/// Regenerate `results/table3.txt` and `results/table3.json`.
-pub fn run() {
+/// Table 3 as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for s in StructureKind::ALL {
         // Per allocator, take the best throughput over thread counts (the
@@ -35,14 +35,7 @@ pub fn run() {
         ]);
     }
     let header = ["Structure", "Best", "Worst", "Perf. diff", "Threads"];
-    let body = render_table(
-        "Table 3: best/worst allocator per structure (write-dominated)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table3", "table")
+    crate::RunReport::new("table3", "table")
         .meta("scale", crate::scale())
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper: list Glibc/TBB 13.1%@8t; hash Hoard/TC 18.5%@6t; rbtree TBB/Glibc 14.8%@8t.");
+        .section("data", crate::table_section(&header, &rows))
 }

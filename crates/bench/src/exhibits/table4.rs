@@ -3,11 +3,10 @@
 use crate::synth_point;
 use crate::{synth_cfg, SYNTH_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
 use tm_ds::StructureKind;
 
-/// Regenerate `results/table4.txt` and `results/table4.json`.
-pub fn run() {
+/// Table 4 as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for &t in &SYNTH_THREADS {
         let mut row = vec![format!("{t}")];
@@ -21,15 +20,7 @@ pub fn run() {
     let header = [
         "#P", "Glibc ab", "Glibc L1", "Hoard ab", "Hoard L1", "TBB ab", "TBB L1", "TC ab", "TC L1",
     ];
-    let body = render_table(
-        "Table 4: aborts / L1 miss, sorted linked list, 60% updates",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table4", "table")
+    crate::RunReport::new("table4", "table")
         .meta("scale", crate::scale())
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper shape: Glibc aborts well below the other three at every");
-    println!("thread count; Glibc L1 miss ratio above the others (worse locality).");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -3,12 +3,11 @@
 use crate::stamp_scale;
 use tm_alloc::profile::{bucket_label, Region};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
 use tm_stamp::runner::{make_app, profile_app};
 use tm_stamp::AppKind;
 
-/// Regenerate `results/table5.txt` and `results/table5.json`.
-pub fn run() {
+/// Table 5 as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for app in AppKind::ALL {
         let a = make_app(app, stamp_scale(app), 0xace);
@@ -40,16 +39,7 @@ pub fn run() {
         "#frees",
         "bytes",
     ];
-    let body = render_table(
-        "Table 5: allocations per size class and region (sequential run)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table5", "table")
+    crate::RunReport::new("table5", "table")
         .meta("scale", crate::scale())
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper shape: Kmeans/SSCA2 allocate only in seq; Genome's tx region");
-    println!("is pure 16 B; Intruder frees in par (privatization); Vacation and");
-    println!("Yada have mallocs > frees; small blocks dominate everywhere.");
+        .section("data", crate::table_section(&header, &rows))
 }

@@ -2,11 +2,11 @@
 //! best-performing thread count).
 use crate::{stamp_point, STAMP_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::{best_worst, render_table};
+use tm_core::report::best_worst;
 use tm_stamp::AppKind;
 
-/// Regenerate `results/table6.txt` and `results/table6.json`.
-pub fn run() {
+/// Table 6 as a run report.
+pub fn run() -> crate::RunReport {
     let mut rows = Vec::new();
     for app in AppKind::FIG7 {
         let mut entries = Vec::new();
@@ -33,16 +33,7 @@ pub fn run() {
         ]);
     }
     let header = ["Application", "Best", "Worst", "Perf. diff", "Threads"];
-    let body = render_table(
-        "Table 6: best/worst allocator per STAMP application",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table6", "table")
+    crate::RunReport::new("table6", "table")
         .meta("scale", crate::scale())
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper: Bayes Hoard/Glibc 47.6%; Genome TBB/Glibc 14.4%; Intruder");
-    println!("TBB/Hoard 24.2%; Labyrinth TC/Hoard 9.6%; Vacation TC/Hoard 24.1%;");
-    println!("Yada TC/Glibc 170.9%.");
+        .section("data", crate::table_section(&header, &rows))
 }

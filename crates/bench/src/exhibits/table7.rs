@@ -1,51 +1,36 @@
 //! Table 7: performance gain from the STM-level object-cache optimization
 //! (8 threads), per application and allocator.
-use crate::stamp_scale;
+use crate::{stamp_point, stamp_point_opts, stamp_scale};
 use tm_alloc::AllocatorKind;
-use tm_core::report::render_table;
-use tm_stamp::runner::{run_kind, StampOpts};
+use tm_stamp::runner::StampOpts;
 use tm_stamp::AppKind;
 
-/// Regenerate `results/table7.txt` and `results/table7.json`.
-pub fn run() {
+/// Table 7 as a run report.
+pub fn run() -> crate::RunReport {
     let apps = [
         AppKind::Genome,
         AppKind::Intruder,
         AppKind::Vacation,
         AppKind::Yada,
     ];
+    let cached = StampOpts {
+        object_cache: true,
+        ..StampOpts::default()
+    };
     let mut rows = Vec::new();
     for app in apps {
         let mut row = vec![app.name().to_string()];
         for kind in AllocatorKind::ALL {
-            let base = run_kind(app, kind, 8, &StampOpts::default(), stamp_scale(app));
-            let opt = run_kind(
-                app,
-                kind,
-                8,
-                &StampOpts {
-                    object_cache: true,
-                    ..StampOpts::default()
-                },
-                stamp_scale(app),
-            );
+            let base = stamp_point(app, kind, 8);
+            let opt = stamp_point_opts(app, kind, 8, &cached, stamp_scale(app));
             let gain = (base.par_seconds / opt.par_seconds - 1.0) * 100.0;
             row.push(format!("{gain:+.2}%"));
         }
         rows.push(row);
     }
     let header = ["App", "Glibc", "Hoard", "TBBMalloc", "TCMalloc"];
-    let body = render_table(
-        "Table 7: gain from tx-local object caching (8 threads)",
-        &header,
-        &rows,
-    );
-    let report = crate::RunReport::new("table7", "table")
+    crate::RunReport::new("table7", "table")
         .meta("scale", crate::scale())
         .meta("threads", 8)
-        .section("data", crate::table_section(&header, &rows));
-    crate::emit_report(&report, &body);
-    println!("Paper shape: large gain only for Yada+Glibc (38%); Hoard gains in");
-    println!("Intruder; near-zero (sometimes negative) for TBB/TC, which already");
-    println!("thread-cache.");
+        .section("data", crate::table_section(&header, &rows))
 }

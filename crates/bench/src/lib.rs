@@ -1,10 +1,12 @@
-//! # tm-bench — regenerators for every table and figure of the paper
+//! # tm-bench — the exhibit pipeline
 //!
-//! One binary per exhibit (run with `cargo run --release -p tm-bench --bin
-//! <name>`): `fig1`, `fig3`, `fig4`, `fig6`, `fig7`, `fig8`, `table1`,
-//! `table2`, `table3`, `table4`, `table5`, `table6`, `table7`, and the
-//! `ablation_padding` extra. `make_all` runs the full set and writes each
-//! exhibit to `results/`.
+//! Every table and figure of the paper, and every extension ablation, is
+//! one pure function `fn() -> RunReport` listed in [`exhibits::REGISTRY`].
+//! The `make_all` binary is the only thing that runs one: it writes
+//! `results/<name>.json` (the one artifact per exhibit, schema
+//! `tm-run-report/v1`) and prints the rendering `tmstudy report` gives.
+//! `make_all --only fig4,table3` regenerates a subset; `make_all` with no
+//! flag regenerates all of them.
 //!
 //! Absolute numbers come from the virtual-time simulator, so they are not
 //! comparable to the paper's wall-clock seconds; the *shapes* (who wins,
@@ -16,82 +18,52 @@
 
 #![deny(missing_docs)]
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::any::Any;
+use std::collections::BTreeMap;
 
+use parking_lot::Mutex;
 use tm_alloc::AllocatorKind;
 use tm_core::report::Series;
-use tm_core::synthetic::{run_synthetic, SyntheticConfig};
+use tm_core::synthetic::{run_synthetic_cm, SyntheticConfig};
 use tm_core::Metrics;
 use tm_ds::StructureKind;
 use tm_stamp::runner::{run_kind, StampOpts, StampResult};
 use tm_stamp::AppKind;
+use tm_stm::{CmStats, CmSwitch};
 
-/// Disk memoization for sweep points. Runs are bit-deterministic, so a
-/// cached result is exactly what a re-run would produce; exhibits that
-/// share points (fig4/table3, fig7/table6/fig8) reuse instead of re-running.
-/// Delete `results/.cache/` to force fresh runs.
-fn cache_lookup(key: &str) -> Option<Vec<f64>> {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    let path = format!("results/.cache/{:016x}.txt", h.finish());
-    let body = std::fs::read_to_string(path).ok()?;
-    let mut lines = body.lines();
-    if lines.next() != Some(key) {
-        return None; // hash collision or stale format
+/// Results of the points this process has already run, keyed by their
+/// whole configuration. A run is a pure function of its configuration, so
+/// exhibits that share points (fig4/table3/table4, fig7/table6/fig8,
+/// cm_matrix/cm_adaptive) run each once per `make_all`; nothing outlives
+/// the process, so there is no entry that can go stale.
+static MEMO: Mutex<BTreeMap<String, Box<dyn Any + Send>>> = Mutex::new(BTreeMap::new());
+
+fn memo<V: Clone + Send + 'static>(key: String, run: impl FnOnce() -> V) -> V {
+    // The lock is not held across `run`: two workers that miss on one key
+    // both run it, and both get the same value.
+    if let Some(hit) = MEMO.lock().get(&key) {
+        let hit = hit
+            .downcast_ref::<V>()
+            .expect("a key names its result type");
+        return hit.clone();
     }
-    lines.map(|l| l.parse().ok()).collect()
+    let value = run();
+    MEMO.lock().insert(key, Box::new(value.clone()));
+    value
 }
 
-fn cache_store(key: &str, vals: &[f64]) {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    let _ = std::fs::create_dir_all("results/.cache");
-    let path = format!("results/.cache/{:016x}.txt", h.finish());
-    let mut body = String::from(key);
-    for v in vals {
-        body.push('\n');
-        body.push_str(&format!("{v:?}"));
-    }
-    let _ = std::fs::write(path, body);
+/// What [`run_synthetic_cm`] returns: the metrics, the contention-manager
+/// tallies and the adaptive switch transcript.
+pub type SynthResult = (Metrics, CmStats, Vec<(usize, CmSwitch)>);
+
+/// Memoized [`run_synthetic_cm`].
+pub fn synth_point_cm(cfg: &SyntheticConfig) -> SynthResult {
+    memo(format!("synth {cfg:?}"), || run_synthetic_cm(cfg))
 }
 
-/// Memoized [`run_synthetic`].
+/// The metrics of [`synth_point_cm`].
 pub fn synth_point(cfg: &SyntheticConfig) -> Metrics {
-    let key = format!("synth-v3 {cfg:?}");
-    if let Some(v) = cache_lookup(&key) {
-        if v.len() == 10 {
-            return Metrics {
-                seconds: v[0],
-                throughput: v[1],
-                abort_ratio: v[2],
-                l1_miss: v[3],
-                l2_miss: v[4],
-                commits: v[5] as u64,
-                aborts: v[6] as u64,
-                alloc_failed_aborts: v[7] as u64,
-                lock_wait_cycles: v[8] as u64,
-                cache_hits: v[9] as u64,
-            };
-        }
-    }
-    let m = run_synthetic(cfg);
-    cache_store(
-        &key,
-        &[
-            m.seconds,
-            m.throughput,
-            m.abort_ratio,
-            m.l1_miss,
-            m.l2_miss,
-            m.commits as f64,
-            m.aborts as f64,
-            m.alloc_failed_aborts as f64,
-            m.lock_wait_cycles as f64,
-            m.cache_hits as f64,
-        ],
-    );
-    m
+    synth_point_cm(cfg).0
 }
 
 /// Workload scale multiplier from the `TM_SCALE` environment variable.
@@ -141,47 +113,24 @@ pub fn synth_sweep(structure: StructureKind, shift: u32) -> Vec<Series> {
         .collect()
 }
 
-/// One STAMP sweep point with the default options (memoized).
+/// Memoized [`run_kind`].
+pub fn stamp_point_opts(
+    app: AppKind,
+    kind: AllocatorKind,
+    threads: usize,
+    opts: &StampOpts,
+    scale: u64,
+) -> StampResult {
+    memo(
+        format!("stamp {app:?} {kind:?} t{threads} s{scale} {opts:?}"),
+        || run_kind(app, kind, threads, opts, scale),
+    )
+}
+
+/// One STAMP sweep point with the default options at the app's
+/// [`stamp_scale`].
 pub fn stamp_point(app: AppKind, kind: AllocatorKind, threads: usize) -> StampResult {
-    let scale = stamp_scale(app);
-    let key = format!("stamp-v2 {app:?} {kind:?} t{threads} s{scale}");
-    if let Some(v) = cache_lookup(&key) {
-        if v.len() == 9 {
-            return StampResult {
-                seq_seconds: v[0],
-                par_seconds: v[1],
-                commits: v[2] as u64,
-                aborts: v[3] as u64,
-                abort_ratio: v[4],
-                l1_miss: v[5],
-                l2_miss: v[6],
-                lock_wait_cycles: v[7] as u64,
-                cache_hits: v[8] as u64,
-                // Correctness fields are not cached; perf exhibits never
-                // read them. Bench points never inject allocation
-                // faults, so the alloc-failure tally is structurally 0.
-                checksum: None,
-                heap_violations: 0,
-                alloc_failed_aborts: 0,
-            };
-        }
-    }
-    let r = run_kind(app, kind, threads, &StampOpts::default(), scale);
-    cache_store(
-        &key,
-        &[
-            r.seq_seconds,
-            r.par_seconds,
-            r.commits as f64,
-            r.aborts as f64,
-            r.abort_ratio,
-            r.l1_miss,
-            r.l2_miss,
-            r.lock_wait_cycles as f64,
-            r.cache_hits as f64,
-        ],
-    );
-    r
+    stamp_point_opts(app, kind, threads, &StampOpts::default(), stamp_scale(app))
 }
 
 /// Per-app scale: keep the slowest apps tractable under the simulator.
@@ -193,38 +142,11 @@ pub fn stamp_scale(app: AppKind) -> u64 {
     }
 }
 
-/// Write an exhibit both to stdout and to `results/<name>.txt`.
-pub fn emit(name: &str, body: &str) {
-    println!("{body}");
-    let _ = std::fs::create_dir_all("results");
-    let path = format!("results/{name}.txt");
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("[saved {path}]");
-    }
-}
-
-/// The shared exhibit sink: write the legacy text rendering to
-/// `results/<name>.txt` (byte-identical to what [`emit`] always produced)
-/// *and* the structured [`RunReport`] to `results/<name>.json`
-/// (`tm-run-report/v1` — see `tm_obs::report`). `tmstudy report`
-/// pretty-prints and diffs the JSON side.
-pub fn emit_report(report: &RunReport, body: &str) {
-    emit(&report.name, body);
-    let path = format!("results/{}.json", report.name);
-    if let Err(e) = std::fs::write(&path, report.to_json_string()) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("[saved {path}]");
-    }
-}
-
 pub use tm_obs::{RunReport, Section};
 
 pub mod exhibits;
 
-/// [`Section`] from the series an exhibit already renders as text.
+/// [`Section`] from the curves of a figure.
 pub fn series_section(x_label: &str, series: &[Series]) -> Section {
     Section::Series {
         x_label: x_label.to_string(),
@@ -235,7 +157,7 @@ pub fn series_section(x_label: &str, series: &[Series]) -> Section {
     }
 }
 
-/// [`Section`] from the header/rows an exhibit already renders as text.
+/// [`Section`] from the header and rows of a table.
 pub fn table_section(header: &[&str], rows: &[Vec<String>]) -> Section {
     Section::Table {
         header: header.iter().map(|h| h.to_string()).collect(),
@@ -251,6 +173,21 @@ mod tests {
     fn scale_default_is_one() {
         // (Environment-dependent test kept trivial: parsing logic only.)
         assert!(scale() >= 1);
+    }
+
+    #[test]
+    fn memo_runs_a_key_once() {
+        let mut runs = 0;
+        for _ in 0..2 {
+            assert_eq!(
+                memo("memo_runs_a_key_once".into(), || {
+                    runs += 1;
+                    7u64
+                }),
+                7
+            );
+        }
+        assert_eq!(runs, 1);
     }
 
     #[test]

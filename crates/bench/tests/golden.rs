@@ -1,10 +1,11 @@
-//! Byte-stability of the exhibit sink.
+//! Byte-stability of the plain-text renderers.
 //!
-//! The `.txt` renderings are the repo's primary artifacts (EXPERIMENTS.md
-//! quotes them), so their bytes are pinned against golden files: any change
-//! to `render_table`/`render_series` formatting fails here and must be
-//! blessed on purpose (`GOLDEN_BLESS=1 cargo test -p tm-bench`). The JSON
-//! side must round-trip structurally.
+//! `tmstudy book` renders every figure of REPRODUCTION.md through
+//! `render_series`, and the examples print through `render_table`, so the
+//! bytes of both are pinned against golden files: any change to their
+//! formatting fails here and must be blessed on purpose
+//! (`GOLDEN_BLESS=1 cargo test -p tm-bench`). The JSON form of a report
+//! must round-trip structurally.
 
 use tm_core::report::{render_series, render_table, Series};
 
@@ -53,7 +54,7 @@ fn check_golden(path: &str, actual: &str) {
         .unwrap_or_else(|e| panic!("missing golden file {full} ({e}); run with GOLDEN_BLESS=1"));
     assert_eq!(
         actual, expected,
-        "{path} drifted — exhibit .txt files would change; bless only if intended"
+        "{path} drifted — REPRODUCTION.md and the examples would change; bless only if intended"
     );
 }
 
@@ -81,25 +82,4 @@ fn report_round_trips_through_json() {
     let parsed = tm_bench::RunReport::parse(&report.to_json_string()).unwrap();
     assert_eq!(parsed, report);
     assert!(report.diff(&parsed).is_none());
-}
-
-#[test]
-fn emit_report_writes_txt_and_json() {
-    // emit() writes relative to the cwd; run this one from a scratch dir.
-    let dir = std::env::temp_dir().join(format!("tm-bench-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let orig = std::env::current_dir().unwrap();
-    std::env::set_current_dir(&dir).unwrap();
-    let (header, rows, body) = golden_table();
-    let report = tm_bench::RunReport::new("golden_emit", "table")
-        .section("data", tm_bench::table_section(&header, &rows));
-    tm_bench::emit_report(&report, &body);
-    std::env::set_current_dir(orig).unwrap();
-
-    let txt = std::fs::read_to_string(dir.join("results/golden_emit.txt")).unwrap();
-    assert_eq!(txt, body, ".txt must be exactly the rendered body");
-    let json = std::fs::read_to_string(dir.join("results/golden_emit.json")).unwrap();
-    let parsed = tm_bench::RunReport::parse(&json).unwrap();
-    assert_eq!(parsed, report);
-    let _ = std::fs::remove_dir_all(&dir);
 }

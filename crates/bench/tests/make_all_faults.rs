@@ -1,7 +1,8 @@
 //! End-to-end regression tests for `make_all`'s degradation machinery:
 //! the `TM_SWEEP_FAULT` injection paths (permanent error, injected hang,
 //! fail-first-N-then-recover) must produce the right matrix entries and
-//! exit codes through the real binary.
+//! exit codes through the real binary — and for its command line: `--only`
+//! takes exact registry names, and bad input exits 2 with one line.
 //!
 //! Each invocation runs in its own scratch directory so the committed
 //! `results/` artifacts are never touched, and uses `--only table2` (the
@@ -107,5 +108,72 @@ fn only_filter_with_no_match_is_a_usage_error() {
         .output()
         .expect("spawn make_all");
     assert_eq!(out.status.code(), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn only_takes_exact_names_and_each_exhibit_leaves_one_json() {
+    let dir = scratch("only");
+    let make_all = |only: &str| {
+        Command::new(env!("CARGO_BIN_EXE_make_all"))
+            .current_dir(&dir)
+            .args(["--only", only])
+            .output()
+            .expect("spawn make_all")
+    };
+    let out = make_all("table1,table2");
+    assert_eq!(out.status.code(), Some(0));
+    let mut written: Vec<String> = std::fs::read_dir(dir.join("results"))
+        .expect("results/ must exist")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        ["make_all.sweep.json", "table1.json", "table2.json"]
+    );
+
+    // A substring of a name is not a name; the error lists the registry.
+    let out = make_all("table");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown exhibit 'table'"),
+        "stderr: {stderr}"
+    );
+    for exhibit in tm_bench::exhibits::REGISTRY {
+        assert!(stderr.contains(exhibit.name), "stderr: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_flag_values_are_one_line_usage_errors() {
+    let dir = scratch("badflags");
+    let table: &[(&[&str], &str)] = &[
+        (
+            &["--only", "table2", "--jobs", "x"],
+            "error: bad --jobs 'x'",
+        ),
+        (
+            &["--only", "table2", "--timeout-s", "x"],
+            "error: bad --timeout-s 'x'",
+        ),
+        (
+            &["--only", "table2", "--retries", "x"],
+            "error: bad --retries 'x'",
+        ),
+        (&["--only"], "error: --only needs a value"),
+    ];
+    for (argv, message) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_make_all"))
+            .current_dir(&dir)
+            .args(*argv)
+            .output()
+            .expect("spawn make_all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), *message, "{argv:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,8 +9,8 @@
 //!   update/lookup mixes on a sorted list, hash set, or red–black tree.
 //! * [`threadtest`] — the §3.5 allocator microbenchmark behind Fig. 3
 //!   (8 threads doing nothing but malloc/free pairs).
-//! * [`report`] — plain-text table/series formatting shared by the
-//!   `tm-bench` regenerators.
+//! * [`report`] — plain-text table/series formatting (the book and the
+//!   examples) and the best/worst summary of Tables 3 and 6.
 //!
 //! Experiments are deterministic: same configuration, same numbers.
 
@@ -94,7 +94,7 @@ pub struct Metrics {
 impl Metrics {
     /// Report section with every metric, for `RunReport` emission. Mixed
     /// integer/float fields, so this renders as a two-column table with
-    /// floats formatted to fixed precision (same as the .txt renderings).
+    /// floats formatted to fixed precision.
     pub fn section(&self) -> tm_obs::Section {
         tm_obs::Section::Table {
             header: vec!["metric".into(), "value".into()],

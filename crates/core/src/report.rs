@@ -1,5 +1,5 @@
-//! Plain-text table and series formatting for the table/figure
-//! regenerators in `tm-bench`.
+//! Plain-text table and series formatting (the generated book and the
+//! examples print through it) and the best/worst summary of Tables 3 and 6.
 
 /// A labelled series of (x, y) points — one curve of a figure.
 #[derive(Clone, Debug)]
@@ -90,55 +90,6 @@ fn render_rows(rows: &[Vec<String>]) -> String {
             out.push('\n');
         }
     }
-    out
-}
-
-/// Render series as a rough ASCII chart (rows = descending y buckets,
-/// one plot character per series), to eyeball a figure's shape in the
-/// terminal next to its exact table.
-pub fn render_ascii_chart(title: &str, series: &[Series], height: usize) -> String {
-    let marks = ['G', 'H', 'B', 'C', '*', '+', 'x', 'o'];
-    let xs = merged_xs(series);
-    let ys: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.1))
-        .collect();
-    let (lo, hi) = ys
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &y| {
-            (l.min(y), h.max(y))
-        });
-    let span = (hi - lo).max(f64::EPSILON);
-    let mut grid = vec![vec![' '; xs.len() * 4]; height];
-    for (si, s) in series.iter().enumerate() {
-        for (x, y) in &s.points {
-            // Every point's x is in the merged axis by construction, and
-            // binary search under the same total order always finds it.
-            let col = xs.binary_search_by(|v| v.total_cmp(x)).unwrap() * 4 + 1;
-            let row = ((hi - y) / span * (height - 1) as f64).round() as usize;
-            let cell = &mut grid[row.min(height - 1)][col];
-            *cell = if *cell == ' ' {
-                marks[si % marks.len()]
-            } else {
-                '#' // overlap
-            };
-        }
-    }
-    let mut out = format!("# {title} (chart; y: {lo:.3e}..{hi:.3e})\n");
-    for row in grid {
-        out.push('|');
-        out.extend(row);
-        out.push('\n');
-    }
-    out.push('+');
-    out.push_str(&"-".repeat(xs.len() * 4));
-    out.push('\n');
-    let legend: Vec<String> = series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| format!("{}={}", marks[i % marks.len()], s.label))
-        .collect();
-    out.push_str(&format!("x: {xs:?}  {}\n", legend.join(" ")));
     out
 }
 
@@ -238,39 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn ascii_chart_places_extremes() {
-        let s = vec![Series {
-            label: "only".into(),
-            points: vec![(1.0, 0.0), (2.0, 10.0)],
-        }];
-        let out = render_ascii_chart("C", &s, 5);
-        let lines: Vec<&str> = out.lines().collect();
-        // Max lands on the first grid row, min on the last.
-        assert!(lines[1].contains('H') || lines[1].contains('G'));
-        assert!(lines[5].contains('G') || lines[5].contains('H'));
-        assert!(out.contains("only"));
-    }
-
-    #[test]
-    fn ascii_chart_marks_overlap() {
-        let s = vec![
-            Series {
-                label: "a".into(),
-                points: vec![(1.0, 5.0)],
-            },
-            Series {
-                label: "b".into(),
-                points: vec![(1.0, 5.0)],
-            },
-        ];
-        let out = render_ascii_chart("C", &s, 3);
-        assert!(
-            out.contains('#'),
-            "coinciding points must render as overlap"
-        );
-    }
-
-    #[test]
     fn nan_x_neither_panics_nor_collides() {
         // Regression: the old partial_cmp().unwrap() sort panicked on a NaN
         // x, and the `p.0 == x` join dropped the point (NaN != NaN). Under
@@ -295,8 +213,6 @@ mod tests {
         // Both series' NaN x dedup to a single row: title + header + rule
         // + row(1.0) + row(NaN).
         assert_eq!(out.lines().count(), 5, "{out}");
-        let chart = render_ascii_chart("C", &s, 3);
-        assert!(chart.contains("a"), "{chart}");
     }
 
     #[test]

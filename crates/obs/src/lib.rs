@@ -15,7 +15,6 @@
 //!   virtual time (transaction begin/commit/abort-with-cause, malloc/free
 //!   with region and size, lock acquire/contend, OS allocation). Drained
 //!   after a run for trace-driven debugging of e.g. false-abort mechanisms.
-//!   The `TM_WATCH` write-watchpoint lives here too.
 //! * [`report`] — the [`report::RunReport`] schema every experiment binary
 //!   emits as `results/<name>.json`, built on a dependency-free JSON
 //!   emitter/parser in [`json`] (the build environment is offline, so no

@@ -1,13 +1,10 @@
 //! The machine-readable run report.
 //!
-//! Every experiment binary historically emitted only a formatted
-//! `results/<name>.txt`. Those stay (byte-identical — they are the golden
-//! artifacts), but each run now *also* emits `results/<name>.json`
-//! conforming to the `tm-run-report/v1` schema defined here: one
-//! [`RunReport`] with free-form metadata plus typed sections. The JSON is
-//! what tooling consumes — `tmstudy report` pretty-prints a report or
-//! diffs two of them (e.g. before/after an allocator change) without
-//! scraping text tables.
+//! Every exhibit is emitted once, as `results/<name>.json` conforming to
+//! the `tm-run-report/v1` schema defined here: one [`RunReport`] with
+//! free-form metadata plus typed sections. `tmstudy report` pretty-prints
+//! a report or diffs two of them (e.g. before/after an allocator change),
+//! and `tmstudy book` renders REPRODUCTION.md from them.
 
 use crate::json::Json;
 use crate::matrix::{
@@ -57,7 +54,7 @@ pub enum Section {
         /// Data rows, each as long as `header`.
         rows: Vec<Vec<String>>,
     },
-    /// Free-form text (e.g. the legacy rendered body, or notes).
+    /// Free-form text (e.g. notes).
     Text(String),
 }
 
@@ -231,7 +228,7 @@ fn str_arr(v: Option<&Json>, what: &str) -> Result<Vec<String>, String> {
 /// typed result sections.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
-    /// Artifact name, matching the `results/<name>.{txt,json}` stem.
+    /// Artifact name, matching the `results/<name>.json` stem.
     pub name: String,
     /// What produced it: "table", "figure", "ablation", "profile", ...
     pub kind: String,

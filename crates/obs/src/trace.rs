@@ -8,11 +8,6 @@
 //! the anomaly being chased). [`Trace::drain`] merges all rings into one
 //! virtual-time-ordered stream; it must only be called while no thread is
 //! recording (between `Sim::run`s is the natural point).
-//!
-//! The `TM_WATCH` write-watchpoint lives here too: a debugging hook that
-//! panics (with a backtrace) on the first simulated write to a given
-//! address once armed. Deterministic simulation makes it a precise "who
-//! wrote this?" tool.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -316,40 +311,6 @@ impl Trace {
 pub struct TraceCheckpoint {
     /// Per ring: `(head, live window oldest→newest)`.
     rings: Vec<(usize, Vec<Event>)>,
-}
-
-// ---------------------------------------------------------------------------
-// TM_WATCH write-watchpoint
-// ---------------------------------------------------------------------------
-
-/// The address under watch, parsed once from `TM_WATCH=<hex addr>`.
-fn watch_addr() -> Option<u64> {
-    static WATCH: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *WATCH.get_or_init(|| {
-        std::env::var("TM_WATCH")
-            .ok()
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-    })
-}
-
-static WATCH_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Arm the `TM_WATCH` watchpoint (debug helper; watches are ignored until
-/// armed so setup-time writes to the watched address do not trip it).
-pub fn arm_watchpoint() {
-    WATCH_ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Panic if `addr` is the armed watch target. The simulator calls this on
-/// every simulated write/CAS; with `TM_WATCH` unset it is one branch on a
-/// cached `Option`.
-#[inline]
-pub fn check_watch(addr: u64, val: u64, kind: &str) {
-    if let Some(w) = watch_addr() {
-        if addr == w && WATCH_ARMED.load(Ordering::Relaxed) {
-            panic!("WATCHPOINT: {kind} of {val:#x} to {addr:#x}");
-        }
-    }
 }
 
 #[cfg(test)]

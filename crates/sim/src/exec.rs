@@ -49,9 +49,6 @@ use std::ptr;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-// The `TM_WATCH` write-watchpoint lives in the observability crate now;
-// re-exported from this crate's root for compatibility.
-use tm_obs::trace::check_watch;
 use tm_obs::{EventKind, Obs};
 
 use crate::cache::CacheStats;
@@ -968,7 +965,6 @@ impl<'a> Ctx<'a> {
 
     /// Write the aligned 64-bit word at `addr` through the cache model.
     pub fn write_u64(&mut self, addr: u64, val: u64) {
-        check_watch(addr, val, "write");
         self.event(|m, tid| {
             let cost = m.caches.access(tid, addr, true);
             m.mem.write(addr, val);
@@ -981,7 +977,6 @@ impl<'a> Ctx<'a> {
     /// the atomic RMW premium (both success and failure pay it, like a real
     /// `lock cmpxchg`).
     pub fn cas_u64(&mut self, addr: u64, expected: u64, new: u64) -> Result<u64, u64> {
-        check_watch(addr, new, "cas");
         self.event(|m, tid| {
             let cost = m.caches.access(tid, addr, true) + m.cfg.cost.atomic_rmw;
             let cur = m.mem.read(addr);
@@ -1050,9 +1045,6 @@ impl<'a> Ctx<'a> {
     /// model's analogue of the cache making all transactional stores
     /// visible at once at commit. Ends tracking in both outcomes.
     pub fn htm_commit(&mut self, writes: &[(u64, u64)]) -> Result<(), crate::HtmAbort> {
-        for &(addr, val) in writes {
-            check_watch(addr, val, "htm-commit");
-        }
         self.event(|m, tid| {
             if let Some(doom) = m.caches.htm_end(tid) {
                 return (0, Err(doom));

@@ -51,9 +51,6 @@ pub use config::{CostModel, MachineConfig};
 pub use exec::{Ctx, SchedHook, Sim, SimSnapshot, FUEL_EXHAUSTED};
 pub use machine::{LockStats, SimMutex};
 pub use report::SimReport;
-// Observability: the watchpoint and event-trace machinery moved to tm-obs;
-// re-exported here so existing `tm_sim::arm_watchpoint` users keep working.
-pub use tm_obs::trace::arm_watchpoint;
 pub use tm_obs::{Event, EventKind, Obs};
 
 /// Cache line size in bytes used throughout the model (the paper's machine

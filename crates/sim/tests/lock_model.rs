@@ -135,13 +135,3 @@ fn locks_do_not_interfere() {
     // across locks → ~20*cs, definitely below the 40*cs full serialization.
     assert!(r.cycles < 30 * cs, "independent locks must run in parallel");
 }
-
-#[test]
-fn watchpoint_fires_when_armed() {
-    // The TM_WATCH debug facility: without the env var it must be inert.
-    let sim = Sim::new(MachineConfig::tiny_test());
-    tm_sim::arm_watchpoint();
-    sim.run(1, |ctx| {
-        ctx.write_u64(0x9000, 1); // no TM_WATCH set → no panic
-    });
-}

@@ -70,6 +70,25 @@ run_tmstudy_discarding() {
 }
 
 if [ "$quick" -eq 0 ]; then
+  # An exhibit is a pure function of the code, so the release make_all,
+  # run from an empty directory at the default scale, must rewrite every
+  # committed results/<name>.json byte for byte. Nothing is memoized
+  # between runs, so this is always a cold run (~20 s).
+  echo "==> make_all (exhibit drift against the committed results/*.json)"
+  root="$PWD"
+  regen="$(mktemp -d)"
+  (cd "$regen" && env -u TM_SCALE \
+    $CARGO run --release --manifest-path "$root/Cargo.toml" -p tm-bench --bin make_all >/dev/null)
+  tracked="$(git ls-files 'results/*.json')"
+  [ -n "$tracked" ] || { echo "verify: git lists no results/*.json to compare"; exit 1; }
+  for f in $tracked; do
+    cmp "$f" "$regen/$f" || {
+      echo "verify: exhibit drift: $f is not what make_all regenerates ($regen/$f)"
+      exit 1
+    }
+  done
+  rm -rf "$regen"
+
   echo "==> tmstudy book --check (REPRODUCTION.md drift)"
   run_tmstudy book --check
 fi
