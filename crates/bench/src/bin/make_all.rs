@@ -20,8 +20,9 @@
 //! --table        print the EXPERIMENTS.md determinism table and exit
 //! ```
 //!
-//! A flag without a value, a value that does not parse and a name that is
-//! not in the registry are usage errors: one line on stderr, exit 2.
+//! A flag without a value, a value that does not parse, a name that is
+//! not in the registry and a bad `TM_SIM_EXEC` or `TM_SCALE` are usage
+//! errors: one line on stderr, exit 2.
 //!
 //! Host time per exhibit is each cell's `wall_ms` in the matrix; tracked
 //! performance numbers come from `bash benchmark/run.sh`.
@@ -58,6 +59,11 @@ fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
 }
 
 fn main() {
+    // The environment is input too: refuse a bad value here, before an
+    // exhibit silently ignores it or panics on it.
+    if let Err(bad) = tm_sim::check_exec_env().and(tm_bench::scale_from_env()) {
+        usage_error(bad);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--table") {
         print!("{}", exhibits::experiments_table());

@@ -66,12 +66,25 @@ pub fn synth_point(cfg: &SyntheticConfig) -> Metrics {
     synth_point_cm(cfg).0
 }
 
-/// Workload scale multiplier from the `TM_SCALE` environment variable.
+/// Workload scale multiplier from the `TM_SCALE` environment variable (1
+/// when unset), or what is wrong with its value. `make_all` checks this
+/// once at start-up and reports the message as a usage error.
+pub fn scale_from_env() -> Result<u64, String> {
+    let value = match std::env::var("TM_SCALE") {
+        Ok(value) => value,
+        Err(std::env::VarError::NotPresent) => return Ok(1),
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    match value.parse() {
+        Ok(scale) if scale > 0 => Ok(scale),
+        _ => Err(format!("bad TM_SCALE '{value}'")),
+    }
+}
+
+/// [`scale_from_env`] for the exhibits, which run after `make_all` has
+/// checked the variable: panics on a bad value.
 pub fn scale() -> u64 {
-    std::env::var("TM_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+    scale_from_env().unwrap_or_else(|bad| panic!("{bad}"))
 }
 
 /// The thread counts of the paper's synthetic sweeps (Fig. 4, Table 4).

@@ -177,3 +177,36 @@ fn bad_flag_values_are_one_line_usage_errors() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The environment is input too: a `TM_SIM_EXEC` no executor answers to
+/// must not reach the panic in the first exhibit's `Sim::new`, and a
+/// `TM_SCALE` that is not a positive number must not be read as 1.
+#[test]
+fn bad_environment_values_are_one_line_usage_errors() {
+    let dir = scratch("badenv");
+    let table = [
+        (
+            "TM_SIM_EXEC",
+            "bogus",
+            "error: bad TM_SIM_EXEC 'bogus' (fibers|threads)",
+        ),
+        ("TM_SCALE", "abc", "error: bad TM_SCALE 'abc'"),
+        ("TM_SCALE", "0", "error: bad TM_SCALE '0'"),
+    ];
+    for (var, value, message) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_make_all"))
+            .current_dir(&dir)
+            .env(var, value)
+            .args(["--only", "table1"])
+            .output()
+            .expect("spawn make_all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+        assert_eq!(stderr.trim_end(), message, "{var}={value}");
+        assert!(
+            !dir.join("results").exists(),
+            "{var}={value} ran an exhibit"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

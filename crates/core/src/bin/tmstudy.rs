@@ -33,6 +33,9 @@ use tm_stamp::AppKind;
 type Flags = HashMap<String, String>;
 
 fn main() {
+    // The environment is input too: every subcommand builds simulators,
+    // and `Sim::new` panics on a `TM_SIM_EXEC` it cannot honour.
+    ok_or_exit(tm_sim::check_exec_env());
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage();

@@ -28,7 +28,12 @@
 //! lets absorbed delays be *detected*) and the final flush of a thread
 //! that finishes (not a scheduler-ordered point). See DESIGN.md §14; the
 //! from-scratch enumerator remains the oracle, and `tmstudy mc
-//! --no-checkpoint` falls back to it wholesale.
+//! --no-checkpoint` falls back to it wholesale. Rebuilding the world is
+//! not expensive either — a simulated machine costs what its run touches
+//! (DESIGN.md §4), so a from-scratch schedule takes under twice a restored
+//! one — which is what lets the oracle run beside every reduction; it
+//! stays the oracle because it shares none of the snapshot, journal and
+//! dedup machinery it checks.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;

@@ -8,6 +8,11 @@
 //! the anomaly being chased). [`Trace::drain`] merges all rings into one
 //! virtual-time-ordered stream; it must only be called while no thread is
 //! recording (between `Sim::run`s is the natural point).
+//!
+//! A ring owns no storage until the first event is recorded into it: a
+//! trace that is never enabled (every machine the checkers build)
+//! allocates nothing, and an unallocated ring is an empty one to every
+//! reader.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -127,22 +132,51 @@ impl Event {
 }
 
 /// One thread's ring. `head` counts events *ever* recorded; the live window
-/// is the last `min(head, capacity)` of them. Only thread `tid` writes
-/// `buf`, so slot writes need no synchronization; the `head` store is
-/// `Release` so a quiescent drainer's `Acquire` load observes completed
+/// is the last `min(head, capacity)` of them, event `i` in slot
+/// `i % capacity`. `buf` is empty (and owns no storage) until the first
+/// event is stored, then holds `capacity` slots for good. Only thread `tid`
+/// writes `buf`, so slot writes need no synchronization; the `head` store
+/// is `Release` so a quiescent drainer's `Acquire` load observes completed
 /// slots.
 struct Ring {
     buf: UnsafeCell<Box<[Event]>>,
     head: AtomicUsize,
 }
 
-const ZERO_EVENT: Event = Event {
-    time: 0,
-    tid: 0,
-    kind: EventKind::TxBegin,
-    a: 0,
-    b: 0,
-};
+impl Ring {
+    /// Store `event` as event number `i` of a ring of `capacity` slots.
+    ///
+    /// # Safety
+    /// The caller is the ring's only writer and nobody reads `buf`
+    /// meanwhile (the owning thread in `record`, anyone at quiescence).
+    #[inline]
+    unsafe fn put(&self, i: usize, capacity: usize, event: Event) {
+        let buf = &mut *self.buf.get();
+        let slot = i % capacity;
+        if slot >= buf.len() {
+            Ring::allocate(buf, capacity);
+        }
+        // One store on every path, so the event never passes through
+        // memory on its way to the slot; on the path around `allocate`
+        // the test above is the store's bounds check.
+        buf[slot] = event;
+    }
+
+    /// Give a ring about to take its first event its storage. Slots are
+    /// only ever read below `head`, so what they start as is never seen.
+    #[cold]
+    #[inline(never)]
+    fn allocate(buf: &mut Box<[Event]>, capacity: usize) {
+        let unread = Event {
+            time: 0,
+            tid: 0,
+            kind: EventKind::TxBegin,
+            a: 0,
+            b: 0,
+        };
+        *buf = vec![unread; capacity].into_boxed_slice();
+    }
+}
 
 /// The per-thread event rings plus the master enable switch. Recording is
 /// a no-op (one relaxed load) while disabled, so leaving tracing compiled
@@ -174,7 +208,7 @@ impl Trace {
             capacity,
             rings: (0..threads)
                 .map(|_| Ring {
-                    buf: UnsafeCell::new(vec![ZERO_EVENT; capacity].into_boxed_slice()),
+                    buf: UnsafeCell::new(Box::default()),
                     head: AtomicUsize::new(0),
                 })
                 .collect(),
@@ -212,9 +246,7 @@ impl Trace {
         let ring = &self.rings[tid];
         let head = ring.head.load(Ordering::Relaxed);
         // SAFETY: single writer per ring (see `unsafe impl Sync`).
-        unsafe {
-            (*ring.buf.get())[head % self.capacity] = event;
-        }
+        unsafe { ring.put(head, self.capacity, event) };
         ring.head.store(head + 1, Ordering::Release);
     }
 
@@ -296,11 +328,10 @@ impl Trace {
     pub fn restore(&self, cp: &TraceCheckpoint) {
         assert_eq!(cp.rings.len(), self.rings.len(), "thread count changed");
         for (ring, (head, window)) in self.rings.iter().zip(&cp.rings) {
-            // SAFETY: quiescence contract — no concurrent writer.
-            let buf = unsafe { &mut *ring.buf.get() };
             let start = head - window.len();
             for (i, ev) in (start..*head).zip(window) {
-                buf[i % self.capacity] = *ev;
+                // SAFETY: quiescence contract — no concurrent writer.
+                unsafe { ring.put(i, self.capacity, *ev) };
             }
             ring.head.store(*head, Ordering::Release);
         }
@@ -387,6 +418,68 @@ mod tests {
         let cp = t.checkpoint();
         t.emit(0, 1, EventKind::TxBegin, 0, 0); // no-op while disabled
         t.restore(&cp);
+        assert_eq!(t.recorded(), 0);
+        assert!(t.drain().is_empty());
+    }
+
+    fn allocated(t: &Trace) -> Vec<bool> {
+        // Quiescent: nobody is recording.
+        let has_storage = |r: &Ring| unsafe { !(&*r.buf.get()).is_empty() };
+        t.rings.iter().map(has_storage).collect()
+    }
+
+    #[test]
+    fn never_enabled_trace_owns_no_storage_and_reads_as_empty() {
+        let t = Trace::new(3, 4096);
+        t.set_enabled(false);
+        let cp = t.checkpoint();
+        for i in 0..10u64 {
+            t.emit(1, i, EventKind::Malloc, i, 0); // no-op while disabled
+        }
+        assert_eq!(t.recorded(), 0);
+        assert!(t.drain().is_empty());
+        t.restore(&cp);
+        t.clear();
+        assert_eq!(t.recorded(), 0);
+        assert!(t.drain().is_empty());
+        assert_eq!(allocated(&t), [false; 3]);
+    }
+
+    #[test]
+    fn enabling_after_construction_records_from_the_first_event() {
+        let t = Trace::new(3, 4);
+        t.set_enabled(false);
+        let empty = t.checkpoint();
+        t.set_enabled(true);
+        t.emit(2, 7, EventKind::TxBegin, 1, 0);
+        assert_eq!(
+            allocated(&t),
+            [false, false, true],
+            "only the ring written to"
+        );
+        assert_eq!(t.recorded(), 1);
+        assert_eq!(
+            t.drain(),
+            [Event {
+                time: 7,
+                tid: 2,
+                kind: EventKind::TxBegin,
+                a: 1,
+                b: 0
+            }]
+        );
+        // A checkpoint taken over unallocated rings restores them to empty,
+        // and one taken now survives the ring wrapping.
+        let one = t.checkpoint();
+        for i in 10..20u64 {
+            t.emit(2, i, EventKind::Free, i, 0);
+        }
+        t.emit(0, 3, EventKind::TxBegin, 0, 0);
+        t.restore(&one);
+        assert_eq!(t.recorded(), 1);
+        assert_eq!(t.drain().len(), 1);
+        assert_eq!(t.drain()[0].time, 7);
+        t.restore(&empty);
         assert_eq!(t.recorded(), 0);
         assert!(t.drain().is_empty());
     }

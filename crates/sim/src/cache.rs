@@ -8,6 +8,13 @@
 //! cache-to-cache transfer. False sharing between threads therefore costs
 //! cycles mechanistically, which is one of the paper's key effects
 //! (TCMalloc handing adjacent 16-byte blocks to different threads, §5.2).
+//!
+//! Tag storage is sparse: a `TagArray`'s sets materialize, a small group at
+//! a time, on the first `fill` into them, and an absent group is by
+//! definition a group of ways in their initial state. The study builds a
+//! machine per run and most runs touch a sliver of a 6 MB L2, so building,
+//! snapshotting, restoring and dropping a hierarchy cost what the run
+//! touched (DESIGN.md §4, §14).
 
 use std::collections::{HashMap, HashSet};
 
@@ -121,27 +128,91 @@ impl tm_obs::SlotSchema for CacheStats {
 
 const EMPTY: u64 = u64::MAX;
 
+/// Ways per [`Lanes`] block.
+const LANES: usize = 8;
+
+/// Eight ways side by side, as parallel arrays (the probe scans `tags`
+/// alone): 168 bytes, 21 a way. A set takes `ways.div_ceil(LANES)`
+/// consecutive blocks, way `w` in lane `w % LANES` of block `w / LANES`;
+/// lanes past the associativity stay `EMPTY` and are never filled.
+#[derive(Clone)]
+struct Lanes {
+    /// `EMPTY` marks an invalid way.
+    tags: [u64; LANES],
+    /// LRU stamps.
+    stamp: [u64; LANES],
+    /// Journal epoch marks: `mark == Journal::cur` means the way's
+    /// pre-image is already in the undo log. Marks belong to the live
+    /// array's journal, not to the cache state: a clone's are dead data
+    /// and [`TagArray::copy_state_from`] never copies them.
+    mark: [u32; LANES],
+    /// Dirty bits (meaningful for L1 arrays only).
+    dirty: [bool; LANES],
+}
+
+/// The state every way starts in.
+const INITIAL: Lanes = Lanes {
+    tags: [EMPTY; LANES],
+    stamp: [0; LANES],
+    mark: [0; LANES],
+    dirty: [false; LANES],
+};
+
+/// Sets per group (log2). Four sets of the E5405's 24-way L2 are 12 blocks,
+/// 2 KB, so a run that touches one line of a page pays for 2 KB of tags and
+/// one that touches the whole page (64 lines, 16 groups) for 32 KB; the
+/// table over them is 16 KB per 6 MB L2.
+const GROUP_SHIFT: u32 = 2;
+const GROUP_SETS: usize = 1 << GROUP_SHIFT;
+
+/// The blocks of [`GROUP_SETS`] consecutive sets, one allocation. A group
+/// exists from the first `fill` into one of its sets; an absent group *is*
+/// the state every way starts in — tag `EMPTY`, stamp 0, clean — so nothing
+/// can tell a group that was never materialized from one whose ways are all
+/// in that state.
+type Group = Box<[Lanes]>;
+
+/// Address of one way: its group, and `block * LANES + lane` inside it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot {
+    group: u32,
+    at: u32,
+}
+
+impl Slot {
+    #[inline]
+    fn new(group: usize, block: usize, lane: usize) -> Slot {
+        Slot {
+            group: group as u32,
+            at: (block * LANES + lane) as u32,
+        }
+    }
+
+    /// Block and lane inside the group.
+    #[inline]
+    fn split(self) -> (usize, usize) {
+        (self.at as usize / LANES, self.at as usize % LANES)
+    }
+}
+
 /// Pre-image of one tag-array way, recorded the first time the way is
 /// mutated after the journal is (re-)armed.
 struct SlotUndo {
-    slot: u32,
+    slot: Slot,
     tag: u64,
     stamp: u64,
     dirty: bool,
 }
 
-/// Undo journal for in-place snapshot restore. The tag arrays of a real
-/// machine are megabytes (the E5405 model carries two 98 304-way L2
-/// arrays), but a single bounded run touches a few hundred ways, so the
-/// checkpoint layer's restore-per-schedule loop must not pay a full-array
-/// copy each time. While armed, the first mutation of each way logs its
-/// pre-image (`epoch` marks "already logged this epoch" without any
-/// per-arm clearing), and a revert rewinds exactly the logged ways plus
-/// the LRU tick.
+/// Undo journal for in-place snapshot restore. A bounded run touches a few
+/// hundred ways, so the checkpoint layer's restore-per-schedule loop must
+/// not pay a copy of every materialized group each time. While armed, the
+/// first mutation of each way logs its pre-image, and a revert rewinds
+/// exactly the logged ways plus the LRU tick. "Already logged this epoch"
+/// is a per-way mark that lives beside the way ([`Lanes::mark`] `== cur`),
+/// so arming allocates nothing and clears nothing: it bumps `cur`.
+#[derive(Default)]
 struct Journal {
-    /// Per-way mark: `epoch[slot] == cur` means the pre-image is already
-    /// in `undo` for the current epoch.
-    epoch: Vec<u32>,
     cur: u32,
     undo: Vec<SlotUndo>,
     /// LRU tick at arm time (the tick advances on every probe, hit or
@@ -149,23 +220,9 @@ struct Journal {
     tick0: u64,
 }
 
-impl Journal {
-    fn next_epoch(&mut self) {
-        self.undo.clear();
-        self.cur = self.cur.wrapping_add(1);
-        if self.cur == 0 {
-            // Epoch counter wrapped (once per 2^32 arms): old marks could
-            // alias the fresh epoch, so clear them all.
-            self.epoch.fill(0);
-            self.cur = 1;
-        }
-    }
-}
-
 /// Journal slot whose `Clone` yields a *disarmed* journal: snapshots are
-/// inert copies of the arrays, and a journal is identity-tied to the live
-/// array it was armed on, so cloning a hierarchy must not drag along (or
-/// pay for) megabytes of epoch marks.
+/// inert copies of the materialized groups, and a journal is identity-tied
+/// to the live array it was armed on.
 struct JournalSlot(Option<Box<Journal>>);
 
 impl Clone for JournalSlot {
@@ -174,20 +231,43 @@ impl Clone for JournalSlot {
     }
 }
 
+impl Lanes {
+    /// Record lane `l`'s pre-image if `journal` is armed and this is the
+    /// way's first mutation of the epoch. Must be called before every
+    /// write to `tags`/`stamp`/`dirty`.
+    #[inline]
+    fn log(&mut self, l: usize, slot: Slot, journal: &mut JournalSlot) {
+        if let Some(j) = journal.0.as_deref_mut() {
+            if self.mark[l] != j.cur {
+                self.mark[l] = j.cur;
+                j.undo.push(SlotUndo {
+                    slot,
+                    tag: self.tags[l],
+                    stamp: self.stamp[l],
+                    dirty: self.dirty[l],
+                });
+            }
+        }
+    }
+}
+
 /// One set-associative tag array with LRU replacement. L1 arrays also track
 /// a per-way dirty bit mirroring the directory's `dirty_in` field, which is
 /// what lets the write-hit fast path in [`Hierarchy::access`] skip the
 /// directory entirely.
+///
+/// Storage is sparse: the sets hang in [`Group`]s off a table of
+/// `sets / GROUP_SETS` pointers, and a group is allocated by the first
+/// `fill` that lands in it. Building, cloning (the snapshot) and dropping
+/// an array therefore cost what the run has touched, not what the modelled
+/// cache could hold.
 #[derive(Clone)]
 struct TagArray {
     sets: usize,
     ways: usize,
-    /// `sets * ways` tags; `EMPTY` marks an invalid way.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamp: Vec<u64>,
-    /// Dirty bits parallel to `tags` (meaningful for L1 arrays only).
-    dirty: Vec<bool>,
+    /// Blocks per set: `ways.div_ceil(LANES)`.
+    set_blocks: usize,
+    groups: Vec<Option<Group>>,
     tick: u64,
     journal: JournalSlot,
 }
@@ -199,160 +279,196 @@ impl TagArray {
         TagArray {
             sets,
             ways: cfg.ways,
-            tags: vec![EMPTY; sets * cfg.ways],
-            stamp: vec![0; sets * cfg.ways],
-            dirty: vec![false; sets * cfg.ways],
+            set_blocks: cfg.ways.div_ceil(LANES),
+            groups: vec![None; sets.div_ceil(GROUP_SETS)],
             tick: 0,
             journal: JournalSlot(None),
         }
     }
 
+    /// Group index of `line`'s set, and the set's first block inside the
+    /// group.
     #[inline]
-    fn base(&self, line: u64) -> usize {
-        (line as usize & (self.sets - 1)) * self.ways
+    fn locate(&self, line: u64) -> (usize, usize) {
+        let set = line as usize & (self.sets - 1);
+        (
+            set >> GROUP_SHIFT,
+            (set & (GROUP_SETS - 1)) * self.set_blocks,
+        )
     }
 
-    /// Record `slot`'s pre-image if the journal is armed and this is the
-    /// slot's first mutation of the epoch. Must be called before every
-    /// write to `tags`/`stamp`/`dirty`.
-    #[inline]
-    fn log(&mut self, slot: usize) {
-        if let Some(j) = self.journal.0.as_deref_mut() {
-            if j.epoch[slot] != j.cur {
-                j.epoch[slot] = j.cur;
-                j.undo.push(SlotUndo {
-                    slot: slot as u32,
-                    tag: self.tags[slot],
-                    stamp: self.stamp[slot],
-                    dirty: self.dirty[slot],
-                });
+    /// Find the way holding `line`, log its pre-image — every caller is
+    /// about to write it — and hand out its block, lane and slot. An
+    /// absent group holds nothing.
+    #[inline(always)]
+    fn touch(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
+        let (group, first) = self.locate(line);
+        let set = &mut self.groups[group].as_deref_mut()?[first..first + self.set_blocks];
+        let (b, l) = set.iter().enumerate().find_map(|(b, lanes)| {
+            let l = lanes.tags.iter().position(|&t| t == line)?;
+            Some((b, l))
+        })?;
+        let slot = Slot::new(group, first + b, l);
+        let lanes = &mut set[b];
+        lanes.log(l, slot, &mut self.journal);
+        Some((lanes, l, slot))
+    }
+
+    /// Start the next journal epoch at the current tick: forget the undo
+    /// log and outdate every mark by moving `cur` past it.
+    fn next_epoch(&mut self) {
+        let j = self.journal.0.as_deref_mut().expect("journal is armed");
+        j.undo.clear();
+        j.tick0 = self.tick;
+        j.cur = j.cur.wrapping_add(1);
+        if j.cur == 0 {
+            // Epoch counter wrapped (once per 2^32 arms): old marks could
+            // alias the fresh epoch, so clear them all.
+            for lanes in self.groups.iter_mut().flatten().flat_map(|g| g.iter_mut()) {
+                lanes.mark = INITIAL.mark;
             }
+            j.cur = 1;
         }
     }
 
     /// Arm (or re-arm) the undo journal: from now until the next arm or
-    /// revert, mutated ways record their pre-images.
+    /// revert, mutated ways record their pre-images. Allocates nothing
+    /// after the first call and touches no way.
     fn arm_journal(&mut self) {
-        let slots = self.tags.len();
-        let j = self.journal.0.get_or_insert_with(|| {
-            Box::new(Journal {
-                epoch: vec![0; slots],
-                cur: 0,
-                undo: Vec::new(),
-                tick0: 0,
-            })
-        });
-        j.next_epoch();
-        j.tick0 = self.tick;
+        self.journal.0.get_or_insert_with(Box::default);
+        self.next_epoch();
     }
 
     /// Undo every way mutation since the journal was armed and re-arm for
-    /// the next epoch. O(ways touched since arming).
+    /// the next epoch. O(ways touched since arming). A group materialized
+    /// since arming stays, every way back in the initial state — which is
+    /// what its absence meant.
     fn revert(&mut self) {
         let j = self
             .journal
             .0
-            .as_deref_mut()
+            .as_deref()
             .expect("revert without an armed journal");
         for u in &j.undo {
-            let s = u.slot as usize;
-            self.tags[s] = u.tag;
-            self.stamp[s] = u.stamp;
-            self.dirty[s] = u.dirty;
+            let (b, l) = u.slot.split();
+            // Groups are never taken away, so a logged way's is there.
+            let lanes = &mut self.groups[u.slot.group as usize]
+                .as_deref_mut()
+                .expect("a logged way's group is materialized")[b];
+            lanes.tags[l] = u.tag;
+            lanes.stamp[l] = u.stamp;
+            lanes.dirty[l] = u.dirty;
         }
         self.tick = j.tick0;
-        j.next_epoch();
+        self.next_epoch();
     }
 
     /// Overwrite this array's state from `src` (same geometry), reusing
-    /// the existing allocations — the cold restore path.
+    /// the existing groups — the cold restore path. A group `src` lacks is
+    /// reset to the initial state in place. Marks are not state and are
+    /// never taken from `src`: this array's own are at most its journal's
+    /// `cur`, so the re-arm that follows outdates them all, while `src`'s
+    /// date from whatever epoch it was cloned in — possibly before `cur`
+    /// last wrapped — and could make a way look logged in an epoch in
+    /// which it never was.
     fn copy_state_from(&mut self, src: &TagArray) {
         debug_assert_eq!((self.sets, self.ways), (src.sets, src.ways));
-        self.tags.copy_from_slice(&src.tags);
-        self.stamp.copy_from_slice(&src.stamp);
-        self.dirty.copy_from_slice(&src.dirty);
+        for (dst, src) in self.groups.iter_mut().zip(&src.groups) {
+            let src = src.as_deref();
+            if let (None, Some(src)) = (&dst, src) {
+                *dst = Some(vec![INITIAL; src.len()].into());
+            }
+            for (b, d) in dst.iter_mut().flat_map(|g| g.iter_mut()).enumerate() {
+                let s = src.map_or(&INITIAL, |src| &src[b]);
+                (d.tags, d.stamp, d.dirty) = (s.tags, s.stamp, s.dirty);
+            }
+        }
         self.tick = src.tick;
     }
 
     /// Set the dirty bit of an already-probed way (write upgrade on an L1
     /// hit).
-    fn mark_dirty(&mut self, slot: usize) {
-        self.log(slot);
-        self.dirty[slot] = true;
+    fn mark_dirty(&mut self, slot: Slot) {
+        let (b, l) = slot.split();
+        let lanes = &mut self.groups[slot.group as usize]
+            .as_deref_mut()
+            .expect("a probed way's group is materialized")[b];
+        lanes.log(l, slot, &mut self.journal);
+        lanes.dirty[l] = true;
     }
 
-    /// Probe for `line`; on hit, refresh LRU and return the way slot.
-    fn probe(&mut self, line: u64) -> Option<usize> {
-        let b = self.base(line);
+    /// Probe for `line`; on hit, refresh LRU and return the way's slot and
+    /// whether it is dirty. A miss — in an absent group too — still
+    /// advances the tick.
+    #[inline(always)]
+    fn probe(&mut self, line: u64) -> Option<(Slot, bool)> {
         self.tick += 1;
-        for w in 0..self.ways {
-            if self.tags[b + w] == line {
-                self.log(b + w);
-                self.stamp[b + w] = self.tick;
-                return Some(b + w);
-            }
-        }
-        None
+        let tick = self.tick;
+        let (lanes, l, slot) = self.touch(line)?;
+        lanes.stamp[l] = tick;
+        Some((slot, lanes.dirty[l]))
     }
 
     /// Insert `line` with the given dirty state, evicting the LRU way if the
-    /// set is full. Returns the evicted line and whether it was dirty.
+    /// set is full. Returns the evicted line and whether it was dirty. The
+    /// one operation that materializes a group.
     fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let b = self.base(line);
+        let (group, first) = self.locate(line);
         self.tick += 1;
-        let mut victim = 0;
+        let g = self.groups[group].get_or_insert_with(|| {
+            vec![INITIAL; GROUP_SETS.min(self.sets) * self.set_blocks].into()
+        });
+        let set = &mut g[first..first + self.set_blocks];
+        let slot = |b: usize, l: usize| Slot::new(group, first + b, l);
+        // Ways in order, as one flat array would hold them.
+        let mut victim = (0, 0);
         let mut victim_stamp = u64::MAX;
-        for w in 0..self.ways {
-            if self.tags[b + w] == line {
-                // Already present (races with coherence bookkeeping).
-                self.log(b + w);
-                self.stamp[b + w] = self.tick;
-                self.dirty[b + w] |= dirty;
-                return None;
-            }
-            if self.tags[b + w] == EMPTY {
-                self.log(b + w);
-                self.tags[b + w] = line;
-                self.stamp[b + w] = self.tick;
-                self.dirty[b + w] = dirty;
-                return None;
-            }
-            if self.stamp[b + w] < victim_stamp {
-                victim_stamp = self.stamp[b + w];
-                victim = w;
+        for (b, lanes) in set.iter_mut().enumerate() {
+            for l in 0..(self.ways - b * LANES).min(LANES) {
+                if lanes.tags[l] == line {
+                    // Already present (races with coherence bookkeeping).
+                    lanes.log(l, slot(b, l), &mut self.journal);
+                    lanes.stamp[l] = self.tick;
+                    lanes.dirty[l] |= dirty;
+                    return None;
+                }
+                if lanes.tags[l] == EMPTY {
+                    lanes.log(l, slot(b, l), &mut self.journal);
+                    lanes.tags[l] = line;
+                    lanes.stamp[l] = self.tick;
+                    lanes.dirty[l] = dirty;
+                    return None;
+                }
+                if lanes.stamp[l] < victim_stamp {
+                    victim_stamp = lanes.stamp[l];
+                    victim = (b, l);
+                }
             }
         }
-        self.log(b + victim);
-        let evicted = (self.tags[b + victim], self.dirty[b + victim]);
-        self.tags[b + victim] = line;
-        self.stamp[b + victim] = self.tick;
-        self.dirty[b + victim] = dirty;
+        let (b, l) = victim;
+        let lanes = &mut set[b];
+        lanes.log(l, slot(b, l), &mut self.journal);
+        let evicted = (lanes.tags[l], lanes.dirty[l]);
+        lanes.tags[l] = line;
+        lanes.stamp[l] = self.tick;
+        lanes.dirty[l] = dirty;
         Some(evicted)
     }
 
     /// Drop `line` if present (remote invalidation / inclusion victim).
     fn invalidate(&mut self, line: u64) -> bool {
-        let b = self.base(line);
-        for w in 0..self.ways {
-            if self.tags[b + w] == line {
-                self.log(b + w);
-                self.tags[b + w] = EMPTY;
-                self.dirty[b + w] = false;
-                return true;
-            }
-        }
-        false
+        let Some((lanes, l, _)) = self.touch(line) else {
+            return false;
+        };
+        lanes.tags[l] = EMPTY;
+        lanes.dirty[l] = false;
+        true
     }
 
     /// Clear the dirty bit of `line` if present (downgrade to shared).
     fn clear_dirty(&mut self, line: u64) {
-        let b = self.base(line);
-        for w in 0..self.ways {
-            if self.tags[b + w] == line {
-                self.log(b + w);
-                self.dirty[b + w] = false;
-                return;
-            }
+        if let Some((lanes, l, _)) = self.touch(line) {
+            lanes.dirty[l] = false;
         }
     }
 }
@@ -412,8 +528,9 @@ struct TxTrack {
 }
 
 /// The full cache hierarchy of the simulated machine. `Clone` exists for
-/// the checkpoint layer: a machine snapshot carries a full copy of the tag
-/// arrays, dirty mirrors, directory, and HTM tracking state.
+/// the checkpoint layer: a machine snapshot carries a copy of the
+/// materialized tag-array groups (and their dirty mirrors), the directory,
+/// and the HTM tracking state — O(what the machine has touched).
 #[derive(Clone)]
 pub struct Hierarchy {
     l1: Vec<TagArray>,
@@ -454,8 +571,9 @@ impl Hierarchy {
     /// Arm the per-array undo journals relative to snapshot `snap_id`:
     /// until the next arm or restore, the first mutation of each tag-array
     /// way records its pre-image, letting [`Hierarchy::restore_from`]
-    /// rewind in O(ways touched) instead of re-copying the multi-megabyte
-    /// tag arrays.
+    /// rewind in O(ways touched) instead of re-copying every materialized
+    /// group. O(arrays): the marks live with the ways, so nothing is
+    /// allocated or cleared.
     pub(crate) fn arm_journal(&mut self, snap_id: u64) {
         for a in self.l1.iter_mut().chain(self.l2.iter_mut()) {
             a.arm_journal();
@@ -466,8 +584,8 @@ impl Hierarchy {
     /// Rewind to `snap`, the hierarchy captured by snapshot `snap_id`.
     /// Fast path: when the live journals were armed by exactly that
     /// snapshot, revert the logged ways in place. Cold path (journals
-    /// armed for a different snapshot, or never): full copy reusing the
-    /// existing allocations. The directory, stats, and HTM tracking are
+    /// armed for a different snapshot, or never): copy group by group,
+    /// reusing the existing allocations. The directory, stats, and HTM tracking are
     /// bounded by L1 residency and copied outright either way, and the
     /// journals end re-armed for `snap_id`.
     pub(crate) fn restore_from(&mut self, snap: &Hierarchy, snap_id: u64) {
@@ -577,10 +695,10 @@ impl Hierarchy {
         self.htm_note_access(core, line, write);
 
         let mut cost;
-        if let Some(slot) = self.l1[core].probe(line) {
+        if let Some((slot, dirty)) = self.l1[core].probe(line) {
             cost = cost_model.l1_hit;
             if write {
-                if self.l1[core].dirty[slot] {
+                if dirty {
                     // Exclusive-dirty write hit: the dirty bit mirrors
                     // `dirty_in == Some(core)`, which implies we are the
                     // only sharer — nothing to invalidate, no directory
@@ -732,6 +850,20 @@ mod tests {
         assert_eq!(h.access(0, 0x1038, false), cfg.cost.l1_hit);
     }
 
+    /// Way `w` of `set`: `(tag, stamp, dirty)`, an absent group read as
+    /// the initial state it stands for.
+    fn way(a: &TagArray, set: usize, w: usize) -> (u64, u64, bool) {
+        let b = (set & (GROUP_SETS - 1)) * a.set_blocks + w / LANES;
+        let lanes = a.groups[set >> GROUP_SHIFT]
+            .as_deref()
+            .map_or(&INITIAL, |g| &g[b]);
+        let l = w % LANES;
+        (lanes.tags[l], lanes.stamp[l], lanes.dirty[l])
+    }
+
+    /// Logical equality: the same ways and the same tick. Which groups
+    /// are materialized is not state (a group of initial ways equals an
+    /// absent one), and neither are the journal's marks.
     fn assert_arrays_match(live: &Hierarchy, snap: &Hierarchy) {
         for (a, b) in live
             .l1
@@ -739,9 +871,11 @@ mod tests {
             .zip(&snap.l1)
             .chain(live.l2.iter().zip(&snap.l2))
         {
-            assert_eq!(a.tags, b.tags);
-            assert_eq!(a.stamp, b.stamp);
-            assert_eq!(a.dirty, b.dirty);
+            for set in 0..a.sets {
+                for w in 0..a.ways {
+                    assert_eq!(way(a, set, w), way(b, set, w), "set {set} way {w}");
+                }
+            }
             assert_eq!(a.tick, b.tick);
         }
         assert_eq!(live.htm_active, snap.htm_active);
@@ -777,6 +911,455 @@ mod tests {
         }
         h.restore_from(&snap, 99);
         assert_arrays_match(&h, &snap);
+    }
+
+    /// The tag array as three flat `Vec`s and a journal with its own
+    /// per-way epoch `Vec` — the dense definition the sparse `TagArray` is
+    /// held to. Kept verbatim from the implementation it was; do not
+    /// "improve" it.
+    mod dense {
+        use super::super::{CacheConfig, EMPTY};
+
+        /// Pre-image of one tag-array way, recorded the first time the way is
+        /// mutated after the journal is (re-)armed.
+        struct SlotUndo {
+            slot: u32,
+            tag: u64,
+            stamp: u64,
+            dirty: bool,
+        }
+
+        /// Undo journal for in-place snapshot restore. The tag arrays of a real
+        /// machine are megabytes (the E5405 model carries two 98 304-way L2
+        /// arrays), but a single bounded run touches a few hundred ways, so the
+        /// checkpoint layer's restore-per-schedule loop must not pay a full-array
+        /// copy each time. While armed, the first mutation of each way logs its
+        /// pre-image (`epoch` marks "already logged this epoch" without any
+        /// per-arm clearing), and a revert rewinds exactly the logged ways plus
+        /// the LRU tick.
+        pub struct Journal {
+            /// Per-way mark: `epoch[slot] == cur` means the pre-image is already
+            /// in `undo` for the current epoch.
+            epoch: Vec<u32>,
+            pub cur: u32,
+            undo: Vec<SlotUndo>,
+            /// LRU tick at arm time (the tick advances on every probe, hit or
+            /// miss, so it is not covered by per-way pre-images).
+            tick0: u64,
+        }
+
+        impl Journal {
+            fn next_epoch(&mut self) {
+                self.undo.clear();
+                self.cur = self.cur.wrapping_add(1);
+                if self.cur == 0 {
+                    // Epoch counter wrapped (once per 2^32 arms): old marks could
+                    // alias the fresh epoch, so clear them all.
+                    self.epoch.fill(0);
+                    self.cur = 1;
+                }
+            }
+        }
+
+        /// Journal slot whose `Clone` yields a *disarmed* journal: snapshots are
+        /// inert copies of the arrays, and a journal is identity-tied to the live
+        /// array it was armed on, so cloning a hierarchy must not drag along (or
+        /// pay for) megabytes of epoch marks.
+        pub struct JournalSlot(pub Option<Box<Journal>>);
+
+        impl Clone for JournalSlot {
+            fn clone(&self) -> Self {
+                JournalSlot(None)
+            }
+        }
+
+        /// One set-associative tag array with LRU replacement. L1 arrays also track
+        /// a per-way dirty bit mirroring the directory's `dirty_in` field, which is
+        /// what lets the write-hit fast path in [`Hierarchy::access`] skip the
+        /// directory entirely.
+        #[derive(Clone)]
+        pub struct TagArray {
+            pub sets: usize,
+            pub ways: usize,
+            /// `sets * ways` tags; `EMPTY` marks an invalid way.
+            pub tags: Vec<u64>,
+            /// LRU stamps parallel to `tags`.
+            pub stamp: Vec<u64>,
+            /// Dirty bits parallel to `tags` (meaningful for L1 arrays only).
+            pub dirty: Vec<bool>,
+            pub tick: u64,
+            pub journal: JournalSlot,
+        }
+
+        impl TagArray {
+            pub fn new(cfg: CacheConfig) -> Self {
+                let sets = cfg.sets();
+                assert!(sets.is_power_of_two(), "cache sets must be a power of two");
+                TagArray {
+                    sets,
+                    ways: cfg.ways,
+                    tags: vec![EMPTY; sets * cfg.ways],
+                    stamp: vec![0; sets * cfg.ways],
+                    dirty: vec![false; sets * cfg.ways],
+                    tick: 0,
+                    journal: JournalSlot(None),
+                }
+            }
+
+            #[inline]
+            fn base(&self, line: u64) -> usize {
+                (line as usize & (self.sets - 1)) * self.ways
+            }
+
+            /// Record `slot`'s pre-image if the journal is armed and this is the
+            /// slot's first mutation of the epoch. Must be called before every
+            /// write to `tags`/`stamp`/`dirty`.
+            #[inline]
+            fn log(&mut self, slot: usize) {
+                if let Some(j) = self.journal.0.as_deref_mut() {
+                    if j.epoch[slot] != j.cur {
+                        j.epoch[slot] = j.cur;
+                        j.undo.push(SlotUndo {
+                            slot: slot as u32,
+                            tag: self.tags[slot],
+                            stamp: self.stamp[slot],
+                            dirty: self.dirty[slot],
+                        });
+                    }
+                }
+            }
+
+            /// Arm (or re-arm) the undo journal: from now until the next arm or
+            /// revert, mutated ways record their pre-images.
+            pub fn arm_journal(&mut self) {
+                let slots = self.tags.len();
+                let j = self.journal.0.get_or_insert_with(|| {
+                    Box::new(Journal {
+                        epoch: vec![0; slots],
+                        cur: 0,
+                        undo: Vec::new(),
+                        tick0: 0,
+                    })
+                });
+                j.next_epoch();
+                j.tick0 = self.tick;
+            }
+
+            /// Undo every way mutation since the journal was armed and re-arm for
+            /// the next epoch. O(ways touched since arming).
+            pub fn revert(&mut self) {
+                let j = self
+                    .journal
+                    .0
+                    .as_deref_mut()
+                    .expect("revert without an armed journal");
+                for u in &j.undo {
+                    let s = u.slot as usize;
+                    self.tags[s] = u.tag;
+                    self.stamp[s] = u.stamp;
+                    self.dirty[s] = u.dirty;
+                }
+                self.tick = j.tick0;
+                j.next_epoch();
+            }
+
+            /// Overwrite this array's state from `src` (same geometry), reusing
+            /// the existing allocations — the cold restore path.
+            pub fn copy_state_from(&mut self, src: &TagArray) {
+                debug_assert_eq!((self.sets, self.ways), (src.sets, src.ways));
+                self.tags.copy_from_slice(&src.tags);
+                self.stamp.copy_from_slice(&src.stamp);
+                self.dirty.copy_from_slice(&src.dirty);
+                self.tick = src.tick;
+            }
+
+            /// Set the dirty bit of an already-probed way (write upgrade on an L1
+            /// hit).
+            pub fn mark_dirty(&mut self, slot: usize) {
+                self.log(slot);
+                self.dirty[slot] = true;
+            }
+
+            /// Probe for `line`; on hit, refresh LRU and return the way slot.
+            pub fn probe(&mut self, line: u64) -> Option<usize> {
+                let b = self.base(line);
+                self.tick += 1;
+                for w in 0..self.ways {
+                    if self.tags[b + w] == line {
+                        self.log(b + w);
+                        self.stamp[b + w] = self.tick;
+                        return Some(b + w);
+                    }
+                }
+                None
+            }
+
+            /// Insert `line` with the given dirty state, evicting the LRU way if the
+            /// set is full. Returns the evicted line and whether it was dirty.
+            pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+                let b = self.base(line);
+                self.tick += 1;
+                let mut victim = 0;
+                let mut victim_stamp = u64::MAX;
+                for w in 0..self.ways {
+                    if self.tags[b + w] == line {
+                        // Already present (races with coherence bookkeeping).
+                        self.log(b + w);
+                        self.stamp[b + w] = self.tick;
+                        self.dirty[b + w] |= dirty;
+                        return None;
+                    }
+                    if self.tags[b + w] == EMPTY {
+                        self.log(b + w);
+                        self.tags[b + w] = line;
+                        self.stamp[b + w] = self.tick;
+                        self.dirty[b + w] = dirty;
+                        return None;
+                    }
+                    if self.stamp[b + w] < victim_stamp {
+                        victim_stamp = self.stamp[b + w];
+                        victim = w;
+                    }
+                }
+                self.log(b + victim);
+                let evicted = (self.tags[b + victim], self.dirty[b + victim]);
+                self.tags[b + victim] = line;
+                self.stamp[b + victim] = self.tick;
+                self.dirty[b + victim] = dirty;
+                Some(evicted)
+            }
+
+            /// Drop `line` if present (remote invalidation / inclusion victim).
+            pub fn invalidate(&mut self, line: u64) -> bool {
+                let b = self.base(line);
+                for w in 0..self.ways {
+                    if self.tags[b + w] == line {
+                        self.log(b + w);
+                        self.tags[b + w] = EMPTY;
+                        self.dirty[b + w] = false;
+                        return true;
+                    }
+                }
+                false
+            }
+
+            /// Clear the dirty bit of `line` if present (downgrade to shared).
+            pub fn clear_dirty(&mut self, line: u64) {
+                let b = self.base(line);
+                for w in 0..self.ways {
+                    if self.tags[b + w] == line {
+                        self.log(b + w);
+                        self.dirty[b + w] = false;
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    fn dense_way(d: &dense::TagArray, set: usize, w: usize) -> (u64, u64, bool) {
+        let s = set * d.ways + w;
+        (d.tags[s], d.stamp[s], d.dirty[s])
+    }
+
+    /// The sparse array against its dense definition, way by way.
+    fn assert_is(sparse: &TagArray, dense: &dense::TagArray, when: &str) {
+        assert_eq!(sparse.tick, dense.tick, "tick {when}");
+        for set in 0..sparse.sets {
+            for w in 0..sparse.ways {
+                let (s, d) = (way(sparse, set, w), dense_way(dense, set, w));
+                assert_eq!(s, d, "set {set} way {w} {when}");
+            }
+        }
+    }
+
+    /// Both arrays at one moment: what a revert or a restore must bring
+    /// back.
+    #[derive(Clone)]
+    struct Pair {
+        sparse: TagArray,
+        dense: dense::TagArray,
+    }
+
+    impl Pair {
+        fn new(cfg: CacheConfig) -> Pair {
+            Pair {
+                sparse: TagArray::new(cfg),
+                dense: dense::TagArray::new(cfg),
+            }
+        }
+
+        /// `Hierarchy::arm_journal`, on one array.
+        fn arm(&mut self) {
+            self.sparse.arm_journal();
+            self.dense.arm_journal();
+        }
+
+        /// The cold path of `Hierarchy::restore_from`, on one array.
+        fn cold_restore(&mut self, snap: &Pair) {
+            self.sparse.copy_state_from(&snap.sparse);
+            self.dense.copy_state_from(&snap.dense);
+            self.arm();
+        }
+
+        fn revert(&mut self) {
+            self.sparse.revert();
+            self.dense.revert();
+        }
+
+        /// Both arrays are, way for way, what `snap` holds.
+        fn assert_back_at(&self, snap: &Pair, when: &str) {
+            assert_is(&self.sparse, &self.dense, when);
+            assert_is(&self.sparse, &snap.dense, when);
+        }
+
+        /// One random cache operation on both, every observable compared.
+        fn step(&mut self, rng: &mut impl rand::Rng, lines: &[u64]) {
+            let line = lines[rng.gen_range(0..lines.len())];
+            match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    let (s, d) = (self.sparse.probe(line), self.dense.probe(line));
+                    assert_eq!(
+                        s.map(|(_, dirty)| dirty),
+                        d.map(|slot| self.dense.dirty[slot])
+                    );
+                    if let (Some((s, _)), Some(d), true) = (s, d, rng.gen_bool(0.4)) {
+                        self.sparse.mark_dirty(s);
+                        self.dense.mark_dirty(d);
+                    }
+                }
+                4..=6 => {
+                    let dirty = rng.gen_bool(0.3);
+                    let evicted = self.sparse.fill(line, dirty);
+                    assert_eq!(evicted, self.dense.fill(line, dirty), "fill {line:#x}");
+                }
+                7..=8 => assert_eq!(
+                    self.sparse.invalidate(line),
+                    self.dense.invalidate(line),
+                    "invalidate {line:#x}"
+                ),
+                _ => {
+                    self.sparse.clear_dirty(line);
+                    self.dense.clear_dirty(line);
+                }
+            }
+            assert_eq!(self.sparse.tick, self.dense.tick);
+        }
+    }
+
+    /// Lines that pile more than `ways` deep onto a few sets — among them
+    /// the last set of one group, the first of the next and the array's
+    /// last — so streams evict, and materialize groups one at a time.
+    fn contended_lines(cfg: CacheConfig) -> Vec<u64> {
+        let sets = cfg.sets() as u64;
+        let picks = [
+            0,
+            1,
+            GROUP_SETS as u64 - 1,
+            GROUP_SETS as u64,
+            sets / 2,
+            sets - 1,
+        ];
+        let depth = cfg.ways as u64 + 3;
+        picks
+            .iter()
+            .flat_map(|&set| (0..depth).map(move |k| (set % sets) + k * sets))
+            .collect()
+    }
+
+    fn oracle_geometries() -> [CacheConfig; 4] {
+        let (xeon, tiny) = (MachineConfig::xeon_e5405(), MachineConfig::tiny_test());
+        [xeon.l2, xeon.l1, tiny.l2, tiny.l1]
+    }
+
+    #[test]
+    fn sparse_array_matches_its_dense_definition_step_by_step() {
+        use rand::{Rng, SeedableRng};
+        for (g, cfg) in oracle_geometries().into_iter().enumerate() {
+            let lines = contended_lines(cfg);
+            for seed in 0..4u64 {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed * 16 + g as u64);
+                let mut p = Pair::new(cfg);
+                // What the armed journals rewind to, and a snapshot a cold
+                // restore can go back to (`Hierarchy::clone`).
+                let mut armed_at: Option<Pair> = None;
+                let mut snap: Option<Pair> = None;
+                for step in 0..3000 {
+                    match rng.gen_range(0..100u32) {
+                        0..=1 => {
+                            armed_at = Some(p.clone());
+                            p.arm();
+                        }
+                        2..=4 if armed_at.is_some() => {
+                            p.revert();
+                            let to = armed_at.as_ref().expect("armed");
+                            p.assert_back_at(to, &format!("after revert, step {step}"));
+                        }
+                        5 => snap = Some(p.clone()),
+                        6..=7 if snap.is_some() => {
+                            let to = snap.as_ref().expect("snapshot");
+                            p.cold_restore(to);
+                            p.assert_back_at(to, &format!("after restore, step {step}"));
+                            armed_at = snap.clone();
+                        }
+                        _ => p.step(&mut rng, &lines),
+                    }
+                }
+                assert_is(&p.sparse, &p.dense, "at the end");
+            }
+        }
+    }
+
+    /// The named hazard: snapshot, run, cold-restore (a mismatched id in
+    /// `Hierarchy::restore_from`), run, journalled revert — the array must
+    /// be back at the snapshot.
+    #[test]
+    fn revert_after_a_cold_restore_returns_to_the_snapshot() {
+        use rand::SeedableRng;
+        for cfg in oracle_geometries() {
+            let lines = contended_lines(cfg);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+            let mut p = Pair::new(cfg);
+            (0..400).for_each(|_| p.step(&mut rng, &lines));
+            let snap = p.clone();
+            p.arm();
+            (0..400).for_each(|_| p.step(&mut rng, &lines));
+            p.cold_restore(&snap);
+            p.assert_back_at(&snap, "after the cold restore");
+            (0..400).for_each(|_| p.step(&mut rng, &lines));
+            p.revert();
+            p.assert_back_at(&snap, "after the revert");
+        }
+    }
+
+    /// A snapshot's marks are dead data. Here they would bite: the clone is
+    /// taken in epoch 5 with ways marked 5, the epoch counter wraps, and the
+    /// cold restore re-arms into epoch 5 again — a way that arrived marked
+    /// would count as logged, and the revert would leave it as the run left
+    /// it.
+    #[test]
+    fn cold_restore_does_not_import_a_snapshots_marks() {
+        use rand::SeedableRng;
+        let cfg = MachineConfig::tiny_test().l1;
+        let lines = contended_lines(cfg);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        let mut p = Pair::new(cfg);
+        (0..5).for_each(|_| p.arm());
+        (0..200).for_each(|_| p.step(&mut rng, &lines));
+        let snap = p.clone();
+        let marked = |g: &Group| g.iter().any(|lanes| lanes.mark.contains(&5));
+        assert!(snap.sparse.groups.iter().flatten().any(marked));
+
+        // Wrap: the next arm clears the live marks and starts over at 1.
+        p.sparse.journal.0.as_mut().expect("armed").cur = u32::MAX;
+        p.dense.journal.0.as_mut().expect("armed").cur = u32::MAX;
+        (0..4).for_each(|_| p.arm());
+        (0..200).for_each(|_| p.step(&mut rng, &lines));
+        p.cold_restore(&snap);
+        assert_eq!(p.sparse.journal.0.as_ref().expect("armed").cur, 5);
+        (0..200).for_each(|_| p.step(&mut rng, &lines));
+        p.revert();
+        p.assert_back_at(&snap, "after the revert");
     }
 
     #[test]

@@ -38,11 +38,11 @@
 //! "a resumed fiber is the minimum" at every resume.
 //!
 //! Both backends therefore produce bit-identical reports and fingerprints;
-//! `TM_SIM_EXEC=fibers|threads` selects one explicitly (the fiber backend
-//! panics on unsupported targets). Single-thread runs skip hand-off
-//! machinery entirely on either backend: the closure runs on the caller
-//! under the run-scoped lock — the fiber event path with an infinite
-//! horizon.
+//! `TM_SIM_EXEC=fibers|threads` selects one explicitly (any other value,
+//! and `fibers` on an unsupported target, is refused: [`check_exec_env`]).
+//! Single-thread runs skip hand-off machinery entirely on either backend:
+//! the closure runs on the caller under the run-scoped lock — the fiber
+//! event path with an infinite horizon.
 
 use std::panic::AssertUnwindSafe;
 use std::ptr;
@@ -241,24 +241,31 @@ enum Backend {
     Threads,
 }
 
-fn backend_from_env() -> Backend {
-    match std::env::var("TM_SIM_EXEC") {
-        Ok(v) if v == "threads" => Backend::Threads,
-        Ok(v) if v == "fibers" => {
-            if !fiber::SUPPORTED {
-                panic!("TM_SIM_EXEC=fibers requested but the fiber backend needs x86-64 Linux");
-            }
-            Backend::Fibers
+/// The backend `TM_SIM_EXEC` selects (`fibers` where supported, else OS
+/// `threads`, when it is unset), or what is wrong with its value — the one
+/// place that knows the accepted spellings.
+fn backend_from_env() -> Result<Backend, String> {
+    let value = match std::env::var("TM_SIM_EXEC") {
+        Ok(value) => value,
+        Err(std::env::VarError::NotPresent) if fiber::SUPPORTED => return Ok(Backend::Fibers),
+        Err(std::env::VarError::NotPresent) => return Ok(Backend::Threads),
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    match value.as_str() {
+        "threads" => Ok(Backend::Threads),
+        "fibers" if fiber::SUPPORTED => Ok(Backend::Fibers),
+        "fibers" => {
+            Err("bad TM_SIM_EXEC 'fibers' (the fiber backend needs x86-64 Linux)".to_string())
         }
-        Ok(v) => panic!("TM_SIM_EXEC must be \"fibers\" or \"threads\", got {v:?}"),
-        Err(_) => {
-            if fiber::SUPPORTED {
-                Backend::Fibers
-            } else {
-                Backend::Threads
-            }
-        }
+        _ => Err(format!("bad TM_SIM_EXEC '{value}' (fibers|threads)")),
     }
+}
+
+/// Check the `TM_SIM_EXEC` environment variable the way [`Sim::new`] will
+/// read it. A front end calls this once at start-up and reports the
+/// message as a usage error; `Sim::new` itself panics with it.
+pub fn check_exec_env() -> Result<(), String> {
+    backend_from_env().map(drop)
 }
 
 /// A simulated machine plus scheduler. Create one per experiment
@@ -275,6 +282,7 @@ impl Sim {
     /// Build a simulator for one machine configuration. The executor
     /// backend is chosen here, once, from `TM_SIM_EXEC` (`fibers` where
     /// supported, else OS `threads`) — both produce bit-identical reports.
+    /// Panics on a value [`check_exec_env`] rejects.
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(
             cfg.cores <= 1 << TID_BITS,
@@ -298,7 +306,7 @@ impl Sim {
         Sim {
             shared,
             cfg,
-            backend: backend_from_env(),
+            backend: backend_from_env().unwrap_or_else(|bad| panic!("{bad}")),
         }
     }
 
@@ -568,8 +576,11 @@ impl Sim {
 }
 
 /// Frozen simulator state produced by [`Sim::snapshot`]: the machine image
-/// plus the trace cursor and the event/fingerprint counters. Restoring is
-/// `O(pages + cache tags)` and leaves the `Sim` exactly as captured, so a
+/// plus the trace cursor and the event/fingerprint counters. Capturing is
+/// `O(resident pages + materialized cache groups)`; restoring to the
+/// snapshot taken (or restored to) last is `O(resident pages + ways touched
+/// since)`, to any other what capturing costs. Either leaves the `Sim`
+/// exactly as captured, so a
 /// deterministic workload re-run from a snapshot is bit-identical to one
 /// from a fresh simulator that executed the same prefix.
 pub struct SimSnapshot {
@@ -1638,6 +1649,47 @@ mod tests {
         assert_eq!(r1.os_allocated, r2.os_allocated);
         assert_eq!((s.trace_hash(), s.events()), (h1, e1));
         assert_eq!(s.with_state(|m| (m.read_u64(0x100), m.read_u64(0x180))), v1);
+
+        // The same where the machine's representation is sparse: a workload
+        // that materializes, *after* the snapshot, cache groups, a page-table
+        // leaf and a middle node the snapshot lacks — replayed from a
+        // journalled restore and from a cold one.
+        let far_addr = |tid: u64, i: u64| {
+            let region = [0x4000_0000, 0x3_0000_0000, 0x100_0000_0000][(i % 3) as usize];
+            region + tid * 0x1_0000 + i * 0x140
+        };
+        let far = |ctx: &mut Ctx<'_>| {
+            for i in 0..40 {
+                let addr = far_addr(ctx.tid() as u64, i);
+                let v = ctx.read_u64(addr);
+                ctx.write_u64(addr, v + i + 1);
+                ctx.fetch_add_u64(0x180, 1);
+            }
+        };
+        let outcome = |s: &Sim| {
+            let report = s.run(3, far);
+            let memory = s.with_state(|m| {
+                let words = (0..3).flat_map(|tid| (0..40).map(move |i| far_addr(tid, i)));
+                let digest = words.fold(m.read_u64(0x180), |d, addr| {
+                    d.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ m.read_u64(addr)
+                });
+                (digest, m.resident_pages())
+            });
+            (format!("{report:?}"), s.trace_hash(), s.events(), memory)
+        };
+        s.restore(&snap);
+        let first = outcome(&s);
+        // Journalled path: the restore above left the journals armed for
+        // `snap`.
+        s.restore(&snap);
+        assert_eq!(outcome(&s), first);
+        // Cold path: a second snapshot takes the journals over, so going
+        // back to `snap` copies — and must reset the groups it lacks.
+        let later = s.snapshot(Some(&snap));
+        assert!(later.pages() > snap.pages());
+        s.run(1, |ctx| ctx.write_u64(0x5000_0000, 1));
+        s.restore(&snap);
+        assert_eq!(outcome(&s), first);
     }
 
     #[test]

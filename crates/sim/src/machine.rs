@@ -95,7 +95,8 @@ pub(crate) struct MachineState {
 }
 
 /// Frozen image of the whole machine: sparse memory (COW page snapshot),
-/// cache hierarchy, simulated locks, and the OS bump allocator. Captured
+/// cache hierarchy (its materialized tag groups), simulated locks, and the
+/// OS bump allocator. Captured
 /// and restored only at quiescence (no run in progress), so there is no
 /// in-flight per-thread state to save.
 pub struct MachineSnapshot {
@@ -171,7 +172,7 @@ impl MachineState {
             id,
         };
         // Arm the cache undo journal so a later restore to *this* snapshot
-        // reverts in place instead of re-copying the tag arrays.
+        // reverts in place instead of re-copying the materialized groups.
         self.caches.arm_journal(id);
         snap
     }

@@ -8,9 +8,15 @@
 //!
 //! Every simulated load and store lands here, so the page lookup is the
 //! single hottest data access in the system. Instead of a `HashMap` (hash +
-//! probe per access), pages hang off a two-level radix table — two array
-//! indexes — fronted by a one-entry last-page cache that turns the common
-//! run-of-accesses-to-one-page pattern into a single pointer compare.
+//! probe per access), pages hang off a three-level radix table — three
+//! array indexes — fronted by a one-entry last-page cache that turns the
+//! common run-of-accesses-to-one-page pattern into a single pointer compare.
+//!
+//! The radix nodes are small (16 KB, 16 KB and 8 KB) and exist only along
+//! paths that lead to a page: a fresh memory is one empty root, the first
+//! touch of a region adds at most one node per level below it, and dropping
+//! the memory visits only the nodes that exist. An absent node reads as
+//! zeros, like the absent pages under it.
 
 use std::sync::Arc;
 
@@ -20,19 +26,42 @@ const WORDS_PER_PAGE: usize = (PAGE_BYTES / 8) as usize;
 
 type Page = [u64; WORDS_PER_PAGE];
 
-/// log2 of pages per chunk (second radix level).
-const CHUNK_SHIFT: u64 = 16;
-const CHUNK_PAGES: usize = 1 << CHUNK_SHIFT;
-/// Number of root entries (first radix level). Together: 16 + 16 + 12 = 44
-/// bits of addressable space (16 TiB), far above the 4 GiB-based OS bump
-/// allocator; `os_alloc` asserts the bound.
-const ROOT_ENTRIES: usize = 1 << 16;
+/// Bits of the page number each radix level indexes with. Together:
+/// 11 + 11 + 10 + 12 = 44 bits of addressable space (16 TiB), far above the
+/// 4 GiB-based OS bump allocator; `os_alloc` asserts the bound.
+const ROOT_BITS: u64 = 11;
+const MID_BITS: u64 = 11;
+const LEAF_BITS: u64 = 10;
 
 /// Addresses at or above this cannot be materialized (reads return zero,
 /// like any other unmapped address; writes panic).
-pub(crate) const ADDR_LIMIT: u64 = (ROOT_ENTRIES as u64) << (CHUNK_SHIFT + PAGE_SHIFT);
+pub(crate) const ADDR_LIMIT: u64 = 1 << (ROOT_BITS + MID_BITS + LEAF_BITS + PAGE_SHIFT);
 
-type Chunk = Box<[Option<Box<Page>>]>;
+/// 1024 pages: 4 MiB of simulated memory behind 8 KB of pointers.
+type Leaf = [Option<Box<Page>>; 1 << LEAF_BITS];
+/// 2048 leaves: 8 GiB behind 16 KB.
+type Mid = [Option<Box<Leaf>>; 1 << MID_BITS];
+/// 2048 middle nodes: the whole 16 TiB behind 16 KB.
+type Root = [Option<Box<Mid>>; 1 << ROOT_BITS];
+
+/// An empty radix node, built on the heap (simulated stores run on fiber
+/// stacks; a node must never pass through one).
+fn node<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
+    vec![None; N]
+        .into_boxed_slice()
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("the slice has N entries"))
+}
+
+/// `page`'s index at the root, middle and leaf level.
+#[inline]
+fn indexes(page: u64) -> (usize, usize, usize) {
+    (
+        (page >> (MID_BITS + LEAF_BITS)) as usize,
+        (page >> LEAF_BITS) as usize & ((1 << MID_BITS) - 1),
+        page as usize & ((1 << LEAF_BITS) - 1),
+    )
+}
 
 /// Frozen image of the materialized page set at one point in time
 /// (see [`Memory::snapshot`]).
@@ -60,12 +89,15 @@ impl MemSnapshot {
 /// Lazily-populated sparse memory. Unwritten words read as zero, like fresh
 /// anonymous mmap pages.
 pub struct Memory {
-    root: Vec<Option<Chunk>>,
-    /// Last-page cache: page id + raw pointer to its storage. `Box` targets
-    /// are address-stable and pages are never freed while the `Memory`
-    /// lives (restore only drops pages materialized *after* the snapshot,
-    /// and invalidates this cache), so the pointer stays valid; it is only
-    /// dereferenced through `&mut self`, so no aliasing can occur.
+    root: Box<Root>,
+    /// Last-page cache: page id + raw pointer to its storage. The pointer
+    /// targets the page's own `Box`, whose address does not depend on the
+    /// radix nodes above it (which are themselves boxed, never moved and
+    /// never freed while the `Memory` lives). A page is freed in exactly
+    /// one place — `restore` dropping pages materialized *after* the
+    /// snapshot — and `restore` invalidates this cache, so the pointer
+    /// stays valid; it is only dereferenced through `&mut self`, so no
+    /// aliasing can occur.
     last_page: u64,
     last_ptr: *mut Page,
     resident: usize,
@@ -88,7 +120,7 @@ impl Default for Memory {
 impl Memory {
     pub fn new() -> Self {
         Memory {
-            root: vec![None; ROOT_ENTRIES],
+            root: node(),
             last_page: u64::MAX,
             last_ptr: std::ptr::null_mut(),
             resident: 0,
@@ -110,24 +142,25 @@ impl Memory {
             // Safe: see `last_ptr` invariant above.
             return unsafe { (*self.last_ptr)[idx] };
         }
-        let root_idx = (page >> CHUNK_SHIFT) as usize;
-        if root_idx >= ROOT_ENTRIES {
-            return 0; // beyond the radix range == never written
-        }
-        match &mut self.root[root_idx] {
-            Some(chunk) => match &mut chunk[(page & (CHUNK_PAGES as u64 - 1)) as usize] {
-                Some(p) => {
-                    self.last_page = page;
-                    self.last_ptr = p.as_mut() as *mut Page;
-                    p[idx]
-                }
-                None => 0,
-            },
-            None => 0,
-        }
+        let (r, m, l) = indexes(page);
+        // An index beyond the root is an address beyond `ADDR_LIMIT`; it
+        // and an absent node or page all mean "never written".
+        let Some(p) = self
+            .root
+            .get_mut(r)
+            .and_then(|mid| mid.as_deref_mut())
+            .and_then(|mid| mid[m].as_deref_mut())
+            .and_then(|leaf| leaf[l].as_deref_mut())
+        else {
+            return 0;
+        };
+        self.last_page = page;
+        self.last_ptr = p as *mut Page;
+        p[idx]
     }
 
-    /// Write the aligned word at `addr`, materializing its page on demand.
+    /// Write the aligned word at `addr`, materializing its page (and the
+    /// radix nodes above it) on demand.
     #[inline]
     pub fn write(&mut self, addr: u64, val: u64) {
         let (page, idx) = Self::split(addr);
@@ -139,10 +172,8 @@ impl Memory {
             addr < ADDR_LIMIT,
             "simulated write at {addr:#x} beyond the {ADDR_LIMIT:#x} address-space bound"
         );
-        let root_idx = (page >> CHUNK_SHIFT) as usize;
-        let chunk =
-            self.root[root_idx].get_or_insert_with(|| vec![None; CHUNK_PAGES].into_boxed_slice());
-        let slot = &mut chunk[(page & (CHUNK_PAGES as u64 - 1)) as usize];
+        let (r, m, l) = indexes(page);
+        let slot = &mut self.root[r].get_or_insert_with(node)[m].get_or_insert_with(node)[l];
         let p = match slot {
             Some(p) => p,
             None => {
@@ -162,13 +193,13 @@ impl Memory {
         self.resident
     }
 
+    /// The radix slot of a page the materialization log names.
     #[inline]
     fn slot_mut(&mut self, page: u64) -> &mut Option<Box<Page>> {
-        let root_idx = (page >> CHUNK_SHIFT) as usize;
-        let chunk = self.root[root_idx]
-            .as_mut()
-            .expect("materialized page has a chunk");
-        &mut chunk[(page & (CHUNK_PAGES as u64 - 1)) as usize]
+        let (r, m, l) = indexes(page);
+        let mid = self.root[r].as_deref_mut();
+        let leaf = mid.and_then(|mid| mid[m].as_deref_mut());
+        &mut leaf.expect("a logged page has its radix nodes")[l]
     }
 
     /// Capture every materialized page. With a `parent` snapshot of the
@@ -335,6 +366,83 @@ mod tests {
         assert_eq!(m.read(0x2000), 0);
         m.write(0x2000, 5);
         assert_eq!(m.read(0x2000), 5);
+    }
+
+    /// Word addresses on both sides of every kind of radix boundary: page
+    /// to page inside a leaf, leaf to leaf, middle node to middle node, the
+    /// lowest and the highest materializable word.
+    fn straddling_addrs() -> Vec<u64> {
+        let leaf_span = 1u64 << (LEAF_BITS + PAGE_SHIFT);
+        let mid_span = leaf_span << MID_BITS;
+        let mut addrs = vec![0, 8, PAGE_BYTES - 8, PAGE_BYTES, ADDR_LIMIT - 8];
+        for edge in [
+            leaf_span,
+            5 * leaf_span,
+            mid_span,
+            3 * mid_span,
+            ADDR_LIMIT - mid_span,
+        ] {
+            addrs.extend([edge - PAGE_BYTES, edge - 8, edge, edge + PAGE_BYTES]);
+        }
+        addrs
+    }
+
+    #[test]
+    fn memory_matches_a_map_across_every_node_boundary() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::{HashMap, HashSet};
+        let addrs = straddling_addrs();
+        for seed in 0..8u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut m = Memory::new();
+            // The model: word values, and which pages a write has touched.
+            let mut words: HashMap<u64, u64> = HashMap::new();
+            let mut pages: HashSet<u64> = HashSet::new();
+            // Snapshots still restorable, oldest first, each with the model
+            // it froze; the newest is the COW parent of the next.
+            let mut snaps: Vec<(MemSnapshot, HashMap<u64, u64>, HashSet<u64>)> = Vec::new();
+            for _ in 0..600 {
+                let addr = addrs[rng.gen_range(0..addrs.len())];
+                match rng.gen_range(0..20u32) {
+                    0 => {
+                        let snap = m.snapshot(snaps.last().map(|(s, ..)| s));
+                        assert_eq!(snap.pages(), pages.len());
+                        // Idempotence: nothing changed, so restoring and
+                        // capturing again copies no page.
+                        m.restore(&snap);
+                        let again = m.snapshot(Some(&snap));
+                        assert_eq!(again.pages.len(), snap.pages.len());
+                        for ((a, pa), (b, pb)) in again.pages.iter().zip(&snap.pages) {
+                            assert!(a == b && Arc::ptr_eq(pa, pb), "page {a:#x} was copied");
+                        }
+                        snaps.push((snap, words.clone(), pages.clone()));
+                    }
+                    1 if !snaps.is_empty() => {
+                        // Back to a random snapshot; the ones after it are
+                        // newer than the memory now and cannot be used.
+                        snaps.truncate(rng.gen_range(0..snaps.len()) + 1);
+                        let (snap, w, p) = snaps.last().expect("kept one");
+                        m.restore(snap);
+                        (words, pages) = (w.clone(), p.clone());
+                    }
+                    2..=9 => {
+                        let val = rng.gen_range(0..4u64); // zeros too
+                        m.write(addr, val);
+                        words.insert(addr, val);
+                        pages.insert(addr >> PAGE_SHIFT);
+                    }
+                    _ => assert_eq!(m.read(addr), words.get(&addr).copied().unwrap_or(0)),
+                }
+                assert_eq!(m.resident_pages(), pages.len());
+                // At and beyond the limit nothing is ever mapped.
+                assert_eq!(m.read(ADDR_LIMIT), 0);
+                assert_eq!(m.read(ADDR_LIMIT + (addr & !7)), 0);
+                assert_eq!(m.read(!7), 0); // the last word there is
+            }
+            for &addr in &addrs {
+                assert_eq!(m.read(addr), words.get(&addr).copied().unwrap_or(0));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,32 @@
 //! Property tests of the simulated memory and cache model.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
-use tm_sim::{MachineConfig, Sim};
+use tm_sim::{MachineConfig, Sim, SimSnapshot};
+
+/// The simulated address space ends here (`tm_sim`'s private
+/// `memory::ADDR_LIMIT`): 44 bits, split 11/11/10 over a three-level page
+/// radix above 4 KiB pages.
+const ADDR_LIMIT: u64 = 1 << 44;
+
+/// Word addresses on both sides of every kind of radix boundary: page to
+/// page, leaf to leaf (4 MiB), middle node to middle node (8 GiB), the
+/// lowest and the highest word that can exist.
+fn straddling_addrs() -> Vec<u64> {
+    let (page, leaf_span, mid_span) = (1u64 << 12, 1u64 << 22, 1u64 << 33);
+    let mut addrs = vec![0, 8, page - 8, page, ADDR_LIMIT - 8];
+    for edge in [
+        leaf_span,
+        5 * leaf_span,
+        mid_span,
+        3 * mid_span,
+        ADDR_LIMIT - mid_span,
+    ] {
+        addrs.extend([edge - page, edge - 8, edge, edge + page]);
+    }
+    addrs
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -77,5 +102,59 @@ proptest! {
             r.cycles
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+
+    /// The whole machine's memory against a map, from outside: untimed
+    /// reads and writes through `Sim::with_state` on addresses that
+    /// straddle every node boundary of the page radix, interleaved with
+    /// `Sim::snapshot` (each the COW child of the one before) and
+    /// `Sim::restore`.
+    #[test]
+    fn memory_matches_a_map_through_snapshots_and_restores(
+        ops in prop::collection::vec((0usize..25, 0u64..4, 0u32..20), 1..300),
+    ) {
+        let addrs = straddling_addrs();
+        prop_assert_eq!(addrs.len(), 25);
+        let sim = Sim::new(MachineConfig::tiny_test());
+        let mut words: HashMap<u64, u64> = HashMap::new();
+        let mut pages: HashSet<u64> = HashSet::new();
+        // Snapshots still restorable, oldest first, with the model each froze.
+        let mut snaps: Vec<(SimSnapshot, HashMap<u64, u64>, HashSet<u64>)> = Vec::new();
+        for (pick, val, what) in ops {
+            let addr = addrs[pick];
+            match what {
+                0 => {
+                    let snap = sim.snapshot(snaps.last().map(|(s, ..)| s));
+                    prop_assert_eq!(snap.pages(), pages.len());
+                    snaps.push((snap, words.clone(), pages.clone()));
+                }
+                1 if !snaps.is_empty() => {
+                    // Later snapshots are newer than the machine now.
+                    snaps.truncate(val as usize % snaps.len() + 1);
+                    let (snap, w, p) = snaps.last().expect("kept one");
+                    sim.restore(snap);
+                    (words, pages) = (w.clone(), p.clone());
+                }
+                2..=9 => {
+                    sim.with_state(|m| m.write_u64(addr, val)); // zeros too
+                    words.insert(addr, val);
+                    pages.insert(addr >> 12);
+                }
+                _ => {
+                    let expect = words.get(&addr).copied().unwrap_or(0);
+                    prop_assert_eq!(sim.with_state(|m| m.read_u64(addr)), expect);
+                }
+            }
+            prop_assert_eq!(sim.with_state(|m| m.resident_pages()), pages.len());
+            // At and beyond the limit nothing is ever mapped.
+            let beyond = sim.with_state(|m| {
+                m.read_u64(ADDR_LIMIT) | m.read_u64(ADDR_LIMIT + addr) | m.read_u64(!7)
+            });
+            prop_assert_eq!(beyond, 0);
+        }
+        for &addr in &addrs {
+            let expect = words.get(&addr).copied().unwrap_or(0);
+            prop_assert_eq!(sim.with_state(|m| m.read_u64(addr)), expect);
+        }
     }
 }

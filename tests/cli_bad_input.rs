@@ -43,3 +43,37 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
         assert!(error[0].contains(flag), "{argv:?}: {stderr}");
     }
 }
+
+/// The environment is input too: a `TM_SIM_EXEC` no executor answers to
+/// must be refused up front, not reach the panic in `Sim::new` (exit 101
+/// and a backtrace).
+#[test]
+fn a_bad_tm_sim_exec_is_a_one_line_usage_error_on_every_subcommand() {
+    let runs: &[&[&str]] = &[
+        &[
+            "synth",
+            "--structure",
+            "list",
+            "--alloc",
+            "glibc",
+            "--threads",
+            "2",
+        ],
+        &["mc", "--quick", "--out", "/dev/null/x.json"],
+        &["machine"],
+    ];
+    for argv in runs {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .args(*argv)
+            .env("TM_SIM_EXEC", "bogus")
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(
+            stderr, "error: bad TM_SIM_EXEC 'bogus' (fibers|threads)\n",
+            "{argv:?}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} ran");
+    }
+}
