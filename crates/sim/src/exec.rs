@@ -9,46 +9,59 @@
 //! which keeps the event rate (and host-side synchronization) proportional
 //! to the number of *shared* operations only.
 //!
-//! Two execution backends implement the same decision procedure
-//! (`Inner::next_turn`, one scan over one packed key per thread):
+//! There is one scheduler and one code path through it. Exactly one logical
+//! thread — or the driver, the context that called [`Sim::run`] — *holds
+//! the turn* at any instant, under a scheduler lock taken once per run. A
+//! thread that is not the minimum scans once (`Inner::next_turn`, one pass
+//! over one packed key per thread) and hands the turn *straight to the
+//! thread that is*, with that thread's **horizon** — the runner-up's key.
+//! The resumed thread neither rescans nor re-checks: it stays the minimum
+//! while its own key is below that horizon, so each of its events costs one
+//! compare, and only crossing the horizon costs a scan and a hand-off. The
+//! driver starts the first thread and gets the turn back only when nothing
+//! is runnable: completion, or a virtual deadlock, which it reports after
+//! unwinding the blocked threads one at a time. So whatever a thread does
+//! between two hand-offs — events *and* host-side work, such as allocator
+//! metadata behind a host mutex — runs alone and in hand-off order. The
+//! rule that buys: never wait on the host for a peer (it cannot run until
+//! you hand the turn on), and never hold a host lock across an event.
 //!
-//! * **Fibers** (default on x86-64 Linux): all logical threads run as
-//!   stackful coroutines on the calling OS thread, and the scheduler lock
-//!   is taken once per run instead of once per event. A thread that is not
-//!   the minimum scans once and switches *straight to the thread that is*,
-//!   handing it its **horizon** — the runner-up's key. The resumed thread
-//!   neither rescans nor re-checks: it stays the minimum while its own key
-//!   is below that horizon, so each of its events costs one compare, and
-//!   only crossing the horizon costs a scan and a ~20 ns context switch.
-//!   The driver starts the first fiber and gets control back only when
-//!   nothing is runnable: completion, or the virtual-deadlock assert.
-//! * **OS threads** (fallback; force with `TM_SIM_EXEC=threads`): one OS
-//!   thread per logical thread, serialized by one mutex and per-core
-//!   condvars, deciding afresh at every event. The reference the fiber
-//!   backend is tested against.
+//! The two backends differ in how they spawn threads, in what `hand_off`
+//! does, and in whether they trust a horizon — nowhere else:
 //!
-//! When a cached horizon may be trusted: (1) all fibers share one OS
-//! thread, so while a fiber runs, no other thread's key can change except
-//! by that fiber's own doing; (2) the only thing it does to another key is
-//! wake a waiter in `unlock` — the waiter re-enters at the releaser's
-//! clock and, with a lower tid, precedes it — so `unlock` zeroes the
-//! horizon and the next event scans again; (3) every other way of gaining
-//! control is a resume by a peer (or the driver) that has just scanned and
-//! left a fresh horizon, which holds because of (1). Debug builds assert
-//! "a resumed fiber is the minimum" at every resume.
+//! * **Fibers** (default on x86-64 Linux): stackful coroutines on the
+//!   calling OS thread; a hand-off is a ~20 ns assembly context switch.
+//! * **OS threads** (fallback; force with `TM_SIM_EXEC=threads`): one
+//!   scoped OS thread per logical thread; a hand-off passes a baton — one
+//!   atomic word naming who holds the turn — and parks until it comes
+//!   back. The reference the fiber backend is tested against, so it trusts
+//!   no cached horizon: every horizon it is handed is 0, and it decides
+//!   afresh with `next_turn` at every event.
 //!
-//! Both backends therefore produce bit-identical reports and fingerprints;
-//! `TM_SIM_EXEC=fibers|threads` selects one explicitly (any other value,
-//! and `fibers` on an unsupported target, is refused: [`check_exec_env`]).
-//! Single-thread runs skip hand-off machinery entirely on either backend:
-//! the closure runs on the caller under the run-scoped lock — the fiber
-//! event path with an infinite horizon.
+//! When a cached horizon may be trusted: (1) only the holder of the turn
+//! runs, so no other thread's key can change except by the holder's own
+//! doing; (2) the only thing it does to another key is wake a waiter in
+//! `unlock` — the waiter re-enters at the releaser's clock and, with a
+//! lower tid, precedes it — so `unlock` zeroes the horizon and the next
+//! event scans again; (3) every other way of gaining control is a resume
+//! by a peer (or the driver) that has just scanned and left a fresh
+//! horizon, which holds because of (1). Debug builds assert "a resumed
+//! thread is the minimum" at every resume, on both backends.
+//!
+//! `TM_SIM_EXEC=fibers|threads` selects a backend explicitly (any other
+//! value, and `fibers` on an unsupported target, is refused:
+//! [`check_exec_env`]). Single-thread runs skip hand-off machinery entirely
+//! on either backend: the closure runs on the caller — the same event path
+//! with an infinite horizon.
 
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::ptr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 use tm_obs::{EventKind, Obs};
 
 use crate::cache::CacheStats;
@@ -99,13 +112,13 @@ struct Inner {
     time: Vec<u64>,
     /// Scheduling key per thread: [`sched_key`] of its clock while
     /// runnable, [`PARKED`] otherwise. The one representation of "runnable,
-    /// and when" that both backends decide on; written only by
+    /// and when" that every decision is made on; written only by
     /// `flush`/`publish`/`park`/`wake`. It is the clock a thread has
     /// *published*: exact whenever another thread can look — a thread
-    /// flushes before it waits for its turn, and parks before it blocks or
+    /// flushes before it hands the turn on, and parks before it blocks or
     /// finishes — while `commit` leaves it behind the clock until the next
-    /// flush (fibers: nobody else runs in between) or until the thread lets
-    /// go of the scheduler mutex (OS threads: `notify_next` publishes).
+    /// flush (nobody else runs in between: only the holder of the turn
+    /// does).
     key: Vec<u64>,
     state: Vec<TState>,
     /// Remaining scheduler events before the run panics with
@@ -138,13 +151,12 @@ pub const FUEL_EXHAUSTED: &str = "virtual-time fuel exhausted";
 pub type SchedHook = dyn Fn(usize, u64) -> u64 + Send + Sync;
 
 impl Inner {
-    /// The one decision procedure, shared by both backends: who executes
-    /// next, and for how long may it go on without looking again? One
-    /// branch-free pass over the keys finds the two smallest: the minimum
-    /// names the thread, and the runner-up is its *horizon* — it stays the
-    /// minimum while its own key is below that, as long as nobody else's
-    /// key moves ([`PARKED`] when it has no rival). `None` when no thread
-    /// is runnable.
+    /// The one decision procedure: who executes next, and for how long may
+    /// it go on without looking again? One branch-free pass over the keys
+    /// finds the two smallest: the minimum names the thread, and the
+    /// runner-up is its *horizon* — it stays the minimum while its own key
+    /// is below that, as long as nobody else's key moves ([`PARKED`] when
+    /// it has no rival). `None` when no thread is runnable.
     #[inline]
     fn next_turn(&self) -> Option<(usize, u64)> {
         let (mut first, mut second) = (PARKED, PARKED);
@@ -193,7 +205,8 @@ impl Inner {
     /// fingerprint: the pending-flush of a thread that immediately blocks
     /// on a held lock (overwritten by the release, or committed here at
     /// wake-up), and the final flush of a finishing thread (not an event:
-    /// it happens whenever the host gets there, not at the thread's turn).
+    /// it happens as soon as the closure returns, not when the thread's
+    /// clock is the minimum).
     #[inline]
     fn commit(&mut self, tid: usize, t: u64) {
         self.time[tid] = t;
@@ -222,10 +235,8 @@ impl Inner {
 }
 
 struct Shared {
+    /// Locked once per [`Sim::run`], for all of it; never per event.
     inner: Mutex<Inner>,
-    /// One condvar per core so a scheduling hand-off wakes exactly one
-    /// thread instead of stampeding all of them (OS-thread backend only).
-    cvs: Vec<Condvar>,
     /// Observability context (named metrics + event trace), sized to the
     /// machine's core count and shared with every layer built on top.
     obs: Arc<Obs>,
@@ -299,7 +310,6 @@ impl Sim {
                 events: 0,
                 hash: 0,
             }),
-            cvs: (0..cfg.cores).map(|_| Condvar::new()).collect(),
             obs: Arc::new(Obs::new(cfg.cores)),
             sched_hook: Mutex::new(None),
         });
@@ -423,36 +433,47 @@ impl Sim {
             "cannot run {n} threads on {} simulated cores",
             self.cfg.cores
         );
-        let (stats_before, locks_before, os_before) = {
-            let mut g = self.shared.inner.lock();
-            g.time = vec![0; n];
-            g.key = (0..n).map(|tid| sched_key(0, tid)).collect();
-            g.state = vec![TState::Runnable; n];
-            for l in &g.machine.locks {
-                assert!(l.holder.is_none(), "lock held across run boundary");
-            }
-            let sb: Vec<CacheStats> = (0..self.cfg.cores)
-                .map(|c| g.machine.caches.stats(c))
-                .collect();
-            (sb, g.machine.lock_stats(), g.machine.os_allocated)
-        };
+        // The one lock of the run; its threads reach `Inner` by raw pointer.
+        let mut g = self.shared.inner.lock();
+        g.time = vec![0; n];
+        g.key = (0..n).map(|tid| sched_key(0, tid)).collect();
+        g.state = vec![TState::Runnable; n];
+        for l in &g.machine.locks {
+            assert!(l.holder.is_none(), "lock held across run boundary");
+        }
+        let stats_before: Vec<CacheStats> = (0..self.cfg.cores)
+            .map(|c| g.machine.caches.stats(c))
+            .collect();
+        let (locks_before, os_before) = (g.machine.lock_stats(), g.machine.os_allocated);
 
         // Resolved once per run (`set_sched_hook` must not race a run), so
         // `Ctx::sched_point` is a null check and a direct call.
         let hook = self.shared.sched_hook.lock().clone();
-        let hook = hook.as_deref();
+        let mut rt = Rt {
+            inner: &mut *g,
+            n,
+            shared: &self.shared,
+            hook: hook.as_deref(),
+            horizon: 0,
+            trust: 0,
+            deadlocked: false,
+            panic: None,
+            turn: AtomicUsize::new(n),
+            switch: Switch::Fibers(Vec::new()),
+        };
         if n == 1 {
             // Single thread: it is trivially always the minimum, so no
-            // hand-off machinery at all — the closure runs on the caller
-            // under the run-scoped lock, with an infinite horizon.
-            self.run_solo(hook, &f);
-        } else if self.backend == Backend::Fibers {
-            self.run_fibers(n, hook, &f);
+            // hand-off machinery at all — the closure runs on the caller,
+            // with an infinite horizon.
+            // SAFETY: `rt` is live, and this thread alone reaches it.
+            let mut ctx = unsafe { Ctx::new(0, &mut rt, PARKED) };
+            f(&mut ctx);
+            ctx.finish();
         } else {
-            self.run_threads(n, hook, &f);
+            // SAFETY: as above.
+            unsafe { self.run_handing_off(&mut rt, &f) };
         }
 
-        let g = self.shared.inner.lock();
         let cycles = g.time.iter().copied().max().unwrap_or(0);
         let mut per_core = Vec::with_capacity(n);
         let mut total = CacheStats::default();
@@ -485,91 +506,49 @@ impl Sim {
         }
     }
 
-    fn run_solo<F>(&self, hook: Option<&SchedHook>, f: &F)
+    /// A run of more than one logical thread: spawn them suspended, let the
+    /// driver hand the turn round until all are done, and re-raise what went
+    /// wrong.
+    ///
+    /// # Safety
+    /// `rt` must point to a fresh run's state that only the caller reaches.
+    /// It, `boots` and the fiber stacks outlive every thread of the run:
+    /// `drive` returns once each has handed the turn on for good, and the
+    /// scope joins its OS threads.
+    unsafe fn run_handing_off<'a, F>(&self, rt: *mut Rt<'a>, f: &'a F)
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
-        let mut g = self.shared.inner.lock();
-        let mut ctx = Ctx::new(0, 1, &self.shared, hook);
-        ctx.inner = &mut *g;
-        ctx.horizon = PARKED;
-        f(&mut ctx);
-        ctx.finish();
-    }
-
-    fn run_threads<F>(&self, n: usize, hook: Option<&SchedHook>, f: &F)
-    where
-        F: Fn(&mut Ctx<'_>) + Sync,
-    {
-        std::thread::scope(|s| {
-            let shared = &*self.shared;
-            let workers: Vec<_> = (0..n)
-                .map(|tid| {
-                    s.spawn(move || {
-                        let mut ctx = Ctx::new(tid, n, shared, hook);
-                        f(&mut ctx);
-                        ctx.finish();
-                    })
-                })
-                .collect();
-            join_reraising(workers);
-        });
-    }
-
-    fn run_fibers<F>(&self, n: usize, hook: Option<&SchedHook>, f: &F)
-    where
-        F: Fn(&mut Ctx<'_>) + Sync,
-    {
-        // The scheduler lock is held for the whole run; fibers reach the
-        // machine through a raw pointer. The discipline that makes this
-        // sound: references into `Inner`/`FiberRt` are created fresh after
-        // every context switch and never held across one.
-        let mut g = self.shared.inner.lock();
-        let inner_ptr: *mut Inner = &mut *g;
-        let mut rt = FiberRt {
-            inner: inner_ptr,
-            driver_sp: ptr::null_mut(),
-            sps: vec![ptr::null_mut(); n],
-            horizon: 0,
-            panic: None,
-        };
-        let rt_ptr: *mut FiberRt = &mut rt;
-        let boots: Vec<FiberBoot<'_, F>> = (0..n)
-            .map(|tid| FiberBoot {
-                rt: rt_ptr,
-                shared: &self.shared,
-                hook,
-                f,
-                tid,
-                n,
-            })
-            .collect();
-        let fibers: Vec<fiber::Fiber> = boots
-            .iter()
-            .map(|b| fiber::Fiber::spawn(fiber_main::<F>, b as *const FiberBoot<'_, F> as *mut u8))
-            .collect();
-        // SAFETY: `rt`, `boots` and the fiber stacks outlive every switch
-        // below; references into `Inner`/`FiberRt` are scoped to single
-        // statements, so none is live across a switch. The driver starts
-        // the first fiber and is resumed exactly once, by the fiber that
-        // finds nothing runnable (`yield_turn`).
-        unsafe {
-            for (t, fb) in fibers.iter().enumerate() {
-                (&mut *rt_ptr).sps[t] = fb.sp();
+        let boots: Vec<Boot<'_, F>> = (0..(*rt).n).map(|tid| Boot { rt, f, tid }).collect();
+        match self.backend {
+            Backend::Fibers => {
+                let spawn = |b| fiber::Fiber::spawn(fiber_main::<F>, ptr::from_ref(b) as *mut u8);
+                let fibers: Vec<fiber::Fiber> = boots.iter().map(spawn).collect();
+                let sps = fibers.iter().map(fiber::Fiber::sp).chain([ptr::null_mut()]);
+                (*rt).switch = Switch::Fibers(sps.map(Cell::new).collect());
+                (*rt).trust = u64::MAX;
+                drive(rt);
             }
-            let (first, horizon) = { (&*inner_ptr).next_turn() }.expect("a fresh run is runnable");
-            (*rt_ptr).horizon = horizon;
-            let to = { (&*rt_ptr).sps[first] };
-            fiber::switch(ptr::addr_of_mut!((*rt_ptr).driver_sp), to);
-            assert!(
-                (&*inner_ptr).state.iter().all(|s| *s == TState::Done),
-                "virtual deadlock: every unfinished thread is blocked on a simulated lock"
-            );
+            Backend::Threads => std::thread::scope(|s| {
+                let turn = &(*rt).turn;
+                let mut handles = Vec::with_capacity(boots.len() + 1);
+                for b in &boots {
+                    let worker = s.spawn(move || {
+                        await_turn(turn, b.tid);
+                        thread_main(b);
+                    });
+                    handles.push(worker.thread().clone());
+                }
+                handles.push(std::thread::current());
+                (*rt).switch = Switch::Threads(handles);
+                drive(rt);
+            }),
         }
-        drop(fibers);
-        drop(boots);
-        drop(g);
-        if let Some(p) = rt.panic.take() {
+        assert!(
+            !(*rt).deadlocked,
+            "virtual deadlock: every unfinished thread is blocked on a simulated lock"
+        );
+        if let Some(p) = (*rt).panic.take() {
             std::panic::resume_unwind(p);
         }
     }
@@ -603,112 +582,205 @@ impl SimSnapshot {
     }
 }
 
-/// Join the OS-thread backend's workers by hand: the scope's own join would
-/// replace a worker's panic payload with "a scoped thread panicked", and
-/// callers classify runs by it ([`FUEL_EXHAUSTED`]), as on the fiber
-/// backend. Not generic, so it is compiled once, not per workload closure.
-fn join_reraising(workers: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
-    let mut panic = None;
-    for w in workers {
-        if let Err(p) = w.join() {
-            panic.get_or_insert(p);
-        }
-    }
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p);
-    }
-}
-
-/// Driver-side state of a fiber run; lives on the driver's stack and is
-/// reached from fibers through a raw pointer.
-struct FiberRt {
+/// State of a run; lives on the driver's stack and, like `Inner`, is reached
+/// from the run's threads through a raw pointer. Only the holder of the turn
+/// touches either, and it gives the turn up only in [`hand_off`]: references
+/// into them are created fresh after every hand-off, never held across one.
+struct Rt<'a> {
     inner: *mut Inner,
-    /// Saved driver context while fibers run.
-    driver_sp: *mut u8,
-    /// Saved context per suspended fiber.
-    sps: Vec<*mut u8>,
-    /// Mailbox of a hand-off: whoever resumes a fiber leaves that fiber's
-    /// horizon here, and the resumed fiber picks it up first thing.
-    horizon: u64,
-    /// First panic payload from a fiber, re-raised after the run completes
-    /// (as the OS-thread backend re-raises a worker's once all have joined).
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct FiberBoot<'a, F> {
-    rt: *mut FiberRt,
+    /// Logical threads in the run; also the driver's slot, after theirs.
+    n: usize,
     shared: &'a Shared,
     hook: Option<&'a SchedHook>,
-    f: &'a F,
-    tid: usize,
-    n: usize,
+    /// Mailbox of a hand-off: whoever resumes a thread leaves that thread's
+    /// horizon here, and the resumed thread picks it up first thing.
+    horizon: u64,
+    /// Mask on every horizon handed out: all ones on fibers, zero on OS
+    /// threads — the reference rescans at every event.
+    trust: u64,
+    /// Set by the driver on a virtual deadlock: from then on a thread
+    /// resumed inside [`Ctx::lock`] unwinds.
+    deadlocked: bool,
+    /// First panic of a logical thread, in hand-off order; re-raised at the end.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+    /// OS threads: the baton — the slot that holds the turn.
+    turn: AtomicUsize,
+    /// Not written once the first thread runs.
+    switch: Switch,
 }
 
-unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
-    let boot = &*(arg as *const FiberBoot<'_, F>);
+/// What [`hand_off`] switches, per slot: the tids, then the driver.
+enum Switch {
+    /// The saved context of each suspended fiber.
+    Fibers(Vec<Cell<*mut u8>>),
+    /// The handle that unparks each OS thread.
+    Threads(Vec<Thread>),
+}
+
+/// What a logical thread is started with.
+struct Boot<'a, F> {
+    rt: *mut Rt<'a>,
+    f: &'a F,
+    tid: usize,
+}
+
+// SAFETY: `f` is a shared reference and `F: Sync`. `rt` — whose `shared` and
+// `hook` are `Sync` too — and the `Inner` behind it are reached from an OS
+// thread only while it holds the turn: every access follows an `Acquire`
+// load of the baton that read the thread's own slot (`await_turn`), stored
+// with `Release` by the previous holder after its last access (`pass_baton`).
+// The hand-offs thus order all accesses in one happens-before chain, as if
+// one thread had made them.
+unsafe impl<F: Sync> Sync for Boot<'_, F> {}
+
+/// Payload a deadlocked thread is unwound with; never the run's panic.
+struct Deadlocked;
+
+/// The driver's side of a run: start the first thread and, when the turn
+/// comes back because nothing is runnable, find every thread done — or, a
+/// virtual deadlock, unwind one blocked thread: resumed inside [`Ctx::lock`]
+/// it unwinds with a [`Deadlocked`] payload, dropping the host-side guards
+/// on its stack, and its `Ctx` drop releases its simulated locks; the
+/// waiters that wakes run next and unwind the same way.
+///
+/// # Safety
+/// Must run on the driver of the live run `rt` points to, holding the turn,
+/// with no reference into `Inner` or `Rt` live in the caller.
+unsafe fn drive(rt: *mut Rt<'_>) {
+    let driver = (*rt).n;
+    loop {
+        let to = successor(rt, driver).expect("the driver has no key");
+        if to != driver {
+            hand_off(rt, driver, to, false);
+            continue;
+        }
+        // Nothing is runnable: whoever is not done is blocked.
+        let inner = &mut *(*rt).inner;
+        let Some(t) = inner.state.iter().position(|s| *s != TState::Done) else {
+            return;
+        };
+        (*rt).deadlocked = true;
+        inner.wake(t);
+    }
+}
+
+/// The body of a logical thread, entered holding the turn for the first
+/// time; hands it on for good at the end.
+///
+/// # Safety
+/// `boot.rt` must point to the live run this thread belongs to.
+unsafe fn thread_main<F: Fn(&mut Ctx<'_>) + Sync>(boot: &Boot<'_, F>) {
     let (rt, tid) = (boot.rt, boot.tid);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut ctx = Ctx::new(tid, boot.n, boot.shared, boot.hook);
-        ctx.inner = (*rt).inner;
-        ctx.rt = rt;
-        ctx.horizon = resumed(rt, tid);
+        let mut ctx = Ctx::new(tid, rt, resumed(rt, tid));
         (boot.f)(&mut ctx);
         ctx.finish();
-        // A panicking closure is handled like a panicking OS thread: the
-        // `Ctx` drop marks the thread Done and releases its locks, and the
-        // payload is re-raised by `run` once every thread has finished.
+        // If the closure panics, the `Ctx` drop marks the thread Done and frees
+        // its locks; `run` re-raises the payload once every thread has finished.
     }));
     if let Err(p) = result {
-        let rt_ref = &mut *rt;
-        if rt_ref.panic.is_none() {
-            rt_ref.panic = Some(p);
+        if (*rt).panic.is_none() && !p.is::<Deadlocked>() {
+            (*rt).panic = Some(p);
         }
     }
     // Done and parked: hand the turn on for good.
-    yield_turn(rt, tid);
+    let to = successor(rt, tid).expect("a finished thread is not the minimum");
+    hand_off(rt, tid, to, true);
+}
+
+unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
+    thread_main(&*(arg as *const Boot<'_, F>));
     unreachable!("a finished fiber was resumed");
 }
 
-/// Fiber `tid` cannot take the next step — it is not the minimum, or it
-/// just parked itself (blocked, done): one scan, then switch straight to
-/// the thread that can, handing it its horizon; to the driver when nothing
-/// is runnable. Returns `tid`'s own horizon once a peer has handed the turn
-/// back — or at once, without switching, if the scan finds `tid` is the
-/// minimum after all (its horizon was reset, not overtaken).
+/// One scan for slot `from`, which cannot take the next step: the slot to
+/// hand the turn to — the minimum, its horizon left in the mailbox; the
+/// driver when nothing is runnable — or `Err(from's own horizon)` when the
+/// scan finds `from` is the minimum after all.
 ///
 /// # Safety
-/// Must run on fiber `tid` of the live run `rt` points to, with no
-/// reference into `Inner` or `FiberRt` live in the caller.
+/// As for [`yield_turn`].
+#[inline(always)]
+unsafe fn successor(rt: *mut Rt<'_>, from: usize) -> Result<usize, u64> {
+    match (&*(*rt).inner).next_turn() {
+        Some((t, horizon)) if t == from => Err(horizon & (*rt).trust),
+        Some((t, horizon)) => {
+            (*rt).horizon = horizon & (*rt).trust;
+            Ok(t)
+        }
+        None => Ok((*rt).n),
+    }
+}
+
+/// Thread `tid` cannot take the next step — it is not the minimum, or it
+/// just blocked: one scan, then hand the turn straight to the thread that
+/// can, or to the driver. Returns `tid`'s own horizon once a peer has handed
+/// the turn back — or at once, if the scan finds `tid` is the minimum after
+/// all (its horizon was reset or is not trusted, not overtaken).
+///
+/// # Safety
+/// Must run on thread `tid` of the live run `rt` points to, holding the
+/// turn, with no reference into `Inner` or `Rt` live in the caller.
 // Out of line on purpose: the event paths inline `take_turn`'s one compare,
 // and measurably slow down (solo events by a quarter) if the scan and the
 // switch are inlined into them along with it.
 #[inline(never)]
-unsafe fn yield_turn(rt: *mut FiberRt, tid: usize) -> u64 {
-    let to = {
-        let rt = &mut *rt;
-        match (&*rt.inner).next_turn() {
-            Some((t, horizon)) if t == tid => return horizon,
-            Some((t, horizon)) => {
-                rt.horizon = horizon;
-                rt.sps[t]
-            }
-            None => rt.driver_sp,
+unsafe fn yield_turn(rt: *mut Rt<'_>, tid: usize) -> u64 {
+    match successor(rt, tid) {
+        Ok(to) => {
+            hand_off(rt, tid, to, false);
+            resumed(rt, tid)
         }
-    };
-    let save = (&mut *rt).sps.as_mut_ptr().add(tid);
-    fiber::switch(save, to);
-    resumed(rt, tid)
+        Err(horizon) => horizon,
+    }
 }
 
-/// First thing fiber `tid` does whenever it gains control (boot, or return
-/// from a switch): collect the horizon its resumer left for it.
+/// The one primitive the backends implement differently: suspend slot
+/// `from`, resume slot `to`; returns when the turn comes back — never, after
+/// handing it on `for_good` (an OS thread then returns at once instead).
+///
+/// # Safety
+/// As for [`yield_turn`]; `from` is the caller's own slot, `to` a suspended one.
+#[inline(always)]
+unsafe fn hand_off(rt: *mut Rt<'_>, from: usize, to: usize, for_good: bool) {
+    // A shared reference: parked OS threads hold one too.
+    match &(*rt).switch {
+        Switch::Fibers(sps) => fiber::switch(sps[from].as_ptr(), sps[to].get()),
+        Switch::Threads(handles) => pass_baton(&(*rt).turn, handles, from, to, for_good),
+    }
+}
+
+/// OS-thread backend: name `to` in the baton and unpark it, then wait for the
+/// baton to come back unless it went `for_good`. Out of line, so that the
+/// fiber path through [`yield_turn`] saves no registers for it.
+#[inline(never)]
+fn pass_baton(turn: &AtomicUsize, handles: &[Thread], from: usize, to: usize, for_good: bool) {
+    // `Release`: all this thread did while it held the turn happens before
+    // whatever `to` does next (`await_turn`).
+    turn.store(to, Ordering::Release);
+    handles[to].unpark();
+    if !for_good {
+        await_turn(turn, from);
+    }
+}
+
+/// OS-thread backend: park until the baton names `slot`; `Acquire` pairs with
+/// [`pass_baton`]'s store. `park` may return spuriously or on a stale token.
+fn await_turn(turn: &AtomicUsize, slot: usize) {
+    while turn.load(Ordering::Acquire) != slot {
+        std::thread::park();
+    }
+}
+
+/// First thing thread `tid` does whenever it gains control (boot, or return
+/// from a hand-off): collect the horizon its resumer left for it.
 ///
 /// # Safety
 /// As for [`yield_turn`].
-unsafe fn resumed(rt: *mut FiberRt, tid: usize) -> u64 {
+unsafe fn resumed(rt: *mut Rt<'_>, tid: usize) -> u64 {
     debug_assert!(
         (&*(*rt).inner).is_min(tid),
-        "a resumed fiber is the minimum"
+        "a resumed thread is the minimum"
     );
     (*rt).horizon
 }
@@ -740,31 +812,39 @@ impl MachineStateView<'_> {
 
 /// Per-thread execution context handed to workload closures. All simulated
 /// machine interaction goes through this handle.
+///
+/// Exactly one logical thread runs between two hand-offs of the turn, and a
+/// thread hands it on only inside an event (a memory access, an atomic, a
+/// lock operation, [`Ctx::fence`], ...). Host-side state the closures share
+/// — a `Mutex<Vec<_>>`, an allocator's free lists — is therefore ordered by
+/// hand-off order, identically on both executor backends. Two rules follow:
+/// never wait on the host for a peer (it cannot run before this thread's
+/// next event), and never hold a host lock across an event (the thread that
+/// gets the turn may want it).
 pub struct Ctx<'a> {
     tid: usize,
     n: usize,
     shared: &'a Shared,
     /// The scheduling-point hook installed when the run started, if any.
     hook: Option<&'a SchedHook>,
-    /// Non-null when the run-scoped lock is held for us (solo and fiber
-    /// backends): machine state is reached directly, no per-event lock.
+    /// The scheduler and machine state, behind the lock [`Sim::run`] holds
+    /// for the whole run; ours to touch while we hold the turn.
     inner: *mut Inner,
-    /// Non-null only on the fiber backend (n > 1): hand-offs suspend the
-    /// fiber instead of parking the OS thread.
-    rt: *mut FiberRt,
-    /// Solo and fiber backends: this thread is the `(clock, tid)` minimum
-    /// while its key is below `horizon` (the runner-up's key), so its
-    /// events proceed on that one compare. Trustworthy because everything
-    /// runs on one OS thread: nobody else's key can move until we switch
-    /// away (a fresh horizon comes with every resume) or wake a waiter
-    /// (`unlock` zeroes it, forcing a rescan). Solo runs keep it at
-    /// [`PARKED`], above every key.
+    /// The run's hand-off state.
+    rt: *mut Rt<'a>,
+    /// This thread is the `(clock, tid)` minimum while its key is below
+    /// `horizon` (the runner-up's key), so its events proceed on that one
+    /// compare. Trustworthy because only the holder of the turn runs:
+    /// nobody else's key can move until we hand the turn on (a fresh
+    /// horizon comes with every resume) or wake a waiter (`unlock` zeroes
+    /// it, forcing a rescan). Solo runs keep it at [`PARKED`], above every
+    /// key; the OS-thread backend at 0, below every key.
     horizon: u64,
     pending: u64,
     /// Mirror of this thread's committed clock, maintained at every event
-    /// so [`Ctx::now`] and the tracing path need no lock. Exact: another
-    /// thread only ever advances our clock while we are blocked on a
-    /// simulated lock, and the blocked path refreshes the mirror.
+    /// for [`Ctx::now`] and the tracing path. Exact: another thread only
+    /// ever advances our clock while we are blocked on a simulated lock, and
+    /// the blocked path refreshes the mirror.
     local_time: u64,
     finished: bool,
 }
@@ -781,17 +861,17 @@ impl Drop for Ctx<'_> {
 }
 
 impl<'a> Ctx<'a> {
-    /// A context on the OS-thread backend; the solo and fiber set-ups fill
-    /// in `inner`/`rt`/`horizon`.
-    fn new(tid: usize, n: usize, shared: &'a Shared, hook: Option<&'a SchedHook>) -> Self {
+    /// # Safety
+    /// `rt` must point to the live run thread `tid` belongs to.
+    unsafe fn new(tid: usize, rt: *mut Rt<'a>, horizon: u64) -> Self {
         Ctx {
             tid,
-            n,
-            shared,
-            hook,
-            inner: ptr::null_mut(),
-            rt: ptr::null_mut(),
-            horizon: 0,
+            n: (*rt).n,
+            shared: (*rt).shared,
+            hook: (*rt).hook,
+            inner: (*rt).inner,
+            rt,
+            horizon,
             pending: 0,
             local_time: 0,
             finished: false,
@@ -863,44 +943,30 @@ impl<'a> Ctx<'a> {
     /// threads, then run `f` against the machine. `f` returns (cycle cost,
     /// result).
     fn event<R>(&mut self, f: impl FnOnce(&mut MachineState, usize) -> (u64, R)) -> R {
-        if !self.inner.is_null() {
-            // SAFETY: see `take_turn`; `g` is the only live reference into
-            // `Inner` and no switch happens while it is.
-            unsafe {
-                self.take_turn();
-                let g = &mut *self.inner;
-                g.burn_fuel();
-                let (cost, r) = f(&mut g.machine, self.tid);
-                let t = g.time[self.tid] + cost;
-                g.commit(self.tid, t);
-                self.local_time = t;
-                r
-            }
-        } else {
-            let mut g = self.shared.inner.lock();
-            g.flush(self.tid, self.pending);
-            self.pending = 0;
-            self.wait_for_turn(&mut g);
+        // SAFETY: see `take_turn`; `g` is the only live reference into
+        // `Inner` and no hand-off happens while it is.
+        unsafe {
+            self.take_turn();
+            let g = &mut *self.inner;
             g.burn_fuel();
             let (cost, r) = f(&mut g.machine, self.tid);
             let t = g.time[self.tid] + cost;
             g.commit(self.tid, t);
             self.local_time = t;
-            self.notify_next(&mut g);
             r
         }
     }
 
-    /// Solo and fiber backends: flush pending compute and return once this
-    /// thread is the minimum — at once while its key is below the cached
-    /// horizon, else after one scan and (unless that scan finds it is the
-    /// minimum after all) a direct hand-off to the thread that is.
+    /// Flush pending compute and return once this thread is the minimum —
+    /// at once while its key is below the cached horizon, else after one
+    /// scan and (unless that scan finds it is the minimum after all) a
+    /// direct hand-off to the thread that is.
     ///
     /// # Safety
-    /// `self.inner` must be non-null (the run-scoped lock is held for us),
-    /// and the caller must hold no reference into `Inner`: this may switch
-    /// to other fibers, which mutate it. On return the caller may derive
-    /// one, and must drop it before anything that can switch again.
+    /// The caller holds the turn, and must hold no reference into `Inner`:
+    /// this may hand the turn to other threads, which mutate it. On return
+    /// the caller may derive one, and must drop it before anything that can
+    /// hand off again.
     #[inline(always)]
     unsafe fn take_turn(&mut self) {
         let key = (&mut *self.inner).flush(self.tid, self.pending);
@@ -911,37 +977,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn wait_for_turn(&self, g: &mut MutexGuard<'_, Inner>) {
-        if g.is_min(self.tid) {
-            return;
-        }
-        // Flushing pending compute may have *made someone else* the
-        // minimum without any event of theirs completing — wake them
-        // before sleeping or nobody ever would (lost-wakeup deadlock).
-        // Once is enough: any later change of the minimum is accompanied
-        // by a notification from the thread that caused it (event
-        // completion, unlock, finish, or another thread's arrival), and
-        // the check-then-wait below is atomic under the scheduler lock.
-        self.notify_next(g);
-        loop {
-            self.shared.cvs[self.tid].wait(g);
-            if g.is_min(self.tid) {
-                return;
-            }
-        }
-    }
-
-    /// OS-thread backend, before letting go of the scheduler mutex: publish
-    /// our clock and wake whoever may execute next, unless it is us.
-    fn notify_next(&self, g: &mut Inner) {
-        g.publish(self.tid);
-        if let Some((t, _)) = g.next_turn() {
-            if t != self.tid {
-                self.shared.cvs[t].notify_one();
-            }
-        }
-    }
-
     /// Zero-cost synchronization event: flush pending compute and block
     /// until this thread's clock is globally minimal. After `fence`
     /// returns, every other thread has either finished or advanced its
@@ -949,6 +984,9 @@ impl<'a> Ctx<'a> {
     /// before that point (e.g. a test handing addresses across threads) is
     /// visible. Workloads that exchange host-side data keyed on virtual
     /// time must fence before reading it; `tick` alone imposes no ordering.
+    /// It is also the only way to let a peer run: between two events this
+    /// thread runs alone, so it must never wait on the host for a peer, nor
+    /// hold a host lock across this or any other event (see [`Ctx`]).
     pub fn fence(&mut self) {
         self.event(|_, _| (0, ()));
     }
@@ -1104,25 +1142,21 @@ impl<'a> Ctx<'a> {
             }
             // We were enqueued as Blocked; wait until the releaser makes us
             // runnable again, then re-contend.
-            if !self.inner.is_null() {
-                assert!(
-                    !self.rt.is_null(),
-                    "virtual deadlock: lone thread blocked on a simulated lock"
-                );
-                // SAFETY: on our own fiber, no reference into `Inner` live.
-                unsafe {
-                    // Parked, so this always switches away; a peer resumes
-                    // us only once a release has made us the minimum.
-                    self.horizon = yield_turn(self.rt, self.tid);
-                    // The releaser advanced our clock to the release time.
-                    self.local_time = (&*self.inner).time[self.tid];
+            assert!(
+                self.n > 1,
+                "virtual deadlock: lone thread blocked on a simulated lock"
+            );
+            // SAFETY: we hold the turn, no reference into `Inner` live.
+            unsafe {
+                // Parked, so this always hands the turn on; a peer resumes
+                // us only once a release has made us the minimum — or the
+                // driver does, to unwind a deadlock (see `drive`).
+                self.horizon = yield_turn(self.rt, self.tid);
+                if (*self.rt).deadlocked {
+                    std::panic::resume_unwind(Box::new(Deadlocked));
                 }
-            } else {
-                let mut g = self.shared.inner.lock();
-                while g.state[self.tid] == TState::Blocked(mx.id) {
-                    self.shared.cvs[self.tid].wait(&mut g);
-                }
-                self.local_time = g.time[self.tid];
+                // The releaser advanced our clock to the release time.
+                self.local_time = (&*self.inner).time[self.tid];
             }
         }
     }
@@ -1135,23 +1169,12 @@ impl<'a> Ctx<'a> {
     }
 
     fn lock_attempt(&mut self, mx: SimMutex, block: bool, counted: &mut bool) -> bool {
-        if !self.inner.is_null() {
-            // SAFETY: see `take_turn`.
-            unsafe {
-                self.take_turn();
-                let g = &mut *self.inner;
-                let acquired = acquire_locked(g, &self.shared.obs, self.tid, mx, block, counted);
-                self.local_time = g.time[self.tid];
-                acquired
-            }
-        } else {
-            let mut g = self.shared.inner.lock();
-            g.flush(self.tid, self.pending);
-            self.pending = 0;
-            self.wait_for_turn(&mut g);
-            let acquired = acquire_locked(&mut g, &self.shared.obs, self.tid, mx, block, counted);
+        // SAFETY: see `take_turn`.
+        unsafe {
+            self.take_turn();
+            let g = &mut *self.inner;
+            let acquired = acquire_locked(g, &self.shared.obs, self.tid, mx, block, counted);
             self.local_time = g.time[self.tid];
-            self.notify_next(&mut g);
             acquired
         }
     }
@@ -1160,30 +1183,17 @@ impl<'a> Ctx<'a> {
     /// clocks advanced to the release time (their wait is recorded in the
     /// lock statistics).
     pub fn unlock(&mut self, mx: SimMutex) {
-        if !self.inner.is_null() {
-            // SAFETY: see `take_turn`.
-            unsafe {
-                self.take_turn();
-                let g = &mut *self.inner;
-                let mut woke = false;
-                release_lock(g, self.tid, mx, |_| woke = true);
-                self.local_time = g.time[self.tid];
-                if woke {
-                    // A waiter re-entered scheduling at our clock; with a
-                    // lower tid it precedes us. Look again at the next event.
-                    self.horizon = 0;
-                }
-            }
-        } else {
-            let mut g = self.shared.inner.lock();
-            g.flush(self.tid, self.pending);
-            self.pending = 0;
-            self.wait_for_turn(&mut g);
-            release_lock(&mut g, self.tid, mx, |t| {
-                self.shared.cvs[t].notify_one();
-            });
+        // SAFETY: see `take_turn`.
+        unsafe {
+            self.take_turn();
+            let g = &mut *self.inner;
+            let woke = release_lock(g, self.tid, mx);
             self.local_time = g.time[self.tid];
-            self.notify_next(&mut g);
+            if woke {
+                // A waiter re-entered scheduling at our clock; with a
+                // lower tid it precedes us. Look again at the next event.
+                self.horizon = 0;
+            }
         }
     }
 
@@ -1197,30 +1207,19 @@ impl<'a> Ctx<'a> {
 
     fn finish(&mut self) {
         self.finished = true;
-        if !self.inner.is_null() {
-            // SAFETY: the run-scoped lock is held for us and no other
-            // reference into `Inner` is live. A fiber switches away for
-            // good right after (`fiber_main`), not from here: this also
-            // runs from `Drop` mid-unwind.
-            unsafe {
-                finish_thread(&mut *self.inner, self.tid, self.pending, |_| {});
-            }
-            self.pending = 0;
-        } else {
-            let mut g = self.shared.inner.lock();
-            finish_thread(&mut g, self.tid, self.pending, |t| {
-                self.shared.cvs[t].notify_one();
-            });
-            self.pending = 0;
-            // Whoever is now minimal may proceed.
-            self.notify_next(&mut g);
+        // SAFETY: we hold the turn and no other reference into `Inner` is
+        // live. The turn is handed on for good right after (`thread_main`),
+        // not from here: this also runs from `Drop` mid-unwind.
+        unsafe {
+            finish_thread(&mut *self.inner, self.tid, self.pending);
         }
+        self.pending = 0;
     }
 }
 
 /// Lock-acquisition attempt for a thread that holds the scheduling minimum.
 /// Returns whether the lock was taken; on failure with `block`, the thread
-/// is marked Blocked (the caller waits backend-appropriately).
+/// is marked Blocked (the caller hands the turn on).
 fn acquire_locked(
     g: &mut Inner,
     obs: &Obs,
@@ -1268,10 +1267,9 @@ fn acquire_locked(
     }
 }
 
-/// Lock release for a thread that holds the scheduling minimum. `on_wake`
-/// is called for every unblocked thread (the OS-thread backend notifies its
-/// condvar; a fiber resets its horizon).
-fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut(usize)) {
+/// Lock release for a thread that holds the scheduling minimum. Returns
+/// whether it unblocked anyone (the releaser then resets its horizon).
+fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex) -> bool {
     assert_eq!(
         g.machine.locks[mx.id].holder,
         Some(tid),
@@ -1280,24 +1278,27 @@ fn release_lock(g: &mut Inner, tid: usize, mx: SimMutex, mut on_wake: impl FnMut
     let now = g.time[tid] + g.machine.cfg.cost.l1_hit;
     g.commit(tid, now);
     g.machine.locks[mx.id].holder = None;
+    let mut woke = false;
     for t in 0..g.state.len() {
         if g.state[t] == TState::Blocked(mx.id) {
             let waited = now.saturating_sub(g.time[t]);
             g.machine.locks[mx.id].wait_cycles += waited;
             g.commit(t, g.time[t].max(now));
             g.wake(t);
-            on_wake(t);
+            woke = true;
         }
     }
+    woke
 }
 
 /// Mark `tid` Done (possibly mid-panic): flush its clock, release any locks
 /// it still holds so survivors can make progress (poisoning is not
 /// modelled; tests assert on the propagated panic instead), and unblock
 /// their waiters to re-contend.
-fn finish_thread(g: &mut Inner, tid: usize, pending: u64, mut on_wake: impl FnMut(usize)) {
-    // Not a scheduling point (it runs whenever the host gets here, not at
-    // the thread's turn), so the final flush stays out of the fingerprint.
+fn finish_thread(g: &mut Inner, tid: usize, pending: u64) {
+    // Not a scheduling point (it runs as soon as the closure returns, not
+    // when the thread's clock is the minimum), so the final flush stays out
+    // of the fingerprint.
     g.time[tid] += pending;
     g.park(tid, TState::Done);
     let mut released = Vec::new();
@@ -1312,7 +1313,6 @@ fn finish_thread(g: &mut Inner, tid: usize, pending: u64, mut on_wake: impl FnMu
             if let TState::Blocked(id) = g.state[t] {
                 if released.contains(&id) {
                     g.wake(t);
-                    on_wake(t);
                 }
             }
         }
@@ -1361,12 +1361,9 @@ mod tests {
                     order.lock().push((ctx.tid(), i, v));
                 }
             });
-            // The host-side push order is unspecified, but the value each
-            // thread observed at each step encodes the simulated
-            // interleaving exactly.
-            let mut o = order.into_inner();
-            o.sort_unstable();
-            (r.cycles, o)
+            // Host-side pushes happen in hand-off order, so the log is
+            // the simulated interleaving as it is.
+            (r.cycles, order.into_inner())
         };
         let (c1, o1) = run_once();
         let (c2, o2) = run_once();
@@ -1394,9 +1391,7 @@ mod tests {
                 }
             }
         });
-        let mut o = order.into_inner();
-        o.sort_unstable();
-        (r.cycles, o)
+        (r.cycles, order.into_inner())
     }
 
     #[test]
@@ -1617,9 +1612,7 @@ mod tests {
             let v = ctx.fetch_add_u64(0xb00, 1);
             order.lock().push((ctx.tid(), v));
         });
-        let mut o = order.into_inner();
-        o.sort_unstable();
-        assert_eq!(o, vec![(0, 0), (1, 1)]);
+        assert_eq!(order.into_inner(), vec![(0, 0), (1, 1)]);
     }
 
     #[test]
@@ -1784,35 +1777,31 @@ mod tests {
     #[test]
     fn finishing_is_not_part_of_the_fingerprint() {
         // Thread 0's only event runs first and leaves it ahead of thread 1,
-        // whose zero-cost events then all come before thread 0 could take
-        // another turn. On OS threads, thread 0 is held back on the host
-        // until thread 1 has run them, so its finish follows them; on
-        // fibers it finishes at once, before them. A fingerprint that
-        // folded the finish would differ between the two.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let hash_for = |backend: Backend| {
+        // whose zero-cost events all come before thread 0 could take
+        // another turn. Thread 0 has none to take: it finishes at once,
+        // before them, and its trailing compute never reaches an event. A
+        // fingerprint that folded the finish would see it.
+        let hash_for = |backend: Backend, trailing: u64| {
             let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
-            let peer_done = AtomicBool::new(false);
             s.run(2, |ctx| {
                 if ctx.tid() == 0 {
                     ctx.write_u64(0xe00, 1);
-                    ctx.tick(5);
-                    while backend == Backend::Threads && !peer_done.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
+                    ctx.tick(trailing);
                 } else {
                     for _ in 0..3 {
                         ctx.fence();
                     }
-                    peer_done.store(true, Ordering::SeqCst);
                 }
             });
             s.trace_hash()
         };
-        let hashes: Vec<u64> = both_backends().into_iter().map(hash_for).collect();
+        let hashes: Vec<u64> = both_backends()
+            .into_iter()
+            .flat_map(|backend| [hash_for(backend, 5), hash_for(backend, 0)])
+            .collect();
         assert!(
             hashes.windows(2).all(|w| w[0] == w[1]),
-            "fingerprint depends on when a thread's finish reaches the scheduler: {hashes:x?}"
+            "fingerprint depends on a thread's finish: {hashes:x?}"
         );
     }
 
@@ -1912,6 +1901,9 @@ mod tests {
         };
         let s = Sim::with_backend(cfg, backend);
         let mutexes: Vec<SimMutex> = (0..mutexes).map(|_| s.new_mutex()).collect();
+        // Host-side state, touched between events: who got there in what
+        // order is part of the outcome, and compared unsorted.
+        let host_log = HostMutex::new(Vec::new());
         let r = s.run(n, |ctx| {
             let ops = &programs[ctx.tid()];
             // An empty program finishes without a single event.
@@ -1920,7 +1912,11 @@ mod tests {
             }
             let mut seen = 0;
             // Unequal compute per thread.
-            exec_ops(ctx, ops, &mutexes, 1 + 2 * ctx.tid() as u64, &mut seen);
+            let scale = 1 + 2 * ctx.tid() as u64;
+            for op in ops {
+                exec_ops(ctx, std::slice::from_ref(op), &mutexes, scale, &mut seen);
+                host_log.lock().push(ctx.tid());
+            }
             ctx.write_u64(RESULTS + 64 * ctx.tid() as u64, seen);
         });
         let memory: Vec<u64> = s.with_state(|m| {
@@ -1931,9 +1927,10 @@ mod tests {
                 .collect()
         });
         format!(
-            "{r:?} hash={:x} events={} memory={memory:?}",
+            "{r:?} hash={:x} events={} memory={memory:?} host_log={:?}",
             s.trace_hash(),
-            s.events()
+            s.events(),
+            host_log.into_inner()
         )
     }
 
@@ -2040,9 +2037,8 @@ mod tests {
                     }
                 }
             });
-            let mut o = order.into_inner();
-            o.sort_unstable();
-            (o, s.trace_hash())
+            // Host-side pushes happen in hand-off order: unsorted.
+            (order.into_inner(), s.trace_hash())
         };
         let orders: Vec<_> = both_backends().into_iter().map(order_for).collect();
         let who: Vec<usize> = orders[0].0.iter().map(|&(_, tid, _)| tid).collect();
@@ -2050,30 +2046,54 @@ mod tests {
         assert!(orders.windows(2).all(|w| w[0] == w[1]), "{orders:?}");
     }
 
+    /// Threads 0 and 1 deadlock AB-BA, each holding a host mutex of its own
+    /// as well; thread 2 finishes later with nobody to hand the turn to, so
+    /// the driver gets it. Returns what `run` panicked with and the host
+    /// mutexes, having checked that the simulated locks were let go.
+    fn ab_ba_deadlock(backend: Backend) -> (String, [HostMutex<()>; 2]) {
+        let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+        let (a, b) = (s.new_mutex(), s.new_mutex());
+        let host = [HostMutex::new(()), HostMutex::new(())];
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            s.run(3, |ctx| match ctx.tid() {
+                2 => {
+                    ctx.tick(10_000);
+                    ctx.fence();
+                }
+                tid => {
+                    let _held = host[tid].lock();
+                    let (first, second) = if tid == 0 { (a, b) } else { (b, a) };
+                    ctx.lock(first);
+                    ctx.tick(100);
+                    ctx.lock(second);
+                }
+            });
+        }));
+        s.run(2, |ctx| ctx.with_lock(a, |ctx| ctx.with_lock(b, |_| ())));
+        let report = panic_text(caught.expect_err("a deadlocked run must panic"));
+        (report, host)
+    }
+
     #[test]
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[should_panic(expected = "virtual deadlock")]
     fn last_runnable_thread_finishing_among_blocked_peers_is_a_deadlock() {
-        // Threads 0 and 1 deadlock AB-BA; thread 2 finishes later with
-        // nobody to hand the turn to, so the driver gets it and reports.
-        let s = Sim::with_backend(MachineConfig::tiny_test(), Backend::Fibers);
-        let (a, b) = (s.new_mutex(), s.new_mutex());
-        s.run(3, |ctx| match ctx.tid() {
-            0 => {
-                ctx.lock(a);
-                ctx.tick(100);
-                ctx.lock(b);
-            }
-            1 => {
-                ctx.lock(b);
-                ctx.tick(100);
-                ctx.lock(a);
-            }
-            _ => {
-                ctx.tick(10_000);
-                ctx.fence();
-            }
-        });
+        let reports: Vec<String> = both_backends()
+            .into_iter()
+            .map(|backend| ab_ba_deadlock(backend).0)
+            .collect();
+        assert!(reports.windows(2).all(|w| w[0] == w[1]), "{reports:?}");
+        panic!("{}", reports[0]);
+    }
+
+    #[test]
+    fn a_host_mutex_held_by_a_deadlocked_thread_is_free_again_after_run_panics() {
+        // The blocked threads are unwound, not abandoned: the guards on
+        // their stacks are dropped.
+        for backend in both_backends() {
+            let (report, host) = ab_ba_deadlock(backend);
+            assert!(report.starts_with("virtual deadlock"), "{backend:?}");
+            assert!(host.iter().all(|m| m.try_lock().is_some()), "{backend:?}");
+        }
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! coroutine with an assembly context switch (~tens of nanoseconds) and an
 //! mmap-backed, guard-paged stack, so `Sim::run` can multiplex all logical
 //! threads onto the calling OS thread and suspend/resume them at exactly
-//! the points where the OS-thread backend would block on a condvar. A
+//! the points where the OS-thread backend passes its baton and parks. A
 //! switch goes from any context to any other: fibers hand the turn
 //! directly to one another, and the driver (the context that called
 //! `Sim::run`) is switched to only when nothing is runnable.
 //!
 //! Only the switching *mechanism* lives here; every scheduling decision
-//! (who runs next) stays in `exec.rs` and is shared verbatim with the
-//! OS-thread backend, which is what keeps the two backends bit-identical.
+//! (who runs next) and everything around the switch stays in `exec.rs`, on
+//! the one code path both backends run, which is what keeps the two
+//! bit-identical.
 //!
 //! x86-64 Linux only (`SUPPORTED`); other targets keep the OS-thread
 //! backend.

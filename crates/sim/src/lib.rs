@@ -5,10 +5,12 @@
 //! 4 cores, per-core 32 KB L1, per-socket shared 6 MB L2); since such a
 //! machine is not available, this crate models it in *virtual time*:
 //!
-//! * **Logical threads** run on OS threads but are serialized by a
-//!   conservative discrete-event scheduler: only the thread whose virtual
-//!   clock is globally minimal may execute its next event. Given seeded
-//!   workloads, execution is fully deterministic regardless of host
+//! * **Logical threads** run one at a time — as fibers on the calling OS
+//!   thread, or on OS threads passing a baton — under a conservative
+//!   discrete-event scheduler: only the thread whose virtual clock is
+//!   globally minimal may execute its next event, and whatever a thread
+//!   does between two events, host-side work included, it does alone. Given
+//!   seeded workloads, execution is fully deterministic regardless of host
 //!   scheduling — even on a single physical CPU.
 //! * **Simulated memory** is a sparse 64-bit address space. Every load,
 //!   store and atomic performed through [`Ctx`] is charged cycles by a

@@ -4,10 +4,12 @@
 //! structures sized by the modelled machine — the cache tag arrays, the
 //! page radix and the trace rings — to that.
 //!
-//! One test function: the counters are process-wide, and the harness runs
-//! test functions on parallel threads.
+//! One test function: the counters are process-wide. They count only what
+//! the thread running it allocates and frees — the harness's own threads
+//! allocate whenever they like.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use tm_sim::{MachineConfig, Sim};
@@ -16,32 +18,45 @@ use tm_sim::{MachineConfig, Sim};
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the measuring thread. `const`-initialised and without a
+    /// destructor, so reading it inside the allocator allocates nothing.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count `requested` bytes asked for and `freed` bytes given back, if the
+/// calling thread is the measuring one. `try_with`: a thread being torn down
+/// may free after its locals are gone.
+fn count(requested: usize, freed: usize) {
+    if MEASURED.try_with(Cell::get).unwrap_or(false) {
+        REQUESTED.fetch_add(requested, Relaxed);
+        LIVE.fetch_add(requested, Relaxed);
+        LIVE.fetch_sub(freed, Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every call is handed to `System` unchanged; the counters are
 // statistics beside it.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size(), Relaxed);
-        LIVE.fetch_add(layout.size(), Relaxed);
+        count(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size(), Relaxed);
-        LIVE.fetch_add(layout.size(), Relaxed);
+        count(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        count(0, layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size, Relaxed);
-        LIVE.fetch_add(new_size, Relaxed);
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        count(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,6 +75,7 @@ const KB: usize = 1024;
 
 #[test]
 fn a_machine_costs_what_it_touches() {
+    MEASURED.set(true);
     // Building and dropping a machine: kilobytes, where dense tag arrays,
     // a flat page-table root and eager trace rings would be 5.4 MB ...
     let (xeon, ()) = requested_by(|| drop(Sim::new(MachineConfig::xeon_e5405())));

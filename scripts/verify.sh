@@ -26,26 +26,18 @@ fi
 echo "==> cargo test"
 $CARGO test --workspace -q
 
-# The two executors must agree bit for bit (DESIGN.md §4.1). The run above
-# used the default one; run the simulator's own tests under each by name,
-# then loop the tests that compare the two 50 times, so that a dependence
-# on host timing cannot hide behind a 1-in-300 failure rate.
+# One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
+# above used the default one; run the simulator's own tests under each by
+# name, then hold the OS-thread reference to the committed whole-stack
+# goldens: allocation order, abort counts and heap peaks are decided by
+# host-side state between events, which only hand-off order makes
+# deterministic.
 for exec in fibers threads; do
   echo "==> cargo test -p tm-sim (TM_SIM_EXEC=$exec)"
   TM_SIM_EXEC=$exec $CARGO test -p tm-sim -q
 done
-echo "==> executor-agreement tests x50"
-for i in $(seq 50); do
-  out="$($CARGO test -p tm-sim --lib -q -- \
-    backends_agree_bit_for_bit \
-    trace_hash_separates_schedules_and_matches_backends \
-    finishing_is_not_part_of_the_fingerprint \
-    executors_agree_on_random_workloads 2>&1)" || {
-    echo "$out"
-    echo "verify: executor-agreement tests failed on iteration $i"
-    exit 1
-  }
-done
+echo "==> cargo test --test determinism (TM_SIM_EXEC=threads)"
+TM_SIM_EXEC=threads $CARGO test -q --test determinism
 
 echo "==> cargo clippy -D warnings"
 $CARGO clippy --workspace --all-targets -- -D warnings
@@ -129,6 +121,30 @@ awk -v u="$user" -v s="$sys" 'BEGIN {
 # AllocFailed abort — zero leaks, zero invariant violations.
 echo "==> tmstudy mc --oom (every-site OOM sweep)"
 run_tmstudy_discarding mc --oom --name verify-oom
+
+# The same reports under the reference executor: whatever host timing could
+# decide would show here as a differing abort count, heap peak or failing
+# site, so each must equal the fiber report byte for byte (host-time lines
+# masked), three times over.
+echo "==> tmstudy check --quick, mc --oom: TM_SIM_EXEC=threads against fibers"
+tmp="$(mktemp -d)"
+report() { # report <exec> <out> <subcommand...>: the masked report
+  local exec="$1" out="$2"
+  shift 2
+  TM_SIM_EXEC="$exec" "$tmstudy" "$@" --name verify-exec --out "$out.json" >/dev/null
+  grep -vE '"(wall_ms|total_wall_ms|throughput)"' "$out.json" >"$out"
+}
+for sub in "check --quick" "mc --oom"; do
+  report fibers "$tmp/fibers" $sub
+  for run in 1 2 3; do
+    report threads "$tmp/threads" $sub
+    cmp "$tmp/fibers" "$tmp/threads" || {
+      echo "verify: $sub under TM_SIM_EXEC=threads is not the fiber report (run $run)"
+      exit 1
+    }
+  done
+done
+rm -rf "$tmp"
 
 # The non-default backend must keep sweeping end-to-end (trait dispatch,
 # CLI plumbing, report emission), not just pass unit tests.

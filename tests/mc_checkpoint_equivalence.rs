@@ -156,34 +156,9 @@ fn checkpointed_exploration_matches_from_scratch_everywhere() {
         fibers_clean, threads_clean,
         "clean equivalence artifacts depend on the executor backend"
     );
-    // Catalog cells are compared structurally: the *detail* string of a
-    // panicking counterexample is executor-specific (the OS-thread
-    // backend reports std's generic scoped-thread payload), but the
-    // verdicts, exploration counters, and minimal delay vectors must
-    // agree.
-    let fc = parse_mc(fibers_catalog);
-    let tc = parse_mc(threads_catalog);
-    assert_eq!(fc.cells.len(), tc.cells.len());
-    for (f, t) in fc.cells.iter().zip(tc.cells.iter()) {
-        assert_eq!(f.config, t.config);
-        assert_eq!(f.verdict, t.verdict, "{:?}", f.config);
-        assert_eq!((f.explored, f.pruned), (t.explored, t.pruned));
-        let (fx, tx) = (f.counterexample.as_ref(), t.counterexample.as_ref());
-        let fx = fx.expect("caught mutant has a counterexample");
-        let tx = tx.expect("caught mutant has a counterexample");
-        assert_eq!(
-            fx.schedule, tx.schedule,
-            "minimal delay vector depends on the executor backend: {:?}",
-            f.config
-        );
-        assert_eq!(
-            (fx.found_at, fx.shrink_steps),
-            (tx.found_at, tx.shrink_steps)
-        );
-    }
-}
-
-fn parse_mc(json: &str) -> McReport {
-    let tree = tm_obs::json::Json::parse(json).expect("artifact is JSON");
-    McReport::from_json(&tree).expect("artifact parses as an mc report")
+    assert_eq!(
+        fibers_catalog, threads_catalog,
+        "catalog verdicts, minimal counterexamples or their panic details \
+         depend on the executor backend"
+    );
 }
