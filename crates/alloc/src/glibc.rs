@@ -11,19 +11,13 @@
 //! * arenas aligned to their 64 MB maximum size, which makes blocks from
 //!   different arenas alias to the same ORT entries under the STM's
 //!   shift-and-modulo mapping (the HashSet anomaly, §5.2).
-//!
-//! Locking discipline (crate-wide): a host `Mutex` that is held across
-//! `Ctx` calls must itself be protected by a `SimMutex` (so it can never be
-//! contended) or be per-thread; the global registry mutex is only held for
-//! quick host-side bookkeeping with no `Ctx` calls.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tm_sim::{Ctx, Sim, SimMutex};
 
 use crate::freelist::FreeList;
+use crate::state::HostState;
 use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 /// Arena reservation size and alignment (64 MB, the paper's figure).
@@ -37,25 +31,36 @@ const MIN_CHUNK: u64 = 32;
 /// Requests whose chunk exceeds this go straight to the OS (mmap).
 const MMAP_THRESHOLD: u64 = 128 * 1024;
 
-struct ArenaInner {
-    base: u64,
+/// One arena; everything but `mx` is only touched while holding `mx`.
+#[derive(Clone)]
+struct Arena {
+    mx: SimMutex,
     bump: u64,
     /// Currently "committed" end; growing past it charges a growth cost.
     committed: u64,
+    /// End of the 64 MB reservation; 0 until the arena is first used.
     reserved_end: u64,
     /// Free chunks binned by exact chunk size (fast-bin style, LIFO,
     /// no coalescing).
     bins: HashMap<u64, FreeList>,
 }
 
-struct Arena {
-    mx: SimMutex,
-    /// Only locked while holding `mx`, hence never contended.
-    inner: Mutex<ArenaInner>,
+impl Arena {
+    fn new(mx: SimMutex) -> Self {
+        Arena {
+            mx,
+            bump: 0,
+            committed: 0,
+            reserved_end: 0,
+            bins: HashMap::new(),
+        }
+    }
 }
 
-struct Global {
-    arenas: Vec<Arc<Arena>>,
+#[derive(Clone, Default)]
+struct State {
+    /// Append-only within a run, named by index; arena 0 is the main arena.
+    arenas: Vec<Arena>,
     /// Preferred arena per thread id.
     preferred: Vec<usize>,
     /// `addr >> 26` (64 MB granule) → arena index, for `free`.
@@ -64,51 +69,29 @@ struct Global {
     large: HashMap<u64, u64>,
 }
 
+/// The bin of `chunk`-sized free chunks in arena `idx`. An empty bin pops
+/// nothing and touches no simulated memory, so `malloc` may create one.
+fn bin(idx: usize, chunk: u64) -> impl Fn(&mut State) -> &mut FreeList {
+    move |s| s.arenas[idx].bins.entry(chunk).or_default()
+}
+
 /// The Glibc/ptmalloc allocator model. See module docs.
 pub struct GlibcAllocator {
-    global: Mutex<Global>,
-}
-
-/// Frozen per-arena metadata for [`Allocator::snapshot`]. Arenas are
-/// append-only, so a snapshot records the arena count plus each arena's
-/// inner state; restore truncates back to that count (any post-snapshot
-/// arena's `SimMutex` is dropped by the machine-level lock truncation).
-struct GlibcSnapshot {
-    arenas: Vec<ArenaSnap>,
-    preferred: Vec<usize>,
-    by_region: HashMap<u64, usize>,
-    large: HashMap<u64, u64>,
-}
-
-struct ArenaSnap {
-    base: u64,
-    bump: u64,
-    committed: u64,
-    reserved_end: u64,
-    bins: HashMap<u64, FreeList>,
+    state: HostState<State>,
 }
 
 impl GlibcAllocator {
     /// Build the model on a simulator (main arena + per-thread arenas).
     pub fn new(sim: &Sim) -> Self {
-        let max_threads = sim.config().cores;
-        let main_arena = Arc::new(Arena {
-            mx: sim.new_mutex(),
-            inner: Mutex::new(ArenaInner {
-                base: 0,
-                bump: 0,
-                committed: 0,
-                reserved_end: 0,
-                bins: HashMap::new(),
-            }),
-        });
         GlibcAllocator {
-            global: Mutex::new(Global {
-                arenas: vec![main_arena],
-                preferred: vec![0; max_threads],
-                by_region: HashMap::new(),
-                large: HashMap::new(),
-            }),
+            state: HostState::new(
+                "glibc",
+                State {
+                    arenas: vec![Arena::new(sim.new_mutex())],
+                    preferred: vec![0; sim.config().cores],
+                    ..State::default()
+                },
+            ),
         }
     }
 
@@ -116,69 +99,49 @@ impl GlibcAllocator {
         ((size + HEADER + 15) & !15).max(MIN_CHUNK)
     }
 
-    /// Lazily back an arena with a fresh 64 MB-aligned reservation.
+    /// Lazily back an arena with a fresh 64 MB-aligned reservation. The
+    /// caller holds the arena's lock.
     fn ensure_arena_backed(&self, ctx: &mut Ctx<'_>, idx: usize) {
-        let needs = { self.global.lock().arenas[idx].inner.lock().reserved_end == 0 };
-        if needs {
+        if self.state.with(|s| s.arenas[idx].reserved_end == 0) {
             let base = ctx.os_alloc(ARENA_RESERVE, ARENA_RESERVE);
-            let mut g = self.global.lock();
-            g.by_region.insert(base >> 26, idx);
-            let mut inner = g.arenas[idx].inner.lock();
-            if inner.reserved_end == 0 {
-                inner.base = base;
-                inner.bump = base;
-                inner.committed = base + ARENA_INITIAL;
-                inner.reserved_end = base + ARENA_RESERVE;
-            }
+            self.state.with(|s| {
+                s.by_region.insert(base >> 26, idx);
+                let arena = &mut s.arenas[idx];
+                arena.bump = base;
+                arena.committed = base + ARENA_INITIAL;
+                arena.reserved_end = base + ARENA_RESERVE;
+            });
         }
     }
 
     /// Pick and lock an arena: try the preferred one, then probe the rest
     /// with trylock, then create a new arena — the ptmalloc algorithm from
     /// the paper's §3.1.
-    fn lock_some_arena(&self, ctx: &mut Ctx<'_>) -> (usize, Arc<Arena>) {
+    fn lock_some_arena(&self, ctx: &mut Ctx<'_>) -> (usize, SimMutex) {
         let tid = ctx.tid();
-        let candidates = {
-            let g = self.global.lock();
-            let start = g.preferred[tid].min(g.arenas.len() - 1);
-            let n = g.arenas.len();
-            let order: Vec<(usize, Arc<Arena>)> = (0..n)
-                .map(|i| {
-                    let idx = (start + i) % n;
-                    (idx, Arc::clone(&g.arenas[idx]))
-                })
-                .collect();
-            order
-        };
-        for (idx, arena) in candidates {
+        // Arenas a peer creates while this thread probes are not probed.
+        let (start, n) = self.state.with(|s| {
+            let n = s.arenas.len();
+            (s.preferred[tid].min(n - 1), n)
+        });
+        for idx in (0..n).map(|i| (start + i) % n) {
+            let mx = self.state.with(|s| s.arenas[idx].mx);
             ctx.tick(5); // probe overhead
-            if ctx.try_lock(arena.mx) {
-                self.global.lock().preferred[tid] = idx;
-                return (idx, arena);
+            if ctx.try_lock(mx) {
+                self.state.with(|s| s.preferred[tid] = idx);
+                return (idx, mx);
             }
         }
         // All arenas busy: create a new one (registered before locking so
         // concurrent creators make distinct arenas, as glibc does).
         let mx = ctx.new_mutex();
-        let (idx, arena) = {
-            let mut g = self.global.lock();
-            let arena = Arc::new(Arena {
-                mx,
-                inner: Mutex::new(ArenaInner {
-                    base: 0,
-                    bump: 0,
-                    committed: 0,
-                    reserved_end: 0,
-                    bins: HashMap::new(),
-                }),
-            });
-            g.arenas.push(Arc::clone(&arena));
-            let idx = g.arenas.len() - 1;
-            g.preferred[tid] = idx;
-            (idx, arena)
-        };
-        ctx.lock(arena.mx);
-        (idx, arena)
+        let idx = self.state.with(|s| {
+            s.arenas.push(Arena::new(mx));
+            s.preferred[tid] = s.arenas.len() - 1;
+            s.preferred[tid]
+        });
+        ctx.lock(mx);
+        (idx, mx)
     }
 }
 
@@ -196,44 +159,40 @@ impl Allocator for GlibcAllocator {
         if chunk > MMAP_THRESHOLD {
             let base = ctx.os_alloc(chunk, 4096);
             ctx.write_u64(base + 8, chunk); // tag even for mmap'd chunks
-            self.global.lock().large.insert(base + HEADER, chunk);
+            self.state.with(|s| s.large.insert(base + HEADER, chunk));
             return Ok(base + HEADER);
         }
 
-        let (idx, arena) = self.lock_some_arena(ctx);
+        let (idx, mx) = self.lock_some_arena(ctx);
         self.ensure_arena_backed(ctx, idx);
-        // `arena.mx` is held: `inner` can never be contended. We still must
-        // not hold the host guard across Ctx calls, so stage the work.
-        let recycled = {
-            let inner = arena.inner.lock();
-            inner.bins.get(&chunk).copied().filter(|b| !b.is_empty())
-        };
-        let base = if let Some(mut bin) = recycled {
-            // Pop outside the host guard, then store the updated bin back.
-            let b = bin.pop(ctx).expect("bin was non-empty");
-            arena.inner.lock().bins.insert(chunk, bin);
+        let recycled = self
+            .state
+            .list(ctx, bin(idx, chunk), |bin, ctx| bin.pop(ctx));
+        let base = if let Some(b) = recycled {
             ctx.tick(4);
             b
         } else {
             // Bump allocation from the top of the arena.
-            let (b, grow) = {
-                let mut inner = arena.inner.lock();
-                if inner.bump + chunk > inner.reserved_end {
-                    // Organic exhaustion: the 64 MB reservation cannot
-                    // serve another chunk. Release the arena lock before
-                    // failing so the error path leaves no lock held.
-                    drop(inner);
-                    ctx.unlock(arena.mx);
-                    return Err(AllocError::Exhausted { size });
+            let bumped = self.state.with(|s| {
+                let arena = &mut s.arenas[idx];
+                if arena.bump + chunk > arena.reserved_end {
+                    return None;
                 }
-                let b = inner.bump;
-                inner.bump += chunk;
+                let b = arena.bump;
+                arena.bump += chunk;
                 let mut grow = false;
-                while inner.bump > inner.committed {
-                    inner.committed = (inner.committed + ARENA_INITIAL).min(inner.reserved_end);
+                while arena.bump > arena.committed {
+                    arena.committed = (arena.committed + ARENA_INITIAL).min(arena.reserved_end);
                     grow = true;
                 }
-                (b, grow)
+                Some((b, grow))
+            });
+            let Some((b, grow)) = bumped else {
+                // Organic exhaustion: the 64 MB reservation cannot serve
+                // another chunk. Release the arena lock before failing so
+                // the error path leaves no lock held.
+                ctx.unlock(mx);
+                return Err(AllocError::Exhausted { size });
             };
             if grow {
                 ctx.tick(800); // sbrk/mprotect-style growth cost
@@ -243,16 +202,15 @@ impl Allocator for GlibcAllocator {
         // Boundary tag: size word in the header, touched on every
         // (de)allocation — Glibc's per-block metadata cost.
         ctx.write_u64(base + 8, chunk);
-        ctx.unlock(arena.mx);
+        ctx.unlock(mx);
         Ok(base + HEADER)
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = {
-            let g = self.global.lock();
-            g.large.contains_key(&addr)
-                || g.by_region.contains_key(&(addr.wrapping_sub(HEADER) >> 26))
-        };
+        let known = self.state.with(|s| {
+            s.large.contains_key(&addr)
+                || s.by_region.contains_key(&(addr.wrapping_sub(HEADER) >> 26))
+        });
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -262,33 +220,25 @@ impl Allocator for GlibcAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(10);
-        if self.global.lock().large.remove(&addr).is_some() {
+        if self.state.with(|s| s.large.remove(&addr).is_some()) {
             ctx.tick(300); // munmap-ish
             return;
         }
         let base = addr - HEADER;
         let chunk = ctx.read_u64(base + 8); // read the boundary tag
-        let arena = {
-            let g = self.global.lock();
-            let idx = *g
+        let (idx, mx) = self.state.with(|s| {
+            let idx = *s
                 .by_region
                 .get(&(base >> 26))
                 .expect("glibc model: free of unknown address");
-            Arc::clone(&g.arenas[idx])
-        };
+            (idx, s.arenas[idx].mx)
+        });
         // Blocks return to the arena they came from (paper §3.1), which
         // requires taking that arena's lock.
-        ctx.lock(arena.mx);
-        let mut bin = arena
-            .inner
-            .lock()
-            .bins
-            .get(&chunk)
-            .copied()
-            .unwrap_or_else(FreeList::new);
-        bin.push(ctx, base);
-        arena.inner.lock().bins.insert(chunk, bin);
-        ctx.unlock(arena.mx);
+        ctx.lock(mx);
+        self.state
+            .list(ctx, bin(idx, chunk), |bin, ctx| bin.push(ctx, base));
+        ctx.unlock(mx);
     }
 
     fn min_block(&self) -> u64 {
@@ -296,50 +246,11 @@ impl Allocator for GlibcAllocator {
     }
 
     fn snapshot(&self) -> Option<HeapSnapshot> {
-        let g = self.global.lock();
-        let arenas = g
-            .arenas
-            .iter()
-            .map(|a| {
-                let i = a.inner.lock();
-                ArenaSnap {
-                    base: i.base,
-                    bump: i.bump,
-                    committed: i.committed,
-                    reserved_end: i.reserved_end,
-                    bins: i.bins.clone(),
-                }
-            })
-            .collect();
-        Some(Box::new(GlibcSnapshot {
-            arenas,
-            preferred: g.preferred.clone(),
-            by_region: g.by_region.clone(),
-            large: g.large.clone(),
-        }))
+        self.state.snapshot()
     }
 
     fn restore(&self, snap: &HeapSnapshot) {
-        let snap = snap
-            .downcast_ref::<GlibcSnapshot>()
-            .expect("glibc model: restore of a foreign heap snapshot");
-        let mut g = self.global.lock();
-        assert!(
-            snap.arenas.len() <= g.arenas.len(),
-            "glibc model: snapshot has arenas this allocator never created"
-        );
-        g.arenas.truncate(snap.arenas.len());
-        for (arena, s) in g.arenas.iter().zip(&snap.arenas) {
-            let mut i = arena.inner.lock();
-            i.base = s.base;
-            i.bump = s.bump;
-            i.committed = s.committed;
-            i.reserved_end = s.reserved_end;
-            i.bins = s.bins.clone();
-        }
-        g.preferred.clone_from(&snap.preferred);
-        g.by_region = snap.by_region.clone();
-        g.large = snap.large.clone();
+        self.state.restore(snap)
     }
 
     fn attributes(&self) -> AllocatorAttrs {
@@ -359,7 +270,7 @@ impl GlibcAllocator {
     /// Number of arenas created so far (diagnostics; the paper's §5.2
     /// explains the HashSet anomaly via multiple 64 MB-aligned arenas).
     pub fn arena_count(&self) -> usize {
-        self.global.lock().arenas.len()
+        self.state.with(|s| s.arenas.len())
     }
 }
 
@@ -367,6 +278,7 @@ impl GlibcAllocator {
 mod tests {
     use super::*;
     use crate::AllocatorKind;
+    use parking_lot::Mutex;
     use tm_sim::MachineConfig;
 
     #[test]
@@ -473,9 +385,7 @@ mod tests {
                 mine.push(big);
                 log.lock().push((ctx.tid(), mine));
             });
-            let mut v = log.into_inner();
-            v.sort();
-            v
+            log.into_inner()
         };
         let r1 = round(&sim, &a);
         let arenas_after_round = a.arena_count();

@@ -12,13 +12,12 @@
 //!   avoidance), requiring the owner heap's lock for large classes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use tm_sim::{Ctx, Sim, SimMutex};
 
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
+use crate::state::HostState;
 use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const SB_SIZE: u64 = 64 * 1024;
@@ -33,77 +32,56 @@ const LOCAL_MAX: u64 = 256;
 const LOCAL_REFILL: u64 = 4;
 const LOCAL_CAP: u64 = 12;
 
-struct SbInner {
+/// One 64 KB superblock; everything but `mx` and `base` is guarded by `mx`.
+#[derive(Clone)]
+struct Superblock {
+    mx: SimMutex,
     base: u64,
     class: usize,
     bump: u64,
-    end: u64,
     free: FreeList,
     /// Blocks currently handed out.
     used: u64,
     owner_heap: usize,
 }
 
-struct Superblock {
-    mx: SimMutex,
-    inner: Mutex<SbInner>,
-}
-
-struct HeapInner {
-    /// Current superblock per class.
-    current: HashMap<usize, Arc<Superblock>>,
-}
-
-struct Heap {
-    mx: SimMutex,
-    inner: Mutex<HeapInner>,
-}
-
-struct GlobalInner {
+#[derive(Clone, Default)]
+struct State {
+    /// Every superblock fetched from the OS, named by its index here.
+    sbs: Vec<Superblock>,
+    /// `addr >> 16` → superblock, for `free`.
+    by_addr: HashMap<u64, usize>,
+    /// Per heap: class → its current superblock. Guarded by `heap_mx`.
+    current: Vec<HashMap<usize, usize>>,
     /// Completely-empty superblocks available for reuse (any class; they are
-    /// re-dedicated on reuse).
-    spares: Vec<Arc<Superblock>>,
+    /// re-dedicated on reuse). Guarded by `global_mx`.
+    spares: Vec<usize>,
+    /// Per thread: class → local cache.
+    local: Vec<HashMap<usize, FreeList>>,
+    large: HashMap<u64, u64>,
 }
 
-struct LocalCache {
-    lists: HashMap<usize, FreeList>,
+impl State {
+    fn sb_of(&self, addr: u64) -> usize {
+        *self
+            .by_addr
+            .get(&(addr >> SB_SHIFT))
+            .expect("hoard model: free of unknown address")
+    }
+}
+
+/// Thread `tid`'s local cache for `class`, created on first use.
+fn local(tid: usize, class: usize) -> impl Fn(&mut State) -> &mut FreeList {
+    move |s| s.local[tid].entry(class).or_default()
 }
 
 /// The Hoard allocator model. See module docs.
 pub struct HoardAllocator {
     classes: SizeClasses,
-    heaps: Vec<Arc<Heap>>,
+    /// One lock per heap; a thread's heap is `tid % heap_mx.len()`.
+    heap_mx: Vec<SimMutex>,
     global_mx: SimMutex,
-    global: Mutex<GlobalInner>,
-    local: Vec<Mutex<LocalCache>>,
-    /// `addr >> 16` → superblock, for `free`.
-    registry: RwLock<HashMap<u64, Arc<Superblock>>>,
-    large: Mutex<HashMap<u64, u64>>,
-}
-
-/// Frozen heap metadata for [`Allocator::snapshot`]. Superblocks are keyed
-/// by `base >> SB_SHIFT`; re-dedication (class/owner changes) is undone by
-/// restoring the full `SbInner`, and heap "current" maps plus the global
-/// spare list are rebuilt by key lookup so `Arc<Superblock>` identities
-/// survive.
-struct HoardSnapshot {
-    sbs: HashMap<u64, SbSnap>,
-    /// Per heap: class → current superblock key.
-    heaps: Vec<HashMap<usize, u64>>,
-    spares: Vec<u64>,
-    local: Vec<HashMap<usize, FreeList>>,
-    large: HashMap<u64, u64>,
-}
-
-#[derive(Clone)]
-struct SbSnap {
-    base: u64,
-    class: usize,
-    bump: u64,
-    end: u64,
-    free: FreeList,
-    used: u64,
-    owner_heap: usize,
+    state: HostState<State>,
 }
 
 impl HoardAllocator {
@@ -112,123 +90,100 @@ impl HoardAllocator {
         let cores = sim.config().cores;
         HoardAllocator {
             classes: SizeClasses::pow2(16, MAX_SMALL),
-            heaps: (0..cores)
-                .map(|_| {
-                    Arc::new(Heap {
-                        mx: sim.new_mutex(),
-                        inner: Mutex::new(HeapInner {
-                            current: HashMap::new(),
-                        }),
-                    })
-                })
-                .collect(),
+            heap_mx: (0..cores).map(|_| sim.new_mutex()).collect(),
             global_mx: sim.new_mutex(),
-            global: Mutex::new(GlobalInner { spares: Vec::new() }),
-            local: (0..cores)
-                .map(|_| {
-                    Mutex::new(LocalCache {
-                        lists: HashMap::new(),
-                    })
-                })
-                .collect(),
-            registry: RwLock::new(HashMap::new()),
-            large: Mutex::new(HashMap::new()),
+            state: HostState::new(
+                "hoard",
+                State {
+                    current: vec![HashMap::new(); cores],
+                    local: vec![HashMap::new(); cores],
+                    ..State::default()
+                },
+            ),
         }
     }
 
-    /// Fetch a superblock for `class` into `heap` — from the global heap's
-    /// spares or a fresh 64 KB-aligned OS region. Caller holds `heap.mx`.
-    fn new_superblock(&self, ctx: &mut Ctx<'_>, heap_idx: usize, class: usize) -> Arc<Superblock> {
-        // Lock order: heap.mx (held) → global_mx.
+    /// Fetch a superblock for `class` into heap `heap` — from the global
+    /// heap's spares or a fresh 64 KB-aligned OS region — and make it the
+    /// heap's current one. Caller holds `heap_mx[heap]`.
+    fn new_superblock(&self, ctx: &mut Ctx<'_>, heap: usize, class: usize) -> usize {
+        // Lock order: heap_mx (held) → global_mx.
         ctx.lock(self.global_mx);
-        let spare = self.global.lock().spares.pop();
+        let spare = self.state.with(|s| s.spares.pop());
         ctx.unlock(self.global_mx);
-        let sb = if let Some(sb) = spare {
-            {
-                let mut i = sb.inner.lock();
-                i.class = class;
-                i.bump = i.base;
-                i.free = FreeList::new();
-                i.used = 0;
-                i.owner_heap = heap_idx;
-            }
-            ctx.tick(40); // re-dedication bookkeeping
-            sb
-        } else {
-            let base = ctx.os_alloc(SB_SIZE, SB_SIZE);
-            let sb = Arc::new(Superblock {
-                mx: ctx.new_mutex(),
-                inner: Mutex::new(SbInner {
-                    base,
-                    class,
-                    bump: base,
-                    end: base + SB_SIZE,
-                    free: FreeList::new(),
-                    used: 0,
-                    owner_heap: heap_idx,
-                }),
+        if let Some(id) = spare {
+            self.state.with(|s| {
+                let sb = &mut s.sbs[id];
+                sb.class = class;
+                sb.bump = sb.base;
+                sb.free = FreeList::new();
+                sb.used = 0;
+                sb.owner_heap = heap;
+                s.current[heap].insert(class, id);
             });
-            self.registry
-                .write()
-                .insert(base >> SB_SHIFT, Arc::clone(&sb));
-            sb
-        };
-        self.heaps[heap_idx]
-            .inner
-            .lock()
-            .current
-            .insert(class, Arc::clone(&sb));
-        sb
+            ctx.tick(40); // re-dedication bookkeeping
+            return id;
+        }
+        let base = ctx.os_alloc(SB_SIZE, SB_SIZE);
+        let mx = ctx.new_mutex();
+        self.state.with(|s| {
+            let id = s.sbs.len();
+            s.sbs.push(Superblock {
+                mx,
+                base,
+                class,
+                bump: base,
+                free: FreeList::new(),
+                used: 0,
+                owner_heap: heap,
+            });
+            s.by_addr.insert(base >> SB_SHIFT, id);
+            s.current[heap].insert(class, id);
+            id
+        })
     }
 
     /// Take `n` blocks of `class` from the heap's current superblock (the
-    /// paper's slow path: heap lock + superblock lock). Returns fewer than
-    /// `n` only never — a fresh superblock is fetched when needed.
+    /// paper's slow path: heap lock + superblock lock), fetching a fresh
+    /// superblock whenever the current one runs out.
     fn carve(&self, ctx: &mut Ctx<'_>, class: usize, n: u64, out: &mut Vec<u64>) {
-        let heap_idx = ctx.tid() % self.heaps.len();
-        let heap = Arc::clone(&self.heaps[heap_idx]);
-        ctx.lock(heap.mx);
+        let heap = ctx.tid() % self.heap_mx.len();
+        ctx.lock(self.heap_mx[heap]);
         let csize = self.classes.size_of(class);
         let mut need = n;
         while need > 0 {
-            let sb = {
-                let cur = heap.inner.lock().current.get(&class).cloned();
-                match cur {
-                    Some(sb) => sb,
-                    None => self.new_superblock(ctx, heap_idx, class),
-                }
+            let id = match self.state.with(|s| s.current[heap].get(&class).copied()) {
+                Some(id) => id,
+                None => self.new_superblock(ctx, heap, class),
             };
-            ctx.lock(sb.mx);
-            loop {
-                if need == 0 {
-                    break;
-                }
+            let mx = self.state.with(|s| s.sbs[id].mx);
+            ctx.lock(mx);
+            while need > 0 {
                 // Prefer recycled blocks, then bump-carve.
-                // FreeList ops need ctx; stage by copying the list out
-                // (safe: sb.mx is held, so nobody else mutates it).
-                let popped = {
-                    let mut fl = sb.inner.lock().free;
-                    let b = fl.pop(ctx);
-                    sb.inner.lock().free = fl;
-                    b
-                };
+                let popped = self.state.list_then(
+                    ctx,
+                    |s| &mut s.sbs[id].free,
+                    |fl, ctx| fl.pop(ctx),
+                    |s, b| {
+                        if b.is_some() {
+                            s.sbs[id].used += 1;
+                        }
+                        b
+                    },
+                );
                 if let Some(b) = popped {
-                    sb.inner.lock().used += 1;
                     out.push(b);
                     need -= 1;
                     continue;
                 }
-                let bumped = {
-                    let mut i = sb.inner.lock();
-                    if i.bump + csize <= i.end {
-                        let b = i.bump;
-                        i.bump += csize;
-                        i.used += 1;
-                        Some(b)
-                    } else {
-                        None
-                    }
-                };
+                let bumped = self.state.with(|s| {
+                    let sb = &mut s.sbs[id];
+                    (sb.bump + csize <= sb.base + SB_SIZE).then(|| {
+                        sb.bump += csize;
+                        sb.used += 1;
+                        sb.bump - csize
+                    })
+                });
                 match bumped {
                     Some(b) => {
                         ctx.tick(6);
@@ -238,58 +193,41 @@ impl HoardAllocator {
                     None => break, // superblock exhausted
                 }
             }
-            ctx.unlock(sb.mx);
+            ctx.unlock(mx);
             if need > 0 {
                 // Exhausted: un-current it and fetch a fresh superblock.
-                heap.inner.lock().current.remove(&class);
+                self.state.with(|s| s.current[heap].remove(&class));
             }
         }
-        ctx.unlock(heap.mx);
+        ctx.unlock(self.heap_mx[heap]);
     }
 
     /// Return one block to its superblock (heap lock + superblock lock, the
     /// paper's §3.2 deallocation path). Empty superblocks move to the
     /// global heap.
-    fn free_to_superblock(&self, ctx: &mut Ctx<'_>, sb: &Arc<Superblock>, addr: u64) {
-        let owner = sb.inner.lock().owner_heap;
-        let heap = Arc::clone(&self.heaps[owner]);
-        ctx.lock(heap.mx);
-        ctx.lock(sb.mx);
-        let mut fl = sb.inner.lock().free;
-        fl.push(ctx, addr);
-        let now_empty = {
-            let mut i = sb.inner.lock();
-            i.free = fl;
-            i.used -= 1;
-            i.used == 0
-        };
-        ctx.unlock(sb.mx);
-        if now_empty {
-            // Below the emptiness threshold: hand it back to the global
-            // heap if it is not the heap's current superblock.
-            let class = sb.inner.lock().class;
-            let is_current = heap
-                .inner
-                .lock()
-                .current
-                .get(&class)
-                .is_some_and(|cur| Arc::ptr_eq(cur, sb));
-            if !is_current {
-                ctx.lock(self.global_mx);
-                self.global.lock().spares.push(Arc::clone(sb));
-                ctx.unlock(self.global_mx);
-            }
+    fn free_to_superblock(&self, ctx: &mut Ctx<'_>, id: usize, addr: u64) {
+        let (owner, mx) = self.state.with(|s| (s.sbs[id].owner_heap, s.sbs[id].mx));
+        ctx.lock(self.heap_mx[owner]);
+        ctx.lock(mx);
+        let now_empty = self.state.list_then(
+            ctx,
+            |s| &mut s.sbs[id].free,
+            |fl, ctx| fl.push(ctx, addr),
+            |s, ()| {
+                s.sbs[id].used -= 1;
+                s.sbs[id].used == 0
+            },
+        );
+        ctx.unlock(mx);
+        // Below the emptiness threshold: hand it back to the global heap
+        // if it is not the heap's current superblock.
+        let is_current = |s: &mut State| s.current[owner].get(&s.sbs[id].class) == Some(&id);
+        if now_empty && !self.state.with(is_current) {
+            ctx.lock(self.global_mx);
+            self.state.with(|s| s.spares.push(id));
+            ctx.unlock(self.global_mx);
         }
-        ctx.unlock(heap.mx);
-    }
-
-    fn lookup_sb(&self, addr: u64) -> Arc<Superblock> {
-        Arc::clone(
-            self.registry
-                .read()
-                .get(&(addr >> SB_SHIFT))
-                .expect("hoard model: free of unknown address"),
-        )
+        ctx.unlock(self.heap_mx[owner]);
     }
 }
 
@@ -298,7 +236,7 @@ impl Allocator for HoardAllocator {
         ctx.tick(10);
         let Some(class) = self.classes.class_of(size) else {
             let base = ctx.os_alloc((size + 15) & !15, 4096);
-            self.large.lock().insert(base, size);
+            self.state.with(|s| s.large.insert(base, size));
             return base;
         };
         let csize = self.classes.size_of(class);
@@ -308,17 +246,8 @@ impl Allocator for HoardAllocator {
             // Hoard make use of thread-private local heaps for small
             // blocks").
             let tid = ctx.tid();
-            let hit = {
-                let mut lc = self.local[tid].lock();
-                let fl = lc.lists.entry(class).or_default();
-                let copy = *fl;
-                drop(lc);
-                let mut copy2 = copy;
-                let b = copy2.pop(ctx);
-                self.local[tid].lock().lists.insert(class, copy2);
-                b
-            };
-            if let Some(b) = hit {
+            let mine = local(tid, class);
+            if let Some(b) = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx)) {
                 return b;
             }
             let mut batch = Vec::with_capacity(LOCAL_REFILL as usize);
@@ -327,11 +256,11 @@ impl Allocator for HoardAllocator {
             // subsequent pops come back in ascending address order, like
             // the carve order itself.
             let ret = batch.remove(0);
-            let mut fl = *self.local[tid].lock().lists.entry(class).or_default();
-            for b in batch.into_iter().rev() {
-                fl.push(ctx, b);
-            }
-            self.local[tid].lock().lists.insert(class, fl);
+            self.state.list(ctx, &mine, |fl, ctx| {
+                for b in batch.into_iter().rev() {
+                    fl.push(ctx, b);
+                }
+            });
             ret
         } else {
             let mut one = Vec::with_capacity(1);
@@ -341,8 +270,9 @@ impl Allocator for HoardAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.large.lock().contains_key(&addr)
-            || self.registry.read().contains_key(&(addr >> SB_SHIFT));
+        let known = self
+            .state
+            .with(|s| s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT)));
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -352,42 +282,38 @@ impl Allocator for HoardAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(8);
-        if self.large.lock().remove(&addr).is_some() {
+        if self.state.with(|s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
-        let sb = self.lookup_sb(addr);
-        let (class, csize, owner) = {
-            let i = sb.inner.lock();
-            (i.class, self.classes.size_of(i.class), i.owner_heap)
-        };
+        let (id, class, owner) = self.state.with(|s| {
+            let id = s.sb_of(addr);
+            (id, s.sbs[id].class, s.sbs[id].owner_heap)
+        });
         let tid = ctx.tid();
-        if csize <= LOCAL_MAX && owner == tid % self.heaps.len() {
+        if self.classes.size_of(class) <= LOCAL_MAX && owner == tid % self.heap_mx.len() {
             // Small chunks from the thread's *own* superblocks are freed
             // locally, without synchronization. Blocks owned by another
             // heap take the locked return path (false-sharing avoidance:
             // Hoard sends blocks back to their origin superblock) — the
             // contention source behind Intruder's privatization pattern,
             // where every fragment was allocated by the init thread.
-            let mut fl = *self.local[tid].lock().lists.entry(class).or_default();
-            fl.push(ctx, addr);
-            let over = fl.len() > LOCAL_CAP;
-            self.local[tid].lock().lists.insert(class, fl);
+            let mine = local(tid, class);
+            let over = self.state.list(ctx, &mine, |fl, ctx| {
+                fl.push(ctx, addr);
+                fl.len() > LOCAL_CAP
+            });
             if over {
                 // Flush half of the cache back to the superblocks.
-                let mut fl = *self.local[tid].lock().lists.get(&class).unwrap();
                 for _ in 0..(LOCAL_CAP / 2) {
-                    if let Some(b) = fl.pop(ctx) {
-                        self.local[tid].lock().lists.insert(class, fl);
-                        let sb = self.lookup_sb(b);
-                        self.free_to_superblock(ctx, &sb, b);
-                        fl = *self.local[tid].lock().lists.get(&class).unwrap();
+                    if let Some(b) = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx)) {
+                        let id = self.state.with(|s| s.sb_of(b));
+                        self.free_to_superblock(ctx, id, b);
                     }
                 }
-                self.local[tid].lock().lists.insert(class, fl);
             }
         } else {
-            self.free_to_superblock(ctx, &sb, addr);
+            self.free_to_superblock(ctx, id, addr);
         }
     }
 
@@ -396,89 +322,11 @@ impl Allocator for HoardAllocator {
     }
 
     fn snapshot(&self) -> Option<HeapSnapshot> {
-        let sbs = self
-            .registry
-            .read()
-            .iter()
-            .map(|(&k, sb)| {
-                let i = sb.inner.lock();
-                (
-                    k,
-                    SbSnap {
-                        base: i.base,
-                        class: i.class,
-                        bump: i.bump,
-                        end: i.end,
-                        free: i.free,
-                        used: i.used,
-                        owner_heap: i.owner_heap,
-                    },
-                )
-            })
-            .collect();
-        let heaps = self
-            .heaps
-            .iter()
-            .map(|h| {
-                h.inner
-                    .lock()
-                    .current
-                    .iter()
-                    .map(|(&class, sb)| (class, sb.inner.lock().base >> SB_SHIFT))
-                    .collect()
-            })
-            .collect();
-        let spares = self
-            .global
-            .lock()
-            .spares
-            .iter()
-            .map(|sb| sb.inner.lock().base >> SB_SHIFT)
-            .collect();
-        let local = self
-            .local
-            .iter()
-            .map(|lc| lc.lock().lists.clone())
-            .collect();
-        Some(Box::new(HoardSnapshot {
-            sbs,
-            heaps,
-            spares,
-            local,
-            large: self.large.lock().clone(),
-        }))
+        self.state.snapshot()
     }
 
     fn restore(&self, snap: &HeapSnapshot) {
-        let snap = snap
-            .downcast_ref::<HoardSnapshot>()
-            .expect("hoard model: restore of a foreign heap snapshot");
-        let mut reg = self.registry.write();
-        reg.retain(|k, _| snap.sbs.contains_key(k));
-        for (k, s) in &snap.sbs {
-            let sb = reg
-                .get(k)
-                .expect("hoard model: snapshot names a superblock this allocator never created");
-            let mut i = sb.inner.lock();
-            i.base = s.base;
-            i.class = s.class;
-            i.bump = s.bump;
-            i.end = s.end;
-            i.free = s.free;
-            i.used = s.used;
-            i.owner_heap = s.owner_heap;
-        }
-        for (h, hs) in self.heaps.iter().zip(&snap.heaps) {
-            h.inner.lock().current = hs
-                .iter()
-                .map(|(&class, k)| (class, Arc::clone(&reg[k])))
-                .collect();
-        }
-        self.global.lock().spares = snap.spares.iter().map(|k| Arc::clone(&reg[k])).collect();
-        for (lc, ls) in self.local.iter().zip(&snap.local) {
-            lc.lock().lists = ls.clone();
-        }
-        *self.large.lock() = snap.large.clone();
+        self.state.restore(snap)
     }
 
     fn attributes(&self) -> AllocatorAttrs {
@@ -498,6 +346,7 @@ impl Allocator for HoardAllocator {
 mod tests {
     use super::*;
     use crate::AllocatorKind;
+    use parking_lot::Mutex;
     use tm_sim::MachineConfig;
 
     #[test]
@@ -622,9 +471,7 @@ mod tests {
                 mine.push(big);
                 log.lock().push((ctx.tid(), mine));
             });
-            let mut v = log.into_inner();
-            v.sort();
-            v
+            log.into_inner()
         };
         let r1 = round(&sim, &a);
         sim.restore(&machine);

@@ -19,7 +19,16 @@
 //!
 //! All four return addresses in simulated memory; their block spacing,
 //! region alignment and locking discipline are what the STM's
-//! address-to-lock mapping interacts with.
+//! address-to-lock mapping interacts with. [`SerialLockAllocator`] is a
+//! fifth model outside the studied set: the §3 strawman, a negative control.
+//!
+//! A model is one file. Everything it mutates on the host is one
+//! `#[derive(Clone)] struct State` of plain data inside the crate-private
+//! `state::HostState`, which supplies the discipline for touching it (no
+//! guard across a `Ctx` call) and, once for all models,
+//! [`Allocator::snapshot`] / [`Allocator::restore`]: a heap snapshot is a
+//! clone of that struct. DESIGN.md §5 "Host-side state" has the rule and
+//! the recipe for adding a model.
 //!
 //! The [`profile`] module wraps any allocator with per-code-region
 //! allocation-site instrumentation used to regenerate the paper's Table 5,
@@ -46,6 +55,7 @@ mod glibc;
 mod hoard;
 pub mod profile;
 mod serial;
+mod state;
 mod tbb;
 mod tc;
 
@@ -149,7 +159,7 @@ pub trait Allocator: Send + Sync {
     fn attributes(&self) -> AllocatorAttrs;
 
     /// Capture the allocator's host-side heap metadata (free lists, bump
-    /// cursors, superblock/arena registries) so a later
+    /// cursors, superblock/arena tables) so a later
     /// [`Allocator::restore`] rewinds it exactly. The simulated-memory
     /// half of the heap (boundary tags, in-block free links) is the
     /// machine's to snapshot; this call covers only what lives on the
@@ -157,14 +167,16 @@ pub trait Allocator: Send + Sync {
     ///
     /// Returns `None` when the implementation does not support
     /// checkpointing — callers (the `tm-mc` explorer) then fall back to
-    /// from-scratch execution. All four paper allocators and the audit
-    /// wrapper support it.
+    /// from-scratch execution. All five models and both wrappers
+    /// ([`HeapAuditor`], [`FaultInjector`]) support it; a wrapper's
+    /// snapshot is `None` when its inner allocator's is.
     fn snapshot(&self) -> Option<HeapSnapshot> {
         None
     }
 
     /// Rewind host-side heap metadata to a [`HeapSnapshot`] captured from
-    /// *this* allocator. Panics on a foreign snapshot. Implementations
+    /// *this* allocator. Panics on a foreign snapshot — another model's or,
+    /// for the five models, another instance's. Implementations
     /// that return `None` from [`Allocator::snapshot`] never see one.
     fn restore(&self, snap: &HeapSnapshot) {
         let _ = snap;

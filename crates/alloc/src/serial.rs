@@ -11,28 +11,33 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use tm_sim::{Ctx, Sim, SimMutex};
 
 use crate::freelist::FreeList;
-use crate::{Allocator, AllocatorAttrs};
+use crate::state::HostState;
+use crate::{Allocator, AllocatorAttrs, HeapSnapshot};
 
 const HEADER: u64 = 16;
 const MIN_CHUNK: u64 = 32;
 const HEAP_CHUNK: u64 = 1 << 20;
 
-struct Inner {
+/// Everything but `large` is guarded by the global lock.
+#[derive(Clone, Default)]
+struct State {
     bump: u64,
     end: u64,
     bins: HashMap<u64, FreeList>,
     large: HashMap<u64, u64>,
 }
 
+fn bin(chunk: u64) -> impl Fn(&mut State) -> &mut FreeList {
+    move |s| s.bins.entry(chunk).or_default()
+}
+
 /// A good serial allocator behind one global lock. See module docs.
 pub struct SerialLockAllocator {
     mx: SimMutex,
-    /// Locked only while holding `mx` (never contended at host level).
-    inner: Mutex<Inner>,
+    state: HostState<State>,
 }
 
 impl SerialLockAllocator {
@@ -40,12 +45,7 @@ impl SerialLockAllocator {
     pub fn new(sim: &Sim) -> Self {
         SerialLockAllocator {
             mx: sim.new_mutex(),
-            inner: Mutex::new(Inner {
-                bump: 0,
-                end: 0,
-                bins: HashMap::new(),
-                large: HashMap::new(),
-            }),
+            state: HostState::new("serial-lock", State::default()),
         }
     }
 
@@ -61,35 +61,25 @@ impl Allocator for SerialLockAllocator {
         if chunk > 128 * 1024 {
             let base = ctx.os_alloc(chunk, 4096);
             ctx.write_u64(base + 8, chunk);
-            self.inner.lock().large.insert(base + HEADER, chunk);
+            self.state.with(|s| s.large.insert(base + HEADER, chunk));
             return base + HEADER;
         }
         // THE global lock: every thread, every operation.
         ctx.lock(self.mx);
-        let recycled = {
-            let inner = self.inner.lock();
-            inner.bins.get(&chunk).copied().filter(|b| !b.is_empty())
-        };
-        let base = if let Some(mut bin) = recycled {
-            let b = bin.pop(ctx).expect("non-empty bin");
-            self.inner.lock().bins.insert(chunk, bin);
-            b
-        } else {
-            let need_heap = {
-                let i = self.inner.lock();
-                i.bump + chunk > i.end
-            };
-            if need_heap {
+        let recycled = self.state.list(ctx, bin(chunk), |bin, ctx| bin.pop(ctx));
+        let base = recycled.unwrap_or_else(|| {
+            if self.state.with(|s| s.bump + chunk > s.end) {
                 let heap = ctx.os_alloc(HEAP_CHUNK, 4096);
-                let mut i = self.inner.lock();
-                i.bump = heap;
-                i.end = heap + HEAP_CHUNK;
+                self.state.with(|s| {
+                    s.bump = heap;
+                    s.end = heap + HEAP_CHUNK;
+                });
             }
-            let mut i = self.inner.lock();
-            let b = i.bump;
-            i.bump += chunk;
-            b
-        };
+            self.state.with(|s| {
+                s.bump += chunk;
+                s.bump - chunk
+            })
+        });
         ctx.write_u64(base + 8, chunk);
         ctx.unlock(self.mx);
         base + HEADER
@@ -97,28 +87,28 @@ impl Allocator for SerialLockAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(8);
-        if self.inner.lock().large.contains_key(&addr) {
-            self.inner.lock().large.remove(&addr);
+        if self.state.with(|s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
         let base = addr - HEADER;
         let chunk = ctx.read_u64(base + 8);
         ctx.lock(self.mx);
-        let mut bin = self
-            .inner
-            .lock()
-            .bins
-            .get(&chunk)
-            .copied()
-            .unwrap_or_else(FreeList::new);
-        bin.push(ctx, base);
-        self.inner.lock().bins.insert(chunk, bin);
+        self.state
+            .list(ctx, bin(chunk), |bin, ctx| bin.push(ctx, base));
         ctx.unlock(self.mx);
     }
 
     fn min_block(&self) -> u64 {
         MIN_CHUNK
+    }
+
+    fn snapshot(&self) -> Option<HeapSnapshot> {
+        self.state.snapshot()
+    }
+
+    fn restore(&self, snap: &HeapSnapshot) {
+        self.state.restore(snap)
     }
 
     fn attributes(&self) -> AllocatorAttrs {

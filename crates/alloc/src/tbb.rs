@@ -14,13 +14,12 @@
 //!   paper's Figure 3).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use tm_sim::{Ctx, Sim, SimMutex};
 
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
+use crate::state::HostState;
 use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const SB_SIZE: u64 = 16 * 1024;
@@ -29,87 +28,64 @@ const OS_CHUNK: u64 = 1 << 20;
 /// Requests at or above this bypass the heaps (paper: "< 8 KB" fast path).
 const BIG: u64 = 8 * 1024;
 
-struct SbShared {
-    /// Remote frees land here; guarded by `public_mx`.
-    public: FreeList,
-}
-
+#[derive(Clone, Copy)]
 struct Superblock {
     class: usize,
     owner: usize,
     public_mx: SimMutex,
-    /// Locked only while holding `public_mx`.
-    shared: Mutex<SbShared>,
+    /// Remote frees land here; guarded by `public_mx`.
+    public: FreeList,
     /// Bump state, owner-only access (thread-private by design).
-    bump: Mutex<(u64, u64)>, // (next, end)
+    bump: u64,
+    end: u64,
 }
 
+#[derive(Clone, Default)]
 struct Bin {
     private: FreeList,
     /// Superblocks owned by this thread for this class, most recent last.
-    sbs: Vec<Arc<Superblock>>,
+    sbs: Vec<usize>,
 }
 
-#[derive(Default)]
-struct TbbThread {
-    bins: HashMap<usize, Bin>,
-}
-
-struct GlobalInner {
-    spare_sbs: Vec<u64>,
-    chunk_bump: u64,
-    chunk_end: u64,
-}
-
-/// The TBBMalloc allocator model. See module docs.
-pub struct TbbAllocator {
-    classes: SizeClasses,
-    threads: Vec<Mutex<TbbThread>>,
-    global_mx: SimMutex,
-    global: Mutex<GlobalInner>,
-    registry: RwLock<HashMap<u64, Arc<Superblock>>>,
-    large: Mutex<HashMap<u64, u64>>,
-}
-
-/// Frozen heap metadata for [`Allocator::snapshot`]. Superblocks are keyed
-/// by their registry key (`base >> SB_SHIFT`, recovered from the bump end);
-/// restore drops post-snapshot superblocks from the registry and rebuilds
-/// every thread's bins by key lookup, so the shared `Arc<Superblock>`
-/// identities survive.
-struct TbbSnapshot {
-    /// Per thread: class → (private free list, owned superblock keys).
-    threads: Vec<HashMap<usize, (FreeList, Vec<u64>)>>,
-    /// Registry key → (public free list, bump (next, end)).
-    sbs: HashMap<u64, (FreeList, (u64, u64))>,
-    spare_sbs: Vec<u64>,
+#[derive(Clone, Default)]
+struct State {
+    /// Every superblock carved so far, named by its index here.
+    sbs: Vec<Superblock>,
+    /// `addr >> 14` → superblock, for `free`.
+    by_addr: HashMap<u64, usize>,
+    /// Per thread: class → bin, created on first use.
+    bins: Vec<HashMap<usize, Bin>>,
+    /// The global heap's current 1 MB OS chunk. Guarded by `global_mx`.
     chunk_bump: u64,
     chunk_end: u64,
     large: HashMap<u64, u64>,
 }
 
-/// Registry key of a superblock; its base never moves, so it is recovered
-/// from the (immutable) bump end.
-fn sb_key(sb: &Superblock) -> u64 {
-    (sb.bump.lock().1 - SB_SIZE) >> SB_SHIFT
+/// Thread `tid`'s private free list for `class`.
+fn private(tid: usize, class: usize) -> impl Fn(&mut State) -> &mut FreeList {
+    move |s| &mut s.bins[tid].entry(class).or_default().private
+}
+
+/// The TBBMalloc allocator model. See module docs.
+pub struct TbbAllocator {
+    classes: SizeClasses,
+    global_mx: SimMutex,
+    state: HostState<State>,
 }
 
 impl TbbAllocator {
     /// Build the model on a simulator (per-thread block lists).
     pub fn new(sim: &Sim) -> Self {
-        let cores = sim.config().cores;
         TbbAllocator {
             classes: SizeClasses::tbb(BIG - 64),
-            threads: (0..cores)
-                .map(|_| Mutex::new(TbbThread::default()))
-                .collect(),
             global_mx: sim.new_mutex(),
-            global: Mutex::new(GlobalInner {
-                spare_sbs: Vec::new(),
-                chunk_bump: 0,
-                chunk_end: 0,
-            }),
-            registry: RwLock::new(HashMap::new()),
-            large: Mutex::new(HashMap::new()),
+            state: HostState::new(
+                "tbb",
+                State {
+                    bins: vec![HashMap::new(); sim.config().cores],
+                    ..State::default()
+                },
+            ),
         }
     }
 
@@ -117,55 +93,20 @@ impl TbbAllocator {
     /// splitting a new 1 MB OS chunk when the current one is exhausted.
     fn fetch_sb_base(&self, ctx: &mut Ctx<'_>) -> u64 {
         ctx.lock(self.global_mx);
-        let base = {
-            let need_chunk = {
-                let g = self.global.lock();
-                g.spare_sbs.is_empty() && g.chunk_bump >= g.chunk_end
-            };
-            if need_chunk {
-                let chunk = ctx.os_alloc(OS_CHUNK, SB_SIZE);
-                let mut g = self.global.lock();
-                g.chunk_bump = chunk;
-                g.chunk_end = chunk + OS_CHUNK;
-            }
-            let mut g = self.global.lock();
-            if let Some(b) = g.spare_sbs.pop() {
-                b
-            } else {
-                let b = g.chunk_bump;
-                g.chunk_bump += SB_SIZE;
-                b
-            }
-        };
+        if self.state.with(|s| s.chunk_bump >= s.chunk_end) {
+            let chunk = ctx.os_alloc(OS_CHUNK, SB_SIZE);
+            self.state.with(|s| {
+                s.chunk_bump = chunk;
+                s.chunk_end = chunk + OS_CHUNK;
+            });
+        }
+        let base = self.state.with(|s| {
+            s.chunk_bump += SB_SIZE;
+            s.chunk_bump - SB_SIZE
+        });
         ctx.tick(30);
         ctx.unlock(self.global_mx);
         base
-    }
-
-    fn new_superblock(&self, ctx: &mut Ctx<'_>, class: usize, owner: usize) -> Arc<Superblock> {
-        let base = self.fetch_sb_base(ctx);
-        let sb = Arc::new(Superblock {
-            class,
-            owner,
-            public_mx: ctx.new_mutex(),
-            shared: Mutex::new(SbShared {
-                public: FreeList::new(),
-            }),
-            bump: Mutex::new((base, base + SB_SIZE)),
-        });
-        self.registry
-            .write()
-            .insert(base >> SB_SHIFT, Arc::clone(&sb));
-        sb
-    }
-
-    fn lookup_sb(&self, addr: u64) -> Arc<Superblock> {
-        Arc::clone(
-            self.registry
-                .read()
-                .get(&(addr >> SB_SHIFT))
-                .expect("tbb model: free of unknown address"),
-        )
     }
 }
 
@@ -174,104 +115,82 @@ impl Allocator for TbbAllocator {
         ctx.tick(9);
         let Some(class) = self.classes.class_of(size) else {
             let base = ctx.os_alloc((size + 15) & !15, 4096);
-            self.large.lock().insert(base, size);
+            self.state.with(|s| s.large.insert(base, size));
             return base;
         };
         let csize = self.classes.size_of(class);
         let tid = ctx.tid();
+        let mine = private(tid, class);
 
         // 1. Private free list: completely synchronization-free.
-        let hit = {
-            let mut t = self.threads[tid].lock();
-            let bin = t.bins.entry(class).or_insert_with(|| Bin {
-                private: FreeList::new(),
-                sbs: Vec::new(),
-            });
-            let copy = bin.private;
-            drop(t);
-            let mut copy2 = copy;
-            let b = copy2.pop(ctx);
-            self.threads[tid]
-                .lock()
-                .bins
-                .get_mut(&class)
-                .unwrap()
-                .private = copy2;
-            b
-        };
-        if let Some(b) = hit {
+        if let Some(b) = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx)) {
             return b;
         }
 
         // 2. Drain the public free lists of our superblocks (spinlock each;
         // only inspected when the private list is empty — paper §3.3).
-        let my_sbs: Vec<Arc<Superblock>> = self.threads[tid]
-            .lock()
-            .bins
-            .get(&class)
-            .map(|b| b.sbs.clone())
-            .unwrap_or_default();
-        for sb in &my_sbs {
-            let has_public = !sb.shared.lock().public.is_empty();
-            if has_public {
+        let my_sbs = self.state.with(|s| s.bins[tid][&class].sbs.clone());
+        for &id in &my_sbs {
+            let sb = self.state.with(|s| s.sbs[id]);
+            if !sb.public.is_empty() {
                 ctx.lock(sb.public_mx);
-                let mut public = sb.shared.lock().public;
-                let mut private = self.threads[tid].lock().bins.get(&class).unwrap().private;
-                let moved = public.transfer(ctx, &mut private, u64::MAX);
-                sb.shared.lock().public = public;
-                self.threads[tid]
-                    .lock()
-                    .bins
-                    .get_mut(&class)
-                    .unwrap()
-                    .private = private;
+                let moved = self.state.list(
+                    ctx,
+                    |s| &mut s.sbs[id].public,
+                    |public, ctx| {
+                        self.state.list(ctx, &mine, |private, ctx| {
+                            public.transfer(ctx, private, u64::MAX)
+                        })
+                    },
+                );
                 ctx.unlock(sb.public_mx);
                 if moved > 0 {
-                    let mut private = self.threads[tid].lock().bins.get(&class).unwrap().private;
-                    let b = private.pop(ctx).expect("just transferred");
-                    self.threads[tid]
-                        .lock()
-                        .bins
-                        .get_mut(&class)
-                        .unwrap()
-                        .private = private;
-                    return b;
+                    return self
+                        .state
+                        .list(ctx, &mine, |fl, ctx| fl.pop(ctx))
+                        .expect("just transferred");
                 }
             }
         }
 
         // 3. Bump-carve from the newest superblock (owner-only, sync-free).
-        if let Some(sb) = my_sbs.last() {
-            let mut bump = sb.bump.lock();
-            if bump.0 + csize <= bump.1 {
-                let b = bump.0;
-                bump.0 += csize;
+        if let Some(&id) = my_sbs.last() {
+            let bumped = self.state.with(|s| {
+                let sb = &mut s.sbs[id];
+                (sb.bump + csize <= sb.end).then(|| {
+                    sb.bump += csize;
+                    sb.bump - csize
+                })
+            });
+            if let Some(b) = bumped {
                 ctx.tick(5);
                 return b;
             }
         }
 
-        // 4. New superblock from the global heap.
-        let sb = self.new_superblock(ctx, class, tid);
-        let b = {
-            let mut bump = sb.bump.lock();
-            let b = bump.0;
-            bump.0 += csize;
-            b
-        };
-        self.threads[tid]
-            .lock()
-            .bins
-            .get_mut(&class)
-            .unwrap()
-            .sbs
-            .push(sb);
-        b
+        // 4. New superblock from the global heap; its first block is ours.
+        let base = self.fetch_sb_base(ctx);
+        let public_mx = ctx.new_mutex();
+        self.state.with(|s| {
+            let id = s.sbs.len();
+            s.sbs.push(Superblock {
+                class,
+                owner: tid,
+                public_mx,
+                public: FreeList::new(),
+                bump: base + csize,
+                end: base + SB_SIZE,
+            });
+            s.by_addr.insert(base >> SB_SHIFT, id);
+            s.bins[tid].entry(class).or_default().sbs.push(id);
+        });
+        base
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.large.lock().contains_key(&addr)
-            || self.registry.read().contains_key(&(addr >> SB_SHIFT));
+        let known = self
+            .state
+            .with(|s| s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT)));
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -281,35 +200,27 @@ impl Allocator for TbbAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(7);
-        if self.large.lock().remove(&addr).is_some() {
+        if self.state.with(|s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
-        let sb = self.lookup_sb(addr);
+        let (id, sb) = self.state.with(|s| {
+            let id = *s
+                .by_addr
+                .get(&(addr >> SB_SHIFT))
+                .expect("tbb model: free of unknown address");
+            (id, s.sbs[id])
+        });
         let tid = ctx.tid();
         if sb.owner == tid {
             // Local free: push on the private list, no synchronization.
-            let mut private = {
-                let mut t = self.threads[tid].lock();
-                let bin = t.bins.entry(sb.class).or_insert_with(|| Bin {
-                    private: FreeList::new(),
-                    sbs: Vec::new(),
-                });
-                bin.private
-            };
-            private.push(ctx, addr);
-            self.threads[tid]
-                .lock()
-                .bins
-                .get_mut(&sb.class)
-                .unwrap()
-                .private = private;
+            self.state
+                .list(ctx, private(tid, sb.class), |fl, ctx| fl.push(ctx, addr));
         } else {
             // Remote free: the owning superblock's public list, spinlocked.
             ctx.lock(sb.public_mx);
-            let mut public = sb.shared.lock().public;
-            public.push(ctx, addr);
-            sb.shared.lock().public = public;
+            self.state
+                .list(ctx, |s| &mut s.sbs[id].public, |fl, ctx| fl.push(ctx, addr));
             ctx.unlock(sb.public_mx);
         }
     }
@@ -319,70 +230,11 @@ impl Allocator for TbbAllocator {
     }
 
     fn snapshot(&self) -> Option<HeapSnapshot> {
-        let threads = self
-            .threads
-            .iter()
-            .map(|t| {
-                let t = t.lock();
-                t.bins
-                    .iter()
-                    .map(|(&class, bin)| {
-                        let keys: Vec<u64> = bin.sbs.iter().map(|sb| sb_key(sb)).collect();
-                        (class, (bin.private, keys))
-                    })
-                    .collect()
-            })
-            .collect();
-        let sbs = self
-            .registry
-            .read()
-            .iter()
-            .map(|(&k, sb)| (k, (sb.shared.lock().public, *sb.bump.lock())))
-            .collect();
-        let g = self.global.lock();
-        Some(Box::new(TbbSnapshot {
-            threads,
-            sbs,
-            spare_sbs: g.spare_sbs.clone(),
-            chunk_bump: g.chunk_bump,
-            chunk_end: g.chunk_end,
-            large: self.large.lock().clone(),
-        }))
+        self.state.snapshot()
     }
 
     fn restore(&self, snap: &HeapSnapshot) {
-        let snap = snap
-            .downcast_ref::<TbbSnapshot>()
-            .expect("tbb model: restore of a foreign heap snapshot");
-        let mut reg = self.registry.write();
-        reg.retain(|k, _| snap.sbs.contains_key(k));
-        for (k, (public, bump)) in &snap.sbs {
-            let sb = reg
-                .get(k)
-                .expect("tbb model: snapshot names a superblock this allocator never created");
-            sb.shared.lock().public = *public;
-            *sb.bump.lock() = *bump;
-        }
-        for (t, ts) in self.threads.iter().zip(&snap.threads) {
-            t.lock().bins = ts
-                .iter()
-                .map(|(&class, (private, keys))| {
-                    let sbs = keys.iter().map(|k| Arc::clone(&reg[k])).collect();
-                    (
-                        class,
-                        Bin {
-                            private: *private,
-                            sbs,
-                        },
-                    )
-                })
-                .collect();
-        }
-        let mut g = self.global.lock();
-        g.spare_sbs.clone_from(&snap.spare_sbs);
-        g.chunk_bump = snap.chunk_bump;
-        g.chunk_end = snap.chunk_end;
-        *self.large.lock() = snap.large.clone();
+        self.state.restore(snap)
     }
 
     fn attributes(&self) -> AllocatorAttrs {
@@ -402,6 +254,7 @@ impl Allocator for TbbAllocator {
 mod tests {
     use super::*;
     use crate::AllocatorKind;
+    use parking_lot::Mutex;
     use tm_sim::MachineConfig;
 
     #[test]
@@ -512,9 +365,7 @@ mod tests {
                 mine.push(big);
                 log.lock().push((ctx.tid(), mine));
             });
-            let mut v = log.into_inner();
-            v.sort();
-            v
+            log.into_inner()
         };
         let r1 = round(&sim, &a);
         sim.restore(&machine);

@@ -15,13 +15,12 @@
 //!   excess cached bytes to the central lists.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use tm_sim::{Ctx, Sim, SimMutex};
 
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
+use crate::state::HostState;
 use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 /// Fast-path bound (paper Table 1: "<= 256 KB").
@@ -36,126 +35,97 @@ const MAX_BATCH: u64 = 64;
 /// Thread-cache GC threshold in bytes.
 const CACHE_LIMIT: u64 = 1 << 20;
 
-struct CentralInner {
+/// One class's central cache; guarded by `central_mx[class]`.
+#[derive(Clone, Default)]
+struct Central {
     free: FreeList,
     /// Contiguous span being carved (next, end).
     bump: u64,
     end: u64,
 }
 
-struct Central {
-    mx: SimMutex,
-    /// Locked only while holding `mx`.
-    inner: Mutex<CentralInner>,
-}
-
-struct PageHeapInner {
-    chunk_bump: u64,
-    chunk_end: u64,
-}
-
-struct TcThread {
+#[derive(Clone)]
+struct ThreadCache {
     lists: Vec<FreeList>,
     /// Next refill batch size per class (the incremental counter).
     batch: Vec<u64>,
     cached_bytes: u64,
 }
 
+#[derive(Clone, Default)]
+struct State {
+    threads: Vec<ThreadCache>,
+    central: Vec<Central>,
+    /// The page heap's current OS chunk. Guarded by `page_mx`.
+    chunk_bump: u64,
+    chunk_end: u64,
+    /// `addr >> 14` → size class of the span covering it.
+    spans: HashMap<u64, usize>,
+    large: HashMap<u64, u64>,
+}
+
+/// Thread `tid`'s cache list for `class`.
+fn cache(tid: usize, class: usize) -> impl Fn(&mut State) -> &mut FreeList {
+    move |s| &mut s.threads[tid].lists[class]
+}
+
 /// The TCMalloc allocator model. See module docs.
 pub struct TcAllocator {
     classes: SizeClasses,
-    threads: Vec<Mutex<TcThread>>,
-    central: Vec<Arc<Central>>,
+    central_mx: Vec<SimMutex>,
     page_mx: SimMutex,
-    page_heap: Mutex<PageHeapInner>,
-    /// `addr >> 14` → size class of the span covering it.
-    spans: RwLock<HashMap<u64, usize>>,
-    large: Mutex<HashMap<u64, u64>>,
-}
-
-/// Frozen heap metadata for [`Allocator::snapshot`]. Every container here
-/// is fixed-arity (per-thread and per-class vectors), so restore writes the
-/// captured values straight back; the span map and large table are replaced
-/// wholesale, dropping post-snapshot spans.
-struct TcSnapshot {
-    /// Per thread: (lists, batch, cached_bytes).
-    threads: Vec<(Vec<FreeList>, Vec<u64>, u64)>,
-    /// Per class: (free, bump, end).
-    central: Vec<(FreeList, u64, u64)>,
-    page: (u64, u64),
-    spans: HashMap<u64, usize>,
-    large: HashMap<u64, u64>,
+    state: HostState<State>,
 }
 
 impl TcAllocator {
     /// Build the model on a simulator (per-thread caches + central lists).
     pub fn new(sim: &Sim) -> Self {
         let classes = SizeClasses::tcmalloc(MAX_SMALL);
-        let cores = sim.config().cores;
         let n = classes.len();
+        let thread = ThreadCache {
+            lists: vec![FreeList::new(); n],
+            batch: vec![1; n],
+            cached_bytes: 0,
+        };
         TcAllocator {
-            threads: (0..cores)
-                .map(|_| {
-                    Mutex::new(TcThread {
-                        lists: vec![FreeList::new(); n],
-                        batch: vec![1; n],
-                        cached_bytes: 0,
-                    })
-                })
-                .collect(),
-            central: (0..n)
-                .map(|_| {
-                    Arc::new(Central {
-                        mx: sim.new_mutex(),
-                        inner: Mutex::new(CentralInner {
-                            free: FreeList::new(),
-                            bump: 0,
-                            end: 0,
-                        }),
-                    })
-                })
-                .collect(),
+            central_mx: (0..n).map(|_| sim.new_mutex()).collect(),
             page_mx: sim.new_mutex(),
-            page_heap: Mutex::new(PageHeapInner {
-                chunk_bump: 0,
-                chunk_end: 0,
-            }),
-            spans: RwLock::new(HashMap::new()),
-            large: Mutex::new(HashMap::new()),
+            state: HostState::new(
+                "tcmalloc",
+                State {
+                    threads: vec![thread; sim.config().cores],
+                    central: vec![Central::default(); n],
+                    ..State::default()
+                },
+            ),
             classes,
         }
     }
 
     /// Carve a fresh span for `class` from the page heap (lock order:
-    /// central.mx held by caller → page_mx).
+    /// central_mx held by caller → page_mx).
     fn new_span(&self, ctx: &mut Ctx<'_>, class: usize) -> (u64, u64) {
         let csize = self.classes.size_of(class);
         let span_bytes = ((csize * 32).max(SPAN_UNIT) + SPAN_UNIT - 1) & !(SPAN_UNIT - 1);
         ctx.lock(self.page_mx);
-        let base = {
-            let need = {
-                let p = self.page_heap.lock();
-                p.chunk_bump + span_bytes > p.chunk_end
-            };
-            if need {
-                let chunk = ctx.os_alloc(OS_CHUNK.max(span_bytes), SPAN_UNIT);
-                let mut p = self.page_heap.lock();
-                p.chunk_bump = chunk;
-                p.chunk_end = chunk + OS_CHUNK.max(span_bytes);
-            }
-            let mut p = self.page_heap.lock();
-            let b = p.chunk_bump;
-            p.chunk_bump += span_bytes;
-            b
-        };
+        if self.state.with(|s| s.chunk_bump + span_bytes > s.chunk_end) {
+            let chunk = ctx.os_alloc(OS_CHUNK.max(span_bytes), SPAN_UNIT);
+            self.state.with(|s| {
+                s.chunk_bump = chunk;
+                s.chunk_end = chunk + OS_CHUNK.max(span_bytes);
+            });
+        }
+        let base = self.state.with(|s| {
+            s.chunk_bump += span_bytes;
+            s.chunk_bump - span_bytes
+        });
         ctx.tick(60);
         ctx.unlock(self.page_mx);
-        let mut spans = self.spans.write();
-        let mut k = base;
-        while k < base + span_bytes {
-            spans.insert(k >> SPAN_SHIFT, class);
-            k += SPAN_UNIT;
-        }
+        self.state.with(|s| {
+            for k in (base..base + span_bytes).step_by(SPAN_UNIT as usize) {
+                s.spans.insert(k >> SPAN_SHIFT, class);
+            }
+        });
         (base, base + span_bytes)
     }
 
@@ -163,66 +133,66 @@ impl TcAllocator {
     /// central cache; returns one block for immediate use.
     fn refill(&self, ctx: &mut Ctx<'_>, tid: usize, class: usize) -> u64 {
         let csize = self.classes.size_of(class);
-        let n = {
-            let mut t = self.threads[tid].lock();
-            let n = t.batch[class];
-            t.batch[class] = (n + 1).min(MAX_BATCH);
+        let n = self.state.with(|s| {
+            let n = s.threads[tid].batch[class];
+            s.threads[tid].batch[class] = (n + 1).min(MAX_BATCH);
             n
-        };
-        let central = Arc::clone(&self.central[class]);
-        ctx.lock(central.mx);
+        });
+        ctx.lock(self.central_mx[class]);
         let mut got = Vec::with_capacity(n as usize);
         // Recycled blocks first.
-        {
-            let mut free = central.inner.lock().free;
-            while (got.len() as u64) < n {
-                match free.pop(ctx) {
-                    Some(b) => got.push(b),
-                    None => break,
+        self.state.list(
+            ctx,
+            |s| &mut s.central[class].free,
+            |free, ctx| {
+                while (got.len() as u64) < n {
+                    match free.pop(ctx) {
+                        Some(b) => got.push(b),
+                        None => break,
+                    }
                 }
-            }
-            central.inner.lock().free = free;
-        }
+            },
+        );
         // Then carve contiguously from the span — adjacent addresses, in
         // request order across *all* threads (the Figure 2 behaviour).
         while (got.len() as u64) < n {
-            let b = {
-                let mut i = central.inner.lock();
-                if i.bump + csize <= i.end {
-                    let b = i.bump;
-                    i.bump += csize;
-                    Some(b)
-                } else {
-                    None
-                }
-            };
-            match b {
+            let bumped = self.state.with(|s| {
+                let c = &mut s.central[class];
+                (c.bump + csize <= c.end).then(|| {
+                    c.bump += csize;
+                    c.bump - csize
+                })
+            });
+            match bumped {
                 Some(b) => {
                     ctx.tick(4);
                     got.push(b);
                 }
                 None => {
-                    let (s, e) = self.new_span(ctx, class);
-                    let mut i = central.inner.lock();
-                    i.bump = s;
-                    i.end = e;
+                    let (bump, end) = self.new_span(ctx, class);
+                    self.state.with(|s| {
+                        s.central[class].bump = bump;
+                        s.central[class].end = end;
+                    });
                 }
             }
         }
-        ctx.unlock(central.mx);
+        ctx.unlock(self.central_mx[class]);
 
         // Hand out the first block and stack the rest in reverse so pops
         // return them in fetch order (ascending span addresses).
         let ret = got.remove(0);
-        let mut fl = self.threads[tid].lock().lists[class];
-        let mut added = 0u64;
-        for b in got.into_iter().rev() {
-            fl.push(ctx, b);
-            added += csize;
-        }
-        let mut t = self.threads[tid].lock();
-        t.lists[class] = fl;
-        t.cached_bytes += added;
+        let added = got.len() as u64 * csize;
+        self.state.list_then(
+            ctx,
+            cache(tid, class),
+            |fl, ctx| {
+                for b in got.into_iter().rev() {
+                    fl.push(ctx, b);
+                }
+            },
+            |s, ()| s.threads[tid].cached_bytes += added,
+        );
         ret
     }
 
@@ -231,23 +201,27 @@ impl TcAllocator {
     fn garbage_collect(&self, ctx: &mut Ctx<'_>, tid: usize) {
         for class in 0..self.classes.len() {
             let csize = self.classes.size_of(class);
-            let (mut fl, drop_n) = {
-                let t = self.threads[tid].lock();
-                let fl = t.lists[class];
-                (fl, fl.len() / 2)
-            };
+            let drop_n = self.state.with(|s| s.threads[tid].lists[class].len() / 2);
             if drop_n == 0 {
                 continue;
             }
-            let central = Arc::clone(&self.central[class]);
-            ctx.lock(central.mx);
-            let mut free = central.inner.lock().free;
-            let moved = fl.transfer(ctx, &mut free, drop_n);
-            central.inner.lock().free = free;
-            ctx.unlock(central.mx);
-            let mut t = self.threads[tid].lock();
-            t.lists[class] = fl;
-            t.cached_bytes = t.cached_bytes.saturating_sub(moved * csize);
+            ctx.lock(self.central_mx[class]);
+            self.state.list_then(
+                ctx,
+                cache(tid, class),
+                |fl, ctx| {
+                    self.state.list(
+                        ctx,
+                        |s| &mut s.central[class].free,
+                        |free, ctx| fl.transfer(ctx, free, drop_n),
+                    )
+                },
+                |s, moved| {
+                    let t = &mut s.threads[tid];
+                    t.cached_bytes = t.cached_bytes.saturating_sub(moved * csize);
+                },
+            );
+            ctx.unlock(self.central_mx[class]);
         }
     }
 }
@@ -257,32 +231,34 @@ impl Allocator for TcAllocator {
         ctx.tick(8);
         let Some(class) = self.classes.class_of(size) else {
             let base = ctx.os_alloc((size + 15) & !15, 4096);
-            self.large.lock().insert(base, size);
+            self.state.with(|s| s.large.insert(base, size));
             return base;
         };
         let tid = ctx.tid();
+        let csize = self.classes.size_of(class);
         // Thread-cache fast path: no synchronization.
-        let hit = {
-            let fl = self.threads[tid].lock().lists[class];
-            let mut fl2 = fl;
-            let b = fl2.pop(ctx);
-            if b.is_some() {
-                let csize = self.classes.size_of(class);
-                let mut t = self.threads[tid].lock();
-                t.lists[class] = fl2;
-                t.cached_bytes = t.cached_bytes.saturating_sub(csize);
-            }
-            b
-        };
-        if let Some(b) = hit {
-            return b;
+        let hit = self.state.list_then(
+            ctx,
+            cache(tid, class),
+            |fl, ctx| fl.pop(ctx),
+            |s, b| {
+                if b.is_some() {
+                    let t = &mut s.threads[tid];
+                    t.cached_bytes = t.cached_bytes.saturating_sub(csize);
+                }
+                b
+            },
+        );
+        match hit {
+            Some(b) => b,
+            None => self.refill(ctx, tid, class),
         }
-        self.refill(ctx, tid, class)
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.large.lock().contains_key(&addr)
-            || self.spans.read().contains_key(&(addr >> SPAN_SHIFT));
+        let known = self
+            .state
+            .with(|s| s.large.contains_key(&addr) || s.spans.contains_key(&(addr >> SPAN_SHIFT)));
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -292,27 +268,28 @@ impl Allocator for TcAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(7);
-        if self.large.lock().remove(&addr).is_some() {
+        if self.state.with(|s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
-        let class = *self
-            .spans
-            .read()
-            .get(&(addr >> SPAN_SHIFT))
-            .expect("tcmalloc model: free of unknown address");
+        let class = self.state.with(|s| {
+            *s.spans
+                .get(&(addr >> SPAN_SHIFT))
+                .expect("tcmalloc model: free of unknown address")
+        });
         let csize = self.classes.size_of(class);
         let tid = ctx.tid();
         // Into the *current* thread's cache — TCMalloc does not return the
         // block to the thread that allocated it (paper §3.4).
-        let mut fl = self.threads[tid].lock().lists[class];
-        fl.push(ctx, addr);
-        let over = {
-            let mut t = self.threads[tid].lock();
-            t.lists[class] = fl;
-            t.cached_bytes += csize;
-            t.cached_bytes > CACHE_LIMIT
-        };
+        let over = self.state.list_then(
+            ctx,
+            cache(tid, class),
+            |fl, ctx| fl.push(ctx, addr),
+            |s, ()| {
+                s.threads[tid].cached_bytes += csize;
+                s.threads[tid].cached_bytes > CACHE_LIMIT
+            },
+        );
         if over {
             self.garbage_collect(ctx, tid);
         }
@@ -323,58 +300,11 @@ impl Allocator for TcAllocator {
     }
 
     fn snapshot(&self) -> Option<HeapSnapshot> {
-        let threads = self
-            .threads
-            .iter()
-            .map(|t| {
-                let t = t.lock();
-                (t.lists.clone(), t.batch.clone(), t.cached_bytes)
-            })
-            .collect();
-        let central = self
-            .central
-            .iter()
-            .map(|c| {
-                let i = c.inner.lock();
-                (i.free, i.bump, i.end)
-            })
-            .collect();
-        let page = {
-            let p = self.page_heap.lock();
-            (p.chunk_bump, p.chunk_end)
-        };
-        Some(Box::new(TcSnapshot {
-            threads,
-            central,
-            page,
-            spans: self.spans.read().clone(),
-            large: self.large.lock().clone(),
-        }))
+        self.state.snapshot()
     }
 
     fn restore(&self, snap: &HeapSnapshot) {
-        let snap = snap
-            .downcast_ref::<TcSnapshot>()
-            .expect("tcmalloc model: restore of a foreign heap snapshot");
-        for (t, (lists, batch, cached)) in self.threads.iter().zip(&snap.threads) {
-            let mut t = t.lock();
-            t.lists.clone_from(lists);
-            t.batch.clone_from(batch);
-            t.cached_bytes = *cached;
-        }
-        for (c, (free, bump, end)) in self.central.iter().zip(&snap.central) {
-            let mut i = c.inner.lock();
-            i.free = *free;
-            i.bump = *bump;
-            i.end = *end;
-        }
-        {
-            let mut p = self.page_heap.lock();
-            p.chunk_bump = snap.page.0;
-            p.chunk_end = snap.page.1;
-        }
-        *self.spans.write() = snap.spans.clone();
-        *self.large.lock() = snap.large.clone();
+        self.state.restore(snap)
     }
 
     fn attributes(&self) -> AllocatorAttrs {
@@ -394,6 +324,7 @@ impl Allocator for TcAllocator {
 mod tests {
     use super::*;
     use crate::AllocatorKind;
+    use parking_lot::Mutex;
     use tm_sim::MachineConfig;
 
     #[test]
@@ -460,7 +391,7 @@ mod tests {
             let _ = a.malloc(ctx, 32);
             let _ = a.malloc(ctx, 32);
             let class = a.classes.class_of(32).unwrap();
-            let cached = a.threads[0].lock().lists[class].len();
+            let cached = a.state.with(|s| s.threads[0].lists[class].len());
             assert_eq!(cached, 1, "second refill must have brought 2 blocks");
         });
     }
@@ -498,7 +429,7 @@ mod tests {
             for b in blocks {
                 a.free(ctx, b);
             }
-            let cached = a.threads[0].lock().cached_bytes;
+            let cached = a.state.with(|s| s.threads[0].cached_bytes);
             assert!(
                 cached <= CACHE_LIMIT,
                 "GC must keep the cache within budget (got {cached})"
@@ -520,6 +451,11 @@ mod tests {
         });
         let machine = sim.snapshot(None);
         let heap = a.snapshot().expect("tcmalloc supports snapshots");
+        let batch_of_16 = |a: &TcAllocator| {
+            let class = a.classes.class_of(16).unwrap();
+            a.state.with(|s| s.threads[0].batch[class])
+        };
+        let batch_at_snap = batch_of_16(&a);
         let round = |sim: &Sim, a: &TcAllocator| {
             let log = Mutex::new(Vec::new());
             sim.run(2, |ctx| {
@@ -538,9 +474,7 @@ mod tests {
                 mine.push(big);
                 log.lock().push((ctx.tid(), mine));
             });
-            let mut v = log.into_inner();
-            v.sort();
-            v
+            log.into_inner()
         };
         let r1 = round(&sim, &a);
         sim.restore(&machine);
@@ -551,10 +485,7 @@ mod tests {
         // changes refill sizes (and so addresses) on longer runs.
         sim.restore(&machine);
         a.restore(&heap);
-        let class = a.classes.class_of(16).unwrap();
-        let batch_now = a.threads[0].lock().batch[class];
-        let snap_ref = heap.downcast_ref::<TcSnapshot>().unwrap();
-        assert_eq!(batch_now, snap_ref.threads[0].1[class]);
+        assert_eq!(batch_of_16(&a), batch_at_snap);
     }
 
     #[test]

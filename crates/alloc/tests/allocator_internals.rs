@@ -144,3 +144,34 @@ fn hoard_large_class_locks_per_op() {
         r.locks.acquisitions
     );
 }
+
+#[test]
+fn restoring_a_sibling_instances_snapshot_panics_with_the_models_name() {
+    // Two instances driven identically have states of the same shape — no
+    // missing superblock, no shorter arena list — so only the snapshot's own
+    // record of where it came from can tell them apart.
+    for (kind, model) in [
+        (AllocatorKind::Glibc, "glibc model"),
+        (AllocatorKind::Hoard, "hoard model"),
+        (AllocatorKind::TbbMalloc, "tbb model"),
+        (AllocatorKind::TcMalloc, "tcmalloc model"),
+    ] {
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        let (a, sibling) = (kind.build(&sim), kind.build(&sim));
+        sim.run(1, |ctx| {
+            for alloc in [&a, &sibling] {
+                let p = alloc.malloc(ctx, 64);
+                alloc.free(ctx, p);
+            }
+        });
+        let snap = sibling.snapshot().expect("every model checkpoints");
+        let restore = std::panic::AssertUnwindSafe(|| a.restore(&snap));
+        let payload = std::panic::catch_unwind(restore)
+            .expect_err(&format!("{kind:?} accepted its sibling's snapshot"));
+        let text = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            text.starts_with(model) && text.contains("foreign heap snapshot"),
+            "{kind:?}: {text}"
+        );
+    }
+}

@@ -3,12 +3,16 @@
 //! generators in `tm_check::strategies`, and the contract itself (alignment,
 //! disjointness of live blocks, legal frees) is enforced by routing every
 //! call through the reusable [`tm_alloc::HeapAuditor`]; only writability —
-//! which needs the simulated memory — is checked inline.
+//! which needs the simulated memory — is checked inline. One more property
+//! covers checkpointing: every model, bare and under each wrapper, replays a
+//! round identically from a snapshot.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor};
+use tm_alloc::{
+    AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor, SerialLockAllocator,
+};
 use tm_check::strategies::{alloc_ops, AllocOp};
 use tm_sim::{MachineConfig, Sim};
 
@@ -142,8 +146,147 @@ fn none_plan_is_identity(kind: AllocatorKind, ops: &[AllocOp]) -> Result<(), Tes
     Ok(())
 }
 
+/// What wraps the model under test.
+#[derive(Clone, Copy, Debug)]
+enum Wrap {
+    Bare,
+    Audited,
+    Faulted,
+}
+
+/// `None` is the fifth model, [`SerialLockAllocator`], which is not an
+/// [`AllocatorKind`].
+fn stack(model: Option<AllocatorKind>, wrap: Wrap, sim: &Sim) -> Arc<dyn Allocator> {
+    let bare: Arc<dyn Allocator> = match model {
+        Some(kind) => kind.build(sim),
+        None => Arc::new(SerialLockAllocator::new(sim)),
+    };
+    match wrap {
+        Wrap::Bare => bare,
+        Wrap::Audited => HeapAuditor::new(bare),
+        // A plan that does fail allocations, and whose stream position is
+        // part of the snapshot.
+        Wrap::Faulted => FaultInjector::new(bare, AllocFaultPlan::Prob { seed: 11, denom: 4 }),
+    }
+}
+
+/// A thread count and the script every thread runs.
+type Round = (usize, Vec<AllocOp>);
+
+/// Everything a round leaves behind that a replay must reproduce. The log is
+/// the host-side `(tid, address)` record in the order the calls returned —
+/// unsorted: hand-off order fixes it. A refused allocation logs `u64::MAX`.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    log: Vec<(usize, u64)>,
+    report: String,
+    trace_hash: u64,
+}
+
+/// Run one round; returns its outcome and the blocks it left live. The
+/// blocks `inherited` from an earlier round are freed first, dealt out
+/// round-robin — with a different thread count that is a cross-thread free.
+fn play(
+    sim: &Sim,
+    alloc: &dyn Allocator,
+    inherited: &[u64],
+    (threads, ops): &Round,
+) -> (Outcome, Vec<u64>) {
+    let log = parking_lot::Mutex::new(Vec::new());
+    let left = parking_lot::Mutex::new(Vec::new());
+    let report = sim.run(*threads, |ctx| {
+        let tid = ctx.tid();
+        for &p in inherited.iter().skip(tid).step_by(*threads) {
+            alloc.free(ctx, p);
+        }
+        let mut live = Vec::new();
+        for op in ops {
+            match *op {
+                AllocOp::Malloc(size) => {
+                    // Threads differ in size class, and every 50th size is
+                    // scaled past every model's large-object threshold.
+                    let size = (size + 8 * tid as u64) * if size % 50 == 0 { 1024 } else { 1 };
+                    let got = alloc.try_malloc(ctx, size);
+                    log.lock().push((tid, got.unwrap_or(u64::MAX)));
+                    if let Ok(p) = got {
+                        ctx.write_u64(p, size);
+                        live.push(p);
+                    }
+                }
+                AllocOp::Free(i) => {
+                    if !live.is_empty() {
+                        let p = live.remove(i % live.len());
+                        alloc.free(ctx, p);
+                    }
+                }
+            }
+        }
+        left.lock().extend(live);
+    });
+    let outcome = Outcome {
+        log: log.into_inner(),
+        report: format!("{report:?}"),
+        trace_hash: sim.trace_hash(),
+    };
+    (outcome, left.into_inner())
+}
+
+/// Prefix → checkpoint (machine + heap) → round → restore → the same round
+/// again must be indistinguishable; and a checkpoint taken right after a
+/// restore must replay it too (snapshot → restore → snapshot idempotence).
+fn snapshot_replays_identically(
+    model: Option<AllocatorKind>,
+    wrap: Wrap,
+    prefix: &Round,
+    round: &Round,
+) -> Result<(), TestCaseError> {
+    let sim = Sim::new(MachineConfig::xeon_e5405());
+    let alloc = stack(model, wrap, &sim);
+    let (_, inherited) = play(&sim, &*alloc, &[], prefix);
+    let machine = sim.snapshot(None);
+    let heap = alloc
+        .snapshot()
+        .expect("every model and both wrappers support checkpointing");
+    let (first, _) = play(&sim, &*alloc, &inherited, round);
+
+    sim.restore(&machine);
+    alloc.restore(&heap);
+    let machine_again = sim.snapshot(Some(&machine));
+    let heap_again = alloc.snapshot().unwrap();
+    let (second, _) = play(&sim, &*alloc, &inherited, round);
+    prop_assert_eq!(&first, &second, "{:?}/{:?}: replay diverged", model, wrap);
+
+    sim.restore(&machine_again);
+    alloc.restore(&heap_again);
+    let (third, _) = play(&sim, &*alloc, &inherited, round);
+    prop_assert_eq!(
+        &first,
+        &third,
+        "{:?}/{:?}: re-snapshot diverged",
+        model,
+        wrap
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn every_stack_replays_a_round_from_its_snapshot(
+        prefix_threads in 1usize..5,
+        prefix in alloc_ops(40),
+        round_threads in 1usize..5,
+        round in alloc_ops(40),
+    ) {
+        let (prefix, round) = ((prefix_threads, prefix), (round_threads, round));
+        let models = AllocatorKind::ALL.map(Some).into_iter().chain([None]);
+        for model in models {
+            for wrap in [Wrap::Bare, Wrap::Audited, Wrap::Faulted] {
+                snapshot_replays_identically(model, wrap, &prefix, &round)?;
+            }
+        }
+    }
 
     #[test]
     fn glibc_contract(ops in alloc_ops(60)) {

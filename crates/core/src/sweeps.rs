@@ -18,6 +18,7 @@ use std::collections::HashMap;
 
 use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
+use tm_sim::MachineConfig;
 use tm_stamp::runner::{make_app, run_app, StampOpts};
 use tm_stamp::AppKind;
 use tm_stm::{LockDesign, OrtHash, WriteMode};
@@ -41,6 +42,21 @@ fn parse<T: std::str::FromStr>(
     match lookup(config, key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad {key} '{v}'")),
+    }
+}
+
+/// The `threads` key (default 8), checked against the cores of the
+/// machine the workload builds: the core count sizes every allocator
+/// model's per-thread tables and bounds `Sim::run`, so a count outside
+/// `1..=cores` is bad input here rather than a panic there.
+fn threads_of(config: &[(String, String)], machine: &MachineConfig) -> Result<usize, String> {
+    let (threads, cores) = (parse(config, "threads", 8)?, machine.cores);
+    if (1..=cores).contains(&threads) {
+        Ok(threads)
+    } else {
+        Err(format!(
+            "bad --threads '{threads}' (1..={cores} simulated cores)"
+        ))
     }
 }
 
@@ -117,8 +133,8 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
         Some(other) => return Err(format!("unknown structure '{other}'")),
     };
     let stack = stack_opts(config)?;
-    let mut cfg =
-        SyntheticConfig::scaled(structure, alloc_of(config)?, parse(config, "threads", 8)?);
+    let mut cfg = SyntheticConfig::scaled(structure, alloc_of(config)?, 8);
+    cfg.threads = threads_of(config, &cfg.machine)?;
     cfg.backend = stack.backend;
     cfg.cm = stack.cm;
     cfg.shift = stack.shift;
@@ -158,7 +174,7 @@ pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
     Ok(StampRun {
         app: lookup(config, "app").map(str::parse).transpose()?,
         alloc: alloc_of(config)?,
-        threads: parse(config, "threads", 8)?,
+        threads: threads_of(config, &MachineConfig::xeon_e5405())?,
         scale: parse(config, "scale", 2)?,
         opts: stack_opts(config)?,
     })
@@ -169,7 +185,7 @@ pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
 pub fn threadtest_config(config: &[(String, String)]) -> Result<ThreadtestConfig, String> {
     Ok(ThreadtestConfig {
         allocator: alloc_of(config)?,
-        threads: parse(config, "threads", 8)?,
+        threads: threads_of(config, &MachineConfig::xeon_e5405())?,
         block_size: parse(config, "size", 64)?,
         pairs_per_thread: parse(config, "pairs", 1000)?,
     })
@@ -365,6 +381,19 @@ mod tests {
             run_cell(&cfg(&[("workload", "stamp")])).is_err(),
             "app is required"
         );
+        // More threads than the machine has cores, or none: the cell
+        // records the CLI's line instead of `Sim::run`'s panic.
+        for (workload, threads) in [("synth", "9"), ("threadtest", "0"), ("stamp", "16")] {
+            let cell = cfg(&[
+                ("workload", workload),
+                ("app", "genome"),
+                ("threads", threads),
+            ]);
+            assert_eq!(
+                run_cell(&cell).unwrap_err(),
+                format!("bad --threads '{threads}' (1..=8 simulated cores)")
+            );
+        }
     }
 
     #[test]

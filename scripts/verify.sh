@@ -27,14 +27,16 @@ echo "==> cargo test"
 $CARGO test --workspace -q
 
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
-# above used the default one; run the simulator's own tests under each by
-# name, then hold the OS-thread reference to the committed whole-stack
-# goldens: allocation order, abort counts and heap peaks are decided by
-# host-side state between events, which only hand-off order makes
-# deterministic.
+# above used the default one; run the simulator's and the allocator models'
+# own tests under each by name — the models' multi-threaded conformance,
+# cross-thread-free and snapshot tests are where a host guard held across
+# an event shows, and it shows differently on each backend — then hold the
+# OS-thread reference to the committed whole-stack goldens: allocation
+# order, abort counts and heap peaks are decided by host-side state between
+# events, which only hand-off order makes deterministic.
 for exec in fibers threads; do
-  echo "==> cargo test -p tm-sim (TM_SIM_EXEC=$exec)"
-  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -q
+  echo "==> cargo test -p tm-sim -p tm-alloc (TM_SIM_EXEC=$exec)"
+  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -q
 done
 echo "==> cargo test --test determinism (TM_SIM_EXEC=threads)"
 TM_SIM_EXEC=threads $CARGO test -q --test determinism

@@ -1,11 +1,11 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors the *subset* of `parking_lot`'s API it actually uses — `Mutex`,
-//! `RwLock` and `Condvar` with guard-returning (non-`Result`) lock methods —
-//! implemented as thin wrappers over `std::sync`. Lock poisoning is
-//! ignored, matching `parking_lot` semantics: a panicking holder does not
-//! wedge the lock for everyone else.
+//! vendors the *subset* of `parking_lot`'s API it actually uses — `Mutex`
+//! with guard-returning (non-`Result`) lock methods — implemented as a thin
+//! wrapper over `std::sync`. Lock poisoning is ignored, matching
+//! `parking_lot` semantics: a panicking holder does not wedge the lock for
+//! everyone else.
 
 use std::ops::{Deref, DerefMut};
 use std::sync;
@@ -25,13 +25,13 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Ok(g) => Some(MutexGuard(g)),
+            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
             Err(sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -47,108 +47,17 @@ impl<T: Default> Default for Mutex<T> {
     }
 }
 
-/// Guard for [`Mutex`]. The inner `Option` lets [`Condvar::wait`] move the
-/// `std` guard out and back without `unsafe`; it is always `Some` outside
-/// that window.
-pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
+/// Guard for [`Mutex`].
+pub struct MutexGuard<'a, T: ?Sized>(sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard vacated")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard vacated")
-    }
-}
-
-/// Condition variable over [`MutexGuard`], `parking_lot`-style: `wait`
-/// takes the guard by `&mut` and reacquires before returning.
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard vacated");
-        let reacquired = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
-        guard.0 = Some(reacquired);
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
-/// Reader–writer lock with guard-returning methods.
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized>(sync::RwLockReadGuard<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized>(sync::RwLockWriteGuard<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
     }
@@ -167,26 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wakes_waiter() {
-        use std::sync::Arc;
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_one();
-        }
-        h.join().unwrap();
-    }
-
-    #[test]
     fn poisoned_lock_is_recovered() {
         use std::sync::Arc;
         let m = Arc::new(Mutex::new(7));
@@ -197,13 +86,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(3);
-        assert_eq!(*l.read(), 3);
-        *l.write() = 4;
-        assert_eq!(*l.read(), 4);
     }
 }

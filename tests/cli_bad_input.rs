@@ -44,6 +44,34 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
     }
 }
 
+/// The allocator models size their per-thread tables by the machine's
+/// cores and `Sim::run` refuses more threads than that: a count outside
+/// `1..=cores` is refused as input, before either can panic.
+#[test]
+fn an_out_of_range_thread_count_is_a_one_line_usage_error() {
+    let table: &[(&[&str], &str)] = &[
+        (&["synth", "--threads", "9"], "9"),
+        (&["synth", "--threads", "0"], "0"),
+        (&["synth", "--threads", "300"], "300"),
+        (&["stamp", "--threads", "16"], "16"),
+        (&["threadtest", "--threads", "9"], "9"),
+    ];
+    for (argv, threads) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .args(*argv)
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: bad --threads '{threads}' (1..=8 simulated cores)\n"),
+            "{argv:?}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} ran");
+    }
+}
+
 /// The environment is input too: a `TM_SIM_EXEC` no executor answers to
 /// must be refused up front, not reach the panic in `Sim::new` (exit 101
 /// and a backtrace).
