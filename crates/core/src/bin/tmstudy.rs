@@ -17,6 +17,7 @@
 //! anything printed here can be reproduced programmatically.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,10 +44,10 @@ fn main() {
     };
     let flags = parse_flags(rest);
     match cmd.as_str() {
-        "synth" => synth(&flags),
-        "stamp" => stamp(&flags),
-        "threadtest" => threadtest(&flags),
-        "profile" => profile(&flags),
+        "synth" => workload(|| synth(&flags)),
+        "stamp" => workload(|| stamp(&flags)),
+        "threadtest" => workload(|| threadtest(&flags)),
+        "profile" => workload(|| profile(&flags)),
         "machine" => machine(),
         "report" => report(rest),
         "sweep" => sweep(&flags),
@@ -54,6 +55,33 @@ fn main() {
         "mc" => mc(&flags),
         "book" => book(&flags),
         _ => usage(),
+    }
+}
+
+/// Run a single-experiment subcommand. A panic inside the simulated
+/// workload (a wild access, a failed invariant of the stack under test) is
+/// a failed experiment, not a crash of the tool: one `error:` line with the
+/// message and where it was raised, exit 1.
+fn workload(run: impl FnOnce()) {
+    // The hook runs where a panic is raised, on whichever simulated thread;
+    // the first is the one `Sim::run` re-raises.
+    static REPORTED: AtomicBool = AtomicBool::new(false);
+    std::panic::set_hook(Box::new(|info| {
+        let payload = info.payload();
+        let message = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(no message)");
+        // An assertion's message spans lines.
+        let message = message.split_whitespace().collect::<Vec<_>>().join(" ");
+        let at = info
+            .location()
+            .map_or(String::new(), |l| format!(" (at {l})"));
+        if !REPORTED.swap(true, Ordering::Relaxed) {
+            eprintln!("error: the workload panicked: {message}{at}");
+        }
+    }));
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+        std::process::exit(1);
     }
 }
 

@@ -232,6 +232,22 @@ impl Clone for JournalSlot {
 }
 
 impl Lanes {
+    /// The lane holding `line`, found without a data-dependent branch: all
+    /// eight tags are compared into one equality mask. Which lane hits is
+    /// as good as random, so a scan that leaves at the first match
+    /// mispredicts its exit about once a probe. The lowest bit of the mask
+    /// is the first match in way order; a hierarchy fills a line only after
+    /// probing for it, so there it is the only one.
+    #[inline(always)]
+    fn lane_of(&self, line: u64) -> Option<usize> {
+        let mask = self
+            .tags
+            .iter()
+            .enumerate()
+            .fold(0u32, |mask, (l, &tag)| mask | u32::from(tag == line) << l);
+        (mask != 0).then(|| mask.trailing_zeros() as usize)
+    }
+
     /// Record lane `l`'s pre-image if `journal` is armed and this is the
     /// way's first mutation of the epoch. Must be called before every
     /// write to `tags`/`stamp`/`dirty`.
@@ -304,10 +320,10 @@ impl TagArray {
     fn touch(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
         let (group, first) = self.locate(line);
         let set = &mut self.groups[group].as_deref_mut()?[first..first + self.set_blocks];
-        let (b, l) = set.iter().enumerate().find_map(|(b, lanes)| {
-            let l = lanes.tags.iter().position(|&t| t == line)?;
-            Some((b, l))
-        })?;
+        let (b, l) = set
+            .iter()
+            .enumerate()
+            .find_map(|(b, lanes)| Some((b, lanes.lane_of(line)?)))?;
         let slot = Slot::new(group, first + b, l);
         let lanes = &mut set[b];
         lanes.log(l, slot, &mut self.journal);
@@ -686,42 +702,59 @@ impl Hierarchy {
     }
 
     /// Simulate one data access by `core` and return its cycle cost.
+    ///
+    /// Nineteen accesses in twenty are L1 hits, so this front — all a read
+    /// hit or an exclusive-dirty write hit executes — is inlined into every
+    /// event path and does only what a hit needs: count the access, probe
+    /// (one tick, one stamp, at most one journal record) and return the hit
+    /// cost. It reads no topology and touches no directory state; the two
+    /// out-of-line continuations, [`Hierarchy::upgrade`] and
+    /// [`Hierarchy::miss`], are the only writers of that.
+    #[inline(always)]
     pub fn access(&mut self, core: usize, addr: u64, write: bool) -> u64 {
         let line = addr / LINE;
+        self.stats[core].l1_accesses += 1;
+        self.htm_note_access(core, line, write);
+        match self.l1[core].probe(line) {
+            // Read hit, or exclusive-dirty write hit: the dirty bit mirrors
+            // `dirty_in == Some(core)`, which implies we are the only
+            // sharer — nothing to invalidate, no directory state to change.
+            // This is the hottest path in write-heavy transactional
+            // workloads (repeated writes to owned lines) and costs one tag
+            // probe, total.
+            Some((_, dirty)) if dirty || !write => self.cfg.cost.l1_hit,
+            Some((slot, _)) => self.upgrade(core, line, slot),
+            None => self.miss(core, line, write),
+        }
+    }
+
+    /// Write hit on a line `core` holds clean: invalidate any other sharers
+    /// and take the line exclusive-dirty.
+    #[inline(never)]
+    fn upgrade(&mut self, core: usize, line: u64, slot: Slot) -> u64 {
+        let me = 1u16 << core;
+        let cost_model = self.cfg.cost;
+        let mut cost = cost_model.l1_hit;
+        let e = self.dir.entry(line).or_default();
+        let others = e.sharers & !me;
+        e.sharers = me;
+        e.dirty_in = Some(core as u8);
+        if others != 0 {
+            cost += cost_model.transfer_same_socket;
+            self.invalidate_mask(line, others, core);
+        }
+        self.l1[core].mark_dirty(slot);
+        cost
+    }
+
+    /// L1 miss: fetch `line` from a remote L1, the socket's L2 or memory,
+    /// update the directory and fill `core`'s L1.
+    #[inline(never)]
+    fn miss(&mut self, core: usize, line: u64, write: bool) -> u64 {
         let me = 1u16 << core;
         let my_socket = self.cfg.socket_of(core);
         let cost_model = self.cfg.cost;
-        self.stats[core].l1_accesses += 1;
-        self.htm_note_access(core, line, write);
-
         let mut cost;
-        if let Some((slot, dirty)) = self.l1[core].probe(line) {
-            cost = cost_model.l1_hit;
-            if write {
-                if dirty {
-                    // Exclusive-dirty write hit: the dirty bit mirrors
-                    // `dirty_in == Some(core)`, which implies we are the
-                    // only sharer — nothing to invalidate, no directory
-                    // state to change. This is the hottest path in write-
-                    // heavy transactional workloads (repeated writes to
-                    // owned lines) and costs one tag probe, total.
-                    return cost;
-                }
-                // Upgrade: invalidate any other sharers.
-                let e = self.dir.entry(line).or_default();
-                let others = e.sharers & !me;
-                e.sharers = me;
-                e.dirty_in = Some(core as u8);
-                if others != 0 {
-                    cost += cost_model.transfer_same_socket;
-                    self.invalidate_mask(line, others, core);
-                }
-                self.l1[core].mark_dirty(slot);
-            }
-            return cost;
-        }
-
-        // L1 miss.
         self.stats[core].l1_misses += 1;
         let entry = self.dir.get(&line).copied().unwrap_or_default();
         if let Some(owner) = entry.dirty_in.filter(|&o| o as usize != core) {
@@ -861,17 +894,34 @@ mod tests {
         (lanes.tags[l], lanes.stamp[l], lanes.dirty[l])
     }
 
-    /// Logical equality: the same ways and the same tick. Which groups
-    /// are materialized is not state (a group of initial ways equals an
-    /// absent one), and neither are the journal's marks.
+    /// Logical equality: the same ways, the same tick and the same
+    /// directory. Which groups are materialized is not state (a group of
+    /// initial ways equals an absent one), so only the sets with a group on
+    /// either side are walked; neither are the journal's marks.
     fn assert_arrays_match(live: &Hierarchy, snap: &Hierarchy) {
+        assert_match_in(live, snap, |a, b| {
+            let tables = a.groups.iter().zip(&b.groups).enumerate();
+            let materialized = tables.filter(|(_, (a, b))| a.is_some() || b.is_some());
+            materialized
+                .flat_map(|(g, _)| g * GROUP_SETS..((g + 1) * GROUP_SETS).min(a.sets))
+                .collect()
+        });
+    }
+
+    /// [`assert_arrays_match`] over the sets `sets_of` names for a pair of
+    /// arrays (it must name every set the two can differ in).
+    fn assert_match_in(
+        live: &Hierarchy,
+        snap: &Hierarchy,
+        sets_of: impl Fn(&TagArray, &TagArray) -> Vec<usize>,
+    ) {
         for (a, b) in live
             .l1
             .iter()
             .zip(&snap.l1)
             .chain(live.l2.iter().zip(&snap.l2))
         {
-            for set in 0..a.sets {
+            for set in sets_of(a, b) {
                 for w in 0..a.ways {
                     assert_eq!(way(a, set, w), way(b, set, w), "set {set} way {w}");
                 }
@@ -880,6 +930,10 @@ mod tests {
         }
         assert_eq!(live.htm_active, snap.htm_active);
         assert_eq!(live.dir.len(), snap.dir.len());
+        for (line, e) in &live.dir {
+            let other = snap.dir.get(line).map(|o| (o.sharers, o.dirty_in));
+            assert_eq!(Some((e.sharers, e.dirty_in)), other, "line {line:#x}");
+        }
     }
 
     #[test]
@@ -911,6 +965,161 @@ mod tests {
         }
         h.restore_from(&snap, 99);
         assert_arrays_match(&h, &snap);
+    }
+
+    /// `Hierarchy::access` as one function, and the early-exit way scan
+    /// under it: the unsplit definition the inlined front, `upgrade`, `miss`
+    /// and the mask scan of `Lanes::lane_of` are held to. Kept verbatim from
+    /// the implementation it was; do not "improve" it.
+    impl TagArray {
+        /// Find the way holding `line`, log its pre-image — every caller is
+        /// about to write it — and hand out its block, lane and slot. An
+        /// absent group holds nothing.
+        #[inline(always)]
+        fn touch_reference(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
+            let (group, first) = self.locate(line);
+            let set = &mut self.groups[group].as_deref_mut()?[first..first + self.set_blocks];
+            let (b, l) = set.iter().enumerate().find_map(|(b, lanes)| {
+                let l = lanes.tags.iter().position(|&t| t == line)?;
+                Some((b, l))
+            })?;
+            let slot = Slot::new(group, first + b, l);
+            let lanes = &mut set[b];
+            lanes.log(l, slot, &mut self.journal);
+            Some((lanes, l, slot))
+        }
+
+        /// Probe for `line`; on hit, refresh LRU and return the way's slot and
+        /// whether it is dirty. A miss — in an absent group too — still
+        /// advances the tick.
+        #[inline(always)]
+        fn probe_reference(&mut self, line: u64) -> Option<(Slot, bool)> {
+            self.tick += 1;
+            let tick = self.tick;
+            let (lanes, l, slot) = self.touch_reference(line)?;
+            lanes.stamp[l] = tick;
+            Some((slot, lanes.dirty[l]))
+        }
+    }
+
+    impl Hierarchy {
+        /// Simulate one data access by `core` and return its cycle cost.
+        fn access_reference(&mut self, core: usize, addr: u64, write: bool) -> u64 {
+            let line = addr / LINE;
+            let me = 1u16 << core;
+            let my_socket = self.cfg.socket_of(core);
+            let cost_model = self.cfg.cost;
+            self.stats[core].l1_accesses += 1;
+            self.htm_note_access(core, line, write);
+
+            let mut cost;
+            if let Some((slot, dirty)) = self.l1[core].probe_reference(line) {
+                cost = cost_model.l1_hit;
+                if write {
+                    if dirty {
+                        // Exclusive-dirty write hit: the dirty bit mirrors
+                        // `dirty_in == Some(core)`, which implies we are the
+                        // only sharer — nothing to invalidate, no directory
+                        // state to change. This is the hottest path in write-
+                        // heavy transactional workloads (repeated writes to
+                        // owned lines) and costs one tag probe, total.
+                        return cost;
+                    }
+                    // Upgrade: invalidate any other sharers.
+                    let e = self.dir.entry(line).or_default();
+                    let others = e.sharers & !me;
+                    e.sharers = me;
+                    e.dirty_in = Some(core as u8);
+                    if others != 0 {
+                        cost += cost_model.transfer_same_socket;
+                        self.invalidate_mask(line, others, core);
+                    }
+                    self.l1[core].mark_dirty(slot);
+                }
+                return cost;
+            }
+
+            // L1 miss.
+            self.stats[core].l1_misses += 1;
+            let entry = self.dir.get(&line).copied().unwrap_or_default();
+            if let Some(owner) = entry.dirty_in.filter(|&o| o as usize != core) {
+                // Dirty in a remote L1: cache-to-cache transfer.
+                self.stats[core].coherence_transfers += 1;
+                let owner_socket = self.cfg.socket_of(owner as usize);
+                cost = cost_model.l1_hit
+                    + if owner_socket == my_socket {
+                        cost_model.transfer_same_socket
+                    } else {
+                        cost_model.transfer_cross_socket
+                    };
+                if write {
+                    // RFO: the remote copy is invalidated.
+                    self.invalidate_mask(line, 1u16 << owner, core);
+                    let e = self.dir.entry(line).or_default();
+                    e.sharers = me;
+                    e.dirty_in = Some(core as u8);
+                } else {
+                    // Downgrade to shared; the data also lands in our L2. The
+                    // owner keeps a clean copy, so its dirty bit clears too. A
+                    // remote read of a write-set line dooms the owner's
+                    // hardware transaction.
+                    self.l1[owner as usize].clear_dirty(line);
+                    self.htm_conflict(owner as usize, line, false);
+                    let e = self.dir.entry(line).or_default();
+                    e.dirty_in = None;
+                    e.sharers |= me;
+                    self.fill_l2(my_socket, line);
+                }
+            } else {
+                // Clean miss: go to the shared L2, then memory.
+                self.stats[core].l2_accesses += 1;
+                if self.l2[my_socket].probe_reference(line).is_some() {
+                    cost = cost_model.l1_hit + cost_model.l2_hit;
+                } else {
+                    self.stats[core].l2_misses += 1;
+                    cost = cost_model.l1_hit + cost_model.l2_hit + cost_model.mem;
+                    self.fill_l2(my_socket, line);
+                }
+                if write {
+                    let others = entry.sharers & !me;
+                    if others != 0 {
+                        cost += cost_model.transfer_same_socket;
+                        self.invalidate_mask(line, others, core);
+                    }
+                    let e = self.dir.entry(line).or_default();
+                    e.sharers = me;
+                    e.dirty_in = Some(core as u8);
+                } else {
+                    let e = self.dir.entry(line).or_default();
+                    e.sharers |= me;
+                }
+            }
+
+            // Fill our L1 (dirty iff this was a write — matching the directory
+            // state set above) and keep the directory consistent with the
+            // eviction.
+            if let Some((evicted, evicted_dirty)) = self.l1[core].fill(line, write) {
+                self.htm_evict(core, evicted);
+                let mut write_back = false;
+                if let Some(e) = self.dir.get_mut(&evicted) {
+                    e.sharers &= !me;
+                    if e.dirty_in == Some(core as u8) {
+                        e.dirty_in = None; // write-back to L2/memory, not charged
+                        write_back = true;
+                    }
+                    if e.sharers == 0 {
+                        self.dir.remove(&evicted);
+                    }
+                }
+                // The per-way dirty bit must agree with the directory's view of
+                // who held the line modified.
+                debug_assert_eq!(evicted_dirty, write_back);
+                if write_back {
+                    self.fill_l2(my_socket, evicted);
+                }
+            }
+            cost
+        }
     }
 
     /// The tag array as three flat `Vec`s and a journal with its own
@@ -1213,17 +1422,29 @@ mod tests {
             assert_is(&self.sparse, &snap.dense, when);
         }
 
+        /// Probe both for `line`: they hit the same way of its set, in the
+        /// same dirty state — and each one's slot for it is returned — or
+        /// both miss.
+        fn probe(&mut self, line: u64) -> Option<(Slot, usize)> {
+            let (s, d) = (self.sparse.probe(line), self.dense.probe(line));
+            let (group, first) = self.sparse.locate(line);
+            assert_eq!(
+                s.map(|(slot, dirty)| {
+                    assert_eq!(slot.group as usize, group);
+                    (slot.at as usize - first * LANES, dirty)
+                }),
+                d.map(|slot| (slot % self.dense.ways, self.dense.dirty[slot])),
+                "probe {line:#x}"
+            );
+            Some((s?.0, d?))
+        }
+
         /// One random cache operation on both, every observable compared.
         fn step(&mut self, rng: &mut impl rand::Rng, lines: &[u64]) {
             let line = lines[rng.gen_range(0..lines.len())];
             match rng.gen_range(0..10u32) {
                 0..=3 => {
-                    let (s, d) = (self.sparse.probe(line), self.dense.probe(line));
-                    assert_eq!(
-                        s.map(|(_, dirty)| dirty),
-                        d.map(|slot| self.dense.dirty[slot])
-                    );
-                    if let (Some((s, _)), Some(d), true) = (s, d, rng.gen_bool(0.4)) {
+                    if let (Some((s, d)), true) = (self.probe(line), rng.gen_bool(0.4)) {
                         self.sparse.mark_dirty(s);
                         self.dense.mark_dirty(d);
                     }
@@ -1305,6 +1526,32 @@ mod tests {
                         _ => p.step(&mut rng, &lines),
                     }
                 }
+                // A full set with every way probed, so that the scan has
+                // named each lane of each block (8 lanes × 3 blocks on the
+                // 24-way L2) — the walk above fills the upper ways by luck
+                // only. Emptied first, set 0 fills in way order.
+                let sets = cfg.sets() as u64;
+                let in_set_0 = lines.iter().filter(|&&line| line % sets == 0);
+                for &line in in_set_0.clone() {
+                    // The walk fills lines that are resident already, so
+                    // there can be copies.
+                    while p.sparse.invalidate(line) {
+                        assert!(p.dense.invalidate(line));
+                    }
+                    assert!(!p.dense.invalidate(line));
+                }
+                let resident: Vec<u64> = in_set_0.copied().take(cfg.ways).collect();
+                for &line in &resident {
+                    assert_eq!(
+                        (p.sparse.fill(line, false), p.dense.fill(line, false)),
+                        (None, None)
+                    );
+                }
+                let hit: Vec<usize> = resident
+                    .iter()
+                    .map(|&line| p.probe(line).expect("just filled").1 % cfg.ways)
+                    .collect();
+                assert_eq!(hit, (0..cfg.ways).collect::<Vec<_>>());
                 assert_is(&p.sparse, &p.dense, "at the end");
             }
         }
@@ -1360,6 +1607,129 @@ mod tests {
         (0..200).for_each(|_| p.step(&mut rng, &lines));
         p.revert();
         p.assert_back_at(&snap, "after the revert");
+    }
+
+    /// Everything but the arrays and the directory that two hierarchies
+    /// fed the same accesses must agree on, per core.
+    fn per_core_view(h: &Hierarchy) -> Vec<impl PartialEq + std::fmt::Debug> {
+        use tm_obs::SlotSchema;
+        let sorted = |set: &LineSet| {
+            let mut lines: Vec<u64> = set.iter().copied().collect();
+            lines.sort_unstable();
+            lines
+        };
+        (0..h.cfg.cores)
+            .map(|c| {
+                let (mut stats, t) = ([0; CacheStats::WIDTH], &h.tx[c]);
+                h.stats(c).store(&mut stats);
+                let tracked = (sorted(&t.read_lines), sorted(&t.write_lines));
+                (stats, h.htm_doomed(c), t.active, tracked)
+            })
+            .collect()
+    }
+
+    /// The way of `a` that holds `line`, if one does.
+    fn way_of(a: &TagArray, line: u64) -> Option<usize> {
+        let set = line as usize & (a.sets - 1);
+        (0..a.ways).find(|&w| way(a, set, w).0 == line)
+    }
+
+    /// The split `access` against the unsplit function it was, one random
+    /// step at a time: accesses from every core to lines that pile onto a
+    /// few L1 and L2 sets (so hits land in every lane of every block and
+    /// misses take every branch), hardware transactions begun and ended in
+    /// between, the journal armed at one random point and reverted — or the
+    /// snapshot cold-restored — at another.
+    #[test]
+    fn split_access_matches_its_unsplit_definition_step_by_step() {
+        use rand::{Rng, SeedableRng};
+        let machines = [
+            MachineConfig::xeon_e5405(),
+            MachineConfig::modern_8core(),
+            MachineConfig::tiny_test(),
+        ];
+        for (m, cfg) in machines.iter().enumerate() {
+            let mut lines = contended_lines(cfg.l1);
+            lines.extend(contended_lines(cfg.l2));
+            // Every set a line of `lines` can be in, by the array's size.
+            let touched: HashMap<usize, Vec<usize>> = [cfg.l1.sets(), cfg.l2.sets()]
+                .into_iter()
+                .map(|sets| {
+                    let mut of_lines: Vec<usize> =
+                        lines.iter().map(|&l| l as usize & (sets - 1)).collect();
+                    of_lines.sort_unstable();
+                    of_lines.dedup();
+                    (sets, of_lines)
+                })
+                .collect();
+            // Ways an L1 probe, and an L2 probe, have hit.
+            let mut hit = (vec![false; cfg.l1.ways], vec![false; cfg.l2.ways]);
+            for seed in 0..3u64 {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed * 16 + m as u64);
+                let mut split = Hierarchy::new(cfg);
+                let mut whole = Hierarchy::new(cfg);
+                // The snapshot the journals are armed for, under its id.
+                let mut armed: Option<(Hierarchy, Hierarchy, u64)> = None;
+                for step in 0..2500u64 {
+                    let core = rng.gen_range(0..cfg.cores);
+                    match rng.gen_range(0..200u32) {
+                        0..=3 => {
+                            split.htm_begin(core);
+                            whole.htm_begin(core);
+                        }
+                        4..=7 => assert_eq!(split.htm_end(core), whole.htm_end(core)),
+                        8 => {
+                            armed = Some((split.clone(), whole.clone(), step + 1));
+                            split.arm_journal(step + 1);
+                            whole.arm_journal(step + 1);
+                        }
+                        9..=10 if armed.is_some() => {
+                            let (s, w, id) = armed.as_mut().expect("armed");
+                            // A foreign id takes the cold path, and is the
+                            // one the journals are armed for after it.
+                            if rng.gen_bool(0.3) {
+                                *id = step + 1;
+                            }
+                            split.restore_from(s, *id);
+                            whole.restore_from(w, *id);
+                        }
+                        _ => {
+                            let line = lines[rng.gen_range(0..lines.len())];
+                            let addr = line * LINE + rng.gen_range(0..8u64) * 8;
+                            let write = rng.gen_bool(0.35);
+                            let remote = whole.dir.get(&line).and_then(|e| e.dirty_in);
+                            if let Some(w) = way_of(&whole.l1[core], line) {
+                                hit.0[w] = true;
+                            } else if remote.is_none() {
+                                // A clean miss probes the socket's L2.
+                                let l2 = &whole.l2[cfg.socket_of(core)];
+                                if let Some(w) = way_of(l2, line) {
+                                    hit.1[w] = true;
+                                }
+                            }
+                            assert_eq!(
+                                split.access(core, addr, write),
+                                whole.access_reference(core, addr, write),
+                                "machine {m} seed {seed} step {step}: core {core} \
+                                 line {line:#x} write {write}"
+                            );
+                        }
+                    }
+                    assert_eq!(per_core_view(&split), per_core_view(&whole), "step {step}");
+                    assert_match_in(&split, &whole, |a, _| touched[&a.sets].clone());
+                }
+                // And nothing outside them materialized.
+                assert_arrays_match(&split, &whole);
+            }
+            let missed =
+                |ways: &[bool]| -> Vec<usize> { (0..ways.len()).filter(|&w| !ways[w]).collect() };
+            assert!(
+                hit.0.iter().chain(&hit.1).all(|&h| h),
+                "machine {m}: probes never hit L1 ways {:?}, L2 ways {:?}",
+                missed(&hit.0),
+                missed(&hit.1)
+            );
+        }
     }
 
     #[test]

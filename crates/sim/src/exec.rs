@@ -601,7 +601,9 @@ struct Rt<'a> {
     /// Set by the driver on a virtual deadlock: from then on a thread
     /// resumed inside [`Ctx::lock`] unwinds.
     deadlocked: bool,
-    /// First panic of a logical thread, in hand-off order; re-raised at the end.
+    /// First panic of a logical thread, in hand-off order; re-raised at the
+    /// end. From then on every thread unwinds as it is resumed
+    /// ([`resumed`]).
     panic: Option<Box<dyn std::any::Any + Send>>,
     /// OS threads: the baton — the slot that holds the turn.
     turn: AtomicUsize,
@@ -633,13 +635,14 @@ struct Boot<'a, F> {
 // one thread had made them.
 unsafe impl<F: Sync> Sync for Boot<'_, F> {}
 
-/// Payload a deadlocked thread is unwound with; never the run's panic.
-struct Deadlocked;
+/// Payload the scheduler unwinds a thread with — one blocked in a virtual
+/// deadlock, or one suspended when a peer panicked; never the run's panic.
+struct Unwound;
 
 /// The driver's side of a run: start the first thread and, when the turn
 /// comes back because nothing is runnable, find every thread done — or, a
 /// virtual deadlock, unwind one blocked thread: resumed inside [`Ctx::lock`]
-/// it unwinds with a [`Deadlocked`] payload, dropping the host-side guards
+/// it unwinds with an [`Unwound`] payload, dropping the host-side guards
 /// on its stack, and its `Ctx` drop releases its simulated locks; the
 /// waiters that wakes run next and unwind the same way.
 ///
@@ -672,14 +675,18 @@ unsafe fn drive(rt: *mut Rt<'_>) {
 unsafe fn thread_main<F: Fn(&mut Ctx<'_>) + Sync>(boot: &Boot<'_, F>) {
     let (rt, tid) = (boot.rt, boot.tid);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut ctx = Ctx::new(tid, rt, resumed(rt, tid));
+        // The `Ctx` first: its drop is what marks a thread done, also one
+        // that `resumed` unwinds before it ran at all.
+        let mut ctx = Ctx::new(tid, rt, 0);
+        ctx.horizon = resumed(rt, tid);
         (boot.f)(&mut ctx);
         ctx.finish();
         // If the closure panics, the `Ctx` drop marks the thread Done and frees
-        // its locks; `run` re-raises the payload once every thread has finished.
+        // its locks; the peers unwind as they are resumed, and `run` re-raises
+        // the payload once every thread has finished.
     }));
     if let Err(p) = result {
-        if (*rt).panic.is_none() && !p.is::<Deadlocked>() {
+        if (*rt).panic.is_none() && !p.is::<Unwound>() {
             (*rt).panic = Some(p);
         }
     }
@@ -773,11 +780,21 @@ fn await_turn(turn: &AtomicUsize, slot: usize) {
 }
 
 /// First thing thread `tid` does whenever it gains control (boot, or return
-/// from a hand-off): collect the horizon its resumer left for it.
+/// from a hand-off): collect the horizon its resumer left for it — unless a
+/// peer has panicked since. The run is lost then, and what this thread waits
+/// for may never come (a word the dead thread owned, spun on with a fuel of
+/// `u64::MAX`), so it unwinds here, as a deadlocked thread does in
+/// [`Ctx::lock`]: its `Ctx` drop marks it done and frees its locks, and the
+/// thread it hands the turn to does the same, until the driver re-raises
+/// the panic. Every peer of a panicking thread is suspended in a hand-off,
+/// so one load per hand-off reaches them all.
 ///
 /// # Safety
 /// As for [`yield_turn`].
 unsafe fn resumed(rt: *mut Rt<'_>, tid: usize) -> u64 {
+    if (*rt).panic.is_some() {
+        std::panic::resume_unwind(Box::new(Unwound));
+    }
     debug_assert!(
         (&*(*rt).inner).is_min(tid),
         "a resumed thread is the minimum"
@@ -1153,7 +1170,7 @@ impl<'a> Ctx<'a> {
                 // driver does, to unwind a deadlock (see `drive`).
                 self.horizon = yield_turn(self.rt, self.tid);
                 if (*self.rt).deadlocked {
-                    std::panic::resume_unwind(Box::new(Deadlocked));
+                    std::panic::resume_unwind(Box::new(Unwound));
                 }
                 // The releaser advanced our clock to the release time.
                 self.local_time = (&*self.inner).time[self.tid];
@@ -1425,8 +1442,8 @@ mod tests {
                     ctx.lock(mx);
                     panic!("worker 0 exploded");
                 }
-                // Worker 1 must still complete: the panicking thread's lock
-                // is released by its Ctx drop.
+                // Worker 1 waits its turn inside `lock` when worker 0
+                // panics, and is unwound there: the run is lost.
                 ctx.tick(100);
                 ctx.lock(mx);
                 ctx.write_u64(0xa00, 1);
@@ -1434,6 +1451,10 @@ mod tests {
             });
         }));
         assert!(caught.is_err());
+        s.with_state(|m| assert_eq!(m.read_u64(0xa00), 0));
+        // The panicking thread's lock was released by its `Ctx` drop: the
+        // next run starts (no lock is held across the boundary) and takes it.
+        s.run(2, |ctx| ctx.with_lock(mx, |ctx| ctx.write_u64(0xa00, 1)));
         s.with_state(|m| assert_eq!(m.read_u64(0xa00), 1));
     }
 
@@ -2120,8 +2141,57 @@ mod tests {
             }));
             let msg = panic_text(caught.expect_err("the panic must propagate"));
             assert_eq!(msg, "worker 1 exploded", "{backend:?}");
-            // The dead thread's lock was released: all survivors got it.
+            // Each peer was unwound where it waited for its turn, so none
+            // reached the lock — which the dead thread's `Ctx` drop
+            // released: the next run takes it.
+            s.with_state(|m| assert_eq!(m.read_u64(0xa80), 0, "{backend:?}"));
+            s.run(3, |ctx| {
+                ctx.lock(mx);
+                let v = ctx.read_u64(0xa80);
+                ctx.write_u64(0xa80, v + 1);
+                ctx.unlock(mx);
+            });
             s.with_state(|m| assert_eq!(m.read_u64(0xa80), 3, "{backend:?}"));
+        }
+    }
+
+    #[test]
+    fn a_panic_ends_a_run_whose_peers_spin_on_what_the_dead_thread_owns() {
+        // Thread 0 takes a word, as a transaction takes an ORT stripe, and
+        // panics before giving it back; its seven peers spin on the word
+        // with plain reads. They are unwound as they are resumed, so the
+        // run ends one round of hand-offs after the panic, with its
+        // payload. The fuel bound only turns a regression into a failure
+        // (of the event count below) instead of a hang.
+        const FUEL: u64 = 200_000;
+        for backend in both_backends() {
+            let cfg = MachineConfig {
+                cores: 8,
+                cores_per_socket: 4,
+                ..MachineConfig::tiny_test()
+            };
+            let s = Sim::with_backend(cfg, backend);
+            s.set_fuel(FUEL);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                s.run(8, |ctx| {
+                    if ctx.tid() == 0 {
+                        ctx.write_u64(0xb40, 1);
+                        ctx.tick(500);
+                        ctx.fence();
+                        panic!("owner exploded");
+                    }
+                    while ctx.read_u64(0xb40) != 0 {
+                        ctx.tick(5);
+                    }
+                });
+            }));
+            let msg = panic_text(caught.expect_err("the panic must propagate"));
+            assert_eq!(msg, "owner exploded", "{backend:?}");
+            assert!(
+                s.events() < FUEL / 100,
+                "{backend:?}: {} events",
+                s.events()
+            );
         }
     }
 
@@ -2142,10 +2212,10 @@ mod tests {
             let msg = panic_text(caught.expect_err("the budget must end the run"));
             assert!(msg.starts_with(FUEL_EXHAUSTED), "{backend:?}: {msg}");
             // Events 1-6 alternate 0,1,...; the 7th lands on thread 0 as
-            // thread 1 hands it the turn, and thread 1's next is refused
-            // the same way.
+            // thread 1 hands it the turn and is refused; thread 1 is
+            // unwound where it waits and takes no eighth.
             assert_eq!(*fences.lock(), [3, 3], "{backend:?}");
-            assert_eq!(s.events(), 8, "{backend:?}");
+            assert_eq!(s.events(), 7, "{backend:?}");
         }
     }
 

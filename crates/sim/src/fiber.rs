@@ -154,12 +154,15 @@ mod imp {
     // `*save`, then resume the context whose stack pointer is `to`. A fiber
     // is born with a hand-built frame whose "return address" is
     // `tm_sim_fiber_boot`, which forwards the two values planted in r12/r13
-    // (argument pointer and entry function) into a normal `call`.
+    // (argument pointer and entry function) into a normal `call`. Each
+    // symbol carries `.type`/`.size`, or `addr2line`, `perf` and backtraces
+    // charge its samples to whatever function the linker placed before it.
     core::arch::global_asm!(
         ".text",
         ".p2align 4",
         ".hidden tm_sim_fiber_switch",
         ".globl tm_sim_fiber_switch",
+        ".type tm_sim_fiber_switch,@function",
         "tm_sim_fiber_switch:",
         "push rbp",
         "push rbx",
@@ -182,12 +185,15 @@ mod imp {
         "pop rbx",
         "pop rbp",
         "ret",
+        ".size tm_sim_fiber_switch, . - tm_sim_fiber_switch",
         ".hidden tm_sim_fiber_boot",
         ".globl tm_sim_fiber_boot",
+        ".type tm_sim_fiber_boot,@function",
         "tm_sim_fiber_boot:",
         "mov rdi, r12",
         "call r13",
         "ud2",
+        ".size tm_sim_fiber_boot, . - tm_sim_fiber_boot",
     );
 
     extern "C" {
@@ -299,6 +305,29 @@ mod tests {
         (*s).hits += 100;
         loop {
             switch(ptr::addr_of_mut!((*s).fiber_sp), (*s).driver_sp);
+        }
+    }
+
+    /// A symbolizer attributes an address to the nearest preceding symbol
+    /// that covers it: unsized, the two assembly routines' samples land on
+    /// whichever function the linker put before them.
+    #[test]
+    fn the_assembly_symbols_are_sized_functions() {
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let nm = std::process::Command::new("nm").arg("-S").arg(exe).output();
+        let Ok(nm) = nm.map(|out| String::from_utf8_lossy(&out.stdout).into_owned()) else {
+            return; // No binutils on this host.
+        };
+        for symbol in ["tm_sim_fiber_switch", "tm_sim_fiber_boot"] {
+            // "<address> <size> <type> <name>"; no size column without `.size`.
+            let sized = nm.lines().filter(|l| l.ends_with(symbol)).any(|l| {
+                let fields: Vec<&str> = l.split_whitespace().collect();
+                matches!(fields[..], [_, size, "t" | "T", _] if size.chars().any(|c| c != '0'))
+            });
+            assert!(
+                sized || nm.is_empty(),
+                "{symbol} in the symbol table:\n{nm}"
+            );
         }
     }
 

@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Where does the host time of a benchmark workload go? A sampling profile of
+# the unmodified benchmark binary, by function — the profile a `perf_opt`
+# issue must name its layer from (ROADMAP aim 1).
+#
+#   scripts/profile.sh <workload> [--seconds N] [--seed N]
+#   scripts/profile.sh -- <command> [args...]      any binary with debug info
+#
+# Builds scripts/sigprof.c (a SIGPROF sampler, preloaded) and the benchmark
+# package with debug info into their own target directory
+# (${CARGO_TARGET_DIR:-target}/profile; nothing under benchmark/ is touched),
+# runs the workload and prints two tables, share of samples by function:
+# the outermost (non-inlined) function a sample is in, and the innermost
+# frame inlined there. Exits 0 with a notice where `cc` or `addr2line` is
+# missing.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+for tool in cc addr2line; do
+  command -v "$tool" >/dev/null || { echo "profile: no $tool on this host, nothing profiled"; exit 0; }
+done
+[ $# -ge 1 ] || { sed -n '2,8p' "$0"; exit 2; }
+
+dir="${CARGO_TARGET_DIR:-$PWD/target}/profile"
+mkdir -p "$dir"
+cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c
+
+if [ "$1" = "--" ]; then
+  shift
+  what="$*"
+  cmd=("$@")
+else
+  what="$1"
+  seconds=5 seed=24301
+  shift
+  while [ $# -gt 0 ]; do
+    case "$1" in
+      --seconds) seconds="$2" ;;
+      --seed) seed="$2" ;;
+      *) echo "profile: unknown flag $1"; exit 2 ;;
+    esac
+    shift 2
+  done
+  CARGO_PROFILE_RELEASE_DEBUG=1 cargo build --offline --release --quiet \
+    --manifest-path benchmark/Cargo.toml --target-dir "$dir" >&2
+  cmd=("$dir/release/tm-benchmark" --workload "$what" --seed "$seed" --seconds "$seconds" --trace 0)
+fi
+binary="$(command -v "${cmd[0]}")"
+
+samples="$dir/samples.txt"
+rm -f "$samples"
+SIGPROF_OUT="$samples" LD_PRELOAD="$dir/sigprof.so" "${cmd[@]}" >/dev/null
+[ -s "$samples" ] || { echo "profile: $what left no samples"; exit 1; }
+
+# `addr2line -a -f -i` prints, per address: the address, then a function
+# line and a file:line line per frame, innermost inlined frame first and
+# the function that was actually called last.
+grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | awk -v what="$what" \
+  -v outside="$(grep -c '^-' "$samples" || true)" '
+  function close_sample() { if (innermost != "") { inner[innermost]++; outer[last]++; n++ } }
+  function table(title, count,    f, lines) {
+    printf "\n== %s ==\n", title
+    for (f in count) lines = lines sprintf("%5.1f%%  %s\n", 100 * count[f] / (n + outside), f)
+    printf "%s", lines | "sort -rn | head -n 15"
+    close("sort -rn | head -n 15")
+  }
+  /^0x/ { close_sample(); innermost = ""; frame = 0; next }
+  { frame++ }
+  frame % 2 == 1 {
+    sub(/::h[0-9a-f]{16}$/, "")
+    if (innermost == "") innermost = $0
+    last = $0
+  }
+  END {
+    close_sample()
+    printf "profile: %s, %d samples at 250 Hz, %d of them outside the executable\n", what, n + outside, outside
+    table("outermost non-inlined function", outer)
+    table("innermost inlined frame", inner)
+  }'

@@ -164,6 +164,22 @@ if [ "$quick" -eq 0 ]; then
   echo "==> benchmark (package tests + run.sh --smoke)"
   (cd benchmark && $CARGO test --release)
   timeout 900 bash benchmark/run.sh --smoke
+
+  # The profiler a perf_opt issue names its layer from must keep naming
+  # one: on synth-matrix the function with the most samples is the
+  # simulator's (it says so itself where cc or addr2line is missing).
+  echo "==> scripts/profile.sh synth-matrix (smoke: the top row is in tm_sim::)"
+  table="$(timeout 900 scripts/profile.sh synth-matrix --seconds 2)"
+  echo "$table" | head -n 8
+  case "$table" in
+    "profile: no "*) ;;
+    *)
+      echo "$table" | awk '/^== outermost/ { getline; print; exit }' | grep -q 'tm_sim' || {
+        echo "verify: the profile's top row is not a tm_sim function"
+        exit 1
+      }
+      ;;
+  esac
 fi
 
 echo "verify: all gates passed"
