@@ -64,6 +64,7 @@ fn main() {
     if let Err(bad) = tm_sim::check_exec_env().and(tm_bench::scale_from_env()) {
         usage_error(bad);
     }
+    let fault = Fault::from_env().unwrap_or_else(|bad| usage_error(bad));
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--table") {
         print!("{}", exhibits::experiments_table());
@@ -90,7 +91,7 @@ fn main() {
         workers: jobs,
         timeout: Some(Duration::from_secs(timeout_s)),
         retries,
-        fault: Fault::from_env(),
+        fault,
         ..Policy::default()
     };
     let runner: Arc<CellRunner> = Arc::new(|cfg| {

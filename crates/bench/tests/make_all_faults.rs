@@ -192,6 +192,12 @@ fn bad_environment_values_are_one_line_usage_errors() {
         ),
         ("TM_SCALE", "abc", "error: bad TM_SCALE 'abc'"),
         ("TM_SCALE", "0", "error: bad TM_SCALE '0'"),
+        // Set but no fault plan: it used to run fault-free (exit 0).
+        (
+            "TM_SWEEP_FAULT",
+            "bogus",
+            "error: bad TM_SWEEP_FAULT 'bogus' (<timeout|error>:<needle>[:<n>])",
+        ),
     ];
     for (var, value, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_make_all"))

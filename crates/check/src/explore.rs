@@ -1,28 +1,13 @@
-//! Deterministic interleaving exploration for `stm::txn`.
+//! The token-transfer program every schedule explorer drives.
 //!
-//! The STM's interleavings are a deterministic function of virtual time, so
-//! a *schedule* — one virtual-delay per scheduling point — fully determines
-//! the execution. The explorer drives a small token-transfer program (total
-//! tokens are invariant under any correct STM) through seeded random
-//! schedules; a schedule that breaks conservation is shrunk with the
-//! proptest machinery to a minimal counterexample, which stays failing on
-//! replay precisely because the whole stack is deterministic.
-//!
-//! The injected-bug knob ([`tm_stm::InjectedBug`]) exists to prove the
-//! explorer has teeth: skipping either ownership-record validation must be
-//! caught within a modest schedule budget.
-
-use std::sync::Arc;
-
-use proptest::run_cases;
-use proptest::test_runner::TestCaseError;
-use tm_alloc::AllocatorKind;
-use tm_obs::{CheckCell, CheckStatus};
-use tm_sim::{MachineConfig, Sim};
-use tm_stm::{InjectedBug, Stm, StmConfig};
-
-use crate::strategies::delays;
-use crate::{cell_from, kv};
+//! `threads` workers each run `txns` transfer transactions over `cells`
+//! token cells, moving amounts drawn from a per-thread LCG stream; the
+//! token total is invariant under any correct STM. This module owns the
+//! program's *shape and stream* only. Executing it under a schedule,
+//! checking its invariants, sweeping and shrinking schedules all live in
+//! `tm-mc`, which reads [`TransferProgram::moves`] both to run the
+//! transfers and to compute the static conflict relation it prunes with —
+//! one stream, so the two cannot drift apart.
 
 /// The transaction program under exploration: `threads` workers each run
 /// `txns` transfer transactions over `cells` token cells (one ORT stripe
@@ -63,264 +48,15 @@ impl TransferProgram {
     pub fn expected_total(&self) -> u64 {
         self.cells * Self::INITIAL_TOKENS
     }
-}
 
-/// One delay (virtual cycles) per `(thread, txn)` scheduling point,
-/// injected between a transaction's reads and its writes — exactly the
-/// window a validation bug leaves open.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Schedule(pub Vec<u64>);
-
-impl Schedule {
-    /// The undisturbed schedule (no extra delays).
-    pub fn zero(program: &TransferProgram) -> Self {
-        Schedule(vec![0; program.points()])
-    }
-
-    /// Total injected delay — the "size" a shrink minimises.
-    pub fn weight(&self) -> u64 {
-        self.0.iter().sum()
-    }
-}
-
-/// Run the program under one schedule and return the final token total.
-/// Fully deterministic in `(program, schedule, bug)`.
-///
-/// Delays are injected through the simulator's scheduling-point hook
-/// ([`tm_sim::Sim::set_sched_hook`]): the transaction body only *names* its
-/// scheduling point (`ctx.sched_point(t)`), and the installed hook — here a
-/// table lookup into the delay vector, in `tm-mc` the systematic enumerator
-/// — decides how long to hold the thread there. A retried transaction
-/// re-announces the same point and receives the same delay, so a schedule
-/// remains a pure function of `(tid, txn)`.
-pub fn run_transfers(program: &TransferProgram, schedule: &Schedule, bug: InjectedBug) -> u64 {
-    assert_eq!(schedule.0.len(), program.points(), "schedule arity");
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let txns = program.txns as usize;
-    let delays: Arc<Vec<u64>> = Arc::new(schedule.0.clone());
-    sim.set_sched_hook(Arc::new(move |tid, point| {
-        delays[tid * txns + point as usize]
-    }));
-    let alloc = AllocatorKind::TbbMalloc.build(&sim);
-    let stm = Arc::new(Stm::new(
-        &sim,
-        alloc,
-        StmConfig {
-            bug,
-            ..StmConfig::default()
-        },
-    ));
-    let base = 0x4000_0000u64;
-    sim.with_state(|m| {
-        for c in 0..program.cells {
-            m.write_u64(base + c * 4096, TransferProgram::INITIAL_TOKENS);
-        }
-    });
-    sim.run(program.threads, |ctx| {
-        let tid = ctx.tid();
-        let mut th = stm.thread(tid);
-        let mut x = program.seed ^ (tid as u64).wrapping_mul(0x9e3779b97f4a7c15);
-        for t in 0..program.txns {
+    /// The transfers thread `tid` attempts, in program order, as
+    /// `(from, to, amount)` with `from`/`to` cell indices below `cells`.
+    pub fn moves(&self, tid: usize) -> impl Iterator<Item = (u64, u64, u64)> {
+        let cells = self.cells;
+        let mut x = self.seed ^ (tid as u64).wrapping_mul(0x9e3779b97f4a7c15);
+        (0..self.txns).map(move |_| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let from = base + (x % program.cells) * 4096;
-            let to = base + ((x >> 8) % program.cells) * 4096;
-            let amt = (x >> 16) % 7;
-            stm.txn(ctx, &mut th, |tx, ctx| {
-                let f = tx.read(ctx, from)?;
-                let v = tx.read(ctx, to)?;
-                // The scheduling point: widen the read→write window.
-                ctx.sched_point(t);
-                if from != to && f >= amt {
-                    tx.write(ctx, from, f - amt)?;
-                    tx.write(ctx, to, v + amt)?;
-                }
-                Ok(())
-            });
-        }
-        stm.retire(th);
-    });
-    sim.with_state(|m| {
-        (0..program.cells)
-            .map(|c| m.read_u64(base + c * 4096))
-            .sum()
-    })
-}
-
-/// A conservation violation found by the explorer.
-#[derive(Clone, Debug)]
-pub struct ExploreOutcome {
-    /// The minimal failing schedule after shrinking.
-    pub schedule: Schedule,
-    /// The (wrong) token total it produces.
-    pub total: u64,
-    /// Which of the explored schedules first failed (1-based).
-    pub found_at_case: u32,
-    /// Shrink candidates evaluated on the way to the minimum.
-    pub shrink_steps: u32,
-}
-
-/// Explore up to `budget` seeded schedules (delays in `0..max_delay`);
-/// returns the shrunk counterexample of the first conservation violation,
-/// or `None` when every explored interleaving conserves tokens.
-pub fn explore(
-    program: &TransferProgram,
-    bug: InjectedBug,
-    budget: u32,
-    max_delay: u64,
-    seed: u64,
-) -> Option<ExploreOutcome> {
-    let strategy = delays(program.points(), max_delay);
-    let expected = program.expected_total();
-    let check = |sched: &Vec<u64>| {
-        let total = run_transfers(program, &Schedule(sched.clone()), bug);
-        if total == expected {
-            Ok(())
-        } else {
-            Err(TestCaseError::fail(format!("total {total} != {expected}")))
-        }
-    };
-    let (minimal, _err, case, steps) = run_cases(budget, seed, &strategy, check)?;
-    let schedule = Schedule(minimal);
-    let total = run_transfers(program, &schedule, bug);
-    Some(ExploreOutcome {
-        schedule,
-        total,
-        found_at_case: case,
-        shrink_steps: steps,
-    })
-}
-
-/// Matrix cell: with `bug == InjectedBug::None` the cell passes iff no
-/// explored schedule violates conservation; with a seeded bug the cell
-/// passes iff the explorer *does* catch it (a self-test that the harness
-/// has teeth) and the shrunk schedule still fails on replay.
-pub fn run_explore_cell(bug: InjectedBug, budget: u32, seed: u64) -> CheckCell {
-    let program = TransferProgram::default();
-    let config = vec![
-        kv("kind", "explore"),
-        kv("bug", format!("{bug:?}")),
-        kv("threads", program.threads),
-        kv("txns", program.txns),
-        kv("budget", budget),
-    ];
-    let outcome = explore(&program, bug, budget, 400, seed);
-    let mut checks = vec![("schedules".into(), budget as u64)];
-    let mut failures = Vec::new();
-    match (&outcome, bug) {
-        (Some(o), InjectedBug::None) => {
-            failures.push(format!(
-                "conservation violated by schedule of weight {} (total {})",
-                o.schedule.weight(),
-                o.total
-            ));
-        }
-        (None, InjectedBug::None) => {}
-        (Some(o), _) => {
-            checks.push(("found_at_case".into(), o.found_at_case as u64));
-            checks.push(("shrink_steps".into(), o.shrink_steps as u64));
-            checks.push(("minimal_weight".into(), o.schedule.weight()));
-            // The counterexample must be deterministic: replay still fails.
-            if run_transfers(&program, &o.schedule, bug) == program.expected_total() {
-                failures.push("shrunk counterexample does not replay".into());
-            }
-        }
-        (None, _) => {
-            failures.push(format!(
-                "seeded bug {bug:?} escaped {budget} explored schedules"
-            ));
-        }
-    }
-    let mut cell = cell_from(config, checks, failures);
-    if cell.status == CheckStatus::Pass {
-        if let Some(o) = outcome {
-            cell.detail = Some(format!(
-                "caught at case {} after {} shrink steps (minimal weight {})",
-                o.found_at_case,
-                o.shrink_steps,
-                o.schedule.weight()
-            ));
-        }
-    }
-    cell
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn correct_stm_conserves_under_exploration() {
-        let program = TransferProgram::default();
-        let found = explore(&program, InjectedBug::None, 12, 400, 0x51ee7);
-        assert!(found.is_none(), "{found:?}");
-    }
-
-    #[test]
-    fn skipped_write_validation_is_caught_and_shrunk() {
-        let program = TransferProgram::default();
-        let o = explore(&program, InjectedBug::SkipWriteValidation, 64, 400, 0x51ee7)
-            .expect("lost updates must surface within the schedule budget");
-        // Deterministic replay of the minimal schedule.
-        let replay = run_transfers(&program, &o.schedule, InjectedBug::SkipWriteValidation);
-        assert_eq!(replay, o.total, "counterexample must be deterministic");
-        assert_ne!(replay, program.expected_total());
-        // Shrinking actually ran and produced something no heavier than a
-        // raw random schedule could be.
-        assert!(o.shrink_steps > 0, "no shrink performed");
-        assert!(
-            o.schedule.weight() < program.points() as u64 * 400,
-            "shrunk schedule should not be maximal"
-        );
-        // The same schedule on a correct STM conserves: the failure is the
-        // bug's, not the harness's.
-        assert_eq!(
-            run_transfers(&program, &o.schedule, InjectedBug::None),
-            program.expected_total()
-        );
-    }
-
-    #[test]
-    fn empty_schedule_program_explores_cleanly() {
-        // txns = 0 ⇒ zero scheduling points ⇒ the only schedule is the
-        // empty delay vector; exploration (and its shrinker) must cope.
-        let program = TransferProgram {
-            txns: 0,
-            ..TransferProgram::default()
-        };
-        assert_eq!(program.points(), 0);
-        assert_eq!(
-            run_transfers(&program, &Schedule::zero(&program), InjectedBug::None),
-            program.expected_total()
-        );
-        let found = explore(&program, InjectedBug::None, 8, 400, 0x1);
-        assert!(found.is_none(), "{found:?}");
-    }
-
-    #[test]
-    fn single_thread_program_explores_cleanly() {
-        // One thread cannot race with itself even with a seeded bug: the
-        // explorer must report no violation, not a spurious one.
-        let program = TransferProgram {
-            threads: 1,
-            ..TransferProgram::default()
-        };
-        let found = explore(&program, InjectedBug::SkipWriteValidation, 16, 400, 0x2);
-        assert!(found.is_none(), "{found:?}");
-    }
-
-    #[test]
-    fn zero_budget_explores_nothing() {
-        let program = TransferProgram::default();
-        let found = explore(&program, InjectedBug::SkipWriteValidation, 0, 400, 0x3);
-        assert!(found.is_none(), "a zero budget must explore zero schedules");
-    }
-
-    #[test]
-    fn self_test_cells_classify_both_ways() {
-        let clean = run_explore_cell(InjectedBug::None, 6, 0xabc);
-        assert_eq!(clean.status, CheckStatus::Pass, "{:?}", clean.detail);
-        let seeded = run_explore_cell(InjectedBug::SkipWriteValidation, 64, 0xabc);
-        assert_eq!(seeded.status, CheckStatus::Pass, "{:?}", seeded.detail);
-        assert!(seeded.detail.unwrap().contains("caught at case"));
+            (x % cells, (x >> 8) % cells, (x >> 16) % 7)
+        })
     }
 }

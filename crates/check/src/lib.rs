@@ -7,11 +7,11 @@
 //!   re-executed with every operation's outcome recorded, then validated
 //!   against a per-key serial witness (for sets, linearizability decomposes
 //!   key by key); STAMP apps are diffed against a one-thread reference run
-//!   through their interleaving-independent checksums.
-//! * [`explore`] — deterministic interleaving exploration for `stm::txn`.
-//!   A seeded scheduler perturbs a small transaction program with virtual
-//!   delays and shrinks any violating schedule to a minimal counterexample
-//!   (via the proptest shrinking machinery).
+//!   through their interleaving-independent checksums — one
+//!   [`oracle::stamp_diff_cell`], whichever option the two runs differ by.
+//! * [`explore`] — the token-transfer program (shape and LCG stream) every
+//!   schedule explorer drives. Running it under a schedule, sweeping and
+//!   shrinking schedules are `tm-mc`'s: this crate has no explorer.
 //! * [`heap`] — allocator heap invariants. Multi-threaded raw and
 //!   transactional churn runs under [`tm_alloc::HeapAuditor`], which checks
 //!   alignment, block disjointness, arena containment, and free validity.
@@ -30,9 +30,12 @@ pub mod heap;
 pub mod oracle;
 pub mod strategies;
 
-pub use explore::{run_explore_cell, ExploreOutcome, Schedule, TransferProgram};
+pub use explore::TransferProgram;
 pub use heap::run_heap_cell;
-pub use oracle::{run_backend_cell, run_cm_cell, run_stamp_cell, run_synth_cell, SynthCheckConfig};
+pub use oracle::{
+    run_backend_cell, run_cm_cell, run_stamp_cell, run_synth_cell, stamp_diff_cell,
+    SynthCheckConfig,
+};
 
 use tm_obs::{CheckCell, CheckStatus};
 

@@ -23,9 +23,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tm_alloc::AllocatorKind;
 use tm_ds::{StructureKind, TxHashSet, TxList, TxRbTree, TxSet};
-use tm_obs::{CheckCell, CheckStatus};
+use tm_obs::{panic_message, CheckCell, CheckStatus};
 use tm_sim::{Ctx, MachineConfig, Sim};
-use tm_stamp::runner::{run_kind, StampOpts};
+use tm_stamp::runner::{run_kind, StampOpts, StampResult};
 use tm_stamp::AppKind;
 use tm_stm::{BackendKind, CmKind, Stm, StmConfig};
 
@@ -354,7 +354,7 @@ pub fn run_synth_cell(cfg: &SynthCheckConfig) -> CheckCell {
             return CheckCell {
                 config,
                 status: CheckStatus::Error,
-                detail: Some(format!("panicked: {}", panic_message(&payload))),
+                detail: Some(format!("panicked: {}", panic_message(payload.as_ref()))),
                 checks: vec![],
             }
         }
@@ -374,6 +374,88 @@ pub fn run_synth_cell(cfg: &SynthCheckConfig) -> CheckCell {
     cell_from(config, checks, failures)
 }
 
+/// The one STAMP differential: an audited `threads`-thread run of `app`
+/// under `opts` is diffed against an audited one-thread run under
+/// `reference_opts` (same app, seed in the options, scale and allocator)
+/// through the app checksum, when the app defines one. The final logical
+/// state is interleaving-independent, so a divergence is a correctness bug
+/// in whatever the two option sets differ by; the labels name the two
+/// sides in the evidence. The `verify()` assertions inside each app are
+/// themselves oracle checks: a panic in either run is a correctness
+/// failure, not a harness error.
+pub fn stamp_diff_cell(
+    config: Vec<(String, String)>,
+    app: AppKind,
+    allocator: AllocatorKind,
+    threads: usize,
+    scale: u64,
+    (label, opts): (&str, StampOpts),
+    (reference_label, reference_opts): (&str, StampOpts),
+) -> CheckCell {
+    diff_runs(config, threads, label, reference_label, |reference| {
+        let (threads, opts) = if reference {
+            (1, &reference_opts)
+        } else {
+            (threads, &opts)
+        };
+        run_kind(app, allocator, threads, opts, scale)
+    })
+}
+
+/// The verdict of [`stamp_diff_cell`] over any pair of runs:
+/// `run(false)` is the parallel side, `run(true)` the serial reference.
+fn diff_runs(
+    config: Vec<(String, String)>,
+    threads: usize,
+    label: &str,
+    reference_label: &str,
+    run: impl Fn(bool) -> StampResult,
+) -> CheckCell {
+    let attempt = |reference: bool, side: String| {
+        catch_unwind(AssertUnwindSafe(|| run(reference)))
+            .map_err(|p| format!("verify failed ({side}): {}", panic_message(p.as_ref())))
+    };
+    let runs = attempt(false, format!("{label} {threads} threads")).and_then(|par| {
+        let reference = attempt(true, format!("{reference_label} reference"))?;
+        Ok((par, reference))
+    });
+    let (par, reference) = match runs {
+        Ok(runs) => runs,
+        Err(why) => return cell_from(config, vec![], vec![why]),
+    };
+    let mut failures = Vec::new();
+    match (par.checksum, reference.checksum) {
+        (Some(p), Some(s)) if p != s => {
+            failures.push(format!(
+                "checksum diverged: {label} {p:#x} vs {reference_label} {s:#x}"
+            ));
+        }
+        (Some(_), None) | (None, Some(_)) => {
+            failures.push("checksum defined for one run but not the other".into());
+        }
+        _ => {}
+    }
+    let violations = par.heap_violations + reference.heap_violations;
+    if violations > 0 {
+        failures.push(format!("{violations} heap-invariant violations"));
+    }
+    let checks = vec![
+        ("commits".into(), par.commits),
+        ("aborts".into(), par.aborts),
+        ("checksummed".into(), par.checksum.is_some() as u64),
+        ("heap_violations".into(), violations),
+    ];
+    cell_from(config, checks, failures)
+}
+
+/// Every STAMP cell runs under the heap auditor.
+fn audited(opts: StampOpts) -> StampOpts {
+    StampOpts {
+        audit_heap: true,
+        ..opts
+    }
+}
+
 /// Run one STAMP cell: N-thread audited run diffed against a one-thread
 /// reference run through the app checksum (when the app defines one).
 pub fn run_stamp_cell(
@@ -388,78 +470,24 @@ pub fn run_stamp_cell(
         kv("alloc", allocator.name()),
         kv("threads", threads),
     ];
-    let opts = StampOpts {
-        audit_heap: true,
-        ..StampOpts::default()
-    };
-    let run = |threads| {
-        let opts = opts.clone();
-        catch_unwind(AssertUnwindSafe(move || {
-            run_kind(kind, allocator, threads, &opts, scale)
-        }))
-    };
-    // The verify() assertions inside each app are themselves oracle checks;
-    // a panic in either run is a correctness failure, not a harness error.
-    let par = match run(threads) {
-        Ok(r) => r,
-        Err(p) => {
-            return CheckCell {
-                config,
-                status: CheckStatus::Fail,
-                detail: Some(format!(
-                    "verify failed ({threads} threads): {}",
-                    panic_message(&p)
-                )),
-                checks: vec![],
-            }
-        }
-    };
-    let reference = match run(1) {
-        Ok(r) => r,
-        Err(p) => {
-            return CheckCell {
-                config,
-                status: CheckStatus::Fail,
-                detail: Some(format!(
-                    "verify failed (serial reference): {}",
-                    panic_message(&p)
-                )),
-                checks: vec![],
-            }
-        }
-    };
-    let mut failures = Vec::new();
-    match (par.checksum, reference.checksum) {
-        (Some(p), Some(s)) if p != s => {
-            failures.push(format!(
-                "checksum diverged: parallel {p:#x} vs serial {s:#x}"
-            ));
-        }
-        (Some(_), None) | (None, Some(_)) => {
-            failures.push("checksum defined for one run but not the other".into());
-        }
-        _ => {}
-    }
-    let violations = par.heap_violations + reference.heap_violations;
-    if violations > 0 {
-        failures.push(format!("{violations} heap-invariant violations"));
-    }
-    let checks = vec![
-        ("commits".into(), par.commits),
-        ("aborts".into(), par.aborts),
-        ("checksummed".into(), par.checksum.is_some() as u64),
-        ("heap_violations".into(), violations),
-    ];
-    cell_from(config, checks, failures)
+    let opts = audited(StampOpts::default());
+    stamp_diff_cell(
+        config,
+        kind,
+        allocator,
+        threads,
+        scale,
+        ("parallel", opts.clone()),
+        ("serial", opts),
+    )
 }
 
 /// Cross-backend differential cell: an N-thread run under `backend` is
 /// diffed against a fresh one-thread **ETL** reference of the same app,
-/// seed, scale and allocator through the app checksum. The final logical
-/// state is interleaving-independent, so any divergence is a correctness
-/// bug in the backend's conflict detection — NOrec's value validation and
-/// sim-HTM's cache-set tracking are held to the same linearizable outcome
-/// the ORT-based ETL produces.
+/// seed, scale and allocator. Any divergence is a correctness bug in the
+/// backend's conflict detection — NOrec's value validation and sim-HTM's
+/// cache-set tracking are held to the same linearizable outcome the
+/// ORT-based ETL produces.
 pub fn run_backend_cell(
     backend: BackendKind,
     kind: AppKind,
@@ -474,79 +502,31 @@ pub fn run_backend_cell(
         kv("alloc", allocator.name()),
         kv("threads", threads),
     ];
-    let run = |backend, threads| {
-        let opts = StampOpts {
+    let under = |backend| {
+        audited(StampOpts {
             backend,
-            audit_heap: true,
             ..StampOpts::default()
-        };
-        catch_unwind(AssertUnwindSafe(move || {
-            run_kind(kind, allocator, threads, &opts, scale)
-        }))
+        })
     };
-    let par = match run(backend, threads) {
-        Ok(r) => r,
-        Err(p) => {
-            return CheckCell {
-                config,
-                status: CheckStatus::Fail,
-                detail: Some(format!(
-                    "verify failed ({} {threads} threads): {}",
-                    backend.name(),
-                    panic_message(&p)
-                )),
-                checks: vec![],
-            }
-        }
-    };
-    let reference = match run(BackendKind::Etl, 1) {
-        Ok(r) => r,
-        Err(p) => {
-            return CheckCell {
-                config,
-                status: CheckStatus::Fail,
-                detail: Some(format!(
-                    "verify failed (serial ETL reference): {}",
-                    panic_message(&p)
-                )),
-                checks: vec![],
-            }
-        }
-    };
-    let mut failures = Vec::new();
-    match (par.checksum, reference.checksum) {
-        (Some(p), Some(s)) if p != s => {
-            failures.push(format!(
-                "checksum diverged: {} {p:#x} vs serial etl {s:#x}",
-                backend.name()
-            ));
-        }
-        (Some(_), None) | (None, Some(_)) => {
-            failures.push("checksum defined for one run but not the other".into());
-        }
-        _ => {}
-    }
-    let violations = par.heap_violations + reference.heap_violations;
-    if violations > 0 {
-        failures.push(format!("{violations} heap-invariant violations"));
-    }
-    let checks = vec![
-        ("commits".into(), par.commits),
-        ("aborts".into(), par.aborts),
-        ("checksummed".into(), par.checksum.is_some() as u64),
-        ("heap_violations".into(), violations),
-    ];
-    cell_from(config, checks, failures)
+    stamp_diff_cell(
+        config,
+        kind,
+        allocator,
+        threads,
+        scale,
+        (backend.name(), under(backend)),
+        ("serial etl", under(BackendKind::Etl)),
+    )
 }
 
 /// Cross-CM differential cell: an N-thread run under contention manager
 /// `cm` is diffed against a fresh one-thread **SUICIDE** reference of the
-/// same app, seed, scale and allocator through the app checksum. A CM only
-/// decides *when a doomed transaction retries*, never *what commits*, so
-/// the final logical state must be bit-identical to the baseline policy —
-/// any divergence means the CM leaked into conflict detection (e.g. a
-/// serialization token that failed to exclude, or an adaptive switch that
-/// corrupted per-thread state mid-transaction).
+/// same app, seed, scale and allocator. A CM only decides *when a doomed
+/// transaction retries*, never *what commits*, so the final logical state
+/// must be bit-identical to the baseline policy — any divergence means the
+/// CM leaked into conflict detection (e.g. a serialization token that
+/// failed to exclude, or an adaptive switch that corrupted per-thread
+/// state mid-transaction).
 pub fn run_cm_cell(
     cm: CmKind,
     kind: AppKind,
@@ -561,80 +541,21 @@ pub fn run_cm_cell(
         kv("alloc", allocator.name()),
         kv("threads", threads),
     ];
-    let run = |cm, threads| {
-        let opts = StampOpts {
+    let under = |cm| {
+        audited(StampOpts {
             cm,
-            audit_heap: true,
             ..StampOpts::default()
-        };
-        catch_unwind(AssertUnwindSafe(move || {
-            run_kind(kind, allocator, threads, &opts, scale)
-        }))
+        })
     };
-    let par = match run(cm, threads) {
-        Ok(r) => r,
-        Err(p) => {
-            return CheckCell {
-                config,
-                status: CheckStatus::Fail,
-                detail: Some(format!(
-                    "verify failed ({} {threads} threads): {}",
-                    cm.name(),
-                    panic_message(&p)
-                )),
-                checks: vec![],
-            }
-        }
-    };
-    let reference = match run(CmKind::Suicide, 1) {
-        Ok(r) => r,
-        Err(p) => {
-            return CheckCell {
-                config,
-                status: CheckStatus::Fail,
-                detail: Some(format!(
-                    "verify failed (serial suicide reference): {}",
-                    panic_message(&p)
-                )),
-                checks: vec![],
-            }
-        }
-    };
-    let mut failures = Vec::new();
-    match (par.checksum, reference.checksum) {
-        (Some(p), Some(s)) if p != s => {
-            failures.push(format!(
-                "checksum diverged: {} {p:#x} vs serial suicide {s:#x}",
-                cm.name()
-            ));
-        }
-        (Some(_), None) | (None, Some(_)) => {
-            failures.push("checksum defined for one run but not the other".into());
-        }
-        _ => {}
-    }
-    let violations = par.heap_violations + reference.heap_violations;
-    if violations > 0 {
-        failures.push(format!("{violations} heap-invariant violations"));
-    }
-    let checks = vec![
-        ("commits".into(), par.commits),
-        ("aborts".into(), par.aborts),
-        ("checksummed".into(), par.checksum.is_some() as u64),
-        ("heap_violations".into(), violations),
-    ];
-    cell_from(config, checks, failures)
-}
-
-/// Best-effort panic payload extraction.
-pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
+    stamp_diff_cell(
+        config,
+        kind,
+        allocator,
+        threads,
+        scale,
+        (cm.name(), under(cm)),
+        ("serial suicide", under(CmKind::Suicide)),
+    )
 }
 
 #[cfg(test)]
@@ -728,6 +649,69 @@ mod tests {
             let ops = cell.checks.iter().find(|(k, _)| k == "ops").unwrap().1;
             assert_eq!(ops, 4 * cfg.ops_per_thread);
         }
+    }
+
+    #[test]
+    fn stamp_differential_fails_every_way_two_runs_can_disagree() {
+        // One real outcome, bent per case: the verdict logic is the same
+        // whichever option the two sides differ by.
+        let opts = audited(StampOpts::default());
+        let real = run_kind(AppKind::Genome, AllocatorKind::TbbMalloc, 1, &opts, 1);
+        assert!(real.checksum.is_some() && real.heap_violations == 0);
+        let diff = |run: &dyn Fn(bool) -> StampResult| {
+            diff_runs(vec![kv("kind", "stub")], 4, "parallel", "serial", run)
+        };
+
+        let agree = diff(&|_| real.clone());
+        assert_eq!(agree.status, CheckStatus::Pass, "{:?}", agree.detail);
+        assert_eq!(agree.checks.len(), 4);
+
+        for (panicking_side, names) in [(false, "parallel 4 threads"), (true, "serial reference")] {
+            let cell = diff(&|reference| {
+                assert!(reference != panicking_side, "verify: tree lost a node");
+                real.clone()
+            });
+            assert_eq!(cell.status, CheckStatus::Fail);
+            assert_eq!(
+                cell.detail.unwrap(),
+                format!("verify failed ({names}): verify: tree lost a node")
+            );
+            assert!(cell.checks.is_empty());
+        }
+
+        let bent = |checksum: fn(bool, u64) -> Option<u64>| {
+            diff(&|reference| StampResult {
+                checksum: checksum(reference, real.checksum.unwrap()),
+                ..real.clone()
+            })
+        };
+        let diverged = bent(|reference, sum| Some(sum ^ reference as u64));
+        assert_eq!(diverged.status, CheckStatus::Fail);
+        let detail = diverged.detail.unwrap();
+        assert!(
+            detail.starts_with("checksum diverged: parallel 0x")
+                && detail.contains(" vs serial 0x"),
+            "{detail}"
+        );
+        for one_sided in [
+            bent(|reference, sum| reference.then_some(sum)),
+            bent(|reference, sum| (!reference).then_some(sum)),
+        ] {
+            assert_eq!(one_sided.status, CheckStatus::Fail);
+            assert_eq!(
+                one_sided.detail.unwrap(),
+                "checksum defined for one run but not the other"
+            );
+        }
+
+        let audited_out = diff(&|reference| StampResult {
+            heap_violations: reference as u64,
+            ..real.clone()
+        });
+        assert_eq!(
+            audited_out.detail.as_deref(),
+            Some("1 heap-invariant violations")
+        );
     }
 
     #[test]

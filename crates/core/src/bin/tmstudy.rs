@@ -30,8 +30,60 @@ use tm_ds::StructureKind;
 use tm_stamp::runner::{make_app, profile_app, run_app};
 use tm_stamp::AppKind;
 
-/// Command-line flags: `--name value`, or `--name` alone (value `true`).
+/// Command-line flags: `--name value`, or a bare switch (value `true`).
 type Flags = HashMap<String, String>;
+
+/// The STM-stack knobs `tm_core::sweeps` reads for every transactional
+/// workload: flags that take a value, and bare switches.
+const STACK_VALUES: [&str; 5] = ["backend", "cm", "shift", "seed", "alloc-fault"];
+const STACK_SWITCHES: [&str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
+
+/// What each subcommand understands — `(name, value flags, bare
+/// switches)`. [`parse_flags`] refuses everything else, so a typo is a
+/// usage error instead of a run on the defaults. (`report` takes file
+/// names, not flags.)
+type Subcommand = (
+    &'static str,
+    &'static [&'static [&'static str]],
+    &'static [&'static str],
+);
+const SUBCOMMANDS: &[Subcommand] = &[
+    (
+        "synth",
+        &[
+            &["structure", "alloc", "threads", "update-pct", "size", "ops"],
+            &STACK_VALUES,
+        ],
+        &STACK_SWITCHES,
+    ),
+    (
+        "stamp",
+        &[&["app", "alloc", "threads", "scale"], &STACK_VALUES],
+        &STACK_SWITCHES,
+    ),
+    ("threadtest", &[&["alloc", "threads", "size", "pairs"]], &[]),
+    ("profile", &[&["app", "alloc", "scale"]], &[]),
+    ("machine", &[], &[]),
+    (
+        "sweep",
+        &[
+            &["workload", "reps", "name", "out"],
+            &["workers", "timeout-ms", "retries", "backoff-ms"],
+            tm_core::sweeps::AXIS_FLAGS,
+        ],
+        &["quick"],
+    ),
+    ("check", &[&["backend", "cm", "name", "out"]], &["quick"]),
+    (
+        "mc",
+        &[
+            &["backend", "cm", "alloc", "depth", "budget", "magnitudes"],
+            &["alloc-fault", "name", "out"],
+        ],
+        &["quick", "no-checkpoint", "oom"],
+    ),
+    ("book", &[&["results", "out"]], &["stdout", "check"]),
+];
 
 fn main() {
     // The environment is input too: every subcommand builds simulators,
@@ -42,19 +94,21 @@ fn main() {
         usage();
         return;
     };
-    let flags = parse_flags(rest);
+    if cmd == "report" {
+        return report(rest);
+    }
+    let flags = ok_or_exit(parse_flags(cmd, rest));
     match cmd.as_str() {
         "synth" => workload(|| synth(&flags)),
         "stamp" => workload(|| stamp(&flags)),
         "threadtest" => workload(|| threadtest(&flags)),
         "profile" => workload(|| profile(&flags)),
         "machine" => machine(),
-        "report" => report(rest),
         "sweep" => sweep(&flags),
         "check" => check(&flags),
         "mc" => mc(&flags),
         "book" => book(&flags),
-        _ => usage(),
+        _ => unreachable!("{cmd} is in SUBCOMMANDS"),
     }
 }
 
@@ -90,11 +144,11 @@ fn usage() {
         "usage: tmstudy <synth|stamp|threadtest|profile|machine|report|sweep|check|mc|book> [flags]\n\
          synth:      --structure list|hash|rbtree --alloc <a> --threads N \
          [--backend etl|norec|htm] [--cm <policy>] [--update-pct P] [--shift S] \
-         [--size N] [--ops N] [--ctl] [--mix-hash] [--object-cache] \
+         [--size N] [--ops N] [--seed N] [--ctl] [--mix-hash] [--object-cache] \
          [--alloc-fault PLAN]\n\
          stamp:      --app <name> --alloc <a> --threads N [--scale S] \
-         [--backend etl|norec|htm] [--cm <policy>] [--shift S] [--ctl] [--mix-hash] \
-         [--object-cache] [--alloc-fault PLAN]\n\
+         [--backend etl|norec|htm] [--cm <policy>] [--shift S] [--seed N] [--ctl] \
+         [--mix-hash] [--object-cache] [--alloc-fault PLAN]\n\
          threadtest: --alloc <a> [--size BYTES] [--threads N] [--pairs N]\n\
          profile:    --app <name> [--alloc <a>] [--scale S]\n\
          report:     <a.json> — pretty-print; <a.json> <b.json> — diff \
@@ -190,7 +244,7 @@ fn sweep(flags: &Flags) {
         timeout: Some(Duration::from_millis(get(flags, "timeout-ms", 60_000))),
         retries: get(flags, "retries", 1),
         backoff: Duration::from_millis(get(flags, "backoff-ms", 50)),
-        fault: tm_sweep::Fault::from_env(),
+        fault: ok_or_exit(tm_sweep::Fault::from_env()),
     };
     eprintln!(
         "sweep '{}': {} cells on {} workers (timeout {:?})",
@@ -214,10 +268,8 @@ fn sweep(flags: &Flags) {
 /// document. Exit 1 when any cell fails — the gate CI and `verify.sh` use.
 fn check(flags: &Flags) {
     use tm_check::SynthCheckConfig;
-    use tm_check::{
-        run_backend_cell, run_cm_cell, run_explore_cell, run_heap_cell, run_stamp_cell,
-        run_synth_cell,
-    };
+    use tm_check::{run_backend_cell, run_cm_cell, run_heap_cell, run_stamp_cell, run_synth_cell};
+    use tm_mc::explore_check_cell;
     use tm_stm::{BackendKind, CmKind, InjectedBug};
 
     let quick = flags.contains_key("quick");
@@ -314,9 +366,13 @@ fn check(flags: &Flags) {
         cells.push(run_heap_cell(alloc, 4));
     }
     eprintln!("check '{name}': interleaving explorer…");
-    cells.push(run_explore_cell(InjectedBug::None, explore_budget, 0x51ee7));
+    cells.push(explore_check_cell(
+        InjectedBug::None,
+        explore_budget,
+        0x51ee7,
+    ));
     // Self-test: the harness must catch a deliberately broken STM.
-    cells.push(run_explore_cell(
+    cells.push(explore_check_cell(
         InjectedBug::SkipWriteValidation,
         64,
         0x51ee7,
@@ -333,18 +389,6 @@ fn check(flags: &Flags) {
     report.cells = cells;
     write_matrix(flags, &report, "check report");
     exit_if_degraded(report.degraded(), "failing cell(s)");
-}
-
-/// Is the bare switch `--<name>` (`--no-checkpoint`, `--oom`) present? It
-/// takes no value, so anything but the parser's implicit `true` is a
-/// stray token (e.g. `--no-checkpoint bogus`) that must be rejected, not
-/// silently eaten.
-fn bare_flag(flags: &Flags, name: &str) -> Result<bool, String> {
-    match flags.get(name).map(String::as_str) {
-        None => Ok(false),
-        Some("true") => Ok(true),
-        Some(other) => Err(format!("--{name} takes no value (stray token '{other}')")),
-    }
 }
 
 /// `tmstudy mc --oom`: the every-site allocation-failure sweep. A
@@ -383,13 +427,13 @@ fn mc_oom(flags: &Flags) {
 /// clean STM or an escaped mutant), 2 on bad flags.
 fn mc(flags: &Flags) {
     use tm_stm::{BackendKind, CmKind};
-    if ok_or_exit(bare_flag(flags, "oom")) {
+    if flags.contains_key("oom") {
         return mc_oom(flags);
     }
     let quick = flags.contains_key("quick");
     let depth = get(flags, "depth", 3usize);
     let budget = get(flags, "budget", 200_000u64);
-    let checkpoint = !ok_or_exit(bare_flag(flags, "no-checkpoint"));
+    let checkpoint = !flags.contains_key("no-checkpoint");
     let alloc_fault = ok_or_exit(
         flags
             .get("alloc-fault")
@@ -458,6 +502,7 @@ fn mc(flags: &Flags) {
             max_schedules: budget,
             ..tm_mc::EnumConfig::default()
         };
+        ok_or_exit(ecfg.check_magnitudes(&program));
         eprintln!(
             "mc '{name}': exhaustive clean sweep, depth {depth}, {} backend(s) × {} CM(s), \
              budget {budget}…",
@@ -538,25 +583,39 @@ fn book(flags: &Flags) {
     }
 }
 
-fn parse_flags(args: &[String]) -> Flags {
-    let mut m = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let val = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "true".into());
-            if val != "true" {
-                i += 1;
+/// Parse `args` against `cmd`'s row of [`SUBCOMMANDS`]. A value flag takes
+/// the next token; a bare switch takes none. A subcommand without a row, a
+/// flag the subcommand does not have, a token that is no flag, a value
+/// after a switch and a value flag left without one are usage errors
+/// naming the token.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
+    let (_, values, switches) =
+        SUBCOMMANDS
+            .iter()
+            .find(|(name, ..)| *name == cmd)
+            .ok_or(format!(
+                "unknown subcommand '{cmd}' (tmstudy without arguments prints the usage)"
+            ))?;
+    let mut flags = Flags::new();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            return Err(format!("stray token '{arg}'"));
+        };
+        let value = args.next_if(|next| !next.starts_with("--"));
+        let value = if values.iter().any(|part| part.contains(&name)) {
+            value.ok_or(format!("--{name} needs a value"))?.clone()
+        } else if switches.contains(&name) {
+            if let Some(stray) = value {
+                return Err(format!("--{name} takes no value (stray token '{stray}')"));
             }
-            m.insert(name.to_string(), val);
-        }
-        i += 1;
+            "true".to_string()
+        } else {
+            return Err(format!("unknown flag '--{name}' for tmstudy {cmd}"));
+        };
+        flags.insert(name.to_string(), value);
     }
-    m
+    Ok(flags)
 }
 
 /// `--<key>` parsed as a `T`, or `default` when absent; a value that
@@ -688,8 +747,8 @@ fn machine() {
 mod tests {
     use super::*;
 
-    fn flags(args: &[&str]) -> Flags {
-        parse_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    fn flags(cmd: &str, args: &[&str]) -> Result<Flags, String> {
+        parse_flags(cmd, &args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     /// Does `src` load, through the loader `tmstudy report` uses, as an `R`?
@@ -734,12 +793,11 @@ mod tests {
 
     #[test]
     fn no_checkpoint_flag_rejects_stray_tokens() {
-        assert_eq!(
-            bare_flag(&flags(&["--no-checkpoint"]), "no-checkpoint"),
-            Ok(true)
-        );
-        assert_eq!(bare_flag(&Flags::new(), "no-checkpoint"), Ok(false));
-        let err = bare_flag(&flags(&["--no-checkpoint", "bogus"]), "no-checkpoint").unwrap_err();
+        let parsed = flags("mc", &["--no-checkpoint", "--depth", "2"]).unwrap();
+        assert_eq!(parsed["no-checkpoint"], "true");
+        assert_eq!(parsed["depth"], "2");
+        assert!(!flags("mc", &[]).unwrap().contains_key("no-checkpoint"));
+        let err = flags("mc", &["--no-checkpoint", "bogus"]).unwrap_err();
         assert!(err.contains("stray token 'bogus'"), "{err}");
     }
 
@@ -752,8 +810,8 @@ mod tests {
 
     #[test]
     fn oom_flag_rejects_stray_tokens() {
-        assert_eq!(bare_flag(&flags(&["--oom"]), "oom"), Ok(true));
-        let err = bare_flag(&flags(&["--oom", "bogus"]), "oom").unwrap_err();
+        assert_eq!(flags("mc", &["--oom"]).unwrap()["oom"], "true");
+        let err = flags("mc", &["--oom", "bogus"]).unwrap_err();
         assert!(err.contains("--oom takes no value"), "{err}");
     }
 

@@ -122,7 +122,7 @@ fn stack_opts(config: &[(String, String)]) -> Result<StampOpts, String> {
 
 /// The synthetic-benchmark configuration a `(key, value)` list describes
 /// — a sweep cell's config or `tmstudy synth`'s flags: `structure`,
-/// `alloc`, `threads`, `update-pct`, `size`, `ops` and the stack knobs,
+/// `alloc`, `threads`, `update-pct`, `size`, `ops`, `seed` and the stack knobs,
 /// each defaulting as [`SyntheticConfig::scaled`] does. A value that does
 /// not parse is an error naming its key.
 pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, String> {
@@ -149,6 +149,7 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
     cfg.key_range = cfg.initial_size * 2;
     cfg.buckets = (cfg.initial_size * 32).next_power_of_two();
     cfg.ops_per_thread = parse(config, "ops", cfg.ops_per_thread)?;
+    cfg.seed = parse(config, "seed", cfg.seed)?;
     Ok(cfg)
 }
 
@@ -205,9 +206,7 @@ pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, Strin
 }
 
 fn synth_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let mut cfg = synth_config(config)?;
-    cfg.seed = parse(config, "seed", cfg.seed)?;
-    let m = run_synthetic(&cfg);
+    let m = run_synthetic(&synth_config(config)?);
     Ok(vec![
         ("throughput".into(), m.throughput),
         ("abort_pct".into(), m.abort_ratio * 100.0),
@@ -239,7 +238,7 @@ fn threadtest_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, St
 /// Flags that become sweep axes when present, in canonical axis order.
 /// Comma-separated values expand the axis; a single value is a one-value
 /// axis (still recorded per cell).
-const AXIS_FLAGS: &[&str] = &[
+pub const AXIS_FLAGS: &[&str] = &[
     "structure",
     "app",
     "alloc",

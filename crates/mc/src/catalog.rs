@@ -1,4 +1,10 @@
-//! The mutation catalog and the cell builders behind `tmstudy mc`.
+//! The explorer's one cell body, its strategies and verdict rules, the
+//! mutation catalog, and the cell builders behind `tmstudy mc` and the
+//! explorer rows of `tmstudy check`.
+//!
+//! A cell, whatever its [`Strategy`], is one sequence: sweep the schedule
+//! space until the first violation, shrink it ([`shrink_violation`]), let
+//! a verdict rule judge, emit an [`McCell`].
 //!
 //! Each [`MutantRecipe`] pairs one [`InjectedBug`] with the program,
 //! configuration, and exploration strategy empirically tuned to expose
@@ -9,26 +15,39 @@
 //! with a bounded-exhaustive clean sweep across every backend ×
 //! contention-manager combination.
 
-use proptest::shrink_failure;
 use proptest::test_runner::TestCaseError;
+use proptest::{shrink_failure, Strategy as _, TestRng};
 use tm_alloc::AllocatorKind;
 use tm_check::strategies::delays;
 use tm_check::TransferProgram;
-use tm_obs::{McCell, McCounterexample, McReport, McVerdict};
+use tm_obs::{CheckCell, McCell, McCounterexample, McReport, McVerdict};
 use tm_stm::{BackendKind, CmKind, InjectedBug};
 
 use crate::enumerate::{enumerate, EnumConfig, EnumStats};
 use crate::explore::{explore, Throughput};
-use crate::pct::{pct_explore, PctConfig};
+use crate::pct::{trial_schedule, PctConfig};
 use crate::program::{run_schedule, McProgram, ProgramKind, RunConfig};
 
-/// How a cell sweeps the schedule space.
+/// How a cell sweeps the schedule space. The explorer is one — sweep,
+/// shrink the first violation, fold a verdict into an [`McCell`] — and
+/// these are its three ways of choosing which schedules to run.
 #[derive(Clone, Debug)]
 pub enum Strategy {
     /// Bounded-depth exhaustive enumeration ([`crate::enumerate()`]).
     Exhaustive(EnumConfig),
     /// Randomized priority trials ([`crate::pct`]).
     Pct(PctConfig),
+    /// Seeded uniform sampling: `cases` delay vectors with every point's
+    /// delay drawn from `0..max_delay`, a deterministic function of
+    /// `seed`.
+    Random {
+        /// Schedules to sample.
+        cases: u64,
+        /// Exclusive upper bound of each point's delay, in cycles.
+        max_delay: u64,
+        /// Stream seed.
+        seed: u64,
+    },
 }
 
 impl Strategy {
@@ -36,8 +55,71 @@ impl Strategy {
         match self {
             Strategy::Exhaustive(_) => "exhaustive",
             Strategy::Pct(_) => "pct",
+            Strategy::Random { .. } => "random",
         }
     }
+
+    /// How many points a schedule of this strategy delays at once (a
+    /// uniform sample delays them all).
+    fn depth(&self, program: &McProgram) -> usize {
+        match self {
+            Strategy::Exhaustive(e) => e.depth,
+            Strategy::Pct(p) => p.depth,
+            Strategy::Random { .. } => program.points(),
+        }
+    }
+
+    /// Sweep `program` under `run` until the first violation: the sweep
+    /// statistics and, if a schedule violated an invariant, the raw
+    /// (unshrunk) delay vector with its detail — `stats.explored` is then
+    /// the 1-based index of the witness. `checkpoint` selects the
+    /// checkpointed walker for the exhaustive strategy; sampled schedules
+    /// share no prefix to restore to and always run from scratch.
+    pub fn sweep(
+        &self,
+        program: &McProgram,
+        run: &RunConfig,
+        checkpoint: bool,
+        work: &mut SweepWork,
+    ) -> (EnumStats, Option<(Vec<u64>, String)>) {
+        match self {
+            Strategy::Exhaustive(ecfg) => sweep_exhaustive(program, run, ecfg, checkpoint, work),
+            Strategy::Pct(pcfg) => sample(program, run, pcfg.trials, work, |trial| {
+                trial_schedule(program, pcfg, trial)
+            }),
+            Strategy::Random {
+                cases,
+                max_delay,
+                seed,
+            } => {
+                let vectors = delays(program.points(), *max_delay);
+                let mut rng = TestRng::deterministic(*seed);
+                sample(program, run, *cases, work, |_| vectors.generate(&mut rng))
+            }
+        }
+    }
+}
+
+/// The sample-until-violation loop of the two sampled strategies: run
+/// `schedule(i)` for `i` in `0..samples`, stopping at the first violation.
+fn sample(
+    program: &McProgram,
+    run: &RunConfig,
+    samples: u64,
+    work: &mut SweepWork,
+    mut schedule: impl FnMut(u64) -> Vec<u64>,
+) -> (EnumStats, Option<(Vec<u64>, String)>) {
+    let mut stats = EnumStats::default();
+    let mut found = None;
+    while stats.explored < samples && found.is_none() {
+        let delays = schedule(stats.explored);
+        stats.explored += 1;
+        found = run_schedule(program, run, &delays)
+            .err()
+            .map(|detail| (delays, detail));
+    }
+    work.absorb(stats.explored, 0, None);
+    (stats, found)
 }
 
 /// Schedule-count accounting accumulated across the cells of one sweep.
@@ -210,12 +292,7 @@ pub fn mutation_catalog() -> Vec<MutantRecipe> {
     ]
 }
 
-fn config_kv(
-    strategy: &Strategy,
-    program: &McProgram,
-    run: &RunConfig,
-    depth_label: String,
-) -> Vec<(String, String)> {
+fn config_kv(strategy: &Strategy, program: &McProgram, run: &RunConfig) -> Vec<(String, String)> {
     let mut kv = vec![
         ("strategy".into(), strategy.name().into()),
         ("program".into(), program.kind.name().into()),
@@ -223,7 +300,7 @@ fn config_kv(
         ("cm".into(), run.cm.name().into()),
         ("alloc".into(), run.alloc.name().into()),
         ("bug".into(), run.bug.name().into()),
-        ("depth".into(), depth_label),
+        ("depth".into(), strategy.depth(program).to_string()),
     ];
     // Only label fault-injected cells: fault-free cells keep the exact
     // key set of the frozen pre-injection artifacts.
@@ -234,9 +311,10 @@ fn config_kv(
 }
 
 /// Shrink a raw violating delay vector to a minimal one that still
-/// fails, using the proptest shrinking machinery over the same strategy
-/// shape `tm-check` explores with. Returns the finished counterexample;
-/// the shrunk vector is guaranteed (asserted) to still violate.
+/// fails, using the proptest shrinking machinery over the delay-vector
+/// shape [`Strategy::Random`] samples. Returns the finished
+/// counterexample; the shrunk vector is guaranteed to still violate —
+/// asserted in every build profile, at the price of one run per violation.
 pub fn shrink_violation(
     program: &McProgram,
     run: &RunConfig,
@@ -252,7 +330,7 @@ pub fn shrink_violation(
     };
     let (minimal, err, steps) =
         shrink_failure(&strategy, witness, TestCaseError::fail(detail), 400, check);
-    debug_assert!(
+    assert!(
         run_schedule(program, run, &minimal).is_err(),
         "shrunk counterexample no longer fails"
     );
@@ -335,30 +413,18 @@ pub fn run_clean_cell_fault_opt(
         ..RunConfig::clean()
     };
     let strategy = Strategy::Exhaustive(ecfg.clone());
-    let config = config_kv(&strategy, program, &run, ecfg.depth.to_string());
-    let (stats, found) = sweep_exhaustive(program, &run, ecfg, checkpoint, work);
+    run_cell(program, &run, &strategy, checkpoint, work, clean_verdict)
+}
+
+/// How a cell's outcome — the shrunk counterexample, if the sweep found a
+/// violation — becomes its verdict.
+type VerdictRule = fn(&McProgram, &RunConfig, Option<&McCounterexample>) -> McVerdict;
+
+/// The clean STM's verdict rule: any violation is one.
+fn clean_verdict(_: &McProgram, _: &RunConfig, found: Option<&McCounterexample>) -> McVerdict {
     match found {
-        None => McCell {
-            config,
-            verdict: McVerdict::Clean,
-            explored: stats.explored,
-            pruned: stats.pruned,
-            deduped: stats.deduped,
-            capped: stats.capped,
-            counterexample: None,
-        },
-        Some((witness, detail)) => {
-            let cx = shrink_violation(program, &run, witness, detail, stats.explored);
-            McCell {
-                config,
-                verdict: McVerdict::Violation,
-                explored: stats.explored,
-                pruned: stats.pruned,
-                deduped: stats.deduped,
-                capped: stats.capped,
-                counterexample: Some(cx),
-            }
-        }
+        None => McVerdict::Clean,
+        Some(_) => McVerdict::Violation,
     }
 }
 
@@ -367,81 +433,69 @@ pub fn run_clean_cell_fault_opt(
 /// mutant and pass on the clean STM (so the failure is the bug's, not
 /// the harness's). Verdict `caught` when all of that holds, `escaped`
 /// when the budget runs dry, `violation` when the shrunk witness fails
-/// the replay discipline.
+/// on the clean STM too.
 pub fn run_mutant_cell(recipe: &MutantRecipe) -> McCell {
     run_mutant_cell_opt(recipe, true, &mut SweepWork::default())
 }
 
 /// [`run_mutant_cell`] with explicit control over checkpointing and work
-/// accounting. Pct recipes ignore `checkpoint` — randomized trials have
+/// accounting. Sampled recipes ignore `checkpoint` — their schedules have
 /// no shared prefix to restore to.
 pub fn run_mutant_cell_opt(
     recipe: &MutantRecipe,
     checkpoint: bool,
     work: &mut SweepWork,
 ) -> McCell {
-    let depth_label = match &recipe.strategy {
-        Strategy::Exhaustive(e) => e.depth.to_string(),
-        Strategy::Pct(p) => p.depth.to_string(),
-    };
-    let config = config_kv(&recipe.strategy, &recipe.program, &recipe.run, depth_label);
-    let (stats, found) = match &recipe.strategy {
-        Strategy::Exhaustive(ecfg) => {
-            sweep_exhaustive(&recipe.program, &recipe.run, ecfg, checkpoint, work)
-        }
-        Strategy::Pct(pcfg) => {
-            let (trials, found) = pct_explore(&recipe.program, &recipe.run, pcfg);
-            work.absorb(trials, 0, None);
-            (
-                EnumStats {
-                    explored: trials,
-                    ..EnumStats::default()
-                },
-                found,
-            )
-        }
+    run_cell(
+        &recipe.program,
+        &recipe.run,
+        &recipe.strategy,
+        checkpoint,
+        work,
+        mutant_verdict,
+    )
+}
+
+/// A seeded mutant's verdict rule — the replay discipline: the shrunk
+/// schedule still fails on the mutant ([`shrink_violation`] asserts it)
+/// and must pass on the clean STM.
+fn mutant_verdict(
+    program: &McProgram,
+    run: &RunConfig,
+    found: Option<&McCounterexample>,
+) -> McVerdict {
+    let clean_run = RunConfig {
+        bug: InjectedBug::None,
+        ..*run
     };
     match found {
-        None => McCell {
-            config,
-            verdict: McVerdict::Escaped,
-            explored: stats.explored,
-            pruned: stats.pruned,
-            deduped: stats.deduped,
-            capped: stats.capped,
-            counterexample: None,
-        },
-        Some((witness, detail)) => {
-            let cx = shrink_violation(
-                &recipe.program,
-                &recipe.run,
-                witness,
-                detail,
-                stats.explored,
-            );
-            // Replay discipline: the minimal schedule must still fail on
-            // the mutant and must pass on the clean STM.
-            let replays = run_schedule(&recipe.program, &recipe.run, &cx.schedule).is_err();
-            let clean_run = RunConfig {
-                bug: InjectedBug::None,
-                ..recipe.run
-            };
-            let clean_ok = run_schedule(&recipe.program, &clean_run, &cx.schedule).is_ok();
-            let verdict = if replays && clean_ok {
-                McVerdict::Caught
-            } else {
-                McVerdict::Violation
-            };
-            McCell {
-                config,
-                verdict,
-                explored: stats.explored,
-                pruned: stats.pruned,
-                deduped: stats.deduped,
-                capped: stats.capped,
-                counterexample: Some(cx),
-            }
-        }
+        None => McVerdict::Escaped,
+        Some(cx) if run_schedule(program, &clean_run, &cx.schedule).is_ok() => McVerdict::Caught,
+        Some(_) => McVerdict::Violation,
+    }
+}
+
+/// The one cell body: sweep by `strategy`, shrink the first violation,
+/// let `verdict` judge the outcome.
+fn run_cell(
+    program: &McProgram,
+    run: &RunConfig,
+    strategy: &Strategy,
+    checkpoint: bool,
+    work: &mut SweepWork,
+    verdict: VerdictRule,
+) -> McCell {
+    let (stats, found) = strategy.sweep(program, run, checkpoint, work);
+    let counterexample = found
+        .map(|(witness, detail)| shrink_violation(program, run, witness, detail, stats.explored));
+    McCell {
+        config: config_kv(strategy, program, run),
+        verdict: verdict(program, run, counterexample.as_ref()),
+        explored: stats.explored,
+        pruned: stats.pruned,
+        deduped: stats.deduped,
+        capped: stats.capped,
+        counterexample,
     }
 }
 
@@ -538,7 +592,7 @@ pub fn sparse_program() -> McProgram {
 /// The mc rows of the `tmstudy check` matrix: one cell per catalog
 /// mutant (must be caught) plus one clean exhaustive cell per backend
 /// (must stay clean), converted to the check-report cell shape.
-pub fn check_cells() -> Vec<tm_obs::CheckCell> {
+pub fn check_cells() -> Vec<CheckCell> {
     let mut out = Vec::new();
     for recipe in mutation_catalog() {
         out.push(mc_cell_to_check(run_mutant_cell(&recipe)));
@@ -557,9 +611,7 @@ pub fn check_cells() -> Vec<tm_obs::CheckCell> {
     out
 }
 
-fn mc_cell_to_check(cell: McCell) -> tm_obs::CheckCell {
-    let mut config = vec![("kind".to_string(), "mc".to_string())];
-    config.extend(cell.config.iter().cloned());
+fn mc_cell_to_check(cell: McCell) -> CheckCell {
     let mut checks = vec![
         ("explored".to_string(), cell.explored),
         ("pruned".to_string(), cell.pruned),
@@ -570,7 +622,6 @@ fn mc_cell_to_check(cell: McCell) -> tm_obs::CheckCell {
     if cell.deduped > 0 {
         checks.push(("deduped".to_string(), cell.deduped));
     }
-    let mut failures = Vec::new();
     if let Some(cx) = &cell.counterexample {
         checks.push(("shrink_steps".to_string(), cx.shrink_steps));
         checks.push((
@@ -578,19 +629,90 @@ fn mc_cell_to_check(cell: McCell) -> tm_obs::CheckCell {
             cx.schedule.iter().sum::<u64>(),
         ));
     }
-    if !cell.verdict.is_expected() {
-        let evidence = cell
-            .counterexample
-            .as_ref()
-            .map(|cx| format!(": {}", cx.detail))
-            .unwrap_or_default();
-        failures.push(format!("mc verdict {}{evidence}", cell.verdict.name()));
+    let evidence = cell.counterexample.as_ref().map(|cx| cx.detail.as_str());
+    let passed = format!("verdict {}", cell.verdict.name());
+    verdict_check_cell(
+        "mc",
+        cell.config.clone(),
+        checks,
+        cell.verdict,
+        evidence,
+        Some(passed),
+    )
+}
+
+/// Fold an explorer verdict into a `tmstudy check` cell of `kind`: an
+/// unexpected verdict fails the cell with its evidence, an expected one
+/// passes with `passed` as the detail.
+pub(crate) fn verdict_check_cell(
+    kind: &str,
+    config: Vec<(String, String)>,
+    checks: Vec<(String, u64)>,
+    verdict: McVerdict,
+    evidence: Option<&str>,
+    passed: Option<String>,
+) -> CheckCell {
+    let mut keyed = vec![("kind".to_string(), kind.to_string())];
+    keyed.extend(config);
+    let mut failures = Vec::new();
+    if !verdict.is_expected() {
+        let evidence = evidence.map(|d| format!(": {d}")).unwrap_or_default();
+        failures.push(format!("{kind} verdict {}{evidence}", verdict.name()));
     }
-    let mut out = tm_check::cell_from(config, checks, failures);
+    let mut out = tm_check::cell_from(keyed, checks, failures);
     if out.status == tm_obs::CheckStatus::Pass {
-        out.detail = Some(format!("verdict {}", cell.verdict.name()));
+        out.detail = passed;
     }
     out
+}
+
+/// One `kind=explore` row of the `tmstudy check` matrix: `cases` seeded
+/// random schedules ([`Strategy::Random`], delays below 400 cycles) of the
+/// default transfer program. On the clean STM the row passes iff no
+/// schedule violates an invariant; under a seeded `bug` it is the
+/// harness's self-test and passes iff the bug *is* caught — found, shrunk,
+/// the shrunk schedule failing on the mutant and passing on the clean STM.
+pub fn explore_check_cell(bug: InjectedBug, cases: u64, seed: u64) -> CheckCell {
+    let program = McProgram {
+        base: TransferProgram::default(),
+        kind: ProgramKind::Transfer,
+    };
+    let run = RunConfig {
+        bug,
+        ..RunConfig::clean()
+    };
+    let strategy = Strategy::Random {
+        cases,
+        max_delay: 400,
+        seed,
+    };
+    let verdict: VerdictRule = if bug == InjectedBug::None {
+        clean_verdict
+    } else {
+        mutant_verdict
+    };
+    let work = &mut SweepWork::default();
+    let cell = run_cell(&program, &run, &strategy, false, work, verdict);
+    let config = vec![
+        ("bug".to_string(), format!("{bug:?}")),
+        ("threads".to_string(), program.base.threads.to_string()),
+        ("txns".to_string(), program.base.txns.to_string()),
+        ("budget".to_string(), cases.to_string()),
+    ];
+    let mut checks = vec![("schedules".to_string(), cases)];
+    let mut passed = None;
+    if let Some(cx) = &cell.counterexample {
+        let weight = cx.schedule.iter().sum::<u64>();
+        checks.push(("found_at_case".to_string(), cx.found_at));
+        checks.push(("shrink_steps".to_string(), cx.shrink_steps));
+        checks.push(("minimal_weight".to_string(), weight));
+        passed = Some(format!(
+            "caught at case {} after {} shrink steps (minimal weight {weight})",
+            cx.found_at, cx.shrink_steps
+        ));
+    }
+    let evidence = cell.counterexample.as_ref().map(|cx| cx.detail.as_str());
+    verdict_check_cell("explore", config, checks, cell.verdict, evidence, passed)
 }
 
 #[cfg(test)]

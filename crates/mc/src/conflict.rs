@@ -15,9 +15,9 @@
 //! argument specialised to this program family; DESIGN.md gives the
 //! soundness argument and its caveats).
 //!
-//! The footprint computation is shared with the program body itself
-//! (same LCG, same constants), so the conflict relation cannot drift
-//! from what the workload actually does.
+//! The footprints are read from the stream the program body itself
+//! executes ([`tm_check::TransferProgram::moves`]), so the conflict
+//! relation cannot drift from what the workload actually does.
 
 use crate::program::{McProgram, ProgramKind};
 
@@ -44,27 +44,23 @@ impl Footprint {
 
 /// Per-`(tid, txn)` footprints, row-major like the delay vector: entry
 /// `tid * txns + t` is the footprint of thread `tid`'s `t`-th
-/// transaction. Replays the exact LCG stream the program body uses.
+/// transaction.
 pub fn footprints(program: &McProgram) -> Vec<Footprint> {
     let p = program.base;
     let mut out = Vec::with_capacity(program.points());
     for tid in 0..p.threads {
-        if program.kind == ProgramKind::TransferObserver && tid == 0 {
-            out.extend((0..p.txns).map(|_| Footprint::All));
-            continue;
-        }
-        let mut x = p.seed ^ (tid as u64).wrapping_mul(0x9e3779b97f4a7c15);
-        for _ in 0..p.txns {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if program.kind == ProgramKind::AllocSwap {
-                // Node allocation and freeing couple every transaction
-                // through the allocator's shared metadata; treat each as
-                // conflicting with all.
-                out.push(Footprint::All);
+        // The observer reads every cell; node allocation and freeing
+        // couple every AllocSwap transaction through the allocator's
+        // shared metadata. Both conflict with everything.
+        let all = program.kind == ProgramKind::AllocSwap
+            || (program.kind == ProgramKind::TransferObserver && tid == 0);
+        out.extend(p.moves(tid).map(|(from, to, _)| {
+            if all {
+                Footprint::All
             } else {
-                out.push(Footprint::Cells(x % p.cells, (x >> 8) % p.cells));
+                Footprint::Cells(from, to)
             }
-        }
+        }));
     }
     out
 }

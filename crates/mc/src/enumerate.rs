@@ -39,6 +39,30 @@ impl Default for EnumConfig {
     }
 }
 
+impl EnumConfig {
+    /// Refuse magnitudes the virtual clock cannot hold. A delay re-applies
+    /// on every retry of its transaction, so the delays a thread sits out
+    /// are bounded by `points × magnitude`, not by `magnitude`; that
+    /// product must stay under 2^55 cycles, half of the scheduling key's
+    /// clock bits ([`tm_sim::CLOCK_BITS`]), the other half being the
+    /// workload's own. Magnitudes come from outside (`tmstudy mc
+    /// --magnitudes`); beyond the bound a run either wraps its clock and
+    /// explores schedules nobody named, or panics in the scheduler and is
+    /// reported as a violation of the clean STM.
+    pub fn check_magnitudes(&self, program: &McProgram) -> Result<(), String> {
+        let points = program.points().max(1) as u64;
+        let limit = (1u64 << (tm_sim::CLOCK_BITS - 1)) / points;
+        match self.magnitudes.iter().find(|&&m| m > limit) {
+            None => Ok(()),
+            Some(m) => Err(format!(
+                "bad --magnitudes '{m}' (at most {limit}: {points} scheduling points × \
+                 delay must stay under 2^{} virtual cycles)",
+                tm_sim::CLOCK_BITS - 1
+            )),
+        }
+    }
+}
+
 /// What a sweep did: how many schedules ran, how many the conflict
 /// relation removed from the bounded space, and whether the cap stopped
 /// the sweep early.
@@ -127,6 +151,25 @@ mod tests {
                 ..TransferProgram::default()
             },
             kind: ProgramKind::Transfer,
+        }
+    }
+
+    #[test]
+    fn magnitudes_beyond_the_virtual_clock_are_refused() {
+        let p = small();
+        let with = |magnitudes: Vec<u64>| EnumConfig {
+            magnitudes,
+            ..EnumConfig::default()
+        };
+        let limit = (1u64 << 55) / p.points() as u64;
+        assert_eq!(with(vec![400, limit]).check_magnitudes(&p), Ok(()));
+        for bad in [limit + 1, 1 << 56, u64::MAX] {
+            let err = with(vec![400, bad]).check_magnitudes(&p).unwrap_err();
+            assert!(
+                err.starts_with(&format!("bad --magnitudes '{bad}'")),
+                "{err}"
+            );
+            assert!(err.contains("2^55"), "{err}");
         }
     }
 

@@ -41,24 +41,25 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tm_alloc::{Allocator as _, HeapSnapshot};
-use tm_sim::{MachineConfig, Sim, SimSnapshot};
+use tm_sim::{Sim, SimSnapshot};
 use tm_stm::{Stm, StmHostSnapshot, StmStats};
 
 use crate::conflict;
 use crate::enumerate::{binomial, pruned_count, EnumConfig, EnumStats};
 use crate::program::{
-    build_stack, classify_panic, install_hook, main_phase, run_schedule, seed_heap, McProgram,
-    QuietPanics, RunConfig,
+    build_stack, classify_panic, install_hook, main_phase, new_sim, run_schedule, seed_heap,
+    McProgram, QuietPanics, RunConfig,
 };
 
 /// A reusable execution cell for one `(program, config)` pair: the
 /// simulator, allocator, and STM are built and seeded once, and a root
 /// checkpoint is captured at post-seeding quiescence. Every [`Session::run`]
 /// rewinds to the root instead of rebuilding the world, with the same
-/// verdict contract as [`run_schedule`].
+/// verdict contract as [`run_schedule`]. It is the one checkpointed
+/// session: the every-site OOM sweep ([`crate::oom::OomSession`]) is this
+/// type over an audited fault-injecting stack.
 pub struct Session {
     program: McProgram,
-    txns: usize,
     sim: Sim,
     alloc: Arc<dyn tm_alloc::Allocator>,
     stm: Arc<Stm>,
@@ -79,17 +80,22 @@ impl Session {
     /// budget with an allocating seed) — in which case callers fall back
     /// to the from-scratch [`run_schedule`].
     pub fn try_new(program: &McProgram, cfg: &RunConfig) -> Option<Session> {
-        let _quiet = QuietPanics::enter();
-        let sim = Sim::new(MachineConfig::xeon_e5405());
-        sim.set_fuel(cfg.fuel);
+        let sim = new_sim(cfg);
         let (alloc, stm) = build_stack(&sim, cfg);
-        let seeded = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            seed_heap(program, &sim, &alloc);
-        }))
-        .is_ok();
-        if !seeded {
-            return None;
-        }
+        Session::over(program, cfg, sim, alloc, stm)
+    }
+
+    /// [`Session::try_new`] over a stack the caller built on `sim` (which
+    /// already has `cfg.fuel` armed): seed it and checkpoint it.
+    pub(crate) fn over(
+        program: &McProgram,
+        cfg: &RunConfig,
+        sim: Sim,
+        alloc: Arc<dyn tm_alloc::Allocator>,
+        stm: Arc<Stm>,
+    ) -> Option<Session> {
+        let _quiet = QuietPanics::enter();
+        std::panic::catch_unwind(AssertUnwindSafe(|| seed_heap(program, &sim, &alloc))).ok()?;
         let root_heap = alloc.snapshot()?;
         let root_sim = sim.snapshot(None);
         let root_stm = stm.snapshot_host();
@@ -98,7 +104,6 @@ impl Session {
         let run_fuel = cfg.fuel - root_sim.events();
         Some(Session {
             program: *program,
-            txns: program.base.txns as usize,
             sim,
             alloc,
             stm,
@@ -110,28 +115,42 @@ impl Session {
         })
     }
 
-    /// Execute one delay vector from the root checkpoint. Restores the
-    /// simulator, heap, and STM host state *first*, so a previous run
-    /// that panicked (mutant exploration does, routinely) leaves no
-    /// residue: the worker-panic protocol releases simulated locks and
-    /// quiesces the run before propagating, and the restore rewinds
-    /// whatever it touched.
+    /// Execute one delay vector from the root checkpoint.
     pub fn run(&mut self, delays: &[u64]) -> Result<(), String> {
-        assert_eq!(delays.len(), self.program.points(), "schedule arity");
-        let _quiet = QuietPanics::enter();
+        self.rewind();
+        self.play(delays, |_, _| {})
+    }
+
+    /// Restore the simulator, heap, and STM host state to the root and
+    /// re-arm the fuel. Every run starts here, so a previous run that
+    /// panicked (mutant exploration does, routinely) leaves no residue:
+    /// the worker-panic protocol releases simulated locks and quiesces the
+    /// run before propagating, and the restore rewinds whatever it touched.
+    pub(crate) fn rewind(&mut self) {
         self.restores += 1;
         self.sim.restore(&self.root_sim);
         self.alloc.restore(&self.root_heap);
         self.stm.restore_host(&self.root_stm);
         self.sim.set_fuel(self.run_fuel);
-        install_hook(&self.sim, self.txns, delays);
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            main_phase(&self.program, &self.sim, &self.stm)
-        }));
-        match r {
-            Ok(r) => r,
-            Err(payload) => Err(classify_panic(payload.as_ref())),
-        }
+    }
+
+    /// The main phase under `delays` from wherever the machine stands,
+    /// then `after` (the OOM sweep's quiescence drain) if every invariant
+    /// held; a panic in either is classified as [`run_schedule`] does.
+    pub(crate) fn play(
+        &self,
+        delays: &[u64],
+        after: impl FnOnce(&Sim, &Stm),
+    ) -> Result<(), String> {
+        assert_eq!(delays.len(), self.program.points(), "schedule arity");
+        let _quiet = QuietPanics::enter();
+        install_hook(&self.sim, self.program.base.txns as usize, delays);
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            main_phase(&self.program, &self.sim, &self.stm)?;
+            after(&self.sim, &self.stm);
+            Ok(())
+        }))
+        .unwrap_or_else(|payload| Err(classify_panic(payload.as_ref())))
     }
 
     /// Scheduler events the root checkpoint encapsulates — the replay
@@ -372,9 +391,12 @@ pub(crate) fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{explore_check_cell, run_mutant_cell, MutantRecipe, Strategy, SweepWork};
     use crate::enumerate::{enumerate, space_size};
     use crate::program::ProgramKind;
     use tm_check::TransferProgram;
+    use tm_obs::McVerdict;
+    use tm_stm::InjectedBug;
 
     fn small() -> McProgram {
         McProgram {
@@ -499,6 +521,138 @@ mod tests {
         // events), so the root checkpoint saves no replay steps.
         assert_eq!(t.replay_steps_saved, 0);
         assert!(t.schedules_per_sec > 0.0);
+    }
+
+    /// Sweep `base` with [`Strategy::Random`] (delays below 400 cycles)
+    /// under `bug`: schedules run, and the first violation if any.
+    fn random_sweep(
+        base: TransferProgram,
+        bug: InjectedBug,
+        cases: u64,
+        seed: u64,
+    ) -> (u64, Option<(Vec<u64>, String)>) {
+        let program = McProgram {
+            base,
+            kind: ProgramKind::Transfer,
+        };
+        let run = RunConfig {
+            bug,
+            ..RunConfig::clean()
+        };
+        let strategy = Strategy::Random {
+            cases,
+            max_delay: 400,
+            seed,
+        };
+        let (stats, found) = strategy.sweep(&program, &run, true, &mut SweepWork::default());
+        (stats.explored, found)
+    }
+
+    #[test]
+    fn correct_stm_conserves_under_exploration() {
+        let (ran, found) = random_sweep(TransferProgram::default(), InjectedBug::None, 12, 0x51ee7);
+        assert_eq!(ran, 12);
+        assert!(found.is_none(), "{found:?}");
+    }
+
+    #[test]
+    fn skipped_write_validation_is_caught_and_shrunk() {
+        let bug = InjectedBug::SkipWriteValidation;
+        let recipe = MutantRecipe {
+            bug,
+            program: McProgram {
+                base: TransferProgram::default(),
+                kind: ProgramKind::Transfer,
+            },
+            run: RunConfig {
+                bug,
+                ..RunConfig::clean()
+            },
+            strategy: Strategy::Random {
+                cases: 64,
+                max_delay: 400,
+                seed: 0x51ee7,
+            },
+        };
+        let cell = run_mutant_cell(&recipe);
+        // Lost updates must surface within the schedule budget.
+        assert_eq!(cell.verdict, McVerdict::Caught, "{:?}", cell.counterexample);
+        assert!(cell.explored <= 64);
+        let cx = cell.counterexample.unwrap();
+        // Deterministic replay of the minimal schedule on the mutant.
+        let replay = run_schedule(&recipe.program, &recipe.run, &cx.schedule);
+        assert_eq!(replay, Err(cx.detail.clone()));
+        assert!(cx.detail.starts_with("conservation violated"), "{cx:?}");
+        // Shrinking actually ran and produced something no heavier than a
+        // raw random schedule could be.
+        assert!(cx.shrink_steps > 0, "no shrink performed");
+        assert!(
+            cx.schedule.iter().sum::<u64>() < recipe.program.points() as u64 * 400,
+            "shrunk schedule should not be maximal"
+        );
+        // The same schedule on a correct STM conserves: the failure is the
+        // bug's, not the harness's.
+        assert_eq!(
+            run_schedule(&recipe.program, &RunConfig::clean(), &cx.schedule),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn empty_schedule_program_explores_cleanly() {
+        // txns = 0 ⇒ zero scheduling points ⇒ the only schedule is the
+        // empty delay vector; the runner, the sampler and the shrinker's
+        // strategy must cope.
+        let base = TransferProgram {
+            txns: 0,
+            ..TransferProgram::default()
+        };
+        let program = McProgram {
+            base,
+            kind: ProgramKind::Transfer,
+        };
+        assert_eq!(program.points(), 0);
+        assert_eq!(run_schedule(&program, &RunConfig::clean(), &[]), Ok(()));
+        let (ran, found) = random_sweep(base, InjectedBug::None, 8, 0x1);
+        assert_eq!(ran, 8);
+        assert!(found.is_none(), "{found:?}");
+    }
+
+    #[test]
+    fn single_thread_program_explores_cleanly() {
+        // One thread cannot race with itself even with a seeded bug: the
+        // explorer must report no violation, not a spurious one.
+        let base = TransferProgram {
+            threads: 1,
+            ..TransferProgram::default()
+        };
+        let (ran, found) = random_sweep(base, InjectedBug::SkipWriteValidation, 16, 0x2);
+        assert_eq!(ran, 16);
+        assert!(found.is_none(), "{found:?}");
+    }
+
+    #[test]
+    fn zero_budget_explores_nothing() {
+        let bug = InjectedBug::SkipWriteValidation;
+        let (ran, found) = random_sweep(TransferProgram::default(), bug, 0, 0x3);
+        assert_eq!(ran, 0, "a zero budget must explore zero schedules");
+        assert!(found.is_none(), "{found:?}");
+    }
+
+    #[test]
+    fn self_test_cells_classify_both_ways() {
+        use tm_obs::CheckStatus;
+        let clean = explore_check_cell(InjectedBug::None, 6, 0xabc);
+        assert_eq!(clean.status, CheckStatus::Pass, "{:?}", clean.detail);
+        assert_eq!(clean.checks, [("schedules".to_string(), 6)]);
+        let seeded = explore_check_cell(InjectedBug::SkipWriteValidation, 64, 0xabc);
+        assert_eq!(seeded.status, CheckStatus::Pass, "{:?}", seeded.detail);
+        assert!(seeded.detail.unwrap().contains("caught at case"));
+        // The other way: the same rows fail when the verdict is not the
+        // expected one — a seeded bug with no budget to find it escapes.
+        let escaped = explore_check_cell(InjectedBug::SkipWriteValidation, 0, 0xabc);
+        assert_eq!(escaped.status, CheckStatus::Fail);
+        assert_eq!(escaped.detail.as_deref(), Some("explore verdict escaped"));
     }
 
     #[test]

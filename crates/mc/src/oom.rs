@@ -18,50 +18,41 @@
 //! auditor sits directly above the injector so both observe the same
 //! malloc-attempt stream and agree on site numbering — a leaked block's
 //! [`tm_alloc::LiveBlock::site`] names the allocation site that produced
-//! it. Sites are swept from one root checkpoint (simulator + heap + STM
-//! host state) captured at post-seed quiescence; the fault plan is
-//! deliberately not part of the heap snapshot, so `set_plan` between
-//! restores re-targets the next run without rebuilding the world.
+//! it. Sites are swept from the root checkpoint of the one checkpointed
+//! [`Session`] (simulator + heap + STM host state, at post-seed
+//! quiescence) built over that stack; the fault plan is deliberately not
+//! part of the heap snapshot, so `set_plan` between restores re-targets
+//! the next run without rebuilding the world.
 //!
 //! Because the sweep visits sites in ascending order and stops at the
 //! first failure, a caught mutant (the catalog's `leak-on-alloc-fail`
 //! seed, which this sweep — not the schedule catalog — must catch) is
 //! automatically *shrunk* to the minimal failing site index.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use tm_alloc::{
-    AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor, HeapSnapshot,
-};
-use tm_check::TransferProgram;
+use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor};
 use tm_obs::{McVerdict, OomCell, OomReport};
-use tm_sim::{MachineConfig, Sim, SimSnapshot};
-use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug, Stm, StmConfig, StmHostSnapshot};
+use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug};
 
-use crate::program::{
-    classify_panic, main_phase, seed_heap, McProgram, ProgramKind, QuietPanics, RunConfig,
-    NODE_SIZE,
-};
+use crate::catalog::verdict_check_cell;
+use crate::explore::Session;
+use crate::program::{build_stm, new_sim, McProgram, ProgramKind, RunConfig, NODE_SIZE};
 
-/// A reusable OOM-sweep execution cell: one `(program, config)` pair
-/// built over the audited fault-injecting stack, seeded once, with a
-/// root checkpoint at post-seed quiescence. Each [`OomSession::run`]
-/// restores the root, arms a fault plan, executes the main phase plus a
-/// forced quiescence drain, and leaves the auditor/injector counters
-/// describing exactly that run.
+/// A reusable OOM-sweep execution cell: the one checkpointed [`Session`]
+/// over the audited fault-injecting stack, plus the two handles the sweep
+/// reads its evidence from. Each [`OomSession::run`] rewinds to the root,
+/// arms a fault plan, executes the main phase plus a forced quiescence
+/// drain, and leaves the auditor/injector counters describing exactly
+/// that run.
 pub struct OomSession {
-    program: McProgram,
-    sim: Sim,
+    session: Session,
     injector: Arc<FaultInjector>,
     auditor: Arc<HeapAuditor>,
-    stm: Arc<Stm>,
-    root_sim: SimSnapshot,
-    root_heap: HeapSnapshot,
-    root_stm: StmHostSnapshot,
-    run_fuel: u64,
     /// Sites the seed phase consumed: the first main-phase site index.
     seed_sites: u64,
+    /// The sweep varies the fault plan, never the schedule.
+    zero_schedule: Vec<u64>,
 }
 
 impl OomSession {
@@ -71,45 +62,18 @@ impl OomSession {
     /// [`RunConfig::alloc_fault`] is ignored here: the session owns its
     /// injector (plans are swept per run via [`OomSession::run`]).
     pub fn try_new(program: &McProgram, cfg: &RunConfig) -> Option<OomSession> {
-        let _quiet = QuietPanics::enter();
-        let sim = Sim::new(MachineConfig::xeon_e5405());
-        sim.set_fuel(cfg.fuel);
+        let sim = new_sim(cfg);
         let injector = FaultInjector::new(cfg.alloc.build(&sim), AllocFaultPlan::None);
         let auditor = HeapAuditor::new(Arc::clone(&injector) as Arc<dyn Allocator>);
         let alloc = Arc::clone(&auditor) as Arc<dyn Allocator>;
-        let stm = Arc::new(Stm::new(
-            &sim,
-            Arc::clone(&alloc),
-            StmConfig {
-                backend: cfg.backend,
-                cm: cfg.cm,
-                bug: cfg.bug,
-                ..StmConfig::default()
-            },
-        ));
-        let seeded = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            seed_heap(program, &sim, &alloc);
-        }))
-        .is_ok();
-        if !seeded {
-            return None;
-        }
-        let root_heap = auditor.snapshot()?;
-        let root_sim = sim.snapshot(None);
-        let root_stm = stm.snapshot_host();
-        let run_fuel = cfg.fuel - root_sim.events();
-        let seed_sites = injector.sites();
+        let stm = build_stm(&sim, Arc::clone(&alloc), cfg);
+        let session = Session::over(program, cfg, sim, alloc, stm)?;
         Some(OomSession {
-            program: *program,
-            sim,
+            session,
+            seed_sites: injector.sites(),
             injector,
             auditor,
-            stm,
-            root_sim,
-            root_heap,
-            root_stm,
-            run_fuel,
-            seed_sites,
+            zero_schedule: vec![0; program.points()],
         })
     }
 
@@ -139,52 +103,24 @@ impl OomSession {
 
     /// Merged per-run STM statistics (host counters rewind on restore).
     pub fn stats(&self) -> tm_stm::StmStats {
-        self.stm.stats()
+        self.session.stats()
     }
 
-    /// Restore the root checkpoint, arm `plan`, and execute the main
-    /// phase plus a forced quiescence drain (so deferred frees reach the
-    /// auditor and the leak check sees the truly-live heap). Same verdict
-    /// contract as [`crate::run_schedule`], under the zero schedule.
+    /// Rewind to the root checkpoint, arm `plan` (after the rewind: a
+    /// plan's own state is set up by `set_plan`, and the restore must not
+    /// undo it), and execute the main phase plus a forced quiescence drain
+    /// (so deferred frees reach the auditor and the leak check sees the
+    /// truly-live heap). Same verdict contract as [`crate::run_schedule`],
+    /// under the zero schedule.
     pub fn run(&mut self, plan: AllocFaultPlan) -> Result<(), String> {
-        let _quiet = QuietPanics::enter();
-        self.sim.restore(&self.root_sim);
-        self.auditor.restore(&self.root_heap);
-        self.stm.restore_host(&self.root_stm);
-        self.sim.set_fuel(self.run_fuel);
+        self.session.rewind();
         self.injector.set_plan(plan);
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            main_phase(&self.program, &self.sim, &self.stm)?;
-            self.sim.run(1, |ctx| self.stm.quiesce(ctx));
-            Ok(())
-        }));
+        let r = self.session.play(&self.zero_schedule, |sim, stm| {
+            sim.run(1, |ctx| stm.quiesce(ctx));
+        });
         self.injector.set_plan(AllocFaultPlan::None);
-        match r {
-            Ok(r) => r,
-            Err(payload) => Err(classify_panic(payload.as_ref())),
-        }
+        r
     }
-}
-
-/// The outcome of one swept cell, before conversion to the
-/// `tm-oom-report/v1` cell shape.
-#[derive(Clone, Debug)]
-pub struct OomOutcome {
-    /// Sweep verdict: `clean`/`caught` are the expected outcomes.
-    pub verdict: McVerdict,
-    /// Main-phase allocation sites the dry run enumerated.
-    pub sites: u64,
-    /// Injected failures executed across every run of the cell (one per
-    /// swept site, plus the pressure run's refusals).
-    pub injected: u64,
-    /// Swept sites whose failing transaction retried and committed.
-    pub committed_retries: u64,
-    /// Clean `AllocFailed` propagations observed (pressure run included).
-    pub alloc_aborts: u64,
-    /// The smallest failing site index, for `caught`/`violation` cells.
-    pub failing_site: Option<u64>,
-    /// What broke at that site (or in the dry/pressure run).
-    pub detail: Option<String>,
 }
 
 /// The oracle program of the sweep: the fallible-plane transfers of
@@ -192,96 +128,69 @@ pub struct OomOutcome {
 /// transactions over 2 cells).
 pub fn oom_program() -> McProgram {
     McProgram {
-        base: TransferProgram {
-            threads: 3,
-            cells: 2,
-            txns: 2,
-            ..TransferProgram::default()
-        },
         kind: ProgramKind::Oom,
+        ..crate::small_program()
     }
 }
 
-/// Execute the every-site sweep for one cell: counting dry run, one
-/// `NthSite` re-run per enumerated main-phase site (ascending, stopping
-/// at the first failure — which is therefore minimal), and a byte-budget
-/// pressure run that forces the propagation path. See the module docs
-/// for the invariants each run must satisfy.
-pub fn sweep_cell(program: &McProgram, cfg: &RunConfig) -> OomOutcome {
-    let fail = |detail: String, site: Option<u64>| OomOutcome {
-        verdict: if cfg.bug == InjectedBug::None {
-            McVerdict::Violation
-        } else {
-            McVerdict::Caught
-        },
-        sites: 0,
-        injected: 0,
-        committed_retries: 0,
-        alloc_aborts: 0,
-        failing_site: site,
-        detail: Some(detail),
+/// Execute the every-site sweep for one cell, as a `tm-oom-report/v1`
+/// cell: counting dry run, one `NthSite` re-run per enumerated main-phase
+/// site (ascending, stopping at the first failure — which is therefore
+/// minimal), and a byte-budget pressure run that forces the propagation
+/// path. See the module docs for the invariants each run must satisfy.
+pub fn oom_cell(program: &McProgram, cfg: &RunConfig) -> OomCell {
+    let mut cell = OomCell {
+        config: vec![
+            ("program".into(), program.kind.name().into()),
+            ("alloc".into(), cfg.alloc.name().into()),
+            ("backend".into(), cfg.backend.name().into()),
+            ("cm".into(), cfg.cm.name().into()),
+            ("bug".into(), cfg.bug.name().into()),
+        ],
+        ..OomCell::default()
+    };
+    // What an injected failure that breaks an invariant means: a seeded
+    // mutant is caught by it, the clean STM violated.
+    let exposed = if cfg.bug == InjectedBug::None {
+        McVerdict::Violation
+    } else {
+        McVerdict::Caught
     };
 
     let Some(mut session) = OomSession::try_new(program, cfg) else {
-        return OomOutcome {
-            verdict: McVerdict::Violation,
-            sites: 0,
-            injected: 0,
-            committed_retries: 0,
-            alloc_aborts: 0,
-            failing_site: None,
-            detail: Some("cell cannot be checkpointed (no heap snapshot support)".into()),
-        };
+        cell.verdict = McVerdict::Violation;
+        cell.detail = Some("cell cannot be checkpointed (no heap snapshot support)".into());
+        return cell;
     };
 
     // Counting dry run: enumerate the main-phase sites and freeze the
-    // baselines every injected run is judged against.
+    // baselines every injected run is judged against. Its failure is a
+    // violation on a mutant cell too — the bug must be exposed *by an
+    // injected failure*, not by the clean run.
     if let Err(e) = session.run(AllocFaultPlan::None) {
-        let mut out = fail(format!("dry run failed: {e}"), None);
-        // A dry-run failure on a mutant cell is not a catch — the bug
-        // must be exposed *by an injected failure*, not by the clean run.
-        if cfg.bug != InjectedBug::None {
-            out.verdict = McVerdict::Violation;
-        }
-        return out;
+        cell.verdict = McVerdict::Violation;
+        cell.detail = Some(format!("dry run failed: {e}"));
+        return cell;
     }
     let first = session.seed_sites();
     let last = session.sites();
     let expected_live = session.audit().live;
     let dry_commits = session.stats().commits;
-
-    let mut outcome = OomOutcome {
-        verdict: McVerdict::Clean,
-        sites: last - first,
-        injected: 0,
-        committed_retries: 0,
-        alloc_aborts: 0,
-        failing_site: None,
-        detail: None,
-    };
+    cell.sites = last - first;
 
     for site in first..last {
         let r = session.run(AllocFaultPlan::NthSite(site));
-        outcome.injected += session.injected();
-        let failure = check_site_run(&session, site, r, expected_live, dry_commits);
-        match failure {
-            Some(detail) => {
-                outcome.failing_site = Some(site);
-                outcome.detail = Some(detail);
-                outcome.verdict = if cfg.bug == InjectedBug::None {
-                    McVerdict::Violation
-                } else {
-                    McVerdict::Caught
-                };
-                return outcome;
-            }
-            None => {
-                if session.stats().commits == dry_commits {
-                    outcome.committed_retries += 1;
-                } else {
-                    outcome.alloc_aborts += dry_commits - session.stats().commits;
-                }
-            }
+        cell.injected += session.injected();
+        if let Some(detail) = check_site_run(&session, site, r, expected_live, dry_commits) {
+            cell.failing_site = Some(site);
+            cell.detail = Some(detail);
+            cell.verdict = exposed;
+            return cell;
+        }
+        if session.stats().commits == dry_commits {
+            cell.committed_retries += 1;
+        } else {
+            cell.alloc_aborts += dry_commits - session.stats().commits;
         }
     }
 
@@ -291,23 +200,19 @@ pub fn sweep_cell(program: &McProgram, cfg: &RunConfig) -> OomOutcome {
     // give-up path the single-shot NthSite plan cannot reach.
     let budget = expected_live as u64 * NODE_SIZE + NODE_SIZE;
     let r = session.run(AllocFaultPlan::ByteBudget(budget));
-    outcome.injected += session.injected();
+    cell.injected += session.injected();
     if let Some(detail) = check_pressure_run(&session, r, expected_live) {
-        outcome.detail = Some(format!("pressure run (budget {budget}): {detail}"));
-        outcome.verdict = if cfg.bug == InjectedBug::None {
-            McVerdict::Violation
-        } else {
-            McVerdict::Caught
-        };
-        return outcome;
+        cell.detail = Some(format!("pressure run (budget {budget}): {detail}"));
+        cell.verdict = exposed;
+        return cell;
     }
-    outcome.alloc_aborts += dry_commits - session.stats().commits;
+    cell.alloc_aborts += dry_commits - session.stats().commits;
 
     if cfg.bug != InjectedBug::None {
         // A seeded mutant that survived every injected site escaped.
-        outcome.verdict = McVerdict::Escaped;
+        cell.verdict = McVerdict::Escaped;
     }
-    outcome
+    cell
 }
 
 /// The per-site invariants: the run ends clean, the injection actually
@@ -387,27 +292,6 @@ fn audit_failure(session: &OomSession, expected_live: usize) -> Option<String> {
     None
 }
 
-/// Convert one swept cell to the `tm-oom-report/v1` cell shape.
-pub fn oom_cell(program: &McProgram, cfg: &RunConfig) -> OomCell {
-    let outcome = sweep_cell(program, cfg);
-    OomCell {
-        config: vec![
-            ("program".into(), program.kind.name().into()),
-            ("alloc".into(), cfg.alloc.name().into()),
-            ("backend".into(), cfg.backend.name().into()),
-            ("cm".into(), cfg.cm.name().into()),
-            ("bug".into(), cfg.bug.name().into()),
-        ],
-        verdict: outcome.verdict,
-        sites: outcome.sites,
-        injected: outcome.injected,
-        committed_retries: outcome.committed_retries,
-        alloc_aborts: outcome.alloc_aborts,
-        failing_site: outcome.failing_site,
-        detail: outcome.detail,
-    }
-}
-
 /// The backend × contention-manager face of the quick matrix: the two
 /// backends crossed with the patient and the adaptive policies.
 const QUICK_BACKENDS: [BackendKind; 2] = [BackendKind::Etl, BackendKind::Norec];
@@ -466,8 +350,6 @@ pub fn oom_check_cells() -> Vec<tm_obs::CheckCell> {
 }
 
 fn oom_cell_to_check(cell: OomCell) -> tm_obs::CheckCell {
-    let mut config = vec![("kind".to_string(), "oom".to_string())];
-    config.extend(cell.config.iter().cloned());
     let mut checks = vec![
         ("sites".to_string(), cell.sites),
         ("injected".to_string(), cell.injected),
@@ -477,20 +359,15 @@ fn oom_cell_to_check(cell: OomCell) -> tm_obs::CheckCell {
     if let Some(site) = cell.failing_site {
         checks.push(("failing_site".to_string(), site));
     }
-    let mut failures = Vec::new();
-    if !cell.verdict.is_expected() {
-        let evidence = cell
-            .detail
-            .as_deref()
-            .map(|d| format!(": {d}"))
-            .unwrap_or_default();
-        failures.push(format!("oom verdict {}{evidence}", cell.verdict.name()));
-    }
-    let mut out = tm_check::cell_from(config, checks, failures);
-    if out.status == tm_obs::CheckStatus::Pass {
-        out.detail = Some(format!("verdict {}", cell.verdict.name()));
-    }
-    out
+    let passed = format!("verdict {}", cell.verdict.name());
+    verdict_check_cell(
+        "oom",
+        cell.config.clone(),
+        checks,
+        cell.verdict,
+        cell.detail.as_deref(),
+        Some(passed),
+    )
 }
 
 #[cfg(test)]
@@ -501,7 +378,7 @@ mod tests {
     fn clean_sweep_is_clean_and_covers_every_site() {
         let program = oom_program();
         let cfg = RunConfig::clean();
-        let out = sweep_cell(&program, &cfg);
+        let out = oom_cell(&program, &cfg);
         assert_eq!(out.verdict, McVerdict::Clean, "{:?}", out.detail);
         assert!(out.sites > 0, "the oom program must allocate");
         // One NthSite injection per swept site, plus the pressure run's.
@@ -520,7 +397,7 @@ mod tests {
             bug: InjectedBug::LeakOnAllocFail,
             ..RunConfig::clean()
         };
-        let out = sweep_cell(&program, &cfg);
+        let out = oom_cell(&program, &cfg);
         assert_eq!(out.verdict, McVerdict::Caught, "{out:?}");
         let site = out.failing_site.expect("a caught cell names its site");
         let detail = out.detail.as_deref().unwrap();
@@ -552,6 +429,11 @@ mod tests {
         let live = s.audit().live;
         let commits = s.stats().commits;
         let first = s.seed_sites();
+        // The session is the schedule explorer's `Session` over another
+        // stack; what it observes is what the dedicated OOM session it
+        // replaced observed (the `sites` of this cell in
+        // tests/golden/oom-quick.oom.json is `sites - first`).
+        assert_eq!((first, sites, live, commits), (2, 8, 2, 6));
         // Re-running the same plan reproduces every observable exactly.
         s.run(AllocFaultPlan::NthSite(first)).unwrap();
         assert_eq!(s.injected(), 1);

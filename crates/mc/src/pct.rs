@@ -13,9 +13,11 @@
 //! STM's own backoff rather than replacing the scheduler — but it keeps
 //! PCT's shape: each trial is cheap, derived from `(seed, trial)` alone,
 //! and any violating trial is already a delay vector ready for the
-//! shrinker.
+//! shrinker. This module is the trial *generator*; the trials run in the
+//! sample-until-violation loop [`crate::Strategy::Pct`] shares with
+//! [`crate::Strategy::Random`].
 
-use crate::program::{run_schedule, McProgram, RunConfig};
+use crate::program::McProgram;
 
 /// Shape of one randomized priority sweep.
 #[derive(Clone, Copy, Debug)]
@@ -80,27 +82,11 @@ pub fn trial_schedule(program: &McProgram, cfg: &PctConfig, trial: u64) -> Vec<u
     delays
 }
 
-/// Run up to `cfg.trials` PCT trials; returns the number of trials run
-/// and, on a violation, the raw delay vector with its detail (the trial
-/// count at that moment is the 1-based witness index).
-pub fn pct_explore(
-    program: &McProgram,
-    run_cfg: &RunConfig,
-    cfg: &PctConfig,
-) -> (u64, Option<(Vec<u64>, String)>) {
-    for trial in 0..cfg.trials {
-        let delays = trial_schedule(program, cfg, trial);
-        if let Err(detail) = run_schedule(program, run_cfg, &delays) {
-            return (trial + 1, Some((delays, detail)));
-        }
-    }
-    (cfg.trials, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::ProgramKind;
+    use crate::program::{ProgramKind, RunConfig};
+    use crate::{Strategy, SweepWork};
     use tm_check::TransferProgram;
 
     fn program() -> McProgram {
@@ -140,16 +126,13 @@ mod tests {
 
     #[test]
     fn clean_stm_survives_a_pct_sweep() {
-        let p = program();
-        let (trials, found) = pct_explore(
-            &p,
-            &RunConfig::clean(),
-            &PctConfig {
-                trials: 8,
-                ..PctConfig::default()
-            },
-        );
-        assert_eq!(trials, 8);
+        let strategy = Strategy::Pct(PctConfig {
+            trials: 8,
+            ..PctConfig::default()
+        });
+        let mut work = SweepWork::default();
+        let (stats, found) = strategy.sweep(&program(), &RunConfig::clean(), true, &mut work);
+        assert_eq!((stats.explored, work.schedules), (8, 8));
         assert!(found.is_none(), "{found:?}");
     }
 }

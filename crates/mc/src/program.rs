@@ -1,5 +1,6 @@
 //! The programs under systematic exploration and the single-schedule
-//! runner that executes them and checks every invariant.
+//! runner — [`run_schedule`], the only from-scratch runner and therefore
+//! the oracle — that executes them and checks every invariant.
 //!
 //! A *program* here is a closed transactional workload whose correctness
 //! is a small set of decidable end-state invariants: token conservation,
@@ -29,8 +30,8 @@ pub(crate) const NODE_SIZE: u64 = 64;
 /// Which transactional workload a schedule drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProgramKind {
-    /// The `tm-check` token-transfer program: every thread transfers
-    /// LCG-derived amounts between token cells. Catches lost updates
+    /// The token-transfer program: every thread performs its
+    /// [`TransferProgram::moves`] between token cells. Catches lost updates
     /// (write-validation and snapshot bugs) via conservation.
     Transfer,
     /// Same transfers, but thread 0 is a read-only *observer* that sums
@@ -179,22 +180,12 @@ impl Drop for QuietPanics {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Turn a caught panic payload into the runner's verdict string: fuel
 /// exhaustion is a livelock, anything else a plain panic. Shared by the
 /// from-scratch runner and the checkpointed [`crate::explore::Session`]
 /// so both classify identically.
 pub(crate) fn classify_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    let msg = panic_message(payload);
+    let msg = tm_obs::panic_message(payload);
     if msg.starts_with(FUEL_EXHAUSTED) {
         format!("livelock: {msg}")
     } else {
@@ -233,17 +224,33 @@ pub(crate) fn build_stack(sim: &Sim, cfg: &RunConfig) -> (Arc<dyn tm_alloc::Allo
         tm_alloc::AllocFaultPlan::None => cfg.alloc.build(sim),
         plan => tm_alloc::FaultInjector::new(cfg.alloc.build(sim), plan),
     };
-    let stm = Arc::new(Stm::new(
+    let stm = build_stm(sim, Arc::clone(&alloc), cfg);
+    (alloc, stm)
+}
+
+/// The STM of one run configuration over `alloc`, whatever wraps it.
+pub(crate) fn build_stm(
+    sim: &Sim,
+    alloc: Arc<dyn tm_alloc::Allocator>,
+    cfg: &RunConfig,
+) -> Arc<Stm> {
+    Arc::new(Stm::new(
         sim,
-        Arc::clone(&alloc),
+        alloc,
         StmConfig {
             backend: cfg.backend,
             cm: cfg.cm,
             bug: cfg.bug,
             ..StmConfig::default()
         },
-    ));
-    (alloc, stm)
+    ))
+}
+
+/// A fresh machine with the run configuration's event budget armed.
+pub(crate) fn new_sim(cfg: &RunConfig) -> Sim {
+    let sim = Sim::new(MachineConfig::xeon_e5405());
+    sim.set_fuel(cfg.fuel);
+    sim
 }
 
 /// Seed the heap: either tokens directly in the cells, or (AllocSwap)
@@ -274,10 +281,8 @@ pub(crate) fn seed_heap(program: &McProgram, sim: &Sim, alloc: &Arc<dyn tm_alloc
 }
 
 fn run_inner(program: &McProgram, cfg: &RunConfig, delays: &[u64]) -> Result<(), String> {
-    let p = program.base;
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    sim.set_fuel(cfg.fuel);
-    install_hook(&sim, p.txns as usize, delays);
+    let sim = new_sim(cfg);
+    install_hook(&sim, program.base.txns as usize, delays);
     let (alloc, stm) = build_stack(&sim, cfg);
     seed_heap(program, &sim, &alloc);
     main_phase(program, &sim, &stm)
@@ -315,12 +320,8 @@ pub(crate) fn main_phase(program: &McProgram, sim: &Sim, stm: &Arc<Stm>) -> Resu
                 }
             }
         } else {
-            let mut x = p.seed ^ (tid as u64).wrapping_mul(0x9e3779b97f4a7c15);
-            for t in 0..p.txns {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let from = BASE + (x % p.cells) * STRIDE;
-                let to = BASE + ((x >> 8) % p.cells) * STRIDE;
-                let amt = (x >> 16) % 7;
+            for (t, (from, to, amt)) in (0..).zip(p.moves(tid)) {
+                let (from, to) = (BASE + from * STRIDE, BASE + to * STRIDE);
                 match program.kind {
                     ProgramKind::AllocSwap => {
                         stm.txn(ctx, &mut th, |tx, ctx| {
@@ -455,21 +456,6 @@ mod tests {
             let r = run_schedule(&p, &RunConfig::clean(), &vec![0; p.points()]);
             assert_eq!(r, Ok(()), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn clean_run_matches_tm_check_runner() {
-        // The mc Transfer runner and tm-check's run_transfers execute the
-        // same program; both must conserve under the same delay vector.
-        let p = program(ProgramKind::Transfer);
-        let delays: Vec<u64> = (0..p.points() as u64).map(|i| (i * 37) % 400).collect();
-        assert_eq!(run_schedule(&p, &RunConfig::clean(), &delays), Ok(()));
-        let total = tm_check::explore::run_transfers(
-            &p.base,
-            &tm_check::Schedule(delays.clone()),
-            InjectedBug::None,
-        );
-        assert_eq!(total, p.expected_total());
     }
 
     #[test]

@@ -63,6 +63,17 @@ pub use report::{RunReport, Section};
 pub use sweep::{CellStatus, SweepCell, SweepReport};
 pub use trace::{Event, EventKind, Trace, TraceCheckpoint};
 
+/// The message a caught panic carries, as the evidence string of the cell
+/// that caught it: what `panic!` was given (a `&str` or a `String`), or a
+/// placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
 /// One observability context: a named-metric registry plus an event trace,
 /// sized for a fixed thread count. The simulator owns one per machine and
 /// hands it (via `Arc`) to the layers built on top.

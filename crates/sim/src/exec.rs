@@ -86,6 +86,12 @@ const TID_BITS: u32 = 8;
 /// sorts after every runnable key, so one scan over [`Inner::key`] finds
 /// who runs next without consulting [`Inner::state`].
 const PARKED: u64 = u64::MAX;
+/// Bits of a scheduling key left for the virtual clock: a run whose clock
+/// outgrows them panics (`virtual clock … overflows the scheduling key`).
+/// A front end that takes cycle counts from outside (a delay to inject at
+/// a scheduling point) bounds them by this, so that no run it starts can
+/// get there.
+pub const CLOCK_BITS: u32 = u64::BITS - TID_BITS;
 /// Exclusive bound on the clocks a key can hold. A clock beyond it would
 /// wrap and silently reorder threads, so [`sched_key`] refuses it.
 const CLOCK_LIMIT: u64 = PARKED >> TID_BITS;

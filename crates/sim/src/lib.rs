@@ -50,7 +50,7 @@ mod report;
 
 pub use cache::{CacheConfig, CacheStats, HtmAbort};
 pub use config::{CostModel, MachineConfig};
-pub use exec::{check_exec_env, Ctx, SchedHook, Sim, SimSnapshot, FUEL_EXHAUSTED};
+pub use exec::{check_exec_env, Ctx, SchedHook, Sim, SimSnapshot, CLOCK_BITS, FUEL_EXHAUSTED};
 pub use machine::{LockStats, SimMutex};
 pub use report::SimReport;
 pub use tm_obs::{Event, EventKind, Obs};

@@ -1,16 +1,18 @@
 //! Property tests of the STM itself: arbitrary multi-threaded read/write
 //! scripts over a small address pool must behave as *some* serial order —
 //! checked via per-cell token conservation and snapshot consistency. The
-//! conservation program is the shared one from `tm_check::explore`, so the
-//! property here and the interleaving explorer in `tmstudy check` drive
-//! exactly the same transaction shapes.
+//! conservation program and its runner are the schedule explorer's own
+//! (`tm_check::TransferProgram` under `tm_mc::run_schedule`), so the
+//! property here and the explorer rows of `tmstudy check` drive exactly
+//! the same transactions and check the same invariants.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tm_alloc::AllocatorKind;
-use tm_check::explore::{run_transfers, Schedule, TransferProgram};
+use tm_check::TransferProgram;
+use tm_mc::{run_schedule, McProgram, ProgramKind, RunConfig};
 use tm_sim::{MachineConfig, Sim};
-use tm_stm::{InjectedBug, Stm, StmConfig};
+use tm_stm::{Stm, StmConfig};
 
 fn stack() -> (Sim, Arc<Stm>) {
     let sim = Sim::new(MachineConfig::xeon_e5405());
@@ -24,8 +26,8 @@ proptest! {
 
     /// Token conservation: transactions move random amounts between cells;
     /// the total is invariant no matter the interleaving or abort pattern.
-    /// The program and runner are the shared ones from `tm_check::explore`;
-    /// here the property quantifies over program shape *and* schedule.
+    /// The program and runner are the explorer's; here the property
+    /// quantifies over program shape *and* schedule.
     #[test]
     fn transfers_conserve_tokens(
         seed in any::<u64>(),
@@ -33,7 +35,10 @@ proptest! {
         cells in 2u64..6,
         txns in 5u64..20,
     ) {
-        let program = TransferProgram { seed, threads, cells, txns };
+        let program = McProgram {
+            base: TransferProgram { seed, threads, cells, txns },
+            kind: ProgramKind::Transfer,
+        };
         // Independent stream for the schedule, derived from the same seed.
         let mut x = seed.rotate_left(17) ^ 0xd1b5_4a32_d192_ed03;
         let delays: Vec<u64> = (0..program.points())
@@ -42,11 +47,10 @@ proptest! {
                 (x >> 33) % 400
             })
             .collect();
-        let total = run_transfers(&program, &Schedule(delays), InjectedBug::None);
-        prop_assert_eq!(total, program.expected_total());
+        prop_assert_eq!(run_schedule(&program, &RunConfig::clean(), &delays), Ok(()));
         // The undisturbed schedule conserves too.
-        let calm = run_transfers(&program, &Schedule::zero(&program), InjectedBug::None);
-        prop_assert_eq!(calm, program.expected_total());
+        let calm = vec![0; program.points()];
+        prop_assert_eq!(run_schedule(&program, &RunConfig::clean(), &calm), Ok(()));
     }
 
     /// Snapshot consistency: a transaction reading a pair of cells that

@@ -53,10 +53,23 @@ pub struct Fault {
 }
 
 impl Fault {
-    /// Parse the `TM_SWEEP_FAULT` environment variable; `None` when unset
-    /// or malformed. See [`Fault::parse`] for the format.
-    pub fn from_env() -> Option<Fault> {
-        Fault::parse(&std::env::var("TM_SWEEP_FAULT").ok()?)
+    /// Read the `TM_SWEEP_FAULT` environment variable: `Ok(None)` when it
+    /// is unset, the fault when it parses (see [`Fault::parse`] for the
+    /// format), and a message for the front end to report as a usage error
+    /// when it is set to anything else — a fault plan that is silently
+    /// dropped would let a degradation test pass on a healthy run.
+    pub fn from_env() -> Result<Option<Fault>, String> {
+        let raw = match std::env::var("TM_SWEEP_FAULT") {
+            Ok(raw) => raw,
+            Err(std::env::VarError::NotPresent) => return Ok(None),
+            Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        };
+        match Fault::parse(&raw) {
+            Some(fault) => Ok(Some(fault)),
+            None => Err(format!(
+                "bad TM_SWEEP_FAULT '{raw}' (<timeout|error>:<needle>[:<n>])"
+            )),
+        }
     }
 
     /// Parse `<timeout|error>:<needle>[:<n>]`. A trailing `:`-separated
@@ -294,11 +307,7 @@ fn finish(
         Ok(Ok(metrics)) => (CellStatus::Ok, None, metrics),
         Ok(Err(e)) => (CellStatus::Error, Some(e), vec![]),
         Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "runner panicked".into());
+            let msg = tm_obs::panic_message(panic.as_ref());
             (CellStatus::Error, Some(format!("panic: {msg}")), vec![])
         }
     }

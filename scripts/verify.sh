@@ -87,9 +87,6 @@ if [ "$quick" -eq 0 ]; then
   run_tmstudy book --check
 fi
 
-echo "==> tmstudy check --quick (correctness matrix)"
-run_tmstudy check --quick
-
 # The schedule model checker must keep its teeth: every catalog mutant
 # caught with a shrunk counterexample, zero violations on the clean STM.
 # It builds hundreds of simulated machines for runs of a few hundred
@@ -118,35 +115,34 @@ awk -v u="$user" -v s="$sys" 'BEGIN {
   }
 }'
 
-# The allocation-failure plane must keep its teeth too: every allocation
-# site, when failed, must yield either a committed retry or a clean
-# AllocFailed abort — zero leaks, zero invariant violations.
-echo "==> tmstudy mc --oom (every-site OOM sweep)"
-run_tmstudy_discarding mc --oom --name verify-oom
-
-# The same reports under the reference executor: whatever host timing could
-# decide would show here as a differing abort count, heap peak or failing
-# site, so each must equal the fiber report byte for byte (host-time lines
-# masked), three times over.
-echo "==> tmstudy check --quick, mc --oom: TM_SIM_EXEC=threads against fibers"
-tmp="$(mktemp -d)"
-report() { # report <exec> <out> <subcommand...>: the masked report
-  local exec="$1" out="$2"
-  shift 2
-  TM_SIM_EXEC="$exec" "$tmstudy" "$@" --name verify-exec --out "$out.json" >/dev/null
-  grep -vE '"(wall_ms|total_wall_ms|throughput)"' "$out.json" >"$out"
-}
-for sub in "check --quick" "mc --oom"; do
-  report fibers "$tmp/fibers" $sub
-  for run in 1 2 3; do
-    report threads "$tmp/threads" $sub
-    cmp "$tmp/fibers" "$tmp/threads" || {
-      echo "verify: $sub under TM_SIM_EXEC=threads is not the fiber report (run $run)"
+# The correctness matrix (serial oracles, heap audits, STAMP differentials,
+# the explorer's self-test) and the allocation-failure plane (every
+# allocation site, when failed, must yield either a committed retry or a
+# clean AllocFailed abort — zero leaks, zero invariant violations): each
+# exits 1 on a degraded cell, and each report is a committed fixed point
+# (tests/golden/, like the 25 exhibits under results/: neither carries a
+# host-time field). The same under either executor — whatever host timing
+# could decide would show under TM_SIM_EXEC=threads as a differing abort
+# count, heap peak or failing site — so that one is compared three times.
+# GOLDEN_BLESS=1 rewrites the goldens from the fiber run, for an intended
+# change of either report.
+golden_gate() { # golden_gate <golden> <subcommand...>
+  local golden="$1" tmp exec
+  shift
+  echo "==> tmstudy $* ($golden, under fibers and under threads)"
+  tmp="$(mktemp -d)"
+  for exec in fibers threads threads threads; do
+    TM_SIM_EXEC="$exec" "$tmstudy" "$@" --out "$tmp/report.json" >/dev/null
+    [ "${GOLDEN_BLESS:-}" = 1 ] && [ "$exec" = fibers ] && cp "$tmp/report.json" "$golden"
+    cmp "$tmp/report.json" "$golden" || {
+      echo "verify: tmstudy $* under TM_SIM_EXEC=$exec is not $golden (GOLDEN_BLESS=1 rewrites it)"
       exit 1
     }
   done
-done
-rm -rf "$tmp"
+  rm -rf "$tmp"
+}
+golden_gate tests/golden/check-quick.check.json check --quick
+golden_gate tests/golden/oom-quick.oom.json mc --oom
 
 # The non-default backend must keep sweeping end-to-end (trait dispatch,
 # CLI plumbing, report emission), not just pass unit tests.

@@ -7,8 +7,10 @@ use std::time::{Duration, Instant};
 
 #[test]
 fn malformed_flag_values_exit_2_with_a_one_line_error() {
-    // (argv, what the message must name). Every run also gets an `--out`
-    // nothing can be written to; only the last row gets far enough to try.
+    // (argv, what the message must name). A subcommand that writes a
+    // report gets an `--out` nothing can be written to; only the last row
+    // gets far enough to try.
+    const OUT: &str = "/dev/null/x.json";
     let table: &[(&[&str], &str)] = &[
         (&["synth", "--structure", "foo"], "structure"),
         (&["synth", "--alloc", "jemalloc"], "alloc"),
@@ -20,20 +22,27 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
         (&["profile", "--app", "nope"], "app"),
         (&["threadtest", "--alloc", "nope"], "alloc"),
         (&["threadtest", "--pairs", "-1"], "pairs"),
-        (&["mc", "--depth", "x"], "--depth"),
-        (&["mc", "--budget", "-3"], "--budget"),
-        (&["mc", "--alloc", "nope"], "alloc"),
-        (&["sweep", "--workers", "many"], "--workers"),
-        (&["book", "--results", "/nonexistent"], "/nonexistent"),
+        (&["mc", "--depth", "x", "--out", OUT], "--depth"),
+        (&["mc", "--budget", "-3", "--out", OUT], "--budget"),
+        (&["mc", "--alloc", "nope", "--out", OUT], "alloc"),
+        // A delay the virtual clock cannot hold: 2^64 - 1 used to wrap it
+        // (exit 0, `clean`, over schedules nobody named), 2^56 to report a
+        // violation of the clean STM.
         (
-            &["mc", "--oom", "--out", "/dev/null/x.json"],
-            "/dev/null/x.json",
+            &["mc", "--magnitudes", "18446744073709551615", "--out", OUT],
+            "--magnitudes '18446744073709551615' (at most 6004799503160661:",
         ),
+        (
+            &["mc", "--magnitudes", "400,72057594037927936", "--out", OUT],
+            "--magnitudes '72057594037927936'",
+        ),
+        (&["sweep", "--workers", "many", "--out", OUT], "--workers"),
+        (&["book", "--results", "/nonexistent"], "/nonexistent"),
+        (&["mc", "--oom", "--out", OUT], OUT),
     ];
     for (argv, flag) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
             .args(*argv)
-            .args(["--out", "/dev/null/x.json"])
             .output()
             .expect("run tmstudy");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -43,6 +52,65 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
         assert_eq!(error.len(), 1, "{argv:?}: {stderr}");
         assert!(error[0].contains(flag), "{argv:?}: {stderr}");
     }
+}
+
+/// An argument the subcommand does not understand is refused, not
+/// skipped: each of these used to run (exit 0) on defaults the caller did
+/// not ask for. The environment likewise — a set `TM_SWEEP_FAULT` that is
+/// no fault plan must not run the sweep fault-free.
+#[test]
+fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
+    let synth = ["--structure", "hash", "--alloc", "glibc"];
+    let table: &[(&[&str], &str)] = &[
+        // A typo of --threads ran the default 8 threads.
+        (
+            &["synth", "--thread", "4"],
+            "error: unknown flag '--thread' for tmstudy synth\n",
+        ),
+        (&["synth", "bogus"], "error: stray token 'bogus'\n"),
+        // `bogus` was eaten as the value of a switch.
+        (
+            &["synth", "--ctl", "bogus"],
+            "error: --ctl takes no value (stray token 'bogus')\n",
+        ),
+        (&["synth", "--threads"], "error: --threads needs a value\n"),
+        (
+            &["check", "--quick", "bogus"],
+            "error: --quick takes no value (stray token 'bogus')\n",
+        ),
+        (
+            &["machine", "--quick"],
+            "error: unknown flag '--quick' for tmstudy machine\n",
+        ),
+        // An unknown subcommand printed the usage text and exited 0.
+        (
+            &["syth", "--structure", "hash"],
+            "error: unknown subcommand 'syth' (tmstudy without arguments prints the usage)\n",
+        ),
+    ];
+    for (argv, message) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .args(*argv)
+            .args(if argv[0] == "synth" { &synth[..] } else { &[] })
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(stderr, *message, "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?} ran");
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+        .args(["sweep", "--workload", "threadtest", "--threads", "1"])
+        .args(["--out", "/dev/null/x.json"])
+        .env("TM_SWEEP_FAULT", "bogus")
+        .output()
+        .expect("run tmstudy");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: bad TM_SWEEP_FAULT 'bogus' (<timeout|error>:<needle>[:<n>])\n"
+    );
 }
 
 /// The allocator models size their per-thread tables by the machine's
