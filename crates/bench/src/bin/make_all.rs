@@ -2,60 +2,40 @@
 //!
 //! The exhibit list comes from `tm_bench::exhibits::REGISTRY` (the single
 //! source of truth). Each exhibit is a pure `fn() -> RunReport`; this
-//! binary runs it, writes `results/<name>.json` and prints the rendering
-//! `tmstudy report` gives. Execution goes through the `tm-sweep` worker
-//! pool: per-exhibit timeout, bounded retry, and graceful degradation — a
-//! hung or failing exhibit is recorded in the matrix instead of aborting
-//! the run. The matrix lands in `results/make_all.sweep.json` (gitignored:
-//! wall times are host-specific).
+//! binary runs it once, writes `results/<name>.json` and prints the
+//! rendering `tmstudy report` gives. Execution goes through `tm-sweep`, one
+//! cell per exhibit: an exhibit that fails (or panics) is recorded as an
+//! `error` cell instead of aborting the run, named on a `DEGRADED` line,
+//! and makes the exit code 1. The matrix lands in
+//! `results/make_all.sweep.json` (gitignored: wall times are
+//! host-specific). Nothing in here watches the clock; a caller that wants a
+//! bound wraps the run in `timeout`, as `scripts/verify.sh` and CI do.
 //!
 //! Flags:
 //!
 //! ```text
 //! --jobs N       pool width (default 1; exhibits are multi-threaded)
-//! --timeout-s N  per-exhibit budget in seconds (default 600)
-//! --retries N    extra attempts per failed exhibit (default 1)
 //! --only NAMES   run only these exhibits (comma-separated registry names)
 //! --out FILE     matrix destination (default results/make_all.sweep.json)
 //! --table        print the EXPERIMENTS.md determinism table and exit
 //! ```
 //!
-//! A flag without a value, a value that does not parse, a name that is
-//! not in the registry and a bad `TM_SIM_EXEC` or `TM_SCALE` are usage
-//! errors: one line on stderr, exit 2.
+//! Any other argument, a flag without a value, a value that does not
+//! parse, a name that is not in the registry and a bad `TM_SIM_EXEC` or
+//! `TM_SCALE` are usage errors: one line on stderr, exit 2.
 //!
 //! Host time per exhibit is each cell's `wall_ms` in the matrix; tracked
 //! performance numbers come from `bash benchmark/run.sh`.
-//!
-//! `TM_SWEEP_FAULT=timeout:<substr>` / `error:<substr>` (with an optional
-//! `:<n>` suffix to fail only the first `n` attempts) injects a fault into
-//! matching cells (cell keys look like `exhibit=fig7`) to exercise the
-//! degradation and retry paths end-to-end.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use tm_bench::exhibits;
-use tm_sweep::{run_spec, CellRunner, Fault, Policy, SweepSpec};
+use tm_obs::spec::{flag, parse_flags};
+use tm_sweep::{run_spec, CellRunner, Policy, SweepSpec};
 
 fn usage_error(msg: String) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => usage_error(format!("{name} needs a value")),
-    }
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(format!("bad {name} '{v}'")))
-    })
 }
 
 fn main() {
@@ -64,21 +44,21 @@ fn main() {
     if let Err(bad) = tm_sim::check_exec_env().and(tm_bench::scale_from_env()) {
         usage_error(bad);
     }
-    let fault = Fault::from_env().unwrap_or_else(|bad| usage_error(bad));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--table") {
+    let flags = parse_flags("make_all", &[&["jobs", "only", "out"]], &["table"], &args)
+        .unwrap_or_else(|bad| usage_error(bad));
+    if flags.contains_key("table") {
         print!("{}", exhibits::experiments_table());
         return;
     }
-    let jobs: usize = parsed(&args, "--jobs", 1);
-    let timeout_s: u64 = parsed(&args, "--timeout-s", 600);
-    let retries: u32 = parsed(&args, "--retries", 1);
-    let out = flag(&args, "--out").unwrap_or_else(|| "results/make_all.sweep.json".into());
+    let jobs: usize = flag(&flags, "jobs", 1).unwrap_or_else(|bad| usage_error(bad));
+    let out = flags
+        .get("out")
+        .map_or("results/make_all.sweep.json", String::as_str);
 
     let registry: Vec<&str> = exhibits::REGISTRY.iter().map(|e| e.name).collect();
-    let only = flag(&args, "--only");
-    let names: Vec<&str> = only
-        .as_deref()
+    let names: Vec<&str> = flags
+        .get("only")
         .map_or(registry.clone(), |list| list.split(',').collect());
     if let Some(unknown) = names.iter().find(|n| !registry.contains(n)) {
         usage_error(format!(
@@ -87,13 +67,6 @@ fn main() {
         ));
     }
     let spec = SweepSpec::new("make_all").axis("exhibit", names);
-    let policy = Policy {
-        workers: jobs,
-        timeout: Some(Duration::from_secs(timeout_s)),
-        retries,
-        fault,
-        ..Policy::default()
-    };
     let runner: Arc<CellRunner> = Arc::new(|cfg| {
         let name = &cfg.iter().find(|(k, _)| k == "exhibit").unwrap().1;
         eprintln!("==> {name}");
@@ -105,13 +78,13 @@ fn main() {
         print!("{}", report.render());
         Ok(vec![])
     });
-    let report = run_spec(&spec, runner, &policy)
+    let report = run_spec(&spec, runner, &Policy { workers: jobs })
         .meta("workload", "exhibits")
         .meta("scale", tm_bench::scale());
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out, report.to_json_string()).expect("write sweep matrix");
+    let written = std::path::Path::new(out)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(out, report.to_json_string()));
     let degraded = report.degraded();
     for cell in report
         .cells
@@ -119,12 +92,15 @@ fn main() {
         .filter(|c| c.status != tm_sweep::CellStatus::Ok)
     {
         eprintln!(
-            "DEGRADED [{}]: {} after {} attempt(s): {}",
+            "DEGRADED [{}]: {}: {}",
             cell.key(),
             cell.status.name(),
-            cell.attempts,
             cell.error.as_deref().unwrap_or("-")
         );
+    }
+    if let Err(e) = written {
+        eprintln!("error: cannot write {out}: {e}");
+        std::process::exit(1);
     }
     eprintln!(
         "{}/{} exhibits regenerated under results/ (matrix: {out})",

@@ -1,8 +1,9 @@
-//! End-to-end regression tests for `make_all`'s degradation machinery:
-//! the `TM_SWEEP_FAULT` injection paths (permanent error, injected hang,
-//! fail-first-N-then-recover) must produce the right matrix entries and
-//! exit codes through the real binary — and for its command line: `--only`
-//! takes exact registry names, and bad input exits 2 with one line.
+//! End-to-end regression tests for `make_all` through the real binary: a
+//! cell that really fails (its `results` cannot be written) must leave an
+//! `error` entry in a schema-valid matrix, a `DEGRADED` line and exit 1; a
+//! matrix that cannot be written is one `error:` line and exit 1, never a
+//! panic — and for its command line: `--only` takes exact registry names,
+//! and bad input exits 2 with one line.
 //!
 //! Each invocation runs in its own scratch directory so the committed
 //! `results/` artifacts are never touched, and uses `--only table2` (the
@@ -21,81 +22,83 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run the real `make_all` binary with a fault spec, from `dir`.
-fn run_make_all(dir: &Path, fault: &str, extra: &[&str]) -> Output {
+/// Run the real `make_all --only table2` from `dir`.
+fn run_make_all(dir: &Path, extra: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_make_all"));
     cmd.current_dir(dir)
-        .env("TM_SWEEP_FAULT", fault)
         .args(["--only", "table2", "--jobs", "1"])
         .args(extra);
     cmd.output().expect("spawn make_all")
 }
 
-fn load_matrix(dir: &Path) -> SweepReport {
-    let src = std::fs::read_to_string(dir.join("results/make_all.sweep.json"))
-        .expect("matrix must be written even when degraded");
+fn load_matrix(path: &Path) -> SweepReport {
+    let src = std::fs::read_to_string(path).expect("matrix must be written even when degraded");
     SweepReport::parse(&src).expect("matrix must stay schema-valid")
 }
 
+/// `results` is a regular file, so the exhibit's report has nowhere to go:
+/// a real fault in the one cell, with the matrix written elsewhere.
 #[test]
 fn permanent_error_fault_degrades_cell_and_exit_code() {
     let dir = scratch("error");
-    let out = run_make_all(&dir, "error:table2", &["--retries", "1"]);
+    std::fs::write(dir.join("results"), "").unwrap();
+    let out = run_make_all(&dir, &["--out", "m/matrix.json"]);
     assert_eq!(out.status.code(), Some(1), "degraded run must exit 1");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("DEGRADED"), "stderr: {stderr}");
-    let matrix = load_matrix(&dir);
+    assert!(
+        stderr.contains("DEGRADED [exhibit=table2]: error: could not write results/table2.json"),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("0/1 exhibits regenerated"), "{stderr}");
+    let matrix = load_matrix(&dir.join("m/matrix.json"));
     assert_eq!(matrix.cells.len(), 1, "--only must trim the registry");
     let cell = &matrix.cells[0];
     assert_eq!(cell.status, CellStatus::Error);
-    assert_eq!(cell.attempts, 2, "1 try + 1 retry");
     assert!(
-        cell.error.as_deref().unwrap().contains("injected fault"),
+        (cell.error.as_deref().unwrap()).starts_with("could not write results/table2.json"),
         "{:?}",
         cell.error
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A matrix that cannot be written used to be a panic (exit 101 and a
+/// backtrace): it is one `error:` line after the `DEGRADED` lines, exit 1.
 #[test]
-fn timeout_fault_records_timeout_status() {
-    let dir = scratch("timeout");
-    let out = run_make_all(
-        &dir,
-        "timeout:table2",
-        &["--retries", "0", "--timeout-s", "1"],
-    );
+fn an_unwritable_matrix_is_one_error_line_and_exit_1() {
+    let dir = scratch("unwritable");
+    // The exhibit itself succeeds; only the matrix has nowhere to go.
+    let out = run_make_all(&dir, &["--out", "/dev/null/x.json"]);
     assert_eq!(out.status.code(), Some(1));
-    let cell = &load_matrix(&dir).cells[0];
-    assert_eq!(cell.status, CellStatus::Timeout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let last = stderr.lines().last().unwrap_or_default();
     assert!(
-        cell.error.as_deref().unwrap().contains("budget"),
-        "{:?}",
-        cell.error
+        last.starts_with("error: cannot write /dev/null/x.json: "),
+        "stderr: {stderr}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(dir.join("results/table2.json").exists());
 
-#[test]
-fn transient_fault_recovers_on_retry_with_clean_exit() {
-    let dir = scratch("transient");
-    // Fail only the first attempt; the retry runs the real exhibit.
-    let out = run_make_all(&dir, "error:table2:1", &["--retries", "1"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "recovered run must exit 0; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let cell = &load_matrix(&dir).cells[0];
-    assert_eq!(cell.status, CellStatus::Ok);
-    assert_eq!(cell.attempts, 2, "attempt 1 faulted, attempt 2 succeeded");
-    assert!(cell.error.is_none());
-    // The recovered attempt really regenerated the exhibit.
+    // `results` a regular file and the default `--out` beneath it: the
+    // cell degrades and the matrix cannot be written either.
+    std::fs::remove_dir_all(dir.join("results")).unwrap();
+    std::fs::write(dir.join("results"), "").unwrap();
+    let out = run_make_all(&dir, &[]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let [.., degraded, error] = lines[..] else {
+        panic!("stderr: {stderr}");
+    };
     assert!(
-        dir.join("results/table2.json").exists(),
-        "retry must produce the exhibit artifacts"
+        degraded.starts_with("DEGRADED [exhibit=table2]: error: "),
+        "{stderr}"
     );
+    assert!(
+        error.starts_with("error: cannot write results/make_all.sweep.json: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -155,15 +158,26 @@ fn bad_flag_values_are_one_line_usage_errors() {
             &["--only", "table2", "--jobs", "x"],
             "error: bad --jobs 'x'",
         ),
-        (
-            &["--only", "table2", "--timeout-s", "x"],
-            "error: bad --timeout-s 'x'",
-        ),
-        (
-            &["--only", "table2", "--retries", "x"],
-            "error: bad --retries 'x'",
-        ),
         (&["--only"], "error: --only needs a value"),
+        // A typo of --jobs used to run with the default.
+        (
+            &["--only", "table2", "--job", "4"],
+            "error: unknown flag '--job' for make_all",
+        ),
+        (&["table2"], "error: stray token 'table2'"),
+        (
+            &["--table", "x"],
+            "error: --table takes no value (stray token 'x')",
+        ),
+        // The per-exhibit budget and the retry count are gone.
+        (
+            &["--only", "table2", "--timeout-s", "1"],
+            "error: unknown flag '--timeout-s' for make_all",
+        ),
+        (
+            &["--only", "table2", "--retries", "0"],
+            "error: unknown flag '--retries' for make_all",
+        ),
     ];
     for (argv, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_make_all"))
@@ -174,6 +188,7 @@ fn bad_flag_values_are_one_line_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
         assert_eq!(stderr.trim_end(), *message, "{argv:?}");
+        assert!(!dir.join("results").exists(), "{argv:?} ran an exhibit");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -192,12 +207,6 @@ fn bad_environment_values_are_one_line_usage_errors() {
         ),
         ("TM_SCALE", "abc", "error: bad TM_SCALE 'abc'"),
         ("TM_SCALE", "0", "error: bad TM_SCALE '0'"),
-        // Set but no fault plan: it used to run fault-free (exit 0).
-        (
-            "TM_SWEEP_FAULT",
-            "bogus",
-            "error: bad TM_SWEEP_FAULT 'bogus' (<timeout|error>:<needle>[:<n>])",
-        ),
     ];
     for (var, value, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_make_all"))

@@ -16,10 +16,8 @@
 //! Every run is deterministic; flags map 1:1 onto the library types, so
 //! anything printed here can be reproduced programmatically.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use tm_alloc::profile::{bucket_label, Region};
 use tm_alloc::{AllocFaultPlan, AllocatorKind};
@@ -27,11 +25,9 @@ use tm_core::sweeps::{parse_backend, parse_cm, stamp_run, synth_config, threadte
 use tm_core::synthetic::run_synthetic;
 use tm_core::threadtest::run_threadtest;
 use tm_ds::StructureKind;
+use tm_obs::spec::Flags;
 use tm_stamp::runner::{make_app, profile_app, run_app};
 use tm_stamp::AppKind;
-
-/// Command-line flags: `--name value`, or a bare switch (value `true`).
-type Flags = HashMap<String, String>;
 
 /// The STM-stack knobs `tm_core::sweeps` reads for every transactional
 /// workload: flags that take a value, and bare switches.
@@ -67,8 +63,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     (
         "sweep",
         &[
-            &["workload", "reps", "name", "out"],
-            &["workers", "timeout-ms", "retries", "backoff-ms"],
+            &["workload", "reps", "name", "out", "workers"],
             tm_core::sweeps::AXIS_FLAGS,
         ],
         &["quick"],
@@ -156,8 +151,8 @@ fn usage() {
          sweep:      [--workload synth|stamp|threadtest] axes as comma lists \
          (--structure --app --alloc --backend --cm --alloc-fault --threads --shift \
          --update-pct --size --ops --pairs --scale --seeds) [--quick] [--reps N] \
-         [--name S] [--out FILE] [--workers N] [--timeout-ms N] [--retries N] \
-         [--backoff-ms N]\n\
+         [--name S] [--out FILE] [--workers N]; exit 1 when any cell ends in \
+         `error`\n\
          check:      correctness matrix (serial oracles, heap audit, \
          cross-backend and cross-CM diffs, interleaving explorer) [--quick] \
          [--backend B] [--cm C] [--name S] [--out FILE]\n\
@@ -233,7 +228,8 @@ fn exit_if_degraded(degraded: usize, what: &str) {
     }
 }
 
-/// Run a declarative sweep on the worker pool and write the matrix.
+/// Run a declarative sweep on the worker pool and write the matrix. Exit
+/// 1 when any cell ends in `error` — what makes a sweep usable as a gate.
 fn sweep(flags: &Flags) {
     let spec = tm_core::sweeps::spec_from_flags(flags).unwrap_or_else(|e| {
         eprintln!("sweep: {e}");
@@ -241,27 +237,17 @@ fn sweep(flags: &Flags) {
     });
     let policy = tm_sweep::Policy {
         workers: get(flags, "workers", 4),
-        timeout: Some(Duration::from_millis(get(flags, "timeout-ms", 60_000))),
-        retries: get(flags, "retries", 1),
-        backoff: Duration::from_millis(get(flags, "backoff-ms", 50)),
-        fault: ok_or_exit(tm_sweep::Fault::from_env()),
     };
     eprintln!(
-        "sweep '{}': {} cells on {} workers (timeout {:?})",
+        "sweep '{}': {} cells on {} workers",
         spec.name,
         spec.cell_count(),
-        policy.workers,
-        policy.timeout.unwrap()
+        policy.workers
     );
     let runner: Arc<tm_sweep::CellRunner> = Arc::new(tm_core::sweeps::run_cell);
     let report = tm_sweep::run_spec(&spec, runner, &policy);
     write_matrix(flags, &report, "matrix");
-    if report.degraded() > 0 {
-        eprintln!(
-            "warning: {} degraded cell(s), see matrix",
-            report.degraded()
-        );
-    }
+    exit_if_degraded(report.degraded(), "degraded cell(s)");
 }
 
 /// Run the correctness matrix (tm-check) and write a `tm-check-report/v1`
@@ -583,11 +569,9 @@ fn book(flags: &Flags) {
     }
 }
 
-/// Parse `args` against `cmd`'s row of [`SUBCOMMANDS`]. A value flag takes
-/// the next token; a bare switch takes none. A subcommand without a row, a
-/// flag the subcommand does not have, a token that is no flag, a value
-/// after a switch and a value flag left without one are usage errors
-/// naming the token.
+/// Parse `args` against `cmd`'s row of [`SUBCOMMANDS`] (the rule is
+/// [`tm_obs::spec::parse_flags`]); a subcommand without a row is a usage
+/// error too.
 fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let (_, values, switches) =
         SUBCOMMANDS
@@ -596,34 +580,13 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
             .ok_or(format!(
                 "unknown subcommand '{cmd}' (tmstudy without arguments prints the usage)"
             ))?;
-    let mut flags = Flags::new();
-    let mut args = args.iter().peekable();
-    while let Some(arg) = args.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("stray token '{arg}'"));
-        };
-        let value = args.next_if(|next| !next.starts_with("--"));
-        let value = if values.iter().any(|part| part.contains(&name)) {
-            value.ok_or(format!("--{name} needs a value"))?.clone()
-        } else if switches.contains(&name) {
-            if let Some(stray) = value {
-                return Err(format!("--{name} takes no value (stray token '{stray}')"));
-            }
-            "true".to_string()
-        } else {
-            return Err(format!("unknown flag '--{name}' for tmstudy {cmd}"));
-        };
-        flags.insert(name.to_string(), value);
-    }
-    Ok(flags)
+    tm_obs::spec::parse_flags(&format!("tmstudy {cmd}"), values, switches, args)
 }
 
 /// `--<key>` parsed as a `T`, or `default` when absent; a value that
 /// does not parse exits 2 with the canonical message.
 fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
-    ok_or_exit(flags.get(key).map_or(Ok(default), |v| {
-        v.parse().map_err(|_| format!("bad --{key} '{v}'"))
-    }))
+    ok_or_exit(tm_obs::spec::flag(flags, key, default))
 }
 
 /// Bad input exits 2 with a one-line `error:`; it never panics.

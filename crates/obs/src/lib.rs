@@ -26,17 +26,18 @@
 //!   once, each schema reduced to a cell struct and a field table), the
 //!   single optional-member ⇒ minor-version rule, and the schema registry
 //!   `tmstudy report` loads through. The four schemas:
-//!   [`sweep`] (`tm-sweep-report/v1`, cross-product sweeps whose hung or
-//!   failing cells degrade instead of killing the matrix), [`check`]
+//!   [`sweep`] (`tm-sweep-report/v1`, cross-product sweeps whose failing
+//!   cells degrade instead of killing the matrix), [`check`]
 //!   (`tm-check-report/v1`, `tmstudy check`'s pass/fail/error cells with
 //!   evidence counters), [`mc`] (`tm-mc-report/v1`, `tmstudy mc`'s
 //!   clean/caught/violation/escaped verdicts, exploration counters and
 //!   shrunk counterexamples) and [`oom`] (`tm-oom-report/v1`, `tmstudy mc
 //!   --oom`'s allocation-site and injection-outcome counters).
 //!
-//! * [`spec`] — shared colon-separated fault-spec tokenizing used by both
-//!   the sweep executor's `TM_SWEEP_FAULT` parser and the allocator
-//!   `--alloc-fault` plan parser.
+//! * [`spec`] — the textual input the front ends share: the argv parser
+//!   `tmstudy` and `make_all` check their flags with, and the
+//!   colon-separated tokenizing under the allocator `--alloc-fault` plan
+//!   grammar.
 //!
 //! The crate is deliberately leaf-level: it depends on nothing else in the
 //! workspace (or outside it), so every other crate can depend on it.

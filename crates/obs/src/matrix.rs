@@ -141,15 +141,6 @@ impl Scalar for u64 {
     }
 }
 
-impl Scalar for u32 {
-    fn to_json(&self) -> Json {
-        Json::u64(*self as u64)
-    }
-    fn from_json(v: &Json) -> Option<Result<u32, String>> {
-        v.as_u64().map(|n| Ok(n as u32))
-    }
-}
-
 impl Scalar for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
@@ -501,8 +492,8 @@ impl<C: Cell> Matrix<C> {
 
     /// Structural diff for `tmstudy report <a> <b>`: cells joined by
     /// [`key_of`], each pair compared by the schema, plus cells present
-    /// on one side only. Host-time members (wall clock, attempts,
-    /// throughput) are left out. `None` when nothing differs.
+    /// on one side only. Host-time members (wall clock, throughput)
+    /// are left out. `None` when nothing differs.
     pub fn diff(&self, other: &Self) -> Option<String> {
         let mut out = String::new();
         if self.name != other.name {

@@ -1,36 +1,66 @@
-//! Shared colon-separated fault-spec parsing.
+//! Textual input the front ends share: argv and colon-separated specs.
 //!
-//! Two independent fault planes use the same surface grammar of
-//! `<kind>:<field>[:<field>…]`: the sweep executor's
-//! `TM_SWEEP_FAULT=<timeout|error>:<needle>[:<n>]` injection
-//! (`tm-sweep`) and the allocator fault plans behind `--alloc-fault`
-//! (`tm-alloc`). Both parsers used to hand-roll the splitting; the
-//! helpers here are the single tokenizing layer they share, so the
-//! grammars cannot drift apart. Each caller still owns its kind table
-//! and field semantics — this module only answers "what are the
-//! pieces", never "what do they mean".
+//! * [`parse_flags`] / [`flag`] — the argv rule of both binaries
+//!   (`tmstudy`, `make_all`): `--name value` or a bare `--switch`, checked
+//!   against the caller's table of the flags it understands, so a typo is
+//!   a usage error instead of a run on the defaults.
+//! * [`kind`] / [`fields`] / [`int`] — the tokenizing layer under the
+//!   `<kind>:<field>[:<field>…]` grammar of the allocator fault plans
+//!   behind `--alloc-fault` (`tm-alloc`). The caller owns its kind table
+//!   and field semantics — these only answer "what are the pieces", never
+//!   "what do they mean".
+
+use std::collections::HashMap;
+
+/// Command-line flags: `--name value`, or a bare switch (value `true`).
+pub type Flags = HashMap<String, String>;
+
+/// Parse `args` against what `program` understands: `values` (groups of
+/// flags that take the next token) and bare `switches` (which take none).
+/// A flag in neither table, a token that is no flag, a value after a
+/// switch and a value flag left without one are usage errors naming the
+/// token.
+pub fn parse_flags(
+    program: &str,
+    values: &[&[&str]],
+    switches: &[&str],
+    args: &[String],
+) -> Result<Flags, String> {
+    let mut flags = Flags::new();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            return Err(format!("stray token '{arg}'"));
+        };
+        let value = args.next_if(|next| !next.starts_with("--"));
+        let value = if values.iter().any(|part| part.contains(&name)) {
+            value.ok_or(format!("--{name} needs a value"))?.clone()
+        } else if switches.contains(&name) {
+            if let Some(stray) = value {
+                return Err(format!("--{name} takes no value (stray token '{stray}')"));
+            }
+            "true".to_string()
+        } else {
+            return Err(format!("unknown flag '--{name}' for {program}"));
+        };
+        flags.insert(name.to_string(), value);
+    }
+    Ok(flags)
+}
+
+/// `--<key>` parsed as a `T`, or `default` when absent; a value that does
+/// not parse is the canonical `bad --<key> '<value>'` usage error.
+pub fn flag<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
+    flags.get(key).map_or(Ok(default), |v| {
+        v.parse().map_err(|_| format!("bad --{key} '{v}'"))
+    })
+}
 
 /// Split a spec into its leading kind token and the remainder after the
 /// first `:`. `None` when there is no colon at all (every spec grammar
 /// here requires at least `kind:field`).
 pub fn kind(raw: &str) -> Option<(&str, &str)> {
     raw.split_once(':')
-}
-
-/// Split a trailing `:`-separated unsigned count off `rest`. When the
-/// text after the last colon parses as a `u32` it is the count and the
-/// head is the payload; otherwise the whole of `rest` is the payload
-/// (the colon belongs to it — e.g. a cell-key needle like
-/// `alloc:hoard`). This is the disambiguation rule `TM_SWEEP_FAULT`
-/// has always used.
-pub fn trailing_count(rest: &str) -> (&str, Option<u32>) {
-    match rest.rsplit_once(':') {
-        Some((head, count)) => match count.parse::<u32>() {
-            Ok(n) => (head, Some(n)),
-            Err(_) => (rest, None),
-        },
-        None => (rest, None),
-    }
 }
 
 /// Split the remainder into exactly `N` colon-separated fields. `None`
@@ -77,15 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn trailing_count_disambiguates_colons_in_payload() {
-        assert_eq!(trailing_count("table1:2"), ("table1", Some(2)));
-        assert_eq!(trailing_count("threads=8"), ("threads=8", None));
-        // A colon whose tail is not an integer stays in the payload.
-        assert_eq!(trailing_count("alloc:hoard"), ("alloc:hoard", None));
-        assert_eq!(trailing_count("a:b:3"), ("a:b", Some(3)));
-    }
-
-    #[test]
     fn fields_enforce_exact_arity() {
         assert_eq!(fields::<1>("65536"), Some(["65536"]));
         assert_eq!(fields::<2>("7:16"), Some(["7", "16"]));
@@ -107,5 +128,32 @@ mod tests {
         assert_eq!(int("3.5"), None);
         assert_eq!(int("0x"), None);
         assert_eq!(int("99999999999999999999999"), None, "u64 overflow");
+    }
+
+    #[test]
+    fn flags_are_checked_against_the_callers_table() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_flags("prog", &[&["jobs"], &["out"]], &["table"], &args)
+        };
+        let flags = parse(&["--jobs", "4", "--table", "--out", "m.json"]).unwrap();
+        assert_eq!(flag(&flags, "jobs", 1usize), Ok(4));
+        assert_eq!(flag(&flags, "absent", 7u64), Ok(7));
+        assert_eq!(flags["table"], "true");
+        assert_eq!(flags["out"], "m.json");
+        for (args, message) in [
+            (&["--job", "4"][..], "unknown flag '--job' for prog"),
+            (&["x"], "stray token 'x'"),
+            (
+                &["--table", "x"],
+                "--table takes no value (stray token 'x')",
+            ),
+            (&["--jobs"], "--jobs needs a value"),
+            (&["--jobs", "--table"], "--jobs needs a value"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
+        }
+        let flags = parse(&["--jobs", "x"]).unwrap();
+        assert_eq!(flag(&flags, "jobs", 1usize).unwrap_err(), "bad --jobs 'x'");
     }
 }

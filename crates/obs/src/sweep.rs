@@ -4,10 +4,9 @@
 //! thread count × shift × seed × …) executed as independent cells. Where
 //! [`crate::report::RunReport`] describes one run, a [`SweepReport`]
 //! describes a whole matrix: one [`SweepCell`] per configuration, each
-//! carrying its status (`ok`, `timeout`, `error`), retry count, wall time
-//! and scalar metrics. A hung or failing cell degrades to a non-`ok`
-//! status instead of invalidating the rest of the matrix, so partial
-//! sweeps are first-class artifacts.
+//! carrying its status (`ok` or `error`), wall time and scalar metrics. A
+//! failing cell degrades to `error` instead of invalidating the rest of
+//! the matrix, so partial sweeps are first-class artifacts.
 //!
 //! The on-disk form is the `tm-sweep-report/v1` JSON schema, written by
 //! `tmstudy sweep` and the `make_all` orchestrator and consumed by
@@ -15,15 +14,14 @@
 //!
 //! * `name` — artifact stem, matching `results/<name>.sweep.json`.
 //! * `meta` — free-form string key/values describing the whole sweep
-//!   (workload, policy knobs, scale); labels, not data.
+//!   (workload, pool width, scale); labels, not data.
 //! * `axes` — the declared sweep dimensions in expansion order; each cell's
 //!   `config` holds exactly one value per axis (plus any fixed keys).
-//! * `cells[].status` — `ok` (metrics valid), `timeout` (every attempt
-//!   exceeded the per-cell budget) or `error` (runner failed/panicked).
-//! * `cells[].attempts` — total attempts made (1 = no retry needed).
-//! * `cells[].wall_ms` — host wall-clock milliseconds across all attempts.
-//!   Wall time is *host* time and therefore non-deterministic; diffs ignore
-//!   it (and `attempts`) by design.
+//! * `cells[].status` — `ok` (metrics valid) or `error` (the runner
+//!   failed or panicked; `error` holds the message).
+//! * `cells[].wall_ms` — host wall-clock milliseconds the cell's one run
+//!   took. Wall time is *host* time and therefore non-deterministic; diffs
+//!   ignore it by design.
 //! * `cells[].metrics` — named scalar results, empty unless `ok`.
 
 use crate::json::Json;
@@ -40,13 +38,11 @@ pub const SWEEP_SCHEMA: &str = "tm-sweep-report/v1";
 /// Outcome of one sweep cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CellStatus {
-    /// The runner returned metrics within budget.
+    /// The runner returned metrics.
     #[default]
     Ok,
-    /// Every attempt exceeded the per-cell timeout; the cell is recorded
+    /// The runner returned an error (or panicked); the cell is recorded
     /// but carries no metrics.
-    Timeout,
-    /// The runner returned an error (or panicked) on the final attempt.
     Error,
 }
 
@@ -55,14 +51,13 @@ impl CellStatus {
     pub fn name(self) -> &'static str {
         match self {
             CellStatus::Ok => "ok",
-            CellStatus::Timeout => "timeout",
             CellStatus::Error => "error",
         }
     }
 
     /// Inverse of [`CellStatus::name`].
     pub fn parse(s: &str) -> Result<CellStatus, String> {
-        [CellStatus::Ok, CellStatus::Timeout, CellStatus::Error]
+        [CellStatus::Ok, CellStatus::Error]
             .into_iter()
             .find(|v| v.name() == s)
             .ok_or_else(|| format!("unknown cell status '{s}'"))
@@ -79,12 +74,10 @@ pub struct SweepCell {
     pub config: Vec<(String, String)>,
     /// How the cell ended.
     pub status: CellStatus,
-    /// Total attempts made (first try plus retries).
-    pub attempts: u32,
-    /// Host wall-clock milliseconds spent across all attempts
+    /// Host wall-clock milliseconds the cell's run took
     /// (non-deterministic; excluded from diffs).
     pub wall_ms: u64,
-    /// Error/timeout detail for non-`ok` cells.
+    /// Error detail for non-`ok` cells.
     pub error: Option<String>,
     /// Named scalar results; empty unless `status` is `ok`.
     pub metrics: Vec<(String, f64)>,
@@ -116,7 +109,6 @@ impl Fields for SweepCell {
     const FIELDS: &'static [Field<Self>] = &[
         field!("config" => config: CONFIG),
         field!("status" => status: req()),
-        field!("attempts" => attempts: req()),
         field!("wall_ms" => wall_ms: req()),
         field!("error" => error: opt()),
         field!("metrics" => metrics: METRICS),
@@ -181,7 +173,7 @@ impl Cell for SweepCell {
     }
 
     /// One aligned row per cell. Columns: the first cell's config keys,
-    /// then status/attempts/wall, then the union of metric names in
+    /// then status/wall, then the union of metric names in
     /// first-seen order.
     fn render(cells: &[Self], out: &mut String) {
         let mut metric_names: Vec<&String> = Vec::new();
@@ -194,13 +186,12 @@ impl Cell for SweepCell {
             .first()
             .map(|c| c.config.iter().map(|(k, _)| k.clone()).collect())
             .unwrap_or_default();
-        header.extend(["status".into(), "tries".into(), "wall_ms".into()]);
+        header.extend(["status".into(), "wall_ms".into()]);
         header.extend(metric_names.iter().map(|m| m.to_string()));
         let mut rows = vec![header];
         for c in cells {
             let mut row: Vec<String> = c.config.iter().map(|(_, v)| v.clone()).collect();
             row.push(c.status.name().into());
-            row.push(c.attempts.to_string());
             row.push(c.wall_ms.to_string());
             for m in &metric_names {
                 row.push(
@@ -230,8 +221,8 @@ impl Cell for SweepCell {
         }
     }
 
-    /// Status changes and per-metric deltas; `wall_ms` and `attempts`
-    /// are host-time artifacts and deliberately ignored.
+    /// Status changes and per-metric deltas; `wall_ms` is a host-time
+    /// artifact and deliberately ignored.
     fn diff(&self, o: &Self, key: &str, out: &mut String) {
         diff_value(out, key, "status", self.status.name(), o.status.name());
         diff_named(out, key, &self.metrics, &o.metrics, |va, vb| {
@@ -259,9 +250,8 @@ mod tests {
                 ("threads".into(), threads.into()),
             ],
             status,
-            attempts: if status == CellStatus::Ok { 1 } else { 3 },
             wall_ms: 12,
-            error: (status != CellStatus::Ok).then(|| "cell budget exceeded".to_string()),
+            error: (status != CellStatus::Ok).then(|| "unknown structure 'nosuch'".to_string()),
             metrics: if status == CellStatus::Ok {
                 vec![("throughput".into(), tput), ("aborts".into(), 7.0)]
             } else {
@@ -273,7 +263,7 @@ mod tests {
     fn sample() -> SweepReport {
         let mut r = SweepReport::new("list-sweep")
             .meta("workload", "synth")
-            .meta("timeout_ms", 1000);
+            .meta("workers", 1);
         r.axes = vec![
             ("alloc".into(), vec!["glibc".into(), "hoard".into()]),
             ("threads".into(), vec!["1".into(), "8".into()]),
@@ -282,7 +272,7 @@ mod tests {
             cell("glibc", "1", CellStatus::Ok, 100.0),
             cell("glibc", "8", CellStatus::Ok, 640.0),
             cell("hoard", "1", CellStatus::Ok, 90.0),
-            cell("hoard", "8", CellStatus::Timeout, 0.0),
+            cell("hoard", "8", CellStatus::Error, 0.0),
         ];
         r
     }
@@ -292,6 +282,16 @@ mod tests {
         let r = sample();
         let parsed = SweepReport::parse(&r.to_json_string()).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    /// Documents written before a cell ran exactly once carry `attempts`.
+    #[test]
+    fn an_older_documents_attempts_member_is_ignored() {
+        let old = sample()
+            .to_json_string()
+            .replace("\"wall_ms\"", "\"attempts\": 2, \"wall_ms\"");
+        assert!(old.contains("attempts"));
+        assert_eq!(SweepReport::parse(&old).unwrap(), sample());
     }
 
     #[test]
@@ -312,7 +312,7 @@ mod tests {
         for needle in [
             "list-sweep (sweep: 4 cells, 1 degraded)",
             "axis alloc: glibc, hoard",
-            "timeout",
+            "error",
             "throughput",
             "640",
         ] {
@@ -325,7 +325,6 @@ mod tests {
         let a = sample();
         let mut b = sample();
         b.cells[0].wall_ms = 9999; // volatile, ignored
-        b.cells[0].attempts = 2; // volatile, ignored
         assert!(a.diff(&b).is_none());
         b.cells[1].metrics[0].1 = 320.0;
         b.cells[3].status = CellStatus::Ok;
@@ -335,7 +334,7 @@ mod tests {
             "{d}"
         );
         assert!(
-            d.contains("cell [alloc=hoard threads=8]: status timeout -> ok"),
+            d.contains("cell [alloc=hoard threads=8]: status error -> ok"),
             "{d}"
         );
     }

@@ -172,9 +172,9 @@ fn malformed_input_errors() {
         ("sweep", r#""alloc":["#, r#""alloc":3,"x":["#, "axis 'alloc' not an array"),
         ("sweep", r#"["glibc","#, "[7,", "axis 'alloc' value not a string"),
         ("sweep", r#""cells":["#, r#""sells":["#, "sweep missing cells array"),
-        ("sweep", r#""status":"timeout""#, r#""status":1"#, "cell missing status"),
-        ("sweep", r#""timeout""#, r#""napping""#, "unknown cell status 'napping'"),
-        ("sweep", r#""attempts":3"#, r#""attempts":"3""#, "cell missing attempts"),
+        ("sweep", r#""status":"error""#, r#""status":1"#, "cell missing status"),
+        ("sweep", r#""status":"error""#, r#""status":"timeout""#, "unknown cell status 'timeout'"),
+        ("sweep", r#""wall_ms":12"#, r#""wall_ms":"12""#, "cell missing wall_ms"),
         ("sweep", r#""wall_ms":12"#, r#""wall":12"#, "cell missing wall_ms"),
         ("sweep", r#""metrics":{"#, r#""metric":{"#, "cell missing metrics object"),
         ("sweep", r#""aborts":7.0"#, r#""aborts":"7""#, "metric 'aborts' not a number"),
@@ -267,7 +267,7 @@ fn optional_members_of_the_wrong_type_read_as_absent() {
     assert_eq!(r.cells[0].deduped, 0);
     assert!(!r.cells[1].capped);
     assert_eq!(r.cells[1].counterexample.as_ref().unwrap().found_at, 0);
-    let doc = documents("sweep")[0].replace(r#""error":"cell budget exceeded""#, r#""error":5"#);
+    let doc = documents("sweep")[0].replace(r#""error":"panic: cell exploded""#, r#""error":5"#);
     assert_eq!(SweepReport::parse(&doc).unwrap().cells[2].error, None);
     let doc = documents("oom")[0].replace(r#""failing_site":2"#, r#""failing_site":"two""#);
     assert_eq!(OomReport::parse(&doc).unwrap().cells[1].failing_site, None);

@@ -7,13 +7,10 @@
 //! * [`spec`] — a declarative [`spec::SweepSpec`]: fixed keys plus named
 //!   axes, expanded into the full cartesian product of cell
 //!   configurations.
-//! * [`exec`] — [`exec::run_cells`]: executes cells on a bounded worker
-//!   pool with a per-cell wall-clock timeout, bounded retry with
-//!   exponential backoff, and graceful degradation — a hung or failing
-//!   cell is recorded as `timeout`/`error` in the resulting matrix
-//!   instead of killing the run. Fault injection (via [`exec::Fault`] or
-//!   the `TM_SWEEP_FAULT` environment variable) exists so that the
-//!   degradation path stays tested.
+//! * [`exec`] — [`exec::run_cells`]: drains the cells on a bounded worker
+//!   pool, each cell run once; a cell whose runner fails or panics is
+//!   recorded as `error` in the resulting matrix instead of killing the
+//!   run.
 //!
 //! The output is a [`tm_obs::SweepReport`] (`tm-sweep-report/v1`), the
 //! matrix twin of the per-run `tm-run-report/v1` schema; `tmstudy report`
@@ -27,7 +24,7 @@
 pub mod exec;
 pub mod spec;
 
-pub use exec::{run_cells, CellRunner, Fault, FaultKind, Policy};
+pub use exec::{run_cells, CellRunner, Policy};
 pub use spec::SweepSpec;
 pub use tm_obs::{CellStatus, SweepCell, SweepReport};
 

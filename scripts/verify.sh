@@ -47,31 +47,22 @@ $CARGO clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" $CARGO doc --workspace --no-deps -q
 
-# One profile for every tmstudy gate below, picked once: release unless
-# --quick.
-profile="--release"
-[ "$quick" -eq 1 ] && profile=""
-run_tmstudy() {
-  $CARGO run $profile -p tm-core --bin tmstudy -- "$@"
-}
-
-# Run a tmstudy gate whose report file is not kept.
-run_tmstudy_discarding() {
-  local out
-  out="$(mktemp)"
-  run_tmstudy "$@" --out "$out" >/dev/null
-  rm -f "$out"
-}
+# One binary (built above) for every tmstudy gate below, picked once:
+# release unless --quick.
+tmstudy="${CARGO_TARGET_DIR:-target}/release/tmstudy"
+[ "$quick" -eq 1 ] && tmstudy="${CARGO_TARGET_DIR:-target}/debug/tmstudy"
 
 if [ "$quick" -eq 0 ]; then
   # An exhibit is a pure function of the code, so the release make_all,
   # run from an empty directory at the default scale, must rewrite every
   # committed results/<name>.json byte for byte. Nothing is memoized
-  # between runs, so this is always a cold run (~20 s).
+  # between runs, so this is always a cold run (~20 s). make_all watches
+  # no clock (a failing exhibit is an `error` cell and exit 1); `timeout`
+  # is the watchdog that can kill a run that does not end.
   echo "==> make_all (exhibit drift against the committed results/*.json)"
   root="$PWD"
   regen="$(mktemp -d)"
-  (cd "$regen" && env -u TM_SCALE \
+  (cd "$regen" && env -u TM_SCALE timeout 900 \
     $CARGO run --release --manifest-path "$root/Cargo.toml" -p tm-bench --bin make_all >/dev/null)
   tracked="$(git ls-files 'results/*.json')"
   [ -n "$tracked" ] || { echo "verify: git lists no results/*.json to compare"; exit 1; }
@@ -84,22 +75,20 @@ if [ "$quick" -eq 0 ]; then
   rm -rf "$regen"
 
   echo "==> tmstudy book --check (REPRODUCTION.md drift)"
-  run_tmstudy book --check
+  "$tmstudy" book --check
 fi
 
 # The schedule model checker must keep its teeth: every catalog mutant
 # caught with a shrunk counterexample, zero violations on the clean STM.
 # It builds hundreds of simulated machines for runs of a few hundred
 # events each, so it is also where a machine that costs more than its run
-# touches shows — as mmap, page-fault and munmap time. The binary (built
-# above) is run directly under bash's `time`, and more than 30 % of its CPU
+# touches shows — as mmap, page-fault and munmap time. The binary is run
+# directly under bash's `time`, and more than 30 % of its CPU
 # seconds in the kernel fails the gate: a share, so host speed does not
 # move it (under 0.10 while construction, snapshot and drop are
 # O(touched); 0.6-0.7 with megabytes of tag arrays and page tables per
 # machine).
 echo "==> tmstudy mc --quick (schedule model checker + kernel share of its CPU time)"
-tmstudy="${CARGO_TARGET_DIR:-target}/release/tmstudy"
-[ "$quick" -eq 1 ] && tmstudy="${CARGO_TARGET_DIR:-target}/debug/tmstudy"
 tmp="$(mktemp -d)"
 TIMEFORMAT='%U %S'
 { time "$tmstudy" mc --quick --name verify-mc --out "$tmp/mc.json" >/dev/null; } 2>"$tmp/time" || {
@@ -145,14 +134,23 @@ golden_gate tests/golden/check-quick.check.json check --quick
 golden_gate tests/golden/oom-quick.oom.json mc --oom
 
 # The non-default backend must keep sweeping end-to-end (trait dispatch,
-# CLI plumbing, report emission), not just pass unit tests.
-echo "==> tmstudy sweep --quick --backend norec (backend smoke)"
-run_tmstudy_discarding sweep --quick --backend norec --workers 1 --name verify-norec
+# CLI plumbing, report emission), not just pass unit tests. A gate, not
+# only a smoke: a sweep with an `error` cell exits 1, so a backend that
+# breaks any of the 12 cells fails here; the matrix is not kept, and
+# `timeout` bounds a run that does not end.
+sweep_gate() { # sweep_gate <sweep flags...>
+  local out
+  out="$(mktemp)"
+  timeout 300 "$tmstudy" sweep --quick --workers 1 "$@" --out "$out" >/dev/null
+  rm -f "$out"
+}
+echo "==> tmstudy sweep --quick --backend norec (backend gate)"
+sweep_gate --backend norec --name verify-norec
 
-# Same smoke for the non-default contention manager (the generic CM
+# The same gate for the non-default contention manager (the generic CM
 # dispatch path, exercised by CI's perf-smoke job too).
-echo "==> tmstudy sweep --quick --cm backoff (contention-manager smoke)"
-run_tmstudy_discarding sweep --quick --cm backoff --workers 1 --name verify-cm-backoff
+echo "==> tmstudy sweep --quick --cm backoff (contention-manager gate)"
+sweep_gate --cm backoff --name verify-cm-backoff
 
 if [ "$quick" -eq 0 ]; then
   # The repository's benchmark: its tests hold the workloads against the

@@ -56,8 +56,7 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
 
 /// An argument the subcommand does not understand is refused, not
 /// skipped: each of these used to run (exit 0) on defaults the caller did
-/// not ask for. The environment likewise — a set `TM_SWEEP_FAULT` that is
-/// no fault plan must not run the sweep fault-free.
+/// not ask for.
 #[test]
 fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
     let synth = ["--structure", "hash", "--alloc", "glibc"];
@@ -87,6 +86,11 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
             &["syth", "--structure", "hash"],
             "error: unknown subcommand 'syth' (tmstudy without arguments prints the usage)\n",
         ),
+        // The per-cell wall-clock budget is gone, with the retries.
+        (
+            &["sweep", "--timeout-ms", "5"],
+            "error: unknown flag '--timeout-ms' for tmstudy sweep\n",
+        ),
     ];
     for (argv, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
@@ -99,18 +103,31 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
         assert_eq!(stderr, *message, "{argv:?}");
         assert!(out.stdout.is_empty(), "{argv:?} ran");
     }
+}
 
+/// A sweep is a gate: a cell that fails is an `error` entry in a matrix
+/// that is still written, one `error:` line, and exit 1 (it used to be a
+/// warning and exit 0).
+#[test]
+fn a_sweep_with_a_failing_cell_writes_the_matrix_and_exits_1() {
+    let out_file = std::env::temp_dir().join(format!("cli-sweep-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
-        .args(["sweep", "--workload", "threadtest", "--threads", "1"])
-        .args(["--out", "/dev/null/x.json"])
-        .env("TM_SWEEP_FAULT", "bogus")
+        .args(["sweep", "--workload", "synth", "--structure", "nosuch"])
+        .args(["--alloc", "glibc", "--threads", "1", "--workers", "1"])
+        .arg("--out")
+        .arg(&out_file)
         .output()
         .expect("run tmstudy");
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr),
-        "error: bad TM_SWEEP_FAULT 'bogus' (<timeout|error>:<needle>[:<n>])\n"
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().last(), Some("error: 1 degraded cell(s)"));
+    let src = std::fs::read_to_string(&out_file).expect("the matrix is written all the same");
+    std::fs::remove_file(&out_file).unwrap();
+    let matrix = tm_obs::SweepReport::parse(&src).expect("and is schema-valid");
+    assert_eq!(matrix.cells.len(), 1);
+    assert_eq!(matrix.cells[0].status, tm_obs::CellStatus::Error);
+    let error = matrix.cells[0].error.as_deref().unwrap();
+    assert!(error.contains("unknown structure 'nosuch'"), "{error}");
 }
 
 /// The allocator models size their per-thread tables by the machine's
