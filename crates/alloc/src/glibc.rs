@@ -12,13 +12,11 @@
 //!   different arenas alias to the same ORT entries under the STM's
 //!   shift-and-modulo mapping (the HashSet anomaly, §5.2).
 
-use std::collections::HashMap;
-
-use tm_sim::{Ctx, Sim, SimMutex};
+use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 /// Arena reservation size and alignment (64 MB, the paper's figure).
 const ARENA_RESERVE: u64 = 64 << 20;
@@ -42,7 +40,7 @@ struct Arena {
     reserved_end: u64,
     /// Free chunks binned by exact chunk size (fast-bin style, LIFO,
     /// no coalescing).
-    bins: HashMap<u64, FreeList>,
+    bins: IntMap<u64, FreeList>,
 }
 
 impl Arena {
@@ -52,7 +50,7 @@ impl Arena {
             bump: 0,
             committed: 0,
             reserved_end: 0,
-            bins: HashMap::new(),
+            bins: IntMap::default(),
         }
     }
 }
@@ -64,9 +62,9 @@ struct State {
     /// Preferred arena per thread id.
     preferred: Vec<usize>,
     /// `addr >> 26` (64 MB granule) → arena index, for `free`.
-    by_region: HashMap<u64, usize>,
+    by_region: IntMap<u64, usize>,
     /// Large mmap'd blocks: user address → reserved size.
-    large: HashMap<u64, u64>,
+    large: IntMap<u64, u64>,
 }
 
 /// The bin of `chunk`-sized free chunks in arena `idx`. An empty bin pops
@@ -86,6 +84,7 @@ impl GlibcAllocator {
         GlibcAllocator {
             state: HostState::new(
                 "glibc",
+                sim,
                 State {
                     arenas: vec![Arena::new(sim.new_mutex())],
                     preferred: vec![0; sim.config().cores],
@@ -95,16 +94,16 @@ impl GlibcAllocator {
         }
     }
 
-    fn chunk_size(size: u64) -> u64 {
-        ((size + HEADER + 15) & !15).max(MIN_CHUNK)
+    fn chunk_size(size: u64) -> Result<u64, AllocError> {
+        Ok(padded(size, HEADER)?.max(MIN_CHUNK))
     }
 
     /// Lazily back an arena with a fresh 64 MB-aligned reservation. The
     /// caller holds the arena's lock.
     fn ensure_arena_backed(&self, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.state.with(|s| s.arenas[idx].reserved_end == 0) {
+        if self.state.with(ctx, |s| s.arenas[idx].reserved_end == 0) {
             let base = ctx.os_alloc(ARENA_RESERVE, ARENA_RESERVE);
-            self.state.with(|s| {
+            self.state.with(ctx, |s| {
                 s.by_region.insert(base >> 26, idx);
                 let arena = &mut s.arenas[idx];
                 arena.bump = base;
@@ -120,22 +119,22 @@ impl GlibcAllocator {
     fn lock_some_arena(&self, ctx: &mut Ctx<'_>) -> (usize, SimMutex) {
         let tid = ctx.tid();
         // Arenas a peer creates while this thread probes are not probed.
-        let (start, n) = self.state.with(|s| {
+        let (start, n) = self.state.with(ctx, |s| {
             let n = s.arenas.len();
             (s.preferred[tid].min(n - 1), n)
         });
         for idx in (0..n).map(|i| (start + i) % n) {
-            let mx = self.state.with(|s| s.arenas[idx].mx);
+            let mx = self.state.with(ctx, |s| s.arenas[idx].mx);
             ctx.tick(5); // probe overhead
             if ctx.try_lock(mx) {
-                self.state.with(|s| s.preferred[tid] = idx);
+                self.state.with(ctx, |s| s.preferred[tid] = idx);
                 return (idx, mx);
             }
         }
         // All arenas busy: create a new one (registered before locking so
         // concurrent creators make distinct arenas, as glibc does).
         let mx = ctx.new_mutex();
-        let idx = self.state.with(|s| {
+        let idx = self.state.with(ctx, |s| {
             s.arenas.push(Arena::new(mx));
             s.preferred[tid] = s.arenas.len() - 1;
             s.preferred[tid]
@@ -155,11 +154,12 @@ impl Allocator for GlibcAllocator {
 
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(12); // entry, size computation
-        let chunk = Self::chunk_size(size);
+        let chunk = Self::chunk_size(size)?;
         if chunk > MMAP_THRESHOLD {
             let base = ctx.os_alloc(chunk, 4096);
             ctx.write_u64(base + 8, chunk); // tag even for mmap'd chunks
-            self.state.with(|s| s.large.insert(base + HEADER, chunk));
+            self.state
+                .with(ctx, |s| s.large.insert(base + HEADER, chunk));
             return Ok(base + HEADER);
         }
 
@@ -173,7 +173,7 @@ impl Allocator for GlibcAllocator {
             b
         } else {
             // Bump allocation from the top of the arena.
-            let bumped = self.state.with(|s| {
+            let bumped = self.state.with(ctx, |s| {
                 let arena = &mut s.arenas[idx];
                 if arena.bump + chunk > arena.reserved_end {
                     return None;
@@ -207,7 +207,7 @@ impl Allocator for GlibcAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.state.with(|s| {
+        let known = self.state.with(ctx, |s| {
             s.large.contains_key(&addr)
                 || s.by_region.contains_key(&(addr.wrapping_sub(HEADER) >> 26))
         });
@@ -220,13 +220,13 @@ impl Allocator for GlibcAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(10);
-        if self.state.with(|s| s.large.remove(&addr).is_some()) {
+        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
             ctx.tick(300); // munmap-ish
             return;
         }
         let base = addr - HEADER;
         let chunk = ctx.read_u64(base + 8); // read the boundary tag
-        let (idx, mx) = self.state.with(|s| {
+        let (idx, mx) = self.state.with(ctx, |s| {
             let idx = *s
                 .by_region
                 .get(&(base >> 26))
@@ -269,8 +269,9 @@ impl Allocator for GlibcAllocator {
 impl GlibcAllocator {
     /// Number of arenas created so far (diagnostics; the paper's §5.2
     /// explains the HashSet anomaly via multiple 64 MB-aligned arenas).
+    /// Between runs only: panics during one.
     pub fn arena_count(&self) -> usize {
-        self.state.with(|s| s.arenas.len())
+        self.state.with_idle(|s| s.arenas.len())
     }
 }
 
@@ -349,7 +350,10 @@ mod tests {
         let a = GlibcAllocator::new(&sim);
         sim.run(1, |ctx| {
             let p = a.malloc(ctx, 100);
-            assert_eq!(ctx.read_u64(p - 8), GlibcAllocator::chunk_size(100));
+            assert_eq!(
+                ctx.read_u64(p - 8),
+                GlibcAllocator::chunk_size(100).unwrap()
+            );
         });
     }
 

@@ -11,14 +11,12 @@
 //! * `free` returns blocks to the superblock they came from (false-sharing
 //!   avoidance), requiring the owner heap's lock for large classes.
 
-use std::collections::HashMap;
-
-use tm_sim::{Ctx, Sim, SimMutex};
+use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const SB_SIZE: u64 = 64 * 1024;
 const SB_SHIFT: u64 = 16;
@@ -50,15 +48,15 @@ struct State {
     /// Every superblock fetched from the OS, named by its index here.
     sbs: Vec<Superblock>,
     /// `addr >> 16` → superblock, for `free`.
-    by_addr: HashMap<u64, usize>,
+    by_addr: IntMap<u64, usize>,
     /// Per heap: class → its current superblock. Guarded by `heap_mx`.
-    current: Vec<HashMap<usize, usize>>,
+    current: Vec<IntMap<usize, usize>>,
     /// Completely-empty superblocks available for reuse (any class; they are
     /// re-dedicated on reuse). Guarded by `global_mx`.
     spares: Vec<usize>,
     /// Per thread: class → local cache.
-    local: Vec<HashMap<usize, FreeList>>,
-    large: HashMap<u64, u64>,
+    local: Vec<IntMap<usize, FreeList>>,
+    large: IntMap<u64, u64>,
 }
 
 impl State {
@@ -94,9 +92,10 @@ impl HoardAllocator {
             global_mx: sim.new_mutex(),
             state: HostState::new(
                 "hoard",
+                sim,
                 State {
-                    current: vec![HashMap::new(); cores],
-                    local: vec![HashMap::new(); cores],
+                    current: vec![IntMap::default(); cores],
+                    local: vec![IntMap::default(); cores],
                     ..State::default()
                 },
             ),
@@ -109,10 +108,10 @@ impl HoardAllocator {
     fn new_superblock(&self, ctx: &mut Ctx<'_>, heap: usize, class: usize) -> usize {
         // Lock order: heap_mx (held) → global_mx.
         ctx.lock(self.global_mx);
-        let spare = self.state.with(|s| s.spares.pop());
+        let spare = self.state.with(ctx, |s| s.spares.pop());
         ctx.unlock(self.global_mx);
         if let Some(id) = spare {
-            self.state.with(|s| {
+            self.state.with(ctx, |s| {
                 let sb = &mut s.sbs[id];
                 sb.class = class;
                 sb.bump = sb.base;
@@ -126,7 +125,7 @@ impl HoardAllocator {
         }
         let base = ctx.os_alloc(SB_SIZE, SB_SIZE);
         let mx = ctx.new_mutex();
-        self.state.with(|s| {
+        self.state.with(ctx, |s| {
             let id = s.sbs.len();
             s.sbs.push(Superblock {
                 mx,
@@ -152,11 +151,14 @@ impl HoardAllocator {
         let csize = self.classes.size_of(class);
         let mut need = n;
         while need > 0 {
-            let id = match self.state.with(|s| s.current[heap].get(&class).copied()) {
+            let id = match self
+                .state
+                .with(ctx, |s| s.current[heap].get(&class).copied())
+            {
                 Some(id) => id,
                 None => self.new_superblock(ctx, heap, class),
             };
-            let mx = self.state.with(|s| s.sbs[id].mx);
+            let mx = self.state.with(ctx, |s| s.sbs[id].mx);
             ctx.lock(mx);
             while need > 0 {
                 // Prefer recycled blocks, then bump-carve.
@@ -176,7 +178,7 @@ impl HoardAllocator {
                     need -= 1;
                     continue;
                 }
-                let bumped = self.state.with(|s| {
+                let bumped = self.state.with(ctx, |s| {
                     let sb = &mut s.sbs[id];
                     (sb.bump + csize <= sb.base + SB_SIZE).then(|| {
                         sb.bump += csize;
@@ -196,7 +198,7 @@ impl HoardAllocator {
             ctx.unlock(mx);
             if need > 0 {
                 // Exhausted: un-current it and fetch a fresh superblock.
-                self.state.with(|s| s.current[heap].remove(&class));
+                self.state.with(ctx, |s| s.current[heap].remove(&class));
             }
         }
         ctx.unlock(self.heap_mx[heap]);
@@ -206,7 +208,9 @@ impl HoardAllocator {
     /// paper's §3.2 deallocation path). Empty superblocks move to the
     /// global heap.
     fn free_to_superblock(&self, ctx: &mut Ctx<'_>, id: usize, addr: u64) {
-        let (owner, mx) = self.state.with(|s| (s.sbs[id].owner_heap, s.sbs[id].mx));
+        let (owner, mx) = self
+            .state
+            .with(ctx, |s| (s.sbs[id].owner_heap, s.sbs[id].mx));
         ctx.lock(self.heap_mx[owner]);
         ctx.lock(mx);
         let now_empty = self.state.list_then(
@@ -222,9 +226,9 @@ impl HoardAllocator {
         // Below the emptiness threshold: hand it back to the global heap
         // if it is not the heap's current superblock.
         let is_current = |s: &mut State| s.current[owner].get(&s.sbs[id].class) == Some(&id);
-        if now_empty && !self.state.with(is_current) {
+        if now_empty && !self.state.with(ctx, is_current) {
             ctx.lock(self.global_mx);
-            self.state.with(|s| s.spares.push(id));
+            self.state.with(ctx, |s| s.spares.push(id));
             ctx.unlock(self.global_mx);
         }
         ctx.unlock(self.heap_mx[owner]);
@@ -233,11 +237,15 @@ impl HoardAllocator {
 
 impl Allocator for HoardAllocator {
     fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
+        served("hoard", self.try_malloc(ctx, size))
+    }
+
+    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(10);
         let Some(class) = self.classes.class_of(size) else {
-            let base = ctx.os_alloc((size + 15) & !15, 4096);
-            self.state.with(|s| s.large.insert(base, size));
-            return base;
+            let base = ctx.os_alloc(padded(size, 0)?, 4096);
+            self.state.with(ctx, |s| s.large.insert(base, size));
+            return Ok(base);
         };
         let csize = self.classes.size_of(class);
 
@@ -248,7 +256,7 @@ impl Allocator for HoardAllocator {
             let tid = ctx.tid();
             let mine = local(tid, class);
             if let Some(b) = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx)) {
-                return b;
+                return Ok(b);
             }
             let mut batch = Vec::with_capacity(LOCAL_REFILL as usize);
             self.carve(ctx, class, LOCAL_REFILL, &mut batch);
@@ -261,18 +269,18 @@ impl Allocator for HoardAllocator {
                     fl.push(ctx, b);
                 }
             });
-            ret
+            Ok(ret)
         } else {
             let mut one = Vec::with_capacity(1);
             self.carve(ctx, class, 1, &mut one);
-            one[0]
+            Ok(one[0])
         }
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self
-            .state
-            .with(|s| s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT)));
+        let known = self.state.with(ctx, |s| {
+            s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT))
+        });
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -282,11 +290,11 @@ impl Allocator for HoardAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(8);
-        if self.state.with(|s| s.large.remove(&addr).is_some()) {
+        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
-        let (id, class, owner) = self.state.with(|s| {
+        let (id, class, owner) = self.state.with(ctx, |s| {
             let id = s.sb_of(addr);
             (id, s.sbs[id].class, s.sbs[id].owner_heap)
         });
@@ -307,7 +315,7 @@ impl Allocator for HoardAllocator {
                 // Flush half of the cache back to the superblocks.
                 for _ in 0..(LOCAL_CAP / 2) {
                     if let Some(b) = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx)) {
-                        let id = self.state.with(|s| s.sb_of(b));
+                        let id = self.state.with(ctx, |s| s.sb_of(b));
                         self.free_to_superblock(ctx, id, b);
                     }
                 }

@@ -24,11 +24,12 @@
 //!
 //! A model is one file. Everything it mutates on the host is one
 //! `#[derive(Clone)] struct State` of plain data inside the crate-private
-//! `state::HostState`, which supplies the discipline for touching it (no
-//! guard across a `Ctx` call) and, once for all models,
-//! [`Allocator::snapshot`] / [`Allocator::restore`]: a heap snapshot is a
-//! clone of that struct. DESIGN.md §5 "Host-side state" has the rule and
-//! the recipe for adding a model.
+//! `state::HostState` — a [`tm_sim::TurnCell`] on the model's `Sim`: the
+//! thread holding the turn reaches it for a pointer compare, and no event
+//! can happen while it is borrowed — which also supplies, once for all
+//! models, [`Allocator::snapshot`] / [`Allocator::restore`]: a heap
+//! snapshot is a clone of that struct. DESIGN.md §5 "Host-side state" has
+//! the rule and the recipe for adding a model.
 //!
 //! The [`profile`] module wraps any allocator with per-code-region
 //! allocation-site instrumentation used to regenerate the paper's Table 5,
@@ -118,6 +119,24 @@ impl std::fmt::Display for AllocError {
     }
 }
 
+/// The bytes a request of `size` behind a `header` occupies, rounded up to
+/// the models' 16-byte grain — or, for a request no address space can hold,
+/// the error `try_malloc` returns: the sum overflows, or passes C's
+/// `PTRDIFF_MAX`, beyond which a real `malloc` fails too. Every size a
+/// model computes from a request goes through here.
+pub(crate) fn padded(size: u64, header: u64) -> Result<u64, AllocError> {
+    size.checked_add(header + 15)
+        .map(|bytes| bytes & !15)
+        .filter(|&bytes| bytes <= i64::MAX as u64)
+        .ok_or(AllocError::Exhausted { size })
+}
+
+/// What a model's panicking `malloc` makes of its `try_malloc`.
+#[track_caller]
+pub(crate) fn served(model: &str, block: Result<u64, AllocError>) -> u64 {
+    block.unwrap_or_else(|e| panic!("{model} model: {e}"))
+}
+
 /// The allocator interface the STM's wrapper builds on — the paper's model
 /// of "an external allocator interface that provides at least malloc and
 /// free" (§2).
@@ -163,7 +182,9 @@ pub trait Allocator: Send + Sync {
     /// [`Allocator::restore`] rewinds it exactly. The simulated-memory
     /// half of the heap (boundary tags, in-block free links) is the
     /// machine's to snapshot; this call covers only what lives on the
-    /// host. Must be called at quiescence (no run in progress).
+    /// host. Must be called at quiescence: the five models panic
+    /// (`TurnCell::with_idle called during a run`) when a run of their
+    /// `Sim` is in progress.
     ///
     /// Returns `None` when the implementation does not support
     /// checkpointing — callers (the `tm-mc` explorer) then fall back to
@@ -176,7 +197,8 @@ pub trait Allocator: Send + Sync {
 
     /// Rewind host-side heap metadata to a [`HeapSnapshot`] captured from
     /// *this* allocator. Panics on a foreign snapshot — another model's or,
-    /// for the five models, another instance's. Implementations
+    /// for the five models, another instance's — and, like
+    /// [`Allocator::snapshot`], during a run. Implementations
     /// that return `None` from [`Allocator::snapshot`] never see one.
     fn restore(&self, snap: &HeapSnapshot) {
         let _ = snap;
@@ -322,6 +344,7 @@ pub(crate) mod testutil {
         multithreaded_disjoint(kind);
         cross_thread_free(kind);
         zero_size_ok(kind);
+        unrepresentable_sizes_are_exhaustion(kind.name(), |sim| kind.build(sim));
     }
 
     fn no_overlap_single_thread(kind: AllocatorKind) {
@@ -420,6 +443,38 @@ pub(crate) mod testutil {
             a.free(ctx, p);
             a.free(ctx, q);
         });
+    }
+
+    /// A request whose rounded size no `u64` (or no `ptrdiff_t`) holds is
+    /// refused — not served from the 32 bytes, or the zero, the sum wraps
+    /// to — and costs the heap nothing.
+    pub fn unrepresentable_sizes_are_exhaustion(
+        name: &str,
+        build: impl Fn(&Sim) -> Arc<dyn Allocator>,
+    ) {
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        let a = build(&sim);
+        let report = sim.run(1, |ctx| {
+            for size in [u64::MAX, u64::MAX - 15, 1 << 63] {
+                let refused = a.try_malloc(ctx, size);
+                assert_eq!(refused, Err(AllocError::Exhausted { size }), "{name}");
+            }
+            let p = a.malloc(ctx, 16);
+            a.free(ctx, p);
+        });
+        assert!(report.os_allocated < 1 << 30, "{name}: {report:?}");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run(1, |ctx| {
+                a.malloc(ctx, u64::MAX);
+            });
+        }));
+        let payload = caught.expect_err("malloc of 2^64 - 1 bytes must panic");
+        let text = payload.downcast_ref::<String>().expect("a formatted panic");
+        let told = "exhausted serving a 18446744073709551615-byte request";
+        assert!(
+            text.contains("model: ") && text.ends_with(told),
+            "{name}: {text}"
+        );
     }
 }
 

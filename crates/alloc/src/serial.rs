@@ -9,13 +9,11 @@
 //! part of the paper's studied set, so [`crate::AllocatorKind`] does not
 //! include it; build it explicitly with [`SerialLockAllocator::new`].
 
-use std::collections::HashMap;
-
-use tm_sim::{Ctx, Sim, SimMutex};
+use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const HEADER: u64 = 16;
 const MIN_CHUNK: u64 = 32;
@@ -26,8 +24,8 @@ const HEAP_CHUNK: u64 = 1 << 20;
 struct State {
     bump: u64,
     end: u64,
-    bins: HashMap<u64, FreeList>,
-    large: HashMap<u64, u64>,
+    bins: IntMap<u64, FreeList>,
+    large: IntMap<u64, u64>,
 }
 
 fn bin(chunk: u64) -> impl Fn(&mut State) -> &mut FreeList {
@@ -45,49 +43,50 @@ impl SerialLockAllocator {
     pub fn new(sim: &Sim) -> Self {
         SerialLockAllocator {
             mx: sim.new_mutex(),
-            state: HostState::new("serial-lock", State::default()),
+            state: HostState::new("serial-lock", sim, State::default()),
         }
-    }
-
-    fn chunk_size(size: u64) -> u64 {
-        ((size + HEADER + 15) & !15).max(MIN_CHUNK)
     }
 }
 
 impl Allocator for SerialLockAllocator {
     fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
+        served("serial-lock", self.try_malloc(ctx, size))
+    }
+
+    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(10);
-        let chunk = Self::chunk_size(size);
+        let chunk = padded(size, HEADER)?.max(MIN_CHUNK);
         if chunk > 128 * 1024 {
             let base = ctx.os_alloc(chunk, 4096);
             ctx.write_u64(base + 8, chunk);
-            self.state.with(|s| s.large.insert(base + HEADER, chunk));
-            return base + HEADER;
+            self.state
+                .with(ctx, |s| s.large.insert(base + HEADER, chunk));
+            return Ok(base + HEADER);
         }
         // THE global lock: every thread, every operation.
         ctx.lock(self.mx);
         let recycled = self.state.list(ctx, bin(chunk), |bin, ctx| bin.pop(ctx));
         let base = recycled.unwrap_or_else(|| {
-            if self.state.with(|s| s.bump + chunk > s.end) {
+            if self.state.with(ctx, |s| s.bump + chunk > s.end) {
                 let heap = ctx.os_alloc(HEAP_CHUNK, 4096);
-                self.state.with(|s| {
+                self.state.with(ctx, |s| {
                     s.bump = heap;
                     s.end = heap + HEAP_CHUNK;
                 });
             }
-            self.state.with(|s| {
+            self.state.with(ctx, |s| {
                 s.bump += chunk;
                 s.bump - chunk
             })
         });
         ctx.write_u64(base + 8, chunk);
         ctx.unlock(self.mx);
-        base + HEADER
+        Ok(base + HEADER)
     }
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(8);
-        if self.state.with(|s| s.large.remove(&addr).is_some()) {
+        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
@@ -140,6 +139,13 @@ mod tests {
             a.free(ctx, p);
             assert_eq!(a.malloc(ctx, 16), p, "bin reuse");
             a.free(ctx, q);
+        });
+    }
+
+    #[test]
+    fn unrepresentable_sizes_are_exhaustion() {
+        crate::testutil::unrepresentable_sizes_are_exhaustion("SerialLock", |sim| {
+            std::sync::Arc::new(SerialLockAllocator::new(sim))
         });
     }
 

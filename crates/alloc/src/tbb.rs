@@ -13,14 +13,12 @@
 //! * Requests of 8 KB or more go straight to the OS (the knee in the
 //!   paper's Figure 3).
 
-use std::collections::HashMap;
-
-use tm_sim::{Ctx, Sim, SimMutex};
+use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const SB_SIZE: u64 = 16 * 1024;
 const SB_SHIFT: u64 = 14;
@@ -52,13 +50,13 @@ struct State {
     /// Every superblock carved so far, named by its index here.
     sbs: Vec<Superblock>,
     /// `addr >> 14` → superblock, for `free`.
-    by_addr: HashMap<u64, usize>,
+    by_addr: IntMap<u64, usize>,
     /// Per thread: class → bin, created on first use.
-    bins: Vec<HashMap<usize, Bin>>,
+    bins: Vec<IntMap<usize, Bin>>,
     /// The global heap's current 1 MB OS chunk. Guarded by `global_mx`.
     chunk_bump: u64,
     chunk_end: u64,
-    large: HashMap<u64, u64>,
+    large: IntMap<u64, u64>,
 }
 
 /// Thread `tid`'s private free list for `class`.
@@ -81,8 +79,9 @@ impl TbbAllocator {
             global_mx: sim.new_mutex(),
             state: HostState::new(
                 "tbb",
+                sim,
                 State {
-                    bins: vec![HashMap::new(); sim.config().cores],
+                    bins: vec![IntMap::default(); sim.config().cores],
                     ..State::default()
                 },
             ),
@@ -93,14 +92,14 @@ impl TbbAllocator {
     /// splitting a new 1 MB OS chunk when the current one is exhausted.
     fn fetch_sb_base(&self, ctx: &mut Ctx<'_>) -> u64 {
         ctx.lock(self.global_mx);
-        if self.state.with(|s| s.chunk_bump >= s.chunk_end) {
+        if self.state.with(ctx, |s| s.chunk_bump >= s.chunk_end) {
             let chunk = ctx.os_alloc(OS_CHUNK, SB_SIZE);
-            self.state.with(|s| {
+            self.state.with(ctx, |s| {
                 s.chunk_bump = chunk;
                 s.chunk_end = chunk + OS_CHUNK;
             });
         }
-        let base = self.state.with(|s| {
+        let base = self.state.with(ctx, |s| {
             s.chunk_bump += SB_SIZE;
             s.chunk_bump - SB_SIZE
         });
@@ -112,11 +111,15 @@ impl TbbAllocator {
 
 impl Allocator for TbbAllocator {
     fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
+        served("tbb", self.try_malloc(ctx, size))
+    }
+
+    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(9);
         let Some(class) = self.classes.class_of(size) else {
-            let base = ctx.os_alloc((size + 15) & !15, 4096);
-            self.state.with(|s| s.large.insert(base, size));
-            return base;
+            let base = ctx.os_alloc(padded(size, 0)?, 4096);
+            self.state.with(ctx, |s| s.large.insert(base, size));
+            return Ok(base);
         };
         let csize = self.classes.size_of(class);
         let tid = ctx.tid();
@@ -124,14 +127,14 @@ impl Allocator for TbbAllocator {
 
         // 1. Private free list: completely synchronization-free.
         if let Some(b) = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx)) {
-            return b;
+            return Ok(b);
         }
 
         // 2. Drain the public free lists of our superblocks (spinlock each;
         // only inspected when the private list is empty — paper §3.3).
-        let my_sbs = self.state.with(|s| s.bins[tid][&class].sbs.clone());
+        let my_sbs = self.state.with(ctx, |s| s.bins[tid][&class].sbs.clone());
         for &id in &my_sbs {
-            let sb = self.state.with(|s| s.sbs[id]);
+            let sb = self.state.with(ctx, |s| s.sbs[id]);
             if !sb.public.is_empty() {
                 ctx.lock(sb.public_mx);
                 let moved = self.state.list(
@@ -145,17 +148,15 @@ impl Allocator for TbbAllocator {
                 );
                 ctx.unlock(sb.public_mx);
                 if moved > 0 {
-                    return self
-                        .state
-                        .list(ctx, &mine, |fl, ctx| fl.pop(ctx))
-                        .expect("just transferred");
+                    let b = self.state.list(ctx, &mine, |fl, ctx| fl.pop(ctx));
+                    return Ok(b.expect("just transferred"));
                 }
             }
         }
 
         // 3. Bump-carve from the newest superblock (owner-only, sync-free).
         if let Some(&id) = my_sbs.last() {
-            let bumped = self.state.with(|s| {
+            let bumped = self.state.with(ctx, |s| {
                 let sb = &mut s.sbs[id];
                 (sb.bump + csize <= sb.end).then(|| {
                     sb.bump += csize;
@@ -164,14 +165,14 @@ impl Allocator for TbbAllocator {
             });
             if let Some(b) = bumped {
                 ctx.tick(5);
-                return b;
+                return Ok(b);
             }
         }
 
         // 4. New superblock from the global heap; its first block is ours.
         let base = self.fetch_sb_base(ctx);
         let public_mx = ctx.new_mutex();
-        self.state.with(|s| {
+        self.state.with(ctx, |s| {
             let id = s.sbs.len();
             s.sbs.push(Superblock {
                 class,
@@ -184,13 +185,13 @@ impl Allocator for TbbAllocator {
             s.by_addr.insert(base >> SB_SHIFT, id);
             s.bins[tid].entry(class).or_default().sbs.push(id);
         });
-        base
+        Ok(base)
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self
-            .state
-            .with(|s| s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT)));
+        let known = self.state.with(ctx, |s| {
+            s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT))
+        });
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -200,11 +201,11 @@ impl Allocator for TbbAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(7);
-        if self.state.with(|s| s.large.remove(&addr).is_some()) {
+        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
-        let (id, sb) = self.state.with(|s| {
+        let (id, sb) = self.state.with(ctx, |s| {
             let id = *s
                 .by_addr
                 .get(&(addr >> SB_SHIFT))

@@ -14,14 +14,12 @@
 //!   cache, not the allocating thread's; a garbage collector returns
 //!   excess cached bytes to the central lists.
 
-use std::collections::HashMap;
-
-use tm_sim::{Ctx, Sim, SimMutex};
+use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 /// Fast-path bound (paper Table 1: "<= 256 KB").
 const MAX_SMALL: u64 = 256 * 1024;
@@ -60,8 +58,8 @@ struct State {
     chunk_bump: u64,
     chunk_end: u64,
     /// `addr >> 14` → size class of the span covering it.
-    spans: HashMap<u64, usize>,
-    large: HashMap<u64, u64>,
+    spans: IntMap<u64, usize>,
+    large: IntMap<u64, u64>,
 }
 
 /// Thread `tid`'s cache list for `class`.
@@ -92,6 +90,7 @@ impl TcAllocator {
             page_mx: sim.new_mutex(),
             state: HostState::new(
                 "tcmalloc",
+                sim,
                 State {
                     threads: vec![thread; sim.config().cores],
                     central: vec![Central::default(); n],
@@ -108,20 +107,23 @@ impl TcAllocator {
         let csize = self.classes.size_of(class);
         let span_bytes = ((csize * 32).max(SPAN_UNIT) + SPAN_UNIT - 1) & !(SPAN_UNIT - 1);
         ctx.lock(self.page_mx);
-        if self.state.with(|s| s.chunk_bump + span_bytes > s.chunk_end) {
+        if self
+            .state
+            .with(ctx, |s| s.chunk_bump + span_bytes > s.chunk_end)
+        {
             let chunk = ctx.os_alloc(OS_CHUNK.max(span_bytes), SPAN_UNIT);
-            self.state.with(|s| {
+            self.state.with(ctx, |s| {
                 s.chunk_bump = chunk;
                 s.chunk_end = chunk + OS_CHUNK.max(span_bytes);
             });
         }
-        let base = self.state.with(|s| {
+        let base = self.state.with(ctx, |s| {
             s.chunk_bump += span_bytes;
             s.chunk_bump - span_bytes
         });
         ctx.tick(60);
         ctx.unlock(self.page_mx);
-        self.state.with(|s| {
+        self.state.with(ctx, |s| {
             for k in (base..base + span_bytes).step_by(SPAN_UNIT as usize) {
                 s.spans.insert(k >> SPAN_SHIFT, class);
             }
@@ -133,7 +135,7 @@ impl TcAllocator {
     /// central cache; returns one block for immediate use.
     fn refill(&self, ctx: &mut Ctx<'_>, tid: usize, class: usize) -> u64 {
         let csize = self.classes.size_of(class);
-        let n = self.state.with(|s| {
+        let n = self.state.with(ctx, |s| {
             let n = s.threads[tid].batch[class];
             s.threads[tid].batch[class] = (n + 1).min(MAX_BATCH);
             n
@@ -156,7 +158,7 @@ impl TcAllocator {
         // Then carve contiguously from the span — adjacent addresses, in
         // request order across *all* threads (the Figure 2 behaviour).
         while (got.len() as u64) < n {
-            let bumped = self.state.with(|s| {
+            let bumped = self.state.with(ctx, |s| {
                 let c = &mut s.central[class];
                 (c.bump + csize <= c.end).then(|| {
                     c.bump += csize;
@@ -170,7 +172,7 @@ impl TcAllocator {
                 }
                 None => {
                     let (bump, end) = self.new_span(ctx, class);
-                    self.state.with(|s| {
+                    self.state.with(ctx, |s| {
                         s.central[class].bump = bump;
                         s.central[class].end = end;
                     });
@@ -201,7 +203,9 @@ impl TcAllocator {
     fn garbage_collect(&self, ctx: &mut Ctx<'_>, tid: usize) {
         for class in 0..self.classes.len() {
             let csize = self.classes.size_of(class);
-            let drop_n = self.state.with(|s| s.threads[tid].lists[class].len() / 2);
+            let drop_n = self
+                .state
+                .with(ctx, |s| s.threads[tid].lists[class].len() / 2);
             if drop_n == 0 {
                 continue;
             }
@@ -228,11 +232,15 @@ impl TcAllocator {
 
 impl Allocator for TcAllocator {
     fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
+        served("tcmalloc", self.try_malloc(ctx, size))
+    }
+
+    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(8);
         let Some(class) = self.classes.class_of(size) else {
-            let base = ctx.os_alloc((size + 15) & !15, 4096);
-            self.state.with(|s| s.large.insert(base, size));
-            return base;
+            let base = ctx.os_alloc(padded(size, 0)?, 4096);
+            self.state.with(ctx, |s| s.large.insert(base, size));
+            return Ok(base);
         };
         let tid = ctx.tid();
         let csize = self.classes.size_of(class);
@@ -249,16 +257,16 @@ impl Allocator for TcAllocator {
                 b
             },
         );
-        match hit {
+        Ok(match hit {
             Some(b) => b,
             None => self.refill(ctx, tid, class),
-        }
+        })
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self
-            .state
-            .with(|s| s.large.contains_key(&addr) || s.spans.contains_key(&(addr >> SPAN_SHIFT)));
+        let known = self.state.with(ctx, |s| {
+            s.large.contains_key(&addr) || s.spans.contains_key(&(addr >> SPAN_SHIFT))
+        });
         if !known {
             return Err(AllocError::UnknownAddress { addr });
         }
@@ -268,11 +276,11 @@ impl Allocator for TcAllocator {
 
     fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
         ctx.tick(7);
-        if self.state.with(|s| s.large.remove(&addr).is_some()) {
+        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
             ctx.tick(300);
             return;
         }
-        let class = self.state.with(|s| {
+        let class = self.state.with(ctx, |s| {
             *s.spans
                 .get(&(addr >> SPAN_SHIFT))
                 .expect("tcmalloc model: free of unknown address")
@@ -391,7 +399,7 @@ mod tests {
             let _ = a.malloc(ctx, 32);
             let _ = a.malloc(ctx, 32);
             let class = a.classes.class_of(32).unwrap();
-            let cached = a.state.with(|s| s.threads[0].lists[class].len());
+            let cached = a.state.with(ctx, |s| s.threads[0].lists[class].len());
             assert_eq!(cached, 1, "second refill must have brought 2 blocks");
         });
     }
@@ -429,7 +437,7 @@ mod tests {
             for b in blocks {
                 a.free(ctx, b);
             }
-            let cached = a.state.with(|s| s.threads[0].cached_bytes);
+            let cached = a.state.with(ctx, |s| s.threads[0].cached_bytes);
             assert!(
                 cached <= CACHE_LIMIT,
                 "GC must keep the cache within budget (got {cached})"
@@ -453,7 +461,7 @@ mod tests {
         let heap = a.snapshot().expect("tcmalloc supports snapshots");
         let batch_of_16 = |a: &TcAllocator| {
             let class = a.classes.class_of(16).unwrap();
-            a.state.with(|s| s.threads[0].batch[class])
+            a.state.with_idle(|s| s.threads[0].batch[class])
         };
         let batch_at_snap = batch_of_16(&a);
         let round = |sim: &Sim, a: &TcAllocator| {

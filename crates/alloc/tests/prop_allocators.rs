@@ -151,7 +151,10 @@ fn none_plan_is_identity(kind: AllocatorKind, ops: &[AllocOp]) -> Result<(), Tes
 enum Wrap {
     Bare,
     Audited,
-    Faulted,
+    /// Under a fault plan that does fail allocations, and whose state — live
+    /// bytes, per-class counts, site counter, stream position — is part of
+    /// the snapshot.
+    Faulted(AllocFaultPlan),
 }
 
 /// `None` is the fifth model, [`SerialLockAllocator`], which is not an
@@ -164,14 +167,48 @@ fn stack(model: Option<AllocatorKind>, wrap: Wrap, sim: &Sim) -> Arc<dyn Allocat
     match wrap {
         Wrap::Bare => bare,
         Wrap::Audited => HeapAuditor::new(bare),
-        // A plan that does fail allocations, and whose stream position is
-        // part of the snapshot.
-        Wrap::Faulted => FaultInjector::new(bare, AllocFaultPlan::Prob { seed: 11, denom: 4 }),
+        Wrap::Faulted(plan) => FaultInjector::new(bare, plan),
     }
 }
 
 /// A thread count and the script every thread runs.
 type Round = (usize, Vec<AllocOp>);
+
+/// What thread `tid` asks for where the script says `size`: threads differ
+/// in size class, and every 50th size is scaled past every model's
+/// large-object threshold.
+fn request(size: u64, tid: usize) -> u64 {
+    (size + 8 * tid as u64) * if size.is_multiple_of(50) { 1024 } else { 1 }
+}
+
+/// The sizes thread 0 requests in a round, in script order.
+fn requests((_, ops): &Round) -> Vec<u64> {
+    let sizes = ops.iter().filter_map(|op| match *op {
+        AllocOp::Malloc(size) => Some(request(size, 0)),
+        AllocOp::Free(_) => None,
+    });
+    sizes.collect()
+}
+
+/// One plan of every kind. The first three are made to measure: each is
+/// sure to refuse an allocation *inside* `round` if `round` allocates at
+/// all — its largest request is a byte over the budget, the class of its
+/// first request is capped at no live block, and the failing site is the
+/// middle one of the round's attempts, counted on from the prefix's. The
+/// seeded plan fails one attempt in four wherever that falls.
+fn fault_plans(prefix: &Round, round: &Round) -> [AllocFaultPlan; 4] {
+    let asked = requests(round);
+    let attempts = |r: &Round| (r.0 * requests(r).len()) as u64;
+    [
+        AllocFaultPlan::ByteBudget(asked.iter().max().map_or(0, |most| most - 1)),
+        AllocFaultPlan::ClassCap {
+            size: asked.first().copied().unwrap_or(8),
+            max_live: 0,
+        },
+        AllocFaultPlan::NthSite(attempts(prefix) + attempts(round) / 2),
+        AllocFaultPlan::Prob { seed: 11, denom: 4 },
+    ]
+}
 
 /// Everything a round leaves behind that a replay must reproduce. The log is
 /// the host-side `(tid, address)` record in the order the calls returned —
@@ -203,9 +240,7 @@ fn play(
         for op in ops {
             match *op {
                 AllocOp::Malloc(size) => {
-                    // Threads differ in size class, and every 50th size is
-                    // scaled past every model's large-object threshold.
-                    let size = (size + 8 * tid as u64) * if size % 50 == 0 { 1024 } else { 1 };
+                    let size = request(size, tid);
                     let got = alloc.try_malloc(ctx, size);
                     log.lock().push((tid, got.unwrap_or(u64::MAX)));
                     if let Ok(p) = got {
@@ -255,6 +290,16 @@ fn snapshot_replays_identically(
     let heap_again = alloc.snapshot().unwrap();
     let (second, _) = play(&sim, &*alloc, &inherited, round);
     prop_assert_eq!(&first, &second, "{:?}/{:?}: replay diverged", model, wrap);
+    if let Wrap::Faulted(plan) = wrap {
+        let sure = !matches!(plan, AllocFaultPlan::Prob { .. }) && !requests(round).is_empty();
+        let refused = first.log.iter().any(|&(_, got)| got == u64::MAX);
+        prop_assert!(
+            refused || !sure,
+            "{:?}/{:?}: the plan refused nothing inside the round",
+            model,
+            wrap
+        );
+    }
 
     sim.restore(&machine_again);
     alloc.restore(&heap_again);
@@ -281,8 +326,9 @@ proptest! {
     ) {
         let (prefix, round) = ((prefix_threads, prefix), (round_threads, round));
         let models = AllocatorKind::ALL.map(Some).into_iter().chain([None]);
+        let faulted = fault_plans(&prefix, &round).map(Wrap::Faulted);
         for model in models {
-            for wrap in [Wrap::Bare, Wrap::Audited, Wrap::Faulted] {
+            for wrap in [Wrap::Bare, Wrap::Audited].into_iter().chain(faulted) {
                 snapshot_replays_identically(model, wrap, &prefix, &round)?;
             }
         }

@@ -560,5 +560,10 @@ mod tests {
         ]))
         .unwrap();
         assert!(metrics.iter().any(|(k, v)| k == "mpairs_per_s" && *v > 0.0));
+        // A cell of no pairs reports numbers JSON can hold (`null` is what
+        // a NaN becomes in the matrix).
+        let idle = [("workload", "threadtest"), ("alloc", "tc"), ("pairs", "0")];
+        let metrics = run_cell(&cfg(&idle)).unwrap();
+        assert!(metrics.iter().all(|(_, v)| v.is_finite()), "{metrics:?}");
     }
 }

@@ -48,7 +48,12 @@ pub fn run_threadtest(cfg: &ThreadtestConfig) -> ThreadtestResult {
     });
     let pairs = (cfg.threads as u64 * cfg.pairs_per_thread) as f64;
     ThreadtestResult {
-        mops: pairs / report.seconds / 1e6,
+        // No pairs take no virtual time: a throughput of zero, not 0 / 0.
+        mops: if report.seconds > 0.0 {
+            pairs / report.seconds / 1e6
+        } else {
+            0.0
+        },
         seconds: report.seconds,
         l1_miss: report.cache_total.l1_miss_ratio(),
     }
@@ -72,6 +77,19 @@ mod tests {
         for kind in AllocatorKind::ALL {
             let r = point(kind, 64);
             assert!(r.mops > 0.0, "{kind:?} produced no throughput");
+        }
+    }
+
+    #[test]
+    fn a_run_of_no_pairs_has_a_throughput_of_zero_not_nan() {
+        for kind in AllocatorKind::ALL {
+            let r = run_threadtest(&ThreadtestConfig {
+                allocator: kind,
+                threads: 2,
+                block_size: 64,
+                pairs_per_thread: 0,
+            });
+            assert_eq!((r.mops, r.seconds, r.l1_miss), (0.0, 0.0, 0.0), "{kind:?}");
         }
     }
 

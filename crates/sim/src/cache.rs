@@ -16,7 +16,7 @@
 //! snapshotting, restoring and dropping a hierarchy cost what the run
 //! touched (DESIGN.md §4, §14).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::config::MachineConfig;
 use crate::LINE;
@@ -489,26 +489,9 @@ impl TagArray {
     }
 }
 
-/// Multiply-xor hasher for the directory's u64 line keys: the default
-/// SipHash costs more than the rest of a directory operation combined, and
-/// line numbers need no DoS resistance.
-#[derive(Clone, Copy, Default)]
-struct LineHasher(u64);
-
-impl std::hash::Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("directory keys hash via write_u64 only")
-    }
-    fn write_u64(&mut self, n: u64) {
-        let x = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 32);
-    }
-}
-
-type DirMap = HashMap<u64, DirEntry, std::hash::BuildHasherDefault<LineHasher>>;
+/// Keyed by line number through the workspace's integer hasher: SipHash
+/// would cost more than the rest of a directory operation combined.
+type DirMap = crate::IntMap<u64, DirEntry>;
 
 /// Directory entry: which cores' L1s hold the line, and whether one of them
 /// holds it modified.
@@ -529,7 +512,7 @@ pub enum HtmAbort {
     Capacity,
 }
 
-type LineSet = HashSet<u64, std::hash::BuildHasherDefault<LineHasher>>;
+type LineSet = HashSet<u64, std::hash::BuildHasherDefault<crate::IntHasher>>;
 
 /// Per-core hardware-transaction tracking: which lines the running
 /// transaction has touched, and whether a coherence event or eviction has
@@ -1652,7 +1635,7 @@ mod tests {
             let mut lines = contended_lines(cfg.l1);
             lines.extend(contended_lines(cfg.l2));
             // Every set a line of `lines` can be in, by the array's size.
-            let touched: HashMap<usize, Vec<usize>> = [cfg.l1.sets(), cfg.l2.sets()]
+            let touched: crate::IntMap<usize, Vec<usize>> = [cfg.l1.sets(), cfg.l2.sets()]
                 .into_iter()
                 .map(|sets| {
                     let mut of_lines: Vec<usize> =

@@ -22,9 +22,11 @@
 //! is runnable: completion, or a virtual deadlock, which it reports after
 //! unwinding the blocked threads one at a time. So whatever a thread does
 //! between two hand-offs — events *and* host-side work, such as allocator
-//! metadata behind a host mutex — runs alone and in hand-off order. The
-//! rule that buys: never wait on the host for a peer (it cannot run until
-//! you hand the turn on), and never hold a host lock across an event.
+//! metadata — runs alone and in hand-off order. The rule that buys: never
+//! wait on the host for a peer (it cannot run until you hand the turn on),
+//! and never hold a host lock across an event. State that only a machine's
+//! own threads touch needs no lock at all: a [`TurnCell`] is opened by the
+//! holder of the turn, and the borrow checker keeps events out of it.
 //!
 //! The two backends differ in how they spawn threads, in what `hand_off`
 //! does, and in whether they trust a horizon — nowhere else:
@@ -54,7 +56,7 @@
 //! on either backend: the closure runs on the caller — the same event path
 //! with an infinite horizon.
 
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::panic::AssertUnwindSafe;
 use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -351,6 +353,16 @@ impl Sim {
         self.shared.inner.lock().machine.new_lock()
     }
 
+    /// Put `value` — host-side state the logical threads of this machine's
+    /// runs share, such as an allocator model's metadata — in a cell that
+    /// only the holder of the turn can open. See [`TurnCell`].
+    pub fn turn_cell<T>(&self, value: T) -> TurnCell<T> {
+        TurnCell {
+            shared: Arc::clone(&self.shared),
+            value: UnsafeCell::new(value),
+        }
+    }
+
     /// Install (or replace) the scheduling-point hook consulted by
     /// [`Ctx::sched_point`]. The hook turns a `(tid, point)` pair into a
     /// virtual delay, letting an external controller — e.g. the `tm-mc`
@@ -586,6 +598,102 @@ impl SimSnapshot {
     pub fn pages(&self) -> usize {
         self.machine.pages()
     }
+}
+
+/// Host-side state shared by the logical threads of one [`Sim`]'s runs, and
+/// owned by whoever holds the turn: built by [`Sim::turn_cell`], opened
+/// during a run by [`TurnCell::with`] at the cost of one pointer compare —
+/// no lock, no atomic, no flag — and between runs by [`TurnCell::with_idle`].
+///
+/// Exactly one logical thread runs between two hand-offs of the turn, and a
+/// thread hands it on only inside an event, which takes its `&mut Ctx`
+/// ([`Ctx`]). `with` borrows that `Ctx` mutably for as long as the closure
+/// runs, so the two rules for host-side state are the borrow checker's: the
+/// closure cannot name `ctx`, hence no event — no hand-off — happens while
+/// the value is borrowed, and no second `with` of the same machine nests
+/// inside it.
+///
+/// ```
+/// use tm_sim::{MachineConfig, Sim};
+///
+/// let sim = Sim::new(MachineConfig::xeon_e5405());
+/// let cell = sim.turn_cell(0u64);
+/// sim.run(4, |ctx| {
+///     let seen = ctx.read_u64(0x1000);
+///     cell.with(ctx, |sum| *sum += seen + 1);
+/// });
+/// assert_eq!(cell.with_idle(|sum| *sum), 4);
+/// ```
+///
+/// An event under the borrow does not compile:
+///
+/// ```compile_fail,E0500
+/// use tm_sim::{MachineConfig, Sim};
+///
+/// let sim = Sim::new(MachineConfig::xeon_e5405());
+/// let cell = sim.turn_cell(0u64);
+/// sim.run(4, |ctx| {
+///     cell.with(ctx, |_| ctx.read_u64(0x1000));
+/// });
+/// ```
+pub struct TurnCell<T> {
+    /// The machine whose turn guards `value`.
+    shared: Arc<Shared>,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `shared` is `Sync` by itself. `value` is reached only through
+// `with` and `with_idle`, each of which establishes that its caller is the
+// only thread inside the cell (see there) — the cell is a lock whose guard
+// is the turn — so, as for a mutex, sharing the cell moves `T` between
+// threads and never shares it: `T: Send` is what that needs.
+unsafe impl<T: Send> Sync for TurnCell<T> {}
+
+impl<T> TurnCell<T> {
+    /// Run `f` on the value, from a logical thread of a run of this cell's
+    /// machine. Panics if `ctx` is a thread of another [`Sim`].
+    #[inline]
+    pub fn with<R>(&self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut T) -> R) -> R {
+        if !ptr::eq(ctx.shared, &*self.shared) {
+            foreign_ctx();
+        }
+        // SAFETY: nothing else is inside the cell, and nothing can enter
+        // before `f` returns. `ctx` exists only inside a `Sim::run` of this
+        // machine (the check above), which holds `shared.inner` for all of
+        // it: no second run, and no `with_idle`, which needs that lock. Of
+        // the run's threads only the holder of the turn executes, on both
+        // executors (`thread_main` calls the workload only after `resumed`;
+        // on OS threads every access lies on the baton's `Release`/`Acquire`
+        // chain — see `Boot`), and the caller is that thread: it has the
+        // `&mut Ctx`, which is neither `Send` nor able to outlive the
+        // workload call it was lent to. It stays the holder until its next
+        // event, and `f` can cause none: every event takes the `&mut Ctx`
+        // borrowed here. For the same reason `f` cannot call `with` again.
+        f(unsafe { &mut *self.value.get() })
+    }
+
+    /// Run `f` on the value while no run of this cell's machine is in
+    /// progress (set-up, inspection, snapshot and restore). Panics instead
+    /// of blocking when one is — called from inside a run it could only
+    /// deadlock — and likewise while another thread is inside the machine
+    /// between runs (another `with_idle`, a [`Sim::snapshot`]).
+    pub fn with_idle<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let Some(_idle) = self.shared.inner.try_lock() else {
+            panic!("TurnCell::with_idle called during a run");
+        };
+        // SAFETY: `_idle` is the lock every `Sim::run` of this machine
+        // holds from before its first thread starts until after its last
+        // has finished, and every `with_idle` for the whole of `f`: while we
+        // hold it no `Ctx` of this machine exists, so no `with` can be
+        // running or start, and no other `with_idle` can.
+        f(unsafe { &mut *self.value.get() })
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn foreign_ctx() -> ! {
+    panic!("TurnCell::with called with the Ctx of another Sim");
 }
 
 /// State of a run; lives on the driver's stack and, like `Inner`, is reached
@@ -843,7 +951,8 @@ impl MachineStateView<'_> {
 /// hand-off order, identically on both executor backends. Two rules follow:
 /// never wait on the host for a peer (it cannot run before this thread's
 /// next event), and never hold a host lock across an event (the thread that
-/// gets the turn may want it).
+/// gets the turn may want it). A [`TurnCell`] holds such state without a
+/// lock and turns the second rule into a compile error.
 pub struct Ctx<'a> {
     tid: usize,
     n: usize,
@@ -2251,5 +2360,83 @@ mod tests {
             ctx.tick(CLOCK_LIMIT);
             ctx.fence();
         });
+    }
+
+    // --- TurnCell: host-side state owned by the holder of the turn ---
+
+    #[test]
+    fn the_cell_refuses_the_ctx_of_another_sim() {
+        let (mine, other) = (sim(), sim());
+        let cell = mine.turn_cell(0u64);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            other.run(1, |ctx| cell.with(ctx, |v| *v += 1));
+        }));
+        let msg = panic_text(caught.expect_err("a foreign Ctx must be refused"));
+        assert_eq!(msg, "TurnCell::with called with the Ctx of another Sim");
+        mine.run(1, |ctx| cell.with(ctx, |v| *v += 2));
+        assert_eq!(cell.with_idle(|v| *v), 2);
+    }
+
+    #[test]
+    fn with_idle_inside_a_run_panics_instead_of_hanging() {
+        for backend in both_backends() {
+            for n in [1, 4] {
+                let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+                let cell = s.turn_cell(0u64);
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    s.run(n, |ctx| {
+                        ctx.fence();
+                        cell.with_idle(|v| *v += 1);
+                    });
+                }));
+                let msg = panic_text(caught.expect_err("with_idle in a run must panic"));
+                assert_eq!(
+                    msg, "TurnCell::with_idle called during a run",
+                    "{backend:?}"
+                );
+                // The run is over: the cell is idle again, and untouched.
+                assert_eq!(cell.with_idle(|v| *v), 0, "{backend:?}, {n} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn the_hand_off_chain_orders_what_eight_threads_do_in_the_cell() {
+        // Nothing but the turn orders the read-modify-writes below: were two
+        // OS threads ever inside the cell together, updates would be lost or
+        // the logs of the two backends would differ.
+        const ROUNDS: u64 = 300;
+        let logs: Vec<Vec<usize>> = both_backends()
+            .into_iter()
+            .map(|backend| {
+                let cfg = MachineConfig {
+                    cores: 8,
+                    cores_per_socket: 4,
+                    ..MachineConfig::tiny_test()
+                };
+                let s = Sim::with_backend(cfg, backend);
+                let mx = s.new_mutex();
+                let cell = s.turn_cell((0u64, Vec::new()));
+                s.run(8, |ctx| {
+                    let tid = ctx.tid();
+                    for _ in 0..ROUNDS {
+                        ctx.lock(mx);
+                        cell.with(ctx, |(sum, log)| {
+                            let seen = std::hint::black_box(*sum);
+                            log.push(tid);
+                            *sum = seen + 1;
+                        });
+                        ctx.unlock(mx);
+                        cell.with(ctx, |(sum, _)| *sum = std::hint::black_box(*sum) + 1);
+                        ctx.tick(3 + tid as u64);
+                    }
+                });
+                let (sum, log) = cell.with_idle(std::mem::take);
+                assert_eq!(sum, 8 * ROUNDS * 2, "{backend:?}");
+                log
+            })
+            .collect();
+        assert_eq!(logs[0].len() as u64, 8 * ROUNDS);
+        assert!(logs.iter().all(|log| *log == logs[0]));
     }
 }

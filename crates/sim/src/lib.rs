@@ -44,13 +44,17 @@ mod cache;
 mod config;
 mod exec;
 mod fiber;
+mod hash;
 mod machine;
 mod memory;
 mod report;
 
 pub use cache::{CacheConfig, CacheStats, HtmAbort};
 pub use config::{CostModel, MachineConfig};
-pub use exec::{check_exec_env, Ctx, SchedHook, Sim, SimSnapshot, CLOCK_BITS, FUEL_EXHAUSTED};
+pub use exec::{
+    check_exec_env, Ctx, SchedHook, Sim, SimSnapshot, TurnCell, CLOCK_BITS, FUEL_EXHAUSTED,
+};
+pub use hash::{IntHasher, IntMap};
 pub use machine::{LockStats, SimMutex};
 pub use report::SimReport;
 pub use tm_obs::{Event, EventKind, Obs};

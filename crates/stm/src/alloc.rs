@@ -7,12 +7,12 @@
 //! *without* their own thread-private caching (Glibc), which is exactly
 //! what the reproduction demonstrates.
 
-use std::collections::HashMap;
+use tm_sim::IntMap;
 
 /// Thread-local pool of blocks keyed by requested size.
 #[derive(Debug)]
 pub struct ObjectCache {
-    by_size: HashMap<u64, Vec<u64>>,
+    by_size: IntMap<u64, Vec<u64>>,
     total: usize,
     cap: usize,
 }
@@ -27,7 +27,7 @@ impl ObjectCache {
     /// Pool holding at most `cap` blocks in total.
     pub fn with_capacity(cap: usize) -> Self {
         ObjectCache {
-            by_size: HashMap::new(),
+            by_size: IntMap::default(),
             total: 0,
             cap,
         }

@@ -124,34 +124,15 @@ impl GenTable {
 /// Only consulted when the §6.2 object cache is enabled (the cache needs a
 /// block's size at free time); with the cache off, no STM path touches it.
 /// Sharding by address hash keeps cross-thread malloc/free traffic off a
-/// single global lock, and the multiply-xor hasher avoids paying SipHash
-/// per block.
+/// single global lock, and the workspace's integer hasher avoids paying
+/// SipHash per block.
 pub(crate) struct SizeRegistry {
     shards: Vec<parking_lot::Mutex<SizeMap>>,
 }
 
-pub(crate) type SizeMap =
-    std::collections::HashMap<u64, u64, std::hash::BuildHasherDefault<AddrHasher>>;
+pub(crate) type SizeMap = tm_sim::IntMap<u64, u64>;
 
 const SHARDS: usize = 16;
-
-/// Multiply-xor hasher for block addresses (same rationale as the cache
-/// directory's hasher: u64 keys, no DoS exposure).
-#[derive(Clone, Copy, Default)]
-pub(crate) struct AddrHasher(u64);
-
-impl std::hash::Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("size-registry keys hash via write_u64 only")
-    }
-    fn write_u64(&mut self, n: u64) {
-        let x = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 32);
-    }
-}
 
 impl SizeRegistry {
     pub(crate) fn new() -> Self {

@@ -11,8 +11,10 @@
 # (${CARGO_TARGET_DIR:-target}/profile; nothing under benchmark/ is touched),
 # runs the workload and prints two tables, share of samples by function:
 # the outermost (non-inlined) function a sample is in, and the innermost
-# frame inlined there. Exits 0 with a notice where `cc` or `addr2line` is
-# missing.
+# frame inlined there. Each share is given twice: of the samples outside the
+# benchmark's own calibration kernel, which `host_s` does not time — so "X %
+# of the profile" and "`host_s` can fall by X %" are the same X — and of all
+# samples. Exits 0 with a notice where `cc` or `addr2line` is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,26 +56,40 @@ SIGPROF_OUT="$samples" LD_PRELOAD="$dir/sigprof.so" "${cmd[@]}" >/dev/null
 
 # `addr2line -a -f -i` prints, per address: the address, then a function
 # line and a file:line line per frame, innermost inlined frame first and
-# the function that was actually called last.
+# the function that was actually called last. A sample with a frame in
+# `tm_benchmark::calib::` is the benchmark timing its own calibration
+# kernel: `host_s` leaves that time out, so each share is printed twice —
+# of the samples outside the kernel (the share by which `host_s` should
+# move if the function cost nothing), then of all samples.
 grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | awk -v what="$what" \
   -v outside="$(grep -c '^-' "$samples" || true)" '
-  function close_sample() { if (innermost != "") { inner[innermost]++; outer[last]++; n++ } }
-  function table(title, count,    f, lines) {
+  function close_sample() {
+    if (innermost == "") return
+    n++
+    if (in_calib) { calib++; inner_calib[innermost]++; outer_calib[last]++ }
+    else { inner[innermost]++; outer[last]++ }
+  }
+  function table(title, count, count_calib,    f, lines) {
     printf "\n== %s ==\n", title
-    for (f in count) lines = lines sprintf("%5.1f%%  %s\n", 100 * count[f] / (n + outside), f)
+    for (f in count)
+      lines = lines sprintf("%5.1f%%  %5.1f%%  %s\n", 100 * count[f] / (n + outside - calib), 100 * count[f] / (n + outside), f)
+    for (f in count_calib)
+      lines = lines sprintf("    -   %5.1f%%  %s\n", 100 * count_calib[f] / (n + outside), f)
     printf "%s", lines | "sort -rn | head -n 15"
     close("sort -rn | head -n 15")
   }
-  /^0x/ { close_sample(); innermost = ""; frame = 0; next }
+  /^0x/ { close_sample(); innermost = ""; frame = 0; in_calib = 0; next }
   { frame++ }
   frame % 2 == 1 {
     sub(/::h[0-9a-f]{16}$/, "")
     if (innermost == "") innermost = $0
+    if ($0 ~ /^tm_benchmark::calib::/) in_calib = 1
     last = $0
   }
   END {
     close_sample()
-    printf "profile: %s, %d samples at 250 Hz, %d of them outside the executable\n", what, n + outside, outside
-    table("outermost non-inlined function", outer)
-    table("innermost inlined frame", inner)
+    printf "profile: %s, %d samples at 250 Hz, %d of them outside the executable, %d in the benchmark'"'"'s calibration kernel\n", what, n + outside, outside, calib
+    printf "columns: share of the %d samples outside the calibration kernel (what host_s times), share of all %d\n", n + outside - calib, n + outside
+    table("outermost non-inlined function", outer, outer_calib)
+    table("innermost inlined frame", inner, inner_calib)
   }'

@@ -26,14 +26,29 @@ fi
 echo "==> cargo test"
 $CARGO test --workspace -q
 
+# An allocator model's host state sits in a `tm_sim::TurnCell`, opened by
+# the holder of the turn for a pointer compare; the borrow checker keeps
+# events out of it (DESIGN.md §4.1, §5). Above their `#[cfg(test)]` line
+# neither the five model files nor `state.rs` may grow a host lock, an
+# `unsafe` or a SipHash map back.
+echo "==> allocator models: no host lock, no unsafe, no std HashMap"
+for f in glibc hoard tbb tc serial state; do
+  if sed '/^#\[cfg(test)\]/q' "crates/alloc/src/$f.rs" |
+    grep -nwE 'Mutex|RwLock|unsafe|std::collections::HashMap'; then
+    echo "verify: crates/alloc/src/$f.rs holds one of Mutex, RwLock, unsafe, std::collections::HashMap"
+    exit 1
+  fi
+done
+
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
 # above used the default one; run the simulator's and the allocator models'
-# own tests under each by name — the models' multi-threaded conformance,
-# cross-thread-free and snapshot tests are where a host guard held across
-# an event shows, and it shows differently on each backend — then hold the
-# OS-thread reference to the committed whole-stack goldens: allocation
-# order, abort counts and heap peaks are decided by host-side state between
-# events, which only hand-off order makes deterministic.
+# own tests under each by name — the turn cell's tests and the models'
+# multi-threaded conformance, cross-thread-free and snapshot tests are
+# where host-side state reached outside the turn shows, and it shows
+# differently on each backend — then hold the OS-thread reference to the
+# committed whole-stack goldens: allocation order, abort counts and heap
+# peaks are decided by host-side state between events, which only hand-off
+# order makes deterministic.
 for exec in fibers threads; do
   echo "==> cargo test -p tm-sim -p tm-alloc (TM_SIM_EXEC=$exec)"
   TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -q

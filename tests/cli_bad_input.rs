@@ -228,3 +228,42 @@ fn a_workload_panic_is_one_error_line_and_exit_1_not_a_hang() {
         );
     }
 }
+
+/// A request size is input too. One whose rounded size wraps a `u64` was
+/// served from the 32 bytes (or the zero-byte mapping) the sum wrapped to,
+/// and printed a throughput; it is the allocator's exhaustion, one `error:`
+/// line and exit 1, on every model. And a run of no pairs, which takes no
+/// virtual time, has a throughput of zero, not `NaN`.
+#[test]
+fn a_request_no_address_space_holds_is_exhaustion_and_no_pairs_is_zero_throughput() {
+    let run = |argv: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .arg("threadtest")
+            .args(argv)
+            .output()
+            .expect("run tmstudy");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stdout, stderr)
+    };
+    let table = [
+        ("glibc", "18446744073709551600"),
+        ("hoard", "18446744073709551601"),
+        ("tbb", "18446744073709551615"),
+        ("tc", "18446744073709551615"),
+    ];
+    for (alloc, size) in table {
+        let argv = ["--alloc", alloc, "--threads", "1", "--size", size];
+        let (code, _, stderr) = run(&[&argv[..], &["--pairs", "2"]].concat());
+        assert_eq!(code, Some(1), "{alloc}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{alloc}: {stderr}");
+        let told = format!("exhausted serving a {size}-byte request");
+        assert!(
+            stderr.starts_with("error: the workload panicked: ") && stderr.contains(&told),
+            "{alloc}: {stderr}"
+        );
+    }
+    let (code, stdout, stderr) = run(&["--alloc", "glibc", "--threads", "2", "--pairs", "0"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("throughput : 0.00 M pairs/s"), "{stdout}");
+}
