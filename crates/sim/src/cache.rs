@@ -15,6 +15,13 @@
 //! machine per run and most runs touch a sliver of a 6 MB L2, so building,
 //! snapshotting, restoring and dropping a hierarchy cost what the run
 //! touched (DESIGN.md §4, §14).
+//!
+//! The probe is exact but reads little: the ways of a set live in blocks of
+//! eight (`Lanes`, 160 bytes), and each block keeps, beside its eight tags,
+//! one word of eight partial-tag bytes. A probe matches the line's byte
+//! against that word, then compares the full tag of each matching lane, so
+//! a hit reads one word, then one tag. `Lanes::set_tag` is the one writer
+//! of the tags, and keeps the word in step.
 
 use std::collections::HashSet;
 
@@ -131,12 +138,28 @@ const EMPTY: u64 = u64::MAX;
 /// Ways per [`Lanes`] block.
 const LANES: usize = 8;
 
-/// Eight ways side by side, as parallel arrays (the probe scans `tags`
-/// alone): 168 bytes, 21 a way. A set takes `ways.div_ceil(LANES)`
-/// consecutive blocks, way `w` in lane `w % LANES` of block `w / LANES`;
-/// lanes past the associativity stay `EMPTY` and are never filled.
+/// A byte in every lane of a partial-tag word.
+const LANE_ONES: u64 = 0x0101_0101_0101_0101;
+
+/// The partial tag of `tag`: the top byte of its Fibonacci hash, so lines
+/// that differ only in high bits — the lines of one set do — still differ
+/// here.
+#[inline(always)]
+const fn ptag_of(tag: u64) -> u64 {
+    tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56
+}
+
+/// Eight ways side by side, as parallel arrays: 160 bytes, 20 a way. A set
+/// takes `ways.div_ceil(LANES)` consecutive blocks, way `w` in lane
+/// `w % LANES` of block `w / LANES`; lanes past the associativity stay
+/// `EMPTY` and are never filled. The probe reads `ptag` and then, for each
+/// lane whose byte matches, that lane's tag — a hit reads one word, then
+/// one tag; a miss usually reads no tag at all.
 #[derive(Clone)]
 struct Lanes {
+    /// Byte `l` is `ptag_of(tags[l])`. [`Lanes::set_tag`] is the one
+    /// writer of `tags` and keeps it so.
+    ptag: u64,
     /// `EMPTY` marks an invalid way.
     tags: [u64; LANES],
     /// LRU stamps.
@@ -144,14 +167,17 @@ struct Lanes {
     /// Journal epoch marks: `mark == Journal::cur` means the way's
     /// pre-image is already in the undo log. Marks belong to the live
     /// array's journal, not to the cache state: a clone's are dead data
-    /// and [`TagArray::copy_state_from`] never copies them.
-    mark: [u32; LANES],
+    /// and [`TagArray::copy_state_from`] never copies them. Sixteen bits
+    /// pay for `ptag`: the epoch wraps once per 65 535 arms, and the wrap
+    /// clears every mark.
+    mark: [u16; LANES],
     /// Dirty bits (meaningful for L1 arrays only).
     dirty: [bool; LANES],
 }
 
 /// The state every way starts in.
 const INITIAL: Lanes = Lanes {
+    ptag: ptag_of(EMPTY) * LANE_ONES,
     tags: [EMPTY; LANES],
     stamp: [0; LANES],
     mark: [0; LANES],
@@ -213,7 +239,7 @@ struct SlotUndo {
 /// so arming allocates nothing and clears nothing: it bumps `cur`.
 #[derive(Default)]
 struct Journal {
-    cur: u32,
+    cur: u16,
     undo: Vec<SlotUndo>,
     /// LRU tick at arm time (the tick advances on every probe, hit or
     /// miss, so it is not covered by per-way pre-images).
@@ -232,20 +258,38 @@ impl Clone for JournalSlot {
 }
 
 impl Lanes {
-    /// The lane holding `line`, found without a data-dependent branch: all
-    /// eight tags are compared into one equality mask. Which lane hits is
-    /// as good as random, so a scan that leaves at the first match
-    /// mispredicts its exit about once a probe. The lowest bit of the mask
-    /// is the first match in way order; a hierarchy fills a line only after
-    /// probing for it, so there it is the only one.
+    /// The lowest lane holding `line` — the first match in way order; a
+    /// hierarchy fills a line only after probing for it, so there it is the
+    /// only one. `line`'s partial tag is broadcast to all eight bytes and
+    /// XORed with `ptag`, and the SWAR zero-byte test flags the lanes whose
+    /// byte matches — every one, plus possibly lanes above one (the
+    /// subtraction's borrow). Candidates are taken lowest first and each
+    /// is confirmed by its full tag, so the answer is exact. Which lane
+    /// hits is as good as random, but there is almost always one candidate
+    /// or none, so the loop costs one predictable compare where an
+    /// early-exit scan of the tags would mispredict its exit.
     #[inline(always)]
     fn lane_of(&self, line: u64) -> Option<usize> {
-        let mask = self
-            .tags
-            .iter()
-            .enumerate()
-            .fold(0u32, |mask, (l, &tag)| mask | u32::from(tag == line) << l);
-        (mask != 0).then(|| mask.trailing_zeros() as usize)
+        let x = self.ptag ^ (ptag_of(line) * LANE_ONES);
+        let mut candidates = x.wrapping_sub(LANE_ONES) & !x & (LANE_ONES << 7);
+        while candidates != 0 {
+            let l = candidates.trailing_zeros() as usize / 8;
+            if self.tags[l] == line {
+                return Some(l);
+            }
+            #[cfg(test)]
+            tests::COLLISIONS.with(|n| n.set(n.get() + 1));
+            candidates &= candidates - 1;
+        }
+        None
+    }
+
+    /// Write lane `l`'s tag and its partial tag: the one writer of `tags`.
+    #[inline(always)]
+    fn set_tag(&mut self, l: usize, tag: u64) {
+        self.tags[l] = tag;
+        let byte = 8 * l as u32;
+        self.ptag = (self.ptag & !(0xff << byte)) | (ptag_of(tag) << byte);
     }
 
     /// Record lane `l`'s pre-image if `journal` is armed and this is the
@@ -338,7 +382,7 @@ impl TagArray {
         j.tick0 = self.tick;
         j.cur = j.cur.wrapping_add(1);
         if j.cur == 0 {
-            // Epoch counter wrapped (once per 2^32 arms): old marks could
+            // Epoch counter wrapped (once per 2^16 arms): old marks could
             // alias the fresh epoch, so clear them all.
             for lanes in self.groups.iter_mut().flatten().flat_map(|g| g.iter_mut()) {
                 lanes.mark = INITIAL.mark;
@@ -371,7 +415,7 @@ impl TagArray {
             let lanes = &mut self.groups[u.slot.group as usize]
                 .as_deref_mut()
                 .expect("a logged way's group is materialized")[b];
-            lanes.tags[l] = u.tag;
+            lanes.set_tag(l, u.tag);
             lanes.stamp[l] = u.stamp;
             lanes.dirty[l] = u.dirty;
         }
@@ -396,7 +440,7 @@ impl TagArray {
             }
             for (b, d) in dst.iter_mut().flat_map(|g| g.iter_mut()).enumerate() {
                 let s = src.map_or(&INITIAL, |src| &src[b]);
-                (d.tags, d.stamp, d.dirty) = (s.tags, s.stamp, s.dirty);
+                (d.ptag, d.tags, d.stamp, d.dirty) = (s.ptag, s.tags, s.stamp, s.dirty);
             }
         }
         self.tick = src.tick;
@@ -450,7 +494,7 @@ impl TagArray {
                 }
                 if lanes.tags[l] == EMPTY {
                     lanes.log(l, slot(b, l), &mut self.journal);
-                    lanes.tags[l] = line;
+                    lanes.set_tag(l, line);
                     lanes.stamp[l] = self.tick;
                     lanes.dirty[l] = dirty;
                     return None;
@@ -465,7 +509,7 @@ impl TagArray {
         let lanes = &mut set[b];
         lanes.log(l, slot(b, l), &mut self.journal);
         let evicted = (lanes.tags[l], lanes.dirty[l]);
-        lanes.tags[l] = line;
+        lanes.set_tag(l, line);
         lanes.stamp[l] = self.tick;
         lanes.dirty[l] = dirty;
         Some(evicted)
@@ -476,7 +520,7 @@ impl TagArray {
         let Some((lanes, l, _)) = self.touch(line) else {
             return false;
         };
-        lanes.tags[l] = EMPTY;
+        lanes.set_tag(l, EMPTY);
         lanes.dirty[l] = false;
         true
     }
@@ -493,10 +537,15 @@ impl TagArray {
 /// would cost more than the rest of a directory operation combined.
 type DirMap = crate::IntMap<u64, DirEntry>;
 
+/// Cores a machine may have: [`DirEntry::sharers`] holds one bit a core
+/// (`Sim::new` refuses more).
+pub(crate) const MAX_CORES: usize = u16::BITS as usize;
+
 /// Directory entry: which cores' L1s hold the line, and whether one of them
 /// holds it modified.
 #[derive(Clone, Copy, Default)]
 struct DirEntry {
+    /// Bit `c` for core `c`.
     sharers: u16,
     dirty_in: Option<u8>,
 }
@@ -840,9 +889,24 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Candidates `Lanes::lane_of` took on their partial tag and then
+        /// rejected on the full one, on this thread.
+        pub(super) static COLLISIONS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn machine() -> MachineConfig {
         MachineConfig::tiny_test()
+    }
+
+    /// Every materialized block's partial-tag word is what its tags make.
+    fn assert_ptags(a: &TagArray) {
+        for lanes in a.groups.iter().flatten().flat_map(|g| g.iter()) {
+            let want = (0..LANES).fold(0, |w, l| w | ptag_of(lanes.tags[l]) << (8 * l));
+            assert_eq!(lanes.ptag, want, "partial tags of {:x?}", lanes.tags);
+        }
     }
 
     #[test]
@@ -892,7 +956,8 @@ mod tests {
     }
 
     /// [`assert_arrays_match`] over the sets `sets_of` names for a pair of
-    /// arrays (it must name every set the two can differ in).
+    /// arrays (it must name every set the two can differ in). The partial
+    /// tags of each side must be its own tags'.
     fn assert_match_in(
         live: &Hierarchy,
         snap: &Hierarchy,
@@ -904,6 +969,8 @@ mod tests {
             .zip(&snap.l1)
             .chain(live.l2.iter().zip(&snap.l2))
         {
+            assert_ptags(a);
+            assert_ptags(b);
             for set in sets_of(a, b) {
                 for w in 0..a.ways {
                     assert_eq!(way(a, set, w), way(b, set, w), "set {set} way {w}");
@@ -1453,7 +1520,9 @@ mod tests {
 
     /// Lines that pile more than `ways` deep onto a few sets — among them
     /// the last set of one group, the first of the next and the array's
-    /// last — so streams evict, and materialize groups one at a time.
+    /// last — so streams evict, and materialize groups one at a time. Each
+    /// set also gets two lines that share its first line's partial tag, so
+    /// probes meet candidates their full tag rejects.
     fn contended_lines(cfg: CacheConfig) -> Vec<u64> {
         let sets = cfg.sets() as u64;
         let picks = [
@@ -1467,7 +1536,13 @@ mod tests {
         let depth = cfg.ways as u64 + 3;
         picks
             .iter()
-            .flat_map(|&set| (0..depth).map(move |k| (set % sets) + k * sets))
+            .flat_map(|&set| {
+                let line = move |k| (set % sets) + k * sets;
+                let twins = (depth..)
+                    .map(line)
+                    .filter(move |&l| ptag_of(l) == ptag_of(line(0)));
+                (0..depth).map(line).chain(twins.take(2))
+            })
             .collect()
     }
 
@@ -1479,6 +1554,7 @@ mod tests {
     #[test]
     fn sparse_array_matches_its_dense_definition_step_by_step() {
         use rand::{Rng, SeedableRng};
+        COLLISIONS.set(0);
         for (g, cfg) in oracle_geometries().into_iter().enumerate() {
             let lines = contended_lines(cfg);
             for seed in 0..4u64 {
@@ -1508,6 +1584,7 @@ mod tests {
                         }
                         _ => p.step(&mut rng, &lines),
                     }
+                    assert_ptags(&p.sparse);
                 }
                 // A full set with every way probed, so that the scan has
                 // named each lane of each block (8 lanes × 3 blocks on the
@@ -1538,6 +1615,8 @@ mod tests {
                 assert_is(&p.sparse, &p.dense, "at the end");
             }
         }
+        let collisions = COLLISIONS.get();
+        assert!(collisions >= 100, "{collisions} partial-tag collisions");
     }
 
     /// The named hazard: snapshot, run, cold-restore (a mismatched id in
@@ -1562,6 +1641,81 @@ mod tests {
         }
     }
 
+    /// One set of the E5405's 8-way L1 and of its 24-way L2, full, with the
+    /// probed line in the last way and the three ways below it — the same
+    /// block — holding lines that share its partial-tag byte: every
+    /// candidate the partial tags name before the line's own way is a
+    /// collision. Each operation that finds a way by its tag must act on
+    /// the way whose full tag matches, and on no other.
+    #[test]
+    fn partial_tag_collisions_resolve_to_the_way_whose_tag_matches() {
+        let xeon = MachineConfig::xeon_e5405();
+        for cfg in [xeon.l1, xeon.l2] {
+            let sets = cfg.sets() as u64;
+            let (target, mine) = (sets, cfg.ways - 1);
+            let byte = ptag_of(target);
+            let set_0 = (2..).map(|k| k * sets);
+            let colliders = set_0.clone().filter(|&l| ptag_of(l) == byte).take(3);
+            let others = set_0.filter(|&l| ptag_of(l) != byte).take(cfg.ways - 4);
+            let resident: Vec<u64> = others.chain(colliders).chain([target]).collect();
+            let mut a = TagArray::new(cfg);
+            for &line in &resident {
+                assert_eq!(a.fill(line, true), None);
+            }
+            let ways = |a: &TagArray| (0..cfg.ways).map(|w| way(a, 0, w)).collect::<Vec<_>>();
+            let before = COLLISIONS.get();
+
+            let (slot, dirty) = a.probe(target).expect("resident");
+            assert_eq!((slot.group, slot.at as usize, dirty), (0, mine, true));
+            assert_eq!(
+                way(&a, 0, mine).1,
+                a.tick,
+                "the probe stamps the line's way"
+            );
+            assert!(
+                COLLISIONS.get() >= before + 3,
+                "the colliders were candidates"
+            );
+
+            let dirty_before = ways(&a);
+            a.clear_dirty(target);
+            for (w, (now, was)) in ways(&a).into_iter().zip(dirty_before).enumerate() {
+                assert_eq!(now, (was.0, was.1, w != mine), "clear_dirty, way {w}");
+            }
+
+            let before_invalidate = ways(&a);
+            assert!(a.invalidate(target));
+            for (w, (now, was)) in ways(&a).into_iter().zip(before_invalidate).enumerate() {
+                let want = if w == mine {
+                    (EMPTY, was.1, false)
+                } else {
+                    was
+                };
+                assert_eq!(now, want, "invalidate, way {w}");
+            }
+            assert_eq!(a.probe(target), None);
+            assert!(!a.invalidate(target));
+
+            // The one empty way is the line's old one; a fill of a line
+            // already there refreshes that way alone.
+            assert_eq!(a.fill(target, false), None);
+            assert_eq!(way(&a, 0, mine), (target, a.tick, false));
+            let before_refill = ways(&a);
+            assert_eq!(a.fill(target, true), None);
+            for (w, (now, was)) in ways(&a).into_iter().zip(before_refill).enumerate() {
+                let want = if w == mine {
+                    (target, a.tick, true)
+                } else {
+                    was
+                };
+                assert_eq!(now, want, "fill, way {w}");
+            }
+            let (slot, _) = a.probe(target).expect("filled again");
+            assert_eq!(slot.at as usize, mine);
+            assert_ptags(&a);
+        }
+    }
+
     /// A snapshot's marks are dead data. Here they would bite: the clone is
     /// taken in epoch 5 with ways marked 5, the epoch counter wraps, and the
     /// cold restore re-arms into epoch 5 again — a way that arrived marked
@@ -1581,7 +1735,7 @@ mod tests {
         assert!(snap.sparse.groups.iter().flatten().any(marked));
 
         // Wrap: the next arm clears the live marks and starts over at 1.
-        p.sparse.journal.0.as_mut().expect("armed").cur = u32::MAX;
+        p.sparse.journal.0.as_mut().expect("armed").cur = u16::MAX;
         p.dense.journal.0.as_mut().expect("armed").cur = u32::MAX;
         (0..4).for_each(|_| p.arm());
         (0..200).for_each(|_| p.step(&mut rng, &lines));
@@ -1631,6 +1785,7 @@ mod tests {
             MachineConfig::modern_8core(),
             MachineConfig::tiny_test(),
         ];
+        COLLISIONS.set(0);
         for (m, cfg) in machines.iter().enumerate() {
             let mut lines = contended_lines(cfg.l1);
             lines.extend(contended_lines(cfg.l2));
@@ -1713,6 +1868,8 @@ mod tests {
                 missed(&hit.1)
             );
         }
+        let collisions = COLLISIONS.get();
+        assert!(collisions >= 100, "{collisions} partial-tag collisions");
     }
 
     #[test]
@@ -1730,6 +1887,27 @@ mod tests {
         assert!(c0 > cfg.cost.l1_hit);
         assert!(h.stats(0).invalidations >= 1);
         assert!(h.stats(1).coherence_transfers >= 1);
+    }
+
+    /// The last core the directory can name keeps its own bit: core 0's
+    /// write invalidates core 15's copy, and core 15's next read is a
+    /// transfer. (A seventeenth core would share core 0's bit; `Sim::new`
+    /// refuses that machine.)
+    #[test]
+    fn the_last_core_of_a_full_sharer_mask_is_invalidated() {
+        let cfg = MachineConfig {
+            cores: MAX_CORES,
+            cores_per_socket: MAX_CORES,
+            ..MachineConfig::xeon_e5405()
+        };
+        let mut h = Hierarchy::new(&cfg);
+        let last = MAX_CORES - 1;
+        h.access(0, 0x1000, false);
+        h.access(last, 0x1000, false);
+        h.access(0, 0x1000, true);
+        assert_eq!(h.stats(last).invalidations, 1);
+        let read = h.access(last, 0x1000, false);
+        assert_eq!(read, cfg.cost.l1_hit + cfg.cost.transfer_same_socket);
     }
 
     #[test]

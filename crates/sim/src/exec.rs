@@ -66,7 +66,7 @@ use std::thread::Thread;
 use parking_lot::Mutex;
 use tm_obs::{EventKind, Obs};
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, MAX_CORES};
 use crate::config::MachineConfig;
 use crate::fiber;
 use crate::machine::{MachineState, SimMutex};
@@ -301,13 +301,26 @@ impl Sim {
     /// Build a simulator for one machine configuration. The executor
     /// backend is chosen here, once, from `TM_SIM_EXEC` (`fibers` where
     /// supported, else OS `threads`) — both produce bit-identical reports.
-    /// Panics on a value [`check_exec_env`] rejects.
+    /// Panics on a value [`check_exec_env`] rejects, and on a machine the
+    /// model cannot represent: more cores than the cache directory's
+    /// sharer mask has bits, or a zero count that the topology or a cache
+    /// geometry divides by.
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(
             cfg.cores <= 1 << TID_BITS,
             "{} cores do not fit the scheduling key's {TID_BITS} thread-id bits",
             cfg.cores
         );
+        assert!(
+            (1..=MAX_CORES).contains(&cfg.cores),
+            "{} cores: a machine has 1 to {MAX_CORES}, one a bit of the cache directory's \
+             {MAX_CORES}-bit sharer mask",
+            cfg.cores
+        );
+        assert!(cfg.cores_per_socket > 0, "a machine has 0 cores per socket");
+        for (level, cache) in [("L1", cfg.l1), ("L2", cfg.l2)] {
+            assert!(cache.ways > 0, "the {level} cache has 0 ways");
+        }
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 machine: MachineState::new(cfg.clone()),
@@ -1454,6 +1467,7 @@ fn finish_thread(g: &mut Inner, tid: usize, pending: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheConfig;
     use parking_lot::Mutex as HostMutex;
 
     fn sim() -> Sim {
@@ -2342,6 +2356,60 @@ mod tests {
         Sim::new(MachineConfig {
             cores: (1 << TID_BITS) + 1,
             ..MachineConfig::tiny_test()
+        });
+    }
+
+    // --- Machines the model cannot represent ---
+
+    /// Cores 0 and 16 of a 17-core machine would be one bit of the
+    /// directory's sharer mask: core 16 kept a stale copy across core 0's
+    /// write, and its next read was an L1 hit (a debug build overflowed).
+    #[test]
+    #[should_panic(expected = "17 cores: a machine has 1 to 16, one a bit of the cache \
+                               directory's 16-bit sharer mask")]
+    fn a_machine_of_more_cores_than_the_sharer_mask_has_bits_is_refused() {
+        Sim::new(MachineConfig {
+            cores: 17,
+            cores_per_socket: 17,
+            ..MachineConfig::tiny_test()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "0 cores: a machine has 1 to 16")]
+    fn a_machine_of_no_cores_is_refused() {
+        Sim::new(MachineConfig {
+            cores: 0,
+            ..MachineConfig::tiny_test()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a machine has 0 cores per socket")]
+    fn a_socket_of_no_cores_is_refused() {
+        Sim::new(MachineConfig {
+            cores_per_socket: 0,
+            ..MachineConfig::tiny_test()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the L1 cache has 0 ways")]
+    fn an_l1_of_no_ways_is_refused() {
+        let tiny = MachineConfig::tiny_test();
+        Sim::new(MachineConfig {
+            l1: CacheConfig { ways: 0, ..tiny.l1 },
+            ..tiny
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the L2 cache has 0 ways")]
+    fn an_l2_of_no_ways_is_refused() {
+        let tiny = MachineConfig::tiny_test();
+        Sim::new(MachineConfig {
+            l2: CacheConfig { ways: 0, ..tiny.l2 },
+            ..tiny
         });
     }
 

@@ -9,8 +9,12 @@
 //! Every simulated load and store lands here, so the page lookup is the
 //! single hottest data access in the system. Instead of a `HashMap` (hash +
 //! probe per access), pages hang off a three-level radix table — three
-//! array indexes — fronted by a one-entry last-page cache that turns the
-//! common run-of-accesses-to-one-page pattern into a single pointer compare.
+//! array indexes — fronted by a 256-entry direct-mapped TLB of
+//! `(page, pointer)` pairs indexed by the page number's low bits: an access
+//! to a page that still holds its slot is one compare and one load. A page
+//! is freed in one place, `restore`, which clears the
+//! TLB entry of every page it drops; the pages that survive keep their
+//! storage, so their entries stay valid.
 //!
 //! The radix nodes are small (16 KB, 16 KB and 8 KB) and exist only along
 //! paths that lead to a page: a fresh memory is one empty root, the first
@@ -44,13 +48,43 @@ type Mid = [Option<Box<Leaf>>; 1 << MID_BITS];
 /// 2048 middle nodes: the whole 16 TiB behind 16 KB.
 type Root = [Option<Box<Mid>>; 1 << ROOT_BITS];
 
-/// An empty radix node, built on the heap (simulated stores run on fiber
-/// stacks; a node must never pass through one).
-fn node<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
-    vec![None; N]
+/// TLB entries (log2): 256 pages, 1 MiB of simulated memory.
+const TLB_BITS: u64 = 8;
+
+/// One TLB entry: a page id and its storage. See [`Memory::tlb`].
+#[derive(Clone, Copy)]
+struct TlbEntry {
+    page: u64,
+    ptr: *mut Page,
+}
+
+/// No page: page ids stop at 2^52, so `u64::MAX` is none of them.
+const NO_PAGE: TlbEntry = TlbEntry {
+    page: u64::MAX,
+    ptr: std::ptr::null_mut(),
+};
+
+type Tlb = [TlbEntry; 1 << TLB_BITS];
+
+/// `page`'s TLB slot.
+#[inline]
+fn tlb_slot(page: u64) -> usize {
+    page as usize & ((1 << TLB_BITS) - 1)
+}
+
+/// `N` copies of `fill` in an array built on the heap (simulated stores
+/// run on fiber stacks; a radix node or the TLB must never pass through
+/// one).
+fn boxed<T: Clone, const N: usize>(fill: T) -> Box<[T; N]> {
+    vec![fill; N]
         .into_boxed_slice()
         .try_into()
         .unwrap_or_else(|_| unreachable!("the slice has N entries"))
+}
+
+/// An empty radix node.
+fn node<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
+    boxed(None)
 }
 
 /// `page`'s index at the root, middle and leaf level.
@@ -90,16 +124,16 @@ impl MemSnapshot {
 /// anonymous mmap pages.
 pub struct Memory {
     root: Box<Root>,
-    /// Last-page cache: page id + raw pointer to its storage. The pointer
-    /// targets the page's own `Box`, whose address does not depend on the
-    /// radix nodes above it (which are themselves boxed, never moved and
-    /// never freed while the `Memory` lives). A page is freed in exactly
-    /// one place — `restore` dropping pages materialized *after* the
-    /// snapshot — and `restore` invalidates this cache, so the pointer
-    /// stays valid; it is only dereferenced through `&mut self`, so no
-    /// aliasing can occur.
-    last_page: u64,
-    last_ptr: *mut Page,
+    /// Direct-mapped TLB: slot [`tlb_slot`]`(page)` holds `page`'s id and
+    /// a raw pointer to its storage, or [`NO_PAGE`]. Each pointer targets
+    /// the page's own `Box`, whose address does not depend on the radix
+    /// nodes above it (which are themselves boxed, never moved and never
+    /// freed while the `Memory` lives). A page is freed in exactly one
+    /// place — `restore` dropping pages materialized *after* the snapshot —
+    /// and `restore` clears the entry of each page it drops, so every
+    /// pointer left stays valid; they are only dereferenced through
+    /// `&mut self`, so no aliasing can occur.
+    tlb: Box<Tlb>,
     resident: usize,
     /// Page ids in materialization order. Append-only between restores;
     /// `restore` truncates it back to the snapshot's length, which is what
@@ -107,7 +141,7 @@ pub struct Memory {
     mat_log: Vec<u64>,
 }
 
-// The raw cache pointer targets heap storage owned by `self` and is only
+// The TLB's raw pointers target heap storage owned by `self` and are only
 // used through `&mut self`, so moving the `Memory` between threads is safe.
 unsafe impl Send for Memory {}
 
@@ -121,8 +155,7 @@ impl Memory {
     pub fn new() -> Self {
         Memory {
             root: node(),
-            last_page: u64::MAX,
-            last_ptr: std::ptr::null_mut(),
+            tlb: boxed(NO_PAGE),
             resident: 0,
             mat_log: Vec::new(),
         }
@@ -138,9 +171,10 @@ impl Memory {
     #[inline]
     pub fn read(&mut self, addr: u64) -> u64 {
         let (page, idx) = Self::split(addr);
-        if page == self.last_page {
-            // Safe: see `last_ptr` invariant above.
-            return unsafe { (*self.last_ptr)[idx] };
+        let entry = &mut self.tlb[tlb_slot(page)];
+        if entry.page == page {
+            // Safe: see the `tlb` invariant above.
+            return unsafe { (*entry.ptr)[idx] };
         }
         let (r, m, l) = indexes(page);
         // An index beyond the root is an address beyond `ADDR_LIMIT`; it
@@ -154,8 +188,7 @@ impl Memory {
         else {
             return 0;
         };
-        self.last_page = page;
-        self.last_ptr = p as *mut Page;
+        *entry = TlbEntry { page, ptr: p };
         p[idx]
     }
 
@@ -164,8 +197,9 @@ impl Memory {
     #[inline]
     pub fn write(&mut self, addr: u64, val: u64) {
         let (page, idx) = Self::split(addr);
-        if page == self.last_page {
-            unsafe { (*self.last_ptr)[idx] = val };
+        let entry = &mut self.tlb[tlb_slot(page)];
+        if entry.page == page {
+            unsafe { (*entry.ptr)[idx] = val };
             return;
         }
         assert!(
@@ -182,8 +216,10 @@ impl Memory {
                 slot.get_or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]))
             }
         };
-        self.last_page = page;
-        self.last_ptr = p.as_mut() as *mut Page;
+        *entry = TlbEntry {
+            page,
+            ptr: p.as_mut(),
+        };
         p[idx] = val;
     }
 
@@ -239,6 +275,10 @@ impl Memory {
             let page = self.mat_log[i];
             *self.slot_mut(page) = None;
             self.resident -= 1;
+            let entry = &mut self.tlb[tlb_slot(page)];
+            if entry.page == page {
+                *entry = NO_PAGE;
+            }
         }
         self.mat_log.truncate(snap.pages.len());
         for (i, (page, content)) in snap.pages.iter().enumerate() {
@@ -251,9 +291,6 @@ impl Memory {
                 *dst = **content;
             }
         }
-        // The cache may point at a dropped page; re-resolve lazily.
-        self.last_page = u64::MAX;
-        self.last_ptr = std::ptr::null_mut();
     }
 }
 
@@ -301,16 +338,34 @@ mod tests {
         assert_eq!(m.resident_pages(), 1);
     }
 
+    /// From one page to the next page that maps to the same TLB slot.
+    const SLOT_STRIDE: u64 = PAGE_BYTES << TLB_BITS;
+
+    /// Whether `addr`'s page is in the TLB.
+    fn in_tlb(m: &Memory, addr: u64) -> bool {
+        let page = addr >> PAGE_SHIFT;
+        m.tlb[tlb_slot(page)].page == page
+    }
+
     #[test]
-    fn last_page_cache_tracks_page_switches() {
+    fn pages_that_share_a_tlb_slot_take_turns_in_it() {
         let mut m = Memory::new();
-        m.write(0x1000, 1); // page A (cached)
-        m.write(0x2000, 2); // page B (cache switches)
-        assert_eq!(m.read(0x1000), 1); // back to A through the slow path
-        m.write(0x1008, 3); // A is cached again
-        assert_eq!(m.read(0x1008), 3);
+        let (a, b) = (0x1000, 0x1000 + SLOT_STRIDE);
+        m.write(a, 1);
+        m.write(0x2000, 2); // another slot: both stay
+        assert!(in_tlb(&m, a) && in_tlb(&m, 0x2000));
+        m.write(b, 3); // a's slot: a leaves
+        assert!(!in_tlb(&m, a) && in_tlb(&m, b));
+        assert_eq!(m.read(a), 1); // back to a through the radix
+        assert!(in_tlb(&m, a) && !in_tlb(&m, b));
+        m.write(a + 8, 4);
+        assert_eq!(m.read(a + 8), 4);
+        assert_eq!(m.read(b), 3);
         assert_eq!(m.read(0x2000), 2);
-        assert_eq!(m.resident_pages(), 2);
+        // An unmapped page takes no slot.
+        assert_eq!(m.read(0x1000 + 2 * SLOT_STRIDE), 0);
+        assert!(in_tlb(&m, b));
+        assert_eq!(m.resident_pages(), 3);
     }
 
     #[test]
@@ -356,16 +411,44 @@ mod tests {
     }
 
     #[test]
-    fn restore_invalidates_last_page_cache() {
+    fn no_page_a_restore_drops_reads_back_through_a_stale_tlb_entry() {
         let mut m = Memory::new();
-        m.write(0x1000, 1);
+        let survivors = [0x1000, 0x5000];
+        for (i, &a) in survivors.iter().enumerate() {
+            m.write(a + 0x800, i as u64 + 1);
+        }
         let snap = m.snapshot(None);
-        m.write(0x2000, 2); // 0x2000's page is now the cached page
+        // Pages born after the snapshot, each in the TLB at the restore:
+        // in slots of their own, and in the slots of both survivors.
+        let dropped = [
+            0x2000,
+            0x3000,
+            0x9000,
+            0x1000 + SLOT_STRIDE,
+            0x5000 + SLOT_STRIDE,
+        ];
+        for (i, &a) in dropped.iter().enumerate() {
+            m.write(a + 0x800, 10 + i as u64);
+        }
+        assert!(dropped.iter().all(|&a| in_tlb(&m, a)));
         m.restore(&snap);
-        // A stale cache hit here would fault or resurrect the dropped page.
-        assert_eq!(m.read(0x2000), 0);
-        m.write(0x2000, 5);
-        assert_eq!(m.read(0x2000), 5);
+        assert_eq!(m.resident_pages(), survivors.len());
+        // A stale entry here would read freed storage, or resurrect a
+        // dropped page, instead of reading zero.
+        for &a in &dropped {
+            assert_eq!(m.read(a + 0x800), 0, "dropped page {a:#x}");
+        }
+        for (i, &a) in survivors.iter().enumerate() {
+            assert_eq!(m.read(a + 0x800), i as u64 + 1, "surviving page {a:#x}");
+        }
+        // And a write materializes a dropped page afresh.
+        for (i, &a) in dropped.iter().enumerate() {
+            m.write(a + 0x800, 20 + i as u64);
+        }
+        assert_eq!(m.resident_pages(), survivors.len() + dropped.len());
+        for (i, &a) in dropped.iter().enumerate() {
+            assert_eq!(m.read(a + 0x800), 20 + i as u64);
+        }
     }
 
     /// Word addresses on both sides of every kind of radix boundary: page
@@ -391,7 +474,13 @@ mod tests {
     fn memory_matches_a_map_across_every_node_boundary() {
         use rand::{Rng, SeedableRng};
         use std::collections::{HashMap, HashSet};
-        let addrs = straddling_addrs();
+        let mut addrs = straddling_addrs();
+        // And pages that share a TLB slot: p, p + 256 and p + 512.
+        for base in [0x3000, (1 << (LEAF_BITS + PAGE_SHIFT)) - PAGE_BYTES] {
+            addrs.extend((0..3).map(|k| base + 0x10 + k * SLOT_STRIDE));
+        }
+        // Restores that dropped a page whose entry was in the TLB.
+        let mut stale_drops = 0;
         for seed in 0..8u64 {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             let mut m = Memory::new();
@@ -422,6 +511,12 @@ mod tests {
                         // newer than the memory now and cannot be used.
                         snaps.truncate(rng.gen_range(0..snaps.len()) + 1);
                         let (snap, w, p) = snaps.last().expect("kept one");
+                        if pages
+                            .difference(p)
+                            .any(|&page| in_tlb(&m, page << PAGE_SHIFT))
+                        {
+                            stale_drops += 1;
+                        }
                         m.restore(snap);
                         (words, pages) = (w.clone(), p.clone());
                     }
@@ -443,6 +538,10 @@ mod tests {
                 assert_eq!(m.read(addr), words.get(&addr).copied().unwrap_or(0));
             }
         }
+        assert!(
+            stale_drops >= 100,
+            "{stale_drops} restores dropped a page in the TLB"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # the unmodified benchmark binary, by function — the profile a `perf_opt`
 # issue must name its layer from (ROADMAP aim 1).
 #
-#   scripts/profile.sh <workload> [--seconds N] [--seed N]
+#   scripts/profile.sh <workload> [--seconds N] [--seed N] [--layer REGEX]
 #   scripts/profile.sh -- <command> [args...]      any binary with debug info
 #
 # Builds scripts/sigprof.c (a SIGPROF sampler, preloaded) and the benchmark
@@ -14,7 +14,11 @@
 # frame inlined there. Each share is given twice: of the samples outside the
 # benchmark's own calibration kernel, which `host_s` does not time — so "X %
 # of the profile" and "`host_s` can fall by X %" are the same X — and of all
-# samples. Exits 0 with a notice where `cc` or `addr2line` is missing.
+# samples. With `--layer REGEX`, one more line before the tables: the share
+# of the samples outside the kernel that have any frame — inlined or
+# outermost — whose function matches REGEX (an awk regex), i.e. the layer
+# counted the other way. Exits 0 with a notice where `cc` or `addr2line` is
+# missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,12 +37,13 @@ if [ "$1" = "--" ]; then
   cmd=("$@")
 else
   what="$1"
-  seconds=5 seed=24301
+  seconds=5 seed=24301 layer=""
   shift
   while [ $# -gt 0 ]; do
     case "$1" in
       --seconds) seconds="$2" ;;
       --seed) seed="$2" ;;
+      --layer) layer="$2" ;;
       *) echo "profile: unknown flag $1"; exit 2 ;;
     esac
     shift 2
@@ -61,13 +66,13 @@ SIGPROF_OUT="$samples" LD_PRELOAD="$dir/sigprof.so" "${cmd[@]}" >/dev/null
 # kernel: `host_s` leaves that time out, so each share is printed twice —
 # of the samples outside the kernel (the share by which `host_s` should
 # move if the function cost nothing), then of all samples.
-grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | awk -v what="$what" \
+grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | LAYER="${layer:-}" awk -v what="$what" \
   -v outside="$(grep -c '^-' "$samples" || true)" '
   function close_sample() {
     if (innermost == "") return
     n++
     if (in_calib) { calib++; inner_calib[innermost]++; outer_calib[last]++ }
-    else { inner[innermost]++; outer[last]++ }
+    else { inner[innermost]++; outer[last]++; layer += in_layer }
   }
   function table(title, count, count_calib,    f, lines) {
     printf "\n== %s ==\n", title
@@ -78,18 +83,21 @@ grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | awk -v what="$wha
     printf "%s", lines | "sort -rn | head -n 15"
     close("sort -rn | head -n 15")
   }
-  /^0x/ { close_sample(); innermost = ""; frame = 0; in_calib = 0; next }
+  /^0x/ { close_sample(); innermost = ""; frame = 0; in_calib = 0; in_layer = 0; next }
   { frame++ }
   frame % 2 == 1 {
     sub(/::h[0-9a-f]{16}$/, "")
     if (innermost == "") innermost = $0
     if ($0 ~ /^tm_benchmark::calib::/) in_calib = 1
+    if (ENVIRON["LAYER"] != "" && $0 ~ ENVIRON["LAYER"]) in_layer = 1
     last = $0
   }
   END {
     close_sample()
     printf "profile: %s, %d samples at 250 Hz, %d of them outside the executable, %d in the benchmark'"'"'s calibration kernel\n", what, n + outside, outside, calib
     printf "columns: share of the %d samples outside the calibration kernel (what host_s times), share of all %d\n", n + outside - calib, n + outside
+    if (ENVIRON["LAYER"] != "")
+      printf "layer /%s/: %.1f%% of the samples outside the calibration kernel have a frame in it (%d of %d)\n", ENVIRON["LAYER"], 100 * layer / (n + outside - calib), layer, n + outside - calib
     table("outermost non-inlined function", outer, outer_calib)
     table("innermost inlined frame", inner, inner_calib)
   }'

@@ -48,7 +48,10 @@ done
 # differently on each backend — then hold the OS-thread reference to the
 # committed whole-stack goldens: allocation order, abort counts and heap
 # peaks are decided by host-side state between events, which only hand-off
-# order makes deterministic.
+# order makes deterministic. Both runs are the debug profile, so the cache
+# model's `debug_assert_eq!(evicted_dirty, write_back)`, the scheduler's
+# "a resumed thread is the minimum" and the overflow checks see the
+# reference executor too.
 for exec in fibers threads; do
   echo "==> cargo test -p tm-sim -p tm-alloc (TM_SIM_EXEC=$exec)"
   TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -q
@@ -176,9 +179,10 @@ if [ "$quick" -eq 0 ]; then
 
   # The profiler a perf_opt issue names its layer from must keep naming
   # one: on synth-matrix the function with the most samples is the
-  # simulator's (it says so itself where cc or addr2line is missing).
+  # simulator's (it says so itself where cc or addr2line is missing). The
+  # smoke also prints the cache model's share counted by any frame.
   echo "==> scripts/profile.sh synth-matrix (smoke: the top row is in tm_sim::)"
-  table="$(timeout 900 scripts/profile.sh synth-matrix --seconds 2)"
+  table="$(timeout 900 scripts/profile.sh synth-matrix --seconds 2 --layer 'tm_sim::cache::')"
   echo "$table" | head -n 8
   case "$table" in
     "profile: no "*) ;;
