@@ -7,12 +7,9 @@
 //! histograms; the wrapped allocator still performs the real placement, so
 //! profiling runs produce the same layout as measurement runs.
 //!
-//! Counting uses `tm_obs`'s per-thread sharded slots: the recording path is
-//! a handful of relaxed adds on the calling thread's own cache-line-padded
-//! shard — no global lock, so profiling adds no host-side serialization to
-//! the allocation hot path (and no false sharing between recording
-//! threads). The per-thread *current region* marker lives in slot 0 of the
-//! same shard.
+//! Counting uses `tm_obs`'s [`ShardedSlots`]: one row per thread, a few
+//! adds per call, folded region-wise when read. The per-thread *current
+//! region* marker lives in slot 0 of the same row.
 
 use tm_obs::{EventKind, ShardedSlots};
 use tm_sim::Ctx;
@@ -70,39 +67,9 @@ pub struct RegionStats {
 }
 
 impl RegionStats {
-    /// Report section with every counter, for `RunReport` emission.
-    pub fn section(&self) -> tm_obs::Section {
-        tm_obs::Section::from_schema(self)
-    }
-}
-
-impl tm_obs::SlotSchema for RegionStats {
-    const WIDTH: usize = REGION_WIDTH;
-
-    fn slot_names() -> &'static [&'static str] {
-        &[
-            "alloc_le_16",
-            "alloc_le_32",
-            "alloc_le_48",
-            "alloc_le_64",
-            "alloc_le_96",
-            "alloc_le_128",
-            "alloc_le_256",
-            "alloc_gt_256",
-            "mallocs",
-            "frees",
-            "bytes",
-        ]
-    }
-
-    fn store(&self, slots: &mut [u64]) {
-        slots[..8].copy_from_slice(&self.by_bucket);
-        slots[8] = self.mallocs;
-        slots[9] = self.frees;
-        slots[10] = self.bytes;
-    }
-
-    fn load(slots: &[u64]) -> Self {
+    /// Decode one region's slots of a profiler row: the buckets, then
+    /// `mallocs`, `frees` and `bytes`.
+    fn from_slots(slots: &[u64]) -> Self {
         let mut by_bucket = [0u64; 8];
         by_bucket.copy_from_slice(&slots[..8]);
         RegionStats {
@@ -114,10 +81,9 @@ impl tm_obs::SlotSchema for RegionStats {
     }
 }
 
-/// Slots per region in the profiler's shard row (see [`RegionStats`]'s
-/// `SlotSchema`).
+/// Slots per region in the profiler's row (see `RegionStats::from_slots`).
 const REGION_WIDTH: usize = 11;
-/// Shard-row layout: slot 0 holds the thread's current region; then one
+/// Row layout: slot 0 holds the thread's current region; then one
 /// `RegionStats` row per region.
 const SLOT_REGION: usize = 0;
 const REGION_BASE: usize = 1;
@@ -126,7 +92,7 @@ const ROW_WIDTH: usize = REGION_BASE + 3 * REGION_WIDTH;
 /// An [`Allocator`] wrapper recording per-region allocation histograms.
 pub struct AllocProfiler<A: Allocator> {
     inner: A,
-    /// Per-thread padded shard: current region marker + the three region
+    /// Per-thread row: current region marker + the three region
     /// histograms this thread accumulated. Merged (region-wise) at
     /// [`AllocProfiler::region_stats`].
     slots: ShardedSlots,
@@ -162,7 +128,7 @@ impl<A: Allocator> AllocProfiler<A> {
         let merged = self.slots.merged();
         Region::ALL.map(|r| {
             let base = REGION_BASE + r as usize * REGION_WIDTH;
-            <RegionStats as tm_obs::SlotSchema>::load(&merged[base..base + REGION_WIDTH])
+            RegionStats::from_slots(&merged[base..base + REGION_WIDTH])
         })
     }
 

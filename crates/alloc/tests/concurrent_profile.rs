@@ -1,7 +1,6 @@
-//! The acceptance test for the lock-free profiling path: 8 simulated
-//! threads hammer the profiled allocator concurrently (each host thread
-//! records into its own shard with relaxed atomics — no global lock), and
-//! the merged snapshot must be *exact*, not approximate.
+//! The acceptance test for the profiling path: 8 simulated threads hammer
+//! the profiled allocator (each records into its own row of relaxed
+//! atomics), and the merged snapshot must be *exact*, not approximate.
 
 use std::sync::Arc;
 

@@ -1,73 +1,41 @@
-//! Per-thread sharded counter storage.
+//! Per-thread counter rows.
 //!
-//! Layout: one *shard* per logical thread, each a run of `AtomicU64` slots
-//! padded out to a whole number of 64-byte cache lines, so two threads
-//! never write the same line (the false-sharing the paper spends §5.2
-//! measuring is exactly what this avoids on the host side). The recording
-//! hot path is a single relaxed `fetch_add` on the caller's own shard —
-//! no lock, no contended line. Readers merge shards slot-wise; totals are
-//! exact once the recording threads have quiesced (e.g. after `Sim::run`
-//! returns), which is the only time the stack reads them.
+//! [`ShardedSlots`] is a `threads × width` grid of `u64` slots, one row per
+//! logical thread, each row padded out to whole 64-byte lines. Thread `tid`
+//! records only into row `tid`; readers fold the rows slot-wise.
 //!
-//! # The merge contract
-//!
-//! Every type here shares one discipline, and everything built on top
-//! (stats structs via [`SlotSchema`], named metrics via [`Registry`])
-//! inherits it:
-//!
-//! 1. **Slots are additive.** A merged value is the wrapping slot-wise sum
-//!    over all shards, nothing else — no averaging, no max. Anything
-//!    stored in a slot must make sense under addition (counts, cycle
-//!    totals, byte totals). Ratios and gauges must be derived *after*
-//!    merging, from additive ingredients.
-//! 2. **One writer per shard.** Only logical thread `tid` may record into
-//!    shard `tid`. The `fetch_add` is `Relaxed`: it orders nothing and is
-//!    only guaranteed exact because no two threads share a slot.
-//! 3. **Merge at quiescence.** Merged reads are exact once every recording
-//!    thread has finished (joined or otherwise synchronized-with); a merge
-//!    taken mid-run is a best-effort snapshot that may miss in-flight
-//!    increments but never tears a single slot.
+//! The slots are relaxed atomics only so that a shared `&self` may record
+//! from whichever OS thread carries a logical thread. Between two simulated
+//! events exactly one logical thread runs, on both executors (DESIGN.md
+//! §4.1), so every add is exact and a merge taken between runs sees all of
+//! them. Slots are additive: a merged value is the wrapping sum over rows,
+//! so ratios and gauges are derived after merging.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 const LINE: usize = 64;
 const SLOTS_PER_LINE: usize = LINE / std::mem::size_of::<AtomicU64>();
 
-/// A `threads × width` grid of `u64` slots, sharded by thread and padded to
-/// cache lines. The untyped substrate under [`Sharded`], [`Counter`] and
-/// [`Histogram`].
+/// A `threads × width` grid of `u64` slots, one padded row per thread.
 pub struct ShardedSlots {
-    threads: usize,
     width: usize,
-    /// Slots per shard, rounded up to a cache-line multiple.
+    /// Slots per row, rounded up to a cache-line multiple.
     stride: usize,
     slots: Box<[AtomicU64]>,
 }
 
 impl ShardedSlots {
-    /// A zeroed grid for `threads` shards of `width` slots each.
+    /// A zeroed grid for `threads` rows of `width` slots each.
     pub fn new(threads: usize, width: usize) -> Self {
         assert!(threads >= 1, "need at least one shard");
         assert!(width >= 1, "need at least one slot");
         let stride = width.div_ceil(SLOTS_PER_LINE) * SLOTS_PER_LINE;
         let slots = (0..threads * stride).map(|_| AtomicU64::new(0)).collect();
         ShardedSlots {
-            threads,
             width,
             stride,
             slots,
         }
-    }
-
-    /// Number of shards (one per logical thread).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of slots per shard.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     #[inline]
@@ -76,322 +44,34 @@ impl ShardedSlots {
         &self.slots[tid * self.stride + slot]
     }
 
-    /// Add `delta` to `(tid, slot)`. Lock-free; only thread `tid`'s cache
-    /// line is touched.
+    /// Add `delta` to `(tid, slot)`.
     #[inline]
     pub fn add(&self, tid: usize, slot: usize, delta: u64) {
         self.slot(tid, slot).fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Overwrite `(tid, slot)` — for per-thread *state* (e.g. the current
-    /// allocation region) that rides in the same padded shard as counters.
+    /// allocation region) that rides in the same row as counters.
     #[inline]
     pub fn set(&self, tid: usize, slot: usize, value: u64) {
         self.slot(tid, slot).store(value, Ordering::Relaxed);
     }
 
-    /// Read `(tid, slot)` (relaxed; exact at quiescence).
+    /// Read `(tid, slot)`.
     #[inline]
     pub fn get(&self, tid: usize, slot: usize) -> u64 {
         self.slot(tid, slot).load(Ordering::Relaxed)
     }
 
-    /// One thread's row (width slots).
-    pub fn thread_row(&self, tid: usize) -> Vec<u64> {
-        (0..self.width).map(|s| self.get(tid, s)).collect()
-    }
-
-    /// Slot-wise sum across all shards.
+    /// Slot-wise sum across all rows.
     pub fn merged(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.width];
-        for tid in 0..self.threads {
-            for (s, o) in out.iter_mut().enumerate() {
-                *o = o.wrapping_add(self.get(tid, s));
+        for row in self.slots.chunks(self.stride) {
+            for (o, s) in out.iter_mut().zip(row) {
+                *o = o.wrapping_add(s.load(Ordering::Relaxed));
             }
         }
         out
-    }
-
-    /// Zero every slot.
-    pub fn reset(&self) {
-        for tid in 0..self.threads {
-            for s in 0..self.width {
-                self.set(tid, s, 0);
-            }
-        }
-    }
-}
-
-/// A plain-struct view over sharded slots: how a stats struct lays itself
-/// out as a row of `u64`s. Merge discipline is slot-wise addition, so all
-/// fields must be additive counters.
-pub trait SlotSchema: Default {
-    /// Number of `u64` slots one value occupies.
-    const WIDTH: usize;
-    /// Field names, `WIDTH` of them, used by report emission.
-    fn slot_names() -> &'static [&'static str];
-    /// Scatter this value into `slots` (exactly `WIDTH` entries).
-    fn store(&self, slots: &mut [u64]);
-    /// Rebuild a value from `slots` (exactly `WIDTH` entries).
-    fn load(slots: &[u64]) -> Self;
-}
-
-/// Typed sharded storage for a stats struct `T`: each thread accumulates
-/// into its own padded row; `merged` folds all rows back into a `T`.
-pub struct Sharded<T: SlotSchema> {
-    raw: ShardedSlots,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: SlotSchema> Sharded<T> {
-    /// Zeroed storage for `threads` shards of `T`.
-    pub fn new(threads: usize) -> Self {
-        Sharded {
-            raw: ShardedSlots::new(threads, T::WIDTH),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of shards (one per logical thread).
-    pub fn threads(&self) -> usize {
-        self.raw.threads()
-    }
-
-    /// Fold `value` into thread `tid`'s shard (slot-wise add).
-    pub fn record(&self, tid: usize, value: &T) {
-        let mut row = vec![0u64; T::WIDTH];
-        value.store(&mut row);
-        for (s, v) in row.into_iter().enumerate() {
-            if v != 0 {
-                self.raw.add(tid, s, v);
-            }
-        }
-    }
-
-    /// Add `delta` to a single field, by slot index. The hot-path
-    /// alternative to building a whole `T`.
-    #[inline]
-    pub fn add(&self, tid: usize, slot: usize, delta: u64) {
-        self.raw.add(tid, slot, delta);
-    }
-
-    /// Thread `tid`'s own accumulated value (no merging).
-    pub fn per_thread(&self, tid: usize) -> T {
-        T::load(&self.raw.thread_row(tid))
-    }
-
-    /// All shards folded back into one `T` (slot-wise sum — see the
-    /// module-level merge contract).
-    pub fn merged(&self) -> T {
-        T::load(&self.raw.merged())
-    }
-
-    /// Zero every shard.
-    pub fn reset(&self) {
-        self.raw.reset()
-    }
-
-    /// The untyped grid underneath (for report emission).
-    pub fn raw(&self) -> &ShardedSlots {
-        &self.raw
-    }
-}
-
-/// A named single-value counter minted by [`Registry`]. Cloning shares the
-/// underlying shards.
-#[derive(Clone)]
-pub struct Counter {
-    slots: std::sync::Arc<ShardedSlots>,
-}
-
-impl Counter {
-    /// Add `delta` on thread `tid`'s shard (lock-free).
-    #[inline]
-    pub fn add(&self, tid: usize, delta: u64) {
-        self.slots.add(tid, 0, delta);
-    }
-
-    /// Add 1 on thread `tid`'s shard.
-    #[inline]
-    pub fn incr(&self, tid: usize) {
-        self.add(tid, 1);
-    }
-
-    /// Sum over all shards (exact at quiescence).
-    pub fn total(&self) -> u64 {
-        self.slots.merged()[0]
-    }
-
-    /// Zero every shard.
-    pub fn reset(&self) {
-        self.slots.reset();
-    }
-}
-
-/// A named histogram minted by [`Registry`]: `bounds` are inclusive upper
-/// bucket edges; values above the last bound land in a final open bucket.
-#[derive(Clone)]
-pub struct Histogram {
-    slots: std::sync::Arc<ShardedSlots>,
-    bounds: std::sync::Arc<[u64]>,
-}
-
-impl Histogram {
-    /// Count `value` into its bucket on thread `tid`'s shard.
-    #[inline]
-    pub fn observe(&self, tid: usize, value: u64) {
-        let bucket = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.slots.add(tid, bucket, 1);
-    }
-
-    /// The inclusive upper bucket edges this histogram was minted with.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Merged bucket counts (`bounds.len() + 1` entries, last is open).
-    pub fn counts(&self) -> Vec<u64> {
-        self.slots.merged()
-    }
-
-    /// Zero every shard.
-    pub fn reset(&self) {
-        self.slots.reset();
-    }
-}
-
-enum MetricStorage {
-    Counter(std::sync::Arc<ShardedSlots>),
-    Histogram(std::sync::Arc<ShardedSlots>, std::sync::Arc<[u64]>),
-}
-
-/// A merged snapshot of one named metric.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// A counter's merged total.
-    Counter(u64),
-    /// A histogram's merged buckets.
-    Histogram {
-        /// Inclusive upper bucket edges.
-        bounds: Vec<u64>,
-        /// Merged counts, one extra final entry for the open bucket.
-        counts: Vec<u64>,
-    },
-}
-
-/// On-demand named metrics: any crate holding the (shared) registry can
-/// mint a counter or histogram by name without changes here. Registration
-/// takes a mutex (cold path, once per name); recording never does.
-pub struct Registry {
-    threads: usize,
-    metrics: Mutex<Vec<(String, MetricStorage)>>,
-}
-
-impl Registry {
-    /// An empty registry minting metrics sharded over `threads` threads.
-    pub fn new(threads: usize) -> Self {
-        Registry {
-            threads,
-            metrics: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Number of shards each minted metric carries.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Get-or-create the counter `name`. Calls with the same name share
-    /// storage.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.metrics.lock().unwrap();
-        for (n, storage) in m.iter() {
-            if n == name {
-                match storage {
-                    MetricStorage::Counter(slots) => {
-                        return Counter {
-                            slots: std::sync::Arc::clone(slots),
-                        }
-                    }
-                    MetricStorage::Histogram(..) => {
-                        panic!("metric '{name}' already registered as a histogram")
-                    }
-                }
-            }
-        }
-        let slots = std::sync::Arc::new(ShardedSlots::new(self.threads, 1));
-        m.push((
-            name.to_string(),
-            MetricStorage::Counter(std::sync::Arc::clone(&slots)),
-        ));
-        Counter { slots }
-    }
-
-    /// Get-or-create the histogram `name` with the given bucket bounds.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        let mut m = self.metrics.lock().unwrap();
-        for (n, storage) in m.iter() {
-            if n == name {
-                match storage {
-                    MetricStorage::Histogram(slots, b) => {
-                        assert_eq!(
-                            &**b, bounds,
-                            "metric '{name}' re-registered with different bounds"
-                        );
-                        return Histogram {
-                            slots: std::sync::Arc::clone(slots),
-                            bounds: std::sync::Arc::clone(b),
-                        };
-                    }
-                    MetricStorage::Counter(_) => {
-                        panic!("metric '{name}' already registered as a counter")
-                    }
-                }
-            }
-        }
-        let slots = std::sync::Arc::new(ShardedSlots::new(self.threads, bounds.len() + 1));
-        let bounds: std::sync::Arc<[u64]> = bounds.to_vec().into();
-        m.push((
-            name.to_string(),
-            MetricStorage::Histogram(
-                std::sync::Arc::clone(&slots),
-                std::sync::Arc::clone(&bounds),
-            ),
-        ));
-        Histogram { slots, bounds }
-    }
-
-    /// Merged snapshot of every registered metric, in registration order.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        let m = self.metrics.lock().unwrap();
-        m.iter()
-            .map(|(name, storage)| {
-                let value = match storage {
-                    MetricStorage::Counter(slots) => MetricValue::Counter(slots.merged()[0]),
-                    MetricStorage::Histogram(slots, bounds) => MetricValue::Histogram {
-                        bounds: bounds.to_vec(),
-                        counts: slots.merged(),
-                    },
-                };
-                (name.clone(), value)
-            })
-            .collect()
-    }
-
-    /// Zero every registered metric.
-    pub fn reset(&self) {
-        let m = self.metrics.lock().unwrap();
-        for (_, storage) in m.iter() {
-            match storage {
-                MetricStorage::Counter(slots) => slots.reset(),
-                MetricStorage::Histogram(slots, _) => slots.reset(),
-            }
-        }
     }
 }
 
@@ -402,7 +82,7 @@ mod tests {
     #[test]
     fn padding_separates_shards() {
         let s = ShardedSlots::new(4, 3);
-        // Each shard occupies whole cache lines: stride is a multiple of 8
+        // Each row occupies whole cache lines: stride is a multiple of 8
         // slots and at least the width.
         assert_eq!(s.stride % SLOTS_PER_LINE, 0);
         assert!(s.stride >= s.width);
@@ -417,9 +97,9 @@ mod tests {
         s.add(1, 0, 7);
         s.add(2, 1, 1);
         assert_eq!(s.merged(), vec![12, 1]);
-        assert_eq!(s.thread_row(1), vec![7, 0]);
-        s.reset();
-        assert_eq!(s.merged(), vec![0, 0]);
+        assert_eq!((s.get(1, 0), s.get(1, 1)), (7, 0));
+        s.set(1, 0, 0);
+        assert_eq!(s.merged(), vec![5, 1], "a set slot resets its share");
     }
 
     #[test]
@@ -436,72 +116,5 @@ mod tests {
             }
         });
         assert_eq!(s.merged()[0], 80_000);
-    }
-
-    #[derive(Default, PartialEq, Debug)]
-    struct Demo {
-        a: u64,
-        b: u64,
-    }
-
-    impl SlotSchema for Demo {
-        const WIDTH: usize = 2;
-        fn slot_names() -> &'static [&'static str] {
-            &["a", "b"]
-        }
-        fn store(&self, slots: &mut [u64]) {
-            slots[0] = self.a;
-            slots[1] = self.b;
-        }
-        fn load(slots: &[u64]) -> Self {
-            Demo {
-                a: slots[0],
-                b: slots[1],
-            }
-        }
-    }
-
-    #[test]
-    fn typed_sharded_roundtrip() {
-        let s: Sharded<Demo> = Sharded::new(2);
-        s.record(0, &Demo { a: 1, b: 2 });
-        s.record(1, &Demo { a: 10, b: 0 });
-        s.record(1, &Demo { a: 0, b: 5 });
-        assert_eq!(s.merged(), Demo { a: 11, b: 7 });
-        assert_eq!(s.per_thread(1), Demo { a: 10, b: 5 });
-    }
-
-    #[test]
-    fn registry_mints_and_snapshots() {
-        let r = Registry::new(2);
-        let c = r.counter("ops");
-        let c2 = r.counter("ops"); // same storage
-        c.add(0, 3);
-        c2.add(1, 4);
-        assert_eq!(c.total(), 7);
-        let h = r.histogram("sizes", &[16, 64]);
-        h.observe(0, 8);
-        h.observe(1, 64);
-        h.observe(1, 1000); // open bucket
-        let snap = r.snapshot();
-        assert_eq!(snap[0], ("ops".into(), MetricValue::Counter(7)));
-        assert_eq!(
-            snap[1],
-            (
-                "sizes".into(),
-                MetricValue::Histogram {
-                    bounds: vec![16, 64],
-                    counts: vec![1, 1, 1],
-                }
-            )
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn registry_rejects_kind_mismatch() {
-        let r = Registry::new(1);
-        let _ = r.counter("m");
-        let _ = r.histogram("m", &[1]);
     }
 }

@@ -1,16 +1,13 @@
 //! # tm-obs — the unified observability layer
 //!
 //! Every layer of the reproduction stack (simulator, STM, allocators,
-//! STAMP harness, bench regenerators) measures itself through this crate
-//! instead of keeping its own ad-hoc stats structs and formatting glue.
-//! Three pieces:
+//! STAMP harness, bench regenerators) traces and reports through this
+//! crate instead of keeping its own formatting glue. Its pieces:
 //!
-//! * [`counters`] — per-thread **sharded, cache-line-padded** counter and
-//!   histogram storage. The hot path is a relaxed `fetch_add` on a slot
-//!   owned by the recording thread's shard: no global lock, no cross-thread
-//!   cache-line traffic. Shards are merged slot-wise at snapshot time.
-//!   [`counters::Registry`] adds on-demand *named* metrics so any crate can
-//!   mint a counter without touching this one.
+//! * [`counters`] — [`ShardedSlots`], a grid of per-thread `u64` counter
+//!   rows folded slot-wise after a run (the Table 5 allocation profiler's
+//!   storage). Every other layer keeps its statistics as a plain struct
+//!   and folds per-thread tallies with its own `merge`.
 //! * [`trace`] — a bounded per-thread **event ring buffer** recorded in
 //!   virtual time (transaction begin/commit/abort-with-cause, malloc/free
 //!   with region and size, lock acquire/contend, OS allocation). Drained
@@ -56,7 +53,7 @@ pub mod sweep;
 pub mod trace;
 
 pub use check::{CheckCell, CheckReport, CheckStatus};
-pub use counters::{Counter, Histogram, Registry, Sharded, ShardedSlots, SlotSchema};
+pub use counters::ShardedSlots;
 pub use matrix::{load_report, Cell, Matrix, Report, REGISTRY};
 pub use mc::{McCell, McCounterexample, McReport, McVerdict};
 pub use oom::{OomCell, OomReport};
@@ -73,59 +70,4 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// One observability context: a named-metric registry plus an event trace,
-/// sized for a fixed thread count. The simulator owns one per machine and
-/// hands it (via `Arc`) to the layers built on top.
-pub struct Obs {
-    registry: Registry,
-    trace: Trace,
-}
-
-impl Obs {
-    /// Context for `threads` logical threads with the default per-thread
-    /// trace capacity (4096 events).
-    pub fn new(threads: usize) -> Self {
-        Obs::with_trace_capacity(threads, 4096)
-    }
-
-    /// Context for `threads` logical threads with an explicit per-thread
-    /// trace ring capacity.
-    pub fn with_trace_capacity(threads: usize, trace_capacity: usize) -> Self {
-        Obs {
-            registry: Registry::new(threads),
-            trace: Trace::new(threads, trace_capacity),
-        }
-    }
-
-    /// The named-metric registry half of the context.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The event-trace half of the context.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Number of logical threads this context was sized for.
-    pub fn threads(&self) -> usize {
-        self.registry.threads()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn obs_builds_both_halves() {
-        let obs = Obs::new(4);
-        assert_eq!(obs.threads(), 4);
-        let c = obs.registry().counter("x");
-        c.add(3, 7);
-        assert_eq!(c.total(), 7);
-        assert!(!obs.trace().is_enabled());
-    }
 }

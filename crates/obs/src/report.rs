@@ -59,24 +59,6 @@ pub enum Section {
 }
 
 impl Section {
-    /// Counters section from any [`SlotSchema`] stats struct: one named
-    /// counter per slot, in schema order. This is how every layer's stats
-    /// type (`CacheStats`, `LockStats`, `StmStats`, ...) lands in a report
-    /// with one shared discipline.
-    ///
-    /// [`SlotSchema`]: crate::counters::SlotSchema
-    pub fn from_schema<T: crate::counters::SlotSchema>(value: &T) -> Section {
-        let mut row = vec![0u64; T::WIDTH];
-        value.store(&mut row);
-        Section::Counters(
-            T::slot_names()
-                .iter()
-                .zip(row)
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-        )
-    }
-
     fn kind(&self) -> &'static str {
         match self {
             Section::Counters(_) => "counters",

@@ -196,15 +196,12 @@ unsafe impl Send for Trace {}
 
 impl Trace {
     /// Rings for `threads` logical threads, `capacity` events each.
-    /// Tracing starts disabled unless the `TM_TRACE` environment variable
-    /// is set to a non-empty, non-`0` value.
+    /// Tracing starts disabled: rings record only after
+    /// [`Trace::set_enabled`]`(true)`.
     pub fn new(threads: usize, capacity: usize) -> Self {
         assert!(capacity >= 1, "ring needs at least one slot");
-        let env_on = std::env::var("TM_TRACE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
         Trace {
-            enabled: AtomicBool::new(env_on),
+            enabled: AtomicBool::new(false),
             capacity,
             rings: (0..threads)
                 .map(|_| Ring {
@@ -351,7 +348,6 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let t = Trace::new(2, 8);
-        t.set_enabled(false);
         t.emit(0, 10, EventKind::TxBegin, 0, 0);
         assert_eq!(t.recorded(), 0);
         assert!(t.drain().is_empty());
@@ -414,7 +410,6 @@ mod tests {
     #[test]
     fn disabled_checkpoint_is_empty_and_restorable() {
         let t = Trace::new(3, 8);
-        t.set_enabled(false);
         let cp = t.checkpoint();
         t.emit(0, 1, EventKind::TxBegin, 0, 0); // no-op while disabled
         t.restore(&cp);
@@ -431,7 +426,6 @@ mod tests {
     #[test]
     fn never_enabled_trace_owns_no_storage_and_reads_as_empty() {
         let t = Trace::new(3, 4096);
-        t.set_enabled(false);
         let cp = t.checkpoint();
         for i in 0..10u64 {
             t.emit(1, i, EventKind::Malloc, i, 0); // no-op while disabled
@@ -448,7 +442,6 @@ mod tests {
     #[test]
     fn enabling_after_construction_records_from_the_first_event() {
         let t = Trace::new(3, 4);
-        t.set_enabled(false);
         let empty = t.checkpoint();
         t.set_enabled(true);
         t.emit(2, 7, EventKind::TxBegin, 1, 0);

@@ -45,7 +45,7 @@ impl CacheConfig {
 
 /// Per-core cache event counters, in the spirit of the paper's PAPI
 /// measurements (Table 4 reports L1 data miss ratios).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// L1 data-cache lookups.
     pub l1_accesses: u64,
@@ -88,48 +88,6 @@ impl CacheStats {
         self.l2_misses += o.l2_misses;
         self.coherence_transfers += o.coherence_transfers;
         self.invalidations += o.invalidations;
-    }
-
-    /// Report section with every counter, for `RunReport` emission.
-    pub fn section(&self) -> tm_obs::Section {
-        tm_obs::Section::from_schema(self)
-    }
-}
-
-// All fields are additive event counts, so the shared slot-wise merge
-// discipline of `tm_obs::Sharded` applies directly.
-impl tm_obs::SlotSchema for CacheStats {
-    const WIDTH: usize = 6;
-
-    fn slot_names() -> &'static [&'static str] {
-        &[
-            "l1_accesses",
-            "l1_misses",
-            "l2_accesses",
-            "l2_misses",
-            "coherence_transfers",
-            "invalidations",
-        ]
-    }
-
-    fn store(&self, slots: &mut [u64]) {
-        slots[0] = self.l1_accesses;
-        slots[1] = self.l1_misses;
-        slots[2] = self.l2_accesses;
-        slots[3] = self.l2_misses;
-        slots[4] = self.coherence_transfers;
-        slots[5] = self.invalidations;
-    }
-
-    fn load(slots: &[u64]) -> Self {
-        CacheStats {
-            l1_accesses: slots[0],
-            l1_misses: slots[1],
-            l2_accesses: slots[2],
-            l2_misses: slots[3],
-            coherence_transfers: slots[4],
-            invalidations: slots[5],
-        }
     }
 }
 
@@ -1749,7 +1707,6 @@ mod tests {
     /// Everything but the arrays and the directory that two hierarchies
     /// fed the same accesses must agree on, per core.
     fn per_core_view(h: &Hierarchy) -> Vec<impl PartialEq + std::fmt::Debug> {
-        use tm_obs::SlotSchema;
         let sorted = |set: &LineSet| {
             let mut lines: Vec<u64> = set.iter().copied().collect();
             lines.sort_unstable();
@@ -1757,8 +1714,7 @@ mod tests {
         };
         (0..h.cfg.cores)
             .map(|c| {
-                let (mut stats, t) = ([0; CacheStats::WIDTH], &h.tx[c]);
-                h.stats(c).store(&mut stats);
+                let (stats, t) = (h.stats(c), &h.tx[c]);
                 let tracked = (sorted(&t.read_lines), sorted(&t.write_lines));
                 (stats, h.htm_doomed(c), t.active, tracked)
             })

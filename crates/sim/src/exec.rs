@@ -64,7 +64,7 @@ use std::sync::Arc;
 use std::thread::Thread;
 
 use parking_lot::Mutex;
-use tm_obs::{EventKind, Obs};
+use tm_obs::{EventKind, Trace};
 
 use crate::cache::{CacheStats, MAX_CORES};
 use crate::config::MachineConfig;
@@ -245,9 +245,8 @@ impl Inner {
 struct Shared {
     /// Locked once per [`Sim::run`], for all of it; never per event.
     inner: Mutex<Inner>,
-    /// Observability context (named metrics + event trace), sized to the
-    /// machine's core count and shared with every layer built on top.
-    obs: Arc<Obs>,
+    /// Event trace, one ring per core; records only once enabled.
+    trace: Trace,
     /// Optional scheduling-point hook (see [`Ctx::sched_point`]). Guarded by
     /// its own lock so installation never touches the scheduler mutex.
     sched_hook: Mutex<Option<Arc<SchedHook>>>,
@@ -331,7 +330,7 @@ impl Sim {
                 events: 0,
                 hash: 0,
             }),
-            obs: Arc::new(Obs::new(cfg.cores)),
+            trace: Trace::new(cfg.cores, 4096),
             sched_hook: Mutex::new(None),
         });
         Sim {
@@ -353,11 +352,10 @@ impl Sim {
         &self.cfg
     }
 
-    /// This machine's observability context. Layers built on the simulator
-    /// (allocators, the STM, harnesses) mint counters and record trace
-    /// events through this; clone the `Arc` to hold on to it.
-    pub fn obs(&self) -> &Arc<Obs> {
-        &self.shared.obs
+    /// This machine's event trace: enable it before a run, drain it after
+    /// one. Layers record into it through [`Ctx::trace_event`].
+    pub fn trace(&self) -> &Trace {
+        &self.shared.trace
     }
 
     /// Create a simulated mutex ahead of a run (allocator constructors use
@@ -433,7 +431,7 @@ impl Sim {
         let mut g = self.shared.inner.lock();
         SimSnapshot {
             machine: g.machine.snapshot(parent.map(|p| &p.machine)),
-            trace: self.shared.obs.trace().checkpoint(),
+            trace: self.shared.trace.checkpoint(),
             events: g.events,
             hash: g.hash,
         }
@@ -448,7 +446,7 @@ impl Sim {
         g.machine.restore(&snap.machine);
         g.events = snap.events;
         g.hash = snap.hash;
-        self.shared.obs.trace().restore(&snap.trace);
+        self.shared.trace.restore(&snap.trace);
     }
 
     /// Execute `f` once per logical thread on `n` virtual cores and return
@@ -1067,21 +1065,16 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// The machine's observability context (same as [`Sim::obs`]).
-    pub fn obs(&self) -> &Obs {
-        &self.shared.obs
-    }
-
     /// Record a trace event stamped with this thread's current virtual
     /// time. One relaxed load when tracing is disabled; no scheduler
     /// interaction either way.
     #[inline]
     pub fn trace_event(&mut self, kind: EventKind, a: u64, b: u64) {
-        if !self.shared.obs.trace().is_enabled() {
+        if !self.shared.trace.is_enabled() {
             return;
         }
         let t = self.now();
-        self.shared.obs.trace().emit(self.tid, t, kind, a, b);
+        self.shared.trace.emit(self.tid, t, kind, a, b);
     }
 
     /// Block until this thread holds the minimum clock among runnable
@@ -1318,7 +1311,7 @@ impl<'a> Ctx<'a> {
         unsafe {
             self.take_turn();
             let g = &mut *self.inner;
-            let acquired = acquire_locked(g, &self.shared.obs, self.tid, mx, block, counted);
+            let acquired = acquire_locked(g, &self.shared.trace, self.tid, mx, block, counted);
             self.local_time = g.time[self.tid];
             acquired
         }
@@ -1367,7 +1360,7 @@ impl<'a> Ctx<'a> {
 /// is marked Blocked (the caller hands the turn on).
 fn acquire_locked(
     g: &mut Inner,
-    obs: &Obs,
+    trace: &Trace,
     tid: usize,
     mx: SimMutex,
     block: bool,
@@ -1391,16 +1384,14 @@ fn acquire_locked(
         }
         g.machine.locks[mx.id].last_holder = Some(tid);
         g.commit(tid, now + cost);
-        obs.trace()
-            .emit(tid, g.time[tid], EventKind::LockAcquire, mx.id as u64, 0);
+        trace.emit(tid, g.time[tid], EventKind::LockAcquire, mx.id as u64, 0);
         true
     } else {
         if !*counted {
             g.machine.locks[mx.id].contended += 1;
             *counted = true;
             let holder = g.machine.locks[mx.id].holder.unwrap_or(0) as u64;
-            obs.trace()
-                .emit(tid, now, EventKind::LockContend, mx.id as u64, holder);
+            trace.emit(tid, now, EventKind::LockContend, mx.id as u64, holder);
         }
         if block {
             g.park(tid, TState::Blocked(mx.id));

@@ -30,35 +30,6 @@ pub struct LockStats {
     pub wait_cycles: u64,
 }
 
-impl LockStats {
-    /// Report section with every counter, for `RunReport` emission.
-    pub fn section(&self) -> tm_obs::Section {
-        tm_obs::Section::from_schema(self)
-    }
-}
-
-impl tm_obs::SlotSchema for LockStats {
-    const WIDTH: usize = 3;
-
-    fn slot_names() -> &'static [&'static str] {
-        &["acquisitions", "contended", "wait_cycles"]
-    }
-
-    fn store(&self, slots: &mut [u64]) {
-        slots[0] = self.acquisitions;
-        slots[1] = self.contended;
-        slots[2] = self.wait_cycles;
-    }
-
-    fn load(slots: &[u64]) -> Self {
-        LockStats {
-            acquisitions: slots[0],
-            contended: slots[1],
-            wait_cycles: slots[2],
-        }
-    }
-}
-
 #[derive(Clone)]
 pub(crate) struct LockState {
     pub holder: Option<usize>,

@@ -34,24 +34,6 @@ impl SimReport {
             ops as f64 / self.seconds
         }
     }
-
-    /// Titled report sections covering everything this run measured, for
-    /// `RunReport` emission (`seconds` is derivable from `cycles` and the
-    /// machine frequency, so only integer counters appear).
-    pub fn sections(&self) -> Vec<(String, tm_obs::Section)> {
-        vec![
-            (
-                "run".into(),
-                tm_obs::Section::Counters(vec![
-                    ("threads".into(), self.threads as u64),
-                    ("cycles".into(), self.cycles),
-                    ("os_allocated".into(), self.os_allocated),
-                ]),
-            ),
-            ("cache".into(), self.cache_total.section()),
-            ("locks".into(), self.locks.section()),
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -1,38 +1,13 @@
-//! Cross-layer observability checks: the `Obs` instance owned by `Sim` is
-//! usable from inside `Sim::run` workers — sharded registry counters merge
-//! exactly across 8 concurrent threads, and trace events drain in virtual-
-//! time order.
+//! Cross-layer observability check: the `Trace` owned by `Sim` records
+//! from inside `Sim::run` workers, and its events drain in virtual-time
+//! order.
 
 use tm_sim::{EventKind, MachineConfig, Sim};
 
 #[test]
-fn registry_counters_merge_exactly_across_run() {
-    const THREADS: usize = 8;
-    const PER_THREAD: u64 = 10_000;
-
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let obs = std::sync::Arc::clone(sim.obs());
-    sim.run(THREADS, move |ctx| {
-        let tid = ctx.tid();
-        let ops = obs.registry().counter("ops");
-        let bytes = obs.registry().counter("bytes");
-        for i in 0..PER_THREAD {
-            ops.incr(tid);
-            bytes.add(tid, i % 7);
-        }
-    });
-
-    let ops = sim.obs().registry().counter("ops");
-    assert_eq!(ops.total(), THREADS as u64 * PER_THREAD);
-    let bytes = sim.obs().registry().counter("bytes");
-    let per_thread_sum: u64 = (0..PER_THREAD).map(|i| i % 7).sum();
-    assert_eq!(bytes.total(), THREADS as u64 * per_thread_sum);
-}
-
-#[test]
 fn trace_events_drain_in_virtual_time_order() {
     let sim = Sim::new(MachineConfig::xeon_e5405());
-    sim.obs().trace().set_enabled(true);
+    sim.trace().set_enabled(true);
     sim.run(4, |ctx| {
         // Memory traffic advances virtual time between events.
         let a = ctx.os_alloc(64, 64);
@@ -41,7 +16,7 @@ fn trace_events_drain_in_virtual_time_order() {
             ctx.trace_event(EventKind::LockAcquire, i, 0);
         }
     });
-    let events = sim.obs().trace().drain();
+    let events = sim.trace().drain();
     // os_alloc itself traces, so: 4 threads x (1 OsAlloc + 10 LockAcquire).
     assert_eq!(events.len(), 4 * 11);
     assert!(

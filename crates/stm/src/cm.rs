@@ -177,9 +177,8 @@ pub struct CmSwitch {
 
 /// Contention-management statistics: which policy each transaction attempt
 /// retired under, plus the adaptive controller's activity. Kept separate
-/// from [`StmStats`] (whose slot layout is frozen into every committed
-/// report) and all-zero — and therefore unemitted — under the default
-/// [`CmKind::Suicide`] configuration.
+/// from [`StmStats`], and all-zero under the default [`CmKind::Suicide`]
+/// configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CmStats {
     /// Commits indexed by the policy active when the attempt committed.
@@ -225,56 +224,6 @@ impl CmStats {
         }
         self.switches += o.switches;
         self.norec_hints += o.norec_hints;
-    }
-
-    /// Report section with every counter, for `RunReport` emission.
-    pub fn section(&self) -> tm_obs::Section {
-        tm_obs::Section::from_schema(self)
-    }
-}
-
-// Same sharded-merge contract as `StmStats`: retired threads' tallies land
-// in per-thread shards and merge slot-wise.
-impl tm_obs::SlotSchema for CmStats {
-    const WIDTH: usize = 2 * CmKind::COUNT + 2;
-
-    fn slot_names() -> &'static [&'static str] {
-        &[
-            "cm_commits_suicide",
-            "cm_commits_backoff",
-            "cm_commits_karma",
-            "cm_commits_timestamp",
-            "cm_commits_serialize",
-            "cm_commits_adaptive",
-            "cm_aborts_suicide",
-            "cm_aborts_backoff",
-            "cm_aborts_karma",
-            "cm_aborts_timestamp",
-            "cm_aborts_serialize",
-            "cm_aborts_adaptive",
-            "cm_switches",
-            "cm_norec_hints",
-        ]
-    }
-
-    fn store(&self, slots: &mut [u64]) {
-        slots[..CmKind::COUNT].copy_from_slice(&self.commits_under);
-        slots[CmKind::COUNT..2 * CmKind::COUNT].copy_from_slice(&self.aborts_under);
-        slots[2 * CmKind::COUNT] = self.switches;
-        slots[2 * CmKind::COUNT + 1] = self.norec_hints;
-    }
-
-    fn load(slots: &[u64]) -> Self {
-        let mut commits_under = [0u64; CmKind::COUNT];
-        let mut aborts_under = [0u64; CmKind::COUNT];
-        commits_under.copy_from_slice(&slots[..CmKind::COUNT]);
-        aborts_under.copy_from_slice(&slots[CmKind::COUNT..2 * CmKind::COUNT]);
-        CmStats {
-            commits_under,
-            aborts_under,
-            switches: slots[2 * CmKind::COUNT],
-            norec_hints: slots[2 * CmKind::COUNT + 1],
-        }
     }
 }
 
@@ -738,26 +687,6 @@ mod tests {
                 matches!(k, CmKind::Serialize | CmKind::Adaptive)
             );
         }
-    }
-
-    #[test]
-    fn cm_stats_slots_round_trip() {
-        let mut s = CmStats::default();
-        s.commits_under[CmKind::Karma as usize] = 7;
-        s.aborts_under[CmKind::Serialize as usize] = 3;
-        s.switches = 2;
-        s.norec_hints = 1;
-        let mut slots = [0u64; <CmStats as tm_obs::SlotSchema>::WIDTH];
-        tm_obs::SlotSchema::store(&s, &mut slots);
-        let back = <CmStats as tm_obs::SlotSchema>::load(&slots);
-        assert_eq!(back.commits_under, s.commits_under);
-        assert_eq!(back.aborts_under, s.aborts_under);
-        assert_eq!(back.switches, 2);
-        assert_eq!(back.norec_hints, 1);
-        assert_eq!(
-            <CmStats as tm_obs::SlotSchema>::slot_names().len(),
-            <CmStats as tm_obs::SlotSchema>::WIDTH
-        );
     }
 
     #[test]

@@ -66,11 +66,12 @@ pub use cm::{CmKind, CmStats, CmSwitch};
 pub use stats::{AbortCause, StmStats};
 pub use tx::{Abort, Tx, TxThread};
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tm_alloc::Allocator;
-use tm_sim::{Ctx, Sim};
+use tm_sim::{Ctx, IntMap, Sim};
 
 /// When are versioned locks acquired? The paper's two representative
 /// word-based designs (§2).
@@ -257,21 +258,12 @@ pub struct Stm {
     /// Simulated address of the global version clock.
     pub(crate) clock_addr: u64,
     pub(crate) allocator: Arc<dyn Allocator>,
-    /// Per-thread stats shards: `retire` folds a worker's tally into its
-    /// own cache-line-padded shard (no global lock); `stats` merges
-    /// slot-wise.
-    stats: tm_obs::Sharded<StmStats>,
-    /// Per-thread contention-management stat shards (all-zero under the
-    /// default SUICIDE configuration; see [`CmStats`]).
-    cm_stats: tm_obs::Sharded<CmStats>,
-    /// Adaptive-controller switch points surrendered by retired threads,
-    /// as `(tid, switch)`. Host-side only; [`Stm::cm_switches`] returns
-    /// them in deterministic `(tid, window)` order.
-    cm_switch_log: Mutex<Vec<(usize, CmSwitch)>>,
-    /// Sizes of live transactionally-allocated blocks (host-side registry
-    /// feeding the object cache, which needs sizes at free time). Only
-    /// touched when `cfg.object_cache` is on; see [`table::SizeRegistry`].
-    pub(crate) sizes: table::SizeRegistry,
+    /// Host-side bookkeeping (see `Host`). No guard is held across a
+    /// `Ctx` call: the event may hand the turn to a peer that locks it too.
+    pub(crate) host: Mutex<Host>,
+    /// Instance id a [`StmHostSnapshot`] carries back to
+    /// [`Stm::restore_host`].
+    id: u64,
     /// Simulated base address of the per-thread snapshot array (one cache
     /// line per thread; 0 means idle, else snapshot+1). Drives
     /// quiescence-based reclamation: a transactionally-freed block reaches
@@ -281,8 +273,6 @@ pub struct Stm {
     /// decisions deterministic and charges their true cost.
     pub(crate) active_base: u64,
     pub(crate) cores: usize,
-    /// Limbo blocks from retired threads, (free timestamp, addr, size).
-    pub(crate) global_limbo: Mutex<Vec<(u64, u64, Option<u64>)>>,
     /// Optional observer of transaction boundaries: called with
     /// `(tid, true)` when a thread enters `txn` and `(tid, false)` when it
     /// leaves. Used by the Table 5 instrumentation to attribute allocator
@@ -338,13 +328,10 @@ impl Stm {
             ort_mask: entries - 1,
             clock_addr,
             allocator,
-            stats: tm_obs::Sharded::new(cores),
-            cm_stats: tm_obs::Sharded::new(cores),
-            cm_switch_log: Mutex::new(Vec::new()),
-            sizes: table::SizeRegistry::new(),
+            host: Mutex::default(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             active_base,
             cores,
-            global_limbo: Mutex::new(Vec::new()),
             tx_hook: std::sync::OnceLock::new(),
         }
     }
@@ -387,11 +374,11 @@ impl Stm {
     /// transactions in flight on any thread) — e.g. between benchmark
     /// phases or at the end of a run with a retired `TxThread`.
     pub fn quiesce(&self, ctx: &mut Ctx<'_>) {
-        let entries: Vec<(u64, u64, Option<u64>)> = std::mem::take(&mut *self.global_limbo.lock());
+        let entries = std::mem::take(&mut self.host.lock().limbo);
         for (_, addr, _) in entries {
             if self.cfg.object_cache {
                 // Only object-cache runs register sizes (see `Tx::malloc`).
-                self.sizes.remove(addr);
+                self.host.lock().sizes.remove(&addr);
             }
             self.allocator.free(ctx, addr);
         }
@@ -414,19 +401,16 @@ impl Stm {
         TxThread::new(tid, self.cfg.object_cache, self.cfg.cm)
     }
 
-    /// Fold a finished worker's statistics into the global tally. Call at
-    /// the end of the worker closure.
-    pub fn retire(&self, mut th: TxThread) {
-        th.surrender_limbo(self);
-        // Shard by tid; the modulo only matters if a caller minted more
-        // thread descriptors than the machine has cores (totals are
-        // preserved either way).
-        self.stats.record(th.tid % self.cores, &th.stats);
-        self.cm_stats.record(th.tid % self.cores, &th.cm_stats);
-        if !th.switch_log.is_empty() {
-            let mut log = self.cm_switch_log.lock();
-            log.extend(th.switch_log.drain(..).map(|s| (th.tid, s)));
-        }
+    /// Fold a finished worker's statistics into the global tally and take
+    /// over its limbo list (freed by [`Stm::quiesce`]). Call at the end of
+    /// the worker closure.
+    pub fn retire(&self, th: TxThread) {
+        let mut host = self.host.lock();
+        host.stats.merge(&th.stats);
+        host.cm_stats.merge(&th.cm_stats);
+        let switches = th.switch_log.into_iter().map(|s| (th.tid, s));
+        host.switches.extend(switches);
+        host.limbo.extend(th.limbo);
     }
 
     /// Run `body` as a transaction, retrying on conflicts. How an abort is
@@ -539,29 +523,30 @@ impl Stm {
 
     /// Global statistics snapshot (retired threads only).
     pub fn stats(&self) -> StmStats {
-        self.stats.merged()
+        self.host.lock().stats
     }
 
     /// Global contention-management statistics snapshot (retired threads
     /// only; all-zero under the default SUICIDE configuration).
     pub fn cm_stats(&self) -> CmStats {
-        self.cm_stats.merged()
+        self.host.lock().cm_stats
     }
 
     /// Every adaptive-controller policy switch taken by retired threads,
     /// as `(tid, switch)` sorted by `(tid, window)` — a deterministic
     /// transcript of the controller's behaviour.
     pub fn cm_switches(&self) -> Vec<(usize, CmSwitch)> {
-        let mut log = self.cm_switch_log.lock().clone();
+        let mut log = self.host.lock().switches.clone();
         log.sort_by_key(|(tid, s)| (*tid, s.window));
         log
     }
 
     /// Reset global statistics (e.g. after a warm-up phase).
     pub fn reset_stats(&self) {
-        self.stats.reset();
-        self.cm_stats.reset();
-        self.cm_switch_log.lock().clear();
+        let mut host = self.host.lock();
+        host.stats = StmStats::default();
+        host.cm_stats = CmStats::default();
+        host.switches.clear();
     }
 
     /// The bound allocator.
@@ -574,9 +559,8 @@ impl Stm {
         1 << self.cfg.shift
     }
 
-    /// Capture the STM's **host-side** bookkeeping — stats shards, the
-    /// contention-management switch log, the size registry and the limbo
-    /// list — so [`Stm::restore_host`] can rewind it. The simulated half
+    /// Capture the STM's **host-side** bookkeeping — a clone of its
+    /// `Host` — so [`Stm::restore_host`] can rewind it. The simulated half
     /// (ORT, version clock, active-snapshot array, serialization token)
     /// lives in machine memory and is the machine snapshot's to capture;
     /// pair this with `Sim::snapshot`. Call only at quiescence (no workers
@@ -584,50 +568,48 @@ impl Stm {
     /// excluded: it is set-once configuration, not run state.
     pub fn snapshot_host(&self) -> StmHostSnapshot {
         StmHostSnapshot {
-            stats_rows: (0..self.cores)
-                .map(|t| self.stats.raw().thread_row(t))
-                .collect(),
-            cm_rows: (0..self.cores)
-                .map(|t| self.cm_stats.raw().thread_row(t))
-                .collect(),
-            cm_switch_log: self.cm_switch_log.lock().clone(),
-            sizes: self.sizes.snapshot(),
-            global_limbo: self.global_limbo.lock().clone(),
+            id: self.id,
+            host: self.host.lock().clone(),
         }
     }
 
     /// Rewind host-side bookkeeping to a [`Stm::snapshot_host`] capture
-    /// taken from this STM. Call only at quiescence.
+    /// taken from this STM; panics on another STM's. Call only at
+    /// quiescence.
     pub fn restore_host(&self, snap: &StmHostSnapshot) {
-        assert_eq!(
-            snap.stats_rows.len(),
-            self.cores,
-            "host snapshot taken from an STM with a different core count"
-        );
-        for (t, row) in snap.stats_rows.iter().enumerate() {
-            for (s, v) in row.iter().enumerate() {
-                self.stats.raw().set(t, s, *v);
-            }
-        }
-        for (t, row) in snap.cm_rows.iter().enumerate() {
-            for (s, v) in row.iter().enumerate() {
-                self.cm_stats.raw().set(t, s, *v);
-            }
-        }
-        *self.cm_switch_log.lock() = snap.cm_switch_log.clone();
-        self.sizes.restore(&snap.sizes);
-        *self.global_limbo.lock() = snap.global_limbo.clone();
+        assert!(snap.id == self.id, "restore of a foreign STM host snapshot");
+        self.host.lock().clone_from(&snap.host);
     }
+}
+
+/// Source of instance ids: a host snapshot names the STM it was taken from.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// The STM's host-side bookkeeping, plain data behind one lock. Host work
+/// between two simulated events runs alone (DESIGN.md §4.1), so the lock is
+/// never contended; a snapshot is a clone.
+#[derive(Clone, Default)]
+struct Host {
+    /// Retired threads' tallies, folded with [`StmStats::merge`].
+    stats: StmStats,
+    /// Retired threads' contention-management tallies (all-zero under the
+    /// default SUICIDE configuration; see [`CmStats`]).
+    cm_stats: CmStats,
+    /// Adaptive-controller switch points surrendered by retired threads,
+    /// as `(tid, switch)`; [`Stm::cm_switches`] sorts them.
+    switches: Vec<(usize, CmSwitch)>,
+    /// Sizes of live transactionally-allocated blocks, which the object
+    /// cache needs at free time. Only touched when `cfg.object_cache` is on.
+    sizes: IntMap<u64, u64>,
+    /// Limbo blocks from retired threads, (free timestamp, addr, size).
+    limbo: Vec<(u64, u64, Option<u64>)>,
 }
 
 /// Frozen host-side STM bookkeeping from [`Stm::snapshot_host`]. Opaque:
 /// only meaningful to [`Stm::restore_host`] on the same instance.
 pub struct StmHostSnapshot {
-    stats_rows: Vec<Vec<u64>>,
-    cm_rows: Vec<Vec<u64>>,
-    cm_switch_log: Vec<(usize, CmSwitch)>,
-    sizes: Vec<table::SizeMap>,
-    global_limbo: Vec<(u64, u64, Option<u64>)>,
+    id: u64,
+    host: Host,
 }
 
 #[cfg(test)]
@@ -849,11 +831,96 @@ mod tests {
         sim.restore(&machine);
         stm.restore_host(&host);
         assert_eq!(stm.stats(), stats_at_snap);
-        // Re-running from the restored state reproduces the doubled tally
-        // bit-for-bit (stats shards, not just totals, were rewound).
+        // Re-running from the restored state reproduces the doubled tally.
         work(&sim, &stm);
         assert_eq!(stm.stats().commits, 80);
         sim.with_state(|m| assert_eq!(m.read_u64(addr), 80));
+
+        // Every `Host` field non-empty: the object cache fills the size map,
+        // the adaptive controller logs switches, and the last frees of each
+        // thread reach the limbo list at `retire`.
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        let alloc = AllocatorKind::TbbMalloc.build(&sim);
+        let cfg = StmConfig {
+            object_cache: true,
+            cm: CmKind::Adaptive,
+            ..StmConfig::default()
+        };
+        let stm = Stm::new(&sim, Arc::clone(&alloc), cfg);
+        let work = |sim: &Sim, stm: &Stm| {
+            sim.run(8, |ctx| {
+                let mut th = stm.thread(ctx.tid());
+                let mut held = 0;
+                for _ in 0..100 {
+                    let prev = held;
+                    held = stm.txn(ctx, &mut th, |tx, ctx| {
+                        let v = tx.read(ctx, addr)?;
+                        ctx.tick(60);
+                        tx.write(ctx, addr, v + 1)?;
+                        if prev != 0 {
+                            tx.free(ctx, prev);
+                        }
+                        Ok(tx.malloc(ctx, 48))
+                    });
+                }
+                stm.retire(th);
+            });
+        };
+        let view = |stm: &Stm| (stm.stats(), stm.cm_stats(), stm.cm_switches(), sizes(stm));
+        work(&sim, &stm);
+        let (machine, heap, host) = (sim.snapshot(None), alloc.snapshot(), stm.snapshot_host());
+        let at_snap = view(&stm);
+        assert!(at_snap.1.switches > 0, "8 threads on one counter escalate");
+        assert!(!at_snap.3.is_empty(), "object-cache blocks have sizes");
+        assert!(!stm.host.lock().limbo.is_empty(), "frees wait in limbo");
+        work(&sim, &stm);
+        let after_rerun = view(&stm);
+        assert_ne!(after_rerun, at_snap);
+        sim.restore(&machine);
+        alloc.restore(heap.as_ref().expect("TBB checkpoints"));
+        stm.restore_host(&host);
+        assert_eq!(view(&stm), at_snap);
+        work(&sim, &stm);
+        assert_eq!(view(&stm), after_rerun, "the rewound run replays");
+    }
+
+    /// The size map, read through the lock (tests only).
+    fn sizes(stm: &Stm) -> Vec<(u64, u64)> {
+        let mut sizes: Vec<_> = stm
+            .host
+            .lock()
+            .sizes
+            .iter()
+            .map(|(&a, &s)| (a, s))
+            .collect();
+        sizes.sort_unstable();
+        sizes
+    }
+
+    #[test]
+    fn a_sibling_stms_host_snapshot_is_refused() {
+        let (sim, stm) = setup(5);
+        let sibling = Stm::new(&sim, Arc::clone(stm.allocator()), StmConfig::default());
+        let commit = |stm: &Stm| {
+            sim.run(1, |ctx| {
+                let mut th = stm.thread(0);
+                stm.txn(ctx, &mut th, |tx, ctx| tx.write(ctx, 0xc000_0000, 1));
+                stm.retire(th);
+            });
+        };
+        commit(&stm);
+        let (own, foreign) = (stm.snapshot_host(), sibling.snapshot_host());
+        commit(&stm);
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stm.restore_host(&foreign)))
+                .expect_err("a sibling's snapshot must be refused");
+        assert_eq!(
+            tm_obs::panic_message(&*refused),
+            "restore of a foreign STM host snapshot"
+        );
+        assert_eq!(stm.stats().commits, 2, "a refused restore changes nothing");
+        stm.restore_host(&own);
+        assert_eq!(stm.stats().commits, 1);
     }
 
     #[test]

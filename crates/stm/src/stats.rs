@@ -117,76 +117,6 @@ impl StmStats {
         self.tx_mallocs += o.tx_mallocs;
         self.tx_frees += o.tx_frees;
     }
-
-    /// Report section with every counter, for `RunReport` emission.
-    ///
-    /// The `abort_alloc_failed` slot postdates every artifact frozen before
-    /// the allocation-failure plane existed, so — mirroring the report
-    /// v1/v1.1 discipline — it is emitted only when non-zero: runs without
-    /// fault injection keep producing byte-identical reports.
-    pub fn section(&self) -> tm_obs::Section {
-        let mut section = tm_obs::Section::from_schema(self);
-        if self.by_cause[AbortCause::AllocFailed as usize] == 0 {
-            if let tm_obs::Section::Counters(items) = &mut section {
-                items.retain(|(name, _)| name != "abort_alloc_failed");
-            }
-        }
-        section
-    }
-}
-
-// Lets retired threads' stats land in per-thread shards (`tm_obs::Sharded`)
-// with the same slot-wise merge used by every other stats struct.
-impl tm_obs::SlotSchema for StmStats {
-    const WIDTH: usize = 7 + AbortCause::COUNT;
-
-    fn slot_names() -> &'static [&'static str] {
-        &[
-            "commits",
-            "abort_read_locked",
-            "abort_write_locked",
-            "abort_validation",
-            "abort_read_race",
-            "abort_explicit",
-            "abort_capacity",
-            "abort_coherence",
-            "abort_alloc_failed",
-            "extensions",
-            "reads",
-            "writes",
-            "cache_hits",
-            "tx_mallocs",
-            "tx_frees",
-        ]
-    }
-
-    fn store(&self, slots: &mut [u64]) {
-        let base = 1 + AbortCause::COUNT;
-        slots[0] = self.commits;
-        slots[1..base].copy_from_slice(&self.by_cause);
-        slots[base] = self.extensions;
-        slots[base + 1] = self.reads;
-        slots[base + 2] = self.writes;
-        slots[base + 3] = self.cache_hits;
-        slots[base + 4] = self.tx_mallocs;
-        slots[base + 5] = self.tx_frees;
-    }
-
-    fn load(slots: &[u64]) -> Self {
-        let base = 1 + AbortCause::COUNT;
-        let mut by_cause = [0u64; AbortCause::COUNT];
-        by_cause.copy_from_slice(&slots[1..base]);
-        StmStats {
-            commits: slots[0],
-            by_cause,
-            extensions: slots[base],
-            reads: slots[base + 1],
-            writes: slots[base + 2],
-            cache_hits: slots[base + 3],
-            tx_mallocs: slots[base + 4],
-            tx_frees: slots[base + 5],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,28 +141,6 @@ mod tests {
     #[test]
     fn empty_ratio_is_zero() {
         assert_eq!(StmStats::default().abort_ratio(), 0.0);
-    }
-
-    #[test]
-    fn alloc_failed_slot_is_emitted_only_when_hit() {
-        let names = <StmStats as tm_obs::SlotSchema>::slot_names();
-        assert_eq!(names.len(), <StmStats as tm_obs::SlotSchema>::WIDTH);
-        let has_slot = |s: &StmStats| match s.section() {
-            tm_obs::Section::Counters(items) => {
-                items.iter().any(|(n, _)| n == "abort_alloc_failed")
-            }
-            _ => unreachable!("stats sections are counters"),
-        };
-        let mut s = StmStats::default();
-        assert!(
-            !has_slot(&s),
-            "zero alloc-failures must emit the frozen layout"
-        );
-        s.record_abort(AbortCause::AllocFailed);
-        assert!(
-            has_slot(&s),
-            "a recorded alloc-failure must surface in reports"
-        );
     }
 
     #[test]

@@ -119,79 +119,9 @@ impl GenTable {
     }
 }
 
-/// Sharded registry of live transactionally-allocated block sizes.
-///
-/// Only consulted when the §6.2 object cache is enabled (the cache needs a
-/// block's size at free time); with the cache off, no STM path touches it.
-/// Sharding by address hash keeps cross-thread malloc/free traffic off a
-/// single global lock, and the workspace's integer hasher avoids paying
-/// SipHash per block.
-pub(crate) struct SizeRegistry {
-    shards: Vec<parking_lot::Mutex<SizeMap>>,
-}
-
-pub(crate) type SizeMap = tm_sim::IntMap<u64, u64>;
-
-const SHARDS: usize = 16;
-
-impl SizeRegistry {
-    pub(crate) fn new() -> Self {
-        SizeRegistry {
-            shards: (0..SHARDS)
-                .map(|_| parking_lot::Mutex::new(SizeMap::default()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, addr: u64) -> &parking_lot::Mutex<SizeMap> {
-        &self.shards[(addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (SHARDS - 1)]
-    }
-
-    #[inline]
-    pub(crate) fn insert(&self, addr: u64, size: u64) {
-        self.shard(addr).lock().insert(addr, size);
-    }
-
-    #[inline]
-    pub(crate) fn remove(&self, addr: u64) {
-        self.shard(addr).lock().remove(&addr);
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, addr: u64) -> Option<u64> {
-        self.shard(addr).lock().get(&addr).copied()
-    }
-
-    /// Clone every shard's map (checkpoint support; call at quiescence).
-    pub(crate) fn snapshot(&self) -> Vec<SizeMap> {
-        self.shards.iter().map(|s| s.lock().clone()).collect()
-    }
-
-    /// Overwrite every shard from a [`SizeRegistry::snapshot`].
-    pub(crate) fn restore(&self, snap: &[SizeMap]) {
-        debug_assert_eq!(snap.len(), self.shards.len());
-        for (s, m) in self.shards.iter().zip(snap) {
-            *s.lock() = m.clone();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn size_registry_round_trip() {
-        let r = SizeRegistry::new();
-        for a in 0..200u64 {
-            r.insert(a * 16, a);
-        }
-        assert_eq!(r.get(32), Some(2));
-        r.remove(32);
-        assert_eq!(r.get(32), None);
-        assert_eq!(r.get(48), Some(3));
-    }
 
     #[test]
     fn insert_get_overwrite() {

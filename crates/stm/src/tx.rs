@@ -48,7 +48,7 @@ pub struct TxThread {
     pub(crate) tx_frees: Vec<u64>,
     /// Blocks freed by committed transactions, awaiting quiescence:
     /// (free timestamp, addr, size if known).
-    limbo: Vec<(u64, u64, Option<u64>)>,
+    pub(crate) limbo: Vec<(u64, u64, Option<u64>)>,
     /// Recycled scratch for `drain_limbo`'s keep list, so steady-state
     /// reclamation allocates nothing on the host.
     limbo_scratch: Vec<(u64, u64, Option<u64>)>,
@@ -211,7 +211,7 @@ impl TxThread {
             }
             if self.cache.is_some() {
                 // Only object-cache runs register sizes (see `Tx::malloc`).
-                stm.sizes.remove(addr);
+                stm.host.lock().sizes.remove(&addr);
             }
             stm.allocator.free(ctx, addr);
         }
@@ -273,7 +273,7 @@ impl TxThread {
                     if cache.put(size, addr) {
                         continue;
                     }
-                    stm.sizes.remove(addr);
+                    stm.host.lock().sizes.remove(&addr);
                 }
                 stm.allocator.free(ctx, addr);
             }
@@ -290,19 +290,13 @@ impl TxThread {
         let frees = std::mem::take(&mut self.tx_frees);
         for addr in frees {
             let size = if self.cache.is_some() {
-                stm.sizes.get(addr)
+                stm.host.lock().sizes.get(&addr).copied()
             } else {
                 None
             };
             self.limbo.push((ts, addr, size));
         }
         self.tx_allocs.clear();
-    }
-
-    /// Move any remaining limbo blocks to the STM's global pool (freed by
-    /// [`Stm::quiesce`] once the run is over).
-    pub(crate) fn surrender_limbo(&mut self, stm: &Stm) {
-        stm.global_limbo.lock().append(&mut self.limbo);
     }
 }
 
@@ -382,7 +376,7 @@ impl<'a> Tx<'a> {
             self.allocator_malloc(ctx, size)?
         };
         if self.th.cache.is_some() {
-            self.stm.sizes.insert(addr, size);
+            self.stm.host.lock().sizes.insert(addr, size);
         }
         self.th.tx_allocs.push((addr, size));
         Ok(addr)

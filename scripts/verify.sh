@@ -41,20 +41,22 @@ for f in glibc hoard tbb tc serial state; do
 done
 
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
-# above used the default one; run the simulator's and the allocator models'
-# own tests under each by name — the turn cell's tests and the models'
-# multi-threaded conformance, cross-thread-free and snapshot tests are
-# where host-side state reached outside the turn shows, and it shows
-# differently on each backend — then hold the OS-thread reference to the
-# committed whole-stack goldens: allocation order, abort counts and heap
-# peaks are decided by host-side state between events, which only hand-off
-# order makes deterministic. Both runs are the debug profile, so the cache
+# above used the default one; run the simulator's, the allocator models'
+# and the STM's own tests under each by name — the turn cell's tests, the
+# models' multi-threaded conformance, cross-thread-free and snapshot tests
+# and the STM's host round trip are where host-side state reached outside
+# the turn shows, and it shows differently on each backend (the STM's one
+# `Host` lock is exact only because host work between events runs alone in
+# hand-off order: a guard held across an event deadlocks there) — then
+# hold the OS-thread reference to the committed whole-stack goldens:
+# allocation order, abort counts and heap peaks are decided by host-side
+# state between events, which only hand-off order makes deterministic. Both runs are the debug profile, so the cache
 # model's `debug_assert_eq!(evicted_dirty, write_back)`, the scheduler's
 # "a resumed thread is the minimum" and the overflow checks see the
 # reference executor too.
 for exec in fibers threads; do
-  echo "==> cargo test -p tm-sim -p tm-alloc (TM_SIM_EXEC=$exec)"
-  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -q
+  echo "==> cargo test -p tm-sim -p tm-alloc -p tm-stm (TM_SIM_EXEC=$exec)"
+  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -p tm-stm -q
 done
 echo "==> cargo test --test determinism (TM_SIM_EXEC=threads)"
 TM_SIM_EXEC=threads $CARGO test -q --test determinism
