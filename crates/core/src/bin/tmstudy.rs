@@ -385,13 +385,6 @@ fn check(flags: &Flags) {
 /// minimal failing site. Writes a `tm-oom-report/v1` document; exit 1
 /// on any unexpected verdict.
 fn mc_oom(flags: &Flags) {
-    if flags.contains_key("alloc-fault") {
-        eprintln!(
-            "error: --oom owns its fault injector (it sweeps every site); \
-             --alloc-fault only applies to the schedule sweep"
-        );
-        std::process::exit(2);
-    }
     let name = flags
         .get("name")
         .cloned()
@@ -401,6 +394,39 @@ fn mc_oom(flags: &Flags) {
     write_matrix(flags, &report, "oom report");
     exit_if_degraded(report.degraded(), "unexpected verdict(s)");
 }
+
+/// The two fixed `mc` suites, the flags of the targeted sweep each one does
+/// not read, and why — one of them is refused, not ignored.
+const MC_SUITES: [(&str, &[&str], &str); 2] = [
+    (
+        "oom",
+        &[
+            "alloc-fault",
+            "backend",
+            "cm",
+            "alloc",
+            "depth",
+            "budget",
+            "magnitudes",
+            "no-checkpoint",
+            "quick",
+        ],
+        "it sweeps every allocation site of a fixed matrix with its own fault injector",
+    ),
+    (
+        "quick",
+        &[
+            "alloc-fault",
+            "backend",
+            "cm",
+            "alloc",
+            "budget",
+            "magnitudes",
+        ],
+        "it runs the fixed mutation catalog and clean matrix, fault-free \
+         (only --depth and --no-checkpoint shape it; `mc --oom` fails allocations)",
+    ),
+];
 
 /// Run the schedule model checker (tm-mc) and write a `tm-mc-report/v1`
 /// (or, with throughput accounting, `v1.1`) document. `--quick` runs the
@@ -413,6 +439,15 @@ fn mc_oom(flags: &Flags) {
 /// clean STM or an escaped mutant), 2 on bad flags.
 fn mc(flags: &Flags) {
     use tm_stm::{BackendKind, CmKind};
+    for (mode, unread, why) in MC_SUITES {
+        if flags.contains_key(mode) {
+            if let Some(flag) = unread.iter().find(|f| flags.contains_key(**f)) {
+                eprintln!("error: --{flag} does not apply to mc --{mode}: {why}");
+                std::process::exit(2);
+            }
+            break;
+        }
+    }
     if flags.contains_key("oom") {
         return mc_oom(flags);
     }
@@ -425,14 +460,6 @@ fn mc(flags: &Flags) {
             .get("alloc-fault")
             .map_or(Ok(AllocFaultPlan::None), |v| AllocFaultPlan::parse(v)),
     );
-    if quick && alloc_fault != AllocFaultPlan::None {
-        eprintln!(
-            "error: --alloc-fault applies to the targeted sweep; \
-             the --quick catalog always runs fault-free (use `mc --oom` \
-             for systematic allocation-failure coverage)"
-        );
-        std::process::exit(2);
-    }
     let name = flags.get("name").cloned().unwrap_or_else(|| {
         if quick {
             "mc-quick".into()

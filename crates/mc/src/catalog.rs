@@ -23,10 +23,10 @@ use tm_check::TransferProgram;
 use tm_obs::{CheckCell, McCell, McCounterexample, McReport, McVerdict};
 use tm_stm::{BackendKind, CmKind, InjectedBug};
 
-use crate::enumerate::{enumerate, EnumConfig, EnumStats};
-use crate::explore::{explore, Throughput};
+use crate::enumerate::{EnumConfig, EnumStats};
+use crate::explore::{run_on, walk, Meter, Session, Throughput};
 use crate::pct::{trial_schedule, PctConfig};
-use crate::program::{run_schedule, McProgram, ProgramKind, RunConfig};
+use crate::program::{run_schedule, McProgram, ProgramKind, QuietPanics, RunConfig};
 
 /// How a cell sweeps the schedule space. The explorer is one — sweep,
 /// shrink the first violation, fold a verdict into an [`McCell`] — and
@@ -72,19 +72,20 @@ impl Strategy {
     /// Sweep `program` under `run` until the first violation: the sweep
     /// statistics and, if a schedule violated an invariant, the raw
     /// (unshrunk) delay vector with its detail — `stats.explored` is then
-    /// the 1-based index of the witness. `checkpoint` selects the
-    /// checkpointed walker for the exhaustive strategy; sampled schedules
-    /// share no prefix to restore to and always run from scratch.
+    /// the 1-based index of the witness. With a `session` every schedule
+    /// is a restore-and-run from its root (the exhaustive strategy also
+    /// dedups by fingerprint); without one every schedule runs from
+    /// scratch. The schedule counts are folded into `work`.
     pub fn sweep(
         &self,
         program: &McProgram,
         run: &RunConfig,
-        checkpoint: bool,
+        session: Option<&mut Session>,
         work: &mut SweepWork,
     ) -> (EnumStats, Option<(Vec<u64>, String)>) {
-        match self {
-            Strategy::Exhaustive(ecfg) => sweep_exhaustive(program, run, ecfg, checkpoint, work),
-            Strategy::Pct(pcfg) => sample(program, run, pcfg.trials, work, |trial| {
+        let (stats, found, t) = match self {
+            Strategy::Exhaustive(ecfg) => walk(program, run, ecfg, session),
+            Strategy::Pct(pcfg) => sample(program, run, pcfg.trials, session, |trial| {
                 trial_schedule(program, pcfg, trial)
             }),
             Strategy::Random {
@@ -94,38 +95,47 @@ impl Strategy {
             } => {
                 let vectors = delays(program.points(), *max_delay);
                 let mut rng = TestRng::deterministic(*seed);
-                sample(program, run, *cases, work, |_| vectors.generate(&mut rng))
+                sample(program, run, *cases, session, |_| {
+                    vectors.generate(&mut rng)
+                })
             }
-        }
+        };
+        work.absorb(&stats, &t);
+        (stats, found)
     }
 }
 
 /// The sample-until-violation loop of the two sampled strategies: run
 /// `schedule(i)` for `i` in `0..samples`, stopping at the first violation.
+/// Every sample is a whole schedule, so a session's root (taken after
+/// seeding) serves them all.
 fn sample(
     program: &McProgram,
     run: &RunConfig,
     samples: u64,
-    work: &mut SweepWork,
+    mut session: Option<&mut Session>,
     mut schedule: impl FnMut(u64) -> Vec<u64>,
-) -> (EnumStats, Option<(Vec<u64>, String)>) {
+) -> (EnumStats, Option<(Vec<u64>, String)>, Throughput) {
+    let _quiet = QuietPanics::enter();
+    let meter = Meter::start(session.as_deref());
     let mut stats = EnumStats::default();
     let mut found = None;
     while stats.explored < samples && found.is_none() {
         let delays = schedule(stats.explored);
         stats.explored += 1;
-        found = run_schedule(program, run, &delays)
+        found = run_on(session.as_deref_mut(), program, run, &delays)
             .err()
             .map(|detail| (delays, detail));
     }
-    work.absorb(stats.explored, 0, None);
-    (stats, found)
+    let t = meter.read(session.as_deref(), stats.explored);
+    (stats, found, t)
 }
 
 /// Schedule-count accounting accumulated across the cells of one sweep.
 /// The caller supplies the wall-clock measurement; together they feed
 /// the `tm-mc-report/v1.1` throughput block and the `mc-explore`
-/// workload of `bash benchmark/run.sh`.
+/// workload of `bash benchmark/run.sh`. Only sweep schedules count: a
+/// cell's shrink is not part of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepWork {
     /// Schedules executed across all cells (exhaustive runs plus pct
@@ -140,34 +150,11 @@ pub struct SweepWork {
 }
 
 impl SweepWork {
-    fn absorb(&mut self, explored: u64, deduped: u64, t: Option<&Throughput>) {
-        self.schedules += explored;
-        self.deduped += deduped;
-        if let Some(t) = t {
-            self.replay_steps_saved += t.replay_steps_saved;
-            self.checkpoints_taken += t.checkpoints_taken;
-        }
-    }
-}
-
-/// Execute one bounded-exhaustive sweep — checkpointed ([`explore`]) by
-/// default, from scratch ([`enumerate`]) under `--no-checkpoint` — and
-/// fold its schedule counts into `work`.
-fn sweep_exhaustive(
-    program: &McProgram,
-    run: &RunConfig,
-    ecfg: &EnumConfig,
-    checkpoint: bool,
-    work: &mut SweepWork,
-) -> (EnumStats, Option<(Vec<u64>, String)>) {
-    if checkpoint {
-        let (stats, found, t) = explore(program, run, ecfg);
-        work.absorb(stats.explored, stats.deduped, Some(&t));
-        (stats, found)
-    } else {
-        let (stats, found) = enumerate(program, run, ecfg);
-        work.absorb(stats.explored, 0, None);
-        (stats, found)
+    fn absorb(&mut self, stats: &EnumStats, t: &Throughput) {
+        self.schedules += stats.explored;
+        self.deduped += stats.deduped;
+        self.replay_steps_saved += t.replay_steps_saved;
+        self.checkpoints_taken += t.checkpoints_taken;
     }
 }
 
@@ -312,21 +299,24 @@ fn config_kv(strategy: &Strategy, program: &McProgram, run: &RunConfig) -> Vec<(
 
 /// Shrink a raw violating delay vector to a minimal one that still
 /// fails, using the proptest shrinking machinery over the delay-vector
-/// shape [`Strategy::Random`] samples. Returns the finished
-/// counterexample; the shrunk vector is guaranteed to still violate —
-/// asserted in every build profile, at the price of one run per violation.
+/// shape [`Strategy::Random`] samples. Candidates run on `session` when
+/// there is one (the cell's, after its sweep), else from scratch. Returns
+/// the finished counterexample; the shrunk vector is guaranteed to still
+/// violate — asserted from scratch, by the oracle, in every build profile,
+/// at the price of one run per violation.
 pub fn shrink_violation(
     program: &McProgram,
     run: &RunConfig,
+    mut session: Option<&mut Session>,
     witness: Vec<u64>,
     detail: String,
     found_at: u64,
 ) -> McCounterexample {
+    let _quiet = QuietPanics::enter();
     let max_delay = witness.iter().copied().max().unwrap_or(0) + 1;
     let strategy = delays(program.points(), max_delay);
-    let check = |sched: &Vec<u64>| match run_schedule(program, run, sched) {
-        Ok(()) => Ok(()),
-        Err(d) => Err(TestCaseError::fail(d)),
+    let check = |sched: &Vec<u64>| {
+        run_on(session.as_deref_mut(), program, run, sched).map_err(TestCaseError::fail)
     };
     let (minimal, err, steps) =
         shrink_failure(&strategy, witness, TestCaseError::fail(detail), 400, check);
@@ -439,8 +429,7 @@ pub fn run_mutant_cell(recipe: &MutantRecipe) -> McCell {
 }
 
 /// [`run_mutant_cell`] with explicit control over checkpointing and work
-/// accounting. Sampled recipes ignore `checkpoint` — their schedules have
-/// no shared prefix to restore to.
+/// accounting.
 pub fn run_mutant_cell_opt(
     recipe: &MutantRecipe,
     checkpoint: bool,
@@ -476,7 +465,9 @@ fn mutant_verdict(
 }
 
 /// The one cell body: sweep by `strategy`, shrink the first violation,
-/// let `verdict` judge the outcome.
+/// let `verdict` judge the outcome. With `checkpoint` the sweep and the
+/// shrink run on one [`Session`], built here; the verdict's replays stay
+/// from-scratch [`run_schedule`] calls, the oracle's.
 fn run_cell(
     program: &McProgram,
     run: &RunConfig,
@@ -485,9 +476,19 @@ fn run_cell(
     work: &mut SweepWork,
     verdict: VerdictRule,
 ) -> McCell {
-    let (stats, found) = strategy.sweep(program, run, checkpoint, work);
-    let counterexample = found
-        .map(|(witness, detail)| shrink_violation(program, run, witness, detail, stats.explored));
+    let _quiet = QuietPanics::enter();
+    let mut session = checkpoint.then(|| Session::try_new(program, run)).flatten();
+    let (stats, found) = strategy.sweep(program, run, session.as_mut(), work);
+    let counterexample = found.map(|(witness, detail)| {
+        shrink_violation(
+            program,
+            run,
+            session.as_mut(),
+            witness,
+            detail,
+            stats.explored,
+        )
+    });
     McCell {
         config: config_kv(strategy, program, run),
         verdict: verdict(program, run, counterexample.as_ref()),

@@ -30,25 +30,26 @@
 //! from-scratch enumerator remains the oracle, and `tmstudy mc
 //! --no-checkpoint` falls back to it wholesale. Rebuilding the world is
 //! not expensive either — a simulated machine costs what its run touches
-//! (DESIGN.md §4), so a from-scratch schedule takes under twice a restored
+//! (DESIGN.md §4), so a from-scratch schedule takes about twice a restored
 //! one — which is what lets the oracle run beside every reduction; it
 //! stays the oracle because it shares none of the snapshot, journal and
 //! dedup machinery it checks.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
 use tm_alloc::{Allocator as _, HeapSnapshot};
-use tm_sim::{Sim, SimSnapshot};
+use tm_sim::{IntMap, Sim, SimSnapshot};
 use tm_stm::{Stm, StmHostSnapshot, StmStats};
 
 use crate::conflict;
 use crate::enumerate::{binomial, pruned_count, EnumConfig, EnumStats};
 use crate::program::{
-    build_stack, classify_panic, install_hook, main_phase, new_sim, run_schedule, seed_heap,
-    McProgram, QuietPanics, RunConfig,
+    build_stack, classify_panic, delay_table, install_hook, main_phase, new_sim, run_schedule,
+    seed_heap, DelayTable, McProgram, QuietPanics, RunConfig,
 };
 
 /// A reusable execution cell for one `(program, config)` pair: the
@@ -71,6 +72,9 @@ pub struct Session {
     /// the full budget *before* seeding).
     run_fuel: u64,
     restores: u64,
+    /// The schedule the next run plays: the scheduling hook installed at
+    /// construction reads it, [`Session::play`] fills it.
+    delays: DelayTable,
 }
 
 impl Session {
@@ -102,6 +106,8 @@ impl Session {
         // A seed phase that survived left at least one event of budget
         // (exhausting it on the last event would have panicked).
         let run_fuel = cfg.fuel - root_sim.events();
+        let delays = delay_table(&vec![0; program.points()]);
+        install_hook(&sim, program.base.txns as usize, Arc::clone(&delays));
         Some(Session {
             program: *program,
             sim,
@@ -112,6 +118,7 @@ impl Session {
             root_stm,
             run_fuel,
             restores: 0,
+            delays,
         })
     }
 
@@ -143,8 +150,10 @@ impl Session {
         after: impl FnOnce(&Sim, &Stm),
     ) -> Result<(), String> {
         assert_eq!(delays.len(), self.program.points(), "schedule arity");
+        for (slot, &delay) in self.delays.iter().zip(delays) {
+            slot.store(delay, Relaxed);
+        }
         let _quiet = QuietPanics::enter();
-        install_hook(&self.sim, self.program.base.txns as usize, delays);
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             main_phase(&self.program, &self.sim, &self.stm)?;
             after(&self.sim, &self.stm);
@@ -192,6 +201,48 @@ pub struct Throughput {
     pub checkpoints_taken: u64,
 }
 
+/// Where a sweep's [`Throughput`] is measured from: its start, and the
+/// restores its session had made before it (a cell's shrink runs on the
+/// same session afterwards and is not the sweep's).
+pub(crate) struct Meter {
+    start: Instant,
+    restores: u64,
+}
+
+impl Meter {
+    pub(crate) fn start(session: Option<&Session>) -> Meter {
+        Meter {
+            start: Instant::now(),
+            restores: session.map_or(0, Session::restores),
+        }
+    }
+
+    /// The throughput of the `explored` schedules run since the start.
+    pub(crate) fn read(&self, session: Option<&Session>, explored: u64) -> Throughput {
+        let secs = self.start.elapsed().as_secs_f64().max(1e-9);
+        Throughput {
+            schedules_per_sec: explored as f64 / secs,
+            replay_steps_saved: session
+                .map_or(0, |s| s.root_events() * (s.restores() - self.restores)),
+            checkpoints_taken: session.is_some() as u64,
+        }
+    }
+}
+
+/// Run one schedule on `session` (a restore and a run) or, without one,
+/// from scratch.
+pub(crate) fn run_on(
+    session: Option<&mut Session>,
+    program: &McProgram,
+    cfg: &RunConfig,
+    delays: &[u64],
+) -> Result<(), String> {
+    match session {
+        Some(s) => s.run(delays),
+        None => run_schedule(program, cfg, delays),
+    }
+}
+
 /// Schedules in the extension subtree of a support ending at pool
 /// position `last` with support size `k`: choose 1..=depth-k extra
 /// positions strictly to the right, each with any of `m` magnitudes.
@@ -218,7 +269,7 @@ pub fn explore(
     cfg: &RunConfig,
     ecfg: &EnumConfig,
 ) -> (EnumStats, Option<(Vec<u64>, String)>, Throughput) {
-    walk(program, cfg, ecfg, Session::try_new(program, cfg))
+    walk(program, cfg, ecfg, Session::try_new(program, cfg).as_mut())
 }
 
 /// The one walker of the bounded schedule space: supports in order of
@@ -232,9 +283,10 @@ pub(crate) fn walk(
     program: &McProgram,
     cfg: &RunConfig,
     ecfg: &EnumConfig,
-    mut session: Option<Session>,
+    mut session: Option<&mut Session>,
 ) -> (EnumStats, Option<(Vec<u64>, String)>, Throughput) {
-    let start = Instant::now();
+    let _quiet = QuietPanics::enter();
+    let meter = Meter::start(session.as_deref());
     let points = program.points();
     let support_pool: Vec<usize> = if ecfg.prune {
         conflict::active_points(program)
@@ -252,30 +304,17 @@ pub(crate) fn walk(
     // pool position seen with that fingerprint, and the (combo, assign)
     // prefixes whose extension subtrees are skipped. The zero schedule's
     // conceptual last position is -1: it precedes every support.
-    let mut seen: HashMap<u64, i64> = HashMap::new();
+    let mut seen: IntMap<u64, i64> = IntMap::default();
     let mut skips: HashSet<Vec<(u32, u32)>> = HashSet::new();
-
-    let run = |sess: &mut Option<Session>, delays: &[u64]| match sess {
-        Some(s) => s.run(delays),
-        None => run_schedule(program, cfg, delays),
-    };
-    let throughput = |sess: &Option<Session>, explored: u64, start: Instant| {
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        Throughput {
-            schedules_per_sec: explored as f64 / secs,
-            replay_steps_saved: sess
-                .as_ref()
-                .map(|s| s.root_events() * s.restores())
-                .unwrap_or(0),
-            checkpoints_taken: sess.is_some() as u64,
-        }
-    };
+    // The current schedule's (combo, assign) pairs, whose prefixes are
+    // looked up in `skips`.
+    let mut key: Vec<(u32, u32)> = Vec::with_capacity(ecfg.depth);
 
     let mut delays = vec![0u64; points];
     // Support size 0: the undisturbed schedule.
     stats.explored += 1;
-    if let Err(detail) = run(&mut session, &delays) {
-        let t = throughput(&session, stats.explored, start);
+    if let Err(detail) = run_on(session.as_deref_mut(), program, cfg, &delays) {
+        let t = meter.read(session.as_deref(), stats.explored);
         return (stats, Some((delays, detail)), t);
     }
     if let Some(s) = &session {
@@ -287,39 +326,34 @@ pub(crate) fn walk(
         loop {
             let mut assign = vec![0usize; k];
             loop {
+                key.clear();
+                key.extend(
+                    combo
+                        .iter()
+                        .zip(&assign)
+                        .map(|(&c, &a)| (c as u32, a as u32)),
+                );
                 // A schedule whose (combo, assign) proper prefix was
                 // deduped is an already-accounted extension: skip it
                 // without running or recounting it.
-                let skipped = !skips.is_empty()
-                    && (1..k).any(|j| {
-                        let key: Vec<(u32, u32)> = combo[..j]
-                            .iter()
-                            .zip(assign[..j].iter())
-                            .map(|(&c, &a)| (c as u32, a as u32))
-                            .collect();
-                        skips.contains(&key)
-                    });
+                let skipped = !skips.is_empty() && (1..k).any(|j| skips.contains(&key[..j]));
                 if !skipped {
                     if stats.explored >= ecfg.max_schedules {
                         stats.capped = true;
-                        let t = throughput(&session, stats.explored, start);
+                        let t = meter.read(session.as_deref(), stats.explored);
                         return (stats, None, t);
                     }
                     for (slot, &mag_idx) in combo.iter().zip(assign.iter()) {
                         delays[support_pool[*slot]] = ecfg.magnitudes[mag_idx];
                     }
                     stats.explored += 1;
-                    let r = run(&mut session, &delays);
+                    let r = run_on(session.as_deref_mut(), program, cfg, &delays);
+                    if let Err(detail) = r {
+                        let t = meter.read(session.as_deref(), stats.explored);
+                        return (stats, Some((delays, detail)), t);
+                    }
                     for slot in &combo {
                         delays[support_pool[*slot]] = 0;
-                    }
-                    if let Err(detail) = r {
-                        let mut witness = vec![0u64; points];
-                        for (slot, &mag_idx) in combo.iter().zip(assign.iter()) {
-                            witness[support_pool[*slot]] = ecfg.magnitudes[mag_idx];
-                        }
-                        let t = throughput(&session, stats.explored, start);
-                        return (stats, Some((witness, detail)), t);
                     }
                     if let Some(s) = &session {
                         let hash = s.trace_hash();
@@ -329,12 +363,7 @@ pub(crate) fn walk(
                             // and a support ending no later: this
                             // schedule's extensions mirror that one's.
                             Some(prev) if prev <= last => {
-                                let key: Vec<(u32, u32)> = combo
-                                    .iter()
-                                    .zip(assign.iter())
-                                    .map(|(&c, &a)| (c as u32, a as u32))
-                                    .collect();
-                                skips.insert(key);
+                                skips.insert(key.clone());
                                 stats.deduped +=
                                     extension_count(pool, combo[k - 1], k, ecfg.depth, m);
                             }
@@ -384,7 +413,7 @@ pub(crate) fn walk(
             }
         }
     }
-    let t = throughput(&session, stats.explored, start);
+    let t = meter.read(session.as_deref(), stats.explored);
     (stats, None, t)
 }
 
@@ -544,7 +573,9 @@ mod tests {
             max_delay: 400,
             seed,
         };
-        let (stats, found) = strategy.sweep(&program, &run, true, &mut SweepWork::default());
+        let mut session = Session::try_new(&program, &run);
+        let work = &mut SweepWork::default();
+        let (stats, found) = strategy.sweep(&program, &run, session.as_mut(), work);
         (stats.explored, found)
     }
 

@@ -27,8 +27,9 @@
 //!   ([`shrink_violation`]) to a minimal delay vector that still fails —
 //!   replayable by construction because the whole stack is deterministic.
 //! * **One checkpointed session** ([`Session`], [`mod@explore`]): the
-//!   stack built and seeded once, every schedule a restore-and-run from
-//!   the root checkpoint, with state-fingerprint dedup on top.
+//!   stack built and seeded once per cell, every schedule of the cell's
+//!   sweep and shrink a restore-and-run from the root checkpoint, with
+//!   state-fingerprint dedup on top.
 //!
 //! [`catalog`] ties it together: one tuned recipe per
 //! [`tm_stm::InjectedBug`] variant (the explorer must catch all of

@@ -86,7 +86,7 @@ pub fn trial_schedule(program: &McProgram, cfg: &PctConfig, trial: u64) -> Vec<u
 mod tests {
     use super::*;
     use crate::program::{ProgramKind, RunConfig};
-    use crate::{Strategy, SweepWork};
+    use crate::{Session, Strategy, SweepWork};
     use tm_check::TransferProgram;
 
     fn program() -> McProgram {
@@ -130,9 +130,14 @@ mod tests {
             trials: 8,
             ..PctConfig::default()
         });
+        let (p, run) = (program(), RunConfig::clean());
+        let mut session = Session::try_new(&p, &run);
         let mut work = SweepWork::default();
-        let (stats, found) = strategy.sweep(&program(), &RunConfig::clean(), true, &mut work);
+        let (stats, found) = strategy.sweep(&p, &run, session.as_mut(), &mut work);
         assert_eq!((stats.explored, work.schedules), (8, 8));
+        // The trials ran on the session, one restore each.
+        assert_eq!(work.checkpoints_taken, 1);
+        assert_eq!(session.unwrap().restores(), 8);
         assert!(found.is_none(), "{found:?}");
     }
 }

@@ -12,6 +12,7 @@
 //! schedule)` fully determines the execution, and any violation replays.
 
 use std::panic::{AssertUnwindSafe, PanicHookInfo};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 use tm_alloc::{Allocator as _, AllocatorKind};
@@ -140,6 +141,8 @@ impl RunConfig {
 /// the counterexample shrunk; without this the default hook floods
 /// stderr with backtraces for panics the runner catches and classifies.
 /// Propagation is untouched — only the hook's printing is suppressed.
+/// `TM_MC_LOUD` (any value) keeps the printing on. A cell holds one guard
+/// for its sweep and shrink, so a schedule's own guard is a depth bump.
 pub(crate) struct QuietPanics;
 
 type PanicHook = Box<dyn for<'a> Fn(&PanicHookInfo<'a>) + Send + Sync>;
@@ -206,12 +209,24 @@ pub fn run_schedule(program: &McProgram, cfg: &RunConfig, delays: &[u64]) -> Res
     }
 }
 
-/// Install the delay-vector scheduling hook: point `t` of thread `tid`
-/// maps to `delays[tid * txns + t]`.
-pub(crate) fn install_hook(sim: &Sim, txns: usize, delays: &[u64]) {
-    let table: Arc<Vec<u64>> = Arc::new(delays.to_vec());
+/// A schedule as the scheduling hook reads it: one delay per scheduling
+/// point. The thread that calls `Sim::run` writes it between runs and the
+/// logical threads read it during one (OS threads under
+/// `TM_SIM_EXEC=threads`); the run's start orders the two, so `Relaxed`
+/// suffices.
+pub(crate) type DelayTable = Arc<[AtomicU64]>;
+
+/// A [`DelayTable`] holding `delays`.
+pub(crate) fn delay_table(delays: &[u64]) -> DelayTable {
+    delays.iter().map(|&d| AtomicU64::new(d)).collect()
+}
+
+/// Install the scheduling hook over `table`: point `t` of thread `tid`
+/// is delayed by `table[tid * txns + t]`, as the table reads when the
+/// point is reached.
+pub(crate) fn install_hook(sim: &Sim, txns: usize, table: DelayTable) {
     sim.set_sched_hook(Arc::new(move |tid, point| {
-        table[tid * txns + point as usize]
+        table[tid * txns + point as usize].load(Relaxed)
     }));
 }
 
@@ -282,7 +297,7 @@ pub(crate) fn seed_heap(program: &McProgram, sim: &Sim, alloc: &Arc<dyn tm_alloc
 
 fn run_inner(program: &McProgram, cfg: &RunConfig, delays: &[u64]) -> Result<(), String> {
     let sim = new_sim(cfg);
-    install_hook(&sim, program.base.txns as usize, delays);
+    install_hook(&sim, program.base.txns as usize, delay_table(delays));
     let (alloc, stm) = build_stack(&sim, cfg);
     seed_heap(program, &sim, &alloc);
     main_phase(program, &sim, &stm)

@@ -261,6 +261,10 @@ pub struct Stm {
     /// Host-side bookkeeping (see `Host`). No guard is held across a
     /// `Ctx` call: the event may hand the turn to a peer that locks it too.
     pub(crate) host: Mutex<Host>,
+    /// Buffers of retired descriptors, which [`Stm::thread`] hands to the
+    /// next ones. A cache, not state: a host snapshot leaves it out and a
+    /// restore keeps it.
+    spares: Mutex<Vec<tx::Buffers>>,
     /// Instance id a [`StmHostSnapshot`] carries back to
     /// [`Stm::restore_host`].
     id: u64,
@@ -329,6 +333,7 @@ impl Stm {
             clock_addr,
             allocator,
             host: Mutex::default(),
+            spares: Mutex::default(),
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             active_base,
             cores,
@@ -396,21 +401,34 @@ impl Stm {
         self.ort_base + 8 * idx
     }
 
-    /// Create per-thread transaction state. One per worker thread.
+    /// Create per-thread transaction state. One per worker thread. It is
+    /// built on the buffers of a retired descriptor when there is one, so a
+    /// warm STM hands out descriptors without allocating; every field but
+    /// the emptied buffers starts as in a fresh one.
     pub fn thread(&self, tid: usize) -> TxThread {
-        TxThread::new(tid, self.cfg.object_cache, self.cfg.cm)
+        let (object_cache, cm) = (self.cfg.object_cache, self.cfg.cm);
+        let spare = self.spares.lock().pop();
+        match spare {
+            Some(buffers) => TxThread::with_buffers(tid, object_cache, cm, buffers),
+            None => TxThread::new(tid, object_cache, cm),
+        }
     }
 
-    /// Fold a finished worker's statistics into the global tally and take
-    /// over its limbo list (freed by [`Stm::quiesce`]). Call at the end of
-    /// the worker closure.
-    pub fn retire(&self, th: TxThread) {
-        let mut host = self.host.lock();
-        host.stats.merge(&th.stats);
-        host.cm_stats.merge(&th.cm_stats);
-        let switches = th.switch_log.into_iter().map(|s| (th.tid, s));
-        host.switches.extend(switches);
-        host.limbo.extend(th.limbo);
+    /// Fold a finished worker's statistics and switch log into the global
+    /// tally, take over its limbo list (freed by [`Stm::quiesce`]), and
+    /// keep its emptied buffers for the next [`Stm::thread`]. Call at the
+    /// end of the worker closure.
+    pub fn retire(&self, mut th: TxThread) {
+        {
+            let mut host = self.host.lock();
+            host.stats.merge(&th.stats);
+            host.cm_stats.merge(&th.cm_stats);
+            let tid = th.tid;
+            host.switches
+                .extend(th.switch_log.drain(..).map(|s| (tid, s)));
+            host.limbo.append(&mut th.limbo);
+        }
+        self.spares.lock().push(th.into_buffers());
     }
 
     /// Run `body` as a transaction, retrying on conflicts. How an abort is
@@ -564,8 +582,9 @@ impl Stm {
     /// (ORT, version clock, active-snapshot array, serialization token)
     /// lives in machine memory and is the machine snapshot's to capture;
     /// pair this with `Sim::snapshot`. Call only at quiescence (no workers
-    /// in flight, every `TxThread` retired). The `tx_hook` is deliberately
-    /// excluded: it is set-once configuration, not run state.
+    /// in flight, every `TxThread` retired). The `tx_hook` and the spare
+    /// descriptor buffers are deliberately excluded: set-once
+    /// configuration and a host-side cache, not run state.
     pub fn snapshot_host(&self) -> StmHostSnapshot {
         StmHostSnapshot {
             id: self.id,
@@ -882,6 +901,102 @@ mod tests {
         assert_eq!(view(&stm), at_snap);
         work(&sim, &stm);
         assert_eq!(view(&stm), after_rerun, "the rewound run replays");
+    }
+
+    #[test]
+    fn a_recycled_descriptor_runs_like_a_fresh_one() {
+        let addr = 0xd000_0000u64;
+        let stack = || {
+            let sim = Sim::new(MachineConfig::xeon_e5405());
+            let alloc = AllocatorKind::TbbMalloc.build(&sim);
+            let cfg = StmConfig {
+                object_cache: true,
+                cm: CmKind::Adaptive,
+                ..StmConfig::default()
+            };
+            let stm = Stm::new(&sim, Arc::clone(&alloc), cfg);
+            (sim, alloc, stm)
+        };
+        // Eight threads on one counter, each swapping a block per
+        // transaction, whose first attempt restarts on its own: the abort
+        // rate walks the adaptive ladder up to Serialize, and a thread that
+        // leaves Karma mid-transaction keeps its karma. Returns what the run
+        // left (statistics, switches, the counter, every thread's last
+        // block) and what each descriptor held when it retired: switches,
+        // karma, window attempts, limbo blocks.
+        let work = |sim: &Sim, stm: &Stm| {
+            let retired = Mutex::new(Vec::new());
+            sim.run(8, |ctx| {
+                let mut th = stm.thread(ctx.tid());
+                let mut held = 0;
+                for _ in 0..100 {
+                    let prev = held;
+                    let mut attempts = 0;
+                    held = stm.txn(ctx, &mut th, |tx, ctx| {
+                        attempts += 1;
+                        let v = tx.read(ctx, addr)?;
+                        if attempts == 1 {
+                            return Err(Abort::Explicit);
+                        }
+                        ctx.tick(60);
+                        tx.write(ctx, addr, v + 1)?;
+                        if prev != 0 {
+                            tx.free(ctx, prev);
+                        }
+                        let block = tx.malloc(ctx, 48);
+                        tx.write(ctx, block, v)?;
+                        Ok(block)
+                    });
+                }
+                let window = th.window_commits + th.window_aborts;
+                let dirt = (th.switch_log.len(), th.karma, window, th.limbo.len());
+                retired.lock().push((ctx.tid(), held, dirt));
+                stm.retire(th);
+            });
+            let mut retired = retired.into_inner();
+            retired.sort_unstable();
+            let memory = sim.with_state(|m| {
+                let counter = m.read_u64(addr);
+                let blocks: Vec<_> = retired
+                    .iter()
+                    .map(|&(_, b, _)| (b, m.read_u64(b)))
+                    .collect();
+                (counter, blocks)
+            });
+            let view = (stm.stats(), stm.cm_stats(), stm.cm_switches(), memory);
+            (view, retired.into_iter().map(|(.., dirt)| dirt))
+        };
+
+        let (sim, alloc, stm) = stack();
+        let (machine, heap, host) = (sim.snapshot(None), alloc.snapshot(), stm.snapshot_host());
+        let (first, dirt) = work(&sim, &stm);
+        let dirt: Vec<_> = dirt.collect();
+        assert!(
+            dirt.iter().any(|d| d.0 > 0),
+            "a descriptor retires with switches"
+        );
+        assert!(
+            dirt.iter().any(|d| d.1 > 0),
+            "a descriptor retires with karma"
+        );
+        assert!(
+            dirt.iter().any(|d| d.2 > 0),
+            "a descriptor retires mid-window"
+        );
+        assert!(
+            dirt.iter().any(|d| d.3 > 0),
+            "a descriptor retires with limbo"
+        );
+        sim.restore(&machine);
+        alloc.restore(heap.as_ref().expect("TBB checkpoints"));
+        stm.restore_host(&host);
+        assert_eq!(stm.spares.lock().len(), 8, "a restore keeps the spares");
+        let (recycled, _) = work(&sim, &stm);
+
+        let (sim, _alloc, stm) = stack();
+        let (fresh, _) = work(&sim, &stm);
+        assert_eq!(first, fresh);
+        assert_eq!(recycled, fresh, "a recycled descriptor carried state over");
     }
 
     /// The size map, read through the lock (tests only).

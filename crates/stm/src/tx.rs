@@ -23,9 +23,11 @@ pub enum Abort {
 
 /// Per-worker transaction state, reused across transactions (TinySTM's
 /// thread descriptor). Create with [`Stm::thread`], hand back with
-/// [`Stm::retire`] so its statistics are counted.
+/// [`Stm::retire`] so its statistics are counted and its buffers serve the
+/// next descriptor.
 pub struct TxThread {
-    /// Worker index, used as the shard id for per-thread statistics.
+    /// Worker index: the slot of this thread's active-snapshot word, and
+    /// the thread its adaptive-controller switches are logged under.
     pub tid: usize,
     /// Snapshot timestamp. ETL: read version from the global clock.
     /// NOrec: last validated (even) sequence number. Sim-HTM: fallback
@@ -98,11 +100,28 @@ pub struct TxThread {
     pub(crate) switch_log: Vec<CmSwitch>,
 }
 
-impl TxThread {
-    pub(crate) fn new(tid: usize, object_cache: bool, cm: CmKind) -> Self {
-        TxThread {
-            tid,
-            rv: 0,
+/// The host allocations a retired descriptor hands to its successor: every
+/// growable buffer of a [`TxThread`], emptied. Nothing else carries over —
+/// [`TxThread::with_buffers`] builds every other field afresh. The buffers'
+/// capacities are host-side only (a [`GenTable`] has no iteration), so a
+/// buffer that grew in an earlier run changes nothing simulated.
+pub(crate) struct Buffers {
+    read_set: Vec<(u64, u64)>,
+    write_entries: Vec<(u64, u64)>,
+    wmap: GenTable,
+    locks_held: Vec<(u64, u64)>,
+    lockset: GenTable,
+    undo: Vec<(u64, u64)>,
+    tx_allocs: Vec<(u64, u64)>,
+    tx_frees: Vec<u64>,
+    limbo: Vec<(u64, u64, Option<u64>)>,
+    limbo_scratch: Vec<(u64, u64, Option<u64>)>,
+    switch_log: Vec<CmSwitch>,
+}
+
+impl Buffers {
+    fn fresh() -> Self {
+        Buffers {
             read_set: Vec::with_capacity(256),
             write_entries: Vec::with_capacity(64),
             wmap: GenTable::new(),
@@ -113,6 +132,51 @@ impl TxThread {
             tx_frees: Vec::new(),
             limbo: Vec::new(),
             limbo_scratch: Vec::new(),
+            switch_log: Vec::new(),
+        }
+    }
+}
+
+impl TxThread {
+    /// A descriptor on freshly allocated buffers.
+    pub(crate) fn new(tid: usize, object_cache: bool, cm: CmKind) -> Self {
+        Self::with_buffers(tid, object_cache, cm, Buffers::fresh())
+    }
+
+    /// The one constructor: `buffers` (empty) plus every other field in
+    /// its initial state.
+    pub(crate) fn with_buffers(
+        tid: usize,
+        object_cache: bool,
+        cm: CmKind,
+        buffers: Buffers,
+    ) -> Self {
+        let Buffers {
+            read_set,
+            write_entries,
+            wmap,
+            locks_held,
+            lockset,
+            undo,
+            tx_allocs,
+            tx_frees,
+            limbo,
+            limbo_scratch,
+            switch_log,
+        } = buffers;
+        TxThread {
+            tid,
+            rv: 0,
+            read_set,
+            write_entries,
+            wmap,
+            locks_held,
+            lockset,
+            undo,
+            tx_allocs,
+            tx_frees,
+            limbo,
+            limbo_scratch,
             backoff_state: 0x9e3779b97f4a7c15 ^ (tid as u64 + 1),
             retries: 0,
             htm_doom: None,
@@ -129,8 +193,38 @@ impl TxThread {
             window_aborts: 0,
             windows: 0,
             window_base: StmStats::default(),
-            switch_log: Vec::new(),
+            switch_log,
         }
+    }
+
+    /// This descriptor's buffers, emptied, for the next one (the limbo
+    /// list and the switch log are [`Stm::retire`]'s to drain first).
+    pub(crate) fn into_buffers(self) -> Buffers {
+        let mut b = Buffers {
+            read_set: self.read_set,
+            write_entries: self.write_entries,
+            wmap: self.wmap,
+            locks_held: self.locks_held,
+            lockset: self.lockset,
+            undo: self.undo,
+            tx_allocs: self.tx_allocs,
+            tx_frees: self.tx_frees,
+            limbo: self.limbo,
+            limbo_scratch: self.limbo_scratch,
+            switch_log: self.switch_log,
+        };
+        b.read_set.clear();
+        b.write_entries.clear();
+        b.wmap.clear();
+        b.locks_held.clear();
+        b.lockset.clear();
+        b.undo.clear();
+        b.tx_allocs.clear();
+        b.tx_frees.clear();
+        b.limbo.clear();
+        b.limbo_scratch.clear();
+        b.switch_log.clear();
+        b
     }
 
     /// Statistics accumulated by this thread so far.

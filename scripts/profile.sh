@@ -14,11 +14,12 @@
 # frame inlined there. Each share is given twice: of the samples outside the
 # benchmark's own calibration kernel, which `host_s` does not time — so "X %
 # of the profile" and "`host_s` can fall by X %" are the same X — and of all
-# samples. With `--layer REGEX`, one more line before the tables: the share
-# of the samples outside the kernel that have any frame — inlined or
-# outermost — whose function matches REGEX (an awk regex), i.e. the layer
-# counted the other way. Exits 0 with a notice where `cc` or `addr2line` is
-# missing.
+# samples. A sample outside the executable is a row of its shared object in
+# both tables (`[libc.so.6]`: glibc's malloc, free and memset among them).
+# With `--layer REGEX`, one more line before the tables: the share of the
+# samples outside the kernel that have any frame — inlined or outermost —
+# whose function matches REGEX (an awk regex), i.e. the layer counted the
+# other way. Exits 0 with a notice where `cc` or `addr2line` is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +30,7 @@ done
 
 dir="${CARGO_TARGET_DIR:-$PWD/target}/profile"
 mkdir -p "$dir"
-cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c
+cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -ldl
 
 if [ "$1" = "--" ]; then
   shift
@@ -65,9 +66,12 @@ SIGPROF_OUT="$samples" LD_PRELOAD="$dir/sigprof.so" "${cmd[@]}" >/dev/null
 # `tm_benchmark::calib::` is the benchmark timing its own calibration
 # kernel: `host_s` leaves that time out, so each share is printed twice —
 # of the samples outside the kernel (the share by which `host_s` should
-# move if the function cost nothing), then of all samples.
+# move if the function cost nothing), then of all samples. The samples
+# outside the executable come counted by shared object ("<count> -<name>").
+objects="$dir/objects.txt"
+{ grep '^-' "$samples" || true; } | sort | uniq -c >"$objects"
 grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | LAYER="${layer:-}" awk -v what="$what" \
-  -v outside="$(grep -c '^-' "$samples" || true)" '
+  -v outside="$(grep -c '^-' "$samples" || true)" -v objects="$objects" '
   function close_sample() {
     if (innermost == "") return
     n++
@@ -94,6 +98,11 @@ grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | LAYER="${layer:-}
   }
   END {
     close_sample()
+    while ((getline line < objects) > 0) {
+      split(line, field, " ")
+      name = "[" substr(field[2], 2) "]"
+      outer[name] += field[1]; inner[name] += field[1]
+    }
     printf "profile: %s, %d samples at 250 Hz, %d of them outside the executable, %d in the benchmark'"'"'s calibration kernel\n", what, n + outside, outside, calib
     printf "columns: share of the %d samples outside the calibration kernel (what host_s times), share of all %d\n", n + outside - calib, n + outside
     if (ENVIRON["LAYER"] != "")

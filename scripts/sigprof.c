@@ -1,12 +1,16 @@
 // LD_PRELOAD sampling profiler for scripts/profile.sh: SIGPROF every 4 ms of
 // the process's CPU time (250 Hz), the interrupted instruction pointer
 // recorded, and at exit every sample written to $SIGPROF_OUT as an offset
-// into the executable ("-" for one outside it: libc, the vdso), one a line.
+// into the executable, or as "-" and the shared object it fell in ("-libc.so.6",
+// "-?" where none is known), one a line. The handler only stores the PC;
+// the objects are looked up at exit, where `dladdr` may run.
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <link.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -42,11 +46,21 @@ static void dump(void) {
     FILE *out = path ? fopen(path, "w") : NULL;
     setitimer(ITIMER_PROF, &off, NULL);
     dl_iterate_phdr(executable_range, range);
-    for (unsigned long i = 0; out && i < taken; i++)
-        if (pcs[i] >= range[0] && pcs[i] < range[1])
+    for (unsigned long i = 0; out && i < taken; i++) {
+        Dl_info object;
+        const char *name = "?";
+        if (pcs[i] >= range[0] && pcs[i] < range[1]) {
             fprintf(out, "%#lx\n", pcs[i] - range[0]);
-        else
-            fprintf(out, "-\n");
+            continue;
+        }
+        // The object, not its nearest exported symbol: glibc's malloc
+        // internals are local symbols, which `dli_sname` would misname.
+        if (dladdr((void *)pcs[i], &object) && object.dli_fname && *object.dli_fname) {
+            const char *slash = strrchr(object.dli_fname, '/');
+            name = slash ? slash + 1 : object.dli_fname;
+        }
+        fprintf(out, "-%s\n", name);
+    }
     if (out) fclose(out);
 }
 

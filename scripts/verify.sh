@@ -41,11 +41,13 @@ for f in glibc hoard tbb tc serial state; do
 done
 
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
-# above used the default one; run the simulator's, the allocator models'
-# and the STM's own tests under each by name — the turn cell's tests, the
-# models' multi-threaded conformance, cross-thread-free and snapshot tests
-# and the STM's host round trip are where host-side state reached outside
-# the turn shows, and it shows differently on each backend (the STM's one
+# above used the default one; run the simulator's, the allocator models',
+# the STM's and the model checker's own tests under each by name — the
+# turn cell's tests, the models' multi-threaded conformance,
+# cross-thread-free and snapshot tests, the STM's host round trip and
+# recycled descriptors, and a session's delay table (written by the
+# caller of `Sim::run`, read by the logical threads) are where host-side
+# state reached outside the turn shows, and it shows differently on each backend (the STM's one
 # `Host` lock is exact only because host work between events runs alone in
 # hand-off order: a guard held across an event deadlocks there) — then
 # hold the OS-thread reference to the committed whole-stack goldens:
@@ -55,8 +57,8 @@ done
 # "a resumed thread is the minimum" and the overflow checks see the
 # reference executor too.
 for exec in fibers threads; do
-  echo "==> cargo test -p tm-sim -p tm-alloc -p tm-stm (TM_SIM_EXEC=$exec)"
-  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -p tm-stm -q
+  echo "==> cargo test -p tm-sim -p tm-alloc -p tm-stm -p tm-mc (TM_SIM_EXEC=$exec)"
+  TM_SIM_EXEC=$exec $CARGO test -p tm-sim -p tm-alloc -p tm-stm -p tm-mc -q
 done
 echo "==> cargo test --test determinism (TM_SIM_EXEC=threads)"
 TM_SIM_EXEC=threads $CARGO test -q --test determinism

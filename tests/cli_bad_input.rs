@@ -105,6 +105,48 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
     }
 }
 
+/// `mc --oom` and `mc --quick` run fixed suites: a flag of the targeted
+/// sweep that the suite would not read is refused, naming the flag and the
+/// suite. Each of these used to exit 0 with the suite's unchanged report.
+#[test]
+fn a_flag_a_fixed_mc_suite_does_not_read_is_a_one_line_usage_error() {
+    let table: &[(&[&str], &str, &str)] = &[
+        (&["--oom", "--backend", "htm"], "backend", "oom"),
+        (&["--oom", "--cm", "karma"], "cm", "oom"),
+        (&["--oom", "--depth", "5"], "depth", "oom"),
+        (&["--oom", "--magnitudes", "5"], "magnitudes", "oom"),
+        (&["--oom", "--alloc", "hoard"], "alloc", "oom"),
+        (&["--oom", "--budget", "9"], "budget", "oom"),
+        (&["--oom", "--no-checkpoint"], "no-checkpoint", "oom"),
+        (&["--oom", "--quick"], "quick", "oom"),
+        (&["--oom", "--alloc-fault", "site:3"], "alloc-fault", "oom"),
+        (&["--quick", "--backend", "htm"], "backend", "quick"),
+        (&["--quick", "--cm", "karma"], "cm", "quick"),
+        (&["--quick", "--alloc", "hoard"], "alloc", "quick"),
+        (&["--quick", "--magnitudes", "5"], "magnitudes", "quick"),
+        (&["--quick", "--budget", "9"], "budget", "quick"),
+        (
+            &["--quick", "--alloc-fault", "site:3"],
+            "alloc-fault",
+            "quick",
+        ),
+    ];
+    for (argv, flag, mode) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .arg("mc")
+            .args(*argv)
+            .args(["--out", "/dev/null/x.json"])
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+        let told = format!("error: --{flag} does not apply to mc --{mode}: ");
+        assert!(stderr.starts_with(&told), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} ran");
+    }
+}
+
 /// A sweep is a gate: a cell that fails is an `error` entry in a matrix
 /// that is still written, one `error:` line, and exit 1 (it used to be a
 /// warning and exit 0).
