@@ -229,12 +229,6 @@ impl HeapAuditor {
 }
 
 impl Allocator for HeapAuditor {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        let addr = self.inner.malloc(ctx, size);
-        self.record_malloc(addr, size);
-        addr
-    }
-
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         match self.inner.try_malloc(ctx, size) {
             Ok(addr) => {
@@ -250,17 +244,12 @@ impl Allocator for HeapAuditor {
         }
     }
 
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
-        self.record_free(addr);
-        self.inner.free(ctx, addr);
-    }
-
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        // Only audit frees the inner allocator accepts; a clean
-        // `UnknownAddress` error is the caller's to handle.
-        self.inner.try_free(ctx, addr)?;
+        // Audited before the inner free's events hand the turn on, so a
+        // block on its way back no longer counts towards `peak_live`. A
+        // free the inner allocator refuses is a violation too.
         self.record_free(addr);
-        Ok(())
+        self.inner.try_free(ctx, addr)
     }
 
     fn min_block(&self) -> u64 {
@@ -332,10 +321,12 @@ mod tests {
     /// low address twice and accepts any free.
     struct Broken;
     impl Allocator for Broken {
-        fn malloc(&self, _ctx: &mut Ctx<'_>, _size: u64) -> u64 {
-            12 // unaligned, below the OS base, and always the same
+        fn try_malloc(&self, _ctx: &mut Ctx<'_>, _size: u64) -> Result<u64, AllocError> {
+            Ok(12) // unaligned, below the OS base, and always the same
         }
-        fn free(&self, _ctx: &mut Ctx<'_>, _addr: u64) {}
+        fn try_free(&self, _ctx: &mut Ctx<'_>, _addr: u64) -> Result<(), AllocError> {
+            Ok(())
+        }
         fn min_block(&self) -> u64 {
             8
         }

@@ -275,13 +275,6 @@ impl Allocator for FaultInjector {
         Ok(addr)
     }
 
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        match self.try_malloc(ctx, size) {
-            Ok(addr) => addr,
-            Err(e) => panic!("allocation failed under fault plan {}: {e}", self.plan()),
-        }
-    }
-
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
         // Frees are never failed by a plan, but accounting must shrink so
         // budget/class plans recover once memory is returned.
@@ -294,17 +287,6 @@ impl Allocator for FaultInjector {
             }
         }
         Ok(())
-    }
-
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
-        self.inner.free(ctx, addr);
-        let mut s = self.state.lock();
-        if let Some(size) = s.live.remove(&addr) {
-            s.bytes_live -= size;
-            if let Some(n) = s.class_live.get_mut(&class_of(size)) {
-                *n = n.saturating_sub(1);
-            }
-        }
     }
 
     fn min_block(&self) -> u64 {

@@ -145,13 +145,6 @@ impl GlibcAllocator {
 }
 
 impl Allocator for GlibcAllocator {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        match self.try_malloc(ctx, size) {
-            Ok(addr) => addr,
-            Err(e) => panic!("glibc model: arena exhausted (64 MB): {e}"),
-        }
-    }
-
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(12); // entry, size computation
         let chunk = Self::chunk_size(size)?;
@@ -207,38 +200,29 @@ impl Allocator for GlibcAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.state.with(ctx, |s| {
-            s.large.contains_key(&addr)
-                || s.by_region.contains_key(&(addr.wrapping_sub(HEADER) >> 26))
-        });
-        if !known {
-            return Err(AllocError::UnknownAddress { addr });
-        }
-        self.free(ctx, addr);
-        Ok(())
-    }
-
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
+        let base = addr.wrapping_sub(HEADER);
+        // The block's arena, or `None` for a large block (unregistered here).
+        let arena = self.state.with(ctx, |s| {
+            if s.large.remove(&addr).is_some() {
+                return Ok(None);
+            }
+            let unknown = AllocError::UnknownAddress { addr };
+            let idx = *s.by_region.get(&(base >> 26)).ok_or(unknown)?;
+            Ok(Some((idx, s.arenas[idx].mx)))
+        })?;
         ctx.tick(10);
-        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
+        let Some((idx, mx)) = arena else {
             ctx.tick(300); // munmap-ish
-            return;
-        }
-        let base = addr - HEADER;
+            return Ok(());
+        };
         let chunk = ctx.read_u64(base + 8); // read the boundary tag
-        let (idx, mx) = self.state.with(ctx, |s| {
-            let idx = *s
-                .by_region
-                .get(&(base >> 26))
-                .expect("glibc model: free of unknown address");
-            (idx, s.arenas[idx].mx)
-        });
-        // Blocks return to the arena they came from (paper §3.1), which
-        // requires taking that arena's lock.
+                                            // Blocks return to the arena they came from (paper §3.1), which
+                                            // requires taking that arena's lock.
         ctx.lock(mx);
         self.state
             .list(ctx, bin(idx, chunk), |bin, ctx| bin.push(ctx, base));
         ctx.unlock(mx);
+        Ok(())
     }
 
     fn min_block(&self) -> u64 {

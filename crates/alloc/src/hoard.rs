@@ -16,7 +16,7 @@ use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const SB_SIZE: u64 = 64 * 1024;
 const SB_SHIFT: u64 = 16;
@@ -236,10 +236,6 @@ impl HoardAllocator {
 }
 
 impl Allocator for HoardAllocator {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        served("hoard", self.try_malloc(ctx, size))
-    }
-
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(10);
         let Some(class) = self.classes.class_of(size) else {
@@ -278,26 +274,22 @@ impl Allocator for HoardAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.state.with(ctx, |s| {
-            s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT))
-        });
-        if !known {
-            return Err(AllocError::UnknownAddress { addr });
-        }
-        self.free(ctx, addr);
-        Ok(())
-    }
-
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
+        // The block's superblock, or `None` for a large block (unregistered
+        // here). A superblock holding a live block is never re-dedicated,
+        // so its class and owner stay put while this free runs.
+        let block = self.state.with(ctx, |s| {
+            if s.large.remove(&addr).is_some() {
+                return Ok(None);
+            }
+            let unknown = AllocError::UnknownAddress { addr };
+            let id = *s.by_addr.get(&(addr >> SB_SHIFT)).ok_or(unknown)?;
+            Ok(Some((id, s.sbs[id].class, s.sbs[id].owner_heap)))
+        })?;
         ctx.tick(8);
-        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
+        let Some((id, class, owner)) = block else {
             ctx.tick(300);
-            return;
-        }
-        let (id, class, owner) = self.state.with(ctx, |s| {
-            let id = s.sb_of(addr);
-            (id, s.sbs[id].class, s.sbs[id].owner_heap)
-        });
+            return Ok(());
+        };
         let tid = ctx.tid();
         if self.classes.size_of(class) <= LOCAL_MAX && owner == tid % self.heap_mx.len() {
             // Small chunks from the thread's *own* superblocks are freed
@@ -323,6 +315,7 @@ impl Allocator for HoardAllocator {
         } else {
             self.free_to_superblock(ctx, id, addr);
         }
+        Ok(())
     }
 
     fn min_block(&self) -> u64 {

@@ -37,9 +37,9 @@
 //! (overlap, alignment, containment, free-list integrity) for the
 //! correctness harness.
 //!
-//! Allocation *failure* is part of the interface: every allocator also
-//! exposes fallible [`Allocator::try_malloc`] / [`Allocator::try_free`]
-//! (the panicking `malloc`/`free` forms are wrappers over them), and the
+//! Allocation *failure* is part of the interface: an allocator implements
+//! only the fallible [`Allocator::try_malloc`] / [`Allocator::try_free`]
+//! (the panicking `malloc`/`free` forms are provided over them), and the
 //! [`fault`] module's [`FaultInjector`] wraps any allocator with a
 //! deterministic [`AllocFaultPlan`] — byte budgets, size-class caps,
 //! fail-at-Nth-site, seeded probabilistic failure — so the STM's abort
@@ -131,42 +131,46 @@ pub(crate) fn padded(size: u64, header: u64) -> Result<u64, AllocError> {
         .ok_or(AllocError::Exhausted { size })
 }
 
-/// What a model's panicking `malloc` makes of its `try_malloc`.
-#[track_caller]
-pub(crate) fn served(model: &str, block: Result<u64, AllocError>) -> u64 {
-    block.unwrap_or_else(|e| panic!("{model} model: {e}"))
-}
-
 /// The allocator interface the STM's wrapper builds on — the paper's model
 /// of "an external allocator interface that provides at least malloc and
 /// free" (§2).
+///
+/// An implementation writes the fallible pair, [`Allocator::try_malloc`]
+/// and [`Allocator::try_free`]; the panicking [`Allocator::malloc`] and
+/// [`Allocator::free`] are provided on top of them and are not overridden
+/// by any type in this crate, so every call — fallible or not — runs the
+/// same code and a wrapper sees every call through one method.
 pub trait Allocator: Send + Sync {
     /// Allocate `size` bytes; returns the (16-byte aligned) simulated
-    /// address of the block. `size == 0` behaves like `malloc(0)` in C: a
-    /// unique minimum-size block is returned.
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64;
+    /// address of the block, or why it cannot: [`AllocError::Exhausted`]
+    /// when the model runs out of backing memory or the request is
+    /// unrepresentable, [`AllocError::Injected`] when a fault plan fails it.
+    /// `size == 0` behaves like `malloc(0)` in C: a unique minimum-size
+    /// block is returned.
+    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError>;
 
-    /// Release a block previously returned by [`Allocator::malloc`]. May be
-    /// called from a different thread than the allocating one.
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64);
+    /// Release a block previously returned by [`Allocator::try_malloc`].
+    /// May be called from a different thread than the allocating one.
+    /// Returns [`AllocError::UnknownAddress`], and changes nothing, for an
+    /// address outside every region the allocator handed blocks out of.
+    fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError>;
 
-    /// Fallible [`Allocator::malloc`]: returns [`AllocError`] where the
-    /// infallible form would panic (organic exhaustion) or where a fault
-    /// plan injects a failure. The default forwards to `malloc`, which is
-    /// correct for any model whose `malloc` cannot fail; models with a
-    /// real failure path implement `try_malloc` as the primary and
-    /// `malloc` as a panicking wrapper.
-    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
-        Ok(self.malloc(ctx, size))
+    /// [`Allocator::try_malloc`] for callers to whom a refusal is a bug:
+    /// panics `"<name> model: <error>"`, `<name>` being
+    /// [`AllocatorAttrs::name`].
+    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
+        match self.try_malloc(ctx, size) {
+            Ok(addr) => addr,
+            Err(e) => panic!("{} model: {e}", self.attributes().name),
+        }
     }
 
-    /// Fallible [`Allocator::free`]: returns
-    /// [`AllocError::UnknownAddress`] where the infallible form would
-    /// panic on a double free or foreign address. The default forwards to
-    /// `free`.
-    fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        self.free(ctx, addr);
-        Ok(())
+    /// [`Allocator::try_free`] for callers to whom a refusal is a bug:
+    /// panics as [`Allocator::malloc`] does.
+    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
+        if let Err(e) = self.try_free(ctx, addr) {
+            panic!("{} model: {e}", self.attributes().name);
+        }
     }
 
     /// The distance between the start addresses of two minimal consecutive
@@ -212,12 +216,6 @@ pub trait Allocator: Send + Sync {
 pub type HeapSnapshot = Box<dyn std::any::Any + Send + Sync>;
 
 impl<A: Allocator + ?Sized> Allocator for Arc<A> {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        (**self).malloc(ctx, size)
-    }
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
-        (**self).free(ctx, addr)
-    }
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         (**self).try_malloc(ctx, size)
     }
@@ -345,6 +343,7 @@ pub(crate) mod testutil {
         cross_thread_free(kind);
         zero_size_ok(kind);
         unrepresentable_sizes_are_exhaustion(kind.name(), |sim| kind.build(sim));
+        foreign_frees_are_refused(kind.name(), |sim| kind.build(sim));
     }
 
     fn no_overlap_single_thread(kind: AllocatorKind) {
@@ -475,6 +474,37 @@ pub(crate) mod testutil {
             text.contains("model: ") && text.ends_with(told),
             "{name}: {text}"
         );
+    }
+
+    /// A free of an address outside every region the allocator handed
+    /// blocks out of is refused before it costs anything — no virtual time,
+    /// no free-list push — and the panicking `free` names the model and the
+    /// address.
+    pub fn foreign_frees_are_refused(name: &str, build: impl Fn(&Sim) -> Arc<dyn Allocator>) {
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        let a = build(&sim);
+        let foreign = [0x10, audit::OS_REGION_BASE - 16, 0x7000_0000_0000];
+        sim.run(1, |ctx| {
+            let p = a.malloc(ctx, 48);
+            let before = ctx.now();
+            for addr in foreign {
+                let refused = a.try_free(ctx, addr);
+                assert_eq!(refused, Err(AllocError::UnknownAddress { addr }), "{name}");
+            }
+            assert_eq!(ctx.now(), before, "{name}: a refused free took time");
+            a.free(ctx, p);
+            assert_eq!(a.malloc(ctx, 48), p, "{name}: the heap changed");
+        });
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run(1, |ctx| a.free(ctx, 0x10));
+        }));
+        let payload = caught.expect_err("free of a foreign address must panic");
+        let text = payload.downcast_ref::<String>().expect("a formatted panic");
+        let told = format!(
+            "{} model: free of unknown address 0x10",
+            a.attributes().name
+        );
+        assert_eq!(*text, told, "{name}");
     }
 }
 

@@ -14,7 +14,7 @@
 use tm_obs::{EventKind, ShardedSlots};
 use tm_sim::Ctx;
 
-use crate::Allocator;
+use crate::{AllocError, Allocator};
 
 /// Code region an allocation is attributed to (Table 5 columns).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,23 +139,23 @@ impl<A: Allocator> AllocProfiler<A> {
 }
 
 impl<A: Allocator> Allocator for AllocProfiler<A> {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
+    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         let tid = ctx.tid();
         let r = self.current_region(tid);
         let base = REGION_BASE + r as usize * REGION_WIDTH;
         self.slots.add(tid, base + bucket_of(size), 1);
         self.slots.add(tid, base + 8, 1); // mallocs
         self.slots.add(tid, base + 10, size); // bytes
-        let addr = self.inner.malloc(ctx, size);
+        let addr = self.inner.try_malloc(ctx, size)?;
         ctx.trace_event(
             EventKind::Malloc,
             addr,
             tm_obs::trace::pack_region_size(r as u64, size),
         );
-        addr
+        Ok(addr)
     }
 
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
+    fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
         let tid = ctx.tid();
         let r = self.current_region(tid);
         let base = REGION_BASE + r as usize * REGION_WIDTH;
@@ -165,7 +165,7 @@ impl<A: Allocator> Allocator for AllocProfiler<A> {
             addr,
             tm_obs::trace::pack_region_size(r as u64, 0),
         );
-        self.inner.free(ctx, addr)
+        self.inner.try_free(ctx, addr)
     }
 
     fn min_block(&self) -> u64 {
@@ -223,6 +223,30 @@ mod tests {
         assert_eq!(s[Region::Tx as usize].frees, 3);
         assert_eq!(s[Region::Par as usize].frees, 0);
         assert_eq!(s[Region::Seq as usize].frees, 0);
+    }
+
+    /// The profiler hands a refusal back instead of panicking, like the
+    /// other wrappers; it counts the attempt.
+    #[test]
+    fn a_refusal_passes_through_the_profiler() {
+        use crate::{AllocError, AllocFaultPlan, FaultInjector};
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        let faulted = FaultInjector::new(
+            AllocatorKind::TbbMalloc.build(&sim),
+            AllocFaultPlan::NthSite(0),
+        );
+        let prof = AllocProfiler::new(faulted, 8);
+        sim.run(1, |ctx| {
+            let refused = prof.try_malloc(ctx, 16);
+            assert_eq!(refused, Err(AllocError::Injected { site: 0, size: 16 }));
+            let p = prof.try_malloc(ctx, 16).expect("only site 0 fails");
+            prof.try_free(ctx, p).expect("a live block");
+        });
+        let seq = prof.region_stats()[Region::Seq as usize];
+        assert_eq!((seq.mallocs, seq.frees), (2, 1));
+        crate::testutil::foreign_frees_are_refused("profiled Glibc", |sim| {
+            std::sync::Arc::new(AllocProfiler::new(GlibcAllocator::new(sim), 8))
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const HEADER: u64 = 16;
 const MIN_CHUNK: u64 = 32;
@@ -24,6 +24,8 @@ const HEAP_CHUNK: u64 = 1 << 20;
 struct State {
     bump: u64,
     end: u64,
+    /// Base of every heap chunk fetched from the OS, for `try_free`.
+    heaps: Vec<u64>,
     bins: IntMap<u64, FreeList>,
     large: IntMap<u64, u64>,
 }
@@ -49,10 +51,6 @@ impl SerialLockAllocator {
 }
 
 impl Allocator for SerialLockAllocator {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        served("serial-lock", self.try_malloc(ctx, size))
-    }
-
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(10);
         let chunk = padded(size, HEADER)?.max(MIN_CHUNK);
@@ -72,6 +70,7 @@ impl Allocator for SerialLockAllocator {
                 self.state.with(ctx, |s| {
                     s.bump = heap;
                     s.end = heap + HEAP_CHUNK;
+                    s.heaps.push(heap);
                 });
             }
             self.state.with(ctx, |s| {
@@ -84,18 +83,29 @@ impl Allocator for SerialLockAllocator {
         Ok(base + HEADER)
     }
 
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
+    fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
+        let base = addr.wrapping_sub(HEADER);
+        // Whether it is a large block (unregistered here).
+        let large = self.state.with(ctx, |s| {
+            if s.large.remove(&addr).is_some() {
+                Ok(true)
+            } else if s.heaps.iter().any(|&h| (h..h + HEAP_CHUNK).contains(&base)) {
+                Ok(false)
+            } else {
+                Err(AllocError::UnknownAddress { addr })
+            }
+        })?;
         ctx.tick(8);
-        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
+        if large {
             ctx.tick(300);
-            return;
+            return Ok(());
         }
-        let base = addr - HEADER;
         let chunk = ctx.read_u64(base + 8);
         ctx.lock(self.mx);
         self.state
             .list(ctx, bin(chunk), |bin, ctx| bin.push(ctx, base));
         ctx.unlock(self.mx);
+        Ok(())
     }
 
     fn min_block(&self) -> u64 {
@@ -145,6 +155,13 @@ mod tests {
     #[test]
     fn unrepresentable_sizes_are_exhaustion() {
         crate::testutil::unrepresentable_sizes_are_exhaustion("SerialLock", |sim| {
+            std::sync::Arc::new(SerialLockAllocator::new(sim))
+        });
+    }
+
+    #[test]
+    fn foreign_frees_are_refused() {
+        crate::testutil::foreign_frees_are_refused("SerialLock", |sim| {
             std::sync::Arc::new(SerialLockAllocator::new(sim))
         });
     }

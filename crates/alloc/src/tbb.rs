@@ -18,7 +18,7 @@ use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 const SB_SIZE: u64 = 16 * 1024;
 const SB_SHIFT: u64 = 14;
@@ -110,10 +110,6 @@ impl TbbAllocator {
 }
 
 impl Allocator for TbbAllocator {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        served("tbb", self.try_malloc(ctx, size))
-    }
-
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(9);
         let Some(class) = self.classes.class_of(size) else {
@@ -189,29 +185,21 @@ impl Allocator for TbbAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.state.with(ctx, |s| {
-            s.large.contains_key(&addr) || s.by_addr.contains_key(&(addr >> SB_SHIFT))
-        });
-        if !known {
-            return Err(AllocError::UnknownAddress { addr });
-        }
-        self.free(ctx, addr);
-        Ok(())
-    }
-
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
+        // The block's superblock, or `None` for a large block (unregistered
+        // here).
+        let block = self.state.with(ctx, |s| {
+            if s.large.remove(&addr).is_some() {
+                return Ok(None);
+            }
+            let unknown = AllocError::UnknownAddress { addr };
+            let id = *s.by_addr.get(&(addr >> SB_SHIFT)).ok_or(unknown)?;
+            Ok(Some((id, s.sbs[id])))
+        })?;
         ctx.tick(7);
-        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
+        let Some((id, sb)) = block else {
             ctx.tick(300);
-            return;
-        }
-        let (id, sb) = self.state.with(ctx, |s| {
-            let id = *s
-                .by_addr
-                .get(&(addr >> SB_SHIFT))
-                .expect("tbb model: free of unknown address");
-            (id, s.sbs[id])
-        });
+            return Ok(());
+        };
         let tid = ctx.tid();
         if sb.owner == tid {
             // Local free: push on the private list, no synchronization.
@@ -224,6 +212,7 @@ impl Allocator for TbbAllocator {
                 .list(ctx, |s| &mut s.sbs[id].public, |fl, ctx| fl.push(ctx, addr));
             ctx.unlock(sb.public_mx);
         }
+        Ok(())
     }
 
     fn min_block(&self) -> u64 {

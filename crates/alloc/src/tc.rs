@@ -19,7 +19,7 @@ use tm_sim::{Ctx, IntMap, Sim, SimMutex};
 use crate::classes::SizeClasses;
 use crate::freelist::FreeList;
 use crate::state::HostState;
-use crate::{padded, served, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::{padded, AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
 
 /// Fast-path bound (paper Table 1: "<= 256 KB").
 const MAX_SMALL: u64 = 256 * 1024;
@@ -231,10 +231,6 @@ impl TcAllocator {
 }
 
 impl Allocator for TcAllocator {
-    fn malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> u64 {
-        served("tcmalloc", self.try_malloc(ctx, size))
-    }
-
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(8);
         let Some(class) = self.classes.class_of(size) else {
@@ -264,27 +260,23 @@ impl Allocator for TcAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let known = self.state.with(ctx, |s| {
-            s.large.contains_key(&addr) || s.spans.contains_key(&(addr >> SPAN_SHIFT))
-        });
-        if !known {
-            return Err(AllocError::UnknownAddress { addr });
-        }
-        self.free(ctx, addr);
-        Ok(())
-    }
-
-    fn free(&self, ctx: &mut Ctx<'_>, addr: u64) {
-        ctx.tick(7);
-        if self.state.with(ctx, |s| s.large.remove(&addr).is_some()) {
-            ctx.tick(300);
-            return;
-        }
+        // The block's size class, or `None` for a large block (unregistered
+        // here).
         let class = self.state.with(ctx, |s| {
-            *s.spans
+            if s.large.remove(&addr).is_some() {
+                return Ok(None);
+            }
+            let unknown = AllocError::UnknownAddress { addr };
+            s.spans
                 .get(&(addr >> SPAN_SHIFT))
-                .expect("tcmalloc model: free of unknown address")
-        });
+                .map(|&c| Some(c))
+                .ok_or(unknown)
+        })?;
+        ctx.tick(7);
+        let Some(class) = class else {
+            ctx.tick(300);
+            return Ok(());
+        };
         let csize = self.classes.size_of(class);
         let tid = ctx.tid();
         // Into the *current* thread's cache — TCMalloc does not return the
@@ -301,6 +293,7 @@ impl Allocator for TcAllocator {
         if over {
             self.garbage_collect(ctx, tid);
         }
+        Ok(())
     }
 
     fn min_block(&self) -> u64 {

@@ -1,18 +1,17 @@
 //! The pluggable concurrency-control layer.
 //!
 //! Every study axis in this repo is a first-class dimension; this module
-//! opens the last hardwired one — the TM algorithm itself. A
-//! [`TmBackend`] turns the transaction life-cycle (begin / read / write /
-//! commit / rollback) into a trait, with the shared machinery (descriptor
-//! reset, redo/undo buffers, transactional malloc/free, limbo-based
-//! reclamation, statistics) staying in [`TxThread`]. Three backends:
+//! opens the last hardwired one — the TM algorithm itself. Each edge of
+//! the transaction life-cycle (begin / read / write / commit / rollback)
+//! is one function here that matches on the configured [`BackendKind`] and
+//! calls that backend's code statically, with the shared machinery
+//! (descriptor reset, redo/undo buffers, transactional malloc/free,
+//! limbo-based reclamation, statistics) staying in [`TxThread`]. Three
+//! backends:
 //!
 //! * [`BackendKind::Etl`] — the paper's configuration: TinySTM-style
-//!   word-based STM with a versioned-lock ownership table. The code here
-//!   is the *verbatim* former `Tx` implementation (both ETL and CTL lock
-//!   designs, write-back and write-through), moved behind the trait — the
-//!   simulated event sequence is unchanged, so every ETL report stays
-//!   byte-identical.
+//!   word-based STM with a versioned-lock ownership table (both ETL and
+//!   CTL lock designs, write-back and write-through).
 //! * [`BackendKind::Norec`] — NOrec (Dalessandro, Spear, Scott, PPoPP'10):
 //!   a single global sequence lock and value-based validation. There is no
 //!   ownership table, so the paper's mechanisms 1–2 (ORT aliasing and
@@ -74,70 +73,27 @@ impl BackendKind {
             .collect::<Vec<_>>()
             .join(", ")
     }
-
-    /// The backend singleton implementing this kind.
-    pub(crate) fn backend(self) -> &'static dyn TmBackend {
-        match self {
-            BackendKind::Etl => &EtlBackend,
-            BackendKind::Norec => &NorecBackend,
-            BackendKind::SimHtm => &HtmBackend,
-        }
-    }
 }
 
-/// The backend contract. One call per transaction life-cycle edge; all
-/// shared state lives in [`Stm`] (clock / sequence-lock word, ORT,
-/// active-snapshot array) and [`TxThread`] (read/write sets, redo/undo
-/// logs, tx-alloc buffers, statistics). The contract:
-///
-/// * `begin` resets the descriptor, takes the backend's snapshot and may
-///   drain reclamation limbo. It must leave the thread able to `read`.
-/// * `read`/`write` are the transactional data path. They must honor
-///   read-own-write through the shared `wmap` redo index, count
-///   `stats.reads`/`stats.writes`, and return `Err(Abort::Conflict(_))` to
-///   trigger SUICIDE restart.
-/// * `commit` returns false when commit-time validation fails (the caller
-///   rolls back and retries). On success it must finalize transactional
-///   memory (`TxThread::finalize_memory`), count `stats.commits` and mark
-///   the thread quiescent.
-/// * `rollback` undoes the attempt (release locks, restore pre-images,
-///   undo tx-allocs), records the abort cause, and leaves the descriptor
-///   ready for the next `begin`.
-pub(crate) trait TmBackend: Sync {
-    fn begin(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>);
-    fn read(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-    ) -> Result<u64, Abort>;
-    fn write(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-        val: u64,
-    ) -> Result<(), Abort>;
-    fn commit(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool;
-    fn rollback(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, cause: AbortCause);
-}
+// The backend contract: one function per transaction life-cycle edge, each
+// a match on the configured kind. All shared state lives in `Stm` (clock /
+// sequence-lock word, ORT, active-snapshot array) and `TxThread`
+// (read/write sets, redo/undo logs, tx-alloc buffers, statistics).
 
-// Devirtualized dispatch for the hot path. ETL is the paper's backend and
-// the one the perf baselines track; a static call here lets the compiler
-// inline the whole read/write path exactly as it did before the trait
-// existed, while the other backends pay one indirect call. All call sites
-// outside this module go through these helpers.
-
+/// Reset the descriptor, take the backend's snapshot and maybe drain
+/// reclamation limbo, leaving the thread able to `read`.
 #[inline]
 pub(crate) fn begin(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
     match stm.cfg.backend {
-        BackendKind::Etl => EtlBackend.begin(stm, th, ctx),
-        _ => stm.backend.begin(stm, th, ctx),
+        BackendKind::Etl => EtlBackend::begin(stm, th, ctx),
+        BackendKind::Norec => NorecBackend::begin(stm, th, ctx),
+        BackendKind::SimHtm => HtmBackend::begin(stm, th, ctx),
     }
 }
 
+/// The transactional read path: honours read-own-write through the shared
+/// `wmap` redo index, counts `stats.reads`, and returns
+/// `Err(Abort::Conflict(_))` to restart the transaction.
 #[inline]
 pub(crate) fn read(
     stm: &Stm,
@@ -146,11 +102,14 @@ pub(crate) fn read(
     addr: u64,
 ) -> Result<u64, Abort> {
     match stm.cfg.backend {
-        BackendKind::Etl => EtlBackend.read(stm, th, ctx, addr),
-        _ => stm.backend.read(stm, th, ctx, addr),
+        BackendKind::Etl => EtlBackend::read(stm, th, ctx, addr),
+        BackendKind::Norec => NorecBackend::read(stm, th, ctx, addr),
+        BackendKind::SimHtm => HtmBackend::read(th, ctx, addr),
     }
 }
 
+/// The transactional write path, under the same rules as [`read`]
+/// (counting `stats.writes`).
 #[inline]
 pub(crate) fn write(
     stm: &Stm,
@@ -160,24 +119,34 @@ pub(crate) fn write(
     val: u64,
 ) -> Result<(), Abort> {
     match stm.cfg.backend {
-        BackendKind::Etl => EtlBackend.write(stm, th, ctx, addr, val),
-        _ => stm.backend.write(stm, th, ctx, addr, val),
+        BackendKind::Etl => EtlBackend::write(stm, th, ctx, addr, val),
+        BackendKind::Norec => NorecBackend::write(th, ctx, addr, val),
+        BackendKind::SimHtm => HtmBackend::write(th, ctx, addr, val),
     }
 }
 
+/// False when commit-time validation fails (the caller rolls back and
+/// retries). On success the transactional memory is finalized
+/// (`TxThread::finalize_memory`), `stats.commits` counted and the thread
+/// marked quiescent.
 #[inline]
 pub(crate) fn commit(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
     match stm.cfg.backend {
-        BackendKind::Etl => EtlBackend.commit(stm, th, ctx),
-        _ => stm.backend.commit(stm, th, ctx),
+        BackendKind::Etl => EtlBackend::commit(stm, th, ctx),
+        BackendKind::Norec => NorecBackend::commit(stm, th, ctx),
+        BackendKind::SimHtm => HtmBackend::commit(stm, th, ctx),
     }
 }
 
+/// Undo the attempt (release locks, restore pre-images, undo tx-allocs),
+/// record the abort cause, and leave the descriptor ready for the next
+/// `begin`. Sim-HTM first tears down its hardware attempt and refines the
+/// cause; the software backends share the descriptor's rollback.
 #[inline]
 pub(crate) fn rollback(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, cause: AbortCause) {
     match stm.cfg.backend {
-        BackendKind::Etl => EtlBackend.rollback(stm, th, ctx, cause),
-        _ => stm.backend.rollback(stm, th, ctx, cause),
+        BackendKind::Etl | BackendKind::Norec => th.rollback_common(stm, ctx, cause),
+        BackendKind::SimHtm => HtmBackend::rollback(stm, th, ctx, cause),
     }
 }
 
@@ -269,10 +238,8 @@ impl EtlBackend {
         }
         true
     }
-}
 
-impl TmBackend for EtlBackend {
-    fn begin(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
+    fn begin(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
         th.reset(ctx);
         // Publish a (conservative) snapshot *before* taking the real one:
         // a reclamation scan that misses the publication can then only
@@ -284,13 +251,7 @@ impl TmBackend for EtlBackend {
         th.drain_limbo(stm, ctx);
     }
 
-    fn read(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-    ) -> Result<u64, Abort> {
+    fn read(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, addr: u64) -> Result<u64, Abort> {
         th.stats.reads += 1;
         ctx.tick(4);
         if let Some(i) = th.wmap.get(addr) {
@@ -319,7 +280,6 @@ impl TmBackend for EtlBackend {
     }
 
     fn write(
-        &self,
         stm: &Stm,
         th: &mut TxThread,
         ctx: &mut Ctx<'_>,
@@ -368,7 +328,7 @@ impl TmBackend for EtlBackend {
         Ok(())
     }
 
-    fn commit(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
+    fn commit(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
         ctx.tick(12);
         if stm.cfg.design == LockDesign::Ctl
             && !th.write_entries.is_empty()
@@ -410,10 +370,6 @@ impl TmBackend for EtlBackend {
         th.stats.commits += 1;
         th.clear_active(stm, ctx);
         true
-    }
-
-    fn rollback(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, cause: AbortCause) {
-        th.rollback_common(stm, ctx, cause);
     }
 }
 
@@ -471,10 +427,8 @@ impl NorecBackend {
             // A writer slipped in mid-validation; start over.
         }
     }
-}
 
-impl TmBackend for NorecBackend {
-    fn begin(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
+    fn begin(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
         th.reset(ctx);
         // Same epoch-reclamation protocol as ETL: announce a conservative
         // snapshot before taking the real one, so the limbo drain of a
@@ -486,13 +440,7 @@ impl TmBackend for NorecBackend {
         th.drain_limbo(stm, ctx);
     }
 
-    fn read(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-    ) -> Result<u64, Abort> {
+    fn read(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, addr: u64) -> Result<u64, Abort> {
         th.stats.reads += 1;
         ctx.tick(4);
         if let Some(i) = th.wmap.get(addr) {
@@ -513,15 +461,7 @@ impl TmBackend for NorecBackend {
         Ok(v)
     }
 
-    fn write(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-        val: u64,
-    ) -> Result<(), Abort> {
-        let _ = stm;
+    fn write(th: &mut TxThread, ctx: &mut Ctx<'_>, addr: u64, val: u64) -> Result<(), Abort> {
         th.stats.writes += 1;
         ctx.tick(4);
         if let Some(i) = th.wmap.get(addr) {
@@ -533,7 +473,7 @@ impl TmBackend for NorecBackend {
         Ok(())
     }
 
-    fn commit(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
+    fn commit(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
         ctx.tick(12);
         if th.write_entries.is_empty() {
             // Read-only: the read set was value-validated against a stable
@@ -576,10 +516,6 @@ impl TmBackend for NorecBackend {
         th.clear_active(stm, ctx);
         true
     }
-
-    fn rollback(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, cause: AbortCause) {
-        th.rollback_common(stm, ctx, cause);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -614,10 +550,8 @@ impl HtmBackend {
     fn doomed(a: HtmAbort) -> Abort {
         Abort::Conflict(Self::cause_of(a))
     }
-}
 
-impl TmBackend for HtmBackend {
-    fn begin(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
+    fn begin(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
         th.reset(ctx);
         // Hardware transactions publish no epoch snapshot (there is no
         // STM-side reclamation race: any write to a line a reader tracked
@@ -664,14 +598,7 @@ impl TmBackend for HtmBackend {
         }
     }
 
-    fn read(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-    ) -> Result<u64, Abort> {
-        let _ = stm;
+    fn read(th: &mut TxThread, ctx: &mut Ctx<'_>, addr: u64) -> Result<u64, Abort> {
         th.stats.reads += 1;
         ctx.tick(2); // no per-access instrumentation beyond the cache itself
         if let Some(i) = th.wmap.get(addr) {
@@ -692,15 +619,7 @@ impl TmBackend for HtmBackend {
         }
     }
 
-    fn write(
-        &self,
-        stm: &Stm,
-        th: &mut TxThread,
-        ctx: &mut Ctx<'_>,
-        addr: u64,
-        val: u64,
-    ) -> Result<(), Abort> {
-        let _ = stm;
+    fn write(th: &mut TxThread, ctx: &mut Ctx<'_>, addr: u64, val: u64) -> Result<(), Abort> {
         th.stats.writes += 1;
         ctx.tick(2);
         if let Some(i) = th.wmap.get(addr) {
@@ -723,7 +642,7 @@ impl TmBackend for HtmBackend {
         Ok(())
     }
 
-    fn commit(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
+    fn commit(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) -> bool {
         if th.htm_irrevocable {
             ctx.tick(12);
             for i in 0..th.write_entries.len() {
@@ -754,7 +673,7 @@ impl TmBackend for HtmBackend {
         }
     }
 
-    fn rollback(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, cause: AbortCause) {
+    fn rollback(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>, cause: AbortCause) {
         // Tear down hardware tracking (no-op if the attempt already ended
         // or never started), release the fallback lock if held, then the
         // shared descriptor rollback. A commit-time doom is recorded under

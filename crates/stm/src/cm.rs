@@ -34,9 +34,10 @@
 //!   time), so its switch points are bit-identical across runs and across
 //!   the fibers/threads executors.
 //!
-//! Dispatch mirrors `backend.rs`: the free functions below are called from
-//! the transaction retry loop and fast-path [`CmKind::Suicide`] with *zero*
-//! extra simulated events or host-side bookkeeping, so every artifact
+//! Dispatch mirrors `backend.rs`: the retry loop calls the three hooks
+//! below, each a match on the thread's active static policy (the
+//! configured one, or where the adaptive controller stands), and
+//! [`CmKind::Suicide`] does no CM bookkeeping at all, so every artifact
 //! produced under the default configuration stays byte-identical.
 
 use tm_sim::Ctx;
@@ -145,19 +146,6 @@ impl CmKind {
             k => k,
         }
     }
-
-    /// The resolved dispatch table entry (mirrors
-    /// [`BackendKind::backend`](crate::BackendKind)).
-    pub(crate) fn manager(self) -> &'static dyn ContentionManager {
-        match self {
-            CmKind::Suicide => &SuicideCm,
-            CmKind::BackoffExp => &BackoffExpCm,
-            CmKind::Karma => &KarmaCm,
-            CmKind::Timestamp => &TimestampCm,
-            CmKind::Serialize => &SerializeCm,
-            CmKind::Adaptive => &AdaptiveCm,
-        }
-    }
 }
 
 /// One policy switch taken by the adaptive controller, recorded per thread
@@ -227,64 +215,52 @@ impl CmStats {
     }
 }
 
-/// A contention-management policy: hooks around the transaction retry loop
-/// in `Stm::txn_inner`. All simulated work a policy performs (pauses,
-/// token CASes) goes through `ctx`, so policies stay deterministic in
-/// virtual time.
-pub(crate) trait ContentionManager: Sync {
-    /// Called once when `Stm::txn` enters, before the first attempt.
-    fn txn_start(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>);
-    /// Called after an attempt rolled back, before the retry begins.
-    /// `th.retries` has *not* yet been bumped; the policy owns that.
-    fn after_abort(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>);
-    /// Called after the attempt committed (the last hook of the
-    /// transaction).
-    fn after_commit(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>);
-}
-
-// --- devirtualized dispatch (mirrors `backend.rs`) -----------------------
+// --- the three hooks ------------------------------------------------------
 //
-// The Suicide fast paths below are the byte-identity contract: under the
-// default configuration no hook performs any simulated event, host-side
-// bookkeeping, or LCG step beyond what the pre-CM retry loop performed.
+// Called from the retry loop in `Stm::txn_inner`. All simulated work a
+// policy performs (pauses, token CASes) goes through `ctx`, so policies
+// stay deterministic in virtual time. `th.cm_active` is always a static
+// policy: the configured one, or the adaptive controller's current rung.
 
-/// First hook of `Stm::txn`.
+/// First hook of `Stm::txn`, before the first attempt: Timestamp dates the
+/// transaction.
 #[inline]
-pub(crate) fn txn_start(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-    if stm.cfg.cm == CmKind::Suicide {
-        return;
+pub(crate) fn txn_start(th: &mut TxThread, ctx: &mut Ctx<'_>) {
+    if th.cm_active == CmKind::Timestamp {
+        th.cm_start = ctx.now();
     }
-    stm.cm.txn_start(stm, th, ctx);
 }
 
-/// Post-rollback hook: pause (or serialize) before the retry.
+/// Post-rollback hook: pause (or serialize) before the retry, then close
+/// the adaptive controller's window if it is full.
 #[inline]
 pub(crate) fn after_abort(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-    if stm.cfg.cm == CmKind::Suicide {
-        SuicideCm.after_abort(stm, th, ctx);
-        return;
+    if stm.cfg.cm != CmKind::Suicide {
+        th.cm_stats.aborts_under[th.cm_active as usize] += 1;
     }
-    th.cm_stats.aborts_under[th.cm_active as usize] += 1;
-    stm.cm.after_abort(stm, th, ctx);
+    pause(stm, th, ctx);
+    if stm.cfg.cm == CmKind::Adaptive {
+        th.window_aborts += 1;
+        rotate(th, ctx);
+    }
 }
 
-/// Post-commit hook: release any serialization token, retire window
-/// accounting.
+/// Post-commit hook: release any serialization token, reset karma, retire
+/// window accounting.
 #[inline]
 pub(crate) fn after_commit(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
     if stm.cfg.cm == CmKind::Suicide {
         return;
     }
     th.cm_stats.commits_under[th.cm_active as usize] += 1;
-    if th.holds_token {
-        if stm.cfg.bug != crate::InjectedBug::SerializeTokenLeak {
-            // BUG (injected) when skipped: the token word stays claimed
-            // forever, so every later serialization attempt livelocks.
-            ctx.write_u64(stm.serialize_token, 0);
-        }
-        th.holds_token = false;
+    release_token(stm, th, ctx);
+    if th.cm_active == CmKind::Karma {
+        th.karma = 0;
     }
-    stm.cm.after_commit(stm, th, ctx);
+    if stm.cfg.cm == CmKind::Adaptive {
+        th.window_commits += 1;
+        rotate(th, ctx);
+    }
 }
 
 /// Final hook when `Stm::try_txn` gives up on a persistently failing
@@ -297,113 +273,61 @@ pub(crate) fn propagate_alloc_failure(stm: &Stm, th: &mut TxThread, ctx: &mut Ct
         return;
     }
     th.cm_stats.aborts_under[th.cm_active as usize] += 1;
+    release_token(stm, th, ctx);
+}
+
+/// Give the serialization token back if this thread holds it. Policy-
+/// independent: it must also run when the adaptive controller left
+/// Serialize while the token was held.
+fn release_token(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
     if th.holds_token {
         if stm.cfg.bug != crate::InjectedBug::SerializeTokenLeak {
+            // BUG (injected) when skipped: the token word stays claimed
+            // forever, so every later serialization attempt livelocks.
             ctx.write_u64(stm.serialize_token, 0);
         }
         th.holds_token = false;
     }
 }
 
-// --- static policies -----------------------------------------------------
-
-/// The paper's SUICIDE policy; behaviourally identical to the pre-CM loop.
-struct SuicideCm;
-
-impl ContentionManager for SuicideCm {
-    fn txn_start(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-
-    fn after_abort(&self, _stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.retries = th.retries.saturating_add(1);
-        let pause = th.backoff_cycles();
-        ctx.tick(pause);
-    }
-
-    fn after_commit(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-}
-
-/// Randomized exponential backoff with an 8× wider base window and a
-/// deeper exponent cap than SUICIDE's livelock-breaking pause.
-struct BackoffExpCm;
-
-impl ContentionManager for BackoffExpCm {
-    fn txn_start(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-
-    fn after_abort(&self, _stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.retries = th.retries.saturating_add(1);
-        let r = th.backoff_rand();
-        let cap = 256u64 << th.retries.min(12);
-        ctx.tick(r % cap);
-    }
-
-    fn after_commit(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-}
-
-/// Karma: priority accrues with the footprint invested across aborted
-/// attempts of the same transaction; high-karma threads barely pause,
-/// low-karma threads yield the full SUICIDE window. Karma resets at
-/// commit.
-struct KarmaCm;
-
-impl ContentionManager for KarmaCm {
-    fn txn_start(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-
-    fn after_abort(&self, _stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        let (reads, writes) = th.footprint();
-        th.karma = th.karma.saturating_add(reads + writes + 1);
-        th.retries = th.retries.saturating_add(1);
-        let r = th.backoff_rand();
-        let cap = 32u64 << th.retries.min(8);
-        // log2(karma)+1, capped: each doubling of invested work halves the
-        // pause, down to 1/64 of the SUICIDE window.
-        let shrink = (64 - th.karma.leading_zeros()).min(6);
-        ctx.tick((r % cap) >> shrink);
-    }
-
-    fn after_commit(&self, _stm: &Stm, th: &mut TxThread, _ctx: &mut Ctx<'_>) {
-        th.karma = 0;
-    }
-}
-
-/// Timestamp: seniority by virtual-time age since the transaction's first
-/// attempt. Age is bucketed into 4096-cycle seniority units; each unit
-/// level halves the pause, so older transactions drain first.
-struct TimestampCm;
-
-impl ContentionManager for TimestampCm {
-    fn txn_start(&self, _stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.cm_start = ctx.now();
-    }
-
-    fn after_abort(&self, _stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.retries = th.retries.saturating_add(1);
-        let r = th.backoff_rand();
-        let cap = 32u64 << th.retries.min(8);
-        let age = ctx.now().saturating_sub(th.cm_start) / 4096;
-        let shrink = (64 - age.leading_zeros()).min(6);
-        ctx.tick((r % cap) >> shrink);
-    }
-
-    fn after_commit(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-}
-
 /// Consecutive aborts before [`CmKind::Serialize`] reaches for the global
 /// token.
 const SERIALIZE_AFTER: u32 = 4;
 
-/// Serialize: after [`SERIALIZE_AFTER`] consecutive aborts, acquire the
-/// global serialization token (a CAS word in simulated memory, so the
-/// acquisition is costed and deterministic) and hold it to commit. Other
-/// serialized threads wait on the token; unserialized threads are
-/// unaffected.
-struct SerializeCm;
-
-impl ContentionManager for SerializeCm {
-    fn txn_start(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
-
-    fn after_abort(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.retries = th.retries.saturating_add(1);
-        if th.retries >= SERIALIZE_AFTER && !th.holds_token {
+/// The active static policy's reaction to an abort; every policy first
+/// counts the retry.
+///
+/// * Suicide — the paper's policy: the deterministic randomized
+///   bounded-exponential pause of [`TxThread::backoff_cycles`].
+/// * BackoffExp — the same randomized pause with an 8× wider base window
+///   and a deeper exponent cap.
+/// * Karma — priority accrues with the footprint invested across aborted
+///   attempts of the same transaction (reset at commit); each doubling of
+///   invested work halves the Suicide pause, down to 1/64 of it.
+/// * Timestamp — seniority by virtual-time age since the first attempt, in
+///   4096-cycle units; each doubling of age halves the pause, so older
+///   transactions drain first.
+/// * Serialize — after [`SERIALIZE_AFTER`] consecutive aborts, acquire the
+///   global serialization token (a CAS word in simulated memory, so the
+///   acquisition is costed and deterministic) and hold it to commit;
+///   before that, the Suicide pause. Unserialized threads are unaffected.
+fn pause(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
+    th.retries = th.retries.saturating_add(1);
+    let cycles = match th.cm_active {
+        CmKind::Suicide => th.backoff_cycles(),
+        CmKind::BackoffExp => th.backoff_rand() % (256u64 << th.retries.min(12)),
+        CmKind::Karma => {
+            let (reads, writes) = th.footprint();
+            th.karma = th.karma.saturating_add(reads + writes + 1);
+            let shrink = (64 - th.karma.leading_zeros()).min(6);
+            th.backoff_cycles() >> shrink
+        }
+        CmKind::Timestamp => {
+            let age = ctx.now().saturating_sub(th.cm_start) / 4096;
+            let shrink = (64 - age.leading_zeros()).min(6);
+            th.backoff_cycles() >> shrink
+        }
+        CmKind::Serialize if th.retries >= SERIALIZE_AFTER && !th.holds_token => {
             while ctx
                 .cas_u64(stm.serialize_token, 0, th.tid as u64 + 1)
                 .is_err()
@@ -411,15 +335,12 @@ impl ContentionManager for SerializeCm {
                 ctx.tick(64);
             }
             th.holds_token = true;
-        } else {
-            let pause = th.backoff_cycles();
-            ctx.tick(pause);
+            return;
         }
-    }
-
-    // Token release is handled generically in `after_commit` above (it
-    // must also run when the adaptive controller leaves this policy).
-    fn after_commit(&self, _stm: &Stm, _th: &mut TxThread, _ctx: &mut Ctx<'_>) {}
+        CmKind::Serialize => th.backoff_cycles(),
+        CmKind::Adaptive => unreachable!("the active policy is a static one"),
+    };
+    ctx.tick(cycles);
 }
 
 // --- the adaptive controller ---------------------------------------------
@@ -441,74 +362,52 @@ const LADDER: [CmKind; 4] = [
     CmKind::Serialize,
 ];
 
-/// Adaptive: delegate to the currently active static policy, and at every
-/// window boundary walk the [`LADDER`] up (abort rate above 3/8) or down
-/// (below 1/16). Every input is per-thread and virtual-time deterministic
-/// — own window counters, own stats deltas — so switch points replay
-/// bit-identically across runs and executors.
-struct AdaptiveCm;
-
-impl AdaptiveCm {
-    fn rotate(&self, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        let total = th.window_commits + th.window_aborts;
-        if total < WINDOW {
-            return;
-        }
-        // ORT-aliasing signature of the closing window: aborts whose cause
-        // is a stripe lock or the two-probe read race. A NOrec backend has
-        // no ORT and none of these causes; record the hint.
-        let delta = |s: &StmStats, cause: AbortCause| s.by_cause[cause as usize];
-        let ort_now = delta(&th.stats, AbortCause::ReadLocked)
-            + delta(&th.stats, AbortCause::WriteLocked)
-            + delta(&th.stats, AbortCause::ReadRace);
-        let ort_base = delta(&th.window_base, AbortCause::ReadLocked)
-            + delta(&th.window_base, AbortCause::WriteLocked)
-            + delta(&th.window_base, AbortCause::ReadRace);
-        let ort_aborts = ort_now - ort_base;
-        if ort_aborts * 2 > th.window_aborts as u64 {
-            th.cm_stats.norec_hints += 1;
-        }
-        let pos = LADDER.iter().position(|&k| k == th.cm_active).unwrap_or(0);
-        let next = if th.window_aborts * ESCALATE_DEN > total * ESCALATE_NUM {
-            LADDER[(pos + 1).min(LADDER.len() - 1)]
-        } else if th.window_aborts * DEESCALATE_DEN < total {
-            LADDER[pos.saturating_sub(1)]
-        } else {
-            th.cm_active
-        };
-        if next != th.cm_active {
-            th.cm_stats.switches += 1;
-            th.switch_log.push(CmSwitch {
-                window: th.windows,
-                at: ctx.now(),
-                from: th.cm_active,
-                to: next,
-            });
-            th.cm_active = next;
-        }
-        th.windows += 1;
-        th.window_commits = 0;
-        th.window_aborts = 0;
-        th.window_base = th.stats;
+/// Adaptive: the hooks run the currently active static policy, and at
+/// every window boundary this walks the [`LADDER`] up (abort rate above
+/// 3/8) or down (below 1/16). Every input is per-thread and virtual-time
+/// deterministic — own window counters, own stats deltas — so switch points
+/// replay bit-identically across runs and executors.
+fn rotate(th: &mut TxThread, ctx: &mut Ctx<'_>) {
+    let total = th.window_commits + th.window_aborts;
+    if total < WINDOW {
+        return;
     }
-}
-
-impl ContentionManager for AdaptiveCm {
-    fn txn_start(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.cm_active.manager().txn_start(stm, th, ctx);
+    // ORT-aliasing signature of the closing window: aborts whose cause is a
+    // stripe lock or the two-probe read race. A NOrec backend has no ORT and
+    // none of these causes; record the hint.
+    let delta = |s: &StmStats, cause: AbortCause| s.by_cause[cause as usize];
+    let ort_now = delta(&th.stats, AbortCause::ReadLocked)
+        + delta(&th.stats, AbortCause::WriteLocked)
+        + delta(&th.stats, AbortCause::ReadRace);
+    let ort_base = delta(&th.window_base, AbortCause::ReadLocked)
+        + delta(&th.window_base, AbortCause::WriteLocked)
+        + delta(&th.window_base, AbortCause::ReadRace);
+    let ort_aborts = ort_now - ort_base;
+    if ort_aborts * 2 > th.window_aborts as u64 {
+        th.cm_stats.norec_hints += 1;
     }
-
-    fn after_abort(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.cm_active.manager().after_abort(stm, th, ctx);
-        th.window_aborts += 1;
-        self.rotate(th, ctx);
+    let pos = LADDER.iter().position(|&k| k == th.cm_active).unwrap_or(0);
+    let next = if th.window_aborts * ESCALATE_DEN > total * ESCALATE_NUM {
+        LADDER[(pos + 1).min(LADDER.len() - 1)]
+    } else if th.window_aborts * DEESCALATE_DEN < total {
+        LADDER[pos.saturating_sub(1)]
+    } else {
+        th.cm_active
+    };
+    if next != th.cm_active {
+        th.cm_stats.switches += 1;
+        th.switch_log.push(CmSwitch {
+            window: th.windows,
+            at: ctx.now(),
+            from: th.cm_active,
+            to: next,
+        });
+        th.cm_active = next;
     }
-
-    fn after_commit(&self, stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
-        th.cm_active.manager().after_commit(stm, th, ctx);
-        th.window_commits += 1;
-        self.rotate(th, ctx);
-    }
+    th.windows += 1;
+    th.window_commits = 0;
+    th.window_aborts = 0;
+    th.window_base = th.stats;
 }
 
 #[cfg(test)]

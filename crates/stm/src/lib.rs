@@ -240,13 +240,6 @@ impl Default for StmConfig {
 /// The STM instance: ORT, global clock, allocator binding and statistics.
 pub struct Stm {
     pub(crate) cfg: StmConfig,
-    /// The concurrency-control backend (resolved once from
-    /// `cfg.backend`; dispatch is one host-side vtable hop, far below the
-    /// cost of a simulated cache access).
-    pub(crate) backend: &'static dyn backend::TmBackend,
-    /// The contention manager (resolved once from `cfg.cm`; the retry
-    /// loop fast-paths [`CmKind::Suicide`] past this vtable entirely).
-    pub(crate) cm: &'static dyn cm::ContentionManager,
     /// Simulated address of the global serialization token word, allocated
     /// only when `cfg.cm` can reach [`CmKind::Serialize`] (an unconditional
     /// allocation would shift every downstream simulated address and break
@@ -324,8 +317,6 @@ impl Stm {
             (ort, clock, active, token)
         });
         Stm {
-            backend: cfg.backend.backend(),
-            cm: cfg.cm.manager(),
             serialize_token,
             cfg,
             ort_base,
@@ -488,7 +479,7 @@ impl Stm {
     ) -> Result<R, tm_alloc::AllocError> {
         th.retries = 0;
         let mut alloc_failures = 0u32;
-        cm::txn_start(self, th, ctx);
+        cm::txn_start(th, ctx);
         loop {
             backend::begin(self, th, ctx);
             ctx.trace_event(tm_sim::EventKind::TxBegin, th.retries as u64, 0);

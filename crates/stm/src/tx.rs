@@ -1,5 +1,5 @@
 //! Transaction descriptors: the per-thread state shared by every
-//! [`TmBackend`](crate::backend::TmBackend) (read/write sets, redo/undo
+//! [`BackendKind`](crate::BackendKind) (read/write sets, redo/undo
 //! logs, transactional malloc/free buffers, limbo-based reclamation and
 //! statistics), plus the [`Tx`] handle workloads program against. The
 //! concurrency-control protocol itself lives in [`crate::backend`].

@@ -40,6 +40,21 @@ for f in glibc hoard tbb tc serial state; do
   fi
 done
 
+# One path per operation at the plug-in seams (DESIGN.md §5, §12): an
+# allocator or allocator wrapper implements only `try_malloc`/`try_free`
+# (the panicking `malloc`/`free` are the trait's provided methods in
+# lib.rs), and a TM backend or contention manager is a match arm, not a
+# trait object.
+echo "==> plug-in seams: try_malloc/try_free only; no backend or CM trait"
+if grep -nE 'fn (malloc|free)\(' crates/alloc/src/*.rs | grep -v '^crates/alloc/src/lib.rs:'; then
+  echo "verify: an allocator defines malloc/free; implement try_malloc/try_free"
+  exit 1
+fi
+if grep -nE '\bdyn\b|^\s*(pub(\(crate\))? )?trait ' crates/stm/src/backend.rs crates/stm/src/cm.rs; then
+  echo "verify: a TM backend or contention manager is dispatched through a trait"
+  exit 1
+fi
+
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
 # above used the default one; run the simulator's, the allocator models',
 # the STM's and the model checker's own tests under each by name — the
@@ -155,7 +170,7 @@ golden_gate() { # golden_gate <golden> <subcommand...>
 golden_gate tests/golden/check-quick.check.json check --quick
 golden_gate tests/golden/oom-quick.oom.json mc --oom
 
-# The non-default backend must keep sweeping end-to-end (trait dispatch,
+# The non-default backend must keep sweeping end-to-end (its dispatch arm,
 # CLI plumbing, report emission), not just pass unit tests. A gate, not
 # only a smoke: a sweep with an `error` cell exits 1, so a backend that
 # breaks any of the 12 cells fails here; the matrix is not kept, and
@@ -169,8 +184,8 @@ sweep_gate() { # sweep_gate <sweep flags...>
 echo "==> tmstudy sweep --quick --backend norec (backend gate)"
 sweep_gate --backend norec --name verify-norec
 
-# The same gate for the non-default contention manager (the generic CM
-# dispatch path, exercised by CI's perf-smoke job too).
+# The same gate for a non-default contention manager (a non-Suicide arm
+# of the CM dispatch, exercised by CI's perf-smoke job too).
 echo "==> tmstudy sweep --quick --cm backoff (contention-manager gate)"
 sweep_gate --cm backoff --name verify-cm-backoff
 
