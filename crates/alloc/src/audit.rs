@@ -109,9 +109,9 @@ impl AuditReport {
 }
 
 /// An [`Allocator`] wrapper that checks heap invariants on every call.
-/// Build one with [`HeapAuditor::new`] (or
-/// [`crate::AllocatorKind::build_audited`]), hand a clone of the inner
-/// `Arc` to the code under test, and inspect [`HeapAuditor::report`] /
+/// Build one with [`HeapAuditor::new`] (an audited STM stack with
+/// `tm_stm::Stack::new`), hand a clone of the returned `Arc` to the code
+/// under test, and inspect [`HeapAuditor::report`] /
 /// [`HeapAuditor::assert_clean`] afterwards.
 pub struct HeapAuditor {
     inner: Arc<dyn Allocator>,

@@ -143,7 +143,7 @@ impl std::fmt::Display for AllocFaultPlan {
     }
 }
 
-/// splitmix64 — the same statelessly seedable mix the PCT scheduler uses.
+/// splitmix64 — a statelessly seedable mix.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

@@ -296,24 +296,6 @@ impl AllocatorKind {
             AllocatorKind::TcMalloc => Arc::new(TcAllocator::new(sim)),
         }
     }
-
-    /// Instantiate this allocator wrapped in a [`HeapAuditor`]; the
-    /// returned auditor *is* an [`Allocator`] (pass a clone of the `Arc`
-    /// to the workload, keep one to inspect the audit afterwards).
-    pub fn build_audited(self, sim: &Sim) -> Arc<HeapAuditor> {
-        HeapAuditor::new(self.build(sim))
-    }
-
-    /// Instantiate this allocator under an allocation-fault plan. With
-    /// [`AllocFaultPlan::None`] this is exactly [`AllocatorKind::build`]
-    /// — no [`FaultInjector`] in the stack, so the fault-free path stays
-    /// byte-identical to a build that never heard of fault injection.
-    pub fn build_with_fault(self, sim: &Sim, plan: AllocFaultPlan) -> Arc<dyn Allocator> {
-        match plan {
-            AllocFaultPlan::None => self.build(sim),
-            plan => FaultInjector::new(self.build(sim), plan),
-        }
-    }
 }
 
 impl std::str::FromStr for AllocatorKind {

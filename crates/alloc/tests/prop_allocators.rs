@@ -18,7 +18,7 @@ use tm_sim::{MachineConfig, Sim};
 
 fn check(kind: AllocatorKind, ops: &[AllocOp]) -> Result<(), TestCaseError> {
     let sim = Sim::new(MachineConfig::xeon_e5405());
-    let auditor = kind.build_audited(&sim);
+    let auditor = HeapAuditor::new(kind.build(&sim));
     let ops = ops.to_vec();
     let alloc = auditor.clone();
     sim.run(1, |ctx| {

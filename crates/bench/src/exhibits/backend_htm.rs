@@ -9,9 +9,9 @@
 //! stop being hardware commits: below the boundary capacity aborts are
 //! zero, above it every attempt faults (`HTM_MAX_RETRIES` capacity aborts
 //! per transaction) before the fallback path commits.
-use tm_alloc::AllocatorKind;
-use tm_sim::{MachineConfig, Sim};
-use tm_stm::{AbortCause, BackendKind, Stm, StmConfig};
+use tm_alloc::{AllocFaultPlan, AllocatorKind};
+use tm_sim::MachineConfig;
+use tm_stm::{AbortCause, BackendKind, Stack, StmConfig};
 
 /// Per-transaction write footprints, in 64-byte lines. The simulated L1
 /// holds 512 lines (32 KB); the sweep brackets it.
@@ -22,15 +22,16 @@ const FOOTPRINT_LINES: [u64; 6] = [64, 128, 256, 448, 640, 1024];
 const TXNS: u64 = 4;
 
 fn run_point(lines: u64) -> (u64, u64, u64) {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let alloc = AllocatorKind::TbbMalloc.build(&sim);
-    let stm = Stm::new(
-        &sim,
-        alloc,
-        StmConfig {
-            backend: BackendKind::SimHtm,
-            ..StmConfig::default()
-        },
+    let htm = StmConfig {
+        backend: BackendKind::SimHtm,
+        ..StmConfig::default()
+    };
+    let Stack { sim, stm, .. } = Stack::new(
+        MachineConfig::xeon_e5405(),
+        AllocatorKind::TbbMalloc,
+        AllocFaultPlan::None,
+        false,
+        htm,
     );
     let base = 0x6000_0000u64;
     sim.run(1, |ctx| {

@@ -10,17 +10,17 @@
 
 use std::sync::Arc;
 
-use tm_alloc::{Allocator, AllocatorKind};
+use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor};
 use tm_obs::CheckCell;
 use tm_sim::{MachineConfig, Sim};
-use tm_stm::{Stm, StmConfig};
+use tm_stm::{Stack, StmConfig};
 
 use crate::{cell_from, kv};
 
 /// Multi-threaded raw malloc/free churn under the auditor.
 fn raw_churn(kind: AllocatorKind, threads: usize) -> tm_alloc::AuditReport {
     let sim = Sim::new(MachineConfig::xeon_e5405());
-    let auditor = kind.build_audited(&sim);
+    let auditor = HeapAuditor::new(kind.build(&sim));
     let alloc = Arc::clone(&auditor) as Arc<dyn Allocator>;
     sim.run(threads, |ctx| {
         let tid = ctx.tid() as u64;
@@ -56,13 +56,15 @@ fn raw_churn(kind: AllocatorKind, threads: usize) -> tm_alloc::AuditReport {
 /// transactional allocation, so aborts exercise malloc-undo and
 /// commit-deferred frees.
 fn tx_churn(kind: AllocatorKind, threads: usize) -> tm_alloc::AuditReport {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let auditor = kind.build_audited(&sim);
-    let stm = Arc::new(Stm::new(
-        &sim,
-        Arc::clone(&auditor) as Arc<dyn Allocator>,
+    let Stack {
+        sim, stm, auditor, ..
+    } = Stack::new(
+        MachineConfig::xeon_e5405(),
+        kind,
+        AllocFaultPlan::None,
+        true,
         StmConfig::default(),
-    ));
+    );
     let head = 0x7000_0000u64;
     sim.run(threads, |ctx| {
         let mut th = stm.thread(ctx.tid());
@@ -91,7 +93,7 @@ fn tx_churn(kind: AllocatorKind, threads: usize) -> tm_alloc::AuditReport {
         }
         stm.retire(th);
     });
-    auditor.report()
+    auditor.expect("an audited stack").report()
 }
 
 /// Run both audited workloads for one allocator and fold the verdict.

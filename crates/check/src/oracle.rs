@@ -16,18 +16,17 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tm_alloc::AllocatorKind;
-use tm_ds::{StructureKind, TxHashSet, TxList, TxRbTree, TxSet};
+use tm_alloc::{AllocFaultPlan, AllocatorKind};
+use tm_ds::{AnySet, StructureKind};
 use tm_obs::{panic_message, CheckCell, CheckStatus};
-use tm_sim::{Ctx, MachineConfig, Sim};
+use tm_sim::MachineConfig;
 use tm_stamp::runner::{run_kind, StampOpts, StampResult};
 use tm_stamp::AppKind;
-use tm_stm::{BackendKind, CmKind, Stm, StmConfig};
+use tm_stm::{BackendKind, CmKind, Stack, StmConfig};
 
 use crate::strategies::SetOp;
 use crate::{cell_from, kv};
@@ -88,68 +87,30 @@ pub struct SynthObservation {
     pub heap_violations: u64,
 }
 
-#[derive(Clone, Copy)]
-enum CheckSet {
-    List(TxList),
-    Hash(TxHashSet),
-    Tree(TxRbTree),
-}
-
-impl CheckSet {
-    fn build(structure: StructureKind, stm: &Stm, ctx: &mut Ctx<'_>, key_range: u64) -> Self {
-        match structure {
-            StructureKind::LinkedList => CheckSet::List(TxList::new(stm, ctx)),
-            StructureKind::HashSet => CheckSet::Hash(TxHashSet::new(
-                stm,
-                ctx,
-                (key_range * 2).next_power_of_two(),
-            )),
-            StructureKind::RbTree => CheckSet::Tree(TxRbTree::new(stm, ctx)),
-        }
-    }
-
-    fn as_set(&self) -> &dyn TxSet {
-        match self {
-            CheckSet::List(s) => s,
-            CheckSet::Hash(s) => s,
-            CheckSet::Tree(s) => s,
-        }
-    }
-
-    /// Structure-specific raw invariants (sortedness, red–black shape).
-    /// Panics on violation, like the structures' own test helpers.
-    fn check_structure(&self, ctx: &mut Ctx<'_>) {
-        match self {
-            CheckSet::List(l) => assert!(l.is_sorted_raw(ctx), "list lost sortedness"),
-            CheckSet::Hash(_) => {}
-            CheckSet::Tree(t) => {
-                t.check_invariants_raw(ctx);
-            }
-        }
-    }
-}
-
 /// Execute the workload and record everything the oracle needs. The
 /// workload mirrors `tm_core::synthetic::run_synthetic`: warm-up inserts,
 /// then per-thread streams of updates (alternating insert/remove) and
 /// membership probes.
 pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let auditor = cfg.allocator.build_audited(&sim);
-    let stm = Arc::new(Stm::new(
-        &sim,
-        Arc::clone(&auditor) as Arc<dyn tm_alloc::Allocator>,
+    let Stack {
+        sim, stm, auditor, ..
+    } = Stack::new(
+        MachineConfig::xeon_e5405(),
+        cfg.allocator,
+        AllocFaultPlan::None,
+        true,
         StmConfig {
             shift: cfg.shift,
             ..StmConfig::default()
         },
-    ));
+    );
 
     // Sequential warm-up; record the exact initial membership.
-    let set_cell: Mutex<Option<CheckSet>> = Mutex::new(None);
+    let set_cell: Mutex<Option<AnySet>> = Mutex::new(None);
     let init_cell: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
     sim.run(1, |ctx| {
-        let set = CheckSet::build(cfg.structure, &stm, ctx, cfg.key_range);
+        let buckets = (cfg.key_range * 2).next_power_of_two();
+        let set = AnySet::new(cfg.structure, &stm, ctx, buckets);
         let mut th = stm.thread(0);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut init = BTreeSet::new();
@@ -205,7 +166,7 @@ pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
     let fin_cell: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
     sim.run(1, |ctx| {
         let set = set_cell.lock().unwrap();
-        set.check_structure(ctx);
+        set.check_invariants_raw(ctx);
         let mut th = stm.thread(0);
         let mut fin = BTreeSet::new();
         for key in 0..cfg.key_range {
@@ -222,7 +183,7 @@ pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
         events: logs.into_inner(),
         fin: fin_cell.into_inner(),
         commits,
-        heap_violations: auditor.report().violation_count,
+        heap_violations: auditor.expect("an audited stack").report().violation_count,
     }
 }
 

@@ -139,11 +139,11 @@ fn usage() {
         "usage: tmstudy <synth|stamp|threadtest|profile|machine|report|sweep|check|mc|book> [flags]\n\
          synth:      --structure list|hash|rbtree --alloc <a> --threads N \
          [--backend etl|norec|htm] [--cm <policy>] [--update-pct P] [--shift S] \
-         [--size N] [--ops N] [--seed N] [--ctl] [--mix-hash] [--object-cache] \
-         [--alloc-fault PLAN]\n\
+         [--size N] [--ops N] [--seed N] [--ctl] [--write-through] [--mix-hash] \
+         [--object-cache] [--alloc-fault PLAN]\n\
          stamp:      --app <name> --alloc <a> --threads N [--scale S] \
          [--backend etl|norec|htm] [--cm <policy>] [--shift S] [--seed N] [--ctl] \
-         [--mix-hash] [--object-cache] [--alloc-fault PLAN]\n\
+         [--write-through] [--mix-hash] [--object-cache] [--alloc-fault PLAN]\n\
          threadtest: --alloc <a> [--size BYTES] [--threads N] [--pairs N]\n\
          profile:    --app <name> [--alloc <a>] [--scale S]\n\
          report:     <a.json> — pretty-print; <a.json> <b.json> — diff \

@@ -22,46 +22,22 @@ pub mod sweeps;
 pub mod synthetic;
 pub mod threadtest;
 
-use std::sync::Arc;
+use tm_alloc::{AllocFaultPlan, AllocatorKind};
+use tm_sim::MachineConfig;
+use tm_stm::StmConfig;
 
-use tm_alloc::{Allocator, AllocatorKind};
-use tm_sim::{MachineConfig, Sim};
-use tm_stm::{Stm, StmConfig};
-
-/// A fully-built simulation stack for one experiment configuration.
-pub struct Stack {
-    /// The simulated machine.
-    pub sim: Sim,
-    /// The allocator under test, built on `sim`.
-    pub alloc: Arc<dyn Allocator>,
-    /// The STM, wrapping `alloc`.
-    pub stm: Arc<Stm>,
-}
+pub use tm_stm::Stack;
 
 /// Build machine + allocator + STM for one configuration (the paper's
-/// Xeon E5405 model).
+/// Xeon E5405 model, no fault plan, no auditor).
 pub fn build_stack(kind: AllocatorKind, stm_cfg: StmConfig) -> Stack {
-    build_stack_on(MachineConfig::xeon_e5405(), kind, stm_cfg)
-}
-
-/// Build the stack on an explicit machine model (the machine ablation).
-pub fn build_stack_on(machine: MachineConfig, kind: AllocatorKind, stm_cfg: StmConfig) -> Stack {
-    build_stack_faulted(machine, kind, tm_alloc::AllocFaultPlan::None, stm_cfg)
-}
-
-/// Build the stack with the allocator under an allocation-fault plan.
-/// With [`tm_alloc::AllocFaultPlan::None`] the stack is byte-identical
-/// to [`build_stack_on`] — no injector is present at all.
-pub fn build_stack_faulted(
-    machine: MachineConfig,
-    kind: AllocatorKind,
-    plan: tm_alloc::AllocFaultPlan,
-    stm_cfg: StmConfig,
-) -> Stack {
-    let sim = Sim::new(machine);
-    let alloc = kind.build_with_fault(&sim, plan);
-    let stm = Arc::new(Stm::new(&sim, Arc::clone(&alloc), stm_cfg));
-    Stack { sim, alloc, stm }
+    Stack::new(
+        MachineConfig::xeon_e5405(),
+        kind,
+        AllocFaultPlan::None,
+        false,
+        stm_cfg,
+    )
 }
 
 /// Metrics common to every measured run (the paper's reporting set).

@@ -89,11 +89,12 @@ pub fn parse_cm(v: &str) -> Result<tm_stm::CmKind, String> {
 /// The STM-stack knobs every transactional workload shares, read from
 /// their keys — `backend`, `cm`, `shift`, `seed`, `alloc-fault`, and the
 /// bare `object-cache` / `ctl` / `write-through` / `mix-hash` switches
-/// (on when present) — in the one struct that holds exactly those.
+/// (on when present) — in the one struct that holds exactly those. A
+/// combination the STM does not run is an error ([`tm_stm::StmConfig::check`]).
 fn stack_opts(config: &[(String, String)]) -> Result<StampOpts, String> {
     let on = |key| lookup(config, key).is_some();
     let defaults = StampOpts::default();
-    Ok(StampOpts {
+    let opts = StampOpts {
         backend: lookup(config, "backend").map_or(Ok(defaults.backend), parse_backend)?,
         cm: lookup(config, "cm").map_or(Ok(defaults.cm), parse_cm)?,
         shift: parse(config, "shift", defaults.shift)?,
@@ -117,7 +118,9 @@ fn stack_opts(config: &[(String, String)]) -> Result<StampOpts, String> {
             OrtHash::ShiftMod
         },
         ..defaults
-    })
+    };
+    opts.stm_config().check()?;
+    Ok(opts)
 }
 
 /// The synthetic-benchmark configuration a `(key, value)` list describes
@@ -146,6 +149,9 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
     cfg.update_pct = parse(config, "update-pct", cfg.update_pct)?;
     // The same derivations `scaled` makes from its own initial size.
     cfg.initial_size = parse(config, "size", cfg.initial_size)?;
+    if cfg.initial_size == 0 {
+        return Err("bad --size '0' (a structure starts with at least 1 element)".into());
+    }
     cfg.key_range = cfg.initial_size * 2;
     cfg.buckets = (cfg.initial_size * 32).next_power_of_two();
     cfg.ops_per_thread = parse(config, "ops", cfg.ops_per_thread)?;
@@ -392,6 +398,24 @@ mod tests {
                 run_cell(&cell).unwrap_err(),
                 format!("bad --threads '{threads}' (1..=8 simulated cores)")
             );
+        }
+    }
+
+    #[test]
+    fn a_configuration_the_stm_does_not_run_is_an_error_cell() {
+        let stamp = [("workload", "stamp"), ("app", "genome")];
+        let cases: [(Vec<(&str, &str)>, &str); 4] = [
+            (vec![("shift", "64")], "bad --shift '64'"),
+            (vec![("ctl", ""), ("write-through", "")], "not --ctl"),
+            (
+                [&stamp[..], &[("backend", "htm"), ("write-through", "")]].concat(),
+                "etl backend only, not htm",
+            ),
+            (vec![("size", "0")], "bad --size '0'"),
+        ];
+        for (pairs, told) in cases {
+            let err = run_cell(&cfg(&pairs)).unwrap_err();
+            assert!(err.contains(told), "{pairs:?}: {err}");
         }
     }
 

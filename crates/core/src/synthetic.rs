@@ -10,8 +10,8 @@
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tm_alloc::AllocatorKind;
-use tm_ds::{StructureKind, TxHashSet, TxList, TxRbTree, TxSet};
-use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, StmConfig, WriteMode};
+use tm_ds::{AnySet, StructureKind};
+use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, StmConfig, WriteMode};
 
 use tm_sim::MachineConfig;
 
@@ -95,21 +95,18 @@ impl SyntheticConfig {
             machine: MachineConfig::xeon_e5405(),
         }
     }
-}
 
-#[derive(Clone, Copy)]
-enum AnySet {
-    List(TxList),
-    Hash(TxHashSet),
-    Tree(TxRbTree),
-}
-
-impl AnySet {
-    fn as_set(&self) -> &dyn TxSet {
-        match self {
-            AnySet::List(s) => s,
-            AnySet::Hash(s) => s,
-            AnySet::Tree(s) => s,
+    /// The STM knobs of this configuration.
+    pub fn stm_config(&self) -> StmConfig {
+        StmConfig {
+            backend: self.backend,
+            cm: self.cm,
+            shift: self.shift,
+            object_cache: self.object_cache,
+            design: self.design,
+            write_mode: self.write_mode,
+            ort_hash: self.ort_hash,
+            ..StmConfig::default()
         }
     }
 }
@@ -126,31 +123,19 @@ pub fn run_synthetic(cfg: &SyntheticConfig) -> Metrics {
 pub fn run_synthetic_cm(
     cfg: &SyntheticConfig,
 ) -> (Metrics, tm_stm::CmStats, Vec<(usize, tm_stm::CmSwitch)>) {
-    let stack = crate::build_stack_faulted(
+    let stack = Stack::new(
         cfg.machine.clone(),
         cfg.allocator,
         cfg.alloc_fault,
-        StmConfig {
-            backend: cfg.backend,
-            cm: cfg.cm,
-            shift: cfg.shift,
-            object_cache: cfg.object_cache,
-            design: cfg.design,
-            write_mode: cfg.write_mode,
-            ort_hash: cfg.ort_hash,
-            ..StmConfig::default()
-        },
+        false,
+        cfg.stm_config(),
     );
     let stm = &stack.stm;
 
     // ---- Sequential phase: the main thread builds the structure. ----
     let set_cell = parking_lot::Mutex::new(None::<AnySet>);
     stack.sim.run(1, |ctx| {
-        let set = match cfg.structure {
-            StructureKind::LinkedList => AnySet::List(TxList::new(stm, ctx)),
-            StructureKind::HashSet => AnySet::Hash(TxHashSet::new(stm, ctx, cfg.buckets)),
-            StructureKind::RbTree => AnySet::Tree(TxRbTree::new(stm, ctx)),
-        };
+        let set = AnySet::new(cfg.structure, stm, ctx, cfg.buckets);
         let mut th = stm.thread(0);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut inserted = 0;

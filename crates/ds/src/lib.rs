@@ -74,6 +74,52 @@ impl StructureKind {
     }
 }
 
+/// One of the three set structures, chosen at run time: the one
+/// dispatcher over [`StructureKind`]. A handle, so `Copy` across threads.
+#[derive(Clone, Copy)]
+pub enum AnySet {
+    /// A [`TxList`].
+    List(TxList),
+    /// A [`TxHashSet`].
+    Hash(TxHashSet),
+    /// A [`TxRbTree`].
+    Tree(TxRbTree),
+}
+
+impl AnySet {
+    /// Build an empty `kind` in simulated memory; `buckets` sizes a hash
+    /// set's bucket array and is ignored by the other two.
+    pub fn new(kind: StructureKind, stm: &Stm, ctx: &mut Ctx<'_>, buckets: u64) -> AnySet {
+        match kind {
+            StructureKind::LinkedList => AnySet::List(TxList::new(stm, ctx)),
+            StructureKind::HashSet => AnySet::Hash(TxHashSet::new(stm, ctx, buckets)),
+            StructureKind::RbTree => AnySet::Tree(TxRbTree::new(stm, ctx)),
+        }
+    }
+
+    /// The structure behind the uniform set interface.
+    pub fn as_set(&self) -> &dyn TxSet {
+        match self {
+            AnySet::List(s) => s,
+            AnySet::Hash(s) => s,
+            AnySet::Tree(s) => s,
+        }
+    }
+
+    /// Structure-specific raw invariants (list sortedness, red–black
+    /// shape; a hash set has none beyond its lists), read outside any
+    /// transaction. Panics on a violation.
+    pub fn check_invariants_raw(&self, ctx: &mut Ctx<'_>) {
+        match self {
+            AnySet::List(l) => assert!(l.is_sorted_raw(ctx), "list lost sortedness"),
+            AnySet::Hash(_) => {}
+            AnySet::Tree(t) => {
+                t.check_invariants_raw(ctx);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;

@@ -25,18 +25,15 @@ use tm_stm::{BackendKind, CmKind, InjectedBug};
 
 use crate::enumerate::{EnumConfig, EnumStats};
 use crate::explore::{run_on, walk, Meter, Session, Throughput};
-use crate::pct::{trial_schedule, PctConfig};
 use crate::program::{run_schedule, McProgram, ProgramKind, QuietPanics, RunConfig};
 
 /// How a cell sweeps the schedule space. The explorer is one — sweep,
 /// shrink the first violation, fold a verdict into an [`McCell`] — and
-/// these are its three ways of choosing which schedules to run.
+/// these are its two ways of choosing which schedules to run.
 #[derive(Clone, Debug)]
 pub enum Strategy {
     /// Bounded-depth exhaustive enumeration ([`crate::enumerate()`]).
     Exhaustive(EnumConfig),
-    /// Randomized priority trials ([`crate::pct`]).
-    Pct(PctConfig),
     /// Seeded uniform sampling: `cases` delay vectors with every point's
     /// delay drawn from `0..max_delay`, a deterministic function of
     /// `seed`.
@@ -54,7 +51,6 @@ impl Strategy {
     fn name(&self) -> &'static str {
         match self {
             Strategy::Exhaustive(_) => "exhaustive",
-            Strategy::Pct(_) => "pct",
             Strategy::Random { .. } => "random",
         }
     }
@@ -64,7 +60,6 @@ impl Strategy {
     fn depth(&self, program: &McProgram) -> usize {
         match self {
             Strategy::Exhaustive(e) => e.depth,
-            Strategy::Pct(p) => p.depth,
             Strategy::Random { .. } => program.points(),
         }
     }
@@ -85,9 +80,6 @@ impl Strategy {
     ) -> (EnumStats, Option<(Vec<u64>, String)>) {
         let (stats, found, t) = match self {
             Strategy::Exhaustive(ecfg) => walk(program, run, ecfg, session),
-            Strategy::Pct(pcfg) => sample(program, run, pcfg.trials, session, |trial| {
-                trial_schedule(program, pcfg, trial)
-            }),
             Strategy::Random {
                 cases,
                 max_delay,
@@ -95,9 +87,7 @@ impl Strategy {
             } => {
                 let vectors = delays(program.points(), *max_delay);
                 let mut rng = TestRng::deterministic(*seed);
-                sample(program, run, *cases, session, |_| {
-                    vectors.generate(&mut rng)
-                })
+                sample(program, run, *cases, session, || vectors.generate(&mut rng))
             }
         };
         work.absorb(&stats, &t);
@@ -105,8 +95,9 @@ impl Strategy {
     }
 }
 
-/// The sample-until-violation loop of the two sampled strategies: run
-/// `schedule(i)` for `i` in `0..samples`, stopping at the first violation.
+/// The sample-until-violation loop of the random strategy: run
+/// `samples` schedules drawn from `schedule`, stopping at the first
+/// violation.
 /// Every sample is a whole schedule, so a session's root (taken after
 /// seeding) serves them all.
 fn sample(
@@ -114,14 +105,14 @@ fn sample(
     run: &RunConfig,
     samples: u64,
     mut session: Option<&mut Session>,
-    mut schedule: impl FnMut(u64) -> Vec<u64>,
+    mut schedule: impl FnMut() -> Vec<u64>,
 ) -> (EnumStats, Option<(Vec<u64>, String)>, Throughput) {
     let _quiet = QuietPanics::enter();
     let meter = Meter::start(session.as_deref());
     let mut stats = EnumStats::default();
     let mut found = None;
     while stats.explored < samples && found.is_none() {
-        let delays = schedule(stats.explored);
+        let delays = schedule();
         stats.explored += 1;
         found = run_on(session.as_deref_mut(), program, run, &delays)
             .err()
@@ -138,8 +129,8 @@ fn sample(
 /// cell's shrink is not part of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepWork {
-    /// Schedules executed across all cells (exhaustive runs plus pct
-    /// trials).
+    /// Schedules executed across all cells (exhaustive runs plus random
+    /// samples).
     pub schedules: u64,
     /// Scheduler events checkpoint restores avoided re-executing.
     pub replay_steps_saved: u64,

@@ -43,13 +43,13 @@ use std::time::Instant;
 
 use tm_alloc::{Allocator as _, HeapSnapshot};
 use tm_sim::{IntMap, Sim, SimSnapshot};
-use tm_stm::{Stm, StmHostSnapshot, StmStats};
+use tm_stm::{Stack, Stm, StmHostSnapshot, StmStats};
 
 use crate::conflict;
 use crate::enumerate::{binomial, pruned_count, EnumConfig, EnumStats};
 use crate::program::{
-    build_stack, classify_panic, delay_table, install_hook, main_phase, new_sim, run_schedule,
-    seed_heap, DelayTable, McProgram, QuietPanics, RunConfig,
+    classify_panic, delay_table, install_hook, main_phase, run_schedule, seed_heap, DelayTable,
+    McProgram, QuietPanics, RunConfig,
 };
 
 /// A reusable execution cell for one `(program, config)` pair: the
@@ -61,9 +61,7 @@ use crate::program::{
 /// type over an audited fault-injecting stack.
 pub struct Session {
     program: McProgram,
-    sim: Sim,
-    alloc: Arc<dyn tm_alloc::Allocator>,
-    stm: Arc<Stm>,
+    stack: Stack,
     root_sim: SimSnapshot,
     root_heap: HeapSnapshot,
     root_stm: StmHostSnapshot,
@@ -84,35 +82,26 @@ impl Session {
     /// budget with an allocating seed) — in which case callers fall back
     /// to the from-scratch [`run_schedule`].
     pub fn try_new(program: &McProgram, cfg: &RunConfig) -> Option<Session> {
-        let sim = new_sim(cfg);
-        let (alloc, stm) = build_stack(&sim, cfg);
-        Session::over(program, cfg, sim, alloc, stm)
+        Session::over(program, cfg, cfg.stack())
     }
 
-    /// [`Session::try_new`] over a stack the caller built on `sim` (which
-    /// already has `cfg.fuel` armed): seed it and checkpoint it.
-    pub(crate) fn over(
-        program: &McProgram,
-        cfg: &RunConfig,
-        sim: Sim,
-        alloc: Arc<dyn tm_alloc::Allocator>,
-        stm: Arc<Stm>,
-    ) -> Option<Session> {
+    /// [`Session::try_new`] over a stack the caller built (with `cfg.fuel`
+    /// already armed): seed it and checkpoint it.
+    pub(crate) fn over(program: &McProgram, cfg: &RunConfig, stack: Stack) -> Option<Session> {
         let _quiet = QuietPanics::enter();
-        std::panic::catch_unwind(AssertUnwindSafe(|| seed_heap(program, &sim, &alloc))).ok()?;
-        let root_heap = alloc.snapshot()?;
-        let root_sim = sim.snapshot(None);
-        let root_stm = stm.snapshot_host();
+        let seed = || seed_heap(program, &stack.sim, &stack.alloc);
+        std::panic::catch_unwind(AssertUnwindSafe(seed)).ok()?;
+        let root_heap = stack.alloc.snapshot()?;
+        let root_sim = stack.sim.snapshot(None);
+        let root_stm = stack.stm.snapshot_host();
         // A seed phase that survived left at least one event of budget
         // (exhausting it on the last event would have panicked).
         let run_fuel = cfg.fuel - root_sim.events();
         let delays = delay_table(&vec![0; program.points()]);
-        install_hook(&sim, program.base.txns as usize, Arc::clone(&delays));
+        install_hook(&stack.sim, program.base.txns as usize, Arc::clone(&delays));
         Some(Session {
             program: *program,
-            sim,
-            alloc,
-            stm,
+            stack,
             root_sim,
             root_heap,
             root_stm,
@@ -135,10 +124,10 @@ impl Session {
     /// run before propagating, and the restore rewinds whatever it touched.
     pub(crate) fn rewind(&mut self) {
         self.restores += 1;
-        self.sim.restore(&self.root_sim);
-        self.alloc.restore(&self.root_heap);
-        self.stm.restore_host(&self.root_stm);
-        self.sim.set_fuel(self.run_fuel);
+        self.stack.sim.restore(&self.root_sim);
+        self.stack.alloc.restore(&self.root_heap);
+        self.stack.stm.restore_host(&self.root_stm);
+        self.stack.sim.set_fuel(self.run_fuel);
     }
 
     /// The main phase under `delays` from wherever the machine stands,
@@ -155,8 +144,8 @@ impl Session {
         }
         let _quiet = QuietPanics::enter();
         std::panic::catch_unwind(AssertUnwindSafe(|| {
-            main_phase(&self.program, &self.sim, &self.stm)?;
-            after(&self.sim, &self.stm);
+            main_phase(&self.program, &self.stack.sim, &self.stack.stm)?;
+            after(&self.stack.sim, &self.stack.stm);
             Ok(())
         }))
         .unwrap_or_else(|payload| Err(classify_panic(payload.as_ref())))
@@ -177,13 +166,13 @@ impl Session {
     /// root checkpoint — identical to what the from-scratch runner's
     /// simulator would report after the same schedule.
     pub fn trace_hash(&self) -> u64 {
-        self.sim.trace_hash()
+        self.stack.sim.trace_hash()
     }
 
     /// Merged STM statistics after the last run (host counters are
     /// rewound on every restore, so these are per-run, not cumulative).
     pub fn stats(&self) -> StmStats {
-        self.stm.stats()
+        self.stack.stm.stats()
     }
 }
 

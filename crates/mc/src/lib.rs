@@ -13,19 +13,17 @@
 //!   serialization-token quiescence and event-fuel livelock detection —
 //!   and [`run_schedule`], the only from-scratch runner. It is the oracle:
 //!   it shares none of the snapshot, journal and dedup machinery below.
-//! * **Three strategies** ([`Strategy`]) of one sweep → shrink → verdict
+//! * **Two strategies** ([`Strategy`]) of one sweep → shrink → verdict
 //!   cell body: `Exhaustive`, every delay support of up to `depth`
 //!   scheduling points in order of increasing support size
 //!   ([`mod@enumerate`]), restricted to conflict-*active* points by the
 //!   static footprint relation in [`conflict`] (a DPOR-style
 //!   persistent-set argument; skipped schedules are counted as `pruned`,
-//!   never silently dropped); `Pct`, randomized priority trials for depths
-//!   the exhaustive sweep cannot reach ([`pct`], with the classic
-//!   `1 / (n · k^{d−1})` detection bound as motivation); and `Random`,
-//!   seeded uniform delay vectors (the `kind=explore` rows of `tmstudy
-//!   check`). Any violating schedule is shrunk with the proptest machinery
-//!   ([`shrink_violation`]) to a minimal delay vector that still fails —
-//!   replayable by construction because the whole stack is deterministic.
+//!   never silently dropped); and `Random`, seeded uniform delay vectors
+//!   (the `kind=explore` rows of `tmstudy check`). Any violating schedule
+//!   is shrunk with the proptest machinery ([`shrink_violation`]) to a
+//!   minimal delay vector that still fails — replayable by construction
+//!   because the whole stack is deterministic.
 //! * **One checkpointed session** ([`Session`], [`mod@explore`]): the
 //!   stack built and seeded once per cell, every schedule of the cell's
 //!   sweep and shrink a restore-and-run from the root checkpoint, with
@@ -52,7 +50,6 @@ pub mod conflict;
 pub mod enumerate;
 pub mod explore;
 pub mod oom;
-pub mod pct;
 pub mod program;
 
 pub use catalog::{
@@ -65,5 +62,4 @@ pub use conflict::{active_points, footprints, Footprint};
 pub use enumerate::{enumerate, space_size, EnumConfig, EnumStats};
 pub use explore::{explore, Session, Throughput};
 pub use oom::{oom_cell, oom_check_cells, oom_program, oom_quick_report, OomSession};
-pub use pct::{trial_schedule, PctConfig};
 pub use program::{run_schedule, McProgram, ProgramKind, RunConfig};

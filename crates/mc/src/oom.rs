@@ -33,11 +33,12 @@ use std::sync::Arc;
 
 use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor};
 use tm_obs::{McVerdict, OomCell, OomReport};
-use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug};
+use tm_sim::{MachineConfig, Sim};
+use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug, Stack, Stm};
 
 use crate::catalog::verdict_check_cell;
 use crate::explore::Session;
-use crate::program::{build_stm, new_sim, McProgram, ProgramKind, RunConfig, NODE_SIZE};
+use crate::program::{McProgram, ProgramKind, RunConfig, NODE_SIZE};
 
 /// A reusable OOM-sweep execution cell: the one checkpointed [`Session`]
 /// over the audited fault-injecting stack, plus the two handles the sweep
@@ -60,14 +61,23 @@ impl OomSession {
     /// does not support heap snapshots or the seed phase panicked —
     /// callers degrade the cell rather than guessing.
     /// [`RunConfig::alloc_fault`] is ignored here: the session owns its
-    /// injector (plans are swept per run via [`OomSession::run`]).
+    /// injector (plans are swept per run via [`OomSession::run`]), so it
+    /// assembles its stack by hand — [`Stack::new`]'s order, with the
+    /// injector there under the `None` plan too.
     pub fn try_new(program: &McProgram, cfg: &RunConfig) -> Option<OomSession> {
-        let sim = new_sim(cfg);
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        sim.set_fuel(cfg.fuel);
         let injector = FaultInjector::new(cfg.alloc.build(&sim), AllocFaultPlan::None);
         let auditor = HeapAuditor::new(Arc::clone(&injector) as Arc<dyn Allocator>);
         let alloc = Arc::clone(&auditor) as Arc<dyn Allocator>;
-        let stm = build_stm(&sim, Arc::clone(&alloc), cfg);
-        let session = Session::over(program, cfg, sim, alloc, stm)?;
+        let stm = Arc::new(Stm::new(&sim, Arc::clone(&alloc), cfg.stm_config()));
+        let stack = Stack {
+            sim,
+            alloc,
+            stm,
+            auditor: Some(Arc::clone(&auditor)),
+        };
+        let session = Session::over(program, cfg, stack)?;
         Some(OomSession {
             session,
             seed_sites: injector.sites(),

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use tm_alloc::{Allocator as _, AllocatorKind};
 use tm_check::TransferProgram;
 use tm_sim::{MachineConfig, Sim, FUEL_EXHAUSTED};
-use tm_stm::{BackendKind, CmKind, InjectedBug, Stm, StmConfig};
+use tm_stm::{BackendKind, CmKind, InjectedBug, Stack, Stm, StmConfig};
 
 /// Base address of the token-cell array (one ORT stripe per cell).
 pub(crate) const BASE: u64 = 0x4000_0000;
@@ -133,6 +133,31 @@ impl RunConfig {
             fuel: 2_000_000,
         }
     }
+
+    /// The STM knobs of this configuration.
+    pub fn stm_config(&self) -> StmConfig {
+        StmConfig {
+            backend: self.backend,
+            cm: self.cm,
+            bug: self.bug,
+            ..StmConfig::default()
+        }
+    }
+
+    /// The machine, allocator and STM of one run of this configuration,
+    /// with its event budget armed.
+    pub(crate) fn stack(&self) -> Stack {
+        let machine = MachineConfig::xeon_e5405();
+        let stack = Stack::new(
+            machine,
+            self.alloc,
+            self.alloc_fault,
+            false,
+            self.stm_config(),
+        );
+        stack.sim.set_fuel(self.fuel);
+        stack
+    }
 }
 
 /// Refcounted process-global silencer for panic *printing*. Exploring a
@@ -230,44 +255,6 @@ pub(crate) fn install_hook(sim: &Sim, txns: usize, table: DelayTable) {
     }));
 }
 
-/// Build the allocator + STM stack for one run configuration on `sim`.
-/// A non-`None` [`RunConfig::alloc_fault`] plan interposes a
-/// [`tm_alloc::FaultInjector`]; the `None` plan builds the bare
-/// allocator, so default runs keep the exact historical call chain.
-pub(crate) fn build_stack(sim: &Sim, cfg: &RunConfig) -> (Arc<dyn tm_alloc::Allocator>, Arc<Stm>) {
-    let alloc: Arc<dyn tm_alloc::Allocator> = match cfg.alloc_fault {
-        tm_alloc::AllocFaultPlan::None => cfg.alloc.build(sim),
-        plan => tm_alloc::FaultInjector::new(cfg.alloc.build(sim), plan),
-    };
-    let stm = build_stm(sim, Arc::clone(&alloc), cfg);
-    (alloc, stm)
-}
-
-/// The STM of one run configuration over `alloc`, whatever wraps it.
-pub(crate) fn build_stm(
-    sim: &Sim,
-    alloc: Arc<dyn tm_alloc::Allocator>,
-    cfg: &RunConfig,
-) -> Arc<Stm> {
-    Arc::new(Stm::new(
-        sim,
-        alloc,
-        StmConfig {
-            backend: cfg.backend,
-            cm: cfg.cm,
-            bug: cfg.bug,
-            ..StmConfig::default()
-        },
-    ))
-}
-
-/// A fresh machine with the run configuration's event budget armed.
-pub(crate) fn new_sim(cfg: &RunConfig) -> Sim {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    sim.set_fuel(cfg.fuel);
-    sim
-}
-
 /// Seed the heap: either tokens directly in the cells, or (AllocSwap)
 /// slots pointing at freshly allocated nodes carrying the tokens. Never
 /// consults the scheduling hook, so the seeded state is independent of
@@ -296,11 +283,10 @@ pub(crate) fn seed_heap(program: &McProgram, sim: &Sim, alloc: &Arc<dyn tm_alloc
 }
 
 fn run_inner(program: &McProgram, cfg: &RunConfig, delays: &[u64]) -> Result<(), String> {
-    let sim = new_sim(cfg);
-    install_hook(&sim, program.base.txns as usize, delay_table(delays));
-    let (alloc, stm) = build_stack(&sim, cfg);
-    seed_heap(program, &sim, &alloc);
-    main_phase(program, &sim, &stm)
+    let stack = cfg.stack();
+    install_hook(&stack.sim, program.base.txns as usize, delay_table(delays));
+    seed_heap(program, &stack.sim, &stack.alloc);
+    main_phase(program, &stack.sim, &stack.stm)
 }
 
 /// The concurrent phase plus every end-state invariant, starting from a

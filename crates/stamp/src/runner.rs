@@ -7,7 +7,7 @@ use std::sync::Arc;
 use tm_alloc::profile::{AllocProfiler, Region, RegionStats};
 use tm_alloc::{Allocator, AllocatorKind};
 use tm_sim::{MachineConfig, Sim};
-use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stm, StmConfig, WriteMode};
+use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, Stm, StmConfig, WriteMode};
 
 use crate::{AppKind, StampApp};
 
@@ -54,6 +54,22 @@ impl Default for StampOpts {
             seed: 0xace,
             audit_heap: false,
             alloc_fault: tm_alloc::AllocFaultPlan::None,
+        }
+    }
+}
+
+impl StampOpts {
+    /// The STM knobs of these options.
+    pub fn stm_config(&self) -> StmConfig {
+        StmConfig {
+            backend: self.backend,
+            cm: self.cm,
+            shift: self.shift,
+            object_cache: self.object_cache,
+            design: self.design,
+            write_mode: self.write_mode,
+            ort_hash: self.ort_hash,
+            ..StmConfig::default()
         }
     }
 }
@@ -148,29 +164,15 @@ pub fn run_app(
     threads: usize,
     opts: &StampOpts,
 ) -> StampResult {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let base = allocator.build_with_fault(&sim, opts.alloc_fault);
-    let auditor = opts
-        .audit_heap
-        .then(|| tm_alloc::HeapAuditor::new(Arc::clone(&base)));
-    let alloc: Arc<dyn Allocator> = match &auditor {
-        Some(a) => Arc::clone(a) as Arc<dyn Allocator>,
-        None => base,
-    };
-    let stm = Arc::new(Stm::new(
-        &sim,
-        alloc,
-        StmConfig {
-            backend: opts.backend,
-            cm: opts.cm,
-            shift: opts.shift,
-            object_cache: opts.object_cache,
-            design: opts.design,
-            write_mode: opts.write_mode,
-            ort_hash: opts.ort_hash,
-            ..StmConfig::default()
-        },
-    ));
+    let Stack {
+        sim, stm, auditor, ..
+    } = Stack::new(
+        MachineConfig::xeon_e5405(),
+        allocator,
+        opts.alloc_fault,
+        opts.audit_heap,
+        opts.stm_config(),
+    );
 
     let seq = sim.run(1, |ctx| app.init(&stm, ctx));
     stm.reset_stats();

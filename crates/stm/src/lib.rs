@@ -57,12 +57,14 @@
 pub mod alloc;
 mod backend;
 mod cm;
+mod stack;
 mod stats;
 mod table;
 mod tx;
 
 pub use backend::BackendKind;
 pub use cm::{CmKind, CmStats, CmSwitch};
+pub use stack::Stack;
 pub use stats::{AbortCause, StmStats};
 pub use tx::{Abort, Tx, TxThread};
 
@@ -237,6 +239,42 @@ impl Default for StmConfig {
     }
 }
 
+impl StmConfig {
+    /// The one statement of which knob combinations the STM runs: `Ok` for
+    /// a configuration [`Stm::new`] accepts, else why not (it panics with
+    /// this message). A stripe shift must leave address bits to map,
+    /// write-through needs encounter-time locking, the design and
+    /// write-mode knobs belong to the ETL backend, and a seeded bug must
+    /// live in the configured backend's code.
+    pub fn check(&self) -> Result<(), String> {
+        if self.shift >= 64 {
+            return Err(format!(
+                "bad --shift '{}' (a stripe shift is below 64)",
+                self.shift
+            ));
+        }
+        if self.write_mode == WriteMode::Through && self.design == LockDesign::Ctl {
+            return Err("--write-through requires encounter-time locking, not --ctl".into());
+        }
+        if self.backend != BackendKind::Etl
+            && (self.design != LockDesign::Etl || self.write_mode != WriteMode::Back)
+        {
+            return Err(format!(
+                "--ctl and --write-through apply to the etl backend only, not {}",
+                self.backend.name()
+            ));
+        }
+        if !self.bug.applies_to(self.backend) {
+            return Err(format!(
+                "injected bug {} does not apply to backend {}",
+                self.bug.name(),
+                self.backend.name()
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The STM instance: ORT, global clock, allocator binding and statistics.
 pub struct Stm {
     pub(crate) cfg: StmConfig,
@@ -280,24 +318,12 @@ pub struct Stm {
 impl Stm {
     /// Create an STM over `sim`'s machine, binding `allocator` for
     /// transactional memory management. The ORT and the clock are placed in
-    /// simulated memory.
+    /// simulated memory. Panics with [`StmConfig::check`]'s message on a
+    /// configuration the STM does not run.
     pub fn new(sim: &Sim, allocator: Arc<dyn Allocator>, cfg: StmConfig) -> Self {
-        assert!(
-            !(cfg.write_mode == WriteMode::Through && cfg.design == LockDesign::Ctl),
-            "write-through requires encounter-time locking"
-        );
-        if cfg.backend != BackendKind::Etl {
-            assert!(
-                cfg.design == LockDesign::Etl && cfg.write_mode == WriteMode::Back,
-                "the design/write-mode knobs apply to the ETL backend only"
-            );
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
         }
-        assert!(
-            cfg.bug.applies_to(cfg.backend),
-            "injected bug {:?} does not apply to backend {:?}",
-            cfg.bug,
-            cfg.backend
-        );
         let entries = 1u64 << cfg.ort_bits;
         let cores = sim.config().cores;
         let (ort_base, clock_addr, active_base, serialize_token) = sim.with_state(|m| {

@@ -55,6 +55,30 @@ if grep -nE '\bdyn\b|^\s*(pub(\(crate\))? )?trait ' crates/stm/src/backend.rs cr
   exit 1
 fi
 
+# One stack constructor (DESIGN.md §3.2, §15): a driver builds its machine,
+# allocator wrappers and STM through `tm_stm::Stack::new`. Above its
+# `#[cfg(test)]` line no library file calls `Stm::new(` but the STM's own,
+# once in `profile_app`'s runner (a profiler between the model and the STM)
+# and once in the OOM session (an injector under the `None` plan too), and
+# the per-driver builders the constructor replaced stay gone.
+echo "==> one stack constructor: Stm::new only in the STM, profile_app and the OOM session"
+for f in $(grep -rl --include='*.rs' 'Stm::new(' crates/*/src); do
+  case "$f" in
+    crates/stm/src/*) continue ;;
+    crates/stamp/src/runner.rs | crates/mc/src/oom.rs) allowed=1 ;;
+    *) allowed=0 ;;
+  esac
+  calls=$(sed '/^#\[cfg(test)\]/q' "$f" | grep -c 'Stm::new(' || true)
+  if [ "$calls" -gt "$allowed" ]; then
+    echo "verify: $f builds an STM by hand ($calls calls); use tm_stm::Stack::new"
+    exit 1
+  fi
+done
+if grep -rnE --include='*.rs' 'build_with_fault|build_audited|build_stack_faulted' crates tests examples; then
+  echo "verify: a per-driver stack builder is back; use tm_stm::Stack::new"
+  exit 1
+fi
+
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
 # above used the default one; run the simulator's, the allocator models',
 # the STM's and the model checker's own tests under each by name — the

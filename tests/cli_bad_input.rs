@@ -36,6 +36,23 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
             &["mc", "--magnitudes", "400,72057594037927936", "--out", OUT],
             "--magnitudes '72057594037927936'",
         ),
+        // A configuration the STM does not run: a shift of 64 would wrap to
+        // 0, the next two would panic in `Stm::new`; a structure of no
+        // elements would draw its keys from an empty range.
+        (&["synth", "--shift", "64"], "--shift '64'"),
+        (&["synth", "--ctl", "--write-through"], "--write-through"),
+        (
+            &[
+                "stamp",
+                "--app",
+                "genome",
+                "--backend",
+                "htm",
+                "--write-through",
+            ],
+            "--write-through",
+        ),
+        (&["synth", "--size", "0"], "--size '0'"),
         (&["sweep", "--workers", "many", "--out", OUT], "--workers"),
         (&["book", "--results", "/nonexistent"], "/nonexistent"),
         (&["mc", "--oom", "--out", OUT], OUT),
