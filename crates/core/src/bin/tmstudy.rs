@@ -453,7 +453,10 @@ fn mc(flags: &Flags) {
     }
     let quick = flags.contains_key("quick");
     let depth = get(flags, "depth", 3usize);
-    let budget = get(flags, "budget", 200_000u64);
+    let budget = ok_or_exit(match get(flags, "budget", 200_000u64) {
+        0 => Err("bad --budget '0' (a sweep runs at least 1 schedule)".to_string()),
+        budget => Ok(budget),
+    });
     let checkpoint = !flags.contains_key("no-checkpoint");
     let alloc_fault = ok_or_exit(
         flags

@@ -40,16 +40,26 @@ impl Default for EnumConfig {
 }
 
 impl EnumConfig {
-    /// Refuse magnitudes the virtual clock cannot hold. A delay re-applies
-    /// on every retry of its transaction, so the delays a thread sits out
-    /// are bounded by `points × magnitude`, not by `magnitude`; that
-    /// product must stay under 2^55 cycles, half of the scheduling key's
-    /// clock bits ([`tm_sim::CLOCK_BITS`]), the other half being the
-    /// workload's own. Magnitudes come from outside (`tmstudy mc
-    /// --magnitudes`); beyond the bound a run either wraps its clock and
-    /// explores schedules nobody named, or panics in the scheduler and is
-    /// reported as a violation of the clean STM.
+    /// Refuse a magnitude that is no delay (0: its schedules are the
+    /// undelayed run over again), one named twice (its schedules run
+    /// twice and count as deduplicated), and one the virtual clock cannot
+    /// hold. A delay re-applies on every retry of its transaction, so the
+    /// delays a thread sits out are bounded by `points × magnitude`, not
+    /// by `magnitude`; that product must stay under 2^55 cycles, half of
+    /// the scheduling key's clock bits ([`tm_sim::CLOCK_BITS`]), the other
+    /// half being the workload's own. Magnitudes come from outside
+    /// (`tmstudy mc --magnitudes`); beyond the bound a run either wraps its
+    /// clock and explores schedules nobody named, or panics in the
+    /// scheduler and is reported as a violation of the clean STM.
     pub fn check_magnitudes(&self, program: &McProgram) -> Result<(), String> {
+        if self.magnitudes.contains(&0) {
+            return Err("bad --magnitudes '0' (a delay of 0 cycles is no delay)".into());
+        }
+        let mut seen = self.magnitudes.clone();
+        seen.sort_unstable();
+        if let Some(w) = seen.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("bad --magnitudes '{}' (named twice)", w[0]));
+        }
         let points = program.points().max(1) as u64;
         let limit = (1u64 << (tm_sim::CLOCK_BITS - 1)) / points;
         match self.magnitudes.iter().find(|&&m| m > limit) {
@@ -170,6 +180,28 @@ mod tests {
                 "{err}"
             );
             assert!(err.contains("2^55"), "{err}");
+        }
+    }
+
+    #[test]
+    fn magnitudes_that_are_no_delay_or_named_twice_are_refused() {
+        let p = small();
+        let with = |magnitudes: Vec<u64>| EnumConfig {
+            magnitudes,
+            ..EnumConfig::default()
+        };
+        assert_eq!(with(vec![400, 3200]).check_magnitudes(&p), Ok(()));
+        for (bad, named) in [
+            (vec![0], "'0' (a delay of 0"),
+            (vec![400, 0], "'0'"),
+            (vec![400, 400], "'400' (named twice)"),
+            (vec![3200, 400, 3200], "'3200' (named twice)"),
+        ] {
+            let err = with(bad.clone()).check_magnitudes(&p).unwrap_err();
+            assert!(
+                err.starts_with(&format!("bad --magnitudes {named}")),
+                "{bad:?}: {err}"
+            );
         }
     }
 

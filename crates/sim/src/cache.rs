@@ -315,6 +315,15 @@ impl TagArray {
         )
     }
 
+    /// The block and lane holding `line`, read only. An absent group holds
+    /// nothing.
+    fn find(&self, line: u64) -> Option<(&Lanes, usize)> {
+        let (group, first) = self.locate(line);
+        let set = &self.groups[group].as_deref()?[first..first + self.set_blocks];
+        set.iter()
+            .find_map(|lanes| Some((lanes, lanes.lane_of(line)?)))
+    }
+
     /// Find the way holding `line`, log its pre-image — every caller is
     /// about to write it — and hand out its block, lane and slot. An
     /// absent group holds nothing.
@@ -716,6 +725,31 @@ impl Hierarchy {
             Some((slot, _)) => self.upgrade(core, line, slot),
             None => self.miss(core, line, write),
         }
+    }
+
+    /// What [`Hierarchy::access`] would charge `core` for `addr` if that
+    /// access needs no coherence action — the line is in `core`'s L1, and
+    /// dirty there for a write — else `None`. Mutates nothing, so a spin
+    /// can ask before it folds repeats of an access ([`Hierarchy::repeat`]).
+    pub(crate) fn repeat_cost(&self, core: usize, addr: u64, write: bool) -> Option<u64> {
+        let (lanes, l) = self.l1[core].find(addr / LINE)?;
+        (lanes.dirty[l] || !write).then_some(self.cfg.cost.l1_hit)
+    }
+
+    /// Apply `k ≥ 1` accesses [`Hierarchy::repeat_cost`] priced, in one
+    /// step: what `k` calls of [`Hierarchy::access`] would do — `k` L1
+    /// accesses counted, the L1's tick advanced by `k` and the way stamped
+    /// with it, the line noted in a live hardware transaction's footprint.
+    pub(crate) fn repeat(&mut self, core: usize, addr: u64, write: bool, k: u64) {
+        debug_assert!(k > 0, "a repeat of no access");
+        let line = addr / LINE;
+        self.stats[core].l1_accesses += k;
+        self.htm_note_access(core, line, write);
+        let l1 = &mut self.l1[core];
+        l1.tick += k;
+        let tick = l1.tick;
+        let (lanes, l, _) = l1.touch(line).expect("a repeated access hits in L1");
+        lanes.stamp[l] = tick;
     }
 
     /// Write hit on a line `core` holds clean: invalidate any other sharers
@@ -1826,6 +1860,95 @@ mod tests {
         }
         let collisions = COLLISIONS.get();
         assert!(collisions >= 100, "{collisions} partial-tag collisions");
+    }
+
+    /// `repeat_cost` and `repeat` against `access`: from random states —
+    /// lines shared, dirty and evicted by every core, hardware
+    /// transactions live on some, the journal armed at a random point — a
+    /// priced access is the plain hit `access` charges, asking mutates
+    /// nothing, `repeat(k)` leaves what `k` accesses leave (stats, ticks,
+    /// stamps, partial tags, footprints, undo log), and a revert after it
+    /// lands on the snapshot exactly.
+    #[test]
+    fn a_repeat_is_k_accesses_and_reverts_like_them() {
+        use rand::{Rng, SeedableRng};
+        let cfg = machine();
+        let lines = contended_lines(cfg.l1);
+        let (mut priced, mut refused) = (0, 0);
+        for seed in 0..200u64 {
+            // The same traffic twice: a clone's journal is disarmed.
+            let build = || {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+                let mut h = Hierarchy::new(&cfg);
+                let mut snap = None;
+                let arm_at = rng.gen_range(0..60u32);
+                for step in 0..60u32 {
+                    if step == arm_at {
+                        snap = Some(h.clone());
+                        h.arm_journal(1);
+                    }
+                    let core = rng.gen_range(0..cfg.cores);
+                    match rng.gen_range(0..12u32) {
+                        0 => h.htm_begin(core),
+                        1 => drop(h.htm_end(core)),
+                        _ => {
+                            let line = lines[rng.gen_range(0..lines.len())];
+                            h.access(core, line * LINE, rng.gen_bool(0.4));
+                        }
+                    }
+                }
+                let core = rng.gen_range(0..cfg.cores);
+                let addr = lines[rng.gen_range(0..lines.len())] * LINE + 8;
+                let (write, k) = (rng.gen_bool(0.5), rng.gen_range(1..40u64));
+                // Mostly as a spin repeats it: right after the access.
+                if rng.gen_bool(0.75) {
+                    h.access(core, addr, write);
+                }
+                (h, snap.expect("armed"), core, addr, write, k)
+            };
+            let (mut once, snap, core, addr, write, k) = build();
+            let (mut looped, ..) = build();
+            let asked = once.clone();
+            let Some(cost) = once.repeat_cost(core, addr, write) else {
+                // Not a plain hit: absent, or a write to a clean line.
+                let l1 = &once.l1[core];
+                if let Some(w) = way_of(l1, addr / LINE) {
+                    assert!(write && !way(l1, (addr / LINE) as usize & (l1.sets - 1), w).2);
+                }
+                refused += 1;
+                continue;
+            };
+            priced += 1;
+            assert_arrays_match(&once, &asked);
+            assert_eq!(
+                per_core_view(&once),
+                per_core_view(&asked),
+                "asking mutated"
+            );
+            once.repeat(core, addr, write, k);
+            for _ in 0..k {
+                assert_eq!(looped.access(core, addr, write), cost, "seed {seed}");
+            }
+            assert_arrays_match(&once, &looped);
+            assert_eq!(per_core_view(&once), per_core_view(&looped), "seed {seed}");
+            for (a, b) in once.l1.iter().zip(&looped.l1) {
+                let undo = |a: &TagArray| -> Vec<(Slot, u64, u64, bool)> {
+                    let j = a.journal.0.as_deref().expect("armed");
+                    j.undo
+                        .iter()
+                        .map(|u| (u.slot, u.tag, u.stamp, u.dirty))
+                        .collect()
+                };
+                assert_eq!(undo(a), undo(b), "seed {seed}: undo logs");
+            }
+            once.restore_from(&snap, 1);
+            assert_arrays_match(&once, &snap);
+            assert_eq!(per_core_view(&once), per_core_view(&snap), "seed {seed}");
+        }
+        assert!(
+            priced >= 100 && refused >= 20,
+            "{priced} priced, {refused} refused"
+        );
     }
 
     #[test]

@@ -1176,6 +1176,89 @@ impl<'a> Ctx<'a> {
         })
     }
 
+    /// Spin until a compare-and-swap of the word at `addr` from `expected`
+    /// to `new` succeeds, charging `backoff` cycles of local compute after
+    /// every failure: exactly `while cas_u64(addr, expected, new).is_err()
+    /// { tick(backoff) }`, clocks, counters and fingerprint included —
+    /// only the failures that run below the horizon take one pass between
+    /// them instead of an event each (`Ctx::fold_repeats`, DESIGN.md §4.1).
+    pub fn cas_u64_spin(&mut self, addr: u64, expected: u64, new: u64, backoff: u64) {
+        while self.cas_u64(addr, expected, new).is_err() {
+            self.tick(backoff);
+            self.fold_repeats(addr, true);
+        }
+    }
+
+    /// Read the word at `addr` until `done` accepts it, charging `backoff`
+    /// cycles after every refusal, and return the accepted value: exactly
+    /// `let mut v = read_u64(addr); while !done(v) { tick(backoff); v =
+    /// read_u64(addr) }`, with the fold of [`Ctx::cas_u64_spin`]. `done`
+    /// must be a pure function of the value.
+    pub fn read_u64_until(&mut self, addr: u64, backoff: u64, done: impl Fn(u64) -> bool) -> u64 {
+        loop {
+            let v = self.read_u64(addr);
+            if done(v) {
+                return v;
+            }
+            self.tick(backoff);
+            self.fold_repeats(addr, false);
+        }
+    }
+
+    /// The one fold of a spin. The iteration that just ran accessed `addr`
+    /// (a CAS when `cas`, else a read), found the word wanting, and left
+    /// its backoff pending; run the iterations that follow in one pass —
+    /// each flushes that backoff, is charged one event, one unit of fuel,
+    /// a hit's cost and a commit (the clock and the fingerprint move per
+    /// iteration), and fails again — for as long as the next one would
+    /// start below the horizon, leave the fuel at 1 or more, and find the
+    /// line where the cache model needs no coherence action to repeat the
+    /// access. The cache takes the hits' effects at the end, in one step.
+    /// The iteration that stops the fold runs as an event, so a hand-off,
+    /// the fuel panic and the clock-overflow panic all happen where the
+    /// loop would have them.
+    ///
+    /// Exact because only the holder of the turn runs until its key
+    /// reaches the horizon: nothing else can write the word, move the
+    /// line or change a peer's key meanwhile, so every folded iteration
+    /// reads the value the last event read, at the same cost. The OS-thread
+    /// reference trusts no horizon (every horizon it is handed is 0), so it
+    /// never folds.
+    fn fold_repeats(&mut self, addr: u64, cas: bool) {
+        // SAFETY: we hold the turn, no other reference into `Inner` is live,
+        // and nothing below hands the turn on.
+        let g = unsafe { &mut *self.inner };
+        let (tid, backoff, horizon) = (self.tid, self.pending, self.horizon);
+        // Would the iteration after a commit at clock `t` start below the
+        // horizon, on a clock the key can hold — without a scan?
+        let below = |t: u64| t + backoff < CLOCK_LIMIT && sched_key(t + backoff, tid) < horizon;
+        // Most spins have a peer just above them: ask the horizon before the
+        // cache. The fuel before iteration `k` is `fuel - k`; at least 2, so
+        // that its event leaves at least 1 and `burn_fuel` would not panic.
+        let mut t = g.time[tid];
+        if g.fuel < 2 || !below(t) {
+            return;
+        }
+        let Some(hit) = g.machine.caches.repeat_cost(tid, addr, cas) else {
+            return;
+        };
+        // A CAS pays the RMW premium on top of the hit, as `cas_u64` does.
+        let cost = hit + u64::from(cas) * g.machine.cfg.cost.atomic_rmw;
+        let mut k = 0;
+        while k + 2 <= g.fuel && below(t) {
+            t += backoff + cost;
+            g.commit(tid, t);
+            k += 1;
+        }
+        g.key[tid] = sched_key(t - cost, tid);
+        g.events += k;
+        g.fuel -= k;
+        g.machine.caches.repeat(tid, addr, cas, k);
+        self.local_time = t;
+        #[cfg(test)]
+        tests::FOLDED.with(|n| n.set(n.get() + k));
+    }
+
     /// Start a best-effort hardware transaction on this core: subsequent
     /// [`Ctx::htm_read_u64`] / [`Ctx::htm_write_mark`] accesses join the
     /// transactional footprint tracked by the cache model, and coherence
@@ -1460,6 +1543,11 @@ mod tests {
     use super::*;
     use crate::CacheConfig;
     use parking_lot::Mutex as HostMutex;
+
+    thread_local! {
+        /// Spin iterations `Ctx::fold_repeats` folded on this OS thread.
+        pub(super) static FOLDED: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn sim() -> Sim {
         Sim::new(MachineConfig::tiny_test())
@@ -1956,6 +2044,11 @@ mod tests {
         Write(u64, u64),
         Cas(u64, u64, u64),
         FetchAdd(u64, u64),
+        /// `cas_u64_spin(addr, expected, new, backoff)`: waits for a peer
+        /// to store `expected`, for as long as the fuel lasts.
+        CasSpin(u64, u64, u64, u64),
+        /// `read_u64_until(addr, backoff, == value)`, bounded the same way.
+        ReadUntil(u64, u64, u64),
         /// `lock` mutex `m` — or `try_lock` it and skip the rest when that
         /// fails — then run `body` and `unlock`.
         Critical {
@@ -1979,12 +2072,20 @@ mod tests {
         (0..len)
             .map(|_| {
                 let addr = shared_addr(rng.gen_range(0..12u64));
-                match rng.gen_range(0..8u32) {
+                let backoff = [0, 1, 16, 64][rng.gen_range(0..4usize)];
+                match rng.gen_range(0..9u32) {
                     0 | 1 => Op::Tick(rng.gen_range(0..120u64)),
                     2 => Op::Read(addr),
                     3 => Op::Write(addr, rng.gen_range(0..4u64)),
                     4 => Op::Cas(addr, rng.gen_range(0..4u64), rng.gen_range(0..4u64)),
                     5 => Op::FetchAdd(addr, rng.gen_range(1..3u64)),
+                    6 if rng.gen_bool(0.5) => Op::CasSpin(
+                        addr,
+                        rng.gen_range(0..4u64),
+                        rng.gen_range(0..4u64),
+                        backoff,
+                    ),
+                    6 => Op::ReadUntil(addr, rng.gen_range(0..4u64), backoff),
                     _ if min_mutex < mutexes => {
                         let m = rng.gen_range(min_mutex..mutexes);
                         let body_len = rng.gen_range(0..4usize);
@@ -2015,6 +2116,10 @@ mod tests {
                     ctx.cas_u64(*a, *e, *n).unwrap_or_else(|cur| cur + 100),
                 ),
                 Op::FetchAdd(a, d) => see(seen, ctx.fetch_add_u64(*a, *d)),
+                Op::CasSpin(a, e, n, backoff) => ctx.cas_u64_spin(*a, *e, *n, *backoff),
+                Op::ReadUntil(a, v, backoff) => {
+                    see(seen, ctx.read_u64_until(*a, *backoff, |w| w == *v))
+                }
                 Op::Critical { m, try_only, body } => {
                     if *try_only {
                         let got = ctx.try_lock(mutexes[*m]);
@@ -2041,25 +2146,30 @@ mod tests {
             ..MachineConfig::tiny_test()
         };
         let s = Sim::with_backend(cfg, backend);
+        // A spin nobody ends runs until the fuel does.
+        s.set_fuel(4000);
         let mutexes: Vec<SimMutex> = (0..mutexes).map(|_| s.new_mutex()).collect();
         // Host-side state, touched between events: who got there in what
         // order is part of the outcome, and compared unsorted.
         let host_log = HostMutex::new(Vec::new());
-        let r = s.run(n, |ctx| {
-            let ops = &programs[ctx.tid()];
-            // An empty program finishes without a single event.
-            if ops.is_empty() {
-                return;
-            }
-            let mut seen = 0;
-            // Unequal compute per thread.
-            let scale = 1 + 2 * ctx.tid() as u64;
-            for op in ops {
-                exec_ops(ctx, std::slice::from_ref(op), &mutexes, scale, &mut seen);
-                host_log.lock().push(ctx.tid());
-            }
-            ctx.write_u64(RESULTS + 64 * ctx.tid() as u64, seen);
-        });
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            s.run(n, |ctx| {
+                let ops = &programs[ctx.tid()];
+                // An empty program finishes without a single event.
+                if ops.is_empty() {
+                    return;
+                }
+                let mut seen = 0;
+                // Unequal compute per thread.
+                let scale = 1 + 2 * ctx.tid() as u64;
+                for op in ops {
+                    exec_ops(ctx, std::slice::from_ref(op), &mutexes, scale, &mut seen);
+                    host_log.lock().push(ctx.tid());
+                }
+                ctx.write_u64(RESULTS + 64 * ctx.tid() as u64, seen);
+            })
+        }))
+        .map_err(panic_text);
         let memory: Vec<u64> = s.with_state(|m| {
             (0..12)
                 .map(shared_addr)
@@ -2081,6 +2191,7 @@ mod tests {
         if !fiber::SUPPORTED {
             return;
         }
+        FOLDED.set(0);
         for n in [2usize, 3, 8] {
             for seed in 0..24u64 {
                 let mut rng = rand::rngs::SmallRng::seed_from_u64(seed * 8 + n as u64);
@@ -2097,6 +2208,273 @@ mod tests {
                 assert_eq!(fibers, threads, "n={n} seed={seed}: {programs:#?}");
             }
         }
+        // The fibers folded spins the reference ran event by event.
+        assert!(FOLDED.get() > 0, "no spin was folded");
+    }
+
+    // --- A spin primitive is the loop it replaces ---
+
+    /// Spin on a CAS with [`Ctx::cas_u64_spin`] (`fold`) or with the loop
+    /// it is specified as.
+    fn spin_cas(ctx: &mut Ctx<'_>, fold: bool, addr: u64, expected: u64, new: u64, backoff: u64) {
+        if fold {
+            return ctx.cas_u64_spin(addr, expected, new, backoff);
+        }
+        while ctx.cas_u64(addr, expected, new).is_err() {
+            ctx.tick(backoff);
+        }
+    }
+
+    /// Spin on a read with [`Ctx::read_u64_until`] (`fold`) or with the
+    /// loop it is specified as.
+    fn spin_read(
+        ctx: &mut Ctx<'_>,
+        fold: bool,
+        addr: u64,
+        backoff: u64,
+        done: impl Fn(u64) -> bool,
+    ) -> u64 {
+        if fold {
+            return ctx.read_u64_until(addr, backoff, done);
+        }
+        let mut v = ctx.read_u64(addr);
+        while !done(v) {
+            ctx.tick(backoff);
+            v = ctx.read_u64(addr);
+        }
+        v
+    }
+
+    /// What a run of `threads` logical threads left behind, and what it
+    /// took to get there.
+    struct Spun {
+        /// Its report or its panic, each thread's `now()` at the end, the
+        /// event count, the fingerprint, every clock and every core's cache
+        /// counters, as one comparable value.
+        outcome: String,
+        events: u64,
+        /// Spin iterations folded on the calling OS thread.
+        folded: u64,
+    }
+
+    fn spin_run(s: &Sim, threads: usize, f: impl Fn(&mut Ctx<'_>) + Sync) -> Spun {
+        let now = HostMutex::new(vec![None; threads]);
+        let before = FOLDED.get();
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            s.run(threads, |ctx| {
+                f(ctx);
+                now.lock()[ctx.tid()] = Some(ctx.now());
+            })
+        }))
+        .map_err(panic_text);
+        let folded = FOLDED.get() - before;
+        let g = s.shared.inner.lock();
+        let caches: Vec<CacheStats> = (0..s.cfg.cores)
+            .map(|c| g.machine.caches.stats(c))
+            .collect();
+        let outcome = format!(
+            "{run:?} now={:?} events={} hash={:x} time={:?} caches={caches:?}",
+            now.into_inner(),
+            g.events,
+            g.hash,
+            g.time
+        );
+        Spun {
+            outcome,
+            events: g.events,
+            folded,
+        }
+    }
+
+    const TOKEN: u64 = 0x5000;
+    const FLAG: u64 = 0x5040;
+
+    /// Three threads: thread 0 holds a token for `sleep` cycles, thread 1
+    /// CAS-spins for it, thread 2 crosses thread 1's horizon `crossings`
+    /// times with fences while the token is held, then read-spins on a
+    /// flag thread 0 raises last and CAS-spins for the token with no
+    /// backoff. With `fuel`, the run gets that event budget.
+    fn token_program(
+        backend: Backend,
+        fold: bool,
+        sleep: u64,
+        crossings: u64,
+        fuel: Option<u64>,
+    ) -> Spun {
+        let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+        if let Some(fuel) = fuel {
+            s.set_fuel(fuel);
+        }
+        spin_run(&s, 3, |ctx| match ctx.tid() {
+            0 => {
+                ctx.write_u64(TOKEN, 1);
+                ctx.tick(sleep);
+                ctx.write_u64(TOKEN, 0);
+                ctx.tick(sleep / 3);
+                ctx.write_u64(FLAG, 7);
+            }
+            1 => {
+                ctx.tick(5);
+                spin_cas(ctx, fold, TOKEN, 0, 2, 64);
+                ctx.tick(sleep / 2);
+                ctx.write_u64(TOKEN, 0);
+            }
+            _ => {
+                for _ in 0..crossings {
+                    ctx.tick(sleep / (crossings + 1) + 1);
+                    ctx.fence();
+                }
+                let v = spin_read(ctx, fold, FLAG, 16, |v| v != 0);
+                ctx.tick(v);
+                spin_cas(ctx, fold, TOKEN, 0, 3, 0);
+            }
+        })
+    }
+
+    #[test]
+    fn a_spin_primitive_equals_its_loop_across_horizon_crossings() {
+        for backend in both_backends() {
+            let mut folds = 0;
+            for sleep in [0, 40, 3_000, 100_000] {
+                for crossings in [0, 1, 50] {
+                    let looped = token_program(backend, false, sleep, crossings, None);
+                    let folded = token_program(backend, true, sleep, crossings, None);
+                    let case = format!("{backend:?} sleep {sleep} crossings {crossings}");
+                    assert_eq!(folded.outcome, looped.outcome, "{case}");
+                    assert!(
+                        looped.outcome.starts_with("Ok("),
+                        "{case}: {}",
+                        looped.outcome
+                    );
+                    assert_eq!(looped.folded, 0, "{case}");
+                    folds += folded.folded;
+                }
+            }
+            // The fibers fold here; on OS threads the counter is the
+            // workers' own (`the_fold_fires_on_fibers_and_never_…`).
+            if backend == Backend::Fibers {
+                assert!(folds > 0, "nothing folded");
+            }
+        }
+    }
+
+    #[test]
+    fn every_fuel_budget_cuts_a_spinning_run_where_the_loop_does() {
+        for backend in both_backends() {
+            let events = token_program(backend, false, 3_000, 1, None).events;
+            for fuel in 1..=events + 1 {
+                let looped = token_program(backend, false, 3_000, 1, Some(fuel));
+                let folded = token_program(backend, true, 3_000, 1, Some(fuel));
+                assert_eq!(folded.outcome, looped.outcome, "{backend:?} fuel {fuel}");
+                let finished = looped.outcome.starts_with("Ok(");
+                assert_eq!(finished, fuel > events, "{backend:?} fuel {fuel}");
+                if !finished {
+                    assert!(
+                        looped
+                            .outcome
+                            .starts_with(&format!("Err(\"{FUEL_EXHAUSTED}")),
+                        "{backend:?} fuel {fuel}: {}",
+                        looped.outcome
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_solo_spinner_runs_out_of_fuel_where_the_loop_does() {
+        for backend in both_backends() {
+            for fuel in (1..=8).chain([100, 10_000]) {
+                let spin = |fold: bool| {
+                    let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+                    s.set_fuel(fuel);
+                    spin_run(&s, 1, |ctx| {
+                        ctx.write_u64(TOKEN, 1);
+                        if fuel % 2 == 0 {
+                            spin_cas(ctx, fold, TOKEN, 0, 1, 64);
+                        } else {
+                            spin_read(ctx, fold, TOKEN, 16, |v| v == 0);
+                        }
+                    })
+                };
+                let (looped, folded) = (spin(false), spin(true));
+                assert_eq!(folded.outcome, looped.outcome, "{backend:?} fuel {fuel}");
+                assert_eq!(looped.events, fuel, "{backend:?} fuel {fuel}");
+                assert!(
+                    looped
+                        .outcome
+                        .starts_with(&format!("Err(\"{FUEL_EXHAUSTED}")),
+                    "{}",
+                    looped.outcome
+                );
+                // Every event after the first two (the write, then the
+                // spin's first probe) but the fatal one is folded.
+                assert_eq!(
+                    folded.folded,
+                    fuel.saturating_sub(3),
+                    "{backend:?} fuel {fuel}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_clock_that_outgrows_the_key_mid_spin_panics_where_the_loop_does() {
+        let spin = |fold: bool, cas: bool| {
+            let s = sim();
+            spin_run(&s, 1, |ctx| {
+                ctx.write_u64(TOKEN, 1);
+                ctx.tick(CLOCK_LIMIT - 10_000);
+                if cas {
+                    spin_cas(ctx, fold, TOKEN, 0, 1, 64);
+                } else {
+                    spin_read(ctx, fold, TOKEN, 64, |v| v == 0);
+                }
+            })
+        };
+        for cas in [true, false] {
+            let (looped, folded) = (spin(false, cas), spin(true, cas));
+            assert_eq!(folded.outcome, looped.outcome, "cas {cas}");
+            assert!(
+                looped.outcome.contains("overflows the scheduling key"),
+                "{}",
+                looped.outcome
+            );
+            assert!(folded.folded > 100, "cas {cas}: {} folded", folded.folded);
+        }
+    }
+
+    #[test]
+    fn the_fold_fires_on_fibers_and_never_on_the_os_thread_reference() {
+        // On OS threads the logical threads run on workers of their own:
+        // each reads its own counter at the end.
+        let workers = |backend: Backend| {
+            let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+            let seen = HostMutex::new(0);
+            let spun = spin_run(&s, 3, |ctx| {
+                // Thread 1 spins alone below thread 0's release and thread
+                // 2's wake-up (two spinners would cross each other's
+                // horizon at every probe).
+                match ctx.tid() {
+                    0 => {
+                        ctx.write_u64(TOKEN, 1);
+                        ctx.tick(50_000);
+                        ctx.write_u64(TOKEN, 0);
+                    }
+                    1 => ctx.cas_u64_spin(TOKEN, 0, 0, 64),
+                    _ => {
+                        ctx.tick(80_000);
+                        ctx.fence();
+                    }
+                }
+                *seen.lock() += FOLDED.get();
+            });
+            spun.folded + seen.into_inner()
+        };
+        if fiber::SUPPORTED {
+            assert!(workers(Backend::Fibers) > 0);
+        }
+        assert_eq!(workers(Backend::Threads), 0);
     }
 
     // --- The rules for when a cached horizon may be trusted ---

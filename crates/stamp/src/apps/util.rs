@@ -50,12 +50,8 @@ impl SpinBarrier {
     /// Wait until `n * round` threads have arrived in total.
     pub fn wait(&self, ctx: &mut Ctx<'_>, n: u64, round: u64) {
         ctx.fetch_add_u64(self.addr, 1);
-        loop {
-            if ctx.read_u64(self.addr) >= n * round {
-                return;
-            }
-            ctx.tick(150); // polite spin
-        }
+        // A polite spin: 150 cycles between probes.
+        ctx.read_u64_until(self.addr, 150, |arrived| arrived >= n * round);
     }
 }
 

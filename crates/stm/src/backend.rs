@@ -393,13 +393,8 @@ impl NorecBackend {
     /// it. Each probe is one simulated read; waiting burns virtual cycles
     /// exactly like a real seqlock reader would.
     fn stable_seq(stm: &Stm, ctx: &mut Ctx<'_>) -> u64 {
-        loop {
-            let s = ctx.read_u64(stm.clock_addr);
-            if s & 1 == 0 {
-                return s;
-            }
-            ctx.tick(16); // writer in progress: brief pause before re-probe
-        }
+        // A writer in progress: a brief pause before each re-probe.
+        ctx.read_u64_until(stm.clock_addr, 16, |s| s & 1 == 0)
     }
 
     /// Value-based validation: wait for a stable sequence number, re-read
@@ -562,27 +557,22 @@ impl HtmBackend {
             // odd) and run non-speculatively. Writes stay buffered so an
             // explicit workload restart can still roll back.
             loop {
-                let s = ctx.read_u64(stm.clock_addr);
-                if s & 1 == 0 && ctx.cas_u64(stm.clock_addr, s, s + 1).is_ok() {
+                // Wait out a serial section in progress (odd), then try
+                // to take the lock.
+                let s = ctx.read_u64_until(stm.clock_addr, 64, |s| s & 1 == 0);
+                if ctx.cas_u64(stm.clock_addr, s, s + 1).is_ok() {
                     th.rv = s;
                     th.htm_irrevocable = true;
                     return;
                 }
-                ctx.tick(64); // lock held: wait out the serial section
+                ctx.tick(64); // a peer took it first: wait out its section
             }
         }
         th.htm_irrevocable = false;
         // Wait until the fallback lock looks free before starting (a
         // transaction begun under a held lock would only abort at the
         // subscription check below).
-        loop {
-            let s = ctx.read_u64(stm.clock_addr);
-            if s & 1 == 0 {
-                th.rv = s;
-                break;
-            }
-            ctx.tick(64);
-        }
+        th.rv = ctx.read_u64_until(stm.clock_addr, 64, |s| s & 1 == 0);
         ctx.tick(30); // xbegin: checkpoint registers
         ctx.htm_begin();
         // Subscribe to the fallback lock: the read puts its line in the

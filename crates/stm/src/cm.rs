@@ -328,12 +328,7 @@ fn pause(stm: &Stm, th: &mut TxThread, ctx: &mut Ctx<'_>) {
             th.backoff_cycles() >> shrink
         }
         CmKind::Serialize if th.retries >= SERIALIZE_AFTER && !th.holds_token => {
-            while ctx
-                .cas_u64(stm.serialize_token, 0, th.tid as u64 + 1)
-                .is_err()
-            {
-                ctx.tick(64);
-            }
+            ctx.cas_u64_spin(stm.serialize_token, 0, th.tid as u64 + 1, 64);
             th.holds_token = true;
             return;
         }

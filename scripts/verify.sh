@@ -79,6 +79,43 @@ if grep -rnE --include='*.rs' 'build_with_fault|build_audited|build_stack_faulte
   exit 1
 fi
 
+# One way to spin (DESIGN.md §4.1): a wait on a simulated word is
+# `Ctx::cas_u64_spin` or `Ctx::read_u64_until`, whose repeats below the
+# horizon the scheduler folds into one pass. Outside the simulator no
+# `loop`/`while` block may be a spin by hand: one whose only uses of `ctx`
+# are `read_u64(`/`cas_u64(` and `tick(`, both present. A loop that hands
+# `ctx` to anything else between tries — NOrec's commit CAS, which
+# re-validates; the sim-HTM fallback, which waits with `read_u64_until` —
+# is a retry, not a spin.
+echo "==> one way to spin: no hand-written cas/read + tick retry loop outside crates/sim"
+spins=$(find crates tests examples -path crates/sim -prune -o -name '*.rs' -print | sort |
+  while read -r f; do
+    awk -v f="$f" '
+      { sub(/\/\/.*/, ""); src[NR] = $0 }
+      END {
+        for (i = 1; i <= NR; i++) {
+          if (src[i] !~ /^[ \t]*(loop|while)[ \t{]/) continue
+          depth = 0; opened = 0; body = ""
+          for (j = i; j <= NR; j++) {
+            line = src[j]; sub(/^[ \t]+/, "", line); body = body line
+            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+            if (index(line, "{")) opened = 1
+            if (opened && depth <= 0) break
+          }
+          rest = body
+          gsub(/ctx\.(read_u64|cas_u64|tick)\(/, "", rest)
+          if (body ~ /ctx\.tick\(/ && body ~ /ctx\.(read_u64|cas_u64)\(/ &&
+              rest !~ /(^|[^A-Za-z0-9_])ctx([^A-Za-z0-9_]|$)/)
+            print f ":" i ":" src[i]
+        }
+      }' "$f"
+  done)
+if [ -n "$spins" ]; then
+  echo "$spins"
+  echo "verify: a hand-written spin loop; use Ctx::cas_u64_spin or Ctx::read_u64_until"
+  exit 1
+fi
+
 # One scheduler, two ways to hand the turn on (DESIGN.md §4.1). The run
 # above used the default one; run the simulator's, the allocator models',
 # the STM's and the model checker's own tests under each by name — the

@@ -25,6 +25,19 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
         (&["mc", "--depth", "x", "--out", OUT], "--depth"),
         (&["mc", "--budget", "-3", "--out", OUT], "--budget"),
         (&["mc", "--alloc", "nope", "--out", OUT], "alloc"),
+        // A sweep that names no schedule to run, no delay, or one delay
+        // twice: each used to exit 0 — one schedule explored and "capped",
+        // every "delay" the undelayed run, every duplicate schedule
+        // counted as deduplicated.
+        (&["mc", "--budget", "0", "--out", OUT], "--budget '0'"),
+        (
+            &["mc", "--magnitudes", "0", "--out", OUT],
+            "--magnitudes '0'",
+        ),
+        (
+            &["mc", "--magnitudes", "400,400", "--out", OUT],
+            "--magnitudes '400' (named twice)",
+        ),
         // A delay the virtual clock cannot hold: 2^64 - 1 used to wrap it
         // (exit 0, `clean`, over schedules nobody named), 2^56 to report a
         // violation of the clean STM.
