@@ -63,7 +63,8 @@ struct State {
     preferred: Vec<usize>,
     /// `addr >> 26` (64 MB granule) → arena index, for `free`.
     by_region: IntMap<u64, usize>,
-    /// Large mmap'd blocks: user address → reserved size.
+    /// Large mmap'd blocks: user address → mapped length (the mapping
+    /// starts `HEADER` bytes below the user address).
     large: IntMap<u64, u64>,
 }
 
@@ -201,19 +202,24 @@ impl Allocator for GlibcAllocator {
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
         let base = addr.wrapping_sub(HEADER);
-        // The block's arena, or `None` for a large block (unregistered here).
+        // The block's arena, or its mapped length for a large block
+        // (unregistered here).
         let arena = self.state.with(ctx, |s| {
-            if s.large.remove(&addr).is_some() {
-                return Ok(None);
+            if let Some(len) = s.large.remove(&addr) {
+                return Ok(Err(len));
             }
             let unknown = AllocError::UnknownAddress { addr };
             let idx = *s.by_region.get(&(base >> 26)).ok_or(unknown)?;
-            Ok(Some((idx, s.arenas[idx].mx)))
+            Ok(Ok((idx, s.arenas[idx].mx)))
         })?;
         ctx.tick(10);
-        let Some((idx, mx)) = arena else {
-            ctx.tick(300); // munmap-ish
-            return Ok(());
+        let (idx, mx) = match arena {
+            Ok(arena) => arena,
+            Err(len) => {
+                ctx.tick(300); // munmap
+                ctx.os_free(base, len);
+                return Ok(());
+            }
         };
         let chunk = ctx.read_u64(base + 8); // read the boundary tag
                                             // Blocks return to the arena they came from (paper §3.1), which

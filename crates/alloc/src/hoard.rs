@@ -56,6 +56,7 @@ struct State {
     spares: Vec<usize>,
     /// Per thread: class → local cache.
     local: Vec<IntMap<usize, FreeList>>,
+    /// Large blocks, each its own mapping: address → mapped length.
     large: IntMap<u64, u64>,
 }
 
@@ -239,8 +240,9 @@ impl Allocator for HoardAllocator {
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(10);
         let Some(class) = self.classes.class_of(size) else {
-            let base = ctx.os_alloc(padded(size, 0)?, 4096);
-            self.state.with(ctx, |s| s.large.insert(base, size));
+            let len = padded(size, 0)?;
+            let base = ctx.os_alloc(len, 4096);
+            self.state.with(ctx, |s| s.large.insert(base, len));
             return Ok(base);
         };
         let csize = self.classes.size_of(class);
@@ -274,21 +276,26 @@ impl Allocator for HoardAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        // The block's superblock, or `None` for a large block (unregistered
-        // here). A superblock holding a live block is never re-dedicated,
-        // so its class and owner stay put while this free runs.
+        // The block's superblock, or `Err` with its mapped length for a
+        // large block (unregistered here). A superblock holding a live block
+        // is never re-dedicated, so its class and owner stay put while this
+        // free runs.
         let block = self.state.with(ctx, |s| {
-            if s.large.remove(&addr).is_some() {
-                return Ok(None);
+            if let Some(len) = s.large.remove(&addr) {
+                return Ok(Err(len));
             }
             let unknown = AllocError::UnknownAddress { addr };
             let id = *s.by_addr.get(&(addr >> SB_SHIFT)).ok_or(unknown)?;
-            Ok(Some((id, s.sbs[id].class, s.sbs[id].owner_heap)))
+            Ok(Ok((id, s.sbs[id].class, s.sbs[id].owner_heap)))
         })?;
         ctx.tick(8);
-        let Some((id, class, owner)) = block else {
-            ctx.tick(300);
-            return Ok(());
+        let (id, class, owner) = match block {
+            Ok(block) => block,
+            Err(len) => {
+                ctx.tick(300); // munmap
+                ctx.os_free(addr, len);
+                return Ok(());
+            }
         };
         let tid = ctx.tid();
         if self.classes.size_of(class) <= LOCAL_MAX && owner == tid % self.heap_mx.len() {

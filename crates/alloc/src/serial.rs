@@ -27,6 +27,8 @@ struct State {
     /// Base of every heap chunk fetched from the OS, for `try_free`.
     heaps: Vec<u64>,
     bins: IntMap<u64, FreeList>,
+    /// Large mmap'd blocks: user address → mapped length (the mapping
+    /// starts `HEADER` bytes below the user address).
     large: IntMap<u64, u64>,
 }
 
@@ -85,19 +87,20 @@ impl Allocator for SerialLockAllocator {
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
         let base = addr.wrapping_sub(HEADER);
-        // Whether it is a large block (unregistered here).
+        // The mapped length of a large block (unregistered here), or `None`.
         let large = self.state.with(ctx, |s| {
-            if s.large.remove(&addr).is_some() {
-                Ok(true)
+            if let Some(len) = s.large.remove(&addr) {
+                Ok(Some(len))
             } else if s.heaps.iter().any(|&h| (h..h + HEAP_CHUNK).contains(&base)) {
-                Ok(false)
+                Ok(None)
             } else {
                 Err(AllocError::UnknownAddress { addr })
             }
         })?;
         ctx.tick(8);
-        if large {
+        if let Some(len) = large {
             ctx.tick(300);
+            ctx.os_free(base, len);
             return Ok(());
         }
         let chunk = ctx.read_u64(base + 8);

@@ -56,6 +56,7 @@ struct State {
     /// The global heap's current 1 MB OS chunk. Guarded by `global_mx`.
     chunk_bump: u64,
     chunk_end: u64,
+    /// Large blocks, each its own mapping: address → mapped length.
     large: IntMap<u64, u64>,
 }
 
@@ -113,8 +114,9 @@ impl Allocator for TbbAllocator {
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(9);
         let Some(class) = self.classes.class_of(size) else {
-            let base = ctx.os_alloc(padded(size, 0)?, 4096);
-            self.state.with(ctx, |s| s.large.insert(base, size));
+            let len = padded(size, 0)?;
+            let base = ctx.os_alloc(len, 4096);
+            self.state.with(ctx, |s| s.large.insert(base, len));
             return Ok(base);
         };
         let csize = self.classes.size_of(class);
@@ -185,20 +187,24 @@ impl Allocator for TbbAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        // The block's superblock, or `None` for a large block (unregistered
-        // here).
+        // The block's superblock, or `Err` with its mapped length for a
+        // large block (unregistered here).
         let block = self.state.with(ctx, |s| {
-            if s.large.remove(&addr).is_some() {
-                return Ok(None);
+            if let Some(len) = s.large.remove(&addr) {
+                return Ok(Err(len));
             }
             let unknown = AllocError::UnknownAddress { addr };
             let id = *s.by_addr.get(&(addr >> SB_SHIFT)).ok_or(unknown)?;
-            Ok(Some((id, s.sbs[id])))
+            Ok(Ok((id, s.sbs[id])))
         })?;
         ctx.tick(7);
-        let Some((id, sb)) = block else {
-            ctx.tick(300);
-            return Ok(());
+        let (id, sb) = match block {
+            Ok(block) => block,
+            Err(len) => {
+                ctx.tick(300); // munmap
+                ctx.os_free(addr, len);
+                return Ok(());
+            }
         };
         let tid = ctx.tid();
         if sb.owner == tid {

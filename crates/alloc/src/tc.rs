@@ -59,6 +59,7 @@ struct State {
     chunk_end: u64,
     /// `addr >> 14` → size class of the span covering it.
     spans: IntMap<u64, usize>,
+    /// Large blocks, each its own mapping: address → mapped length.
     large: IntMap<u64, u64>,
 }
 
@@ -234,8 +235,9 @@ impl Allocator for TcAllocator {
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
         ctx.tick(8);
         let Some(class) = self.classes.class_of(size) else {
-            let base = ctx.os_alloc(padded(size, 0)?, 4096);
-            self.state.with(ctx, |s| s.large.insert(base, size));
+            let len = padded(size, 0)?;
+            let base = ctx.os_alloc(len, 4096);
+            self.state.with(ctx, |s| s.large.insert(base, len));
             return Ok(base);
         };
         let tid = ctx.tid();
@@ -260,22 +262,26 @@ impl Allocator for TcAllocator {
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        // The block's size class, or `None` for a large block (unregistered
-        // here).
+        // The block's size class, or `Err` with its mapped length for a
+        // large block (unregistered here).
         let class = self.state.with(ctx, |s| {
-            if s.large.remove(&addr).is_some() {
-                return Ok(None);
+            if let Some(len) = s.large.remove(&addr) {
+                return Ok(Err(len));
             }
             let unknown = AllocError::UnknownAddress { addr };
             s.spans
                 .get(&(addr >> SPAN_SHIFT))
-                .map(|&c| Some(c))
+                .map(|&c| Ok(c))
                 .ok_or(unknown)
         })?;
         ctx.tick(7);
-        let Some(class) = class else {
-            ctx.tick(300);
-            return Ok(());
+        let class = match class {
+            Ok(class) => class,
+            Err(len) => {
+                ctx.tick(300); // munmap
+                ctx.os_free(addr, len);
+                return Ok(());
+            }
         };
         let csize = self.classes.size_of(class);
         let tid = ctx.tid();

@@ -175,3 +175,54 @@ fn restoring_a_sibling_instances_snapshot_panics_with_the_models_name() {
         );
     }
 }
+
+#[test]
+fn a_freed_large_block_gives_its_pages_back() {
+    use std::sync::Arc;
+    use tm_alloc::{Allocator, SerialLockAllocator};
+    // A mapping of exactly 256 pages: the sizes leave room for Glibc's and
+    // the serial model's 16-byte header and round up to it elsewhere, so a
+    // model that unmaps the requested size, or from the user address,
+    // keeps the last or the first page.
+    const MAPPED: u64 = 1 << 20;
+    type Build = fn(&Sim) -> Arc<dyn Allocator>;
+    let models: [(&str, Build, u64); 5] = [
+        ("Glibc", |s| AllocatorKind::Glibc.build(s), MAPPED - 24),
+        ("Hoard", |s| AllocatorKind::Hoard.build(s), MAPPED - 8),
+        ("TBB", |s| AllocatorKind::TbbMalloc.build(s), MAPPED - 8),
+        ("TC", |s| AllocatorKind::TcMalloc.build(s), MAPPED - 8),
+        (
+            "Serial",
+            |s| Arc::new(SerialLockAllocator::new(s)),
+            MAPPED - 24,
+        ),
+    ];
+    for (name, build, size) in models {
+        let sim = Sim::new(MachineConfig::xeon_e5405());
+        let a = build(&sim);
+        // A small block first, so the model's own structures are mapped.
+        sim.run(1, |ctx| {
+            let p = a.malloc(ctx, 64);
+            a.free(ctx, p);
+        });
+        let pages = || sim.with_state(|m| m.resident_pages());
+        let os = || sim.with_state(|m| m.os_allocated());
+        let (pages0, os0) = (pages(), os());
+        sim.run(1, |ctx| {
+            let p = a.malloc(ctx, size);
+            ctx.write_u64(p, 1);
+            ctx.write_u64(p + size - 8, 2);
+            a.free(ctx, p);
+        });
+        assert_eq!(pages(), pages0, "{name}: resident pages after the free");
+        assert_eq!(os() - os0, MAPPED, "{name}: bytes mapped for the block");
+        assert_eq!(sim.with_state(|m| m.released_accesses()), 0, "{name}");
+        // The block's pages were materialized: without the unmap they stay.
+        sim.run(1, |ctx| {
+            let p = a.malloc(ctx, size);
+            ctx.write_u64(p, 1);
+            ctx.write_u64(p + size - 8, 2);
+        });
+        assert_eq!(pages(), pages0 + 2, "{name}: a live block's pages");
+    }
+}

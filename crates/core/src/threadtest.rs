@@ -35,8 +35,13 @@ pub struct ThreadtestResult {
 
 /// Run one threadtest configuration. Deterministic.
 pub fn run_threadtest(cfg: &ThreadtestConfig) -> ThreadtestResult {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let alloc = cfg.allocator.build(&sim);
+    run_threadtest_on(&Sim::new(MachineConfig::xeon_e5405()), cfg)
+}
+
+/// [`run_threadtest`] on a machine the caller built, and can inspect
+/// afterwards.
+pub fn run_threadtest_on(sim: &Sim, cfg: &ThreadtestConfig) -> ThreadtestResult {
+    let alloc = cfg.allocator.build(sim);
     let report = sim.run(cfg.threads, |ctx| {
         for _ in 0..cfg.pairs_per_thread {
             let p = alloc.malloc(ctx, cfg.block_size);

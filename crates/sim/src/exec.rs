@@ -950,6 +950,13 @@ impl MachineStateView<'_> {
     pub fn resident_pages(&self) -> usize {
         self.m.mem.resident_pages()
     }
+    /// Loads and stores — this view's included — that landed on a page a
+    /// [`Ctx::os_free`] gave back and nothing wrote since: a use after
+    /// free of a large block. Host-side; in no report, not rewound by
+    /// [`Sim::restore`].
+    pub fn released_accesses(&self) -> u64 {
+        self.m.mem.released_accesses()
+    }
 }
 
 /// Per-thread execution context handed to workload closures. All simulated
@@ -1347,6 +1354,19 @@ impl<'a> Ctx<'a> {
         });
         self.trace_event(EventKind::OsAlloc, addr, size);
         addr
+    }
+
+    /// Hand the mapping `[base, base + len)` an [`Ctx::os_alloc`] returned
+    /// back to the simulated OS (munmap-like): the pages that lie wholly
+    /// inside it give their host storage back and read as zero from now on.
+    /// Host bookkeeping done while this thread holds the turn, not an event:
+    /// no clock advance, no fuel, no fingerprint update, no scheduling
+    /// point — the caller charges the munmap's cost with [`Ctx::tick`] — and
+    /// `os_allocated` still counts the mapping.
+    pub fn os_free(&mut self, base: u64, len: u64) {
+        // SAFETY: we hold the turn, no other reference into `Inner` is live,
+        // and nothing below hands the turn on.
+        unsafe { &mut *self.inner }.machine.mem.release(base, len);
     }
 
     /// Create a new simulated mutex mid-run.

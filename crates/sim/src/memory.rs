@@ -12,9 +12,19 @@
 //! array indexes — fronted by a 256-entry direct-mapped TLB of
 //! `(page, pointer)` pairs indexed by the page number's low bits: an access
 //! to a page that still holds its slot is one compare and one load. A page
-//! is freed in one place, `restore`, which clears the
-//! TLB entry of every page it drops; the pages that survive keep their
-//! storage, so their entries stay valid.
+//! is freed in two places — `release`, when the simulated OS unmaps the
+//! mapping it lies in, and `restore` — and each clears the TLB entry of
+//! every page it drops; the pages that survive keep their storage, so their
+//! entries stay valid.
+//!
+//! Host storage follows the live mappings: a released page gives its 4 KiB
+//! back and reads as zero again, like any unmapped page, and a write
+//! materializes it afresh. Its entry in the materialization log stays, as
+//! a tombstone, so the log of an earlier snapshot is still an index-aligned
+//! prefix of the live one (the COW sharing below relies on that). Loads and
+//! stores that land on a released page are counted
+//! ([`Memory::released_accesses`]): no workload touches a mapping it gave
+//! back, so the count is zero unless a large block is used after its free.
 //!
 //! The radix nodes are small (16 KB, 16 KB and 8 KB) and exist only along
 //! paths that lead to a page: a fresh memory is one empty root, the first
@@ -23,6 +33,8 @@
 //! zeros, like the absent pages under it.
 
 use std::sync::Arc;
+
+use crate::hash::IntMap;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
@@ -47,6 +59,33 @@ type Leaf = [Option<Box<Page>>; 1 << LEAF_BITS];
 type Mid = [Option<Box<Leaf>>; 1 << MID_BITS];
 /// 2048 middle nodes: the whole 16 TiB behind 16 KB.
 type Root = [Option<Box<Mid>>; 1 << ROOT_BITS];
+
+/// Marks a materialization-log entry whose page was released after it was
+/// logged: a tombstone. Page ids stop at 2^32, far below this bit.
+const TOMB: u64 = 1 << 63;
+
+/// Released pages, one bit each, in groups of 64 keyed by `page >> 6`; a
+/// group with no bit set is removed, so an empty set is an empty map.
+type Released = IntMap<u64, u64>;
+
+/// Whether `page` is in `set`.
+fn is_released(set: &Released, page: u64) -> bool {
+    set.get(&(page >> 6))
+        .is_some_and(|bits| bits >> (page & 63) & 1 != 0)
+}
+
+/// Take `page` out of `set`; whether it was in.
+fn unrelease(set: &mut Released, page: u64) -> bool {
+    let Some(bits) = set.get_mut(&(page >> 6)) else {
+        return false;
+    };
+    let was = *bits >> (page & 63) & 1 != 0;
+    *bits &= !(1 << (page & 63));
+    if *bits == 0 {
+        set.remove(&(page >> 6));
+    }
+    was
+}
 
 /// TLB entries (log2): 256 pages, 1 MiB of simulated memory.
 const TLB_BITS: u64 = 8;
@@ -108,15 +147,18 @@ fn indexes(page: u64) -> (usize, usize, usize) {
 /// the incremental cost of a snapshot is proportional to the write set,
 /// not the resident set.
 pub struct MemSnapshot {
-    /// `(page id, frozen content)` for every materialized page, in
-    /// materialization order (a prefix of the owning memory's log).
-    pages: Vec<(u64, Arc<Page>)>,
+    /// `(page id, frozen content)` for every entry of the owning memory's
+    /// materialization log at capture time, in log order; `None` for a
+    /// tombstone.
+    pages: Vec<(u64, Option<Arc<Page>>)>,
+    /// The released pages at capture time.
+    released: Released,
 }
 
 impl MemSnapshot {
     /// Number of pages captured (== materialized pages at capture time).
     pub fn pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().filter(|(_, c)| c.is_some()).count()
     }
 }
 
@@ -128,17 +170,25 @@ pub struct Memory {
     /// a raw pointer to its storage, or [`NO_PAGE`]. Each pointer targets
     /// the page's own `Box`, whose address does not depend on the radix
     /// nodes above it (which are themselves boxed, never moved and never
-    /// freed while the `Memory` lives). A page is freed in exactly one
-    /// place — `restore` dropping pages materialized *after* the snapshot —
-    /// and `restore` clears the entry of each page it drops, so every
-    /// pointer left stays valid; they are only dereferenced through
-    /// `&mut self`, so no aliasing can occur.
+    /// freed while the `Memory` lives). A page is freed only by
+    /// [`Memory::drop_page`] — `release` unmapping it, `restore` dropping a
+    /// page materialized or kept *after* the snapshot — which clears the
+    /// page's entry, so every pointer left stays valid; they are only
+    /// dereferenced through `&mut self`, so no aliasing can occur.
     tlb: Box<Tlb>,
     resident: usize,
-    /// Page ids in materialization order. Append-only between restores;
+    /// Page ids in materialization order, a released page's entry marked
+    /// [`TOMB`]. Append-only between restores but for those marks;
     /// `restore` truncates it back to the snapshot's length, which is what
     /// makes "drop everything newer" O(new pages) instead of a radix walk.
+    /// A page is logged once per materialization, so its live entry, if
+    /// it has one, is its last.
     mat_log: Vec<u64>,
+    /// Pages given back by `release` and not written since.
+    released: Released,
+    /// Loads and stores that landed on a released page. Host-side: no
+    /// report carries it and `restore` does not rewind it.
+    released_accesses: u64,
 }
 
 // The TLB's raw pointers target heap storage owned by `self` and are only
@@ -158,6 +208,8 @@ impl Memory {
             tlb: boxed(NO_PAGE),
             resident: 0,
             mat_log: Vec::new(),
+            released: Released::default(),
+            released_accesses: 0,
         }
     }
 
@@ -167,7 +219,8 @@ impl Memory {
         (addr >> PAGE_SHIFT, ((addr & (PAGE_BYTES - 1)) / 8) as usize)
     }
 
-    /// Read the aligned word at `addr` (zero if never written).
+    /// Read the aligned word at `addr` (zero if never written, or released
+    /// since).
     #[inline]
     pub fn read(&mut self, addr: u64) -> u64 {
         let (page, idx) = Self::split(addr);
@@ -186,6 +239,9 @@ impl Memory {
             .and_then(|mid| mid[m].as_deref_mut())
             .and_then(|leaf| leaf[l].as_deref_mut())
         else {
+            if !self.released.is_empty() && is_released(&self.released, page) {
+                self.released_accesses += 1;
+            }
             return 0;
         };
         *entry = TlbEntry { page, ptr: p };
@@ -213,6 +269,9 @@ impl Memory {
             None => {
                 self.resident += 1;
                 self.mat_log.push(page);
+                if !self.released.is_empty() && unrelease(&mut self.released, page) {
+                    self.released_accesses += 1;
+                }
                 slot.get_or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]))
             }
         };
@@ -229,13 +288,65 @@ impl Memory {
         self.resident
     }
 
+    /// Loads and stores that landed on a released page since the memory
+    /// was built (not rewound by [`Memory::restore`]).
+    pub fn released_accesses(&self) -> u64 {
+        self.released_accesses
+    }
+
+    /// `page`'s radix slot, if the nodes above it exist.
+    #[inline]
+    fn leaf_slot(&mut self, page: u64) -> Option<&mut Option<Box<Page>>> {
+        let (r, m, l) = indexes(page);
+        let mid = self.root.get_mut(r)?.as_deref_mut()?;
+        Some(&mut mid[m].as_deref_mut()?[l])
+    }
+
     /// The radix slot of a page the materialization log names.
     #[inline]
     fn slot_mut(&mut self, page: u64) -> &mut Option<Box<Page>> {
-        let (r, m, l) = indexes(page);
-        let mid = self.root[r].as_deref_mut();
-        let leaf = mid.and_then(|mid| mid[m].as_deref_mut());
-        &mut leaf.expect("a logged page has its radix nodes")[l]
+        self.leaf_slot(page)
+            .expect("a logged page has its radix nodes")
+    }
+
+    /// Free a materialized page's storage and clear its TLB entry.
+    fn drop_page(&mut self, page: u64) {
+        *self.slot_mut(page) = None;
+        self.resident -= 1;
+        let entry = &mut self.tlb[tlb_slot(page)];
+        if entry.page == page {
+            *entry = NO_PAGE;
+        }
+    }
+
+    /// Unmap `[base, base + len)`: every page that lies wholly inside it is
+    /// released — its storage, if it has any, is freed and its log entry
+    /// becomes a tombstone — and reads as zero until a write materializes
+    /// it again. A page the range only partly covers is kept: the mapping
+    /// next to it may hold the rest. Host bookkeeping only: no simulated
+    /// cost, no event.
+    pub fn release(&mut self, base: u64, len: u64) {
+        let first = base.div_ceil(PAGE_BYTES);
+        let end = base.saturating_add(len).min(ADDR_LIMIT) >> PAGE_SHIFT;
+        let mut dropped = 0;
+        for page in first..end {
+            *self.released.entry(page >> 6).or_default() |= 1 << (page & 63);
+            if self.leaf_slot(page).is_some_and(|slot| slot.is_some()) {
+                self.drop_page(page);
+                dropped += 1;
+            }
+        }
+        // Each dropped page's live log entry is its last, and a tombstone
+        // (`TOMB` set) lies outside `first..end`: mark from the newest end.
+        for entry in self.mat_log.iter_mut().rev() {
+            if dropped == 0 {
+                break;
+            }
+            if (first..end).contains(entry) {
+                *entry |= TOMB;
+                dropped -= 1;
+            }
+        }
     }
 
     /// Capture every materialized page. With a `parent` snapshot of the
@@ -250,22 +361,31 @@ impl Memory {
         let mut pages = Vec::with_capacity(self.mat_log.len());
         for i in 0..self.mat_log.len() {
             let page = self.mat_log[i];
+            if page & TOMB != 0 {
+                pages.push((page & !TOMB, None));
+                continue;
+            }
             let content = self
                 .slot_mut(page)
                 .as_deref()
                 .expect("logged page is materialized");
             let shared = parent.and_then(|p| p.pages.get(i)).and_then(|(id, arc)| {
+                let arc = arc.as_ref()?;
                 (*id == page && arc.as_ref() == content).then(|| Arc::clone(arc))
             });
-            pages.push((page, shared.unwrap_or_else(|| Arc::new(*content))));
+            pages.push((page, Some(shared.unwrap_or_else(|| Arc::new(*content)))));
         }
-        MemSnapshot { pages }
+        MemSnapshot {
+            pages,
+            released: self.released.clone(),
+        }
     }
 
     /// Rewind to `snap`: pages materialized after the capture are dropped,
-    /// surviving pages get their captured content back. `snap` must come
-    /// from this memory's own [`Memory::snapshot`] (enforced by the log
-    /// prefix check).
+    /// surviving pages get their captured content back, a page released
+    /// since the capture is materialized again and one released at the
+    /// capture is dropped. `snap` must come from this memory's own
+    /// [`Memory::snapshot`] (enforced by the log prefix check).
     pub fn restore(&mut self, snap: &MemSnapshot) {
         assert!(
             snap.pages.len() <= self.mat_log.len(),
@@ -273,24 +393,37 @@ impl Memory {
         );
         for i in (snap.pages.len()..self.mat_log.len()).rev() {
             let page = self.mat_log[i];
-            *self.slot_mut(page) = None;
-            self.resident -= 1;
-            let entry = &mut self.tlb[tlb_slot(page)];
-            if entry.page == page {
-                *entry = NO_PAGE;
+            if page & TOMB == 0 {
+                self.drop_page(page);
             }
         }
         self.mat_log.truncate(snap.pages.len());
         for (i, (page, content)) in snap.pages.iter().enumerate() {
-            assert_eq!(self.mat_log[i], *page, "snapshot from a different memory");
-            let dst = self
-                .slot_mut(*page)
-                .as_deref_mut()
-                .expect("logged page is materialized");
-            if dst != content.as_ref() {
-                *dst = **content;
+            let entry = self.mat_log[i];
+            assert_eq!(entry & !TOMB, *page, "snapshot from a different memory");
+            match (entry & TOMB == 0, content) {
+                (true, Some(content)) => {
+                    let dst = self
+                        .slot_mut(*page)
+                        .as_deref_mut()
+                        .expect("logged page is materialized");
+                    if dst != content.as_ref() {
+                        *dst = **content;
+                    }
+                }
+                (true, None) => {
+                    self.drop_page(*page);
+                    self.mat_log[i] |= TOMB;
+                }
+                (false, Some(content)) => {
+                    *self.slot_mut(*page) = Some(Box::new(**content));
+                    self.resident += 1;
+                    self.mat_log[i] = *page;
+                }
+                (false, None) => {}
             }
         }
+        self.released.clone_from(&snap.released);
     }
 }
 
@@ -336,6 +469,15 @@ mod tests {
             assert_eq!(m.read(i * 8), i + 1);
         }
         assert_eq!(m.resident_pages(), 1);
+    }
+
+    /// Whether two captured log entries share one frozen page, or are both
+    /// tombstones.
+    fn same_storage(a: &Option<Arc<Page>>, b: &Option<Arc<Page>>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 
     /// From one page to the next page that maps to the same TLB slot.
@@ -399,10 +541,10 @@ mod tests {
         m.write(0x5000, 7); // only the second page diverges
         let child = m.snapshot(Some(&parent));
         assert!(
-            Arc::ptr_eq(&parent.pages[0].1, &child.pages[0].1),
+            same_storage(&parent.pages[0].1, &child.pages[0].1),
             "unchanged page must be shared, not copied"
         );
-        assert!(!Arc::ptr_eq(&parent.pages[1].1, &child.pages[1].1));
+        assert!(!same_storage(&parent.pages[1].1, &child.pages[1].1));
         // Both snapshots restore to their own view.
         m.restore(&parent);
         assert_eq!(m.read(0x5000), 2);
@@ -451,6 +593,133 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_release_drops_the_pages_wholly_inside_its_range() {
+        let mut m = Memory::new();
+        // Three pages written, a fourth mapped but never touched.
+        for page in 0..3u64 {
+            m.write(0x10_0000 + page * PAGE_BYTES + 8, page + 1);
+        }
+        assert_eq!(m.resident_pages(), 3);
+        // A range that starts inside page 0 and ends inside page 2 covers
+        // only page 1 wholly.
+        m.release(0x10_0000 + 16, 2 * PAGE_BYTES);
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.read(0x10_0000 + 8), 1);
+        assert_eq!(m.read(0x10_0000 + 2 * PAGE_BYTES + 8), 3);
+        assert_eq!(m.released_accesses(), 0);
+        // The whole mapping, the untouched fourth page included.
+        m.release(0x10_0000, 4 * PAGE_BYTES);
+        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.mat_log.iter().filter(|&&e| e & TOMB != 0).count(), 3);
+        for page in 0..4u64 {
+            assert_eq!(m.read(0x10_0000 + page * PAGE_BYTES), 0);
+        }
+        assert_eq!(m.released_accesses(), 4);
+        // An empty or a sub-page range releases nothing.
+        m.write(0x20_0000, 5);
+        m.release(0x20_0000, 0);
+        m.release(0x20_0000, PAGE_BYTES - 8);
+        assert_eq!((m.resident_pages(), m.read(0x20_0000)), (1, 5));
+    }
+
+    #[test]
+    fn a_write_to_a_released_page_materializes_and_logs_it_again() {
+        let mut m = Memory::new();
+        m.write(0x3000, 7);
+        m.release(0x3000, PAGE_BYTES);
+        assert_eq!(m.read(0x3008), 0);
+        m.write(0x3008, 9);
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!((m.read(0x3000), m.read(0x3008)), (0, 9), "no stale word");
+        assert_eq!(m.mat_log, [0x3 | TOMB, 0x3]);
+        // The read and the write that re-materialized; reads of the live
+        // page after it are not counted.
+        assert_eq!(m.released_accesses(), 2);
+        // Released again, the page's live entry is its second.
+        m.release(0x3000, PAGE_BYTES);
+        assert_eq!(m.mat_log, [0x3 | TOMB, 0x3 | TOMB]);
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn no_released_page_reads_back_through_a_stale_tlb_entry() {
+        let mut m = Memory::new();
+        let (a, b) = (0x1000, 0x1000 + SLOT_STRIDE);
+        m.write(a, 1);
+        m.write(0x2000, 2);
+        assert!(in_tlb(&m, a) && in_tlb(&m, 0x2000));
+        m.release(a, PAGE_BYTES);
+        assert!(!in_tlb(&m, a), "the released page left its slot");
+        assert!(in_tlb(&m, 0x2000), "a page outside the range kept its slot");
+        assert_eq!(m.read(a), 0);
+        // A page that shares the slot takes it, and the released one, once
+        // written again, takes it back with fresh storage.
+        m.write(b, 3);
+        m.write(a + 8, 4);
+        assert_eq!((m.read(a), m.read(a + 8), m.read(b)), (0, 4, 3));
+        // A released page whose slot another page holds leaves that one be.
+        m.release(a, PAGE_BYTES);
+        m.write(b + 8, 5);
+        m.release(a, PAGE_BYTES);
+        assert!(in_tlb(&m, b));
+        assert_eq!((m.read(b), m.read(b + 8), m.read(a + 8)), (3, 5, 0));
+    }
+
+    #[test]
+    fn a_page_released_before_a_snapshot_stays_released_through_restores() {
+        let mut m = Memory::new();
+        m.write(0x1000, 1);
+        m.write(0x5000, 2);
+        m.release(0x5000, PAGE_BYTES);
+        let snap = m.snapshot(None);
+        assert_eq!(snap.pages(), 1);
+        // Written again after the capture: the restore drops it.
+        m.write(0x5000, 3);
+        m.write(0x1000, 4);
+        assert_eq!(m.resident_pages(), 2);
+        m.restore(&snap);
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!((m.read(0x1000), m.read(0x5000)), (1, 0));
+        assert_eq!(m.mat_log, [0x1, 0x5 | TOMB]);
+        // And it is released again, as at the capture: a write counts.
+        let before = m.released_accesses();
+        m.write(0x5008, 5);
+        assert_eq!(m.released_accesses(), before + 1);
+        let child = m.snapshot(Some(&snap));
+        assert!(same_storage(&snap.pages[0].1, &child.pages[0].1));
+    }
+
+    #[test]
+    fn a_page_released_after_a_snapshot_comes_back_with_its_content() {
+        let mut m = Memory::new();
+        m.write(0x1000, 1);
+        m.write(0x5000, 2);
+        m.write(0x5ff8, 3);
+        let snap = m.snapshot(None);
+        m.release(0x5000, PAGE_BYTES);
+        m.release(0x1000, PAGE_BYTES);
+        m.write(0x9000, 4); // logged after both tombstones
+        assert_eq!(m.resident_pages(), 1);
+        let between = m.snapshot(Some(&snap));
+        assert_eq!(between.pages(), 1);
+        m.restore(&snap);
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.mat_log, [0x1, 0x5]);
+        assert_eq!((m.read(0x1000), m.read(0x5000), m.read(0x5ff8)), (1, 2, 3));
+        assert_eq!(m.read(0x9000), 0);
+        // Not released any more: accessing the pages counts nothing.
+        let before = m.released_accesses();
+        m.write(0x5000, 6);
+        assert_eq!(m.released_accesses(), before);
+        // Forward again to the snapshot that holds the tombstones.
+        m.write(0x9000, 4);
+        m.restore(&between);
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!((m.read(0x1000), m.read(0x5000), m.read(0x9000)), (0, 0, 4));
+        assert_eq!(m.released_accesses(), before + 2);
+    }
+
     /// Word addresses on both sides of every kind of radix boundary: page
     /// to page inside a leaf, leaf to leaf, middle node to middle node, the
     /// lowest and the highest materializable word.
@@ -479,8 +748,9 @@ mod tests {
         for base in [0x3000, (1 << (LEAF_BITS + PAGE_SHIFT)) - PAGE_BYTES] {
             addrs.extend((0..3).map(|k| base + 0x10 + k * SLOT_STRIDE));
         }
-        // Restores that dropped a page whose entry was in the TLB.
-        let mut stale_drops = 0;
+        // Restores and releases that dropped a page whose entry was in the
+        // TLB.
+        let (mut stale_drops, mut stale_releases) = (0, 0);
         for seed in 0..8u64 {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             let mut m = Memory::new();
@@ -502,7 +772,7 @@ mod tests {
                         let again = m.snapshot(Some(&snap));
                         assert_eq!(again.pages.len(), snap.pages.len());
                         for ((a, pa), (b, pb)) in again.pages.iter().zip(&snap.pages) {
-                            assert!(a == b && Arc::ptr_eq(pa, pb), "page {a:#x} was copied");
+                            assert!(a == b && same_storage(pa, pb), "page {a:#x} was copied");
                         }
                         snaps.push((snap, words.clone(), pages.clone()));
                     }
@@ -526,6 +796,17 @@ mod tests {
                         words.insert(addr, val);
                         pages.insert(addr >> PAGE_SHIFT);
                     }
+                    10 => {
+                        // One to three pages from `addr`'s page.
+                        let first = addr >> PAGE_SHIFT;
+                        let end = first + rng.gen_range(1..4u64);
+                        if (first..end).any(|page| in_tlb(&m, page << PAGE_SHIFT)) {
+                            stale_releases += 1;
+                        }
+                        m.release(first << PAGE_SHIFT, (end - first) << PAGE_SHIFT);
+                        words.retain(|a, _| !(first..end).contains(&(a >> PAGE_SHIFT)));
+                        pages.retain(|page| !(first..end).contains(page));
+                    }
                     _ => assert_eq!(m.read(addr), words.get(&addr).copied().unwrap_or(0)),
                 }
                 assert_eq!(m.resident_pages(), pages.len());
@@ -541,6 +822,10 @@ mod tests {
         assert!(
             stale_drops >= 100,
             "{stale_drops} restores dropped a page in the TLB"
+        );
+        assert!(
+            stale_releases >= 30,
+            "{stale_releases} releases dropped a page in the TLB"
         );
     }
 

@@ -107,42 +107,62 @@ proptest! {
     /// The whole machine's memory against a map, from outside: untimed
     /// reads and writes through `Sim::with_state` on addresses that
     /// straddle every node boundary of the page radix, interleaved with
-    /// `Sim::snapshot` (each the COW child of the one before) and
-    /// `Sim::restore`.
+    /// `Sim::snapshot` (each the COW child of the one before),
+    /// `Sim::restore` and `Ctx::os_free` of ranges that start on a page
+    /// boundary or inside a page. A released page reads 0, and every
+    /// access to one, up to the write that maps it again, is counted.
     #[test]
     fn memory_matches_a_map_through_snapshots_and_restores(
-        ops in prop::collection::vec((0usize..25, 0u64..4, 0u32..20), 1..300),
+        ops in prop::collection::vec((0usize..25, 0u64..4, 0u32..22), 1..300),
     ) {
         let addrs = straddling_addrs();
         prop_assert_eq!(addrs.len(), 25);
         let sim = Sim::new(MachineConfig::tiny_test());
         let mut words: HashMap<u64, u64> = HashMap::new();
         let mut pages: HashSet<u64> = HashSet::new();
+        let mut released: HashSet<u64> = HashSet::new();
+        let mut released_accesses = 0;
         // Snapshots still restorable, oldest first, with the model each froze.
-        let mut snaps: Vec<(SimSnapshot, HashMap<u64, u64>, HashSet<u64>)> = Vec::new();
+        type Model = (HashMap<u64, u64>, HashSet<u64>, HashSet<u64>);
+        let mut snaps: Vec<(SimSnapshot, Model)> = Vec::new();
         for (pick, val, what) in ops {
             let addr = addrs[pick];
             match what {
                 0 => {
-                    let snap = sim.snapshot(snaps.last().map(|(s, ..)| s));
+                    let snap = sim.snapshot(snaps.last().map(|(s, _)| s));
                     prop_assert_eq!(snap.pages(), pages.len());
-                    snaps.push((snap, words.clone(), pages.clone()));
+                    snaps.push((snap, (words.clone(), pages.clone(), released.clone())));
                 }
                 1 if !snaps.is_empty() => {
                     // Later snapshots are newer than the machine now.
                     snaps.truncate(val as usize % snaps.len() + 1);
-                    let (snap, w, p) = snaps.last().expect("kept one");
+                    let (snap, model) = snaps.last().expect("kept one");
                     sim.restore(snap);
-                    (words, pages) = (w.clone(), p.clone());
+                    (words, pages, released) = model.clone();
                 }
                 2..=9 => {
                     sim.with_state(|m| m.write_u64(addr, val)); // zeros too
                     words.insert(addr, val);
                     pages.insert(addr >> 12);
+                    released_accesses += u64::from(released.remove(&(addr >> 12)));
+                }
+                20 | 21 => {
+                    // One to four pages from `addr`, or from its page.
+                    let base = if what == 20 { addr & !4095 } else { addr };
+                    let len = (val + 1) << 12;
+                    sim.run(1, |ctx| ctx.os_free(base, len));
+                    let first = base.div_ceil(4096);
+                    let end = (base + len).min(ADDR_LIMIT) >> 12;
+                    for page in first..end {
+                        pages.remove(&page);
+                        released.insert(page);
+                    }
+                    words.retain(|a, _| !(first..end).contains(&(a >> 12)));
                 }
                 _ => {
                     let expect = words.get(&addr).copied().unwrap_or(0);
                     prop_assert_eq!(sim.with_state(|m| m.read_u64(addr)), expect);
+                    released_accesses += u64::from(released.contains(&(addr >> 12)));
                 }
             }
             prop_assert_eq!(sim.with_state(|m| m.resident_pages()), pages.len());
@@ -151,6 +171,7 @@ proptest! {
                 m.read_u64(ADDR_LIMIT) | m.read_u64(ADDR_LIMIT + addr) | m.read_u64(!7)
             });
             prop_assert_eq!(beyond, 0);
+            prop_assert_eq!(sim.with_state(|m| m.released_accesses()), released_accesses);
         }
         for &addr in &addrs {
             let expect = words.get(&addr).copied().unwrap_or(0);

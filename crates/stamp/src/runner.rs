@@ -164,30 +164,36 @@ pub fn run_app(
     threads: usize,
     opts: &StampOpts,
 ) -> StampResult {
-    let Stack {
-        sim, stm, auditor, ..
-    } = Stack::new(
+    let stack = Stack::new(
         MachineConfig::xeon_e5405(),
         allocator,
         opts.alloc_fault,
         opts.audit_heap,
         opts.stm_config(),
     );
+    run_app_on(&stack, app, threads)
+}
 
-    let seq = sim.run(1, |ctx| app.init(&stm, ctx));
+/// [`run_app`] on a stack the caller built, and can inspect afterwards.
+pub fn run_app_on(stack: &Stack, app: &dyn StampApp, threads: usize) -> StampResult {
+    let Stack {
+        sim, stm, auditor, ..
+    } = stack;
+
+    let seq = sim.run(1, |ctx| app.init(stm, ctx));
     stm.reset_stats();
 
     let par = sim.run(threads, |ctx| {
         let mut th = stm.thread(ctx.tid());
-        app.worker(&stm, ctx, &mut th);
+        app.worker(stm, ctx, &mut th);
         stm.retire(th);
     });
 
     // Post-run invariant checks and checksum (outside the timed phases).
     let checksum_cell = parking_lot::Mutex::new(None);
     sim.run(1, |ctx| {
-        app.verify(&stm, ctx);
-        *checksum_cell.lock() = app.checksum(&stm, ctx);
+        app.verify(stm, ctx);
+        *checksum_cell.lock() = app.checksum(stm, ctx);
     });
 
     let stats = stm.stats();
@@ -203,7 +209,7 @@ pub fn run_app(
         lock_wait_cycles: par.locks.wait_cycles,
         cache_hits: stats.cache_hits,
         checksum: checksum_cell.into_inner(),
-        heap_violations: auditor.map_or(0, |a| a.report().violation_count),
+        heap_violations: auditor.as_ref().map_or(0, |a| a.report().violation_count),
     }
 }
 

@@ -202,6 +202,27 @@ awk -v u="$user" -v s="$sys" 'BEGIN {
   }
 }'
 
+# The same gate on the simulated OS's unmap: TBBMalloc sends every 8 KB
+# block to the OS, so this run maps and unmaps 320 000 blocks. Host
+# storage must follow the live mappings — a freed block gives its page
+# back — or every block keeps a 4 KiB host page it wrote one word to, and
+# most of the run's CPU time goes to page faults (0.77 of it before the
+# unmap; about 0.05 since).
+echo "==> tmstudy threadtest --alloc tbb --size 8192 (kernel share of its CPU time)"
+tmp="$(mktemp -d)"
+{ time "$tmstudy" threadtest --alloc tbb --threads 8 --size 8192 --pairs 40000 >/dev/null; } 2>"$tmp/time" || {
+  cat "$tmp/time"
+  exit 1
+}
+read -r user sys < <(tail -n 1 "$tmp/time")
+rm -rf "$tmp"
+awk -v u="$user" -v s="$sys" 'BEGIN {
+  if (u + s > 0 && s / (u + s) > 0.30) {
+    printf "verify: tmstudy threadtest --alloc tbb --size 8192 spent %.2f of %.2f CPU seconds in the kernel\n", s, u + s
+    exit 1
+  }
+}'
+
 # The correctness matrix (serial oracles, heap audits, STAMP differentials,
 # the explorer's self-test) and the allocation-failure plane (every
 # allocation site, when failed, must yield either a committed retry or a

@@ -154,3 +154,46 @@ fn object_cache_stack_integration() {
         "object cache never hit under alloc/free churn"
     );
 }
+
+/// No committed workload touches a mapping it gave back: the simulated
+/// OS's unmap makes a released page read zero where it used to read the
+/// stale block, and this holds that change invisible — over Fig. 3's
+/// threadtest grid (every allocator at its every block size, 8 threads)
+/// and every STAMP app on every allocator at 8 threads, at test scale.
+#[test]
+fn no_workload_touches_a_page_it_unmapped() {
+    use tm_core::threadtest::{run_threadtest_on, ThreadtestConfig};
+    use tm_sim::{MachineConfig, Sim};
+    use tm_stamp::runner::{make_app, run_app_on, StampOpts};
+    use tm_stamp::AppKind;
+
+    for kind in AllocatorKind::ALL {
+        for size in [16u64, 64, 128, 256, 512, 2048, 8192] {
+            let sim = Sim::new(MachineConfig::xeon_e5405());
+            let cfg = ThreadtestConfig {
+                allocator: kind,
+                threads: 8,
+                block_size: size,
+                pairs_per_thread: 400,
+            };
+            run_threadtest_on(&sim, &cfg);
+            let touched = sim.with_state(|m| m.released_accesses());
+            assert_eq!(touched, 0, "threadtest {kind:?} {size} B");
+        }
+    }
+    let opts = StampOpts::default();
+    for app in AppKind::ALL {
+        for kind in AllocatorKind::ALL {
+            let stack = Stack::new(
+                MachineConfig::xeon_e5405(),
+                kind,
+                opts.alloc_fault,
+                opts.audit_heap,
+                opts.stm_config(),
+            );
+            run_app_on(&stack, make_app(app, 1, opts.seed).as_ref(), 8);
+            let touched = stack.sim.with_state(|m| m.released_accesses());
+            assert_eq!(touched, 0, "{} on {kind:?}", app.name());
+        }
+    }
+}
