@@ -11,7 +11,7 @@
 //! adds per call, folded region-wise when read. The per-thread *current
 //! region* marker lives in slot 0 of the same row.
 
-use tm_obs::{EventKind, ShardedSlots};
+use tm_obs::ShardedSlots;
 use tm_sim::Ctx;
 
 use crate::{AllocError, Allocator};
@@ -146,13 +146,7 @@ impl<A: Allocator> Allocator for AllocProfiler<A> {
         self.slots.add(tid, base + bucket_of(size), 1);
         self.slots.add(tid, base + 8, 1); // mallocs
         self.slots.add(tid, base + 10, size); // bytes
-        let addr = self.inner.try_malloc(ctx, size)?;
-        ctx.trace_event(
-            EventKind::Malloc,
-            addr,
-            tm_obs::trace::pack_region_size(r as u64, size),
-        );
-        Ok(addr)
+        self.inner.try_malloc(ctx, size)
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
@@ -160,11 +154,6 @@ impl<A: Allocator> Allocator for AllocProfiler<A> {
         let r = self.current_region(tid);
         let base = REGION_BASE + r as usize * REGION_WIDTH;
         self.slots.add(tid, base + 9, 1); // frees
-        ctx.trace_event(
-            EventKind::Free,
-            addr,
-            tm_obs::trace::pack_region_size(r as u64, 0),
-        );
         self.inner.try_free(ctx, addr)
     }
 

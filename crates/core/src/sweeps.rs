@@ -147,13 +147,27 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
     cfg.write_mode = stack.write_mode;
     cfg.ort_hash = stack.ort_hash;
     cfg.update_pct = parse(config, "update-pct", cfg.update_pct)?;
+    if cfg.update_pct > 100 {
+        return Err(format!("bad --update-pct '{}' (0..=100)", cfg.update_pct));
+    }
     // The same derivations `scaled` makes from its own initial size.
     cfg.initial_size = parse(config, "size", cfg.initial_size)?;
     if cfg.initial_size == 0 {
         return Err("bad --size '0' (a structure starts with at least 1 element)".into());
     }
-    cfg.key_range = cfg.initial_size * 2;
-    cfg.buckets = (cfg.initial_size * 32).next_power_of_two();
+    let key_range = cfg.initial_size.checked_mul(2);
+    let buckets = cfg
+        .initial_size
+        .checked_mul(32)
+        .and_then(u64::checked_next_power_of_two);
+    let (Some(key_range), Some(buckets)) = (key_range, buckets) else {
+        return Err(format!(
+            "bad --size '{}' (at most 2^58 elements: its key range and bucket count must fit a u64)",
+            cfg.initial_size
+        ));
+    };
+    cfg.key_range = key_range;
+    cfg.buckets = buckets;
     cfg.ops_per_thread = parse(config, "ops", cfg.ops_per_thread)?;
     cfg.seed = parse(config, "seed", cfg.seed)?;
     Ok(cfg)
@@ -416,6 +430,34 @@ mod tests {
         for (pairs, told) in cases {
             let err = run_cell(&cfg(&pairs)).unwrap_err();
             assert!(err.contains(told), "{pairs:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_synthetic_configuration_derives_in_range_or_names_its_key() {
+        let sizes = [1, 1 << 58, (1 << 58) + 1, 1 << 59, 1 << 63, u64::MAX];
+        let pcts = [0, 100, 101, u32::MAX];
+        for size in sizes {
+            for pct in pcts {
+                let (size_s, pct_s) = (size.to_string(), pct.to_string());
+                let config = cfg(&[("size", &size_s), ("update-pct", &pct_s)]);
+                match synth_config(&config) {
+                    Ok(c) => {
+                        assert!(pct <= 100 && size <= 1 << 58, "{size} x {pct} accepted");
+                        assert_eq!((c.initial_size, c.update_pct), (size, pct));
+                        assert!(c.key_range > c.initial_size, "{size}: {}", c.key_range);
+                        assert!(c.buckets.is_power_of_two(), "{size}: {}", c.buckets);
+                        assert!(c.buckets >= c.initial_size, "{size}: {}", c.buckets);
+                    }
+                    Err(e) if pct > 100 => {
+                        assert_eq!(e, format!("bad --update-pct '{pct}' (0..=100)"));
+                    }
+                    Err(e) => {
+                        assert!(size > 1 << 58, "{size} x {pct}: {e}");
+                        assert!(e.starts_with(&format!("bad --size '{size}'")), "{e}");
+                    }
+                }
+            }
         }
     }
 

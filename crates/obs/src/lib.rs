@@ -1,17 +1,17 @@
 //! # tm-obs — the unified observability layer
 //!
 //! Every layer of the reproduction stack (simulator, STM, allocators,
-//! STAMP harness, bench regenerators) traces and reports through this
-//! crate instead of keeping its own formatting glue. Its pieces:
+//! STAMP harness, bench regenerators) reports through this crate instead
+//! of keeping its own formatting glue. Its pieces:
 //!
 //! * [`counters`] — [`ShardedSlots`], a grid of per-thread `u64` counter
 //!   rows folded slot-wise after a run (the Table 5 allocation profiler's
 //!   storage). Every other layer keeps its statistics as a plain struct
 //!   and folds per-thread tallies with its own `merge`.
-//! * [`trace`] — a bounded per-thread **event ring buffer** recorded in
-//!   virtual time (transaction begin/commit/abort-with-cause, malloc/free
-//!   with region and size, lock acquire/contend, OS allocation). Drained
-//!   after a run for trace-driven debugging of e.g. false-abort mechanisms.
+//! * [`trace`] — a bounded per-thread event ring buffer. No layer records
+//!   into it: the stack keeps no event log (DESIGN.md, "No event log"),
+//!   and the ring stays only as the subject of the benchmark's
+//!   `obs.trace_event_ns` probe.
 //! * [`report`] — the [`report::RunReport`] schema every experiment binary
 //!   emits as `results/<name>.json`, built on a dependency-free JSON
 //!   emitter/parser in [`json`] (the build environment is offline, so no
@@ -59,7 +59,7 @@ pub use mc::{McCell, McCounterexample, McReport, McVerdict};
 pub use oom::{OomCell, OomReport};
 pub use report::{RunReport, Section};
 pub use sweep::{CellStatus, SweepCell, SweepReport};
-pub use trace::{Event, EventKind, Trace, TraceCheckpoint};
+pub use trace::{Event, EventKind, Trace};
 
 /// The message a caught panic carries, as the evidence string of the cell
 /// that caught it: what `panic!` was given (a `&str` or a `String`), or a

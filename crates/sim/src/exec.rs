@@ -64,7 +64,6 @@ use std::sync::Arc;
 use std::thread::Thread;
 
 use parking_lot::Mutex;
-use tm_obs::{EventKind, Trace};
 
 use crate::cache::{CacheStats, MAX_CORES};
 use crate::config::MachineConfig;
@@ -245,8 +244,6 @@ impl Inner {
 struct Shared {
     /// Locked once per [`Sim::run`], for all of it; never per event.
     inner: Mutex<Inner>,
-    /// Event trace, one ring per core; records only once enabled.
-    trace: Trace,
     /// Optional scheduling-point hook (see [`Ctx::sched_point`]). Guarded by
     /// its own lock so installation never touches the scheduler mutex.
     sched_hook: Mutex<Option<Arc<SchedHook>>>,
@@ -330,7 +327,6 @@ impl Sim {
                 events: 0,
                 hash: 0,
             }),
-            trace: Trace::new(cfg.cores, 4096),
             sched_hook: Mutex::new(None),
         });
         Sim {
@@ -350,12 +346,6 @@ impl Sim {
     /// The machine configuration this simulator was built with.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// This machine's event trace: enable it before a run, drain it after
-    /// one. Layers record into it through [`Ctx::trace_event`].
-    pub fn trace(&self) -> &Trace {
-        &self.shared.trace
     }
 
     /// Create a simulated mutex ahead of a run (allocator constructors use
@@ -422,16 +412,15 @@ impl Sim {
     }
 
     /// Capture the complete simulator state — machine (sparse memory via
-    /// COW page snapshot, cache hierarchy, locks, OS bump allocator), the
-    /// event-trace cursor, and the event/fingerprint counters. Must be
-    /// called at quiescence (between runs): there is then no live thread
-    /// stack to capture, which is what makes snapshots cheap and exact.
+    /// COW page snapshot, cache hierarchy, locks, OS bump allocator) and
+    /// the event/fingerprint counters. Must be called at quiescence
+    /// (between runs): there is then no live thread stack to capture,
+    /// which is what makes snapshots cheap and exact.
     /// `parent` enables page sharing between related snapshots.
     pub fn snapshot(&self, parent: Option<&SimSnapshot>) -> SimSnapshot {
         let mut g = self.shared.inner.lock();
         SimSnapshot {
             machine: g.machine.snapshot(parent.map(|p| &p.machine)),
-            trace: self.shared.trace.checkpoint(),
             events: g.events,
             hash: g.hash,
         }
@@ -446,7 +435,6 @@ impl Sim {
         g.machine.restore(&snap.machine);
         g.events = snap.events;
         g.hash = snap.hash;
-        self.shared.trace.restore(&snap.trace);
     }
 
     /// Execute `f` once per logical thread on `n` virtual cores and return
@@ -584,7 +572,7 @@ impl Sim {
 }
 
 /// Frozen simulator state produced by [`Sim::snapshot`]: the machine image
-/// plus the trace cursor and the event/fingerprint counters. Capturing is
+/// plus the event/fingerprint counters. Capturing is
 /// `O(resident pages + materialized cache groups)`; restoring to the
 /// snapshot taken (or restored to) last is `O(resident pages + ways touched
 /// since)`, to any other what capturing costs. Either leaves the `Sim`
@@ -593,7 +581,6 @@ impl Sim {
 /// from a fresh simulator that executed the same prefix.
 pub struct SimSnapshot {
     machine: crate::machine::MachineSnapshot,
-    trace: tm_obs::TraceCheckpoint,
     events: u64,
     hash: u64,
 }
@@ -1072,18 +1059,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Record a trace event stamped with this thread's current virtual
-    /// time. One relaxed load when tracing is disabled; no scheduler
-    /// interaction either way.
-    #[inline]
-    pub fn trace_event(&mut self, kind: EventKind, a: u64, b: u64) {
-        if !self.shared.trace.is_enabled() {
-            return;
-        }
-        let t = self.now();
-        self.shared.trace.emit(self.tid, t, kind, a, b);
-    }
-
     /// Block until this thread holds the minimum clock among runnable
     /// threads, then run `f` against the machine. `f` returns (cycle cost,
     /// result).
@@ -1348,12 +1323,10 @@ impl<'a> Ctx<'a> {
     /// Reserve a fresh aligned region from the simulated OS (mmap-like);
     /// charges the OS-call cost.
     pub fn os_alloc(&mut self, size: u64, align: u64) -> u64 {
-        let addr = self.event(|m, _| {
+        self.event(|m, _| {
             let cost = m.cfg.cost.os_alloc;
             (cost, m.os_alloc(size, align))
-        });
-        self.trace_event(EventKind::OsAlloc, addr, size);
-        addr
+        })
     }
 
     /// Hand the mapping `[base, base + len)` an [`Ctx::os_alloc`] returned
@@ -1414,7 +1387,7 @@ impl<'a> Ctx<'a> {
         unsafe {
             self.take_turn();
             let g = &mut *self.inner;
-            let acquired = acquire_locked(g, &self.shared.trace, self.tid, mx, block, counted);
+            let acquired = acquire_locked(g, self.tid, mx, block, counted);
             self.local_time = g.time[self.tid];
             acquired
         }
@@ -1463,7 +1436,6 @@ impl<'a> Ctx<'a> {
 /// is marked Blocked (the caller hands the turn on).
 fn acquire_locked(
     g: &mut Inner,
-    trace: &Trace,
     tid: usize,
     mx: SimMutex,
     block: bool,
@@ -1487,14 +1459,11 @@ fn acquire_locked(
         }
         g.machine.locks[mx.id].last_holder = Some(tid);
         g.commit(tid, now + cost);
-        trace.emit(tid, g.time[tid], EventKind::LockAcquire, mx.id as u64, 0);
         true
     } else {
         if !*counted {
             g.machine.locks[mx.id].contended += 1;
             *counted = true;
-            let holder = g.machine.locks[mx.id].holder.unwrap_or(0) as u64;
-            trace.emit(tid, now, EventKind::LockContend, mx.id as u64, holder);
         }
         if block {
             g.park(tid, TState::Blocked(mx.id));

@@ -57,7 +57,6 @@ pub use exec::{
 pub use hash::{IntHasher, IntMap};
 pub use machine::{LockStats, SimMutex};
 pub use report::SimReport;
-pub use tm_obs::{Event, EventKind, Trace};
 
 /// Cache line size in bytes used throughout the model (the paper's machine
 /// and virtually all x86 parts use 64-byte lines).

@@ -1,8 +1,8 @@
 //! Footprint, counted not timed: what a simulated machine asks the host
 //! allocator for must follow what the run touched, not what the modelled
-//! machine could hold. A counting `#[global_allocator]` holds the three
-//! structures sized by the modelled machine — the cache tag arrays, the
-//! page radix and the trace rings — to that.
+//! machine could hold. A counting `#[global_allocator]` holds the two
+//! structures sized by the modelled machine — the cache tag arrays and
+//! the page radix — to that.
 //!
 //! One test function: the counters are process-wide. They count only what
 //! the thread running it allocates and frees — the harness's own threads
@@ -76,8 +76,8 @@ const KB: usize = 1024;
 #[test]
 fn a_machine_costs_what_it_touches() {
     MEASURED.set(true);
-    // Building and dropping a machine: kilobytes, where dense tag arrays,
-    // a flat page-table root and eager trace rings would be 5.4 MB ...
+    // Building and dropping a machine: kilobytes, where dense tag arrays
+    // and a flat page-table root would be megabytes ...
     let (xeon, ()) = requested_by(|| drop(Sim::new(MachineConfig::xeon_e5405())));
     assert!(
         xeon < 256 * KB,

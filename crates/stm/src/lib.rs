@@ -508,13 +508,10 @@ impl Stm {
         cm::txn_start(th, ctx);
         loop {
             backend::begin(self, th, ctx);
-            ctx.trace_event(tm_sim::EventKind::TxBegin, th.retries as u64, 0);
             let mut tx = Tx::new(self, th);
             match body(&mut tx, ctx) {
                 Ok(r) => {
                     if tx.commit(ctx) {
-                        let (reads, writes) = th.footprint();
-                        ctx.trace_event(tm_sim::EventKind::TxCommit, reads, writes);
                         cm::after_commit(self, th, ctx);
                         return Ok(r);
                     }
@@ -523,12 +520,10 @@ impl Stm {
                     // precisely (sim-HTM's capacity/coherence dooms)
                     // refine the recorded cause in their rollback hook.
                     backend::rollback(self, th, ctx, AbortCause::Validation);
-                    ctx.trace_event(tm_sim::EventKind::TxAbort, AbortCause::Validation as u64, 0);
                     alloc_failures = 0;
                 }
                 Err(Abort::Conflict(cause)) => {
                     backend::rollback(self, th, ctx, cause);
-                    ctx.trace_event(tm_sim::EventKind::TxAbort, cause as u64, 0);
                     if cause == AbortCause::AllocFailed {
                         alloc_failures += 1;
                         if alloc_failures >= self.cfg.cm.alloc_retry_budget() {
@@ -548,7 +543,6 @@ impl Stm {
                 Err(Abort::Explicit) => {
                     backend::rollback(self, th, ctx, AbortCause::Explicit);
                     // Explicit retry: re-run (the workload asked for it).
-                    ctx.trace_event(tm_sim::EventKind::TxAbort, AbortCause::Explicit as u64, 0);
                     alloc_failures = 0;
                 }
             }

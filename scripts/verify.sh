@@ -79,6 +79,17 @@ if grep -rnE --include='*.rs' 'build_with_fault|build_audited|build_stack_faulte
   exit 1
 fi
 
+# One event log, or none (DESIGN.md, "No event log"): the stack keeps no
+# event log, and each consumer records what it needs as plain data. The
+# `tm_obs::trace` ring stays inside crates/obs, where nothing in the stack
+# reaches it; outside crates/obs no Rust file may name it again.
+echo "==> no event log: nothing outside crates/obs names the trace ring"
+if grep -rnwE --include='*.rs' 'trace_event|Trace|EventKind|tm_obs::trace' crates |
+  grep -v '^crates/obs/'; then
+  echo "verify: a file outside crates/obs names the trace ring; record what you need as plain data"
+  exit 1
+fi
+
 # One way to spin (DESIGN.md §4.1): a wait on a simulated word is
 # `Ctx::cas_u64_spin` or `Ctx::read_u64_until`, whose repeats below the
 # horizon the scheduler folds into one pass. Outside the simulator no

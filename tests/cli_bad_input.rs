@@ -66,6 +66,19 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
             "--write-through",
         ),
         (&["synth", "--size", "0"], "--size '0'"),
+        // A size whose key range (2 x size) or bucket count (32 x size,
+        // rounded up to a power of two) wraps a u64: 2^63 panicked on an
+        // empty key range, 2^59 ran with one bucket. An update share
+        // above 100 % ran as 100 %.
+        (
+            &["synth", "--size", "9223372036854775808"],
+            "--size '9223372036854775808'",
+        ),
+        (
+            &["synth", "--size", "576460752303423488"],
+            "--size '576460752303423488'",
+        ),
+        (&["synth", "--update-pct", "101"], "--update-pct '101'"),
         (&["sweep", "--workers", "many", "--out", OUT], "--workers"),
         (&["book", "--results", "/nonexistent"], "/nonexistent"),
         (&["mc", "--oom", "--out", OUT], OUT),
