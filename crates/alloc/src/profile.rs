@@ -7,11 +7,12 @@
 //! histograms; the wrapped allocator still performs the real placement, so
 //! profiling runs produce the same layout as measurement runs.
 //!
-//! Counting uses `tm_obs`'s [`ShardedSlots`]: one row per thread, a few
-//! adds per call, folded region-wise when read. The per-thread *current
-//! region* marker lives in slot 0 of the same row.
+//! The counts are one plain `Profile` behind a host mutex. Between two
+//! simulated events only one logical thread runs (DESIGN.md §4.1), so the
+//! lock is never contended, and it is never held across a call into the
+//! wrapped allocator.
 
-use tm_obs::ShardedSlots;
+use parking_lot::Mutex;
 use tm_sim::Ctx;
 
 use crate::{AllocError, Allocator};
@@ -66,70 +67,56 @@ pub struct RegionStats {
     pub bytes: u64,
 }
 
-impl RegionStats {
-    /// Decode one region's slots of a profiler row: the buckets, then
-    /// `mallocs`, `frees` and `bytes`.
-    fn from_slots(slots: &[u64]) -> Self {
-        let mut by_bucket = [0u64; 8];
-        by_bucket.copy_from_slice(&slots[..8]);
-        RegionStats {
-            by_bucket,
-            mallocs: slots[8],
-            frees: slots[9],
-            bytes: slots[10],
-        }
-    }
+/// What the profiler has counted so far.
+struct Profile {
+    /// Each thread's current region.
+    region: Vec<Region>,
+    /// The three region histograms, indexed by `Region as usize`.
+    stats: [RegionStats; 3],
 }
 
-/// Slots per region in the profiler's row (see `RegionStats::from_slots`).
-const REGION_WIDTH: usize = 11;
-/// Row layout: slot 0 holds the thread's current region; then one
-/// `RegionStats` row per region.
-const SLOT_REGION: usize = 0;
-const REGION_BASE: usize = 1;
-const ROW_WIDTH: usize = REGION_BASE + 3 * REGION_WIDTH;
+impl Profile {
+    /// The histogram of `tid`'s current region.
+    fn current(&mut self, tid: usize) -> &mut RegionStats {
+        &mut self.stats[self.region[tid] as usize]
+    }
+}
 
 /// An [`Allocator`] wrapper recording per-region allocation histograms.
 pub struct AllocProfiler<A: Allocator> {
     inner: A,
-    /// Per-thread row: current region marker + the three region
-    /// histograms this thread accumulated. Merged (region-wise) at
-    /// [`AllocProfiler::region_stats`].
-    slots: ShardedSlots,
+    profile: Mutex<Profile>,
 }
 
 impl<A: Allocator> AllocProfiler<A> {
-    /// Wrap `inner`, sized for at most `max_threads` recording threads.
+    /// Wrap `inner`, sized for at most `max_threads` recording threads,
+    /// each starting in [`Region::Seq`].
     pub fn new(inner: A, max_threads: usize) -> Self {
-        let slots = ShardedSlots::new(max_threads, ROW_WIDTH);
-        // Region::Seq is 0, so freshly-zeroed slots already encode it.
-        AllocProfiler { inner, slots }
+        let profile = Profile {
+            region: vec![Region::Seq; max_threads],
+            stats: [RegionStats::default(); 3],
+        };
+        AllocProfiler {
+            inner,
+            profile: Mutex::new(profile),
+        }
     }
 
     /// Set the region allocations by `tid` are attributed to from now on.
     pub fn set_region(&self, tid: usize, r: Region) {
-        self.slots.set(tid, SLOT_REGION, r as u64);
+        self.profile.lock().region[tid] = r;
     }
 
     /// The region `tid`'s allocations are currently attributed to.
     pub fn current_region(&self, tid: usize) -> Region {
-        match self.slots.get(tid, SLOT_REGION) {
-            0 => Region::Seq,
-            1 => Region::Par,
-            _ => Region::Tx,
-        }
+        self.profile.lock().region[tid]
     }
 
-    /// The three region histograms, indexed by `Region as usize`, merged
-    /// over all threads. Exact once recording threads have quiesced (e.g.
-    /// after `Sim::run` returns). (Named to stay clear of the checkpoint
-    /// method [`Allocator::snapshot`].)
+    /// The three region histograms, indexed by `Region as usize`, summed
+    /// over all threads. (Named to stay clear of the checkpoint method
+    /// [`Allocator::snapshot`].)
     pub fn region_stats(&self) -> [RegionStats; 3] {
-        let merged = self.slots.merged();
-        Region::ALL.map(|r| {
-            let base = REGION_BASE + r as usize * REGION_WIDTH;
-            RegionStats::from_slots(&merged[base..base + REGION_WIDTH])
-        })
+        self.profile.lock().stats
     }
 
     /// The wrapped allocator.
@@ -140,20 +127,18 @@ impl<A: Allocator> AllocProfiler<A> {
 
 impl<A: Allocator> Allocator for AllocProfiler<A> {
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
-        let tid = ctx.tid();
-        let r = self.current_region(tid);
-        let base = REGION_BASE + r as usize * REGION_WIDTH;
-        self.slots.add(tid, base + bucket_of(size), 1);
-        self.slots.add(tid, base + 8, 1); // mallocs
-        self.slots.add(tid, base + 10, size); // bytes
+        {
+            let mut profile = self.profile.lock();
+            let s = profile.current(ctx.tid());
+            s.by_bucket[bucket_of(size)] += 1;
+            s.mallocs += 1;
+            s.bytes = s.bytes.wrapping_add(size);
+        }
         self.inner.try_malloc(ctx, size)
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        let tid = ctx.tid();
-        let r = self.current_region(tid);
-        let base = REGION_BASE + r as usize * REGION_WIDTH;
-        self.slots.add(tid, base + 9, 1); // frees
+        self.profile.lock().current(ctx.tid()).frees += 1;
         self.inner.try_free(ctx, addr)
     }
 

@@ -3,10 +3,11 @@
 //! The exhibit list comes from `tm_bench::exhibits::REGISTRY` (the single
 //! source of truth). Each exhibit is a pure `fn() -> RunReport`; this
 //! binary runs it once, writes `results/<name>.json` and prints the
-//! rendering `tmstudy report` gives. Execution goes through `tm-sweep`, one
-//! cell per exhibit: an exhibit that fails (or panics) is recorded as an
-//! `error` cell instead of aborting the run, named on a `DEGRADED` line,
-//! and makes the exit code 1. The matrix lands in
+//! rendering `tmstudy report` gives. Execution goes through
+//! `tm_obs::sweep`, one cell per exhibit, run one after another: an
+//! exhibit that fails (or panics) is recorded as an `error` cell instead
+//! of aborting the run, named on a `DEGRADED` line, and makes the exit
+//! code 1. The matrix lands in
 //! `results/make_all.sweep.json` (gitignored: wall times are
 //! host-specific). Nothing in here watches the clock; a caller that wants a
 //! bound wraps the run in `timeout`, as `scripts/verify.sh` and CI do.
@@ -14,7 +15,6 @@
 //! Flags:
 //!
 //! ```text
-//! --jobs N       pool width (default 1; exhibits are multi-threaded)
 //! --only NAMES   run only these exhibits (comma-separated registry names)
 //! --out FILE     matrix destination (default results/make_all.sweep.json)
 //! --table        print the EXPERIMENTS.md determinism table and exit
@@ -27,11 +27,9 @@
 //! Host time per exhibit is each cell's `wall_ms` in the matrix; tracked
 //! performance numbers come from `bash benchmark/run.sh`.
 
-use std::sync::Arc;
-
 use tm_bench::exhibits;
-use tm_obs::spec::{flag, parse_flags};
-use tm_sweep::{run_spec, CellRunner, Policy, SweepSpec};
+use tm_obs::spec::parse_flags;
+use tm_obs::sweep::{run_spec, CellStatus, SweepSpec};
 
 fn usage_error(msg: String) -> ! {
     eprintln!("error: {msg}");
@@ -45,13 +43,12 @@ fn main() {
         usage_error(bad);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = parse_flags("make_all", &[&["jobs", "only", "out"]], &["table"], &args)
+    let flags = parse_flags("make_all", &[&["only", "out"]], &["table"], &args)
         .unwrap_or_else(|bad| usage_error(bad));
     if flags.contains_key("table") {
         print!("{}", exhibits::experiments_table());
         return;
     }
-    let jobs: usize = flag(&flags, "jobs", 1).unwrap_or_else(|bad| usage_error(bad));
     let out = flags
         .get("out")
         .map_or("results/make_all.sweep.json", String::as_str);
@@ -67,7 +64,7 @@ fn main() {
         ));
     }
     let spec = SweepSpec::new("make_all").axis("exhibit", names);
-    let runner: Arc<CellRunner> = Arc::new(|cfg| {
+    let report = run_spec(&spec, &|cfg| {
         let name = &cfg.iter().find(|(k, _)| k == "exhibit").unwrap().1;
         eprintln!("==> {name}");
         let report = exhibits::run_by_name(name)?;
@@ -77,20 +74,15 @@ fn main() {
             .map_err(|e| format!("could not write {path}: {e}"))?;
         print!("{}", report.render());
         Ok(vec![])
-    });
-    let report = run_spec(&spec, runner, &Policy { workers: jobs })
-        .meta("workload", "exhibits")
-        .meta("scale", tm_bench::scale());
+    })
+    .meta("workload", "exhibits")
+    .meta("scale", tm_bench::scale());
     let written = std::path::Path::new(out)
         .parent()
         .map_or(Ok(()), std::fs::create_dir_all)
         .and_then(|()| std::fs::write(out, report.to_json_string()));
     let degraded = report.degraded();
-    for cell in report
-        .cells
-        .iter()
-        .filter(|c| c.status != tm_sweep::CellStatus::Ok)
-    {
+    for cell in report.cells.iter().filter(|c| c.status != CellStatus::Ok) {
         eprintln!(
             "DEGRADED [{}]: {}: {}",
             cell.key(),

@@ -17,7 +17,6 @@
 //! anything printed here can be reproduced programmatically.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use tm_alloc::profile::{bucket_label, Region};
 use tm_alloc::{AllocFaultPlan, AllocatorKind};
@@ -63,7 +62,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     (
         "sweep",
         &[
-            &["workload", "reps", "name", "out", "workers"],
+            &["workload", "reps", "name", "out"],
             tm_core::sweeps::AXIS_FLAGS,
         ],
         &["quick"],
@@ -151,8 +150,8 @@ fn usage() {
          sweep:      [--workload synth|stamp|threadtest] axes as comma lists \
          (--structure --app --alloc --backend --cm --alloc-fault --threads --shift \
          --update-pct --size --ops --pairs --scale --seeds) [--quick] [--reps N] \
-         [--name S] [--out FILE] [--workers N]; exit 1 when any cell ends in \
-         `error`\n\
+         [--name S] [--out FILE]; cells run one after another; exit 1 when \
+         any cell ends in `error`\n\
          check:      correctness matrix (serial oracles, heap audit, \
          cross-backend and cross-CM diffs, interleaving explorer) [--quick] \
          [--backend B] [--cm C] [--name S] [--out FILE]\n\
@@ -228,24 +227,16 @@ fn exit_if_degraded(degraded: usize, what: &str) {
     }
 }
 
-/// Run a declarative sweep on the worker pool and write the matrix. Exit
-/// 1 when any cell ends in `error` — what makes a sweep usable as a gate.
+/// Run a declarative sweep, one cell after another, and write the matrix.
+/// Exit 1 when any cell ends in `error` — what makes a sweep usable as a
+/// gate.
 fn sweep(flags: &Flags) {
     let spec = tm_core::sweeps::spec_from_flags(flags).unwrap_or_else(|e| {
         eprintln!("sweep: {e}");
         std::process::exit(2);
     });
-    let policy = tm_sweep::Policy {
-        workers: get(flags, "workers", 4),
-    };
-    eprintln!(
-        "sweep '{}': {} cells on {} workers",
-        spec.name,
-        spec.cell_count(),
-        policy.workers
-    );
-    let runner: Arc<tm_sweep::CellRunner> = Arc::new(tm_core::sweeps::run_cell);
-    let report = tm_sweep::run_spec(&spec, runner, &policy);
+    eprintln!("sweep '{}': {} cells", spec.name, spec.cell_count());
+    let report = tm_obs::sweep::run_spec(&spec, &tm_core::sweeps::run_cell);
     write_matrix(flags, &report, "matrix");
     exit_if_degraded(report.degraded(), "degraded cell(s)");
 }

@@ -1,15 +1,16 @@
 //! Cell runners and spec building for `tmstudy sweep`.
 //!
 //! A sweep cell is a flat `(key, value)` configuration produced by
-//! [`tm_sweep::SweepSpec::expand`]; [`run_cell`] maps one such
+//! [`tm_obs::sweep::SweepSpec::expand`]; [`run_cell`] maps one such
 //! configuration onto the library workloads (synthetic structures, STAMP
 //! applications, threadtest) and returns named scalar metrics. Everything
 //! returns `Result` rather than panicking so that a malformed or
 //! impossible cell degrades to an `error` cell in the matrix instead of
-//! taking down the whole sweep.
+//! taking down the whole sweep. [`tm_obs::sweep::run_spec`] runs the cells
+//! one after another on the calling thread.
 //!
 //! [`spec_from_flags`] turns `tmstudy sweep` command-line flags into a
-//! [`tm_sweep::SweepSpec`]: comma-separated flag values become axes in a
+//! [`tm_obs::sweep::SweepSpec`]: comma-separated flag values become axes in a
 //! fixed canonical order (so the expansion order — and therefore the
 //! matrix cell order — does not depend on the order flags were typed),
 //! and `--reps N` adds a trailing `rep` axis to force repetitions.
@@ -18,11 +19,11 @@ use std::collections::HashMap;
 
 use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
+use tm_obs::sweep::SweepSpec;
 use tm_sim::MachineConfig;
 use tm_stamp::runner::{make_app, run_app, StampOpts};
 use tm_stamp::AppKind;
 use tm_stm::{LockDesign, OrtHash, WriteMode};
-use tm_sweep::SweepSpec;
 
 use crate::synthetic::{run_synthetic, SyntheticConfig};
 use crate::threadtest::{run_threadtest, ThreadtestConfig};
@@ -188,15 +189,26 @@ pub struct StampRun {
     pub opts: StampOpts,
 }
 
+/// The largest scale whose input sizes fit a `u64`: 192 is the largest
+/// factor `make_app` multiplies a scale by (Genome, Ssca2).
+const MAX_SCALE: u64 = u64::MAX / 192;
+
 /// The STAMP run a sweep cell's config or `tmstudy stamp`'s flags
 /// describe: `app`, `alloc`, `threads` (8), `scale` (2), `seed` and the
-/// stack knobs. A value that does not parse is an error naming its key.
+/// stack knobs. A value that does not parse is an error naming its key,
+/// and so is a scale of 0 (an empty input) or one whose input sizes
+/// overflow a `u64`. A scale that fits but exhausts the simulated heap is
+/// a failed run, not bad input.
 pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
+    let scale = parse(config, "scale", 2)?;
+    if !(1..=MAX_SCALE).contains(&scale) {
+        return Err(format!("bad --scale '{scale}' (1..={MAX_SCALE})"));
+    }
     Ok(StampRun {
         app: lookup(config, "app").map(str::parse).transpose()?,
         alloc: alloc_of(config)?,
         threads: threads_of(config, &MachineConfig::xeon_e5405())?,
-        scale: parse(config, "scale", 2)?,
+        scale,
         opts: stack_opts(config)?,
     })
 }
@@ -456,6 +468,24 @@ mod tests {
                         assert!(size > 1 << 58, "{size} x {pct}: {e}");
                         assert!(e.starts_with(&format!("bad --size '{size}'")), "{e}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stamp_scale_is_positive_and_fits_every_input_size() {
+        let max = u64::MAX / 192;
+        for scale in [0, 1, max, max + 1, u64::MAX] {
+            let scale_s = scale.to_string();
+            match stamp_run(&cfg(&[("scale", &scale_s)])) {
+                Ok(run) => {
+                    assert!((1..=max).contains(&scale), "{scale} accepted");
+                    assert_eq!(run.scale, scale);
+                }
+                Err(e) => {
+                    assert!(scale == 0 || scale > max, "{scale}: {e}");
+                    assert!(e.starts_with(&format!("bad --scale '{scale}'")), "{e}");
                 }
             }
         }

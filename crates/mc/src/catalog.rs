@@ -8,11 +8,11 @@
 //!
 //! Each [`MutantRecipe`] pairs one [`InjectedBug`] with the program,
 //! configuration, and exploration strategy empirically tuned to expose
-//! it; [`run_mutant_cell`] proves the explorer still catches it (verdict
-//! `caught`, with the violation shrunk to a minimal replayable delay
-//! vector) and [`run_clean_cell`] proves the clean STM survives the same
-//! machinery (verdict `clean`). The quick suite bundles the full catalog
-//! with a bounded-exhaustive clean sweep across every backend ×
+//! it; [`run_mutant_cell_opt`] proves the explorer still catches it
+//! (verdict `caught`, with the violation shrunk to a minimal replayable
+//! delay vector) and [`run_clean_cell_opt`] proves the clean STM survives
+//! the same machinery (verdict `clean`). The quick suite bundles the full
+//! catalog with a bounded-exhaustive clean sweep across every backend ×
 //! contention-manager combination.
 
 use proptest::test_runner::TestCaseError;
@@ -325,29 +325,9 @@ pub fn shrink_violation(
 
 /// Run one clean-STM cell: bounded-exhaustive exploration that must find
 /// nothing. Verdict `clean` on success, `violation` (with the shrunk
-/// witness) if any schedule breaks an invariant. Uses the checkpointed
-/// explorer; see [`run_clean_cell_opt`] for the from-scratch variant.
-pub fn run_clean_cell(
-    program: &McProgram,
-    alloc: AllocatorKind,
-    backend: BackendKind,
-    cm: CmKind,
-    ecfg: &EnumConfig,
-) -> McCell {
-    run_clean_cell_opt(
-        program,
-        alloc,
-        backend,
-        cm,
-        ecfg,
-        true,
-        &mut SweepWork::default(),
-    )
-}
-
-/// [`run_clean_cell`] with explicit control over checkpointing
-/// (`checkpoint == false` forces the from-scratch enumerator, the
-/// `tmstudy mc --no-checkpoint` escape hatch) and work accounting.
+/// witness) if any schedule breaks an invariant. `checkpoint == false`
+/// forces the from-scratch enumerator (the `tmstudy mc --no-checkpoint`
+/// escape hatch); the cell's work is added to `work`.
 pub fn run_clean_cell_opt(
     program: &McProgram,
     alloc: AllocatorKind,
@@ -414,13 +394,8 @@ fn clean_verdict(_: &McProgram, _: &RunConfig, found: Option<&McCounterexample>)
 /// mutant and pass on the clean STM (so the failure is the bug's, not
 /// the harness's). Verdict `caught` when all of that holds, `escaped`
 /// when the budget runs dry, `violation` when the shrunk witness fails
-/// on the clean STM too.
-pub fn run_mutant_cell(recipe: &MutantRecipe) -> McCell {
-    run_mutant_cell_opt(recipe, true, &mut SweepWork::default())
-}
-
-/// [`run_mutant_cell`] with explicit control over checkpointing and work
-/// accounting.
+/// on the clean STM too. Checkpointing and work accounting as in
+/// [`run_clean_cell_opt`].
 pub fn run_mutant_cell_opt(
     recipe: &MutantRecipe,
     checkpoint: bool,
@@ -518,12 +493,7 @@ pub fn quick_clean_config(depth: usize) -> EnumConfig {
 
 /// The `tmstudy mc --quick` suite: the full mutation catalog plus a
 /// depth-`depth` exhaustive clean sweep of [`small_program`] across
-/// every backend × contention-manager combination.
-pub fn quick_report(name: &str, depth: usize) -> McReport {
-    quick_report_opt(name, depth, true).0
-}
-
-/// [`quick_report`] with explicit checkpoint control, also returning the
+/// every backend × contention-manager combination. Also returns the
 /// sweep's aggregated work so the caller can attach a throughput block
 /// (it owns the wall-clock measurement).
 pub fn quick_report_opt(name: &str, depth: usize, checkpoint: bool) -> (McReport, SweepWork) {
@@ -586,18 +556,23 @@ pub fn sparse_program() -> McProgram {
 /// (must stay clean), converted to the check-report cell shape.
 pub fn check_cells() -> Vec<CheckCell> {
     let mut out = Vec::new();
+    let mut work = SweepWork::default();
     for recipe in mutation_catalog() {
-        out.push(mc_cell_to_check(run_mutant_cell(&recipe)));
+        out.push(mc_cell_to_check(run_mutant_cell_opt(
+            &recipe, true, &mut work,
+        )));
     }
     let program = small_program();
     let ecfg = quick_clean_config(2);
     for backend in BackendKind::ALL {
-        out.push(mc_cell_to_check(run_clean_cell(
+        out.push(mc_cell_to_check(run_clean_cell_opt(
             &program,
             AllocatorKind::TbbMalloc,
             backend,
             CmKind::Suicide,
             &ecfg,
+            true,
+            &mut work,
         )));
     }
     out
@@ -788,7 +763,7 @@ mod tests {
             .iter()
             .find(|r| r.bug == InjectedBug::SkipWriteValidation)
             .unwrap();
-        let cell = run_mutant_cell(recipe);
+        let cell = run_mutant_cell_opt(recipe, true, &mut SweepWork::default());
         assert_eq!(cell.verdict, McVerdict::Caught, "{:?}", cell.counterexample);
         let cx = cell.counterexample.unwrap();
         assert!(cx.shrink_steps > 0, "no shrinking happened");
@@ -801,12 +776,14 @@ mod tests {
 
     #[test]
     fn clean_small_sweep_is_clean_at_depth_2() {
-        let cell = run_clean_cell(
+        let cell = run_clean_cell_opt(
             &small_program(),
             AllocatorKind::TbbMalloc,
             BackendKind::Etl,
             CmKind::Suicide,
             &quick_clean_config(2),
+            true,
+            &mut SweepWork::default(),
         );
         assert_eq!(cell.verdict, McVerdict::Clean, "{:?}", cell.counterexample);
         assert!(cell.explored > 1);

@@ -409,7 +409,9 @@ pub(crate) fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{explore_check_cell, run_mutant_cell, MutantRecipe, Strategy, SweepWork};
+    use crate::catalog::{
+        explore_check_cell, run_mutant_cell_opt, MutantRecipe, Strategy, SweepWork,
+    };
     use crate::enumerate::{enumerate, space_size};
     use crate::program::ProgramKind;
     use tm_check::TransferProgram;
@@ -594,7 +596,7 @@ mod tests {
                 seed: 0x51ee7,
             },
         };
-        let cell = run_mutant_cell(&recipe);
+        let cell = run_mutant_cell_opt(&recipe, true, &mut SweepWork::default());
         // Lost updates must surface within the schedule budget.
         assert_eq!(cell.verdict, McVerdict::Caught, "{:?}", cell.counterexample);
         assert!(cell.explored <= 64);

@@ -53,10 +53,9 @@ pub mod oom;
 pub mod program;
 
 pub use catalog::{
-    check_cells, explore_check_cell, mutation_catalog, quick_clean_config, quick_report,
-    quick_report_opt, run_clean_cell, run_clean_cell_fault_opt, run_clean_cell_opt,
-    run_mutant_cell, run_mutant_cell_opt, shrink_violation, small_program, sparse_program,
-    MutantRecipe, Strategy, SweepWork,
+    check_cells, explore_check_cell, mutation_catalog, quick_clean_config, quick_report_opt,
+    run_clean_cell_fault_opt, run_clean_cell_opt, run_mutant_cell_opt, shrink_violation,
+    small_program, sparse_program, MutantRecipe, Strategy, SweepWork,
 };
 pub use conflict::{active_points, footprints, Footprint};
 pub use enumerate::{enumerate, space_size, EnumConfig, EnumStats};

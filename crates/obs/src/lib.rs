@@ -5,9 +5,10 @@
 //! of keeping its own formatting glue. Its pieces:
 //!
 //! * [`counters`] — [`ShardedSlots`], a grid of per-thread `u64` counter
-//!   rows folded slot-wise after a run (the Table 5 allocation profiler's
-//!   storage). Every other layer keeps its statistics as a plain struct
-//!   and folds per-thread tallies with its own `merge`.
+//!   rows folded slot-wise. No layer counts into it: every layer keeps its
+//!   statistics as a plain struct and folds per-thread tallies with its
+//!   own `merge`, and the grid stays only as the subject of the
+//!   benchmark's `obs.sharded_add_ns` probe.
 //! * [`trace`] — a bounded per-thread event ring buffer. No layer records
 //!   into it: the stack keeps no event log (DESIGN.md, "No event log"),
 //!   and the ring stays only as the subject of the benchmark's
@@ -24,7 +25,9 @@
 //!   single optional-member ⇒ minor-version rule, and the schema registry
 //!   `tmstudy report` loads through. The four schemas:
 //!   [`sweep`] (`tm-sweep-report/v1`, cross-product sweeps whose failing
-//!   cells degrade instead of killing the matrix), [`check`]
+//!   cells degrade instead of killing the matrix; the module also holds
+//!   the one sweep executor, which runs each cell once, in order, on the
+//!   calling thread), [`check`]
 //!   (`tm-check-report/v1`, `tmstudy check`'s pass/fail/error cells with
 //!   evidence counters), [`mc`] (`tm-mc-report/v1`, `tmstudy mc`'s
 //!   clean/caught/violation/escaped verdicts, exploration counters and

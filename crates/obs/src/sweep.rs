@@ -1,12 +1,15 @@
-//! The machine-readable sweep matrix report.
+//! Sweeps: the declarative spec, the executor and the matrix report.
 //!
 //! A *sweep* is a cross-product of experiment configurations (allocator ×
-//! thread count × shift × seed × …) executed as independent cells. Where
-//! [`crate::report::RunReport`] describes one run, a [`SweepReport`]
-//! describes a whole matrix: one [`SweepCell`] per configuration, each
-//! carrying its status (`ok` or `error`), wall time and scalar metrics. A
-//! failing cell degrades to `error` instead of invalidating the rest of
-//! the matrix, so partial sweeps are first-class artifacts.
+//! thread count × shift × seed × …) executed as independent cells. A
+//! [`SweepSpec`] is fixed `(key, value)` pairs plus named axes;
+//! [`run_spec`] expands it and [`run_cells`] runs each cell once, in input
+//! order, on the calling thread. Where [`crate::report::RunReport`]
+//! describes one run, a [`SweepReport`] describes a whole matrix: one
+//! [`SweepCell`] per configuration, each carrying its status (`ok` or
+//! `error`), wall time and scalar metrics. A failing cell degrades to
+//! `error` instead of invalidating the rest of the matrix, so partial
+//! sweeps are first-class artifacts.
 //!
 //! The on-disk form is the `tm-sweep-report/v1` JSON schema, written by
 //! `tmstudy sweep` and the `make_all` orchestrator and consumed by
@@ -14,7 +17,7 @@
 //!
 //! * `name` — artifact stem, matching `results/<name>.sweep.json`.
 //! * `meta` — free-form string key/values describing the whole sweep
-//!   (workload, pool width, scale); labels, not data.
+//!   (workload, scale, cell count, total wall time); labels, not data.
 //! * `axes` — the declared sweep dimensions in expansion order; each cell's
 //!   `config` holds exactly one value per axis (plus any fixed keys).
 //! * `cells[].status` — `ok` (metrics valid) or `error` (the runner
@@ -23,6 +26,9 @@
 //!   took. Wall time is *host* time and therefore non-deterministic; diffs
 //!   ignore it by design.
 //! * `cells[].metrics` — named scalar results, empty unless `ok`.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 use crate::json::Json;
 use crate::matrix::{
@@ -239,6 +245,128 @@ impl Cell for SweepCell {
 /// (`report.axes`), and one [`SweepCell`] per expanded configuration.
 pub type SweepReport = Matrix<SweepCell>;
 
+/// A declarative sweep: a name, fixed configuration, and the axes to
+/// cross. [`SweepSpec::expand`] is the cartesian product of the axes, each
+/// cell carrying the fixed pairs first and then one value per axis. The
+/// last-declared axis varies fastest, exactly like nested for-loops in
+/// declaration order, so cell order — and therefore the matrix JSON — is
+/// stable across runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepSpec {
+    /// Artifact name for the resulting matrix.
+    pub name: String,
+    /// Configuration shared by every cell, first in each cell's config.
+    pub fixed: Vec<(String, String)>,
+    /// The sweep dimensions, in declaration order (last varies fastest).
+    pub axes: Vec<(String, Vec<String>)>,
+}
+
+impl SweepSpec {
+    /// An empty spec with the given name.
+    pub fn new(name: impl Into<String>) -> Self {
+        SweepSpec {
+            name: name.into(),
+            fixed: Vec::new(),
+            axes: Vec::new(),
+        }
+    }
+
+    /// Add a fixed key/value present in every cell (builder style).
+    pub fn fixed(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+        self.fixed.push((key.into(), value.into()));
+        self
+    }
+
+    /// Add an axis (builder style). An axis with no values would make the
+    /// product empty and is rejected.
+    pub fn axis<I, S>(mut self, name: impl Into<String>, values: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        let values: Vec<String> = values.into_iter().map(Into::into).collect();
+        assert!(!values.is_empty(), "axis needs at least one value");
+        self.axes.push((name.into(), values));
+        self
+    }
+
+    /// Number of cells [`SweepSpec::expand`] will produce.
+    pub fn cell_count(&self) -> usize {
+        self.axes.iter().map(|(_, v)| v.len()).product()
+    }
+
+    /// The full cartesian product: one configuration per cell, fixed keys
+    /// first, then one `(axis, value)` pair per axis.
+    pub fn expand(&self) -> Vec<Vec<(String, String)>> {
+        let mut cells: Vec<Vec<(String, String)>> = vec![self.fixed.clone()];
+        for (axis, values) in &self.axes {
+            let mut next = Vec::with_capacity(cells.len() * values.len());
+            for cell in &cells {
+                for v in values {
+                    let mut c = cell.clone();
+                    c.push((axis.clone(), v.clone()));
+                    next.push(c);
+                }
+            }
+            cells = next;
+        }
+        cells
+    }
+}
+
+/// A cell runner: maps one cell configuration to named scalar metrics, or
+/// an error message.
+pub type CellRunner<'a> = dyn Fn(&[(String, String)]) -> Result<Vec<(String, f64)>, String> + 'a;
+
+/// Run each of `cells` once, in input order, on the calling thread, and
+/// collect the matrix. A cell is a deterministic function of its
+/// configuration, so it runs exactly once, under one `catch_unwind`:
+/// metrics make it `ok`; an `Err` or a panic makes it `error` with the
+/// message, and the rest of the matrix still runs. There is no wall-clock
+/// budget in here — what ends a run that would not end is in DESIGN.md
+/// §3.1. The report's `axes` are left empty; [`run_spec`] fills them.
+pub fn run_cells(
+    name: &str,
+    cells: Vec<Vec<(String, String)>>,
+    runner: &CellRunner<'_>,
+) -> SweepReport {
+    let started = Instant::now();
+    let mut report = SweepReport::new(name);
+    report.cells = cells.into_iter().map(|c| run_one_cell(c, runner)).collect();
+    let total = report.cells.len();
+    report
+        .meta("cells", total)
+        .meta("total_wall_ms", started.elapsed().as_millis())
+}
+
+/// Expand `spec`, run every cell with [`run_cells`] and record the spec's
+/// axes on the finished matrix.
+pub fn run_spec(spec: &SweepSpec, runner: &CellRunner<'_>) -> SweepReport {
+    let mut report = run_cells(&spec.name, spec.expand(), runner);
+    report.axes = spec.axes.clone();
+    report
+}
+
+/// Run one cell, once: the runner's verdict, or its panic as an error.
+fn run_one_cell(config: Vec<(String, String)>, runner: &CellRunner<'_>) -> SweepCell {
+    let started = Instant::now();
+    let (status, error, metrics) = match catch_unwind(AssertUnwindSafe(|| runner(&config))) {
+        Ok(Ok(metrics)) => (CellStatus::Ok, None, metrics),
+        Ok(Err(e)) => (CellStatus::Error, Some(e), vec![]),
+        Err(panic) => {
+            let msg = crate::panic_message(panic.as_ref());
+            (CellStatus::Error, Some(format!("panic: {msg}")), vec![])
+        }
+    };
+    SweepCell {
+        config,
+        status,
+        wall_ms: started.elapsed().as_millis() as u64,
+        error,
+        metrics,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,5 +477,142 @@ mod tests {
             d.contains("cell [alloc=hoard threads=1]: only in left"),
             "{d}"
         );
+    }
+
+    fn cfg(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn expansion_is_last_axis_fastest() {
+        let spec = SweepSpec::new("s")
+            .fixed("workload", "synth")
+            .axis("alloc", ["glibc", "hoard"])
+            .axis("threads", ["1", "8"]);
+        assert_eq!(spec.cell_count(), 4);
+        let keys: Vec<String> = spec.expand().iter().map(|c| key_of(c)).collect();
+        assert_eq!(
+            keys,
+            vec![
+                "workload=synth alloc=glibc threads=1",
+                "workload=synth alloc=glibc threads=8",
+                "workload=synth alloc=hoard threads=1",
+                "workload=synth alloc=hoard threads=8",
+            ]
+        );
+    }
+
+    #[test]
+    fn no_axes_means_one_cell() {
+        let spec = SweepSpec::new("s").fixed("k", "v");
+        assert_eq!(spec.cell_count(), 1);
+        assert_eq!(
+            spec.expand(),
+            vec![vec![("k".to_string(), "v".to_string())]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one value")]
+    fn empty_axis_is_rejected() {
+        let _ = SweepSpec::new("s").axis("alloc", Vec::<String>::new());
+    }
+
+    #[test]
+    fn run_spec_records_axes_and_all_cells() {
+        let spec = SweepSpec::new("demo")
+            .fixed("workload", "synth")
+            .axis("alloc", ["glibc", "hoard"])
+            .axis("threads", ["1", "2"]);
+        let report = run_spec(&spec, &|cfg| {
+            let threads: f64 = cfg
+                .iter()
+                .find(|(k, _)| k == "threads")
+                .unwrap()
+                .1
+                .parse()
+                .unwrap();
+            Ok(vec![("throughput".into(), 100.0 * threads)])
+        });
+        assert_eq!(report.axes.len(), 2);
+        assert_eq!(report.cells.len(), 4);
+        assert_eq!(report.degraded(), 0);
+        assert_eq!(
+            report.cells[0].key(),
+            "workload=synth alloc=glibc threads=1"
+        );
+        assert_eq!(report.cells[3].metrics[0].1, 200.0);
+    }
+
+    #[test]
+    fn cells_run_in_order_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran = std::cell::RefCell::new(Vec::new());
+        let cells: Vec<_> = (0..16).map(|i| cfg(&[("i", &i.to_string())])).collect();
+        let report = run_cells("order", cells, &|c| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "a cell left the caller"
+            );
+            let i: u64 = c[0].1.parse().unwrap();
+            ran.borrow_mut().push(i);
+            Ok(vec![("i".into(), i as f64)])
+        });
+        let order: Vec<f64> = report.cells.iter().map(|c| c.metrics[0].1).collect();
+        assert_eq!(order, (0..16).map(|i| i as f64).collect::<Vec<_>>());
+        assert_eq!(ran.into_inner(), (0..16).collect::<Vec<u64>>());
+        assert_eq!(report.degraded(), 0);
+    }
+
+    type Verdict = Result<Vec<(String, f64)>, String>;
+
+    /// One failing cell between two healthy ones, `fail` deciding how it
+    /// fails; returns the report and how often the failing cell was run.
+    fn run_with_one_failure(fail: fn() -> Verdict) -> (SweepReport, usize) {
+        let calls = std::cell::Cell::new(0);
+        let cells = ["ok", "bad", "ok"].map(|mode| cfg(&[("mode", mode)]));
+        let report = run_cells("fails", cells.to_vec(), &|c| {
+            if c[0].1 == "bad" {
+                calls.set(calls.get() + 1);
+                return fail();
+            }
+            Ok(vec![("v".into(), 1.0)])
+        });
+        (report, calls.get())
+    }
+
+    #[test]
+    fn err_from_the_runner_is_an_error_cell() {
+        let (report, _) = run_with_one_failure(|| Err("boom".into()));
+        let cell = &report.cells[1];
+        assert_eq!(cell.status, CellStatus::Error);
+        assert_eq!(cell.error.as_deref(), Some("boom"));
+        assert!(cell.metrics.is_empty());
+        assert_eq!(report.degraded(), 1);
+        // The degraded matrix still round-trips through the v1 schema.
+        let parsed = SweepReport::parse(&report.to_json_string()).unwrap();
+        assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn panicking_runner_degrades_to_error() {
+        let (report, _) = run_with_one_failure(|| panic!("cell exploded"));
+        let cell = &report.cells[1];
+        assert_eq!(cell.status, CellStatus::Error);
+        assert_eq!(cell.error.as_deref(), Some("panic: cell exploded"));
+        // The sweep outlives the panic: both neighbours ran.
+        assert_eq!(report.cells[0].status, CellStatus::Ok);
+        assert_eq!(report.cells[2].status, CellStatus::Ok);
+        assert_eq!(report.degraded(), 1);
+    }
+
+    #[test]
+    fn a_failing_cell_runs_exactly_once() {
+        assert_eq!(run_with_one_failure(|| Err("boom".into())).1, 1);
+        assert_eq!(run_with_one_failure(|| panic!("cell exploded")).1, 1);
     }
 }

@@ -90,6 +90,18 @@ if grep -rnwE --include='*.rs' 'trace_event|Trace|EventKind|tm_obs::trace' crate
   exit 1
 fi
 
+# One host thread (DESIGN.md §3.1): sweep cells run in order on the calling
+# thread through `tm_obs::sweep`, and the Table 5 profiler counts into one
+# plain struct. The `tm_sweep` shim and `ShardedSlots` stay only for the
+# benchmark's probes; outside crates/sweep and crates/obs no Rust file may
+# name either again.
+echo "==> one host thread: nothing outside crates/sweep and crates/obs names tm_sweep or ShardedSlots"
+if grep -rnwE --include='*.rs' 'tm_sweep|ShardedSlots' crates |
+  grep -vE '^crates/(sweep|obs)/'; then
+  echo "verify: a file outside crates/sweep and crates/obs names tm_sweep or ShardedSlots; run cells with tm_obs::sweep, count into a plain struct"
+  exit 1
+fi
+
 # One way to spin (DESIGN.md §4.1): a wait on a simulated word is
 # `Ctx::cas_u64_spin` or `Ctx::read_u64_until`, whose repeats below the
 # horizon the scheduler folds into one pass. Outside the simulator no
@@ -271,7 +283,7 @@ golden_gate tests/golden/oom-quick.oom.json mc --oom
 sweep_gate() { # sweep_gate <sweep flags...>
   local out
   out="$(mktemp)"
-  timeout 300 "$tmstudy" sweep --quick --workers 1 "$@" --out "$out" >/dev/null
+  timeout 300 "$tmstudy" sweep --quick "$@" --out "$out" >/dev/null
   rm -f "$out"
 }
 echo "==> tmstudy sweep --quick --backend norec (backend gate)"

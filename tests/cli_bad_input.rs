@@ -79,7 +79,16 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
             "--size '576460752303423488'",
         ),
         (&["synth", "--update-pct", "101"], "--update-pct '101'"),
-        (&["sweep", "--workers", "many", "--out", OUT], "--workers"),
+        // A scale of 0 ran an empty input and printed zeros; one whose
+        // input sizes overflow a u64 wrapped into a heap-exhausting run.
+        (&["stamp", "--scale", "0"], "--scale '0'"),
+        (&["profile", "--scale", "0"], "--scale '0'"),
+        (
+            &["stamp", "--scale", "18446744073709551615"],
+            "--scale '18446744073709551615'",
+        ),
+        // Sweep cells run one after another: there is no pool to size.
+        (&["sweep", "--workers", "1", "--out", OUT], "--workers"),
         (&["book", "--results", "/nonexistent"], "/nonexistent"),
         (&["mc", "--oom", "--out", OUT], OUT),
     ];
@@ -198,7 +207,7 @@ fn a_sweep_with_a_failing_cell_writes_the_matrix_and_exits_1() {
     let out_file = std::env::temp_dir().join(format!("cli-sweep-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
         .args(["sweep", "--workload", "synth", "--structure", "nosuch"])
-        .args(["--alloc", "glibc", "--threads", "1", "--workers", "1"])
+        .args(["--alloc", "glibc", "--threads", "1"])
         .arg("--out")
         .arg(&out_file)
         .output()

@@ -23,22 +23,29 @@ fn mc_json() -> String {
         .iter()
         .find(|r| r.bug == InjectedBug::SkipWriteValidation)
         .expect("catalog always carries the lost-update mutant");
-    report.cells.push(tm_mc::run_mutant_cell(recipe));
+    let mut work = tm_mc::SweepWork::default();
+    report
+        .cells
+        .push(tm_mc::run_mutant_cell_opt(recipe, true, &mut work));
     for backend in BackendKind::ALL {
-        report.cells.push(tm_mc::run_clean_cell(
+        report.cells.push(tm_mc::run_clean_cell_opt(
             &tm_mc::small_program(),
             AllocatorKind::TbbMalloc,
             backend,
             CmKind::Suicide,
             &tm_mc::quick_clean_config(2),
+            true,
+            &mut work,
         ));
     }
-    report.cells.push(tm_mc::run_clean_cell(
+    report.cells.push(tm_mc::run_clean_cell_opt(
         &tm_mc::sparse_program(),
         AllocatorKind::TbbMalloc,
         BackendKind::Etl,
         CmKind::Suicide,
         &tm_mc::quick_clean_config(2),
+        true,
+        &mut work,
     ));
     report.to_json_string()
 }
