@@ -179,21 +179,12 @@ fn load_report(path: &str) -> Result<Box<dyn tm_obs::Report>, String> {
 /// `schema` field names), or structurally diff two of the same schema
 /// (exit code 1 when they differ, for scripting).
 fn report(args: &[String]) {
-    let load = |path: &String| {
-        load_report(path).unwrap_or_else(|e| {
-            eprintln!("report: {e}");
-            std::process::exit(2);
-        })
-    };
+    let load = |path: &String| ok_or_exit(load_report(path));
     match args {
         [one] => print!("{}", load(one).render()),
-        [a, b] => match load(a).diff(load(b).as_ref()) {
-            Err(e) => {
-                eprintln!("report: {e}");
-                std::process::exit(2);
-            }
-            Ok(None) => println!("reports are identical"),
-            Ok(Some(d)) => {
+        [a, b] => match ok_or_exit(load(a).diff(load(b).as_ref())) {
+            None => println!("reports are identical"),
+            Some(d) => {
                 print!("{d}");
                 std::process::exit(1);
             }

@@ -224,6 +224,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -262,9 +263,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Arrays and objects a document may nest: far deeper than any report
+/// schema goes, and shallow enough that the recursive descent below (and
+/// the drop of what it built) cannot run out of stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,8 +314,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -390,11 +412,12 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            // Exactly four hex digits (`from_str_radix`
+                            // would take a sign).
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &h| Some(code * 16 + (h as char).to_digit(16)?))
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // Surrogate pairs are not produced by our
                             // emitter; map lone surrogates to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -518,6 +541,39 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        let v = Json::parse(&nested(MAX_DEPTH)).expect("at the bound");
+        roundtrip(&v);
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than 128 at byte {MAX_DEPTH}"));
+        // Far past it: an error, not a stack overflow.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128 at byte "), "{err}");
+        // Siblings do not add up.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn a_unicode_escape_is_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap(), Json::str("é"));
+        assert_eq!(Json::parse(r#""\u00E9""#).unwrap(), Json::str("é"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00g1""#,
+            r#""\u12""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

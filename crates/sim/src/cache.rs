@@ -9,12 +9,13 @@
 //! cycles mechanistically, which is one of the paper's key effects
 //! (TCMalloc handing adjacent 16-byte blocks to different threads, §5.2).
 //!
-//! Tag storage is sparse: a `TagArray`'s sets materialize, a small group at
-//! a time, on the first `fill` into them, and an absent group is by
-//! definition a group of ways in their initial state. The study builds a
-//! machine per run and most runs touch a sliver of a 6 MB L2, so building,
-//! snapshotting, restoring and dropping a hierarchy cost what the run
-//! touched (DESIGN.md §4, §14).
+//! Tag storage is sparse: a `TagArray`'s ways materialize, eight ways of
+//! four neighbouring sets at a time (a *row*), on the first `fill` that
+//! reaches them, and an absent row is by definition a row of ways in their
+//! initial state. The study builds a machine per run and most runs touch a
+//! sliver of a 6 MB L2 — and fill few of a touched set's 24 ways — so
+//! building, snapshotting, restoring and dropping a hierarchy cost what the
+//! run filled (DESIGN.md §4, §14).
 //!
 //! The probe is exact but reads little: the ways of a set live in blocks of
 //! eight (`Lanes`, 160 bytes), and each block keeps, beside its eight tags,
@@ -142,37 +143,46 @@ const INITIAL: Lanes = Lanes {
     dirty: [false; LANES],
 };
 
-/// Sets per group (log2). Four sets of the E5405's 24-way L2 are 12 blocks,
-/// 2 KB, so a run that touches one line of a page pays for 2 KB of tags and
-/// one that touches the whole page (64 lines, 16 groups) for 32 KB; the
-/// table over them is 16 KB per 6 MB L2.
+/// Sets per group (log2): [`GROUP_SETS`] consecutive sets share their rows.
 const GROUP_SHIFT: u32 = 2;
 const GROUP_SETS: usize = 1 << GROUP_SHIFT;
 
-/// The blocks of [`GROUP_SETS`] consecutive sets, one allocation. A group
-/// exists from the first `fill` into one of its sets; an absent group *is*
+/// Block `b` of each of the [`GROUP_SETS`] sets of one group — ways `8b` to
+/// `8b + 7` of each — in one 640-byte allocation. A row exists from the
+/// first `fill` that reaches way `8b` of one of its sets; an absent row *is*
 /// the state every way starts in — tag `EMPTY`, stamp 0, clean — so nothing
-/// can tell a group that was never materialized from one whose ways are all
-/// in that state.
-type Group = Box<[Lanes]>;
+/// can tell a row that was never materialized from one whose ways are all in
+/// that state. A run that puts up to eight lines in each set of a group of
+/// the E5405's 24-way L2 pays for one row of its three; the table over them
+/// is 24 KB per 6 MB L2.
+type Row = Box<[Lanes; GROUP_SETS]>;
 
-/// Address of one way: its group, and `block * LANES + lane` inside it.
+/// A row of ways in their initial state. Out of line: inlined, it would
+/// build the row on `fill`'s stack frame.
+#[cold]
+#[inline(never)]
+fn initial_row() -> Row {
+    Box::new([INITIAL; GROUP_SETS])
+}
+
+/// Address of one way: its row, and `set * LANES + lane` inside it, `set`
+/// being the way's set within its group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Slot {
-    group: u32,
+    row: u32,
     at: u32,
 }
 
 impl Slot {
     #[inline]
-    fn new(group: usize, block: usize, lane: usize) -> Slot {
+    fn new(row: usize, set: usize, lane: usize) -> Slot {
         Slot {
-            group: group as u32,
-            at: (block * LANES + lane) as u32,
+            row: row as u32,
+            at: (set * LANES + lane) as u32,
         }
     }
 
-    /// Block and lane inside the group.
+    /// Set within the group, and lane.
     #[inline]
     fn split(self) -> (usize, usize) {
         (self.at as usize / LANES, self.at as usize % LANES)
@@ -190,7 +200,7 @@ struct SlotUndo {
 
 /// Undo journal for in-place snapshot restore. A bounded run touches a few
 /// hundred ways, so the checkpoint layer's restore-per-schedule loop must
-/// not pay a copy of every materialized group each time. While armed, the
+/// not pay a copy of every materialized row each time. While armed, the
 /// first mutation of each way logs its pre-image, and a revert rewinds
 /// exactly the logged ways plus the LRU tick. "Already logged this epoch"
 /// is a per-way mark that lives beside the way ([`Lanes::mark`] `== cur`),
@@ -205,7 +215,7 @@ struct Journal {
 }
 
 /// Journal slot whose `Clone` yields a *disarmed* journal: snapshots are
-/// inert copies of the materialized groups, and a journal is identity-tied
+/// inert copies of the materialized rows, and a journal is identity-tied
 /// to the live array it was armed on.
 struct JournalSlot(Option<Box<Journal>>);
 
@@ -274,18 +284,19 @@ impl Lanes {
 /// what lets the write-hit fast path in [`Hierarchy::access`] skip the
 /// directory entirely.
 ///
-/// Storage is sparse: the sets hang in [`Group`]s off a table of
-/// `sets / GROUP_SETS` pointers, and a group is allocated by the first
-/// `fill` that lands in it. Building, cloning (the snapshot) and dropping
-/// an array therefore cost what the run has touched, not what the modelled
-/// cache could hold.
+/// Storage is sparse: the ways hang in [`Row`]s off a table of
+/// `sets / GROUP_SETS * set_blocks` pointers, row `g * set_blocks + b`
+/// holding block `b` of group `g`'s sets, and a row is allocated by the
+/// first `fill` that reaches it. Building, cloning (the snapshot) and
+/// dropping an array therefore cost what the run has filled, not what the
+/// modelled cache could hold.
 #[derive(Clone)]
 struct TagArray {
     sets: usize,
     ways: usize,
     /// Blocks per set: `ways.div_ceil(LANES)`.
     set_blocks: usize,
-    groups: Vec<Option<Group>>,
+    rows: Vec<Option<Row>>,
     tick: u64,
     journal: JournalSlot,
 }
@@ -294,49 +305,52 @@ impl TagArray {
     fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
+        let set_blocks = cfg.ways.div_ceil(LANES);
         TagArray {
             sets,
             ways: cfg.ways,
-            set_blocks: cfg.ways.div_ceil(LANES),
-            groups: vec![None; sets.div_ceil(GROUP_SETS)],
+            set_blocks,
+            rows: vec![None; sets.div_ceil(GROUP_SETS) * set_blocks],
             tick: 0,
             journal: JournalSlot(None),
         }
     }
 
-    /// Group index of `line`'s set, and the set's first block inside the
-    /// group.
+    /// The row of block 0 of `line`'s set — block `b` is in row
+    /// `first + b` — and the set's index within its group.
     #[inline]
     fn locate(&self, line: u64) -> (usize, usize) {
         let set = line as usize & (self.sets - 1);
         (
-            set >> GROUP_SHIFT,
-            (set & (GROUP_SETS - 1)) * self.set_blocks,
+            (set >> GROUP_SHIFT) * self.set_blocks,
+            set & (GROUP_SETS - 1),
         )
     }
 
-    /// The block and lane holding `line`, read only. An absent group holds
+    /// The block and lane holding `line`, read only. An absent row holds
     /// nothing.
     fn find(&self, line: u64) -> Option<(&Lanes, usize)> {
-        let (group, first) = self.locate(line);
-        let set = &self.groups[group].as_deref()?[first..first + self.set_blocks];
-        set.iter()
+        let (first, s) = self.locate(line);
+        let rows = &self.rows[first..first + self.set_blocks];
+        rows.iter()
+            .flatten()
+            .map(|row| &row[s])
             .find_map(|lanes| Some((lanes, lanes.lane_of(line)?)))
     }
 
     /// Find the way holding `line`, log its pre-image — every caller is
     /// about to write it — and hand out its block, lane and slot. An
-    /// absent group holds nothing.
+    /// absent row holds nothing.
     #[inline(always)]
     fn touch(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
-        let (group, first) = self.locate(line);
-        let set = &mut self.groups[group].as_deref_mut()?[first..first + self.set_blocks];
-        let (b, l) = set
-            .iter()
-            .enumerate()
-            .find_map(|(b, lanes)| Some((b, lanes.lane_of(line)?)))?;
-        let slot = Slot::new(group, first + b, l);
-        let lanes = &mut set[b];
+        let (first, s) = self.locate(line);
+        let rows = &mut self.rows[first..first + self.set_blocks];
+        let (b, lanes, l) = rows.iter_mut().enumerate().find_map(|(b, row)| {
+            let lanes = &mut row.as_deref_mut()?[s];
+            let l = lanes.lane_of(line)?;
+            Some((b, lanes, l))
+        })?;
+        let slot = Slot::new(first + b, s, l);
         lanes.log(l, slot, &mut self.journal);
         Some((lanes, l, slot))
     }
@@ -351,7 +365,7 @@ impl TagArray {
         if j.cur == 0 {
             // Epoch counter wrapped (once per 2^16 arms): old marks could
             // alias the fresh epoch, so clear them all.
-            for lanes in self.groups.iter_mut().flatten().flat_map(|g| g.iter_mut()) {
+            for lanes in self.rows.iter_mut().flatten().flat_map(|r| r.iter_mut()) {
                 lanes.mark = INITIAL.mark;
             }
             j.cur = 1;
@@ -367,7 +381,7 @@ impl TagArray {
     }
 
     /// Undo every way mutation since the journal was armed and re-arm for
-    /// the next epoch. O(ways touched since arming). A group materialized
+    /// the next epoch. O(ways touched since arming). A row materialized
     /// since arming stays, every way back in the initial state — which is
     /// what its absence meant.
     fn revert(&mut self) {
@@ -377,11 +391,11 @@ impl TagArray {
             .as_deref()
             .expect("revert without an armed journal");
         for u in &j.undo {
-            let (b, l) = u.slot.split();
-            // Groups are never taken away, so a logged way's is there.
-            let lanes = &mut self.groups[u.slot.group as usize]
+            let (s, l) = u.slot.split();
+            // Rows are never taken away, so a logged way's is there.
+            let lanes = &mut self.rows[u.slot.row as usize]
                 .as_deref_mut()
-                .expect("a logged way's group is materialized")[b];
+                .expect("a logged way's row is materialized")[s];
             lanes.set_tag(l, u.tag);
             lanes.stamp[l] = u.stamp;
             lanes.dirty[l] = u.dirty;
@@ -391,7 +405,7 @@ impl TagArray {
     }
 
     /// Overwrite this array's state from `src` (same geometry), reusing
-    /// the existing groups — the cold restore path. A group `src` lacks is
+    /// the existing rows — the cold restore path. A row `src` lacks is
     /// reset to the initial state in place. Marks are not state and are
     /// never taken from `src`: this array's own are at most its journal's
     /// `cur`, so the re-arm that follows outdates them all, while `src`'s
@@ -400,13 +414,13 @@ impl TagArray {
     /// which it never was.
     fn copy_state_from(&mut self, src: &TagArray) {
         debug_assert_eq!((self.sets, self.ways), (src.sets, src.ways));
-        for (dst, src) in self.groups.iter_mut().zip(&src.groups) {
+        for (dst, src) in self.rows.iter_mut().zip(&src.rows) {
             let src = src.as_deref();
-            if let (None, Some(src)) = (&dst, src) {
-                *dst = Some(vec![INITIAL; src.len()].into());
+            if dst.is_none() && src.is_some() {
+                *dst = Some(initial_row());
             }
-            for (b, d) in dst.iter_mut().flat_map(|g| g.iter_mut()).enumerate() {
-                let s = src.map_or(&INITIAL, |src| &src[b]);
+            for (set, d) in dst.iter_mut().flat_map(|r| r.iter_mut()).enumerate() {
+                let s = src.map_or(&INITIAL, |src| &src[set]);
                 (d.ptag, d.tags, d.stamp, d.dirty) = (s.ptag, s.tags, s.stamp, s.dirty);
             }
         }
@@ -416,17 +430,17 @@ impl TagArray {
     /// Set the dirty bit of an already-probed way (write upgrade on an L1
     /// hit).
     fn mark_dirty(&mut self, slot: Slot) {
-        let (b, l) = slot.split();
-        let lanes = &mut self.groups[slot.group as usize]
+        let (s, l) = slot.split();
+        let lanes = &mut self.rows[slot.row as usize]
             .as_deref_mut()
-            .expect("a probed way's group is materialized")[b];
+            .expect("a probed way's row is materialized")[s];
         lanes.log(l, slot, &mut self.journal);
         lanes.dirty[l] = true;
     }
 
     /// Probe for `line`; on hit, refresh LRU and return the way's slot and
-    /// whether it is dirty. A miss — in an absent group too — still
-    /// advances the tick.
+    /// whether it is dirty. A miss — in absent rows too — still advances
+    /// the tick.
     #[inline(always)]
     fn probe(&mut self, line: u64) -> Option<(Slot, bool)> {
         self.tick += 1;
@@ -438,19 +452,18 @@ impl TagArray {
 
     /// Insert `line` with the given dirty state, evicting the LRU way if the
     /// set is full. Returns the evicted line and whether it was dirty. The
-    /// one operation that materializes a group.
+    /// one operation that materializes a row.
     fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let (group, first) = self.locate(line);
+        let (first, s) = self.locate(line);
         self.tick += 1;
-        let g = self.groups[group].get_or_insert_with(|| {
-            vec![INITIAL; GROUP_SETS.min(self.sets) * self.set_blocks].into()
-        });
-        let set = &mut g[first..first + self.set_blocks];
-        let slot = |b: usize, l: usize| Slot::new(group, first + b, l);
-        // Ways in order, as one flat array would hold them.
+        let slot = |b: usize, l: usize| Slot::new(first + b, s, l);
+        // Ways in order, as one flat array would hold them. The scan reaches
+        // block `b` only past `8b` full ways; an absent row is eight empty
+        // ones, so it materializes here, and its lane 0 takes the line.
         let mut victim = (0, 0);
         let mut victim_stamp = u64::MAX;
-        for (b, lanes) in set.iter_mut().enumerate() {
+        for b in 0..self.set_blocks {
+            let lanes = &mut self.rows[first + b].get_or_insert_with(initial_row)[s];
             for l in 0..(self.ways - b * LANES).min(LANES) {
                 if lanes.tags[l] == line {
                     // Already present (races with coherence bookkeeping).
@@ -473,7 +486,9 @@ impl TagArray {
             }
         }
         let (b, l) = victim;
-        let lanes = &mut set[b];
+        let lanes = &mut self.rows[first + b]
+            .as_deref_mut()
+            .expect("a full set's rows are materialized")[s];
         lanes.log(l, slot(b, l), &mut self.journal);
         let evicted = (lanes.tags[l], lanes.dirty[l]);
         lanes.set_tag(l, line);
@@ -544,7 +559,7 @@ struct TxTrack {
 
 /// The full cache hierarchy of the simulated machine. `Clone` exists for
 /// the checkpoint layer: a machine snapshot carries a copy of the
-/// materialized tag-array groups (and their dirty mirrors), the directory,
+/// materialized tag-array rows (and their dirty mirrors), the directory,
 /// and the HTM tracking state — O(what the machine has touched).
 #[derive(Clone)]
 pub struct Hierarchy {
@@ -562,6 +577,9 @@ pub struct Hierarchy {
     /// Meaningful only on the live hierarchy; a cloned (snapshot) copy
     /// carries disarmed journals and this field is never consulted on it.
     journal_for: u64,
+    /// Socket of each core: [`MachineConfig::socket_of`], looked up
+    /// instead of divided on every miss.
+    socket: [u8; MAX_CORES],
     cfg: MachineConfig,
 }
 
@@ -575,8 +593,15 @@ impl Hierarchy {
             tx: (0..cfg.cores).map(|_| TxTrack::default()).collect(),
             htm_active: 0,
             journal_for: 0,
+            socket: std::array::from_fn(|c| cfg.socket_of(c) as u8),
             cfg: cfg.clone(),
         }
+    }
+
+    /// Socket that `core` belongs to.
+    #[inline]
+    pub(crate) fn socket_of(&self, core: usize) -> usize {
+        self.socket[core] as usize
     }
 
     pub fn stats(&self, core: usize) -> CacheStats {
@@ -587,7 +612,7 @@ impl Hierarchy {
     /// until the next arm or restore, the first mutation of each tag-array
     /// way records its pre-image, letting [`Hierarchy::restore_from`]
     /// rewind in O(ways touched) instead of re-copying every materialized
-    /// group. O(arrays): the marks live with the ways, so nothing is
+    /// row. O(arrays): the marks live with the ways, so nothing is
     /// allocated or cleared.
     pub(crate) fn arm_journal(&mut self, snap_id: u64) {
         for a in self.l1.iter_mut().chain(self.l2.iter_mut()) {
@@ -599,7 +624,7 @@ impl Hierarchy {
     /// Rewind to `snap`, the hierarchy captured by snapshot `snap_id`.
     /// Fast path: when the live journals were armed by exactly that
     /// snapshot, revert the logged ways in place. Cold path (journals
-    /// armed for a different snapshot, or never): copy group by group,
+    /// armed for a different snapshot, or never): copy row by row,
     /// reusing the existing allocations. The directory, stats, and HTM tracking are
     /// bounded by L1 residency and copied outright either way, and the
     /// journals end re-armed for `snap_id`.
@@ -776,7 +801,7 @@ impl Hierarchy {
     #[inline(never)]
     fn miss(&mut self, core: usize, line: u64, write: bool) -> u64 {
         let me = 1u16 << core;
-        let my_socket = self.cfg.socket_of(core);
+        let my_socket = self.socket_of(core);
         let cost_model = self.cfg.cost;
         let mut cost;
         self.stats[core].l1_misses += 1;
@@ -784,7 +809,7 @@ impl Hierarchy {
         if let Some(owner) = entry.dirty_in.filter(|&o| o as usize != core) {
             // Dirty in a remote L1: cache-to-cache transfer.
             self.stats[core].coherence_transfers += 1;
-            let owner_socket = self.cfg.socket_of(owner as usize);
+            let owner_socket = self.socket_of(owner as usize);
             cost = cost_model.l1_hit
                 + if owner_socket == my_socket {
                     cost_model.transfer_same_socket
@@ -895,7 +920,7 @@ mod tests {
 
     /// Every materialized block's partial-tag word is what its tags make.
     fn assert_ptags(a: &TagArray) {
-        for lanes in a.groups.iter().flatten().flat_map(|g| g.iter()) {
+        for lanes in a.rows.iter().flatten().flat_map(|r| r.iter()) {
             let want = (0..LANES).fold(0, |w, l| w | ptag_of(lanes.tags[l]) << (8 * l));
             assert_eq!(lanes.ptag, want, "partial tags of {:x?}", lanes.tags);
         }
@@ -922,27 +947,46 @@ mod tests {
         assert_eq!(h.access(0, 0x1038, false), cfg.cost.l1_hit);
     }
 
-    /// Way `w` of `set`: `(tag, stamp, dirty)`, an absent group read as
-    /// the initial state it stands for.
+    /// Way `w` of `set`: `(tag, stamp, dirty)`, an absent row read as the
+    /// initial state it stands for.
     fn way(a: &TagArray, set: usize, w: usize) -> (u64, u64, bool) {
-        let b = (set & (GROUP_SETS - 1)) * a.set_blocks + w / LANES;
-        let lanes = a.groups[set >> GROUP_SHIFT]
+        let row = (set >> GROUP_SHIFT) * a.set_blocks + w / LANES;
+        let lanes = a.rows[row]
             .as_deref()
-            .map_or(&INITIAL, |g| &g[b]);
+            .map_or(&INITIAL, |r| &r[set & (GROUP_SETS - 1)]);
         let l = w % LANES;
         (lanes.tags[l], lanes.stamp[l], lanes.dirty[l])
     }
 
+    /// The set and the way `slot` names in `a`.
+    fn set_and_way(a: &TagArray, slot: Slot) -> (usize, usize) {
+        let (row, (s, l)) = (slot.row as usize, slot.split());
+        let group = row / a.set_blocks;
+        (group * GROUP_SETS + s, (row % a.set_blocks) * LANES + l)
+    }
+
+    /// Which of the rows that hold `set`'s ways are materialized.
+    fn rows_of(a: &TagArray, set: usize) -> Vec<bool> {
+        let first = (set >> GROUP_SHIFT) * a.set_blocks;
+        a.rows[first..first + a.set_blocks]
+            .iter()
+            .map(Option::is_some)
+            .collect()
+    }
+
     /// Logical equality: the same ways, the same tick and the same
-    /// directory. Which groups are materialized is not state (a group of
-    /// initial ways equals an absent one), so only the sets with a group on
+    /// directory. Which rows are materialized is not state (a row of
+    /// initial ways equals an absent one), so only the sets with a row on
     /// either side are walked; neither are the journal's marks.
     fn assert_arrays_match(live: &Hierarchy, snap: &Hierarchy) {
         assert_match_in(live, snap, |a, b| {
-            let tables = a.groups.iter().zip(&b.groups).enumerate();
+            let tables = a.rows.iter().zip(&b.rows).enumerate();
             let materialized = tables.filter(|(_, (a, b))| a.is_some() || b.is_some());
-            materialized
-                .flat_map(|(g, _)| g * GROUP_SETS..((g + 1) * GROUP_SETS).min(a.sets))
+            let mut groups: Vec<usize> = materialized.map(|(r, _)| r / a.set_blocks).collect();
+            groups.dedup();
+            groups
+                .into_iter()
+                .flat_map(|g| g * GROUP_SETS..((g + 1) * GROUP_SETS).min(a.sets))
                 .collect()
         });
     }
@@ -1016,23 +1060,23 @@ mod tests {
     impl TagArray {
         /// Find the way holding `line`, log its pre-image — every caller is
         /// about to write it — and hand out its block, lane and slot. An
-        /// absent group holds nothing.
+        /// absent row holds nothing.
         #[inline(always)]
         fn touch_reference(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
-            let (group, first) = self.locate(line);
-            let set = &mut self.groups[group].as_deref_mut()?[first..first + self.set_blocks];
-            let (b, l) = set.iter().enumerate().find_map(|(b, lanes)| {
-                let l = lanes.tags.iter().position(|&t| t == line)?;
+            let (first, s) = self.locate(line);
+            let rows = &mut self.rows[first..first + self.set_blocks];
+            let (b, l) = rows.iter().enumerate().find_map(|(b, row)| {
+                let l = row.as_deref()?[s].tags.iter().position(|&t| t == line)?;
                 Some((b, l))
             })?;
-            let slot = Slot::new(group, first + b, l);
-            let lanes = &mut set[b];
+            let slot = Slot::new(first + b, s, l);
+            let lanes = &mut rows[b].as_deref_mut()?[s];
             lanes.log(l, slot, &mut self.journal);
             Some((lanes, l, slot))
         }
 
         /// Probe for `line`; on hit, refresh LRU and return the way's slot and
-        /// whether it is dirty. A miss — in an absent group too — still
+        /// whether it is dirty. A miss — in absent rows too — still
         /// advances the tick.
         #[inline(always)]
         fn probe_reference(&mut self, line: u64) -> Option<(Slot, bool)> {
@@ -1469,11 +1513,12 @@ mod tests {
         /// both miss.
         fn probe(&mut self, line: u64) -> Option<(Slot, usize)> {
             let (s, d) = (self.sparse.probe(line), self.dense.probe(line));
-            let (group, first) = self.sparse.locate(line);
+            let set = line as usize & (self.sparse.sets - 1);
             assert_eq!(
                 s.map(|(slot, dirty)| {
-                    assert_eq!(slot.group as usize, group);
-                    (slot.at as usize - first * LANES, dirty)
+                    let (in_set, w) = set_and_way(&self.sparse, slot);
+                    assert_eq!(in_set, set);
+                    (w, dirty)
                 }),
                 d.map(|slot| (slot % self.dense.ways, self.dense.dirty[slot])),
                 "probe {line:#x}"
@@ -1512,7 +1557,7 @@ mod tests {
 
     /// Lines that pile more than `ways` deep onto a few sets — among them
     /// the last set of one group, the first of the next and the array's
-    /// last — so streams evict, and materialize groups one at a time. Each
+    /// last — so streams evict, and materialize rows one at a time. Each
     /// set also gets two lines that share its first line's partial tag, so
     /// probes meet candidates their full tag rejects.
     fn contended_lines(cfg: CacheConfig) -> Vec<u64> {
@@ -1658,7 +1703,7 @@ mod tests {
             let before = COLLISIONS.get();
 
             let (slot, dirty) = a.probe(target).expect("resident");
-            assert_eq!((slot.group, slot.at as usize, dirty), (0, mine, true));
+            assert_eq!((set_and_way(&a, slot), dirty), ((0, mine), true));
             assert_eq!(
                 way(&a, 0, mine).1,
                 a.tick,
@@ -1703,9 +1748,80 @@ mod tests {
                 assert_eq!(now, want, "fill, way {w}");
             }
             let (slot, _) = a.probe(target).expect("filled again");
-            assert_eq!(slot.at as usize, mine);
+            assert_eq!(set_and_way(&a, slot), (0, mine));
             assert_ptags(&a);
         }
+    }
+
+    /// Rows 1 and 2 of a set of the E5405's 24-way L2, against the dense
+    /// array: rows materialized after the journal is armed revert to
+    /// initial ways, a cold restore from a snapshot that lacks them resets
+    /// them, and a probe past partial-tag colliders in earlier rows acts on
+    /// the way whose full tag matches.
+    #[test]
+    fn rows_past_the_first_revert_restore_and_probe_like_dense_ways() {
+        let cfg = MachineConfig::xeon_e5405().l2;
+        let (sets, set) = (cfg.sets() as u64, 1);
+        let line = |k: u64| set as u64 + k * sets;
+        let fill = |p: &mut Pair, line: u64, dirty: bool| {
+            let evicted = p.sparse.fill(line, dirty);
+            assert_eq!(evicted, p.dense.fill(line, dirty), "fill {line:#x}");
+        };
+        // Rows 1 and 2 of the set's group are there, every way initial.
+        let later_rows_initial = |a: &TagArray| {
+            assert_eq!(rows_of(a, set), [true; 3]);
+            for row in &a.rows[1..3] {
+                for lanes in row.as_deref().expect("materialized") {
+                    let state = |l: &Lanes| (l.ptag, l.tags, l.stamp, l.dirty);
+                    assert_eq!(state(lanes), state(&INITIAL));
+                }
+            }
+        };
+
+        let mut p = Pair::new(cfg);
+        (0..8).for_each(|k| fill(&mut p, line(k), k % 2 == 0));
+        assert_eq!(rows_of(&p.sparse, set), [true, false, false]);
+        let snap = p.clone();
+        p.arm();
+        (8..24).for_each(|k| fill(&mut p, line(k), k % 3 == 0));
+        assert_eq!(rows_of(&p.sparse, set), [true; 3]);
+        p.revert();
+        p.assert_back_at(&snap, "after the revert");
+        later_rows_initial(&p.sparse);
+
+        (8..30).for_each(|k| fill(&mut p, line(k), k % 3 == 0));
+        p.cold_restore(&snap);
+        p.assert_back_at(&snap, "after the cold restore");
+        later_rows_initial(&p.sparse);
+
+        // Ways 7 and 15 — the last of rows 0 and 1 — hold lines that share
+        // the target's partial tag, and way 23 the target.
+        let byte = ptag_of(line(0));
+        let colliders = (1..).map(line).filter(|&l| ptag_of(l) == byte);
+        let mut others = (1..).map(line).filter(|&l| ptag_of(l) != byte);
+        let mut resident: Vec<u64> = Vec::new();
+        for c in colliders.take(2).chain([line(0)]) {
+            resident.extend(others.by_ref().take(LANES - 1));
+            resident.push(c);
+        }
+        let mut p = Pair::new(cfg);
+        resident.iter().for_each(|&l| fill(&mut p, l, true));
+        for (w, want) in [(23, 2), (15, 1)] {
+            let before = COLLISIONS.get();
+            let (slot, _) = p.probe(resident[w]).expect("resident");
+            assert_eq!(set_and_way(&p.sparse, slot), (set, w));
+            assert!(COLLISIONS.get() >= before + want, "way {w}'s colliders");
+        }
+        p.sparse.clear_dirty(line(0));
+        p.dense.clear_dirty(line(0));
+        assert_is(&p.sparse, &p.dense, "after clear_dirty");
+        assert!(p.sparse.invalidate(line(0)) && p.dense.invalidate(line(0)));
+        assert_is(&p.sparse, &p.dense, "after invalidate");
+        assert_eq!(p.probe(line(0)), None);
+        fill(&mut p, line(0), false);
+        assert_eq!(way(&p.sparse, set, 23).0, line(0));
+        assert_is(&p.sparse, &p.dense, "after the refill");
+        assert_ptags(&p.sparse);
     }
 
     /// A snapshot's marks are dead data. Here they would bite: the clone is
@@ -1723,8 +1839,8 @@ mod tests {
         (0..5).for_each(|_| p.arm());
         (0..200).for_each(|_| p.step(&mut rng, &lines));
         let snap = p.clone();
-        let marked = |g: &Group| g.iter().any(|lanes| lanes.mark.contains(&5));
-        assert!(snap.sparse.groups.iter().flatten().any(marked));
+        let marked = |r: &Row| r.iter().any(|lanes| lanes.mark.contains(&5));
+        assert!(snap.sparse.rows.iter().flatten().any(marked));
 
         // Wrap: the next arm clears the live marks and starts over at 1.
         p.sparse.journal.0.as_mut().expect("armed").cur = u16::MAX;

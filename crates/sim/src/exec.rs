@@ -573,7 +573,7 @@ impl Sim {
 
 /// Frozen simulator state produced by [`Sim::snapshot`]: the machine image
 /// plus the event/fingerprint counters. Capturing is
-/// `O(resident pages + materialized cache groups)`; restoring to the
+/// `O(resident pages + materialized cache rows)`; restoring to the
 /// snapshot taken (or restored to) last is `O(resident pages + ways touched
 /// since)`, to any other what capturing costs. Either leaves the `Sim`
 /// exactly as captured, so a
@@ -1450,7 +1450,8 @@ fn acquire_locked(
         if let Some(prev) = g.machine.locks[mx.id].last_holder {
             if prev != tid {
                 // The lock line must migrate from the previous holder.
-                cost += if g.machine.cfg.socket_of(prev) == g.machine.cfg.socket_of(tid) {
+                let caches = &g.machine.caches;
+                cost += if caches.socket_of(prev) == caches.socket_of(tid) {
                     g.machine.cfg.cost.transfer_same_socket
                 } else {
                     g.machine.cfg.cost.transfer_cross_socket
@@ -1862,7 +1863,7 @@ mod tests {
         assert_eq!(s.with_state(|m| (m.read_u64(0x100), m.read_u64(0x180))), v1);
 
         // The same where the machine's representation is sparse: a workload
-        // that materializes, *after* the snapshot, cache groups, a page-table
+        // that materializes, *after* the snapshot, cache rows, a page-table
         // leaf and a middle node the snapshot lacks — replayed from a
         // journalled restore and from a cold one.
         let far_addr = |tid: u64, i: u64| {
@@ -1895,7 +1896,7 @@ mod tests {
         s.restore(&snap);
         assert_eq!(outcome(&s), first);
         // Cold path: a second snapshot takes the journals over, so going
-        // back to `snap` copies — and must reset the groups it lacks.
+        // back to `snap` copies — and must reset the rows it lacks.
         let later = s.snapshot(Some(&snap));
         assert!(later.pages() > snap.pages());
         s.run(1, |ctx| ctx.write_u64(0x5000_0000, 1));

@@ -66,7 +66,7 @@ pub(crate) struct MachineState {
 }
 
 /// Frozen image of the whole machine: sparse memory (COW page snapshot),
-/// cache hierarchy (its materialized tag groups), simulated locks, and the
+/// cache hierarchy (its materialized tag rows), simulated locks, and the
 /// OS bump allocator. Captured
 /// and restored only at quiescence (no run in progress), so there is no
 /// in-flight per-thread state to save.
@@ -143,7 +143,7 @@ impl MachineState {
             id,
         };
         // Arm the cache undo journal so a later restore to *this* snapshot
-        // reverts in place instead of re-copying the materialized groups.
+        // reverts in place instead of re-copying the materialized rows.
         self.caches.arm_journal(id);
         snap
     }

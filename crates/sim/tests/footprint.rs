@@ -91,7 +91,7 @@ fn a_machine_costs_what_it_touches() {
     );
 
     // A snapshot copies what exists: here 64 lines, each on a page of its
-    // own — the worst case, 64 pages and 64 groups of L2 tags.
+    // own — the worst case, 64 pages and 64 rows of L2 tags.
     let sim = Sim::new(MachineConfig::xeon_e5405());
     sim.run(1, |ctx| {
         for page in 0..64u64 {
@@ -103,6 +103,32 @@ fn a_machine_costs_what_it_touches() {
     assert!(
         snapshot < 64 * 4 * KB + 256 * KB,
         "a snapshot of 64 touched lines requested {snapshot} bytes"
+    );
+    drop((snap, sim));
+
+    // Tags follow the ways a run fills, not the associativity: one line in
+    // each of the 4 096 sets of a 24-way L2 takes the first of each set's
+    // three blocks of eight ways — 640 KB of rows, where whole sets would
+    // be 1.9 MB — and a snapshot copies those rows.
+    let sim = Sim::new(MachineConfig::xeon_e5405());
+    let l2 = MachineConfig::xeon_e5405().l2;
+    let lines = l2.size / 64 / l2.ways as u64;
+    assert_eq!(lines, 4096);
+    let (run, _) = requested_by(|| {
+        sim.run(1, |ctx| {
+            for line in 0..lines {
+                ctx.read_u64(0x4000_0000 + line * 64);
+            }
+        })
+    });
+    assert!(
+        run < 768 * KB,
+        "a run that read a line in each L2 set requested {run} bytes"
+    );
+    let (snapshot, snap) = requested_by(|| sim.snapshot(None));
+    assert!(
+        snapshot < 768 * KB,
+        "a snapshot of a line in each L2 set requested {snapshot} bytes"
     );
     drop((snap, sim));
 

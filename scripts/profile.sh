@@ -4,6 +4,7 @@
 # issue must name its layer from (ROADMAP aim 1).
 #
 #   scripts/profile.sh <workload> [--seconds N] [--seed N] [--layer REGEX]
+#                      [--lines REGEX]
 #   scripts/profile.sh -- <command> [args...]      any binary with debug info
 #
 # Builds scripts/sigprof.c (a SIGPROF sampler, preloaded) and the benchmark
@@ -19,14 +20,18 @@
 # With `--layer REGEX`, one more line before the tables: the share of the
 # samples outside the kernel that have any frame — inlined or outermost —
 # whose function matches REGEX (an awk regex), i.e. the layer counted the
-# other way. Exits 0 with a notice where `cc` or `addr2line` is missing.
+# other way. With `--lines REGEX`, a third table: of the samples outside the
+# kernel whose outermost function matches REGEX, the share by the source
+# line (`file:line`, relative to the repository) their innermost frame is
+# on — where inside a hot function its time goes. Exits 0 with a notice
+# where `cc` or `addr2line` is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 for tool in cc addr2line; do
   command -v "$tool" >/dev/null || { echo "profile: no $tool on this host, nothing profiled"; exit 0; }
 done
-[ $# -ge 1 ] || { sed -n '2,8p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,9p' "$0"; exit 2; }
 
 dir="${CARGO_TARGET_DIR:-$PWD/target}/profile"
 mkdir -p "$dir"
@@ -38,13 +43,14 @@ if [ "$1" = "--" ]; then
   cmd=("$@")
 else
   what="$1"
-  seconds=5 seed=24301 layer=""
+  seconds=5 seed=24301 layer="" lines=""
   shift
   while [ $# -gt 0 ]; do
     case "$1" in
       --seconds) seconds="$2" ;;
       --seed) seed="$2" ;;
       --layer) layer="$2" ;;
+      --lines) lines="$2" ;;
       *) echo "profile: unknown flag $1"; exit 2 ;;
     esac
     shift 2
@@ -70,13 +76,17 @@ SIGPROF_OUT="$samples" LD_PRELOAD="$dir/sigprof.so" "${cmd[@]}" >/dev/null
 # outside the executable come counted by shared object ("<count> -<name>").
 objects="$dir/objects.txt"
 { grep '^-' "$samples" || true; } | sort | uniq -c >"$objects"
-grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | LAYER="${layer:-}" awk -v what="$what" \
+grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" |
+  LAYER="${layer:-}" LINES="${lines:-}" ROOT="$PWD/" awk -v what="$what" \
   -v outside="$(grep -c '^-' "$samples" || true)" -v objects="$objects" '
   function close_sample() {
     if (innermost == "") return
     n++
     if (in_calib) { calib++; inner_calib[innermost]++; outer_calib[last]++ }
-    else { inner[innermost]++; outer[last]++; layer += in_layer }
+    else {
+      inner[innermost]++; outer[last]++; layer += in_layer
+      if (ENVIRON["LINES"] != "" && last ~ ENVIRON["LINES"]) { at_line[line]++; in_lines++ }
+    }
   }
   function table(title, count, count_calib,    f, lines) {
     printf "\n== %s ==\n", title
@@ -89,6 +99,11 @@ grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | LAYER="${layer:-}
   }
   /^0x/ { close_sample(); innermost = ""; frame = 0; in_calib = 0; in_layer = 0; next }
   { frame++ }
+  frame == 2 {
+    line = $0
+    sub(/ \(discriminator [0-9]+\)$/, "", line)
+    if (index(line, ENVIRON["ROOT"]) == 1) line = substr(line, length(ENVIRON["ROOT"]) + 1)
+  }
   frame % 2 == 1 {
     sub(/::h[0-9a-f]{16}$/, "")
     if (innermost == "") innermost = $0
@@ -109,4 +124,10 @@ grep -v '^-' "$samples" | addr2line -a -f -i -C -e "$binary" | LAYER="${layer:-}
       printf "layer /%s/: %.1f%% of the samples outside the calibration kernel have a frame in it (%d of %d)\n", ENVIRON["LAYER"], 100 * layer / (n + outside - calib), layer, n + outside - calib
     table("outermost non-inlined function", outer, outer_calib)
     table("innermost inlined frame", inner, inner_calib)
+    if (ENVIRON["LINES"] != "") {
+      printf "\n== innermost line of the %d samples in /%s/ (share of them, share of the samples outside the calibration kernel) ==\n", in_lines, ENVIRON["LINES"]
+      for (l in at_line)
+        printf "%5.1f%%  %5.1f%%  %s\n", 100 * at_line[l] / in_lines, 100 * at_line[l] / (n + outside - calib), l | "sort -rn | head -n 15"
+      close("sort -rn | head -n 15")
+    }
   }'

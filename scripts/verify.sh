@@ -304,15 +304,21 @@ if [ "$quick" -eq 0 ]; then
   # The profiler a perf_opt issue names its layer from must keep naming
   # one: on synth-matrix the function with the most samples is the
   # simulator's (it says so itself where cc or addr2line is missing). The
-  # smoke also prints the cache model's share counted by any frame.
+  # smoke also prints the cache model's share counted by any frame, and
+  # the source lines of the L1 miss path, which must name the simulator's.
   echo "==> scripts/profile.sh synth-matrix (smoke: the top row is in tm_sim::)"
-  table="$(timeout 900 scripts/profile.sh synth-matrix --seconds 2 --layer 'tm_sim::cache::')"
+  table="$(timeout 900 scripts/profile.sh synth-matrix --seconds 2 --layer 'tm_sim::cache::' \
+    --lines 'Hierarchy::miss')"
   echo "$table" | head -n 8
   case "$table" in
     "profile: no "*) ;;
     *)
       echo "$table" | awk '/^== outermost/ { getline; print; exit }' | grep -q 'tm_sim' || {
         echo "verify: the profile's top row is not a tm_sim function"
+        exit 1
+      }
+      echo "$table" | awk '/^== innermost line/ { rows = 1; next } rows' | grep -q 'crates/sim/src/' || {
+        echo "verify: the profile's --lines table of Hierarchy::miss has no crates/sim/src/ row"
         exit 1
       }
       ;;

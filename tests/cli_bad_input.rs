@@ -1,6 +1,6 @@
-//! A malformed flag value is bad input: `tmstudy` names the flag in a
-//! one-line `error:` and exits 2. It never reaches a Rust panic (exit
-//! 101), whichever subcommand reads the flag.
+//! Malformed input — a flag value, a results file — is bad input: `tmstudy`
+//! names the flag or the fault in a one-line `error:` and exits 2. It never
+//! reaches a Rust panic (exit 101), whichever subcommand reads the input.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -11,7 +11,13 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
     // report gets an `--out` nothing can be written to; only the last row
     // gets far enough to try.
     const OUT: &str = "/dev/null/x.json";
+    // 200 000 nested arrays: the parser used to recurse into every one and
+    // overflow the stack (exit 134).
+    let deep = std::env::temp_dir().join(format!("cli-deep-{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let deep = deep.to_str().unwrap();
     let table: &[(&[&str], &str)] = &[
+        (&["report", deep], "nesting deeper than 128 at byte 128"),
         (&["synth", "--structure", "foo"], "structure"),
         (&["synth", "--alloc", "jemalloc"], "alloc"),
         (&["synth", "--threads", "x"], "threads"),
@@ -104,6 +110,7 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
         assert_eq!(error.len(), 1, "{argv:?}: {stderr}");
         assert!(error[0].contains(flag), "{argv:?}: {stderr}");
     }
+    std::fs::remove_file(deep).unwrap();
 }
 
 /// An argument the subcommand does not understand is refused, not
