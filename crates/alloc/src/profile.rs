@@ -107,11 +107,6 @@ impl<A: Allocator> AllocProfiler<A> {
         self.profile.lock().region[tid] = r;
     }
 
-    /// The region `tid`'s allocations are currently attributed to.
-    pub fn current_region(&self, tid: usize) -> Region {
-        self.profile.lock().region[tid]
-    }
-
     /// The three region histograms, indexed by `Region as usize`, summed
     /// over all threads. (Named to stay clear of the checkpoint method
     /// [`Allocator::snapshot`].)

@@ -4,7 +4,7 @@
 //! the strawman vs the four studied allocators.
 use std::sync::Arc;
 use tm_alloc::{Allocator, AllocatorKind, SerialLockAllocator};
-use tm_core::report::Series;
+use tm_obs::Series;
 use tm_sim::{MachineConfig, Sim};
 
 fn throughput(make: impl Fn(&Sim) -> Arc<dyn Allocator>, threads: usize) -> f64 {

@@ -3,8 +3,8 @@
 use crate::synth_cfg;
 use crate::synth_point;
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
 use tm_ds::StructureKind;
+use tm_obs::Series;
 
 /// The stripe-shift ablation as a run report.
 pub fn run() -> crate::RunReport {

@@ -1,8 +1,8 @@
 //! Figure 3: threadtest throughput vs block size, 8 threads, 4 allocators.
 use crate::scale;
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
 use tm_core::threadtest::{run_threadtest, ThreadtestConfig};
+use tm_obs::Series;
 
 /// Figure 3 as a run report.
 pub fn run() -> crate::RunReport {

@@ -4,8 +4,8 @@
 use crate::synth_point;
 use crate::{synth_cfg, SYNTH_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
 use tm_ds::StructureKind;
+use tm_obs::Series;
 
 /// The Fig. 4 mix extension as a run report.
 pub fn run() -> crate::RunReport {

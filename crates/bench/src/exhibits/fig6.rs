@@ -3,8 +3,8 @@
 use crate::synth_point;
 use crate::{synth_cfg, SYNTH_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
 use tm_ds::StructureKind;
+use tm_obs::Series;
 
 /// Figure 6 as a run report.
 pub fn run() -> crate::RunReport {

@@ -2,7 +2,7 @@
 //! all four allocators.
 use crate::{stamp_point, STAMP_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
+use tm_obs::Series;
 use tm_stamp::AppKind;
 
 /// Figure 7 as a run report.

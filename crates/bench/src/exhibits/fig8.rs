@@ -2,7 +2,7 @@
 //! allocator).
 use crate::{stamp_point, STAMP_THREADS};
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
+use tm_obs::Series;
 use tm_stamp::AppKind;
 
 /// Figure 8 as a run report.

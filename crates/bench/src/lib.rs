@@ -23,10 +23,10 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 use tm_alloc::AllocatorKind;
-use tm_core::report::Series;
 use tm_core::synthetic::{run_synthetic_cm, SyntheticConfig};
 use tm_core::Metrics;
 use tm_ds::StructureKind;
+use tm_obs::Series;
 use tm_stamp::runner::{run_kind, StampOpts, StampResult};
 use tm_stamp::AppKind;
 use tm_stm::{CmStats, CmSwitch};
@@ -163,10 +163,7 @@ pub mod exhibits;
 pub fn series_section(x_label: &str, series: &[Series]) -> Section {
     Section::Series {
         x_label: x_label.to_string(),
-        lines: series
-            .iter()
-            .map(|s| (s.label.clone(), s.points.clone()))
-            .collect(),
+        lines: series.to_vec(),
     }
 }
 

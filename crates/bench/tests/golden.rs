@@ -7,7 +7,8 @@
 //! (`GOLDEN_BLESS=1 cargo test -p tm-bench`). The JSON form of a report
 //! must round-trip structurally.
 
-use tm_core::report::{render_series, render_table, Series};
+use tm_core::report::{render_series, render_table};
+use tm_obs::Series;
 
 fn golden_table() -> (Vec<&'static str>, Vec<Vec<String>>, String) {
     let header = vec!["Structure", "Best", "Worst", "Perf. diff"];

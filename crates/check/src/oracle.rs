@@ -31,7 +31,22 @@ use tm_stm::{BackendKind, CmKind, Stack, StmConfig};
 use crate::strategies::SetOp;
 use crate::{cell_from, kv};
 
-/// One cell of the synthetic check matrix.
+/// ORT stripe shift of every synthetic check cell.
+const SHIFT: u32 = 5;
+/// Successful inserts performed by the sequential warm-up.
+const INITIAL_SIZE: u64 = 12;
+/// Keys are drawn from `0..KEY_RANGE`.
+const KEY_RANGE: u64 = 32;
+/// Operations per worker thread.
+const OPS_PER_THREAD: u64 = 120;
+/// Percentage of operations that are updates (insert/remove pairs).
+const UPDATE_PCT: u64 = 60;
+/// Workload seed.
+const SEED: u64 = 0xc0ffee;
+
+/// One cell of the synthetic check matrix: a small, fast workload (the
+/// constants above) with enough churn to catch interleaving bugs while
+/// keeping a full matrix sweep in seconds.
 #[derive(Clone, Debug)]
 pub struct SynthCheckConfig {
     /// Structure under test.
@@ -40,34 +55,15 @@ pub struct SynthCheckConfig {
     pub allocator: AllocatorKind,
     /// Worker thread count of the parallel phase.
     pub threads: usize,
-    /// ORT stripe shift.
-    pub shift: u32,
-    /// Successful inserts performed by the sequential warm-up.
-    pub initial_size: u64,
-    /// Keys are drawn from `0..key_range`.
-    pub key_range: u64,
-    /// Operations per worker thread.
-    pub ops_per_thread: u64,
-    /// Percentage of operations that are updates (insert/remove pairs).
-    pub update_pct: u64,
-    /// Workload seed.
-    pub seed: u64,
 }
 
 impl SynthCheckConfig {
-    /// A small, fast cell: enough churn to catch interleaving bugs while
-    /// keeping a full matrix sweep in seconds.
+    /// The cell of `structure` on `allocator` at `threads` workers.
     pub fn quick(structure: StructureKind, allocator: AllocatorKind, threads: usize) -> Self {
         SynthCheckConfig {
             structure,
             allocator,
             threads,
-            shift: 5,
-            initial_size: 12,
-            key_range: 32,
-            ops_per_thread: 120,
-            update_pct: 60,
-            seed: 0xc0ffee,
         }
     }
 }
@@ -100,7 +96,7 @@ pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
         AllocFaultPlan::None,
         true,
         StmConfig {
-            shift: cfg.shift,
+            shift: SHIFT,
             ..StmConfig::default()
         },
     );
@@ -109,13 +105,13 @@ pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
     let set_cell: Mutex<Option<AnySet>> = Mutex::new(None);
     let init_cell: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
     sim.run(1, |ctx| {
-        let buckets = (cfg.key_range * 2).next_power_of_two();
+        let buckets = (KEY_RANGE * 2).next_power_of_two();
         let set = AnySet::new(cfg.structure, &stm, ctx, buckets);
         let mut th = stm.thread(0);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let mut init = BTreeSet::new();
-        while (init.len() as u64) < cfg.initial_size.min(cfg.key_range) {
-            let key = rng.gen_range(0..cfg.key_range);
+        while (init.len() as u64) < INITIAL_SIZE.min(KEY_RANGE) {
+            let key = rng.gen_range(0..KEY_RANGE);
             if set.as_set().insert(&stm, ctx, &mut th, key) {
                 init.insert(key);
             }
@@ -134,12 +130,12 @@ pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
         let tid = ctx.tid();
         let mut th = stm.thread(tid);
         let mut rng =
-            SmallRng::seed_from_u64(cfg.seed ^ (tid as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-        let mut log = Vec::with_capacity(cfg.ops_per_thread as usize);
+            SmallRng::seed_from_u64(SEED ^ (tid as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
+        let mut log = Vec::with_capacity(OPS_PER_THREAD as usize);
         let mut pending_remove = None;
-        for _ in 0..cfg.ops_per_thread {
-            let key = rng.gen_range(0..cfg.key_range);
-            let op = if rng.gen_range(0..100) < cfg.update_pct {
+        for _ in 0..OPS_PER_THREAD {
+            let key = rng.gen_range(0..KEY_RANGE);
+            let op = if rng.gen_range(0..100) < UPDATE_PCT {
                 match pending_remove.take() {
                     Some(k) => SetOp::Remove(k),
                     None => {
@@ -169,7 +165,7 @@ pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
         set.check_invariants_raw(ctx);
         let mut th = stm.thread(0);
         let mut fin = BTreeSet::new();
-        for key in 0..cfg.key_range {
+        for key in 0..KEY_RANGE {
             if set.as_set().contains(&stm, ctx, &mut th, key) {
                 fin.insert(key);
             }
@@ -307,7 +303,7 @@ pub fn run_synth_cell(cfg: &SynthCheckConfig) -> CheckCell {
         kv("structure", cfg.structure.name()),
         kv("alloc", cfg.allocator.name()),
         kv("threads", cfg.threads),
-        kv("shift", cfg.shift),
+        kv("shift", SHIFT),
     ];
     let obs = match catch_unwind(AssertUnwindSafe(|| observe_synthetic(cfg))) {
         Ok(obs) => obs,
@@ -320,14 +316,14 @@ pub fn run_synth_cell(cfg: &SynthCheckConfig) -> CheckCell {
             }
         }
     };
-    let mut failures = validate_synthetic(&obs, cfg.key_range);
+    let mut failures = validate_synthetic(&obs, KEY_RANGE);
     if obs.heap_violations > 0 {
         failures.push(format!("{} heap-invariant violations", obs.heap_violations));
     }
     let ops: u64 = obs.events.iter().map(|l| l.len() as u64).sum();
     let checks = vec![
         ("ops".into(), ops),
-        ("keys".into(), cfg.key_range),
+        ("keys".into(), KEY_RANGE),
         ("commits".into(), obs.commits),
         ("final_size".into(), obs.fin.len() as u64),
         ("heap_violations".into(), obs.heap_violations),
@@ -596,7 +592,7 @@ mod tests {
         for structure in StructureKind::ALL {
             let cfg = SynthCheckConfig::quick(structure, AllocatorKind::TcMalloc, 1);
             let obs = observe_synthetic(&cfg);
-            let failures = validate_synthetic(&obs, cfg.key_range);
+            let failures = validate_synthetic(&obs, KEY_RANGE);
             assert!(failures.is_empty(), "{structure:?}: {failures:?}");
         }
     }
@@ -608,7 +604,7 @@ mod tests {
             let cell = run_synth_cell(&cfg);
             assert_eq!(cell.status, CheckStatus::Pass, "{:?}", cell.detail);
             let ops = cell.checks.iter().find(|(k, _)| k == "ops").unwrap().1;
-            assert_eq!(ops, 4 * cfg.ops_per_thread);
+            assert_eq!(ops, 4 * OPS_PER_THREAD);
         }
     }
 

@@ -150,7 +150,8 @@ fn usage() {
          sweep:      [--workload synth|stamp|threadtest] axes as comma lists \
          (--structure --app --alloc --backend --cm --alloc-fault --threads --shift \
          --update-pct --size --ops --pairs --scale --seeds) [--quick] [--reps N] \
-         [--name S] [--out FILE]; cells run one after another; exit 1 when \
+         [--name S] [--out FILE]; every cell parses before any runs (a value \
+         a parser refuses exits 2); cells run one after another; exit 1 when \
          any cell ends in `error`\n\
          check:      correctness matrix (serial oracles, heap audit, \
          cross-backend and cross-CM diffs, interleaving explorer) [--quick] \

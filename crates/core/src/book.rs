@@ -15,8 +15,8 @@
 //! longer show what the book says they show" — the signal the gate
 //! exists to raise — not a judgement call made at render time.
 
-use crate::report::{render_series, Series};
-use tm_obs::{RunReport, Section};
+use crate::report::render_series;
+use tm_obs::{RunReport, Section, Series};
 
 /// One pinned expectation against a run report.
 pub enum Check {
@@ -506,11 +506,11 @@ pub fn run_check(check: &Check, report: &RunReport) -> Result<(), String> {
             };
             // y value of each curve at its largest x.
             let mut last: Vec<(&str, f64)> = Vec::new();
-            for (name, pts) in lines {
-                let Some(&(_, y)) = pts.iter().max_by(|a, b| a.0.total_cmp(&b.0)) else {
-                    return Err(format!("curve '{name}' in '{section}' is empty"));
+            for Series { label, points } in lines {
+                let Some(&(_, y)) = points.iter().max_by(|a, b| a.0.total_cmp(&b.0)) else {
+                    return Err(format!("curve '{label}' in '{section}' is empty"));
                 };
-                last.push((name, y));
+                last.push((label, y));
             }
             let Some(&(_, candidate)) = last.iter().find(|(n, _)| n == line) else {
                 return Err(format!("no curve '{line}' in '{section}'"));
@@ -607,48 +607,9 @@ fn render_section(out: &mut String, title: &str, section: &Section) {
         Section::Table { header, rows } => {
             md_table(out, header, rows);
         }
-        Section::Counters(items) => {
-            let header = vec!["counter".to_string(), "value".to_string()];
-            let rows: Vec<Vec<String>> = items
-                .iter()
-                .map(|(k, v)| vec![k.clone(), v.to_string()])
-                .collect();
-            md_table(out, &header, &rows);
-        }
-        Section::Histogram { bounds, counts } => {
-            let header = vec!["bucket".to_string(), "count".to_string()];
-            let rows: Vec<Vec<String>> = counts
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let label = if i < bounds.len() {
-                        format!("<= {}", bounds[i])
-                    } else {
-                        format!("> {}", bounds.last().copied().unwrap_or(0))
-                    };
-                    vec![label, c.to_string()]
-                })
-                .collect();
-            md_table(out, &header, &rows);
-        }
         Section::Series { x_label, lines } => {
-            let series: Vec<Series> = lines
-                .iter()
-                .map(|(label, pts)| Series {
-                    label: label.clone(),
-                    points: pts.clone(),
-                })
-                .collect();
             out.push_str("```text\n");
-            out.push_str(&render_series(title, x_label, &series));
-            out.push_str("```\n");
-        }
-        Section::Text(s) => {
-            out.push_str("```text\n");
-            out.push_str(s);
-            if !s.ends_with('\n') {
-                out.push('\n');
-            }
+            out.push_str(&render_series(title, x_label, lines));
             out.push_str("```\n");
         }
     }
@@ -792,8 +753,14 @@ mod tests {
             Section::Series {
                 x_label: "block_size".into(),
                 lines: vec![
-                    ("Glibc".into(), vec![(16.0, 5.0), (64.0, 5.0)]),
-                    ("TCMalloc".into(), vec![(16.0, 2.0), (64.0, 9.0)]),
+                    Series {
+                        label: "Glibc".into(),
+                        points: vec![(16.0, 5.0), (64.0, 5.0)],
+                    },
+                    Series {
+                        label: "TCMalloc".into(),
+                        points: vec![(16.0, 2.0), (64.0, 9.0)],
+                    },
                 ],
             },
         )

@@ -1,14 +1,7 @@
 //! Plain-text table and series formatting (the generated book and the
 //! examples print through it) and the best/worst summary of Tables 3 and 6.
 
-/// A labelled series of (x, y) points — one curve of a figure.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// Curve label (usually an allocator name).
-    pub label: String,
-    /// `(x, y)` samples in x order.
-    pub points: Vec<(f64, f64)>,
-}
+use tm_obs::Series;
 
 /// Render several series as an aligned text table: one row per x, one
 /// column per series — directly comparable to the paper's figures.

@@ -1,19 +1,21 @@
 //! Cell runners and spec building for `tmstudy sweep`.
 //!
 //! A sweep cell is a flat `(key, value)` configuration produced by
-//! [`tm_obs::sweep::SweepSpec::expand`]; [`run_cell`] maps one such
-//! configuration onto the library workloads (synthetic structures, STAMP
-//! applications, threadtest) and returns named scalar metrics. Everything
-//! returns `Result` rather than panicking so that a malformed or
-//! impossible cell degrades to an `error` cell in the matrix instead of
-//! taking down the whole sweep. [`tm_obs::sweep::run_spec`] runs the cells
+//! [`tm_obs::sweep::SweepSpec::expand`]; [`run_cell`] parses one such
+//! configuration into a library workload (synthetic structures, STAMP
+//! applications, threadtest), runs it and returns named scalar metrics.
+//! Everything returns `Result` rather than panicking so that a cell that
+//! fails degrades to an `error` cell in the matrix instead of taking down
+//! the whole sweep. [`tm_obs::sweep::run_spec`] runs the cells
 //! one after another on the calling thread.
 //!
 //! [`spec_from_flags`] turns `tmstudy sweep` command-line flags into a
 //! [`tm_obs::sweep::SweepSpec`]: comma-separated flag values become axes in a
 //! fixed canonical order (so the expansion order — and therefore the
 //! matrix cell order — does not depend on the order flags were typed),
-//! and `--reps N` adds a trailing `rep` axis to force repetitions.
+//! and `--reps N` adds a trailing `rep` axis to force repetitions. It
+//! parses every cell before any runs: a value a cell's parser refuses is
+//! an error of the whole spec.
 
 use std::collections::HashMap;
 
@@ -224,47 +226,60 @@ pub fn threadtest_config(config: &[(String, String)]) -> Result<ThreadtestConfig
     })
 }
 
-/// Execute one sweep cell. Dispatches on the cell's `workload` key
-/// (`synth`, `stamp` or `threadtest`); unknown keys such as `rep` or
-/// `seed`-only axes are configuration labels and are ignored by workloads
-/// that do not consume them.
-pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
+/// One sweep cell's workload, parsed from its config and ready to run.
+enum Workload {
+    Synth(SyntheticConfig),
+    Stamp(AppKind, StampRun),
+    Threadtest(ThreadtestConfig),
+}
+
+/// The parse step of a sweep cell: its `workload` key (`synth`, `stamp`
+/// or `threadtest`) and the configuration that workload reads, or the
+/// parser's error. Keys a workload does not consume, such as `rep` or a
+/// `seed`-only axis, are labels and are ignored.
+fn parse_cell(config: &[(String, String)]) -> Result<Workload, String> {
     match lookup(config, "workload") {
-        Some("synth") | None => synth_cell(config),
-        Some("stamp") => stamp_cell(config),
-        Some("threadtest") => threadtest_cell(config),
+        Some("synth") | None => Ok(Workload::Synth(synth_config(config)?)),
+        Some("stamp") => {
+            let run = stamp_run(config)?;
+            let app = run.app.ok_or("stamp sweep needs an app axis (--app)")?;
+            Ok(Workload::Stamp(app, run))
+        }
+        Some("threadtest") => Ok(Workload::Threadtest(threadtest_config(config)?)),
         Some(other) => Err(format!("unknown workload '{other}'")),
     }
 }
 
-fn synth_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let m = run_synthetic(&synth_config(config)?);
-    Ok(vec![
-        ("throughput".into(), m.throughput),
-        ("abort_pct".into(), m.abort_ratio * 100.0),
-        ("l1_miss_pct".into(), m.l1_miss * 100.0),
-    ])
-}
-
-fn stamp_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let run = stamp_run(config)?;
-    let app = run.app.ok_or("stamp sweep needs an app axis (--app)")?;
-    let a = make_app(app, run.scale, run.opts.seed);
-    let r = run_app(a.as_ref(), run.alloc, run.threads, &run.opts);
-    Ok(vec![
-        ("par_s".into(), r.par_seconds),
-        ("speedup".into(), r.seq_seconds / r.par_seconds),
-        ("abort_pct".into(), r.abort_ratio * 100.0),
-        ("l1_miss_pct".into(), r.l1_miss * 100.0),
-    ])
-}
-
-fn threadtest_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    let r = run_threadtest(&threadtest_config(config)?);
-    Ok(vec![
-        ("mpairs_per_s".into(), r.mops),
-        ("l1_miss_pct".into(), r.l1_miss * 100.0),
-    ])
+/// Execute one sweep cell: parse it, then run its workload and return
+/// its named metrics.
+pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
+    Ok(match parse_cell(config)? {
+        Workload::Synth(cfg) => {
+            let m = run_synthetic(&cfg);
+            vec![
+                ("throughput".into(), m.throughput),
+                ("abort_pct".into(), m.abort_ratio * 100.0),
+                ("l1_miss_pct".into(), m.l1_miss * 100.0),
+            ]
+        }
+        Workload::Stamp(app, run) => {
+            let a = make_app(app, run.scale, run.opts.seed);
+            let r = run_app(a.as_ref(), run.alloc, run.threads, &run.opts);
+            vec![
+                ("par_s".into(), r.par_seconds),
+                ("speedup".into(), r.seq_seconds / r.par_seconds),
+                ("abort_pct".into(), r.abort_ratio * 100.0),
+                ("l1_miss_pct".into(), r.l1_miss * 100.0),
+            ]
+        }
+        Workload::Threadtest(cfg) => {
+            let r = run_threadtest(&cfg);
+            vec![
+                ("mpairs_per_s".into(), r.mops),
+                ("l1_miss_pct".into(), r.l1_miss * 100.0),
+            ]
+        }
+    })
 }
 
 /// Flags that become sweep axes when present, in canonical axis order.
@@ -307,23 +322,6 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
     if !["synth", "stamp", "threadtest"].contains(&workload) {
         return Err(format!("unknown workload '{workload}'"));
     }
-    // Validate backend tokens up front so a typo fails the whole sweep
-    // with a clean listing instead of producing a matrix of error cells.
-    if let Some(vals) = flags.get("backend") {
-        for v in vals.split(',').map(str::trim).filter(|v| !v.is_empty()) {
-            parse_backend(v)?;
-        }
-    }
-    if let Some(vals) = flags.get("cm") {
-        for v in vals.split(',').map(str::trim).filter(|v| !v.is_empty()) {
-            parse_cm(v)?;
-        }
-    }
-    if let Some(vals) = flags.get("alloc-fault") {
-        for v in vals.split(',').map(str::trim).filter(|v| !v.is_empty()) {
-            tm_alloc::AllocFaultPlan::parse(v)?;
-        }
-    }
     let quick = flags.contains_key("quick");
     let name = flags.get("name").cloned().unwrap_or_else(|| {
         if quick {
@@ -358,6 +356,12 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
             return Err("--reps must be at least 1".into());
         }
         spec = spec.axis("rep", (1..=n).map(|i| i.to_string()));
+    }
+    // Every cell parses before any runs, so a value its parser refuses
+    // fails the whole sweep with that parser's message instead of
+    // producing a matrix of error cells.
+    for cell in spec.expand() {
+        parse_cell(&cell)?;
     }
     Ok(spec)
 }
@@ -424,6 +428,25 @@ mod tests {
                 run_cell(&cell).unwrap_err(),
                 format!("bad --threads '{threads}' (1..=8 simulated cores)")
             );
+        }
+    }
+
+    #[test]
+    fn a_typo_on_any_axis_is_an_error_of_the_whole_spec() {
+        let cases: [(&[(&str, &str)], &str); 5] = [
+            (&[("alloc", "glibc,hord")], "'hord'"),
+            (&[("structure", "list,lst")], "unknown structure 'lst'"),
+            (&[("workload", "stamp"), ("app", "genome,genom")], "'genom'"),
+            (&[("threads", "1,x")], "bad threads 'x'"),
+            (&[("workload", "stamp")], "stamp sweep needs an app axis"),
+        ];
+        for (pairs, told) in cases {
+            let flags: HashMap<String, String> = pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            let err = spec_from_flags(&flags).unwrap_err();
+            assert!(err.contains(told), "{pairs:?}: {err}");
         }
     }
 

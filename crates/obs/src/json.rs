@@ -2,10 +2,10 @@
 //!
 //! The build environment is fully offline, so `serde` is not available;
 //! the report layer needs exactly one thing — a faithful, dependency-free
-//! JSON round trip for [`crate::report::RunReport`] — and this module is
-//! that. Object key order is preserved (reports are diffed textually), and
-//! integers are kept distinct from floats so counters emit as `1234`, not
-//! `1234.0`.
+//! JSON round trip for its five schemas ([`crate::report::RunReport`] and
+//! the four [`crate::matrix`] reports) — and this module is that. Object
+//! key order is preserved (reports are diffed textually), and integers are
+//! kept distinct from floats so counters emit as `1234`, not `1234.0`.
 //!
 //! # Example: a `RunReport`'s JSON round trip
 //!
@@ -20,7 +20,10 @@
 //!     .meta("threads", 8)
 //!     .section(
 //!         "stm",
-//!         Section::Counters(vec![("commits".into(), 1000), ("aborts".into(), 37)]),
+//!         Section::Table {
+//!             header: vec!["counter".into(), "value".into()],
+//!             rows: vec![vec!["commits".into(), "1000".into()]],
+//!         },
 //!     );
 //!
 //! // The on-disk form is pretty-printed `tm-run-report/v1` JSON...
@@ -99,14 +102,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Integer value, if this is an `Int`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(v) => Some(*v),
             _ => None,
         }
     }

@@ -14,9 +14,12 @@
 //!   and the ring stays only as the subject of the benchmark's
 //!   `obs.trace_event_ns` probe.
 //! * [`report`] — the [`report::RunReport`] schema every experiment binary
-//!   emits as `results/<name>.json`, built on a dependency-free JSON
-//!   emitter/parser in [`json`] (the build environment is offline, so no
-//!   serde). `tmstudy report` pretty-prints and diffs these files.
+//!   emits as `results/<name>.json`: metadata plus titled sections, each a
+//!   [`Section::Series`] (a figure's curves, one [`Series`] per line) or a
+//!   [`Section::Table`] (counters and histograms are written as tables).
+//!   It is built on a dependency-free JSON emitter/parser in [`json`] (the
+//!   build environment is offline, so no serde). `tmstudy report`
+//!   pretty-prints and diffs these files.
 //!
 //! * [`matrix`] — the envelope the other four schemas share
 //!   ([`matrix::Matrix`]: name, meta, top-level extras, one cell per
@@ -60,7 +63,7 @@ pub use counters::ShardedSlots;
 pub use matrix::{load_report, Cell, Matrix, Report, REGISTRY};
 pub use mc::{McCell, McCounterexample, McReport, McVerdict};
 pub use oom::{OomCell, OomReport};
-pub use report::{RunReport, Section};
+pub use report::{RunReport, Section, Series};
 pub use sweep::{CellStatus, SweepCell, SweepReport};
 pub use trace::{Event, EventKind, Trace};
 

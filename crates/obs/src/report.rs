@@ -8,8 +8,8 @@
 
 use crate::json::Json;
 use crate::matrix::{
-    check_schema, document, emit_fields, field, opt, pairs_from, pairs_json, parse_fields,
-    render_meta, req, same_schema, Codec, Field, Fields, Report, META,
+    check_schema, document, emit_fields, field, opt, parse_fields, render_meta, req, same_schema,
+    Codec, Field, Fields, Report, META,
 };
 
 /// Schema identifier written into every report.
@@ -27,25 +27,26 @@ pub const SCHEMA_V1_1: &str = "tm-run-report/v1.1";
 /// Every schema id a run report may carry: v1, then the minor version.
 pub const SCHEMAS: &[&str] = &[SCHEMA, SCHEMA_V1_1];
 
-/// One typed block of results.
+/// One labelled curve of a figure: `(x, y)` points in x order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Series {
+    /// Curve label (usually an allocator name).
+    pub label: String,
+    /// `(x, y)` samples in x order.
+    pub points: Vec<(f64, f64)>,
+}
+
+/// One typed block of results: a figure's curves or a table. Counters
+/// and histograms are written as tables (a counter is a `name, value`
+/// row).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Section {
-    /// Named integer counters, in emission order.
-    Counters(Vec<(String, u64)>),
-    /// Bucketed counts.
-    Histogram {
-        /// Inclusive upper bucket edges.
-        bounds: Vec<u64>,
-        /// One count per bound plus one extra final entry for the open
-        /// bucket above the last bound.
-        counts: Vec<u64>,
-    },
     /// Labeled lines over a shared x-axis, as explicit (x, y) points.
     Series {
         /// Name of the shared x axis ("cores", "block_size", ...).
         x_label: String,
-        /// `(line label, points)` per curve.
-        lines: Vec<(String, Vec<(f64, f64)>)>,
+        /// One curve per line.
+        lines: Vec<Series>,
     },
     /// A rectangular table of strings.
     Table {
@@ -54,34 +55,18 @@ pub enum Section {
         /// Data rows, each as long as `header`.
         rows: Vec<Vec<String>>,
     },
-    /// Free-form text (e.g. notes).
-    Text(String),
 }
 
 impl Section {
     fn kind(&self) -> &'static str {
         match self {
-            Section::Counters(_) => "counters",
-            Section::Histogram { .. } => "histogram",
             Section::Series { .. } => "series",
             Section::Table { .. } => "table",
-            Section::Text(_) => "text",
         }
     }
 
     fn to_json(&self) -> Json {
         match self {
-            Section::Counters(items) => pairs_json(items, |v| Json::u64(*v)),
-            Section::Histogram { bounds, counts } => Json::Obj(vec![
-                (
-                    "bounds".into(),
-                    Json::Arr(bounds.iter().map(|&b| Json::u64(b)).collect()),
-                ),
-                (
-                    "counts".into(),
-                    Json::Arr(counts.iter().map(|&c| Json::u64(c)).collect()),
-                ),
-            ]),
             Section::Series { x_label, lines } => Json::Obj(vec![
                 ("x_label".into(), Json::str(x_label.clone())),
                 (
@@ -89,11 +74,12 @@ impl Section {
                     Json::Obj(
                         lines
                             .iter()
-                            .map(|(name, pts)| {
+                            .map(|line| {
                                 (
-                                    name.clone(),
+                                    line.label.clone(),
                                     Json::Arr(
-                                        pts.iter()
+                                        line.points
+                                            .iter()
                                             .map(|&(x, y)| {
                                                 Json::Arr(vec![Json::Num(x), Json::Num(y)])
                                             })
@@ -119,22 +105,11 @@ impl Section {
                     ),
                 ),
             ]),
-            Section::Text(s) => Json::str(s.clone()),
         }
     }
 
     fn from_json(kind: &str, data: &Json) -> Result<Section, String> {
         match kind {
-            "counters" => Ok(Section::Counters(pairs_from(
-                Some(data),
-                || "counters section must be an object".into(),
-                |k, v| v.as_u64().ok_or_else(|| format!("counter '{k}' not a u64")),
-            )?)),
-            "histogram" => {
-                let bounds = u64_arr(data.get("bounds"), "bounds")?;
-                let counts = u64_arr(data.get("counts"), "counts")?;
-                Ok(Section::Histogram { bounds, counts })
-            }
             "series" => {
                 let x_label = data
                     .get("x_label")
@@ -145,8 +120,8 @@ impl Section {
                     return Err("series missing lines object".into());
                 };
                 let mut lines = Vec::with_capacity(line_pairs.len());
-                for (name, pts) in line_pairs {
-                    let pts = pts
+                for (label, pts) in line_pairs {
+                    let points = pts
                         .as_arr()
                         .ok_or("series line must be an array")?
                         .iter()
@@ -160,7 +135,10 @@ impl Section {
                             }
                         })
                         .collect::<Result<Vec<_>, _>>()?;
-                    lines.push((name.clone(), pts));
+                    lines.push(Series {
+                        label: label.clone(),
+                        points,
+                    });
                 }
                 Ok(Section::Series { x_label, lines })
             }
@@ -175,22 +153,9 @@ impl Section {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Section::Table { header, rows })
             }
-            "text" => Ok(Section::Text(
-                data.as_str()
-                    .ok_or("text section must be a string")?
-                    .to_string(),
-            )),
             other => Err(format!("unknown section kind '{other}'")),
         }
     }
-}
-
-fn u64_arr(v: Option<&Json>, what: &str) -> Result<Vec<u64>, String> {
-    v.and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing {what} array"))?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| format!("{what} entry not a u64")))
-        .collect()
 }
 
 fn str_arr(v: Option<&Json>, what: &str) -> Result<Vec<String>, String> {
@@ -308,26 +273,13 @@ impl RunReport {
         for (title, section) in &self.sections {
             out.push_str(&format!("\n== {title} [{}] ==\n", section.kind()));
             match section {
-                Section::Counters(items) => {
-                    let w = items.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-                    for (k, v) in items {
-                        out.push_str(&format!("  {k:<w$}  {v}\n"));
-                    }
-                }
-                Section::Histogram { bounds, counts } => {
-                    for (i, c) in counts.iter().enumerate() {
-                        let label = if i < bounds.len() {
-                            format!("<= {}", bounds[i])
-                        } else {
-                            format!("> {}", bounds.last().copied().unwrap_or(0))
-                        };
-                        out.push_str(&format!("  {label:<12} {c}\n"));
-                    }
-                }
                 Section::Series { x_label, lines } => {
-                    for (name, pts) in lines {
-                        out.push_str(&format!("  {name} ({} points, x={x_label}):", pts.len()));
-                        for (x, y) in pts {
+                    for Series { label, points } in lines {
+                        out.push_str(&format!(
+                            "  {label} ({} points, x={x_label}):",
+                            points.len()
+                        ));
+                        for (x, y) in points {
                             out.push_str(&format!(" ({x}, {y})"));
                         }
                         out.push('\n');
@@ -360,18 +312,13 @@ impl RunReport {
                         out.push_str(&fmt_row(r));
                     }
                 }
-                Section::Text(s) => {
-                    for line in s.lines() {
-                        out.push_str(&format!("  {line}\n"));
-                    }
-                }
             }
         }
         out
     }
 
     /// Structural diff for `tmstudy report --diff a.json b.json`: reports
-    /// metadata changes, section presence, and per-counter deltas. Returns
+    /// metadata changes, section presence, and changed sections. Returns
     /// `None` when the two reports are identical.
     pub fn diff(&self, other: &RunReport) -> Option<String> {
         if self == other {
@@ -395,18 +342,17 @@ impl RunReport {
         if self.cm != other.cm {
             out.push_str(&format!("cm: {} -> {}\n", show(&self.cm), show(&other.cm)));
         }
-        diff_pairs(&mut out, "meta", &self.meta, &other.meta, |a, b| {
-            if a != b {
-                Some(format!("{a} -> {b}"))
-            } else {
-                None
-            }
-        });
+        diff_meta(&mut out, &self.meta, &other.meta);
         // Section-level comparison by title.
         for (title, sa) in &self.sections {
             match other.sections.iter().find(|(t, _)| t == title) {
                 None => out.push_str(&format!("section '{title}': only in left\n")),
-                Some((_, sb)) => diff_section(&mut out, title, sa, sb),
+                Some((_, sb)) if sa != sb => out.push_str(&format!(
+                    "section '{title}' [{} vs {}]: differs\n",
+                    sa.kind(),
+                    sb.kind()
+                )),
+                Some(_) => {}
             }
         }
         for (title, _) in &other.sections {
@@ -469,55 +415,18 @@ impl Report for RunReport {
     }
 }
 
-fn diff_pairs<T: PartialEq + std::fmt::Display>(
-    out: &mut String,
-    what: &str,
-    a: &[(String, T)],
-    b: &[(String, T)],
-    show: impl Fn(&T, &T) -> Option<String>,
-) {
+fn diff_meta(out: &mut String, a: &[(String, String)], b: &[(String, String)]) {
     for (k, va) in a {
         match b.iter().find(|(kb, _)| kb == k) {
-            None => out.push_str(&format!("{what} '{k}': only in left ({va})\n")),
-            Some((_, vb)) => {
-                if let Some(change) = show(va, vb) {
-                    out.push_str(&format!("{what} '{k}': {change}\n"));
-                }
-            }
+            None => out.push_str(&format!("meta '{k}': only in left ({va})\n")),
+            Some((_, vb)) if va != vb => out.push_str(&format!("meta '{k}': {va} -> {vb}\n")),
+            Some(_) => {}
         }
     }
     for (k, vb) in b {
         if !a.iter().any(|(ka, _)| ka == k) {
-            out.push_str(&format!("{what} '{k}': only in right ({vb})\n"));
+            out.push_str(&format!("meta '{k}': only in right ({vb})\n"));
         }
-    }
-}
-
-fn diff_section(out: &mut String, title: &str, a: &Section, b: &Section) {
-    if a == b {
-        return;
-    }
-    match (a, b) {
-        (Section::Counters(ca), Section::Counters(cb)) => {
-            diff_pairs(out, &format!("'{title}'"), ca, cb, |&va, &vb| {
-                if va != vb {
-                    let delta = vb as i128 - va as i128;
-                    let pct = if va != 0 {
-                        format!(" ({:+.2}%)", delta as f64 / va as f64 * 100.0)
-                    } else {
-                        String::new()
-                    };
-                    Some(format!("{va} -> {vb} [{delta:+}{pct}]"))
-                } else {
-                    None
-                }
-            });
-        }
-        _ => out.push_str(&format!(
-            "section '{title}' [{} vs {}]: differs\n",
-            a.kind(),
-            b.kind()
-        )),
     }
 }
 
@@ -531,30 +440,31 @@ mod tests {
             .meta("allocator", "tcmalloc")
             .section(
                 "stm",
-                Section::Counters(vec![("commits".into(), 1000), ("aborts".into(), 37)]),
-            )
-            .section(
-                "sizes",
-                Section::Histogram {
-                    bounds: vec![16, 64],
-                    counts: vec![10, 5, 1],
+                Section::Table {
+                    header: vec!["counter".into(), "value".into()],
+                    rows: vec![
+                        vec!["commits".into(), "1000".into()],
+                        vec!["aborts".into(), "37".into()],
+                    ],
                 },
             )
             .section(
                 "throughput",
                 Section::Series {
                     x_label: "threads".into(),
-                    lines: vec![("tcmalloc".into(), vec![(1.0, 0.5), (8.0, 3.25)])],
+                    lines: vec![Series {
+                        label: "tcmalloc".into(),
+                        points: vec![(1.0, 0.5), (8.0, 3.25)],
+                    }],
                 },
             )
             .section(
-                "summary",
+                "notes",
                 Section::Table {
                     header: vec!["app".into(), "time".into()],
                     rows: vec![vec!["vacation".into(), "1.23".into()]],
                 },
             )
-            .section("notes", Section::Text("two\nlines".into()))
     }
 
     #[test]
@@ -633,30 +543,28 @@ mod tests {
         let text = sample().render();
         for needle in [
             "fig4 (figure)",
-            "== stm [counters] ==",
+            "== stm [table] ==",
             "commits",
-            "<= 16",
+            "== throughput [series] ==",
+            "tcmalloc (2 points, x=threads): (1, 0.5) (8, 3.25)",
             "vacation",
-            "two",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }
 
     #[test]
-    fn diff_reports_counter_deltas() {
+    fn diff_reports_meta_and_section_changes() {
         let a = sample();
         let mut b = sample();
-        if let Section::Counters(c) = &mut b.sections[0].1 {
-            c[1].1 = 74; // aborts doubled
+        if let Section::Table { rows, .. } = &mut b.sections[0].1 {
+            rows[1][1] = "74".into(); // aborts doubled
         }
         b.meta[1].1 = "glibc".into();
         let d = a.diff(&b).unwrap();
         assert!(d.contains("meta 'allocator': tcmalloc -> glibc"), "{d}");
-        assert!(
-            d.contains("'stm' 'aborts': 37 -> 74 [+37 (+100.00%)]"),
-            "{d}"
-        );
+        assert!(d.contains("section 'stm' [table vs table]: differs"), "{d}");
+        assert!(!d.contains("throughput"), "{d}");
         assert!(a.diff(&sample()).is_none());
     }
 
@@ -664,7 +572,7 @@ mod tests {
     fn diff_notes_missing_sections() {
         let a = sample();
         let mut b = sample();
-        b.sections.remove(4);
+        b.sections.remove(2);
         let d = a.diff(&b).unwrap();
         assert!(d.contains("section 'notes': only in left"), "{d}");
     }

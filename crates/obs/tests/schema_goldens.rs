@@ -240,8 +240,14 @@ fn malformed_input_errors() {
         ("run", r#""meta":{"#, r#""beta":{"#, "report missing meta object"),
         ("run", r#""threads":"8""#, r#""threads":8"#, "meta 'threads' not a string"),
         ("run", r#""sections":["#, r#""parts":["#, "report missing sections array"),
-        ("run", r#""type":"text""#, r#""type":"poem""#, "unknown section kind 'poem'"),
-        ("run", r#""aborts":37"#, r#""aborts":-37"#, "counter 'aborts' not a u64"),
+        ("run", r#""type":"table""#, r#""type":"poem""#, "unknown section kind 'poem'"),
+        // The kinds no producer writes are gone: a document with one is
+        // as unknown as any other.
+        ("run", r#""type":"table""#, r#""type":"counters""#, "unknown section kind 'counters'"),
+        ("run", r#""type":"table""#, r#""type":"histogram""#, "unknown section kind 'histogram'"),
+        ("run", r#""type":"table""#, r#""type":"text""#, "unknown section kind 'text'"),
+        ("run", r#""header":["counter""#, r#""head":["counter""#, "missing header array"),
+        ("run", r#"["aborts","37"]"#, r#"["aborts",37]"#, "row entry not a string"),
         ("run", "[8.0,3.25]", "[3.25]", "series point must be [x, y]"),
     ];
     for (schema, find, replace, want) in cases {

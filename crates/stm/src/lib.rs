@@ -192,13 +192,16 @@ impl InjectedBug {
     }
 }
 
+/// log2 of the ORT entry count of every STM (TinySTM's default).
+pub const ORT_BITS: u32 = 20;
+
 /// STM configuration knobs exercised by the paper (plus the design
 /// extensions: backend, lock acquisition time and ORT hashing).
 #[derive(Clone, Debug)]
 pub struct StmConfig {
     /// Concurrency-control backend (default: the paper's ownership-table
-    /// ETL design). The `shift`/`ort_bits`/`design`/`write_mode`/
-    /// `ort_hash` knobs below only affect [`BackendKind::Etl`].
+    /// ETL design). The `shift`/`design`/`write_mode`/`ort_hash` knobs
+    /// below only affect [`BackendKind::Etl`].
     pub backend: BackendKind,
     /// Contention-management policy (default: the paper's SUICIDE). The
     /// CM layer sits above the backend — it reacts to aborts in the retry
@@ -207,8 +210,6 @@ pub struct StmConfig {
     /// Stripe shift: `2^shift` consecutive bytes map to one versioned lock.
     /// The paper's default is 5 (32-byte stripes); Fig. 6 sweeps 4.
     pub shift: u32,
-    /// log2 of the ORT entry count (TinySTM default: 20).
-    pub ort_bits: u32,
     /// Enable the transactional object cache of §6.2 (Table 7).
     pub object_cache: bool,
     /// Lock acquisition design (default: ETL, the paper's configuration).
@@ -229,7 +230,6 @@ impl Default for StmConfig {
             backend: BackendKind::Etl,
             cm: CmKind::Suicide,
             shift: 5,
-            ort_bits: 20,
             object_cache: false,
             design: LockDesign::Etl,
             write_mode: WriteMode::Back,
@@ -324,7 +324,7 @@ impl Stm {
         if let Err(e) = cfg.check() {
             panic!("{e}");
         }
-        let entries = 1u64 << cfg.ort_bits;
+        let entries = 1u64 << ORT_BITS;
         let cores = sim.config().cores;
         let (ort_base, clock_addr, active_base, serialize_token) = sim.with_state(|m| {
             let ort = m.os_alloc(entries * 8, 64);

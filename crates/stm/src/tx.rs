@@ -227,16 +227,6 @@ impl TxThread {
         b
     }
 
-    /// Statistics accumulated by this thread so far.
-    pub fn local_stats(&self) -> StmStats {
-        self.stats
-    }
-
-    /// Contention-management statistics accumulated by this thread so far.
-    pub fn local_cm_stats(&self) -> CmStats {
-        self.cm_stats
-    }
-
     /// Every policy switch the adaptive controller took on this thread, in
     /// order (empty for static policies).
     pub fn cm_switches(&self) -> &[CmSwitch] {

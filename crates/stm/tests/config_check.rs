@@ -152,7 +152,6 @@ fn every_other_combination_is_accepted() {
                             write_mode,
                             ort_hash,
                             bug,
-                            ..StmConfig::default()
                         };
                         assert_eq!(cfg.check(), Ok(()), "{cfg:?}");
                         accepted += 1;

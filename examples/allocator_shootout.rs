@@ -6,8 +6,9 @@
 //! ```
 
 use tm_alloc::AllocatorKind;
-use tm_core::report::{render_series, Series};
+use tm_core::report::render_series;
 use tm_core::threadtest::{run_threadtest, ThreadtestConfig};
+use tm_obs::Series;
 
 fn main() {
     let sizes = [16u64, 64, 128, 256, 512, 2048];

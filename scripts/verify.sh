@@ -162,6 +162,17 @@ done
 echo "==> cargo test --test determinism (TM_SIM_EXEC=threads)"
 TM_SIM_EXEC=threads $CARGO test -q --test determinism
 
+# The non-test line count the simplicity issues record their deltas in:
+# a smoke that the script still prints one row per crate and the total.
+echo "==> scripts/loc.sh (non-test lines per crate)"
+loc="$(scripts/loc.sh)"
+echo "$loc" | tail -n 1
+if [ "$(echo "$loc" | grep -cvE '^total ')" -ne 11 ] || ! echo "$loc" | grep -qE '^total +[0-9]+$'; then
+  echo "$loc"
+  echo "verify: scripts/loc.sh printed no total"
+  exit 1
+fi
+
 echo "==> cargo clippy -D warnings"
 $CARGO clippy --workspace --all-targets -- -D warnings
 

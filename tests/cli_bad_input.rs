@@ -16,8 +16,17 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
     let deep = std::env::temp_dir().join(format!("cli-deep-{}.json", std::process::id()));
     std::fs::write(&deep, "[".repeat(200_000)).unwrap();
     let deep = deep.to_str().unwrap();
+    // A run report with a section kind no producer writes any more.
+    let counters = std::env::temp_dir().join(format!("cli-counters-{}.json", std::process::id()));
+    std::fs::write(
+        &counters,
+        r#"{"schema":"tm-run-report/v1","name":"old","kind":"table","meta":{},"sections":[{"title":"stm","type":"counters","data":{"commits":1}}]}"#,
+    )
+    .unwrap();
+    let counters = counters.to_str().unwrap();
     let table: &[(&[&str], &str)] = &[
         (&["report", deep], "nesting deeper than 128 at byte 128"),
+        (&["report", counters], "unknown section kind 'counters'"),
         (&["synth", "--structure", "foo"], "structure"),
         (&["synth", "--alloc", "jemalloc"], "alloc"),
         (&["synth", "--threads", "x"], "threads"),
@@ -111,6 +120,7 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
         assert!(error[0].contains(flag), "{argv:?}: {stderr}");
     }
     std::fs::remove_file(deep).unwrap();
+    std::fs::remove_file(counters).unwrap();
 }
 
 /// An argument the subcommand does not understand is refused, not
@@ -206,15 +216,22 @@ fn a_flag_a_fixed_mc_suite_does_not_read_is_a_one_line_usage_error() {
     }
 }
 
-/// A sweep is a gate: a cell that fails is an `error` entry in a matrix
-/// that is still written, one `error:` line, and exit 1 (it used to be a
-/// warning and exit 0).
+/// A sweep is a gate: a cell that fails while it runs is an `error` entry
+/// in a matrix that is still written, one `error:` line, and exit 1 (it
+/// used to be a warning and exit 0).
 #[test]
 fn a_sweep_with_a_failing_cell_writes_the_matrix_and_exits_1() {
     let out_file = std::env::temp_dir().join(format!("cli-sweep-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
-        .args(["sweep", "--workload", "synth", "--structure", "nosuch"])
-        .args(["--alloc", "glibc", "--threads", "1"])
+        .args(["sweep", "--workload", "threadtest", "--alloc", "tbb"])
+        .args([
+            "--threads",
+            "1",
+            "--pairs",
+            "1",
+            "--size",
+            "18446744073709551615",
+        ])
         .arg("--out")
         .arg(&out_file)
         .output()
@@ -228,7 +245,41 @@ fn a_sweep_with_a_failing_cell_writes_the_matrix_and_exits_1() {
     assert_eq!(matrix.cells.len(), 1);
     assert_eq!(matrix.cells[0].status, tm_obs::CellStatus::Error);
     let error = matrix.cells[0].error.as_deref().unwrap();
-    assert!(error.contains("unknown structure 'nosuch'"), "{error}");
+    assert!(
+        error.contains("TBBMalloc model: exhausted serving a 18446744073709551615-byte request"),
+        "{error}"
+    );
+}
+
+/// Every cell of a sweep parses before any runs: a value one of its
+/// parsers refuses, on any axis, exits 2 with that parser's message and
+/// writes no matrix. Only backend, cm and alloc-fault typos used to; the
+/// others ran the sweep and wrote a matrix with an `error` cell.
+#[test]
+fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
+    let table: &[(&[&str], &str)] = &[
+        (&["--backend", "nrec"], "unknown backend 'nrec'"),
+        (&["--alloc", "hord"], "unknown allocator 'hord'"),
+        (&["--structure", "lst"], "unknown structure 'lst'"),
+        (&["--workload", "stamp", "--app", "genom"], "'genom'"),
+        (&["--threads", "1,x"], "bad threads 'x'"),
+    ];
+    for (argv, told) in table {
+        let out_file =
+            std::env::temp_dir().join(format!("cli-sweep-typo-{}.json", std::process::id()));
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .arg("sweep")
+            .args(*argv)
+            .arg("--out")
+            .arg(&out_file)
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+        assert!(stderr.contains(told), "{argv:?}: {stderr}");
+        assert!(!out_file.exists(), "{argv:?} wrote a matrix");
+    }
 }
 
 /// The allocator models size their per-thread tables by the machine's
