@@ -1,9 +1,12 @@
 //! Host allocations per schedule, counted not timed: a warm checker
-//! schedule allocates what the simulator's run allocates and little more —
-//! the STM's thread descriptors are recycled and the session's scheduling
-//! hook is installed once. A counting `#[global_allocator]` holds one warm
-//! `Session`, playing the depth-3 sweep of `small_program` on the ETL
-//! backend, to that.
+//! schedule allocates next to nothing. The simulator's run keeps its
+//! per-thread vectors and fiber stacks, a restore keeps the capacity of the
+//! tables it rewinds and the page buffers it drops, the STM's thread
+//! descriptors are recycled and the session's scheduling hook is installed
+//! once. What is left is the run's report (`SimReport::cache_per_core`)
+//! and the allocator model's heap restore. A counting `#[global_allocator]`
+//! holds one warm `Session`, playing the depth-3 sweep of `small_program`
+//! on the ETL backend, to that.
 //!
 //! One test function: the counters are process-wide. They count only what
 //! the thread running it allocates — under the default fiber executor the
@@ -100,10 +103,12 @@ fn a_warm_schedule_allocates_little() {
     let n = schedules.len();
     let (calls, bytes) = (CALLS.load(Relaxed), REQUESTED.load(Relaxed));
     // A run that builds its three descriptors and its hook afresh makes
-    // about 44 calls for 40 KB.
-    assert!(calls <= 20 * n, "{calls} allocations over {n} schedules");
+    // about 44 calls for 40 KB; one that also allocates its run buffers,
+    // spawns on pooled stacks and re-allocates what a restore rewinds
+    // about 14 for 10 KB.
+    assert!(calls <= 2 * n, "{calls} allocations over {n} schedules");
     assert!(
-        bytes <= 16 * KB * n,
+        bytes <= KB * n,
         "{bytes} bytes requested over {n} schedules"
     );
 }

@@ -557,6 +557,18 @@ struct TxTrack {
     write_lines: LineSet,
 }
 
+impl TxTrack {
+    /// Become a copy of `src` in the line sets this track already has.
+    fn rewind_to(&mut self, src: &TxTrack) {
+        self.active = src.active;
+        self.doomed = src.doomed;
+        self.read_lines.clear();
+        self.read_lines.extend(&src.read_lines);
+        self.write_lines.clear();
+        self.write_lines.extend(&src.write_lines);
+    }
+}
+
 /// The full cache hierarchy of the simulated machine. `Clone` exists for
 /// the checkpoint layer: a machine snapshot carries a copy of the
 /// materialized tag-array rows (and their dirty mirrors), the directory,
@@ -625,8 +637,11 @@ impl Hierarchy {
     /// Fast path: when the live journals were armed by exactly that
     /// snapshot, revert the logged ways in place. Cold path (journals
     /// armed for a different snapshot, or never): copy row by row,
-    /// reusing the existing allocations. The directory, stats, and HTM tracking are
-    /// bounded by L1 residency and copied outright either way, and the
+    /// reusing the existing allocations. The directory, stats, and HTM
+    /// tracking are bounded by L1 residency and copied outright either way
+    /// — the directory and the line sets entry by entry into the tables
+    /// they already have, which keep the capacity a run grew them to
+    /// (nothing iterates either, so their order is not state) — and the
     /// journals end re-armed for `snap_id`.
     pub(crate) fn restore_from(&mut self, snap: &Hierarchy, snap_id: u64) {
         if snap_id != 0 && self.journal_for == snap_id {
@@ -644,9 +659,13 @@ impl Hierarchy {
                 a.arm_journal();
             }
         }
-        self.dir.clone_from(&snap.dir);
+        self.dir.clear();
+        self.dir
+            .extend(snap.dir.iter().map(|(&line, &e)| (line, e)));
         self.stats.clone_from(&snap.stats);
-        self.tx.clone_from(&snap.tx);
+        for (dst, src) in self.tx.iter_mut().zip(&snap.tx) {
+            dst.rewind_to(src);
+        }
         self.htm_active = snap.htm_active;
         self.journal_for = snap_id;
     }

@@ -143,7 +143,25 @@ struct Inner {
     /// same event sequence with the same clocks — the dedup signal for the
     /// `tm-mc` prefix-tree explorer.
     hash: u64,
+    /// Optional scheduling-point hook (see [`Ctx::sched_point`]); set
+    /// between runs only, so a run reads it without a lock of its own.
+    sched_hook: Option<Arc<SchedHook>>,
+    /// The fiber stacks of this machine's runs: taken by the first run of
+    /// more than one thread, reused by every later one.
+    stacks: fiber::Stacks,
+    /// The fiber backend's hand-off table (see [`Switch::Fibers`]), kept
+    /// between runs for its capacity; a run moves it into its [`Rt`].
+    sps: SavedSps,
 }
+
+/// Saved stack pointers of a run's fibers, then the driver's.
+#[derive(Default)]
+struct SavedSps(Vec<Cell<*mut u8>>);
+
+// SAFETY: between runs the vector holds stale pointers that nothing
+// dereferences; during a run it sits in the run's `Rt`, and every fiber
+// that reads or writes it runs on the driver's OS thread.
+unsafe impl Send for SavedSps {}
 
 /// Panic message prefix raised when the event budget set by
 /// [`Sim::set_fuel`] runs out. Model-checking harnesses match on this to
@@ -244,9 +262,6 @@ impl Inner {
 struct Shared {
     /// Locked once per [`Sim::run`], for all of it; never per event.
     inner: Mutex<Inner>,
-    /// Optional scheduling-point hook (see [`Ctx::sched_point`]). Guarded by
-    /// its own lock so installation never touches the scheduler mutex.
-    sched_hook: Mutex<Option<Arc<SchedHook>>>,
 }
 
 /// Which hand-off mechanism executes multi-threaded runs.
@@ -326,8 +341,10 @@ impl Sim {
                 fuel: u64::MAX,
                 events: 0,
                 hash: 0,
+                sched_hook: None,
+                stacks: fiber::Stacks::default(),
+                sps: SavedSps::default(),
             }),
-            sched_hook: Mutex::new(None),
         });
         Sim {
             shared,
@@ -368,10 +385,14 @@ impl Sim {
     /// [`Ctx::sched_point`]. The hook turns a `(tid, point)` pair into a
     /// virtual delay, letting an external controller — e.g. the `tm-mc`
     /// schedule enumerator — decide exactly where delays are injected
-    /// instead of the workload pre-sampling them. Must not be called while
-    /// a run is in progress.
+    /// instead of the workload pre-sampling them. Panics instead of
+    /// blocking when called during a run of this machine, as
+    /// [`TurnCell::with_idle`] does.
     pub fn set_sched_hook(&self, hook: Arc<SchedHook>) {
-        *self.shared.sched_hook.lock() = Some(hook);
+        let Some(mut idle) = self.shared.inner.try_lock() else {
+            panic!("Sim::set_sched_hook called during a run");
+        };
+        idle.sched_hook = Some(hook);
     }
 
     /// Bound the number of scheduler events the remaining runs on this
@@ -451,21 +472,30 @@ impl Sim {
             self.cfg.cores
         );
         // The one lock of the run; its threads reach `Inner` by raw pointer.
+        // A warm run allocates nothing up to the report: the per-thread
+        // vectors keep their capacity from run to run.
         let mut g = self.shared.inner.lock();
-        g.time = vec![0; n];
-        g.key = (0..n).map(|tid| sched_key(0, tid)).collect();
-        g.state = vec![TState::Runnable; n];
+        g.time.clear();
+        g.time.resize(n, 0);
+        g.key.clear();
+        g.key.extend((0..n).map(|tid| sched_key(0, tid)));
+        g.state.clear();
+        g.state.resize(n, TState::Runnable);
         for l in &g.machine.locks {
             assert!(l.holder.is_none(), "lock held across run boundary");
         }
-        let stats_before: Vec<CacheStats> = (0..self.cfg.cores)
-            .map(|c| g.machine.caches.stats(c))
-            .collect();
+        let stats_before: [CacheStats; MAX_CORES] = std::array::from_fn(|c| {
+            if c < n {
+                g.machine.caches.stats(c)
+            } else {
+                CacheStats::default()
+            }
+        });
         let (locks_before, os_before) = (g.machine.lock_stats(), g.machine.os_allocated);
 
-        // Resolved once per run (`set_sched_hook` must not race a run), so
-        // `Ctx::sched_point` is a null check and a direct call.
-        let hook = self.shared.sched_hook.lock().clone();
+        // Resolved once per run (`set_sched_hook` refuses to run during
+        // one), so `Ctx::sched_point` is a null check and a direct call.
+        let hook = g.sched_hook.clone();
         let mut rt = Rt {
             inner: &mut *g,
             n,
@@ -494,7 +524,7 @@ impl Sim {
         let cycles = g.time.iter().copied().max().unwrap_or(0);
         let mut per_core = Vec::with_capacity(n);
         let mut total = CacheStats::default();
-        for (c, before) in stats_before.iter().enumerate().take(n) {
+        for (c, before) in stats_before[..n].iter().enumerate() {
             let now = g.machine.caches.stats(c);
             let d = CacheStats {
                 l1_accesses: now.l1_accesses - before.l1_accesses,
@@ -536,20 +566,38 @@ impl Sim {
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
-        let boots: Vec<Boot<'_, F>> = (0..(*rt).n).map(|tid| Boot { rt, f, tid }).collect();
+        let n = (*rt).n;
+        let boots: [Boot<'_, F>; MAX_CORES] = std::array::from_fn(|tid| Boot { rt, f, tid });
+        let boots = &boots[..n];
         match self.backend {
             Backend::Fibers => {
-                let spawn = |b| fiber::Fiber::spawn(fiber_main::<F>, ptr::from_ref(b) as *mut u8);
-                let fibers: Vec<fiber::Fiber> = boots.iter().map(spawn).collect();
-                let sps = fibers.iter().map(fiber::Fiber::sp).chain([ptr::null_mut()]);
-                (*rt).switch = Switch::Fibers(sps.map(Cell::new).collect());
+                let inner = &mut *(*rt).inner;
+                let mut sps = std::mem::take(&mut inner.sps.0);
+                sps.clear();
+                // SAFETY: the stacks belong to this machine, whose run lock
+                // the caller holds, and no context lives on them: the run
+                // before this one returned only once `drive` had seen each
+                // of its fibers hand the turn on for good, and a fiber
+                // whose turn went for good is never resumed. The boot
+                // frames point at `boots`, which outlive the run.
+                for (stack, b) in inner.stacks.first(n).iter().zip(boots) {
+                    let boot = ptr::from_ref(b) as *mut u8;
+                    sps.push(Cell::new(stack.boot(fiber_main::<F>, boot)));
+                }
+                sps.push(Cell::new(ptr::null_mut()));
+                (*rt).switch = Switch::Fibers(sps);
                 (*rt).trust = u64::MAX;
                 drive(rt);
+                // Every fiber is done: the table goes back for the next run.
+                let done = std::mem::replace(&mut (*rt).switch, Switch::Fibers(Vec::new()));
+                if let Switch::Fibers(sps) = done {
+                    (*(*rt).inner).sps.0 = sps;
+                }
             }
             Backend::Threads => std::thread::scope(|s| {
                 let turn = &(*rt).turn;
-                let mut handles = Vec::with_capacity(boots.len() + 1);
-                for b in &boots {
+                let mut handles = Vec::with_capacity(n + 1);
+                for b in boots {
                     let worker = s.spawn(move || {
                         await_turn(turn, b.tid);
                         thread_main(b);
@@ -2824,6 +2872,58 @@ mod tests {
                 // The run is over: the cell is idle again, and untouched.
                 assert_eq!(cell.with_idle(|v| *v), 0, "{backend:?}, {n} threads");
             }
+        }
+    }
+
+    #[test]
+    fn set_sched_hook_inside_a_run_panics_instead_of_hanging() {
+        for backend in both_backends() {
+            for n in [1, 4] {
+                let s = Sim::with_backend(MachineConfig::tiny_test(), backend);
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    s.run(n, |ctx| {
+                        ctx.fence();
+                        s.set_sched_hook(Arc::new(|_, _| 0));
+                    });
+                }));
+                let msg = panic_text(caught.expect_err("set_sched_hook in a run must panic"));
+                assert_eq!(
+                    msg, "Sim::set_sched_hook called during a run",
+                    "{backend:?}"
+                );
+                // The run is over: installing works again.
+                s.set_sched_hook(Arc::new(|_, _| 0));
+            }
+        }
+    }
+
+    #[test]
+    fn every_run_of_a_sim_runs_its_fibers_on_the_same_stacks() {
+        if !fiber::SUPPORTED {
+            return;
+        }
+        let s = Sim::with_backend(MachineConfig::tiny_test(), Backend::Fibers);
+        // Where each thread's frame sits: the same stack, the same depth.
+        let frames = || {
+            let at = HostMutex::new([0usize; 4]);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                s.run(4, |ctx| {
+                    let local = ctx.tid();
+                    at.lock()[ctx.tid()] = ptr::addr_of!(local) as usize;
+                    ctx.fence();
+                    assert!(ctx.tid() != 2, "a panicking run keeps its stacks too");
+                });
+            }));
+            assert!(caught.is_err());
+            at.into_inner()
+        };
+        let first = frames();
+        let mut distinct = first.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "{first:x?}");
+        for _ in 0..3 {
+            assert_eq!(frames(), first);
         }
     }
 

@@ -14,6 +14,11 @@
 //! directly to one another, and the driver (the context that called
 //! `Sim::run`) is switched to only when nothing is runnable.
 //!
+//! A `Sim` owns its fibers' stacks ([`Stacks`]): its first multi-threaded
+//! run takes them off its OS thread's free list or maps them, every later
+//! run lays a fresh boot frame on the same ones, and a dropped `Sim`
+//! leaves them on the free list again.
+//!
 //! Only the switching *mechanism* lives here; every scheduling decision
 //! (who runs next) and everything around the switch stays in `exec.rs`, on
 //! the one code path both backends run, which is what keeps the two
@@ -26,7 +31,7 @@
 pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub(crate) use imp::{switch, Fiber};
+pub(crate) use imp::{switch, Stacks};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
@@ -42,37 +47,20 @@ mod imp {
     const MAP_PRIVATE_ANON: usize = 0x02 | 0x20;
 
     /// `mmap` the whole region `PROT_NONE`, then open up everything above
-    /// the lowest page — the stack grows down into the guard.
-    struct Stack {
+    /// the lowest page — the stack grows down into the guard. Dropping it
+    /// unmaps it.
+    pub(crate) struct Stack {
         base: *mut u8,
         len: usize,
     }
 
-    // A fiber stack costs an mmap + mprotect to create, an munmap to
-    // destroy, and — the dominant, hidden cost — a fresh round of page
-    // faults to fault its hot pages back in on every reuse. `Sim::run`
-    // spawns fibers per *run*, and the checkpointed schedule explorer
-    // performs tens of thousands of runs per second, so stacks are pooled
-    // process-wide: a retired stack keeps its mapping (guard page intact)
-    // and the next spawn picks it up with its pages still resident.
-    // Stale stack *contents* are harmless — `Fiber::spawn` builds the
-    // boot frame from scratch.
-    static STACK_POOL: std::sync::Mutex<Vec<Stack>> = std::sync::Mutex::new(Vec::new());
-    /// Mapped-but-idle stacks kept at most; beyond this, retirement
-    /// unmaps. 64 × ~2 MiB bounds the idle pool at ~128 MiB of mostly
-    /// untouched (hence unbacked) address space.
-    const POOL_MAX: usize = 64;
-
-    // Raw pointers make Stack !Send by default; the region is exclusively
-    // owned (mmap'd by us, handed over whole), so moving it across
-    // threads through the pool is sound.
+    // SAFETY: the region is exclusively owned (mmap'd here, unmapped only
+    // by the drop), and a stack moves to another thread only idle — on a
+    // free list, or in a `Sim` between runs, when no context lives on it.
     unsafe impl Send for Stack {}
 
     impl Stack {
-        fn new() -> Stack {
-            if let Some(s) = STACK_POOL.lock().unwrap().pop() {
-                return s;
-            }
+        fn map() -> Stack {
             let len = PAGE + STACK_BYTES;
             unsafe {
                 let p = syscall6(9, 0, len, PROT_NONE, MAP_PRIVATE_ANON, usize::MAX, 0);
@@ -95,30 +83,96 @@ mod imp {
             unsafe { self.base.add(self.len) }
         }
 
-        fn unmap(&mut self) {
-            unsafe {
-                syscall6(11, self.base as usize, self.len, 0, 0, 0, 0);
-            }
-            self.base = core::ptr::null_mut();
+        /// Lay a fresh boot frame at the top of this stack and return the
+        /// stack pointer that, when first switched to, calls `entry(arg)`.
+        /// `entry` must never return (it must switch away forever once
+        /// finished). Whatever an earlier fiber left on the stack is dead:
+        /// the frame is built from scratch.
+        ///
+        /// # Safety
+        /// No context may be running on, or suspended in, this stack: the
+        /// frame overwrites its top.
+        pub(crate) unsafe fn boot(
+            &self,
+            entry: unsafe extern "C" fn(*mut u8) -> !,
+            arg: *mut u8,
+        ) -> *mut u8 {
+            // Frame layout (from the saved stack pointer, upward):
+            //   +0  fcw/mxcsr   +8 r15   +16 r14   +24 r13 (entry)
+            //   +32 r12 (arg)   +40 rbx  +48 rbp   +56 ret (boot shim)
+            //   +64.. padding to the 16-aligned stack top.
+            // The boot shim is entered with rsp ≡ 0 (mod 16), so its
+            // `call` leaves the stack ABI-aligned for `entry`.
+            let sp = self.top().sub(80) as *mut u64;
+            sp.write_bytes(0, 10);
+            *sp = FPU_DEFAULTS;
+            *sp.add(3) = entry as *const () as u64;
+            *sp.add(4) = arg as u64;
+            *sp.add(7) = tm_sim_fiber_boot as *const () as u64;
+            sp as *mut u8
         }
     }
 
     impl Drop for Stack {
         fn drop(&mut self) {
-            if self.base.is_null() {
-                return;
+            // SAFETY: the region is this stack's own mapping, and nothing
+            // runs on or points into a stack that is dropped.
+            unsafe {
+                syscall6(11, self.base as usize, self.len, 0, 0, 0, 0);
             }
-            let mut pool = STACK_POOL.lock().unwrap();
-            if pool.len() < POOL_MAX {
-                pool.push(Stack {
-                    base: self.base,
-                    len: self.len,
+        }
+    }
+
+    // A fiber stack costs an mmap + mprotect to create, an munmap to
+    // destroy, and — the dominant, hidden cost — a fresh round of page
+    // faults to fault its hot pages back in on every reuse. So a `Sim`
+    // keeps the stacks of its runs for all later ones ([`Stacks`]), and a
+    // dropped `Sim` leaves them on its OS thread's free list, mapping and
+    // pages still resident, for the next run there that lacks stacks. The
+    // list is the thread's own: no lock, and a `Sim` touches it when its
+    // first multi-threaded run takes stacks and when it is dropped.
+    thread_local! {
+        static FREE: std::cell::RefCell<Vec<Stack>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    /// Mapped-but-idle stacks a free list keeps at most; beyond this, a
+    /// dropped `Sim`'s stacks are unmapped. 64 × ~2 MiB bounds it at
+    /// ~128 MiB of mostly untouched (hence unbacked) address space.
+    const POOL_MAX: usize = 64;
+
+    /// The fiber stacks one `Sim` owns: slot `tid` is logical thread
+    /// `tid`'s stack in every multi-threaded run.
+    #[derive(Default)]
+    pub(crate) struct Stacks(Vec<Stack>);
+
+    impl Stacks {
+        /// The first `n` stacks. The ones still missing come off this OS
+        /// thread's free list, and are mapped when it runs dry.
+        pub(crate) fn first(&mut self, n: usize) -> &[Stack] {
+            if self.0.len() < n {
+                // `try_with`: a thread tearing down its locals maps afresh.
+                let _ = FREE.try_with(|free| {
+                    let mut free = free.borrow_mut();
+                    let take = free.len().min(n - self.0.len());
+                    let keep = free.len() - take;
+                    self.0.extend(free.drain(keep..));
                 });
-                self.base = core::ptr::null_mut();
-            } else {
-                drop(pool);
-                self.unmap();
+                while self.0.len() < n {
+                    self.0.push(Stack::map());
+                }
             }
+            &self.0[..n]
+        }
+    }
+
+    impl Drop for Stacks {
+        fn drop(&mut self) {
+            let mut stacks = std::mem::take(&mut self.0);
+            // What does not fit (or a thread tearing down) unmaps on drop.
+            let _ = FREE.try_with(|free| {
+                let mut free = free.borrow_mut();
+                let room = POOL_MAX.saturating_sub(free.len()).min(stacks.len());
+                free.extend(stacks.drain(..room));
+            });
         }
     }
 
@@ -205,49 +259,11 @@ mod imp {
     /// (0x1F80) at offset 4, matching the frame layout the switch restores.
     const FPU_DEFAULTS: u64 = (0x1F80 << 32) | 0x037F;
 
-    /// A suspended logical thread: its stack and saved stack pointer.
-    pub(crate) struct Fiber {
-        sp: *mut u8,
-        _stack: Stack,
-    }
-
-    impl Fiber {
-        /// Create a fiber that, when first switched to, calls
-        /// `entry(arg)`. `entry` must never return (it must switch away
-        /// forever once finished).
-        pub(crate) fn spawn(entry: unsafe extern "C" fn(*mut u8) -> !, arg: *mut u8) -> Fiber {
-            let stack = Stack::new();
-            unsafe {
-                // Frame layout (from the saved stack pointer, upward):
-                //   +0  fcw/mxcsr   +8 r15   +16 r14   +24 r13 (entry)
-                //   +32 r12 (arg)   +40 rbx  +48 rbp   +56 ret (boot shim)
-                //   +64.. padding to the 16-aligned stack top.
-                // The boot shim is entered with rsp ≡ 0 (mod 16), so its
-                // `call` leaves the stack ABI-aligned for `entry`.
-                let sp = stack.top().sub(80) as *mut u64;
-                sp.write_bytes(0, 10);
-                *sp = FPU_DEFAULTS;
-                *sp.add(3) = entry as *const () as u64;
-                *sp.add(4) = arg as u64;
-                *sp.add(7) = tm_sim_fiber_boot as *const () as u64;
-                Fiber {
-                    sp: sp as *mut u8,
-                    _stack: stack,
-                }
-            }
-        }
-
-        /// Saved stack pointer of this (suspended) fiber.
-        pub(crate) fn sp(&self) -> *mut u8 {
-            self.sp
-        }
-    }
-
     /// Suspend the current context into `*save` and resume `to`.
     ///
     /// # Safety
     /// `to` must be a stack pointer previously produced by this module
-    /// (either `Fiber::spawn` or a prior switch out) and not resumed
+    /// (either `Stack::boot` or a prior switch out) and not resumed
     /// since; `save` must stay valid until this context is resumed through
     /// the pointer stored there. The resumed context — driver or fiber
     /// alike, and every context that runs before control returns here —
@@ -261,16 +277,25 @@ mod imp {
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod imp {
-    /// Stub so `exec.rs` compiles on targets without the fiber backend; the
-    /// executor never constructs it there (`SUPPORTED` is false).
-    pub(crate) struct Fiber;
+    /// Stubs so `exec.rs` compiles on targets without the fiber backend;
+    /// the executor never boots a stack there (`SUPPORTED` is false).
+    pub(crate) struct Stack;
 
-    impl Fiber {
-        pub(crate) fn spawn(_entry: unsafe extern "C" fn(*mut u8) -> !, _arg: *mut u8) -> Fiber {
+    impl Stack {
+        pub(crate) unsafe fn boot(
+            &self,
+            _entry: unsafe extern "C" fn(*mut u8) -> !,
+            _arg: *mut u8,
+        ) -> *mut u8 {
             unreachable!("fiber backend is not supported on this target")
         }
+    }
 
-        pub(crate) fn sp(&self) -> *mut u8 {
+    #[derive(Default)]
+    pub(crate) struct Stacks;
+
+    impl Stacks {
+        pub(crate) fn first(&mut self, _n: usize) -> &[Stack] {
             unreachable!("fiber backend is not supported on this target")
         }
     }
@@ -281,7 +306,7 @@ mod imp {
 }
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub(crate) use imp::{switch, Fiber};
+pub(crate) use imp::{switch, Stacks};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux", test))]
 mod tests {
@@ -338,8 +363,9 @@ mod tests {
             fiber_sp: ptr::null_mut(),
             hits: 0,
         };
-        let fiber = Fiber::spawn(shuttle_entry, &mut s as *mut Shuttle as *mut u8);
-        s.fiber_sp = fiber.sp();
+        let mut stacks = Stacks::default();
+        let stack = &stacks.first(1)[0];
+        s.fiber_sp = unsafe { stack.boot(shuttle_entry, &mut s as *mut Shuttle as *mut u8) };
         for expect in [1u32, 2, 3, 103] {
             unsafe {
                 let to = s.fiber_sp;

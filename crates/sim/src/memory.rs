@@ -12,10 +12,13 @@
 //! array indexes — fronted by a 256-entry direct-mapped TLB of
 //! `(page, pointer)` pairs indexed by the page number's low bits: an access
 //! to a page that still holds its slot is one compare and one load. A page
-//! is freed in two places — `release`, when the simulated OS unmaps the
-//! mapping it lies in, and `restore` — and each clears the TLB entry of
-//! every page it drops; the pages that survive keep their storage, so their
-//! entries stay valid.
+//! loses its storage in two places — `release`, when the simulated OS
+//! unmaps the mapping it lies in, and `restore` — and each clears the TLB
+//! entry of every page it drops; the pages that survive keep their storage,
+//! so their entries stay valid. `restore` keeps the buffers it drops (up to
+//! `SPARE_MAX`) for the next pages to materialize, zeroed again first, so
+//! a checkpointed schedule that rewrites the pages its predecessor wrote
+//! allocates none.
 //!
 //! Host storage follows the live mappings: a released page gives its 4 KiB
 //! back and reads as zero again, like any unmapped page, and a write
@@ -87,6 +90,9 @@ fn unrelease(set: &mut Released, page: u64) -> bool {
     was
 }
 
+/// Page buffers `restore` keeps for reuse at most: 256 KiB.
+const SPARE_MAX: usize = 64;
+
 /// TLB entries (log2): 256 pages, 1 MiB of simulated memory.
 const TLB_BITS: u64 = 8;
 
@@ -124,6 +130,18 @@ fn boxed<T: Clone, const N: usize>(fill: T) -> Box<[T; N]> {
 /// An empty radix node.
 fn node<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
     boxed(None)
+}
+
+/// Storage for a page being materialized: a spare buffer, zeroed, or a
+/// fresh one.
+fn zeroed(spare: &mut Vec<Box<Page>>) -> Box<Page> {
+    match spare.pop() {
+        Some(mut page) => {
+            page.fill(0);
+            page
+        }
+        None => Box::new([0; WORDS_PER_PAGE]),
+    }
 }
 
 /// `page`'s index at the root, middle and leaf level.
@@ -170,11 +188,15 @@ pub struct Memory {
     /// a raw pointer to its storage, or [`NO_PAGE`]. Each pointer targets
     /// the page's own `Box`, whose address does not depend on the radix
     /// nodes above it (which are themselves boxed, never moved and never
-    /// freed while the `Memory` lives). A page is freed only by
-    /// [`Memory::drop_page`] — `release` unmapping it, `restore` dropping a
-    /// page materialized or kept *after* the snapshot — which clears the
-    /// page's entry, so every pointer left stays valid; they are only
-    /// dereferenced through `&mut self`, so no aliasing can occur.
+    /// freed while the `Memory` lives). A page's storage leaves it only
+    /// through [`Memory::take_page`] — `release` unmapping it, `restore`
+    /// dropping a page materialized or kept *after* the snapshot — which
+    /// clears the page's entry. So every pointer left targets the storage
+    /// its page holds now: a buffer that `restore` recycles into
+    /// [`Memory::spare`] and a later write hands to another page is named,
+    /// while it is spare, by no entry, and afterwards only by that other
+    /// page's. The pointers are only dereferenced through `&mut self`, so
+    /// no aliasing can occur.
     tlb: Box<Tlb>,
     resident: usize,
     /// Page ids in materialization order, a released page's entry marked
@@ -189,10 +211,15 @@ pub struct Memory {
     /// Loads and stores that landed on a released page. Host-side: no
     /// report carries it and `restore` does not rewind it.
     released_accesses: u64,
+    /// Buffers of pages `restore` dropped, contents stale, for the next
+    /// materializations ([`SPARE_MAX`] at most). A released page's buffer
+    /// never lands here: it goes back to the host.
+    spare: Vec<Box<Page>>,
 }
 
-// The TLB's raw pointers target heap storage owned by `self` and are only
-// used through `&mut self`, so moving the `Memory` between threads is safe.
+// SAFETY: the TLB's raw pointers target heap storage owned by `self` (a
+// page's buffer, which a recycled buffer still is), and are only used
+// through `&mut self`, so moving the `Memory` between threads is safe.
 unsafe impl Send for Memory {}
 
 impl Default for Memory {
@@ -210,6 +237,7 @@ impl Memory {
             mat_log: Vec::new(),
             released: Released::default(),
             released_accesses: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -226,7 +254,9 @@ impl Memory {
         let (page, idx) = Self::split(addr);
         let entry = &mut self.tlb[tlb_slot(page)];
         if entry.page == page {
-            // Safe: see the `tlb` invariant above.
+            // SAFETY: an entry that names `page` points at the storage
+            // `page` holds now, recycled buffer or not (the `tlb`
+            // invariant), and `&mut self` excludes every other access.
             return unsafe { (*entry.ptr)[idx] };
         }
         let (r, m, l) = indexes(page);
@@ -255,6 +285,7 @@ impl Memory {
         let (page, idx) = Self::split(addr);
         let entry = &mut self.tlb[tlb_slot(page)];
         if entry.page == page {
+            // SAFETY: as in `read`.
             unsafe { (*entry.ptr)[idx] = val };
             return;
         }
@@ -272,7 +303,7 @@ impl Memory {
                 if !self.released.is_empty() && unrelease(&mut self.released, page) {
                     self.released_accesses += 1;
                 }
-                slot.get_or_insert_with(|| Box::new([0u64; WORDS_PER_PAGE]))
+                slot.insert(zeroed(&mut self.spare))
             }
         };
         *entry = TlbEntry {
@@ -309,13 +340,22 @@ impl Memory {
             .expect("a logged page has its radix nodes")
     }
 
-    /// Free a materialized page's storage and clear its TLB entry.
-    fn drop_page(&mut self, page: u64) {
-        *self.slot_mut(page) = None;
+    /// Take a materialized page's storage out and clear its TLB entry.
+    fn take_page(&mut self, page: u64) -> Box<Page> {
+        let storage = self.slot_mut(page).take();
         self.resident -= 1;
         let entry = &mut self.tlb[tlb_slot(page)];
         if entry.page == page {
             *entry = NO_PAGE;
+        }
+        storage.expect("a dropped page is materialized")
+    }
+
+    /// Drop a page a restore rewinds away, keeping its buffer spare.
+    fn recycle_page(&mut self, page: u64) {
+        let storage = self.take_page(page);
+        if self.spare.len() < SPARE_MAX {
+            self.spare.push(storage);
         }
     }
 
@@ -332,7 +372,7 @@ impl Memory {
         for page in first..end {
             *self.released.entry(page >> 6).or_default() |= 1 << (page & 63);
             if self.leaf_slot(page).is_some_and(|slot| slot.is_some()) {
-                self.drop_page(page);
+                drop(self.take_page(page));
                 dropped += 1;
             }
         }
@@ -394,7 +434,7 @@ impl Memory {
         for i in (snap.pages.len()..self.mat_log.len()).rev() {
             let page = self.mat_log[i];
             if page & TOMB == 0 {
-                self.drop_page(page);
+                self.recycle_page(page);
             }
         }
         self.mat_log.truncate(snap.pages.len());
@@ -412,11 +452,13 @@ impl Memory {
                     }
                 }
                 (true, None) => {
-                    self.drop_page(*page);
+                    self.recycle_page(*page);
                     self.mat_log[i] |= TOMB;
                 }
                 (false, Some(content)) => {
-                    *self.slot_mut(*page) = Some(Box::new(**content));
+                    let mut storage = zeroed(&mut self.spare);
+                    *storage = **content;
+                    *self.slot_mut(*page) = Some(storage);
                     self.resident += 1;
                     self.mat_log[i] = *page;
                 }
@@ -664,6 +706,67 @@ mod tests {
         m.release(a, PAGE_BYTES);
         assert!(in_tlb(&m, b));
         assert_eq!((m.read(b), m.read(b + 8), m.read(a + 8)), (3, 5, 0));
+    }
+
+    /// The storage `addr`'s page holds, if it is materialized.
+    fn storage(m: &mut Memory, addr: u64) -> Option<*const Page> {
+        let slot = m.leaf_slot(addr >> PAGE_SHIFT)?;
+        slot.as_deref().map(std::ptr::from_ref)
+    }
+
+    #[test]
+    fn a_buffer_a_restore_recycles_serves_no_stale_word() {
+        let words = 0..WORDS_PER_PAGE as u64;
+        let mut m = Memory::new();
+        m.write(0x1000, 1);
+        let snap = m.snapshot(None);
+        // Page `a`, born after the snapshot, full of non-zero words and in
+        // the TLB at the restore; `b` maps to the same slot.
+        let (a, b) = (0x3000, 0x3000 + SLOT_STRIDE);
+        for w in words.clone() {
+            m.write(a + 8 * w, 0xa000 + w);
+        }
+        let buffer = storage(&mut m, a);
+        assert!(in_tlb(&m, a));
+        m.restore(&snap);
+        assert_eq!(m.spare.len(), 1, "the restore keeps a's buffer");
+        assert!(!in_tlb(&m, a), "a dropped page leaves its slot");
+
+        // `b` takes the slot and the very buffer `a` had: zeroed.
+        m.write(b, 7);
+        assert!(m.spare.is_empty());
+        assert_eq!(storage(&mut m, b), buffer, "the buffer is recycled");
+        assert!(in_tlb(&m, b));
+        for w in words.clone() {
+            assert_eq!(m.read(b + 8 * w), if w == 0 { 7 } else { 0 }, "b word {w}");
+        }
+        // `a` reads zero everywhere, though its old buffer serves `b` from
+        // the slot `a` would use.
+        for w in words.clone() {
+            assert_eq!(m.read(a + 8 * w), 0, "a word {w} after b took its buffer");
+        }
+        assert!(in_tlb(&m, b) && !in_tlb(&m, a));
+
+        // Materialized again, on a recycled buffer, `a` reads zero in every
+        // word but the one written.
+        m.restore(&snap);
+        m.write(a + 8, 9);
+        assert_eq!(storage(&mut m, a), buffer);
+        for w in words.clone() {
+            assert_eq!(m.read(a + 8 * w), if w == 1 { 9 } else { 0 }, "a word {w}");
+        }
+
+        // A released page's buffer goes back to the host, not to the spares.
+        m.restore(&snap);
+        assert_eq!(m.spare.len(), 1);
+        m.write(0x8000, 3);
+        assert!(m.spare.is_empty());
+        m.release(0x8000, PAGE_BYTES);
+        assert!(m.spare.is_empty(), "a released page is never recycled");
+        assert_eq!(m.read(0x8000), 0);
+        m.write(0x8000, 4);
+        assert_eq!(m.read(0x8000), 4);
+        assert_eq!(m.read(0x8008), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use parking_lot::Mutex;
 use tm_ds::TxQueue;
-use tm_sim::Ctx;
+use tm_sim::{Ctx, Sim};
 use tm_stm::{Abort, Stm, TxThread};
 
 use super::util::mix;
@@ -54,6 +54,17 @@ impl Labyrinth {
 
     fn cells(&self) -> u64 {
         self.side * self.side
+    }
+
+    /// Route requests resolved so far on `sim`, routed or given up: read
+    /// from simulated memory between runs, without an event; `None` before
+    /// `init`. A correct run resolves each request once, so at the end this
+    /// is the request count at any thread count — Labyrinth's checksum,
+    /// which `verify` asserts.
+    pub fn resolved_routes(&self, sim: &Sim) -> Option<u64> {
+        let cell = self.state.lock().as_ref()?.routed_cell;
+        let v = sim.with_state(|m| m.read_u64(cell));
+        Some((v & 0xffff_ffff) + (v >> 32))
     }
 
     /// Deterministic src/dst pair for route `r` (distinct cells).

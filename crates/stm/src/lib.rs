@@ -292,10 +292,6 @@ pub struct Stm {
     /// Host-side bookkeeping (see `Host`). No guard is held across a
     /// `Ctx` call: the event may hand the turn to a peer that locks it too.
     pub(crate) host: Mutex<Host>,
-    /// Buffers of retired descriptors, which [`Stm::thread`] hands to the
-    /// next ones. A cache, not state: a host snapshot leaves it out and a
-    /// restore keeps it.
-    spares: Mutex<Vec<tx::Buffers>>,
     /// Instance id a [`StmHostSnapshot`] carries back to
     /// [`Stm::restore_host`].
     id: u64,
@@ -350,7 +346,6 @@ impl Stm {
             clock_addr,
             allocator,
             host: Mutex::default(),
-            spares: Mutex::default(),
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             active_base,
             cores,
@@ -424,7 +419,7 @@ impl Stm {
     /// the emptied buffers starts as in a fresh one.
     pub fn thread(&self, tid: usize) -> TxThread {
         let (object_cache, cm) = (self.cfg.object_cache, self.cfg.cm);
-        let spare = self.spares.lock().pop();
+        let spare = self.host.lock().spares.pop();
         match spare {
             Some(buffers) => TxThread::with_buffers(tid, object_cache, cm, buffers),
             None => TxThread::new(tid, object_cache, cm),
@@ -436,16 +431,14 @@ impl Stm {
     /// keep its emptied buffers for the next [`Stm::thread`]. Call at the
     /// end of the worker closure.
     pub fn retire(&self, mut th: TxThread) {
-        {
-            let mut host = self.host.lock();
-            host.stats.merge(&th.stats);
-            host.cm_stats.merge(&th.cm_stats);
-            let tid = th.tid;
-            host.switches
-                .extend(th.switch_log.drain(..).map(|s| (tid, s)));
-            host.limbo.append(&mut th.limbo);
-        }
-        self.spares.lock().push(th.into_buffers());
+        let mut host = self.host.lock();
+        host.stats.merge(&th.stats);
+        host.cm_stats.merge(&th.cm_stats);
+        let tid = th.tid;
+        host.switches
+            .extend(th.switch_log.drain(..).map(|s| (tid, s)));
+        host.limbo.append(&mut th.limbo);
+        host.spares.push(th.into_buffers());
     }
 
     /// Run `body` as a transaction, retrying on conflicts. How an abort is
@@ -618,7 +611,7 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// The STM's host-side bookkeeping, plain data behind one lock. Host work
 /// between two simulated events runs alone (DESIGN.md §4.1), so the lock is
 /// never contended; a snapshot is a clone.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct Host {
     /// Retired threads' tallies, folded with [`StmStats::merge`].
     stats: StmStats,
@@ -633,6 +626,41 @@ struct Host {
     sizes: IntMap<u64, u64>,
     /// Limbo blocks from retired threads, (free timestamp, addr, size).
     limbo: Vec<(u64, u64, Option<u64>)>,
+    /// Buffers of retired descriptors, which [`Stm::thread`] hands to the
+    /// next ones. A cache, not state: a clone (a host snapshot) starts
+    /// without spares, and `clone_from` (a restore) keeps its own.
+    spares: Vec<tx::Buffers>,
+}
+
+impl Clone for Host {
+    fn clone(&self) -> Host {
+        Host {
+            stats: self.stats,
+            cm_stats: self.cm_stats,
+            switches: self.switches.clone(),
+            sizes: self.sizes.clone(),
+            limbo: self.limbo.clone(),
+            spares: Vec::new(),
+        }
+    }
+
+    /// Field by field, into the buffers `self` already has. Every field is
+    /// named, so a new one does not compile until it is rewound here too.
+    fn clone_from(&mut self, src: &Host) {
+        let Host {
+            stats,
+            cm_stats,
+            switches,
+            sizes,
+            limbo,
+            spares: _,
+        } = src;
+        self.stats = *stats;
+        self.cm_stats = *cm_stats;
+        self.switches.clone_from(switches);
+        self.sizes.clone_from(sizes);
+        self.limbo.clone_from(limbo);
+    }
 }
 
 /// Frozen host-side STM bookkeeping from [`Stm::snapshot_host`]. Opaque:
@@ -1001,7 +1029,11 @@ mod tests {
         sim.restore(&machine);
         alloc.restore(heap.as_ref().expect("TBB checkpoints"));
         stm.restore_host(&host);
-        assert_eq!(stm.spares.lock().len(), 8, "a restore keeps the spares");
+        assert_eq!(
+            stm.host.lock().spares.len(),
+            8,
+            "a restore keeps the spares"
+        );
         let (recycled, _) = work(&sim, &stm);
 
         let (sim, _alloc, stm) = stack();

@@ -312,6 +312,16 @@ if [ "$quick" -eq 0 ]; then
   (cd benchmark && $CARGO test --release)
   timeout 900 bash benchmark/run.sh --smoke
 
+  # The pair runner a perf claim is measured with: one pair, the same
+  # binary on both sides, the shortest run the benchmark accepts. The two
+  # sides must agree on virt_ms, ops and failed.
+  echo "==> scripts/pairs.sh (smoke: one pair of one binary)"
+  bench="${CARGO_TARGET_DIR:-benchmark/target}/release/tm-benchmark"
+  timeout 300 scripts/pairs.sh "$bench" "$bench" alloc-churn --pairs 1 --seconds 0 || {
+    echo "verify: scripts/pairs.sh failed on one pair of one binary"
+    exit 1
+  }
+
   # The profiler a perf_opt issue names its layer from must keep naming
   # one: on synth-matrix the function with the most samples is the
   # simulator's (it says so itself where cc or addr2line is missing). The
