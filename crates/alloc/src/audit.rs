@@ -1,28 +1,30 @@
-//! Heap-invariant auditing for the allocator models.
+//! The one allocator wrapper: heap audit, fault injection and the
+//! Table 5 profile.
 //!
-//! [`HeapAuditor`] wraps any [`Allocator`] and checks, on every
-//! malloc/free, the invariants the paper's argument silently relies on:
+//! [`HeapAuditor`] wraps any [`Allocator`] and watches its call stream
+//! once for three consumers:
 //!
-//! * **no overlap** — a returned block never intersects any live block,
-//!   across threads (free-list corruption or size-class bugs surface
-//!   here);
-//! * **alignment** — block starts are at least 8-byte aligned (every
-//!   model hands out word-addressable blocks; the STM reads/writes u64
-//!   words at block starts);
-//! * **arena-bound containment** — blocks live inside simulated-OS
-//!   territory (the machine's OS bump allocator starts at
-//!   [`OS_REGION_BASE`]; an address below it was never backed by an OS
-//!   region);
-//! * **free-list integrity** — every `free` names the start of a
-//!   currently-live block (double frees and frees of interior/foreign
-//!   addresses are caught), and `malloc(0)` still returns distinct
-//!   blocks.
+//! * **the heap audit** — on every malloc/free it checks the invariants
+//!   the paper's argument silently relies on: a returned block never
+//!   overlaps a live one (free-list corruption, size-class bugs), starts
+//!   8-byte aligned (the STM reads u64 words at block starts), lies above
+//!   [`OS_REGION_BASE`] (inside simulated-OS territory), and every `free`
+//!   names the start of a live block (double, interior and foreign frees).
+//!   Violations are *recorded*, not panicked, so the check harness can
+//!   degrade a matrix cell and keep auditing; tests use
+//!   [`HeapAuditor::assert_clean`];
+//! * **fault injection** — it fails allocations per the [`AllocFaultPlan`]
+//!   set with [`HeapAuditor::set_plan`] ([`crate::fault`]), numbering every
+//!   attempt as it enters — failed ones too — with the one site counter
+//!   the OOM sweep targets and [`LiveBlock::site`] reports;
+//! * **the Table 5 profile** — per-region histograms ([`crate::profile`]),
+//!   each call attributed to its thread's region
+//!   ([`HeapAuditor::set_region`]).
 //!
-//! Violations are *recorded*, not panicked, so the check harness can
-//! degrade a matrix cell to `fail` and keep auditing the rest; tests use
-//! [`HeapAuditor::assert_clean`] for the panicking form. The wrapper adds
-//! no simulated time, so wrapping an allocator does not perturb
-//! virtual-time results.
+//! All of it is host bookkeeping under one lock, released before every
+//! call into the wrapped allocator, and adds no simulated time. A snapshot
+//! holds the wrapped heap and every counter; the plan and the threads'
+//! regions stay out of it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,7 +32,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use tm_sim::Ctx;
 
-use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::fault::Budget;
+use crate::profile::{Region, RegionStats};
+use crate::{AllocError, AllocFaultPlan, Allocator, AllocatorAttrs, HeapSnapshot};
 
 /// Where the simulated OS hands out regions from (the machine's bump
 /// allocator base). Any block address below this was never OS-backed.
@@ -44,26 +48,38 @@ const MAX_RECORDED: usize = 32;
 /// Audit record of one live block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LiveBlock {
-    /// Occupied footprint in bytes (`max(size, 1)` so zero-size blocks
-    /// still claim their start address).
-    pub footprint: u64,
+    /// The request size in bytes.
+    pub size: u64,
     /// The 0-based allocation-site index that produced the block: its
-    /// ordinal among all malloc *attempts* (successful or failed) the
-    /// auditor observed. Matches the [`crate::FaultInjector`] site
-    /// numbering when the auditor wraps an injector directly, which is
-    /// how the OOM sweep names leaked blocks by their faulting site.
+    /// ordinal among all malloc *attempts* (successful or failed), counted
+    /// as each attempt enters — the numbering [`AllocFaultPlan::NthSite`]
+    /// targets, so the OOM sweep names leaked blocks by their site.
     pub site: u64,
 }
 
+impl LiveBlock {
+    /// Occupied footprint in bytes (`max(size, 1)`, so zero-size blocks
+    /// still claim their start address).
+    pub fn footprint(&self) -> u64 {
+        self.size.max(1)
+    }
+}
+
+/// Everything a snapshot captures.
 #[derive(Clone, Default)]
 struct AuditState {
-    /// Live blocks: start address → footprint and allocation site.
+    /// Live blocks: start address → request size and allocation site.
     live: BTreeMap<u64, LiveBlock>,
+    /// Allocation attempts so far == the next attempt's site index.
+    sites: u64,
     mallocs: u64,
-    /// `try_malloc` attempts that returned an error (not a violation —
-    /// the caller was told — but counted so site numbering covers them).
-    failed_mallocs: u64,
     frees: u64,
+    /// Failures the plan injected.
+    injected: u64,
+    /// What the plan decides on.
+    budget: Budget,
+    /// Table 5's histograms, indexed by `Region as usize`.
+    regions: [RegionStats; 3],
     peak_live: usize,
     violations: Vec<String>,
     violation_count: u64,
@@ -75,6 +91,24 @@ impl AuditState {
         if self.violations.len() < MAX_RECORDED {
             self.violations.push(msg);
         }
+    }
+}
+
+/// The wrapper's host state: the snapshotted part plus the settings a
+/// restore leaves alone.
+#[derive(Default)]
+struct Heap {
+    state: AuditState,
+    plan: AllocFaultPlan,
+    /// Each thread's current region; a thread not in it is in `Seq`.
+    region: Vec<Region>,
+}
+
+impl Heap {
+    /// The histogram of `tid`'s current region.
+    fn region_stats(&mut self, tid: usize) -> &mut RegionStats {
+        let region = self.region.get(tid).copied().unwrap_or(Region::Seq);
+        &mut self.state.regions[region as usize]
     }
 }
 
@@ -108,31 +142,72 @@ impl AuditReport {
     }
 }
 
-/// An [`Allocator`] wrapper that checks heap invariants on every call.
-/// Build one with [`HeapAuditor::new`] (an audited STM stack with
-/// `tm_stm::Stack::new`), hand a clone of the returned `Arc` to the code
-/// under test, and inspect [`HeapAuditor::report`] /
-/// [`HeapAuditor::assert_clean`] afterwards.
+/// The [`Allocator`] wrapper that audits the heap, injects the planned
+/// faults and keeps the Table 5 profile. Build one with
+/// [`HeapAuditor::new`] (a whole stack with `tm_stm::Stack::new`), hand a
+/// clone of the returned `Arc` to the code under test, and inspect
+/// [`HeapAuditor::report`] / [`HeapAuditor::assert_clean`] afterwards.
 pub struct HeapAuditor {
     inner: Arc<dyn Allocator>,
-    state: Mutex<AuditState>,
+    heap: Mutex<Heap>,
 }
 
 impl HeapAuditor {
-    /// Wrap `inner` in an auditor with empty tracking state.
+    /// Wrap `inner` with empty tracking state, under the `None` plan.
     pub fn new(inner: Arc<dyn Allocator>) -> Arc<HeapAuditor> {
         Arc::new(HeapAuditor {
             inner,
-            state: Mutex::new(AuditState::default()),
+            heap: Mutex::new(Heap::default()),
         })
+    }
+
+    /// Replace the fault plan without touching heap or counters (a
+    /// probabilistic plan restarts its stream at its seed). The plan is
+    /// not part of [`Allocator::snapshot`], so the every-site sweep
+    /// restores its checkpoint and then sets the next run's plan.
+    pub fn set_plan(&self, plan: AllocFaultPlan) {
+        let mut heap = self.heap.lock();
+        heap.state.budget.arm(plan);
+        heap.plan = plan;
+    }
+
+    /// The active fault plan.
+    pub fn plan(&self) -> AllocFaultPlan {
+        self.heap.lock().plan
+    }
+
+    /// Allocation attempts observed so far (the next site index).
+    pub fn sites(&self) -> u64 {
+        self.heap.lock().state.sites
+    }
+
+    /// Failures the plan injected so far.
+    pub fn injected(&self) -> u64 {
+        self.heap.lock().state.injected
+    }
+
+    /// Set the region calls by `tid` are attributed to from now on.
+    pub fn set_region(&self, tid: usize, r: Region) {
+        let mut heap = self.heap.lock();
+        if heap.region.len() <= tid {
+            heap.region.resize(tid + 1, Region::Seq);
+        }
+        heap.region[tid] = r;
+    }
+
+    /// The three region histograms, indexed by `Region as usize`, summed
+    /// over all threads.
+    pub fn region_stats(&self) -> [RegionStats; 3] {
+        self.heap.lock().state.regions
     }
 
     /// Snapshot the audit counters and recorded violations.
     pub fn report(&self) -> AuditReport {
-        let s = self.state.lock();
+        let heap = self.heap.lock();
+        let s = &heap.state;
         AuditReport {
             mallocs: s.mallocs,
-            failed_mallocs: s.failed_mallocs,
+            failed_mallocs: s.sites - s.mallocs,
             frees: s.frees,
             live: s.live.len(),
             live_blocks: s
@@ -160,96 +235,107 @@ impl HeapAuditor {
     }
 }
 
-impl HeapAuditor {
-    /// Audit a successful allocation (shared by the fallible and
-    /// panicking paths).
-    fn record_malloc(&self, addr: u64, size: u64) {
-        let footprint = size.max(1);
-        let mut s = self.state.lock();
-        let site = s.mallocs + s.failed_mallocs;
-        s.mallocs += 1;
+impl AuditState {
+    /// Audit the block attempt `site` got.
+    fn record_malloc(&mut self, addr: u64, size: u64, site: u64) {
+        let block = LiveBlock { size, site };
+        let footprint = block.footprint();
+        self.mallocs += 1;
+        self.budget.admit(size);
         if !addr.is_multiple_of(8) {
-            s.violate(format!(
+            self.violate(format!(
                 "misaligned block {addr:#x} (size {size}, site {site})"
             ));
         }
         if addr < OS_REGION_BASE {
-            s.violate(format!(
+            self.violate(format!(
                 "block {addr:#x} below the OS region base {OS_REGION_BASE:#x} (site {site})"
             ));
         }
         // Overlap: only the nearest live neighbours can intersect.
-        if let Some((&prev, &pb)) = s.live.range(..=addr).next_back() {
-            if prev + pb.footprint > addr {
-                s.violate(format!(
-                    "block [{addr:#x},+{footprint}) (site {site}) overlaps live \
-                     [{prev:#x},+{}) from site {}",
-                    pb.footprint, pb.site
-                ));
-            }
+        let prev = (self.live.range(..=addr).next_back()).map(|(&p, &b)| (p, b));
+        let next = (self.live.range(addr + 1..).next()).map(|(&n, &b)| (n, b));
+        let prev = prev.filter(|(p, b)| p + b.footprint() > addr);
+        let next = next.filter(|(n, _)| addr + footprint > *n);
+        for (other, b) in prev.into_iter().chain(next) {
+            self.violate(format!(
+                "block [{addr:#x},+{footprint}) (site {site}) overlaps live \
+                 [{other:#x},+{}) from site {}",
+                b.footprint(),
+                b.site
+            ));
         }
-        if let Some((&next, &nb)) = s.live.range(addr + 1..).next() {
-            if addr + footprint > next {
-                s.violate(format!(
-                    "block [{addr:#x},+{footprint}) (site {site}) overlaps live \
-                     [{next:#x},+{}) from site {}",
-                    nb.footprint, nb.site
-                ));
-            }
-        }
-        if let Some(old) = s.live.insert(addr, LiveBlock { footprint, site }) {
-            s.violate(format!(
+        if let Some(old) = self.live.insert(addr, block) {
+            self.violate(format!(
                 "block {addr:#x} returned while still live (site {site}; \
                  first handed out at site {})",
                 old.site
             ));
         }
-        s.peak_live = s.peak_live.max(s.live.len());
+        self.peak_live = self.peak_live.max(self.live.len());
     }
 
-    /// Audit a free the inner allocator accepted (or is about to see).
-    fn record_free(&self, addr: u64) {
-        let mut s = self.state.lock();
-        s.frees += 1;
-        if s.live.remove(&addr).is_none() {
+    /// Audit a free about to be delegated; the freed block's request size,
+    /// if it was live.
+    fn record_free(&mut self, addr: u64) -> Option<u64> {
+        self.frees += 1;
+        let freed = self.live.remove(&addr).map(|b| b.size);
+        if freed.is_none() {
             // Name the enclosing live block's site for interior pointers.
-            let interior = s
+            let interior = self
                 .live
                 .range(..=addr)
                 .next_back()
-                .filter(|(&p, b)| p + b.footprint > addr)
+                .filter(|(&p, b)| p + b.footprint() > addr)
                 .map(|(_, b)| format!(" (inside the block from site {})", b.site))
                 .unwrap_or_default();
-            s.violate(format!(
+            self.violate(format!(
                 "free of {addr:#x} which is not the start of a live block \
                  (double free, interior pointer, or foreign address){interior}"
             ));
         }
+        freed
     }
 }
 
 impl Allocator for HeapAuditor {
     fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
-        match self.inner.try_malloc(ctx, size) {
-            Ok(addr) => {
-                self.record_malloc(addr, size);
-                Ok(addr)
+        // The attempt is counted, numbered and judged as it enters, so a
+        // failed one consumes a site too.
+        let site = {
+            let mut heap = self.heap.lock();
+            heap.region_stats(ctx.tid()).count_malloc(size);
+            let plan = heap.plan;
+            let s = &mut heap.state;
+            let site = s.sites;
+            s.sites += 1;
+            if let Some(err) = s.budget.decide(plan, site, size) {
+                s.injected += 1;
+                return Err(err);
             }
-            Err(e) => {
-                // A cleanly-reported failure is not a violation — the
-                // caller was told — but it consumes a site index.
-                self.state.lock().failed_mallocs += 1;
-                Err(e)
-            }
-        }
+            site
+        };
+        let addr = self.inner.try_malloc(ctx, size)?;
+        self.heap.lock().state.record_malloc(addr, size, site);
+        Ok(addr)
     }
 
     fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
         // Audited before the inner free's events hand the turn on, so a
         // block on its way back no longer counts towards `peak_live`. A
         // free the inner allocator refuses is a violation too.
-        self.record_free(addr);
-        self.inner.try_free(ctx, addr)
+        let freed = {
+            let mut heap = self.heap.lock();
+            heap.region_stats(ctx.tid()).frees += 1;
+            heap.state.record_free(addr)
+        };
+        self.inner.try_free(ctx, addr)?;
+        // The plan's totals shrink only once the inner free is done: a
+        // budget decision on another thread meanwhile still counts it.
+        if let Some(size) = freed {
+            self.heap.lock().state.budget.release(size);
+        }
+        Ok(())
     }
 
     fn min_block(&self) -> u64 {
@@ -262,7 +348,7 @@ impl Allocator for HeapAuditor {
         let inner = self.inner.snapshot()?;
         Some(Box::new(AuditSnapshot {
             inner,
-            state: self.state.lock().clone(),
+            state: self.heap.lock().state.clone(),
         }))
     }
 
@@ -271,7 +357,7 @@ impl Allocator for HeapAuditor {
             .downcast_ref::<AuditSnapshot>()
             .expect("heap auditor: restore of a foreign heap snapshot");
         self.inner.restore(&snap.inner);
-        *self.state.lock() = snap.state.clone();
+        self.heap.lock().state.clone_from(&snap.state);
     }
 
     fn attributes(&self) -> AllocatorAttrs {
@@ -279,8 +365,8 @@ impl Allocator for HeapAuditor {
     }
 }
 
-/// Frozen auditor state: the wrapped allocator's snapshot plus the live
-/// block map and violation counters at capture time.
+/// Frozen wrapper state: the wrapped allocator's snapshot plus every
+/// counter at capture time (not the plan, not the regions).
 struct AuditSnapshot {
     inner: HeapSnapshot,
     state: AuditState,
@@ -341,6 +427,55 @@ mod tests {
                 synchronization: "-",
             }
         }
+    }
+
+    /// Hands thread `tid` the block at `OS_REGION_BASE + 64 * tid`, after
+    /// a shared event that thread 0 reaches 1000 cycles later than thread 1.
+    struct Staggered;
+    impl Allocator for Staggered {
+        fn try_malloc(&self, ctx: &mut Ctx<'_>, _size: u64) -> Result<u64, AllocError> {
+            let tid = ctx.tid() as u64;
+            ctx.tick(1000 * (1 - tid));
+            ctx.read_u64(OS_REGION_BASE);
+            Ok(OS_REGION_BASE + 64 * tid)
+        }
+        fn try_free(&self, _ctx: &mut Ctx<'_>, _addr: u64) -> Result<(), AllocError> {
+            Ok(())
+        }
+        fn min_block(&self) -> u64 {
+            8
+        }
+        fn attributes(&self) -> AllocatorAttrs {
+            Broken.attributes()
+        }
+    }
+
+    /// Thread 0 enters first and returns last: a block's site is its
+    /// attempt's entry order, the numbering `NthSite` targets, not the
+    /// order the blocks came back in.
+    #[test]
+    fn a_site_is_numbered_as_its_attempt_enters() {
+        let run = |plan: AllocFaultPlan| {
+            let sim = Sim::new(MachineConfig::xeon_e5405());
+            let auditor = HeapAuditor::new(Arc::new(Staggered));
+            auditor.set_plan(plan);
+            let got = Mutex::new([None; 2]);
+            sim.run(2, |ctx| {
+                got.lock()[ctx.tid()] = Some(auditor.try_malloc(ctx, 8))
+            });
+            (got.into_inner(), auditor.report())
+        };
+        let (got, report) = run(AllocFaultPlan::None);
+        assert_eq!(got[1], Some(Ok(OS_REGION_BASE + 64)));
+        let sites: Vec<u64> = report.live_blocks.iter().map(|(_, b)| b.site).collect();
+        assert_eq!(
+            sites,
+            [0, 1],
+            "thread 0's block is site 0, thread 1's site 1"
+        );
+        let (got, _) = run(AllocFaultPlan::NthSite(1));
+        assert_eq!(got[0], Some(Ok(OS_REGION_BASE)));
+        assert_eq!(got[1], Some(Err(AllocError::Injected { site: 1, size: 8 })));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Deterministic allocation-fault injection.
+//! Deterministic allocation-fault plans.
 //!
-//! [`FaultInjector`] wraps any [`Allocator`] and fails `try_malloc`
-//! calls according to an [`AllocFaultPlan`]:
+//! An [`AllocFaultPlan`] names which `try_malloc` attempts the
+//! [`crate::HeapAuditor`] fails (see [`crate::HeapAuditor::set_plan`]):
 //!
 //! * **byte budget** — a hard cap on cumulative live bytes, modelling a
 //!   small heap: requests that would push the live total past the budget
@@ -17,36 +17,26 @@
 //!   driven by a seeded splitmix64 stream, so "random" OOM soak runs are
 //!   replayable from the seed.
 //!
-//! The injector only ever fails *allocations*; frees always reach the
-//! wrapped allocator (failing a free would leak by construction). The
+//! A plan only ever fails *allocations*; frees always reach the wrapped
+//! allocator (failing a free would leak by construction). The auditor's
 //! site counter advances on every attempt — including injected failures
 //! and the `None` plan — which is what lets a counting dry run under
 //! `AllocFaultPlan::None` enumerate the sites a later `NthSite` sweep
-//! will target. The plan itself is *settable* and deliberately excluded
-//! from [`Allocator::snapshot`], so a checkpointed session can restore
-//! the heap to its root state and then sweep plans across re-runs.
-//!
-//! Disabled-path cost: the CLI layers construct a `FaultInjector` only
-//! when a plan other than `None` is requested (or inside the OOM sweep,
-//! which needs the site counter), so ordinary runs execute the exact
-//! pre-existing allocator call chain — byte-for-byte identical artifacts,
-//! pinned by the determinism goldens.
+//! will target. The plan itself is settable and stays out of
+//! [`crate::Allocator::snapshot`]; the totals it decides on (live bytes,
+//! live blocks per class, the stream position) are in it.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use tm_obs::spec;
-use tm_sim::Ctx;
 
-use crate::{AllocError, Allocator, AllocatorAttrs, HeapSnapshot};
+use crate::AllocError;
 
 /// A deterministic allocation-failure plan. See the module docs for the
 /// semantics of each variant; [`AllocFaultPlan::parse`] gives the CLI
 /// grammar.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AllocFaultPlan {
     /// Never inject a failure (the counting dry-run plan).
+    #[default]
     None,
     /// Hard cap on cumulative live bytes (request sizes, not internal
     /// footprints): allocations that would exceed it fail as exhausted.
@@ -151,182 +141,98 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mutable injector bookkeeping. Snapshotted (and restored) with the
-/// wrapped heap so a rewound session replays the same site numbering.
-#[derive(Clone, Default)]
-struct FaultState {
-    /// Allocation attempts so far == the next attempt's site index.
-    sites: u64,
-    /// Failures injected so far.
-    injected: u64,
-    /// Live blocks handed out through the injector: address → request
-    /// size (for budget and class accounting on free).
-    live: HashMap<u64, u64>,
+/// The live-heap totals a plan decides on, kept by [`crate::HeapAuditor`] in its
+/// snapshotted state so a rewound session replays the same decisions.
+#[derive(Clone)]
+pub(crate) struct Budget {
     /// Cumulative live request bytes.
     bytes_live: u64,
-    /// Live block count per power-of-two request class.
-    class_live: HashMap<u64, u64>,
+    /// Live block count per power-of-two request class, indexed by
+    /// [`class_slot`].
+    class_live: [u64; 64],
     /// splitmix64 cursor for the probabilistic plan.
     rng: u64,
 }
 
-/// An [`Allocator`] wrapper that injects deterministic allocation
-/// failures per an [`AllocFaultPlan`]. See the module docs.
-pub struct FaultInjector {
-    inner: Arc<dyn Allocator>,
-    plan: Mutex<AllocFaultPlan>,
-    state: Mutex<FaultState>,
+impl Default for Budget {
+    fn default() -> Self {
+        Budget {
+            bytes_live: 0,
+            class_live: [0; 64],
+            rng: 0,
+        }
+    }
 }
 
-impl FaultInjector {
-    /// Wrap `inner` under `plan` (seed the probabilistic stream from the
-    /// plan's seed; other plans ignore the stream).
-    pub fn new(inner: Arc<dyn Allocator>, plan: AllocFaultPlan) -> Arc<FaultInjector> {
-        let rng = match plan {
-            AllocFaultPlan::Prob { seed, .. } => seed,
-            _ => 0,
-        };
-        Arc::new(FaultInjector {
-            inner,
-            plan: Mutex::new(plan),
-            state: Mutex::new(FaultState {
-                rng,
-                ..FaultState::default()
-            }),
-        })
-    }
+/// Where `size`'s class sits in [`Budget::class_live`]: its log2.
+fn class_slot(size: u64) -> usize {
+    class_of(size).trailing_zeros() as usize
+}
 
-    /// Replace the active plan without touching heap or counters. The
-    /// every-site sweep uses this between checkpoint restores: the plan
-    /// is *not* part of [`Allocator::snapshot`], so restoring the heap
-    /// leaves the newly-set plan in force.
-    pub fn set_plan(&self, plan: AllocFaultPlan) {
+impl Budget {
+    /// Arm `plan`: a probabilistic plan restarts its stream at its seed.
+    pub(crate) fn arm(&mut self, plan: AllocFaultPlan) {
         if let AllocFaultPlan::Prob { seed, .. } = plan {
-            self.state.lock().rng = seed;
+            self.rng = seed;
         }
-        *self.plan.lock() = plan;
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> AllocFaultPlan {
-        *self.plan.lock()
-    }
-
-    /// Allocation attempts observed so far (the next site index).
-    pub fn sites(&self) -> u64 {
-        self.state.lock().sites
-    }
-
-    /// Failures injected so far.
-    pub fn injected(&self) -> u64 {
-        self.state.lock().injected
     }
 
     /// Does `plan` fail the attempt at `site` for `size` bytes, and with
-    /// which error? Must be called with the state lock held.
-    fn decide(
+    /// which error?
+    pub(crate) fn decide(
+        &mut self,
         plan: AllocFaultPlan,
-        s: &mut FaultState,
         site: u64,
         size: u64,
     ) -> Option<AllocError> {
         match plan {
             AllocFaultPlan::None => None,
             AllocFaultPlan::ByteBudget(budget) => {
-                (s.bytes_live + size > budget).then_some(AllocError::Exhausted { size })
+                (self.bytes_live + size > budget).then_some(AllocError::Exhausted { size })
             }
             AllocFaultPlan::ClassCap {
                 size: class_size,
                 max_live,
-            } => {
-                let class = class_of(size);
-                (class == class_of(class_size)
-                    && s.class_live.get(&class).copied().unwrap_or(0) >= max_live)
-                    .then_some(AllocError::Exhausted { size })
-            }
+            } => (class_of(size) == class_of(class_size)
+                && self.class_live[class_slot(size)] >= max_live)
+                .then_some(AllocError::Exhausted { size }),
             AllocFaultPlan::NthSite(n) => {
                 (site == n).then_some(AllocError::Injected { site, size })
             }
             AllocFaultPlan::Prob { denom, .. } => {
-                s.rng = mix(s.rng);
-                (s.rng.is_multiple_of(denom)).then_some(AllocError::Injected { site, size })
+                self.rng = mix(self.rng);
+                (self.rng.is_multiple_of(denom)).then_some(AllocError::Injected { site, size })
             }
         }
     }
-}
 
-impl Allocator for FaultInjector {
-    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
-        let plan = *self.plan.lock();
-        {
-            let mut s = self.state.lock();
-            let site = s.sites;
-            s.sites += 1;
-            if let Some(err) = Self::decide(plan, &mut s, site, size) {
-                s.injected += 1;
-                return Err(err);
-            }
-        }
-        let addr = self.inner.try_malloc(ctx, size)?;
-        let mut s = self.state.lock();
-        s.live.insert(addr, size);
-        s.bytes_live += size;
-        *s.class_live.entry(class_of(size)).or_insert(0) += 1;
-        Ok(addr)
+    /// A `size`-byte block went live.
+    pub(crate) fn admit(&mut self, size: u64) {
+        self.bytes_live += size;
+        self.class_live[class_slot(size)] += 1;
     }
 
-    fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        // Frees are never failed by a plan, but accounting must shrink so
-        // budget/class plans recover once memory is returned.
-        self.inner.try_free(ctx, addr)?;
-        let mut s = self.state.lock();
-        if let Some(size) = s.live.remove(&addr) {
-            s.bytes_live -= size;
-            if let Some(n) = s.class_live.get_mut(&class_of(size)) {
-                *n = n.saturating_sub(1);
-            }
-        }
-        Ok(())
+    /// A `size`-byte block was freed (after the inner free returned).
+    pub(crate) fn release(&mut self, size: u64) {
+        self.bytes_live -= size;
+        let n = &mut self.class_live[class_slot(size)];
+        *n = n.saturating_sub(1);
     }
-
-    fn min_block(&self) -> u64 {
-        self.inner.min_block()
-    }
-
-    fn attributes(&self) -> AllocatorAttrs {
-        self.inner.attributes()
-    }
-
-    fn snapshot(&self) -> Option<HeapSnapshot> {
-        let inner = self.inner.snapshot()?;
-        Some(Box::new(FaultSnapshot {
-            inner,
-            state: self.state.lock().clone(),
-        }))
-    }
-
-    fn restore(&self, snap: &HeapSnapshot) {
-        let snap = snap
-            .downcast_ref::<FaultSnapshot>()
-            .expect("fault injector: restore of a foreign heap snapshot");
-        self.inner.restore(&snap.inner);
-        // The plan survives on purpose; see `set_plan`.
-        *self.state.lock() = snap.state.clone();
-    }
-}
-
-/// Frozen injector bookkeeping plus the wrapped allocator's snapshot.
-/// The active plan is deliberately not captured.
-struct FaultSnapshot {
-    inner: HeapSnapshot,
-    state: FaultState,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AllocatorKind;
+    use crate::{Allocator, AllocatorKind, HeapAuditor};
+    use std::sync::Arc;
     use tm_sim::{MachineConfig, Sim};
+
+    /// `inner` under the heap auditor, armed with `plan`.
+    fn faulted(inner: Arc<dyn Allocator>, plan: AllocFaultPlan) -> Arc<HeapAuditor> {
+        let auditor = HeapAuditor::new(inner);
+        auditor.set_plan(plan);
+        auditor
+    }
 
     #[test]
     fn plan_tokens_round_trip() {
@@ -382,7 +288,7 @@ mod tests {
     #[test]
     fn nth_site_fails_exactly_one_attempt() {
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let inj = FaultInjector::new(
+        let inj = faulted(
             AllocatorKind::TbbMalloc.build(&sim),
             AllocFaultPlan::NthSite(2),
         );
@@ -403,7 +309,7 @@ mod tests {
     #[test]
     fn byte_budget_recovers_after_frees() {
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let inj = FaultInjector::new(
+        let inj = faulted(
             AllocatorKind::TcMalloc.build(&sim),
             AllocFaultPlan::ByteBudget(64),
         );
@@ -423,7 +329,7 @@ mod tests {
     #[test]
     fn class_cap_only_hits_its_class() {
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let inj = FaultInjector::new(
+        let inj = faulted(
             AllocatorKind::Hoard.build(&sim),
             AllocFaultPlan::ClassCap {
                 size: 48, // class 64
@@ -447,7 +353,7 @@ mod tests {
     fn prob_plan_is_replayable_from_the_seed() {
         let failures = |seed: u64| {
             let sim = Sim::new(MachineConfig::xeon_e5405());
-            let inj = FaultInjector::new(
+            let inj = faulted(
                 AllocatorKind::Glibc.build(&sim),
                 AllocFaultPlan::Prob { seed, denom: 4 },
             );
@@ -471,7 +377,7 @@ mod tests {
     #[test]
     fn none_plan_counts_sites_but_never_fails() {
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let inj = FaultInjector::new(AllocatorKind::TbbMalloc.build(&sim), AllocFaultPlan::None);
+        let inj = faulted(AllocatorKind::TbbMalloc.build(&sim), AllocFaultPlan::None);
         let a = Arc::clone(&inj);
         sim.run(2, |ctx| {
             for _ in 0..8 {
@@ -486,7 +392,7 @@ mod tests {
     #[test]
     fn snapshot_rewinds_site_numbering_but_keeps_the_plan() {
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let inj = FaultInjector::new(AllocatorKind::TbbMalloc.build(&sim), AllocFaultPlan::None);
+        let inj = faulted(AllocatorKind::TbbMalloc.build(&sim), AllocFaultPlan::None);
         let a = Arc::clone(&inj);
         sim.run(1, |ctx| {
             let _ = a.try_malloc(ctx, 16);

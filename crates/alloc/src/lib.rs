@@ -31,20 +31,19 @@
 //! snapshot is a clone of that struct. DESIGN.md §5 "Host-side state" has
 //! the rule and the recipe for adding a model.
 //!
-//! The [`profile`] module wraps any allocator with per-code-region
-//! allocation-site instrumentation used to regenerate the paper's Table 5,
-//! and [`audit`] wraps any allocator with heap-invariant checking
-//! (overlap, alignment, containment, free-list integrity) for the
-//! correctness harness.
-//!
 //! Allocation *failure* is part of the interface: an allocator implements
 //! only the fallible [`Allocator::try_malloc`] / [`Allocator::try_free`]
-//! (the panicking `malloc`/`free` forms are provided over them), and the
-//! [`fault`] module's [`FaultInjector`] wraps any allocator with a
-//! deterministic [`AllocFaultPlan`] — byte budgets, size-class caps,
-//! fail-at-Nth-site, seeded probabilistic failure — so the STM's abort
-//! path and the every-site OOM sweep can exercise out-of-memory behaviour
-//! reproducibly.
+//! (the panicking `malloc`/`free` forms are provided over them).
+//!
+//! One wrapper, [`HeapAuditor`] ([`audit`]), is where the allocator call
+//! stream is observed: it checks heap invariants (overlap, alignment,
+//! containment, free-list integrity) for the correctness harness, fails
+//! allocations per a deterministic [`AllocFaultPlan`] ([`fault`]: byte
+//! budgets, size-class caps, fail-at-Nth-site, seeded probabilistic
+//! failure) so the STM's abort path and the every-site OOM sweep can
+//! exercise out-of-memory behaviour reproducibly, and counts the
+//! per-region histograms ([`profile`]) that regenerate the paper's
+//! Table 5.
 
 #![deny(missing_docs)]
 
@@ -62,7 +61,7 @@ mod tc;
 
 pub use audit::{AuditReport, HeapAuditor, LiveBlock};
 pub use classes::SizeClasses;
-pub use fault::{AllocFaultPlan, FaultInjector};
+pub use fault::AllocFaultPlan;
 pub use glibc::GlibcAllocator;
 pub use hoard::HoardAllocator;
 pub use serial::SerialLockAllocator;
@@ -87,7 +86,7 @@ pub enum AllocError {
     /// A fault plan forced this specific allocation to fail.
     Injected {
         /// Global allocation-site index assigned by the
-        /// [`FaultInjector`] (0-based, in attempt order).
+        /// [`HeapAuditor`] (0-based, in attempt order).
         site: u64,
         /// The request size, in bytes.
         size: u64,
@@ -192,9 +191,9 @@ pub trait Allocator: Send + Sync {
     ///
     /// Returns `None` when the implementation does not support
     /// checkpointing — callers (the `tm-mc` explorer) then fall back to
-    /// from-scratch execution. All five models and both wrappers
-    /// ([`HeapAuditor`], [`FaultInjector`]) support it; a wrapper's
-    /// snapshot is `None` when its inner allocator's is.
+    /// from-scratch execution. All five models and the [`HeapAuditor`]
+    /// support it; the wrapper's snapshot is `None` when its inner
+    /// allocator's is.
     fn snapshot(&self) -> Option<HeapSnapshot> {
         None
     }

@@ -1,21 +1,13 @@
-//! Allocation-site instrumentation for the paper's Table 5.
+//! Allocation-site regions for the paper's Table 5.
 //!
 //! Table 5 characterizes STAMP's memory behaviour by counting allocations
 //! per size class in three code regions: `seq` (sequential initialization),
 //! `par` (parallel region, outside transactions) and `tx` (inside
-//! transactions). [`AllocProfiler`] wraps any [`Allocator`] and keeps those
-//! histograms; the wrapped allocator still performs the real placement, so
-//! profiling runs produce the same layout as measurement runs.
-//!
-//! The counts are one plain `Profile` behind a host mutex. Between two
-//! simulated events only one logical thread runs (DESIGN.md §4.1), so the
-//! lock is never contended, and it is never held across a call into the
-//! wrapped allocator.
-
-use parking_lot::Mutex;
-use tm_sim::Ctx;
-
-use crate::{AllocError, Allocator};
+//! transactions). The [`crate::HeapAuditor`] keeps one [`RegionStats`]
+//! histogram per region and attributes each call to its thread's current
+//! region ([`crate::HeapAuditor::set_region`]); the wrapped allocator still
+//! performs the real placement, so profiling runs produce the same layout
+//! as measurement runs.
 
 /// Code region an allocation is attributed to (Table 5 columns).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +42,7 @@ pub fn bucket_label(i: usize) -> &'static str {
     ["16", "32", "48", "64", "96", "128", "256", "> 256"][i]
 }
 
-fn bucket_of(size: u64) -> usize {
+pub(crate) fn bucket_of(size: u64) -> usize {
     BUCKETS.iter().position(|&b| size <= b).unwrap()
 }
 
@@ -67,89 +59,19 @@ pub struct RegionStats {
     pub bytes: u64,
 }
 
-/// What the profiler has counted so far.
-struct Profile {
-    /// Each thread's current region.
-    region: Vec<Region>,
-    /// The three region histograms, indexed by `Region as usize`.
-    stats: [RegionStats; 3],
-}
-
-impl Profile {
-    /// The histogram of `tid`'s current region.
-    fn current(&mut self, tid: usize) -> &mut RegionStats {
-        &mut self.stats[self.region[tid] as usize]
-    }
-}
-
-/// An [`Allocator`] wrapper recording per-region allocation histograms.
-pub struct AllocProfiler<A: Allocator> {
-    inner: A,
-    profile: Mutex<Profile>,
-}
-
-impl<A: Allocator> AllocProfiler<A> {
-    /// Wrap `inner`, sized for at most `max_threads` recording threads,
-    /// each starting in [`Region::Seq`].
-    pub fn new(inner: A, max_threads: usize) -> Self {
-        let profile = Profile {
-            region: vec![Region::Seq; max_threads],
-            stats: [RegionStats::default(); 3],
-        };
-        AllocProfiler {
-            inner,
-            profile: Mutex::new(profile),
-        }
-    }
-
-    /// Set the region allocations by `tid` are attributed to from now on.
-    pub fn set_region(&self, tid: usize, r: Region) {
-        self.profile.lock().region[tid] = r;
-    }
-
-    /// The three region histograms, indexed by `Region as usize`, summed
-    /// over all threads. (Named to stay clear of the checkpoint method
-    /// [`Allocator::snapshot`].)
-    pub fn region_stats(&self) -> [RegionStats; 3] {
-        self.profile.lock().stats
-    }
-
-    /// The wrapped allocator.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<A: Allocator> Allocator for AllocProfiler<A> {
-    fn try_malloc(&self, ctx: &mut Ctx<'_>, size: u64) -> Result<u64, AllocError> {
-        {
-            let mut profile = self.profile.lock();
-            let s = profile.current(ctx.tid());
-            s.by_bucket[bucket_of(size)] += 1;
-            s.mallocs += 1;
-            s.bytes = s.bytes.wrapping_add(size);
-        }
-        self.inner.try_malloc(ctx, size)
-    }
-
-    fn try_free(&self, ctx: &mut Ctx<'_>, addr: u64) -> Result<(), AllocError> {
-        self.profile.lock().current(ctx.tid()).frees += 1;
-        self.inner.try_free(ctx, addr)
-    }
-
-    fn min_block(&self) -> u64 {
-        self.inner.min_block()
-    }
-
-    fn attributes(&self) -> crate::AllocatorAttrs {
-        self.inner.attributes()
+impl RegionStats {
+    /// Count a `size`-byte `malloc` attempt.
+    pub(crate) fn count_malloc(&mut self, size: u64) {
+        self.by_bucket[bucket_of(size)] += 1;
+        self.mallocs += 1;
+        self.bytes = self.bytes.wrapping_add(size);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocatorKind, GlibcAllocator};
+    use crate::{Allocator, AllocatorKind, HeapAuditor};
     use tm_sim::{MachineConfig, Sim};
 
     #[test]
@@ -169,7 +91,7 @@ mod tests {
     #[test]
     fn regions_attributed() {
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let prof = AllocProfiler::new(GlibcAllocator::new(&sim), 8);
+        let prof = HeapAuditor::new(AllocatorKind::Glibc.build(&sim));
         sim.run(1, |ctx| {
             prof.set_region(0, Region::Seq);
             let a = prof.malloc(ctx, 16);
@@ -194,17 +116,14 @@ mod tests {
         assert_eq!(s[Region::Seq as usize].frees, 0);
     }
 
-    /// The profiler hands a refusal back instead of panicking, like the
-    /// other wrappers; it counts the attempt.
+    /// The profile counts an attempt the fault plan refuses, and the
+    /// refusal comes back instead of a panic.
     #[test]
     fn a_refusal_passes_through_the_profiler() {
-        use crate::{AllocError, AllocFaultPlan, FaultInjector};
+        use crate::{AllocError, AllocFaultPlan};
         let sim = Sim::new(MachineConfig::xeon_e5405());
-        let faulted = FaultInjector::new(
-            AllocatorKind::TbbMalloc.build(&sim),
-            AllocFaultPlan::NthSite(0),
-        );
-        let prof = AllocProfiler::new(faulted, 8);
+        let prof = HeapAuditor::new(AllocatorKind::TbbMalloc.build(&sim));
+        prof.set_plan(AllocFaultPlan::NthSite(0));
         sim.run(1, |ctx| {
             let refused = prof.try_malloc(ctx, 16);
             assert_eq!(refused, Err(AllocError::Injected { site: 0, size: 16 }));
@@ -213,14 +132,14 @@ mod tests {
         });
         let seq = prof.region_stats()[Region::Seq as usize];
         assert_eq!((seq.mallocs, seq.frees), (2, 1));
-        crate::testutil::foreign_frees_are_refused("profiled Glibc", |sim| {
-            std::sync::Arc::new(AllocProfiler::new(GlibcAllocator::new(sim), 8))
+        crate::testutil::foreign_frees_are_refused("audited Glibc", |sim| {
+            HeapAuditor::new(AllocatorKind::Glibc.build(sim))
         });
     }
 
     #[test]
     fn placement_unchanged_by_profiling() {
-        // The profiler must be layout-transparent: same addresses with and
+        // The profile must be layout-transparent: same addresses with and
         // without it.
         let sim1 = Sim::new(MachineConfig::xeon_e5405());
         let raw = AllocatorKind::Glibc.build(&sim1);
@@ -231,7 +150,7 @@ mod tests {
             }
         });
         let sim2 = Sim::new(MachineConfig::xeon_e5405());
-        let prof = AllocProfiler::new(GlibcAllocator::new(&sim2), 8);
+        let prof = HeapAuditor::new(AllocatorKind::Glibc.build(&sim2));
         let wrapped = parking_lot::Mutex::new(Vec::new());
         sim2.run(1, |ctx| {
             for _ in 0..10 {

@@ -1,11 +1,11 @@
 //! The acceptance test for the profiling path: 8 simulated threads hammer
-//! the profiled allocator (each records into its own row of relaxed
-//! atomics), and the merged snapshot must be *exact*, not approximate.
+//! the heap auditor, each in its own region, and the per-region totals
+//! must be *exact*, not approximate.
 
 use std::sync::Arc;
 
-use tm_alloc::profile::{AllocProfiler, Region};
-use tm_alloc::{Allocator, AllocatorKind};
+use tm_alloc::profile::Region;
+use tm_alloc::{Allocator, AllocatorKind, HeapAuditor};
 use tm_sim::{MachineConfig, Sim};
 
 #[test]
@@ -15,7 +15,7 @@ fn eight_thread_merge_is_exact() {
 
     let sim = Sim::new(MachineConfig::xeon_e5405());
     let base = AllocatorKind::TbbMalloc.build(&sim);
-    let prof = Arc::new(AllocProfiler::new(base, THREADS));
+    let prof = HeapAuditor::new(base);
 
     let p = Arc::clone(&prof);
     sim.run(THREADS, move |ctx| {

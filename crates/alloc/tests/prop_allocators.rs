@@ -4,15 +4,13 @@
 //! disjointness of live blocks, legal frees) is enforced by routing every
 //! call through the reusable [`tm_alloc::HeapAuditor`]; only writability —
 //! which needs the simulated memory — is checked inline. One more property
-//! covers checkpointing: every model, bare and under each wrapper, replays a
-//! round identically from a snapshot.
+//! covers checkpointing: every model, bare, audited and under each fault
+//! plan, replays a round identically from a snapshot.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tm_alloc::{
-    AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor, SerialLockAllocator,
-};
+use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor, SerialLockAllocator};
 use tm_check::strategies::{alloc_ops, AllocOp};
 use tm_sim::{MachineConfig, Sim};
 
@@ -62,8 +60,8 @@ fn check(kind: AllocatorKind, ops: &[AllocOp]) -> Result<(), TestCaseError> {
 fn exhaust_and_recover(kind: AllocatorKind, sizes: &[u64]) -> Result<(), TestCaseError> {
     const BUDGET: u64 = 4096;
     let sim = Sim::new(MachineConfig::xeon_e5405());
-    let injector = FaultInjector::new(kind.build(&sim), AllocFaultPlan::ByteBudget(BUDGET));
-    let auditor = HeapAuditor::new(injector);
+    let auditor = HeapAuditor::new(kind.build(&sim));
+    auditor.set_plan(AllocFaultPlan::ByteBudget(BUDGET));
     let alloc = Arc::clone(&auditor);
     let sizes = sizes.to_vec();
     sim.run(1, |ctx| {
@@ -108,18 +106,14 @@ fn exhaust_and_recover(kind: AllocatorKind, sizes: &[u64]) -> Result<(), TestCas
     Ok(())
 }
 
-/// An inert (`None`-plan) fault injector must be observationally
+/// The heap auditor under the inert `None` plan must be observationally
 /// invisible: same addresses handed out and same virtual time as the
 /// bare allocator for an identical call script.
 fn none_plan_is_identity(kind: AllocatorKind, ops: &[AllocOp]) -> Result<(), TestCaseError> {
     let run = |wrap: bool| {
         let sim = Sim::new(MachineConfig::xeon_e5405());
         let bare = kind.build(&sim);
-        let alloc: Arc<dyn Allocator> = if wrap {
-            FaultInjector::new(bare, AllocFaultPlan::None)
-        } else {
-            bare
-        };
+        let alloc: Arc<dyn Allocator> = if wrap { HeapAuditor::new(bare) } else { bare };
         let ops = ops.to_vec();
         let log = parking_lot::Mutex::new((Vec::new(), 0u64));
         sim.run(1, |ctx| {
@@ -151,9 +145,9 @@ fn none_plan_is_identity(kind: AllocatorKind, ops: &[AllocOp]) -> Result<(), Tes
 enum Wrap {
     Bare,
     Audited,
-    /// Under a fault plan that does fail allocations, and whose state — live
-    /// bytes, per-class counts, site counter, stream position — is part of
-    /// the snapshot.
+    /// Audited under a fault plan that does fail allocations, and whose
+    /// state — live bytes, per-class counts, site counter, stream position
+    /// — is part of the snapshot.
     Faulted(AllocFaultPlan),
 }
 
@@ -167,7 +161,11 @@ fn stack(model: Option<AllocatorKind>, wrap: Wrap, sim: &Sim) -> Arc<dyn Allocat
     match wrap {
         Wrap::Bare => bare,
         Wrap::Audited => HeapAuditor::new(bare),
-        Wrap::Faulted(plan) => FaultInjector::new(bare, plan),
+        Wrap::Faulted(plan) => {
+            let auditor = HeapAuditor::new(bare);
+            auditor.set_plan(plan);
+            auditor
+        }
     }
 }
 
@@ -281,7 +279,7 @@ fn snapshot_replays_identically(
     let machine = sim.snapshot(None);
     let heap = alloc
         .snapshot()
-        .expect("every model and both wrappers support checkpointing");
+        .expect("every model and the auditor support checkpointing");
     let (first, _) = play(&sim, &*alloc, &inherited, round);
 
     sim.restore(&machine);

@@ -20,64 +20,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tm_alloc::profile::{bucket_label, Region};
 use tm_alloc::{AllocFaultPlan, AllocatorKind};
-use tm_core::sweeps::{parse_backend, parse_cm, stamp_run, synth_config, threadtest_config};
+use tm_core::sweeps::{
+    parse_backend, parse_cm, stamp_run, synth_config, threadtest_config, SUBCOMMANDS,
+};
 use tm_core::synthetic::run_synthetic;
 use tm_core::threadtest::run_threadtest;
 use tm_ds::StructureKind;
 use tm_obs::spec::Flags;
 use tm_stamp::runner::{make_app, profile_app, run_app};
 use tm_stamp::AppKind;
-
-/// The STM-stack knobs `tm_core::sweeps` reads for every transactional
-/// workload: flags that take a value, and bare switches.
-const STACK_VALUES: [&str; 5] = ["backend", "cm", "shift", "seed", "alloc-fault"];
-const STACK_SWITCHES: [&str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
-
-/// What each subcommand understands — `(name, value flags, bare
-/// switches)`. [`parse_flags`] refuses everything else, so a typo is a
-/// usage error instead of a run on the defaults. (`report` takes file
-/// names, not flags.)
-type Subcommand = (
-    &'static str,
-    &'static [&'static [&'static str]],
-    &'static [&'static str],
-);
-const SUBCOMMANDS: &[Subcommand] = &[
-    (
-        "synth",
-        &[
-            &["structure", "alloc", "threads", "update-pct", "size", "ops"],
-            &STACK_VALUES,
-        ],
-        &STACK_SWITCHES,
-    ),
-    (
-        "stamp",
-        &[&["app", "alloc", "threads", "scale"], &STACK_VALUES],
-        &STACK_SWITCHES,
-    ),
-    ("threadtest", &[&["alloc", "threads", "size", "pairs"]], &[]),
-    ("profile", &[&["app", "alloc", "scale"]], &[]),
-    ("machine", &[], &[]),
-    (
-        "sweep",
-        &[
-            &["workload", "reps", "name", "out"],
-            tm_core::sweeps::AXIS_FLAGS,
-        ],
-        &["quick"],
-    ),
-    ("check", &[&["backend", "cm", "name", "out"]], &["quick"]),
-    (
-        "mc",
-        &[
-            &["backend", "cm", "alloc", "depth", "budget", "magnitudes"],
-            &["alloc-fault", "name", "out"],
-        ],
-        &["quick", "no-checkpoint", "oom"],
-    ),
-    ("book", &[&["results", "out"]], &["stdout", "check"]),
-];
 
 fn main() {
     // The environment is input too: every subcommand builds simulators,
@@ -150,8 +101,8 @@ fn usage() {
          sweep:      [--workload synth|stamp|threadtest] axes as comma lists \
          (--structure --app --alloc --backend --cm --alloc-fault --threads --shift \
          --update-pct --size --ops --pairs --scale --seeds) [--quick] [--reps N] \
-         [--name S] [--out FILE]; every cell parses before any runs (a value \
-         a parser refuses exits 2); cells run one after another; exit 1 when \
+         [--name S] [--out FILE]; at most 65536 cells (more exits 2); every \
+         cell parses before any runs (a value a parser refuses exits 2); cells run one after another; exit 1 when \
          any cell ends in `error`\n\
          check:      correctness matrix (serial oracles, heap audit, \
          cross-backend and cross-CM diffs, interleaving explorer) [--quick] \
@@ -394,7 +345,7 @@ const MC_SUITES: [(&str, &[&str], &str); 2] = [
             "no-checkpoint",
             "quick",
         ],
-        "it sweeps every allocation site of a fixed matrix with its own fault injector",
+        "it sweeps every allocation site of a fixed matrix with its own fault plans",
     ),
     (
         "quick",
@@ -672,16 +623,16 @@ fn profile(flags: &Flags) {
     let a = make_app(app, scale, 0xace);
     let prof = profile_app(a.as_ref(), run.alloc);
     println!("{} allocation profile (scale {scale}):", app.name());
-    println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
-        "region", "<=16", "32", "48", "64", "96", "128", "256", ">256", "mallocs", "frees", "bytes"
-    );
+    print!("{:>6}", "region");
+    for b in 0..8 {
+        print!(" {:>9}", bucket_label(b));
+    }
+    println!(" {:>9} {:>9} {:>12}", "mallocs", "frees", "bytes");
     for region in Region::ALL {
         let s = prof[region as usize];
         print!("{:>6}", region.name());
-        for b in 0..8 {
-            let _ = bucket_label(b);
-            print!(" {:>9}", s.by_bucket[b]);
+        for n in s.by_bucket {
+            print!(" {n:>9}");
         }
         println!(" {:>9} {:>9} {:>12}", s.mallocs, s.frees, s.bytes);
     }

@@ -302,6 +302,56 @@ pub const AXIS_FLAGS: &[&str] = &[
     "seeds",
 ];
 
+/// The STM-stack knobs `tm_core::sweeps` reads for every transactional
+/// workload: flags that take a value, and bare switches.
+const STACK_VALUES: [&str; 5] = ["backend", "cm", "shift", "seed", "alloc-fault"];
+const STACK_SWITCHES: [&str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
+
+/// One row of [`SUBCOMMANDS`]: `(name, value flags, bare switches)`.
+pub type Subcommand = (
+    &'static str,
+    &'static [&'static [&'static str]],
+    &'static [&'static str],
+);
+
+/// What each `tmstudy` subcommand understands.
+/// [`tm_obs::spec::parse_flags`] refuses everything else, so a typo is a
+/// usage error instead of a run on the defaults. (`report` takes file
+/// names, not flags.)
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    (
+        "synth",
+        &[
+            &["structure", "alloc", "threads", "update-pct", "size", "ops"],
+            &STACK_VALUES,
+        ],
+        &STACK_SWITCHES,
+    ),
+    (
+        "stamp",
+        &[&["app", "alloc", "threads", "scale"], &STACK_VALUES],
+        &STACK_SWITCHES,
+    ),
+    ("threadtest", &[&["alloc", "threads", "size", "pairs"]], &[]),
+    ("profile", &[&["app", "alloc", "scale"]], &[]),
+    ("machine", &[], &[]),
+    (
+        "sweep",
+        &[&["workload", "reps", "name", "out"], AXIS_FLAGS],
+        &["quick"],
+    ),
+    ("check", &[&["backend", "cm", "name", "out"]], &["quick"]),
+    (
+        "mc",
+        &[
+            &["backend", "cm", "alloc", "depth", "budget", "magnitudes"],
+            &["alloc-fault", "name", "out"],
+        ],
+        &["quick", "no-checkpoint", "oom"],
+    ),
+    ("book", &[&["results", "out"]], &["stdout", "check"]),
+];
+
 /// The `--quick` preset: the paper's full synthetic allocator × structure
 /// matrix at 8 threads. Fast enough for a CI smoke job (seconds with the
 /// fiber scheduler) while still exercising every allocator and structure.
@@ -312,11 +362,17 @@ const QUICK_PRESET: &[(&str, &str)] = &[
     ("threads", "8"),
 ];
 
+/// The most cells one sweep may have (2^16): a bound on outside input,
+/// like the JSON parser's nesting depth.
+pub const MAX_SWEEP_CELLS: u64 = 1 << 16;
+
 /// Build a [`SweepSpec`] from `tmstudy sweep` flags (as parsed into a
 /// flag-name → value map). `--workload` (default `synth`) becomes a fixed
 /// key, each flag in the canonical axis list becomes an axis, and
 /// `--reps N` appends a `rep` axis with values `1..=N`. `--quick` fills in
-/// the preset axes (full allocator × structure matrix at 8 threads).
+/// the preset axes (full allocator × structure matrix at 8 threads). A
+/// matrix of more than [`MAX_SWEEP_CELLS`] cells is refused before any is
+/// built.
 pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, String> {
     let workload = flags.get("workload").map_or("synth", String::as_str);
     if !["synth", "stamp", "threadtest"].contains(&workload) {
@@ -350,11 +406,28 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
             spec = spec.axis(axis, values);
         }
     }
-    if let Some(n) = flags.get("reps") {
-        let n: u32 = n.parse().map_err(|_| format!("bad --reps '{n}'"))?;
-        if n == 0 {
-            return Err("--reps must be at least 1".into());
-        }
+    let reps = match flags.get("reps") {
+        Some(n) => match n.parse::<u32>() {
+            Ok(0) => return Err("--reps must be at least 1".into()),
+            Ok(n) => Some(n),
+            Err(_) => return Err(format!("bad --reps '{n}'")),
+        },
+        None => None,
+    };
+    // The matrix is bounded before a cell or a `rep` label is built.
+    let cells = spec
+        .axes
+        .iter()
+        .map(|(_, values)| values.len() as u64)
+        .chain(reps.map(u64::from))
+        .try_fold(1u64, u64::checked_mul);
+    if cells.is_none_or(|n| n > MAX_SWEEP_CELLS) {
+        let count = cells.map_or(format!("over {}", u64::MAX), |n| n.to_string());
+        return Err(format!(
+            "the sweep has {count} cells, more than the bound of {MAX_SWEEP_CELLS}"
+        ));
+    }
+    if let Some(n) = reps {
         spec = spec.axis("rep", (1..=n).map(|i| i.to_string()));
     }
     // Every cell parses before any runs, so a value its parser refuses
@@ -388,6 +461,22 @@ mod tests {
         assert_eq!(axes, ["alloc", "threads", "rep"]);
         assert_eq!(spec.cell_count(), 8);
         assert_eq!(spec.fixed, cfg(&[("workload", "synth")]));
+    }
+
+    #[test]
+    fn the_cell_bound_counts_reps_and_holds_at_its_edge() {
+        let mut flags = HashMap::new();
+        flags.insert("threads".to_string(), "1,2".to_string());
+        flags.insert("reps".to_string(), (MAX_SWEEP_CELLS / 2).to_string());
+        assert_eq!(
+            spec_from_flags(&flags).unwrap().cell_count() as u64,
+            MAX_SWEEP_CELLS
+        );
+        flags.insert("reps".to_string(), (MAX_SWEEP_CELLS / 2 + 1).to_string());
+        assert_eq!(
+            spec_from_flags(&flags).unwrap_err(),
+            "the sweep has 65538 cells, more than the bound of 65536"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct SyntheticConfig {
     /// Workload seed.
     pub seed: u64,
     /// Allocation-fault plan (robustness extension; `None` builds the
-    /// exact fault-free stack with no injector in it).
+    /// exact fault-free stack, the bare model with no wrapper).
     pub alloc_fault: tm_alloc::AllocFaultPlan,
     /// Hash-set bucket count (paper: 128 K for a 4 K set — 32× the size).
     pub buckets: u64,
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn generous_fault_budget_changes_nothing() {
-        // The injector is host-side bookkeeping with no simulated time;
+        // The fault plan is host-side bookkeeping with no simulated time;
         // a budget no allocation ever hits must reproduce the fault-free
         // numbers exactly.
         let base = quick(StructureKind::HashSet, AllocatorKind::TbbMalloc, 4);

@@ -3,7 +3,7 @@
 //! Where [`mod@crate::explore`] sweeps the *schedule* space of a program,
 //! this module sweeps its *allocation-failure* space: a counting dry run
 //! under [`AllocFaultPlan::None`] enumerates every allocation site the
-//! main phase executes (the injector's site counter advances even when
+//! main phase executes (the auditor's site counter advances even when
 //! the plan is inert), then the cell is re-executed once per site with
 //! exactly that attempt forced to fail ([`AllocFaultPlan::NthSite`]).
 //! Every injected failure must end in either a committed retry or a
@@ -14,15 +14,15 @@
 //! propagation path itself: transfers that cannot allocate must give up
 //! cleanly, and the heap must still balance.
 //!
-//! The stack is `Stm → HeapAuditor(FaultInjector(allocator))`: the
-//! auditor sits directly above the injector so both observe the same
-//! malloc-attempt stream and agree on site numbering — a leaked block's
-//! [`tm_alloc::LiveBlock::site`] names the allocation site that produced
-//! it. Sites are swept from the root checkpoint of the one checkpointed
-//! [`Session`] (simulator + heap + STM host state, at post-seed
-//! quiescence) built over that stack; the fault plan is deliberately not
-//! part of the heap snapshot, so `set_plan` between restores re-targets
-//! the next run without rebuilding the world.
+//! The stack is the audited `Stm → HeapAuditor(allocator)` of
+//! [`Stack::new`]: the one wrapper both numbers the sites a plan targets
+//! and audits the heap, so a leaked block's [`tm_alloc::LiveBlock::site`]
+//! names the allocation site that produced it. Sites are swept from the
+//! root checkpoint of the one checkpointed [`Session`] (simulator + heap +
+//! STM host state, at post-seed quiescence) built over that stack; the
+//! fault plan is deliberately not part of the heap snapshot, so
+//! `set_plan` between restores re-targets the next run without
+//! rebuilding the world.
 //!
 //! Because the sweep visits sites in ascending order and stops at the
 //! first failure, a caught mutant (the catalog's `leak-on-alloc-fail`
@@ -31,24 +31,22 @@
 
 use std::sync::Arc;
 
-use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor};
+use tm_alloc::{AllocFaultPlan, AllocatorKind, HeapAuditor};
 use tm_obs::{McVerdict, OomCell, OomReport};
-use tm_sim::{MachineConfig, Sim};
-use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug, Stack, Stm};
+use tm_sim::MachineConfig;
+use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug, Stack};
 
 use crate::catalog::verdict_check_cell;
 use crate::explore::Session;
 use crate::program::{McProgram, ProgramKind, RunConfig, NODE_SIZE};
 
 /// A reusable OOM-sweep execution cell: the one checkpointed [`Session`]
-/// over the audited fault-injecting stack, plus the two handles the sweep
-/// reads its evidence from. Each [`OomSession::run`] rewinds to the root,
-/// arms a fault plan, executes the main phase plus a forced quiescence
-/// drain, and leaves the auditor/injector counters describing exactly
-/// that run.
+/// over an audited stack, plus the auditor the sweep arms and reads its
+/// evidence from. Each [`OomSession::run`] rewinds to the root, arms a
+/// fault plan, executes the main phase plus a forced quiescence drain,
+/// and leaves the auditor's counters describing exactly that run.
 pub struct OomSession {
     session: Session,
-    injector: Arc<FaultInjector>,
     auditor: Arc<HeapAuditor>,
     /// Sites the seed phase consumed: the first main-phase site index.
     seed_sites: u64,
@@ -60,28 +58,22 @@ impl OomSession {
     /// Build, seed, and checkpoint one cell. `None` when the allocator
     /// does not support heap snapshots or the seed phase panicked —
     /// callers degrade the cell rather than guessing.
-    /// [`RunConfig::alloc_fault`] is ignored here: the session owns its
-    /// injector (plans are swept per run via [`OomSession::run`]), so it
-    /// assembles its stack by hand — [`Stack::new`]'s order, with the
-    /// injector there under the `None` plan too.
+    /// [`RunConfig::alloc_fault`] is ignored here: the session arms its
+    /// auditor's plan per run ([`OomSession::run`]).
     pub fn try_new(program: &McProgram, cfg: &RunConfig) -> Option<OomSession> {
-        let sim = Sim::new(MachineConfig::xeon_e5405());
-        sim.set_fuel(cfg.fuel);
-        let injector = FaultInjector::new(cfg.alloc.build(&sim), AllocFaultPlan::None);
-        let auditor = HeapAuditor::new(Arc::clone(&injector) as Arc<dyn Allocator>);
-        let alloc = Arc::clone(&auditor) as Arc<dyn Allocator>;
-        let stm = Arc::new(Stm::new(&sim, Arc::clone(&alloc), cfg.stm_config()));
-        let stack = Stack {
-            sim,
-            alloc,
-            stm,
-            auditor: Some(Arc::clone(&auditor)),
-        };
+        let stack = Stack::new(
+            MachineConfig::xeon_e5405(),
+            cfg.alloc,
+            AllocFaultPlan::None,
+            true,
+            cfg.stm_config(),
+        );
+        stack.sim.set_fuel(cfg.fuel);
+        let auditor = Arc::clone(stack.auditor.as_ref().expect("an audited stack"));
         let session = Session::over(program, cfg, stack)?;
         Some(OomSession {
             session,
-            seed_sites: injector.sites(),
-            injector,
+            seed_sites: auditor.sites(),
             auditor,
             zero_schedule: vec![0; program.points()],
         })
@@ -97,12 +89,12 @@ impl OomSession {
     /// absolute site index (the sweep's exclusive upper bound after the
     /// dry run).
     pub fn sites(&self) -> u64 {
-        self.injector.sites()
+        self.auditor.sites()
     }
 
-    /// Failures the injector fired during the last run.
+    /// Failures the plan injected during the last run.
     pub fn injected(&self) -> u64 {
-        self.injector.injected()
+        self.auditor.injected()
     }
 
     /// The auditor's view of the last run (violations, live blocks with
@@ -124,11 +116,11 @@ impl OomSession {
     /// under the zero schedule.
     pub fn run(&mut self, plan: AllocFaultPlan) -> Result<(), String> {
         self.session.rewind();
-        self.injector.set_plan(plan);
+        self.auditor.set_plan(plan);
         let r = self.session.play(&self.zero_schedule, |sim, stm| {
             sim.run(1, |ctx| stm.quiesce(ctx));
         });
-        self.injector.set_plan(AllocFaultPlan::None);
+        self.auditor.set_plan(AllocFaultPlan::None);
         r
     }
 }

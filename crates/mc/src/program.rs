@@ -107,12 +107,11 @@ pub struct RunConfig {
     pub bug: InjectedBug,
     /// Static allocation-fault plan applied to the whole run (the
     /// `tmstudy mc --alloc-fault` knob). [`tm_alloc::AllocFaultPlan::None`]
-    /// — the default — builds the exact historical allocator stack with
-    /// no injector wrapper, keeping artifacts byte-identical; anything
-    /// else interposes a [`tm_alloc::FaultInjector`] under the STM. The
+    /// — the default — builds the bare model with no wrapper, keeping
+    /// artifacts byte-identical; anything else arms the plan on a
+    /// [`tm_alloc::HeapAuditor`] between the model and the STM. The
     /// every-site OOM sweep ([`crate::oom`]) does *not* use this field:
-    /// it owns its injector so it can re-plan between checkpoint
-    /// restores.
+    /// it re-arms its auditor's plan between checkpoint restores.
     pub alloc_fault: tm_alloc::AllocFaultPlan,
     /// Scheduler-event budget: a run that exceeds it is reported as a
     /// livelock violation instead of hanging the explorer.

@@ -566,6 +566,10 @@ impl Sim {
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
+        // SAFETY: the caller's contract makes `rt` live and this thread its
+        // only user until the first hand-off; after `drive` returns every
+        // logical thread has handed the turn on for good, so the run state
+        // is this thread's alone again for the checks below.
         let n = (*rt).n;
         let boots: [Boot<'_, F>; MAX_CORES] = std::array::from_fn(|tid| Boot { rt, f, tid });
         let boots = &boots[..n];
@@ -606,6 +610,9 @@ impl Sim {
                 }
                 handles.push(std::thread::current());
                 (*rt).switch = Switch::Threads(handles);
+                // SAFETY: every worker parks in `await_turn` until the
+                // driver names it, so this thread holds the turn and no
+                // reference into `rt` is live here.
                 drive(rt);
             }),
         }
@@ -812,12 +819,16 @@ struct Unwound;
 unsafe fn drive(rt: *mut Rt<'_>) {
     let driver = (*rt).n;
     loop {
+        // SAFETY: the driver holds the turn here — at entry, and each time
+        // a hand-off comes back to it — and keeps no reference across one.
         let to = successor(rt, driver).expect("the driver has no key");
         if to != driver {
             hand_off(rt, driver, to, false);
             continue;
         }
         // Nothing is runnable: whoever is not done is blocked.
+        // SAFETY: the driver holds the turn, and this borrow ends before
+        // the next hand-off.
         let inner = &mut *(*rt).inner;
         let Some(t) = inner.state.iter().position(|s| *s != TState::Done) else {
             return;
@@ -834,6 +845,10 @@ unsafe fn drive(rt: *mut Rt<'_>) {
 /// `boot.rt` must point to the live run this thread belongs to.
 unsafe fn thread_main<F: Fn(&mut Ctx<'_>) + Sync>(boot: &Boot<'_, F>) {
     let (rt, tid) = (boot.rt, boot.tid);
+    // SAFETY: a logical thread runs only while it holds the turn (the
+    // driver or a peer handed it over to boot or resume it), and its `Ctx`
+    // reaches `rt` only between hand-offs; `rt` outlives the thread
+    // (`run_handing_off`).
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         // The `Ctx` first: its drop is what marks a thread done, also one
         // that `resumed` unwinds before it ran at all.
@@ -846,6 +861,7 @@ unsafe fn thread_main<F: Fn(&mut Ctx<'_>) + Sync>(boot: &Boot<'_, F>) {
         // the payload once every thread has finished.
     }));
     if let Err(p) = result {
+        // SAFETY: the `Ctx` is gone and the thread still holds the turn.
         if (*rt).panic.is_none() && !p.is::<Unwound>() {
             (*rt).panic = Some(p);
         }
@@ -912,6 +928,10 @@ unsafe fn yield_turn(rt: *mut Rt<'_>, tid: usize) -> u64 {
 unsafe fn hand_off(rt: *mut Rt<'_>, from: usize, to: usize, for_good: bool) {
     // A shared reference: parked OS threads hold one too.
     match &(*rt).switch {
+        // SAFETY: `from` is the running fiber, so its slot may take its
+        // stack pointer; `to` is suspended in a switch or freshly booted,
+        // so its slot holds a stack pointer `fiber::switch` can resume, on
+        // a stack the `Sim` keeps for the whole run.
         Switch::Fibers(sps) => fiber::switch(sps[from].as_ptr(), sps[to].get()),
         Switch::Threads(handles) => pass_baton(&(*rt).turn, handles, from, to, for_good),
     }
@@ -952,6 +972,9 @@ fn await_turn(turn: &AtomicUsize, slot: usize) {
 /// # Safety
 /// As for [`yield_turn`].
 unsafe fn resumed(rt: *mut Rt<'_>, tid: usize) -> u64 {
+    // SAFETY: `tid` was just handed the turn, and its resumer wrote the
+    // horizon and any panic before handing it over (for OS threads,
+    // before the `Release` store `await_turn` acquired).
     if (*rt).panic.is_some() {
         std::panic::resume_unwind(Box::new(Unwound));
     }

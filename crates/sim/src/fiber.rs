@@ -308,7 +308,8 @@ mod imp {
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 pub(crate) use imp::{switch, Stacks};
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux", test))]
+#[cfg(test)]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod tests {
     use super::*;
     use std::ptr;
@@ -331,6 +332,164 @@ mod tests {
         loop {
             switch(ptr::addr_of_mut!((*s).fiber_sp), (*s).driver_sp);
         }
+    }
+
+    /// What the driver plants before a switch and must read back after:
+    /// rbx, rbp, r12–r15, the x87 control word (round toward zero) and
+    /// mxcsr (round toward zero), in the order `tm_sim_fiber_test_probe`
+    /// stores them.
+    const PLANTED: [u64; 8] = [
+        0x1111_2222_3333_4444,
+        0x5555_6666_7777_8888,
+        0x0c0c_1212_0c0c_1212,
+        0x0d0d_1313_0d0d_1313,
+        0x0e0e_1414_0e0e_1414,
+        0x0f0f_1515_0f0f_1515,
+        0x0f7f,
+        0x7f80,
+    ];
+
+    // `tm_sim_fiber_test_probe(save, to, out)` keeps its caller's
+    // callee-saved state, plants `PLANTED`, switches to `to`, and once
+    // resumed stores what it finds into `out[0..8]`.
+    // `tm_sim_fiber_test_scribble(save, to)` overwrites the same state
+    // with other values and switches to `to`.
+    core::arch::global_asm!(
+        ".text",
+        ".p2align 4",
+        ".hidden tm_sim_fiber_test_probe",
+        ".globl tm_sim_fiber_test_probe",
+        ".type tm_sim_fiber_test_probe,@function",
+        "tm_sim_fiber_test_probe:",
+        "push rbp",
+        "push rbx",
+        "push r12",
+        "push r13",
+        "push r14",
+        "push r15",
+        "sub rsp, 8",
+        "stmxcsr dword ptr [rsp + 4]",
+        "fnstcw word ptr [rsp]",
+        "push rdx",
+        "sub rsp, 8",
+        "mov word ptr [rsp], {fcw}",
+        "mov dword ptr [rsp + 4], {mxcsr}",
+        "fldcw word ptr [rsp]",
+        "ldmxcsr dword ptr [rsp + 4]",
+        "movabs rbx, {rbx}",
+        "movabs rbp, {rbp}",
+        "movabs r12, {r12}",
+        "movabs r13, {r13}",
+        "movabs r14, {r14}",
+        "movabs r15, {r15}",
+        "call tm_sim_fiber_switch",
+        "mov rax, qword ptr [rsp + 8]",
+        "mov qword ptr [rax], rbx",
+        "mov qword ptr [rax + 8], rbp",
+        "mov qword ptr [rax + 16], r12",
+        "mov qword ptr [rax + 24], r13",
+        "mov qword ptr [rax + 32], r14",
+        "mov qword ptr [rax + 40], r15",
+        "mov qword ptr [rsp], 0",
+        "fnstcw word ptr [rsp]",
+        "stmxcsr dword ptr [rsp + 4]",
+        "movzx ecx, word ptr [rsp]",
+        "mov qword ptr [rax + 48], rcx",
+        "mov ecx, dword ptr [rsp + 4]",
+        "mov qword ptr [rax + 56], rcx",
+        "add rsp, 16",
+        "fldcw word ptr [rsp]",
+        "ldmxcsr dword ptr [rsp + 4]",
+        "add rsp, 8",
+        "pop r15",
+        "pop r14",
+        "pop r13",
+        "pop r12",
+        "pop rbx",
+        "pop rbp",
+        "ret",
+        ".size tm_sim_fiber_test_probe, . - tm_sim_fiber_test_probe",
+        ".p2align 4",
+        ".hidden tm_sim_fiber_test_scribble",
+        ".globl tm_sim_fiber_test_scribble",
+        ".type tm_sim_fiber_test_scribble,@function",
+        "tm_sim_fiber_test_scribble:",
+        "push rbp",
+        "push rbx",
+        "push r12",
+        "push r13",
+        "push r14",
+        "push r15",
+        "sub rsp, 8",
+        "stmxcsr dword ptr [rsp + 4]",
+        "fnstcw word ptr [rsp]",
+        "sub rsp, 16",
+        "mov word ptr [rsp], 0x027f",
+        "mov dword ptr [rsp + 4], 0x5f80",
+        "fldcw word ptr [rsp]",
+        "ldmxcsr dword ptr [rsp + 4]",
+        "movabs rbx, 0xbad0bad0bad0bad0",
+        "mov rbp, rbx",
+        "mov r12, rbx",
+        "mov r13, rbx",
+        "mov r14, rbx",
+        "mov r15, rbx",
+        "call tm_sim_fiber_switch",
+        "add rsp, 16",
+        "fldcw word ptr [rsp]",
+        "ldmxcsr dword ptr [rsp + 4]",
+        "add rsp, 8",
+        "pop r15",
+        "pop r14",
+        "pop r13",
+        "pop r12",
+        "pop rbx",
+        "pop rbp",
+        "ret",
+        ".size tm_sim_fiber_test_scribble, . - tm_sim_fiber_test_scribble",
+        rbx = const PLANTED[0],
+        rbp = const PLANTED[1],
+        r12 = const PLANTED[2],
+        r13 = const PLANTED[3],
+        r14 = const PLANTED[4],
+        r15 = const PLANTED[5],
+        fcw = const PLANTED[6],
+        mxcsr = const PLANTED[7],
+    );
+
+    extern "C" {
+        fn tm_sim_fiber_test_probe(save: *mut *mut u8, to: *mut u8, out: *mut u64);
+        fn tm_sim_fiber_test_scribble(save: *mut *mut u8, to: *mut u8);
+    }
+
+    unsafe extern "C" fn scribbler_entry(arg: *mut u8) -> ! {
+        let s = arg as *mut Shuttle;
+        (*s).hits += 1;
+        loop {
+            tm_sim_fiber_test_scribble(ptr::addr_of_mut!((*s).fiber_sp), (*s).driver_sp);
+        }
+    }
+
+    /// The switch saves and restores every piece of state the System V ABI
+    /// makes callee-saved: a fiber that overwrites all of it hands the
+    /// driver back exactly what the driver had.
+    #[test]
+    fn a_switch_keeps_the_callee_saved_state() {
+        let mut s = Shuttle {
+            driver_sp: ptr::null_mut(),
+            fiber_sp: ptr::null_mut(),
+            hits: 0,
+        };
+        let mut stacks = Stacks::default();
+        let stack = &stacks.first(1)[0];
+        s.fiber_sp = unsafe { stack.boot(scribbler_entry, &mut s as *mut Shuttle as *mut u8) };
+        let mut seen = [0u64; 8];
+        unsafe {
+            let to = s.fiber_sp;
+            tm_sim_fiber_test_probe(ptr::addr_of_mut!(s.driver_sp), to, seen.as_mut_ptr());
+        }
+        assert_eq!(s.hits, 1, "the fiber ran");
+        assert_eq!(seen, PLANTED);
     }
 
     /// A symbolizer attributes an address to the nearest preceding symbol

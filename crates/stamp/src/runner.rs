@@ -1,13 +1,12 @@
 //! STAMP execution harness: build the stack, run seq + par phases, report
-//! the paper's metrics; plus the Table 5 allocation profiler.
+//! the paper's metrics; plus the Table 5 allocation profile.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use tm_alloc::profile::{AllocProfiler, Region, RegionStats};
-use tm_alloc::{Allocator, AllocatorKind};
-use tm_sim::{MachineConfig, Sim};
-use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, Stm, StmConfig, WriteMode};
+use tm_alloc::profile::{Region, RegionStats};
+use tm_alloc::{AllocFaultPlan, AllocatorKind};
+use tm_sim::MachineConfig;
+use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, StmConfig, WriteMode};
 
 use crate::{AppKind, StampApp};
 
@@ -34,11 +33,12 @@ pub struct StampOpts {
     /// reported in [`StampResult::heap_violations`]. Adds host-side
     /// bookkeeping but no simulated time.
     pub audit_heap: bool,
-    /// Allocation-fault plan (robustness extension). `None` builds the
-    /// exact fault-free stack — no injector at all; any other plan wraps
-    /// the allocator in a [`tm_alloc::FaultInjector`] *below* the heap
-    /// auditor, so audited runs still see the injector's failures.
-    pub alloc_fault: tm_alloc::AllocFaultPlan,
+    /// Allocation-fault plan (robustness extension). `None` without
+    /// [`StampOpts::audit_heap`] builds the exact fault-free stack, the
+    /// bare model; any other plan is armed on the
+    /// [`tm_alloc::HeapAuditor`], which then wraps the model audited or
+    /// not.
+    pub alloc_fault: AllocFaultPlan,
 }
 
 impl Default for StampOpts {
@@ -53,7 +53,7 @@ impl Default for StampOpts {
             cm: CmKind::Suicide,
             seed: 0xace,
             audit_heap: false,
-            alloc_fault: tm_alloc::AllocFaultPlan::None,
+            alloc_fault: AllocFaultPlan::None,
         }
     }
 }
@@ -102,8 +102,9 @@ pub struct StampResult {
     /// Interleaving-independent checksum of the final logical state, when
     /// the app defines one (see [`StampApp::checksum`]).
     pub checksum: Option<u64>,
-    /// Heap-invariant violations found by the auditor; always 0 unless
-    /// [`StampOpts::audit_heap`] was set.
+    /// Heap-invariant violations found by the auditor; always 0 for a
+    /// stack without one (neither [`StampOpts::audit_heap`] nor a fault
+    /// plan).
     pub heap_violations: u64,
 }
 
@@ -226,41 +227,36 @@ pub fn run_kind(
 }
 
 /// Regenerate the Table 5 characterization for one application: run it
-/// sequentially (1 thread, as the paper does) with the allocation-site
-/// profiler and return the per-region histograms `[seq, par, tx]`.
+/// sequentially (1 thread, as the paper does) on an audited stack and
+/// return the auditor's per-region histograms `[seq, par, tx]`.
 pub fn profile_app(app: &dyn StampApp, allocator: AllocatorKind) -> [RegionStats; 3] {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let base = allocator.build(&sim);
-    let cores = sim.config().cores;
-    let prof = Arc::new(AllocProfiler::new(base, cores));
-    let stm = Arc::new(Stm::new(
-        &sim,
-        Arc::clone(&prof) as Arc<dyn Allocator>,
+    let stack = Stack::new(
+        MachineConfig::xeon_e5405(),
+        allocator,
+        AllocFaultPlan::None,
+        true,
         StmConfig::default(),
-    ));
+    );
+    let Stack {
+        sim, stm, auditor, ..
+    } = &stack;
+    let auditor = auditor.as_ref().expect("an audited stack");
     // During init everything counts as `seq`, even transactions (the paper
     // instrumented the *sequential execution*, relying on STAMP's phase
-    // annotations). In the parallel phase the tx hook flips Par ↔ Tx.
-    let par_phase = Arc::new(AtomicBool::new(false));
-    {
-        let prof = Arc::clone(&prof);
-        let par_phase = Arc::clone(&par_phase);
-        stm.set_tx_hook(Arc::new(move |tid, enter| {
-            if par_phase.load(Ordering::Relaxed) {
-                prof.set_region(tid, if enter { Region::Tx } else { Region::Par });
-            }
-        }));
-    }
-    prof.set_region(0, Region::Seq);
-    sim.run(1, |ctx| app.init(&stm, ctx));
-    par_phase.store(true, Ordering::Relaxed);
-    prof.set_region(0, Region::Par);
+    // annotations). In the parallel phase a tx hook, installed after
+    // init, flips Par ↔ Tx.
+    sim.run(1, |ctx| app.init(stm, ctx));
+    let hooked = Arc::clone(auditor);
+    stm.set_tx_hook(Arc::new(move |tid, enter| {
+        hooked.set_region(tid, if enter { Region::Tx } else { Region::Par });
+    }));
+    auditor.set_region(0, Region::Par);
     sim.run(1, |ctx| {
         let mut th = stm.thread(0);
-        app.worker(&stm, ctx, &mut th);
+        app.worker(stm, ctx, &mut th);
         stm.retire(th);
     });
-    prof.region_stats()
+    auditor.region_stats()
 }
 
 #[cfg(test)]
@@ -333,30 +329,27 @@ mod tests {
             &StampOpts::default(),
             1,
         );
-        // Count the allocation sites of the init phase with a dry
-        // injector (same deterministic stack as run_app), so the
-        // injected failure can be aimed past them — at the parallel
-        // phase, where allocations are transactional and a failure must
-        // abort, unwind leak-free, and retry. Sites inside init are
-        // non-transactional and fatal by contract.
+        // Count the allocation sites of the init phase on an audited
+        // stack (same deterministic stack as run_app), so the injected
+        // failure can be aimed past them — at the parallel phase, where
+        // allocations are transactional and a failure must abort, unwind
+        // leak-free, and retry. Sites inside init are non-transactional
+        // and fatal by contract.
         let init_sites = {
-            let sim = Sim::new(MachineConfig::xeon_e5405());
-            let inj = tm_alloc::FaultInjector::new(
-                AllocatorKind::TbbMalloc.build(&sim),
-                tm_alloc::AllocFaultPlan::None,
-            );
-            let stm = Arc::new(Stm::new(
-                &sim,
-                Arc::clone(&inj) as Arc<dyn Allocator>,
+            let stack = Stack::new(
+                MachineConfig::xeon_e5405(),
+                AllocatorKind::TbbMalloc,
+                AllocFaultPlan::None,
+                true,
                 StmConfig::default(),
-            ));
+            );
             let app = make_app(AppKind::Genome, 1, StampOpts::default().seed);
-            sim.run(1, |ctx| app.init(&stm, ctx));
-            inj.sites()
+            stack.sim.run(1, |ctx| app.init(&stack.stm, ctx));
+            stack.auditor.unwrap().sites()
         };
         let opts = StampOpts {
             audit_heap: true,
-            alloc_fault: tm_alloc::AllocFaultPlan::NthSite(init_sites + 5),
+            alloc_fault: AllocFaultPlan::NthSite(init_sites + 5),
             ..StampOpts::default()
         };
         let r = run_kind(AppKind::Genome, AllocatorKind::TbbMalloc, 2, &opts, 1);
@@ -386,7 +379,7 @@ mod tests {
             1,
         );
         let opts = StampOpts {
-            alloc_fault: tm_alloc::AllocFaultPlan::ByteBudget(u64::MAX),
+            alloc_fault: AllocFaultPlan::ByteBudget(u64::MAX),
             ..StampOpts::default()
         };
         let r = run_kind(AppKind::Kmeans, AllocatorKind::Glibc, 2, &opts, 1);

@@ -2,20 +2,20 @@
 
 use std::sync::Arc;
 
-use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor};
+use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor};
 use tm_sim::{MachineConfig, Sim};
 
 use crate::{Stm, StmConfig};
 
 /// A fully built simulation stack: the machine, the allocator the STM
-/// binds and the STM over it, plus the heap auditor's handle when one was
-/// asked for.
+/// binds and the STM over it, plus the heap auditor's handle when there
+/// is one.
 ///
-/// The allocator is the model under at most two wrappers, innermost first:
-/// a [`FaultInjector`] — only for a plan other than [`AllocFaultPlan::None`],
-/// so a fault-free stack holds no injector at all — then a [`HeapAuditor`],
-/// which therefore sees the injector's failures and numbers allocation
-/// sites as it does.
+/// The allocator is the model under at most one wrapper, the
+/// [`HeapAuditor`], which audits the heap and carries the fault plan. It
+/// is there when auditing is asked for or the plan is not
+/// [`AllocFaultPlan::None`], so a fault-free unaudited stack is the bare
+/// model.
 pub struct Stack {
     /// The simulated machine.
     pub sim: Sim,
@@ -23,13 +23,13 @@ pub struct Stack {
     pub alloc: Arc<dyn Allocator>,
     /// The STM, bound to `alloc`.
     pub stm: Arc<Stm>,
-    /// The heap auditor (`alloc` itself), when auditing was asked for.
+    /// The heap auditor (`alloc` itself), when the stack has one.
     pub auditor: Option<Arc<HeapAuditor>>,
 }
 
 impl Stack {
     /// Build the stack in its one order — `Sim::new`, the model, the
-    /// injector, the auditor, [`Stm::new`] — which fixes every simulated
+    /// auditor, [`Stm::new`] — which fixes every simulated
     /// address. Panics as [`Stm::new`] does on a configuration
     /// [`StmConfig::check`] refuses.
     pub fn new(
@@ -41,13 +41,12 @@ impl Stack {
     ) -> Stack {
         let sim = Sim::new(machine);
         let mut alloc = kind.build(&sim);
-        if plan != AllocFaultPlan::None {
-            alloc = FaultInjector::new(alloc, plan);
-        }
-        let auditor = audit.then(|| HeapAuditor::new(Arc::clone(&alloc)));
-        if let Some(a) = &auditor {
-            alloc = Arc::clone(a) as Arc<dyn Allocator>;
-        }
+        let auditor = (audit || plan != AllocFaultPlan::None).then(|| {
+            let auditor = HeapAuditor::new(Arc::clone(&alloc));
+            auditor.set_plan(plan);
+            alloc = Arc::clone(&auditor) as Arc<dyn Allocator>;
+            auditor
+        });
         let stm = Arc::new(Stm::new(&sim, Arc::clone(&alloc), cfg));
         Stack {
             sim,
@@ -83,29 +82,27 @@ mod tests {
     }
 
     #[test]
-    fn a_none_plan_holds_no_injector_and_auditing_is_asked_for() {
+    fn a_fault_free_unaudited_stack_holds_no_wrapper() {
         let bare =
             snapshot_type(&AllocatorKind::TbbMalloc.build(&Sim::new(MachineConfig::xeon_e5405())));
         let plain = build(AllocFaultPlan::None, false);
         assert!(plain.auditor.is_none());
         assert_eq!(snapshot_type(&plain.alloc), bare, "no wrapper under None");
-        let faulted = build(AllocFaultPlan::ByteBudget(u64::MAX), false);
-        assert!(faulted.auditor.is_none());
-        assert_ne!(snapshot_type(&faulted.alloc), bare, "the injector wraps");
-        let audited = build(AllocFaultPlan::None, true);
-        let auditor = audited.auditor.as_ref().expect("auditing was asked for");
-        let outer = Arc::clone(auditor) as Arc<dyn Allocator>;
-        assert!(
-            Arc::ptr_eq(&outer, &audited.alloc),
-            "the auditor is outermost"
-        );
-        assert!(Arc::ptr_eq(audited.stm.allocator(), &audited.alloc));
+        let plan = AllocFaultPlan::ByteBudget(u64::MAX);
+        for (plan, audit) in [(plan, false), (AllocFaultPlan::None, true), (plan, true)] {
+            let stack = build(plan, audit);
+            let auditor = stack.auditor.as_ref().expect("a plan or an audit wraps");
+            assert_eq!(auditor.plan(), plan);
+            let outer = Arc::clone(auditor) as Arc<dyn Allocator>;
+            assert!(Arc::ptr_eq(&outer, &stack.alloc), "the one wrapper");
+            assert!(Arc::ptr_eq(stack.stm.allocator(), &stack.alloc));
+        }
     }
 
     #[test]
-    fn the_auditor_sits_above_the_injector_and_sees_its_failures() {
-        // Site 0 fails; the retry at site 1 commits. The auditor counts the
-        // failed attempt (it is above the injector) and no violation.
+    fn the_wrapper_numbers_and_audits_its_own_injected_failures() {
+        // Site 0 fails; the retry at site 1 commits. The wrapper counts the
+        // failed attempt and no violation.
         let stack = build(AllocFaultPlan::NthSite(0), true);
         let stm = &stack.stm;
         stack.sim.run(1, |ctx| {
@@ -115,8 +112,11 @@ mod tests {
             stm.retire(th);
         });
         assert_eq!(stm.stats().by_cause[AbortCause::AllocFailed as usize], 1);
-        let report = stack.auditor.as_ref().unwrap().report();
+        let auditor = stack.auditor.as_ref().unwrap();
+        let report = auditor.report();
         assert!(report.is_clean(), "{}", report.violations.join("; "));
         assert_eq!((report.failed_mallocs, report.live), (1, 1));
+        assert_eq!((auditor.sites(), auditor.injected()), (2, 1));
+        assert_eq!(report.live_blocks[0].1.site, 1, "the retry's site");
     }
 }

@@ -1,24 +1,29 @@
 //! Allocation-failure semantics: a failed `Tx::try_malloc` must become a
 //! clean transactional abort — journal unwound, no locks held, no leaks —
 //! and `Stm::try_txn` must retry within the contention manager's budget
-//! before propagating the allocator's error. The heap auditor sits on top
-//! of the fault injector for the whole suite, so any metadata damage or
-//! leak on the error path fails the test.
+//! before propagating the allocator's error. The heap auditor that
+//! injects the failures audits the heap for the whole suite, so any
+//! metadata damage or leak on the error path fails the test.
 
 use std::sync::Arc;
 
-use tm_alloc::{AllocError, AllocFaultPlan, Allocator, AllocatorKind, FaultInjector, HeapAuditor};
+use tm_alloc::{AllocError, AllocFaultPlan, AllocatorKind, HeapAuditor};
 use tm_sim::{MachineConfig, Sim};
-use tm_stm::{AbortCause, CmKind, InjectedBug, Stm, StmConfig};
+use tm_stm::{AbortCause, CmKind, InjectedBug, Stack, Stm, StmConfig};
 
-/// STM over `HeapAuditor(FaultInjector(tbbmalloc))` — the same stack the
-/// every-site OOM sweep uses (auditor outermost, so auditor and injector
-/// agree on allocation-site numbering).
-fn setup(plan: AllocFaultPlan, cfg: StmConfig) -> (Sim, Stm, Arc<HeapAuditor>) {
-    let sim = Sim::new(MachineConfig::xeon_e5405());
-    let injector = FaultInjector::new(AllocatorKind::TbbMalloc.build(&sim), plan);
-    let auditor = HeapAuditor::new(injector);
-    let stm = Stm::new(&sim, Arc::clone(&auditor) as Arc<dyn Allocator>, cfg);
+/// STM over `HeapAuditor(tbbmalloc)` armed with `plan` — the stack the
+/// every-site OOM sweep uses.
+fn setup(plan: AllocFaultPlan, cfg: StmConfig) -> (Sim, Arc<Stm>, Arc<HeapAuditor>) {
+    let Stack {
+        sim, stm, auditor, ..
+    } = Stack::new(
+        MachineConfig::xeon_e5405(),
+        AllocatorKind::TbbMalloc,
+        plan,
+        true,
+        cfg,
+    );
+    let auditor = auditor.expect("an audited stack");
     (sim, stm, auditor)
 }
 

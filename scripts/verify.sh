@@ -56,26 +56,23 @@ if grep -nE '\bdyn\b|^\s*(pub(\(crate\))? )?trait ' crates/stm/src/backend.rs cr
 fi
 
 # One stack constructor (DESIGN.md §3.2, §15): a driver builds its machine,
-# allocator wrappers and STM through `tm_stm::Stack::new`. Above its
-# `#[cfg(test)]` line no library file calls `Stm::new(` but the STM's own,
-# once in `profile_app`'s runner (a profiler between the model and the STM)
-# and once in the OOM session (an injector under the `None` plan too), and
-# the per-driver builders the constructor replaced stay gone.
-echo "==> one stack constructor: Stm::new only in the STM, profile_app and the OOM session"
-for f in $(grep -rl --include='*.rs' 'Stm::new(' crates/*/src); do
-  case "$f" in
-    crates/stm/src/*) continue ;;
-    crates/stamp/src/runner.rs | crates/mc/src/oom.rs) allowed=1 ;;
-    *) allowed=0 ;;
-  esac
-  calls=$(sed '/^#\[cfg(test)\]/q' "$f" | grep -c 'Stm::new(' || true)
-  if [ "$calls" -gt "$allowed" ]; then
-    echo "verify: $f builds an STM by hand ($calls calls); use tm_stm::Stack::new"
+# allocator wrapper and STM through `tm_stm::Stack::new`. Above its
+# `#[cfg(test)]` line no library file outside the STM calls `Stm::new(`,
+# the per-driver builders the constructor replaced stay gone, and so do
+# the two wrappers the one `HeapAuditor` replaced.
+echo "==> one stack constructor: Stm::new only in the STM; one allocator wrapper"
+for f in $(grep -rl --include='*.rs' 'Stm::new(' crates/*/src | grep -v '^crates/stm/src/'); do
+  if sed '/^#\[cfg(test)\]/q' "$f" | grep -n 'Stm::new('; then
+    echo "verify: $f builds an STM by hand; use tm_stm::Stack::new"
     exit 1
   fi
 done
 if grep -rnE --include='*.rs' 'build_with_fault|build_audited|build_stack_faulted' crates tests examples; then
   echo "verify: a per-driver stack builder is back; use tm_stm::Stack::new"
+  exit 1
+fi
+if grep -rnwE --include='*.rs' 'FaultInjector|AllocProfiler' crates tests examples; then
+  echo "verify: a second allocator wrapper is back; the HeapAuditor injects faults and keeps the Table 5 profile"
   exit 1
 fi
 
@@ -91,7 +88,7 @@ if grep -rnwE --include='*.rs' 'trace_event|Trace|EventKind|tm_obs::trace' crate
 fi
 
 # One host thread (DESIGN.md §3.1): sweep cells run in order on the calling
-# thread through `tm_obs::sweep`, and the Table 5 profiler counts into one
+# thread through `tm_obs::sweep`, and the heap auditor keeps Table 5 in one
 # plain struct. The `tm_sweep` shim and `ShardedSlots` stay only for the
 # benchmark's probes; outside crates/sweep and crates/obs no Rust file may
 # name either again.

@@ -5,6 +5,9 @@
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
+use tm_core::sweeps::SUBCOMMANDS;
+
 #[test]
 fn malformed_flag_values_exit_2_with_a_one_line_error() {
     // (argv, what the message must name). A subcommand that writes a
@@ -257,12 +260,40 @@ fn a_sweep_with_a_failing_cell_writes_the_matrix_and_exits_1() {
 /// others ran the sweep and wrote a matrix with an `error` cell.
 #[test]
 fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
+    // Eight axes of 256 values: 2^64 cells, one more than a u64 counts.
+    let wide = vec!["1"; 256].join(",");
+    let wide = wide.as_str();
     let table: &[(&[&str], &str)] = &[
         (&["--backend", "nrec"], "unknown backend 'nrec'"),
         (&["--alloc", "hord"], "unknown allocator 'hord'"),
         (&["--structure", "lst"], "unknown structure 'lst'"),
         (&["--workload", "stamp", "--app", "genom"], "'genom'"),
         (&["--threads", "1,x"], "bad threads 'x'"),
+        (
+            &["--reps", "4294967295"],
+            "the sweep has 4294967295 cells, more than the bound of 65536",
+        ),
+        (
+            &[
+                "--threads",
+                wide,
+                "--seeds",
+                wide,
+                "--size",
+                wide,
+                "--ops",
+                wide,
+                "--pairs",
+                wide,
+                "--scale",
+                wide,
+                "--shift",
+                wide,
+                "--update-pct",
+                wide,
+            ],
+            "the sweep has over 18446744073709551615 cells, more than the bound of 65536",
+        ),
     ];
     for (argv, told) in table {
         let out_file =
@@ -418,4 +449,59 @@ fn a_request_no_address_space_holds_is_exhaustion_and_no_pairs_is_zero_throughpu
     let (code, stdout, stderr) = run(&["--alloc", "glibc", "--threads", "2", "--pairs", "0"]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("throughput : 0.00 M pairs/s"), "{stdout}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The whole flag surface: any `SUBCOMMANDS` row, a run of flags it
+    /// accepts, and one token `parse_flags` must refuse — an unknown flag,
+    /// a stray positional, or a value flag with no value — is exit 2 and
+    /// one stderr line, never a panic (101) or a signal. The refused token
+    /// sits between whole flags, so no argv built here parses and none
+    /// starts a run.
+    #[test]
+    fn a_refused_token_on_any_subcommand_is_one_line_and_exit_2(
+        row in 0usize..SUBCOMMANDS.len(),
+        picks in prop::collection::vec(any::<u64>(), 0..6),
+        kind in 0usize..3,
+        at in any::<u64>(),
+    ) {
+        let (cmd, values, switches) = SUBCOMMANDS[row];
+        // (name, takes a value) for every flag the row accepts.
+        let accepted: Vec<(&str, bool)> = (values.iter().flat_map(|part| part.iter()))
+            .map(|&v| (v, true))
+            .chain(switches.iter().map(|&s| (s, false)))
+            .collect();
+        let flag = |name: &str| format!("--{name}");
+        let mut groups: Vec<Vec<String>> = Vec::new();
+        for p in picks.iter().filter(|_| !accepted.is_empty()) {
+            match accepted[*p as usize % accepted.len()] {
+                (name, true) => groups.push(vec![flag(name), "1".to_string()]),
+                (name, false) => groups.push(vec![flag(name)]),
+            }
+        }
+        let takes_value: Vec<&str> = accepted.iter().filter(|f| f.1).map(|f| f.0).collect();
+        let refused = match kind {
+            1 => "stray".to_string(),
+            2 if !takes_value.is_empty() => flag(takes_value[at as usize % takes_value.len()]),
+            _ => "--no-such-flag".to_string(),
+        };
+        groups.insert(at as usize % (groups.len() + 1), vec![refused]);
+        let argv: Vec<String> = groups.concat();
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .arg(cmd)
+            .args(&argv)
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        prop_assert_eq!(out.status.code(), Some(2), "{} {:?}: {}", cmd, argv, stderr);
+        prop_assert!(
+            stderr.lines().count() == 1 && stderr.starts_with("error: "),
+            "{} {:?}: {}",
+            cmd,
+            argv,
+            stderr
+        );
+    }
 }
