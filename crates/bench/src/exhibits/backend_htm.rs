@@ -9,9 +9,8 @@
 //! stop being hardware commits: below the boundary capacity aborts are
 //! zero, above it every attempt faults (`HTM_MAX_RETRIES` capacity aborts
 //! per transaction) before the fallback path commits.
-use tm_alloc::{AllocFaultPlan, AllocatorKind};
-use tm_sim::MachineConfig;
-use tm_stm::{AbortCause, BackendKind, Stack, StmConfig};
+use tm_alloc::AllocatorKind;
+use tm_stm::{AbortCause, BackendKind, Stack, StackSpec, StmConfig};
 
 /// Per-transaction write footprints, in 64-byte lines. The simulated L1
 /// holds 512 lines (32 KB); the sweep brackets it.
@@ -26,13 +25,10 @@ fn run_point(lines: u64) -> (u64, u64, u64) {
         backend: BackendKind::SimHtm,
         ..StmConfig::default()
     };
-    let Stack { sim, stm, .. } = Stack::new(
-        MachineConfig::xeon_e5405(),
-        AllocatorKind::TbbMalloc,
-        AllocFaultPlan::None,
-        false,
-        htm,
-    );
+    let Stack { sim, stm, .. } = Stack::new(&StackSpec {
+        stm: htm,
+        ..StackSpec::new(AllocatorKind::TbbMalloc)
+    });
     let base = 0x6000_0000u64;
     sim.run(1, |ctx| {
         let mut th = stm.thread(ctx.tid());

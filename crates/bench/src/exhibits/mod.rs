@@ -390,7 +390,7 @@ mod tests {
     fn every_exhibit_names_a_known_backend() {
         for e in REGISTRY {
             assert!(
-                tm_stm::BackendKind::parse(e.backend).is_some(),
+                e.backend.parse::<tm_stm::BackendKind>().is_ok(),
                 "{}: bad backend '{}'",
                 e.name,
                 e.backend

@@ -3,7 +3,7 @@
 //! `error` entry in a schema-valid matrix, a `DEGRADED` line and exit 1; a
 //! matrix that cannot be written is one `error:` line and exit 1, never a
 //! panic — and for its command line: `--only` takes exact registry names,
-//! and bad input exits 2 with one line.
+//! and bad input, anywhere in argv, exits 2 with one line.
 //!
 //! Each invocation runs in its own scratch directory so the committed
 //! `results/` artifacts are never touched, and uses `--only table2` (the
@@ -12,6 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use proptest::prelude::*;
 use tm_obs::{CellStatus, SweepReport};
 
 /// Scratch working directory unique to one test.
@@ -223,4 +224,56 @@ fn bad_environment_values_are_one_line_usage_errors() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The whole argv surface: a run of the flags `make_all` accepts
+    /// (`--only table2`, `--out` into a scratch directory, `--table`) and
+    /// one token its parser must refuse — an unknown flag, a stray
+    /// positional, or a value flag with no value — between whole flags is
+    /// exit 2 and one stderr line, and writes nothing: no matrix at the
+    /// `--out` path, no `results/`. One spawn per case, one after another.
+    #[test]
+    fn a_refused_token_anywhere_is_one_line_exit_2_and_writes_nothing(
+        picks in prop::collection::vec(any::<u64>(), 0..5),
+        kind in 0usize..3,
+        at in any::<u64>(),
+    ) {
+        let dir = scratch("argv");
+        let out = dir.join("m/matrix.json");
+        let out = out.to_str().unwrap();
+        let accepted = [("only", Some("table2")), ("out", Some(out)), ("table", None)];
+        let mut groups: Vec<Vec<String>> = (picks.iter())
+            .map(|p| match accepted[*p as usize % accepted.len()] {
+                (name, Some(value)) => vec![format!("--{name}"), value.to_string()],
+                (name, None) => vec![format!("--{name}")],
+            })
+            .collect();
+        let refused = match kind {
+            1 => "stray".to_string(),
+            2 => ["--only", "--out"][at as usize % 2].to_string(),
+            _ => "--no-such-flag".to_string(),
+        };
+        groups.insert(at as usize % (groups.len() + 1), vec![refused]);
+        let argv = groups.concat();
+        let run = Command::new(env!("CARGO_BIN_EXE_make_all"))
+            .current_dir(&dir)
+            .args(&argv)
+            .output()
+            .expect("spawn make_all");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        prop_assert_eq!(run.status.code(), Some(2), "{:?}: {}", argv, stderr);
+        prop_assert!(
+            stderr.lines().count() == 1 && stderr.starts_with("error: "),
+            "{:?}: {}",
+            argv,
+            stderr
+        );
+        prop_assert!(run.stdout.is_empty(), "{:?} printed", argv);
+        prop_assert!(!dir.join("m").exists(), "{:?} wrote the matrix", argv);
+        prop_assert!(!dir.join("results").exists(), "{:?} ran an exhibit", argv);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

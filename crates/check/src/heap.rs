@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
-use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor};
+use tm_alloc::{Allocator, AllocatorKind, HeapAuditor};
 use tm_obs::CheckCell;
 use tm_sim::{MachineConfig, Sim};
-use tm_stm::{Stack, StmConfig};
+use tm_stm::{Stack, StackSpec};
 
 use crate::{cell_from, kv};
 
@@ -58,13 +58,10 @@ fn raw_churn(kind: AllocatorKind, threads: usize) -> tm_alloc::AuditReport {
 fn tx_churn(kind: AllocatorKind, threads: usize) -> tm_alloc::AuditReport {
     let Stack {
         sim, stm, auditor, ..
-    } = Stack::new(
-        MachineConfig::xeon_e5405(),
-        kind,
-        AllocFaultPlan::None,
-        true,
-        StmConfig::default(),
-    );
+    } = Stack::new(&StackSpec {
+        audit: true,
+        ..StackSpec::new(kind)
+    });
     let head = 0x7000_0000u64;
     sim.run(threads, |ctx| {
         let mut th = stm.thread(ctx.tid());

@@ -20,13 +20,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tm_alloc::{AllocFaultPlan, AllocatorKind};
+use tm_alloc::AllocatorKind;
 use tm_ds::{AnySet, StructureKind};
 use tm_obs::{panic_message, CheckCell, CheckStatus};
-use tm_sim::MachineConfig;
 use tm_stamp::runner::{run_kind, StampOpts, StampResult};
 use tm_stamp::AppKind;
-use tm_stm::{BackendKind, CmKind, Stack, StmConfig};
+use tm_stm::{BackendKind, CmKind, Stack, StackSpec, StmConfig};
 
 use crate::strategies::SetOp;
 use crate::{cell_from, kv};
@@ -90,16 +89,14 @@ pub struct SynthObservation {
 pub fn observe_synthetic(cfg: &SynthCheckConfig) -> SynthObservation {
     let Stack {
         sim, stm, auditor, ..
-    } = Stack::new(
-        MachineConfig::xeon_e5405(),
-        cfg.allocator,
-        AllocFaultPlan::None,
-        true,
-        StmConfig {
+    } = Stack::new(&StackSpec {
+        stm: StmConfig {
             shift: SHIFT,
             ..StmConfig::default()
         },
-    );
+        audit: true,
+        ..StackSpec::new(cfg.allocator)
+    });
 
     // Sequential warm-up; record the exact initial membership.
     let set_cell: Mutex<Option<AnySet>> = Mutex::new(None);

@@ -20,15 +20,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tm_alloc::profile::{bucket_label, Region};
 use tm_alloc::{AllocFaultPlan, AllocatorKind};
-use tm_core::sweeps::{
-    parse_backend, parse_cm, stamp_run, synth_config, threadtest_config, SUBCOMMANDS,
-};
+use tm_core::sweeps::{stamp_run, synth_config, threadtest_config, SUBCOMMANDS};
 use tm_core::synthetic::run_synthetic;
 use tm_core::threadtest::run_threadtest;
 use tm_ds::StructureKind;
 use tm_obs::spec::Flags;
-use tm_stamp::runner::{make_app, profile_app, run_app};
+use tm_stamp::runner::{make_app, profile_app, run_app_on};
 use tm_stamp::AppKind;
+use tm_stm::{Stack, StackSpec};
 
 fn main() {
     // The environment is input too: every subcommand builds simulators,
@@ -197,7 +196,7 @@ fn check(flags: &Flags) {
     // backend (unknown values exit 2); by default every non-ETL backend
     // is diffed against the serial ETL reference.
     let diff_backends: Vec<BackendKind> = match flags.get("backend") {
-        Some(v) => vec![ok_or_exit(parse_backend(v))],
+        Some(v) => vec![ok_or_exit(v.parse())],
         None => BackendKind::ALL
             .into_iter()
             .filter(|b| *b != BackendKind::Etl)
@@ -208,7 +207,7 @@ fn check(flags: &Flags) {
     // diffed against the serial SUICIDE reference, trimmed to two
     // representative policies under `--quick`.
     let diff_cms: Vec<CmKind> = match flags.get("cm") {
-        Some(v) => vec![ok_or_exit(parse_cm(v))],
+        Some(v) => vec![ok_or_exit(v.parse())],
         None if quick => vec![CmKind::BackoffExp, CmKind::Adaptive],
         None => CmKind::ALL
             .into_iter()
@@ -392,11 +391,9 @@ fn mc(flags: &Flags) {
         budget => Ok(budget),
     });
     let checkpoint = !flags.contains_key("no-checkpoint");
-    let alloc_fault = ok_or_exit(
-        flags
-            .get("alloc-fault")
-            .map_or(Ok(AllocFaultPlan::None), |v| AllocFaultPlan::parse(v)),
-    );
+    // The targeted sweep's stack: `--alloc`, `--alloc-fault`, and the one
+    // backend or CM a `--backend` or `--cm` narrows it to.
+    let spec = ok_or_exit(StackSpec::parse(&pairs(flags)));
     let name = flags.get("name").cloned().unwrap_or_else(|| {
         if quick {
             "mc-quick".into()
@@ -409,19 +406,14 @@ fn mc(flags: &Flags) {
         eprintln!("mc '{name}': mutation catalog + exhaustive clean sweep (depth {depth})…");
         tm_mc::quick_report_opt(&name, depth, checkpoint)
     } else {
-        let backends: Vec<BackendKind> = match flags.get("backend") {
-            Some(v) => vec![ok_or_exit(parse_backend(v))],
+        let backends = match flags.get("backend") {
+            Some(_) => vec![spec.stm.backend],
             None => BackendKind::ALL.to_vec(),
         };
-        let cms: Vec<CmKind> = match flags.get("cm") {
-            Some(v) => vec![ok_or_exit(parse_cm(v))],
+        let cms = match flags.get("cm") {
+            Some(_) => vec![spec.stm.cm],
             None => CmKind::ALL.to_vec(),
         };
-        let alloc = ok_or_exit(
-            flags
-                .get("alloc")
-                .map_or(Ok(AllocatorKind::TbbMalloc), |v| v.parse()),
-        );
         let magnitudes: Vec<u64> = match flags.get("magnitudes") {
             None => vec![400],
             Some(list) => {
@@ -441,7 +433,7 @@ fn mc(flags: &Flags) {
         };
         // A fault plan makes the transfer program's allocations fallible,
         // so explore the allocating program when one is requested.
-        let program = if alloc_fault == AllocFaultPlan::None {
+        let program = if spec.fault == AllocFaultPlan::None {
             tm_mc::small_program()
         } else {
             tm_mc::oom_program()
@@ -463,23 +455,22 @@ fn mc(flags: &Flags) {
             .meta("mode", "sweep")
             .meta("depth", depth)
             .meta("budget", budget)
-            .meta("alloc", alloc.name());
-        if alloc_fault != AllocFaultPlan::None {
-            report = report.meta("alloc-fault", alloc_fault);
+            .meta("alloc", spec.alloc.name());
+        if spec.fault != AllocFaultPlan::None {
+            report = report.meta("alloc-fault", spec.fault);
         }
         let mut work = tm_mc::SweepWork::default();
         for &backend in &backends {
             for &cm in &cms {
-                report.cells.push(tm_mc::run_clean_cell_fault_opt(
-                    &program,
-                    alloc,
-                    alloc_fault,
+                let run = tm_mc::RunConfig {
+                    alloc: spec.alloc,
                     backend,
                     cm,
-                    &ecfg,
-                    checkpoint,
-                    &mut work,
-                ));
+                    alloc_fault: spec.fault,
+                    ..tm_mc::RunConfig::clean()
+                };
+                let cell = tm_mc::run_clean_cell(&program, &run, &ecfg, checkpoint, &mut work);
+                report.cells.push(cell);
             }
         }
         (report, work)
@@ -588,15 +579,15 @@ fn synth(flags: &Flags) {
 fn stamp(flags: &Flags) {
     let run = ok_or_exit(stamp_run(&pairs(flags)));
     let app = run.app.unwrap_or(AppKind::Yada);
-    let a = make_app(app, run.scale, run.opts.seed);
+    let a = make_app(app, run.scale, run.seed);
     println!(
         "app: {} | alloc: {} | threads: {} | scale: {}\n",
         app.name(),
-        run.alloc.name(),
+        run.spec.alloc.name(),
         run.threads,
         run.scale
     );
-    let r = run_app(a.as_ref(), run.alloc, run.threads, &run.opts);
+    let r = run_app_on(&Stack::new(&run.spec), a.as_ref(), run.threads);
     println!("seq time     : {:.6} s", r.seq_seconds);
     println!("par time     : {:.6} s", r.par_seconds);
     println!("commits      : {}", r.commits);
@@ -621,7 +612,7 @@ fn profile(flags: &Flags) {
     let app = run.app.unwrap_or(AppKind::Genome);
     let scale = run.scale;
     let a = make_app(app, scale, 0xace);
-    let prof = profile_app(a.as_ref(), run.alloc);
+    let prof = profile_app(a.as_ref(), run.spec.alloc);
     println!("{} allocation profile (scale {scale}):", app.name());
     print!("{:>6}", "region");
     for b in 0..8 {

@@ -22,22 +22,18 @@ pub mod sweeps;
 pub mod synthetic;
 pub mod threadtest;
 
-use tm_alloc::{AllocFaultPlan, AllocatorKind};
-use tm_sim::MachineConfig;
-use tm_stm::StmConfig;
+use tm_alloc::AllocatorKind;
+use tm_stm::{StackSpec, StmConfig};
 
 pub use tm_stm::Stack;
 
 /// Build machine + allocator + STM for one configuration (the paper's
 /// Xeon E5405 model, no fault plan, no auditor).
-pub fn build_stack(kind: AllocatorKind, stm_cfg: StmConfig) -> Stack {
-    Stack::new(
-        MachineConfig::xeon_e5405(),
-        kind,
-        AllocFaultPlan::None,
-        false,
-        stm_cfg,
-    )
+pub fn build_stack(alloc: AllocatorKind, stm: StmConfig) -> Stack {
+    Stack::new(&StackSpec {
+        stm,
+        ..StackSpec::new(alloc)
+    })
 }
 
 /// Metrics common to every measured run (the paper's reporting set).

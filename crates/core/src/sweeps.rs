@@ -23,9 +23,9 @@ use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
 use tm_obs::sweep::SweepSpec;
 use tm_sim::MachineConfig;
-use tm_stamp::runner::{make_app, run_app, StampOpts};
+use tm_stamp::runner::{make_app, run_app_on, StampOpts};
 use tm_stamp::AppKind;
-use tm_stm::{LockDesign, OrtHash, WriteMode};
+use tm_stm::{Stack, StackSpec};
 
 use crate::synthetic::{run_synthetic, SyntheticConfig};
 use crate::threadtest::{run_threadtest, ThreadtestConfig};
@@ -63,74 +63,11 @@ fn threads_of(config: &[(String, String)], machine: &MachineConfig) -> Result<us
     }
 }
 
-fn alloc_of(config: &[(String, String)]) -> Result<AllocatorKind, String> {
-    lookup(config, "alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)
-}
-
-/// Parse one backend token with the clean-error contract: unknown values
-/// name the valid set instead of failing opaquely.
-pub fn parse_backend(v: &str) -> Result<tm_stm::BackendKind, String> {
-    tm_stm::BackendKind::parse(v).ok_or_else(|| {
-        format!(
-            "unknown backend '{v}' (valid backends: {})",
-            tm_stm::BackendKind::list()
-        )
-    })
-}
-
-/// Parse one contention-manager token with the same clean-error contract
-/// as [`parse_backend`].
-pub fn parse_cm(v: &str) -> Result<tm_stm::CmKind, String> {
-    tm_stm::CmKind::parse(v).ok_or_else(|| {
-        format!(
-            "unknown contention manager '{v}' (valid --cm values: {})",
-            tm_stm::CmKind::list()
-        )
-    })
-}
-
-/// The STM-stack knobs every transactional workload shares, read from
-/// their keys — `backend`, `cm`, `shift`, `seed`, `alloc-fault`, and the
-/// bare `object-cache` / `ctl` / `write-through` / `mix-hash` switches
-/// (on when present) — in the one struct that holds exactly those. A
-/// combination the STM does not run is an error ([`tm_stm::StmConfig::check`]).
-fn stack_opts(config: &[(String, String)]) -> Result<StampOpts, String> {
-    let on = |key| lookup(config, key).is_some();
-    let defaults = StampOpts::default();
-    let opts = StampOpts {
-        backend: lookup(config, "backend").map_or(Ok(defaults.backend), parse_backend)?,
-        cm: lookup(config, "cm").map_or(Ok(defaults.cm), parse_cm)?,
-        shift: parse(config, "shift", defaults.shift)?,
-        seed: parse(config, "seed", defaults.seed)?,
-        alloc_fault: lookup(config, "alloc-fault")
-            .map_or(Ok(defaults.alloc_fault), tm_alloc::AllocFaultPlan::parse)?,
-        object_cache: on("object-cache"),
-        design: if on("ctl") {
-            LockDesign::Ctl
-        } else {
-            LockDesign::Etl
-        },
-        write_mode: if on("write-through") {
-            WriteMode::Through
-        } else {
-            WriteMode::Back
-        },
-        ort_hash: if on("mix-hash") {
-            OrtHash::Mix
-        } else {
-            OrtHash::ShiftMod
-        },
-        ..defaults
-    };
-    opts.stm_config().check()?;
-    Ok(opts)
-}
-
 /// The synthetic-benchmark configuration a `(key, value)` list describes
 /// — a sweep cell's config or `tmstudy synth`'s flags: `structure`,
-/// `alloc`, `threads`, `update-pct`, `size`, `ops`, `seed` and the stack knobs,
-/// each defaulting as [`SyntheticConfig::scaled`] does. A value that does
-/// not parse is an error naming its key.
+/// `threads`, `update-pct`, `size`, `ops`, `seed` and the stack's keys
+/// ([`StackSpec::parse`]), each defaulting as [`SyntheticConfig::scaled`]
+/// does. A value that does not parse is an error naming its key.
 pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, String> {
     let structure = match lookup(config, "structure") {
         Some("list") | Some("linked-list") => StructureKind::LinkedList,
@@ -138,17 +75,17 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
         Some("rbtree") | Some("tree") | None => StructureKind::RbTree,
         Some(other) => return Err(format!("unknown structure '{other}'")),
     };
-    let stack = stack_opts(config)?;
-    let mut cfg = SyntheticConfig::scaled(structure, alloc_of(config)?, 8);
+    let spec = StackSpec::parse(config)?;
+    let mut cfg = SyntheticConfig::scaled(structure, spec.alloc, 8);
     cfg.threads = threads_of(config, &cfg.machine)?;
-    cfg.backend = stack.backend;
-    cfg.cm = stack.cm;
-    cfg.shift = stack.shift;
-    cfg.alloc_fault = stack.alloc_fault;
-    cfg.object_cache = stack.object_cache;
-    cfg.design = stack.design;
-    cfg.write_mode = stack.write_mode;
-    cfg.ort_hash = stack.ort_hash;
+    cfg.backend = spec.stm.backend;
+    cfg.cm = spec.stm.cm;
+    cfg.shift = spec.stm.shift;
+    cfg.alloc_fault = spec.fault;
+    cfg.object_cache = spec.stm.object_cache;
+    cfg.design = spec.stm.design;
+    cfg.write_mode = spec.stm.write_mode;
+    cfg.ort_hash = spec.stm.ort_hash;
     cfg.update_pct = parse(config, "update-pct", cfg.update_pct)?;
     if cfg.update_pct > 100 {
         return Err(format!("bad --update-pct '{}' (0..=100)", cfg.update_pct));
@@ -181,14 +118,14 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
 pub struct StampRun {
     /// The `app` key, when present.
     pub app: Option<AppKind>,
-    /// Allocator under test.
-    pub alloc: AllocatorKind,
     /// Worker thread count.
     pub threads: usize,
     /// Input scale.
     pub scale: u64,
-    /// Stack knobs and seed.
-    pub opts: StampOpts,
+    /// The stack the run builds.
+    pub spec: StackSpec,
+    /// Workload seed.
+    pub seed: u64,
 }
 
 /// The largest scale whose input sizes fit a `u64`: 192 is the largest
@@ -196,22 +133,24 @@ pub struct StampRun {
 const MAX_SCALE: u64 = u64::MAX / 192;
 
 /// The STAMP run a sweep cell's config or `tmstudy stamp`'s flags
-/// describe: `app`, `alloc`, `threads` (8), `scale` (2), `seed` and the
-/// stack knobs. A value that does not parse is an error naming its key,
-/// and so is a scale of 0 (an empty input) or one whose input sizes
-/// overflow a `u64`. A scale that fits but exhausts the simulated heap is
-/// a failed run, not bad input.
+/// describe: `app`, `threads` (8), `scale` (2), `seed` and the stack's
+/// keys ([`StackSpec::parse`]). A value that does not parse is an error
+/// naming its key, and so is a scale of 0 (an empty input) or one whose
+/// input sizes overflow a `u64`. A scale that fits but exhausts the
+/// simulated heap is a failed run, not bad input.
 pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
     let scale = parse(config, "scale", 2)?;
     if !(1..=MAX_SCALE).contains(&scale) {
         return Err(format!("bad --scale '{scale}' (1..={MAX_SCALE})"));
     }
+    let app = lookup(config, "app").map(str::parse).transpose()?;
+    let spec = StackSpec::parse(config)?;
     Ok(StampRun {
-        app: lookup(config, "app").map(str::parse).transpose()?,
-        alloc: alloc_of(config)?,
-        threads: threads_of(config, &MachineConfig::xeon_e5405())?,
+        app,
+        threads: threads_of(config, &spec.machine)?,
         scale,
-        opts: stack_opts(config)?,
+        seed: parse(config, "seed", StampOpts::default().seed)?,
+        spec,
     })
 }
 
@@ -219,7 +158,7 @@ pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
 /// flags describe: `alloc`, `threads` (8), `size` (64), `pairs` (1000).
 pub fn threadtest_config(config: &[(String, String)]) -> Result<ThreadtestConfig, String> {
     Ok(ThreadtestConfig {
-        allocator: alloc_of(config)?,
+        allocator: lookup(config, "alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)?,
         threads: threads_of(config, &MachineConfig::xeon_e5405())?,
         block_size: parse(config, "size", 64)?,
         pairs_per_thread: parse(config, "pairs", 1000)?,
@@ -263,8 +202,8 @@ pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, Strin
             ]
         }
         Workload::Stamp(app, run) => {
-            let a = make_app(app, run.scale, run.opts.seed);
-            let r = run_app(a.as_ref(), run.alloc, run.threads, &run.opts);
+            let a = make_app(app, run.scale, run.seed);
+            let r = run_app_on(&Stack::new(&run.spec), a.as_ref(), run.threads);
             vec![
                 ("par_s".into(), r.par_seconds),
                 ("speedup".into(), r.seq_seconds / r.par_seconds),
@@ -302,8 +241,9 @@ pub const AXIS_FLAGS: &[&str] = &[
     "seeds",
 ];
 
-/// The STM-stack knobs `tm_core::sweeps` reads for every transactional
-/// workload: flags that take a value, and bare switches.
+/// The flags every transactional workload reads besides `alloc`: the
+/// stack's ([`StackSpec::parse`]) and the seed, with values, and the
+/// stack's bare switches.
 const STACK_VALUES: [&str; 5] = ["backend", "cm", "shift", "seed", "alloc-fault"];
 const STACK_SWITCHES: [&str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
 

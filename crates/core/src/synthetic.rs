@@ -11,7 +11,7 @@
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tm_alloc::AllocatorKind;
 use tm_ds::{AnySet, StructureKind};
-use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, StmConfig, WriteMode};
+use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, StackSpec, StmConfig, WriteMode};
 
 use tm_sim::MachineConfig;
 
@@ -96,17 +96,23 @@ impl SyntheticConfig {
         }
     }
 
-    /// The STM knobs of this configuration.
-    pub fn stm_config(&self) -> StmConfig {
-        StmConfig {
-            backend: self.backend,
-            cm: self.cm,
-            shift: self.shift,
-            object_cache: self.object_cache,
-            design: self.design,
-            write_mode: self.write_mode,
-            ort_hash: self.ort_hash,
-            ..StmConfig::default()
+    /// The stack this configuration runs on.
+    pub fn spec(&self) -> StackSpec {
+        StackSpec {
+            machine: self.machine.clone(),
+            alloc: self.allocator,
+            stm: StmConfig {
+                backend: self.backend,
+                cm: self.cm,
+                shift: self.shift,
+                object_cache: self.object_cache,
+                design: self.design,
+                write_mode: self.write_mode,
+                ort_hash: self.ort_hash,
+                ..StmConfig::default()
+            },
+            fault: self.alloc_fault,
+            audit: false,
         }
     }
 }
@@ -123,13 +129,7 @@ pub fn run_synthetic(cfg: &SyntheticConfig) -> Metrics {
 pub fn run_synthetic_cm(
     cfg: &SyntheticConfig,
 ) -> (Metrics, tm_stm::CmStats, Vec<(usize, tm_stm::CmSwitch)>) {
-    let stack = Stack::new(
-        cfg.machine.clone(),
-        cfg.allocator,
-        cfg.alloc_fault,
-        false,
-        cfg.stm_config(),
-    );
+    let stack = Stack::new(&cfg.spec());
     let stm = &stack.stm;
 
     // ---- Sequential phase: the main thread builds the structure. ----

@@ -323,43 +323,31 @@ pub fn shrink_violation(
     }
 }
 
-/// Run one clean-STM cell: bounded-exhaustive exploration that must find
-/// nothing. Verdict `clean` on success, `violation` (with the shrunk
-/// witness) if any schedule breaks an invariant. `checkpoint == false`
-/// forces the from-scratch enumerator (the `tmstudy mc --no-checkpoint`
-/// escape hatch); the cell's work is added to `work`.
-pub fn run_clean_cell_opt(
+/// Run one clean-STM cell: bounded-exhaustive exploration of `run` that
+/// must find nothing. Verdict `clean` on success, `violation` (with the
+/// shrunk witness) if any schedule breaks an invariant. A fault plan in
+/// `run` applies to every explored schedule: the clean STM must absorb
+/// its failures (transient ones retry and the cell stays `clean`; a plan
+/// harsh enough to exhaust the retry budget surfaces as a violation,
+/// which is the point of running it). `checkpoint == false` forces the
+/// from-scratch enumerator (the `tmstudy mc --no-checkpoint` escape
+/// hatch); the cell's work is added to `work`.
+pub fn run_clean_cell(
     program: &McProgram,
-    alloc: AllocatorKind,
-    backend: BackendKind,
-    cm: CmKind,
+    run: &RunConfig,
     ecfg: &EnumConfig,
     checkpoint: bool,
     work: &mut SweepWork,
 ) -> McCell {
-    run_clean_cell_fault_opt(
-        program,
-        alloc,
-        tm_alloc::AllocFaultPlan::None,
-        backend,
-        cm,
-        ecfg,
-        checkpoint,
-        work,
-    )
+    let strategy = Strategy::Exhaustive(ecfg.clone());
+    run_cell(program, run, &strategy, checkpoint, work, clean_verdict)
 }
 
-/// [`run_clean_cell_opt`] with a static allocation-fault plan applied to
-/// every explored schedule (the `tmstudy mc --alloc-fault` path). The
-/// clean STM must absorb the plan's failures — transient ones retry,
-/// and the cell stays `clean`; a plan harsh enough to exhaust the retry
-/// budget legitimately surfaces as a violation, which is the point of
-/// running it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_clean_cell_fault_opt(
+/// [`run_clean_cell`] on the clean, fault-free STM over `alloc`,
+/// `backend` and `cm`.
+pub fn run_clean_cell_opt(
     program: &McProgram,
     alloc: AllocatorKind,
-    alloc_fault: tm_alloc::AllocFaultPlan,
     backend: BackendKind,
     cm: CmKind,
     ecfg: &EnumConfig,
@@ -370,11 +358,9 @@ pub fn run_clean_cell_fault_opt(
         alloc,
         backend,
         cm,
-        alloc_fault,
         ..RunConfig::clean()
     };
-    let strategy = Strategy::Exhaustive(ecfg.clone());
-    run_cell(program, &run, &strategy, checkpoint, work, clean_verdict)
+    run_clean_cell(program, &run, ecfg, checkpoint, work)
 }
 
 /// How a cell's outcome — the shrunk counterexample, if the sweep found a
@@ -693,16 +679,11 @@ mod tests {
         // sweep stays clean; the cell's config carries the plan token.
         let program = crate::oom::oom_program();
         let ecfg = quick_clean_config(1);
-        let cell = run_clean_cell_fault_opt(
-            &program,
-            AllocatorKind::TbbMalloc,
-            tm_alloc::AllocFaultPlan::NthSite(5),
-            BackendKind::Etl,
-            CmKind::Suicide,
-            &ecfg,
-            true,
-            &mut SweepWork::default(),
-        );
+        let run = RunConfig {
+            alloc_fault: tm_alloc::AllocFaultPlan::NthSite(5),
+            ..RunConfig::clean()
+        };
+        let cell = run_clean_cell(&program, &run, &ecfg, true, &mut SweepWork::default());
         assert_eq!(cell.verdict, McVerdict::Clean, "{:?}", cell.counterexample);
         assert!(
             cell.config

@@ -54,8 +54,8 @@ pub mod program;
 
 pub use catalog::{
     check_cells, explore_check_cell, mutation_catalog, quick_clean_config, quick_report_opt,
-    run_clean_cell_fault_opt, run_clean_cell_opt, run_mutant_cell_opt, shrink_violation,
-    small_program, sparse_program, MutantRecipe, Strategy, SweepWork,
+    run_clean_cell, run_clean_cell_opt, run_mutant_cell_opt, shrink_violation, small_program,
+    sparse_program, MutantRecipe, Strategy, SweepWork,
 };
 pub use conflict::{active_points, footprints, Footprint};
 pub use enumerate::{enumerate, space_size, EnumConfig, EnumStats};

@@ -33,8 +33,7 @@ use std::sync::Arc;
 
 use tm_alloc::{AllocFaultPlan, AllocatorKind, HeapAuditor};
 use tm_obs::{McVerdict, OomCell, OomReport};
-use tm_sim::MachineConfig;
-use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug, Stack};
+use tm_stm::{AbortCause, BackendKind, CmKind, InjectedBug, Stack, StackSpec};
 
 use crate::catalog::verdict_check_cell;
 use crate::explore::Session;
@@ -61,13 +60,11 @@ impl OomSession {
     /// [`RunConfig::alloc_fault`] is ignored here: the session arms its
     /// auditor's plan per run ([`OomSession::run`]).
     pub fn try_new(program: &McProgram, cfg: &RunConfig) -> Option<OomSession> {
-        let stack = Stack::new(
-            MachineConfig::xeon_e5405(),
-            cfg.alloc,
-            AllocFaultPlan::None,
-            true,
-            cfg.stm_config(),
-        );
+        let stack = Stack::new(&StackSpec {
+            fault: AllocFaultPlan::None,
+            audit: true,
+            ..cfg.spec()
+        });
         stack.sim.set_fuel(cfg.fuel);
         let auditor = Arc::clone(stack.auditor.as_ref().expect("an audited stack"));
         let session = Session::over(program, cfg, stack)?;

@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex};
 
 use tm_alloc::{Allocator as _, AllocatorKind};
 use tm_check::TransferProgram;
-use tm_sim::{MachineConfig, Sim, FUEL_EXHAUSTED};
-use tm_stm::{BackendKind, CmKind, InjectedBug, Stack, Stm, StmConfig};
+use tm_sim::{Sim, FUEL_EXHAUSTED};
+use tm_stm::{BackendKind, CmKind, InjectedBug, Stack, StackSpec, Stm, StmConfig};
 
 /// Base address of the token-cell array (one ORT stripe per cell).
 pub(crate) const BASE: u64 = 0x4000_0000;
@@ -133,27 +133,24 @@ impl RunConfig {
         }
     }
 
-    /// The STM knobs of this configuration.
-    pub fn stm_config(&self) -> StmConfig {
-        StmConfig {
-            backend: self.backend,
-            cm: self.cm,
-            bug: self.bug,
-            ..StmConfig::default()
+    /// The stack a run of this configuration builds.
+    pub fn spec(&self) -> StackSpec {
+        StackSpec {
+            stm: StmConfig {
+                backend: self.backend,
+                cm: self.cm,
+                bug: self.bug,
+                ..StmConfig::default()
+            },
+            fault: self.alloc_fault,
+            ..StackSpec::new(self.alloc)
         }
     }
 
     /// The machine, allocator and STM of one run of this configuration,
     /// with its event budget armed.
     pub(crate) fn stack(&self) -> Stack {
-        let machine = MachineConfig::xeon_e5405();
-        let stack = Stack::new(
-            machine,
-            self.alloc,
-            self.alloc_fault,
-            false,
-            self.stm_config(),
-        );
+        let stack = Stack::new(&self.spec());
         stack.sim.set_fuel(self.fuel);
         stack
     }

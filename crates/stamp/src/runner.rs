@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use tm_alloc::profile::{Region, RegionStats};
 use tm_alloc::{AllocFaultPlan, AllocatorKind};
-use tm_sim::MachineConfig;
-use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, StmConfig, WriteMode};
+use tm_stm::{BackendKind, CmKind, LockDesign, OrtHash, Stack, StackSpec, StmConfig, WriteMode};
 
 use crate::{AppKind, StampApp};
 
@@ -59,17 +58,22 @@ impl Default for StampOpts {
 }
 
 impl StampOpts {
-    /// The STM knobs of these options.
-    pub fn stm_config(&self) -> StmConfig {
-        StmConfig {
-            backend: self.backend,
-            cm: self.cm,
-            shift: self.shift,
-            object_cache: self.object_cache,
-            design: self.design,
-            write_mode: self.write_mode,
-            ort_hash: self.ort_hash,
-            ..StmConfig::default()
+    /// The stack these options describe on `alloc`.
+    pub fn spec(&self, alloc: AllocatorKind) -> StackSpec {
+        StackSpec {
+            stm: StmConfig {
+                backend: self.backend,
+                cm: self.cm,
+                shift: self.shift,
+                object_cache: self.object_cache,
+                design: self.design,
+                write_mode: self.write_mode,
+                ort_hash: self.ort_hash,
+                ..StmConfig::default()
+            },
+            fault: self.alloc_fault,
+            audit: self.audit_heap,
+            ..StackSpec::new(alloc)
         }
     }
 }
@@ -165,14 +169,7 @@ pub fn run_app(
     threads: usize,
     opts: &StampOpts,
 ) -> StampResult {
-    let stack = Stack::new(
-        MachineConfig::xeon_e5405(),
-        allocator,
-        opts.alloc_fault,
-        opts.audit_heap,
-        opts.stm_config(),
-    );
-    run_app_on(&stack, app, threads)
+    run_app_on(&Stack::new(&opts.spec(allocator)), app, threads)
 }
 
 /// [`run_app`] on a stack the caller built, and can inspect afterwards.
@@ -230,16 +227,12 @@ pub fn run_kind(
 /// sequentially (1 thread, as the paper does) on an audited stack and
 /// return the auditor's per-region histograms `[seq, par, tx]`.
 pub fn profile_app(app: &dyn StampApp, allocator: AllocatorKind) -> [RegionStats; 3] {
-    let stack = Stack::new(
-        MachineConfig::xeon_e5405(),
-        allocator,
-        AllocFaultPlan::None,
-        true,
-        StmConfig::default(),
-    );
     let Stack {
         sim, stm, auditor, ..
-    } = &stack;
+    } = &Stack::new(&StackSpec {
+        audit: true,
+        ..StackSpec::new(allocator)
+    });
     let auditor = auditor.as_ref().expect("an audited stack");
     // During init everything counts as `seq`, even transactions (the paper
     // instrumented the *sequential execution*, relying on STAMP's phase
@@ -336,13 +329,10 @@ mod tests {
         // leak-free, and retry. Sites inside init are non-transactional
         // and fatal by contract.
         let init_sites = {
-            let stack = Stack::new(
-                MachineConfig::xeon_e5405(),
-                AllocatorKind::TbbMalloc,
-                AllocFaultPlan::None,
-                true,
-                StmConfig::default(),
-            );
+            let stack = Stack::new(&StackSpec {
+                audit: true,
+                ..StackSpec::new(AllocatorKind::TbbMalloc)
+            });
             let app = make_app(AppKind::Genome, 1, StampOpts::default().seed);
             stack.sim.run(1, |ctx| app.init(&stack.stm, ctx));
             stack.auditor.unwrap().sites()

@@ -7,7 +7,6 @@
 //! is fixed, and is then the fix's acceptance test.
 
 use tm_alloc::AllocatorKind;
-use tm_sim::MachineConfig;
 use tm_stamp::apps::Labyrinth;
 use tm_stamp::runner::{run_app_on, StampOpts};
 use tm_stm::{Stack, WriteMode};
@@ -22,13 +21,7 @@ fn resolved_routes(write_mode: WriteMode, threads: usize) -> u64 {
         seed: SEED,
         ..StampOpts::default()
     };
-    let stack = Stack::new(
-        MachineConfig::xeon_e5405(),
-        AllocatorKind::Glibc,
-        opts.alloc_fault,
-        opts.audit_heap,
-        opts.stm_config(),
-    );
+    let stack = Stack::new(&opts.spec(AllocatorKind::Glibc));
     // `make_app`'s Labyrinth at this scale.
     let app = Labyrinth::new(12, 8 * SCALE, SEED);
     run_app_on(&stack, &app, threads);

@@ -59,19 +59,16 @@ impl BackendKind {
             BackendKind::SimHtm => "htm",
         }
     }
+}
 
-    /// Parse a CLI token (the inverse of [`BackendKind::name`]).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|b| b.name() == s)
-    }
-
-    /// Comma-separated list of valid tokens, for error messages.
-    pub fn list() -> String {
-        BackendKind::ALL
-            .iter()
-            .map(|b| b.name())
-            .collect::<Vec<_>>()
-            .join(", ")
+impl std::str::FromStr for BackendKind {
+    type Err = String;
+    /// The inverse of [`BackendKind::name`]; an unknown token is refused
+    /// with the list of valid ones.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let valid = BackendKind::ALL.map(BackendKind::name).join(", ");
+        (BackendKind::ALL.into_iter().find(|b| b.name() == s))
+            .ok_or_else(|| format!("unknown backend '{s}' (valid backends: {valid})"))
     }
 }
 
@@ -702,10 +699,12 @@ mod tests {
     #[test]
     fn kind_tokens_round_trip() {
         for k in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(k.name()), Some(k));
+            assert_eq!(k.name().parse(), Ok(k));
         }
-        assert_eq!(BackendKind::parse("tl2"), None);
-        assert_eq!(BackendKind::list(), "etl, norec, htm");
+        assert_eq!(
+            "tl2".parse::<BackendKind>(),
+            Err("unknown backend 'tl2' (valid backends: etl, norec, htm)".to_string())
+        );
         assert_eq!(BackendKind::default(), BackendKind::Etl);
     }
 

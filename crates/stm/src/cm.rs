@@ -102,20 +102,6 @@ impl CmKind {
         }
     }
 
-    /// Parse a CLI token (the inverse of [`CmKind::name`]).
-    pub fn parse(s: &str) -> Option<CmKind> {
-        CmKind::ALL.iter().copied().find(|k| k.name() == s)
-    }
-
-    /// Comma-separated list of every valid token, for error messages.
-    pub fn list() -> String {
-        CmKind::ALL
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-
     /// How many consecutive [`AbortCause::AllocFailed`] aborts the policy
     /// absorbs before [`Stm::try_txn`](crate::Stm::try_txn) stops retrying
     /// and propagates the allocator's error to the caller. Patient
@@ -145,6 +131,17 @@ impl CmKind {
             CmKind::Adaptive => CmKind::Suicide,
             k => k,
         }
+    }
+}
+
+impl std::str::FromStr for CmKind {
+    type Err = String;
+    /// The inverse of [`CmKind::name`]; an unknown token is refused with
+    /// the list of valid ones.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let valid = CmKind::ALL.map(CmKind::name).join(", ");
+        (CmKind::ALL.into_iter().find(|k| k.name() == s))
+            .ok_or_else(|| format!("unknown contention manager '{s}' (valid --cm values: {valid})"))
     }
 }
 
@@ -562,14 +559,17 @@ mod tests {
     #[test]
     fn kind_tokens_round_trip() {
         for k in CmKind::ALL {
-            assert_eq!(CmKind::parse(k.name()), Some(k));
+            assert_eq!(k.name().parse(), Ok(k));
         }
-        assert_eq!(CmKind::parse("SUICIDE"), None);
-        assert_eq!(CmKind::parse(""), None);
-        assert_eq!(
-            CmKind::list(),
-            "suicide, backoff, karma, timestamp, serialize, adaptive"
-        );
+        let valid = "suicide, backoff, karma, timestamp, serialize, adaptive";
+        for bad in ["SUICIDE", ""] {
+            assert_eq!(
+                bad.parse::<CmKind>(),
+                Err(format!(
+                    "unknown contention manager '{bad}' (valid --cm values: {valid})"
+                ))
+            );
+        }
         assert_eq!(CmKind::default(), CmKind::Suicide);
     }
 

@@ -64,7 +64,7 @@ mod tx;
 
 pub use backend::BackendKind;
 pub use cm::{CmKind, CmStats, CmSwitch};
-pub use stack::Stack;
+pub use stack::{Stack, StackSpec};
 pub use stats::{AbortCause, StmStats};
 pub use tx::{Abort, Tx, TxThread};
 

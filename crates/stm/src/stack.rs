@@ -1,11 +1,94 @@
-//! The one constructor of a simulated (machine, allocator, STM) stack.
+//! The one description and the one constructor of a simulated (machine,
+//! allocator, STM) stack.
 
 use std::sync::Arc;
 
 use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor};
 use tm_sim::{MachineConfig, Sim};
 
-use crate::{Stm, StmConfig};
+use crate::{LockDesign, OrtHash, Stm, StmConfig, WriteMode};
+
+/// Everything that decides how a stack is built: the machine, the
+/// allocator model, the STM's knobs, the fault plan and whether the heap
+/// is audited. The workload's seed is not part of it: building a stack
+/// reads none.
+#[derive(Clone, Debug)]
+pub struct StackSpec {
+    /// The simulated machine.
+    pub machine: MachineConfig,
+    /// The allocator model under test.
+    pub alloc: AllocatorKind,
+    /// The STM's knobs.
+    pub stm: StmConfig,
+    /// Allocation-fault plan; [`AllocFaultPlan::None`] without `audit`
+    /// builds the bare model with no wrapper.
+    pub fault: AllocFaultPlan,
+    /// Wrap the model in a [`HeapAuditor`] even without a fault plan.
+    pub audit: bool,
+}
+
+impl StackSpec {
+    /// The paper's stack on `alloc`: the Xeon E5405 model, the default
+    /// STM, no fault plan, no audit.
+    pub fn new(alloc: AllocatorKind) -> StackSpec {
+        StackSpec {
+            machine: MachineConfig::xeon_e5405(),
+            alloc,
+            stm: StmConfig::default(),
+            fault: AllocFaultPlan::None,
+            audit: false,
+        }
+    }
+
+    /// The spec a `(key, value)` list describes — a sweep cell's config or
+    /// a subcommand's flags: `alloc`, `backend`, `cm`, `shift`,
+    /// `alloc-fault` and the bare `object-cache` / `ctl` / `write-through`
+    /// / `mix-hash` switches (on when present), each defaulting as
+    /// [`StackSpec::new`] does. A value that does not parse is an error
+    /// naming it, and so is a combination the STM does not run
+    /// ([`StmConfig::check`]). Other keys are ignored.
+    pub fn parse(config: &[(String, String)]) -> Result<StackSpec, String> {
+        let value = |key: &str| {
+            config
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        let on = |key| value(key).is_some();
+        let stm = StmConfig::default();
+        let spec = StackSpec {
+            alloc: value("alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)?,
+            stm: StmConfig {
+                backend: value("backend").map_or(Ok(stm.backend), str::parse)?,
+                cm: value("cm").map_or(Ok(stm.cm), str::parse)?,
+                shift: value("shift").map_or(Ok(stm.shift), |v| {
+                    v.parse().map_err(|_| format!("bad shift '{v}'"))
+                })?,
+                object_cache: on("object-cache"),
+                design: if on("ctl") {
+                    LockDesign::Ctl
+                } else {
+                    LockDesign::Etl
+                },
+                write_mode: if on("write-through") {
+                    WriteMode::Through
+                } else {
+                    WriteMode::Back
+                },
+                ort_hash: if on("mix-hash") {
+                    OrtHash::Mix
+                } else {
+                    OrtHash::ShiftMod
+                },
+                ..stm
+            },
+            fault: value("alloc-fault").map_or(Ok(AllocFaultPlan::None), AllocFaultPlan::parse)?,
+            ..StackSpec::new(AllocatorKind::TbbMalloc)
+        };
+        spec.stm.check()?;
+        Ok(spec)
+    }
+}
 
 /// A fully built simulation stack: the machine, the allocator the STM
 /// binds and the STM over it, plus the heap auditor's handle when there
@@ -28,26 +111,20 @@ pub struct Stack {
 }
 
 impl Stack {
-    /// Build the stack in its one order — `Sim::new`, the model, the
-    /// auditor, [`Stm::new`] — which fixes every simulated
+    /// Build the stack `spec` describes in its one order — `Sim::new`,
+    /// the model, the auditor, [`Stm::new`] — which fixes every simulated
     /// address. Panics as [`Stm::new`] does on a configuration
     /// [`StmConfig::check`] refuses.
-    pub fn new(
-        machine: MachineConfig,
-        kind: AllocatorKind,
-        plan: AllocFaultPlan,
-        audit: bool,
-        cfg: StmConfig,
-    ) -> Stack {
-        let sim = Sim::new(machine);
-        let mut alloc = kind.build(&sim);
-        let auditor = (audit || plan != AllocFaultPlan::None).then(|| {
+    pub fn new(spec: &StackSpec) -> Stack {
+        let sim = Sim::new(spec.machine.clone());
+        let mut alloc = spec.alloc.build(&sim);
+        let auditor = (spec.audit || spec.fault != AllocFaultPlan::None).then(|| {
             let auditor = HeapAuditor::new(Arc::clone(&alloc));
-            auditor.set_plan(plan);
+            auditor.set_plan(spec.fault);
             alloc = Arc::clone(&auditor) as Arc<dyn Allocator>;
             auditor
         });
-        let stm = Arc::new(Stm::new(&sim, Arc::clone(&alloc), cfg));
+        let stm = Arc::new(Stm::new(&sim, Arc::clone(&alloc), spec.stm.clone()));
         Stack {
             sim,
             alloc,
@@ -61,17 +138,66 @@ impl Stack {
 mod tests {
     use super::*;
 
-    use crate::AbortCause;
+    use crate::{AbortCause, BackendKind, CmKind};
 
-    fn build(plan: AllocFaultPlan, audit: bool) -> Stack {
-        let machine = MachineConfig::xeon_e5405();
-        Stack::new(
-            machine,
-            AllocatorKind::TbbMalloc,
-            plan,
+    fn build(fault: AllocFaultPlan, audit: bool) -> Stack {
+        Stack::new(&StackSpec {
+            fault,
             audit,
-            StmConfig::default(),
-        )
+            ..StackSpec::new(AllocatorKind::TbbMalloc)
+        })
+    }
+
+    fn config(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        (pairs.iter())
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn no_keys_parse_to_the_papers_stack() {
+        let parsed = StackSpec::parse(&[]).unwrap();
+        let paper = StackSpec::new(AllocatorKind::TbbMalloc);
+        assert_eq!(format!("{parsed:?}"), format!("{paper:?}"));
+        let ignored = config(&[("seed", "x"), ("threads", "99"), ("rep", "2")]);
+        let parsed = StackSpec::parse(&ignored).unwrap();
+        assert_eq!(
+            format!("{parsed:?}"),
+            format!("{paper:?}"),
+            "not stack keys"
+        );
+    }
+
+    #[test]
+    fn each_key_sets_exactly_its_field() {
+        type Set = fn(&mut StackSpec);
+        let cases: [(&[(&str, &str)], Set); 10] = [
+            (&[("alloc", "glibc")], |s| s.alloc = AllocatorKind::Glibc),
+            (&[("backend", "norec")], |s| {
+                s.stm.backend = BackendKind::Norec
+            }),
+            (&[("cm", "karma")], |s| s.stm.cm = CmKind::Karma),
+            (&[("shift", "4")], |s| s.stm.shift = 4),
+            (&[("alloc-fault", "site:3")], |s| {
+                s.fault = AllocFaultPlan::NthSite(3)
+            }),
+            (&[("object-cache", "")], |s| s.stm.object_cache = true),
+            (&[("ctl", "")], |s| s.stm.design = LockDesign::Ctl),
+            (&[("write-through", "")], |s| {
+                s.stm.write_mode = WriteMode::Through
+            }),
+            (&[("mix-hash", "")], |s| s.stm.ort_hash = OrtHash::Mix),
+            (&[("alloc", "tc"), ("cm", "adaptive")], |s| {
+                s.alloc = AllocatorKind::TcMalloc;
+                s.stm.cm = CmKind::Adaptive;
+            }),
+        ];
+        for (pairs, set) in cases {
+            let mut want = StackSpec::new(AllocatorKind::TbbMalloc);
+            set(&mut want);
+            let got = StackSpec::parse(&config(pairs)).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{pairs:?}");
+        }
     }
 
     /// The type of `alloc`'s heap snapshot: a wrapper's differs from the

@@ -8,21 +8,20 @@
 use std::sync::Arc;
 
 use tm_alloc::{AllocError, AllocFaultPlan, AllocatorKind, HeapAuditor};
-use tm_sim::{MachineConfig, Sim};
-use tm_stm::{AbortCause, CmKind, InjectedBug, Stack, Stm, StmConfig};
+use tm_sim::Sim;
+use tm_stm::{AbortCause, CmKind, InjectedBug, Stack, StackSpec, Stm, StmConfig};
 
 /// STM over `HeapAuditor(tbbmalloc)` armed with `plan` — the stack the
 /// every-site OOM sweep uses.
 fn setup(plan: AllocFaultPlan, cfg: StmConfig) -> (Sim, Arc<Stm>, Arc<HeapAuditor>) {
     let Stack {
         sim, stm, auditor, ..
-    } = Stack::new(
-        MachineConfig::xeon_e5405(),
-        AllocatorKind::TbbMalloc,
-        plan,
-        true,
-        cfg,
-    );
+    } = Stack::new(&StackSpec {
+        stm: cfg,
+        fault: plan,
+        audit: true,
+        ..StackSpec::new(AllocatorKind::TbbMalloc)
+    });
     let auditor = auditor.expect("an audited stack");
     (sim, stm, auditor)
 }

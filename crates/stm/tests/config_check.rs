@@ -2,7 +2,9 @@
 //! STM runs: each refusal below names the knob at fault, `Stm::new` panics
 //! with the same message, and every combination the studies build passes.
 
-use tm_stm::{BackendKind, CmKind, InjectedBug, LockDesign, OrtHash, Stack, StmConfig, WriteMode};
+use tm_stm::{
+    BackendKind, CmKind, InjectedBug, LockDesign, OrtHash, Stack, StackSpec, StmConfig, WriteMode,
+};
 
 const BUGS: [InjectedBug; 7] = [
     InjectedBug::None,
@@ -104,13 +106,10 @@ fn stm_new_panics_with_the_check_message() {
         shift: 64,
         ..StmConfig::default()
     };
-    let _ = Stack::new(
-        tm_sim::MachineConfig::xeon_e5405(),
-        tm_alloc::AllocatorKind::TbbMalloc,
-        tm_alloc::AllocFaultPlan::None,
-        false,
-        cfg,
-    );
+    let _ = Stack::new(&StackSpec {
+        stm: cfg,
+        ..StackSpec::new(tm_alloc::AllocatorKind::TbbMalloc)
+    });
 }
 
 /// Every combination of the knobs the STM exposes that is not refused
@@ -171,7 +170,7 @@ fn every_other_combination_is_accepted() {
 #[test]
 fn the_model_checker_catalog_is_accepted() {
     for recipe in tm_mc::mutation_catalog() {
-        let cfg = recipe.run.stm_config();
+        let cfg = recipe.run.spec().stm;
         assert_eq!(cfg.check(), Ok(()), "{cfg:?}");
     }
     for backend in BackendKind::ALL {
@@ -181,7 +180,7 @@ fn the_model_checker_catalog_is_accepted() {
                 cm,
                 ..tm_mc::RunConfig::clean()
             };
-            assert_eq!(run.stm_config().check(), Ok(()));
+            assert_eq!(run.spec().stm.check(), Ok(()));
         }
     }
 }

@@ -76,6 +76,24 @@ if grep -rnwE --include='*.rs' 'FaultInjector|AllocProfiler' crates tests exampl
   exit 1
 fi
 
+# One stack description (DESIGN.md §3.2): a stack is a `tm_stm::StackSpec`
+# and `StackSpec::parse` reads its flags for every front end. The
+# per-config STM builders, the token wrappers and the 8-argument mc cell it
+# replaced stay gone, and above its `#[cfg(test)]` line no library file
+# outside the allocator and STM crates parses a fault plan by hand.
+echo "==> one stack parser: StackSpec::parse reads the stack flags"
+if grep -rnwE --include='*.rs' 'fn stm_config|stack_opts|parse_backend|parse_cm|run_clean_cell_fault_opt' \
+  crates tests examples; then
+  echo "verify: a second stack parser or builder is back; use tm_stm::StackSpec"
+  exit 1
+fi
+for f in $(grep -rl --include='*.rs' 'AllocFaultPlan::parse(' crates/*/src | grep -vE '^crates/(alloc|stm)/src/'); do
+  if sed '/^#\[cfg(test)\]/q' "$f" | grep -n 'AllocFaultPlan::parse('; then
+    echo "verify: $f parses a fault plan by hand; use tm_stm::StackSpec::parse"
+    exit 1
+  fi
+done
+
 # One event log, or none (DESIGN.md, "No event log"): the stack keeps no
 # event log, and each consumer records what it needs as plain data. The
 # `tm_obs::trace` ring stays inside crates/obs, where nothing in the stack

@@ -313,6 +313,73 @@ fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
     }
 }
 
+/// One parser reads the stack's flags for every front end: each refusal
+/// prints the same message from `synth`, from `stamp` and, prefixed
+/// `sweep:`, from `sweep`. The sweep takes no bare switches (its row has
+/// only `--quick`), so the two refused switch combinations are compared
+/// between `synth` and `stamp` only.
+#[test]
+fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
+    let table: &[(&[&str], &str)] = &[
+        (
+            &["--backend", "tl2"],
+            "unknown backend 'tl2' (valid backends: etl, norec, htm)",
+        ),
+        (
+            &["--cm", "polite"],
+            "unknown contention manager 'polite' (valid --cm values: \
+             suicide, backoff, karma, timestamp, serialize, adaptive)",
+        ),
+        (
+            &["--alloc-fault", "sometimes"],
+            "invalid alloc-fault plan 'sometimes' (want none, budget:<bytes>, \
+             class:<size>:<max-live>, site:<n>, or prob:<seed>:<denom>)",
+        ),
+        (&["--alloc", "hord"], "unknown allocator 'hord'"),
+        (
+            &["--shift", "64"],
+            "bad --shift '64' (a stripe shift is below 64)",
+        ),
+        (
+            &["--ctl", "--write-through"],
+            "--write-through requires encounter-time locking, not --ctl",
+        ),
+        (
+            &["--backend", "htm", "--write-through"],
+            "--ctl and --write-through apply to the etl backend only, not htm",
+        ),
+    ];
+    let out_file = std::env::temp_dir().join(format!("cli-stack-flag-{}.json", std::process::id()));
+    for (flags, message) in table {
+        let switches = flags
+            .iter()
+            .any(|f| *f == "--ctl" || *f == "--write-through");
+        let mut runs: Vec<(Vec<&str>, String)> = vec![
+            (vec!["synth"], format!("error: {message}\n")),
+            (
+                vec!["stamp", "--app", "genome"],
+                format!("error: {message}\n"),
+            ),
+        ];
+        if !switches {
+            let out = out_file.to_str().unwrap();
+            runs.push((vec!["sweep", "--out", out], format!("sweep: {message}\n")));
+        }
+        for (front, told) in runs {
+            let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+                .args(&front)
+                .args(*flags)
+                .output()
+                .expect("run tmstudy");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{front:?} {flags:?}: {stderr}");
+            assert_eq!(stderr, told, "{front:?} {flags:?}");
+            assert!(out.stdout.is_empty(), "{front:?} {flags:?} ran");
+        }
+        assert!(!out_file.exists(), "{flags:?}: the sweep wrote a matrix");
+    }
+}
+
 /// The allocator models size their per-thread tables by the machine's
 /// cores and `Sim::run` refuses more threads than that: a count outside
 /// `1..=cores` is refused as input, before either can panic.

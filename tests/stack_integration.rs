@@ -184,13 +184,7 @@ fn no_workload_touches_a_page_it_unmapped() {
     let opts = StampOpts::default();
     for app in AppKind::ALL {
         for kind in AllocatorKind::ALL {
-            let stack = Stack::new(
-                MachineConfig::xeon_e5405(),
-                kind,
-                opts.alloc_fault,
-                opts.audit_heap,
-                opts.stm_config(),
-            );
+            let stack = Stack::new(&opts.spec(kind));
             run_app_on(&stack, make_app(app, 1, opts.seed).as_ref(), 8);
             let touched = stack.sim.with_state(|m| m.released_accesses());
             assert_eq!(touched, 0, "{} on {kind:?}", app.name());
