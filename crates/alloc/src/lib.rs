@@ -286,6 +286,17 @@ impl AllocatorKind {
         }
     }
 
+    /// Command-line token (`--alloc tbb`), the one spelling the sweep
+    /// axes, presets and usage text take from [`AllocatorKind::ALL`].
+    pub fn token(self) -> &'static str {
+        match self {
+            AllocatorKind::Glibc => "glibc",
+            AllocatorKind::Hoard => "hoard",
+            AllocatorKind::TbbMalloc => "tbb",
+            AllocatorKind::TcMalloc => "tc",
+        }
+    }
+
     /// Instantiate this allocator against a simulated machine.
     pub fn build(self, sim: &Sim) -> Arc<dyn Allocator> {
         match self {
@@ -299,14 +310,19 @@ impl AllocatorKind {
 
 impl std::str::FromStr for AllocatorKind {
     type Err = String;
+    /// The inverse of [`AllocatorKind::token`], in any case; the display
+    /// name (`tbbmalloc`, `tcmalloc`) and glibc's `ptmalloc` are aliases.
+    /// An unknown token is refused with the list of valid ones.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "glibc" | "ptmalloc" => Ok(AllocatorKind::Glibc),
-            "hoard" => Ok(AllocatorKind::Hoard),
-            "tbb" | "tbbmalloc" => Ok(AllocatorKind::TbbMalloc),
-            "tc" | "tcmalloc" => Ok(AllocatorKind::TcMalloc),
-            other => Err(format!("unknown allocator '{other}'")),
-        }
+        let valid = AllocatorKind::ALL.map(AllocatorKind::token).join(", ");
+        let token = if s.eq_ignore_ascii_case("ptmalloc") {
+            "glibc"
+        } else {
+            s
+        };
+        (AllocatorKind::ALL.into_iter())
+            .find(|k| k.token().eq_ignore_ascii_case(token) || k.name().eq_ignore_ascii_case(token))
+            .ok_or_else(|| format!("unknown allocator '{s}' (valid allocators: {valid})"))
     }
 }
 
@@ -495,15 +511,26 @@ mod tests {
 
     #[test]
     fn kind_parse() {
+        for kind in AllocatorKind::ALL {
+            assert_eq!(kind.token().parse::<AllocatorKind>(), Ok(kind));
+        }
+        // The aliases the parser has always taken, in any case.
+        let aliases = [
+            ("ptmalloc", AllocatorKind::Glibc),
+            ("GLIBC", AllocatorKind::Glibc),
+            ("Hoard", AllocatorKind::Hoard),
+            ("tbbmalloc", AllocatorKind::TbbMalloc),
+            ("TBB", AllocatorKind::TbbMalloc),
+            ("TCMalloc", AllocatorKind::TcMalloc),
+            ("tcmalloc", AllocatorKind::TcMalloc),
+        ];
+        for (alias, kind) in aliases {
+            assert_eq!(alias.parse::<AllocatorKind>(), Ok(kind), "{alias}");
+        }
         assert_eq!(
-            "glibc".parse::<AllocatorKind>().unwrap(),
-            AllocatorKind::Glibc
+            "jemalloc".parse::<AllocatorKind>(),
+            Err("unknown allocator 'jemalloc' (valid allocators: glibc, hoard, tbb, tc)".into())
         );
-        assert_eq!(
-            "TCMalloc".parse::<AllocatorKind>().unwrap(),
-            AllocatorKind::TcMalloc
-        );
-        assert!("jemalloc".parse::<AllocatorKind>().is_err());
     }
 
     #[test]

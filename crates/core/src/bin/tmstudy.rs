@@ -20,14 +20,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tm_alloc::profile::{bucket_label, Region};
 use tm_alloc::{AllocFaultPlan, AllocatorKind};
-use tm_core::sweeps::{stamp_run, synth_config, threadtest_config, SUBCOMMANDS};
+use tm_core::sweeps::{
+    parse_flags, stamp_run, sweep_row, synth_config, threadtest_config, MAX_SWEEP_CELLS,
+    SUBCOMMANDS,
+};
 use tm_core::synthetic::run_synthetic;
 use tm_core::threadtest::run_threadtest;
 use tm_ds::StructureKind;
 use tm_obs::spec::Flags;
 use tm_stamp::runner::{make_app, profile_app, run_app_on};
 use tm_stamp::AppKind;
-use tm_stm::{Stack, StackSpec};
+use tm_stm::{BackendKind, CmKind, Stack, StackSpec};
 
 fn main() {
     // The environment is input too: every subcommand builds simulators,
@@ -83,40 +86,30 @@ fn workload(run: impl FnOnce()) {
     }
 }
 
+/// The usage text, from [`SUBCOMMANDS`] and the kinds' `ALL`.
 fn usage() {
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, ..)| *name).collect();
+    eprintln!("usage: tmstudy <{}|report> [flags]", names.join("|"));
+    for (name, values, switches) in SUBCOMMANDS {
+        let values = values.iter().flat_map(|group| group.iter());
+        let flags = (values.map(|f| format!(" [--{f} V]")))
+            .chain(switches.iter().map(|s| format!(" [--{s}]")));
+        let line = format!("{:<11}{}", format!("{name}:"), flags.collect::<String>());
+        eprintln!("{}", line.trim_end());
+    }
+    let workloads = names.into_iter().filter(|w| sweep_row(w).is_ok());
     eprintln!(
-        "usage: tmstudy <synth|stamp|threadtest|profile|machine|report|sweep|check|mc|book> [flags]\n\
-         synth:      --structure list|hash|rbtree --alloc <a> --threads N \
-         [--backend etl|norec|htm] [--cm <policy>] [--update-pct P] [--shift S] \
-         [--size N] [--ops N] [--seed N] [--ctl] [--write-through] [--mix-hash] \
-         [--object-cache] [--alloc-fault PLAN]\n\
-         stamp:      --app <name> --alloc <a> --threads N [--scale S] \
-         [--backend etl|norec|htm] [--cm <policy>] [--shift S] [--seed N] [--ctl] \
-         [--write-through] [--mix-hash] [--object-cache] [--alloc-fault PLAN]\n\
-         threadtest: --alloc <a> [--size BYTES] [--threads N] [--pairs N]\n\
-         profile:    --app <name> [--alloc <a>] [--scale S]\n\
-         report:     <a.json> — pretty-print; <a.json> <b.json> — diff \
-         (any results schema, by its `schema` field)\n\
-         sweep:      [--workload synth|stamp|threadtest] axes as comma lists \
-         (--structure --app --alloc --backend --cm --alloc-fault --threads --shift \
-         --update-pct --size --ops --pairs --scale --seeds) [--quick] [--reps N] \
-         [--name S] [--out FILE]; at most 65536 cells (more exits 2); every \
-         cell parses before any runs (a value a parser refuses exits 2); cells run one after another; exit 1 when \
-         any cell ends in `error`\n\
-         check:      correctness matrix (serial oracles, heap audit, \
-         cross-backend and cross-CM diffs, interleaving explorer) [--quick] \
-         [--backend B] [--cm C] [--name S] [--out FILE]\n\
-         mc:         systematic schedule exploration (bounded-exhaustive \
-         enumeration with conflict pruning, checkpoint/restore prefix-tree \
-         execution) [--quick] [--backend B] [--cm C] [--alloc A] [--depth N] \
-         [--budget N] [--magnitudes A,B,..] [--no-checkpoint] [--alloc-fault PLAN] \
-         [--name S] [--out FILE]; --oom runs the every-site allocation-failure \
-         sweep instead (writes results/<name>.oom.json)\n\
-         book:       [--results DIR] [--out FILE] [--stdout] [--check]\n\
-         allocators: glibc hoard tbb tc\n\
-         cm (contention manager): suicide backoff karma timestamp serialize adaptive\n\
-         alloc-fault plans: none | budget:<bytes> | class:<size>:<max-live> | \
-         site:<n> | prob:<seed>:<denom>"
+        "report:     <a.json> [<b.json>] — pretty-print one results file, or diff two\n\
+         sweep axes: --workload {} (default synth) adds that workload's flags, \
+         each value a comma list (an axis), each switch set in every cell; at \
+         most {MAX_SWEEP_CELLS} cells; every cell parses before any runs (a \
+         refused value exits 2); exit 1 when a cell ends in `error`\n\
+         tokens: --alloc {} | --backend {} | --cm {} | --alloc-fault none, \
+         budget:<bytes>, class:<size>:<max-live>, site:<n> or prob:<seed>:<denom>",
+        workloads.collect::<Vec<_>>().join("|"),
+        AllocatorKind::ALL.map(AllocatorKind::token).join(","),
+        BackendKind::ALL.map(BackendKind::name).join(","),
+        CmKind::ALL.map(CmKind::name).join(","),
     );
 }
 
@@ -189,7 +182,7 @@ fn check(flags: &Flags) {
     use tm_check::SynthCheckConfig;
     use tm_check::{run_backend_cell, run_cm_cell, run_heap_cell, run_stamp_cell, run_synth_cell};
     use tm_mc::explore_check_cell;
-    use tm_stm::{BackendKind, CmKind, InjectedBug};
+    use tm_stm::InjectedBug;
 
     let quick = flags.contains_key("quick");
     // Cross-backend differential suite: `--backend X` narrows it to one
@@ -328,34 +321,17 @@ fn mc_oom(flags: &Flags) {
     exit_if_degraded(report.degraded(), "unexpected verdict(s)");
 }
 
-/// The two fixed `mc` suites, the flags of the targeted sweep each one does
-/// not read, and why — one of them is refused, not ignored.
+/// The two fixed `mc` suites, the only flags of `mc`'s row each one reads
+/// besides its own, and why any other is refused, not ignored.
 const MC_SUITES: [(&str, &[&str], &str); 2] = [
     (
         "oom",
-        &[
-            "alloc-fault",
-            "backend",
-            "cm",
-            "alloc",
-            "depth",
-            "budget",
-            "magnitudes",
-            "no-checkpoint",
-            "quick",
-        ],
+        &["name", "out"],
         "it sweeps every allocation site of a fixed matrix with its own fault plans",
     ),
     (
         "quick",
-        &[
-            "alloc-fault",
-            "backend",
-            "cm",
-            "alloc",
-            "budget",
-            "magnitudes",
-        ],
+        &["depth", "no-checkpoint", "name", "out"],
         "it runs the fixed mutation catalog and clean matrix, fault-free \
          (only --depth and --no-checkpoint shape it; `mc --oom` fails allocations)",
     ),
@@ -371,10 +347,15 @@ const MC_SUITES: [(&str, &[&str], &str); 2] = [
 /// 1 when any cell ends with an unexpected verdict (a violation on the
 /// clean STM or an escaped mutant), 2 on bad flags.
 fn mc(flags: &Flags) {
-    use tm_stm::{BackendKind, CmKind};
-    for (mode, unread, why) in MC_SUITES {
+    let (_, values, switches) = tm_core::sweeps::row("mc").expect("mc has a row");
+    let row = values
+        .iter()
+        .flat_map(|group| group.iter())
+        .chain(*switches);
+    for (mode, reads, why) in MC_SUITES {
         if flags.contains_key(mode) {
-            if let Some(flag) = unread.iter().find(|f| flags.contains_key(**f)) {
+            let mut unread = row.clone().filter(|f| **f != mode && !reads.contains(f));
+            if let Some(flag) = unread.find(|f| flags.contains_key(**f)) {
                 eprintln!("error: --{flag} does not apply to mc --{mode}: {why}");
                 std::process::exit(2);
             }
@@ -522,20 +503,6 @@ fn book(flags: &Flags) {
         ok_or_exit(std::fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}")));
         println!("wrote {out} ({} exhibits)", reports.len());
     }
-}
-
-/// Parse `args` against `cmd`'s row of [`SUBCOMMANDS`] (the rule is
-/// [`tm_obs::spec::parse_flags`]); a subcommand without a row is a usage
-/// error too.
-fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
-    let (_, values, switches) =
-        SUBCOMMANDS
-            .iter()
-            .find(|(name, ..)| *name == cmd)
-            .ok_or(format!(
-                "unknown subcommand '{cmd}' (tmstudy without arguments prints the usage)"
-            ))?;
-    tm_obs::spec::parse_flags(&format!("tmstudy {cmd}"), values, switches, args)
 }
 
 /// `--<key>` parsed as a `T`, or `default` when absent; a value that

@@ -9,18 +9,20 @@
 //! the whole sweep. [`tm_obs::sweep::run_spec`] runs the cells
 //! one after another on the calling thread.
 //!
-//! [`spec_from_flags`] turns `tmstudy sweep` command-line flags into a
-//! [`tm_obs::sweep::SweepSpec`]: comma-separated flag values become axes in a
-//! fixed canonical order (so the expansion order — and therefore the
-//! matrix cell order — does not depend on the order flags were typed),
-//! and `--reps N` adds a trailing `rep` axis to force repetitions. It
+//! [`SUBCOMMANDS`] is the one statement of the flags each subcommand
+//! reads; the stack's part of the `synth` and `stamp` rows is
+//! [`StackSpec::KEYS`] and [`StackSpec::SWITCHES`]. A sweep of workload
+//! `W` takes exactly `W`'s row besides its own flags ([`parse_flags`]):
+//! [`spec_from_flags`] makes each of `W`'s value flags given, as a comma
+//! list, an axis in the row's order (so the matrix cell order does not
+//! depend on the order flags were typed), each of `W`'s switches given a
+//! fixed key of every cell, and `--reps N` a trailing `rep` axis. It
 //! parses every cell before any runs: a value a cell's parser refuses is
 //! an error of the whole spec.
 
-use std::collections::HashMap;
-
 use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
+use tm_obs::spec::Flags;
 use tm_obs::sweep::SweepSpec;
 use tm_sim::MachineConfig;
 use tm_stamp::runner::{make_app, run_app_on, StampOpts};
@@ -155,53 +157,41 @@ pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
 }
 
 /// The threadtest point a sweep cell's config or `tmstudy threadtest`'s
-/// flags describe: `alloc`, `threads` (8), `size` (64), `pairs` (1000).
+/// flags describe: `alloc` (read by [`StackSpec::parse`]), `threads` (8),
+/// `size` (64), `pairs` (1000).
 pub fn threadtest_config(config: &[(String, String)]) -> Result<ThreadtestConfig, String> {
+    let spec = StackSpec::parse(config)?;
     Ok(ThreadtestConfig {
-        allocator: lookup(config, "alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)?,
-        threads: threads_of(config, &MachineConfig::xeon_e5405())?,
+        allocator: spec.alloc,
+        threads: threads_of(config, &spec.machine)?,
         block_size: parse(config, "size", 64)?,
         pairs_per_thread: parse(config, "pairs", 1000)?,
     })
 }
 
-/// One sweep cell's workload, parsed from its config and ready to run.
-enum Workload {
-    Synth(SyntheticConfig),
-    Stamp(AppKind, StampRun),
-    Threadtest(ThreadtestConfig),
-}
+/// A sweep cell's parser, and the parsed cell: it runs its workload and
+/// returns its named metrics.
+type Parse = fn(&[(String, String)]) -> Result<Run, String>;
+type Run = Box<dyn FnOnce() -> Vec<(String, f64)>>;
 
-/// The parse step of a sweep cell: its `workload` key (`synth`, `stamp`
-/// or `threadtest`) and the configuration that workload reads, or the
-/// parser's error. Keys a workload does not consume, such as `rep` or a
-/// `seed`-only axis, are labels and are ignored.
-fn parse_cell(config: &[(String, String)]) -> Result<Workload, String> {
-    match lookup(config, "workload") {
-        Some("synth") | None => Ok(Workload::Synth(synth_config(config)?)),
-        Some("stamp") => {
-            let run = stamp_run(config)?;
-            let app = run.app.ok_or("stamp sweep needs an app axis (--app)")?;
-            Ok(Workload::Stamp(app, run))
-        }
-        Some("threadtest") => Ok(Workload::Threadtest(threadtest_config(config)?)),
-        Some(other) => Err(format!("unknown workload '{other}'")),
-    }
-}
-
-/// Execute one sweep cell: parse it, then run its workload and return
-/// its named metrics.
-pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
-    Ok(match parse_cell(config)? {
-        Workload::Synth(cfg) => {
+/// The workloads a sweep runs, each named by the subcommand whose row of
+/// [`SUBCOMMANDS`] its cells read, with the parser of its cells.
+const WORKLOADS: [(&str, Parse); 3] = [
+    ("synth", |config| {
+        let cfg = synth_config(config)?;
+        Ok(Box::new(move || {
             let m = run_synthetic(&cfg);
             vec![
                 ("throughput".into(), m.throughput),
                 ("abort_pct".into(), m.abort_ratio * 100.0),
                 ("l1_miss_pct".into(), m.l1_miss * 100.0),
             ]
-        }
-        Workload::Stamp(app, run) => {
+        }))
+    }),
+    ("stamp", |config| {
+        let run = stamp_run(config)?;
+        let app = run.app.ok_or("stamp sweep needs an app axis (--app)")?;
+        Ok(Box::new(move || {
             let a = make_app(app, run.scale, run.seed);
             let r = run_app_on(&Stack::new(&run.spec), a.as_ref(), run.threads);
             vec![
@@ -210,42 +200,35 @@ pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, Strin
                 ("abort_pct".into(), r.abort_ratio * 100.0),
                 ("l1_miss_pct".into(), r.l1_miss * 100.0),
             ]
-        }
-        Workload::Threadtest(cfg) => {
+        }))
+    }),
+    ("threadtest", |config| {
+        let cfg = threadtest_config(config)?;
+        Ok(Box::new(move || {
             let r = run_threadtest(&cfg);
             vec![
                 ("mpairs_per_s".into(), r.mops),
                 ("l1_miss_pct".into(), r.l1_miss * 100.0),
             ]
-        }
-    })
-}
-
-/// Flags that become sweep axes when present, in canonical axis order.
-/// Comma-separated values expand the axis; a single value is a one-value
-/// axis (still recorded per cell).
-pub const AXIS_FLAGS: &[&str] = &[
-    "structure",
-    "app",
-    "alloc",
-    "backend",
-    "cm",
-    "alloc-fault",
-    "threads",
-    "shift",
-    "update-pct",
-    "size",
-    "ops",
-    "pairs",
-    "scale",
-    "seeds",
+        }))
+    }),
 ];
 
-/// The flags every transactional workload reads besides `alloc`: the
-/// stack's ([`StackSpec::parse`]) and the seed, with values, and the
-/// stack's bare switches.
-const STACK_VALUES: [&str; 5] = ["backend", "cm", "shift", "seed", "alloc-fault"];
-const STACK_SWITCHES: [&str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
+/// The parse step of a sweep cell: its `workload` key (default `synth`)
+/// and the configuration that workload reads, or the parser's error.
+fn parse_cell(config: &[(String, String)]) -> Result<Run, String> {
+    let workload = lookup(config, "workload").unwrap_or("synth");
+    let (_, parse) = (WORKLOADS.iter())
+        .find(|(name, _)| *name == workload)
+        .ok_or(format!("unknown workload '{workload}'"))?;
+    parse(config)
+}
+
+/// Execute one sweep cell: parse it, then run its workload and return
+/// its named metrics.
+pub fn run_cell(config: &[(String, String)]) -> Result<Vec<(String, f64)>, String> {
+    Ok(parse_cell(config)?())
+}
 
 /// One row of [`SUBCOMMANDS`]: `(name, value flags, bare switches)`.
 pub type Subcommand = (
@@ -254,32 +237,30 @@ pub type Subcommand = (
     &'static [&'static str],
 );
 
-/// What each `tmstudy` subcommand understands.
-/// [`tm_obs::spec::parse_flags`] refuses everything else, so a typo is a
-/// usage error instead of a run on the defaults. (`report` takes file
-/// names, not flags.)
+/// What each `tmstudy` subcommand understands, and all a sweep of a
+/// workload accepts besides its own flags: [`tm_obs::spec::parse_flags`]
+/// refuses everything else, so a typo is a usage error instead of a run
+/// on the defaults. A workload's value flags are its sweep axes, in this
+/// order. (`report` takes file names, not flags.)
 pub const SUBCOMMANDS: &[Subcommand] = &[
     (
         "synth",
         &[
-            &["structure", "alloc", "threads", "update-pct", "size", "ops"],
-            &STACK_VALUES,
+            &["structure"],
+            &StackSpec::KEYS,
+            &["threads", "update-pct", "size", "ops", "seed"],
         ],
-        &STACK_SWITCHES,
+        &StackSpec::SWITCHES,
     ),
     (
         "stamp",
-        &[&["app", "alloc", "threads", "scale"], &STACK_VALUES],
-        &STACK_SWITCHES,
+        &[&["app"], &StackSpec::KEYS, &["threads", "scale", "seed"]],
+        &StackSpec::SWITCHES,
     ),
     ("threadtest", &[&["alloc", "threads", "size", "pairs"]], &[]),
     ("profile", &[&["app", "alloc", "scale"]], &[]),
     ("machine", &[], &[]),
-    (
-        "sweep",
-        &[&["workload", "reps", "name", "out"], AXIS_FLAGS],
-        &["quick"],
-    ),
+    ("sweep", &[&["workload", "reps", "name", "out"]], &["quick"]),
     ("check", &[&["backend", "cm", "name", "out"]], &["quick"]),
     (
         "mc",
@@ -292,32 +273,57 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     ("book", &[&["results", "out"]], &["stdout", "check"]),
 ];
 
-/// The `--quick` preset: the paper's full synthetic allocator × structure
-/// matrix at 8 threads. Fast enough for a CI smoke job (seconds with the
-/// fiber scheduler) while still exercising every allocator and structure.
-/// Explicitly-passed axis flags override the preset values.
-const QUICK_PRESET: &[(&str, &str)] = &[
-    ("structure", "list,hash,rbtree"),
-    ("alloc", "glibc,hoard,tbb,tc"),
-    ("threads", "8"),
-];
+/// `cmd`'s row of [`SUBCOMMANDS`].
+pub fn row(cmd: &str) -> Option<&'static Subcommand> {
+    SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd)
+}
+
+/// The row of [`SUBCOMMANDS`] a sweep of `workload` reads, or the
+/// refusal of a name no sweep runs.
+pub fn sweep_row(workload: &str) -> Result<&'static Subcommand, String> {
+    (WORKLOADS.iter().any(|(name, _)| *name == workload))
+        .then(|| row(workload))
+        .flatten()
+        .ok_or(format!("unknown workload '{workload}'"))
+}
+
+/// Parse `tmstudy <cmd>`'s arguments against `cmd`'s row of
+/// [`SUBCOMMANDS`] ([`tm_obs::spec::parse_flags`]). A sweep also takes the
+/// row of the workload its `--workload` names (`synth` by default; the
+/// last one, as the flag map keeps it): any other flag is refused, naming
+/// the flag and the workload.
+pub fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
+    let (_, values, switches) = row(cmd).ok_or(format!(
+        "unknown subcommand '{cmd}' (tmstudy without arguments prints the usage)"
+    ))?;
+    let mut program = format!("tmstudy {cmd}");
+    let (mut values, mut switches) = (values.to_vec(), switches.to_vec());
+    if cmd == "sweep" {
+        let workload = (args.iter().rposition(|a| a == "--workload"))
+            .and_then(|at| args.get(at + 1))
+            .filter(|w| !w.starts_with("--"))
+            .map_or("synth", String::as_str);
+        let (_, axes, fixed) = sweep_row(workload)?;
+        program += &format!(" --workload {workload}");
+        values.extend_from_slice(axes);
+        switches.extend_from_slice(fixed);
+    }
+    tm_obs::spec::parse_flags(&program, &values, &switches, args)
+}
 
 /// The most cells one sweep may have (2^16): a bound on outside input,
 /// like the JSON parser's nesting depth.
 pub const MAX_SWEEP_CELLS: u64 = 1 << 16;
 
-/// Build a [`SweepSpec`] from `tmstudy sweep` flags (as parsed into a
-/// flag-name → value map). `--workload` (default `synth`) becomes a fixed
-/// key, each flag in the canonical axis list becomes an axis, and
-/// `--reps N` appends a `rep` axis with values `1..=N`. `--quick` fills in
-/// the preset axes (full allocator × structure matrix at 8 threads). A
-/// matrix of more than [`MAX_SWEEP_CELLS`] cells is refused before any is
-/// built.
-pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, String> {
+/// Build a [`SweepSpec`] from `tmstudy sweep` flags as [`parse_flags`]
+/// reads them. `--workload` (default `synth`) and each of its switches
+/// given become fixed keys, each of its value flags given (or preset by
+/// `--quick`) an axis, in its row's order, and `--reps N` appends a `rep`
+/// axis with values `1..=N`. A matrix of more than [`MAX_SWEEP_CELLS`]
+/// cells is refused before any is built.
+pub fn spec_from_flags(flags: &Flags) -> Result<SweepSpec, String> {
     let workload = flags.get("workload").map_or("synth", String::as_str);
-    if !["synth", "stamp", "threadtest"].contains(&workload) {
-        return Err(format!("unknown workload '{workload}'"));
-    }
+    let (_, values, switches) = sweep_row(workload)?;
     let quick = flags.contains_key("quick");
     let name = flags.get("name").cloned().unwrap_or_else(|| {
         if quick {
@@ -327,11 +333,20 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
         }
     });
     let mut spec = SweepSpec::new(name).fixed("workload", workload);
-    for &f in AXIS_FLAGS {
-        let preset = quick
-            .then(|| QUICK_PRESET.iter().find(|(k, _)| *k == f).map(|(_, v)| *v))
-            .flatten();
-        if let Some(vals) = flags.get(f).map(String::as_str).or(preset) {
+    for &switch in switches.iter().filter(|s| flags.contains_key(**s)) {
+        spec = spec.fixed(switch, &flags[switch]);
+    }
+    for &f in values.iter().flat_map(|group| group.iter()) {
+        // The `--quick` preset: the paper's synthetic allocator × structure
+        // matrix at 8 threads, as far as the workload's row reaches.
+        let preset = match f {
+            _ if !quick => None,
+            "structure" => Some("list,hash,rbtree".into()),
+            "alloc" => Some(AllocatorKind::ALL.map(AllocatorKind::token).join(",")),
+            "threads" => Some("8".into()),
+            _ => None,
+        };
+        if let Some(vals) = flags.get(f).cloned().or(preset) {
             let values: Vec<String> = vals
                 .split(',')
                 .map(|v| v.trim().to_string())
@@ -340,20 +355,15 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
             if values.is_empty() {
                 return Err(format!("--{f} has no values"));
             }
-            // --seeds is plural on the command line but each cell carries
-            // one seed.
-            let axis = if f == "seeds" { "seed" } else { f };
-            spec = spec.axis(axis, values);
+            spec = spec.axis(f, values);
         }
     }
-    let reps = match flags.get("reps") {
-        Some(n) => match n.parse::<u32>() {
-            Ok(0) => return Err("--reps must be at least 1".into()),
-            Ok(n) => Some(n),
-            Err(_) => return Err(format!("bad --reps '{n}'")),
-        },
-        None => None,
-    };
+    let reps: Option<u32> = (flags.contains_key("reps"))
+        .then(|| tm_obs::spec::flag(flags, "reps", 0))
+        .transpose()?;
+    if reps == Some(0) {
+        return Err("--reps must be at least 1".into());
+    }
     // The matrix is bounded before a cell or a `rep` label is built.
     let cells = spec
         .axes
@@ -374,7 +384,7 @@ pub fn spec_from_flags(flags: &HashMap<String, String>) -> Result<SweepSpec, Str
     // fails the whole sweep with that parser's message instead of
     // producing a matrix of error cells.
     for cell in spec.expand() {
-        parse_cell(&cell)?;
+        drop(parse_cell(&cell)?);
     }
     Ok(spec)
 }
@@ -392,7 +402,7 @@ mod tests {
 
     #[test]
     fn spec_axis_order_is_canonical_not_flag_order() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert("threads".to_string(), "1,8".to_string());
         flags.insert("alloc".to_string(), "glibc,hoard".to_string());
         flags.insert("reps".to_string(), "2".to_string());
@@ -405,7 +415,7 @@ mod tests {
 
     #[test]
     fn the_cell_bound_counts_reps_and_holds_at_its_edge() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert("threads".to_string(), "1,2".to_string());
         flags.insert("reps".to_string(), (MAX_SWEEP_CELLS / 2).to_string());
         assert_eq!(
@@ -421,7 +431,7 @@ mod tests {
 
     #[test]
     fn quick_preset_expands_to_full_alloc_structure_matrix() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert("quick".to_string(), String::new());
         let spec = spec_from_flags(&flags).unwrap();
         assert_eq!(spec.name, "sweep_quick");
@@ -435,8 +445,33 @@ mod tests {
     }
 
     #[test]
+    fn a_threadtest_quick_sweep_sets_only_the_keys_of_its_row() {
+        let flags: Flags = [("workload", "threadtest"), ("quick", "true")]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into();
+        let spec = spec_from_flags(&flags).unwrap();
+        let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(axes, ["alloc", "threads"]);
+        assert_eq!(spec.cell_count(), 4);
+        for cell in spec.expand() {
+            assert!(cell.iter().all(|(k, _)| k != "structure"), "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn a_switch_is_a_fixed_key_and_axes_follow_the_row() {
+        let flags: Flags = [("ctl", "true"), ("threads", "1,2"), ("shift", "4,5")]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into();
+        let spec = spec_from_flags(&flags).unwrap();
+        assert_eq!(spec.fixed, cfg(&[("workload", "synth"), ("ctl", "true")]));
+        let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(axes, ["shift", "threads"], "the stack's keys come first");
+    }
+
+    #[test]
     fn bad_workload_and_bad_values_are_errors_not_panics() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert("workload".to_string(), "quantum".to_string());
         assert!(spec_from_flags(&flags).is_err());
         assert!(run_cell(&cfg(&[("workload", "quantum")])).is_err());
@@ -470,7 +505,7 @@ mod tests {
             (&[("workload", "stamp")], "stamp sweep needs an app axis"),
         ];
         for (pairs, told) in cases {
-            let flags: HashMap<String, String> = pairs
+            let flags: Flags = pairs
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect();
@@ -545,7 +580,7 @@ mod tests {
 
     #[test]
     fn backend_axis_expands_and_rejects_typos() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert("backend".to_string(), "etl,norec,htm".to_string());
         flags.insert("alloc".to_string(), "glibc".to_string());
         let spec = spec_from_flags(&flags).unwrap();
@@ -591,7 +626,7 @@ mod tests {
 
     #[test]
     fn cm_axis_expands_and_rejects_typos() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert("cm".to_string(), "suicide,backoff,adaptive".to_string());
         flags.insert("alloc".to_string(), "glibc".to_string());
         let spec = spec_from_flags(&flags).unwrap();
@@ -638,7 +673,7 @@ mod tests {
 
     #[test]
     fn alloc_fault_axis_expands_and_rejects_typos() {
-        let mut flags = HashMap::new();
+        let mut flags = Flags::new();
         flags.insert(
             "alloc-fault".to_string(),
             "none,budget:4096,prob:1:64".to_string(),

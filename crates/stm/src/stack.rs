@@ -40,13 +40,19 @@ impl StackSpec {
         }
     }
 
+    /// The keys [`StackSpec::parse`] reads a value of: the flags a
+    /// front end that takes the whole stack includes by reference.
+    pub const KEYS: [&'static str; 5] = ["alloc", "backend", "cm", "alloc-fault", "shift"];
+
+    /// The bare switches [`StackSpec::parse`] reads (on when present).
+    pub const SWITCHES: [&'static str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
+
     /// The spec a `(key, value)` list describes — a sweep cell's config or
-    /// a subcommand's flags: `alloc`, `backend`, `cm`, `shift`,
-    /// `alloc-fault` and the bare `object-cache` / `ctl` / `write-through`
-    /// / `mix-hash` switches (on when present), each defaulting as
-    /// [`StackSpec::new`] does. A value that does not parse is an error
-    /// naming it, and so is a combination the STM does not run
-    /// ([`StmConfig::check`]). Other keys are ignored.
+    /// a subcommand's flags: [`StackSpec::KEYS`] and
+    /// [`StackSpec::SWITCHES`], each defaulting as [`StackSpec::new`]
+    /// does. A value that does not parse is an error naming it, and so is
+    /// a combination the STM does not run ([`StmConfig::check`]). Other
+    /// keys are ignored.
     pub fn parse(config: &[(String, String)]) -> Result<StackSpec, String> {
         let value = |key: &str| {
             config
@@ -192,7 +198,19 @@ mod tests {
                 s.stm.cm = CmKind::Adaptive;
             }),
         ];
+        let keys: Vec<&str> = cases
+            .iter()
+            .flat_map(|(pairs, _)| pairs.iter().map(|p| p.0))
+            .collect();
+        for key in StackSpec::KEYS.iter().chain(&StackSpec::SWITCHES) {
+            assert!(keys.contains(key), "{key} has no case");
+        }
         for (pairs, set) in cases {
+            assert!(
+                (pairs.iter())
+                    .all(|(k, _)| StackSpec::KEYS.contains(k) || StackSpec::SWITCHES.contains(k)),
+                "{pairs:?}: a key outside KEYS and SWITCHES"
+            );
             let mut want = StackSpec::new(AllocatorKind::TbbMalloc);
             set(&mut want);
             let got = StackSpec::parse(&config(pairs)).unwrap();

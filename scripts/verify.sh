@@ -94,6 +94,19 @@ for f in $(grep -rl --include='*.rs' 'AllocFaultPlan::parse(' crates/*/src | gre
   fi
 done
 
+# One flag table (DESIGN.md §3.2): each subcommand's row of
+# `tm_core::sweeps::SUBCOMMANDS` states the flags it reads, the stack's
+# part by reference to `StackSpec::KEYS`/`SWITCHES`, and a sweep takes its
+# workload's row. The hand-kept union of sweep axes, the copies of the
+# stack's keys and the plural `--seeds` stay gone. (`"seeds"` is searched
+# in the front end only: `ablation_variance` writes it as report meta.)
+echo "==> one flag table: SUBCOMMANDS rows are the only flag lists"
+if grep -rnwE --include='*.rs' 'AXIS_FLAGS|STACK_VALUES|STACK_SWITCHES' crates/*/src \
+  || grep -rnF --include='*.rs' '"seeds"' crates/core/src; then
+  echo "verify: a second flag list is back; state flags once, in a SUBCOMMANDS row"
+  exit 1
+fi
+
 # One event log, or none (DESIGN.md, "No event log"): the stack keeps no
 # event log, and each consumer records what it needs as plain data. The
 # `tm_obs::trace` ring stays inside crates/obs, where nothing in the stack

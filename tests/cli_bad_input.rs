@@ -6,7 +6,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use tm_core::sweeps::SUBCOMMANDS;
+use tm_core::sweeps::{row, sweep_row, Subcommand, SUBCOMMANDS};
 
 #[test]
 fn malformed_flag_values_exit_2_with_a_one_line_error() {
@@ -161,7 +161,7 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
         // The per-cell wall-clock budget is gone, with the retries.
         (
             &["sweep", "--timeout-ms", "5"],
-            "error: unknown flag '--timeout-ms' for tmstudy sweep\n",
+            "error: unknown flag '--timeout-ms' for tmstudy sweep --workload synth\n",
         ),
     ];
     for (argv, message) in table {
@@ -277,15 +277,15 @@ fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
             &[
                 "--threads",
                 wide,
-                "--seeds",
+                "--seed",
                 wide,
                 "--size",
                 wide,
                 "--ops",
                 wide,
-                "--pairs",
+                "--structure",
                 wide,
-                "--scale",
+                "--alloc",
                 wide,
                 "--shift",
                 wide,
@@ -315,9 +315,7 @@ fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
 
 /// One parser reads the stack's flags for every front end: each refusal
 /// prints the same message from `synth`, from `stamp` and, prefixed
-/// `sweep:`, from `sweep`. The sweep takes no bare switches (its row has
-/// only `--quick`), so the two refused switch combinations are compared
-/// between `synth` and `stamp` only.
+/// `sweep:`, from `sweep`, whose cells take the stack's switches too.
 #[test]
 fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
     let table: &[(&[&str], &str)] = &[
@@ -335,7 +333,10 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
             "invalid alloc-fault plan 'sometimes' (want none, budget:<bytes>, \
              class:<size>:<max-live>, site:<n>, or prob:<seed>:<denom>)",
         ),
-        (&["--alloc", "hord"], "unknown allocator 'hord'"),
+        (
+            &["--alloc", "hord"],
+            "unknown allocator 'hord' (valid allocators: glibc, hoard, tbb, tc)",
+        ),
         (
             &["--shift", "64"],
             "bad --shift '64' (a stripe shift is below 64)",
@@ -350,24 +351,16 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
         ),
     ];
     let out_file = std::env::temp_dir().join(format!("cli-stack-flag-{}.json", std::process::id()));
+    let out = out_file.to_str().unwrap();
     for (flags, message) in table {
-        let switches = flags
-            .iter()
-            .any(|f| *f == "--ctl" || *f == "--write-through");
-        let mut runs: Vec<(Vec<&str>, String)> = vec![
-            (vec!["synth"], format!("error: {message}\n")),
-            (
-                vec!["stamp", "--app", "genome"],
-                format!("error: {message}\n"),
-            ),
+        let runs: [(&[&str], String); 3] = [
+            (&["synth"], format!("error: {message}\n")),
+            (&["stamp", "--app", "genome"], format!("error: {message}\n")),
+            (&["sweep", "--out", out], format!("sweep: {message}\n")),
         ];
-        if !switches {
-            let out = out_file.to_str().unwrap();
-            runs.push((vec!["sweep", "--out", out], format!("sweep: {message}\n")));
-        }
         for (front, told) in runs {
             let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
-                .args(&front)
+                .args(front)
                 .args(*flags)
                 .output()
                 .expect("run tmstudy");
@@ -378,6 +371,58 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
         }
         assert!(!out_file.exists(), "{flags:?}: the sweep wrote a matrix");
     }
+}
+
+/// A sweep of workload `W` takes exactly `W`'s row of `SUBCOMMANDS` besides
+/// its own flags: a flag of any other row is refused, naming the flag and
+/// the workload, before any cell runs. Each of these used to be a label
+/// on cells whose workload never read it (`threadtest` cells named a
+/// backend, STAMP cells a structure).
+#[test]
+fn a_flag_outside_the_workloads_row_is_refused_by_its_sweep() {
+    let out_file = std::env::temp_dir().join(format!("cli-sweep-row-{}.json", std::process::id()));
+    let out = out_file.to_str().unwrap();
+    let flags = |row: &Subcommand| -> Vec<&str> {
+        let (_, values, switches) = *row;
+        (values.iter().flat_map(|group| group.iter()))
+            .chain(switches.iter())
+            .copied()
+            .collect()
+    };
+    let own = flags(row("sweep").expect("sweep has a row"));
+    let workloads = SUBCOMMANDS
+        .iter()
+        .filter(|(name, ..)| sweep_row(name).is_ok());
+    let mut refused = 0;
+    for w_row in workloads {
+        let (workload, ..) = *w_row;
+        let takes = flags(w_row);
+        let others = SUBCOMMANDS.iter().flat_map(flags);
+        let mut foreign: Vec<&str> = others
+            .filter(|f| !takes.contains(f) && !own.contains(f))
+            .collect();
+        foreign.sort_unstable();
+        foreign.dedup();
+        for flag in foreign {
+            let argv = ["sweep", "--workload", workload, &format!("--{flag}"), "1"];
+            let run = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+                .args(argv)
+                .args(["--out", out])
+                .output()
+                .expect("run tmstudy");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(2), "{argv:?}: {stderr}");
+            assert_eq!(
+                stderr,
+                format!("error: unknown flag '--{flag}' for tmstudy sweep --workload {workload}\n"),
+                "{argv:?}"
+            );
+            assert!(run.stdout.is_empty(), "{argv:?} ran");
+            assert!(!out_file.exists(), "{argv:?} wrote a matrix");
+            refused += 1;
+        }
+    }
+    assert!(refused > 0, "no workload row lacks another row's flag");
 }
 
 /// The allocator models size their per-thread tables by the machine's
