@@ -15,20 +15,21 @@
 //! Flags:
 //!
 //! ```text
-//! --only NAMES   run only these exhibits (comma-separated registry names)
+//! --only NAMES   run only these exhibits (a comma list of registry names)
 //! --out FILE     matrix destination (default results/make_all.sweep.json)
 //! --table        print the EXPERIMENTS.md determinism table and exit
 //! ```
 //!
-//! Any other argument, a flag without a value, a value that does not
-//! parse, a name that is not in the registry and a bad `TM_SIM_EXEC` or
-//! `TM_SCALE` are usage errors: one line on stderr, exit 2.
+//! Any other argument, a flag without a value or given twice, a value
+//! that does not parse, a name that is not in the registry and a bad
+//! `TM_SIM_EXEC` or `TM_SCALE` are usage errors: one line on stderr,
+//! exit 2.
 //!
 //! Host time per exhibit is each cell's `wall_ms` in the matrix; tracked
 //! performance numbers come from `bash benchmark/run.sh`.
 
 use tm_bench::exhibits;
-use tm_obs::spec::parse_flags;
+use tm_obs::spec::{list, parse_flags, value};
 use tm_obs::sweep::{run_spec, CellStatus, SweepSpec};
 
 fn usage_error(msg: String) -> ! {
@@ -45,19 +46,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = parse_flags("make_all", &[&["only", "out"]], &["table"], &args)
         .unwrap_or_else(|bad| usage_error(bad));
-    if flags.contains_key("table") {
+    if value(&flags, "table").is_some() {
         print!("{}", exhibits::experiments_table());
         return;
     }
-    let out = flags
-        .get("out")
-        .map_or("results/make_all.sweep.json", String::as_str);
+    let out = value(&flags, "out").unwrap_or("results/make_all.sweep.json");
 
     let registry: Vec<&str> = exhibits::REGISTRY.iter().map(|e| e.name).collect();
-    let names: Vec<&str> = flags
-        .get("only")
-        .map_or(registry.clone(), |list| list.split(',').collect());
-    if let Some(unknown) = names.iter().find(|n| !registry.contains(n)) {
+    let names: Vec<String> = list(&flags, "only")
+        .unwrap_or_else(|bad| usage_error(bad))
+        .unwrap_or_else(|| registry.iter().map(|n| n.to_string()).collect());
+    if let Some(unknown) = names.iter().find(|n| !registry.contains(&n.as_str())) {
         usage_error(format!(
             "unknown exhibit '{unknown}' (registry: {})",
             registry.join(", ")
@@ -65,7 +64,7 @@ fn main() {
     }
     let spec = SweepSpec::new("make_all").axis("exhibit", names);
     let report = run_spec(&spec, &|cfg| {
-        let name = &cfg.iter().find(|(k, _)| k == "exhibit").unwrap().1;
+        let name = value(cfg, "exhibit").expect("every cell names its exhibit");
         eprintln!("==> {name}");
         let report = exhibits::run_by_name(name)?;
         let path = format!("results/{name}.json");

@@ -135,6 +135,13 @@ fn only_takes_exact_names_and_each_exhibit_leaves_one_json() {
         ["make_all.sweep.json", "table1.json", "table2.json"]
     );
 
+    // A comma list drops its empty items, as a sweep axis does.
+    std::fs::remove_dir_all(dir.join("results")).unwrap();
+    let out = make_all("table1,");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(dir.join("results/table1.json").exists());
+    assert!(!dir.join("results/table2.json").exists());
+
     // A substring of a name is not a name; the error lists the registry.
     let out = make_all("table");
     assert_eq!(out.status.code(), Some(2));
@@ -178,6 +185,12 @@ fn bad_flag_values_are_one_line_usage_errors() {
             &["--only", "table2", "--retries", "0"],
             "error: unknown flag '--retries' for make_all",
         ),
+        // A flag given twice used to run its last value.
+        (
+            &["--only", "table1", "--only", "table2"],
+            "error: --only given twice",
+        ),
+        (&["--only", ","], "error: --only has no values"),
     ];
     for (argv, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_make_all"))

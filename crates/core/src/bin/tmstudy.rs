@@ -27,7 +27,7 @@ use tm_core::sweeps::{
 use tm_core::synthetic::run_synthetic;
 use tm_core::threadtest::run_threadtest;
 use tm_ds::StructureKind;
-use tm_obs::spec::Flags;
+use tm_obs::spec::{flag, list, value, Flags};
 use tm_stamp::runner::{make_app, profile_app, run_app_on};
 use tm_stamp::AppKind;
 use tm_stm::{BackendKind, CmKind, Stack, StackSpec};
@@ -104,9 +104,10 @@ fn usage() {
          each value a comma list (an axis), each switch set in every cell; at \
          most {MAX_SWEEP_CELLS} cells; every cell parses before any runs (a \
          refused value exits 2); exit 1 when a cell ends in `error`\n\
-         tokens: --alloc {} | --backend {} | --cm {} | --alloc-fault none, \
+         tokens: --structure {} | --alloc {} | --backend {} | --cm {} | --alloc-fault none, \
          budget:<bytes>, class:<size>:<max-live>, site:<n> or prob:<seed>:<denom>",
         workloads.collect::<Vec<_>>().join("|"),
+        StructureKind::ALL.map(StructureKind::token).join(","),
         AllocatorKind::ALL.map(AllocatorKind::token).join(","),
         BackendKind::ALL.map(BackendKind::name).join(","),
         CmKind::ALL.map(CmKind::name).join(","),
@@ -140,10 +141,10 @@ fn report(args: &[String]) {
 /// Write a matrix where `--out` says (default
 /// `results/<name>.<kind>.json`) and print its rendering.
 fn write_matrix<C: tm_obs::Cell>(flags: &Flags, report: &tm_obs::Matrix<C>, what: &str) {
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| format!("results/{}.{}.json", report.name, C::KIND));
+    let out = value(flags, "out").map_or_else(
+        || format!("results/{}.{}.json", report.name, C::KIND),
+        String::from,
+    );
     let dir = std::path::Path::new(&out).parent();
     ok_or_exit(
         dir.map_or(Ok(()), std::fs::create_dir_all)
@@ -166,10 +167,7 @@ fn exit_if_degraded(degraded: usize, what: &str) {
 /// Exit 1 when any cell ends in `error` — what makes a sweep usable as a
 /// gate.
 fn sweep(flags: &Flags) {
-    let spec = tm_core::sweeps::spec_from_flags(flags).unwrap_or_else(|e| {
-        eprintln!("sweep: {e}");
-        std::process::exit(2);
-    });
+    let spec = ok_or_exit(tm_core::sweeps::spec_from_flags(flags));
     eprintln!("sweep '{}': {} cells", spec.name, spec.cell_count());
     let report = tm_obs::sweep::run_spec(&spec, &tm_core::sweeps::run_cell);
     write_matrix(flags, &report, "matrix");
@@ -184,11 +182,11 @@ fn check(flags: &Flags) {
     use tm_mc::explore_check_cell;
     use tm_stm::InjectedBug;
 
-    let quick = flags.contains_key("quick");
+    let quick = value(flags, "quick").is_some();
     // Cross-backend differential suite: `--backend X` narrows it to one
     // backend (unknown values exit 2); by default every non-ETL backend
     // is diffed against the serial ETL reference.
-    let diff_backends: Vec<BackendKind> = match flags.get("backend") {
+    let diff_backends: Vec<BackendKind> = match value(flags, "backend") {
         Some(v) => vec![ok_or_exit(v.parse())],
         None => BackendKind::ALL
             .into_iter()
@@ -199,7 +197,7 @@ fn check(flags: &Flags) {
     // (unknown values exit 2); by default every non-SUICIDE policy is
     // diffed against the serial SUICIDE reference, trimmed to two
     // representative policies under `--quick`.
-    let diff_cms: Vec<CmKind> = match flags.get("cm") {
+    let diff_cms: Vec<CmKind> = match value(flags, "cm") {
         Some(v) => vec![ok_or_exit(v.parse())],
         None if quick => vec![CmKind::BackoffExp, CmKind::Adaptive],
         None => CmKind::ALL
@@ -207,13 +205,7 @@ fn check(flags: &Flags) {
             .filter(|c| *c != CmKind::Suicide)
             .collect(),
     };
-    let name = flags.get("name").cloned().unwrap_or_else(|| {
-        if quick {
-            "check-quick".into()
-        } else {
-            "check".into()
-        }
-    });
+    let name = value(flags, "name").unwrap_or(if quick { "check-quick" } else { "check" });
     let allocs: Vec<AllocatorKind> = if quick {
         vec![AllocatorKind::Glibc, AllocatorKind::TbbMalloc]
     } else {
@@ -294,7 +286,7 @@ fn check(flags: &Flags) {
     eprintln!("check '{name}': every-site OOM sweep…");
     cells.extend(tm_mc::oom_check_cells());
 
-    let mut report = tm_obs::CheckReport::new(&name)
+    let mut report = tm_obs::CheckReport::new(name)
         .meta("quick", quick)
         .meta("allocators", allocs.len())
         .meta("apps", apps.len());
@@ -311,12 +303,9 @@ fn check(flags: &Flags) {
 /// minimal failing site. Writes a `tm-oom-report/v1` document; exit 1
 /// on any unexpected verdict.
 fn mc_oom(flags: &Flags) {
-    let name = flags
-        .get("name")
-        .cloned()
-        .unwrap_or_else(|| "oom-quick".into());
+    let name = value(flags, "name").unwrap_or("oom-quick");
     eprintln!("mc '{name}': every-site OOM sweep (4 allocators × etl/norec × suicide/adaptive)…");
-    let report = tm_mc::oom_quick_report(&name);
+    let report = tm_mc::oom_quick_report(name);
     write_matrix(flags, &report, "oom report");
     exit_if_degraded(report.degraded(), "unexpected verdict(s)");
 }
@@ -353,65 +342,45 @@ fn mc(flags: &Flags) {
         .flat_map(|group| group.iter())
         .chain(*switches);
     for (mode, reads, why) in MC_SUITES {
-        if flags.contains_key(mode) {
+        if value(flags, mode).is_some() {
             let mut unread = row.clone().filter(|f| **f != mode && !reads.contains(f));
-            if let Some(flag) = unread.find(|f| flags.contains_key(**f)) {
+            if let Some(flag) = unread.find(|f| value(flags, f).is_some()) {
                 eprintln!("error: --{flag} does not apply to mc --{mode}: {why}");
                 std::process::exit(2);
             }
             break;
         }
     }
-    if flags.contains_key("oom") {
+    if value(flags, "oom").is_some() {
         return mc_oom(flags);
     }
-    let quick = flags.contains_key("quick");
-    let depth = get(flags, "depth", 3usize);
-    let budget = ok_or_exit(match get(flags, "budget", 200_000u64) {
-        0 => Err("bad --budget '0' (a sweep runs at least 1 schedule)".to_string()),
-        budget => Ok(budget),
-    });
-    let checkpoint = !flags.contains_key("no-checkpoint");
+    let quick = value(flags, "quick").is_some();
+    let depth = ok_or_exit(flag(flags, "depth", 3usize));
+    let budget = ok_or_exit(
+        flag(flags, "budget", 200_000u64).and_then(|budget| match budget {
+            0 => Err("bad --budget '0' (a sweep runs at least 1 schedule)".to_string()),
+            budget => Ok(budget),
+        }),
+    );
+    let checkpoint = value(flags, "no-checkpoint").is_none();
     // The targeted sweep's stack: `--alloc`, `--alloc-fault`, and the one
     // backend or CM a `--backend` or `--cm` narrows it to.
-    let spec = ok_or_exit(StackSpec::parse(&pairs(flags)));
-    let name = flags.get("name").cloned().unwrap_or_else(|| {
-        if quick {
-            "mc-quick".into()
-        } else {
-            "mc".into()
-        }
-    });
+    let spec = ok_or_exit(StackSpec::parse(flags));
+    let name = value(flags, "name").unwrap_or(if quick { "mc-quick" } else { "mc" });
     let started = std::time::Instant::now();
     let (mut report, work) = if quick {
         eprintln!("mc '{name}': mutation catalog + exhaustive clean sweep (depth {depth})…");
-        tm_mc::quick_report_opt(&name, depth, checkpoint)
+        tm_mc::quick_report_opt(name, depth, checkpoint)
     } else {
-        let backends = match flags.get("backend") {
+        let backends = match value(flags, "backend") {
             Some(_) => vec![spec.stm.backend],
             None => BackendKind::ALL.to_vec(),
         };
-        let cms = match flags.get("cm") {
+        let cms = match value(flags, "cm") {
             Some(_) => vec![spec.stm.cm],
             None => CmKind::ALL.to_vec(),
         };
-        let magnitudes: Vec<u64> = match flags.get("magnitudes") {
-            None => vec![400],
-            Some(list) => {
-                let parsed: Result<Vec<u64>, _> =
-                    list.split(',').map(|v| v.trim().parse()).collect();
-                match parsed {
-                    Ok(m) if !m.is_empty() => m,
-                    _ => {
-                        eprintln!(
-                            "error: --magnitudes takes a comma-separated list of \
-                             delay cycles (got '{list}')"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-        };
+        let magnitudes = ok_or_exit(list(flags, "magnitudes")).unwrap_or_else(|| vec![400]);
         // A fault plan makes the transfer program's allocations fallible,
         // so explore the allocating program when one is requested.
         let program = if spec.fault == AllocFaultPlan::None {
@@ -432,7 +401,7 @@ fn mc(flags: &Flags) {
             backends.len(),
             cms.len()
         );
-        let mut report = tm_obs::McReport::new(&name)
+        let mut report = tm_obs::McReport::new(name)
             .meta("mode", "sweep")
             .meta("depth", depth)
             .meta("budget", budget)
@@ -474,22 +443,15 @@ fn mc(flags: &Flags) {
 /// Render REPRODUCTION.md from results/*.json; `--check` compares against
 /// the committed copy instead of writing (exit 1 on drift).
 fn book(flags: &Flags) {
-    let dir = flags
-        .get("results")
-        .cloned()
-        .unwrap_or_else(|| "results".into());
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "REPRODUCTION.md".into());
-    let reports = ok_or_exit(tm_core::book::load_results_dir(&dir));
+    let dir = value(flags, "results").unwrap_or("results");
+    let out = value(flags, "out").unwrap_or("REPRODUCTION.md");
+    let reports = ok_or_exit(tm_core::book::load_results_dir(dir));
     let text = tm_core::book::render_book(&reports);
-    if flags.contains_key("stdout") {
+    if value(flags, "stdout").is_some() {
         print!("{text}");
-    } else if flags.contains_key("check") {
-        let committed = ok_or_exit(
-            std::fs::read_to_string(&out).map_err(|e| format!("cannot read {out}: {e}")),
-        );
+    } else if value(flags, "check").is_some() {
+        let committed =
+            ok_or_exit(std::fs::read_to_string(out).map_err(|e| format!("cannot read {out}: {e}")));
         if committed == text {
             println!("{out} is up to date with {dir}/*.json");
         } else {
@@ -500,15 +462,9 @@ fn book(flags: &Flags) {
             std::process::exit(1);
         }
     } else {
-        ok_or_exit(std::fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}")));
+        ok_or_exit(std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}")));
         println!("wrote {out} ({} exhibits)", reports.len());
     }
-}
-
-/// `--<key>` parsed as a `T`, or `default` when absent; a value that
-/// does not parse exits 2 with the canonical message.
-fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
-    ok_or_exit(tm_obs::spec::flag(flags, key, default))
 }
 
 /// Bad input exits 2 with a one-line `error:`; it never panics.
@@ -519,14 +475,8 @@ fn ok_or_exit<T>(r: Result<T, String>) -> T {
     })
 }
 
-/// The flags as the `(key, value)` list the `tm_core::sweeps` config
-/// builders read — the same builders that decode sweep cells.
-fn pairs(flags: &Flags) -> Vec<(String, String)> {
-    flags.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-}
-
 fn synth(flags: &Flags) {
-    let cfg = ok_or_exit(synth_config(&pairs(flags)));
+    let cfg = ok_or_exit(synth_config(flags));
     println!("config: {cfg:?}\n");
     let m = run_synthetic(&cfg);
     println!("virtual time : {:.6} s", m.seconds);
@@ -544,7 +494,7 @@ fn synth(flags: &Flags) {
 }
 
 fn stamp(flags: &Flags) {
-    let run = ok_or_exit(stamp_run(&pairs(flags)));
+    let run = ok_or_exit(stamp_run(flags));
     let app = run.app.unwrap_or(AppKind::Yada);
     let a = make_app(app, run.scale, run.seed);
     println!(
@@ -569,13 +519,13 @@ fn stamp(flags: &Flags) {
 }
 
 fn threadtest(flags: &Flags) {
-    let r = run_threadtest(&ok_or_exit(threadtest_config(&pairs(flags))));
+    let r = run_threadtest(&ok_or_exit(threadtest_config(flags)));
     println!("throughput : {:.2} M pairs/s", r.mops);
     println!("L1 miss    : {:.3} %", r.l1_miss * 100.0);
 }
 
 fn profile(flags: &Flags) {
-    let run = ok_or_exit(stamp_run(&pairs(flags)));
+    let run = ok_or_exit(stamp_run(flags));
     let app = run.app.unwrap_or(AppKind::Genome);
     let scale = run.scale;
     let a = make_app(app, scale, 0xace);
@@ -679,9 +629,9 @@ mod tests {
     #[test]
     fn no_checkpoint_flag_rejects_stray_tokens() {
         let parsed = flags("mc", &["--no-checkpoint", "--depth", "2"]).unwrap();
-        assert_eq!(parsed["no-checkpoint"], "true");
-        assert_eq!(parsed["depth"], "2");
-        assert!(!flags("mc", &[]).unwrap().contains_key("no-checkpoint"));
+        assert_eq!(value(&parsed, "no-checkpoint"), Some("true"));
+        assert_eq!(value(&parsed, "depth"), Some("2"));
+        assert_eq!(value(&flags("mc", &[]).unwrap(), "no-checkpoint"), None);
         let err = flags("mc", &["--no-checkpoint", "bogus"]).unwrap_err();
         assert!(err.contains("stray token 'bogus'"), "{err}");
     }
@@ -695,7 +645,10 @@ mod tests {
 
     #[test]
     fn oom_flag_rejects_stray_tokens() {
-        assert_eq!(flags("mc", &["--oom"]).unwrap()["oom"], "true");
+        assert_eq!(
+            value(&flags("mc", &["--oom"]).unwrap(), "oom"),
+            Some("true")
+        );
         let err = flags("mc", &["--oom", "bogus"]).unwrap_err();
         assert!(err.contains("--oom takes no value"), "{err}");
     }

@@ -1,9 +1,14 @@
 //! Cell runners and spec building for `tmstudy sweep`.
 //!
 //! A sweep cell is a flat `(key, value)` configuration produced by
-//! [`tm_obs::sweep::SweepSpec::expand`]; [`run_cell`] parses one such
-//! configuration into a library workload (synthetic structures, STAMP
-//! applications, threadtest), runs it and returns named scalar metrics.
+//! [`tm_obs::sweep::SweepSpec::expand`] — the same list
+//! [`tm_obs::spec::parse_flags`] makes of argv, so `tmstudy
+//! synth|stamp|threadtest|profile` hand their flags to the parsers cells
+//! use ([`synth_config`], [`stamp_run`], [`threadtest_config`]), and every
+//! key is read through [`tm_obs::spec`]'s `value`, `flag` and `list`.
+//! [`run_cell`] parses one such configuration into a library workload
+//! (synthetic structures, STAMP applications, threadtest), runs it and
+//! returns named scalar metrics.
 //! Everything returns `Result` rather than panicking so that a cell that
 //! fails degrades to an `error` cell in the matrix instead of taking down
 //! the whole sweep. [`tm_obs::sweep::run_spec`] runs the cells
@@ -22,7 +27,7 @@
 
 use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
-use tm_obs::spec::Flags;
+use tm_obs::spec::{flag, list, value, Flags};
 use tm_obs::sweep::SweepSpec;
 use tm_sim::MachineConfig;
 use tm_stamp::runner::{make_app, run_app_on, StampOpts};
@@ -32,30 +37,12 @@ use tm_stm::{Stack, StackSpec};
 use crate::synthetic::{run_synthetic, SyntheticConfig};
 use crate::threadtest::{run_threadtest, ThreadtestConfig};
 
-fn lookup<'a>(config: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    config
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
-fn parse<T: std::str::FromStr>(
-    config: &[(String, String)],
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match lookup(config, key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad {key} '{v}'")),
-    }
-}
-
 /// The `threads` key (default 8), checked against the cores of the
 /// machine the workload builds: the core count sizes every allocator
 /// model's per-thread tables and bounds `Sim::run`, so a count outside
 /// `1..=cores` is bad input here rather than a panic there.
 fn threads_of(config: &[(String, String)], machine: &MachineConfig) -> Result<usize, String> {
-    let (threads, cores) = (parse(config, "threads", 8)?, machine.cores);
+    let (threads, cores) = (flag(config, "threads", 8)?, machine.cores);
     if (1..=cores).contains(&threads) {
         Ok(threads)
     } else {
@@ -71,12 +58,7 @@ fn threads_of(config: &[(String, String)], machine: &MachineConfig) -> Result<us
 /// ([`StackSpec::parse`]), each defaulting as [`SyntheticConfig::scaled`]
 /// does. A value that does not parse is an error naming its key.
 pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, String> {
-    let structure = match lookup(config, "structure") {
-        Some("list") | Some("linked-list") => StructureKind::LinkedList,
-        Some("hash") | Some("hashset") => StructureKind::HashSet,
-        Some("rbtree") | Some("tree") | None => StructureKind::RbTree,
-        Some(other) => return Err(format!("unknown structure '{other}'")),
-    };
+    let structure = value(config, "structure").map_or(Ok(StructureKind::RbTree), str::parse)?;
     let spec = StackSpec::parse(config)?;
     let mut cfg = SyntheticConfig::scaled(structure, spec.alloc, 8);
     cfg.threads = threads_of(config, &cfg.machine)?;
@@ -88,12 +70,12 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
     cfg.design = spec.stm.design;
     cfg.write_mode = spec.stm.write_mode;
     cfg.ort_hash = spec.stm.ort_hash;
-    cfg.update_pct = parse(config, "update-pct", cfg.update_pct)?;
+    cfg.update_pct = flag(config, "update-pct", cfg.update_pct)?;
     if cfg.update_pct > 100 {
         return Err(format!("bad --update-pct '{}' (0..=100)", cfg.update_pct));
     }
     // The same derivations `scaled` makes from its own initial size.
-    cfg.initial_size = parse(config, "size", cfg.initial_size)?;
+    cfg.initial_size = flag(config, "size", cfg.initial_size)?;
     if cfg.initial_size == 0 {
         return Err("bad --size '0' (a structure starts with at least 1 element)".into());
     }
@@ -110,8 +92,8 @@ pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, Stri
     };
     cfg.key_range = key_range;
     cfg.buckets = buckets;
-    cfg.ops_per_thread = parse(config, "ops", cfg.ops_per_thread)?;
-    cfg.seed = parse(config, "seed", cfg.seed)?;
+    cfg.ops_per_thread = flag(config, "ops", cfg.ops_per_thread)?;
+    cfg.seed = flag(config, "seed", cfg.seed)?;
     Ok(cfg)
 }
 
@@ -141,17 +123,17 @@ const MAX_SCALE: u64 = u64::MAX / 192;
 /// input sizes overflow a `u64`. A scale that fits but exhausts the
 /// simulated heap is a failed run, not bad input.
 pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
-    let scale = parse(config, "scale", 2)?;
+    let scale = flag(config, "scale", 2)?;
     if !(1..=MAX_SCALE).contains(&scale) {
         return Err(format!("bad --scale '{scale}' (1..={MAX_SCALE})"));
     }
-    let app = lookup(config, "app").map(str::parse).transpose()?;
+    let app = value(config, "app").map(str::parse).transpose()?;
     let spec = StackSpec::parse(config)?;
     Ok(StampRun {
         app,
         threads: threads_of(config, &spec.machine)?,
         scale,
-        seed: parse(config, "seed", StampOpts::default().seed)?,
+        seed: flag(config, "seed", StampOpts::default().seed)?,
         spec,
     })
 }
@@ -164,8 +146,8 @@ pub fn threadtest_config(config: &[(String, String)]) -> Result<ThreadtestConfig
     Ok(ThreadtestConfig {
         allocator: spec.alloc,
         threads: threads_of(config, &spec.machine)?,
-        block_size: parse(config, "size", 64)?,
-        pairs_per_thread: parse(config, "pairs", 1000)?,
+        block_size: flag(config, "size", 64)?,
+        pairs_per_thread: flag(config, "pairs", 1000)?,
     })
 }
 
@@ -217,7 +199,7 @@ const WORKLOADS: [(&str, Parse); 3] = [
 /// The parse step of a sweep cell: its `workload` key (default `synth`)
 /// and the configuration that workload reads, or the parser's error.
 fn parse_cell(config: &[(String, String)]) -> Result<Run, String> {
-    let workload = lookup(config, "workload").unwrap_or("synth");
+    let workload = value(config, "workload").unwrap_or("synth");
     let (_, parse) = (WORKLOADS.iter())
         .find(|(name, _)| *name == workload)
         .ok_or(format!("unknown workload '{workload}'"))?;
@@ -289,9 +271,9 @@ pub fn sweep_row(workload: &str) -> Result<&'static Subcommand, String> {
 
 /// Parse `tmstudy <cmd>`'s arguments against `cmd`'s row of
 /// [`SUBCOMMANDS`] ([`tm_obs::spec::parse_flags`]). A sweep also takes the
-/// row of the workload its `--workload` names (`synth` by default; the
-/// last one, as the flag map keeps it): any other flag is refused, naming
-/// the flag and the workload.
+/// row of the workload its `--workload` names (`synth` by default): any
+/// other flag is refused, naming the flag and the workload, and so is a
+/// second `--workload`.
 pub fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let (_, values, switches) = row(cmd).ok_or(format!(
         "unknown subcommand '{cmd}' (tmstudy without arguments prints the usage)"
@@ -299,7 +281,7 @@ pub fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let mut program = format!("tmstudy {cmd}");
     let (mut values, mut switches) = (values.to_vec(), switches.to_vec());
     if cmd == "sweep" {
-        let workload = (args.iter().rposition(|a| a == "--workload"))
+        let workload = (args.iter().position(|a| a == "--workload"))
             .and_then(|at| args.get(at + 1))
             .filter(|w| !w.starts_with("--"))
             .map_or("synth", String::as_str);
@@ -318,48 +300,43 @@ pub const MAX_SWEEP_CELLS: u64 = 1 << 16;
 /// Build a [`SweepSpec`] from `tmstudy sweep` flags as [`parse_flags`]
 /// reads them. `--workload` (default `synth`) and each of its switches
 /// given become fixed keys, each of its value flags given (or preset by
-/// `--quick`) an axis, in its row's order, and `--reps N` appends a `rep`
-/// axis with values `1..=N`. A matrix of more than [`MAX_SWEEP_CELLS`]
-/// cells is refused before any is built.
-pub fn spec_from_flags(flags: &Flags) -> Result<SweepSpec, String> {
-    let workload = flags.get("workload").map_or("synth", String::as_str);
+/// `--quick`) an axis of the values its comma list names
+/// ([`tm_obs::spec::list`]), in its row's order, and `--reps N` appends a
+/// `rep` axis with values `1..=N`. A matrix of more than
+/// [`MAX_SWEEP_CELLS`] cells is refused before any is built.
+pub fn spec_from_flags(flags: &[(String, String)]) -> Result<SweepSpec, String> {
+    let workload = value(flags, "workload").unwrap_or("synth");
     let (_, values, switches) = sweep_row(workload)?;
-    let quick = flags.contains_key("quick");
-    let name = flags.get("name").cloned().unwrap_or_else(|| {
-        if quick {
-            "sweep_quick".into()
-        } else {
-            format!("sweep_{workload}")
-        }
-    });
+    let quick = value(flags, "quick").is_some();
+    let default = if quick {
+        "sweep_quick".to_string()
+    } else {
+        format!("sweep_{workload}")
+    };
+    let name = value(flags, "name").map_or(default, String::from);
     let mut spec = SweepSpec::new(name).fixed("workload", workload);
-    for &switch in switches.iter().filter(|s| flags.contains_key(**s)) {
-        spec = spec.fixed(switch, &flags[switch]);
+    for &switch in *switches {
+        if let Some(on) = value(flags, switch) {
+            spec = spec.fixed(switch, on);
+        }
     }
     for &f in values.iter().flat_map(|group| group.iter()) {
         // The `--quick` preset: the paper's synthetic allocator × structure
         // matrix at 8 threads, as far as the workload's row reaches.
-        let preset = match f {
+        let preset: Option<Vec<&str>> = match f {
             _ if !quick => None,
-            "structure" => Some("list,hash,rbtree".into()),
-            "alloc" => Some(AllocatorKind::ALL.map(AllocatorKind::token).join(",")),
-            "threads" => Some("8".into()),
+            "structure" => Some(StructureKind::ALL.map(StructureKind::token).to_vec()),
+            "alloc" => Some(AllocatorKind::ALL.map(AllocatorKind::token).to_vec()),
+            "threads" => Some(vec!["8"]),
             _ => None,
         };
-        if let Some(vals) = flags.get(f).cloned().or(preset) {
-            let values: Vec<String> = vals
-                .split(',')
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .collect();
-            if values.is_empty() {
-                return Err(format!("--{f} has no values"));
-            }
+        let preset = preset.map(|p| p.into_iter().map(String::from).collect());
+        if let Some(values) = list::<String>(flags, f)?.or(preset) {
             spec = spec.axis(f, values);
         }
     }
-    let reps: Option<u32> = (flags.contains_key("reps"))
-        .then(|| tm_obs::spec::flag(flags, "reps", 0))
+    let reps: Option<u32> = (value(flags, "reps").is_some())
+        .then(|| flag(flags, "reps", 0))
         .transpose()?;
     if reps == Some(0) {
         return Err("--reps must be at least 1".into());
@@ -402,10 +379,7 @@ mod tests {
 
     #[test]
     fn spec_axis_order_is_canonical_not_flag_order() {
-        let mut flags = Flags::new();
-        flags.insert("threads".to_string(), "1,8".to_string());
-        flags.insert("alloc".to_string(), "glibc,hoard".to_string());
-        flags.insert("reps".to_string(), "2".to_string());
+        let flags = cfg(&[("threads", "1,8"), ("alloc", "glibc,hoard"), ("reps", "2")]);
         let spec = spec_from_flags(&flags).unwrap();
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(axes, ["alloc", "threads", "rep"]);
@@ -415,41 +389,34 @@ mod tests {
 
     #[test]
     fn the_cell_bound_counts_reps_and_holds_at_its_edge() {
-        let mut flags = Flags::new();
-        flags.insert("threads".to_string(), "1,2".to_string());
-        flags.insert("reps".to_string(), (MAX_SWEEP_CELLS / 2).to_string());
+        let flags = |reps: u64| cfg(&[("threads", "1,2"), ("reps", &reps.to_string())]);
         assert_eq!(
-            spec_from_flags(&flags).unwrap().cell_count() as u64,
+            spec_from_flags(&flags(MAX_SWEEP_CELLS / 2))
+                .unwrap()
+                .cell_count() as u64,
             MAX_SWEEP_CELLS
         );
-        flags.insert("reps".to_string(), (MAX_SWEEP_CELLS / 2 + 1).to_string());
         assert_eq!(
-            spec_from_flags(&flags).unwrap_err(),
+            spec_from_flags(&flags(MAX_SWEEP_CELLS / 2 + 1)).unwrap_err(),
             "the sweep has 65538 cells, more than the bound of 65536"
         );
     }
 
     #[test]
     fn quick_preset_expands_to_full_alloc_structure_matrix() {
-        let mut flags = Flags::new();
-        flags.insert("quick".to_string(), String::new());
-        let spec = spec_from_flags(&flags).unwrap();
+        let spec = spec_from_flags(&cfg(&[("quick", "true")])).unwrap();
         assert_eq!(spec.name, "sweep_quick");
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(axes, ["structure", "alloc", "threads"]);
         assert_eq!(spec.cell_count(), 12);
         // Explicit axis flags override the preset values.
-        flags.insert("alloc".to_string(), "glibc".to_string());
-        let spec = spec_from_flags(&flags).unwrap();
+        let spec = spec_from_flags(&cfg(&[("quick", "true"), ("alloc", "glibc")])).unwrap();
         assert_eq!(spec.cell_count(), 3);
     }
 
     #[test]
     fn a_threadtest_quick_sweep_sets_only_the_keys_of_its_row() {
-        let flags: Flags = [("workload", "threadtest"), ("quick", "true")]
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .into();
-        let spec = spec_from_flags(&flags).unwrap();
+        let spec = spec_from_flags(&cfg(&[("workload", "threadtest"), ("quick", "true")])).unwrap();
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(axes, ["alloc", "threads"]);
         assert_eq!(spec.cell_count(), 4);
@@ -460,9 +427,7 @@ mod tests {
 
     #[test]
     fn a_switch_is_a_fixed_key_and_axes_follow_the_row() {
-        let flags: Flags = [("ctl", "true"), ("threads", "1,2"), ("shift", "4,5")]
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .into();
+        let flags = cfg(&[("ctl", "true"), ("threads", "1,2"), ("shift", "4,5")]);
         let spec = spec_from_flags(&flags).unwrap();
         assert_eq!(spec.fixed, cfg(&[("workload", "synth"), ("ctl", "true")]));
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
@@ -471,9 +436,7 @@ mod tests {
 
     #[test]
     fn bad_workload_and_bad_values_are_errors_not_panics() {
-        let mut flags = Flags::new();
-        flags.insert("workload".to_string(), "quantum".to_string());
-        assert!(spec_from_flags(&flags).is_err());
+        assert!(spec_from_flags(&cfg(&[("workload", "quantum")])).is_err());
         assert!(run_cell(&cfg(&[("workload", "quantum")])).is_err());
         assert!(run_cell(&cfg(&[("alloc", "jemalloc")])).is_err());
         assert!(
@@ -497,19 +460,16 @@ mod tests {
 
     #[test]
     fn a_typo_on_any_axis_is_an_error_of_the_whole_spec() {
-        let cases: [(&[(&str, &str)], &str); 5] = [
+        let cases: [(&[(&str, &str)], &str); 6] = [
             (&[("alloc", "glibc,hord")], "'hord'"),
             (&[("structure", "list,lst")], "unknown structure 'lst'"),
             (&[("workload", "stamp"), ("app", "genome,genom")], "'genom'"),
-            (&[("threads", "1,x")], "bad threads 'x'"),
+            (&[("threads", "1,x")], "bad --threads 'x'"),
+            (&[("alloc", ",")], "--alloc has no values"),
             (&[("workload", "stamp")], "stamp sweep needs an app axis"),
         ];
         for (pairs, told) in cases {
-            let flags: Flags = pairs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect();
-            let err = spec_from_flags(&flags).unwrap_err();
+            let err = spec_from_flags(&cfg(pairs)).unwrap_err();
             assert!(err.contains(told), "{pairs:?}: {err}");
         }
     }
@@ -580,16 +540,13 @@ mod tests {
 
     #[test]
     fn backend_axis_expands_and_rejects_typos() {
-        let mut flags = Flags::new();
-        flags.insert("backend".to_string(), "etl,norec,htm".to_string());
-        flags.insert("alloc".to_string(), "glibc".to_string());
-        let spec = spec_from_flags(&flags).unwrap();
+        let flags = |backend| cfg(&[("backend", backend), ("alloc", "glibc")]);
+        let spec = spec_from_flags(&flags("etl,norec,htm")).unwrap();
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(axes, ["alloc", "backend"]);
         assert_eq!(spec.cell_count(), 3);
 
-        flags.insert("backend".to_string(), "tl2".to_string());
-        let err = spec_from_flags(&flags).unwrap_err();
+        let err = spec_from_flags(&flags("tl2")).unwrap_err();
         assert!(
             err.contains("unknown backend 'tl2'") && err.contains("etl, norec, htm"),
             "{err}"
@@ -626,16 +583,13 @@ mod tests {
 
     #[test]
     fn cm_axis_expands_and_rejects_typos() {
-        let mut flags = Flags::new();
-        flags.insert("cm".to_string(), "suicide,backoff,adaptive".to_string());
-        flags.insert("alloc".to_string(), "glibc".to_string());
-        let spec = spec_from_flags(&flags).unwrap();
+        let flags = |cm| cfg(&[("cm", cm), ("alloc", "glibc")]);
+        let spec = spec_from_flags(&flags("suicide,backoff,adaptive")).unwrap();
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(axes, ["alloc", "cm"]);
         assert_eq!(spec.cell_count(), 3);
 
-        flags.insert("cm".to_string(), "polite".to_string());
-        let err = spec_from_flags(&flags).unwrap_err();
+        let err = spec_from_flags(&flags("polite")).unwrap_err();
         assert!(
             err.contains("unknown contention manager 'polite'")
                 && err.contains("suicide, backoff, karma, timestamp, serialize, adaptive"),
@@ -673,19 +627,13 @@ mod tests {
 
     #[test]
     fn alloc_fault_axis_expands_and_rejects_typos() {
-        let mut flags = Flags::new();
-        flags.insert(
-            "alloc-fault".to_string(),
-            "none,budget:4096,prob:1:64".to_string(),
-        );
-        flags.insert("alloc".to_string(), "glibc".to_string());
-        let spec = spec_from_flags(&flags).unwrap();
+        let flags = |plans| cfg(&[("alloc-fault", plans), ("alloc", "glibc")]);
+        let spec = spec_from_flags(&flags("none,budget:4096,prob:1:64")).unwrap();
         let axes: Vec<&str> = spec.axes.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(axes, ["alloc", "alloc-fault"]);
         assert_eq!(spec.cell_count(), 3);
 
-        flags.insert("alloc-fault".to_string(), "sometimes".to_string());
-        let err = spec_from_flags(&flags).unwrap_err();
+        let err = spec_from_flags(&flags("sometimes")).unwrap_err();
         assert!(
             err.contains("invalid alloc-fault plan 'sometimes'"),
             "{err}"

@@ -1,25 +1,32 @@
 //! Textual input the front ends share: argv and colon-separated specs.
 //!
-//! * [`parse_flags`] / [`flag`] — the argv rule of both binaries
-//!   (`tmstudy`, `make_all`): `--name value` or a bare `--switch`, checked
-//!   against the caller's table of the flags it understands, so a typo is
-//!   a usage error instead of a run on the defaults.
+//! * [`parse_flags`] — the argv rule of both binaries (`tmstudy`,
+//!   `make_all`): `--name value` or a bare `--switch`, checked against the
+//!   caller's table of the flags it understands, so a typo is a usage
+//!   error instead of a run on the defaults, and a flag given twice is
+//!   refused instead of one of its values winning.
+//! * [`value`] / [`flag`] / [`list`] — the one reader of a configuration:
+//!   the ordered `(key, value)` list that [`parse_flags`] returns and that
+//!   a sweep cell is. Every front end and every cell parser reads its
+//!   keys through these, so a bad value is always `bad --<key> '<v>'` and
+//!   a comma list always splits the same way.
 //! * [`kind`] / [`fields`] / [`int`] — the tokenizing layer under the
 //!   `<kind>:<field>[:<field>…]` grammar of the allocator fault plans
 //!   behind `--alloc-fault` (`tm-alloc`). The caller owns its kind table
 //!   and field semantics — these only answer "what are the pieces", never
 //!   "what do they mean".
 
-use std::collections::HashMap;
+use std::str::FromStr;
 
-/// Command-line flags: `--name value`, or a bare switch (value `true`).
-pub type Flags = HashMap<String, String>;
+/// A configuration: `(key, value)` pairs in the order given, each key at
+/// most once. A flag is `--name value`, or a bare switch (value `true`).
+pub type Flags = Vec<(String, String)>;
 
 /// Parse `args` against what `program` understands: `values` (groups of
 /// flags that take the next token) and bare `switches` (which take none).
 /// A flag in neither table, a token that is no flag, a value after a
-/// switch and a value flag left without one are usage errors naming the
-/// token.
+/// switch, a value flag left without one and a flag given twice are
+/// usage errors naming the token.
 pub fn parse_flags(
     program: &str,
     values: &[&[&str]],
@@ -32,28 +39,58 @@ pub fn parse_flags(
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("stray token '{arg}'"));
         };
-        let value = args.next_if(|next| !next.starts_with("--"));
-        let value = if values.iter().any(|part| part.contains(&name)) {
-            value.ok_or(format!("--{name} needs a value"))?.clone()
+        let given = args.next_if(|next| !next.starts_with("--"));
+        let given = if values.iter().any(|part| part.contains(&name)) {
+            given.ok_or(format!("--{name} needs a value"))?.clone()
         } else if switches.contains(&name) {
-            if let Some(stray) = value {
+            if let Some(stray) = given {
                 return Err(format!("--{name} takes no value (stray token '{stray}')"));
             }
             "true".to_string()
         } else {
             return Err(format!("unknown flag '--{name}' for {program}"));
         };
-        flags.insert(name.to_string(), value);
+        if value(&flags, name).is_some() {
+            return Err(format!("--{name} given twice"));
+        }
+        flags.push((name.to_string(), given));
     }
     Ok(flags)
 }
 
-/// `--<key>` parsed as a `T`, or `default` when absent; a value that does
-/// not parse is the canonical `bad --<key> '<value>'` usage error.
-pub fn flag<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
-    flags.get(key).map_or(Ok(default), |v| {
-        v.parse().map_err(|_| format!("bad --{key} '{v}'"))
-    })
+/// The value of `key` in `config`, if it is there.
+pub fn value<'a>(config: &'a [(String, String)], key: &str) -> Option<&'a str> {
+    (config.iter())
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+/// `key`'s value parsed as a `T`, or `default` when absent; a value that
+/// does not parse is the canonical `bad --<key> '<value>'` usage error.
+pub fn flag<T: FromStr>(config: &[(String, String)], key: &str, default: T) -> Result<T, String> {
+    value(config, key).map_or(Ok(default), |v| parse(key, v))
+}
+
+/// `key`'s value as a comma list of `T`s, or `None` when absent. Items are
+/// trimmed and empty ones dropped; a list with nothing left is
+/// `--<key> has no values`, and an item that does not parse is
+/// `bad --<key> '<item>'`.
+pub fn list<T: FromStr>(config: &[(String, String)], key: &str) -> Result<Option<Vec<T>>, String> {
+    let Some(raw) = value(config, key) else {
+        return Ok(None);
+    };
+    let items: Vec<T> = (raw.split(',').map(str::trim))
+        .filter(|item| !item.is_empty())
+        .map(|item| parse(key, item))
+        .collect::<Result<_, _>>()?;
+    if items.is_empty() {
+        return Err(format!("--{key} has no values"));
+    }
+    Ok(Some(items))
+}
+
+fn parse<T: FromStr>(key: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad --{key} '{v}'"))
 }
 
 /// Split a spec into its leading kind token and the remainder after the
@@ -137,10 +174,13 @@ mod tests {
             parse_flags("prog", &[&["jobs"], &["out"]], &["table"], &args)
         };
         let flags = parse(&["--jobs", "4", "--table", "--out", "m.json"]).unwrap();
+        let keys: Vec<&str> = flags.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["jobs", "table", "out"], "argv order");
         assert_eq!(flag(&flags, "jobs", 1usize), Ok(4));
         assert_eq!(flag(&flags, "absent", 7u64), Ok(7));
-        assert_eq!(flags["table"], "true");
-        assert_eq!(flags["out"], "m.json");
+        assert_eq!(value(&flags, "table"), Some("true"));
+        assert_eq!(value(&flags, "out"), Some("m.json"));
+        assert_eq!(value(&flags, "absent"), None);
         for (args, message) in [
             (&["--job", "4"][..], "unknown flag '--job' for prog"),
             (&["x"], "stray token 'x'"),
@@ -150,10 +190,41 @@ mod tests {
             ),
             (&["--jobs"], "--jobs needs a value"),
             (&["--jobs", "--table"], "--jobs needs a value"),
+            (
+                &["--jobs", "1", "--out", "a", "--jobs", "2"],
+                "--jobs given twice",
+            ),
+            (&["--table", "--table"], "--table given twice"),
+            (&["--jobs", "1", "--jobs", "1"], "--jobs given twice"),
         ] {
             assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
         }
         let flags = parse(&["--jobs", "x"]).unwrap();
         assert_eq!(flag(&flags, "jobs", 1usize).unwrap_err(), "bad --jobs 'x'");
+
+        // The one comma-list rule: items trimmed, empty ones dropped.
+        let config = |v: &str| vec![("k".to_string(), v.to_string())];
+        let strings = |v: &str| list::<String>(&config(v), "k");
+        assert_eq!(strings("a,b").unwrap(), Some(vec!["a".into(), "b".into()]));
+        assert_eq!(
+            strings(" a , b ").unwrap(),
+            Some(vec!["a".into(), "b".into()])
+        );
+        assert_eq!(
+            strings("a,").unwrap(),
+            Some(vec!["a".into()]),
+            "trailing comma"
+        );
+        assert_eq!(strings("a,,b").unwrap().map(|v| v.len()), Some(2));
+        for empty in [",", "", " , "] {
+            assert_eq!(
+                strings(empty).unwrap_err(),
+                "--k has no values",
+                "{empty:?}"
+            );
+        }
+        assert_eq!(list::<u64>(&config("1, 2"), "k"), Ok(Some(vec![1, 2])));
+        assert_eq!(list::<u64>(&config("1,x"), "k").unwrap_err(), "bad --k 'x'");
+        assert_eq!(list::<u64>(&config("1"), "absent"), Ok(None));
     }
 }

@@ -153,8 +153,8 @@ proptest! {
         }
     }
 
-    /// Any token vector parses to flags from the caller's table or to a
-    /// one-line error.
+    /// Any token vector parses to flags from the caller's table, each
+    /// named once, or to a one-line error.
     #[test]
     fn parse_flags_answers_any_argv_in_one_line(
         picks in prop::collection::vec(0usize..TOKENS.len(), 0..10),
@@ -162,7 +162,11 @@ proptest! {
         let args: Vec<String> = picks.iter().map(|&i| TOKENS[i].to_string()).collect();
         match parse_flags("tmstudy test", VALUES, SWITCHES, &args) {
             Ok(flags) => {
-                for (name, value) in &flags {
+                for (at, (name, value)) in flags.iter().enumerate() {
+                    prop_assert!(
+                        flags[..at].iter().all(|(k, _)| k != name),
+                        "{args:?} kept --{name} twice"
+                    );
                     let known = VALUES.iter().any(|g| g.contains(&name.as_str()));
                     prop_assert!(
                         known || SWITCHES.contains(&name.as_str()),

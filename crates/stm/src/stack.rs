@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor};
+use tm_obs::spec::{flag, value};
 use tm_sim::{MachineConfig, Sim};
 
 use crate::{LockDesign, OrtHash, Stm, StmConfig, WriteMode};
@@ -48,28 +49,20 @@ impl StackSpec {
     pub const SWITCHES: [&'static str; 4] = ["object-cache", "ctl", "write-through", "mix-hash"];
 
     /// The spec a `(key, value)` list describes — a sweep cell's config or
-    /// a subcommand's flags: [`StackSpec::KEYS`] and
-    /// [`StackSpec::SWITCHES`], each defaulting as [`StackSpec::new`]
-    /// does. A value that does not parse is an error naming it, and so is
-    /// a combination the STM does not run ([`StmConfig::check`]). Other
-    /// keys are ignored.
+    /// a subcommand's flags, read through [`tm_obs::spec`]:
+    /// [`StackSpec::KEYS`] and [`StackSpec::SWITCHES`], each defaulting as
+    /// [`StackSpec::new`] does. A value that does not parse is an error
+    /// naming it, and so is a combination the STM does not run
+    /// ([`StmConfig::check`]). Other keys are ignored.
     pub fn parse(config: &[(String, String)]) -> Result<StackSpec, String> {
-        let value = |key: &str| {
-            config
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        };
-        let on = |key| value(key).is_some();
+        let on = |key| value(config, key).is_some();
         let stm = StmConfig::default();
         let spec = StackSpec {
-            alloc: value("alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)?,
+            alloc: value(config, "alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)?,
             stm: StmConfig {
-                backend: value("backend").map_or(Ok(stm.backend), str::parse)?,
-                cm: value("cm").map_or(Ok(stm.cm), str::parse)?,
-                shift: value("shift").map_or(Ok(stm.shift), |v| {
-                    v.parse().map_err(|_| format!("bad shift '{v}'"))
-                })?,
+                backend: value(config, "backend").map_or(Ok(stm.backend), str::parse)?,
+                cm: value(config, "cm").map_or(Ok(stm.cm), str::parse)?,
+                shift: flag(config, "shift", stm.shift)?,
                 object_cache: on("object-cache"),
                 design: if on("ctl") {
                     LockDesign::Ctl
@@ -88,7 +81,8 @@ impl StackSpec {
                 },
                 ..stm
             },
-            fault: value("alloc-fault").map_or(Ok(AllocFaultPlan::None), AllocFaultPlan::parse)?,
+            fault: value(config, "alloc-fault")
+                .map_or(Ok(AllocFaultPlan::None), AllocFaultPlan::parse)?,
             ..StackSpec::new(AllocatorKind::TbbMalloc)
         };
         spec.stm.check()?;

@@ -107,6 +107,22 @@ if grep -rnwE --include='*.rs' 'AXIS_FLAGS|STACK_VALUES|STACK_SWITCHES' crates/*
   exit 1
 fi
 
+# One config reader (DESIGN.md §3.2): argv, a sweep cell and the stack's
+# flags are one ordered `(key, value)` list, read through `tm_obs::spec`'s
+# `value`, `flag` and `list`. Above each file's `#[cfg(test)]` line the
+# flag map stays out of spec.rs, no other library file splits a comma
+# list by hand, and the front end's private readers stay gone.
+echo "==> one config reader: tm_obs::spec reads every (key, value) list"
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  above="$(sed '/^#\[cfg(test)\]/q' "$f")"
+  if { [ "$f" = crates/obs/src/spec.rs ] && grep -nw 'HashMap' <<<"$above"; } ||
+    { [ "$f" != crates/obs/src/spec.rs ] && grep -nE "\.split\((','|\",\")\)" <<<"$above"; } ||
+    { [[ "$f" == crates/core/src/* ]] && grep -nE 'fn (pairs|lookup)\(' <<<"$above"; }; then
+    echo "verify: $f reads a config by hand; use tm_obs::spec::{value, flag, list}"
+    exit 1
+  fi
+done
+
 # One event log, or none (DESIGN.md, "No event log"): the stack keeps no
 # event log, and each consumer records what it needs as plain data. The
 # `tm_obs::trace` ring stays inside crates/obs, where nothing in the stack

@@ -163,6 +163,51 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
             &["sweep", "--timeout-ms", "5"],
             "error: unknown flag '--timeout-ms' for tmstudy sweep --workload synth\n",
         ),
+        // A flag given twice kept its last value: this ran TCMalloc on 2
+        // threads, and `synth` printed `threads: 2` in its config.
+        (
+            &[
+                "threadtest",
+                "--alloc",
+                "glibc",
+                "--threads",
+                "1",
+                "--threads",
+                "2",
+                "--pairs",
+                "10",
+                "--alloc",
+                "tc",
+            ],
+            "error: --threads given twice\n",
+        ),
+        (
+            &["synth", "--threads", "1", "--threads", "2"],
+            "error: --threads given twice\n",
+        ),
+        (
+            &["sweep", "--workload", "synth", "--workload", "stamp"],
+            "error: --workload given twice\n",
+        ),
+        // A value that does not parse is one message form, whichever
+        // reader reads it.
+        (&["synth", "--threads", "x"], "error: bad --threads 'x'\n"),
+        (&["synth", "--ops", "x"], "error: bad --ops 'x'\n"),
+        (&["synth", "--shift", "x"], "error: bad --shift 'x'\n"),
+        (&["stamp", "--seed", "x"], "error: bad --seed 'x'\n"),
+        (&["threadtest", "--pairs", "x"], "error: bad --pairs 'x'\n"),
+        (
+            &["sweep", "--threads", "1,x", "--out", "/dev/null/x.json"],
+            "error: bad --threads 'x'\n",
+        ),
+        (
+            &["mc", "--magnitudes", ",", "--out", "/dev/null/x.json"],
+            "error: --magnitudes has no values\n",
+        ),
+        (
+            &["mc", "--magnitudes", "400,x", "--out", "/dev/null/x.json"],
+            "error: bad --magnitudes 'x'\n",
+        ),
     ];
     for (argv, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
@@ -268,7 +313,7 @@ fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
         (&["--alloc", "hord"], "unknown allocator 'hord'"),
         (&["--structure", "lst"], "unknown structure 'lst'"),
         (&["--workload", "stamp", "--app", "genom"], "'genom'"),
-        (&["--threads", "1,x"], "bad threads 'x'"),
+        (&["--threads", "1,x"], "bad --threads 'x'"),
         (
             &["--reps", "4294967295"],
             "the sweep has 4294967295 cells, more than the bound of 65536",
@@ -314,8 +359,8 @@ fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
 }
 
 /// One parser reads the stack's flags for every front end: each refusal
-/// prints the same message from `synth`, from `stamp` and, prefixed
-/// `sweep:`, from `sweep`, whose cells take the stack's switches too.
+/// prints the same `error:` line from `synth`, from `stamp` and from
+/// `sweep`, whose cells take the stack's switches too.
 #[test]
 fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
     let table: &[(&[&str], &str)] = &[
@@ -356,7 +401,7 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
         let runs: [(&[&str], String); 3] = [
             (&["synth"], format!("error: {message}\n")),
             (&["stamp", "--app", "genome"], format!("error: {message}\n")),
-            (&["sweep", "--out", out], format!("sweep: {message}\n")),
+            (&["sweep", "--out", out], format!("error: {message}\n")),
         ];
         for (front, told) in runs {
             let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
@@ -568,15 +613,15 @@ proptest! {
 
     /// The whole flag surface: any `SUBCOMMANDS` row, a run of flags it
     /// accepts, and one token `parse_flags` must refuse — an unknown flag,
-    /// a stray positional, or a value flag with no value — is exit 2 and
-    /// one stderr line, never a panic (101) or a signal. The refused token
-    /// sits between whole flags, so no argv built here parses and none
-    /// starts a run.
+    /// a stray positional, a value flag with no value, or an accepted flag
+    /// given a second time — is exit 2 and one stderr line, never a panic
+    /// (101) or a signal. The refused token sits between whole flags, so
+    /// no argv built here parses and none starts a run.
     #[test]
     fn a_refused_token_on_any_subcommand_is_one_line_and_exit_2(
         row in 0usize..SUBCOMMANDS.len(),
         picks in prop::collection::vec(any::<u64>(), 0..6),
-        kind in 0usize..3,
+        kind in 0usize..4,
         at in any::<u64>(),
     ) {
         let (cmd, values, switches) = SUBCOMMANDS[row];
@@ -586,20 +631,31 @@ proptest! {
             .chain(switches.iter().map(|&s| (s, false)))
             .collect();
         let flag = |name: &str| format!("--{name}");
-        let mut groups: Vec<Vec<String>> = Vec::new();
-        for p in picks.iter().filter(|_| !accepted.is_empty()) {
-            match accepted[*p as usize % accepted.len()] {
-                (name, true) => groups.push(vec![flag(name), "1".to_string()]),
-                (name, false) => groups.push(vec![flag(name)]),
-            }
-        }
-        let takes_value: Vec<&str> = accepted.iter().filter(|f| f.1).map(|f| f.0).collect();
-        let refused = match kind {
-            1 => "stray".to_string(),
-            2 if !takes_value.is_empty() => flag(takes_value[at as usize % takes_value.len()]),
-            _ => "--no-such-flag".to_string(),
+        // Every value is `1`, but a sweep reads `--workload` before the
+        // rest of its argv: it names one.
+        let group = |(name, takes_value): (&str, bool)| match (name, takes_value) {
+            ("workload", _) => vec![flag(name), "synth".to_string()],
+            (_, true) => vec![flag(name), "1".to_string()],
+            (_, false) => vec![flag(name)],
         };
-        groups.insert(at as usize % (groups.len() + 1), vec![refused]);
+        let mut groups: Vec<Vec<String>> = (picks.iter())
+            .filter(|_| !accepted.is_empty())
+            .map(|p| group(accepted[*p as usize % accepted.len()]))
+            .collect();
+        let takes_value: Vec<&str> = accepted.iter().filter(|f| f.1).map(|f| f.0).collect();
+        let twice = kind == 3 && !accepted.is_empty();
+        let refused = match kind {
+            1 => vec!["stray".to_string()],
+            2 if !takes_value.is_empty() => vec![flag(takes_value[at as usize % takes_value.len()])],
+            3 if twice => {
+                // The same flag twice, whatever else the picks repeat.
+                let repeated = group(accepted[at as usize % accepted.len()]);
+                groups.insert(at as usize % (groups.len() + 1), repeated.clone());
+                repeated
+            }
+            _ => vec!["--no-such-flag".to_string()],
+        };
+        groups.insert(at as usize % (groups.len() + 1), refused);
         let argv: Vec<String> = groups.concat();
         let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
             .arg(cmd)
@@ -610,6 +666,13 @@ proptest! {
         prop_assert_eq!(out.status.code(), Some(2), "{} {:?}: {}", cmd, argv, stderr);
         prop_assert!(
             stderr.lines().count() == 1 && stderr.starts_with("error: "),
+            "{} {:?}: {}",
+            cmd,
+            argv,
+            stderr
+        );
+        prop_assert!(
+            !twice || stderr.contains(" given twice"),
             "{} {:?}: {}",
             cmd,
             argv,
