@@ -70,16 +70,19 @@ fn class_of(size: u64) -> u64 {
 }
 
 impl AllocFaultPlan {
-    /// Parse the CLI grammar shared by every `--alloc-fault` flag:
-    /// `none` | `budget:<bytes>` | `class:<size>:<max-live>` |
-    /// `site:<n>` | `prob:<seed>:<denom>`. Integers are decimal or
-    /// `0x`-hex. Errors name the full grammar so the exit-2 path can
-    /// print them verbatim.
+    /// The CLI grammar of every `--alloc-fault` flag, as the refusal of a
+    /// bad plan and the usage text state it.
+    pub const GRAMMAR: &'static str =
+        "none, budget:<bytes>, class:<size>:<max-live>, site:<n>, or prob:<seed>:<denom>";
+
+    /// Parse [`AllocFaultPlan::GRAMMAR`], shared by every `--alloc-fault`
+    /// flag. Integers are decimal or `0x`-hex. Errors name the full
+    /// grammar so the exit-2 path can print them verbatim.
     pub fn parse(raw: &str) -> Result<AllocFaultPlan, String> {
         let bad = || {
             format!(
-                "invalid alloc-fault plan '{raw}' (want none, budget:<bytes>, \
-                 class:<size>:<max-live>, site:<n>, or prob:<seed>:<denom>)"
+                "invalid alloc-fault plan '{raw}' (want {})",
+                AllocFaultPlan::GRAMMAR
             )
         };
         if raw == "none" {

@@ -286,8 +286,9 @@ impl AllocatorKind {
         }
     }
 
-    /// Command-line token (`--alloc tbb`), the one spelling the sweep
-    /// axes, presets and usage text take from [`AllocatorKind::ALL`].
+    /// Command-line token (`--alloc tbb`), the kind's one spelling:
+    /// `--alloc` matches it exactly, and the sweep axes, presets and usage
+    /// text take it from [`AllocatorKind::ALL`].
     pub fn token(self) -> &'static str {
         match self {
             AllocatorKind::Glibc => "glibc",
@@ -305,24 +306,6 @@ impl AllocatorKind {
             AllocatorKind::TbbMalloc => Arc::new(TbbAllocator::new(sim)),
             AllocatorKind::TcMalloc => Arc::new(TcAllocator::new(sim)),
         }
-    }
-}
-
-impl std::str::FromStr for AllocatorKind {
-    type Err = String;
-    /// The inverse of [`AllocatorKind::token`], in any case; the display
-    /// name (`tbbmalloc`, `tcmalloc`) and glibc's `ptmalloc` are aliases.
-    /// An unknown token is refused with the list of valid ones.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let valid = AllocatorKind::ALL.map(AllocatorKind::token).join(", ");
-        let token = if s.eq_ignore_ascii_case("ptmalloc") {
-            "glibc"
-        } else {
-            s
-        };
-        (AllocatorKind::ALL.into_iter())
-            .find(|k| k.token().eq_ignore_ascii_case(token) || k.name().eq_ignore_ascii_case(token))
-            .ok_or_else(|| format!("unknown allocator '{s}' (valid allocators: {valid})"))
     }
 }
 
@@ -511,26 +494,28 @@ mod tests {
 
     #[test]
     fn kind_parse() {
+        let parse = |s| tm_obs::spec::one_of("--alloc", &AllocatorKind::ALL, |k| k.token(), s);
         for kind in AllocatorKind::ALL {
-            assert_eq!(kind.token().parse::<AllocatorKind>(), Ok(kind));
+            assert_eq!(parse(kind.token()), Ok(&kind));
         }
-        // The aliases the parser has always taken, in any case.
-        let aliases = [
-            ("ptmalloc", AllocatorKind::Glibc),
-            ("GLIBC", AllocatorKind::Glibc),
-            ("Hoard", AllocatorKind::Hoard),
-            ("tbbmalloc", AllocatorKind::TbbMalloc),
-            ("TBB", AllocatorKind::TbbMalloc),
-            ("TCMalloc", AllocatorKind::TcMalloc),
-            ("tcmalloc", AllocatorKind::TcMalloc),
-        ];
-        for (alias, kind) in aliases {
-            assert_eq!(alias.parse::<AllocatorKind>(), Ok(kind), "{alias}");
+        // One spelling: the display names, glibc's `ptmalloc` and another
+        // case are not tokens.
+        for alias in [
+            "ptmalloc",
+            "GLIBC",
+            "Hoard",
+            "tbbmalloc",
+            "TBB",
+            "TCMalloc",
+            "tcmalloc",
+        ] {
+            assert_eq!(
+                parse(alias),
+                Err(format!(
+                    "bad --alloc '{alias}' (valid: glibc, hoard, tbb, tc)"
+                )),
+            );
         }
-        assert_eq!(
-            "jemalloc".parse::<AllocatorKind>(),
-            Err("unknown allocator 'jemalloc' (valid allocators: glibc, hoard, tbb, tc)".into())
-        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! performance numbers come from `bash benchmark/run.sh`.
 
 use tm_bench::exhibits;
-use tm_obs::spec::{list, parse_flags, value};
+use tm_obs::spec::{list, one_of, parse_flags, value};
 use tm_obs::sweep::{run_spec, CellStatus, SweepSpec};
 
 fn usage_error(msg: String) -> ! {
@@ -52,15 +52,12 @@ fn main() {
     }
     let out = value(&flags, "out").unwrap_or("results/make_all.sweep.json");
 
-    let registry: Vec<&str> = exhibits::REGISTRY.iter().map(|e| e.name).collect();
     let names: Vec<String> = list(&flags, "only")
         .unwrap_or_else(|bad| usage_error(bad))
-        .unwrap_or_else(|| registry.iter().map(|n| n.to_string()).collect());
-    if let Some(unknown) = names.iter().find(|n| !registry.contains(&n.as_str())) {
-        usage_error(format!(
-            "unknown exhibit '{unknown}' (registry: {})",
-            registry.join(", ")
-        ));
+        .unwrap_or_else(|| exhibits::REGISTRY.iter().map(|e| e.name.into()).collect());
+    for name in &names {
+        one_of("--only", exhibits::REGISTRY, |e| e.name, name)
+            .unwrap_or_else(|bad| usage_error(bad));
     }
     let spec = SweepSpec::new("make_all").axis("exhibit", names);
     let report = run_spec(&spec, &|cfg| {

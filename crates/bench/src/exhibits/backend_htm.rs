@@ -78,7 +78,7 @@ pub fn run() -> crate::RunReport {
         "commit path",
     ];
     crate::RunReport::new("backend_htm", "ablation")
-        .backend("htm")
+        .backend(BackendKind::SimHtm.name())
         .meta("scale", crate::scale())
         .meta("threads", 1)
         .section("data", crate::table_section(&header, &rows))

@@ -37,7 +37,7 @@ pub fn run() -> crate::RunReport {
         "aborts (norec)",
     ];
     crate::RunReport::new("backend_norec", "ablation")
-        .backend("norec")
+        .backend(BackendKind::Norec.name())
         .meta("scale", crate::scale())
         .meta("threads", 8)
         .section("data", crate::table_section(&header, &rows))

@@ -142,16 +142,23 @@ fn only_takes_exact_names_and_each_exhibit_leaves_one_json() {
     assert!(dir.join("results/table1.json").exists());
     assert!(!dir.join("results/table2.json").exists());
 
-    // A substring of a name is not a name; the error lists the registry.
-    let out = make_all("table");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.starts_with("error: unknown exhibit 'table'"),
-        "stderr: {stderr}"
-    );
-    for exhibit in tm_bench::exhibits::REGISTRY {
-        assert!(stderr.contains(exhibit.name), "stderr: {stderr}");
+    // A substring of a name, or the name in another case, is not a name;
+    // the error lists the registry.
+    std::fs::remove_dir_all(dir.join("results")).unwrap();
+    let registry: Vec<&str> = (tm_bench::exhibits::REGISTRY.iter())
+        .map(|e| e.name)
+        .collect();
+    let upper = registry.iter().map(|name| name.to_uppercase());
+    for only in std::iter::once("table".to_string()).chain(upper) {
+        let out = make_all(&only);
+        assert_eq!(out.status.code(), Some(2), "{only}");
+        let told = format!(
+            "error: bad --only '{only}' (valid: {})\n",
+            registry.join(", ")
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stderr), told);
+        assert!(out.stdout.is_empty(), "{only} ran");
+        assert!(!dir.join("results").exists(), "{only} ran an exhibit");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -191,6 +198,10 @@ fn bad_flag_values_are_one_line_usage_errors() {
             "error: --only given twice",
         ),
         (&["--only", ","], "error: --only has no values"),
+        (
+            &["--only", "table1,table1"],
+            "error: --only lists 'table1' twice",
+        ),
     ];
     for (argv, message) in table {
         let out = Command::new(env!("CARGO_BIN_EXE_make_all"))

@@ -104,13 +104,15 @@ fn usage() {
          each value a comma list (an axis), each switch set in every cell; at \
          most {MAX_SWEEP_CELLS} cells; every cell parses before any runs (a \
          refused value exits 2); exit 1 when a cell ends in `error`\n\
-         tokens: --structure {} | --alloc {} | --backend {} | --cm {} | --alloc-fault none, \
-         budget:<bytes>, class:<size>:<max-live>, site:<n> or prob:<seed>:<denom>",
+         tokens: --structure {} | --alloc {} | --app {} | --backend {} | --cm {} | \
+         --alloc-fault {}",
         workloads.collect::<Vec<_>>().join("|"),
         StructureKind::ALL.map(StructureKind::token).join(","),
         AllocatorKind::ALL.map(AllocatorKind::token).join(","),
+        AppKind::ALL.map(AppKind::token).join(","),
         BackendKind::ALL.map(BackendKind::name).join(","),
         CmKind::ALL.map(CmKind::name).join(","),
+        AllocFaultPlan::GRAMMAR,
     );
 }
 
@@ -134,7 +136,10 @@ fn report(args: &[String]) {
                 std::process::exit(1);
             }
         },
-        _ => usage(),
+        _ => ok_or_exit(Err(format!(
+            "report takes one or two files, not {}",
+            args.len()
+        ))),
     }
 }
 
@@ -183,11 +188,13 @@ fn check(flags: &Flags) {
     use tm_stm::InjectedBug;
 
     let quick = value(flags, "quick").is_some();
+    // `--backend` and `--cm`, read by the one stack parser.
+    let spec = ok_or_exit(StackSpec::parse(flags));
     // Cross-backend differential suite: `--backend X` narrows it to one
     // backend (unknown values exit 2); by default every non-ETL backend
     // is diffed against the serial ETL reference.
     let diff_backends: Vec<BackendKind> = match value(flags, "backend") {
-        Some(v) => vec![ok_or_exit(v.parse())],
+        Some(_) => vec![spec.stm.backend],
         None => BackendKind::ALL
             .into_iter()
             .filter(|b| *b != BackendKind::Etl)
@@ -198,7 +205,7 @@ fn check(flags: &Flags) {
     // diffed against the serial SUICIDE reference, trimmed to two
     // representative policies under `--quick`.
     let diff_cms: Vec<CmKind> = match value(flags, "cm") {
-        Some(v) => vec![ok_or_exit(v.parse())],
+        Some(_) => vec![spec.stm.cm],
         None if quick => vec![CmKind::BackoffExp, CmKind::Adaptive],
         None => CmKind::ALL
             .into_iter()

@@ -5,7 +5,9 @@
 //! [`tm_obs::spec::parse_flags`] makes of argv, so `tmstudy
 //! synth|stamp|threadtest|profile` hand their flags to the parsers cells
 //! use ([`synth_config`], [`stamp_run`], [`threadtest_config`]), and every
-//! key is read through [`tm_obs::spec`]'s `value`, `flag` and `list`.
+//! key is read through [`tm_obs::spec`]'s `value`, `flag`, `choice` and
+//! `list`. A name — a kind, a workload, a subcommand — is its exact token,
+//! looked up by [`tm_obs::spec::one_of`].
 //! [`run_cell`] parses one such configuration into a library workload
 //! (synthetic structures, STAMP applications, threadtest), runs it and
 //! returns named scalar metrics.
@@ -27,7 +29,7 @@
 
 use tm_alloc::AllocatorKind;
 use tm_ds::StructureKind;
-use tm_obs::spec::{flag, list, value, Flags};
+use tm_obs::spec::{choice, flag, list, one_of, value, Flags};
 use tm_obs::sweep::SweepSpec;
 use tm_sim::MachineConfig;
 use tm_stamp::runner::{make_app, run_app_on, StampOpts};
@@ -58,7 +60,13 @@ fn threads_of(config: &[(String, String)], machine: &MachineConfig) -> Result<us
 /// ([`StackSpec::parse`]), each defaulting as [`SyntheticConfig::scaled`]
 /// does. A value that does not parse is an error naming its key.
 pub fn synth_config(config: &[(String, String)]) -> Result<SyntheticConfig, String> {
-    let structure = value(config, "structure").map_or(Ok(StructureKind::RbTree), str::parse)?;
+    let structure = choice(
+        config,
+        "structure",
+        &StructureKind::ALL,
+        |k| k.token(),
+        StructureKind::RbTree,
+    )?;
     let spec = StackSpec::parse(config)?;
     let mut cfg = SyntheticConfig::scaled(structure, spec.alloc, 8);
     cfg.threads = threads_of(config, &cfg.machine)?;
@@ -127,7 +135,9 @@ pub fn stamp_run(config: &[(String, String)]) -> Result<StampRun, String> {
     if !(1..=MAX_SCALE).contains(&scale) {
         return Err(format!("bad --scale '{scale}' (1..={MAX_SCALE})"));
     }
-    let app = value(config, "app").map(str::parse).transpose()?;
+    let app = value(config, "app")
+        .map(|v| one_of("--app", &AppKind::ALL, |k| k.token(), v).copied())
+        .transpose()?;
     let spec = StackSpec::parse(config)?;
     Ok(StampRun {
         app,
@@ -200,9 +210,7 @@ const WORKLOADS: [(&str, Parse); 3] = [
 /// and the configuration that workload reads, or the parser's error.
 fn parse_cell(config: &[(String, String)]) -> Result<Run, String> {
     let workload = value(config, "workload").unwrap_or("synth");
-    let (_, parse) = (WORKLOADS.iter())
-        .find(|(name, _)| *name == workload)
-        .ok_or(format!("unknown workload '{workload}'"))?;
+    let (_, parse) = one_of("--workload", &WORKLOADS, |w| w.0, workload)?;
     parse(config)
 }
 
@@ -255,18 +263,15 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     ("book", &[&["results", "out"]], &["stdout", "check"]),
 ];
 
-/// `cmd`'s row of [`SUBCOMMANDS`].
-pub fn row(cmd: &str) -> Option<&'static Subcommand> {
-    SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd)
+/// `cmd`'s row of [`SUBCOMMANDS`], or the refusal of a name no row has.
+pub fn row(cmd: &str) -> Result<&'static Subcommand, String> {
+    one_of("subcommand", SUBCOMMANDS, |r| r.0, cmd)
 }
 
 /// The row of [`SUBCOMMANDS`] a sweep of `workload` reads, or the
 /// refusal of a name no sweep runs.
 pub fn sweep_row(workload: &str) -> Result<&'static Subcommand, String> {
-    (WORKLOADS.iter().any(|(name, _)| *name == workload))
-        .then(|| row(workload))
-        .flatten()
-        .ok_or(format!("unknown workload '{workload}'"))
+    row(one_of("--workload", &WORKLOADS, |w| w.0, workload)?.0)
 }
 
 /// Parse `tmstudy <cmd>`'s arguments against `cmd`'s row of
@@ -275,9 +280,7 @@ pub fn sweep_row(workload: &str) -> Result<&'static Subcommand, String> {
 /// other flag is refused, naming the flag and the workload, and so is a
 /// second `--workload`.
 pub fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
-    let (_, values, switches) = row(cmd).ok_or(format!(
-        "unknown subcommand '{cmd}' (tmstudy without arguments prints the usage)"
-    ))?;
+    let (_, values, switches) = row(cmd)?;
     let mut program = format!("tmstudy {cmd}");
     let (mut values, mut switches) = (values.to_vec(), switches.to_vec());
     if cmd == "sweep" {
@@ -460,9 +463,11 @@ mod tests {
 
     #[test]
     fn a_typo_on_any_axis_is_an_error_of_the_whole_spec() {
-        let cases: [(&[(&str, &str)], &str); 6] = [
+        let cases: [(&[(&str, &str)], &str); 8] = [
             (&[("alloc", "glibc,hord")], "'hord'"),
-            (&[("structure", "list,lst")], "unknown structure 'lst'"),
+            (&[("alloc", "glibc,GLIBC")], "bad --alloc 'GLIBC'"),
+            (&[("alloc", "glibc, glibc")], "--alloc lists 'glibc' twice"),
+            (&[("structure", "list,lst")], "bad --structure 'lst'"),
             (&[("workload", "stamp"), ("app", "genome,genom")], "'genom'"),
             (&[("threads", "1,x")], "bad --threads 'x'"),
             (&[("alloc", ",")], "--alloc has no values"),
@@ -546,13 +551,9 @@ mod tests {
         assert_eq!(axes, ["alloc", "backend"]);
         assert_eq!(spec.cell_count(), 3);
 
-        let err = spec_from_flags(&flags("tl2")).unwrap_err();
-        assert!(
-            err.contains("unknown backend 'tl2'") && err.contains("etl, norec, htm"),
-            "{err}"
-        );
-        let err = run_cell(&cfg(&[("backend", "tl2")])).unwrap_err();
-        assert!(err.contains("valid backends"), "{err}");
+        let told = "bad --backend 'tl2' (valid: etl, norec, htm)";
+        assert_eq!(spec_from_flags(&flags("tl2")).unwrap_err(), told);
+        assert_eq!(run_cell(&cfg(&[("backend", "tl2")])).unwrap_err(), told);
     }
 
     #[test]
@@ -589,14 +590,10 @@ mod tests {
         assert_eq!(axes, ["alloc", "cm"]);
         assert_eq!(spec.cell_count(), 3);
 
-        let err = spec_from_flags(&flags("polite")).unwrap_err();
-        assert!(
-            err.contains("unknown contention manager 'polite'")
-                && err.contains("suicide, backoff, karma, timestamp, serialize, adaptive"),
-            "{err}"
-        );
-        let err = run_cell(&cfg(&[("cm", "polite")])).unwrap_err();
-        assert!(err.contains("valid --cm values"), "{err}");
+        let told =
+            "bad --cm 'polite' (valid: suicide, backoff, karma, timestamp, serialize, adaptive)";
+        assert_eq!(spec_from_flags(&flags("polite")).unwrap_err(), told);
+        assert_eq!(run_cell(&cfg(&[("cm", "polite")])).unwrap_err(), told);
     }
 
     #[test]

@@ -73,35 +73,15 @@ impl StructureKind {
         }
     }
 
-    /// Command-line token (`--structure hash`), the one spelling the
-    /// sweep axes, presets and usage text take from [`StructureKind::ALL`].
+    /// Command-line token (`--structure hash`), the kind's one spelling:
+    /// `--structure` matches it exactly, and the sweep axes, presets and
+    /// usage text take it from [`StructureKind::ALL`].
     pub fn token(self) -> &'static str {
         match self {
             StructureKind::LinkedList => "list",
             StructureKind::HashSet => "hash",
             StructureKind::RbTree => "rbtree",
         }
-    }
-}
-
-impl std::str::FromStr for StructureKind {
-    type Err = String;
-    /// The inverse of [`StructureKind::token`]; `linked-list`, `hashset`
-    /// and `tree` are aliases. An unknown token is refused with the list
-    /// of valid ones.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let token = match s {
-            "linked-list" => "list",
-            "hashset" => "hash",
-            "tree" => "rbtree",
-            s => s,
-        };
-        (StructureKind::ALL.into_iter())
-            .find(|k| k.token() == token)
-            .ok_or_else(|| {
-                let valid = StructureKind::ALL.map(StructureKind::token).join(", ");
-                format!("unknown structure '{s}' (valid structures: {valid})")
-            })
     }
 }
 
@@ -279,30 +259,5 @@ pub(crate) mod testutil {
             }
             stm.retire(th);
         });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_parse() {
-        for kind in StructureKind::ALL {
-            assert_eq!(kind.token().parse::<StructureKind>(), Ok(kind));
-        }
-        // The aliases the parser has always taken.
-        let aliases = [
-            ("linked-list", StructureKind::LinkedList),
-            ("hashset", StructureKind::HashSet),
-            ("tree", StructureKind::RbTree),
-        ];
-        for (alias, kind) in aliases {
-            assert_eq!(alias.parse::<StructureKind>(), Ok(kind), "{alias}");
-        }
-        assert_eq!(
-            "lst".parse::<StructureKind>(),
-            Err("unknown structure 'lst' (valid structures: list, hash, rbtree)".into())
-        );
     }
 }

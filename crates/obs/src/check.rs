@@ -47,17 +47,9 @@ impl CheckStatus {
             CheckStatus::Error => "error",
         }
     }
-
-    /// Inverse of [`CheckStatus::name`].
-    pub fn parse(s: &str) -> Result<CheckStatus, String> {
-        [CheckStatus::Pass, CheckStatus::Fail, CheckStatus::Error]
-            .into_iter()
-            .find(|v| v.name() == s)
-            .ok_or_else(|| format!("unknown check status '{s}'"))
-    }
 }
 
-named_scalar!(CheckStatus);
+named_scalar!(CheckStatus, "check status", [Pass, Fail, Error]);
 
 /// One executed correctness cell.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -159,16 +159,20 @@ impl Scalar for String {
     }
 }
 
-/// [`Scalar`] for an enum with `name()` and `parse()`: written as its
-/// name, so an unknown name is the enum's own parse error.
+/// [`Scalar`] for an enum with `name()`, given what it is and all its
+/// variants: written as its name, read back by the one name lookup
+/// ([`crate::spec::one_of`]), so an unknown name is
+/// `bad <what> '<name>' (valid: …)`.
 macro_rules! named_scalar {
-    ($t:ty) => {
+    ($t:ident, $what:literal, [$($v:ident),+]) => {
         impl $crate::matrix::Scalar for $t {
             fn to_json(&self) -> Json {
                 Json::str(self.name())
             }
             fn from_json(v: &Json) -> Option<Result<Self, String>> {
-                v.as_str().map(Self::parse)
+                let all = [$($t::$v),+];
+                v.as_str()
+                    .map(|s| $crate::spec::one_of($what, &all, |v| v.name(), s).copied())
             }
         }
     };

@@ -98,15 +98,6 @@ impl McVerdict {
         }
     }
 
-    /// Inverse of [`McVerdict::name`].
-    pub fn parse(s: &str) -> Result<McVerdict, String> {
-        use McVerdict::*;
-        [Clean, Caught, Violation, Escaped]
-            .into_iter()
-            .find(|v| v.name() == s)
-            .ok_or_else(|| format!("unknown mc verdict '{s}'"))
-    }
-
     /// Did the cell end the way its kind requires (`clean` for clean
     /// cells, `caught` for mutant cells)?
     pub fn is_expected(self) -> bool {
@@ -114,7 +105,7 @@ impl McVerdict {
     }
 }
 
-named_scalar!(McVerdict);
+named_scalar!(McVerdict, "mc verdict", [Clean, Caught, Violation, Escaped]);
 
 /// A violating schedule, already shrunk to a minimal replayable form.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -5,17 +5,22 @@
 //!   caller's table of the flags it understands, so a typo is a usage
 //!   error instead of a run on the defaults, and a flag given twice is
 //!   refused instead of one of its values winning.
-//! * [`value`] / [`flag`] / [`list`] — the one reader of a configuration:
-//!   the ordered `(key, value)` list that [`parse_flags`] returns and that
-//!   a sweep cell is. Every front end and every cell parser reads its
-//!   keys through these, so a bad value is always `bad --<key> '<v>'` and
-//!   a comma list always splits the same way.
+//! * [`value`] / [`flag`] / [`choice`] / [`list`] — the one reader of a
+//!   configuration: the ordered `(key, value)` list that [`parse_flags`]
+//!   returns and that a sweep cell is. Every front end and every cell
+//!   parser reads its keys through these, so a bad value is always
+//!   `bad --<key> '<v>'`, and a comma list always splits the same way and
+//!   names each item once.
+//! * [`one_of`] — the one name lookup: a kind, a registry entry or a
+//!   report status is found by its exact token (no case folding, no
+//!   aliases), and a miss lists the valid tokens.
 //! * [`kind`] / [`fields`] / [`int`] — the tokenizing layer under the
 //!   `<kind>:<field>[:<field>…]` grammar of the allocator fault plans
 //!   behind `--alloc-fault` (`tm-alloc`). The caller owns its kind table
 //!   and field semantics — these only answer "what are the pieces", never
 //!   "what do they mean".
 
+use std::collections::HashSet;
 use std::str::FromStr;
 
 /// A configuration: `(key, value)` pairs in the order given, each key at
@@ -71,26 +76,62 @@ pub fn flag<T: FromStr>(config: &[(String, String)], key: &str, default: T) -> R
     value(config, key).map_or(Ok(default), |v| parse(key, v))
 }
 
+/// `key`'s value looked up among `all` by its exact token ([`one_of`]),
+/// or `default` when absent; a miss is `bad --<key> '<v>' (valid: …)`.
+pub fn choice<T: Copy>(
+    config: &[(String, String)],
+    key: &str,
+    all: &[T],
+    token: impl Fn(&T) -> &str,
+    default: T,
+) -> Result<T, String> {
+    value(config, key).map_or(Ok(default), |v| {
+        one_of(&format!("--{key}"), all, token, v).copied()
+    })
+}
+
 /// `key`'s value as a comma list of `T`s, or `None` when absent. Items are
 /// trimmed and empty ones dropped; a list with nothing left is
-/// `--<key> has no values`, and an item that does not parse is
+/// `--<key> has no values`, an item whose text comes twice is
+/// `--<key> lists '<item>' twice`, and an item that does not parse is
 /// `bad --<key> '<item>'`.
 pub fn list<T: FromStr>(config: &[(String, String)], key: &str) -> Result<Option<Vec<T>>, String> {
     let Some(raw) = value(config, key) else {
         return Ok(None);
     };
-    let items: Vec<T> = (raw.split(',').map(str::trim))
+    let items: Vec<&str> = (raw.split(',').map(str::trim))
         .filter(|item| !item.is_empty())
-        .map(|item| parse(key, item))
-        .collect::<Result<_, _>>()?;
+        .collect();
     if items.is_empty() {
         return Err(format!("--{key} has no values"));
     }
-    Ok(Some(items))
+    let mut seen = HashSet::new();
+    if let Some(item) = items.iter().find(|item| !seen.insert(*item)) {
+        return Err(format!("--{key} lists '{item}' twice"));
+    }
+    let items = items.into_iter().map(|item| parse(key, item));
+    items.collect::<Result<_, _>>().map(Some)
 }
 
 fn parse<T: FromStr>(key: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad --{key} '{v}'"))
+}
+
+/// The item of `items` whose token is exactly `s`: every name the front
+/// ends and the report loaders read has one spelling. A miss is
+/// `bad <what> '<s>' (valid: a, b, c)`, listing the items' tokens, on one
+/// line whatever `s` holds (it is shown escaped).
+pub fn one_of<'a, T>(
+    what: &str,
+    items: &'a [T],
+    token: impl Fn(&T) -> &str,
+    s: &str,
+) -> Result<&'a T, String> {
+    items.iter().find(|&item| token(item) == s).ok_or_else(|| {
+        let valid: Vec<&str> = items.iter().map(&token).collect();
+        let s = s.escape_debug();
+        format!("bad {what} '{s}' (valid: {})", valid.join(", "))
+    })
 }
 
 /// Split a spec into its leading kind token and the remainder after the
@@ -221,6 +262,14 @@ mod tests {
                 strings(empty).unwrap_err(),
                 "--k has no values",
                 "{empty:?}"
+            );
+        }
+        // Each item once, compared as trimmed text.
+        for twice in ["a,a", " a , b,a", "a,,a"] {
+            assert_eq!(
+                strings(twice).unwrap_err(),
+                "--k lists 'a' twice",
+                "{twice:?}"
             );
         }
         assert_eq!(list::<u64>(&config("1, 2"), "k"), Ok(Some(vec![1, 2])));

@@ -60,17 +60,9 @@ impl CellStatus {
             CellStatus::Error => "error",
         }
     }
-
-    /// Inverse of [`CellStatus::name`].
-    pub fn parse(s: &str) -> Result<CellStatus, String> {
-        [CellStatus::Ok, CellStatus::Error]
-            .into_iter()
-            .find(|v| v.name() == s)
-            .ok_or_else(|| format!("unknown cell status '{s}'"))
-    }
 }
 
-named_scalar!(CellStatus);
+named_scalar!(CellStatus, "cell status", [Ok, Error]);
 
 /// One executed configuration of a sweep matrix.
 #[derive(Clone, Debug, Default, PartialEq)]

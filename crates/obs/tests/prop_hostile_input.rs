@@ -3,14 +3,15 @@
 //! a hang. The byte strings are arbitrary, or a committed schema golden
 //! cut short or with one byte changed; the argv vectors mix the flags a
 //! caller understands with unknown ones, bare words, `--`, empty strings
-//! and values.
+//! and values; the names given to the name lookup are tokens, near misses
+//! and arbitrary text.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use tm_obs::json::Json;
 use tm_obs::load_report;
-use tm_obs::spec::parse_flags;
+use tm_obs::spec::{one_of, parse_flags};
 
 /// Every document of every schema golden, as bytes: the compact JSON
 /// lines above each file's `--- render` marker.
@@ -178,7 +179,40 @@ proptest! {
             Err(e) => prop_assert!(!e.contains('\n') && !e.is_empty(), "{args:?}: {e:?}"),
         }
     }
+
+    /// A name is found exactly when it is one of the tokens, as itself;
+    /// anything else — another case, a prefix, padding, arbitrary bytes —
+    /// is one line naming what was asked for and listing the tokens.
+    #[test]
+    fn one_of_finds_exactly_the_tokens_and_refuses_the_rest_in_one_line(
+        pieces in prop::collection::vec(0usize..NAME_PIECES.len(), 0..4),
+        raw in prop::collection::vec(0u16..256, 0..8),
+        with_raw in any::<bool>(),
+    ) {
+        let mut name: String = pieces.iter().map(|&i| NAME_PIECES[i]).collect();
+        if with_raw {
+            let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            name += &String::from_utf8_lossy(&bytes);
+        }
+        match one_of("--k", NAMES, |n| *n, &name) {
+            Ok(found) => prop_assert_eq!(*found, name.as_str()),
+            Err(e) => {
+                prop_assert!(!NAMES.contains(&name.as_str()), "{name:?} refused: {e}");
+                prop_assert!(!e.contains('\n'), "{name:?}: {e:?}");
+                prop_assert!(e.starts_with("bad --k '"), "{name:?}: {e}");
+                prop_assert!(e.ends_with("' (valid: glibc, tbb, list, rbtree)"), "{name:?}: {e}");
+            }
+        }
+    }
 }
+
+/// The tokens `one_of` is asked about in the property above, and the
+/// pieces its names are strung from: the tokens, their other cases,
+/// prefixes, separators and blanks.
+const NAMES: &[&str] = &["glibc", "tbb", "list", "rbtree"];
+const NAME_PIECES: &[&str] = &[
+    "glibc", "tbb", "list", "rbtree", "GLIBC", "Tbb", "rb", "tree", "lis", ",", " ", "\n", "'", "",
+];
 
 /// Every truncation of every golden document, exhaustively: the prefix
 /// lengths are few enough to try them all.

@@ -173,7 +173,7 @@ fn malformed_input_errors() {
         ("sweep", r#"["glibc","#, "[7,", "axis 'alloc' value not a string"),
         ("sweep", r#""cells":["#, r#""sells":["#, "sweep missing cells array"),
         ("sweep", r#""status":"error""#, r#""status":1"#, "cell missing status"),
-        ("sweep", r#""status":"error""#, r#""status":"timeout""#, "unknown cell status 'timeout'"),
+        ("sweep", r#""status":"error""#, r#""status":"timeout""#, "bad cell status 'timeout' (valid: ok, error)"),
         ("sweep", r#""wall_ms":12"#, r#""wall_ms":"12""#, "cell missing wall_ms"),
         ("sweep", r#""wall_ms":12"#, r#""wall":12"#, "cell missing wall_ms"),
         ("sweep", r#""metrics":{"#, r#""metric":{"#, "cell missing metrics object"),
@@ -191,7 +191,7 @@ fn malformed_input_errors() {
         ("check", r#""config":{"#, r#""conf":{"#, "cell missing config object"),
         ("check", r#""alloc":"glibc""#, r#""alloc":1"#, "cell config 'alloc' not a string"),
         ("check", r#""status":"pass","#, "", "cell missing status"),
-        ("check", r#""fail""#, r#""meh""#, "unknown check status 'meh'"),
+        ("check", r#""fail""#, r#""meh""#, "bad check status 'meh' (valid: pass, fail, error)"),
         ("check", r#""checks":{"#, r#""cheques":{"#, "cell missing checks object"),
         ("check", r#""keys":512"#, r#""keys":"many""#, "check counter 'keys' not an integer"),
         (
@@ -211,7 +211,7 @@ fn malformed_input_errors() {
         ("mc", r#""cells":["#, r#""sells":["#, "mc report missing cells array"),
         ("mc", r#""config":{"#, r#""conf":{"#, "cell missing config object"),
         ("mc", r#""verdict":"clean","#, "", "cell missing verdict"),
-        ("mc", r#""escaped""#, r#""fled""#, "unknown mc verdict 'fled'"),
+        ("mc", r#""escaped""#, r#""fled""#, "bad mc verdict 'fled' (valid: clean, caught, violation, escaped)"),
         ("mc", r#""explored":232"#, r#""explored":-1"#, "cell missing explored count"),
         ("mc", r#""pruned":96,"#, "", "cell missing pruned count"),
         ("mc", r#""schedule":["#, r#""sched":["#, "counterexample missing schedule array"),

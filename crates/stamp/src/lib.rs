@@ -113,21 +113,20 @@ impl AppKind {
             AppKind::Yada => "Yada",
         }
     }
-}
 
-impl std::str::FromStr for AppKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "bayes" => Ok(AppKind::Bayes),
-            "genome" => Ok(AppKind::Genome),
-            "intruder" => Ok(AppKind::Intruder),
-            "kmeans" => Ok(AppKind::Kmeans),
-            "labyrinth" => Ok(AppKind::Labyrinth),
-            "ssca2" => Ok(AppKind::Ssca2),
-            "vacation" => Ok(AppKind::Vacation),
-            "yada" => Ok(AppKind::Yada),
-            other => Err(format!("unknown STAMP app '{other}'")),
+    /// Command-line token (`--app ssca2`), the kind's one spelling: `--app`
+    /// matches it exactly, and the usage text takes it from
+    /// [`AppKind::ALL`].
+    pub fn token(self) -> &'static str {
+        match self {
+            AppKind::Bayes => "bayes",
+            AppKind::Genome => "genome",
+            AppKind::Intruder => "intruder",
+            AppKind::Kmeans => "kmeans",
+            AppKind::Labyrinth => "labyrinth",
+            AppKind::Ssca2 => "ssca2",
+            AppKind::Vacation => "vacation",
+            AppKind::Yada => "yada",
         }
     }
 }

@@ -61,17 +61,6 @@ impl BackendKind {
     }
 }
 
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-    /// The inverse of [`BackendKind::name`]; an unknown token is refused
-    /// with the list of valid ones.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let valid = BackendKind::ALL.map(BackendKind::name).join(", ");
-        (BackendKind::ALL.into_iter().find(|b| b.name() == s))
-            .ok_or_else(|| format!("unknown backend '{s}' (valid backends: {valid})"))
-    }
-}
-
 // The backend contract: one function per transaction life-cycle edge, each
 // a match on the configured kind. All shared state lives in `Stm` (clock /
 // sequence-lock word, ORT, active-snapshot array) and `TxThread`
@@ -698,13 +687,16 @@ mod tests {
 
     #[test]
     fn kind_tokens_round_trip() {
+        let parse = |s| tm_obs::spec::one_of("--backend", &BackendKind::ALL, |k| k.name(), s);
         for k in BackendKind::ALL {
-            assert_eq!(k.name().parse(), Ok(k));
+            assert_eq!(parse(k.name()), Ok(&k));
         }
-        assert_eq!(
-            "tl2".parse::<BackendKind>(),
-            Err("unknown backend 'tl2' (valid backends: etl, norec, htm)".to_string())
-        );
+        for bad in ["tl2", "ETL"] {
+            assert_eq!(
+                parse(bad),
+                Err(format!("bad --backend '{bad}' (valid: etl, norec, htm)"))
+            );
+        }
         assert_eq!(BackendKind::default(), BackendKind::Etl);
     }
 

@@ -134,17 +134,6 @@ impl CmKind {
     }
 }
 
-impl std::str::FromStr for CmKind {
-    type Err = String;
-    /// The inverse of [`CmKind::name`]; an unknown token is refused with
-    /// the list of valid ones.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let valid = CmKind::ALL.map(CmKind::name).join(", ");
-        (CmKind::ALL.into_iter().find(|k| k.name() == s))
-            .ok_or_else(|| format!("unknown contention manager '{s}' (valid --cm values: {valid})"))
-    }
-}
-
 /// One policy switch taken by the adaptive controller, recorded per thread
 /// so determinism tests can compare switch points bit-for-bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -558,16 +547,15 @@ mod tests {
 
     #[test]
     fn kind_tokens_round_trip() {
+        let parse = |s| tm_obs::spec::one_of("--cm", &CmKind::ALL, |k| k.name(), s);
         for k in CmKind::ALL {
-            assert_eq!(k.name().parse(), Ok(k));
+            assert_eq!(parse(k.name()), Ok(&k));
         }
         let valid = "suicide, backoff, karma, timestamp, serialize, adaptive";
         for bad in ["SUICIDE", ""] {
             assert_eq!(
-                bad.parse::<CmKind>(),
-                Err(format!(
-                    "unknown contention manager '{bad}' (valid --cm values: {valid})"
-                ))
+                parse(bad),
+                Err(format!("bad --cm '{bad}' (valid: {valid})"))
             );
         }
         assert_eq!(CmKind::default(), CmKind::Suicide);

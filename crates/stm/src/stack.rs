@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use tm_alloc::{AllocFaultPlan, Allocator, AllocatorKind, HeapAuditor};
-use tm_obs::spec::{flag, value};
+use tm_obs::spec::{choice, flag, value};
 use tm_sim::{MachineConfig, Sim};
 
-use crate::{LockDesign, OrtHash, Stm, StmConfig, WriteMode};
+use crate::{BackendKind, CmKind, LockDesign, OrtHash, Stm, StmConfig, WriteMode};
 
 /// Everything that decides how a stack is built: the machine, the
 /// allocator model, the STM's knobs, the fault plan and whether the heap
@@ -51,17 +51,30 @@ impl StackSpec {
     /// The spec a `(key, value)` list describes — a sweep cell's config or
     /// a subcommand's flags, read through [`tm_obs::spec`]:
     /// [`StackSpec::KEYS`] and [`StackSpec::SWITCHES`], each defaulting as
-    /// [`StackSpec::new`] does. A value that does not parse is an error
+    /// [`StackSpec::new`] does. A kind is its exact token
+    /// ([`tm_obs::spec::choice`]); a value that does not parse is an error
     /// naming it, and so is a combination the STM does not run
     /// ([`StmConfig::check`]). Other keys are ignored.
     pub fn parse(config: &[(String, String)]) -> Result<StackSpec, String> {
         let on = |key| value(config, key).is_some();
         let stm = StmConfig::default();
         let spec = StackSpec {
-            alloc: value(config, "alloc").map_or(Ok(AllocatorKind::TbbMalloc), str::parse)?,
+            alloc: choice(
+                config,
+                "alloc",
+                &AllocatorKind::ALL,
+                |k| k.token(),
+                AllocatorKind::TbbMalloc,
+            )?,
             stm: StmConfig {
-                backend: value(config, "backend").map_or(Ok(stm.backend), str::parse)?,
-                cm: value(config, "cm").map_or(Ok(stm.cm), str::parse)?,
+                backend: choice(
+                    config,
+                    "backend",
+                    &BackendKind::ALL,
+                    |k| k.name(),
+                    stm.backend,
+                )?,
+                cm: choice(config, "cm", &CmKind::ALL, |k| k.name(), stm.cm)?,
                 shift: flag(config, "shift", stm.shift)?,
                 object_cache: on("object-cache"),
                 design: if on("ctl") {
@@ -138,7 +151,7 @@ impl Stack {
 mod tests {
     use super::*;
 
-    use crate::{AbortCause, BackendKind, CmKind};
+    use crate::AbortCause;
 
     fn build(fault: AllocFaultPlan, audit: bool) -> Stack {
         Stack::new(&StackSpec {

@@ -9,13 +9,16 @@
 use tm_alloc::AllocatorKind;
 use tm_core::build_stack;
 use tm_ds::{TxRbTree, TxSet};
+use tm_obs::spec::one_of;
 use tm_stm::StmConfig;
 
 fn main() {
-    let kind: AllocatorKind = std::env::args()
+    let kind = std::env::args()
         .nth(1)
-        .map(|s| s.parse().expect("allocator: glibc|hoard|tbb|tc"))
-        .unwrap_or(AllocatorKind::TbbMalloc);
+        .map_or(AllocatorKind::TbbMalloc, |s| {
+            *one_of("allocator", &AllocatorKind::ALL, |k| k.token(), &s)
+                .unwrap_or_else(|e| panic!("{e}"))
+        });
 
     let stack = build_stack(kind, StmConfig::default());
     let stm = &stack.stm;

@@ -10,14 +10,14 @@
 
 use tm_alloc::AllocatorKind;
 use tm_core::report::{best_worst, render_table};
+use tm_obs::spec::one_of;
 use tm_stamp::runner::{run_kind, StampOpts};
 use tm_stamp::AppKind;
 
 fn main() {
-    let app: AppKind = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("app name"))
-        .unwrap_or(AppKind::Yada);
+    let app = std::env::args().nth(1).map_or(AppKind::Yada, |s| {
+        *one_of("app", &AppKind::ALL, |k| k.token(), &s).unwrap_or_else(|e| panic!("{e}"))
+    });
     let threads: usize = std::env::args()
         .nth(2)
         .map(|s| s.parse().expect("thread count"))

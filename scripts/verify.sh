@@ -123,6 +123,22 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
   fi
 done
 
+# One name lookup (DESIGN.md §3.2): a kind, a registry entry or a report
+# status has one spelling, its token, matched exactly by
+# `tm_obs::spec::one_of`, and a miss is refused in its one form. Above
+# each file's `#[cfg(test)]` line no library file parses a name through a
+# `FromStr` impl or folds its case, and outside crates/obs/src none words
+# an `unknown …` refusal by hand.
+echo "==> one name lookup: tm_obs::spec::one_of reads every name"
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  above="$(sed '/^#\[cfg(test)\]/q' "$f")"
+  if grep -nE 'impl\b.*\bFromStr for\b|eq_ignore_ascii_case|to_ascii_lowercase' <<<"$above" ||
+    { [[ "$f" != crates/obs/src/* ]] && grep -nF 'format!("unknown ' <<<"$above"; }; then
+    echo "verify: $f looks up a name by hand; use tm_obs::spec::{one_of, choice}"
+    exit 1
+  fi
+done
+
 # One event log, or none (DESIGN.md, "No event log"): the stack keeps no
 # event log, and each consumer records what it needs as plain data. The
 # `tm_obs::trace` ring stays inside crates/obs, where nothing in the stack

@@ -6,7 +6,11 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use tm_alloc::AllocatorKind;
 use tm_core::sweeps::{row, sweep_row, Subcommand, SUBCOMMANDS};
+use tm_ds::StructureKind;
+use tm_stamp::AppKind;
+use tm_stm::{BackendKind, CmKind};
 
 #[test]
 fn malformed_flag_values_exit_2_with_a_one_line_error() {
@@ -53,7 +57,7 @@ fn malformed_flag_values_exit_2_with_a_one_line_error() {
             "--magnitudes '0'",
         ),
         (
-            &["mc", "--magnitudes", "400,400", "--out", OUT],
+            &["mc", "--magnitudes", "400,0400", "--out", OUT],
             "--magnitudes '400' (named twice)",
         ),
         // A delay the virtual clock cannot hold: 2^64 - 1 used to wrap it
@@ -156,7 +160,14 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
         // An unknown subcommand printed the usage text and exited 0.
         (
             &["syth", "--structure", "hash"],
-            "error: unknown subcommand 'syth' (tmstudy without arguments prints the usage)\n",
+            "error: bad subcommand 'syth' (valid: synth, stamp, threadtest, profile, machine, \
+             sweep, check, mc, book)\n",
+        ),
+        // So did `report` without a file, or with more than two.
+        (&["report"], "error: report takes one or two files, not 0\n"),
+        (
+            &["report", "a.json", "b.json", "c.json"],
+            "error: report takes one or two files, not 3\n",
         ),
         // The per-cell wall-clock budget is gone, with the retries.
         (
@@ -207,6 +218,11 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
         (
             &["mc", "--magnitudes", "400,x", "--out", "/dev/null/x.json"],
             "error: bad --magnitudes 'x'\n",
+        ),
+        // A comma list names each item once.
+        (
+            &["mc", "--magnitudes", "400,400", "--out", "/dev/null/x.json"],
+            "error: --magnitudes lists '400' twice\n",
         ),
     ];
     for (argv, message) in table {
@@ -306,12 +322,21 @@ fn a_sweep_with_a_failing_cell_writes_the_matrix_and_exits_1() {
 #[test]
 fn a_sweep_value_a_parser_refuses_exits_2_before_any_cell_runs() {
     // Eight axes of 256 values: 2^64 cells, one more than a u64 counts.
-    let wide = vec!["1"; 256].join(",");
+    let wide: Vec<String> = (1..=256).map(|i| i.to_string()).collect();
+    let wide = wide.join(",");
     let wide = wide.as_str();
     let table: &[(&[&str], &str)] = &[
-        (&["--backend", "nrec"], "unknown backend 'nrec'"),
-        (&["--alloc", "hord"], "unknown allocator 'hord'"),
-        (&["--structure", "lst"], "unknown structure 'lst'"),
+        (&["--backend", "nrec"], "bad --backend 'nrec'"),
+        (&["--alloc", "hord"], "bad --alloc 'hord'"),
+        (&["--structure", "lst"], "bad --structure 'lst'"),
+        // Another case or an alias named the same allocator twice, as
+        // cells of identical metrics; a repeat of one value did too.
+        (
+            &["--alloc", "glibc,GLIBC,ptmalloc"],
+            "error: bad --alloc 'GLIBC' (valid: glibc, hoard, tbb, tc)",
+        ),
+        (&["--alloc", "glibc,glibc"], "--alloc lists 'glibc' twice"),
+        (&["--threads", "1,1"], "--threads lists '1' twice"),
         (&["--workload", "stamp", "--app", "genom"], "'genom'"),
         (&["--threads", "1,x"], "bad --threads 'x'"),
         (
@@ -366,12 +391,11 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
     let table: &[(&[&str], &str)] = &[
         (
             &["--backend", "tl2"],
-            "unknown backend 'tl2' (valid backends: etl, norec, htm)",
+            "bad --backend 'tl2' (valid: etl, norec, htm)",
         ),
         (
             &["--cm", "polite"],
-            "unknown contention manager 'polite' (valid --cm values: \
-             suicide, backoff, karma, timestamp, serialize, adaptive)",
+            "bad --cm 'polite' (valid: suicide, backoff, karma, timestamp, serialize, adaptive)",
         ),
         (
             &["--alloc-fault", "sometimes"],
@@ -380,7 +404,7 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
         ),
         (
             &["--alloc", "hord"],
-            "unknown allocator 'hord' (valid allocators: glibc, hoard, tbb, tc)",
+            "bad --alloc 'hord' (valid: glibc, hoard, tbb, tc)",
         ),
         (
             &["--shift", "64"],
@@ -416,6 +440,91 @@ fn a_refused_stack_flag_is_the_same_message_from_every_front_end() {
         }
         assert!(!out_file.exists(), "{flags:?}: the sweep wrote a matrix");
     }
+}
+
+/// A name has one spelling, its token, matched exactly. On every
+/// name-valued flag each token is taken: the run gets as far as the thread
+/// count, which every parser reads after the names. The token in another
+/// case and each former alias are refused with the valid tokens, exit 2,
+/// and nothing runs.
+#[test]
+fn a_name_is_its_exact_token_on_every_flag() {
+    let workloads: Vec<&str> = (SUBCOMMANDS.iter())
+        .map(|(name, ..)| *name)
+        .filter(|name| sweep_row(name).is_ok())
+        .collect();
+    let out_file = std::env::temp_dir().join(format!("cli-token-{}.json", std::process::id()));
+    let out = out_file.to_str().unwrap();
+    /// (front end, flag, its tokens, its former aliases)
+    type Row<'a> = (&'a [&'a str], &'a str, Vec<&'a str>, &'a [&'a str]);
+    let table: [Row; 6] = [
+        (
+            &["synth"],
+            "alloc",
+            AllocatorKind::ALL.map(AllocatorKind::token).to_vec(),
+            &["ptmalloc", "tbbmalloc", "tcmalloc", "Glibc", "TCMalloc"],
+        ),
+        (
+            &["synth"],
+            "backend",
+            BackendKind::ALL.map(BackendKind::name).to_vec(),
+            &[],
+        ),
+        (
+            &["synth"],
+            "cm",
+            CmKind::ALL.map(CmKind::name).to_vec(),
+            &[],
+        ),
+        (
+            &["synth"],
+            "structure",
+            StructureKind::ALL.map(StructureKind::token).to_vec(),
+            &["linked-list", "hashset", "tree"],
+        ),
+        (
+            &["stamp"],
+            "app",
+            AppKind::ALL.map(AppKind::token).to_vec(),
+            &["Genome"],
+        ),
+        (&["sweep", "--out", out], "workload", workloads, &[]),
+    ];
+    let run = |front: &[&str], flag: &str, v: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+            .args(front)
+            .args([&format!("--{flag}"), v, "--threads", "9"])
+            .output()
+            .expect("run tmstudy");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "--{flag} {v}: {stderr}");
+        assert!(out.stdout.is_empty(), "--{flag} {v} ran");
+        stderr
+    };
+    for (front, flag, tokens, aliases) in &table {
+        let valid = tokens.join(", ");
+        let upper: Vec<String> = tokens.iter().map(|t| t.to_uppercase()).collect();
+        for token in tokens {
+            let stderr = run(front, flag, token);
+            assert_eq!(
+                stderr, "error: bad --threads '9' (1..=8 simulated cores)\n",
+                "--{flag} {token}"
+            );
+        }
+        for v in upper
+            .iter()
+            .map(String::as_str)
+            .chain(aliases.iter().copied())
+        {
+            let stderr = run(front, flag, v);
+            assert_eq!(
+                stderr,
+                format!("error: bad --{flag} '{v}' (valid: {valid})\n"),
+                "--{flag} {v}"
+            );
+        }
+    }
+    assert!(!out_file.exists(), "a sweep wrote a matrix");
 }
 
 /// A sweep of workload `W` takes exactly `W`'s row of `SUBCOMMANDS` besides
