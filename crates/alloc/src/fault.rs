@@ -81,7 +81,8 @@ impl AllocFaultPlan {
     pub fn parse(raw: &str) -> Result<AllocFaultPlan, String> {
         let bad = || {
             format!(
-                "invalid alloc-fault plan '{raw}' (want {})",
+                "invalid alloc-fault plan {} (want {})",
+                spec::quote(raw),
                 AllocFaultPlan::GRAMMAR
             )
         };
@@ -286,6 +287,12 @@ mod tests {
             assert!(err.contains("invalid alloc-fault plan"), "{raw}: {err}");
             assert!(err.contains("budget:<bytes>"), "{raw}: {err}");
         }
+        // The plan is shown escaped: the refusal stays one line.
+        let err = AllocFaultPlan::parse("x\ny").unwrap_err();
+        assert!(
+            err.starts_with(r"invalid alloc-fault plan 'x\ny' (want "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -89,18 +89,22 @@ fn workload(run: impl FnOnce()) {
 /// The usage text, from [`SUBCOMMANDS`] and the kinds' `ALL`.
 fn usage() {
     let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, ..)| *name).collect();
-    eprintln!("usage: tmstudy <{}|report> [flags]", names.join("|"));
+    eprintln!("usage: tmstudy <{}> [flags]", names.join("|"));
     for (name, values, switches) in SUBCOMMANDS {
         let values = values.iter().flat_map(|group| group.iter());
-        let flags = (values.map(|f| format!(" [--{f} V]")))
-            .chain(switches.iter().map(|s| format!(" [--{s}]")));
-        let line = format!("{:<11}{}", format!("{name}:"), flags.collect::<String>());
+        let flags: String = (values.map(|f| format!(" [--{f} V]")))
+            .chain(switches.iter().map(|s| format!(" [--{s}]")))
+            .collect();
+        let flags = match *name {
+            "report" => " <a.json> [<b.json>] — pretty-print one results file, or diff two",
+            _ => &flags,
+        };
+        let line = format!("{:<11}{flags}", format!("{name}:"));
         eprintln!("{}", line.trim_end());
     }
     let workloads = names.into_iter().filter(|w| sweep_row(w).is_ok());
     eprintln!(
-        "report:     <a.json> [<b.json>] — pretty-print one results file, or diff two\n\
-         sweep axes: --workload {} (default synth) adds that workload's flags, \
+        "sweep axes: --workload {} (default synth) adds that workload's flags, \
          each value a comma list (an axis), each switch set in every cell; at \
          most {MAX_SWEEP_CELLS} cells; every cell parses before any runs (a \
          refused value exits 2); exit 1 when a cell ends in `error`\n\

@@ -231,7 +231,8 @@ pub type Subcommand = (
 /// workload accepts besides its own flags: [`tm_obs::spec::parse_flags`]
 /// refuses everything else, so a typo is a usage error instead of a run
 /// on the defaults. A workload's value flags are its sweep axes, in this
-/// order. (`report` takes file names, not flags.)
+/// order. `report` takes file names, not flags: its row is empty, and
+/// `tmstudy` hands it its arguments as they are.
 pub const SUBCOMMANDS: &[Subcommand] = &[
     (
         "synth",
@@ -261,6 +262,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         &["quick", "no-checkpoint", "oom"],
     ),
     ("book", &[&["results", "out"]], &["stdout", "check"]),
+    ("report", &[], &[]),
 ];
 
 /// `cmd`'s row of [`SUBCOMMANDS`], or the refusal of a name no row has.

@@ -14,6 +14,8 @@
 //! * [`one_of`] — the one name lookup: a kind, a registry entry or a
 //!   report status is found by its exact token (no case folding, no
 //!   aliases), and a miss lists the valid tokens.
+//! * [`quote`] — the one quoting rule of every refusal that shows its
+//!   input: escaped, so the refusal stays one line.
 //! * [`kind`] / [`fields`] / [`int`] — the tokenizing layer under the
 //!   `<kind>:<field>[:<field>…]` grammar of the allocator fault plans
 //!   behind `--alloc-fault` (`tm-alloc`). The caller owns its kind table
@@ -42,18 +44,21 @@ pub fn parse_flags(
     let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
         let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("stray token '{arg}'"));
+            return Err(format!("stray token {}", quote(arg)));
         };
         let given = args.next_if(|next| !next.starts_with("--"));
         let given = if values.iter().any(|part| part.contains(&name)) {
             given.ok_or(format!("--{name} needs a value"))?.clone()
         } else if switches.contains(&name) {
             if let Some(stray) = given {
-                return Err(format!("--{name} takes no value (stray token '{stray}')"));
+                return Err(format!(
+                    "--{name} takes no value (stray token {})",
+                    quote(stray)
+                ));
             }
             "true".to_string()
         } else {
-            return Err(format!("unknown flag '--{name}' for {program}"));
+            return Err(format!("unknown flag {} for {program}", quote(arg)));
         };
         if value(&flags, name).is_some() {
             return Err(format!("--{name} given twice"));
@@ -107,20 +112,27 @@ pub fn list<T: FromStr>(config: &[(String, String)], key: &str) -> Result<Option
     }
     let mut seen = HashSet::new();
     if let Some(item) = items.iter().find(|item| !seen.insert(*item)) {
-        return Err(format!("--{key} lists '{item}' twice"));
+        return Err(format!("--{key} lists {} twice", quote(item)));
     }
     let items = items.into_iter().map(|item| parse(key, item));
     items.collect::<Result<_, _>>().map(Some)
 }
 
 fn parse<T: FromStr>(key: &str, v: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("bad --{key} '{v}'"))
+    v.parse().map_err(|_| format!("bad --{key} {}", quote(v)))
+}
+
+/// `s` between single quotes, escaped as Rust escapes a string for
+/// debugging: the one quoting rule of every refusal that shows what it was
+/// given, so the refusal stays one line whatever `s` holds.
+pub fn quote(s: &str) -> String {
+    format!("'{}'", s.escape_debug())
 }
 
 /// The item of `items` whose token is exactly `s`: every name the front
 /// ends and the report loaders read has one spelling. A miss is
 /// `bad <what> '<s>' (valid: a, b, c)`, listing the items' tokens, on one
-/// line whatever `s` holds (it is shown escaped).
+/// line whatever `s` holds (it is shown through [`quote`]).
 pub fn one_of<'a, T>(
     what: &str,
     items: &'a [T],
@@ -129,8 +141,7 @@ pub fn one_of<'a, T>(
 ) -> Result<&'a T, String> {
     items.iter().find(|&item| token(item) == s).ok_or_else(|| {
         let valid: Vec<&str> = items.iter().map(&token).collect();
-        let s = s.escape_debug();
-        format!("bad {what} '{s}' (valid: {})", valid.join(", "))
+        format!("bad {what} {} (valid: {})", quote(s), valid.join(", "))
     })
 }
 
@@ -243,6 +254,24 @@ mod tests {
         let flags = parse(&["--jobs", "x"]).unwrap();
         assert_eq!(flag(&flags, "jobs", 1usize).unwrap_err(), "bad --jobs 'x'");
 
+        // What a refusal shows of its input is quoted one way: escaped,
+        // so the refusal stays on one line.
+        for (args, message) in [
+            (&["x\ny"][..], r"stray token 'x\ny'"),
+            (&["--job\r", "4"], r"unknown flag '--job\r' for prog"),
+            (
+                &["--table", "\t'"],
+                r"--table takes no value (stray token '\t\'')",
+            ),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), message, "{args:?}");
+        }
+        let flags = parse(&["--jobs", "1\n2"]).unwrap();
+        assert_eq!(
+            flag(&flags, "jobs", 1usize).unwrap_err(),
+            r"bad --jobs '1\n2'"
+        );
+
         // The one comma-list rule: items trimmed, empty ones dropped.
         let config = |v: &str| vec![("k".to_string(), v.to_string())];
         let strings = |v: &str| list::<String>(&config(v), "k");
@@ -274,6 +303,7 @@ mod tests {
         }
         assert_eq!(list::<u64>(&config("1, 2"), "k"), Ok(Some(vec![1, 2])));
         assert_eq!(list::<u64>(&config("1,x"), "k").unwrap_err(), "bad --k 'x'");
+        assert_eq!(strings("a\nb,a\nb").unwrap_err(), r"--k lists 'a\nb' twice");
         assert_eq!(list::<u64>(&config("1"), "absent"), Ok(None));
     }
 }

@@ -87,7 +87,8 @@ const VALUES: &[&[&str]] = &[&["alloc", "threads"], &["out"]];
 const SWITCHES: &[&str] = &["quick", "ctl"];
 
 /// Argv tokens: known value flags and switches, unknown flags, `--`,
-/// near-flags, bare words, values and empty strings.
+/// near-flags, bare words, values, empty strings, and line breaks, tabs
+/// and quotes alone and inside flags, words and values.
 const TOKENS: &[&str] = &[
     "--alloc",
     "--threads",
@@ -107,6 +108,14 @@ const TOKENS: &[&str] = &[
     "",
     " ",
     "--alloc=glibc",
+    "\n",
+    "\r",
+    "\t",
+    "'",
+    "x\ny",
+    "--bogus\nx",
+    "--al\rloc",
+    "1\t2",
 ];
 
 proptest! {
@@ -176,7 +185,10 @@ proptest! {
                     prop_assert!(!value.starts_with("--"), "{args:?}: --{name} {value}");
                 }
             }
-            Err(e) => prop_assert!(!e.contains('\n') && !e.is_empty(), "{args:?}: {e:?}"),
+            Err(e) => prop_assert!(
+                !e.contains(['\n', '\r']) && !e.is_empty(),
+                "{args:?}: {e:?}"
+            ),
         }
     }
 

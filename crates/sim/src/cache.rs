@@ -9,20 +9,21 @@
 //! cycles mechanistically, which is one of the paper's key effects
 //! (TCMalloc handing adjacent 16-byte blocks to different threads, §5.2).
 //!
-//! Tag storage is sparse: a `TagArray`'s ways materialize, eight ways of
-//! four neighbouring sets at a time (a *row*), on the first `fill` that
-//! reaches them, and an absent row is by definition a row of ways in their
-//! initial state. The study builds a machine per run and most runs touch a
-//! sliver of a 6 MB L2 — and fill few of a touched set's 24 ways — so
-//! building, snapshotting, restoring and dropping a hierarchy cost what the
-//! run filled (DESIGN.md §4, §14).
+//! Tag storage follows the lines a run holds: the sets of a *group* (one
+//! set in an L1, four in an L2) share one chain of blocks of eight lanes,
+//! a lane holds a line of any set of its group, and a chain grows a block
+//! only when a fill finds no empty lane in it. The study builds a machine
+//! per run and most runs hold a line or two in each L2 set they touch, so
+//! building, snapshotting, restoring and dropping a hierarchy cost what
+//! the run filled (DESIGN.md §4, §14). Each set is still exactly an LRU
+//! set of its associativity.
 //!
-//! The probe is exact but reads little: the ways of a set live in blocks of
-//! eight (`Lanes`, 160 bytes), and each block keeps, beside its eight tags,
-//! one word of eight partial-tag bytes. A probe matches the line's byte
-//! against that word, then compares the full tag of each matching lane, so
-//! a hit reads one word, then one tag. `Lanes::set_tag` is the one writer
-//! of the tags, and keeps the word in step.
+//! The probe is exact but reads little: each block (`Lanes`, 168 bytes)
+//! keeps, beside its eight tags, one word of eight partial-tag bytes. A
+//! probe matches the line's byte against that word, then compares the full
+//! tag of each matching lane, so an L1 hit reads one word, then one tag.
+//! `Lanes::set_tag` is the one writer of the tags, and keeps the word in
+//! step.
 
 use std::collections::HashSet;
 
@@ -94,7 +95,7 @@ impl CacheStats {
 
 const EMPTY: u64 = u64::MAX;
 
-/// Ways per [`Lanes`] block.
+/// Lanes per [`Lanes`] block.
 const LANES: usize = 8;
 
 /// A byte in every lane of a partial-tag word.
@@ -108,22 +109,21 @@ const fn ptag_of(tag: u64) -> u64 {
     tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56
 }
 
-/// Eight ways side by side, as parallel arrays: 160 bytes, 20 a way. A set
-/// takes `ways.div_ceil(LANES)` consecutive blocks, way `w` in lane
-/// `w % LANES` of block `w / LANES`; lanes past the associativity stay
-/// `EMPTY` and are never filled. The probe reads `ptag` and then, for each
-/// lane whose byte matches, that lane's tag — a hit reads one word, then
-/// one tag; a miss usually reads no tag at all.
+/// Eight lanes side by side, as parallel arrays, and the rest of their
+/// group's chain: 168 bytes. A lane holds one line of any set of the
+/// group, or is `EMPTY`. The probe reads `ptag` and then, for each lane
+/// whose byte matches, that lane's tag — a hit reads one word, then one
+/// tag; a miss usually reads no tag at all.
 #[derive(Clone)]
 struct Lanes {
     /// Byte `l` is `ptag_of(tags[l])`. [`Lanes::set_tag`] is the one
     /// writer of `tags` and keeps it so.
     ptag: u64,
-    /// `EMPTY` marks an invalid way.
+    /// `EMPTY` marks an invalid lane.
     tags: [u64; LANES],
     /// LRU stamps.
     stamp: [u64; LANES],
-    /// Journal epoch marks: `mark == Journal::cur` means the way's
+    /// Journal epoch marks: `mark == Journal::cur` means the lane's
     /// pre-image is already in the undo log. Marks belong to the live
     /// array's journal, not to the cache state: a clone's are dead data
     /// and [`TagArray::copy_state_from`] never copies them. Sixteen bits
@@ -132,65 +132,82 @@ struct Lanes {
     mark: [u16; LANES],
     /// Dirty bits (meaningful for L1 arrays only).
     dirty: [bool; LANES],
+    /// The next block of the chain.
+    next: Chain,
 }
 
-/// The state every way starts in.
+/// A chain of blocks: its first, which holds the next.
+type Chain = Option<Box<Lanes>>;
+
+/// The state every lane starts in, in a block that ends its chain.
 const INITIAL: Lanes = Lanes {
     ptag: ptag_of(EMPTY) * LANE_ONES,
     tags: [EMPTY; LANES],
     stamp: [0; LANES],
     mark: [0; LANES],
     dirty: [false; LANES],
+    next: None,
 };
 
-/// Sets per group (log2): [`GROUP_SETS`] consecutive sets share their rows.
-const GROUP_SHIFT: u32 = 2;
-const GROUP_SETS: usize = 1 << GROUP_SHIFT;
+/// Sets per group, as a shift, of an L1 array: a group is one set. The L1
+/// is probed on every access, and a chain of one set's blocks is that set
+/// with its ways in order — way `w` in lane `w % LANES` of the chain's
+/// block `w / LANES` — so the probe stays one partial-tag word, then one
+/// tag.
+const L1_GROUP_SHIFT: u32 = 0;
 
-/// Block `b` of each of the [`GROUP_SETS`] sets of one group — ways `8b` to
-/// `8b + 7` of each — in one 640-byte allocation. A row exists from the
-/// first `fill` that reaches way `8b` of one of its sets; an absent row *is*
-/// the state every way starts in — tag `EMPTY`, stamp 0, clean — so nothing
-/// can tell a row that was never materialized from one whose ways are all in
-/// that state. A run that puts up to eight lines in each set of a group of
-/// the E5405's 24-way L2 pays for one row of its three; the table over them
-/// is 24 KB per 6 MB L2.
-type Row = Box<[Lanes; GROUP_SETS]>;
+/// Sets per group, as a shift, of an L2 array: a group is four sets. A run
+/// holds few lines in each L2 set it touches — counted when each machine
+/// of the benchmark's `synth-matrix`, `stamp-apps` and `backend-mix`
+/// workloads dropped, the E5405's socket-0 L2 held 5 391–5 734 lines in
+/// its 4 096 sets, no set more than 9 — so a set with blocks of its own
+/// would fill one or two lanes of each, where four sets' lines share about
+/// one block.
+const L2_GROUP_SHIFT: u32 = 2;
 
-/// A row of ways in their initial state. Out of line: inlined, it would
-/// build the row on `fill`'s stack frame.
+/// A block of lanes in their initial state. Out of line: inlined, it would
+/// build the block on `fill`'s stack frame.
 #[cold]
 #[inline(never)]
-fn initial_row() -> Row {
-    Box::new([INITIAL; GROUP_SETS])
+fn initial_block() -> Box<Lanes> {
+    Box::new(INITIAL)
 }
 
-/// Address of one way: its row, and `set * LANES + lane` inside it, `set`
-/// being the way's set within its group.
+/// Block `pos` of `chain`. A `pos` one past its last block links a block
+/// of initial lanes there — the one place a chain grows.
+fn block_at(mut chain: &mut Chain, pos: usize) -> &mut Lanes {
+    for _ in 0..pos {
+        chain = &mut chain.as_mut().expect("the chain reaches the block").next;
+    }
+    chain.get_or_insert_with(initial_block)
+}
+
+/// Address of one lane: its group, and `pos * LANES + lane` for its block's
+/// place `pos` in the group's chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Slot {
-    row: u32,
+    group: u32,
     at: u32,
 }
 
 impl Slot {
     #[inline]
-    fn new(row: usize, set: usize, lane: usize) -> Slot {
+    fn new(group: usize, pos: usize, lane: usize) -> Slot {
         Slot {
-            row: row as u32,
-            at: (set * LANES + lane) as u32,
+            group: group as u32,
+            at: (pos * LANES + lane) as u32,
         }
     }
 
-    /// Set within the group, and lane.
+    /// The block's place in its chain, and the lane.
     #[inline]
     fn split(self) -> (usize, usize) {
         (self.at as usize / LANES, self.at as usize % LANES)
     }
 }
 
-/// Pre-image of one tag-array way, recorded the first time the way is
-/// mutated after the journal is (re-)armed.
+/// Pre-image of one lane, recorded the first time the lane is mutated
+/// after the journal is (re-)armed.
 struct SlotUndo {
     slot: Slot,
     tag: u64,
@@ -199,24 +216,24 @@ struct SlotUndo {
 }
 
 /// Undo journal for in-place snapshot restore. A bounded run touches a few
-/// hundred ways, so the checkpoint layer's restore-per-schedule loop must
-/// not pay a copy of every materialized row each time. While armed, the
-/// first mutation of each way logs its pre-image, and a revert rewinds
-/// exactly the logged ways plus the LRU tick. "Already logged this epoch"
-/// is a per-way mark that lives beside the way ([`Lanes::mark`] `== cur`),
+/// hundred lanes, so the checkpoint layer's restore-per-schedule loop must
+/// not pay a copy of every block each time. While armed, the first
+/// mutation of each lane logs its pre-image, and a revert rewinds exactly
+/// the logged lanes plus the LRU tick. "Already logged this epoch" is a
+/// per-lane mark that lives beside the lane ([`Lanes::mark`] `== cur`),
 /// so arming allocates nothing and clears nothing: it bumps `cur`.
 #[derive(Default)]
 struct Journal {
     cur: u16,
     undo: Vec<SlotUndo>,
     /// LRU tick at arm time (the tick advances on every probe, hit or
-    /// miss, so it is not covered by per-way pre-images).
+    /// miss, so it is not covered by per-lane pre-images).
     tick0: u64,
 }
 
 /// Journal slot whose `Clone` yields a *disarmed* journal: snapshots are
-/// inert copies of the materialized rows, and a journal is identity-tied
-/// to the live array it was armed on.
+/// inert copies of the chains, and a journal is identity-tied to the live
+/// array it was armed on.
 struct JournalSlot(Option<Box<Journal>>);
 
 impl Clone for JournalSlot {
@@ -226,16 +243,16 @@ impl Clone for JournalSlot {
 }
 
 impl Lanes {
-    /// The lowest lane holding `line` — the first match in way order; a
-    /// hierarchy fills a line only after probing for it, so there it is the
-    /// only one. `line`'s partial tag is broadcast to all eight bytes and
-    /// XORed with `ptag`, and the SWAR zero-byte test flags the lanes whose
-    /// byte matches — every one, plus possibly lanes above one (the
-    /// subtraction's borrow). Candidates are taken lowest first and each
-    /// is confirmed by its full tag, so the answer is exact. Which lane
-    /// hits is as good as random, but there is almost always one candidate
-    /// or none, so the loop costs one predictable compare where an
-    /// early-exit scan of the tags would mispredict its exit.
+    /// The lowest lane holding `line` — a hierarchy fills a line only
+    /// where it is not, so there it is the only one. `line`'s partial tag
+    /// is broadcast to all eight bytes and XORed with `ptag`, and the SWAR
+    /// zero-byte test flags the lanes whose byte matches — every one, plus
+    /// possibly lanes above one (the subtraction's borrow). Candidates are
+    /// taken lowest first and each is confirmed by its full tag, so the
+    /// answer is exact. Which lane hits is as good as random, but there is
+    /// almost always one candidate or none, so the loop costs one
+    /// predictable compare where an early-exit scan of the tags would
+    /// mispredict its exit.
     #[inline(always)]
     fn lane_of(&self, line: u64) -> Option<usize> {
         let x = self.ptag ^ (ptag_of(line) * LANE_ONES);
@@ -252,6 +269,27 @@ impl Lanes {
         None
     }
 
+    /// Which lanes of a block of `set`'s chain hold a line of `set` (bit
+    /// `l` for lane `l`), and which are `EMPTY`. `group_mask` selects the
+    /// bits of a set that tell the sets of a group apart: where it is 0 —
+    /// a group of one set — every line is `set`'s, and no tag is read
+    /// twice. Branch free within a block: a lane's set is as good as
+    /// random.
+    #[inline(always)]
+    fn classify(&self, set: usize, group_mask: usize) -> (u32, u32) {
+        let mut empty = 0;
+        for (l, &tag) in self.tags.iter().enumerate() {
+            empty |= u32::from(tag == EMPTY) << l;
+        }
+        let mut other = 0;
+        if group_mask != 0 {
+            for (l, &tag) in self.tags.iter().enumerate() {
+                other |= u32::from((tag as usize ^ set) & group_mask != 0) << l;
+            }
+        }
+        (!(other | empty) & ((1 << LANES) - 1), empty)
+    }
+
     /// Write lane `l`'s tag and its partial tag: the one writer of `tags`.
     #[inline(always)]
     fn set_tag(&mut self, l: usize, tag: u64) {
@@ -261,7 +299,7 @@ impl Lanes {
     }
 
     /// Record lane `l`'s pre-image if `journal` is armed and this is the
-    /// way's first mutation of the epoch. Must be called before every
+    /// lane's first mutation of the epoch. Must be called before every
     /// write to `tags`/`stamp`/`dirty`.
     #[inline]
     fn log(&mut self, l: usize, slot: Slot, journal: &mut JournalSlot) {
@@ -284,75 +322,100 @@ impl Lanes {
 /// what lets the write-hit fast path in [`Hierarchy::access`] skip the
 /// directory entirely.
 ///
-/// Storage is sparse: the ways hang in [`Row`]s off a table of
-/// `sets / GROUP_SETS * set_blocks` pointers, row `g * set_blocks + b`
-/// holding block `b` of group `g`'s sets, and a row is allocated by the
-/// first `fill` that reaches it. Building, cloning (the snapshot) and
-/// dropping an array therefore cost what the run has filled, not what the
-/// modelled cache could hold.
+/// Storage follows the lines the array holds. The sets of a *group* share
+/// one chain of [`Lanes`] blocks, and a lane holds a line of any of them —
+/// its full tag names its set. `heads` holds each group's chain, one
+/// pointer a group. A chain grows a block only when a fill finds no empty
+/// lane in it, and never shrinks, so building, cloning (the snapshot) and
+/// dropping an array cost what the run has filled, not what the modelled
+/// cache could hold.
+///
+/// Each set is exactly an LRU set of `ways` ways: a fill counts the lines
+/// of its set as it walks the chain, and a set that holds `ways` lines
+/// evicts its own LRU line even where other lanes are empty. Each probe
+/// and fill stamps at most one lane with a fresh tick, so stamps are
+/// unique and the LRU line is the one a flat array of ways would evict.
 #[derive(Clone)]
 struct TagArray {
     sets: usize,
     ways: usize,
-    /// Blocks per set: `ways.div_ceil(LANES)`.
-    set_blocks: usize,
-    rows: Vec<Option<Row>>,
+    /// Sets per group, as a shift: [`L1_GROUP_SHIFT`] or [`L2_GROUP_SHIFT`].
+    group_shift: u32,
+    /// Each group's chain.
+    heads: Vec<Chain>,
     tick: u64,
     journal: JournalSlot,
 }
 
 impl TagArray {
-    fn new(cfg: CacheConfig) -> Self {
+    fn new(cfg: CacheConfig, group_shift: u32) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
-        let set_blocks = cfg.ways.div_ceil(LANES);
         TagArray {
             sets,
             ways: cfg.ways,
-            set_blocks,
-            rows: vec![None; sets.div_ceil(GROUP_SETS) * set_blocks],
+            group_shift,
+            heads: vec![None; sets.div_ceil(1 << group_shift)],
             tick: 0,
             journal: JournalSlot(None),
         }
     }
 
-    /// The row of block 0 of `line`'s set — block `b` is in row
-    /// `first + b` — and the set's index within its group.
-    #[inline]
-    fn locate(&self, line: u64) -> (usize, usize) {
+    /// The set `line` maps to, and its group.
+    #[inline(always)]
+    fn set_of(&self, line: u64) -> (usize, usize) {
         let set = line as usize & (self.sets - 1);
-        (
-            (set >> GROUP_SHIFT) * self.set_blocks,
-            set & (GROUP_SETS - 1),
-        )
+        (set, set >> self.group_shift)
     }
 
-    /// The block and lane holding `line`, read only. An absent row holds
-    /// nothing.
+    /// The bits of a set that tell the sets of a group apart.
+    #[inline(always)]
+    fn group_mask(&self) -> usize {
+        (1 << self.group_shift) - 1
+    }
+
+    /// Every block, chain by chain.
+    fn for_each_block(&mut self, mut f: impl FnMut(&mut Lanes)) {
+        for head in &mut self.heads {
+            let mut block = head.as_deref_mut();
+            while let Some(lanes) = block {
+                f(lanes);
+                block = lanes.next.as_deref_mut();
+            }
+        }
+    }
+
+    /// The block and lane holding `line`. Walks the group's chain,
+    /// matching partial tags, then full tags ([`Lanes::lane_of`]).
+    #[inline(always)]
     fn find(&self, line: u64) -> Option<(&Lanes, usize)> {
-        let (first, s) = self.locate(line);
-        let rows = &self.rows[first..first + self.set_blocks];
-        rows.iter()
-            .flatten()
-            .map(|row| &row[s])
-            .find_map(|lanes| Some((lanes, lanes.lane_of(line)?)))
+        let mut block = self.heads[self.set_of(line).1].as_deref();
+        while let Some(lanes) = block {
+            if let Some(l) = lanes.lane_of(line) {
+                return Some((lanes, l));
+            }
+            block = lanes.next.as_deref();
+        }
+        None
     }
 
-    /// Find the way holding `line`, log its pre-image — every caller is
-    /// about to write it — and hand out its block, lane and slot. An
-    /// absent row holds nothing.
+    /// Find the lane holding `line`, log its pre-image — every caller is
+    /// about to write it — and hand out its block, lane and slot.
     #[inline(always)]
     fn touch(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
-        let (first, s) = self.locate(line);
-        let rows = &mut self.rows[first..first + self.set_blocks];
-        let (b, lanes, l) = rows.iter_mut().enumerate().find_map(|(b, row)| {
-            let lanes = &mut row.as_deref_mut()?[s];
-            let l = lanes.lane_of(line)?;
-            Some((b, lanes, l))
-        })?;
-        let slot = Slot::new(first + b, s, l);
-        lanes.log(l, slot, &mut self.journal);
-        Some((lanes, l, slot))
+        let g = self.set_of(line).1;
+        let mut block = self.heads[g].as_deref_mut();
+        let mut pos = 0;
+        while let Some(lanes) = block {
+            if let Some(l) = lanes.lane_of(line) {
+                let slot = Slot::new(g, pos, l);
+                lanes.log(l, slot, &mut self.journal);
+                return Some((lanes, l, slot));
+            }
+            block = lanes.next.as_deref_mut();
+            pos += 1;
+        }
+        None
     }
 
     /// Start the next journal epoch at the current tick: forget the undo
@@ -365,25 +428,23 @@ impl TagArray {
         if j.cur == 0 {
             // Epoch counter wrapped (once per 2^16 arms): old marks could
             // alias the fresh epoch, so clear them all.
-            for lanes in self.rows.iter_mut().flatten().flat_map(|r| r.iter_mut()) {
-                lanes.mark = INITIAL.mark;
-            }
             j.cur = 1;
+            self.for_each_block(|lanes| lanes.mark = INITIAL.mark);
         }
     }
 
     /// Arm (or re-arm) the undo journal: from now until the next arm or
-    /// revert, mutated ways record their pre-images. Allocates nothing
-    /// after the first call and touches no way.
+    /// revert, mutated lanes record their pre-images. Allocates nothing
+    /// after the first call and touches no lane.
     fn arm_journal(&mut self) {
         self.journal.0.get_or_insert_with(Box::default);
         self.next_epoch();
     }
 
-    /// Undo every way mutation since the journal was armed and re-arm for
-    /// the next epoch. O(ways touched since arming). A row materialized
-    /// since arming stays, every way back in the initial state — which is
-    /// what its absence meant.
+    /// Undo every lane mutation since the journal was armed and re-arm for
+    /// the next epoch. O(lanes touched since arming). A block linked since
+    /// arming stays in its chain, every lane back in the initial state —
+    /// which is what its absence meant.
     fn revert(&mut self) {
         let j = self
             .journal
@@ -391,11 +452,9 @@ impl TagArray {
             .as_deref()
             .expect("revert without an armed journal");
         for u in &j.undo {
-            let (s, l) = u.slot.split();
-            // Rows are never taken away, so a logged way's is there.
-            let lanes = &mut self.rows[u.slot.row as usize]
-                .as_deref_mut()
-                .expect("a logged way's row is materialized")[s];
+            let (pos, l) = u.slot.split();
+            // Chains never shrink, so a logged lane's block is there.
+            let lanes = block_at(&mut self.heads[u.slot.group as usize], pos);
             lanes.set_tag(l, u.tag);
             lanes.stamp[l] = u.stamp;
             lanes.dirty[l] = u.dirty;
@@ -405,42 +464,44 @@ impl TagArray {
     }
 
     /// Overwrite this array's state from `src` (same geometry), reusing
-    /// the existing rows — the cold restore path. A row `src` lacks is
-    /// reset to the initial state in place. Marks are not state and are
-    /// never taken from `src`: this array's own are at most its journal's
-    /// `cur`, so the re-arm that follows outdates them all, while `src`'s
-    /// date from whatever epoch it was cloned in — possibly before `cur`
-    /// last wrapped — and could make a way look logged in an epoch in
-    /// which it never was.
+    /// the existing blocks — the cold restore path. Each chain takes its
+    /// blocks' lanes from `src`'s, block by block; a block `src` lacks is
+    /// reset to initial lanes in place, and one only `src` has is linked.
+    /// Marks are not state and are never taken from `src`: they are reset,
+    /// so the re-arm that follows outdates them all, while `src`'s date
+    /// from whatever epoch it was cloned in — possibly before `cur` last
+    /// wrapped — and could make a lane look logged in an epoch in which it
+    /// never was.
     fn copy_state_from(&mut self, src: &TagArray) {
-        debug_assert_eq!((self.sets, self.ways), (src.sets, src.ways));
-        for (dst, src) in self.rows.iter_mut().zip(&src.rows) {
-            let src = src.as_deref();
-            if dst.is_none() && src.is_some() {
-                *dst = Some(initial_row());
-            }
-            for (set, d) in dst.iter_mut().flat_map(|r| r.iter_mut()).enumerate() {
-                let s = src.map_or(&INITIAL, |src| &src[set]);
+        debug_assert_eq!(
+            (self.sets, self.ways, self.group_shift),
+            (src.sets, src.ways, src.group_shift)
+        );
+        for (mut dst, src) in self.heads.iter_mut().zip(&src.heads) {
+            let mut src = src.as_deref();
+            while dst.is_some() || src.is_some() {
+                let d = dst.get_or_insert_with(initial_block);
+                let s = src.unwrap_or(&INITIAL);
                 (d.ptag, d.tags, d.stamp, d.dirty) = (s.ptag, s.tags, s.stamp, s.dirty);
+                d.mark = INITIAL.mark;
+                src = src.and_then(|s| s.next.as_deref());
+                dst = &mut d.next;
             }
         }
         self.tick = src.tick;
     }
 
-    /// Set the dirty bit of an already-probed way (write upgrade on an L1
+    /// Set the dirty bit of an already-probed lane (write upgrade on an L1
     /// hit).
     fn mark_dirty(&mut self, slot: Slot) {
-        let (s, l) = slot.split();
-        let lanes = &mut self.rows[slot.row as usize]
-            .as_deref_mut()
-            .expect("a probed way's row is materialized")[s];
+        let (pos, l) = slot.split();
+        let lanes = block_at(&mut self.heads[slot.group as usize], pos);
         lanes.log(l, slot, &mut self.journal);
         lanes.dirty[l] = true;
     }
 
-    /// Probe for `line`; on hit, refresh LRU and return the way's slot and
-    /// whether it is dirty. A miss — in absent rows too — still advances
-    /// the tick.
+    /// Probe for `line`; on hit, refresh LRU and return the lane's slot and
+    /// whether it is dirty. A miss still advances the tick.
     #[inline(always)]
     fn probe(&mut self, line: u64) -> Option<(Slot, bool)> {
         self.tick += 1;
@@ -450,51 +511,70 @@ impl TagArray {
         Some((slot, lanes.dirty[l]))
     }
 
-    /// Insert `line` with the given dirty state, evicting the LRU way if the
-    /// set is full. Returns the evicted line and whether it was dirty. The
-    /// one operation that materializes a row.
+    /// Insert `line` with the given dirty state, evicting the LRU line of
+    /// its set if the set is full. Returns the evicted line and whether it
+    /// was dirty. The one operation that links a block.
     fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let (first, s) = self.locate(line);
+        let (set, g) = self.set_of(line);
         self.tick += 1;
-        let slot = |b: usize, l: usize| Slot::new(first + b, s, l);
-        // Ways in order, as one flat array would hold them. The scan reaches
-        // block `b` only past `8b` full ways; an absent row is eight empty
-        // ones, so it materializes here, and its lane 0 takes the line.
-        let mut victim = (0, 0);
-        let mut victim_stamp = u64::MAX;
-        for b in 0..self.set_blocks {
-            let lanes = &mut self.rows[first + b].get_or_insert_with(initial_row)[s];
-            for l in 0..(self.ways - b * LANES).min(LANES) {
-                if lanes.tags[l] == line {
-                    // Already present (races with coherence bookkeeping).
-                    lanes.log(l, slot(b, l), &mut self.journal);
-                    lanes.stamp[l] = self.tick;
-                    lanes.dirty[l] |= dirty;
-                    return None;
-                }
-                if lanes.tags[l] == EMPTY {
-                    lanes.log(l, slot(b, l), &mut self.journal);
-                    lanes.set_tag(l, line);
-                    lanes.stamp[l] = self.tick;
-                    lanes.dirty[l] = dirty;
-                    return None;
-                }
-                if lanes.stamp[l] < victim_stamp {
-                    victim_stamp = lanes.stamp[l];
-                    victim = (b, l);
-                }
+        // One pass over the chain: the line if it is there already (races
+        // with coherence bookkeeping); else how many lines its set holds,
+        // the first empty lane and the chain's length. Lanes are named by
+        // their block's place in the chain.
+        let (mut held, mut present, mut empty, mut pos) = (0, None, None, 0);
+        let mut block = self.heads[g].as_deref();
+        while let Some(lanes) = block {
+            if let Some(l) = lanes.lane_of(line) {
+                present = Some((pos, l));
+                break;
             }
+            let (mine, empties) = lanes.classify(set, self.group_mask());
+            if empty.is_none() && empties != 0 {
+                empty = Some((pos, empties.trailing_zeros() as usize));
+            }
+            held += mine.count_ones() as usize;
+            block = lanes.next.as_deref();
+            pos += 1;
         }
-        let (b, l) = victim;
-        let lanes = &mut self.rows[first + b]
-            .as_deref_mut()
-            .expect("a full set's rows are materialized")[s];
-        lanes.log(l, slot(b, l), &mut self.journal);
-        let evicted = (lanes.tags[l], lanes.dirty[l]);
-        lanes.set_tag(l, line);
+        let full = present.is_none() && held >= self.ways;
+        let (pos, l) = match (present, empty) {
+            (Some(at), _) => at,
+            _ if full => self.lru(set),
+            (None, Some(at)) => at,
+            // A block linked at the chain's end.
+            (None, None) => (pos, 0),
+        };
+        let lanes = block_at(&mut self.heads[g], pos);
+        lanes.log(l, Slot::new(g, pos, l), &mut self.journal);
         lanes.stamp[l] = self.tick;
+        if present.is_some() {
+            lanes.dirty[l] |= dirty;
+            return None;
+        }
+        let evicted = full.then_some((lanes.tags[l], lanes.dirty[l]));
+        lanes.set_tag(l, line);
         lanes.dirty[l] = dirty;
-        Some(evicted)
+        evicted
+    }
+
+    /// The lane of `set`'s LRU line, named as [`TagArray::fill`] names it:
+    /// the lowest stamp among the set's lines, which is unique.
+    fn lru(&self, set: usize) -> (usize, usize) {
+        let (mut lru, mut lru_stamp, mut pos) = ((0, 0), u64::MAX, 0);
+        let mut block = self.heads[set >> self.group_shift].as_deref();
+        while let Some(lanes) = block {
+            let (mut mine, _) = lanes.classify(set, self.group_mask());
+            while mine != 0 {
+                let l = mine.trailing_zeros() as usize;
+                if lanes.stamp[l] < lru_stamp {
+                    (lru, lru_stamp) = ((pos, l), lanes.stamp[l]);
+                }
+                mine &= mine - 1;
+            }
+            block = lanes.next.as_deref();
+            pos += 1;
+        }
+        lru
     }
 
     /// Drop `line` if present (remote invalidation / inclusion victim).
@@ -571,7 +651,7 @@ impl TxTrack {
 
 /// The full cache hierarchy of the simulated machine. `Clone` exists for
 /// the checkpoint layer: a machine snapshot carries a copy of the
-/// materialized tag-array rows (and their dirty mirrors), the directory,
+/// tag arrays' blocks (and their dirty mirrors), the directory,
 /// and the HTM tracking state — O(what the machine has touched).
 #[derive(Clone)]
 pub struct Hierarchy {
@@ -598,8 +678,12 @@ pub struct Hierarchy {
 impl Hierarchy {
     pub fn new(cfg: &MachineConfig) -> Self {
         Hierarchy {
-            l1: (0..cfg.cores).map(|_| TagArray::new(cfg.l1)).collect(),
-            l2: (0..cfg.sockets()).map(|_| TagArray::new(cfg.l2)).collect(),
+            l1: (0..cfg.cores)
+                .map(|_| TagArray::new(cfg.l1, L1_GROUP_SHIFT))
+                .collect(),
+            l2: (0..cfg.sockets())
+                .map(|_| TagArray::new(cfg.l2, L2_GROUP_SHIFT))
+                .collect(),
             dir: DirMap::default(),
             stats: vec![CacheStats::default(); cfg.cores],
             tx: (0..cfg.cores).map(|_| TxTrack::default()).collect(),
@@ -622,10 +706,10 @@ impl Hierarchy {
 
     /// Arm the per-array undo journals relative to snapshot `snap_id`:
     /// until the next arm or restore, the first mutation of each tag-array
-    /// way records its pre-image, letting [`Hierarchy::restore_from`]
-    /// rewind in O(ways touched) instead of re-copying every materialized
-    /// row. O(arrays): the marks live with the ways, so nothing is
-    /// allocated or cleared.
+    /// lane records its pre-image, letting [`Hierarchy::restore_from`]
+    /// rewind in O(lanes touched) instead of re-copying every block.
+    /// O(arrays): the marks live with the lanes, so nothing is allocated
+    /// or cleared.
     pub(crate) fn arm_journal(&mut self, snap_id: u64) {
         for a in self.l1.iter_mut().chain(self.l2.iter_mut()) {
             a.arm_journal();
@@ -635,9 +719,9 @@ impl Hierarchy {
 
     /// Rewind to `snap`, the hierarchy captured by snapshot `snap_id`.
     /// Fast path: when the live journals were armed by exactly that
-    /// snapshot, revert the logged ways in place. Cold path (journals
-    /// armed for a different snapshot, or never): copy row by row,
-    /// reusing the existing allocations. The directory, stats, and HTM
+    /// snapshot, revert the logged lanes in place. Cold path (journals
+    /// armed for a different snapshot, or never): copy the snapshot's
+    /// heads and blocks, reusing the existing allocations. The directory, stats, and HTM
     /// tracking are bounded by L1 residency and copied outright either way
     /// — the directory and the line sets entry by entry into the tables
     /// they already have, which keep the capacity a run grew them to
@@ -937,11 +1021,114 @@ mod tests {
         MachineConfig::tiny_test()
     }
 
-    /// Every materialized block's partial-tag word is what its tags make.
+    /// Every block's partial-tag word is what its tags make.
     fn assert_ptags(a: &TagArray) {
-        for lanes in a.rows.iter().flatten().flat_map(|r| r.iter()) {
+        for lanes in blocks(a) {
             let want = (0..LANES).fold(0, |w, l| w | ptag_of(lanes.tags[l]) << (8 * l));
             assert_eq!(lanes.ptag, want, "partial tags of {:x?}", lanes.tags);
+        }
+    }
+
+    /// Every block, chain by chain.
+    fn blocks(a: &TagArray) -> impl Iterator<Item = &Lanes> {
+        a.heads
+            .iter()
+            .flat_map(|head| std::iter::successors(head.as_deref(), |lanes| lanes.next.as_deref()))
+    }
+
+    /// The blocks of the chain of `set`'s group, in chain order.
+    fn chain(a: &TagArray, set: usize) -> Vec<&Lanes> {
+        let head = a.heads[set >> a.group_shift].as_deref();
+        std::iter::successors(head, |lanes| lanes.next.as_deref()).collect()
+    }
+
+    /// Every lane of the chain of `set`'s group, in chain order: `(tag,
+    /// stamp, dirty)`.
+    fn lanes_of(a: &TagArray, set: usize) -> Vec<(u64, u64, bool)> {
+        let lanes = |lanes: &Lanes| {
+            let lanes = lanes.clone();
+            (0..LANES).map(move |l| (lanes.tags[l], lanes.stamp[l], lanes.dirty[l]))
+        };
+        chain(a, set).into_iter().flat_map(lanes).collect()
+    }
+
+    /// Way `w` of `set` of an array whose groups are one set: lane
+    /// `w % LANES` of the chain's block `w / LANES`, an absent block read
+    /// as the initial state it stands for.
+    fn way(a: &TagArray, set: usize, w: usize) -> (u64, u64, bool) {
+        assert_eq!(a.group_shift, 0, "a lane is a way in a group of one set");
+        let initial = (EMPTY, 0, false);
+        lanes_of(a, set).get(w).copied().unwrap_or(initial)
+    }
+
+    /// The lines `set` holds, with their stamps and dirty bits, by tag: the
+    /// state of a set, whichever lanes hold it.
+    fn lines_of(a: &TagArray, set: usize) -> Vec<(u64, u64, bool)> {
+        let in_set =
+            |&(tag, ..): &(u64, u64, bool)| tag != EMPTY && tag as usize & (a.sets - 1) == set;
+        let mut lines: Vec<_> = lanes_of(a, set).into_iter().filter(in_set).collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    /// Where `slot` sits in the chain of `set`'s group: `LANES` for each
+    /// block before its own, plus its lane — its way, in a group of one
+    /// set.
+    fn position(a: &TagArray, set: usize, slot: Slot) -> usize {
+        assert_eq!(
+            slot.group as usize,
+            set >> a.group_shift,
+            "the slot is in the chain"
+        );
+        slot.at as usize
+    }
+
+    /// Where the lane holding `line` sits in its chain, if one does.
+    fn position_of(a: &TagArray, line: u64) -> Option<usize> {
+        let set = line as usize & (a.sets - 1);
+        lanes_of(a, set).iter().position(|&(tag, ..)| tag == line)
+    }
+
+    /// Logical equality: the same lines in each set with the same stamps
+    /// and dirty bits, the same tick and the same directory. Which lanes
+    /// hold a set's lines, and which blocks exist, is not state (a block of
+    /// initial lanes equals an absent one), so only the sets of groups with
+    /// a chain on either side are walked; neither are the journal's marks.
+    fn assert_arrays_match(live: &Hierarchy, snap: &Hierarchy) {
+        assert_match_in(live, snap, |a, b| {
+            let chained =
+                (0..a.heads.len()).filter(|&g| a.heads[g].is_some() || b.heads[g].is_some());
+            let sets_of = |g: usize| g << a.group_shift..((g + 1) << a.group_shift).min(a.sets);
+            chained.flat_map(sets_of).collect()
+        });
+    }
+
+    /// [`assert_arrays_match`] over the sets `sets_of` names for a pair of
+    /// arrays (it must name every set the two can differ in). The partial
+    /// tags of each side must be its own tags'.
+    fn assert_match_in(
+        live: &Hierarchy,
+        snap: &Hierarchy,
+        sets_of: impl Fn(&TagArray, &TagArray) -> Vec<usize>,
+    ) {
+        for (a, b) in live
+            .l1
+            .iter()
+            .zip(&snap.l1)
+            .chain(live.l2.iter().zip(&snap.l2))
+        {
+            assert_ptags(a);
+            assert_ptags(b);
+            for set in sets_of(a, b) {
+                assert_eq!(lines_of(a, set), lines_of(b, set), "set {set}");
+            }
+            assert_eq!(a.tick, b.tick);
+        }
+        assert_eq!(live.htm_active, snap.htm_active);
+        assert_eq!(live.dir.len(), snap.dir.len());
+        for (line, e) in &live.dir {
+            let other = snap.dir.get(line).map(|o| (o.sharers, o.dirty_in));
+            assert_eq!(Some((e.sharers, e.dirty_in)), other, "line {line:#x}");
         }
     }
 
@@ -964,81 +1151,6 @@ mod tests {
         h.access(0, 0x1000, false);
         // Another word in the same 64-byte line: L1 hit.
         assert_eq!(h.access(0, 0x1038, false), cfg.cost.l1_hit);
-    }
-
-    /// Way `w` of `set`: `(tag, stamp, dirty)`, an absent row read as the
-    /// initial state it stands for.
-    fn way(a: &TagArray, set: usize, w: usize) -> (u64, u64, bool) {
-        let row = (set >> GROUP_SHIFT) * a.set_blocks + w / LANES;
-        let lanes = a.rows[row]
-            .as_deref()
-            .map_or(&INITIAL, |r| &r[set & (GROUP_SETS - 1)]);
-        let l = w % LANES;
-        (lanes.tags[l], lanes.stamp[l], lanes.dirty[l])
-    }
-
-    /// The set and the way `slot` names in `a`.
-    fn set_and_way(a: &TagArray, slot: Slot) -> (usize, usize) {
-        let (row, (s, l)) = (slot.row as usize, slot.split());
-        let group = row / a.set_blocks;
-        (group * GROUP_SETS + s, (row % a.set_blocks) * LANES + l)
-    }
-
-    /// Which of the rows that hold `set`'s ways are materialized.
-    fn rows_of(a: &TagArray, set: usize) -> Vec<bool> {
-        let first = (set >> GROUP_SHIFT) * a.set_blocks;
-        a.rows[first..first + a.set_blocks]
-            .iter()
-            .map(Option::is_some)
-            .collect()
-    }
-
-    /// Logical equality: the same ways, the same tick and the same
-    /// directory. Which rows are materialized is not state (a row of
-    /// initial ways equals an absent one), so only the sets with a row on
-    /// either side are walked; neither are the journal's marks.
-    fn assert_arrays_match(live: &Hierarchy, snap: &Hierarchy) {
-        assert_match_in(live, snap, |a, b| {
-            let tables = a.rows.iter().zip(&b.rows).enumerate();
-            let materialized = tables.filter(|(_, (a, b))| a.is_some() || b.is_some());
-            let mut groups: Vec<usize> = materialized.map(|(r, _)| r / a.set_blocks).collect();
-            groups.dedup();
-            groups
-                .into_iter()
-                .flat_map(|g| g * GROUP_SETS..((g + 1) * GROUP_SETS).min(a.sets))
-                .collect()
-        });
-    }
-
-    /// [`assert_arrays_match`] over the sets `sets_of` names for a pair of
-    /// arrays (it must name every set the two can differ in). The partial
-    /// tags of each side must be its own tags'.
-    fn assert_match_in(
-        live: &Hierarchy,
-        snap: &Hierarchy,
-        sets_of: impl Fn(&TagArray, &TagArray) -> Vec<usize>,
-    ) {
-        for (a, b) in live
-            .l1
-            .iter()
-            .zip(&snap.l1)
-            .chain(live.l2.iter().zip(&snap.l2))
-        {
-            assert_ptags(a);
-            assert_ptags(b);
-            for set in sets_of(a, b) {
-                for w in 0..a.ways {
-                    assert_eq!(way(a, set, w), way(b, set, w), "set {set} way {w}");
-                }
-            }
-            assert_eq!(a.tick, b.tick);
-        }
-        assert_eq!(live.htm_active, snap.htm_active);
-        assert_eq!(live.dir.len(), snap.dir.len());
-        for (line, e) in &live.dir {
-            let other = snap.dir.get(line).map(|o| (o.sharers, o.dirty_in));
-            assert_eq!(Some((e.sharers, e.dirty_in)), other, "line {line:#x}");
-        }
     }
 
     #[test]
@@ -1072,31 +1184,34 @@ mod tests {
         assert_arrays_match(&h, &snap);
     }
 
-    /// `Hierarchy::access` as one function, and the early-exit way scan
-    /// under it: the unsplit definition the inlined front, `upgrade`, `miss`
-    /// and the mask scan of `Lanes::lane_of` are held to. Kept verbatim from
-    /// the implementation it was; do not "improve" it.
+    /// `Hierarchy::access` as one function, and an early-exit scan of each
+    /// block's tags under it: the unsplit definition the inlined front,
+    /// `upgrade`, `miss` and the mask scan of `Lanes::lane_of` are held to.
+    /// `access_reference` is kept verbatim from the implementation it was
+    /// (the scan walks a group's chain as `TagArray::touch` does); do not
+    /// "improve" it.
     impl TagArray {
-        /// Find the way holding `line`, log its pre-image — every caller is
-        /// about to write it — and hand out its block, lane and slot. An
-        /// absent row holds nothing.
+        /// Find the lane holding `line`, log its pre-image — every caller is
+        /// about to write it — and hand out its block, lane and slot.
         #[inline(always)]
         fn touch_reference(&mut self, line: u64) -> Option<(&mut Lanes, usize, Slot)> {
-            let (first, s) = self.locate(line);
-            let rows = &mut self.rows[first..first + self.set_blocks];
-            let (b, l) = rows.iter().enumerate().find_map(|(b, row)| {
-                let l = row.as_deref()?[s].tags.iter().position(|&t| t == line)?;
-                Some((b, l))
-            })?;
-            let slot = Slot::new(first + b, s, l);
-            let lanes = &mut rows[b].as_deref_mut()?[s];
-            lanes.log(l, slot, &mut self.journal);
-            Some((lanes, l, slot))
+            let g = self.set_of(line).1;
+            let mut block = self.heads[g].as_deref_mut();
+            let mut pos = 0;
+            while let Some(lanes) = block {
+                if let Some(l) = lanes.tags.iter().position(|&t| t == line) {
+                    let slot = Slot::new(g, pos, l);
+                    lanes.log(l, slot, &mut self.journal);
+                    return Some((lanes, l, slot));
+                }
+                block = lanes.next.as_deref_mut();
+                pos += 1;
+            }
+            None
         }
 
-        /// Probe for `line`; on hit, refresh LRU and return the way's slot and
-        /// whether it is dirty. A miss — in absent rows too — still
-        /// advances the tick.
+        /// Probe for `line`; on hit, refresh LRU and return the lane's slot
+        /// and whether it is dirty. A miss still advances the tick.
         #[inline(always)]
         fn probe_reference(&mut self, line: u64) -> Option<(Slot, bool)> {
             self.tick += 1;
@@ -1229,8 +1344,13 @@ mod tests {
 
     /// The tag array as three flat `Vec`s and a journal with its own
     /// per-way epoch `Vec` — the dense definition the sparse `TagArray` is
-    /// held to. Kept verbatim from the implementation it was; do not
-    /// "improve" it.
+    /// held to. Kept verbatim from the implementation it was, but for one
+    /// rule: a fill of a line the set holds refreshes that way, where the
+    /// old scan stopped at the first empty way before it and put a second
+    /// copy there. No hierarchy reaches that state — an L1 is filled only
+    /// after its probe missed, and no L2 way is ever emptied — and where
+    /// sets share their lanes no way comes before another. Do not
+    /// "improve" it otherwise.
     mod dense {
         use super::super::{CacheConfig, EMPTY};
 
@@ -1413,16 +1533,16 @@ mod tests {
             pub fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
                 let b = self.base(line);
                 self.tick += 1;
+                if let Some(w) = (0..self.ways).find(|&w| self.tags[b + w] == line) {
+                    // Already present (races with coherence bookkeeping).
+                    self.log(b + w);
+                    self.stamp[b + w] = self.tick;
+                    self.dirty[b + w] |= dirty;
+                    return None;
+                }
                 let mut victim = 0;
                 let mut victim_stamp = u64::MAX;
                 for w in 0..self.ways {
-                    if self.tags[b + w] == line {
-                        // Already present (races with coherence bookkeeping).
-                        self.log(b + w);
-                        self.stamp[b + w] = self.tick;
-                        self.dirty[b + w] |= dirty;
-                        return None;
-                    }
                     if self.tags[b + w] == EMPTY {
                         self.log(b + w);
                         self.tags[b + w] = line;
@@ -1476,10 +1596,25 @@ mod tests {
         (d.tags[s], d.stamp[s], d.dirty[s])
     }
 
-    /// The sparse array against its dense definition, way by way.
+    /// [`lines_of`], of the dense array.
+    fn dense_lines_of(d: &dense::TagArray, set: usize) -> Vec<(u64, u64, bool)> {
+        let ways = (0..d.ways).map(|w| dense_way(d, set, w));
+        let mut lines: Vec<_> = ways.filter(|&(tag, ..)| tag != EMPTY).collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    /// The sparse array against its dense definition: way by way where a
+    /// group is one set, else each set's lines with their stamps and dirty
+    /// bits.
     fn assert_is(sparse: &TagArray, dense: &dense::TagArray, when: &str) {
         assert_eq!(sparse.tick, dense.tick, "tick {when}");
         for set in 0..sparse.sets {
+            if sparse.group_shift > 0 {
+                let (s, d) = (lines_of(sparse, set), dense_lines_of(dense, set));
+                assert_eq!(s, d, "set {set} {when}");
+                continue;
+            }
             for w in 0..sparse.ways {
                 let (s, d) = (way(sparse, set, w), dense_way(dense, set, w));
                 assert_eq!(s, d, "set {set} way {w} {when}");
@@ -1496,9 +1631,9 @@ mod tests {
     }
 
     impl Pair {
-        fn new(cfg: CacheConfig) -> Pair {
+        fn new((cfg, group_shift): (CacheConfig, u32)) -> Pair {
             Pair {
-                sparse: TagArray::new(cfg),
+                sparse: TagArray::new(cfg, group_shift),
                 dense: dense::TagArray::new(cfg),
             }
         }
@@ -1527,22 +1662,32 @@ mod tests {
             assert_is(&self.sparse, &snap.dense, when);
         }
 
-        /// Probe both for `line`: they hit the same way of its set, in the
-        /// same dirty state — and each one's slot for it is returned — or
-        /// both miss.
+        /// Probe both for `line`: they hit it in the same dirty state — in
+        /// the same way of its set, where a group is one set — and each
+        /// one's slot for it is returned, or both miss.
         fn probe(&mut self, line: u64) -> Option<(Slot, usize)> {
             let (s, d) = (self.sparse.probe(line), self.dense.probe(line));
             let set = line as usize & (self.sparse.sets - 1);
+            let one_set = self.sparse.group_shift == 0;
             assert_eq!(
                 s.map(|(slot, dirty)| {
-                    let (in_set, w) = set_and_way(&self.sparse, slot);
-                    assert_eq!(in_set, set);
-                    (w, dirty)
+                    assert_eq!(lanes_of(&self.sparse, set)[slot.at as usize].0, line);
+                    (one_set.then(|| position(&self.sparse, set, slot)), dirty)
                 }),
-                d.map(|slot| (slot % self.dense.ways, self.dense.dirty[slot])),
+                d.map(|slot| (
+                    one_set.then_some(slot % self.dense.ways),
+                    self.dense.dirty[slot]
+                )),
                 "probe {line:#x}"
             );
             Some((s?.0, d?))
+        }
+
+        /// Fill both with `line`: they evict the same line, or none.
+        fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+            let evicted = self.sparse.fill(line, dirty);
+            assert_eq!(evicted, self.dense.fill(line, dirty), "fill {line:#x}");
+            evicted
         }
 
         /// One random cache operation on both, every observable compared.
@@ -1556,9 +1701,7 @@ mod tests {
                     }
                 }
                 4..=6 => {
-                    let dirty = rng.gen_bool(0.3);
-                    let evicted = self.sparse.fill(line, dirty);
-                    assert_eq!(evicted, self.dense.fill(line, dirty), "fill {line:#x}");
+                    self.fill(line, rng.gen_bool(0.3));
                 }
                 7..=8 => assert_eq!(
                     self.sparse.invalidate(line),
@@ -1575,8 +1718,8 @@ mod tests {
     }
 
     /// Lines that pile more than `ways` deep onto a few sets — among them
-    /// the last set of one group, the first of the next and the array's
-    /// last — so streams evict, and materialize rows one at a time. Each
+    /// the last set of one L2 group, the first of the next and the array's
+    /// last — so streams evict, and link blocks one at a time. Each
     /// set also gets two lines that share its first line's partial tag, so
     /// probes meet candidates their full tag rejects.
     fn contended_lines(cfg: CacheConfig) -> Vec<u64> {
@@ -1584,8 +1727,8 @@ mod tests {
         let picks = [
             0,
             1,
-            GROUP_SETS as u64 - 1,
-            GROUP_SETS as u64,
+            (1 << L2_GROUP_SHIFT) - 1,
+            1 << L2_GROUP_SHIFT,
             sets / 2,
             sets - 1,
         ];
@@ -1602,20 +1745,27 @@ mod tests {
             .collect()
     }
 
-    fn oracle_geometries() -> [CacheConfig; 4] {
+    /// Each level of two machines, with its group size.
+    fn oracle_geometries() -> [(CacheConfig, u32); 4] {
         let (xeon, tiny) = (MachineConfig::xeon_e5405(), MachineConfig::tiny_test());
-        [xeon.l2, xeon.l1, tiny.l2, tiny.l1]
+        [
+            (xeon.l2, L2_GROUP_SHIFT),
+            (xeon.l1, L1_GROUP_SHIFT),
+            (tiny.l2, L2_GROUP_SHIFT),
+            (tiny.l1, L1_GROUP_SHIFT),
+        ]
     }
 
     #[test]
     fn sparse_array_matches_its_dense_definition_step_by_step() {
         use rand::{Rng, SeedableRng};
         COLLISIONS.set(0);
-        for (g, cfg) in oracle_geometries().into_iter().enumerate() {
+        for (g, geometry) in oracle_geometries().into_iter().enumerate() {
+            let cfg = geometry.0;
             let lines = contended_lines(cfg);
             for seed in 0..4u64 {
                 let mut rng = rand::rngs::SmallRng::seed_from_u64(seed * 16 + g as u64);
-                let mut p = Pair::new(cfg);
+                let mut p = Pair::new(geometry);
                 // What the armed journals rewind to, and a snapshot a cold
                 // restore can go back to (`Hierarchy::clone`).
                 let mut armed_at: Option<Pair> = None;
@@ -1642,19 +1792,17 @@ mod tests {
                     }
                     assert_ptags(&p.sparse);
                 }
-                // A full set with every way probed, so that the scan has
-                // named each lane of each block (8 lanes × 3 blocks on the
-                // 24-way L2) — the walk above fills the upper ways by luck
-                // only. Emptied first, set 0 fills in way order.
+                // A full set with every way probed, so that the dense scan
+                // has named each of its ways — and, in a group of one set,
+                // the sparse one each lane of each block (8 lanes × 3
+                // blocks on the 24-way L2) — the walk above fills the upper
+                // ways by luck only. Emptied first, set 0 fills in way
+                // order.
                 let sets = cfg.sets() as u64;
                 let in_set_0 = lines.iter().filter(|&&line| line % sets == 0);
                 for &line in in_set_0.clone() {
-                    // The walk fills lines that are resident already, so
-                    // there can be copies.
-                    while p.sparse.invalidate(line) {
-                        assert!(p.dense.invalidate(line));
-                    }
-                    assert!(!p.dense.invalidate(line));
+                    let resident = p.sparse.invalidate(line);
+                    assert_eq!(resident, p.dense.invalidate(line));
                 }
                 let resident: Vec<u64> = in_set_0.copied().take(cfg.ways).collect();
                 for &line in &resident {
@@ -1681,10 +1829,10 @@ mod tests {
     #[test]
     fn revert_after_a_cold_restore_returns_to_the_snapshot() {
         use rand::SeedableRng;
-        for cfg in oracle_geometries() {
-            let lines = contended_lines(cfg);
+        for geometry in oracle_geometries() {
+            let lines = contended_lines(geometry.0);
             let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-            let mut p = Pair::new(cfg);
+            let mut p = Pair::new(geometry);
             (0..400).for_each(|_| p.step(&mut rng, &lines));
             let snap = p.clone();
             p.arm();
@@ -1698,15 +1846,15 @@ mod tests {
     }
 
     /// One set of the E5405's 8-way L1 and of its 24-way L2, full, with the
-    /// probed line in the last way and the three ways below it — the same
+    /// probed line in the last lane and the three lanes below it — the same
     /// block — holding lines that share its partial-tag byte: every
-    /// candidate the partial tags name before the line's own way is a
-    /// collision. Each operation that finds a way by its tag must act on
-    /// the way whose full tag matches, and on no other.
+    /// candidate the partial tags name before the line's own lane is a
+    /// collision. Each operation that finds a lane by its tag must act on
+    /// the lane whose full tag matches, and on no other.
     #[test]
     fn partial_tag_collisions_resolve_to_the_way_whose_tag_matches() {
         let xeon = MachineConfig::xeon_e5405();
-        for cfg in [xeon.l1, xeon.l2] {
+        for (cfg, group_shift) in [(xeon.l1, L1_GROUP_SHIFT), (xeon.l2, L2_GROUP_SHIFT)] {
             let sets = cfg.sets() as u64;
             let (target, mine) = (sets, cfg.ways - 1);
             let byte = ptag_of(target);
@@ -1714,107 +1862,112 @@ mod tests {
             let colliders = set_0.clone().filter(|&l| ptag_of(l) == byte).take(3);
             let others = set_0.filter(|&l| ptag_of(l) != byte).take(cfg.ways - 4);
             let resident: Vec<u64> = others.chain(colliders).chain([target]).collect();
-            let mut a = TagArray::new(cfg);
+            let mut a = TagArray::new(cfg, group_shift);
             for &line in &resident {
                 assert_eq!(a.fill(line, true), None);
             }
-            let ways = |a: &TagArray| (0..cfg.ways).map(|w| way(a, 0, w)).collect::<Vec<_>>();
             let before = COLLISIONS.get();
 
             let (slot, dirty) = a.probe(target).expect("resident");
-            assert_eq!((set_and_way(&a, slot), dirty), ((0, mine), true));
+            assert_eq!((position(&a, 0, slot), dirty), (mine, true));
             assert_eq!(
-                way(&a, 0, mine).1,
+                lanes_of(&a, 0)[mine].1,
                 a.tick,
-                "the probe stamps the line's way"
+                "the probe stamps the line's lane"
             );
             assert!(
                 COLLISIONS.get() >= before + 3,
                 "the colliders were candidates"
             );
 
-            let dirty_before = ways(&a);
+            let dirty_before = lanes_of(&a, 0);
             a.clear_dirty(target);
-            for (w, (now, was)) in ways(&a).into_iter().zip(dirty_before).enumerate() {
-                assert_eq!(now, (was.0, was.1, w != mine), "clear_dirty, way {w}");
+            for (w, (now, was)) in lanes_of(&a, 0).into_iter().zip(dirty_before).enumerate() {
+                assert_eq!(now, (was.0, was.1, w != mine), "clear_dirty, lane {w}");
             }
 
-            let before_invalidate = ways(&a);
+            let before_invalidate = lanes_of(&a, 0);
             assert!(a.invalidate(target));
-            for (w, (now, was)) in ways(&a).into_iter().zip(before_invalidate).enumerate() {
+            for (w, (now, was)) in lanes_of(&a, 0)
+                .into_iter()
+                .zip(before_invalidate)
+                .enumerate()
+            {
                 let want = if w == mine {
                     (EMPTY, was.1, false)
                 } else {
                     was
                 };
-                assert_eq!(now, want, "invalidate, way {w}");
+                assert_eq!(now, want, "invalidate, lane {w}");
             }
             assert_eq!(a.probe(target), None);
             assert!(!a.invalidate(target));
 
-            // The one empty way is the line's old one; a fill of a line
-            // already there refreshes that way alone.
+            // The one empty lane is the line's old one; a fill of a line
+            // already there refreshes that lane alone.
             assert_eq!(a.fill(target, false), None);
-            assert_eq!(way(&a, 0, mine), (target, a.tick, false));
-            let before_refill = ways(&a);
+            assert_eq!(lanes_of(&a, 0)[mine], (target, a.tick, false));
+            let before_refill = lanes_of(&a, 0);
             assert_eq!(a.fill(target, true), None);
-            for (w, (now, was)) in ways(&a).into_iter().zip(before_refill).enumerate() {
+            for (w, (now, was)) in lanes_of(&a, 0).into_iter().zip(before_refill).enumerate() {
                 let want = if w == mine {
                     (target, a.tick, true)
                 } else {
                     was
                 };
-                assert_eq!(now, want, "fill, way {w}");
+                assert_eq!(now, want, "fill, lane {w}");
             }
             let (slot, _) = a.probe(target).expect("filled again");
-            assert_eq!(set_and_way(&a, slot), (0, mine));
+            assert_eq!(position(&a, 0, slot), mine);
             assert_ptags(&a);
         }
     }
 
-    /// Rows 1 and 2 of a set of the E5405's 24-way L2, against the dense
-    /// array: rows materialized after the journal is armed revert to
-    /// initial ways, a cold restore from a snapshot that lacks them resets
-    /// them, and a probe past partial-tag colliders in earlier rows acts on
-    /// the way whose full tag matches.
+    /// Blocks 1 and 2 of the chain of a set of the E5405's 24-way L2,
+    /// against the dense array: blocks linked after the journal is armed
+    /// stay in the chain with their lanes reverted to the initial state, a
+    /// cold restore from a snapshot that lacks them resets them in place,
+    /// and a probe past partial-tag colliders in earlier blocks acts on
+    /// the lane whose full tag matches.
     #[test]
-    fn rows_past_the_first_revert_restore_and_probe_like_dense_ways() {
+    fn blocks_past_the_first_revert_restore_and_probe_like_dense_ways() {
         let cfg = MachineConfig::xeon_e5405().l2;
         let (sets, set) = (cfg.sets() as u64, 1);
         let line = |k: u64| set as u64 + k * sets;
-        let fill = |p: &mut Pair, line: u64, dirty: bool| {
-            let evicted = p.sparse.fill(line, dirty);
-            assert_eq!(evicted, p.dense.fill(line, dirty), "fill {line:#x}");
-        };
-        // Rows 1 and 2 of the set's group are there, every way initial.
-        let later_rows_initial = |a: &TagArray| {
-            assert_eq!(rows_of(a, set), [true; 3]);
-            for row in &a.rows[1..3] {
-                for lanes in row.as_deref().expect("materialized") {
-                    let state = |l: &Lanes| (l.ptag, l.tags, l.stamp, l.dirty);
-                    assert_eq!(state(lanes), state(&INITIAL));
-                }
+        // Blocks 1 and 2 of the set's chain are there, every lane initial.
+        let later_blocks_initial = |a: &TagArray| {
+            let chain = chain(a, set);
+            assert_eq!(chain.len(), 3);
+            for &lanes in &chain[1..] {
+                let state = |l: &Lanes| (l.ptag, l.tags, l.stamp, l.dirty);
+                assert_eq!(state(lanes), state(&INITIAL));
             }
         };
 
-        let mut p = Pair::new(cfg);
-        (0..8).for_each(|k| fill(&mut p, line(k), k % 2 == 0));
-        assert_eq!(rows_of(&p.sparse, set), [true, false, false]);
+        let mut p = Pair::new((cfg, L2_GROUP_SHIFT));
+        for k in 0..8 {
+            p.fill(line(k), k % 2 == 0);
+        }
+        assert_eq!(chain(&p.sparse, set).len(), 1);
         let snap = p.clone();
         p.arm();
-        (8..24).for_each(|k| fill(&mut p, line(k), k % 3 == 0));
-        assert_eq!(rows_of(&p.sparse, set), [true; 3]);
+        for k in 8..24 {
+            p.fill(line(k), k % 3 == 0);
+        }
+        assert_eq!(chain(&p.sparse, set).len(), 3);
         p.revert();
         p.assert_back_at(&snap, "after the revert");
-        later_rows_initial(&p.sparse);
+        later_blocks_initial(&p.sparse);
 
-        (8..30).for_each(|k| fill(&mut p, line(k), k % 3 == 0));
+        for k in 8..30 {
+            p.fill(line(k), k % 3 == 0);
+        }
         p.cold_restore(&snap);
         p.assert_back_at(&snap, "after the cold restore");
-        later_rows_initial(&p.sparse);
+        later_blocks_initial(&p.sparse);
 
-        // Ways 7 and 15 — the last of rows 0 and 1 — hold lines that share
-        // the target's partial tag, and way 23 the target.
+        // Lanes 7 and 15 — the last of blocks 0 and 1 — hold lines that
+        // share the target's partial tag, and lane 23 the target.
         let byte = ptag_of(line(0));
         let colliders = (1..).map(line).filter(|&l| ptag_of(l) == byte);
         let mut others = (1..).map(line).filter(|&l| ptag_of(l) != byte);
@@ -1823,13 +1976,15 @@ mod tests {
             resident.extend(others.by_ref().take(LANES - 1));
             resident.push(c);
         }
-        let mut p = Pair::new(cfg);
-        resident.iter().for_each(|&l| fill(&mut p, l, true));
+        let mut p = Pair::new((cfg, L2_GROUP_SHIFT));
+        for &l in &resident {
+            p.fill(l, true);
+        }
         for (w, want) in [(23, 2), (15, 1)] {
             let before = COLLISIONS.get();
             let (slot, _) = p.probe(resident[w]).expect("resident");
-            assert_eq!(set_and_way(&p.sparse, slot), (set, w));
-            assert!(COLLISIONS.get() >= before + want, "way {w}'s colliders");
+            assert_eq!(position(&p.sparse, set, slot), w);
+            assert!(COLLISIONS.get() >= before + want, "lane {w}'s colliders");
         }
         p.sparse.clear_dirty(line(0));
         p.dense.clear_dirty(line(0));
@@ -1837,10 +1992,76 @@ mod tests {
         assert!(p.sparse.invalidate(line(0)) && p.dense.invalidate(line(0)));
         assert_is(&p.sparse, &p.dense, "after invalidate");
         assert_eq!(p.probe(line(0)), None);
-        fill(&mut p, line(0), false);
-        assert_eq!(way(&p.sparse, set, 23).0, line(0));
+        assert_eq!(p.fill(line(0), false), None);
+        assert_eq!(lanes_of(&p.sparse, set)[23].0, line(0));
         assert_is(&p.sparse, &p.dense, "after the refill");
         assert_ptags(&p.sparse);
+    }
+
+    /// A set of the E5405's 24-way L2 that holds 24 lines evicts its own
+    /// LRU line, though its group's chain has empty lanes that another set
+    /// opened — exactly as the dense set, whose ways are all full, does.
+    #[test]
+    fn a_full_set_evicts_its_own_lru_line_while_its_group_has_empty_lanes() {
+        let cfg = MachineConfig::xeon_e5405().l2;
+        let sets = cfg.sets() as u64;
+        let mut p = Pair::new((cfg, L2_GROUP_SHIFT));
+        // Set 0's 24 lines fill three blocks; one line of set 1 opens a
+        // fourth, and leaves seven of its lanes empty.
+        (0..24).for_each(|k| assert_eq!(p.fill(k * sets, k % 2 == 0), None));
+        assert_eq!(p.fill(1, false), None);
+        let empty = |a: &TagArray| lanes_of(a, 0).iter().filter(|l| l.0 == EMPTY).count();
+        assert_eq!((chain(&p.sparse, 0).len(), empty(&p.sparse)), (4, 7));
+
+        // The 25th line of set 0 takes the lane of the set's LRU line (its
+        // first, dirty), not an empty one; after a probe refreshes the
+        // second, the 26th takes the third's.
+        assert_eq!(p.fill(24 * sets, false), Some((0, true)));
+        assert!(p.probe(sets).is_some());
+        assert_eq!(p.fill(25 * sets, true), Some((2 * sets, true)));
+        assert_eq!((chain(&p.sparse, 0).len(), empty(&p.sparse)), (4, 7));
+        assert_eq!(lines_of(&p.sparse, 1), [(1, 25, false)]);
+        assert_is(&p.sparse, &p.dense, "after the evictions");
+    }
+
+    /// A block linked while the journal is armed stays in its chain when
+    /// the journal reverts, its lanes back to the initial state — what its
+    /// absence meant — and the group's next fills take its lanes before
+    /// another block is linked; a cold restore to a snapshot that lacks it
+    /// resets it in place, and the next fill takes it again.
+    #[test]
+    fn the_journal_reverts_a_block_appended_since_arming() {
+        let cfg = MachineConfig::xeon_e5405().l2;
+        let sets = cfg.sets() as u64;
+        let fill = |p: &mut Pair, line: u64| assert_eq!(p.fill(line, false), None);
+        let state = |l: &Lanes| (l.ptag, l.tags, l.stamp, l.dirty);
+        let second_initial = |a: &TagArray| {
+            let chain = chain(a, 0);
+            assert_eq!((chain.len(), blocks(a).count()), (2, 2));
+            assert_eq!(state(chain[1]), state(&INITIAL));
+        };
+        // Two lines in each set of group 0: one block, full.
+        let mut p = Pair::new((cfg, L2_GROUP_SHIFT));
+        (0..8).for_each(|i| fill(&mut p, i % 4 + i / 4 * sets));
+        assert_eq!(blocks(&p.sparse).count(), 1);
+        let snap = p.clone();
+        p.arm();
+        fill(&mut p, 2 * sets);
+        assert_eq!(blocks(&p.sparse).count(), 2);
+
+        p.revert();
+        p.assert_back_at(&snap, "after the revert");
+        second_initial(&p.sparse);
+        (3..10).for_each(|k| fill(&mut p, 3 + k * sets));
+        assert_eq!(blocks(&p.sparse).count(), 2);
+        assert_is(&p.sparse, &p.dense, "after the refills");
+
+        p.cold_restore(&snap);
+        p.assert_back_at(&snap, "after the cold restore");
+        second_initial(&p.sparse);
+        fill(&mut p, 2 * sets);
+        assert_eq!(blocks(&p.sparse).count(), 2);
+        assert_is(&p.sparse, &p.dense, "after the fill");
     }
 
     /// A snapshot's marks are dead data. Here they would bite: the clone is
@@ -1854,12 +2075,11 @@ mod tests {
         let cfg = MachineConfig::tiny_test().l1;
         let lines = contended_lines(cfg);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
-        let mut p = Pair::new(cfg);
+        let mut p = Pair::new((cfg, L1_GROUP_SHIFT));
         (0..5).for_each(|_| p.arm());
         (0..200).for_each(|_| p.step(&mut rng, &lines));
         let snap = p.clone();
-        let marked = |r: &Row| r.iter().any(|lanes| lanes.mark.contains(&5));
-        assert!(snap.sparse.rows.iter().flatten().any(marked));
+        assert!(blocks(&snap.sparse).any(|lanes| lanes.mark.contains(&5)));
 
         // Wrap: the next arm clears the live marks and starts over at 1.
         p.sparse.journal.0.as_mut().expect("armed").cur = u16::MAX;
@@ -1888,12 +2108,6 @@ mod tests {
                 (stats, h.htm_doomed(c), t.active, tracked)
             })
             .collect()
-    }
-
-    /// The way of `a` that holds `line`, if one does.
-    fn way_of(a: &TagArray, line: u64) -> Option<usize> {
-        let set = line as usize & (a.sets - 1);
-        (0..a.ways).find(|&w| way(a, set, w).0 == line)
     }
 
     /// The split `access` against the unsplit function it was, one random
@@ -1925,7 +2139,8 @@ mod tests {
                     (sets, of_lines)
                 })
                 .collect();
-            // Ways an L1 probe, and an L2 probe, have hit.
+            // Ways an L1 probe has hit, and lanes below the associativity
+            // in an L2 chain an L2 probe has.
             let mut hit = (vec![false; cfg.l1.ways], vec![false; cfg.l2.ways]);
             for seed in 0..3u64 {
                 let mut rng = rand::rngs::SmallRng::seed_from_u64(seed * 16 + m as u64);
@@ -1961,13 +2176,15 @@ mod tests {
                             let addr = line * LINE + rng.gen_range(0..8u64) * 8;
                             let write = rng.gen_bool(0.35);
                             let remote = whole.dir.get(&line).and_then(|e| e.dirty_in);
-                            if let Some(w) = way_of(&whole.l1[core], line) {
+                            if let Some(w) = position_of(&whole.l1[core], line) {
                                 hit.0[w] = true;
                             } else if remote.is_none() {
                                 // A clean miss probes the socket's L2.
                                 let l2 = &whole.l2[cfg.socket_of(core)];
-                                if let Some(w) = way_of(l2, line) {
-                                    hit.1[w] = true;
+                                if let Some(h) =
+                                    position_of(l2, line).and_then(|w| hit.1.get_mut(w))
+                                {
+                                    *h = true;
                                 }
                             }
                             assert_eq!(
@@ -2046,9 +2263,8 @@ mod tests {
             let asked = once.clone();
             let Some(cost) = once.repeat_cost(core, addr, write) else {
                 // Not a plain hit: absent, or a write to a clean line.
-                let l1 = &once.l1[core];
-                if let Some(w) = way_of(l1, addr / LINE) {
-                    assert!(write && !way(l1, (addr / LINE) as usize & (l1.sets - 1), w).2);
+                if let Some((lanes, l)) = once.l1[core].find(addr / LINE) {
+                    assert!(write && !lanes.dirty[l]);
                 }
                 refused += 1;
                 continue;

@@ -91,7 +91,7 @@ fn a_machine_costs_what_it_touches() {
     );
 
     // A snapshot copies what exists: here 64 lines, each on a page of its
-    // own — the worst case, 64 pages and 64 rows of L2 tags.
+    // own — the worst case, 64 pages and 64 blocks of L2 tags.
     let sim = Sim::new(MachineConfig::xeon_e5405());
     sim.run(1, |ctx| {
         for page in 0..64u64 {
@@ -106,10 +106,11 @@ fn a_machine_costs_what_it_touches() {
     );
     drop((snap, sim));
 
-    // Tags follow the ways a run fills, not the associativity: one line in
-    // each of the 4 096 sets of a 24-way L2 takes the first of each set's
-    // three blocks of eight ways — 640 KB of rows, where whole sets would
-    // be 1.9 MB — and a snapshot copies those rows.
+    // Tags follow the lines a run holds, not the sets it touches: one line
+    // in each of the 4 096 sets of a 24-way L2 puts four lines in each
+    // group of four sets, which share one block of eight lanes — 168 KB of
+    // blocks, where a block of its own for each set would be 672 KB and
+    // whole sets 1.9 MB — and a snapshot copies those blocks.
     let sim = Sim::new(MachineConfig::xeon_e5405());
     let l2 = MachineConfig::xeon_e5405().l2;
     let lines = l2.size / 64 / l2.ways as u64;
@@ -122,12 +123,12 @@ fn a_machine_costs_what_it_touches() {
         })
     });
     assert!(
-        run < 768 * KB,
+        run < 256 * KB,
         "a run that read a line in each L2 set requested {run} bytes"
     );
     let (snapshot, snap) = requested_by(|| sim.snapshot(None));
     assert!(
-        snapshot < 768 * KB,
+        snapshot < 256 * KB,
         "a snapshot of a line in each L2 set requested {snapshot} bytes"
     );
     drop((snap, sim));

@@ -10,8 +10,8 @@
 # cooler host. It prints one row per pair (which side went first, host_s
 # of each side and their ratio, then setup_s and peak_rss_mb of each), each
 # side's median and quartiles of those three metrics (the exclusive rule
-# of the benchmark's `stats.rs`), the pairs the change won (lower host_s),
-# and whether `virt_ms`, `ops` and `failed` agree between the sides on
+# of the benchmark's `stats.rs`), the pairs the change won on each of them
+# (lower is a win), and whether `virt_ms`, `ops` and `failed` agree between the sides on
 # every pair. Exits 1 if they do not, or if a run fails.
 # Defaults: 10 pairs, the benchmark's 18-second runs, seed 9000.
 set -euo pipefail
@@ -113,15 +113,17 @@ for m in "${metrics[@]}"; do
   echo "parent $m: $(tr ' ' '\n' <<<"${parent_vals[$m]}" | grep . | summary)"
   echo "change $m: $(tr ' ' '\n' <<<"${change_vals[$m]}" | grep . | summary)"
 done
-read -ra parent_host <<<"${parent_vals[host_s]}"
-read -ra change_host <<<"${change_vals[host_s]}"
-wins=0
-for ((i = 0; i < pairs; i++)); do
-  if awk -v p="${parent_host[i]}" -v c="${change_host[i]}" 'BEGIN { exit !(c < p) }'; then
-    wins=$((wins + 1))
-  fi
+for m in "${metrics[@]}"; do
+  read -ra parent_m <<<"${parent_vals[$m]}"
+  read -ra change_m <<<"${change_vals[$m]}"
+  wins=0
+  for ((i = 0; i < pairs; i++)); do
+    if awk -v p="${parent_m[i]}" -v c="${change_m[i]}" 'BEGIN { exit !(c < p) }'; then
+      wins=$((wins + 1))
+    fi
+  done
+  echo "change wins: $wins of $pairs pairs (lower $m)"
 done
-echo "change wins: $wins of $pairs pairs (lower host_s)"
 if ((agree)); then
   echo "virt_ms, ops, failed: agree on every pair"
 else

@@ -6,6 +6,8 @@
 #   scripts/profile.sh <workload> [--seconds N] [--seed N] [--layer REGEX]
 #                      [--lines REGEX]
 #   scripts/profile.sh -- <command> [args...]      any binary with debug info
+#   scripts/profile.sh --heap <workload> [--seconds N] [--seed N]
+#   scripts/profile.sh --heap -- <command> [args...]
 #
 # Builds scripts/sigprof.c (a SIGPROF sampler, preloaded) and the benchmark
 # package with debug info into their own target directory
@@ -23,19 +25,35 @@
 # other way. With `--lines REGEX`, a third table: of the samples outside the
 # kernel whose outermost function matches REGEX, the share by the source
 # line (`file:line`, relative to the repository) their innermost frame is
-# on — where inside a hot function its time goes. Exits 0 with a notice
-# where `cc` or `addr2line` is missing.
+# on — where inside a hot function its time goes.
+#
+# With `--heap`, where the host memory goes instead: scripts/heapprof.c (a
+# counting allocator, preloaded) keeps the live bytes of each allocation
+# site, and the profile is the live heap at its peak — one `heap:` line with
+# the peak, then the share, megabytes and blocks of it by site, a site
+# being the first four frames (inlined ones included, innermost first)
+# outside the allocator and the standard library's collections. Exits 0
+# with a notice where `cc` or `addr2line` is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 for tool in cc addr2line; do
   command -v "$tool" >/dev/null || { echo "profile: no $tool on this host, nothing profiled"; exit 0; }
 done
-[ $# -ge 1 ] || { sed -n '2,9p' "$0"; exit 2; }
+heap=0
+if [ "${1:-}" = "--heap" ]; then
+  heap=1
+  shift
+fi
+[ $# -ge 1 ] || { sed -n '2,11p' "$0"; exit 2; }
 
 dir="${CARGO_TARGET_DIR:-$PWD/target}/profile"
 mkdir -p "$dir"
-cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -ldl
+if ((heap)); then
+  cc -O2 -shared -fPIC -ftls-model=initial-exec -o "$dir/heapprof.so" scripts/heapprof.c
+else
+  cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -ldl
+fi
 
 if [ "$1" = "--" ]; then
   shift
@@ -60,6 +78,58 @@ else
   cmd=("$dir/release/tm-benchmark" --workload "$what" --seed "$seed" --seconds "$seconds" --trace 0)
 fi
 binary="$(command -v "${cmd[0]}")"
+
+if ((heap)); then
+  # `heapprof.so` writes a `peak <bytes> <blocks> <untracked>` line, then a
+  # line per site live at the peak: its bytes, its blocks and its stack,
+  # innermost frame first, each an offset into the executable or `-`. The
+  # offsets are symbolized once each (`addr2line -i`: every inlined frame,
+  # innermost first), and a site is named by its first four frames whose
+  # function is not allocator plumbing — `alloc::`, `core::`, `std::`,
+  # `hashbrown::` and the `__rust_alloc` shims.
+  sites="$dir/heap.txt"
+  rm -f "$sites"
+  HEAPPROF_OUT="$sites" LD_PRELOAD="$dir/heapprof.so" "${cmd[@]}" >/dev/null
+  [ -s "$sites" ] || { echo "profile: $what left no heap profile"; exit 1; }
+  tail -n +2 "$sites" | tr ' ' '\n' | grep '^0x' | sort -u >"$dir/heap-pcs.txt" || true
+  addr2line -a -f -i -C -e "$binary" <"$dir/heap-pcs.txt" >"$dir/heap-frames.txt"
+  awk -v what="$what" -v frames="$dir/heap-frames.txt" '
+    function key(pc) { sub(/^0x0*/, "", pc); return pc }
+    function plumbing(f) {
+      return f ~ /^<?(alloc|core|std|hashbrown)::/ || f ~ /^<[^:]* as (alloc|core|std)::/ ||
+        f ~ /^(__rust_|__rdl_|__rg_|\?\?)/
+    }
+    BEGIN {
+      while ((getline line < frames) > 0) {
+        if (line ~ /^0x/) { pc = key(line); odd = 0; continue }
+        if ((odd = !odd)) { sub(/::h[0-9a-f]{16}$/, "", line); fn[pc] = fn[pc] "\t" line }
+      }
+    }
+    NR == 1 { peak = $2; blocks = $3; untracked = $4; next }
+    {
+      site = ""; taken = 0
+      for (i = 3; i <= NF && taken < 4; i++) {
+        if ($i == "-") continue
+        n = split(substr(fn[key($i)], 2), f, "\t")
+        for (j = 1; j <= n && taken < 4; j++) {
+          if (plumbing(f[j]) || f[j] == last) continue
+          site = site (taken++ ? " < " : "") f[j]; last = f[j]
+        }
+      }
+      last = ""
+      if (site == "") site = "(no frame outside the allocator)"
+      bytes[site] += $1; count[site] += $2
+    }
+    END {
+      printf "heap: %s, peak %.3f MB live in %d blocks (%d allocations not tracked)\n", what, peak / 1048576, blocks, untracked
+      printf "columns: share of the live heap at its peak, MB, blocks\n"
+      printf "\n== allocation site (first four frames outside the allocator, innermost first) ==\n"
+      for (s in bytes)
+        printf "%5.1f%%  %8.3f  %7d  %s\n", 100 * bytes[s] / peak, bytes[s] / 1048576, count[s], s | "sort -rn | head -n 15"
+      close("sort -rn | head -n 15")
+    }' "$sites"
+  exit 0
+fi
 
 samples="$dir/samples.txt"
 rm -f "$samples"

@@ -404,6 +404,25 @@ if [ "$quick" -eq 0 ]; then
       }
       ;;
   esac
+
+  # The heap profile a perf_opt issue on memory names its site from:
+  # on synth-matrix it must print the live heap's peak (or say itself
+  # where cc or addr2line is missing).
+  echo "==> scripts/profile.sh --heap synth-matrix (smoke: a peak line)"
+  heap="$(timeout 900 scripts/profile.sh --heap synth-matrix --seconds 2)" || {
+    echo "verify: scripts/profile.sh --heap synth-matrix failed"
+    exit 1
+  }
+  echo "$heap" | head -n 6
+  case "$heap" in
+    "profile: no "*) ;;
+    *)
+      echo "$heap" | grep -q '^heap: synth-matrix, peak [0-9.]* MB live' || {
+        echo "verify: scripts/profile.sh --heap synth-matrix printed no peak line"
+        exit 1
+      }
+      ;;
+  esac
 fi
 
 echo "verify: all gates passed"

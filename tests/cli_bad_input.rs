@@ -161,7 +161,29 @@ fn arguments_the_subcommand_does_not_understand_are_one_line_usage_errors() {
         (
             &["syth", "--structure", "hash"],
             "error: bad subcommand 'syth' (valid: synth, stamp, threadtest, profile, machine, \
-             sweep, check, mc, book)\n",
+             sweep, check, mc, book, report)\n",
+        ),
+        // `report` is dispatched before the lookup, and was missing from
+        // the list of valid subcommands.
+        (
+            &["reprot", "a.json"],
+            "error: bad subcommand 'reprot' (valid: synth, stamp, threadtest, profile, machine, \
+             sweep, check, mc, book, report)\n",
+        ),
+        // What a refusal shows of its input is escaped: each of these
+        // printed a two-line `error:`.
+        (
+            &["synth", "--threads", "1\n2"],
+            "error: bad --threads '1\\n2'\n",
+        ),
+        (
+            &["synth", "--bogus\nx", "1"],
+            "error: unknown flag '--bogus\\nx' for tmstudy synth\n",
+        ),
+        (
+            &["synth", "--alloc-fault", "x\ny"],
+            "error: invalid alloc-fault plan 'x\\ny' (want none, budget:<bytes>, \
+             class:<size>:<max-live>, site:<n>, or prob:<seed>:<denom>)\n",
         ),
         // So did `report` without a file, or with more than two.
         (&["report"], "error: report takes one or two files, not 0\n"),
