@@ -1015,6 +1015,15 @@ impl MachineStateView<'_> {
     pub fn released_accesses(&self) -> u64 {
         self.m.mem.released_accesses()
     }
+    /// Page-radix leaves that exist: one per 4 MiB span that holds a
+    /// materialized page.
+    pub fn radix_leaves(&self) -> usize {
+        self.m.mem.radix_leaves()
+    }
+    /// Entries in the memory's materialization log, tombstones included.
+    pub fn log_entries(&self) -> usize {
+        self.m.mem.log_entries()
+    }
 }
 
 /// Per-thread execution context handed to workload closures. All simulated

@@ -22,22 +22,22 @@
 //!
 //! Host storage follows the live mappings: a released page gives its 4 KiB
 //! back and reads as zero again, like any unmapped page, and a write
-//! materializes it afresh. Its entry in the materialization log stays, as
-//! a tombstone, so the log of an earlier snapshot is still an index-aligned
-//! prefix of the live one (the COW sharing below relies on that). Loads and
-//! stores that land on a released page are counted
-//! ([`Memory::released_accesses`]): no workload touches a mapping it gave
-//! back, so the count is zero unless a large block is used after its free.
+//! materializes it afresh. Its entry in the materialization log becomes a
+//! tombstone, so the log of an earlier snapshot is still an index-aligned
+//! prefix of the live one (the COW sharing below relies on that); the
+//! tombstones past the longest log any snapshot captured are seen by none
+//! and are compacted away. Loads and stores that land on a released page
+//! are counted ([`Memory::released_accesses`]): no workload touches a
+//! mapping it gave back, so the count is zero unless a large block is used
+//! after its free.
 //!
 //! The radix nodes are small (16 KB, 16 KB and 8 KB) and exist only along
 //! paths that lead to a page: a fresh memory is one empty root, the first
-//! touch of a region adds at most one node per level below it, and dropping
-//! the memory visits only the nodes that exist. An absent node reads as
-//! zeros, like the absent pages under it.
+//! touch of a region adds at most one node per level below it, a leaf goes
+//! with its last page, and dropping the memory visits only the nodes that
+//! exist. An absent node reads as zeros, like the absent pages under it.
 
 use std::sync::Arc;
-
-use crate::hash::IntMap;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
@@ -57,7 +57,12 @@ const LEAF_BITS: u64 = 10;
 pub(crate) const ADDR_LIMIT: u64 = 1 << (ROOT_BITS + MID_BITS + LEAF_BITS + PAGE_SHIFT);
 
 /// 1024 pages: 4 MiB of simulated memory behind 8 KB of pointers.
-type Leaf = [Option<Box<Page>>; 1 << LEAF_BITS];
+#[derive(Clone)]
+struct Leaf {
+    pages: [Option<Box<Page>>; 1 << LEAF_BITS],
+    /// The materialized pages among `pages`; at 0 the leaf is dropped.
+    live: u32,
+}
 /// 2048 leaves: 8 GiB behind 16 KB.
 type Mid = [Option<Box<Leaf>>; 1 << MID_BITS];
 /// 2048 middle nodes: the whole 16 TiB behind 16 KB.
@@ -67,31 +72,56 @@ type Root = [Option<Box<Mid>>; 1 << ROOT_BITS];
 /// logged: a tombstone. Page ids stop at 2^32, far below this bit.
 const TOMB: u64 = 1 << 63;
 
-/// Released pages, one bit each, in groups of 64 keyed by `page >> 6`; a
-/// group with no bit set is removed, so an empty set is an empty map.
-type Released = IntMap<u64, u64>;
+/// Released pages: sorted, disjoint ranges `(first, end)` of page ids,
+/// none touching the next. A bump allocator's mappings, unmapped in any
+/// order, merge into one range per run between the mappings still live,
+/// so the set follows those, not every page ever unmapped.
+type Released = Vec<(u64, u64)>;
+
+/// The index of the first range in `set` that ends after `page`.
+fn range_after(set: &Released, page: u64) -> usize {
+    set.partition_point(|&(_, end)| end <= page)
+}
 
 /// Whether `page` is in `set`.
 fn is_released(set: &Released, page: u64) -> bool {
-    set.get(&(page >> 6))
-        .is_some_and(|bits| bits >> (page & 63) & 1 != 0)
+    set.get(range_after(set, page))
+        .is_some_and(|&(first, _)| first <= page)
+}
+
+/// Add the pages `first..end` to `set`, merged with the ranges they
+/// overlap or touch.
+fn add_released(set: &mut Released, first: u64, end: u64) {
+    if first >= end {
+        return;
+    }
+    let lo = set.partition_point(|&(_, e)| e < first);
+    let hi = set.partition_point(|&(f, _)| f <= end);
+    let merged = match set[lo..hi] {
+        [a, ..] => (a.0.min(first), set[hi - 1].1.max(end)),
+        [] => (first, end),
+    };
+    set.splice(lo..hi, [merged]);
 }
 
 /// Take `page` out of `set`; whether it was in.
 fn unrelease(set: &mut Released, page: u64) -> bool {
-    let Some(bits) = set.get_mut(&(page >> 6)) else {
+    let i = range_after(set, page);
+    let Some(&(first, end)) = set.get(i).filter(|&&(first, _)| first <= page) else {
         return false;
     };
-    let was = *bits >> (page & 63) & 1 != 0;
-    *bits &= !(1 << (page & 63));
-    if *bits == 0 {
-        set.remove(&(page >> 6));
-    }
-    was
+    let rest = [(first, page), (page + 1, end)];
+    set.splice(i..=i, rest.into_iter().filter(|&(f, e)| f < e));
+    true
 }
 
 /// Page buffers `restore` keeps for reuse at most: 256 KiB.
 const SPARE_MAX: usize = 64;
+
+/// Emptied leaves kept for reuse at most: 64 KiB. A checkpointed schedule
+/// whose threads write in several 4 MiB spans empties a leaf for each at
+/// every restore, and builds them again.
+const SPARE_LEAVES_MAX: usize = 8;
 
 /// TLB entries (log2): 256 pages, 1 MiB of simulated memory.
 const TLB_BITS: u64 = 8;
@@ -130,6 +160,22 @@ fn boxed<T: Clone, const N: usize>(fill: T) -> Box<[T; N]> {
 /// An empty radix node.
 fn node<T: Clone, const N: usize>() -> Box<[Option<Box<T>>; N]> {
     boxed(None)
+}
+
+/// An empty leaf, built on the heap like a node.
+fn empty_leaf() -> Box<Leaf> {
+    // SAFETY: all-zero bytes are an empty `Leaf`: `None` of an
+    // `Option<Box<_>>` is the null pointer, and a `live` of 0 counts them.
+    unsafe { Box::new_zeroed().assume_init() }
+}
+
+/// The leaf over `page`, built with the nodes above it if absent: a
+/// `spare` one if there is one, else a fresh one.
+#[inline]
+fn grow<'a>(root: &'a mut Root, spare: &mut Vec<Box<Leaf>>, page: u64) -> &'a mut Leaf {
+    let (r, m, _) = indexes(page);
+    root[r].get_or_insert_with(node)[m]
+        .get_or_insert_with(|| spare.pop().unwrap_or_else(empty_leaf))
 }
 
 /// Storage for a page being materialized: a spare buffer, zeroed, or a
@@ -199,13 +245,24 @@ pub struct Memory {
     /// no aliasing can occur.
     tlb: Box<Tlb>,
     resident: usize,
+    /// Leaves [`Memory::take_page`] emptied, for the next leaves to exist
+    /// ([`SPARE_LEAVES_MAX`] at most).
+    spare_leaves: Vec<Box<Leaf>>,
     /// Page ids in materialization order, a released page's entry marked
-    /// [`TOMB`]. Append-only between restores but for those marks;
-    /// `restore` truncates it back to the snapshot's length, which is what
-    /// makes "drop everything newer" O(new pages) instead of a radix walk.
-    /// A page is logged once per materialization, so its live entry, if
-    /// it has one, is its last.
+    /// [`TOMB`]. Append-only between restores but for those marks and the
+    /// compaction of the tombstones at or past `visible`; `restore`
+    /// truncates it back to the snapshot's length, which is what makes
+    /// "drop everything newer" O(new pages) instead of a radix walk. A
+    /// page is logged once per materialization, so its live entry, if it
+    /// has one, is its last.
     mat_log: Vec<u64>,
+    /// The longest log any [`Memory::snapshot`] has captured. An entry
+    /// below it may be in a snapshot, so only a restore ever rewrites it;
+    /// no snapshot holds one at or past it.
+    visible: usize,
+    /// Tombstones in `mat_log` at or past `visible`. When they are more
+    /// than half of that tail, [`Memory::compact`] drops them.
+    tail_tombs: usize,
     /// Pages given back by `release` and not written since.
     released: Released,
     /// Loads and stores that landed on a released page. Host-side: no
@@ -234,7 +291,10 @@ impl Memory {
             root: node(),
             tlb: boxed(NO_PAGE),
             resident: 0,
+            spare_leaves: Vec::new(),
             mat_log: Vec::new(),
+            visible: 0,
+            tail_tombs: 0,
             released: Released::default(),
             released_accesses: 0,
             spare: Vec::new(),
@@ -267,7 +327,7 @@ impl Memory {
             .get_mut(r)
             .and_then(|mid| mid.as_deref_mut())
             .and_then(|mid| mid[m].as_deref_mut())
-            .and_then(|leaf| leaf[l].as_deref_mut())
+            .and_then(|leaf| leaf.pages[l].as_deref_mut())
         else {
             if !self.released.is_empty() && is_released(&self.released, page) {
                 self.released_accesses += 1;
@@ -293,11 +353,12 @@ impl Memory {
             addr < ADDR_LIMIT,
             "simulated write at {addr:#x} beyond the {ADDR_LIMIT:#x} address-space bound"
         );
-        let (r, m, l) = indexes(page);
-        let slot = &mut self.root[r].get_or_insert_with(node)[m].get_or_insert_with(node)[l];
+        let leaf = grow(&mut self.root, &mut self.spare_leaves, page);
+        let slot = &mut leaf.pages[indexes(page).2];
         let p = match slot {
             Some(p) => p,
             None => {
+                leaf.live += 1;
                 self.resident += 1;
                 self.mat_log.push(page);
                 if !self.released.is_empty() && unrelease(&mut self.released, page) {
@@ -325,12 +386,25 @@ impl Memory {
         self.released_accesses
     }
 
+    /// Radix leaves that exist, each over at least one materialized page
+    /// (test/diagnostic aid; a walk of the middle nodes).
+    pub fn radix_leaves(&self) -> usize {
+        let mids = self.root.iter().flatten();
+        mids.map(|mid| mid.iter().flatten().count()).sum()
+    }
+
+    /// Entries in the materialization log, tombstones included
+    /// (test/diagnostic aid).
+    pub fn log_entries(&self) -> usize {
+        self.mat_log.len()
+    }
+
     /// `page`'s radix slot, if the nodes above it exist.
     #[inline]
     fn leaf_slot(&mut self, page: u64) -> Option<&mut Option<Box<Page>>> {
         let (r, m, l) = indexes(page);
         let mid = self.root.get_mut(r)?.as_deref_mut()?;
-        Some(&mut mid[m].as_deref_mut()?[l])
+        Some(&mut mid[m].as_deref_mut()?.pages[l])
     }
 
     /// The radix slot of a page the materialization log names.
@@ -340,15 +414,43 @@ impl Memory {
             .expect("a logged page has its radix nodes")
     }
 
-    /// Take a materialized page's storage out and clear its TLB entry.
+    /// Take a materialized page's storage out and clear its TLB entry. A
+    /// leaf that loses its last page goes too, kept spare if there is room.
     fn take_page(&mut self, page: u64) -> Box<Page> {
-        let storage = self.slot_mut(page).take();
+        let (r, m, l) = indexes(page);
+        let mid = self.root[r].as_deref_mut();
+        let mid = mid.expect("a logged page has its radix nodes");
+        let leaf = mid[m].as_deref_mut().expect("a logged page has its leaf");
+        let storage = leaf.pages[l].take();
+        leaf.live -= 1;
+        if leaf.live == 0 {
+            let empty = mid[m].take().expect("the leaf is there");
+            if self.spare_leaves.len() < SPARE_LEAVES_MAX {
+                self.spare_leaves.push(empty);
+            }
+        }
         self.resident -= 1;
         let entry = &mut self.tlb[tlb_slot(page)];
         if entry.page == page {
             *entry = NO_PAGE;
         }
         storage.expect("a dropped page is materialized")
+    }
+
+    /// Drop the tombstones at or past `visible`, keeping the order of the
+    /// rest: no snapshot holds them, so none needs its index kept.
+    fn compact(&mut self) {
+        let from = self.visible.min(self.mat_log.len());
+        let mut kept = from;
+        for i in from..self.mat_log.len() {
+            let entry = self.mat_log[i];
+            if entry & TOMB == 0 {
+                self.mat_log[kept] = entry;
+                kept += 1;
+            }
+        }
+        self.mat_log.truncate(kept);
+        self.tail_tombs = 0;
     }
 
     /// Drop a page a restore rewinds away, keeping its buffer spare.
@@ -363,14 +465,16 @@ impl Memory {
     /// released — its storage, if it has any, is freed and its log entry
     /// becomes a tombstone — and reads as zero until a write materializes
     /// it again. A page the range only partly covers is kept: the mapping
-    /// next to it may hold the rest. Host bookkeeping only: no simulated
+    /// next to it may hold the rest. The tombstones past `visible` are
+    /// counted, and compacted once they are most of that tail, so the log
+    /// follows the live pages too. Host bookkeeping only: no simulated
     /// cost, no event.
     pub fn release(&mut self, base: u64, len: u64) {
         let first = base.div_ceil(PAGE_BYTES);
         let end = base.saturating_add(len).min(ADDR_LIMIT) >> PAGE_SHIFT;
+        add_released(&mut self.released, first, end);
         let mut dropped = 0;
         for page in first..end {
-            *self.released.entry(page >> 6).or_default() |= 1 << (page & 63);
             if self.leaf_slot(page).is_some_and(|slot| slot.is_some()) {
                 drop(self.take_page(page));
                 dropped += 1;
@@ -378,14 +482,18 @@ impl Memory {
         }
         // Each dropped page's live log entry is its last, and a tombstone
         // (`TOMB` set) lies outside `first..end`: mark from the newest end.
-        for entry in self.mat_log.iter_mut().rev() {
+        for (i, entry) in self.mat_log.iter_mut().enumerate().rev() {
             if dropped == 0 {
                 break;
             }
             if (first..end).contains(entry) {
                 *entry |= TOMB;
                 dropped -= 1;
+                self.tail_tombs += usize::from(i >= self.visible);
             }
+        }
+        if 2 * self.tail_tombs > self.mat_log.len().saturating_sub(self.visible) {
+            self.compact();
         }
     }
 
@@ -395,9 +503,15 @@ impl Memory {
     /// DESIGN.md §14): the snapshot then allocates only for pages written
     /// since the parent.
     pub fn snapshot(&mut self, parent: Option<&MemSnapshot>) -> MemSnapshot {
-        // The materialization log is append-only between restores and a
+        // The materialization log is append-only between restores, but for
+        // the tombstones past `visible`, which no parent holds, and a
         // restore truncates it to the snapshot it rewinds to, so a parent's
-        // log is always an index-aligned prefix of ours.
+        // log is always an index-aligned prefix of ours. Those tombstones
+        // go first: this capture makes every entry visible.
+        if self.tail_tombs > 0 {
+            self.compact();
+        }
+        self.visible = self.visible.max(self.mat_log.len());
         let mut pages = Vec::with_capacity(self.mat_log.len());
         for i in 0..self.mat_log.len() {
             let page = self.mat_log[i];
@@ -438,6 +552,8 @@ impl Memory {
             }
         }
         self.mat_log.truncate(snap.pages.len());
+        // The snapshot's log is no longer than `visible`: no tail is left.
+        self.tail_tombs = 0;
         for (i, (page, content)) in snap.pages.iter().enumerate() {
             let entry = self.mat_log[i];
             assert_eq!(entry & !TOMB, *page, "snapshot from a different memory");
@@ -458,7 +574,9 @@ impl Memory {
                 (false, Some(content)) => {
                     let mut storage = zeroed(&mut self.spare);
                     *storage = **content;
-                    *self.slot_mut(*page) = Some(storage);
+                    let leaf = grow(&mut self.root, &mut self.spare_leaves, *page);
+                    leaf.pages[indexes(*page).2] = Some(storage);
+                    leaf.live += 1;
                     self.resident += 1;
                     self.mat_log[i] = *page;
                 }
@@ -653,7 +771,10 @@ mod tests {
         // The whole mapping, the untouched fourth page included.
         m.release(0x10_0000, 4 * PAGE_BYTES);
         assert_eq!(m.resident_pages(), 0);
-        assert_eq!(m.mat_log.iter().filter(|&&e| e & TOMB != 0).count(), 3);
+        // Three tombstones, which no snapshot sees: compacted away, and the
+        // leaf went with its last page.
+        assert!(m.mat_log.is_empty());
+        assert_eq!(m.radix_leaves(), 0);
         for page in 0..4u64 {
             assert_eq!(m.read(0x10_0000 + page * PAGE_BYTES), 0);
         }
@@ -669,6 +790,8 @@ mod tests {
     fn a_write_to_a_released_page_materializes_and_logs_it_again() {
         let mut m = Memory::new();
         m.write(0x3000, 7);
+        // A snapshot sees the first entry, so its tombstone stays.
+        let _snap = m.snapshot(None);
         m.release(0x3000, PAGE_BYTES);
         assert_eq!(m.read(0x3008), 0);
         m.write(0x3008, 9);
@@ -678,9 +801,10 @@ mod tests {
         // The read and the write that re-materialized; reads of the live
         // page after it are not counted.
         assert_eq!(m.released_accesses(), 2);
-        // Released again, the page's live entry is its second.
+        // Released again, the page's live entry is its second, which no
+        // snapshot sees: its tombstone is compacted away.
         m.release(0x3000, PAGE_BYTES);
-        assert_eq!(m.mat_log, [0x3 | TOMB, 0x3 | TOMB]);
+        assert_eq!(m.mat_log, [0x3 | TOMB]);
         assert_eq!(m.resident_pages(), 0);
     }
 
@@ -706,6 +830,52 @@ mod tests {
         m.release(a, PAGE_BYTES);
         assert!(in_tlb(&m, b));
         assert_eq!((m.read(b), m.read(b + 8), m.read(a + 8)), (3, 5, 0));
+    }
+
+    #[test]
+    fn a_leaf_goes_with_its_last_page_and_unseen_tombstones_are_compacted() {
+        let leaf_span = 1 << (LEAF_BITS + PAGE_SHIFT);
+        let mut m = Memory::new();
+        // Pages 0 and 1 in one leaf, page 1024 in the next.
+        m.write(0x10, 1);
+        m.write(PAGE_BYTES, 2);
+        m.write(leaf_span, 3);
+        assert_eq!(m.radix_leaves(), 2);
+        m.release(0, PAGE_BYTES);
+        assert_eq!(m.radix_leaves(), 2, "the leaf still holds page 1");
+        // One tombstone in a tail of three: kept until a capture.
+        assert_eq!(m.mat_log, [TOMB, 1, 1024]);
+        let snap = m.snapshot(None);
+        assert_eq!((m.mat_log.as_slice(), m.visible), ([1, 1024].as_slice(), 2));
+        // The leaf goes with page 1, kept spare; the entry, which the
+        // snapshot holds, stays as a tombstone.
+        m.release(PAGE_BYTES, PAGE_BYTES);
+        assert_eq!(m.radix_leaves(), 1);
+        assert_eq!(m.spare_leaves.len(), 1);
+        assert_eq!(m.mat_log, [1 | TOMB, 1024]);
+        // Pages past `visible`: the next leaf is the spare.
+        for page in 2..6 {
+            m.write(page * PAGE_BYTES, page);
+        }
+        assert_eq!(m.radix_leaves(), 2);
+        assert!(m.spare_leaves.is_empty());
+        // Two tombstones of a tail of four are not most of it; three are.
+        m.release(2 * PAGE_BYTES, 2 * PAGE_BYTES);
+        assert_eq!(m.mat_log, [1 | TOMB, 1024, 2 | TOMB, 3 | TOMB, 4, 5]);
+        m.release(4 * PAGE_BYTES, PAGE_BYTES);
+        assert_eq!(m.mat_log, [1 | TOMB, 1024, 5]);
+        m.release(5 * PAGE_BYTES, PAGE_BYTES);
+        m.release(leaf_span, PAGE_BYTES);
+        assert_eq!(m.mat_log, [1 | TOMB, 1024 | TOMB]);
+        assert_eq!((m.radix_leaves(), m.resident_pages()), (0, 0));
+        // The restore brings both pages back, with leaves above them.
+        m.restore(&snap);
+        assert_eq!(m.mat_log, [1, 1024]);
+        assert_eq!((m.radix_leaves(), m.resident_pages()), (2, 2));
+        assert_eq!(
+            (m.read(0x10), m.read(PAGE_BYTES), m.read(leaf_span)),
+            (0, 2, 3)
+        );
     }
 
     /// The storage `addr`'s page holds, if it is materialized.
@@ -784,7 +954,8 @@ mod tests {
         m.restore(&snap);
         assert_eq!(m.resident_pages(), 1);
         assert_eq!((m.read(0x1000), m.read(0x5000)), (1, 0));
-        assert_eq!(m.mat_log, [0x1, 0x5 | TOMB]);
+        // The capture compacted the tombstone no earlier snapshot saw.
+        assert_eq!(m.mat_log, [0x1]);
         // And it is released again, as at the capture: a write counts.
         let before = m.released_accesses();
         m.write(0x5008, 5);
@@ -821,6 +992,30 @@ mod tests {
         assert_eq!(m.resident_pages(), 1);
         assert_eq!((m.read(0x1000), m.read(0x5000), m.read(0x9000)), (0, 0, 4));
         assert_eq!(m.released_accesses(), before + 2);
+    }
+
+    #[test]
+    fn released_ranges_match_a_set_of_pages() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let (mut set, mut model) = (Released::new(), BTreeSet::new());
+        for _ in 0..4000 {
+            let page = rng.gen_range(0..96u64);
+            if rng.gen_range(0..3) == 0 {
+                assert_eq!(unrelease(&mut set, page), model.remove(&page));
+            } else {
+                let end = page + rng.gen_range(0..6u64);
+                add_released(&mut set, page, end);
+                model.extend(page..end);
+            }
+            // Sorted, disjoint, none empty and none touching the next.
+            assert!(set.iter().all(|&(first, end)| first < end));
+            assert!(set.windows(2).all(|w| w[0].1 < w[1].0), "{set:?}");
+            for page in 0..104 {
+                assert_eq!(is_released(&set, page), model.contains(&page), "{page}");
+            }
+        }
     }
 
     /// Word addresses on both sides of every kind of radix boundary: page

@@ -103,18 +103,32 @@ proptest! {
         };
         prop_assert_eq!(run(seed), run(seed));
     }
+}
 
-    /// The whole machine's memory against a map, from outside: untimed
-    /// reads and writes through `Sim::with_state` on addresses that
-    /// straddle every node boundary of the page radix, interleaved with
-    /// `Sim::snapshot` (each the COW child of the one before),
-    /// `Sim::restore` and `Ctx::os_free` of ranges that start on a page
-    /// boundary or inside a page. A released page reads 0, and every
-    /// access to one, up to the write that maps it again, is counted.
-    #[test]
-    fn memory_matches_a_map_through_snapshots_and_restores(
-        ops in prop::collection::vec((0usize..25, 0u64..4, 0u32..22), 1..300),
-    ) {
+/// The whole machine's memory against a map, from outside: untimed reads
+/// and writes through `Sim::with_state` on addresses that straddle every
+/// node boundary of the page radix, interleaved with `Sim::snapshot` (each
+/// the COW child of the one before), `Sim::restore`, `Ctx::os_free` of
+/// ranges that start on a page boundary or inside a page, and fresh spans
+/// past the last one, as the bump allocator hands them out, mapped,
+/// written at both ends and unmapped. A released page reads 0, and every
+/// access to one, up to the write that maps it again, is counted. The
+/// radix holds a leaf exactly over each 4 MiB with a live page, and the
+/// log past the longest one a snapshot captured is at most twice the live
+/// pages: counters show that the cases free leaves and compact the log.
+///
+/// The case loop of `proptest!`, by hand, so that the counters can be
+/// asserted over all the cases.
+#[test]
+fn memory_matches_a_map_through_snapshots_and_restores() {
+    let name = "memory_matches_a_map_through_snapshots_and_restores";
+    let ops = (prop::collection::vec(
+        (0usize..25, 0u64..4, 0u32..23),
+        1..300,
+    ),);
+    // Ops that freed a radix leaf, and releases that compacted the log.
+    let (mut leaf_frees, mut compactions) = (0, 0);
+    let failure = proptest::run_cases(16, proptest::seed_of(name), &ops, |(ops,)| {
         let addrs = straddling_addrs();
         prop_assert_eq!(addrs.len(), 25);
         let sim = Sim::new(MachineConfig::tiny_test());
@@ -122,15 +136,20 @@ proptest! {
         let mut pages: HashSet<u64> = HashSet::new();
         let mut released: HashSet<u64> = HashSet::new();
         let mut released_accesses = 0;
+        // The longest log a snapshot has captured.
+        let mut visible = 0;
         // Snapshots still restorable, oldest first, with the model each froze.
         type Model = (HashMap<u64, u64>, HashSet<u64>, HashSet<u64>);
         let mut snaps: Vec<(SimSnapshot, Model)> = Vec::new();
-        for (pick, val, what) in ops {
+        let radix = |sim: &Sim| sim.with_state(|m| (m.radix_leaves(), m.log_entries()));
+        for &(pick, val, what) in ops {
             let addr = addrs[pick];
+            let (leaves_before, log_before) = radix(&sim);
             match what {
                 0 => {
                     let snap = sim.snapshot(snaps.last().map(|(s, _)| s));
                     prop_assert_eq!(snap.pages(), pages.len());
+                    visible = visible.max(radix(&sim).1);
                     snaps.push((snap, (words.clone(), pages.clone(), released.clone())));
                 }
                 1 if !snaps.is_empty() => {
@@ -158,6 +177,28 @@ proptest! {
                         released.insert(page);
                     }
                     words.retain(|a, _| !(first..end).contains(&(a >> 12)));
+                    compactions += u32::from(radix(&sim).1 < log_before);
+                }
+                22 => {
+                    // A fresh span of 1 to 4 MiB, written in its first and
+                    // its last word, then unmapped.
+                    let len = (val + 1) << 20;
+                    let base = sim.with_state(|m| m.os_alloc(len, 4096));
+                    for a in [base, base + len - 8] {
+                        sim.with_state(|m| m.write_u64(a, val));
+                        words.insert(a, val);
+                        pages.insert(a >> 12);
+                        released_accesses += u64::from(released.remove(&(a >> 12)));
+                    }
+                    let (grown, log_grown) = radix(&sim);
+                    sim.run(1, |ctx| ctx.os_free(base, len));
+                    for page in base >> 12..(base + len) >> 12 {
+                        pages.remove(&page);
+                        released.insert(page);
+                    }
+                    words.retain(|a, _| !(base..base + len).contains(a));
+                    leaf_frees += u32::from(radix(&sim).0 < grown);
+                    compactions += u32::from(radix(&sim).1 < log_grown);
                 }
                 _ => {
                     let expect = words.get(&addr).copied().unwrap_or(0);
@@ -166,6 +207,17 @@ proptest! {
                 }
             }
             prop_assert_eq!(sim.with_state(|m| m.resident_pages()), pages.len());
+            // A leaf over each 4 MiB that holds a live page, and no other.
+            let (leaves, log) = radix(&sim);
+            let spans: HashSet<u64> = pages.iter().map(|page| page >> 10).collect();
+            prop_assert_eq!(leaves, spans.len());
+            leaf_frees += u32::from(what != 22 && leaves < leaves_before);
+            // Past `visible`, tombstones are at most half the log, and
+            // each other entry there is a live page's.
+            prop_assert!(
+                log <= visible + 2 * pages.len(),
+                "log {log}, visible {visible}"
+            );
             // At and beyond the limit nothing is ever mapped.
             let beyond = sim.with_state(|m| {
                 m.read_u64(ADDR_LIMIT) | m.read_u64(ADDR_LIMIT + addr) | m.read_u64(!7)
@@ -177,5 +229,15 @@ proptest! {
             let expect = words.get(&addr).copied().unwrap_or(0);
             prop_assert_eq!(sim.with_state(|m| m.read_u64(addr)), expect);
         }
+        Ok(())
+    });
+    if let Some((minimal, err, case, steps)) = failure {
+        panic!("{name}: case {case} failed after {steps} shrink steps: {err}\n  minimal ops: {minimal:?}");
     }
+    // 236 and 55 over the 16 cases.
+    assert!(leaf_frees >= 100, "{leaf_frees} ops freed a radix leaf");
+    assert!(
+        compactions >= 25,
+        "{compactions} releases compacted the log"
+    );
 }

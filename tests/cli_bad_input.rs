@@ -664,39 +664,57 @@ fn a_bad_tm_sim_exec_is_a_one_line_usage_error_on_every_subcommand() {
 }
 
 /// A panic inside the simulated workload is a failed experiment: one
-/// `error:` line, exit 1 — and an exit at all. This Yada cell writes
-/// through a garbage pointer inside a transaction (ROADMAP item 1); its
-/// seven peers spin on ORT stripes the dead transaction still owns, and
-/// the run used to hang there. Under both executors, within a wall-clock
-/// bound.
+/// `error:` line, exit 1 — and an exit at all. Two panics inside a
+/// transaction, whose seven peers spin on ORT stripes the dead transaction
+/// still owns (the run used to hang there): a Yada cell that writes
+/// through a garbage pointer (the write-back defect, ROADMAP item 1), and
+/// one whose allocation budget runs out, which panics with or without
+/// that defect. Under both executors, within a wall-clock bound.
 #[test]
 fn a_workload_panic_is_one_error_line_and_exit_1_not_a_hang() {
-    let argv = ["stamp", "--app", "yada", "--alloc", "tc", "--threads", "8"];
-    for exec in ["fibers", "threads"] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
-            .args(argv)
-            .args(["--scale", "8", "--seed", "16"])
-            .env("TM_SIM_EXEC", exec)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("run tmstudy");
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while child.try_wait().expect("poll tmstudy").is_none() {
-            if Instant::now() > deadline {
-                child.kill().expect("kill tmstudy");
-                panic!("{exec}: tmstudy {argv:?} still runs after 120 s");
+    let cells: [(&[&str], &str); 2] = [
+        (&["--alloc", "tc", "--seed", "16"], ""),
+        (
+            &[
+                "--alloc",
+                "glibc",
+                "--seed",
+                "1",
+                "--alloc-fault",
+                "budget:200000",
+            ],
+            // `malloc(16)`, or `malloc(256)` with the write-back defect
+            // fixed.
+            "transactional malloc(",
+        ),
+    ];
+    for (cell, message) in cells {
+        for exec in ["fibers", "threads"] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_tmstudy"))
+                .args(["stamp", "--app", "yada", "--threads", "8", "--scale", "8"])
+                .args(cell)
+                .env("TM_SIM_EXEC", exec)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("run tmstudy");
+            let deadline = Instant::now() + Duration::from_secs(120);
+            while child.try_wait().expect("poll tmstudy").is_none() {
+                if Instant::now() > deadline {
+                    child.kill().expect("kill tmstudy");
+                    panic!("{exec}: tmstudy {cell:?} still runs after 120 s");
+                }
+                std::thread::sleep(Duration::from_millis(20));
             }
-            std::thread::sleep(Duration::from_millis(20));
+            let out = child.wait_with_output().expect("collect tmstudy");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{exec} {cell:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{exec} {cell:?}: {stderr}");
+            assert!(
+                stderr.starts_with("error: the workload panicked: ") && stderr.contains(message),
+                "{exec} {cell:?}: {stderr}"
+            );
         }
-        let out = child.wait_with_output().expect("collect tmstudy");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{exec}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{exec}: {stderr}");
-        assert!(
-            stderr.starts_with("error: the workload panicked: "),
-            "{exec}: {stderr}"
-        );
     }
 }
 
