@@ -461,10 +461,18 @@ impl Sim {
     /// Execute `f` once per logical thread on `n` virtual cores and return
     /// the virtual-time report for this run. Thread `tid` is pinned to core
     /// `tid`. Panics if `n` exceeds the machine's core count.
+    #[inline]
     pub fn run<F>(&self, n: usize, f: F) -> SimReport
     where
         F: Fn(&mut Ctx<'_>) + Sync,
     {
+        self.run_dyn(n, &f)
+    }
+
+    /// [`Sim::run`]'s body, compiled once: the workload is erased at the
+    /// door, which costs one indirect call per logical thread and nothing
+    /// per event.
+    fn run_dyn(&self, n: usize, f: &Workload<'_>) -> SimReport {
         assert!(n >= 1, "need at least one thread");
         assert!(
             n <= self.cfg.cores,
@@ -518,7 +526,7 @@ impl Sim {
             ctx.finish();
         } else {
             // SAFETY: as above.
-            unsafe { self.run_handing_off(&mut rt, &f) };
+            unsafe { self.run_handing_off(&mut rt, f) };
         }
 
         let cycles = g.time.iter().copied().max().unwrap_or(0);
@@ -562,16 +570,13 @@ impl Sim {
     /// It, `boots` and the fiber stacks outlive every thread of the run:
     /// `drive` returns once each has handed the turn on for good, and the
     /// scope joins its OS threads.
-    unsafe fn run_handing_off<'a, F>(&self, rt: *mut Rt<'a>, f: &'a F)
-    where
-        F: Fn(&mut Ctx<'_>) + Sync,
-    {
+    unsafe fn run_handing_off<'a>(&self, rt: *mut Rt<'a>, f: &'a Workload<'a>) {
         // SAFETY: the caller's contract makes `rt` live and this thread its
         // only user until the first hand-off; after `drive` returns every
         // logical thread has handed the turn on for good, so the run state
         // is this thread's alone again for the checks below.
         let n = (*rt).n;
-        let boots: [Boot<'_, F>; MAX_CORES] = std::array::from_fn(|tid| Boot { rt, f, tid });
+        let boots: [Boot<'_>; MAX_CORES] = std::array::from_fn(|tid| Boot { rt, f, tid });
         let boots = &boots[..n];
         match self.backend {
             Backend::Fibers => {
@@ -586,7 +591,7 @@ impl Sim {
                 // frames point at `boots`, which outlive the run.
                 for (stack, b) in inner.stacks.first(n).iter().zip(boots) {
                     let boot = ptr::from_ref(b) as *mut u8;
-                    sps.push(Cell::new(stack.boot(fiber_main::<F>, boot)));
+                    sps.push(Cell::new(stack.boot(fiber_main, boot)));
                 }
                 sps.push(Cell::new(ptr::null_mut()));
                 (*rt).switch = Switch::Fibers(sps);
@@ -786,21 +791,28 @@ enum Switch {
     Threads(Vec<Thread>),
 }
 
+/// A run's workload, erased: every thread of every run calls it through
+/// this one type, so the executor below is compiled once.
+type Workload<'a> = dyn Fn(&mut Ctx<'_>) + Sync + 'a;
+
 /// What a logical thread is started with.
-struct Boot<'a, F> {
+struct Boot<'a> {
     rt: *mut Rt<'a>,
-    f: &'a F,
+    f: &'a Workload<'a>,
     tid: usize,
 }
 
-// SAFETY: `f` is a shared reference and `F: Sync`. `rt` — whose `shared` and
-// `hook` are `Sync` too — and the `Inner` behind it are reached from an OS
-// thread only while it holds the turn: every access follows an `Acquire`
-// load of the baton that read the thread's own slot (`await_turn`), stored
-// with `Release` by the previous holder after its last access (`pass_baton`).
-// The hand-offs thus order all accesses in one happens-before chain, as if
-// one thread had made them.
-unsafe impl<F: Sync> Sync for Boot<'_, F> {}
+// SAFETY: `f` is a shared reference to a `dyn Fn + Sync`: the trait object
+// carries the `Sync` bound of the closure it erased, and calling it through
+// the vtable takes no more than `&`, so sharing `f` between threads is what
+// that bound allows. `rt` — whose `shared` and `hook` are `Sync` too — and
+// the `Inner` behind it are reached from an OS thread only while it holds
+// the turn: every access follows an `Acquire` load of the baton that read
+// the thread's own slot (`await_turn`), stored with `Release` by the
+// previous holder after its last access (`pass_baton`). The hand-offs thus
+// order all accesses in one happens-before chain, as if one thread had made
+// them.
+unsafe impl Sync for Boot<'_> {}
 
 /// Payload the scheduler unwinds a thread with — one blocked in a virtual
 /// deadlock, or one suspended when a peer panicked; never the run's panic.
@@ -843,7 +855,7 @@ unsafe fn drive(rt: *mut Rt<'_>) {
 ///
 /// # Safety
 /// `boot.rt` must point to the live run this thread belongs to.
-unsafe fn thread_main<F: Fn(&mut Ctx<'_>) + Sync>(boot: &Boot<'_, F>) {
+unsafe fn thread_main(boot: &Boot<'_>) {
     let (rt, tid) = (boot.rt, boot.tid);
     // SAFETY: a logical thread runs only while it holds the turn (the
     // driver or a peer handed it over to boot or resume it), and its `Ctx`
@@ -871,8 +883,8 @@ unsafe fn thread_main<F: Fn(&mut Ctx<'_>) + Sync>(boot: &Boot<'_, F>) {
     hand_off(rt, tid, to, true);
 }
 
-unsafe extern "C" fn fiber_main<F: Fn(&mut Ctx<'_>) + Sync>(arg: *mut u8) -> ! {
-    thread_main(&*(arg as *const Boot<'_, F>));
+unsafe extern "C" fn fiber_main(arg: *mut u8) -> ! {
+    thread_main(&*(arg as *const Boot<'_>));
     unreachable!("a finished fiber was resumed");
 }
 
@@ -1707,6 +1719,64 @@ mod tests {
             let threads_total = m.read_u64(0x908);
             sf.with_state(|m2| assert_eq!(m2.read_u64(0x908), threads_total));
         });
+    }
+
+    #[test]
+    fn one_sim_alternating_closure_types_runs_like_fresh_ones() {
+        // Every closure type enters through the one erased `Sim::run` body,
+        // whose boot table and fiber hand-off table a `Sim` reuses from run
+        // to run: a run after one of another closure type must see nothing
+        // of it. The executor is `TM_SIM_EXEC`'s, so CI's threads job runs
+        // this on the OS-thread executor too.
+        let counting = |s: &Sim, n: usize| {
+            let mx = s.new_mutex();
+            s.run(n, move |ctx| {
+                for i in 0..6u64 {
+                    ctx.tick((ctx.tid() as u64 + 1) * 11 + i);
+                    ctx.fetch_add_u64(0x3000, 1);
+                    ctx.with_lock(mx, |ctx| {
+                        let v = ctx.read_u64(0x4000);
+                        ctx.write_u64(0x4000, v + 1);
+                    });
+                }
+            })
+        };
+        let base = [0x5000u64, 0x5800];
+        let striding = |s: &Sim, n: usize| {
+            s.run(n, |ctx| {
+                let at = base[ctx.tid() % 2] + 64 * ctx.tid() as u64;
+                for i in 0..4u64 {
+                    ctx.write_u64(at + 8 * i, i);
+                    ctx.tick(5 * (4 - i));
+                }
+                let _ = ctx.cas_u64(0x6000, 0, ctx.tid() as u64 + 1);
+            })
+        };
+        let step = |s: &Sim, (stride, n): (bool, usize)| {
+            let r = if stride {
+                striding(s, n)
+            } else {
+                counting(s, n)
+            };
+            (format!("{r:?}"), s.trace_hash())
+        };
+        let steps = [
+            (false, 1),
+            (true, 8),
+            (false, 8),
+            (true, 1),
+            (true, 8),
+            (false, 8),
+        ];
+        let reused = Sim::new(MachineConfig::xeon_e5405());
+        for k in 0..steps.len() {
+            let fresh = Sim::new(MachineConfig::xeon_e5405());
+            let mut want = None;
+            for &st in &steps[..=k] {
+                want = Some(step(&fresh, st));
+            }
+            assert_eq!(Some(step(&reused, steps[k])), want, "step {k}");
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 #   scripts/profile.sh -- <command> [args...]      any binary with debug info
 #   scripts/profile.sh --heap <workload> [--seconds N] [--seed N]
 #   scripts/profile.sh --heap -- <command> [args...]
+#   scripts/profile.sh --rss <workload> [--seconds N] [--seed N]
+#   scripts/profile.sh --rss -- <command> [args...]
 #
 # Builds scripts/sigprof.c (a SIGPROF sampler, preloaded) and the benchmark
 # package with debug info into their own target directory
@@ -32,25 +34,38 @@
 # site, and the profile is the live heap at its peak — one `heap:` line with
 # the peak, then the share, megabytes and blocks of it by site, a site
 # being the first four frames (inlined ones included, innermost first)
-# outside the allocator and the standard library's collections. Exits 0
-# with a notice where `cc` or `addr2line` is missing.
+# outside the allocator and the standard library's collections.
+#
+# With `--rss`, what the resident set is made of: scripts/rssprof.c
+# (preloaded) fires when the program opens /proc/self/status — the
+# benchmark's one read of `VmHWM`, at its end, for `peak_rss_mb` — and the
+# profile is one `rss:` line with that peak, then the resident KB and share
+# of each part of the resident set at that moment: `[heap]`, the other
+# anonymous mappings, the executable's text, read-only and data segments,
+# and each shared object (`[libc.so.6]`; the preloaded hook is a row of
+# its own, about 20 KB that a plain run does not have). `peak_rss_mb`
+# counts the file-backed rows too, so a move of it is a heap move only if
+# `[heap]` moves. Exits 0 with a notice where `cc` or `addr2line` is
+# missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 for tool in cc addr2line; do
   command -v "$tool" >/dev/null || { echo "profile: no $tool on this host, nothing profiled"; exit 0; }
 done
-heap=0
-if [ "${1:-}" = "--heap" ]; then
-  heap=1
-  shift
-fi
-[ $# -ge 1 ] || { sed -n '2,11p' "$0"; exit 2; }
+heap=0 rss=0
+case "${1:-}" in
+  --heap) heap=1; shift ;;
+  --rss) rss=1; shift ;;
+esac
+[ $# -ge 1 ] || { sed -n '2,13p' "$0"; exit 2; }
 
 dir="${CARGO_TARGET_DIR:-$PWD/target}/profile"
 mkdir -p "$dir"
 if ((heap)); then
   cc -O2 -shared -fPIC -ftls-model=initial-exec -o "$dir/heapprof.so" scripts/heapprof.c
+elif ((rss)); then
+  cc -O2 -shared -fPIC -o "$dir/rssprof.so" scripts/rssprof.c -ldl
 else
   cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -ldl
 fi
@@ -78,6 +93,39 @@ else
   cmd=("$dir/release/tm-benchmark" --workload "$what" --seed "$seed" --seconds "$seconds" --trace 0)
 fi
 binary="$(command -v "${cmd[0]}")"
+
+if ((rss)); then
+  # `rssprof.so` writes `hwm <KB>`, `rss <KB>`, then `<KB> <class> <name>`
+  # per part of the resident set: the heap, the other anonymous mappings,
+  # the executable's segments by name, then each other file by its path.
+  parts="$dir/rss.txt"
+  rm -f "$parts"
+  RSSPROF_OUT="$parts" LD_PRELOAD="$dir/rssprof.so" "${cmd[@]}" >/dev/null
+  [ -s "$parts" ] || { echo "profile: $what never opened /proc/self/status, no resident set split"; exit 1; }
+  awk -v what="$what" '
+    $1 == "hwm" { hwm = $2; next }
+    $1 == "rss" { rss = $2; next }
+    {
+      kb = $1; class = $2; name = $3
+      for (i = 4; i <= NF; i++) name = name " " $i
+      if (class == "exe") row = "executable " name
+      else if (class == "object") { n = split(name, path, "/"); row = "[" path[n] "]" }
+      else row = name
+      at[row] = kb; order[++rows] = row; filed[row] = class == "exe" || class == "object"
+      if (filed[row]) file += kb
+    }
+    END {
+      printf "rss: %s, VmHWM %.3f MB when it read /proc/self/status, VmRSS %.3f MB then, %.3f MB of it file-backed\n", what, hwm / 1024, rss / 1024, file / 1024
+      printf "columns: resident KB at that read, share of VmRSS\n"
+      printf "\n== resident set by mapping ==\n"
+      for (r = 1; r <= rows; r++) if (!filed[order[r]] || order[r] ~ /^executable /)
+        printf "%7d  %5.1f%%  %s\n", at[order[r]], 100 * at[order[r]] / rss, order[r]
+      for (r = 1; r <= rows; r++) if (filed[order[r]] && order[r] !~ /^executable /)
+        printf "%7d  %5.1f%%  %s\n", at[order[r]], 100 * at[order[r]] / rss, order[r] | "sort -rn"
+      close("sort -rn")
+    }' "$parts"
+  exit 0
+fi
 
 if ((heap)); then
   # `heapprof.so` writes a `peak <bytes> <blocks> <untracked>` line, then a

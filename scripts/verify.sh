@@ -268,6 +268,27 @@ if [ "$quick" -eq 0 ]; then
 
   echo "==> tmstudy book --check (REPRODUCTION.md drift)"
   "$tmstudy" book --check
+
+  # One compiled executor (DESIGN.md §4.1): `Sim::run` erases its workload
+  # at the door, so the run body, the thread body and the fiber entry are
+  # compiled once, not once per closure type. A generic path back in the
+  # executor shows as dozens of copies in the release binary (47 symbols,
+  # 131 KB with a generic `Boot<F>`; 3 and 8 KB erased): more than 3
+  # symbols or 16 KB of them fails the gate.
+  if command -v nm >/dev/null; then
+    echo "==> executor text gate (nm: Sim::run, thread_main, fiber_main compiled once)"
+    read -r count bytes < <(nm -C -S -t d "$tmstudy" | awk '
+      { name = $4; for (i = 5; i <= NF; i++) name = name " " $i }
+      name ~ /^tm_sim::exec::(Sim::run|thread_main|fiber_main)/ { n++; b += $2 }
+      END { print n + 0, b + 0 }')
+    echo "$count symbols, $bytes bytes"
+    if [ "$count" -gt 3 ] || [ "$bytes" -gt 16384 ]; then
+      echo "verify: the executor is compiled $count times ($bytes bytes of Sim::run, thread_main and fiber_main); erase the workload at Sim::run's door"
+      exit 1
+    fi
+  else
+    echo "==> executor text gate skipped: no nm on this host"
+  fi
 fi
 
 # The schedule model checker must keep its teeth: every catalog mutant
@@ -419,6 +440,26 @@ if [ "$quick" -eq 0 ]; then
     *)
       echo "$heap" | grep -q '^heap: synth-matrix, peak [0-9.]* MB live' || {
         echo "verify: scripts/profile.sh --heap synth-matrix printed no peak line"
+        exit 1
+      }
+      ;;
+  esac
+
+  # The resident-set split a perf_opt issue on peak_rss_mb names its part
+  # from: on synth-matrix it must print the `rss:` line and a row for the
+  # executable's text (or say itself where cc or addr2line is missing).
+  echo "==> scripts/profile.sh --rss synth-matrix (smoke: an rss line and the executable's text)"
+  rss="$(timeout 900 scripts/profile.sh --rss synth-matrix --seconds 2)" || {
+    echo "verify: scripts/profile.sh --rss synth-matrix failed"
+    exit 1
+  }
+  echo "$rss" | head -n 9
+  case "$rss" in
+    "profile: no "*) ;;
+    *)
+      { echo "$rss" | grep -q '^rss: synth-matrix, VmHWM [0-9.]* MB' &&
+        echo "$rss" | grep -qE '^ *[0-9]+ +[0-9.]+% +executable text$'; } || {
+        echo "verify: scripts/profile.sh --rss synth-matrix printed no rss line or no row for the executable's text"
         exit 1
       }
       ;;
